@@ -8,10 +8,17 @@ metric — one whose baseline entry carries a ``required_speedup`` bar —
 lost more than ``DEFAULT_TOLERANCE`` of its baseline speedup.
 
 The gate is deliberately looser than the benchmarks' own absolute bars
-(for example ``bench_many_queries`` asserts >= 3x outright): those bars
+(for example ``bench_tenants`` asserts >= 5x outright): those bars
 catch catastrophic breakage, while this diff catches the slow bleed — a
-change that drags a 7x speedup down to 4x still clears the absolute bar
+change that drags a 22x speedup down to 8x still clears the absolute bar
 but loses half the optimisation this repo exists to demonstrate.
+
+A ratio is only a fair gate while its denominator stands still.  When a
+change makes the *slow side* of a comparison faster, the speedup shrinks
+although both sides improved in seconds; such a gate has to be re-based on
+what the benchmark is about, not defended (``bench_many_queries`` gates
+the shared path's own scaling, not shared against unshared, for that
+reason).
 
 Usage::
 

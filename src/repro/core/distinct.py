@@ -13,11 +13,20 @@ Both counters share a small interface:
 
 ``add_hashes(hashes)``      register an array of 64-bit item hashes
 ``estimate()``              estimated number of distinct items added so far
+``new_estimate(other)``     items of ``other`` not yet counted here
 ``merge(other)``            in-place union with another counter
 ``copy() / reset()``        bookkeeping helpers
+
+Feature extraction always handles the ten aggregates' counters together, so
+it holds them as one :class:`CounterBank` (the same interface, one row per
+counter).  For bitmaps that is a :class:`BitmapBank`: all rows bit-packed in
+one ``uint64`` array, every read one popcount over the whole bank.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import List, Sequence
 
 import numpy as np
 
@@ -84,6 +93,192 @@ class ExactDistinctCounter(DistinctCounter):
         self._items.clear()
 
 
+class CounterBank:
+    """A fixed group of distinct counters that are updated and read together.
+
+    Row ``i`` behaves exactly like a stand-alone counter of the backend: the
+    ``estimates`` / ``new_estimates`` arrays hold what ``estimate`` /
+    ``new_estimate`` of each row would return.  This generic bank keeps one
+    counter object per row (the exact backend); :class:`BitmapBank`
+    overrides every operation with a kernel over all rows at once.
+    """
+
+    def __init__(self, counters: Sequence[DistinctCounter]) -> None:
+        self.counters: List[DistinctCounter] = list(counters)
+
+    def add_hashes(self, index: int, hashes: np.ndarray) -> None:
+        """Register ``hashes`` with row ``index``."""
+        self.counters[index].add_hashes(hashes)
+
+    def estimates(self) -> np.ndarray:
+        """Per-row distinct estimates (read-only for the caller)."""
+        return np.array([counter.estimate() for counter in self.counters])
+
+    def new_estimates(self, other: "CounterBank") -> np.ndarray:
+        """Per row, the items of ``other``'s row not yet counted here.
+
+        Neither bank is modified; the values are never negative.
+        """
+        return np.array([
+            counter.new_estimate(incoming)
+            for counter, incoming in zip(self.counters, other.counters)])
+
+    def merge(self, other: "CounterBank") -> None:
+        """Row-wise in-place union with ``other``."""
+        for counter, incoming in zip(self.counters, other.counters):
+            counter.merge(incoming)
+
+    def copy(self) -> "CounterBank":
+        return CounterBank([counter.copy() for counter in self.counters])
+
+    def reset(self) -> None:
+        for counter in self.counters:
+            counter.reset()
+
+
+#: The hash bits that pick the position inside a component: independent of
+#: the (high) bits that pick the component.
+_POSITION_MASK = np.uint64(0xFFFFFFFF)
+
+
+@lru_cache(maxsize=None)
+def _tail_coverage(num_components: int) -> np.ndarray:
+    """``tails[base]``: fraction of the hash space components ``base..`` cover.
+
+    Component ``i`` covers ``2^-(i+1)`` of the space and the last one the
+    remaining tail.  Each entry is the sum of a contiguous slice, the order
+    the estimator has always added them in.
+    """
+    coverage = [2.0 ** -(i + 1) for i in range(num_components - 1)]
+    coverage.append(2.0 ** -(num_components - 1))
+    coverage = np.array(coverage)
+    tails = np.array([coverage[base:].sum()
+                      for base in range(num_components)])
+    tails.flags.writeable = False
+    return tails
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Pack a bool array whose last axis is a multiple of 64 into words.
+
+    Which bit of a word a position lands on depends on the host's byte
+    order; only OR and popcount ever look at the words, and neither cares.
+    """
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+
+class BitmapBank(CounterBank):
+    """``size`` multi-resolution bitmaps of one geometry in one packed array.
+
+    ``_words[row, component]`` holds the component's bits in ``uint64``
+    words (``bits_per_component`` rounded up to whole words; the pad bits
+    stay zero), so a default-geometry row is 4 KiB.  A component's set-bit
+    count is a popcount, a union is a word-wise OR, and both run over every
+    row of the bank in one call.  See :class:`MultiResolutionBitmap` for the
+    estimator itself.
+    """
+
+    #: A component is considered saturated once this fraction of bits is set.
+    SATURATION = 0.93
+
+    def __init__(self, size: int, num_components: int = 8,
+                 bits_per_component: int = 4096) -> None:
+        if num_components < 1:
+            raise ValueError("num_components must be >= 1")
+        if bits_per_component < 8:
+            raise ValueError("bits_per_component must be >= 8")
+        self.num_components = num_components
+        self.bits_per_component = bits_per_component
+        self._words = np.zeros(
+            (size, num_components, -(-bits_per_component // 64)),
+            dtype=np.uint64)
+        #: ``estimates()`` of the current words; dropped by every write.
+        self._estimates = None
+
+    @classmethod
+    def from_bits(cls, bits: np.ndarray) -> "BitmapBank":
+        """The bank holding a ``(size, components, bits)`` bool array."""
+        bank = cls(0, *bits.shape[1:])
+        bank._words = _pack(np.pad(
+            bits, [(0, 0), (0, 0), (0, -bits.shape[2] % 64)]))
+        return bank
+
+    def _check_geometry(self, other: "BitmapBank") -> None:
+        if (other._words.shape != self._words.shape or
+                other.bits_per_component != self.bits_per_component):
+            raise ValueError("cannot merge bitmaps with different geometry")
+
+    # ------------------------------------------------------------------
+    def add_hashes(self, index: int, hashes: np.ndarray) -> None:
+        if len(hashes) == 0:
+            return
+        hashes = np.asarray(hashes, dtype=np.uint64)
+        # Component i covers [1 - 2^-i, 1 - 2^-(i+1)) of the hash space
+        # mapped to [0, 1); the last component absorbs the tail.
+        # -log2(1 - v) gives the index directly (the float path decides
+        # which side of a boundary a hash falls on; the floor of 1e-300
+        # keeps a hash that rounds to v = 1 finite).
+        unit = hashes.astype(np.float64) / float(2 ** 64)
+        index_f = np.floor(-np.log2(np.maximum(1.0 - unit, 1e-300)))
+        component = np.minimum(index_f.astype(np.int64),
+                               self.num_components - 1)
+        position = (hashes & _POSITION_MASK).astype(np.int64) \
+            % self.bits_per_component
+        words = self._words[index]
+        bits = np.zeros((words.shape[0], words.shape[1] * 64), dtype=bool)
+        bits[component, position] = True
+        words |= _pack(bits)
+        self._estimates = None
+
+    def _estimate(self, words: np.ndarray) -> np.ndarray:
+        """Estimate per row of a ``(rows, components, words)`` array."""
+        b = float(self.bits_per_component)
+        set_bits = np.bitwise_count(words).sum(axis=2)
+        # Linear counting: n ~= -b * ln(unset / b); saturated components
+        # (all bits set) get an effectively infinite estimate.
+        estimates = -b * np.log(np.maximum(b - set_bits, 0.5) / b)
+        # Base component: the first (widest-coverage) one that is not
+        # saturated, or the last one when all are; it and every component
+        # after it are usable.
+        usable = set_bits / b < self.SATURATION
+        usable[:, -1] = True
+        base = usable.argmax(axis=1)
+        if base.any():
+            # Contiguous 1-D slices keep the summation order of a
+            # stand-alone counter whatever the slice length.
+            totals = np.array([row[start:].sum() for row, start
+                               in zip(estimates, base.tolist())])
+        else:
+            totals = estimates.sum(axis=1)
+        return totals / _tail_coverage(self.num_components)[base]
+
+    def estimates(self) -> np.ndarray:
+        if self._estimates is None:
+            self._estimates = self._estimate(self._words)
+            self._estimates.flags.writeable = False
+        return self._estimates
+
+    def new_estimates(self, other: "BitmapBank") -> np.ndarray:
+        self._check_geometry(other)
+        union = self._estimate(self._words | other._words)
+        return np.maximum(union - self.estimates(), 0.0)
+
+    def merge(self, other: "BitmapBank") -> None:
+        self._check_geometry(other)
+        self._words |= other._words
+        self._estimates = None
+
+    def copy(self) -> "BitmapBank":
+        clone = BitmapBank.__new__(BitmapBank)
+        clone.__dict__.update(self.__dict__)
+        clone._words = self._words.copy()
+        return clone
+
+    def reset(self) -> None:
+        self._words[:] = 0
+        self._estimates = None
+
+
 class MultiResolutionBitmap(DistinctCounter):
     """Multi-resolution bitmap distinct counter.
 
@@ -91,89 +286,59 @@ class MultiResolutionBitmap(DistinctCounter):
     shrinking slices; component ``i`` covers a fraction ``2^-(i+1)`` of the
     space (the last component covers the remaining tail).  Each component is
     a plain linear-counting bitmap of ``bits_per_component`` bits.  The
-    estimator picks the lowest-resolution *base* component that is not
-    saturated and scales the linear-counting estimates of the base and all
-    finer... coarser components by the fraction of hash space they cover.
+    estimator picks the *base*: the first (widest-coverage) component that
+    is not saturated.  It adds up the linear-counting estimates of the base
+    and of every finer component after it, and divides by the fraction of
+    the hash space those components cover together.
 
-    With the default dimensioning (8 components of 4096 bits) the estimation
-    error stays around 1% for cardinalities up to several hundred thousand,
-    matching the dimensioning reported in Section 3.2.1.
+    With the default dimensioning (8 components of 4096 bits, 4 KiB of
+    state) the estimation error stays around 1% for cardinalities up to
+    several hundred thousand, matching the dimensioning reported in
+    Section 3.2.1.
+
+    The counter is a :class:`BitmapBank` of one row, which holds the
+    bit-packed storage and the popcount kernel.
     """
-
-    #: A component is considered saturated once this fraction of bits is set.
-    SATURATION = 0.93
 
     def __init__(self, num_components: int = 8, bits_per_component: int = 4096,
                  ) -> None:
-        if num_components < 1:
-            raise ValueError("num_components must be >= 1")
-        if bits_per_component < 8:
-            raise ValueError("bits_per_component must be >= 8")
-        self.num_components = num_components
-        self.bits_per_component = bits_per_component
-        self._bits = np.zeros((num_components, bits_per_component), dtype=bool)
-        # Fraction of the hash space covered by each component.
-        coverage = [2.0 ** -(i + 1) for i in range(num_components - 1)]
-        coverage.append(2.0 ** -(num_components - 1))
-        self._coverage = np.array(coverage)
+        self._bank = BitmapBank(1, num_components, bits_per_component)
 
-    # ------------------------------------------------------------------
-    def _component_of(self, unit: np.ndarray) -> np.ndarray:
-        """Component index for hash values mapped to [0, 1)."""
-        # Component i covers [1 - 2^-i, 1 - 2^-(i+1)); the last component
-        # absorbs the tail.  -log2(1 - v) gives the index directly.
-        with np.errstate(divide="ignore"):
-            idx = np.floor(-np.log2(np.clip(1.0 - unit, 1e-300, 1.0)))
-        return np.minimum(idx.astype(np.int64), self.num_components - 1)
+    def __setstate__(self, state: dict) -> None:
+        bits = state.get("_bits")
+        if bits is not None:
+            # Pickled before the rows were bit-packed (a checkpoint from an
+            # older build): one bool byte per bit, shape (components, bits).
+            state = {"_bank": BitmapBank.from_bits(bits[None])}
+        self.__dict__.update(state)
+
+    @property
+    def num_components(self) -> int:
+        return self._bank.num_components
+
+    @property
+    def bits_per_component(self) -> int:
+        return self._bank.bits_per_component
 
     def add_hashes(self, hashes: np.ndarray) -> None:
-        if len(hashes) == 0:
-            return
-        hashes = np.asarray(hashes, dtype=np.uint64)
-        unit = hashes.astype(np.float64) / float(2 ** 64)
-        comp = self._component_of(unit)
-        # Use independent bits of the hash for the within-component position
-        # so the position is not correlated with the component choice.
-        position = (hashes & np.uint64(0xFFFFFFFF)).astype(np.int64) \
-            % self.bits_per_component
-        self._bits[comp, position] = True
-
-    def _component_estimates(self) -> np.ndarray:
-        """Per-component linear-counting estimates."""
-        b = float(self.bits_per_component)
-        set_bits = self._bits.sum(axis=1).astype(np.float64)
-        # Linear counting: n ~= -b * ln(unset / b); saturated components
-        # (all bits set) get an effectively infinite estimate.
-        unset = np.maximum(b - set_bits, 0.5)
-        return -b * np.log(unset / b)
+        self._bank.add_hashes(0, hashes)
 
     def estimate(self) -> float:
-        estimates = self._component_estimates()
-        fill = self._bits.mean(axis=1)
-        # Base component: the first (coarsest-coverage) component that is not
-        # saturated; all components from it onwards are usable.
-        usable = np.flatnonzero(fill < self.SATURATION)
-        if len(usable) == 0:
-            base = self.num_components - 1
-        else:
-            base = int(usable[0])
-        covered = self._coverage[base:].sum()
-        return float(estimates[base:].sum() / covered)
+        return float(self._bank.estimates()[0])
+
+    def new_estimate(self, other: "MultiResolutionBitmap") -> float:
+        return float(self._bank.new_estimates(other._bank)[0])
 
     def merge(self, other: "MultiResolutionBitmap") -> None:
-        if (other.num_components != self.num_components or
-                other.bits_per_component != self.bits_per_component):
-            raise ValueError("cannot merge bitmaps with different geometry")
-        self._bits |= other._bits
+        self._bank.merge(other._bank)
 
     def copy(self) -> "MultiResolutionBitmap":
-        clone = MultiResolutionBitmap(self.num_components,
-                                      self.bits_per_component)
-        clone._bits = self._bits.copy()
+        clone = MultiResolutionBitmap.__new__(MultiResolutionBitmap)
+        clone._bank = self._bank.copy()
         return clone
 
     def reset(self) -> None:
-        self._bits[:] = False
+        self._bank.reset()
 
     @property
     def memory_bits(self) -> int:
@@ -192,3 +357,25 @@ def make_counter(method: str = "bitmap", **kwargs) -> DistinctCounter:
     if method == "exact":
         return ExactDistinctCounter()
     raise ValueError(f"unknown distinct-counting method {method!r}")
+
+
+def make_bank(method: str, size: int, **kwargs) -> CounterBank:
+    """A bank of ``size`` empty counters of backend ``method``."""
+    if method == "bitmap":
+        return BitmapBank(size, **kwargs)
+    return CounterBank([make_counter(method, **kwargs) for _ in range(size)])
+
+
+def as_bank(counters: Sequence[DistinctCounter]) -> CounterBank:
+    """The bank made of ``counters``.
+
+    Pickles from before banks existed hold each group of per-aggregate
+    counters as a list; this is how they are read back.
+    """
+    first = counters[0]
+    if not isinstance(first, MultiResolutionBitmap):
+        return CounterBank(counters)
+    bank = BitmapBank(0, first.num_components, first.bits_per_component)
+    bank._words = np.concatenate([counter._bank._words
+                                  for counter in counters])
+    return bank

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distinct import DistinctCounter, make_counter
+from .distinct import CounterBank, as_bank, make_bank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from ..monitor.packet import Batch
@@ -92,8 +92,8 @@ class IntervalState:
 
     One group exists per ``(measurement interval, counter signature, filter
     share key)``: every member merges *the same* filtered sub-batch objects
-    at the same interval boundaries, so the ten distinct counters — and the
-    per-bin ``new_estimate`` reads against them — are paid once for the
+    at the same interval boundaries, so the bank of ten distinct counters —
+    and the per-bin ``new_estimates`` read against it — is paid once for the
     whole group instead of once per query.
 
     Bit-identity is guaranteed by construction: bitmap/exact merges are
@@ -125,16 +125,15 @@ class IntervalState:
         self.interval = float(interval)
         self.method = method
         self.counter_kwargs = dict(counter_kwargs)
-        self.counters: List[DistinctCounter] = [
-            make_counter(method, **self.counter_kwargs)
-            for _ in TRAFFIC_AGGREGATES]
+        self.counters: CounterBank = make_bank(
+            method, len(TRAFFIC_AGGREGATES), **self.counter_kwargs)
         self.interval_start: Optional[float] = None
         self.write_round = 0
         self.heal_round = 0
         #: The batch merged by the current round; doubles as the dedup
         #: token so later members' commits of the same batch are no-ops.
         self.round_batch = None
-        self.snapshot: Optional[List[DistinctCounter]] = None
+        self.snapshot: Optional[CounterBank] = None
         self.members = 0
         #: Read cache: (batch, write_round, heal_round, values array).
         self.cache: Optional[tuple] = None
@@ -143,6 +142,13 @@ class IntervalState:
         self.computed_reads = 0
         self.deduped_merges = 0
         self.forks = 0
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if isinstance(self.counters, list):  # pickled before banks existed
+            self.counters = as_bank(self.counters)
+            if self.snapshot is not None:
+                self.snapshot = as_bank(self.snapshot)
 
     @property
     def pristine(self) -> bool:
@@ -161,8 +167,7 @@ class IntervalState:
             self.interval_start = batch_start
             return
         if batch_start - self.interval_start >= self.interval:
-            for counter in self.counters:
-                counter.reset()
+            self.counters.reset()
             elapsed = batch_start - self.interval_start
             steps = int(elapsed // self.interval)
             self.interval_start += steps * self.interval
@@ -174,7 +179,7 @@ class IntervalState:
     def begin_round(self, batch) -> None:
         """Open a merge round for ``batch`` (called by the first committer)."""
         if self.members > 1:
-            self.snapshot = [counter.copy() for counter in self.counters]
+            self.snapshot = self.counters.copy()
         self.write_round += 1
         self.round_batch = batch
 
@@ -236,16 +241,16 @@ _FORK_PRISTINE = "pristine"
 class FeatureExtractor:
     """Extracts the 42 traffic features from batches for one query.
 
-    The extractor keeps per-measurement-interval state (one distinct counter
-    per aggregate) used to compute the ``new`` and ``interval_repeated``
-    counters; the state resets automatically when a batch belonging to a new
-    measurement interval arrives, so callers simply feed batches in time
-    order.
+    The extractor keeps per-measurement-interval state (a bank of distinct
+    counters, one row per aggregate) used to compute the ``new`` and
+    ``interval_repeated`` counters; the state resets automatically when a
+    batch belonging to a new measurement interval arrives, so callers simply
+    feed batches in time order.
 
     When constructed with a ``registry`` and a ``share_key``, the interval
     state is shared through an :class:`IntervalState` group: extractors
     with the same interval, counter backend and filter pay one set of
-    merges and ``new_estimate`` reads per bin instead of one per query,
+    merges and ``new_estimates`` reads per bin instead of one per query,
     with bit-identical results.  An extractor silently *forks* back to
     private state the moment its own stream diverges from the group's
     (sampled extraction, a fully shed bin, a mid-stream join).
@@ -281,16 +286,15 @@ class FeatureExtractor:
         #: extractors with the same backend share batch counters.
         self._counter_signature = (method,
                                    tuple(sorted(self._counter_kwargs.items())))
-        self._interval_counters: List[DistinctCounter] = [
-            self._new_counter() for _ in TRAFFIC_AGGREGATES]
+        self._interval_counters: CounterBank = self._new_bank()
         self._interval_start: Optional[float] = None
-        # Cache of the per-aggregate batch counters built by the most recent
+        # The batch bank used by the most recent
         # ``extract(..., update_state=False)`` call, so that ``commit`` can
-        # merge them without recomputing hashes.  The batch itself is held
+        # merge it without recomputing hashes.  The batch itself is held
         # (not its ``id()``): an id can be recycled after the batch is
         # garbage-collected, silently merging stale counters.
         self._pending_batch = None
-        self._pending_counters: Optional[List[DistinctCounter]] = None
+        self._pending_counters: Optional[CounterBank] = None
         self._registry = registry
         self._share_key = share_key
         self._group: Optional[IntervalState] = None
@@ -306,28 +310,37 @@ class FeatureExtractor:
         self.cycles_per_packet = 12.0
         self.cycles_fixed = 2000.0
 
-    def _new_counter(self) -> DistinctCounter:
-        return make_counter(self.method, **self._counter_kwargs)
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if isinstance(self._interval_counters, list):  # pickled before banks
+            self._interval_counters = as_bank(self._interval_counters)
+            if self._pending_counters is not None:
+                self._pending_counters = as_bank(self._pending_counters)
+
+    def _new_bank(self) -> CounterBank:
+        return make_bank(self.method, len(TRAFFIC_AGGREGATES),
+                         **self._counter_kwargs)
 
     @property
     def shared(self) -> bool:
         """True while the interval state lives in a shared group."""
         return self._group is not None
 
-    def _batch_counter(self, batch: "Batch", columns: Tuple[str, ...]
-                       ) -> Tuple[DistinctCounter, float]:
-        """Distinct counter over one aggregate of ``batch``, shared.
+    def _batch_counters(self, batch: "Batch") -> CounterBank:
+        """Distinct counters over the ten aggregates of ``batch``, shared.
 
-        Every query's extractor needs the same per-batch counter for the
-        pre-sampling extraction; it is built once, memoised on the batch and
-        only ever merged *from*, never mutated.
+        Every query's extractor needs the same per-batch counters for the
+        pre-sampling extraction; the bank is built once, memoised on the
+        batch and only ever merged *from*, never mutated (so its
+        ``estimates()``, the ``unique`` features, are computed once too).
         """
-        def build() -> Tuple[DistinctCounter, float]:
-            counter = self._new_counter()
-            counter.add_hashes(batch.aggregate_hashes(columns))
-            return counter, counter.estimate()
+        def build() -> CounterBank:
+            bank = self._new_bank()
+            for index, (_, columns) in enumerate(TRAFFIC_AGGREGATES):
+                bank.add_hashes(index, batch.aggregate_hashes(columns))
+            return bank
 
-        return batch.memo(("counter", self._counter_signature, columns), build)
+        return batch.memo(("counters", self._counter_signature), build)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
@@ -337,8 +350,7 @@ class FeatureExtractor:
         reset re-establishes sharing even after a mid-run fork (the system
         clears the registry first, making every re-acquired group fresh).
         """
-        self._interval_counters = [self._new_counter()
-                                   for _ in TRAFFIC_AGGREGATES]
+        self._interval_counters = self._new_bank()
         self._interval_start = None
         self._pending_batch = None
         self._pending_counters = None
@@ -387,14 +399,13 @@ class FeatureExtractor:
         """Fork private interval state out of the group and leave it."""
         group = self._group
         if state == _SYNC:
-            self._interval_counters = [c.copy() for c in group.counters]
+            self._interval_counters = group.counters.copy()
             self._interval_start = group.interval_start
         elif state == _FORK_SNAPSHOT:
-            self._interval_counters = [c.copy() for c in group.snapshot]
+            self._interval_counters = group.snapshot.copy()
             self._interval_start = group.interval_start
         else:  # pristine: nothing observed yet, start from scratch
-            self._interval_counters = [self._new_counter()
-                                       for _ in TRAFFIC_AGGREGATES]
+            self._interval_counters = self._new_bank()
             self._interval_start = None
         group.forks += 1
         self.release()
@@ -406,6 +417,20 @@ class FeatureExtractor:
         values[1] = float(batch.byte_count)
         return FeatureVector(values)
 
+    @staticmethod
+    def _vector_values(batch: "Batch", unique: np.ndarray, new: np.ndarray
+                       ) -> np.ndarray:
+        """The 42 values from the per-aggregate ``unique``/``new`` counts."""
+        n_packets = float(len(batch))
+        values = np.empty(NUM_FEATURES, dtype=np.float64)
+        values[0] = n_packets
+        values[1] = float(batch.byte_count)
+        values[2::4] = unique
+        values[3::4] = new
+        values[4::4] = np.maximum(n_packets - unique, 0.0)
+        values[5::4] = np.maximum(n_packets - new, 0.0)
+        return values
+
     def _read_shared(self, batch: "Batch") -> FeatureVector:
         """Read the feature vector through the group (no state change)."""
         group = self._group
@@ -415,20 +440,10 @@ class FeatureExtractor:
                 and cache[2] == group.heal_round):
             group.shared_reads += 1
             return FeatureVector(cache[3])
-        n_packets = float(len(batch))
-        values = np.zeros(NUM_FEATURES, dtype=np.float64)
-        values[0] = n_packets
-        values[1] = float(batch.byte_count)
-        idx = 2
-        for agg_index, (_, columns) in enumerate(TRAFFIC_AGGREGATES):
-            batch_counter, unique = self._batch_counter(batch, columns)
-            new = max(0.0,
-                      group.counters[agg_index].new_estimate(batch_counter))
-            values[idx] = unique
-            values[idx + 1] = new
-            values[idx + 2] = max(0.0, n_packets - unique)
-            values[idx + 3] = max(0.0, n_packets - new)
-            idx += 4
+        incoming = self._batch_counters(batch)
+        values = self._vector_values(
+            batch, incoming.estimates(),
+            group.counters.new_estimates(incoming))
         group.cache = (batch, group.write_round, group.heal_round, values)
         group.computed_reads += 1
         return FeatureVector(values)
@@ -438,8 +453,7 @@ class FeatureExtractor:
             self._interval_start = batch_start
             return
         if batch_start - self._interval_start >= self.measurement_interval:
-            for counter in self._interval_counters:
-                counter.reset()
+            self._interval_counters.reset()
             # Align the new interval start on a multiple of the interval so
             # long gaps roll forward correctly.
             elapsed = batch_start - self._interval_start
@@ -480,36 +494,19 @@ class FeatureExtractor:
                 # path) — or any out-of-sync access — forks private state.
                 self._detach(state)
         self._maybe_roll_interval(batch.start_ts)
-        n_packets = float(len(batch))
-        values = np.zeros(NUM_FEATURES, dtype=np.float64)
-        values[0] = n_packets
-        values[1] = float(batch.byte_count)
-        idx = 2
-        pending: List[DistinctCounter] = []
-        for agg_index, (agg_name, columns) in enumerate(TRAFFIC_AGGREGATES):
-            interval_counter = self._interval_counters[agg_index]
-            if len(batch) == 0:
-                unique = 0.0
-                new = 0.0
-                pending.append(self._new_counter())
-            else:
-                batch_counter, unique = self._batch_counter(batch, columns)
-                pending.append(batch_counter)
-                new = max(0.0, interval_counter.new_estimate(batch_counter))
-                if update_state:
-                    interval_counter.merge(batch_counter)
-            values[idx] = unique
-            values[idx + 1] = new
-            values[idx + 2] = max(0.0, n_packets - unique)
-            values[idx + 3] = max(0.0, n_packets - new)
-            idx += 4
+        self._pending_batch = None if update_state else batch
+        self._pending_counters = None
+        if len(batch) == 0:
+            # Nothing to count, and nothing for a later commit to merge.
+            return self._empty_vector(batch)
+        incoming = self._batch_counters(batch)
+        new = self._interval_counters.new_estimates(incoming)
         if update_state:
-            self._pending_batch = None
-            self._pending_counters = None
+            self._interval_counters.merge(incoming)
         else:
-            self._pending_batch = batch
-            self._pending_counters = pending
-        return FeatureVector(values)
+            self._pending_counters = incoming
+        return FeatureVector(
+            self._vector_values(batch, incoming.estimates(), new))
 
     def commit(self, batch: "Batch") -> None:
         """Fold ``batch`` into the interval state without recomputing features.
@@ -543,9 +540,7 @@ class FeatureExtractor:
             state = self._sync_state(batch.start_ts)
             if state == _SYNC:
                 group.begin_round(batch)
-                for agg_index, (_, columns) in enumerate(TRAFFIC_AGGREGATES):
-                    batch_counter, _ = self._batch_counter(batch, columns)
-                    group.counters[agg_index].merge(batch_counter)
+                group.counters.merge(self._batch_counters(batch))
                 self._participated = True
                 self._synced = group.write_round
                 self._pending_batch = None
@@ -557,13 +552,9 @@ class FeatureExtractor:
             return
         if (self._pending_batch is batch
                 and self._pending_counters is not None):
-            for counter, pending in zip(self._interval_counters,
-                                        self._pending_counters):
-                counter.merge(pending)
+            self._interval_counters.merge(self._pending_counters)
         else:
-            for agg_index, (_, columns) in enumerate(TRAFFIC_AGGREGATES):
-                batch_counter, _ = self._batch_counter(batch, columns)
-                self._interval_counters[agg_index].merge(batch_counter)
+            self._interval_counters.merge(self._batch_counters(batch))
         self._pending_batch = None
         self._pending_counters = None
 

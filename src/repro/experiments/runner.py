@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -343,33 +343,43 @@ def run_with_overload(query_names: Sequence[str], trace: PacketTrace,
 # ----------------------------------------------------------------------
 # Accuracy evaluation
 # ----------------------------------------------------------------------
-def accuracy_by_query(result: ExecutionResult, reference: ExecutionResult
+def _metric_name(query_name: str, kinds: Optional[Mapping[str, str]]) -> str:
+    """The name the accuracy metric of ``query_name`` is looked up under.
+
+    ``kinds`` maps instance names to registry kinds
+    (:meth:`SystemConfig.query_kinds`); a name it does not list is looked
+    up as it is, which covers ``<kind>`` and ``<kind>-N`` instances.
+    """
+    return (kinds or {}).get(query_name, query_name)
+
+
+def accuracy_by_query(result: ExecutionResult, reference: ExecutionResult,
+                      kinds: Optional[Mapping[str, str]] = None
                       ) -> Dict[str, float]:
     """Mean accuracy (1 - error) of every query in ``result``."""
-    accuracies = {}
-    for name, log in result.query_logs.items():
-        if name not in reference.query_logs:
-            continue
-        error = metrics.mean_error(name, log, reference.query_logs[name])
-        accuracies[name] = metrics.accuracy_from_error(error)
-    return accuracies
+    return {name: metrics.accuracy_from_error(error) for name, error
+            in error_by_query(result, reference, kinds).items()}
 
 
-def error_by_query(result: ExecutionResult, reference: ExecutionResult
+def error_by_query(result: ExecutionResult, reference: ExecutionResult,
+                   kinds: Optional[Mapping[str, str]] = None
                    ) -> Dict[str, float]:
     """Mean error of every query in ``result`` versus the reference."""
     errors = {}
     for name, log in result.query_logs.items():
         if name not in reference.query_logs:
             continue
-        errors[name] = metrics.mean_error(name, log, reference.query_logs[name])
+        errors[name] = metrics.mean_error(_metric_name(name, kinds), log,
+                                          reference.query_logs[name])
     return errors
 
 
 def accuracy_series(result: ExecutionResult, reference: ExecutionResult,
-                    query_name: str) -> np.ndarray:
+                    query_name: str,
+                    kinds: Optional[Mapping[str, str]] = None) -> np.ndarray:
     """Per-interval accuracy series of one query."""
-    errors = metrics.compare_logs(query_name, result.query_logs[query_name],
+    errors = metrics.compare_logs(_metric_name(query_name, kinds),
+                                  result.query_logs[query_name],
                                   reference.query_logs[query_name])
     return np.maximum(0.0, 1.0 - errors)
 

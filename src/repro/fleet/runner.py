@@ -13,7 +13,10 @@ as its process pool: ``n_workers <= 1`` runs the nodes serially in-process,
 larger pools fork one job per node over the pre-partitioned streams
 (copy-on-write, the same pattern the shard tier's fork backend uses).  Both
 paths run the same pure per-node function, so the federated result is
-bit-identical either way.
+bit-identical either way.  A node job leaves nothing behind on the stream
+it read: every bin's memoised derived values are dropped as soon as the bin
+is ingested, so a pool worker's footprint is that of one node however many
+it runs.
 
 :func:`verify_exactness` is the fleet's correctness gate: it runs the fleet
 and a single unpartitioned node in reference mode (no shedding, sampling
@@ -53,7 +56,13 @@ BACKENDS: Tuple[str, ...] = ("auto", "inprocess", "fork")
 # ----------------------------------------------------------------------
 def _run_node(config: SystemConfig, batches: List[Batch], time_bin: float,
               name: str) -> Tuple[ExecutionResult, Dict, List[float]]:
-    """Run one node's session over its sub-stream, timing every bin."""
+    """Run one node's session over its sub-stream, timing every bin.
+
+    The stream outlives the job (the caller, or the pool worker's inherited
+    state, holds it until the whole fleet is done), so each bin's memos are
+    dropped once it is ingested: what a job leaves behind does not grow
+    with the number of bins or of nodes a worker has run.
+    """
     if config.num_shards > 1:
         session = ShardedSystem(config=config).open_session(
             time_bin=time_bin, name=name)
@@ -64,6 +73,7 @@ def _run_node(config: SystemConfig, batches: List[Batch], time_bin: float,
         started = perf_counter()
         session.ingest(batch)
         bin_seconds.append(perf_counter() - started)
+        batch.drop_memos()
     result = session.close()
     return result, session.metrics, bin_seconds
 
@@ -96,6 +106,8 @@ class FleetResult:
     time_bin: float
     backend: str
     metrics: Dict = field(default_factory=dict)
+    #: Query instance name -> registry kind (accuracy metrics go by kind).
+    query_kinds: Dict[str, str] = field(default_factory=dict)
 
     @property
     def num_nodes(self) -> int:
@@ -142,10 +154,10 @@ class FleetResult:
         if reference is not None:
             from ..experiments import runner as experiments_runner
             report["accuracy"] = experiments_runner.accuracy_by_query(
-                federated, reference)
+                federated, reference, self.query_kinds)
             report["accuracy_per_bin"] = {
                 name: summarize(experiments_runner.accuracy_series(
-                    federated, reference, name))
+                    federated, reference, name, self.query_kinds))
                 for name in federated.query_logs
                 if name in reference.query_logs
             }
@@ -271,7 +283,8 @@ class FleetRunner:
             federated=federated, node_results=results, node_metrics=metrics,
             node_bin_seconds=bin_seconds, topology=self.topology,
             time_bin=float(time_bin), backend=backend,
-            metrics=self.aggregator.fold_metrics(metrics))
+            metrics=self.aggregator.fold_metrics(metrics),
+            query_kinds=self.config.query_kinds())
 
 
 # ----------------------------------------------------------------------

@@ -269,6 +269,14 @@ class SystemConfig:
             return CycleBudget(time_bin=time_bin)
         return CycleBudget(self.cycles_per_second, time_bin)
 
+    def query_kinds(self) -> Dict[str, str]:
+        """Instance name -> registry kind of the declarative ``queries``.
+
+        Accuracy metrics are registered per kind, and a spec may name its
+        instance anything (``QuerySpec("counter", {"name": "q00"})``).
+        """
+        return {spec.instance_name: spec.kind for spec in self.queries or ()}
+
     def build_queries(self):
         """Fresh query instances for the declarative ``queries`` field.
 

@@ -306,6 +306,17 @@ class Batch:
             self._agg_cache[key] = value
         return value
 
+    def drop_memos(self) -> None:
+        """Forget every memoised derived value; each is rebuilt on demand.
+
+        For an owner that keeps the packets after the batch went through
+        the pipeline (a fleet node's pre-partitioned stream): hashes,
+        filter results and distinct counters of a finished bin would
+        otherwise live as long as the packets do.
+        """
+        self._agg_cache = None
+        self._filter_cache = None
+
     def aggregate_hashes(self, columns: Sequence[str]) -> np.ndarray:
         """Memoised :func:`~repro.core.hashing.combine_columns` over columns.
 

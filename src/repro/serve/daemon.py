@@ -452,7 +452,9 @@ class MonitorDaemon:
         accuracies = {}
         if self.reference is not None:
             from ..experiments.runner import accuracy_by_query
-            accuracies = accuracy_by_query(snapshot, self.reference)
+            accuracies = accuracy_by_query(
+                snapshot, self.reference,
+                None if self.config is None else self.config.query_kinds())
         for qname, log in snapshot.query_logs.items():
             rates = snapshot.rate_series(qname)
             queries[qname] = {

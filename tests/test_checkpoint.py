@@ -9,11 +9,20 @@ reconfigurations are part of the state and fire at the restored
 session's next bin, exactly as they would have.
 """
 
+import copyreg
+import io
 import pickle
 
+import numpy as np
 import pytest
+from oracles.bitmap import MultiResolutionBitmap as BoolMatrixBitmap
+from oracles.bitmap import unpack_words
 
+from repro.core.distinct import (BitmapBank, CounterBank,
+                                 MultiResolutionBitmap)
+from repro.core.features import TRAFFIC_AGGREGATES, FeatureExtractor
 from repro.experiments import runner
+from repro.monitor.packet import Batch
 from repro.monitor.sharding import ShardedSystem
 from repro.monitor.workers import fork_start_available
 from repro.queries import make_query
@@ -205,6 +214,99 @@ def test_save_load_describe(tmp_path, small_trace):
         restored.ingest(batch)
     assert_results_identical(_run_uninterrupted(config, bins),
                              restored.close(), label="from-disk")
+
+
+def _counters(bank):
+    """A bank's rows as the counter objects older builds held in a list."""
+    if not isinstance(bank, BitmapBank):
+        return bank.counters
+    counters = []
+    for words in bank._words:
+        counter = BoolMatrixBitmap(bank.num_components,
+                                   bank.bits_per_component)
+        counter._bits = unpack_words(words, bank.bits_per_component)
+        counters.append(counter)
+    return counters
+
+
+class _BoolMatrixPickler(pickle.Pickler):
+    """Pickles a session graph in the layout builds before bit-packing wrote.
+
+    Then every group of per-aggregate counters was a plain list (a bank
+    now), a bitmap was a ``bool`` matrix ``_bits`` (the oracle class, filed
+    under the production class's name), and a batch memoised one
+    ``(counter, estimate)`` pair per aggregate rather than one bank.
+    """
+
+    def reducer_override(self, obj):
+        if isinstance(obj, BoolMatrixBitmap):
+            # (``__newobj__`` insists on the object's own class.)
+            return (copyreg._reconstructor,
+                    (MultiResolutionBitmap, object, None), obj.__dict__)
+        if isinstance(obj, CounterBank):
+            return list, (_counters(obj),)
+        if isinstance(obj, Batch) and obj._agg_cache:
+            slots = {name: getattr(obj, name) for name in Batch.__slots__}
+            slots["_agg_cache"] = memo = {}
+            for key, value in obj._agg_cache.items():
+                if key[0] != "counters":
+                    memo[key] = value
+                    continue
+                for (_, columns), counter, estimate in zip(
+                        TRAFFIC_AGGREGATES, _counters(value),
+                        value.estimates().tolist()):
+                    memo[("counter", key[1], columns)] = (counter, estimate)
+            return copyreg.__newobj__, (Batch,), (None, slots)
+        return NotImplemented
+
+
+@pytest.mark.parametrize("feature_method", ("bitmap", "exact"))
+@pytest.mark.parametrize("num_shards", (1, 4))
+def test_restores_checkpoint_written_before_bit_packing(
+        small_trace, feature_method, num_shards):
+    """A version-1 checkpoint from a build whose bitmaps were bool matrices
+    (and whose extractors held lists of counters) restores and continues
+    bit-identically with a session that was never checkpointed."""
+    config = _config("predictive", num_shards=num_shards,
+                     feature_method=feature_method)
+    bins = small_trace.batch_list(0.1)
+    k = len(bins) // 2
+    expected = _run_uninterrupted(config, bins)
+
+    session = _open_session(config)
+    for batch in bins[:k]:
+        session.ingest(batch)
+    buffer = io.BytesIO()
+    _BoolMatrixPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(
+        session.state_dict())
+    checkpoint = load_checkpoint(capture(session))
+    checkpoint.state_blob = buffer.getvalue()
+    assert b"Bank" not in checkpoint.state_blob
+    assert b"_words" not in checkpoint.state_blob
+
+    restored = checkpoint.restore()
+    assert restored.bins_ingested == k
+    for batch in bins[k:]:
+        restored.ingest(batch)
+    assert_results_identical(expected, restored.close(),
+                             label=f"{feature_method}/shards={num_shards}")
+
+
+def test_pending_commit_survives_the_old_layout(small_batch):
+    """An extractor frozen between ``extract(update_state=False)`` and its
+    ``commit`` carried the batch's counters as a list too."""
+    extractor = FeatureExtractor(measurement_interval=10.0)
+    extractor.extract(small_batch, update_state=False)
+    buffer = io.BytesIO()
+    _BoolMatrixPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(
+        (extractor, small_batch))
+    restored, batch = pickle.loads(buffer.getvalue())
+    assert restored._pending_batch is batch
+    assert isinstance(restored._pending_counters, BitmapBank)
+    restored.commit(batch)
+    extractor.commit(small_batch)
+    assert np.array_equal(restored.extract(small_batch).values,
+                          extractor.extract(small_batch).values)
 
 
 def test_checkpoint_rejects_closed_and_foreign():

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from oracles.bitmap import MultiResolutionBitmap as BoolMatrixBitmap
 
+from repro.core import features
+from repro.core.distinct import CounterBank
 from repro.core.features import (NUM_FEATURES, FeatureExtractor,
                                  FeatureVector, feature_names, select_values)
+from repro.experiments import runner
 from repro.monitor.packet import Batch
+from repro.testing import assert_results_identical
 from tests.conftest import make_batch
 
 
@@ -127,3 +132,47 @@ class TestExtractorValidation:
         extractor.reset()
         fresh = extractor.extract(batch, update_state=False)
         assert fresh["five_tuple_new"] > 0
+
+
+class TestPackedBanksAgainstOracle:
+    """The feature path over packed banks equals the same path over a
+    generic bank of bool-matrix oracle counters, floats and all."""
+
+    @staticmethod
+    def _oracle_banks(monkeypatch):
+        monkeypatch.setattr(
+            features, "make_bank",
+            lambda method, size, **kwargs: CounterBank(
+                [BoolMatrixBitmap(**kwargs) for _ in range(size)]))
+
+    def test_batched_read_equals_per_counter_reads(self, monkeypatch):
+        batches = [make_batch(n=400, seed=seed, start_ts=0.1 * seed,
+                              n_hosts=60) for seed in range(12)]
+        packed = FeatureExtractor(measurement_interval=0.5)
+        got = [packed.extract(batch).values for batch in batches]
+        self._oracle_banks(monkeypatch)
+        for batch in batches:
+            batch.drop_memos()  # the packed banks memoised above
+        oracle = FeatureExtractor(measurement_interval=0.5)
+        want = [oracle.extract(batch).values for batch in batches]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("mode", ["predictive", "reactive"])
+    def test_whole_execution_is_bit_identical(self, small_trace, monkeypatch,
+                                              mode):
+        """Shared reads, forks to private state, sampled re-extraction and
+        interval rolls, under shedding, small bitmaps so components
+        saturate."""
+        kinds = ("counter", "flows", "top-k")
+        capacity, _ = runner.calibrate_capacity(kinds, small_trace)
+        config = runner.system_config(
+            mode=mode, seed=5, cycles_per_second=0.5 * capacity,
+            queries=",".join(kinds), feature_method="bitmap",
+            feature_kwargs={"num_components": 4, "bits_per_component": 100})
+        packed = config.build().run(small_trace, time_bin=0.1)
+        self._oracle_banks(monkeypatch)
+        for batch in small_trace.batch_list(0.1):
+            batch.drop_memos()  # the packed banks memoised above
+        oracle = config.build().run(small_trace, time_bin=0.1)
+        assert packed.mean_sampling_rate() < 1.0
+        assert_results_identical(packed, oracle, label=mode)

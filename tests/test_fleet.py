@@ -10,20 +10,25 @@ scraping, the ``Batch.partition`` memo keying, and the
 ``python -m repro.fleet`` CLI surface.
 """
 
+import gc
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.core.features import FeatureExtractor
+from repro.core.pool import pool_state
 from repro.experiments.runner import system_config
+from repro.fleet import runner as fleet_runner
 from repro.fleet import (FleetAggregator, FleetPartitioner, FleetRunner,
                          FleetTopology, NodeSpec, load_topology,
                          verify_exactness)
 from repro.fleet.__main__ import main as fleet_main
 from repro.monitor.sharding import FLOW_FIELDS, shard_seed
 from repro.monitor.workers import fork_start_available
-from repro.queries import MERGE_EXACTNESS, parse_query_specs
+from repro.queries import MERGE_EXACTNESS, QuerySpec, parse_query_specs
 from tests.conftest import make_batch
 
 
@@ -338,6 +343,44 @@ class TestFleetRunner:
         assert forked.federated.bins == inproc.federated.bins
         for name, log in inproc.federated.query_logs.items():
             assert forked.federated.query_logs[name].results == log.results
+
+
+    @pytest.mark.parametrize("backend", ["inprocess", "fork"])
+    def test_finished_node_job_leaves_no_memos_behind(self, small_trace,
+                                                      monkeypatch, backend):
+        """A node's stream outlives its job (the in-process runner and a
+        fork worker's inherited pool state both hold every stream until
+        the fleet is done), so the job must not leave the bins' memoised
+        counters on it: a worker's footprint would grow with every node it
+        has run."""
+        built = []
+        build = FeatureExtractor._batch_counters
+
+        def recording(extractor, batch):
+            bank = build(extractor, batch)
+            built.append(weakref.ref(bank))
+            return bank
+
+        monkeypatch.setattr(FeatureExtractor, "_batch_counters", recording)
+        # One query behind a filter: its counters hang off the bin's
+        # filter result, not off the bin itself.
+        fleet = FleetRunner(FleetTopology.uniform(2), config=_config(
+            feature_method="bitmap",
+            queries=(QuerySpec("counter"), QuerySpec("flows", filter="tcp"))))
+        configs = fleet.topology.node_configs(fleet.config)
+        streams, _ = fleet.node_streams(small_trace, 0.5)
+        if backend == "fork":
+            # What a pool worker does: the job function over the state it
+            # inherited at fork.
+            with pool_state(fleet_runner._POOL_STATE, configs=configs,
+                            streams=streams, time_bin=0.5,
+                            names=["node0", "node1"]):
+                fleet_runner._run_node_job(0)
+        else:
+            fleet_runner._run_node(configs[0], streams[0], 0.5, "node0")
+        gc.collect()
+        assert any(len(batch) for batch in streams[0])  # still held
+        assert built and all(ref() is None for ref in built)
 
 
 # ----------------------------------------------------------------------

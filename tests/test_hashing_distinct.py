@@ -1,12 +1,17 @@
 """Tests for hashing and distinct counting, including property-based tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.bitmap import MultiResolutionBitmap as OracleBitmap
+from oracles.bitmap import unpack_words
 
-from repro.core.distinct import (ExactDistinctCounter, MultiResolutionBitmap,
-                                 make_counter)
+from repro.core.distinct import (BitmapBank, CounterBank,
+                                 ExactDistinctCounter, MultiResolutionBitmap,
+                                 as_bank, make_bank, make_counter)
 from repro.core.hashing import (H3Hash, combine_columns,
                                 hash_to_unit_interval, mix64)
 
@@ -144,6 +149,18 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_counter("nope")
 
+    def test_make_bank(self):
+        bitmaps = make_bank("bitmap", 3, num_components=4,
+                            bits_per_component=256)
+        assert isinstance(bitmaps, BitmapBank)
+        assert bitmaps.estimates().shape == (3,)
+        exact = make_bank("exact", 3)
+        assert type(exact) is CounterBank and len(exact.counters) == 3
+        assert all(isinstance(counter, ExactDistinctCounter)
+                   for counter in exact.counters)
+        with pytest.raises(ValueError):
+            make_bank("nope", 3)
+
 
 class TestDistinctProperties:
     """Property-based tests on the distinct counters."""
@@ -180,3 +197,172 @@ class TestDistinctProperties:
         union.merge(b)
         assert union.estimate() >= max(a.estimate(), b.estimate())
         assert union.estimate() <= a.estimate() + b.estimate()
+
+
+# ----------------------------------------------------------------------
+# Packed bitmaps against the bool-matrix oracle (strict float equality)
+# ----------------------------------------------------------------------
+#: (num_components, bits_per_component): the smallest legal counter, widths
+#: that are not whole words, the width other tests use, and the default.
+GEOMETRIES = [(1, 8), (4, 100), (4, 256), (8, 4096), (9, 70)]
+
+#: Hashes on both sides of every component boundary (the float mapping
+#: decides which side), and the ends of the hash space.
+_boundary_hashes = st.builds(
+    lambda component, offset: (2 ** 64 - 2 ** (64 - component) + offset)
+    % 2 ** 64,
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=-2 ** 11, max_value=2 ** 11))
+
+
+@st.composite
+def hash_arrays(draw):
+    """A uint64 hash array: hand-picked values plus a seeded random bulk.
+
+    The bulk sizes reach far enough to saturate the leading components of
+    every geometry in :data:`GEOMETRIES`; 0 + an empty list is the empty
+    input.
+    """
+    picked = draw(st.lists(
+        st.one_of(_boundary_hashes,
+                  st.integers(min_value=0, max_value=2 ** 64 - 1)),
+        max_size=40))
+    size = draw(st.sampled_from([0, 0, 5, 60, 700, 9000, 120000]))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    bulk = np.random.default_rng(seed).integers(
+        0, 2 ** 64, size=size, dtype=np.uint64)
+    return np.concatenate([np.array(picked, dtype=np.uint64), bulk])
+
+
+def _pair(geometry, hashes):
+    """The same hashes in an oracle counter and in a packed one."""
+    oracle, packed = OracleBitmap(*geometry), MultiResolutionBitmap(*geometry)
+    oracle.add_hashes(hashes)
+    packed.add_hashes(hashes)
+    return oracle, packed
+
+
+def _bits(packed):
+    """The packed counter's state as the oracle's bool matrix."""
+    return unpack_words(packed._bank._words[0], packed.bits_per_component)
+
+
+class TestPackedBitmapEqualsOracle:
+    @given(st.sampled_from(GEOMETRIES), hash_arrays(), hash_arrays())
+    def test_single_counter(self, geometry, left, right):
+        oracle_a, packed_a = _pair(geometry, left)
+        oracle_b, packed_b = _pair(geometry, right)
+        assert np.array_equal(_bits(packed_a), oracle_a._bits)
+        assert packed_a.memory_bits == oracle_a.memory_bits
+        assert packed_a.estimate() == oracle_a.estimate()
+        assert packed_b.estimate() == oracle_b.estimate()
+
+        # new_estimate: equal both ways round, and it writes to neither.
+        before_a, before_b = _bits(packed_a), _bits(packed_b)
+        assert packed_a.new_estimate(packed_b) == \
+            oracle_a.new_estimate(oracle_b)
+        assert packed_b.new_estimate(packed_a) == \
+            oracle_b.new_estimate(oracle_a)
+        assert np.array_equal(_bits(packed_a), before_a)
+        assert np.array_equal(_bits(packed_b), before_b)
+        assert packed_a.estimate() == oracle_a.estimate()
+
+        # copy is independent; merge into it equals the oracle's merge.
+        oracle_union, packed_union = oracle_a.copy(), packed_a.copy()
+        oracle_union.merge(oracle_b)
+        packed_union.merge(packed_b)
+        assert np.array_equal(_bits(packed_union), oracle_union._bits)
+        assert packed_union.estimate() == oracle_union.estimate()
+        assert np.array_equal(_bits(packed_a), before_a)
+        assert packed_a.estimate() == oracle_a.estimate()
+
+        # A pickle round trip and the pre-packing pickle layout both land
+        # on the same words.
+        thawed = pickle.loads(pickle.dumps(packed_union))
+        legacy = MultiResolutionBitmap.__new__(MultiResolutionBitmap)
+        legacy.__setstate__(dict(oracle_union.__dict__))
+        for restored in (thawed, legacy):
+            assert np.array_equal(restored._bank._words,
+                                  packed_union._bank._words)
+            assert restored.estimate() == oracle_union.estimate()
+            assert restored.new_estimate(packed_b) == \
+                oracle_union.new_estimate(oracle_b)
+
+        # Writes after a read drop the remembered estimate.
+        oracle_union.add_hashes(left[::-1] ^ np.uint64(0x9E3779B97F4A7C15))
+        packed_union.add_hashes(left[::-1] ^ np.uint64(0x9E3779B97F4A7C15))
+        assert packed_union.estimate() == oracle_union.estimate()
+        oracle_union.reset()
+        packed_union.reset()
+        assert not _bits(packed_union).any()
+        assert packed_union.estimate() == oracle_union.estimate()
+
+    @given(st.sampled_from(GEOMETRIES),
+           st.lists(hash_arrays(), min_size=10, max_size=10),
+           st.lists(hash_arrays(), min_size=10, max_size=10))
+    def test_bank_read_equals_ten_single_reads(self, geometry, lefts, rights):
+        interval, incoming = BitmapBank(10, *geometry), BitmapBank(10, *geometry)
+        singles_a, singles_b, oracles_a, oracles_b = [], [], [], []
+        for index, (left, right) in enumerate(zip(lefts, rights)):
+            interval.add_hashes(index, left)
+            incoming.add_hashes(index, right)
+            for hashes, singles, oracles in ((left, singles_a, oracles_a),
+                                            (right, singles_b, oracles_b)):
+                oracle, packed = _pair(geometry, hashes)
+                singles.append(packed)
+                oracles.append(oracle)
+
+        def singly(read):
+            return [read(index) for index in range(10)]
+
+        assert interval.estimates().tolist() == singly(
+            lambda i: singles_a[i].estimate()) == singly(
+            lambda i: oracles_a[i].estimate())
+        assert interval.new_estimates(incoming).tolist() == singly(
+            lambda i: singles_a[i].new_estimate(singles_b[i])) == singly(
+            lambda i: oracles_a[i].new_estimate(oracles_b[i]))
+        assert np.array_equal(interval._words, as_bank(singles_a)._words)
+        assert np.array_equal(incoming._words, as_bank(singles_b)._words)
+
+        snapshot = interval.copy()
+        interval.merge(incoming)
+        for oracle, other in zip(oracles_a, oracles_b):
+            oracle.merge(other)
+        assert interval.estimates().tolist() == singly(
+            lambda i: oracles_a[i].estimate())
+        # The copy kept the pre-merge state (and its remembered estimates).
+        assert snapshot.estimates().tolist() == singly(
+            lambda i: singles_a[i].estimate())
+        interval.reset()
+        assert not interval._words.any()
+        assert interval.estimates().tolist() == \
+            [OracleBitmap(*geometry).estimate()] * 10
+
+    def test_generic_bank_matches_its_counters(self):
+        """The exact backend's bank is the per-counter calls, row by row."""
+        rng = np.random.default_rng(7)
+        interval, incoming = make_bank("exact", 4), make_bank("exact", 4)
+        for index in range(4):
+            interval.add_hashes(index, rng.integers(0, 50, size=40,
+                                                    dtype=np.uint64))
+            incoming.add_hashes(index, rng.integers(25, 90, size=40,
+                                                    dtype=np.uint64))
+        assert interval.estimates().tolist() == [
+            counter.estimate() for counter in interval.counters]
+        assert interval.new_estimates(incoming).tolist() == [
+            a.new_estimate(b)
+            for a, b in zip(interval.counters, incoming.counters)]
+        union = interval.copy()
+        union.merge(incoming)
+        assert union.estimates().tolist() == [
+            float(len(a._items | b._items))
+            for a, b in zip(interval.counters, incoming.counters)]
+        union.reset()
+        assert union.estimates().tolist() == [0.0] * 4
+        assert as_bank(interval.counters).counters == interval.counters
+
+    def test_bank_geometry_mismatch(self):
+        with pytest.raises(ValueError, match="geometry"):
+            BitmapBank(2, 4, 100).merge(BitmapBank(2, 4, 120))
+        with pytest.raises(ValueError, match="geometry"):
+            BitmapBank(2, 4, 256).new_estimates(BitmapBank(3, 4, 256))

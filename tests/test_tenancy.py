@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import game
+from repro.experiments import runner
 from repro.core.fairness import (ARRAY_STRATEGIES, QueryDemand,
                                  SCALAR_REFERENCE, _water_fill, mmfs_cpu,
                                  name_ranks)
@@ -35,7 +36,9 @@ from repro.core.tenancy import (TenantAssignment, TenantGroup, TenantRegistry,
                                 two_tier_scalar)
 from repro.fleet import FleetRunner, FleetTopology
 from repro.monitor.config import SystemConfig
+from repro.monitor.metrics import accuracy_from_error, mean_error
 from repro.monitor.sharding import ShardedSystem
+from repro.serve import MonitorDaemon, ReplayFeed
 from repro.serve.checkpoint import capture, restore_session
 from repro.testing import assert_results_identical
 
@@ -523,3 +526,48 @@ class TestTenantsThroughTheSystem:
         assert set(summed) == set(federated)
         for tenant, cycles in federated.items():
             assert cycles == pytest.approx(summed[tenant])
+
+    def test_accuracy_of_renamed_instances_goes_by_kind(self, small_trace):
+        """``c0``/``f0``/``t0``/``a0`` say nothing about their kind, so the
+        accuracy helpers take the name -> kind map the config defines; the
+        fleet report and the daemon's status pass their own config's."""
+        config = _tenant_config()
+        kinds = config.query_kinds()
+        assert kinds == {"c0": "counter", "f0": "flows", "t0": "top-k",
+                         "a0": "application"}
+        reference = config.replace(mode="reference").build().run(
+            small_trace, time_bin=0.1)
+        result = config.build().run(small_trace, time_bin=0.1)
+        with pytest.raises(KeyError, match="no accuracy metric"):
+            runner.accuracy_by_query(result, reference)
+
+        errors = runner.error_by_query(result, reference, kinds)
+        accuracy = runner.accuracy_by_query(result, reference, kinds)
+        assert set(errors) == set(accuracy) == set(kinds)
+        for name, kind in kinds.items():
+            assert errors[name] == mean_error(
+                kind, result.query_logs[name], reference.query_logs[name])
+            assert accuracy[name] == accuracy_from_error(errors[name])
+            series = runner.accuracy_series(result, reference, name, kinds)
+            assert len(series) == len(reference.query_logs[name])
+        # Names the map does not list still resolve by the <kind>[-N] rule.
+        plain = SystemConfig(queries="counter,flows", seed=5)
+        plain_result = plain.build().run(small_trace, time_bin=0.1)
+        assert set(runner.accuracy_by_query(plain_result, plain_result,
+                                            kinds)) == {"counter", "flows"}
+
+        fleet = FleetRunner(FleetTopology.uniform(2), config=config,
+                            backend="inprocess").run(small_trace,
+                                                     time_bin=0.1)
+        report = fleet.report(reference)
+        assert set(report["accuracy"]) == set(kinds)
+        assert set(report["accuracy_per_bin"]) == set(kinds)
+
+        daemon = MonitorDaemon(config, ReplayFeed(small_trace, time_bin=0.1),
+                               reference=reference)
+        for batch in small_trace.batch_list(0.1)[:15]:
+            daemon.session.ingest(batch)
+        status = daemon.status()
+        daemon.session.close()
+        assert all("accuracy_so_far" in status["queries"][name]
+                   for name in kinds)
