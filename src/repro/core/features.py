@@ -20,6 +20,7 @@ default (the paper's choice) or exactly.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -62,6 +63,25 @@ def feature_names() -> List[str]:
 FEATURE_NAMES: Tuple[str, ...] = tuple(feature_names())
 NUM_FEATURES = len(FEATURE_NAMES)
 _FEATURE_INDEX: Dict[str, int] = {name: i for i, name in enumerate(FEATURE_NAMES)}
+
+
+# "Which batch was that?" tokens.  The interval state remembers the batch it
+# last read, merged or has a commit pending for, only to recognise the same
+# object again within the bin.  The tokens are weak references: a strong one
+# would keep every finished bin alive until the next bin replaces the token,
+# and an ``id()`` can be recycled once the batch is freed.  Pickled state
+# carries the batch itself (see the ``__getstate__`` methods), as it always
+# has.
+def _token(batch) -> Optional["weakref.ref[Batch]"]:
+    return None if batch is None else weakref.ref(batch)
+
+
+def _resolve(token) -> Optional["Batch"]:
+    return None if token is None else token()
+
+
+def _is_batch(token, batch: "Batch") -> bool:
+    return token is not None and token() is batch
 
 
 @dataclass
@@ -130,12 +150,12 @@ class IntervalState:
         self.interval_start: Optional[float] = None
         self.write_round = 0
         self.heal_round = 0
-        #: The batch merged by the current round; doubles as the dedup
-        #: token so later members' commits of the same batch are no-ops.
+        #: Token of the batch merged by the current round: later members'
+        #: commits of the same batch are dedup no-ops.
         self.round_batch = None
         self.snapshot: Optional[CounterBank] = None
         self.members = 0
-        #: Read cache: (batch, write_round, heal_round, values array).
+        #: Read cache: (batch token, write_round, heal_round, values array).
         self.cache: Optional[tuple] = None
         # Telemetry (surfaced through session.metrics).
         self.shared_reads = 0
@@ -143,8 +163,20 @@ class IntervalState:
         self.deduped_merges = 0
         self.forks = 0
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["round_batch"] = _resolve(self.round_batch)
+        if self.cache is not None:
+            batch = self.cache[0]()
+            state["cache"] = None if batch is None \
+                else (batch,) + self.cache[1:]
+        return state
+
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.round_batch = _token(self.round_batch)
+        if self.cache is not None:
+            self.cache = (_token(self.cache[0]),) + self.cache[1:]
         if isinstance(self.counters, list):  # pickled before banks existed
             self.counters = as_bank(self.counters)
             if self.snapshot is not None:
@@ -181,7 +213,7 @@ class IntervalState:
         if self.members > 1:
             self.snapshot = self.counters.copy()
         self.write_round += 1
-        self.round_batch = batch
+        self.round_batch = _token(batch)
 
 
 class FeatureStateRegistry:
@@ -290,9 +322,7 @@ class FeatureExtractor:
         self._interval_start: Optional[float] = None
         # The batch bank used by the most recent
         # ``extract(..., update_state=False)`` call, so that ``commit`` can
-        # merge it without recomputing hashes.  The batch itself is held
-        # (not its ``id()``): an id can be recycled after the batch is
-        # garbage-collected, silently merging stale counters.
+        # merge it without recomputing hashes, and the token of its batch.
         self._pending_batch = None
         self._pending_counters: Optional[CounterBank] = None
         self._registry = registry
@@ -310,8 +340,14 @@ class FeatureExtractor:
         self.cycles_per_packet = 12.0
         self.cycles_fixed = 2000.0
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_pending_batch"] = _resolve(self._pending_batch)
+        return state
+
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._pending_batch = _token(self._pending_batch)
         if isinstance(self._interval_counters, list):  # pickled before banks
             self._interval_counters = as_bank(self._interval_counters)
             if self._pending_counters is not None:
@@ -435,7 +471,7 @@ class FeatureExtractor:
         """Read the feature vector through the group (no state change)."""
         group = self._group
         cache = group.cache
-        if (cache is not None and cache[0] is batch
+        if (cache is not None and _is_batch(cache[0], batch)
                 and cache[1] == group.write_round
                 and cache[2] == group.heal_round):
             group.shared_reads += 1
@@ -444,7 +480,8 @@ class FeatureExtractor:
         values = self._vector_values(
             batch, incoming.estimates(),
             group.counters.new_estimates(incoming))
-        group.cache = (batch, group.write_round, group.heal_round, values)
+        group.cache = (_token(batch), group.write_round, group.heal_round,
+                       values)
         group.computed_reads += 1
         return FeatureVector(values)
 
@@ -494,7 +531,7 @@ class FeatureExtractor:
                 # path) — or any out-of-sync access — forks private state.
                 self._detach(state)
         self._maybe_roll_interval(batch.start_ts)
-        self._pending_batch = None if update_state else batch
+        self._pending_batch = None if update_state else _token(batch)
         self._pending_counters = None
         if len(batch) == 0:
             # Nothing to count, and nothing for a later commit to merge.
@@ -527,7 +564,7 @@ class FeatureExtractor:
             group.roll(batch.start_ts)
             if len(batch) == 0:
                 return
-            if group.round_batch is batch and self._participated:
+            if _is_batch(group.round_batch, batch) and self._participated:
                 effective = max(self._synced, group.heal_round)
                 if effective >= group.write_round - 1:
                     # This batch is exactly the current round's merge:
@@ -550,7 +587,7 @@ class FeatureExtractor:
         self._maybe_roll_interval(batch.start_ts)
         if len(batch) == 0:
             return
-        if (self._pending_batch is batch
+        if (_is_batch(self._pending_batch, batch)
                 and self._pending_counters is not None):
             self._interval_counters.merge(self._pending_counters)
         else:

@@ -20,20 +20,34 @@ from typing import Optional, Sequence
 import numpy as np
 
 _U64 = np.uint64
-_MASK64 = _U64(0xFFFFFFFFFFFFFFFF)
+_GOLDEN = _U64(0x9E3779B97F4A7C15)
+_MUL_1 = _U64(0xBF58476D1CE4E5B9)
+_MUL_2 = _U64(0x94D049BB133111EB)
+_SHIFT_30, _SHIFT_27, _SHIFT_31 = _U64(30), _U64(27), _U64(31)
+_COLUMN_SALT = _U64(0x9E3779B9)
+
+
+def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer applied to (and returned in) ``z``.
+
+    ``uint64`` array arithmetic wraps modulo 2**64 silently, so there is
+    nothing to mask; working in place keeps it to nine ufunc calls and no
+    temporaries besides the two shifted copies — on a sub-batch of a few
+    hundred packets the call overhead, not the arithmetic, is the cost.
+    """
+    z += _GOLDEN
+    z ^= z >> _SHIFT_30
+    z *= _MUL_1
+    z ^= z >> _SHIFT_27
+    z *= _MUL_2
+    z ^= z >> _SHIFT_31
+    return z
 
 
 def mix64(keys: np.ndarray) -> np.ndarray:
     """SplitMix64-style finalizer: map 64-bit keys to well-mixed 64-bit hashes."""
-    with np.errstate(over="ignore"):
-        z = keys.astype(np.uint64, copy=True)
-        z = (z + _U64(0x9E3779B97F4A7C15)) & _MASK64
-        z ^= z >> _U64(30)
-        z = (z * _U64(0xBF58476D1CE4E5B9)) & _MASK64
-        z ^= z >> _U64(27)
-        z = (z * _U64(0x94D049BB133111EB)) & _MASK64
-        z ^= z >> _U64(31)
-    return z
+    with np.errstate(over="ignore"):  # a NumPy scalar key does warn
+        return _mix64_in_place(keys.astype(np.uint64, copy=True))
 
 
 def combine_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -45,10 +59,13 @@ def combine_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
     """
     if not columns:
         raise ValueError("at least one column is required")
-    acc = np.zeros(len(columns[0]), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for col in columns:
-            acc = mix64(acc ^ (col.astype(np.uint64) + _U64(0x9E3779B9)))
+    acc = None
+    for col in columns:
+        mixed = col.astype(np.uint64)  # always a copy: mixed in place below
+        mixed += _COLUMN_SALT
+        if acc is not None:  # the accumulator starts at zero
+            mixed ^= acc
+        acc = _mix64_in_place(mixed)
     return acc
 
 

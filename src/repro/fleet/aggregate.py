@@ -12,7 +12,6 @@ one fleet report.
 
 from __future__ import annotations
 
-import urllib.request
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..monitor.system import ExecutionResult
@@ -122,6 +121,10 @@ class FleetAggregator:
         ``url`` is the full endpoint of a running ``repro.serve`` daemon
         (e.g. ``http://127.0.0.1:9090/metrics``).
         """
+        # Imported here: the HTTP client stack (``http.client``, ``email``,
+        # ``ssl``) is a sixth of ``import repro``, and only this needs it.
+        import urllib.request
+
         with urllib.request.urlopen(url, timeout=timeout) as response:
             return cls.parse_prometheus_text(
                 response.read().decode("utf-8", errors="replace"))

@@ -13,10 +13,12 @@ as its process pool: ``n_workers <= 1`` runs the nodes serially in-process,
 larger pools fork one job per node over the pre-partitioned streams
 (copy-on-write, the same pattern the shard tier's fork backend uses).  Both
 paths run the same pure per-node function, so the federated result is
-bit-identical either way.  A node job leaves nothing behind on the stream
-it read: every bin's memoised derived values are dropped as soon as the bin
-is ingested, so a pool worker's footprint is that of one node however many
-it runs.
+bit-identical either way.  The pre-partitioned streams *keep* their packets
+until the whole fleet is done, so what a session memoises on a bin (hashes,
+filter results, distinct counters) would stay as long: a node job drops
+each bin's memos once the bin is ingested, and a pool worker's footprint is
+that of one node however many it runs.  (Batches the job makes itself go
+with their bin without help; only the kept ones need this.)
 
 :func:`verify_exactness` is the fleet's correctness gate: it runs the fleet
 and a single unpartitioned node in reference mode (no shedding, sampling
@@ -59,9 +61,10 @@ def _run_node(config: SystemConfig, batches: List[Batch], time_bin: float,
     """Run one node's session over its sub-stream, timing every bin.
 
     The stream outlives the job (the caller, or the pool worker's inherited
-    state, holds it until the whole fleet is done), so each bin's memos are
-    dropped once it is ingested: what a job leaves behind does not grow
-    with the number of bins or of nodes a worker has run.
+    state, holds it until the whole fleet is done), and a memo lives as long
+    as the batch it is on, so each bin's memos are dropped once it is
+    ingested: what a job leaves behind does not grow with the number of
+    bins or of nodes a worker has run.
     """
     if config.num_shards > 1:
         session = ShardedSystem(config=config).open_session(

@@ -22,6 +22,7 @@ Column layout
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -133,6 +134,7 @@ class Batch:
         "_filter_cache",
         "_parent",
         "_parent_index",
+        "__weakref__",
     )
 
     def __init__(
@@ -168,11 +170,46 @@ class Batch:
             start_ts = float(self.ts[0]) if n else 0.0
         self.start_ts = float(start_ts)
         self._agg_cache: Optional[Dict[tuple, object]] = None
-        self._filter_cache: Optional[Dict[str, "Batch"]] = None
+        #: Filter results by cache key; ``None`` stands for "this batch
+        #: itself" (every packet matched), so no entry refers back to it.
+        self._filter_cache: Optional[Dict[str, Optional["Batch"]]] = None
         # Set by ``select``: hashes of a sub-batch are the parent's hashes at
         # the selected rows, so they can be sliced instead of recomputed.
-        self._parent: Optional["Batch"] = None
+        # The link is weak: the parent memoises its sub-batches (filter
+        # results, partitions), and a strong link back would make every bin
+        # a reference cycle that only the cyclic collector can free.
+        self._parent: Optional["weakref.ref[Batch]"] = None
         self._parent_index: Optional[np.ndarray] = None
+
+    # ------------------------------------------------------------------
+    # Pickling
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        """Columns, payloads and memos; never the batch it was selected from.
+
+        Whatever the parent link provides is row-wise, so the copy rebuilds
+        it from its own columns.
+        """
+        return {name: getattr(self, name) for name in self.__slots__
+                if name not in ("_parent", "_parent_index", "__weakref__")}
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):
+            # Pickled before the parent link was weak: the default slots
+            # layout, with a strong ``_parent`` and the batch itself as the
+            # filter result of an all-matching filter.
+            state = dict(state[1])
+            state.pop("_parent", None)
+            state.pop("_parent_index", None)
+            filters = state.get("_filter_cache")
+            if filters:
+                state["_filter_cache"] = {
+                    key: None if sub is self else sub
+                    for key, sub in filters.items()}
+        self._parent = None
+        self._parent_index = None
+        for name, value in state.items():
+            setattr(self, name, value)
 
     # ------------------------------------------------------------------
     # Basic container protocol
@@ -309,13 +346,23 @@ class Batch:
     def drop_memos(self) -> None:
         """Forget every memoised derived value; each is rebuilt on demand.
 
-        For an owner that keeps the packets after the batch went through
-        the pipeline (a fleet node's pre-partitioned stream): hashes,
-        filter results and distinct counters of a finished bin would
-        otherwise live as long as the packets do.
+        A batch that is let go after its bin needs none of this: the memos
+        go with it.  This is for an owner that *keeps* the packets after
+        the batch went through the pipeline (a fleet node's pre-partitioned
+        stream): hashes, filter results and distinct counters of a finished
+        bin would otherwise live as long as the packets do.
         """
         self._agg_cache = None
         self._filter_cache = None
+
+    def _selected_from(self) -> Optional["Batch"]:
+        """The batch this one was selected from, while that is still alive."""
+        if self._parent is None:
+            return None
+        parent = self._parent()
+        if parent is None:
+            self._parent = self._parent_index = None
+        return parent
 
     def aggregate_hashes(self, columns: Sequence[str]) -> np.ndarray:
         """Memoised :func:`~repro.core.hashing.combine_columns` over columns.
@@ -324,14 +371,15 @@ class Batch:
         hash the same header aggregates of the same batch; the combined
         64-bit keys are computed once and shared by all consumers.  For a
         batch produced by :meth:`select`, the hashes are row-wise, so they
-        are sliced from the parent batch instead of recomputed.
+        are sliced from the parent batch instead of recomputed (recomputed
+        after all, to the same values, once the parent is gone).
         """
         key = ("hash", tuple(columns))
 
         def build() -> np.ndarray:
-            if self._parent is not None:
-                return self._parent.aggregate_hashes(columns)[
-                    self._parent_index]
+            parent = self._selected_from()
+            if parent is not None:
+                return parent.aggregate_hashes(columns)[self._parent_index]
             return combine_columns(self.columns(tuple(columns)))
 
         return self.memo(key, build)
@@ -373,8 +421,9 @@ class Batch:
         the parent batch, mirroring :meth:`aggregate_hashes`.
         """
         def build() -> np.ndarray:
-            if self._parent is not None:
-                return self._parent.payload_lengths()[self._parent_index]
+            parent = self._selected_from()
+            if parent is not None:
+                return parent.payload_lengths()[self._parent_index]
             return aggregate.payload_lengths(self.payloads)
 
         return self.memo(("payload_lengths",), build)
@@ -413,9 +462,10 @@ class Batch:
     # ------------------------------------------------------------------
     def cached_filter(self, cache_key: str) -> Optional["Batch"]:
         """Look up a previously stored filter result by semantic cache key."""
-        if self._filter_cache is None:
+        if self._filter_cache is None or cache_key not in self._filter_cache:
             return None
-        return self._filter_cache.get(cache_key)
+        cached = self._filter_cache[cache_key]
+        return self if cached is None else cached
 
     def store_filter(self, cache_key: str, sub_batch: "Batch") -> None:
         """Store a filter result so other queries (and modes) can reuse it.
@@ -426,7 +476,8 @@ class Batch:
         """
         if self._filter_cache is None:
             self._filter_cache = {}
-        self._filter_cache[cache_key] = sub_batch
+        self._filter_cache[cache_key] = \
+            None if sub_batch is self else sub_batch
 
     # ------------------------------------------------------------------
     # Subsetting
@@ -454,7 +505,7 @@ class Batch:
             time_bin=self.time_bin,
             start_ts=self.start_ts,
         )
-        sub._parent = self
+        sub._parent = weakref.ref(self)
         sub._parent_index = idx
         return sub
 
@@ -642,18 +693,16 @@ class PacketTrace:
 
 
 class _TraceChunk:
-    """One resident chunk of a streaming trace: column views + payloads."""
+    """One resident chunk of a streaming trace: views of the header columns."""
 
-    __slots__ = ("index", "lo", "hi", "columns", "payloads")
+    __slots__ = ("index", "lo", "hi", "columns")
 
     def __init__(self, index: int, lo: int, hi: int,
-                 columns: Dict[str, np.ndarray],
-                 payloads: Optional[List[bytes]]) -> None:
+                 columns: Dict[str, np.ndarray]) -> None:
         self.index = index
         self.lo = lo
         self.hi = hi
         self.columns = columns
-        self.payloads = payloads
 
 
 class StreamingTrace:
@@ -662,12 +711,19 @@ class StreamingTrace:
     Exposes the same consumption protocol as :class:`PacketTrace`
     (``batches()`` / ``batch_list()`` / ``num_batches()`` / ``name`` /
     ``duration``) but never holds the full column arrays: batches are built
-    from fixed-size *chunks* of ``chunk_packets`` rows, each a zero-copy
-    view into the store's memory-mapped columns, with at most
-    ``max_resident_chunks`` chunks kept alive in an LRU cache.  A bin whose
-    rows fall inside one chunk is itself a zero-copy view; a bin straddling
-    a chunk boundary copies just its own rows.  Peak memory is therefore
-    bounded by ``K`` chunks (plus one bin), no matter how large the store.
+    from fixed-size *chunks* of ``chunk_packets`` rows, with at most
+    ``max_resident_chunks`` chunks kept alive in an LRU cache.  A chunk
+    holds the seven header columns only, each a zero-copy view into the
+    store's memory-mapped column file, so what it pins is page cache the
+    kernel may reclaim, not heap.  A bin whose rows fall inside one chunk
+    is itself a zero-copy view; a bin straddling a chunk boundary copies
+    just its own rows.  Payloads are never part of a chunk: they are
+    Python ``bytes`` objects, so each bin's are materialised when the bin
+    is built, with one ``store.payloads_slice`` call for exactly its rows
+    (:class:`~repro.traffic.trace_io.TraceStore` reads that byte range from
+    the blob file instead of mapping it), and are freed with the bin.  Peak
+    memory is therefore the mapped pages of ``K`` chunks plus one bin — its
+    payloads included — no matter how large the store.
 
     ``store`` is any object implementing the store protocol of
     :class:`repro.traffic.trace_io.TraceStore`: attributes ``name``,
@@ -761,9 +817,7 @@ class StreamingTrace:
         hi = min(lo + self.chunk_packets, len(self))
         columns = {name: np.asarray(self.store.column(name)[lo:hi])
                    for name in COLUMN_FIELDS}
-        payloads = self.store.payloads_slice(lo, hi) \
-            if self.store.has_payloads else None
-        return _TraceChunk(index, lo, hi, columns, payloads)
+        return _TraceChunk(index, lo, hi, columns)
 
     def _insert_chunk(self, chunk: _TraceChunk) -> None:
         """Insert a loaded chunk at the LRU's MRU end (lock held by caller)."""
@@ -837,7 +891,10 @@ class StreamingTrace:
         self.close()
 
     def _rows(self, lo: int, hi: int) -> tuple:
-        """Columns (and payloads) of packet rows ``[lo, hi)`` via chunks."""
+        """Columns of packet rows ``[lo, hi)`` via chunks, plus their
+        payloads straight from the store."""
+        payloads = self.store.payloads_slice(lo, hi) \
+            if self.store.has_payloads else None
         first = lo // self.chunk_packets
         last = (hi - 1) // self.chunk_packets
         if first == last:
@@ -845,8 +902,6 @@ class StreamingTrace:
             start, stop = lo - chunk.lo, hi - chunk.lo
             columns = {name: column[start:stop]
                        for name, column in chunk.columns.items()}
-            payloads = chunk.payloads[start:stop] \
-                if chunk.payloads is not None else None
             return columns, payloads
         pieces = []
         for index in range(first, last + 1):
@@ -859,11 +914,6 @@ class StreamingTrace:
                                   for chunk, start, stop in pieces])
             for name in COLUMN_FIELDS
         }
-        payloads = None
-        if self.store.has_payloads:
-            payloads = []
-            for chunk, start, stop in pieces:
-                payloads.extend(chunk.payloads[start:stop])
         return columns, payloads
 
     # ------------------------------------------------------------------

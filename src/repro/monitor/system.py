@@ -522,7 +522,10 @@ class MonitoringSystem:
         trigger one evaluation — and because traces memoise their batch
         slices, the reuse extends across modes run over the same trace.
         Filters without a cache key (hand-written predicates) are never
-        shared.
+        shared.  The batch owns the cache and a result never owns the
+        batch back (an all-matching result is stored as a marker, a
+        selecting one links to the batch weakly), so the results are freed
+        with the bin.
         """
         key = packet_filter.cache_key
         if key is None:

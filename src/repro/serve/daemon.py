@@ -495,6 +495,8 @@ class MonitorDaemon:
                 "lag_seconds": self.feed.lag_seconds,
                 "idle": self.feed.idle,
                 "done": self.feed.done,
+                "late_packets": self.feed.late_packets,
+                "malformed_lines": self.feed.malformed_lines,
             },
             "queries": queries,
         }
@@ -549,6 +551,12 @@ class MonitorDaemon:
             _family("repro_feed_lag_seconds", "gauge",
                     "Seconds the feed trails its delivery schedule",
                     [({}, self.feed.lag_seconds)]),
+            _family("repro_feed_late_packets_total", "counter",
+                    "Packets that arrived after their bin was emitted",
+                    [({}, self.feed.late_packets)]),
+            _family("repro_feed_malformed_lines_total", "counter",
+                    "Feed input lines that were not a packet record",
+                    [({}, self.feed.malformed_lines)]),
             _family("repro_mean_prediction_error", "gauge",
                     "Mean relative cycle-prediction error",
                     [({}, self._prediction_error_sum / self._predicted_bins

@@ -81,6 +81,11 @@ class Feed:
     idle: bool = False
     #: True once the source is exhausted and iteration has ended.
     done: bool = False
+    #: Packets that arrived for an already-emitted bin and were dropped, and
+    #: input lines that were not a packet record; only a feed that takes
+    #: records from outside (:class:`SocketFeed`) ever counts either.
+    late_packets: int = 0
+    malformed_lines: int = 0
 
     def __init__(self, time_bin: float = 0.1, name: str = "feed") -> None:
         self.time_bin = float(time_bin)
@@ -400,8 +405,10 @@ class SocketFeed(Feed):
     timestamp; a bin is emitted as soon as a packet beyond its upper edge
     arrives (records are expected in roughly timestamp order — stragglers
     landing in an already-emitted bin are counted in ``late_packets`` and
-    dropped, exactly what a live capture would do).  :meth:`stop` flushes
-    the partial last bin and ends the feed.
+    dropped, exactly what a live capture would do).  A line that is not a
+    JSON object with a numeric ``ts`` is counted in ``malformed_lines`` and
+    skipped; the connection stays open.  :meth:`stop` flushes the partial
+    last bin and ends the feed.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -409,8 +416,8 @@ class SocketFeed(Feed):
         super().__init__(time_bin=time_bin, name=f"{host}:{port}")
         self.host = host
         self.port = int(port)
-        #: Packets that arrived for an already-emitted bin (dropped).
         self.late_packets = 0
+        self.malformed_lines = 0
         self._queue: asyncio.Queue = asyncio.Queue()
         self._server: Optional[asyncio.AbstractServer] = None
         self._pending: List[dict] = []
@@ -486,7 +493,8 @@ class SocketFeed(Feed):
                     record = json.loads(line)
                     float(record["ts"])
                 except (ValueError, KeyError, TypeError):
-                    continue  # malformed line: skip, keep the stream alive
+                    self.malformed_lines += 1  # skip, keep the stream alive
+                    continue
                 self._add_record(record)
         finally:
             writer.close()

@@ -22,6 +22,7 @@ than RAM replays chunk by chunk through
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import List, Optional, Union
@@ -389,13 +390,20 @@ class TraceStore:
 
     Columns open on first access with ``np.lib.format.open_memmap`` in
     read-only mode, so constructing a store (and slicing its columns) never
-    loads the trace into memory.  :meth:`streaming` wraps the store in a
+    loads the trace into memory.  Payload bytes are the exception: they are
+    *read* (:meth:`payloads_slice`), not mapped, since every payload ends up
+    as a ``bytes`` object anyway and a mapping would keep the file's pages
+    resident on top of those.  :meth:`streaming` wraps the store in a
     :class:`~repro.monitor.packet.StreamingTrace` that yields per-bin
     batches chunk by chunk; :meth:`to_trace` fully materialises it (only
     sensible for stores that fit in RAM).
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
+        #: Descriptor of the payload blob (opened by the first payload read)
+        #: and the file offset of the blob's first byte.
+        self._blob_fd: Optional[int] = None
+        self._blob_start = 0
         self.path = Path(path)
         manifest_path = self.path / MANIFEST_NAME
         if not manifest_path.exists():
@@ -416,6 +424,20 @@ class TraceStore:
         self.complete = bool(manifest.get("complete", True))
         self._mmaps: dict = {}
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_blob_fd"] = None  # a descriptor means nothing to the reader
+        return state
+
+    def close(self) -> None:
+        """Close the payload-blob descriptor (reopened on demand)."""
+        fd, self._blob_fd = self._blob_fd, None
+        if fd is not None:
+            os.close(fd)
+
+    def __del__(self) -> None:
+        self.close()
+
     def __len__(self) -> int:
         return self.num_packets
 
@@ -434,7 +456,7 @@ class TraceStore:
 
     def payloads_slice(self, lo: int, hi: int) -> Optional[List[bytes]]:
         """Materialise the payloads of packets ``[lo, hi)`` (payload traces
-        only); the blob is touched only over the requested byte range."""
+        only) with one positional read of exactly their byte range."""
         if not self.has_payloads:
             return None
         offsets = np.asarray(self.column("payload_offsets")[lo:hi + 1],
@@ -442,10 +464,35 @@ class TraceStore:
         if len(offsets) == 0:
             return []
         base = int(offsets[0])
-        raw = bytes(np.asarray(self.column("payload_blob")
-                               [base:int(offsets[-1])]))
-        return [raw[int(start) - base:int(stop) - base]
-                for start, stop in zip(offsets[:-1], offsets[1:])]
+        raw = self._read_blob(base, int(offsets[-1]))
+        bounds = (offsets - base).tolist()
+        return [raw[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+    def _read_blob(self, start: int, stop: int) -> bytes:
+        """Bytes ``[start, stop)`` of the payload blob, read from the file.
+
+        ``pread`` takes its own offset, so the one descriptor serves any
+        number of threads, forked children and a file that is still being
+        appended to.
+        """
+        if stop <= start:
+            return b""
+        if self._blob_fd is None:
+            path = self.path / "payload_blob.npy"
+            # NumPy parses the header; the map itself is let go unread.
+            self._blob_start = np.lib.format.open_memmap(path, mode="r").offset
+            self._blob_fd = os.open(path, os.O_RDONLY)
+        position, end = self._blob_start + start, self._blob_start + stop
+        pieces = []
+        while position < end:  # one read, unless the kernel cuts it short
+            piece = os.pread(self._blob_fd, end - position, position)
+            if not piece:
+                raise EOFError(
+                    f"payload blob of {self.path} ends {end - position} "
+                    f"bytes short of offset {stop}")
+            pieces.append(piece)
+            position += len(piece)
+        return b"".join(pieces)
 
     def bin_bounds(self, time_bin: float) -> Optional[np.ndarray]:
         """Stored bin-edge packet offsets, if the manifest indexed this

@@ -235,7 +235,10 @@ class _BoolMatrixPickler(pickle.Pickler):
     Then every group of per-aggregate counters was a plain list (a bank
     now), a bitmap was a ``bool`` matrix ``_bits`` (the oracle class, filed
     under the production class's name), and a batch memoised one
-    ``(counter, estimate)`` pair per aggregate rather than one bank.
+    ``(counter, estimate)`` pair per aggregate rather than one bank.  A
+    batch was also pickled slot by slot, holding the batch it was selected
+    from (``_parent``, so a bin dragged its whole trace along) and, as the
+    result of an all-matching filter, itself.
     """
 
     def reducer_override(self, obj):
@@ -245,17 +248,25 @@ class _BoolMatrixPickler(pickle.Pickler):
                     (MultiResolutionBitmap, object, None), obj.__dict__)
         if isinstance(obj, CounterBank):
             return list, (_counters(obj),)
-        if isinstance(obj, Batch) and obj._agg_cache:
-            slots = {name: getattr(obj, name) for name in Batch.__slots__}
-            slots["_agg_cache"] = memo = {}
-            for key, value in obj._agg_cache.items():
-                if key[0] != "counters":
-                    memo[key] = value
-                    continue
-                for (_, columns), counter, estimate in zip(
-                        TRAFFIC_AGGREGATES, _counters(value),
-                        value.estimates().tolist()):
-                    memo[("counter", key[1], columns)] = (counter, estimate)
+        if isinstance(obj, Batch):
+            slots = {name: getattr(obj, name) for name in Batch.__slots__
+                     if name != "__weakref__"}
+            slots["_parent"] = obj._selected_from()
+            if obj._filter_cache:
+                slots["_filter_cache"] = {
+                    key: obj if sub is None else sub
+                    for key, sub in obj._filter_cache.items()}
+            if obj._agg_cache:
+                slots["_agg_cache"] = memo = {}
+                for key, value in obj._agg_cache.items():
+                    if key[0] != "counters":
+                        memo[key] = value
+                        continue
+                    for (_, columns), counter, estimate in zip(
+                            TRAFFIC_AGGREGATES, _counters(value),
+                            value.estimates().tolist()):
+                        memo[("counter", key[1], columns)] = (counter,
+                                                              estimate)
             return copyreg.__newobj__, (Batch,), (None, slots)
         return NotImplemented
 
@@ -283,6 +294,7 @@ def test_restores_checkpoint_written_before_bit_packing(
     checkpoint.state_blob = buffer.getvalue()
     assert b"Bank" not in checkpoint.state_blob
     assert b"_words" not in checkpoint.state_blob
+    assert b"_parent_index" in checkpoint.state_blob
 
     restored = checkpoint.restore()
     assert restored.bins_ingested == k
@@ -301,7 +313,7 @@ def test_pending_commit_survives_the_old_layout(small_batch):
     _BoolMatrixPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(
         (extractor, small_batch))
     restored, batch = pickle.loads(buffer.getvalue())
-    assert restored._pending_batch is batch
+    assert restored._pending_batch() is batch
     assert isinstance(restored._pending_counters, BitmapBank)
     restored.commit(batch)
     extractor.commit(small_batch)

@@ -1,5 +1,9 @@
 """Tests for the experiment harness (small-scale sanity of each chapter)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -137,3 +141,25 @@ class TestReporting:
         summary = reporting.summarize_distribution([1.0, 2.0, 3.0])
         assert summary["mean"] == pytest.approx(2.0)
         assert reporting.summarize_distribution([])["max"] == 0.0
+
+
+def test_import_repro_defers_the_harnesses_and_the_http_client():
+    """Every forked job, CLI call and benchmark child imports the package;
+    the chapter harnesses and ``urllib.request`` load when first used."""
+    script = (
+        "import sys\n"
+        "import repro, repro.fleet, repro.serve\n"
+        "from repro.fleet import FleetRunner\n"
+        "early = [name for name in ('urllib.request', 'repro.experiments"
+        ".chapter3', 'repro.experiments.reporting') if name in sys.modules]\n"
+        "assert not early, early\n"
+        "import repro.experiments\n"
+        "assert repro.experiments.chapter4.__name__.endswith('chapter4')\n"
+        "from repro.experiments import reporting\n"
+        "for name in repro.experiments.__all__:\n"
+        "    assert getattr(repro.experiments, name).__name__ == "
+        "'repro.experiments.' + name\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={"PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr

@@ -139,25 +139,21 @@ def test_checkpoint_restore_matches_uninterrupted(sizes, cut, cycles):
 
 
 # ----------------------------------------------------------------------
-# Regression: commit must hold the batch, not its id()
+# Regression: commit must recognise the batch, not its id()
 # ----------------------------------------------------------------------
-def test_commit_holds_pending_batch_against_id_recycling():
+def test_commit_ignores_a_freed_pending_batch_despite_id_recycling():
     """``extract(update_state=False)`` used to remember only ``id(batch)``;
     once the batch was garbage-collected a later batch could land on the
     recycled id and ``commit`` would merge the *stale* pending counters.
-    The fix holds the batch object itself, which both prevents the id from
-    being recycled while a commit is pending and makes the identity check
-    exact."""
+    The extractor remembers the batch by weak reference: that neither keeps
+    a finished bin alive nor can match a later batch on a recycled id."""
     extractor = FeatureExtractor(measurement_interval=10.0, method="exact")
     first = make_batch(n=50, seed=1, start_ts=0.0)
     extractor.extract(first, update_state=False)
-    stale_id = id(first)
+    assert extractor._pending_batch() is first
     del first
     gc.collect()
-    # The pending batch is pinned by the extractor itself, so its id cannot
-    # be handed to a newly allocated batch while the commit is pending.
-    assert extractor._pending_batch is not None
-    assert id(extractor._pending_batch) == stale_id
+    assert extractor._pending_batch() is None
 
     second = make_batch(n=70, seed=2, start_ts=0.05, n_hosts=40)
     extractor.commit(second)

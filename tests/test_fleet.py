@@ -26,6 +26,7 @@ from repro.fleet import (FleetAggregator, FleetPartitioner, FleetRunner,
                          FleetTopology, NodeSpec, load_topology,
                          verify_exactness)
 from repro.fleet.__main__ import main as fleet_main
+from repro.monitor.packet import Batch
 from repro.monitor.sharding import FLOW_FIELDS, shard_seed
 from repro.monitor.workers import fork_start_available
 from repro.queries import MERGE_EXACTNESS, QuerySpec, parse_query_specs
@@ -369,15 +370,33 @@ class TestFleetRunner:
             queries=(QuerySpec("counter"), QuerySpec("flows", filter="tcp"))))
         configs = fleet.topology.node_configs(fleet.config)
         streams, _ = fleet.node_streams(small_trace, 0.5)
-        if backend == "fork":
-            # What a pool worker does: the job function over the state it
-            # inherited at fork.
-            with pool_state(fleet_runner._POOL_STATE, configs=configs,
-                            streams=streams, time_bin=0.5,
-                            names=["node0", "node1"]):
-                fleet_runner._run_node_job(0)
-        else:
-            fleet_runner._run_node(configs[0], streams[0], 0.5, "node0")
+        # The batches the job itself makes (filter results, sampled
+        # sub-batches) hang off no stream: they go with their bin, by
+        # reference count alone, whether or not memos are dropped.
+        selected = []
+        select = Batch.select
+
+        def recording_select(batch, mask_or_index):
+            sub = select(batch, mask_or_index)
+            selected.append(weakref.ref(sub))
+            return sub
+
+        monkeypatch.setattr(Batch, "select", recording_select)
+        gc.collect()
+        gc.disable()
+        try:
+            if backend == "fork":
+                # What a pool worker does: the job function over the state
+                # it inherited at fork.
+                with pool_state(fleet_runner._POOL_STATE, configs=configs,
+                                streams=streams, time_bin=0.5,
+                                names=["node0", "node1"]):
+                    fleet_runner._run_node_job(0)
+            else:
+                fleet_runner._run_node(configs[0], streams[0], 0.5, "node0")
+            assert selected and all(ref() is None for ref in selected)
+        finally:
+            gc.enable()
         gc.collect()
         assert any(len(batch) for batch in streams[0])  # still held
         assert built and all(ref() is None for ref in built)

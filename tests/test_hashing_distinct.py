@@ -16,6 +16,29 @@ from repro.core.hashing import (H3Hash, combine_columns,
                                 hash_to_unit_interval, mix64)
 
 
+def _reference_mix64(keys):
+    """The finalizer as first written: masked, out of place."""
+    u64, mask = np.uint64, np.uint64(0xFFFFFFFFFFFFFFFF)
+    with np.errstate(over="ignore"):
+        z = keys.astype(np.uint64, copy=True)
+        z = (z + u64(0x9E3779B97F4A7C15)) & mask
+        z ^= z >> u64(30)
+        z = (z * u64(0xBF58476D1CE4E5B9)) & mask
+        z ^= z >> u64(27)
+        z = (z * u64(0x94D049BB133111EB)) & mask
+        z ^= z >> u64(31)
+    return z
+
+
+def _reference_combine_columns(columns):
+    acc = np.zeros(len(columns[0]), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for col in columns:
+            acc = _reference_mix64(
+                acc ^ (col.astype(np.uint64) + np.uint64(0x9E3779B9)))
+    return acc
+
+
 class TestMix64:
     def test_deterministic(self):
         keys = np.arange(100, dtype=np.uint64)
@@ -43,6 +66,29 @@ class TestCombineColumns:
     def test_requires_columns(self):
         with pytest.raises(ValueError):
             combine_columns([])
+
+    @pytest.mark.parametrize("size", [0, 1, 375, 6000])
+    def test_in_place_kernel_equals_the_masked_reference(self, size):
+        """Every hash downstream (features, flow sampling, sharding) is
+        bit-identical only if this is; the extreme values wrap."""
+        rng = np.random.default_rng(size)
+        columns = [rng.integers(0, 2 ** bits, size=size, dtype=np.uint64)
+                   .astype(dtype)
+                   for bits, dtype in ((32, np.uint32), (32, np.uint32),
+                                       (16, np.uint16), (16, np.uint16),
+                                       (8, np.uint8))]
+        columns.append(np.full(size, 2 ** 64 - 1, dtype=np.uint64))
+        originals = [column.copy() for column in columns]
+        for width in range(1, len(columns) + 1):
+            got = combine_columns(columns[:width])
+            want = _reference_combine_columns(columns[:width])
+            assert got.dtype == want.dtype == np.uint64
+            assert np.array_equal(got, want)
+        keys = columns[-1] - np.arange(size, dtype=np.uint64)
+        assert np.array_equal(mix64(keys), _reference_mix64(keys))
+        # Neither function writes to what it was given.
+        assert all(np.array_equal(column, original)
+                   for column, original in zip(columns, originals))
 
 
 class TestH3Hash:

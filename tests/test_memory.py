@@ -1,0 +1,262 @@
+"""What a finished bin leaves behind: nothing.
+
+The ingest path touches each 100 ms batch once and lets it go.  These
+tests pin that down by *reference counting alone* (the cyclic collector is
+off): once the caller drops a bin's batch, the batch, its filter results,
+its sampled sub-batches and everything memoised on them are freed — no
+reference cycle runs through a :class:`Batch`, and nothing in a session
+holds one past its bin.  The other half is the streaming reader, which
+materialises payloads for the bin being built and not for a chunk.
+"""
+
+import gc
+import pickle
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.experiments import runner
+from repro.monitor.filters import Filter
+from repro.monitor.packet import Batch
+from repro.monitor.sharding import ShardedSystem
+from repro.queries import QuerySpec
+from repro.testing import assert_results_identical
+from repro.traffic.trace_io import save_trace_store
+from tests.conftest import make_batch
+
+TIME_BIN = 0.1
+FLOW_COLUMNS = ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
+
+
+@pytest.fixture
+def no_gc():
+    """Reference counting only: a cycle would survive the whole test."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.fixture(scope="module")
+def header_store(tmp_path_factory, small_trace):
+    return save_trace_store(small_trace,
+                            tmp_path_factory.mktemp("memory") / "header")
+
+
+def _ingest_and_drop(session, bins):
+    """Every bin through ``session``; each must die with its last reference.
+
+    ``bins`` builds a fresh batch per index (a streaming bin list), so the
+    only owner of a bin is this loop.
+    """
+    records = []
+    for index in range(len(bins)):
+        batch = bins[index]
+        ref = weakref.ref(batch)
+        records.append(session.ingest(batch))
+        del batch
+        assert ref() is None, f"bin {index} outlived its ingest"
+    return records
+
+
+# ----------------------------------------------------------------------
+# Mechanism 1: no cycle through a batch, no owner past the bin
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("queries", [
+    pytest.param("counter,flows", id="all-matching-filter"),
+    pytest.param((QuerySpec("counter"), QuerySpec("flows", filter="tcp"),
+                  QuerySpec("top-k", filter="port:80")),
+                 id="selecting-keyed-filters"),
+])
+def test_a_bin_dies_with_its_last_reference(no_gc, header_store, queries):
+    config = runner.system_config(queries=queries, seed=5)
+    session = config.build().open_session(time_bin=TIME_BIN)
+    records = _ingest_and_drop(session, header_store.streaming()
+                               .batch_list(TIME_BIN))
+    assert sum(record.incoming_packets for record in records) == \
+        len(header_store)
+    session.close()
+
+
+def test_a_bin_that_sheds_dies_with_its_last_reference(no_gc, header_store,
+                                                       small_trace):
+    """Sampled sub-batches point at the bin weakly; the bin still goes."""
+    names = ("counter", "flows", "top-k")
+    capacity, _ = runner.calibrate_capacity(names, small_trace)
+    config = runner.system_config(queries=",".join(names), seed=5,
+                                  cycles_per_second=0.3 * capacity)
+    session = config.build().open_session(time_bin=TIME_BIN)
+    records = _ingest_and_drop(session, header_store.streaming()
+                               .batch_list(TIME_BIN))
+    assert any(record.rates and record.mean_rate < 1.0
+               for record in records), "the scenario never shed"
+    session.close()
+
+
+def test_a_sharded_bin_dies_with_its_last_reference(no_gc, header_store):
+    """The partition memo holds the shards' sub-batches, each pointing
+    back at the bin: the other place a strong link would close a cycle."""
+    config = runner.system_config(queries="counter,flows", seed=5)
+    session = ShardedSystem(config=config, num_shards=2,
+                            backend="inprocess").open_session(
+        time_bin=TIME_BIN)
+    _ingest_and_drop(session, header_store.streaming().batch_list(TIME_BIN))
+    session.close()
+
+
+def test_predictive_bins_leave_nothing_for_the_cyclic_collector(
+        header_store):
+    """``DEBUG_SAVEALL`` keeps whatever only the collector could free."""
+    config = runner.system_config(
+        queries=(QuerySpec("counter"), QuerySpec("flows", filter="tcp")),
+        seed=5)
+    session = config.build().open_session(time_bin=TIME_BIN)
+    bins = header_store.streaming().batch_list(TIME_BIN)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for index in range(20):
+            session.ingest(bins[index])
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if isinstance(obj, Batch)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
+    session.close()
+
+
+def test_trace_held_batches_still_share_filter_results(small_trace,
+                                                       monkeypatch):
+    """A trace memoises its bins, so what one run computed on them (filter
+    results, hashes) serves the next run, in whatever mode."""
+    calls = []
+    apply = Filter.apply
+    monkeypatch.setattr(Filter, "apply",
+                        lambda self, batch: calls.append(self.cache_key)
+                        or apply(self, batch))
+    queries = (QuerySpec("counter"), QuerySpec("flows", filter="tcp"))
+    bins = small_trace.batch_list(TIME_BIN)
+    for batch in bins:
+        batch.drop_memos()
+    for mode in ("predictive", "reactive"):
+        session = runner.system_config(queries=queries, mode=mode,
+                                       seed=5).build().open_session(
+            time_bin=TIME_BIN)
+        for batch in bins:
+            session.ingest(batch)
+        session.close()
+        # One evaluation per distinct filter per bin, in the first run only.
+        assert len(calls) == 2 * len(bins), mode
+    everything = bins[0].cached_filter("all")
+    assert everything is bins[0]  # stored as a marker, handed back as itself
+    assert bins[0].cached_filter("proto:6") is bins[0].cached_filter(
+        "proto:6")
+
+
+# ----------------------------------------------------------------------
+# A sub-batch on its own
+# ----------------------------------------------------------------------
+def test_sub_batch_outliving_its_parent_recomputes_the_same_values(no_gc):
+    parent = make_batch(n=300, seed=7, payloads=True)
+    index = np.arange(0, 300, 3)
+    hashes = parent.aggregate_hashes(FLOW_COLUMNS)[index]
+    lengths = parent.payload_lengths()[index]
+    sliced = parent.select(index)       # reads while the parent is alive
+    orphan = parent.select(index)       # reads after it is gone
+    assert np.array_equal(sliced.aggregate_hashes(FLOW_COLUMNS), hashes)
+    assert np.array_equal(sliced.payload_lengths(), lengths)
+    ref = weakref.ref(parent)
+    del parent
+    assert ref() is None
+    assert np.array_equal(orphan.aggregate_hashes(FLOW_COLUMNS), hashes)
+    assert np.array_equal(orphan.payload_lengths(), lengths)
+    assert orphan.aggregate_hashes(FLOW_COLUMNS).dtype == hashes.dtype
+
+
+def test_pickled_sub_batch_does_not_carry_its_parent():
+    def pickled(parent_packets):
+        parent = make_batch(n=parent_packets, seed=7)
+        parent.aggregate_hashes(FLOW_COLUMNS)
+        sub = parent.select(np.arange(50))
+        return pickle.dumps(sub, pickle.HIGHEST_PROTOCOL), sub
+
+    small, _ = pickled(100)
+    large, sub = pickled(20_000)
+    assert len(large) == len(small)
+    restored = pickle.loads(large)
+    assert np.array_equal(restored.ts, sub.ts)
+    assert np.array_equal(restored.aggregate_hashes(FLOW_COLUMNS),
+                          sub.aggregate_hashes(FLOW_COLUMNS))
+
+
+# ----------------------------------------------------------------------
+# Mechanisms 2 and 3: payloads per bin, read not mapped
+# ----------------------------------------------------------------------
+class _TrackedList(list):
+    """A payload list a test can hold a weak reference to."""
+
+
+def test_streaming_keeps_one_bin_of_payloads_alive(no_gc, tmp_path,
+                                                   payload_trace_small):
+    """One chunk spans the whole store, and still the only payload objects
+    alive are those of the bin being ingested."""
+    names = ("counter", "pattern-search", "p2p-detector", "trace")
+    capacity, _ = runner.calibrate_capacity(names, payload_trace_small)
+    config = runner.system_config(queries=",".join(names), seed=5,
+                                  cycles_per_second=0.5 * capacity)
+    expected = config.build().run(payload_trace_small, time_bin=TIME_BIN)
+
+    store = save_trace_store(payload_trace_small, tmp_path / "payload")
+    slices, reads = [], []
+    read = store.payloads_slice
+
+    def tracked(lo, hi):
+        payloads = _TrackedList(read(lo, hi))
+        slices.append(weakref.ref(payloads))
+        reads.append(hi - lo)
+        return payloads
+
+    store.payloads_slice = tracked
+    streaming = store.streaming(chunk_packets=len(store))
+    assert streaming.num_chunks == 1
+    session = config.build().open_session(time_bin=TIME_BIN,
+                                          name=payload_trace_small.name)
+    bins = streaming.batch_list(TIME_BIN)
+    sizes = []
+    for index in range(len(bins)):
+        batch = bins[index]
+        sizes.append(len(batch))
+        assert sum(ref() is not None for ref in slices) <= 1
+        session.ingest(batch)
+        del batch
+        assert not any(ref() is not None for ref in slices)
+    # Exactly one read per non-empty bin, of exactly that bin's rows.
+    assert reads == [size for size in sizes if size]
+    assert max(reads) < len(store) / 4
+    assert streaming.cache_misses == 1
+    assert_results_identical(expected, session.close(), "payload-streaming")
+
+
+def test_payload_reads_do_not_go_through_the_map(tmp_path,
+                                                 payload_trace_small):
+    store = save_trace_store(payload_trace_small, tmp_path / "payload")
+    want = payload_trace_small.packets.payloads
+    assert store.payloads_slice(0, len(store)) == want
+    assert store.payloads_slice(17, 90) == want[17:90]
+    assert store.payloads_slice(5, 5) == []
+    # The blob was read from its file and never mapped, and the descriptor
+    # is not pickled state.
+    assert "payload_blob" not in store._mmaps
+    assert store._blob_fd is not None
+    copy = pickle.loads(pickle.dumps(store))
+    assert copy._blob_fd is None
+    assert copy.payloads_slice(17, 90) == want[17:90]
+    store.close()
+    assert store._blob_fd is None
+    assert store.payloads_slice(0, 3) == want[:3]  # reopened on demand

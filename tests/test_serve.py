@@ -21,6 +21,7 @@ import asyncio
 import json
 import re
 import shutil
+import socket
 import threading
 import time
 import urllib.error
@@ -333,6 +334,41 @@ def test_daemon_end_to_end_checkpoint_restore(tmp_path, serve_trace):
                              label="restore-vs-ref")
 
 
+def test_socket_feed_counts_what_it_drops():
+    """Garbage, a record without ``ts`` and a straggler over a real socket:
+    each is dropped, counted, and visible in ``/status`` and ``/metrics``."""
+    feed = SocketFeed(time_bin=0.25)
+    daemon = MonitorDaemon(_daemon_config(), feed, name="socket")
+    lines = [b"this is not json",
+             json.dumps({"src_ip": "10.0.0.1", "size": 80}).encode(),
+             b"[1, 2]"]
+    # 0.625 closes the bins [0, 0.25) and [0.25, 0.5); 0.0625 then arrives
+    # for a bin that is already out, and 0.75 closes [0.5, 0.75).
+    lines += [json.dumps({"ts": ts, "src_ip": "10.0.0.1", "dst_port": 80})
+              .encode() for ts in (0.0, 0.125, 0.625, 0.0625, 0.75)]
+    with DaemonHarness(daemon) as harness:
+        deadline = time.monotonic() + 10.0
+        while feed.bound_port == 0:
+            assert time.monotonic() < deadline, "socket feed never bound"
+            time.sleep(0.01)
+        with socket.create_connection(("127.0.0.1", feed.bound_port),
+                                      timeout=10) as conn:
+            conn.sendall(b"\n".join(lines) + b"\n")
+        status = harness.wait_status(
+            lambda s: s["bins_ingested"] >= 3)
+        assert status["feed"]["kind"] == "socket"
+        assert status["feed"]["late_packets"] == 1
+        assert status["feed"]["malformed_lines"] == 3
+        assert status["packets"] == 3  # 0.75 waits for its bin to close
+        samples = harness.get("/metrics").splitlines()
+        assert "repro_feed_late_packets_total 1" in samples
+        assert "repro_feed_malformed_lines_total 3" in samples
+        # Stop on the loop's own thread: the feed's queue is an asyncio one.
+        harness.request("POST", "/shutdown")
+        result = harness.join(timeout=30.0)
+    assert result is not None and len(result.bins) == 3
+
+
 def test_daemon_status_metrics_and_ops(tmp_path, serve_trace):
     config = _daemon_config()
     feed = ReplayFeed(serve_trace, time_bin=TIME_BIN, pace=1.0)
@@ -343,6 +379,9 @@ def test_daemon_status_metrics_and_ops(tmp_path, serve_trace):
         status = harness.wait_status(lambda s: s["bins_ingested"] >= 5)
         assert status["mode"] == "predictive"
         assert status["feed"]["kind"] == "replay"
+        # A feed that parses nothing has nothing to drop: zeros, not gaps.
+        assert status["feed"]["late_packets"] == 0
+        assert status["feed"]["malformed_lines"] == 0
         assert set(status["queries"]) == {"counter", "flows"}
         assert status["uptime_seconds"] > 0
 
@@ -377,6 +416,8 @@ def test_daemon_status_metrics_and_ops(tmp_path, serve_trace):
         for expected in ("repro_bins_ingested_total", "repro_packets_total",
                          "repro_dropped_packets_total",
                          "repro_feed_lag_seconds", "repro_uptime_seconds",
+                         "repro_feed_late_packets_total",
+                         "repro_feed_malformed_lines_total",
                          "repro_mean_prediction_error",
                          "repro_checkpoints_total"):
             assert expected in names, f"missing metric {expected}"

@@ -287,6 +287,36 @@ def test_streaming_replay_bit_identical_all_modes(shed_setup, mode):
     assert streaming.max_resident <= 2
 
 
+PAYLOAD_QUERY_SET = ("counter", "pattern-search", "p2p-detector", "trace")
+
+
+@pytest.fixture(scope="module")
+def payload_shed_setup(tmp_path_factory, payload_trace_small):
+    store = save_trace_store(payload_trace_small,
+                             tmp_path_factory.mktemp("stores") / "payload")
+    capacity, _ = runner.calibrate_capacity(PAYLOAD_QUERY_SET,
+                                            payload_trace_small)
+    return store, payload_trace_small, capacity * 0.5
+
+
+@pytest.mark.parametrize("mode", ["predictive", "reactive", "original",
+                                  "reference"])
+def test_streaming_payload_replay_bit_identical_all_modes(
+        payload_shed_setup, mode):
+    """The same pin on a payload store: header columns come from chunk
+    views, each bin's payloads from one read of the blob file."""
+    store, trace, capacity = payload_shed_setup
+    config = runner.system_config(mode=mode, seed=7)
+    in_memory = runner.run_system(PAYLOAD_QUERY_SET, trace, capacity,
+                                  config=config)
+    streaming = store.streaming(chunk_packets=max(1, len(store) // 8),
+                                max_resident_chunks=2)
+    streamed = runner.run_system(PAYLOAD_QUERY_SET, streaming, capacity,
+                                 config=config)
+    _assert_results_identical(in_memory, streamed, f"payload/{mode}")
+    assert streaming.max_resident <= 2
+
+
 def test_sharded_streaming_replay_bit_identical(shed_setup):
     """num_shards=4 over a store >= 4x the chunk budget == in-memory."""
     store, trace, capacity = shed_setup
