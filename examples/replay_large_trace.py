@@ -5,9 +5,9 @@
 an experiment at the host's RAM.  This example never holds the trace: it
 writes a v2 trace store segment by segment (``generate_trace_store`` keeps
 only the current segment alive), then replays it through the full
-predict/shed pipeline with ``ingest_trace`` — bins are sliced from the
-store's memory-mapped columns through an LRU of a few resident chunks, so
-peak memory stays flat no matter how long the trace is.  Scale
+predict/shed pipeline with ``ingest_trace`` — each bin is read from its
+row range of the column files and freed when the pipeline is done with it,
+so peak memory stays flat no matter how long the trace is.  Scale
 ``DURATION`` up to multi-hour, multi-GB workloads; the mechanics are
 identical.
 """
@@ -17,14 +17,13 @@ from pathlib import Path
 
 from repro import ShardedSystem
 from repro.experiments import runner
+from repro.profile import peak_rss_mb
 from repro.queries import make_query
 from repro.traffic import generate_trace_store, open_trace
 from repro.traffic.generator import TrafficProfile
 
 DURATION = 20.0          # seconds of traffic; raise freely, RAM stays flat
 SEGMENT = 2.5            # seconds generated (and held) at a time
-CHUNK_PACKETS = 4096     # rows per streaming chunk
-MAX_CHUNKS = 4           # LRU budget: at most this many resident chunks
 QUERY_SET = ("counter", "flows", "top-k")
 
 
@@ -41,11 +40,10 @@ def main() -> None:
           f"({size_mb:.1f} MB on disk, {int(DURATION / SEGMENT)} segments)")
 
     # 2. Reopen it (open_trace dispatches on the format) and build the
-    #    streaming view; columns are memory-mapped, nothing is loaded yet.
-    streaming = open_trace(store.path).streaming(
-        chunk_packets=CHUNK_PACKETS, max_resident_chunks=MAX_CHUNKS)
-    print(f"Streaming view: {streaming.num_chunks} chunks of "
-          f"{CHUNK_PACKETS:,} packets, at most {MAX_CHUNKS} resident")
+    #    streaming view; only the manifest has been read so far.
+    streaming = open_trace(store.path).streaming()
+    print(f"Streaming view: {streaming.num_batches(0.1)} bins, "
+          f"peak resident set before replay {peak_rss_mb():.1f} MB")
 
     # 3. Calibrate and replay out-of-core through the full pipeline.
     capacity, _ = runner.calibrate_capacity(QUERY_SET, streaming)
@@ -57,21 +55,19 @@ def main() -> None:
     print(f"\nSerial replay: {len(result.bins)} bins, dropped "
           f"{result.dropped_packets:,}/{result.total_packets:,} packets, "
           f"mean sampling rate {result.mean_sampling_rate():.2f}")
-    print(f"Chunk cache: resident peak {streaming.max_resident}/"
-          f"{MAX_CHUNKS}, {streaming.cache_hits} hits / "
-          f"{streaming.cache_misses} misses")
+    print(f"Peak resident set after two passes over the store: "
+          f"{peak_rss_mb():.1f} MB")
 
     # 4. The same store through four flow-affine shards, still out-of-core.
     sharded_config = config.replace(num_shards=4)
     sharded = ShardedSystem(
         lambda: [make_query(name) for name in QUERY_SET],
         config=sharded_config)
-    fresh = open_trace(store.path).streaming(
-        chunk_packets=CHUNK_PACKETS, max_resident_chunks=MAX_CHUNKS)
-    merged = sharded.open_session(name=fresh.name).ingest_trace(fresh).close()
+    merged = sharded.open_session(name=streaming.name).ingest_trace(
+        streaming).close()
     print(f"\nSharded x4 replay: {len(merged.bins)} bins, dropped "
-          f"{merged.dropped_packets:,} packets, resident peak "
-          f"{fresh.max_resident}/{MAX_CHUNKS}")
+          f"{merged.dropped_packets:,} packets, peak resident set "
+          f"{peak_rss_mb():.1f} MB")
 
 
 if __name__ == "__main__":

@@ -302,11 +302,10 @@ def ingest_trace(session, trace_or_store, close: bool = True):
     :class:`~repro.monitor.sharding.ShardedSession`) and
     ``trace_or_store`` anything :func:`repro.monitor.packet.as_trace`
     accepts.  A v2 trace store streams through the full predict/shed
-    pipeline chunk by chunk, so peak memory stays bounded by the chunk
-    cache no matter the trace size.  Returns the final
-    :class:`~repro.monitor.system.ExecutionResult`; pass ``close=False``
-    to keep the session open (live reconfiguration, more traffic) and get
-    the session back instead.
+    pipeline bin by bin, so peak memory does not grow with the trace.
+    Returns the final :class:`~repro.monitor.system.ExecutionResult`; pass
+    ``close=False`` to keep the session open (live reconfiguration, more
+    traffic) and get the session back instead.
     """
     session.ingest_trace(trace_or_store)
     return session.close() if close else session

@@ -240,7 +240,8 @@ def load_topology(path: str) -> FleetTopology:
     and fail with an actionable error when it is not installed (the JSON
     schema is identical, so any topology can be expressed without it).
     """
-    text = open(path, "r", encoding="utf-8").read()
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     if path.endswith((".yaml", ".yml")):
         try:
             import yaml

@@ -21,9 +21,7 @@ Column layout
 
 from __future__ import annotations
 
-import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -692,45 +690,28 @@ class PacketTrace:
         return int(np.floor(self.duration / time_bin)) + 1
 
 
-class _TraceChunk:
-    """One resident chunk of a streaming trace: views of the header columns."""
-
-    __slots__ = ("index", "lo", "hi", "columns")
-
-    def __init__(self, index: int, lo: int, hi: int,
-                 columns: Dict[str, np.ndarray]) -> None:
-        self.index = index
-        self.lo = lo
-        self.hi = hi
-        self.columns = columns
-
-
 class StreamingTrace:
-    """An out-of-core trace: per-bin batches sliced from a backing store.
+    """An out-of-core trace: per-bin batches read from a backing store.
 
     Exposes the same consumption protocol as :class:`PacketTrace`
     (``batches()`` / ``batch_list()`` / ``num_batches()`` / ``name`` /
-    ``duration``) but never holds the full column arrays: batches are built
-    from fixed-size *chunks* of ``chunk_packets`` rows, with at most
-    ``max_resident_chunks`` chunks kept alive in an LRU cache.  A chunk
-    holds the seven header columns only, each a zero-copy view into the
-    store's memory-mapped column file, so what it pins is page cache the
-    kernel may reclaim, not heap.  A bin whose rows fall inside one chunk
-    is itself a zero-copy view; a bin straddling a chunk boundary copies
-    just its own rows.  Payloads are never part of a chunk: they are
-    Python ``bytes`` objects, so each bin's are materialised when the bin
-    is built, with one ``store.payloads_slice`` call for exactly its rows
-    (:class:`~repro.traffic.trace_io.TraceStore` reads that byte range from
-    the blob file instead of mapping it), and are freed with the bin.  Peak
-    memory is therefore the mapped pages of ``K`` chunks plus one bin — its
-    payloads included — no matter how large the store.
+    ``duration``) but never holds more than the bin being built: each bin
+    is one ``store.read_rows(lo, hi)`` for its header columns and one
+    ``store.payloads_slice(lo, hi)`` for its payloads (``None`` on
+    header-only stores).  The arrays and ``bytes`` objects that come back
+    belong to the bin — read-only, as batches are immutable — and are freed
+    with it, and nothing of the store is cached here: a sequential scan
+    gains nothing from a cache of its own, and the kernel's page cache and
+    read-ahead already serve the file.  The process's resident set
+    therefore does not grow with the length of the store.
 
     ``store`` is any object implementing the store protocol of
     :class:`repro.traffic.trace_io.TraceStore`: attributes ``name``,
-    ``num_packets`` and ``has_payloads``, a ``column(name)`` method
-    returning the full (memory-mapped) column, ``payloads_slice(lo, hi)``
-    materialising a payload range, and ``bin_bounds(time_bin)`` returning
-    pre-indexed bin-edge offsets or ``None``.
+    ``num_packets`` and ``has_payloads``, ``read_rows(lo, hi)`` and
+    ``payloads_slice(lo, hi)`` as above, ``column(name)`` returning a whole
+    column (used for the first and last timestamp, and searched for the
+    bin edges when ``bin_bounds`` has none), ``bin_bounds(time_bin)``
+    returning pre-indexed bin-edge offsets or ``None``, and ``close()``.
 
     Replaying a store through this class is bit-identical to loading the
     same packets in memory and running ``PacketTrace`` — the bin edges, the
@@ -739,66 +720,14 @@ class StreamingTrace:
     modes).
     """
 
-    def __init__(self, store, chunk_packets: int = 65536,
-                 max_resident_chunks: int = 8,
-                 prefetch: bool = False) -> None:
+    def __init__(self, store) -> None:
         self.store = store
         self.name = store.name
-        self.chunk_packets = int(chunk_packets)
-        self.max_resident_chunks = int(max_resident_chunks)
-        if self.chunk_packets < 1:
-            raise ValueError("chunk_packets must be >= 1")
-        if self.max_resident_chunks < 1:
-            raise ValueError("max_resident_chunks must be >= 1")
-        #: Double-buffered prefetch: after serving chunk ``i`` a background
-        #: thread warms chunk ``i + 1``, so store I/O overlaps the
-        #: consumer's compute (the persistent-shard-worker replay path
-        #: turns this on so the parent's partition loop never stalls on a
-        #: cold chunk).  Off by default: sequential replay telemetry then
-        #: counts exactly one miss per chunk, which the bounded-residency
-        #: tests rely on.
-        self.prefetch = bool(prefetch)
-        self._chunks: "OrderedDict[int, _TraceChunk]" = OrderedDict()
-        self._cache_lock = threading.RLock()
-        self._inflight: set = set()
-        #: Live prefetch threads by chunk index; :meth:`close` joins them.
-        self._prefetch_threads: Dict[int, threading.Thread] = {}
-        self._closed = False
         self._layouts: Dict[float, tuple] = {}
-        #: Chunk-cache telemetry (the bounded-residency tests read these).
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.max_resident = 0
-        #: Chunks loaded by the prefetch thread (neither hits nor misses
-        #: at load time; the consumer's later lookup counts the hit).
-        self.prefetched = 0
-
-    def reset_stats(self) -> None:
-        """Zero the chunk-cache telemetry counters.
-
-        Replay drivers call this at the start of each ``ingest_trace`` run,
-        so back-to-back replays over one streaming view report per-run
-        hit/miss/residency numbers instead of cross-run accumulations.
-        The cache contents themselves are kept — a warm cache is a
-        legitimate state for a second run to start from (and shows up as
-        hits, now attributed to the run that enjoyed them).
-        """
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.max_resident = 0
-        self.prefetched = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return int(self.store.num_packets)
-
-    @property
-    def num_chunks(self) -> int:
-        return -(-len(self) // self.chunk_packets) if len(self) else 0
-
-    @property
-    def resident_chunks(self) -> int:
-        return len(self._chunks)
 
     @property
     def duration(self) -> float:
@@ -808,113 +737,20 @@ class StreamingTrace:
         ts = self.store.column("ts")
         return float(ts[-1] - ts[0])
 
-    # ------------------------------------------------------------------
-    # Chunk cache
-    # ------------------------------------------------------------------
-    def _load_chunk(self, index: int) -> _TraceChunk:
-        """Materialise chunk ``index`` from the store (no cache access)."""
-        lo = index * self.chunk_packets
-        hi = min(lo + self.chunk_packets, len(self))
-        columns = {name: np.asarray(self.store.column(name)[lo:hi])
-                   for name in COLUMN_FIELDS}
-        return _TraceChunk(index, lo, hi, columns)
+    def close(self) -> None:
+        """Close the store's file descriptors (they reopen on demand).
 
-    def _insert_chunk(self, chunk: _TraceChunk) -> None:
-        """Insert a loaded chunk at the LRU's MRU end (lock held by caller)."""
-        self._chunks[chunk.index] = chunk
-        while len(self._chunks) > self.max_resident_chunks:
-            self._chunks.popitem(last=False)
-        self.max_resident = max(self.max_resident, len(self._chunks))
-
-    def _chunk(self, index: int) -> _TraceChunk:
-        with self._cache_lock:
-            chunk = self._chunks.get(index)
-            if chunk is not None:
-                self.cache_hits += 1
-                self._chunks.move_to_end(index)
-        if chunk is None:
-            self.cache_misses += 1
-            chunk = self._load_chunk(index)
-            with self._cache_lock:
-                self._insert_chunk(chunk)
-        if self.prefetch:
-            self._schedule_prefetch(index + 1)
-        return chunk
-
-    def _schedule_prefetch(self, index: int) -> None:
-        """Warm chunk ``index`` on a background thread (best effort)."""
-        if index >= self.num_chunks:
-            return
-        with self._cache_lock:
-            if (self._closed or index in self._chunks
-                    or index in self._inflight):
-                return
-            self._inflight.add(index)
-            thread = threading.Thread(
-                target=self._prefetch_one, args=(index,), daemon=True,
-                name=f"repro-prefetch-{self.name}-{index}")
-            self._prefetch_threads[index] = thread
-        thread.start()
-
-    def _prefetch_one(self, index: int) -> None:
-        try:
-            chunk = self._load_chunk(index)
-            with self._cache_lock:
-                if not self._closed and index not in self._chunks:
-                    self._insert_chunk(chunk)
-                    self.prefetched += 1
-        finally:
-            with self._cache_lock:
-                self._inflight.discard(index)
-                self._prefetch_threads.pop(index, None)
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop prefetching and join any in-flight prefetch threads.
-
-        Consumers that abandon iteration mid-trace (a daemon rotating to a
-        newer segment, an erroring replay) call this so no loader thread
-        outlives the trace: scheduling is disabled first, then every
-        in-flight thread is joined (each loads at most one chunk, so the
-        wait is bounded).  Idempotent; the chunk cache stays readable —
-        only background prefetching is shut down.
+        For consumers that abandon iteration mid-trace (a daemon rotating
+        to a newer segment, an erroring replay).  Idempotent, and the trace
+        stays readable.
         """
-        with self._cache_lock:
-            self._closed = True
-            threads = list(self._prefetch_threads.values())
-        for thread in threads:
-            thread.join(timeout=timeout)
+        self.store.close()
 
     def __enter__(self) -> "StreamingTrace":
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
-
-    def _rows(self, lo: int, hi: int) -> tuple:
-        """Columns of packet rows ``[lo, hi)`` via chunks, plus their
-        payloads straight from the store."""
-        payloads = self.store.payloads_slice(lo, hi) \
-            if self.store.has_payloads else None
-        first = lo // self.chunk_packets
-        last = (hi - 1) // self.chunk_packets
-        if first == last:
-            chunk = self._chunk(first)
-            start, stop = lo - chunk.lo, hi - chunk.lo
-            columns = {name: column[start:stop]
-                       for name, column in chunk.columns.items()}
-            return columns, payloads
-        pieces = []
-        for index in range(first, last + 1):
-            chunk = self._chunk(index)
-            start = max(lo, chunk.lo) - chunk.lo
-            stop = min(hi, chunk.hi) - chunk.lo
-            pieces.append((chunk, start, stop))
-        columns = {
-            name: np.concatenate([chunk.columns[name][start:stop]
-                                  for chunk, start, stop in pieces])
-            for name in COLUMN_FIELDS
-        }
-        return columns, payloads
 
     # ------------------------------------------------------------------
     # Bin layout
@@ -952,9 +788,9 @@ class StreamingTrace:
         if hi <= lo:
             return Batch.empty(time_bin=time_bin, start_ts=start_ts,
                                with_payloads=self.store.has_payloads)
-        columns, payloads = self._rows(lo, hi)
-        return Batch(payloads=payloads, time_bin=time_bin,
-                     start_ts=start_ts, **columns)
+        return Batch(payloads=self.store.payloads_slice(lo, hi),
+                     time_bin=time_bin, start_ts=start_ts,
+                     **self.store.read_rows(lo, hi))
 
     # ------------------------------------------------------------------
     # The PacketTrace consumption protocol
@@ -969,10 +805,10 @@ class StreamingTrace:
         """The trace's bins as a lazy sequence.
 
         Unlike :meth:`PacketTrace.batch_list` the returned sequence holds
-        no batches: each index access builds its batch from the chunk
-        cache, so iterating it streams the store instead of materialising
-        it.  Repeated accesses rebuild equal batches (no memoisation — a
-        memo would defeat the bounded-memory point).
+        no batches: each index access reads its batch from the store, so
+        iterating it streams the store instead of materialising it.
+        Repeated accesses rebuild equal batches (no memoisation — a memo
+        would defeat the bounded-memory point).
         """
         return _StreamingBatchList(self, float(time_bin))
 
@@ -981,10 +817,7 @@ class StreamingTrace:
         return iter(self.batch_list(time_bin))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"StreamingTrace(name={self.name!r}, packets={len(self)}, "
-                f"chunk_packets={self.chunk_packets}, "
-                f"resident={self.resident_chunks}/"
-                f"{self.max_resident_chunks})")
+        return f"StreamingTrace(name={self.name!r}, packets={len(self)})"
 
 
 class _StreamingBatchList(Sequence):

@@ -179,18 +179,11 @@ class MonitoringSession:
         accepts: an in-memory :class:`~repro.monitor.packet.PacketTrace`, a
         :class:`~repro.monitor.packet.StreamingTrace`, or a trace store —
         the out-of-core path: a store far larger than RAM flows through the
-        full predict/shed pipeline one chunk-cache-bounded bin at a time.
-        A streaming source's cache telemetry is reset first, so every
-        replay reports its own hit/miss/residency numbers rather than
-        totals accumulated across earlier runs.  The session stays open
+        full predict/shed pipeline one bin at a time.  The session stays open
         (reconfigure, ingest more, or :meth:`close`); returns ``self`` so
         ``ingest_trace(store).close()`` reads naturally.
         """
-        trace = as_trace(source)
-        reset_stats = getattr(trace, "reset_stats", None)
-        if reset_stats is not None:
-            reset_stats()
-        for batch in trace.batches(self.time_bin):
+        for batch in as_trace(source).batches(self.time_bin):
             self.ingest(batch)
         return self
 

@@ -504,10 +504,8 @@ class ShardedSession:
 
         Accepts anything :func:`repro.monitor.packet.as_trace` does; a
         trace store replays out-of-core — each bin is flow-partitioned and
-        fanned out to the shards, with peak memory bounded by the streaming
-        trace's chunk cache.  A streaming source's cache telemetry is reset
-        first, so every replay reports its own numbers.  Returns ``self``
-        for chaining.
+        fanned out to the shards, one bin in memory at a time.  Returns
+        ``self`` for chaining.
 
         On the worker backend with rebalancing off, ingestion is
         *pipelined*: each bin's sub-batches are shipped without waiting for
@@ -517,9 +515,6 @@ class ShardedSession:
         capacities, so it runs in lockstep.
         """
         trace = as_trace(source)
-        reset_stats = getattr(trace, "reset_stats", None)
-        if reset_stats is not None:
-            reset_stats()
         pipelined = (self._pool is not None
                      and not (self.sharded.rebalance and self.num_shards > 1))
         for batch in trace.batches(self.time_bin):

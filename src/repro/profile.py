@@ -18,7 +18,27 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Deque, Dict, Optional, Sequence
 
-__all__ = ["StageProfiler", "summarize"]
+__all__ = ["StageProfiler", "peak_rss_mb", "summarize"]
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MB.
+
+    ``VmHWM`` of ``/proc/self/status``; where there is no ``/proc``,
+    ``ru_maxrss`` (which on Linux would also count what the process that
+    spawned this one had resident before ``exec``).
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    import resource
+    import sys
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)
 
 
 def summarize(values: Sequence[float]) -> Dict[str, float]:

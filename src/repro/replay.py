@@ -7,12 +7,13 @@
 
 ``path/to/trace`` is either a v1 ``.npz`` archive or a v2 trace-store
 directory (see ``repro.traffic.trace_io``).  Stores replay out-of-core:
-bins are sliced from memory-mapped columns through a bounded chunk cache,
-so the trace may be far larger than RAM.  The capacity handed to the
-system is either explicit (``--cycles-per-second``) or derived from a
-calibration pass at overload factor ``K`` (``--overload``, the paper's
-convention: capacity = (1 - K) × the no-shedding capacity; the calibration
-is a full reference replay of the trace).
+each bin is read from its row range of the column files and freed after
+it, so the trace may be far larger than RAM (the summary reports the
+store's size next to the process's peak resident set).  The capacity
+handed to the system is either explicit (``--cycles-per-second``) or
+derived from a calibration pass at overload factor ``K`` (``--overload``,
+the paper's convention: capacity = (1 - K) × the no-shedding capacity; the
+calibration is a full reference replay of the trace).
 
 Prints a human-readable result summary, or a JSON document with ``--json``
 (machine-readable, stable keys).
@@ -32,6 +33,7 @@ import numpy as np
 # are re-exported here for callers that imported them from this module.
 from .cli import (add_system_args, apply_system_args,  # noqa: F401
                   resolve_query_specs)
+from .profile import peak_rss_mb
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,22 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="overload factor K in [0, 1): capacity is "
                                "(1 - K) x the calibrated no-shedding "
                                "capacity (default: %(default)s)")
-    parser.add_argument("--chunk-packets", type=int, default=65536,
-                        help="packets per streaming chunk for v2 stores "
-                             "(default: %(default)s)")
-    parser.add_argument("--max-chunks", type=int, default=8,
-                        help="max resident chunks in the streaming LRU "
-                             "(default: %(default)s)")
-    parser.add_argument("--prefetch", action="store_true",
-                        help="prefetch the next streaming chunk on a "
-                             "background thread so store I/O overlaps "
-                             "shard compute")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the summary as JSON")
     return parser
 
 
-def _summary(result, trace, args, capacity: float, streaming) -> dict:
+def _summary(result, trace, args, capacity: float, store) -> dict:
     rates = [record.mean_rate for record in result.bins if record.rates]
     summary = {
         "trace": {
@@ -72,7 +64,7 @@ def _summary(result, trace, args, capacity: float, streaming) -> dict:
             "packets": int(len(trace)),
             "duration_seconds": float(trace.duration),
             "bins": len(result.bins),
-            "streaming": streaming is not None,
+            "streaming": store is not None,
         },
         "system": {
             "mode": result.mode,
@@ -93,15 +85,11 @@ def _summary(result, trace, args, capacity: float, streaming) -> dict:
                                    sorted(result.query_logs.items())},
         },
     }
-    if streaming is not None:
+    if store is not None:
+        files = [entry for entry in store.path.iterdir() if entry.is_file()]
         summary["streaming"] = {
-            "chunk_packets": streaming.chunk_packets,
-            "num_chunks": streaming.num_chunks,
-            "max_resident_chunks": streaming.max_resident_chunks,
-            "max_resident": streaming.max_resident,
-            "cache_hits": streaming.cache_hits,
-            "cache_misses": streaming.cache_misses,
-            "prefetched": streaming.prefetched,
+            "store_mb": sum(f.stat().st_size for f in files) / 2.0 ** 20,
+            "peak_rss_mb": peak_rss_mb(),
         }
     return summary
 
@@ -124,9 +112,8 @@ def _print_human(summary: dict) -> None:
     print(f"intervals {intervals}")
     if "streaming" in summary:
         s = summary["streaming"]
-        print(f"chunks    {s['num_chunks']} x {s['chunk_packets']:,} pkt, "
-              f"resident <= {s['max_resident']}/{s['max_resident_chunks']}, "
-              f"cache {s['cache_hits']} hits / {s['cache_misses']} misses")
+        print(f"memory    store_mb {s['store_mb']:.1f}, "
+              f"peak_rss_mb {s['peak_rss_mb']:.1f}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -145,14 +132,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     source = open_trace(args.trace)
-    streaming = None
-    if isinstance(source, TraceStore):
-        streaming = source.streaming(chunk_packets=args.chunk_packets,
-                                     max_resident_chunks=args.max_chunks,
-                                     prefetch=args.prefetch)
-        trace = streaming
-    else:
-        trace = source
+    store = source if isinstance(source, TraceStore) else None
+    trace = source.streaming() if store is not None else source
 
     # The query mix rides inside the config, so the whole run description
     # round-trips through SystemConfig.to_dict()/from_dict().
@@ -167,21 +148,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         base, _ = runner.calibrate_capacity(query_specs, trace,
                                             time_bin=args.time_bin)
         capacity = base * (1.0 - args.overload)
-        if streaming is not None:
-            # The calibration pass replayed the stream once; measure the
-            # evaluated run on a fresh chunk cache so the reported
-            # residency/hit telemetry describes that run alone.
-            streaming = source.streaming(
-                chunk_packets=args.chunk_packets,
-                max_resident_chunks=args.max_chunks,
-                prefetch=args.prefetch)
-            trace = streaming
 
     result = runner.run_system(None, trace, capacity,
                                time_bin=args.time_bin, config=config,
                                num_shards=args.num_shards,
                                n_workers=args.n_workers)
-    summary = _summary(result, trace, args, capacity, streaming)
+    summary = _summary(result, trace, args, capacity, store)
     if args.as_json:
         print(json.dumps(summary, indent=1))
     else:

@@ -141,14 +141,10 @@ class ReplayFeed(Feed):
     unpaced ReplayFeed reproduces the offline pipeline bit for bit.
     """
 
-    def __init__(self, source, time_bin: float = 0.1, pace: float = 0.0,
-                 chunk_packets: int = 65536,
-                 max_resident_chunks: int = 8) -> None:
+    def __init__(self, source, time_bin: float = 0.1,
+                 pace: float = 0.0) -> None:
         if isinstance(source, (str, Path)):
             source = open_trace(source)
-        if isinstance(source, TraceStore):
-            source = source.streaming(chunk_packets=chunk_packets,
-                                      max_resident_chunks=max_resident_chunks)
         self._trace = as_trace(source)
         super().__init__(time_bin=time_bin,
                          name=getattr(self._trace, "name", "replay"))
@@ -420,6 +416,9 @@ class SocketFeed(Feed):
         self.malformed_lines = 0
         self._queue: asyncio.Queue = asyncio.Queue()
         self._server: Optional[asyncio.AbstractServer] = None
+        #: The loop :meth:`start` ran on: the only thread that may touch
+        #: the queue.
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pending: List[dict] = []
         self._first_ts: Optional[float] = None
         self._bins_emitted = 0
@@ -502,13 +501,19 @@ class SocketFeed(Feed):
     async def start(self) -> None:
         """Bind the listening socket (idempotent)."""
         if self._server is None:
+            self._loop = asyncio.get_running_loop()
             self._server = await asyncio.start_server(
                 self._handle_client, self.host, self.port)
             self.name = f"{self.host}:{self.bound_port}"
 
     def stop(self) -> None:
         super().stop()
-        self._queue.put_nowait(None)  # wake the consumer
+        # Wake the consumer.  An asyncio queue is not thread-safe and
+        # stop() may come from any thread, so the put runs on the loop.
+        if self._loop is None or self._loop.is_closed():
+            self._queue.put_nowait(None)
+        else:
+            self._loop.call_soon_threadsafe(self._queue.put_nowait, None)
 
     async def batches(self) -> AsyncIterator[Batch]:
         await self.start()

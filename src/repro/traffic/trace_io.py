@@ -10,10 +10,10 @@ this format exactly as they always have.
 **v2** — a *trace store*: a directory with one raw ``.npy`` file per column
 plus a JSON manifest carrying a bin index.  Columns are written append-mode
 by :class:`TraceWriter` (so multi-GB workloads can be synthesised
-chunk-at-a-time without ever holding the trace in memory) and are opened
-lazily as memory maps (``np.lib.format.open_memmap``), so a store far larger
-than RAM replays chunk by chunk through
-:class:`~repro.monitor.packet.StreamingTrace` with bounded resident memory.
+chunk-at-a-time without ever holding the trace in memory) and replayed by
+:class:`~repro.monitor.packet.StreamingTrace` one bin at a time, each bin
+*read* from its row range of the column files, so a store far larger than
+RAM replays in the memory of one bin.
 
 :func:`open_trace` dispatches on the path: a store directory opens as a
 :class:`TraceStore`, anything else loads as a v1 archive.
@@ -25,7 +25,7 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -386,24 +386,26 @@ class TraceWriter:
 
 
 class TraceStore:
-    """A v2 trace store: lazily memory-mapped columnar trace on disk.
+    """A v2 trace store: a columnar trace on disk, read a row range at a time.
 
-    Columns open on first access with ``np.lib.format.open_memmap`` in
-    read-only mode, so constructing a store (and slicing its columns) never
-    loads the trace into memory.  Payload bytes are the exception: they are
-    *read* (:meth:`payloads_slice`), not mapped, since every payload ends up
-    as a ``bytes`` object anyway and a mapping would keep the file's pages
-    resident on top of those.  :meth:`streaming` wraps the store in a
-    :class:`~repro.monitor.packet.StreamingTrace` that yields per-bin
-    batches chunk by chunk; :meth:`to_trace` fully materialises it (only
-    sensible for stores that fit in RAM).
+    Constructing a store reads the manifest and nothing else.  Replay
+    (:meth:`streaming`) *reads* each bin — :meth:`read_rows` for the seven
+    header columns, :meth:`payloads_slice` for the payload bytes — with
+    positional reads of exactly that bin's byte ranges on descriptors that
+    open on first use.  A bin's arrays are ordinary heap memory owned by
+    the bin and freed with it, so the resident set of a replay does not
+    grow with the store.  :meth:`column` maps a whole column file instead
+    (``np.lib.format.open_memmap``, read-only); every page touched through
+    a mapping stays in the resident set, so it is for whole-trace access
+    only: :meth:`to_trace` (only sensible for stores that fit in RAM), the
+    first and last timestamp, and a bin layout the manifest did not index.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
-        #: Descriptor of the payload blob (opened by the first payload read)
-        #: and the file offset of the blob's first byte.
-        self._blob_fd: Optional[int] = None
-        self._blob_start = 0
+        #: Column files opened by a read: ``(file, data offset, dtype)`` by
+        #: column name, the offset being where the ``.npy`` header ends.
+        self._files: dict = {}
+        self._mmaps: dict = {}
         self.path = Path(path)
         manifest_path = self.path / MANIFEST_NAME
         if not manifest_path.exists():
@@ -422,18 +424,19 @@ class TraceStore:
         #: published an incremental :meth:`TraceWriter.flush` manifest);
         #: manifests predating the flag are final by construction.
         self.complete = bool(manifest.get("complete", True))
-        self._mmaps: dict = {}
 
     def __getstate__(self) -> dict:
+        """The path and the manifest: no descriptor, no mapped data."""
         state = dict(self.__dict__)
-        state["_blob_fd"] = None  # a descriptor means nothing to the reader
+        state["_files"] = {}
+        state["_mmaps"] = {}
         return state
 
     def close(self) -> None:
-        """Close the payload-blob descriptor (reopened on demand)."""
-        fd, self._blob_fd = self._blob_fd, None
-        if fd is not None:
-            os.close(fd)
+        """Close every column descriptor (each reopens on demand)."""
+        files, self._files = self._files, {}
+        for fh, _, _ in files.values():
+            fh.close()
 
     def __del__(self) -> None:
         self.close()
@@ -454,45 +457,66 @@ class TraceStore:
             self._mmaps[name] = arr
         return arr
 
-    def payloads_slice(self, lo: int, hi: int) -> Optional[List[bytes]]:
-        """Materialise the payloads of packets ``[lo, hi)`` (payload traces
-        only) with one positional read of exactly their byte range."""
-        if not self.has_payloads:
-            return None
-        offsets = np.asarray(self.column("payload_offsets")[lo:hi + 1],
-                             dtype=np.int64)
-        if len(offsets) == 0:
-            return []
-        base = int(offsets[0])
-        raw = self._read_blob(base, int(offsets[-1]))
-        bounds = (offsets - base).tolist()
-        return [raw[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    def _open(self, name: str) -> tuple:
+        """``(file, data offset, dtype)`` of a column file, opened once."""
+        entry = self._files.get(name)
+        if entry is None:
+            fh = open(self.path / f"{name}.npy", "rb")
+            major, _ = np.lib.format.read_magic(fh)
+            read_header = (np.lib.format.read_array_header_1_0 if major == 1
+                           else np.lib.format.read_array_header_2_0)
+            _, _, dtype = read_header(fh)  # NumPy's parser; data follows it
+            entry = self._files[name] = (fh, fh.tell(), dtype)
+        return entry
 
-    def _read_blob(self, start: int, stop: int) -> bytes:
-        """Bytes ``[start, stop)`` of the payload blob, read from the file.
+    def _read(self, name: str, lo: int, hi: int) -> bytes:
+        """The bytes of rows ``[lo, hi)`` of column ``name``, read from its
+        file — the one read every streamed column, offset and payload byte
+        goes through.
 
         ``pread`` takes its own offset, so the one descriptor serves any
         number of threads, forked children and a file that is still being
         appended to.
         """
-        if stop <= start:
+        if hi <= lo:
             return b""
-        if self._blob_fd is None:
-            path = self.path / "payload_blob.npy"
-            # NumPy parses the header; the map itself is let go unread.
-            self._blob_start = np.lib.format.open_memmap(path, mode="r").offset
-            self._blob_fd = os.open(path, os.O_RDONLY)
-        position, end = self._blob_start + start, self._blob_start + stop
+        fh, data_start, dtype = self._open(name)
+        position = data_start + lo * dtype.itemsize
+        end = data_start + hi * dtype.itemsize
         pieces = []
         while position < end:  # one read, unless the kernel cuts it short
-            piece = os.pread(self._blob_fd, end - position, position)
+            piece = os.pread(fh.fileno(), end - position, position)
             if not piece:
                 raise EOFError(
-                    f"payload blob of {self.path} ends {end - position} "
-                    f"bytes short of offset {stop}")
+                    f"{fh.name} ends {end - position} bytes short of "
+                    f"row {hi}")
             pieces.append(piece)
             position += len(piece)
-        return b"".join(pieces)
+        return b"".join(pieces)  # of one piece: that piece, not a copy
+
+    def _rows(self, name: str, lo: int, hi: int) -> np.ndarray:
+        """Rows ``[lo, hi)`` of one column: a read-only array over the bytes
+        just read, which it alone keeps alive."""
+        return np.frombuffer(self._read(name, lo, hi),
+                             dtype=self._open(name)[2])
+
+    def read_rows(self, lo: int, hi: int) -> Dict[str, np.ndarray]:
+        """The header columns of packets ``[lo, hi)``, one positional read
+        per column file."""
+        return {name: self._rows(name, lo, hi) for name, _ in STORE_COLUMNS}
+
+    def payloads_slice(self, lo: int, hi: int) -> Optional[List[bytes]]:
+        """Materialise the payloads of packets ``[lo, hi)`` (payload traces
+        only) with one positional read of exactly their byte range."""
+        if not self.has_payloads:
+            return None
+        if hi <= lo:
+            return []
+        offsets = self._rows("payload_offsets", lo, hi + 1)
+        base = int(offsets[0])
+        raw = self._read("payload_blob", base, int(offsets[-1]))
+        bounds = (offsets - base).tolist()
+        return [raw[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
     def bin_bounds(self, time_bin: float) -> Optional[np.ndarray]:
         """Stored bin-edge packet offsets, if the manifest indexed this
@@ -502,18 +526,9 @@ class TraceStore:
             return np.asarray(index["bounds"], dtype=np.int64)
         return None
 
-    def streaming(self, chunk_packets: int = 65536,
-                  max_resident_chunks: int = 8,
-                  prefetch: bool = False) -> StreamingTrace:
-        """An out-of-core trace view replaying this store chunk by chunk.
-
-        ``prefetch=True`` warms the next chunk on a background thread while
-        the current one is consumed (double buffering), overlapping store
-        I/O with the replay pipeline's compute.
-        """
-        return StreamingTrace(self, chunk_packets=chunk_packets,
-                              max_resident_chunks=max_resident_chunks,
-                              prefetch=prefetch)
+    def streaming(self) -> StreamingTrace:
+        """An out-of-core trace view replaying this store bin by bin."""
+        return StreamingTrace(self)
 
     def to_trace(self) -> PacketTrace:
         """Materialise the whole store as an in-memory trace."""

@@ -6,7 +6,8 @@ off): once the caller drops a bin's batch, the batch, its filter results,
 its sampled sub-batches and everything memoised on them are freed — no
 reference cycle runs through a :class:`Batch`, and nothing in a session
 holds one past its bin.  The other half is the streaming reader, which
-materialises payloads for the bin being built and not for a chunk.
+reads the columns and payloads of the bin being built and of nothing else,
+on descriptors that are not part of a store's pickled state.
 """
 
 import gc
@@ -18,11 +19,11 @@ import pytest
 
 from repro.experiments import runner
 from repro.monitor.filters import Filter
-from repro.monitor.packet import Batch
+from repro.monitor.packet import COLUMN_FIELDS, Batch
 from repro.monitor.sharding import ShardedSystem
 from repro.queries import QuerySpec
 from repro.testing import assert_results_identical
-from repro.traffic.trace_io import save_trace_store
+from repro.traffic.trace_io import TraceStore, save_trace_store
 from tests.conftest import make_batch
 
 TIME_BIN = 0.1
@@ -204,8 +205,9 @@ class _TrackedList(list):
 
 def test_streaming_keeps_one_bin_of_payloads_alive(no_gc, tmp_path,
                                                    payload_trace_small):
-    """One chunk spans the whole store, and still the only payload objects
-    alive are those of the bin being ingested."""
+    """The only payload objects alive are those of the bin being ingested,
+    and the same goes for the header columns: a bin owns what was read for
+    it."""
     names = ("counter", "pattern-search", "p2p-detector", "trace")
     capacity, _ = runner.calibrate_capacity(names, payload_trace_small)
     config = runner.system_config(queries=",".join(names), seed=5,
@@ -223,8 +225,7 @@ def test_streaming_keeps_one_bin_of_payloads_alive(no_gc, tmp_path,
         return payloads
 
     store.payloads_slice = tracked
-    streaming = store.streaming(chunk_packets=len(store))
-    assert streaming.num_chunks == 1
+    streaming = store.streaming()
     session = config.build().open_session(time_bin=TIME_BIN,
                                           name=payload_trace_small.name)
     bins = streaming.batch_list(TIME_BIN)
@@ -233,30 +234,71 @@ def test_streaming_keeps_one_bin_of_payloads_alive(no_gc, tmp_path,
         batch = bins[index]
         sizes.append(len(batch))
         assert sum(ref() is not None for ref in slices) <= 1
+        # The bytes read for a column belong to the bin's array alone.
+        read_for_ts = weakref.ref(batch.ts)
+        assert not isinstance(batch.ts, np.memmap)
         session.ingest(batch)
         del batch
         assert not any(ref() is not None for ref in slices)
+        assert read_for_ts() is None
     # Exactly one read per non-empty bin, of exactly that bin's rows.
     assert reads == [size for size in sizes if size]
     assert max(reads) < len(store) / 4
-    assert streaming.cache_misses == 1
+    assert store._mmaps.keys() <= {"ts"}  # first and last timestamp only
     assert_results_identical(expected, session.close(), "payload-streaming")
 
 
-def test_payload_reads_do_not_go_through_the_map(tmp_path,
-                                                 payload_trace_small):
+def test_streamed_reads_do_not_go_through_the_map(tmp_path,
+                                                  payload_trace_small):
     store = save_trace_store(payload_trace_small, tmp_path / "payload")
     want = payload_trace_small.packets.payloads
     assert store.payloads_slice(0, len(store)) == want
     assert store.payloads_slice(17, 90) == want[17:90]
     assert store.payloads_slice(5, 5) == []
-    # The blob was read from its file and never mapped, and the descriptor
-    # is not pickled state.
-    assert "payload_blob" not in store._mmaps
-    assert store._blob_fd is not None
+    rows = store.read_rows(17, 90)
+    for name in COLUMN_FIELDS:
+        assert np.array_equal(rows[name],
+                              getattr(payload_trace_small.packets,
+                                      name)[17:90]), name
+    # Every column was read from its file and none was mapped; one
+    # descriptor per column file, opened by the first read of it.
+    assert store._mmaps == {}
+    opened = set(COLUMN_FIELDS) | {"payload_offsets", "payload_blob"}
+    assert store._files.keys() == opened
+    files = [entry[0] for entry in store._files.values()]
+    # Neither descriptors nor data are pickled state.
+    store.column("size")
     copy = pickle.loads(pickle.dumps(store))
-    assert copy._blob_fd is None
+    assert copy._files == {} and copy._mmaps == {}
     assert copy.payloads_slice(17, 90) == want[17:90]
+    assert np.array_equal(copy.read_rows(17, 90)["ts"], rows["ts"])
     store.close()
-    assert store._blob_fd is None
-    assert store.payloads_slice(0, 3) == want[:3]  # reopened on demand
+    assert store._files == {}
+    assert all(fh.closed for fh in files)
+    store.close()  # idempotent
+    # Reopened on demand, column by column.
+    assert store.payloads_slice(0, 3) == want[:3]
+    assert store._files.keys() == {"payload_offsets", "payload_blob"}
+    assert np.array_equal(store.read_rows(0, 3)["ts"],
+                          payload_trace_small.packets.ts[:3])
+    assert store._files.keys() == opened
+
+
+def test_pickled_store_carries_no_data(header_store):
+    """A store that has streamed (and mapped) its columns pickles to the
+    size of one that has not: the path and the manifest."""
+    fresh = len(pickle.dumps(TraceStore(header_store.path)))
+    used = TraceStore(header_store.path)
+    want = list(used.streaming().batches(TIME_BIN))
+    used.to_trace()  # maps every column
+    assert len(used._mmaps) == len(COLUMN_FIELDS) and used._files
+    blob = pickle.dumps(used)
+    assert abs(len(blob) - fresh) < 300
+    assert len(blob) < used.column("ts").nbytes / 4
+    got = list(pickle.loads(blob).streaming().batches(TIME_BIN))
+    assert len(got) == len(want)
+    for mine, theirs in zip(got, want):
+        assert mine.start_ts == theirs.start_ts
+        for name in COLUMN_FIELDS:
+            assert np.array_equal(getattr(mine, name),
+                                  getattr(theirs, name)), name

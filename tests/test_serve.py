@@ -363,10 +363,28 @@ def test_socket_feed_counts_what_it_drops():
         samples = harness.get("/metrics").splitlines()
         assert "repro_feed_late_packets_total 1" in samples
         assert "repro_feed_malformed_lines_total 3" in samples
-        # Stop on the loop's own thread: the feed's queue is an asyncio one.
-        harness.request("POST", "/shutdown")
+        daemon.stop()  # from this thread, not the loop's
         result = harness.join(timeout=30.0)
     assert result is not None and len(result.bins) == 3
+
+
+def test_stop_from_a_plain_thread_wakes_an_idle_socket_feed():
+    """``MonitorDaemon.stop()`` called off the event loop ends ``run()``
+    even when the feed's consumer is parked on an empty queue: the feed
+    hands the wake-up to its loop instead of touching the queue itself."""
+    feed = SocketFeed(time_bin=0.25)
+    daemon = MonitorDaemon(_daemon_config(), feed, name="idle-socket")
+    harness = DaemonHarness(daemon)
+    with harness:
+        harness.wait_status(lambda s: s["feed"]["idle"])
+        stopper = threading.Thread(target=daemon.stop)
+        stopper.start()
+        stopper.join(timeout=5.0)
+        harness.join(timeout=5.0)
+        assert not harness._thread.is_alive(), "run() never returned"
+    assert feed.done and harness.result is not None
+    assert len(harness.result.bins) == 0
+    feed.stop()  # after the loop is gone: still harmless
 
 
 def test_daemon_status_metrics_and_ops(tmp_path, serve_trace):
@@ -395,21 +413,19 @@ def test_daemon_status_metrics_and_ops(tmp_path, serve_trace):
         assert applied["applied"] == {"cycles_per_second": CAPACITY}
 
         # Hot-reload rejections: dead fields and typos, as HTTP 400s.
-        with pytest.raises(urllib.error.HTTPError) as err:
-            harness.request("POST", "/config", {"mode": "reactive"})
-        assert err.value.code == 400
-        assert "cannot change while" in json.loads(err.value.read())["error"]
-        with pytest.raises(urllib.error.HTTPError) as err:
-            harness.request("POST", "/config", {"cycles_per_secnod": 1.0})
-        assert err.value.code == 400
-        assert "did you mean" in json.loads(err.value.read())["error"]
+        def refused(code, method, path, document=None):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                harness.request(method, path, document)
+            with err.value:  # the error holds the connection: close it
+                assert err.value.code == code
+                return err.value.read()
 
-        with pytest.raises(urllib.error.HTTPError) as err:
-            harness.request("DELETE", "/queries/nope")
-        assert err.value.code == 404
-        with pytest.raises(urllib.error.HTTPError) as err:
-            harness.get("/bogus")
-        assert err.value.code == 404
+        body = refused(400, "POST", "/config", {"mode": "reactive"})
+        assert "cannot change while" in json.loads(body)["error"]
+        body = refused(400, "POST", "/config", {"cycles_per_secnod": 1.0})
+        assert "did you mean" in json.loads(body)["error"]
+        refused(404, "DELETE", "/queries/nope")
+        refused(404, "GET", "/bogus")
 
         text = harness.get("/metrics")
         names = _assert_prometheus_text(text)

@@ -1,20 +1,25 @@
 """The v2 trace store and the out-of-core streaming replay path.
 
-The contract under test: a trace persisted as a memory-mapped columnar
-store and replayed chunk-by-chunk through :class:`StreamingTrace` /
-``ingest_trace`` must be indistinguishable — bit for bit, across all four
-operating modes, serial and sharded — from loading the same packets in
-memory and running them the classic way, while the chunk cache never holds
-more than its K chunks.
+The contract under test: a trace persisted as a columnar store and replayed
+bin by bin through :class:`StreamingTrace` / ``ingest_trace`` must be
+indistinguishable — bit for bit, across all four operating modes, serial
+and sharded — from loading the same packets in memory and running them the
+classic way, while the process's resident set does not grow with the store.
 """
 
 import json
+import shutil
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.experiments import runner
-from repro.monitor.packet import COLUMN_FIELDS, StreamingTrace, as_trace
+from repro.monitor.packet import (COLUMN_FIELDS, Batch, PacketTrace,
+                                  StreamingTrace, as_trace)
 from repro.monitor.sharding import ShardedSystem
 from repro.queries import make_query
 from repro.traffic import generate_trace, generate_trace_store
@@ -102,7 +107,7 @@ def test_stored_bin_index_matches_column_scan(store_and_trace):
     # An unindexed time_bin sends the caller to the column scan...
     assert store.bin_bounds(0.25) is None
     # ...and the streaming layout agrees with in-memory slicing anyway.
-    streaming = store.streaming(chunk_packets=913)
+    streaming = store.streaming()
     mem = store.to_trace()
     _assert_batches_identical(mem.batch_list(0.25),
                               streaming.batch_list(0.25))
@@ -189,13 +194,11 @@ def test_generate_trace_store_is_deterministic_and_bounded(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Streaming: chunking, residency, batch equality
+# Streaming: batch equality, ownership, edges of the store, residency
 # ----------------------------------------------------------------------
 def test_streaming_batches_equal_in_memory_batches(store_and_trace):
     store, trace = store_and_trace
-    # A chunk size that never divides the bin boundaries: most bins
-    # straddle chunks, the case the piecewise assembly must get right.
-    streaming = store.streaming(chunk_packets=601, max_resident_chunks=3)
+    streaming = store.streaming()
     _assert_batches_identical(trace.batch_list(0.1),
                               streaming.batch_list(0.1))
     assert streaming.num_batches(0.1) == trace.num_batches(0.1)
@@ -204,52 +207,166 @@ def test_streaming_batches_equal_in_memory_batches(store_and_trace):
 
 def test_streaming_payload_batches(tmp_path, payload_trace_small):
     store = save_trace_store(payload_trace_small, tmp_path / "p")
-    streaming = store.streaming(chunk_packets=347, max_resident_chunks=2)
     _assert_batches_identical(payload_trace_small.batch_list(0.1),
-                              streaming.batch_list(0.1))
+                              store.streaming().batch_list(0.1))
 
 
-def test_single_chunk_bins_are_zero_copy_views(store_and_trace):
+def test_streamed_bins_own_read_only_arrays(store_and_trace):
     store, _ = store_and_trace
-    streaming = store.streaming(chunk_packets=len(store) or 1)
-    batch = next(b for b in streaming.batches(0.1) if len(b) > 0)
-    assert batch.ts.base is not None  # a view into the chunk, not a copy
+    batch = next(b for b in store.streaming().batches(0.1) if len(b) > 0)
+    for column in COLUMN_FIELDS:
+        array = getattr(batch, column)
+        assert array.flags.writeable is False, column
+        # Read into memory of its own: not a window on a mapped file.
+        assert not isinstance(array, np.memmap), column
+        assert isinstance(array.base, bytes), column
 
 
-def test_lru_never_exceeds_budget(store_and_trace):
+def _gapped_packets():
+    """0.25 s of traffic, 0.35 s of silence, then three last packets."""
+    burst = generate_trace(TrafficProfile(duration=0.25,
+                                          flow_arrival_rate=400.0),
+                           seed=3).packets
+    tail = burst.select(np.arange(3))
+    tail = Batch(ts=np.array([0.61, 0.61, 0.6999]) + float(burst.ts[0]),
+                 **{name: getattr(tail, name) for name in COLUMN_FIELDS[1:]})
+    return Batch.concatenate([burst, tail])
+
+
+def test_empty_bins_and_the_last_row(tmp_path):
+    pkts = _gapped_packets()
+    store = save_trace_store(PacketTrace(pkts, name="gap"), tmp_path / "gap")
+    bins = store.streaming().batch_list(0.1)
+    sizes = [len(batch) for batch in bins]
+    assert sizes[3:6] == [0, 0, 0] and sizes[6] == 3 and len(sizes) == 7
+    assert sum(sizes) == len(store) == len(pkts)
+    assert bins[4].start_ts == pytest.approx(float(pkts.ts[0]) + 0.4)
+    assert bins[-1].ts[-1] == pkts.ts[-1]  # the store's last row
+    assert bins[-1].size[-1] == pkts.size[-1]
+    _assert_batches_identical(PacketTrace(pkts).batch_list(0.1), bins)
+
+
+def test_flushed_store_streams_the_rows_its_manifest_lists(
+        tmp_path, payload_trace_small):
+    """A reader that opens a store its writer has only ``flush()``ed sees
+    the flushed rows and no others, however much was appended since."""
+    pkts = payload_trace_small.packets
+    split = len(pkts) // 2
+    writer = TraceWriter(tmp_path / "growing", with_payloads=True)
+    writer.append(pkts.select(np.arange(split)))
+    writer.flush()
+    writer.append(pkts.select(np.arange(split, len(pkts))))
+    partial = TraceStore(tmp_path / "growing")
+    assert partial.complete is False and len(partial) == split
+    streamed = Batch.concatenate(list(partial.streaming().batches(0.1)))
+    assert len(streamed) == split
+    for column in COLUMN_FIELDS:
+        assert np.array_equal(getattr(streamed, column),
+                              getattr(pkts, column)[:split]), column
+    assert streamed.payloads == pkts.payloads[:split]
+    final = writer.close()
+    assert final.complete and len(final) == len(pkts)
+    _assert_batches_identical(payload_trace_small.batch_list(0.1),
+                              final.streaming().batches(0.1))
+
+
+@pytest.mark.parametrize("column", ["size", "payload_blob"])
+def test_truncated_column_file_raises_eof(tmp_path, payload_trace_small,
+                                          column):
+    store = save_trace_store(payload_trace_small, tmp_path / "cut")
+    victim = store.path / f"{column}.npy"
+    with open(victim, "r+b") as handle:
+        handle.truncate(victim.stat().st_size // 2)
+    with pytest.raises(EOFError, match=f"{column}.npy"):
+        list(TraceStore(store.path).streaming().batches(0.1))
+
+
+def test_streaming_starts_no_thread_and_close_releases_descriptors(
+        store_and_trace):
+    """Abandoning an iteration mid-trace and closing the streaming trace
+    leaves nothing behind — a daemon rotating to a newer segment cannot
+    leak a descriptor (or, as it once could, a thread) per trace."""
     store, _ = store_and_trace
-    k = 2
-    streaming = store.streaming(chunk_packets=max(1, len(store) // 16),
-                                max_resident_chunks=k)
-    assert streaming.num_chunks >= 4 * k  # the out-of-core regime
-    for _ in streaming.batches(0.1):
-        assert streaming.resident_chunks <= k
-    assert streaming.max_resident <= k
-    assert streaming.cache_misses >= streaming.num_chunks
-
-
-def test_close_leaves_no_dangling_prefetch_threads(store_and_trace):
-    """Abandoning a prefetching iteration mid-trace and closing the
-    streaming trace must join every loader thread — a daemon rotating to
-    a newer segment cannot leak one thread per abandoned trace."""
-    import threading
-    store, _ = store_and_trace
-
-    def prefetch_threads():
-        return [t for t in threading.enumerate()
-                if t.name.startswith("repro-prefetch-")]
-
-    streaming = store.streaming(chunk_packets=max(1, len(store) // 16),
-                                max_resident_chunks=2, prefetch=True)
-    for index, _batch in enumerate(streaming.batches(0.1)):
-        if index == 3:  # abandon mid-iteration, prefetch in flight
-            break
-    streaming.close()
+    threads = threading.active_count()
+    with TraceStore(store.path).streaming() as streaming:
+        for index, _batch in enumerate(streaming.batches(0.1)):
+            if index == 3:  # abandon mid-iteration
+                break
+        assert threading.active_count() == threads
+        files = [entry[0] for entry in streaming.store._files.values()]
+        assert len(files) == len(COLUMN_FIELDS)
+    assert all(fh.closed for fh in files) and not streaming.store._files
     streaming.close()  # idempotent
-    assert prefetch_threads() == []
-    # The cache stays readable after close; only prefetching stops.
-    assert len(streaming.batch_list(0.1)) > 0
-    assert prefetch_threads() == []
+    # The trace stays readable after close: descriptors reopen on demand.
+    assert len(streaming.batch_list(0.1)[2]) > 0
+
+
+# One replay per process, so the peak is that replay's own.  Prints the
+# resident-set high-water mark before and after streaming every bin.
+_RSS_PROBE = """
+import re, sys
+from repro.traffic.trace_io import TraceStore
+
+def hwm_kb():
+    with open("/proc/self/status") as status:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", status.read()).group(1))
+
+store = TraceStore(sys.argv[1])
+before = hwm_kb()
+rows = checksum = 0
+for batch in store.streaming().batches(0.1):
+    rows += len(batch)
+    checksum += int(batch.size.sum()) + int(batch.src_ip[-1])
+assert rows == len(store)
+print(before, hwm_kb(), checksum)
+"""
+
+
+def _write_header_store(path, seconds, packets_per_bin=10_000):
+    """A header store of ``seconds`` of dense traffic, appended a second
+    at a time (25 bytes a packet: 12 s is 30 MB)."""
+    rng = np.random.default_rng(16)
+    per_second = 10 * packets_per_bin
+    with TraceWriter(path, name=path.name) as writer:
+        for second in range(seconds):
+            ts = second + np.sort(rng.random(per_second))
+            writer.append(Batch(
+                ts=ts,
+                src_ip=rng.integers(0, 2 ** 32, per_second, dtype=np.uint32),
+                dst_ip=rng.integers(0, 2 ** 32, per_second, dtype=np.uint32),
+                src_port=rng.integers(0, 2 ** 16, per_second,
+                                      dtype=np.uint16),
+                dst_port=rng.integers(0, 2 ** 16, per_second,
+                                      dtype=np.uint16),
+                proto=np.full(per_second, 6, dtype=np.uint8),
+                size=rng.integers(40, 1500, per_second, dtype=np.uint32)))
+    return TraceStore(path)
+
+
+def _replay_rss_mb(store):
+    src = Path(replay.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _RSS_PROBE, str(store.path)],
+                         env={"PYTHONPATH": str(src)}, check=True,
+                         capture_output=True, text=True).stdout.split()
+    return int(out[0]) / 1024.0, int(out[1]) / 1024.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_replay_resident_set_does_not_grow_with_the_store(tmp_path):
+    """What the chunk LRU promised and a view of a mapping cannot give:
+    streaming a store leaves the resident set where it was, whatever the
+    store's length (mapped columns cost the whole store: tens of MB here).
+    """
+    short = _write_header_store(tmp_path / "short", seconds=14)
+    assert sum(f.stat().st_size for f in short.path.iterdir()) >= 32 * 2 ** 20
+    before, short_peak = _replay_rss_mb(short)
+    assert short_peak - before < 8.0
+    shutil.rmtree(short.path)
+    long = _write_header_store(tmp_path / "long", seconds=56)
+    assert len(long) == 4 * len(short)
+    _, long_peak = _replay_rss_mb(long)
+    assert abs(long_peak - short_peak) < 3.0
 
 
 def test_as_trace_coercion(store_and_trace):
@@ -275,16 +392,13 @@ def shed_setup(store_and_trace):
 @pytest.mark.parametrize("mode", ["predictive", "reactive", "original",
                                   "reference"])
 def test_streaming_replay_bit_identical_all_modes(shed_setup, mode):
-    """The golden pin: v1 in-memory vs v2 mmap replay, all four modes."""
+    """The golden pin: v1 in-memory vs v2 streamed replay, all four modes."""
     store, trace, capacity = shed_setup
     config = runner.system_config(mode=mode, seed=7)
     in_memory = runner.run_system(QUERY_SET, trace, capacity, config=config)
-    streaming = store.streaming(chunk_packets=max(1, len(store) // 8),
-                                max_resident_chunks=2)
-    streamed = runner.run_system(QUERY_SET, streaming, capacity,
+    streamed = runner.run_system(QUERY_SET, store.streaming(), capacity,
                                  config=config)
     _assert_results_identical(in_memory, streamed, mode)
-    assert streaming.max_resident <= 2
 
 
 PAYLOAD_QUERY_SET = ("counter", "pattern-search", "p2p-detector", "trace")
@@ -303,22 +417,19 @@ def payload_shed_setup(tmp_path_factory, payload_trace_small):
                                   "reference"])
 def test_streaming_payload_replay_bit_identical_all_modes(
         payload_shed_setup, mode):
-    """The same pin on a payload store: header columns come from chunk
-    views, each bin's payloads from one read of the blob file."""
+    """The same pin on a payload store: header columns, payload offsets
+    and payload bytes all come from per-bin reads of their files."""
     store, trace, capacity = payload_shed_setup
     config = runner.system_config(mode=mode, seed=7)
     in_memory = runner.run_system(PAYLOAD_QUERY_SET, trace, capacity,
                                   config=config)
-    streaming = store.streaming(chunk_packets=max(1, len(store) // 8),
-                                max_resident_chunks=2)
-    streamed = runner.run_system(PAYLOAD_QUERY_SET, streaming, capacity,
-                                 config=config)
+    streamed = runner.run_system(PAYLOAD_QUERY_SET, store.streaming(),
+                                 capacity, config=config)
     _assert_results_identical(in_memory, streamed, f"payload/{mode}")
-    assert streaming.max_resident <= 2
 
 
 def test_sharded_streaming_replay_bit_identical(shed_setup):
-    """num_shards=4 over a store >= 4x the chunk budget == in-memory."""
+    """num_shards=4 over a streamed store == in-memory."""
     store, trace, capacity = shed_setup
     config = runner.system_config(cycles_per_second=capacity, num_shards=4,
                                   seed=3)
@@ -327,15 +438,10 @@ def test_sharded_streaming_replay_bit_identical(shed_setup):
         return [make_query(name) for name in QUERY_SET]
 
     in_memory = ShardedSystem(factory, config=config).run(trace)
-    k = 2
-    streaming = store.streaming(chunk_packets=max(1, len(store) // (4 * k)),
-                                max_resident_chunks=k)
-    assert streaming.num_chunks >= 4 * k
     session = ShardedSystem(factory, config=config).open_session(
-        name=streaming.name)
-    streamed = runner.ingest_trace(session, streaming)
+        name=store.name)
+    streamed = runner.ingest_trace(session, store.streaming())
     _assert_results_identical(in_memory, streamed, "sharded")
-    assert streaming.max_resident <= k
 
 
 def test_session_ingest_trace_accepts_store_directly(shed_setup):
@@ -356,15 +462,32 @@ def test_session_ingest_trace_accepts_store_directly(shed_setup):
 def test_replay_cli_on_a_store(tmp_path, capsys, small_trace):
     store = save_trace_store(small_trace, tmp_path / "cli")
     code = replay.main([str(store.path), "--queries", "counter,flows",
-                        "--cycles-per-second", "2e8", "--chunk-packets",
-                        "500", "--max-chunks", "2", "--json"])
+                        "--cycles-per-second", "2e8", "--json"])
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["trace"]["packets"] == len(small_trace)
     assert summary["trace"]["streaming"] is True
-    assert summary["streaming"]["max_resident"] <= 2
+    on_disk = sum(f.stat().st_size for f in store.path.iterdir())
+    assert summary["streaming"].keys() == {"store_mb", "peak_rss_mb"}
+    assert summary["streaming"]["store_mb"] == pytest.approx(
+        on_disk / 2.0 ** 20)
+    assert summary["streaming"]["peak_rss_mb"] > summary["streaming"][
+        "store_mb"]
     assert summary["outcome"]["intervals_by_query"].keys() == {"counter",
                                                                "flows"}
+
+
+def test_replay_cli_reports_memory_and_has_no_residency_flags(
+        tmp_path, capsys, small_trace):
+    store = save_trace_store(small_trace, tmp_path / "cli")
+    assert replay.main([str(store.path), "--queries", "counter",
+                        "--cycles-per-second", "2e8"]) == 0
+    out = capsys.readouterr().out
+    assert "store_mb" in out and "peak_rss_mb" in out
+    assert "streamed out-of-core" in out
+    usage = replay.build_parser().format_help()
+    for flag in ("--chunk-packets", "--max-chunks", "--prefetch"):
+        assert flag not in usage
 
 
 def test_replay_cli_on_a_v1_archive(tmp_path, capsys, small_trace):
