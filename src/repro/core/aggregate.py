@@ -16,10 +16,10 @@ sorted-array tables so that *all* keyed queries share one implementation:
     queries use.
 :class:`DistinctFanout`
     A mergeable distinct-(key, item) table reporting the number of distinct
-    items per key (the super-spreader fan-out).  It is the exact,
-    vectorised sibling of :class:`repro.core.distinct.ExactDistinctCounter`
-    — pairs are deduplicated in a sorted ``uint64`` pair-key array — and it
-    can optionally carry a bounded-memory
+    items per key (the super-spreader fan-out).  Pairs are deduplicated in
+    a sorted ``uint64`` pair-key array, the state layout of
+    :class:`repro.core.distinct.ExactDistinctCounter` with the owning key
+    alongside, and it can optionally carry a bounded-memory
     :class:`~repro.core.distinct.DistinctCounter` (via
     :func:`repro.core.distinct.make_counter`) tracking the global distinct
     pair cardinality.
@@ -28,6 +28,10 @@ sorted-array tables so that *all* keyed queries share one implementation:
     joined with a separator byte that cannot occur inside any pattern, so
     one C-level ``bytes.find`` sweep replaces the per-packet Python loop of
     the payload-inspection queries.
+
+Both tables find a batch's keys in their sorted key array with
+:func:`repro.core.distinct.locate_sorted`, the one membership primitive the
+exact distinct counter uses too.
 
 All kernels expose an explicit ``merge`` with union-of-keys semantics, so
 shard folding falls out of the state type: two accumulators built from
@@ -41,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distinct import DistinctCounter
+from .distinct import DistinctCounter, locate_sorted
 
 
 def aggregate_batch(keys: np.ndarray, weights: Optional[np.ndarray] = None
@@ -105,11 +109,7 @@ class KeyedAccumulator:
         unique_keys = np.asarray(unique_keys, dtype=np.uint64)
         if unique_keys.size == 0:
             return 0
-        positions = np.searchsorted(self._keys, unique_keys)
-        known = np.zeros(len(unique_keys), dtype=bool)
-        in_range = positions < self._keys.size
-        known[in_range] = (self._keys[positions[in_range]] ==
-                           unique_keys[in_range])
+        positions, known = locate_sorted(self._keys, unique_keys)
         new = ~known
         n_new = int(new.sum())
         for name in self.column_names:
@@ -126,21 +126,14 @@ class KeyedAccumulator:
     def contains(self, keys: np.ndarray) -> np.ndarray:
         """Boolean membership mask for an arbitrary key array."""
         keys = np.asarray(keys, dtype=np.uint64)
-        positions = np.searchsorted(self._keys, keys)
-        mask = np.zeros(len(keys), dtype=bool)
-        in_range = positions < self._keys.size
-        mask[in_range] = self._keys[positions[in_range]] == keys[in_range]
-        return mask
+        return locate_sorted(self._keys, keys)[1]
 
     def lookup(self, keys: np.ndarray, column: str,
                default: float = 0.0) -> np.ndarray:
         """Per-key values of ``column`` (``default`` for unknown keys)."""
         keys = np.asarray(keys, dtype=np.uint64)
-        positions = np.searchsorted(self._keys, keys)
+        positions, hit = locate_sorted(self._keys, keys)
         values = np.full(len(keys), float(default), dtype=np.float64)
-        in_range = positions < self._keys.size
-        hit = np.zeros(len(keys), dtype=bool)
-        hit[in_range] = self._keys[positions[in_range]] == keys[in_range]
         values[hit] = self._columns[column][positions[hit]]
         return values
 
@@ -238,11 +231,7 @@ class DistinctFanout:
             return 0
         unique_pairs, first = np.unique(pair_keys, return_index=True)
         unique_owners = owner_keys[first]
-        positions = np.searchsorted(self._pairs, unique_pairs)
-        known = np.zeros(len(unique_pairs), dtype=bool)
-        in_range = positions < self._pairs.size
-        known[in_range] = (self._pairs[positions[in_range]] ==
-                           unique_pairs[in_range])
+        positions, known = locate_sorted(self._pairs, unique_pairs)
         new = ~known
         n_new = int(new.sum())
         if n_new:

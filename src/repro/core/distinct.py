@@ -7,7 +7,10 @@ multi-resolution bitmap algorithm of Estan, Varghese and Fisk because it has
 a deterministic, small per-packet cost and a bounded memory footprint; we
 implement the same structure (:class:`MultiResolutionBitmap`) plus an exact
 counter (:class:`ExactDistinctCounter`) used as ground truth in tests and as
-an optional extraction backend.
+an optional extraction backend.  The exact counter's state is one sorted,
+duplicate-free ``uint64`` array; :func:`locate_sorted` is the membership
+primitive over such an array, shared with the keyed tables of
+:mod:`repro.core.aggregate`.
 
 Both counters share a small interface:
 
@@ -26,7 +29,7 @@ one ``uint64`` array, every read one popcount over the whole bank.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,36 +64,88 @@ class DistinctCounter:
         raise NotImplementedError
 
 
+def locate_sorted(table: np.ndarray, keys: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Look ``keys`` up in ``table``, a sorted duplicate-free key array.
+
+    Returns ``(positions, known)``: ``known[i]`` says whether ``keys[i]`` is
+    in the table, and ``positions[i]`` is its index there — or, for an
+    unknown key, the index it has to be inserted at to keep the order.
+    """
+    positions = np.searchsorted(table, keys)
+    if table.size == 0:
+        return positions, np.zeros(len(keys), dtype=bool)
+    # A key beyond the last entry gets position ``size``; clipped, it is
+    # compared with that last entry, which it cannot equal.
+    return positions, table.take(positions, mode="clip") == keys
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+_NO_ITEMS = _frozen(np.empty(0, dtype=np.uint64))
+
+
 class ExactDistinctCounter(DistinctCounter):
     """Exact distinct counting over 64-bit item hashes (hash collisions are
-    negligible for the cardinalities involved)."""
+    negligible for the cardinalities involved).
+
+    The state, ``_items``, is one sorted, duplicate-free, read-only
+    ``uint64`` array: 8 bytes per item, in memory and in a pickle, and
+    nothing boxed.  It is never written in place — ``add_hashes``,
+    ``merge`` and ``reset`` replace it with another array — so counters may
+    share one: ``copy()`` hands the clone the same array in O(1), and
+    whichever of the two changes next moves on to a new array and leaves
+    the other's behind.
+    """
 
     def __init__(self) -> None:
-        self._items: set = set()
+        self._items = _NO_ITEMS
+
+    def __setstate__(self, state: dict) -> None:
+        items = state["_items"]
+        if isinstance(items, set):
+            # Pickled while the state was a set of Python ints (a
+            # checkpoint from an older build).
+            items = np.fromiter(items, dtype=np.uint64, count=len(items))
+            items.sort()
+        self._items = _frozen(items)
+
+    def _union(self, items: np.ndarray) -> None:
+        """Take in ``items``, a sorted array (duplicates allowed)."""
+        if items.size == 0:
+            return
+        # Two sorted runs, which the stable sort merges in one pass; then
+        # keep the first of each run of equal items.
+        merged = np.concatenate([self._items, items])
+        merged.sort(kind="stable")
+        self._items = _frozen(
+            merged[np.concatenate(([True], merged[1:] != merged[:-1]))])
 
     def add_hashes(self, hashes: np.ndarray) -> None:
-        if len(hashes) == 0:
-            return
-        self._items.update(np.unique(hashes).tolist())
+        # (``np.unique`` would do for a new counter, but since NumPy 2.3 it
+        # hashes before it sorts and takes several times longer.)
+        self._union(np.sort(np.asarray(hashes, dtype=np.uint64)))
 
     def estimate(self) -> float:
-        return float(len(self._items))
+        return float(self._items.size)
 
     def merge(self, other: "ExactDistinctCounter") -> None:
-        self._items |= other._items
+        self._union(other._items)
 
     def new_estimate(self, other: "ExactDistinctCounter") -> float:
-        # Exact backend: count the batch items missing from this counter
-        # directly, without copying the (much larger) interval set.
-        return float(len(other._items.difference(self._items)))
+        known = locate_sorted(self._items, other._items)[1]
+        return float(other._items.size - np.count_nonzero(known))
 
     def copy(self) -> "ExactDistinctCounter":
         clone = ExactDistinctCounter()
-        clone._items = set(self._items)
+        clone._items = self._items
         return clone
 
     def reset(self) -> None:
-        self._items.clear()
+        self._items = _NO_ITEMS
 
 
 class CounterBank:

@@ -125,11 +125,11 @@ class IntervalState:
     * ``write_round`` counts merge rounds since the group was created; a
       member whose ``_synced`` round (or the ``heal_round``, see below)
       equals it is in lockstep and may read/merge through the group.
-    * ``snapshot`` holds copies of the counters as they were *before* the
-      current round's merge; a member exactly one round behind (its batch
-      was fully shed, say) forks its private state from the snapshot —
-      bit-identical to the private path, which would have skipped the same
-      merge.
+    * ``snapshot`` holds the counters as they were *before* the current
+      round's merge (see :meth:`begin_round`); a member exactly one round
+      behind (its batch was fully shed, say) forks its private state from
+      the snapshot — bit-identical to the private path, which would have
+      skipped the same merge.
     * ``heal_round`` records the round at which the counters were last
       wiped by an interval roll: a wipe erases any missed-merge divergence,
       so members behind at most that round snap back into lockstep.
@@ -209,7 +209,14 @@ class IntervalState:
             self.cache = None
 
     def begin_round(self, batch) -> None:
-        """Open a merge round for ``batch`` (called by the first committer)."""
+        """Open a merge round for ``batch`` (called by the first committer).
+
+        A group with more than one member keeps the pre-merge counters as
+        the fork ``snapshot``.  For bitmaps that copies the bank's packed
+        words (40 KiB); an exact bank's copy shares every row's item array
+        with the live counters, which the merge that follows replaces
+        rather than writes to.
+        """
         if self.members > 1:
             self.snapshot = self.counters.copy()
         self.write_round += 1

@@ -19,7 +19,7 @@ from oracles.bitmap import MultiResolutionBitmap as BoolMatrixBitmap
 from oracles.bitmap import unpack_words
 
 from repro.core.distinct import (BitmapBank, CounterBank,
-                                 MultiResolutionBitmap)
+                                 ExactDistinctCounter, MultiResolutionBitmap)
 from repro.core.features import TRAFFIC_AGGREGATES, FeatureExtractor
 from repro.experiments import runner
 from repro.monitor.packet import Batch
@@ -319,6 +319,46 @@ def test_pending_commit_survives_the_old_layout(small_batch):
     extractor.commit(small_batch)
     assert np.array_equal(restored.extract(small_batch).values,
                           extractor.extract(small_batch).values)
+
+
+class _SetCounterPickler(pickle.Pickler):
+    """Pickles exact counters the way builds before the sorted-array state
+    did: ``_items`` a ``set`` of Python ints, one per counter (a snapshot
+    was a full copy, so nothing was shared between them)."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, ExactDistinctCounter):
+            return (copyreg.__newobj__, (ExactDistinctCounter,),
+                    {"_items": set(obj._items.tolist())})
+        return NotImplemented
+
+
+@pytest.mark.parametrize("num_shards", (1, 4))
+def test_restores_checkpoint_with_set_counters(small_trace, num_shards):
+    """A checkpoint whose exact counters are sets restores and continues
+    bit-identically; the same session checkpointed today is smaller."""
+    config = _config("predictive", num_shards=num_shards,
+                     feature_method="exact")
+    bins = small_trace.batch_list(0.1)
+    k = len(bins) // 2
+    expected = _run_uninterrupted(config, bins)
+
+    session = _open_session(config)
+    for batch in bins[:k]:
+        session.ingest(batch)
+    buffer = io.BytesIO()
+    _SetCounterPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(
+        session.state_dict())
+    checkpoint = load_checkpoint(capture(session))
+    assert len(checkpoint.state_blob) < len(buffer.getvalue())
+    checkpoint.state_blob = buffer.getvalue()
+
+    restored = checkpoint.restore()
+    assert restored.bins_ingested == k
+    for batch in bins[k:]:
+        restored.ingest(batch)
+    assert_results_identical(expected, restored.close(),
+                             label=f"set-counters/shards={num_shards}")
 
 
 def test_checkpoint_rejects_closed_and_foreign():

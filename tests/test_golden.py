@@ -15,7 +15,7 @@ band violation means the physics of an operating mode changed, not noise.
 import numpy as np
 import pytest
 
-from repro.experiments import parallel
+from repro.experiments import parallel, runner
 
 #: The golden matrix: one trace, one overload, all four modes.
 GOLDEN_MATRIX = parallel.ScenarioMatrix(
@@ -56,6 +56,27 @@ GOLDEN = {
     },
 }
 
+#: The headline outcomes themselves, ``(drop_fraction, mean_sampling_rate,
+#: mean_accuracy)``, for the harness's exact feature counting and for the
+#: product default, bitmaps.  Only the predictive mode reads features, so
+#: only its row differs between the two.  Compared to 1e-6 relative: room
+#: for last-digit drift in ``log``/``lstsq`` across NumPy builds, a
+#: thousand times less than the gap between the two columns.
+GOLDEN_HEADLINES = {
+    "exact": {
+        "predictive": (0.0, 0.6669944983993088, 0.958724131167987),
+        "reactive": (0.0, 0.7181954811680562, 0.9706672018902243),
+        "original": (0.3217906517445688, 0.8, 0.869954047494262),
+        "reference": (0.0, 1.0, 1.0),
+    },
+    "bitmap": {
+        "predictive": (0.0, 0.6655995646258919, 0.9593072792331024),
+        "reactive": (0.0, 0.7181954811680562, 0.9706672018902243),
+        "original": (0.3217906517445688, 0.8, 0.869954047494262),
+        "reference": (0.0, 1.0, 1.0),
+    },
+}
+
 #: Frozen cell seeds: the deterministic seed derivation is part of the
 #: golden contract (changing it silently re-seeds every stored expectation).
 GOLDEN_CELL_SEEDS = {
@@ -69,6 +90,33 @@ GOLDEN_CELL_SEEDS = {
 @pytest.fixture(scope="module")
 def golden_run():
     return parallel.ParallelRunner(n_workers=1).run(GOLDEN_MATRIX)
+
+
+@pytest.fixture(scope="module")
+def bitmap_run(golden_run):
+    """The golden cells again, by mode, with the product-default feature
+    back end.
+
+    The matrix runs the harness default, exact counting; this is the same
+    trace, capacity, seed and reference under ``feature_method="bitmap"``,
+    so the goldens cover the kernel a deployed system runs as well.
+    """
+    cells = {}
+    for exact in golden_run:
+        cell = exact.cell
+        result = runner.run_system(
+            cell.queries,
+            parallel._memoised_trace(
+                cell.trace, GOLDEN_MATRIX.trace_seed(cell.trace), cell.scale),
+            exact.capacity * (1.0 - cell.overload), time_bin=cell.time_bin,
+            config=cell.to_config().replace(feature_method="bitmap"))
+        cells[cell.mode] = parallel.CellResult(
+            cell=cell, capacity=exact.capacity, result=result,
+            drop_fraction=result.drop_fraction,
+            mean_sampling_rate=result.mean_sampling_rate(),
+            accuracy=runner.accuracy_by_query(
+                result, golden_run.reference_for(cell)))
+    return cells
 
 
 def _series_fingerprint(result):
@@ -104,6 +152,16 @@ class TestGoldenOutcomes:
         assert cell_result.accuracy, "accuracy join must not be empty"
         assert min(cell_result.accuracy.values()) >= \
             bands["min_query_accuracy"]
+
+    @pytest.mark.parametrize("mode", list(GOLDEN))
+    @pytest.mark.parametrize("feature_method", list(GOLDEN_HEADLINES))
+    def test_headline_outcomes_pinned(self, golden_run, bitmap_run,
+                                      feature_method, mode):
+        cell_result = golden_run.select(mode=mode)[0] \
+            if feature_method == "exact" else bitmap_run[mode]
+        assert (cell_result.drop_fraction, cell_result.mean_sampling_rate,
+                cell_result.mean_accuracy) == pytest.approx(
+            GOLDEN_HEADLINES[feature_method][mode], rel=1e-6)
 
     def test_shedding_modes_beat_uncontrolled_drops(self, golden_run):
         by_mode = {c.cell.mode: c for c in golden_run}

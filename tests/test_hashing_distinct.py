@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.bitmap import MultiResolutionBitmap as OracleBitmap
 from oracles.bitmap import unpack_words
+from oracles.exact_counter import ExactDistinctCounter as OracleExact
 
 from repro.core.distinct import (BitmapBank, CounterBank,
                                  ExactDistinctCounter, MultiResolutionBitmap,
@@ -388,11 +389,14 @@ class TestPackedBitmapEqualsOracle:
         """The exact backend's bank is the per-counter calls, row by row."""
         rng = np.random.default_rng(7)
         interval, incoming = make_bank("exact", 4), make_bank("exact", 4)
+        union_sizes = []
         for index in range(4):
-            interval.add_hashes(index, rng.integers(0, 50, size=40,
-                                                    dtype=np.uint64))
-            incoming.add_hashes(index, rng.integers(25, 90, size=40,
-                                                    dtype=np.uint64))
+            left = rng.integers(0, 50, size=40, dtype=np.uint64)
+            right = rng.integers(25, 90, size=40, dtype=np.uint64)
+            interval.add_hashes(index, left)
+            incoming.add_hashes(index, right)
+            union_sizes.append(
+                float(len(set(left.tolist()) | set(right.tolist()))))
         assert interval.estimates().tolist() == [
             counter.estimate() for counter in interval.counters]
         assert interval.new_estimates(incoming).tolist() == [
@@ -400,9 +404,7 @@ class TestPackedBitmapEqualsOracle:
             for a, b in zip(interval.counters, incoming.counters)]
         union = interval.copy()
         union.merge(incoming)
-        assert union.estimates().tolist() == [
-            float(len(a._items | b._items))
-            for a, b in zip(interval.counters, incoming.counters)]
+        assert union.estimates().tolist() == union_sizes
         union.reset()
         assert union.estimates().tolist() == [0.0] * 4
         assert as_bank(interval.counters).counters == interval.counters
@@ -412,3 +414,130 @@ class TestPackedBitmapEqualsOracle:
             BitmapBank(2, 4, 100).merge(BitmapBank(2, 4, 120))
         with pytest.raises(ValueError, match="geometry"):
             BitmapBank(2, 4, 256).new_estimates(BitmapBank(3, 4, 256))
+
+
+# ----------------------------------------------------------------------
+# The sorted-array exact counter against the set oracle (strict equality)
+# ----------------------------------------------------------------------
+#: How a caller may hand hashes over, with the largest value each form can
+#: carry to the oracle unchanged (``np.unique`` of a Python list holding an
+#: int beyond ``int64`` goes through ``float64``).
+_HASH_FORMS = [
+    (lambda values: np.array(values, dtype=np.uint64), 2 ** 64 - 1),
+    (lambda values: np.array(values, dtype=np.int64), 2 ** 63 - 1),
+    (list, 2 ** 63 - 1),
+]
+
+
+@st.composite
+def exact_case(draw):
+    """``(interval_batches, batch)`` in one input form.
+
+    The interval's hashes arrive in up to three ``add_hashes`` calls that
+    repeat items within and across calls; the batch lies fully inside the
+    interval's items, fully outside them, or straddles them.  Both ends of
+    the hash space are likely, and either side may be empty.
+    """
+    form, ceiling = draw(st.sampled_from(_HASH_FORMS))
+    items = st.one_of(st.sampled_from([0, 1, ceiling - 1, ceiling]),
+                      st.integers(min_value=0, max_value=30),
+                      st.integers(min_value=0, max_value=ceiling))
+    interval_batches = draw(st.lists(st.lists(items, max_size=40),
+                                     max_size=3))
+    seen = sorted({item for batch in interval_batches for item in batch})
+    inside = draw(st.lists(st.sampled_from(seen), max_size=30)) if seen else []
+    outside = draw(st.lists(items.filter(lambda item: item not in seen),
+                            max_size=30))
+    batch = draw(st.sampled_from([inside, outside, inside + outside,
+                                  outside + inside[::-1]]))
+    return [form(values) for values in interval_batches], form(batch)
+
+
+def _exact_pair(*batches):
+    """The same hashes in an oracle counter and in an array one."""
+    oracle, exact = OracleExact(), ExactDistinctCounter()
+    for hashes in batches:
+        oracle.add_hashes(hashes)
+        exact.add_hashes(hashes)
+    return oracle, exact
+
+
+def _assert_same_items(exact, oracle):
+    """The stored array is the oracle's set: sorted, unique, read-only."""
+    items = exact._items
+    assert items.dtype == np.uint64 and not items.flags.writeable
+    assert items.tolist() == sorted(oracle._items)
+    assert exact.estimate() == oracle.estimate()
+
+
+class TestExactCounterEqualsOracle:
+    @given(exact_case())
+    def test_counter(self, case):
+        interval_batches, batch = case
+        oracle_a, exact_a = _exact_pair(*interval_batches)
+        oracle_b, exact_b = _exact_pair(batch)
+        _assert_same_items(exact_a, oracle_a)
+        _assert_same_items(exact_b, oracle_b)
+
+        # new_estimate: equal both ways round, and it writes to neither.
+        before_a, before_b = exact_a._items, exact_b._items
+        assert exact_a.new_estimate(exact_b) == oracle_a.new_estimate(oracle_b)
+        assert exact_b.new_estimate(exact_a) == oracle_b.new_estimate(oracle_a)
+        assert exact_a._items is before_a and exact_b._items is before_b
+        _assert_same_items(exact_a, oracle_a)
+        _assert_same_items(exact_b, oracle_b)
+
+        # copy() shares the array; a merge into the copy leaves the
+        # original alone ...
+        oracle_union, exact_union = oracle_a.copy(), exact_a.copy()
+        assert exact_union._items is exact_a._items
+        oracle_union.merge(oracle_b)
+        exact_union.merge(exact_b)
+        _assert_same_items(exact_union, oracle_union)
+        _assert_same_items(exact_a, oracle_a)
+        _assert_same_items(exact_b, oracle_b)
+        # ... and a merge or an add into the original leaves the copy alone.
+        oracle_kept, exact_kept = oracle_a.copy(), exact_a.copy()
+        oracle_a.merge(oracle_b)
+        exact_a.merge(exact_b)
+        _assert_same_items(exact_a, oracle_union)
+        _assert_same_items(exact_kept, oracle_kept)
+        oracle_a.add_hashes(batch[::-1])
+        exact_a.add_hashes(batch[::-1])
+        oracle_b.add_hashes([5, 5, 2 ** 40])
+        exact_b.add_hashes([5, 5, 2 ** 40])
+        _assert_same_items(exact_a, oracle_a)
+        _assert_same_items(exact_b, oracle_b)
+        _assert_same_items(exact_kept, oracle_kept)
+
+        # A pickle round trip and the set-era pickle layout both land on
+        # the same array, at 8 bytes an item.
+        pickled = pickle.dumps(exact_union)
+        assert len(pickled) <= 8 * len(oracle_union._items) + 256
+        legacy = ExactDistinctCounter.__new__(ExactDistinctCounter)
+        legacy.__setstate__({"_items": set(oracle_union._items)})
+        for restored in (pickle.loads(pickled), legacy):
+            _assert_same_items(restored, oracle_union)
+            assert restored.new_estimate(exact_b) == \
+                oracle_union.new_estimate(oracle_b)
+            assert exact_kept.new_estimate(restored) == \
+                oracle_kept.new_estimate(oracle_union)
+
+        # reset() empties the counter it is called on and no other.
+        oracle_union.reset()
+        exact_union.reset()
+        _assert_same_items(exact_union, oracle_union)
+        _assert_same_items(exact_a, oracle_a)
+        assert exact_union.new_estimate(exact_b) == oracle_b.estimate()
+        exact_union.add_hashes(batch)
+        oracle_union.add_hashes(batch)
+        _assert_same_items(exact_union, oracle_union)
+
+    def test_add_hashes_keeps_the_callers_array(self):
+        hashes = np.array([9, 3, 9, 2 ** 64 - 1, 0], dtype=np.uint64)
+        given_hashes = hashes.copy()
+        counter = ExactDistinctCounter()
+        counter.add_hashes(hashes)
+        assert hashes.flags.writeable
+        assert np.array_equal(hashes, given_hashes)
+        assert counter._items.tolist() == [0, 3, 9, 2 ** 64 - 1]
