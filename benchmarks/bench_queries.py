@@ -193,7 +193,7 @@ class LegacyPatternSearchQuery(PatternSearchQuery):
         matches = 0
         for payload in batch.payloads:
             scanned_bytes += len(payload)
-            if payload and self._search(payload):
+            if payload and payload.find(self.pattern) >= 0:
                 matches += 1
         self.charge("regex_byte", scanned_bytes)
         self.charge("store_byte", matches * 64)

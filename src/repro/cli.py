@@ -67,7 +67,7 @@ def add_system_args(parser: argparse.ArgumentParser,
     parser.add_argument("--num-shards", type=int, default=d(1),
                         help="flow-hash shards to partition the stream over")
     parser.add_argument("--backend", default=d("auto"),
-                        choices=("auto", "inprocess", "fork", "workers"),
+                        choices=("auto", "inprocess", "workers"),
                         help="shard-execution backend: 'workers' keeps one "
                              "persistent process per shard fed through "
                              "shared memory; 'auto' picks workers when "

@@ -1,7 +1,7 @@
 """Shared fork-pool machinery for CPU-bound fan-out.
 
 Both the parallel scenario engine (grids of independent cells) and the
-sharded monitoring pipeline (per-shard workers over one stream) shard pure,
+fleet runner (one job per node over a pre-partitioned stream) shard pure,
 CPU-bound job functions across a process pool.  The mechanics are identical
 — clamp the pool to the host's cores, prefer the ``fork`` start method so
 workers inherit memoised traces / pre-partitioned batches copy-on-write,

@@ -16,7 +16,6 @@ Most evaluation figures need one of three building blocks:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -27,7 +26,7 @@ from ..core.features import FeatureExtractor, FeatureVector
 from ..core.prediction import CyclePredictor, PredictionErrorTracker
 from ..core.sampling import FlowSampler, PacketSampler
 from ..monitor import metrics
-from ..monitor.config import ReproDeprecationWarning, SystemConfig
+from ..monitor.config import SystemConfig
 from ..monitor.packet import PacketTrace, as_trace
 from ..monitor.query import SAMPLING_FLOW, Query
 from ..monitor.sharding import ShardedSystem
@@ -45,9 +44,6 @@ TIME_BIN = 0.1
 #: default and is exercised by the unit and property tests.
 FEATURE_CONFIG = {"feature_method": "exact", "feature_kwargs": {}}
 
-#: Backwards-compatible alias for callers that only tweak the bitmap size.
-FAST_FEATURES: dict = {}
-
 
 def system_config(**overrides) -> SystemConfig:
     """The harness's default :class:`SystemConfig`, with overrides applied.
@@ -64,31 +60,15 @@ def system_config(**overrides) -> SystemConfig:
 def _resolve_config(config: Optional[SystemConfig],
                     mode: Optional[str] = None,
                     strategy=None,
-                    predictor: Optional[str] = None,
-                    system_kwargs: Optional[dict] = None) -> SystemConfig:
-    """Merge the legacy keyword surface into one :class:`SystemConfig`.
-
-    Explicitly named arguments (``mode``/``strategy``/``predictor``) override
-    the config; loose ``**system_kwargs`` are a deprecated shim and override
-    everything (so e.g. a user-supplied ``feature_method`` beats the
-    harness's :data:`FEATURE_CONFIG` default instead of colliding with it).
-    """
+                    predictor: Optional[str] = None) -> SystemConfig:
+    """``config`` (default: :func:`system_config`) with the explicitly
+    named ``mode``/``strategy``/``predictor`` arguments applied on top."""
     if config is None:
         config = system_config()
     overrides = {key: value for key, value in
                  (("mode", mode), ("strategy", strategy),
                   ("predictor", predictor)) if value is not None}
-    if overrides:
-        config = config.replace(**overrides)
-    if system_kwargs:
-        warnings.warn(
-            "passing MonitoringSystem keyword arguments "
-            f"({sorted(system_kwargs)}) through the experiment helpers is "
-            "deprecated; pass config=runner.system_config(...) (a "
-            "repro.SystemConfig) instead",
-            ReproDeprecationWarning, stacklevel=3)
-        config = config.replace(**system_kwargs)
-    return config
+    return config.replace(**overrides) if overrides else config
 
 
 # ----------------------------------------------------------------------
@@ -169,17 +149,11 @@ def evaluate_predictor(predictor: CyclePredictor,
 # ----------------------------------------------------------------------
 # Capacity calibration and full-system runs
 # ----------------------------------------------------------------------
-def build_queries(names: Sequence,
-                  query_kwargs: Optional[Dict[str, dict]] = None) -> List[Query]:
-    """Instantiate queries from specs (thin wrapper around the query factory)."""
-    return _make_queries(names, query_kwargs)
-
-
 def reference_system(queries: Iterable[Query], budget: Optional[CycleBudget] = None,
-                     config: Optional[SystemConfig] = None,
-                     **kwargs) -> MonitoringSystem:
+                     config: Optional[SystemConfig] = None
+                     ) -> MonitoringSystem:
     """A system configured for a reference (ground truth) execution."""
-    config = _resolve_config(config, mode="reference", system_kwargs=kwargs)
+    config = _resolve_config(config, mode="reference")
     if budget is not None:
         config = config.replace(cycles_per_second=budget.cycles_per_second)
     return MonitoringSystem.from_config(config, queries)
@@ -197,7 +171,7 @@ def calibrate_capacity(query_names: Sequence[str], trace: PacketTrace,
     system at ``capacity * (1 - K)`` then produces an overload factor of
     roughly ``K`` (Section 5.4: ``K = 0`` no overload, ``K = 1`` no capacity).
     """
-    queries = _make_queries(query_names, query_kwargs)
+    queries = build_queries(query_names, query_kwargs)
     system = reference_system(queries)
     reference = system.run(as_trace(trace), time_bin=time_bin)
     per_bin = reference.cycles_per_bin()
@@ -207,7 +181,7 @@ def calibrate_capacity(query_names: Sequence[str], trace: PacketTrace,
     return capacity_per_bin / time_bin, reference
 
 
-def _make_queries(query_names: Sequence,
+def build_queries(query_names: Sequence,
                   query_kwargs: Optional[Dict[str, dict]] = None) -> List[Query]:
     """Build query instances from specs.
 
@@ -236,8 +210,8 @@ def run_system(query_names: Optional[Sequence] = None,
                query_kwargs: Optional[Dict[str, dict]] = None,
                config: Optional[SystemConfig] = None,
                num_shards: Optional[int] = None,
-               n_workers: int = 1, respect_cores: bool = True,
-               **system_kwargs) -> ExecutionResult:
+               n_workers: int = 1, respect_cores: bool = True
+               ) -> ExecutionResult:
     """Run a freshly-built system over a trace with an explicit capacity.
 
     ``query_names`` is any query-mix description ``repro.queries`` can
@@ -253,9 +227,8 @@ def run_system(query_names: Optional[Sequence] = None,
     The system is described by ``config`` (a :class:`repro.SystemConfig`;
     defaults to :func:`system_config`, i.e. a predictive system with the
     harness's exact feature counting).  ``mode``/``strategy``/``predictor``
-    remain as named conveniences and override the config; passing other
-    ``MonitoringSystem`` knobs as loose keyword arguments is deprecated —
-    put them in the config instead.
+    remain as named conveniences and override the config; every other
+    system knob goes in the config.
 
     With ``num_shards > 1`` (named argument or config field) the execution
     runs on a :class:`~repro.monitor.sharding.ShardedSystem`: the stream is
@@ -274,7 +247,7 @@ def run_system(query_names: Optional[Sequence] = None,
         raise ValueError("run_system requires a trace and an explicit "
                          "cycles_per_second capacity")
     config = _resolve_config(config, mode=mode, strategy=strategy,
-                             predictor=predictor, system_kwargs=system_kwargs)
+                             predictor=predictor)
     if num_shards is not None:
         config = config.replace(num_shards=int(num_shards))
     config = config.replace(cycles_per_second=float(cycles_per_second))
@@ -286,10 +259,10 @@ def run_system(query_names: Optional[Sequence] = None,
     trace = as_trace(trace)
     if config.num_shards > 1:
         sharded = ShardedSystem(
-            lambda: _make_queries(query_names, query_kwargs), config=config,
+            lambda: build_queries(query_names, query_kwargs), config=config,
             n_workers=int(n_workers), respect_cores=bool(respect_cores))
         return sharded.run(trace, time_bin=time_bin)
-    queries = _make_queries(query_names, query_kwargs)
+    queries = build_queries(query_names, query_kwargs)
     system = MonitoringSystem.from_config(config, queries)
     return system.run(trace, time_bin=time_bin)
 
@@ -317,8 +290,7 @@ def run_with_overload(query_names: Sequence[str], trace: PacketTrace,
                       reference: Optional[ExecutionResult] = None,
                       base_capacity: Optional[float] = None,
                       time_bin: float = TIME_BIN,
-                      config: Optional[SystemConfig] = None,
-                      **system_kwargs
+                      config: Optional[SystemConfig] = None
                       ) -> Tuple[ExecutionResult, ExecutionResult]:
     """Run a system at overload factor ``K`` and return (result, reference).
 
@@ -329,7 +301,7 @@ def run_with_overload(query_names: Sequence[str], trace: PacketTrace,
     if not 0.0 <= overload < 1.0:
         raise ValueError("overload K must be in [0, 1)")
     config = _resolve_config(config, mode=mode, strategy=strategy,
-                             predictor=predictor, system_kwargs=system_kwargs)
+                             predictor=predictor)
     if reference is None or base_capacity is None:
         base_capacity, reference = calibrate_capacity(query_names, trace,
                                                       time_bin=time_bin)

@@ -11,7 +11,8 @@ results and metrics through the :class:`~repro.fleet.aggregate.FleetAggregator`.
 Node execution reuses :meth:`repro.experiments.parallel.ParallelRunner.map`
 as its process pool: ``n_workers <= 1`` runs the nodes serially in-process,
 larger pools fork one job per node over the pre-partitioned streams
-(copy-on-write, the same pattern the shard tier's fork backend uses).  Both
+(inherited copy-on-write through ``_POOL_STATE``, the one pre-fork handoff
+left in the tree).  Both
 paths run the same pure per-node function, so the federated result is
 bit-identical either way.  The pre-partitioned streams *keep* their packets
 until the whole fleet is done, so what a session memoises on a bin (hashes,

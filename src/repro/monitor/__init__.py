@@ -2,8 +2,7 @@
 
 from . import filters, metrics
 from .capture import BufferStatus, CaptureBuffer
-from .config import (MODES, MODE_ALIASES, SHARD_BACKENDS,
-                     ReproDeprecationWarning, SystemConfig)
+from .config import MODES, MODE_ALIASES, SHARD_BACKENDS, SystemConfig
 from .packet import (PROTO_ICMP, PROTO_TCP, PROTO_UDP, Batch, Packet,
                      PacketTrace, StreamingTrace, as_trace, format_ip, ip)
 from .query import (SAMPLING_CUSTOM, SAMPLING_FLOW, SAMPLING_PACKET, Query,
@@ -27,7 +26,6 @@ __all__ = [
     "MODE_ALIASES",
     "MonitoringSession",
     "MonitoringSystem",
-    "ReproDeprecationWarning",
     "SHARD_BACKENDS",
     "ShardExecutionWarning",
     "ShardWorkerError",

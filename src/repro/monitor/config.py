@@ -36,13 +36,11 @@ FEATURE_METHODS = ("bitmap", "exact")
 
 #: Valid shard-execution backends (how ``num_shards > 1`` actually runs):
 #: ``"inprocess"`` drives every shard serially in the calling process,
-#: ``"fork"`` is the legacy per-run fork pool (whole stream pre-partitioned,
-#: no rebalancing, no streaming sessions), ``"workers"`` keeps one
-#: persistent worker process per shard fed through shared memory
-#: (:class:`~repro.monitor.workers.ShardWorkerPool`; supports rebalancing
-#: and streaming), and ``"auto"`` picks ``"workers"`` when parallelism was
-#: requested and the host can deliver it, ``"inprocess"`` otherwise.
-SHARD_BACKENDS = ("auto", "inprocess", "fork", "workers")
+#: ``"workers"`` keeps one persistent worker process per shard fed through
+#: shared memory (:class:`~repro.monitor.workers.ShardWorkerPool`), and
+#: ``"auto"`` picks ``"workers"`` when parallelism was requested and the
+#: host can deliver it, ``"inprocess"`` otherwise.
+SHARD_BACKENDS = ("auto", "inprocess", "workers")
 
 
 def _unknown_fields_error(unknown: Iterable[str],
@@ -61,16 +59,6 @@ def _unknown_fields_error(unknown: Iterable[str],
                          if matches else repr(key))
     return ValueError(f"unknown SystemConfig field(s) {', '.join(described)}; "
                       f"valid fields: {valid}")
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation warnings raised by the ``repro`` package.
-
-    A dedicated subclass lets the test suite turn *our* deprecations into
-    errors (so internal code cannot quietly keep using shimmed paths) without
-    also erroring on unrelated ``DeprecationWarning`` noise from third-party
-    libraries.
-    """
 
 
 @dataclass(frozen=True)
@@ -124,11 +112,7 @@ class SystemConfig:
     #: Fraction of its base capacity share a shard always retains, so a
     #: momentarily idle shard is never starved below a working minimum.
     shard_rebalance_floor: float = 0.1
-    #: Shard-execution backend, one of :data:`SHARD_BACKENDS`.  ``"auto"``
-    #: (the default) resolves to the persistent worker pool when the caller
-    #: asked for parallelism (``n_workers > 1``) and the host has the cores
-    #: and the ``fork`` start method to honour it, and to in-process
-    #: execution otherwise.
+    #: Shard-execution backend, one of :data:`SHARD_BACKENDS`.
     shard_backend: str = "auto"
     #: Declarative query mix: a tuple of
     #: :class:`repro.queries.QuerySpec` (anything
@@ -309,7 +293,6 @@ __all__ = [
     "FEATURE_METHODS",
     "MODES",
     "MODE_ALIASES",
-    "ReproDeprecationWarning",
     "SHARD_BACKENDS",
     "SystemConfig",
 ]

@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.fairness import QueryDemand
 from ..core.features import FeatureVector
 from .capture import CaptureBuffer
 from .packet import Batch
@@ -167,15 +166,10 @@ class BinContext:
     features_pre: Dict[str, FeatureVector] = field(default_factory=dict)
     #: Per-query cycle predictions (predictive mode only).
     predictions: Dict[str, float] = field(default_factory=dict)
-    #: Demands handed to the allocation strategy.  The default pipeline no
-    #: longer populates this — predictions go straight into the system's
-    #: :class:`~repro.core.fairness.QuerySlotTable` and ``demand_slots``
-    #: below — but custom pipelines may still fill it, in which case the
-    #: rate decision falls back to the classic object path.
-    demands: List[QueryDemand] = field(default_factory=list)
-    #: Slot-table rows (one per active query, in ``active`` order) whose
-    #: ``predicted`` column was refreshed this bin; ``None`` until the
-    #: prediction stage ran.
+    #: Rows of the system's :class:`~repro.core.fairness.QuerySlotTable`
+    #: (one per active query, in ``active`` order) whose ``predicted``
+    #: column was refreshed this bin; ``None`` until the prediction stage
+    #: ran.
     demand_slots: Optional[np.ndarray] = None
     #: Sampling rates decided (and possibly adjusted by custom shedding).
     rates: Dict[str, float] = field(default_factory=dict)
@@ -263,9 +257,8 @@ class PredictionStage:
             ctx.clock.charge_prediction(
                 runtime.extractor.extraction_cost(sub_batch) +
                 runtime.predictor.overhead_cycles)
-            # Columnar demand path: the prediction lands in the slot table,
-            # no per-bin QueryDemand objects (the effective minimum rate is
-            # maintained there across bins).
+            # The prediction lands in the slot table, which maintains the
+            # effective minimum rate across bins.
             table.predicted[runtime.slot] = prediction
             slots[position] = runtime.slot
         ctx.demand_slots = slots

@@ -31,10 +31,12 @@ keeps the full budget and the base seed, and every merge reduces to the
 identity — the sharded run is bit-identical to the classic single-system
 run (pinned by ``tests/test_sharding.py``).
 
-Three shard-execution backends are available (``SystemConfig.shard_backend``
-or the ``backend`` argument):
+Shards execute on one of two executors with the same method set
+(``SystemConfig.shard_backend`` or the ``backend`` argument), and a
+:class:`ShardedSession` drives either without knowing which:
 
-* ``"inprocess"`` — every shard session runs serially in the caller.
+* ``"inprocess"`` — :class:`InProcessShards`: every shard session runs
+  serially in the caller.
 * ``"workers"`` — one **persistent worker process per shard**
   (:class:`~repro.monitor.workers.ShardWorkerPool`): each bin's
   pre-partitioned columnar sub-batch travels through shared memory, per-bin
@@ -42,12 +44,6 @@ or the ``backend`` argument):
   reconfiguration messages are piggybacked in FIFO order with the batches —
   so streaming sessions *and* ``shard_rebalance=True`` run on real
   parallelism, bit-identical to the in-process path.
-* ``"fork"`` — the legacy per-run fork pool
-  (:func:`repro.core.pool.fork_pool_map`): the stream is pre-partitioned in
-  the parent, workers inherit their slice copy-on-write, execute their
-  shard end to end and ship the per-shard result back for merging.  The
-  per-bin capacity exchange is impossible on this backend, so it still
-  requires ``rebalance=False`` and a materialised stream.
 
 ``"auto"`` (the default) picks ``"workers"`` when parallelism was requested
 (``n_workers > 1``) and the host can honour it, ``"inprocess"`` otherwise.
@@ -59,13 +55,13 @@ import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cycles import CycleBudget
-from ..core.pool import effective_workers, fork_pool_map, pool_state
+from ..core.pool import effective_workers
 from ..profile import merged_summary
-from .config import ReproDeprecationWarning, SystemConfig
+from .config import SystemConfig
 from .packet import HEADER_FIELDS, Batch, PacketTrace, as_trace
 from .pipeline import BinRecord
-from .query import Query, QueryResultLog
-from .system import ExecutionResult, merge_query_logs  # noqa: F401 - re-export
+from .query import Query
+from .system import ExecutionResult
 from .workers import (ShardExecutionWarning, ShardWorkerPool,
                       fork_start_available)
 
@@ -82,36 +78,6 @@ def shard_seed(base_seed: int, shard_index: int) -> int:
     sequence so no two shards share sampler/noise streams.
     """
     return int((int(base_seed) + shard_index * 0x9E3779B1) % (2 ** 31))
-
-
-# ----------------------------------------------------------------------
-# Result merging — deprecated shims
-# ----------------------------------------------------------------------
-# The merge logic is now the public API of the record types themselves:
-# :meth:`BinRecord.merge` and :meth:`ExecutionResult.merge` (plus the
-# module-level :func:`repro.monitor.system.merge_query_logs`, re-exported
-# here).  The free functions below survive as thin deprecated shims.
-
-def merge_bin_records(records: Sequence[BinRecord]) -> BinRecord:
-    """Deprecated: use :meth:`BinRecord.merge`."""
-    warnings.warn(
-        "merge_bin_records is deprecated; use BinRecord.merge(records)",
-        ReproDeprecationWarning, stacklevel=2)
-    return BinRecord.merge(records)
-
-
-def merge_execution_results(results: Sequence[ExecutionResult],
-                            query_classes: Dict[str, type],
-                            budget: CycleBudget,
-                            name: str) -> ExecutionResult:
-    """Deprecated: use :meth:`ExecutionResult.merge`."""
-    warnings.warn(
-        "merge_execution_results is deprecated; use "
-        "ExecutionResult.merge(results, query_classes=..., budget=..., "
-        "name=...)",
-        ReproDeprecationWarning, stacklevel=2)
-    return ExecutionResult.merge(results, query_classes=query_classes,
-                                 budget=budget, name=name)
 
 
 # ----------------------------------------------------------------------
@@ -137,12 +103,10 @@ class ShardedSystem:
         Optional overrides of the corresponding config fields (``backend``
         overrides ``shard_backend``).
     n_workers:
-        ``> 1`` asks for process-parallel shard execution.  Under the
-        ``"auto"`` / ``"workers"`` backends this runs shards (including
-        streaming sessions, and including ``rebalance=True``) on the
-        persistent worker pool; under ``"fork"`` it executes :meth:`run` on
-        the legacy per-run fork pool (which still requires
-        ``rebalance=False`` and keeps streaming sessions in-process).
+        ``> 1`` asks for process-parallel shard execution: ``"auto"``
+        then runs the shards (including streaming sessions, and including
+        ``rebalance=True``) on the persistent worker pool when the host
+        can honour the request.
     respect_cores:
         Clamp parallelism to the host's core count (default); pass
         ``False`` to force real workers on small hosts (benchmarks do).
@@ -173,13 +137,6 @@ class ShardedSystem:
         self.backend = config.shard_backend
         self.n_workers = int(n_workers)
         self.respect_cores = bool(respect_cores)
-        if (self.backend == "fork" and self.rebalance
-                and self.num_shards > 1 and self.n_workers > 1):
-            raise ValueError(
-                "dynamic capacity rebalancing is not available on the fork-"
-                "pool backend (it needs a per-bin capacity exchange); pass "
-                "rebalance=False, or use the persistent 'workers' backend, "
-                "which rebalances across processes")
         if query_factory is None:
             if config.queries is None:
                 raise ValueError(
@@ -251,63 +208,28 @@ class ShardedSystem:
         instead of silently running serial.
         """
         backend = self.resolve_backend()
-        if backend == "workers" and self.num_shards > 1:
-            return ShardedSession(self, time_bin=time_bin, name=name,
-                                  backend="workers")
-        if self.n_workers > 1 and self.num_shards > 1:
+        if self.num_shards == 1:
+            backend = "inprocess"
+        elif backend == "inprocess" and self.n_workers > 1:
             warnings.warn(
                 f"sharded session {name!r} requested n_workers="
-                f"{self.n_workers} but runs in-process on the "
-                f"{backend!r} backend (the fork backend has no streaming "
-                "sessions; 'auto' found no usable parallelism on this "
-                "host) — pass backend='workers' to force the persistent "
-                "worker pool", ShardExecutionWarning, stacklevel=2)
-        return ShardedSession(self, time_bin=time_bin, name=name)
+                f"{self.n_workers} but runs in-process (backend "
+                f"{self.backend!r}) — pass backend='workers' to force the "
+                "persistent worker pool", ShardExecutionWarning, stacklevel=2)
+        return ShardedSession(self, time_bin=time_bin, name=name,
+                              backend=backend)
 
     def run(self, trace: PacketTrace, time_bin: float = 0.1
             ) -> ExecutionResult:
         """Run the sharded system over a trace; returns the merged result.
 
         ``trace`` may also be a streaming trace or a trace store (anything
-        :func:`repro.monitor.packet.as_trace` accepts).  The in-process
-        and persistent-worker paths stream it bin by bin with bounded
-        memory; the legacy fork-pool path pre-partitions the whole stream
-        in the parent, so it materialises every sub-batch regardless of
-        the source.
+        :func:`repro.monitor.packet.as_trace` accepts); either executor
+        streams it bin by bin with bounded memory.
         """
         trace = as_trace(trace)
-        backend = self.resolve_backend()
-        if (backend == "fork" and self.n_workers > 1
-                and self.num_shards > 1):
-            return self._run_pooled(trace, time_bin)
         session = self.open_session(time_bin=time_bin, name=trace.name)
         return session.ingest_trace(trace).close()
-
-    # ------------------------------------------------------------------
-    def _run_pooled(self, trace: PacketTrace, time_bin: float
-                    ) -> ExecutionResult:
-        """One fork-pool worker per shard over the pre-partitioned stream.
-
-        The parent partitions every batch before forking, so workers
-        inherit their slice copy-on-write; each worker drives its shard's
-        full session end to end and returns the shard's execution result.
-        Results are identical to the in-process path with rebalancing off
-        (same sub-batches, same shard systems, same merge).
-        """
-        slices: List[List[Batch]] = [[] for _ in range(self.num_shards)]
-        for batch in trace.batch_list(time_bin):
-            for index, sub in enumerate(batch.partition(self.num_shards,
-                                                        FLOW_FIELDS)):
-                slices[index].append(sub)
-        with pool_state(_POOL_STATE, configs=self.shard_configs,
-                        factory=self.query_factory, slices=slices,
-                        time_bin=float(time_bin), name=trace.name):
-            results = fork_pool_map(
-                _run_shard_job, list(range(self.num_shards)), self.n_workers,
-                respect_cores=self.respect_cores, require_fork=True)
-        budget = CycleBudget(self.total_cycles_per_second, float(time_bin))
-        return ExecutionResult.merge(results, query_classes=self.query_classes,
-                                     budget=budget, name=trace.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ShardedSystem(mode={self.mode!r}, "
@@ -315,33 +237,62 @@ class ShardedSystem:
                 f"rebalance={self.rebalance})")
 
 
-#: State a pooled shard job reads from the forked parent (populated just
-#: before the pool map, cleared right after; fork-only by construction).
-_POOL_STATE: dict = {}
+# ----------------------------------------------------------------------
+# The in-process shard executor
+# ----------------------------------------------------------------------
+class InProcessShards:
+    """The :class:`ShardWorkerPool` method set over sessions in this process.
 
-
-def _no_queries() -> List[Query]:
-    """Placeholder query factory for checkpoint restores.
-
-    A restored :class:`ShardedSession` replaces every freshly built shard
-    session with the checkpointed one, so the instances this factory would
-    produce are discarded immediately — it only exists because
-    :class:`ShardedSystem` requires *a* factory, and it must be a module-
-    level function so spawn-start worker pools can pickle it.
+    The serial shard executor: one
+    :class:`~repro.monitor.session.MonitoringSession` per shard, driven in
+    shard order by the caller.  A session queues reconfigurations until its
+    next bin itself, which is the bin-boundary semantics the worker pool
+    gets from FIFO command pipes.  There is no ``ingest_async``: nothing
+    runs concurrently, so there is nothing to run ahead of.
     """
-    return []
 
+    def __init__(self, systems: Sequence, time_bin: float,
+                 names: Sequence[str]) -> None:
+        self.sessions = [system.open_session(time_bin=time_bin, name=name)
+                         for system, name in zip(systems, names)]
 
-def _run_shard_job(shard_index: int) -> ExecutionResult:
-    """Run one shard end to end; pure function of the pre-fork state."""
-    config = _POOL_STATE["configs"][shard_index]
-    system = config.build(_POOL_STATE["factory"]())
-    session = system.open_session(
-        time_bin=_POOL_STATE["time_bin"],
-        name=f"{_POOL_STATE['name']}[shard{shard_index}]")
-    for sub in _POOL_STATE["slices"][shard_index]:
-        session.ingest(sub)
-    return session.close()
+    def ingest(self, parts: Sequence[Batch]) -> List[BinRecord]:
+        return [session.ingest(part)
+                for session, part in zip(self.sessions, parts)]
+
+    def set_capacity(self, shard: int, cycles_per_second: float) -> None:
+        self.sessions[shard].set_capacity(cycles_per_second)
+
+    def add_query(self, shard: int, query: Query, start_time=None) -> None:
+        self.sessions[shard].add_query(query, start_time=start_time)
+
+    def remove_query(self, shard: int, name: str) -> None:
+        self.sessions[shard].remove_query(name)
+
+    def partial_results(self) -> List[ExecutionResult]:
+        return [session.partial_result() for session in self.sessions]
+
+    def metrics(self) -> List[Tuple]:
+        return [(session.system.profiler,
+                 session.system.feature_states.stats())
+                for session in self.sessions]
+
+    def session_states(self) -> List:
+        """The live sessions themselves: serialise the result immediately."""
+        return list(self.sessions)
+
+    def load_sessions(self, sessions: Sequence) -> None:
+        if len(sessions) != len(self.sessions):
+            raise ValueError(
+                f"need one session per shard: got {len(sessions)} for "
+                f"{len(self.sessions)} shards")
+        self.sessions = list(sessions)
+
+    def close(self) -> List[ExecutionResult]:
+        return [session.close() for session in self.sessions]
+
+    def stop(self) -> None:
+        """Nothing to release: the sessions die with the executor."""
 
 
 # ----------------------------------------------------------------------
@@ -356,20 +307,17 @@ class ShardedSession:
     and :meth:`close` to obtain the merged
     :class:`~repro.monitor.system.ExecutionResult`.
 
-    With ``backend="workers"`` the per-shard sessions live inside one
-    persistent worker process each (:class:`ShardWorkerPool`); every public
-    method keeps exactly the in-process semantics — reconfigurations apply
-    at the next bin boundary, rebalance capacities are computed by the
-    parent from the previous bin's records and shipped before the bin's
-    batches — so the merged results are bit-identical either way.
+    The per-shard sessions belong to a shard executor — ``backend`` picks
+    :class:`InProcessShards` or one persistent worker process per shard
+    (:class:`ShardWorkerPool`) — and every method below is written once
+    against the executor's method set: reconfigurations apply at the next
+    bin boundary, rebalance capacities are computed here from the previous
+    bin's records and handed over before the bin's batches, so the merged
+    results are bit-identical either way.
     """
 
     def __init__(self, sharded: ShardedSystem, time_bin: float = 0.1,
                  name: str = "live", backend: str = "inprocess") -> None:
-        if backend not in ("inprocess", "workers"):
-            raise ValueError(
-                f"unknown session backend {backend!r}; sharded sessions run "
-                "'inprocess' or on persistent 'workers'")
         self.sharded = sharded
         self.time_bin = float(time_bin)
         self.name = name
@@ -377,23 +325,23 @@ class ShardedSession:
         self.backend = backend
         self.budget = CycleBudget(sharded.total_cycles_per_second,
                                   self.time_bin)
-        suffix = (lambda i: name) if self.num_shards == 1 else \
-            (lambda i: f"{name}[shard{i}]")
+        names = [name if self.num_shards == 1 else f"{name}[shard{index}]"
+                 for index in range(self.num_shards)]
         if backend == "workers":
-            self.sessions = None
-            self._pool: Optional[ShardWorkerPool] = ShardWorkerPool(
+            self._executor = ShardWorkerPool(
                 sharded.shard_configs, sharded.query_factory,
-                time_bin=self.time_bin,
-                names=[suffix(index) for index in range(self.num_shards)])
-            # Parent-side mirrors of state that otherwise lives in the
-            # shard sessions (the workers own the real thing).
-            self._bins_ingested = 0
-            self._query_names: List[str] = list(sharded.query_names)
+                time_bin=self.time_bin, names=names)
+        elif backend == "inprocess":
+            self._executor = InProcessShards(sharded.systems, self.time_bin,
+                                             names)
         else:
-            self._pool = None
-            self.sessions = [system.open_session(time_bin=time_bin,
-                                                 name=suffix(index))
-                             for index, system in enumerate(sharded.systems)]
+            raise ValueError(
+                f"unknown session backend {backend!r}; sharded sessions run "
+                "'inprocess' or on persistent 'workers'")
+        # State the executor's sessions also hold, mirrored here so no
+        # question about it needs a round trip to a worker.
+        self._bins_ingested = 0
+        self._query_names: List[str] = list(sharded.query_names)
         #: Query class per name, for every query that ever lived in this
         #: session — departed queries keep their logs in the final result,
         #: so their merge implementations must stay resolvable.
@@ -402,7 +350,6 @@ class ShardedSession:
         self._prev_load: List[Optional[Tuple[int, float]]] = \
             [None] * self.num_shards
         self._closed_result: Optional[ExecutionResult] = None
-        #: Metrics snapshot taken at close time (workers are gone after).
         self._closed_metrics: Optional[Dict] = None
         #: Per-tenant query cycles accumulated from the merged bin records
         #: (per-bin ``ingest`` path; the pipelined trace path reports the
@@ -416,15 +363,12 @@ class ShardedSession:
 
     @property
     def bins_ingested(self) -> int:
-        if self._pool is not None:
-            return self._bins_ingested
-        return self.sessions[0].bins_ingested
+        return self._bins_ingested
 
     @property
     def query_names(self) -> List[str]:
-        if self._pool is not None:
-            return list(self._query_names)
-        return self.sessions[0].query_names
+        """Queries registered, counting changes queued for the next bin."""
+        return list(self._query_names)
 
     @property
     def shard_loads(self) -> List[Optional[Tuple[int, float]]]:
@@ -442,40 +386,30 @@ class ShardedSession:
 
         Same shape as :attr:`MonitoringSession.metrics` — per-stage
         profile plus feature-sharing registry stats — with per-shard stage
-        totals summed and per-bin latency series concatenated.  On the
-        workers backend the shard numbers are fetched over the command
-        pipes (FIFO with the batches, so they land at a bin boundary); a
-        closed session returns the snapshot taken at close time.
+        totals summed and per-bin latency series concatenated.  The shard
+        numbers are read at a bin boundary (on the workers backend they
+        travel the command pipes, FIFO with the batches); a closed session
+        returns the snapshot taken at close time.
         """
         if self._closed_metrics is not None:
             return self._closed_metrics
-        if self._pool is not None:
-            shards = self._pool.metrics()
-        else:
-            shards = [(session.system.profiler,
-                       session.system.feature_states.stats())
-                      for session in self.sessions]
-        merged = self._merge_metrics(shards)
-        tenants = self._tenant_metrics(self._tenant_cycles)
-        if tenants is not None:
-            merged["tenants"] = tenants
-        return merged
+        return self._fold_metrics(self._executor.metrics(),
+                                  self._tenant_cycles)
 
-    def _tenant_metrics(self, totals: Dict[str, float]) -> Optional[Dict]:
-        """The ``tenants`` metrics block, or ``None`` without groups."""
-        groups = getattr(self.sharded.config, "tenants", None)
-        if not groups:
-            return None
-        return {"count": len(groups), "query_cycles": dict(totals)}
-
-    @staticmethod
-    def _merge_metrics(shards: Sequence[Tuple]) -> Dict:
+    def _fold_metrics(self, shards: Sequence[Tuple],
+                      tenant_cycles: Dict[str, float]) -> Dict:
+        """Per-shard ``(profiler, sharing stats)`` pairs as one document."""
         sharing: Dict[str, int] = {}
         for _, stats in shards:
             for key, value in stats.items():
                 sharing[key] = sharing.get(key, 0) + value
-        return {"profile": merged_summary([prof for prof, _ in shards]),
-                "feature_sharing": sharing}
+        merged = {"profile": merged_summary([prof for prof, _ in shards]),
+                  "feature_sharing": sharing}
+        groups = getattr(self.sharded.config, "tenants", None)
+        if groups:
+            merged["tenants"] = {"count": len(groups),
+                                 "query_cycles": dict(tenant_cycles)}
+        return merged
 
     # ------------------------------------------------------------------
     def ingest(self, batch: Batch) -> BinRecord:
@@ -485,12 +419,8 @@ class ShardedSession:
         parts = batch.partition(self.num_shards, FLOW_FIELDS)
         if self.sharded.rebalance and self.num_shards > 1:
             self._apply_capacities(self._rebalance_capacities(parts))
-        if self._pool is not None:
-            records = self._pool.ingest(parts)
-            self._bins_ingested += 1
-        else:
-            records = [session.ingest(part)
-                       for session, part in zip(self.sessions, parts)]
+        records = self._executor.ingest(parts)
+        self._bins_ingested += 1
         for index, (part, record) in enumerate(zip(parts, records)):
             self._prev_load[index] = (len(part), record.total_cycles)
         merged = BinRecord.merge(records)
@@ -507,15 +437,16 @@ class ShardedSession:
         fanned out to the shards, one bin in memory at a time.  Returns
         ``self`` for chaining.
 
-        On the worker backend with rebalancing off, ingestion is
-        *pipelined*: each bin's sub-batches are shipped without waiting for
-        the bin's records (the pool's double buffering bounds the run-ahead
-        to two bins per shard), so partitioning and store I/O overlap shard
-        compute.  Rebalancing needs the previous bin's records to compute
+        On an executor that can run ahead (it has ``ingest_async``: the
+        worker pool) with rebalancing off, ingestion is *pipelined*: each
+        bin's sub-batches are shipped without waiting for the bin's records
+        (the pool's double buffering bounds the run-ahead to two bins per
+        shard), so partitioning and store I/O overlap shard compute.
+        Rebalancing needs the previous bin's records to compute
         capacities, so it runs in lockstep.
         """
         trace = as_trace(source)
-        pipelined = (self._pool is not None
+        pipelined = (hasattr(self._executor, "ingest_async")
                      and not (self.sharded.rebalance and self.num_shards > 1))
         for batch in trace.batches(self.time_bin):
             if pipelined:
@@ -523,7 +454,7 @@ class ShardedSession:
                     raise RuntimeError("cannot ingest into a closed session")
                 parts = batch.partition(self.num_shards, FLOW_FIELDS)
                 for index, part in enumerate(parts):
-                    self._pool.ingest_async(index, part)
+                    self._executor.ingest_async(index, part)
                 self._bins_ingested += 1
             else:
                 self.ingest(batch)
@@ -533,22 +464,12 @@ class ShardedSession:
         """Close every shard session and return the merged result."""
         if self._closed_result is not None:
             return self._closed_result
-        if self._pool is not None:
-            self._closed_metrics = self._merge_metrics(self._pool.metrics())
-            results = self._pool.close()
-        else:
-            results = [session.close() for session in self.sessions]
-            self._closed_metrics = self._merge_metrics(
-                [(session.system.profiler,
-                  session.system.feature_states.stats())
-                 for session in self.sessions])
+        shards = self._executor.metrics()  # workers are gone after close()
         self._closed_result = ExecutionResult.merge(
-            results, query_classes=self._query_classes, budget=self.budget,
-            name=self.name)
-        tenants = self._tenant_metrics(
-            self._closed_result.tenant_cycle_totals())
-        if tenants is not None:
-            self._closed_metrics["tenants"] = tenants
+            self._executor.close(), query_classes=self._query_classes,
+            budget=self.budget, name=self.name)
+        self._closed_metrics = self._fold_metrics(
+            shards, self._closed_result.tenant_cycle_totals())
         return self._closed_result
 
     # ------------------------------------------------------------------
@@ -560,31 +481,29 @@ class ShardedSession:
         The per-shard :class:`~repro.monitor.session.MonitoringSession`
         objects carry the real state; on the ``workers`` backend they are
         copied out of the worker processes at the current bin boundary
-        (the workers keep streaming).  Parent-side mirrors — the previous
+        (the workers keep streaming).  Parent-side state — the previous
         bin's per-shard loads that seed the rebalancer, the query-class
-        registry that drives result merging, and the possibly
-        ``set_capacity``-adjusted total budget — ride along so a restored
-        session continues bit-identically.  Serialise the payload
-        immediately (it aliases live objects on the in-process backend);
-        :mod:`repro.serve.checkpoint` wraps it in the on-disk format.
+        registry that drives result merging, the per-tenant cycle totals
+        and the possibly ``set_capacity``-adjusted total budget — rides
+        along so a restored session continues bit-identically.  Serialise
+        the payload immediately (it aliases live objects on the in-process
+        backend); :mod:`repro.serve.checkpoint` wraps it in the on-disk
+        format.
         """
         if self.closed:
             raise RuntimeError("cannot checkpoint a closed session")
-        if self._pool is not None:
-            shard_sessions = self._pool.session_states()
-        else:
-            shard_sessions = list(self.sessions)
         return {
             "kind": "sharded",
             "config": self.sharded.config,
             "time_bin": self.time_bin,
             "name": self.name,
             "total_cycles_per_second": self.sharded.total_cycles_per_second,
-            "shard_sessions": shard_sessions,
+            "shard_sessions": self._executor.session_states(),
             "query_classes": dict(self._query_classes),
             "prev_load": list(self._prev_load),
-            "bins_ingested": self.bins_ingested,
-            "query_names": list(self.query_names),
+            "bins_ingested": self._bins_ingested,
+            "query_names": list(self._query_names),
+            "tenant_cycles": dict(self._tenant_cycles),
         }
 
     @classmethod
@@ -597,60 +516,49 @@ class ShardedSession:
         ``n_workers``), independently of what the checkpointed run used:
         the state is backend-agnostic, so a run checkpointed on the
         ``workers`` pool may resume in-process and vice versa — results
-        stay bit-identical either way.
+        stay bit-identical either way.  The session is opened like any
+        other; its executor then adopts the checkpointed shard sessions.
         """
         if state.get("kind") != "sharded":
             raise ValueError(
                 f"not a ShardedSession checkpoint payload: "
                 f"kind={state.get('kind')!r}")
         config = state["config"]
+        # The checkpointed sessions replace whatever the factory builds, so
+        # without a declarative mix any picklable factory of no queries
+        # will do (spawn-start worker pools pickle it).
         factory = (config.build_queries if config.queries is not None
-                   else _no_queries)
+                   else list)
         sharded = ShardedSystem(query_factory=factory, config=config,
                                 n_workers=n_workers,
                                 respect_cores=respect_cores,
                                 backend=backend)
         sharded.total_cycles_per_second = \
             float(state["total_cycles_per_second"])
-        session = cls.__new__(cls)
-        session.sharded = sharded
-        session.time_bin = float(state["time_bin"])
-        session.name = state["name"]
-        session.num_shards = sharded.num_shards
-        session.budget = CycleBudget(sharded.total_cycles_per_second,
-                                     session.time_bin)
+        session = sharded.open_session(time_bin=state["time_bin"],
+                                       name=state["name"])
+        try:
+            session._executor.load_sessions(state["shard_sessions"])
+        except BaseException:
+            session._executor.stop()
+            raise
+        session._bins_ingested = int(state["bins_ingested"])
+        session._query_names = list(state["query_names"])
         session._query_classes = dict(state["query_classes"])
         session._prev_load = list(state["prev_load"])
-        session._closed_result = None
-        resolved = sharded.resolve_backend()
-        if resolved == "workers" and sharded.num_shards > 1:
-            session.backend = "workers"
-            session.sessions = None
-            session._pool = ShardWorkerPool(
-                sharded.shard_configs, factory,
-                time_bin=session.time_bin,
-                names=[s.name for s in state["shard_sessions"]])
-            try:
-                session._pool.load_sessions(state["shard_sessions"])
-            except BaseException:
-                session._pool.stop()
-                raise
-            session._bins_ingested = int(state["bins_ingested"])
-            session._query_names = list(state["query_names"])
-        else:
-            session.backend = "inprocess"
-            session._pool = None
-            session.sessions = list(state["shard_sessions"])
+        # Checkpoints written before the totals rode along restart at zero.
+        session._tenant_cycles = dict(state.get("tenant_cycles", {}))
         return session
 
     def partial_result(self) -> ExecutionResult:
         """Merged accuracy-so-far snapshot (shards keep running)."""
-        if self._pool is not None:
-            results = self._pool.partial_results()
-        else:
-            results = [session.partial_result() for session in self.sessions]
-        return ExecutionResult.merge(results, query_classes=self._query_classes,
-                                     budget=self.budget, name=self.name)
+        if self.closed:
+            raise RuntimeError("cannot snapshot a closed session; close() "
+                               "already returned the final result")
+        return ExecutionResult.merge(
+            self._executor.partial_results(),
+            query_classes=self._query_classes, budget=self.budget,
+            name=self.name)
 
     # ------------------------------------------------------------------
     # Live reconfiguration (forwarded to every shard, next bin boundary)
@@ -661,18 +569,13 @@ class ShardedSession:
         if self.closed:
             raise RuntimeError("cannot reconfigure a closed session")
         instances = [query_factory() for _ in range(self.num_shards)]
-        if self._pool is not None:
-            name = instances[0].name
-            if name in self._query_names:
-                raise ValueError(
-                    f"a query named {name!r} is already registered")
-            for shard, query in enumerate(instances):
-                self._pool.add_query(shard, query, start_time=start_time)
-            self._query_names.append(name)
-        else:
-            for session, query in zip(self.sessions, instances):
-                session.add_query(query, start_time=start_time)
-        self._query_classes[instances[0].name] = type(instances[0])
+        name = instances[0].name
+        if name in self._query_names:
+            raise ValueError(f"a query named {name!r} is already registered")
+        for shard, query in enumerate(instances):
+            self._executor.add_query(shard, query, start_time=start_time)
+        self._query_names.append(name)
+        self._query_classes[name] = type(instances[0])
 
     def remove_query(self, name: str) -> None:
         """Deregister a query from every shard.
@@ -682,15 +585,11 @@ class ShardedSession:
         """
         if self.closed:
             raise RuntimeError("cannot reconfigure a closed session")
-        if self._pool is not None:
-            if name not in self._query_names:
-                raise KeyError(f"no query named {name!r} is registered")
-            for shard in range(self.num_shards):
-                self._pool.remove_query(shard, name)
-            self._query_names.remove(name)
-        else:
-            for session in self.sessions:
-                session.remove_query(name)
+        if name not in self._query_names:
+            raise KeyError(f"no query named {name!r} is registered")
+        for shard in range(self.num_shards):
+            self._executor.remove_query(shard, name)
+        self._query_names.remove(name)
 
     def set_capacity(self, cycles_per_second: float) -> None:
         """Change the *total* capacity; shards re-split it evenly.
@@ -712,17 +611,13 @@ class ShardedSession:
     def _apply_capacities(self, capacities: Sequence[float]) -> None:
         """Queue per-shard capacities (cycles/s), applied next bin boundary.
 
-        Both backends share the queued-at-boundary semantics: in-process
+        Both executors share the queued-at-boundary semantics: in-process
         sessions queue the change internally; worker commands are FIFO with
         the batches, so a capacity sent before a bin's batch is applied at
         exactly that bin's boundary.
         """
-        if self._pool is not None:
-            for shard, capacity in enumerate(capacities):
-                self._pool.set_capacity(shard, capacity)
-        else:
-            for session, capacity in zip(self.sessions, capacities):
-                session.set_capacity(capacity)
+        for shard, capacity in enumerate(capacities):
+            self._executor.set_capacity(shard, capacity)
 
     def _rebalance_capacities(self, parts: Sequence[Batch]) -> List[float]:
         """Lend predicted headroom from underloaded shards to overloaded ones.
@@ -745,7 +640,7 @@ class ShardedSession:
                 demands.append(base)
             else:
                 demands.append(prev[1] / prev[0] * len(part))
-        floor = self.rebalance_floor() * base
+        floor = self.sharded.rebalance_floor * base
         headroom = [max(0.0, base - max(demand, floor))
                     for demand in demands]
         need = [max(0.0, demand - base) for demand in demands]
@@ -762,9 +657,6 @@ class ShardedSession:
             capacities = [base] * self.num_shards
         return [capacity / self.time_bin for capacity in capacities]
 
-    def rebalance_floor(self) -> float:
-        return self.sharded.rebalance_floor
-
     # ------------------------------------------------------------------
     def __enter__(self) -> "ShardedSession":
         return self
@@ -772,9 +664,9 @@ class ShardedSession:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         if exc_type is None:
             self.close()
-        elif self._pool is not None:
+        else:
             # Never leak worker processes / shared memory past an error.
-            self._pool.stop()
+            self._executor.stop()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self.closed else "open"
@@ -785,12 +677,10 @@ class ShardedSession:
 
 __all__ = [
     "FLOW_FIELDS",
+    "InProcessShards",
     "ShardExecutionWarning",
     "ShardWorkerPool",
     "ShardedSession",
     "ShardedSystem",
-    "merge_bin_records",
-    "merge_execution_results",
-    "merge_query_logs",
     "shard_seed",
 ]

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..core.custom import CustomShedEnforcer
 from ..core.cycles import CycleBudget, CycleClock
-from ..core.fairness import QueryDemand, QuerySlotTable
+from ..core.fairness import QuerySlotTable
 from ..core.features import (FeatureExtractor, FeatureStateRegistry,
                              FeatureVector)
 from ..core.prediction import CyclePredictor, make_predictor
@@ -542,9 +542,7 @@ class MonitoringSystem:
 
         Predictive mode gathers the demand columns straight from the slot
         table by the rows the prediction stage refreshed (``demand_slots``)
-        — no per-bin objects.  Custom pipelines that filled ``ctx.demands``
-        instead (or skipped prediction entirely) fall back to the classic
-        :class:`QueryDemand` path.
+        — no per-bin objects.
         """
         names = [runtime.query.name for runtime in ctx.active]
         clock = ctx.clock
@@ -558,10 +556,6 @@ class MonitoringSystem:
                                  min_rate=self.reactive_min_rate)
             return {name: rate for name in names}
         slots = ctx.demand_slots
-        if slots is None or ctx.demands:
-            plan = self.controller.plan(ctx.demands, clock.per_bin_budget,
-                                        clock.overhead_so_far(), clock.delay)
-            return dict(plan.rates)
         table = self.demand_table
         tenants = None
         if self.tenant_registry.declared:

@@ -1,16 +1,10 @@
 """Persistent shard workers with shared-memory batch transport.
 
-The original pooled shard path (:meth:`ShardedSystem._run_pooled`) forks a
-fresh process pool per run, pre-partitions the *whole* stream in the parent
-and pickles per-shard execution results back — workable for small in-memory
-traces, but it materialises every sub-batch up front (defeating the
-out-of-core trace store), cannot rebalance capacity between shards, and on
-dense streams the per-run fork/pickle round trips cost more than the
-parallelism buys (the ``streaming_replay`` bench recorded 4 sharded workers
-running ~1.8x *slower* than serial).
-
-:class:`ShardWorkerPool` replaces that with one **long-lived worker process
-per shard**.  Each worker owns its shard's full
+:class:`ShardWorkerPool` is the process-parallel shard executor: one
+**long-lived worker process per shard**.  (Its serial twin with the same
+method set is :class:`repro.monitor.sharding.InProcessShards`; a
+:class:`~repro.monitor.sharding.ShardedSession` drives either.)  Each
+worker owns its shard's full
 :class:`~repro.monitor.session.MonitoringSession` (the whole predict →
 allocate → shed → execute pipeline, resident across bins) and is fed one
 pre-partitioned sub-batch per time bin:
@@ -85,8 +79,8 @@ class ShardExecutionWarning(UserWarning):
     """A sharded execution that requested process workers runs in-process.
 
     Emitted instead of silently degrading, so callers asking for
-    ``n_workers > 1`` learn that their session executes serially (e.g. the
-    fork-pool backend was chosen, which has no streaming-session support).
+    ``n_workers > 1`` learn that their session executes serially (the
+    backend is, or ``auto`` resolved to, ``"inprocess"``).
     """
 
 
@@ -550,11 +544,8 @@ class ShardWorkerPool:
             worker.seq += 1
             self._send(worker, ("close", worker.seq))
             seqs.append(worker.seq)
-        try:
-            results = [self._await_payload(worker, seq, "result")
-                       for worker, seq in zip(self._workers, seqs)]
-        except ShardWorkerError:
-            raise
+        results = [self._await_payload(worker, seq, "result")
+                   for worker, seq in zip(self._workers, seqs)]
         self._closed_results = results
         self.stop()
         return results
@@ -590,12 +581,6 @@ class ShardWorkerPool:
             for shm, _ in worker.pending_unlinks:
                 self._release_segment(shm)
             worker.pending_unlinks = []
-
-    def __enter__(self) -> "ShardWorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc_value, tb) -> None:
-        self.stop()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

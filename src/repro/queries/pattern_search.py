@@ -7,9 +7,9 @@ is defined as the fraction of packets processed.
 
 The production path scans the whole batch in one
 :func:`~repro.core.aggregate.payload_hits` sweep (a single C-level search
-over the joined payloads) instead of a per-packet Python loop; the
-``use_reference_search`` flag keeps the packet-at-a-time Boyer-Moore path
-for documentation and differential testing.
+over the joined payloads) instead of a per-packet Python loop;
+:func:`boyer_moore_horspool` documents the algorithm whose cost structure
+the cycle meter charges, and the tests hold it to ``bytes.find``.
 """
 
 from __future__ import annotations
@@ -54,13 +54,11 @@ class PatternSearchQuery(Query):
     measurement_interval = 1.0
     needs_payload = True
 
-    def __init__(self, pattern: bytes = ATTACK_SIGNATURE,
-                 use_reference_search: bool = False, **kwargs) -> None:
+    def __init__(self, pattern: bytes = ATTACK_SIGNATURE, **kwargs) -> None:
         super().__init__(**kwargs)
         if not pattern:
             raise ValueError("pattern must be a non-empty byte string")
         self.pattern = bytes(pattern)
-        self.use_reference_search = bool(use_reference_search)
         self._matches = 0.0
         self._packets_scanned = 0.0
         self._bytes_scanned = 0.0
@@ -71,11 +69,6 @@ class PatternSearchQuery(Query):
         self._packets_scanned = 0.0
         self._bytes_scanned = 0.0
 
-    def _search(self, payload: bytes) -> bool:
-        if self.use_reference_search:
-            return boyer_moore_horspool(payload, self.pattern) >= 0
-        return payload.find(self.pattern) >= 0
-
     def update(self, batch: Batch, sampling_rate: float) -> None:
         n = len(batch)
         self.charge("packet", n)
@@ -85,17 +78,9 @@ class PatternSearchQuery(Query):
         if not batch.has_payloads:
             # Header-only traffic: nothing to scan, the cost stays per-packet.
             return
-        if self.use_reference_search:
-            scanned_bytes = 0
-            matches = 0
-            for payload in batch.payloads:
-                scanned_bytes += len(payload)
-                if payload and self._search(payload):
-                    matches += 1
-        else:
-            hit = batch.payload_hits((self.pattern,))
-            scanned_bytes = int(batch.payload_lengths().sum())
-            matches = int(hit.sum())
+        hit = batch.payload_hits((self.pattern,))
+        scanned_bytes = int(batch.payload_lengths().sum())
+        matches = int(hit.sum())
         self.charge("regex_byte", scanned_bytes)
         self.charge("store_byte", matches * 64)
         self._bytes_scanned += scanned_bytes

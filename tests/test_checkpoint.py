@@ -21,9 +21,10 @@ from oracles.bitmap import unpack_words
 from repro.core.distinct import (BitmapBank, CounterBank,
                                  ExactDistinctCounter, MultiResolutionBitmap)
 from repro.core.features import TRAFFIC_AGGREGATES, FeatureExtractor
+from repro.core.tenancy import TenantGroup
 from repro.experiments import runner
 from repro.monitor.packet import Batch
-from repro.monitor.sharding import ShardedSystem
+from repro.monitor.sharding import ShardedSession, ShardedSystem
 from repro.monitor.workers import fork_start_available
 from repro.queries import make_query
 from repro.serve.checkpoint import (CHECKPOINT_FORMAT, capture,
@@ -171,6 +172,58 @@ def test_inprocess_checkpoint_restores_on_workers(small_trace):
                                  label="inprocess->workers")
     finally:
         restored.close()
+
+
+@pytest.mark.parametrize("backend", [
+    "inprocess", pytest.param("workers", marks=needs_fork)])
+def test_restored_sharded_session_is_a_whole_session(small_trace, backend):
+    """Regression: ``from_state`` built the session beside ``__init__`` and
+    forgot ``_closed_metrics`` / ``_tenant_cycles``, so ``.metrics`` on any
+    restored sharded session — and ``ingest`` once tenant groups were
+    declared — raised ``AttributeError``.  A restored session answers
+    everything a fresh one does, and its per-tenant cycle totals continue
+    from the checkpoint instead of restarting at zero."""
+    tenants = (TenantGroup(name="ops", queries=("counter",)),
+               TenantGroup(name="research", queries=("flows",)))
+    config = runner.system_config(mode="predictive", seed=5, tenants=tenants,
+                                  cycles_per_second=CAPACITY, num_shards=2)
+    bins = small_trace.batch_list(0.1)
+    k = len(bins) // 2
+
+    def tenant_cycles(session):
+        return session.metrics["tenants"]["query_cycles"]
+
+    session = _open_session(config)
+    for batch in bins[:k]:
+        session.ingest(batch)
+    blob = capture(session)
+    at_checkpoint = tenant_cycles(session)
+    assert set(at_checkpoint) == {"ops", "research"}
+    for batch in bins[k:]:
+        session.ingest(batch)
+    uninterrupted = tenant_cycles(session)
+    expected = session.close()
+
+    restored = restore_session(blob, backend=backend)
+    with restored:
+        assert restored.backend == backend
+        assert restored.bins_ingested == k
+        assert set(restored.metrics) >= {"profile", "feature_sharing"}
+        assert tenant_cycles(restored) == at_checkpoint
+        for batch in bins[k:]:
+            restored.ingest(batch)
+        assert tenant_cycles(restored) == uninterrupted
+        assert len(restored.partial_result().bins) == len(bins)
+        assert_results_identical(expected, restored.close(),
+                                 label=f"restored/{backend}")
+    assert tenant_cycles(restored) == uninterrupted
+
+    # A checkpoint written before the totals rode along still restores.
+    legacy = pickle.loads(pickle.loads(blob)["state_blob"])
+    del legacy["tenant_cycles"]
+    old = ShardedSession.from_state(legacy)
+    assert tenant_cycles(old) == {}
+    old.close()
 
 
 def test_restore_twice_is_independent(small_trace):

@@ -45,14 +45,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.runner import system_config
-from repro.monitor.config import ReproDeprecationWarning
-from repro.monitor.pipeline import BinRecord
-from repro.monitor.sharding import (FLOW_FIELDS, merge_bin_records,
-                                    merge_execution_results)
-from repro.monitor.system import ExecutionResult
+from repro.monitor.sharding import FLOW_FIELDS
 from repro.queries import (MERGE_EXACT_KINDS, MERGE_EXACTNESS,
-                           QUERY_CLASSES, make_query, parse_query_specs)
+                           QUERY_CLASSES, make_query)
 from tests.conftest import make_batch
 
 #: Queries whose merged result must equal the whole-stream result bit-near.
@@ -257,58 +252,6 @@ def test_exactness_registry_covers_documented_classification():
     assert all(MERGE_EXACTNESS[kind] == "bounded" for kind in BOUNDED)
     assert MERGE_EXACTNESS["top-k"] == "prefix"
     assert MERGE_EXACTNESS["autofocus"] == "union"
-
-
-# ----------------------------------------------------------------------
-# Deprecated shims: must warn, must stay bit-identical to the new API.
-# ----------------------------------------------------------------------
-class TestDeprecatedMergeShims:
-    @staticmethod
-    def _bin_record(packets, cycles, delay, rate):
-        return BinRecord(
-            index=1, start_ts=0.5, incoming_packets=packets,
-            incoming_bytes=packets * 100, dropped_packets=2,
-            unsampled_packets=1.0, predicted_cycles=cycles,
-            query_cycles=cycles, prediction_overhead=1.0,
-            shedding_overhead=2.0, system_overhead=3.0,
-            available_cycles=100.0, delay=delay, buffer_occupation=0.4,
-            rates={"q": rate}, query_cycles_by_query={"q": cycles})
-
-    @staticmethod
-    def _execution(seed):
-        config = system_config(queries=parse_query_specs("counter"),
-                               mode="reference", cycles_per_second=1e8,
-                               seed=seed)
-        session = config.build().open_session(time_bin=0.1,
-                                              name=f"part{seed}")
-        for index in range(3):
-            session.ingest(make_batch(n=40, seed=seed * 10 + index,
-                                      start_ts=0.1 * index))
-        return session.close()
-
-    def test_merge_bin_records_warns_and_matches_classmethod(self):
-        records = [self._bin_record(10, 50.0, 5.0, 1.0),
-                   self._bin_record(20, 70.0, 9.0, 0.5)]
-        with pytest.warns(ReproDeprecationWarning, match="BinRecord.merge"):
-            shimmed = merge_bin_records(records)
-        assert shimmed == BinRecord.merge(records)
-
-    def test_merge_execution_results_warns_and_matches_classmethod(self):
-        results = [self._execution(0), self._execution(1)]
-        classes = {"counter": QUERY_CLASSES["counter"]}
-        with pytest.warns(ReproDeprecationWarning,
-                          match="ExecutionResult.merge"):
-            shimmed = merge_execution_results(results, classes,
-                                              results[0].budget, "shim")
-        direct = ExecutionResult.merge(results, query_classes=classes,
-                                       budget=results[0].budget,
-                                       name="shim")
-        assert shimmed.bins == direct.bins
-        assert shimmed.trace_name == direct.trace_name == "shim"
-        log, reference = (shimmed.query_logs["counter"],
-                          direct.query_logs["counter"])
-        assert log.intervals == reference.intervals
-        assert log.results == reference.results
 
 
 # ----------------------------------------------------------------------

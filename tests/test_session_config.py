@@ -10,10 +10,8 @@ Three families:
   reproduce the pre-registered arrival scenario of Figure 6.9 bit for bit;
   departures must flush logs and leave no stale enforcer/controller state;
   ``set_capacity`` must take effect at the next bin boundary.
-* **Shim** — the legacy ``**system_kwargs`` surface of the experiment
-  helpers keeps working (user overrides now *win* over harness defaults
-  instead of raising ``TypeError``) but warns with
-  :class:`ReproDeprecationWarning`.
+* **Removed surfaces** — loose system keyword arguments to the experiment
+  helpers and the ``"fork"`` shard backend are refused, loudly and typed.
 """
 
 import json
@@ -21,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import MonitoringSystem, ReproDeprecationWarning, SystemConfig
+from repro import MonitoringSystem, SystemConfig
 from repro.experiments import runner
 from repro.queries import make_query
 from repro.testing import assert_results_identical as _assert_results_identical
@@ -329,49 +327,32 @@ class TestSessionLiveReconfiguration:
 
 
 # ----------------------------------------------------------------------
-# Legacy kwargs shim
+# Removed surfaces
 # ----------------------------------------------------------------------
-class TestKwargsShim:
-    def test_feature_method_override_no_longer_collides(self, small_trace,
-                                                        calibrated):
-        """Regression: ``**FEATURE_CONFIG`` vs ``**system_kwargs`` collision.
-
-        ``run_system(..., feature_method='exact')`` used to raise
-        ``TypeError: got multiple values for keyword argument``; the user
-        override must simply win over the harness default (via the
-        deprecation shim).
+class TestRemovedSurfaces:
+    def test_loose_kwargs_and_the_fork_backend_are_refused(self, small_trace,
+                                                           calibrated):
+        """System knobs travel in a ``SystemConfig`` and nowhere else, and
+        a config that still says ``"fork"`` learns the three valid backends.
         """
-        capacity, _ = calibrated
-        with pytest.warns(ReproDeprecationWarning):
-            result = runner.run_system(["counter"], small_trace, capacity,
-                                       feature_method="exact")
+        capacity, reference = calibrated
+        with pytest.raises(TypeError, match="seed"):
+            runner.run_system(QUERY_SET, small_trace, capacity, seed=3)
+        with pytest.raises(TypeError, match="feature_method"):
+            runner.run_with_overload(QUERY_SET, small_trace, 0.3,
+                                     base_capacity=capacity,
+                                     reference=reference,
+                                     feature_method="exact")
+        with pytest.raises(TypeError, match="seed"):
+            runner.reference_system([make_query("counter")], seed=3)
+        result = runner.run_system(QUERY_SET, small_trace, capacity,
+                                   config=runner.system_config(seed=3))
         assert result.total_packets == len(small_trace)
-        with pytest.warns(ReproDeprecationWarning):
-            bitmap = runner.run_system(["counter"], small_trace, capacity,
-                                       feature_method="bitmap")
-        assert bitmap.total_packets == len(small_trace)
 
-    def test_shim_kwargs_reach_the_system(self, small_trace, calibrated):
-        capacity, _ = calibrated
-        with pytest.warns(ReproDeprecationWarning):
-            result, _ = runner.run_with_overload(
-                ("counter",), small_trace, 0.3, base_capacity=capacity,
-                reference=object(), seed=5)
-        assert isinstance(result.mean_sampling_rate(), float)
-
-    def test_config_path_does_not_warn(self, small_trace, calibrated):
-        import warnings
-        capacity, _ = calibrated
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ReproDeprecationWarning)
-            runner.run_system(["counter"], small_trace, capacity,
-                              config=runner.system_config(seed=5))
-
-    def test_shim_and_config_agree(self, small_trace, calibrated):
-        capacity, _ = calibrated
-        with pytest.warns(ReproDeprecationWarning):
-            shimmed = runner.run_system(QUERY_SET, small_trace,
-                                        capacity * 0.5, seed=3)
-        canonical = runner.run_system(QUERY_SET, small_trace, capacity * 0.5,
-                                      config=runner.system_config(seed=3))
-        _assert_results_identical(shimmed, canonical)
+        for build in (lambda: SystemConfig(shard_backend="fork"),
+                      lambda: SystemConfig.from_dict(
+                          {"shard_backend": "fork"})):
+            with pytest.raises(ValueError) as refused:
+                build()
+            for backend in ("auto", "inprocess", "workers"):
+                assert repr(backend) in str(refused.value)

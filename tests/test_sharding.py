@@ -1,6 +1,6 @@
 """Sharded-pipeline invariants.
 
-Four contracts the sharded execution layer must honour:
+Five contracts the sharded execution layer must honour:
 
 * **Degenerate identity** — ``ShardedSystem(num_shards=1)`` is bit-identical
   to the classic single-system run in *all four* operating modes (the
@@ -13,8 +13,10 @@ Four contracts the sharded execution layer must honour:
 * **Merged accuracy** — N-shard merged counter/flows estimates are exact
   without shedding and within sampling tolerance of the unsharded run under
   a predictive overload.
-* **Pool transparency** — running shards on a fork pool is bit-identical to
-  running them in-process (rebalancing off, which is the pooled contract).
+* **Pool transparency** — running shards on the worker pool is
+  bit-identical to running them in-process.
+* **One session contract** — a :class:`ShardedSession` validates, counts
+  and refuses the same way whichever shard executor it drives.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ import pytest
 from repro.experiments import runner, scenarios
 from repro.monitor.pipeline import BinRecord
 from repro.monitor.sharding import ShardedSystem, shard_seed
+from repro.monitor.workers import fork_start_available
 from repro.queries import make_query
 from tests.conftest import make_batch
 
@@ -177,14 +180,66 @@ class TestPoolTransparency:
         for qname, log in in_process.query_logs.items():
             assert pooled.query_logs[qname].results == log.results
 
-    def test_rebalancing_rejected_on_the_fork_backend(self):
-        """The legacy fork pool has no per-bin capacity exchange, so it
-        still refuses rebalancing; the persistent 'workers' backend (and
-        'auto', which resolves to it) accepts the same request."""
-        with pytest.raises(ValueError, match="rebalanc"):
-            ShardedSystem(_factory(), num_shards=4, rebalance=True,
-                          n_workers=4, backend="fork")
-        ShardedSystem(_factory(), num_shards=4, rebalance=True, n_workers=4)
+
+@pytest.mark.parametrize("backend", [
+    "inprocess",
+    pytest.param("workers", marks=pytest.mark.skipif(
+        not fork_start_available(),
+        reason="persistent shard workers prefer the fork start method"))])
+def test_session_contract_is_the_same_on_every_executor(backend):
+    """What the in-process and worker branches used to answer separately:
+    the same literal expectations hold on both executors, step by step."""
+    sharded = ShardedSystem(
+        _factory(("counter", "flows")), num_shards=2, backend=backend,
+        config=runner.system_config(cycles_per_second=5e7, seed=3))
+    bins = (make_batch(n=60, seed=s, start_ts=0.1 * s) for s in range(30))
+
+    def state():
+        return session.bins_ingested, session.query_names
+
+    with sharded.open_session(name="contract") as session:
+        assert session.backend == backend
+        assert state() == (0, ["counter", "flows"])
+        with pytest.raises(ValueError, match="already registered"):
+            session.add_query(lambda: make_query("counter"))
+        with pytest.raises(KeyError, match="no-such-query"):
+            session.remove_query("no-such-query")
+        assert state() == (0, ["counter", "flows"])
+
+        # Add then remove before the next bin: the query never runs.
+        session.add_query(lambda: make_query("top-k"))
+        assert state() == (0, ["counter", "flows", "top-k"])
+        with pytest.raises(ValueError, match="already registered"):
+            session.add_query(lambda: make_query("top-k"))
+        session.remove_query("top-k")
+        with pytest.raises(KeyError):
+            session.remove_query("top-k")
+        for _ in range(12):
+            session.ingest(next(bins))
+        assert state() == (12, ["counter", "flows"])
+
+        # Remove then add before the next bin: a second lifetime, one name.
+        session.remove_query("flows")
+        assert state() == (12, ["counter"])
+        session.add_query(lambda: make_query("flows"))
+        assert state() == (12, ["counter", "flows"])
+        for _ in range(12):
+            session.ingest(next(bins))
+        assert state() == (24, ["counter", "flows"])
+        assert len(session.partial_result().bins) == 24
+        result = session.close()
+
+    assert set(result.query_logs) == {"counter", "flows"}
+    assert len(result.bins) == 24 and session.close() is result
+    assert set(session.metrics) >= {"profile", "feature_sharing"}
+    for call in (lambda: session.ingest(next(bins)),
+                 lambda: session.add_query(lambda: make_query("top-k")),
+                 lambda: session.remove_query("counter"),
+                 lambda: session.set_capacity(1e6),
+                 session.partial_result, session.state_dict):
+        with pytest.raises(RuntimeError, match="closed session"):
+            call()
+    assert state() == (24, ["counter", "flows"])
 
 
 class TestResultMerging:

@@ -6,14 +6,14 @@ The contracts under test:
   layout and rebuilt from the buffer is bit-identical to the original.
 * **Backend transparency** — a sharded execution on the persistent worker
   pool is bit-identical to the in-process one in *all four* operating
-  modes, including ``shard_rebalance=True`` (the capability the legacy
-  fork pool never had) and including live reconfiguration mid-stream.
+  modes, including ``shard_rebalance=True`` and including live
+  reconfiguration mid-stream.
 * **Lifecycle** — close/stop are idempotent, a worker dying mid-stream
   surfaces a :class:`ShardWorkerError` naming the shard (not a hang), and
   every shared-memory segment the pool ever created is unlinked by the
   time it stops — no ``/dev/shm`` leaks, even after failures.
-* **Driver hygiene** — the pre-fork ``_POOL_STATE`` handoff never leaks
-  past an exception, sessions that silently lost their requested
+* **Driver hygiene** — the fleet's pre-fork ``_POOL_STATE`` handoff never
+  leaks past an exception, sessions that silently lost their requested
   parallelism warn instead, and a streaming trace replayed twice reads
   the same bins twice.
 """
@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import runner, scenarios
-from repro.monitor import sharding
+from repro.fleet import FleetRunner, FleetTopology
+from repro.fleet import runner as fleet_runner
 from repro.monitor.packet import COLUMN_FIELDS, Batch, column_layout
 from repro.monitor.sharding import ShardedSystem
 from repro.monitor.workers import (ShardExecutionWarning, ShardWorkerError,
@@ -261,7 +262,7 @@ class TestPoolLifecycle:
         session = self._open_worker_session()
         for s in range(6):
             session.ingest(make_batch(n=120, seed=s, start_ts=0.1 * s))
-        pool = session._pool
+        pool = session._executor
         assert pool.created_segments
         assert any(_attachable(name) for name in pool.created_segments)
         first = session.close()
@@ -274,7 +275,7 @@ class TestPoolLifecycle:
         session = self._open_worker_session()
         session.ingest(make_batch(n=50, seed=1))
         session.close()
-        pool = session._pool
+        pool = session._executor
         pool.stop()
         pool.stop()
         assert pool.stopped
@@ -282,7 +283,7 @@ class TestPoolLifecycle:
     def test_worker_death_mid_stream_surfaces_clear_error(self):
         session = self._open_worker_session()
         session.ingest(make_batch(n=50, seed=1))
-        pool = session._pool
+        pool = session._executor
         pool._workers[1].process.kill()
         pool._workers[1].process.join(timeout=10.0)
         with pytest.raises(ShardWorkerError, match="shard worker 1"):
@@ -318,8 +319,8 @@ class TestPoolLifecycle:
         with pytest.raises(RuntimeError):
             with session:
                 raise RuntimeError("boom")
-        assert session._pool.stopped
-        for name in session._pool.created_segments:
+        assert session._executor.stopped
+        for name in session._executor.created_segments:
             assert not _attachable(name), f"segment {name} leaked"
 
 
@@ -328,22 +329,23 @@ class TestPoolLifecycle:
 # ----------------------------------------------------------------------
 class TestPoolStateSafety:
     def test_pool_state_cleared_when_the_pool_map_raises(self, monkeypatch):
-        """A crash inside the fork pool must not leak the pre-partitioned
-        stream into the parent (and into every later fork)."""
+        """A crash inside the fleet's fork pool — the one remaining pre-fork
+        handoff — must not leak the pre-partitioned streams into the parent
+        (and into every later fork)."""
         def exploding_map(*args, **kwargs):
-            assert sharding._POOL_STATE  # populated for the workers
+            assert fleet_runner._POOL_STATE  # populated for the workers
             raise RuntimeError("worker crashed")
 
-        monkeypatch.setattr(sharding, "fork_pool_map", exploding_map)
-        system = ShardedSystem(
-            _factory(("counter",)), num_shards=2, n_workers=2,
-            respect_cores=False, backend="fork",
-            config=runner.system_config(cycles_per_second=1e9,
-                                        shard_rebalance=False))
+        fleet = FleetRunner(
+            FleetTopology.uniform(2), n_workers=2, backend="fork",
+            respect_cores=False,
+            config=runner.system_config(queries="counter",
+                                        cycles_per_second=1e9))
+        monkeypatch.setattr(fleet.pool, "map", exploding_map)
         trace = scenarios.build_workload("cesca", seed=1, scale=0.05)
         with pytest.raises(RuntimeError, match="worker crashed"):
-            system.run(trace)
-        assert sharding._POOL_STATE == {}
+            fleet.run(trace)
+        assert fleet_runner._POOL_STATE == {}
 
 
 class TestExecutionWarnings:
