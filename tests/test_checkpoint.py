@@ -62,11 +62,8 @@ def _run_uninterrupted(config, bins):
     return session.close()
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("num_shards", (1, 4))
-def test_round_trip_bit_identical(small_trace, mode, num_shards):
-    """Checkpoint at bin k, restore, finish: identical to uninterrupted."""
-    config = _config(mode, num_shards=num_shards)
+def _check_round_trip(small_trace, mode, num_shards, **overrides):
+    config = _config(mode, num_shards=num_shards, **overrides)
     bins = small_trace.batch_list(0.1)
     k = len(bins) // 2
     expected = _run_uninterrupted(config, bins)
@@ -80,7 +77,22 @@ def test_round_trip_bit_identical(small_trace, mode, num_shards):
     for batch in bins[k:]:
         restored.ingest(batch)
     assert_results_identical(expected, restored.close(),
-                             label=f"{mode}/shards={num_shards}")
+                             label=f"{mode}/shards={num_shards}/{overrides}")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("num_shards", (1, 4))
+def test_round_trip_bit_identical(small_trace, mode, num_shards):
+    """Checkpoint at bin k, restore, finish: identical to uninterrupted."""
+    _check_round_trip(small_trace, mode, num_shards)
+
+
+@pytest.mark.parametrize("num_shards", (1, 4))
+def test_round_trip_bit_identical_on_bitmaps(small_trace, num_shards):
+    """The same with the product-default feature counters (the harness
+    default is exact counting); only the predictive mode reads features."""
+    _check_round_trip(small_trace, "predictive", num_shards,
+                      feature_method="bitmap")
 
 
 @pytest.mark.parametrize("num_shards", (1, 4))

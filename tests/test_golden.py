@@ -77,6 +77,26 @@ GOLDEN_HEADLINES = {
     },
 }
 
+#: The per-bin series behind those headlines, totalled over the run:
+#: ``(query_cycles, predicted_cycles, mean_rate, dropped_packets)``.  Every
+#: predicted cycle is a regression over the whole feature history, so these
+#: move with any change to what an extractor returns in any bin.  Compared
+#: to 1e-9 relative.
+GOLDEN_SERIES_TOTALS = {
+    "exact": {
+        "predictive": (2504356.0, 5448393.017266566, 20.009834951979265, 0.0),
+        "reactive": (3098224.0, 0.0, 21.545864435041686, 0.0),
+        "original": (3735366.0, 0.0, 24.0, 2444.0),
+        "reference": (5286530.0, 0.0, 30.0, 0.0),
+    },
+    "bitmap": {
+        "predictive": (2503908.0, 5422609.564941489, 19.967986938776757, 0.0),
+        "reactive": (3098224.0, 0.0, 21.545864435041686, 0.0),
+        "original": (3735366.0, 0.0, 24.0, 2444.0),
+        "reference": (5286530.0, 0.0, 30.0, 0.0),
+    },
+}
+
 #: Frozen cell seeds: the deterministic seed derivation is part of the
 #: golden contract (changing it silently re-seeds every stored expectation).
 GOLDEN_CELL_SEEDS = {
@@ -162,6 +182,18 @@ class TestGoldenOutcomes:
         assert (cell_result.drop_fraction, cell_result.mean_sampling_rate,
                 cell_result.mean_accuracy) == pytest.approx(
             GOLDEN_HEADLINES[feature_method][mode], rel=1e-6)
+
+    @pytest.mark.parametrize("mode", list(GOLDEN))
+    @pytest.mark.parametrize("feature_method", list(GOLDEN_SERIES_TOTALS))
+    def test_series_totals_pinned(self, golden_run, bitmap_run,
+                                  feature_method, mode):
+        result = (golden_run.select(mode=mode)[0] if feature_method == "exact"
+                  else bitmap_run[mode]).result
+        assert tuple(
+            float(result.series(name).sum())
+            for name in ("query_cycles", "predicted_cycles", "mean_rate",
+                         "dropped_packets")) == pytest.approx(
+            GOLDEN_SERIES_TOTALS[feature_method][mode], rel=1e-9)
 
     def test_shedding_modes_beat_uncontrolled_drops(self, golden_run):
         by_mode = {c.cell.mode: c for c in golden_run}

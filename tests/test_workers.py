@@ -138,10 +138,20 @@ class TestWorkerBitIdentity:
                                                        mode):
         """All four modes, rebalancing ON — the configuration the legacy
         fork pool refuses outright runs bit-identically on workers."""
+        self._check_rebalancing(golden_scenario, mode)
+
+    def test_workers_match_in_process_on_bitmaps(self, golden_scenario):
+        """The same with the product-default feature counters (the harness
+        default is exact counting); only the predictive mode reads them."""
+        self._check_rebalancing(golden_scenario, "predictive",
+                                feature_method="bitmap")
+
+    @staticmethod
+    def _check_rebalancing(golden_scenario, mode, **overrides):
         trace, capacity, _ = golden_scenario
         config = runner.system_config(
             mode=mode, cycles_per_second=capacity * 0.5, seed=99,
-            shard_rebalance=True)
+            shard_rebalance=True, **overrides)
         in_process = ShardedSystem(_factory(), config=config,
                                    num_shards=2).run(trace)
         workers = ShardedSystem(_factory(), config=config, num_shards=2,
