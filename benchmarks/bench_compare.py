@@ -8,10 +8,11 @@ metric — one whose baseline entry carries a ``required_speedup`` bar —
 lost more than ``DEFAULT_TOLERANCE`` of its baseline speedup.
 
 The gate is deliberately looser than the benchmarks' own absolute bars
-(for example ``bench_tenants`` asserts >= 5x outright): those bars
-catch catastrophic breakage, while this diff catches the slow bleed — a
-change that drags a 22x speedup down to 8x still clears the absolute bar
-but loses half the optimisation this repo exists to demonstrate.
+(for example ``bench_queries`` asserts its kernels' factors outright):
+those bars catch catastrophic breakage, while this diff catches the slow
+bleed — a change that drags a 22x speedup down to 8x still clears the
+absolute bar but loses half the optimisation this repo exists to
+demonstrate.
 
 A ratio is only a fair gate while its denominator stands still.  When a
 change makes the *slow side* of a comparison faster, the speedup shrinks

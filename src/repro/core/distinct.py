@@ -158,11 +158,28 @@ class CounterBank:
     overrides every operation with a kernel over all rows at once.
     """
 
+    #: Set by :meth:`freeze`.
+    _read_only = False
+
     def __init__(self, counters: Sequence[DistinctCounter]) -> None:
         self.counters: List[DistinctCounter] = list(counters)
 
+    def freeze(self) -> "CounterBank":
+        """Make this bank a read-only value and return it.
+
+        ``add_hashes``, ``merge`` and ``reset`` raise ``ValueError`` from
+        now on; ``copy()`` and ``union()`` still give new banks.
+        """
+        self._read_only = True
+        return self
+
+    def _check_writable(self) -> None:
+        if self._read_only:
+            raise ValueError("this bank is read-only")
+
     def add_hashes(self, index: int, hashes: np.ndarray) -> None:
         """Register ``hashes`` with row ``index``."""
+        self._check_writable()
         self.counters[index].add_hashes(hashes)
 
     def estimates(self) -> np.ndarray:
@@ -180,13 +197,22 @@ class CounterBank:
 
     def merge(self, other: "CounterBank") -> None:
         """Row-wise in-place union with ``other``."""
+        self._check_writable()
         for counter, incoming in zip(self.counters, other.counters):
             counter.merge(incoming)
+
+    def union(self, other: "CounterBank") -> "CounterBank":
+        """The row-wise union as a new read-only bank; neither operand
+        changes."""
+        merged = self.copy()
+        merged.merge(other)
+        return merged.freeze()
 
     def copy(self) -> "CounterBank":
         return CounterBank([counter.copy() for counter in self.counters])
 
     def reset(self) -> None:
+        self._check_writable()
         for counter in self.counters:
             counter.reset()
 
@@ -257,6 +283,15 @@ class BitmapBank(CounterBank):
         bank._words = _pack(np.pad(
             bits, [(0, 0), (0, 0), (0, -bits.shape[2] % 64)]))
         return bank
+
+    def freeze(self) -> "BitmapBank":
+        self._words.flags.writeable = False  # NumPy raises the ValueError
+        return super().freeze()
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self._read_only:  # a pickle does not keep an array read-only
+            self._words.flags.writeable = False
 
     def _check_geometry(self, other: "BitmapBank") -> None:
         if (other._words.shape != self._words.shape or

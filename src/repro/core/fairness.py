@@ -24,8 +24,8 @@ gives the game its Nash equilibrium at ``C / |Q|``.
 wrapper (:data:`STRATEGIES`) that converts once and calls the kernel.  Both
 produce bit-identical results by construction — the wrapper *is* the kernel
 — and the kernels themselves are bit-identical to the pre-vectorisation
-implementations, which are kept verbatim in :data:`SCALAR_REFERENCE` as the
-executable specification (and as the benchmark baseline).  The per-system
+implementations, which the tests keep verbatim as their oracle
+(``tests/oracles/allocation.py``).  The per-system
 :class:`QuerySlotTable` holds the per-query columns between bins so the
 per-bin work is array gathers, not object construction.
 """
@@ -212,7 +212,7 @@ def disable_priority_order(values: Sequence[float],
     The system disables the *largest* minimum demands first; this helper is
     the one place that fixes what happens at ties.  With ``names`` (or
     precomputed ``ranks``) equal demands order lexicographically by query
-    name — the convention of :func:`_disable_largest_min_demands` — so
+    name — the convention of the allocator's disabling rule — so
     :func:`repro.core.game.active_players` and the allocator agree on which
     of two equal demands straddling the capacity boundary survives.
     Without names the order falls back to stable input order.
@@ -245,29 +245,6 @@ def _demand_columns(demands: Sequence[QueryDemand]):
 def _all_disabled(names: Sequence[str], count: int) -> Allocation:
     return Allocation.from_arrays(
         names, np.zeros(count), np.zeros(count), np.ones(count, dtype=bool))
-
-
-# ----------------------------------------------------------------------
-# Disabling rule (Section 5.2.1)
-# ----------------------------------------------------------------------
-def _disable_largest_min_demands(demands: Sequence[QueryDemand],
-                                 capacity: float) -> List[QueryDemand]:
-    """Disable queries (largest ``m_q * d_q`` first) until the minimums fit.
-
-    One sort + sequential cumsum + ``searchsorted`` instead of the
-    historical loop that re-summed every remaining minimum per pop
-    (``O(n log n)`` instead of ``O(n^2)``).  The kept prefix is bit-identical
-    to the loop's: popping from the sorted tail means the survivors are
-    always a prefix, and ``np.cumsum`` accumulates left-to-right exactly as
-    the repeated python sums did, so the largest prefix whose cumulative
-    minimum fits is the same set.
-    """
-    active = sorted(demands, key=lambda d: (d.min_cycles, d.name))
-    if not active:
-        return active
-    cumulative = np.cumsum([demand.min_cycles for demand in active])
-    keep = int(np.searchsorted(cumulative, capacity, side="right"))
-    return active[:keep]
 
 
 def _water_fill(floors: np.ndarray, ceilings: np.ndarray, weights: np.ndarray,
@@ -353,8 +330,8 @@ def _mmfs_arrays(names: Sequence[str], predicted: np.ndarray,
         rank = name_ranks(names)
     min_cycles = min_rates * predicted
     # Disable the largest minimum demands first until the minimums fit —
-    # the array form of _disable_largest_min_demands (same sort key, same
-    # sequential cumsum, hence the same survivors bit for bit).
+    # one sort, a sequential cumsum and a searchsorted: the survivors are
+    # the largest prefix of the ``(min_cycles, name)`` order that fits.
     order = np.lexsort((rank, min_cycles))
     cumulative = np.cumsum(min_cycles[order])
     keep = int(np.searchsorted(cumulative, capacity, side="right"))
@@ -427,95 +404,6 @@ def mmfs_cpu(demands: Sequence[QueryDemand], capacity: float) -> Allocation:
 def mmfs_pkt(demands: Sequence[QueryDemand], capacity: float) -> Allocation:
     """Max-min fair share in terms of packet access (Section 5.2.2)."""
     return mmfs_pkt_arrays(*_demand_columns(demands), capacity)
-
-
-# ----------------------------------------------------------------------
-# Scalar reference implementations (pre-vectorisation, kept verbatim)
-# ----------------------------------------------------------------------
-def eq_srates_scalar(demands: Sequence[QueryDemand],
-                     capacity: float) -> Allocation:
-    """The historical object-per-query ``eq_srates`` — executable
-    specification and benchmark baseline for the columnar kernel."""
-    allocation = Allocation()
-    active = list(demands)
-    if capacity <= 0.0:
-        allocation.disabled = [d.name for d in demands]
-        allocation.rates = {d.name: 0.0 for d in demands}
-        allocation.cycles = {d.name: 0.0 for d in demands}
-        return allocation
-    while True:
-        total = sum(d.predicted_cycles for d in active)
-        rate = 1.0 if total <= 0 else min(1.0, capacity / total)
-        violators = [d for d in active if d.min_sampling_rate > rate + 1e-12]
-        if not violators:
-            break
-        worst = max(violators, key=lambda d: (d.min_cycles, d.name))
-        active.remove(worst)
-        if not active:
-            rate = 0.0
-            break
-    active_names = {d.name for d in active}
-    for demand in demands:
-        if demand.name in active_names:
-            allocation.rates[demand.name] = rate
-            allocation.cycles[demand.name] = rate * demand.predicted_cycles
-        else:
-            allocation.rates[demand.name] = 0.0
-            allocation.cycles[demand.name] = 0.0
-            allocation.disabled.append(demand.name)
-    return allocation
-
-
-def _mmfs_scalar(demands: Sequence[QueryDemand], capacity: float,
-                 packet_fair: bool) -> Allocation:
-    allocation = Allocation()
-    if capacity <= 0.0:
-        allocation.disabled = [d.name for d in demands]
-        allocation.rates = {d.name: 0.0 for d in demands}
-        allocation.cycles = {d.name: 0.0 for d in demands}
-        return allocation
-    active = _disable_largest_min_demands(demands, capacity)
-    active_names = {d.name for d in active}
-    rates: Dict[str, float] = {}
-    if active:
-        pred = np.array([d.predicted_cycles for d in active])
-        mins = np.array([d.min_sampling_rate for d in active])
-        if packet_fair:
-            levels = _water_fill(floors=mins, ceilings=np.ones(len(active)),
-                                 weights=pred, capacity=capacity)
-            for demand, rate in zip(active, levels):
-                rates[demand.name] = float(rate)
-        else:
-            floors = mins * pred
-            levels = _water_fill(floors=floors, ceilings=pred,
-                                 weights=np.ones(len(active)),
-                                 capacity=capacity)
-            for demand, cycles in zip(active, levels):
-                rate = 1.0 if demand.predicted_cycles <= 0 else \
-                    min(1.0, cycles / demand.predicted_cycles)
-                rates[demand.name] = float(rate)
-    for demand in demands:
-        if demand.name in active_names:
-            rate = rates[demand.name]
-            allocation.rates[demand.name] = rate
-            allocation.cycles[demand.name] = rate * demand.predicted_cycles
-        else:
-            allocation.rates[demand.name] = 0.0
-            allocation.cycles[demand.name] = 0.0
-            allocation.disabled.append(demand.name)
-    return allocation
-
-
-def mmfs_cpu_scalar(demands: Sequence[QueryDemand],
-                    capacity: float) -> Allocation:
-    """The historical object-per-query ``mmfs_cpu`` (reference/baseline)."""
-    return _mmfs_scalar(demands, capacity, packet_fair=False)
-
-
-def mmfs_pkt_scalar(demands: Sequence[QueryDemand],
-                    capacity: float) -> Allocation:
-    """The historical object-per-query ``mmfs_pkt`` (reference/baseline)."""
-    return _mmfs_scalar(demands, capacity, packet_fair=True)
 
 
 # ----------------------------------------------------------------------
@@ -609,16 +497,6 @@ ARRAY_STRATEGIES: Dict[str, Callable] = {
     "mmfs_cpu": mmfs_cpu_arrays,
     "mmfs_pkt": mmfs_pkt_arrays,
 }
-
-#: Pre-vectorisation implementations: executable specification of the
-#: kernels (bit-identical outputs) and the benchmark's object-per-bin
-#: baseline.
-SCALAR_REFERENCE: Dict[str, Strategy] = {
-    "eq_srates": eq_srates_scalar,
-    "mmfs_cpu": mmfs_cpu_scalar,
-    "mmfs_pkt": mmfs_pkt_scalar,
-}
-
 
 def get_strategy(name_or_fn) -> Strategy:
     """Resolve a strategy by name or pass a callable through unchanged."""

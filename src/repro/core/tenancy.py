@@ -18,9 +18,6 @@ that layer:
   tenant's aggregate floor and its capped aggregate demand), tier 2
   water-fills *within* each tenant's share across its queries, all tenants
   bisected simultaneously with one ``np.bincount`` per iteration.
-* :func:`two_tier_scalar` — the straightforward python reference (explicit
-  per-tenant loops and :func:`~repro.core.fairness._water_fill` calls) used
-  by the property tests and as the benchmark baseline.
 
 When even the floors do not fit, queries are disabled largest minimum
 demand first — inside each over-committed tenant first (against its own
@@ -41,7 +38,7 @@ from .fairness import (Allocation, ARRAY_STRATEGIES, _validate_columns,
 
 __all__ = [
     "TenantGroup", "parse_tenant_groups", "TenantRegistry",
-    "TenantAssignment", "two_tier_allocate", "two_tier_scalar",
+    "TenantAssignment", "two_tier_allocate",
 ]
 
 
@@ -423,90 +420,4 @@ def two_tier_allocate(names: Sequence[str], predicted: np.ndarray,
     allocation.tenant_shares = {
         registry.names[slot]: float(shares[slot])
         for slot in np.flatnonzero(present)}
-    return allocation
-
-
-def two_tier_scalar(names: Sequence[str], predicted: np.ndarray,
-                    min_rates: np.ndarray, tenant_ids: np.ndarray,
-                    registry: TenantRegistry, capacity: float,
-                    packet_fair: bool) -> Allocation:
-    """Python reference for :func:`two_tier_allocate`: explicit per-tenant
-    loops and one :func:`~repro.core.fairness._water_fill` per tenant.
-    Property tests assert the columnar kernel matches this to bisection
-    tolerance; the tenant benchmark uses it as the object-per-bin
-    baseline."""
-    count = len(predicted)
-    _validate_columns(predicted, min_rates)
-    if capacity <= 0.0:
-        return Allocation(rates={name: 0.0 for name in names},
-                          cycles={name: 0.0 for name in names},
-                          disabled=list(names))
-    tenant_ids = np.asarray(tenant_ids, dtype=np.intp)
-    caps_t = registry.capacity_caps(capacity)
-    floors, ceilings, costs = _tenant_boxes(predicted, min_rates, packet_fair)
-    min_cost = costs * floors
-
-    members: Dict[int, List[int]] = {}
-    for index in range(count):
-        members.setdefault(int(tenant_ids[index]), []).append(index)
-
-    active: Dict[int, List[int]] = {}
-    # Pass 1: per-tenant largest-minimum-first disabling against the cap.
-    for slot, indices in members.items():
-        ordered = sorted(indices,
-                         key=lambda i: (min_cost[i], names[i]))
-        while ordered and sum(min_cost[i] for i in ordered) > caps_t[slot]:
-            ordered.pop()
-        active[slot] = ordered
-    # Pass 2: global largest-minimum-first disabling against the capacity.
-    flat = sorted((i for indices in active.values() for i in indices),
-                  key=lambda i: (min_cost[i], names[i]))
-    while flat and sum(min_cost[i] for i in flat) > capacity:
-        flat.pop()
-    surviving = set(flat)
-    active = {slot: [i for i in indices if i in surviving]
-              for slot, indices in active.items()}
-    active = {slot: indices for slot, indices in active.items() if indices}
-
-    rates = {name: 0.0 for name in names}
-    shares_out: Dict[str, float] = {}
-    if active:
-        slots = sorted(active)
-        tenant_floor = np.array([sum(min_cost[i] for i in active[s])
-                                 for s in slots])
-        tenant_demand = np.array(
-            [sum(costs[i] * ceilings[i] for i in active[s]) for s in slots])
-        tenant_ceiling = np.maximum(
-            np.minimum(np.array([caps_t[s] for s in slots]), tenant_demand),
-            tenant_floor)
-        weights_t = np.array([registry.weight[s] for s in slots])
-        levels = _water_fill(tenant_floor / weights_t,
-                             tenant_ceiling / weights_t,
-                             weights_t, capacity)
-        shares = weights_t * np.asarray(levels).reshape(-1)
-        for slot, share in zip(slots, shares):
-            indices = active[slot]
-            shares_out[registry.names[slot]] = float(share)
-            filled = _water_fill(
-                np.array([floors[i] for i in indices]),
-                np.array([ceilings[i] for i in indices]),
-                np.array([costs[i] for i in indices]), float(share))
-            filled = np.atleast_1d(np.asarray(filled, dtype=np.float64))
-            if filled.shape == (1,) and len(indices) > 1:
-                filled = np.full(len(indices), filled[0])
-            for position, index in enumerate(indices):
-                if packet_fair:
-                    rates[names[index]] = float(filled[position])
-                elif predicted[index] > 0.0:
-                    rates[names[index]] = float(
-                        min(1.0, filled[position] / predicted[index]))
-                else:
-                    rates[names[index]] = 1.0
-    allocation = Allocation(
-        rates=rates,
-        cycles={name: rates[name] * float(predicted[i])
-                for i, name in enumerate(names)},
-        disabled=[name for i, name in enumerate(names)
-                  if i not in surviving])
-    allocation.tenant_shares = shares_out
     return allocation

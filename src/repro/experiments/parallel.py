@@ -429,7 +429,8 @@ class ParallelRunner:
                 result=execution,
                 drop_fraction=execution.drop_fraction,
                 mean_sampling_rate=execution.mean_sampling_rate(),
-                accuracy=runner.accuracy_by_query(execution, reference),
+                accuracy=runner.accuracy_by_query(
+                    execution, reference, cell.to_config().query_kinds()),
             ))
         return MatrixResult(results, references)
 

@@ -90,11 +90,6 @@ class SystemConfig:
     support_custom_shedding: bool = True
     feature_method: str = "bitmap"
     feature_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: Share per-interval feature-extraction state between queries with the
-    #: same filter, measurement interval and counter backend (bit-identical
-    #: results; see :class:`repro.core.features.FeatureStateRegistry`).
-    #: ``False`` forces the classic one-extractor-per-query path.
-    feature_sharing: bool = True
     measurement_noise: float = 0.0
     system_overhead_fixed: float = 2e4
     system_overhead_per_packet: float = 20.0
@@ -161,7 +156,6 @@ class SystemConfig:
             if self.buffer_seconds < 0:
                 raise ValueError("buffer_seconds must be >= 0 or None")
         set_(self, "support_custom_shedding", bool(self.support_custom_shedding))
-        set_(self, "feature_sharing", bool(self.feature_sharing))
         set_(self, "measurement_noise", float(self.measurement_noise))
         if self.measurement_noise < 0:
             raise ValueError("measurement_noise must be >= 0")

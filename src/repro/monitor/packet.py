@@ -331,7 +331,9 @@ class Batch:
         Batches are treated as immutable once constructed, so any value
         derived purely from the packet columns (aggregate hashes, distinct
         counters, filter results) can be computed once and shared by every
-        consumer.  ``key`` must identify the derivation unambiguously.
+        consumer.  ``key`` must identify the derivation unambiguously; a
+        value that depends on more than the packets carries the rest in
+        its key and is dropped (:meth:`forget`) once that is stale.
         """
         if self._agg_cache is None:
             self._agg_cache = {}
@@ -340,6 +342,11 @@ class Batch:
             value = build()
             self._agg_cache[key] = value
         return value
+
+    def forget(self, key: tuple) -> None:
+        """Drop one memoised value, if present."""
+        if self._agg_cache is not None:
+            self._agg_cache.pop(key, None)
 
     def drop_memos(self) -> None:
         """Forget every memoised derived value; each is rebuilt on demand.

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.features import FeatureVector
+from ..core.features import INTERVAL_MEMO, FeatureVector
 from .capture import CaptureBuffer
 from .packet import Batch
 
@@ -400,6 +400,11 @@ class BinPipeline:
                 if ctx.record is not None:
                     break
             profiler.end_bin(bin_seconds)
+        # What the extractors memoised on the bin's batches is keyed by
+        # interval banks they have all moved on from; a trace that keeps
+        # its bins must not keep one bank per query and bin with them.
+        for sub_batch in ctx.filtered.values():
+            sub_batch.forget(INTERVAL_MEMO)
         if ctx.record is None:  # pragma: no cover - defensive
             raise RuntimeError("pipeline finished without producing a record")
         return ctx.record

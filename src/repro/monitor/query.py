@@ -172,19 +172,6 @@ class Query(ABC):
         self.last_sampling_rate = 1.0
 
     # ------------------------------------------------------------------
-    @property
-    def feature_share_key(self):
-        """Key identifying the packet stream this query's extractor sees.
-
-        Queries whose key matches (and whose measurement interval and
-        counter backend also match) share per-interval feature-extraction
-        state — see :class:`repro.core.features.FeatureStateRegistry`.  The
-        default is the filter's ``cache_key``; ``None`` (a hand-written
-        predicate, or an override) disables sharing for this query.
-        """
-        return self.filter.cache_key
-
-    # ------------------------------------------------------------------
     # Sharded execution support
     # ------------------------------------------------------------------
     @classmethod

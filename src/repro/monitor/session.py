@@ -128,10 +128,11 @@ class MonitoringSession:
 
         ``profile`` is the per-stage wall-time/cycle breakdown recorded by
         :class:`repro.profile.StageProfiler` (with p50/p95/p99 per-bin
-        latency percentiles); ``feature_sharing`` reports the shared
-        feature-state registry — group/member counts and how many
-        extraction reads and counter merges were served from shared state
-        instead of being recomputed per query.  When the system declares
+        latency percentiles); ``feature_sharing`` counts every feature read
+        and counter merge of the extractors: ``computed_reads`` /
+        ``computed_merges`` were worked out, ``shared_reads`` /
+        ``deduped_merges`` found done already for a query holding the same
+        interval bank on the same batch.  When the system declares
         tenant groups, ``tenants`` adds the per-tenant accounting: tenant
         count and query cycles consumed per tenant so far.
         """

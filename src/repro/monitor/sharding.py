@@ -385,7 +385,7 @@ class ShardedSession:
         """Operational metrics folded across the shards (JSON-able).
 
         Same shape as :attr:`MonitoringSession.metrics` — per-stage
-        profile plus feature-sharing registry stats — with per-shard stage
+        profile plus feature-sharing counts — with per-shard stage
         totals summed and per-bin latency series concatenated.  The shard
         numbers are read at a bin boundary (on the workers backend they
         travel the command pipes, FIFO with the batches); a closed session

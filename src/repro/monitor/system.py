@@ -32,7 +32,7 @@ import numpy as np
 from ..core.custom import CustomShedEnforcer
 from ..core.cycles import CycleBudget, CycleClock
 from ..core.fairness import QuerySlotTable
-from ..core.features import (FeatureExtractor, FeatureStateRegistry,
+from ..core.features import (FeatureExtractor, FeatureSharing,
                              FeatureVector)
 from ..core.prediction import CyclePredictor, make_predictor
 from ..core.sampling import FlowSampler, PacketSampler
@@ -337,10 +337,9 @@ class MonitoringSystem:
 
         self.controller = LoadSheddingController(strategy=config.strategy)
         self.enforcer = CustomShedEnforcer()
-        #: Shared per-interval feature state: queries with the same filter,
-        #: measurement interval and counter backend pay one set of counter
-        #: merges/reads per bin (``config.feature_sharing`` gates it).
-        self.feature_states = FeatureStateRegistry()
+        #: What the feature extractors share: the canonical empty interval
+        #: bank and the sharing counters.
+        self.feature_states = FeatureSharing()
         #: Per-stage wall-time/cycle telemetry (see :mod:`repro.profile`).
         from ..profile import StageProfiler
         self.profiler = StageProfiler()
@@ -371,14 +370,11 @@ class MonitoringSystem:
             raise ValueError(f"a query named {query.name!r} is already registered")
         seed = int(self._rng.integers(0, 2 ** 31))
         predictor = make_predictor(self.predictor_kind, **self.predictor_kwargs)
-        share_key = query.feature_share_key \
-            if self.config.feature_sharing else None
         extractor = FeatureExtractor(
             measurement_interval=query.measurement_interval,
             method=self.feature_method,
             counter_kwargs=self.feature_kwargs,
-            registry=self.feature_states if share_key is not None else None,
-            share_key=share_key,
+            sharing=self.feature_states,
         )
         if query.sampling_method == SAMPLING_FLOW:
             sampler = FlowSampler(rng=np.random.default_rng(seed),
@@ -407,9 +403,7 @@ class MonitoringSystem:
         not inherit the violation history (or correction factor) of the old
         one, which would get it disabled for sins it never committed.
         """
-        runtime = self._runtimes.pop(name, None)
-        if runtime is not None:
-            runtime.extractor.release()
+        self._runtimes.pop(name, None)
         self.demand_table.remove(name)
         self.enforcer.reset(name)
         self.controller.forget_query(name)
@@ -454,10 +448,7 @@ class MonitoringSystem:
         return session.ingest_trace(trace).close()
 
     def _reset(self) -> None:
-        # Clear the registry *before* resetting the runtimes: each
-        # extractor re-acquires on reset, so the first one re-creates a
-        # pristine group the rest join.
-        self.feature_states.clear()
+        self.feature_states.reset()
         for runtime in self._runtimes.values():
             runtime.reset()
         self.controller.reset()

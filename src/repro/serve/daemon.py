@@ -604,7 +604,7 @@ class MonitorDaemon:
         sharing = metrics["feature_sharing"]
         families.append(_family(
             "repro_feature_sharing", "gauge",
-            "Shared feature-state registry counters",
+            "Feature reads and counter merges, computed and shared",
             [({"counter": key}, float(value))
              for key, value in sorted(sharing.items())]))
         return families

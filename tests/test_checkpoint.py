@@ -11,6 +11,7 @@ session's next bin, exactly as they would have.
 
 import copyreg
 import io
+import itertools
 import pickle
 
 import numpy as np
@@ -20,7 +21,9 @@ from oracles.bitmap import unpack_words
 
 from repro.core.distinct import (BitmapBank, CounterBank,
                                  ExactDistinctCounter, MultiResolutionBitmap)
-from repro.core.features import TRAFFIC_AGGREGATES, FeatureExtractor
+from repro.core import features
+from repro.core.features import (TRAFFIC_AGGREGATES, FeatureExtractor,
+                                 FeatureSharing)
 from repro.core.tenancy import TenantGroup
 from repro.experiments import runner
 from repro.monitor.packet import Batch
@@ -294,6 +297,27 @@ def _counters(bank):
     return counters
 
 
+def _earlier(name):
+    """An instance of the class an earlier build pickled as ``name``."""
+    cls = getattr(features, name)
+    return cls.__new__(cls)
+
+
+def _protocol_state(extractor, **fields):
+    """``extractor`` as builds whose extractors shared through a protocol
+    pickled one: private counters, a registry and a group to share through,
+    the group round it had merged, and the batch (with its counters) of an
+    ``extract(update_state=False)`` still to be committed."""
+    state = {name: value for name, value in vars(extractor).items()
+             if name not in ("_bank", "_sharing")}
+    state.update(_interval_counters=extractor._bank, _pending_batch=None,
+                 _pending_counters=None, _registry=extractor._sharing,
+                 _share_key="all", _group=None, _synced=0,
+                 _participated=False)
+    state.update(fields)
+    return copyreg.__newobj__, (FeatureExtractor,), state
+
+
 class _BoolMatrixPickler(pickle.Pickler):
     """Pickles a session graph in the layout builds before bit-packing wrote.
 
@@ -303,10 +327,20 @@ class _BoolMatrixPickler(pickle.Pickler):
     ``(counter, estimate)`` pair per aggregate rather than one bank.  A
     batch was also pickled slot by slot, holding the batch it was selected
     from (``_parent``, so a bin dragged its whole trace along) and, as the
-    result of an all-matching filter, itself.
+    result of an all-matching filter, itself.  An extractor (here: one that
+    has left its group) held the batch it last read, ``pending_batch``.
     """
 
+    pending_batch = None
+
     def reducer_override(self, obj):
+        if isinstance(obj, FeatureSharing):
+            return _earlier, ("FeatureStateRegistry",), {"_groups": {}}
+        if isinstance(obj, FeatureExtractor):
+            batch = self.pending_batch
+            return _protocol_state(
+                obj, _pending_batch=batch,
+                _pending_counters=batch and obj._batch_counters(batch))
         if isinstance(obj, BoolMatrixBitmap):
             # (``__newobj__`` insists on the object's own class.)
             return (copyreg._reconstructor,
@@ -324,6 +358,8 @@ class _BoolMatrixPickler(pickle.Pickler):
             if obj._agg_cache:
                 slots["_agg_cache"] = memo = {}
                 for key, value in obj._agg_cache.items():
+                    if key == features.INTERVAL_MEMO:  # not memoised then
+                        continue
                     if key[0] != "counters":
                         memo[key] = value
                         continue
@@ -353,8 +389,9 @@ def test_restores_checkpoint_written_before_bit_packing(
     for batch in bins[:k]:
         session.ingest(batch)
     buffer = io.BytesIO()
-    _BoolMatrixPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(
-        session.state_dict())
+    pickler = _BoolMatrixPickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.pending_batch = bins[k - 1]
+    pickler.dump(session.state_dict())
     checkpoint = load_checkpoint(capture(session))
     checkpoint.state_blob = buffer.getvalue()
     assert b"Bank" not in checkpoint.state_blob
@@ -375,15 +412,122 @@ def test_pending_commit_survives_the_old_layout(small_batch):
     extractor = FeatureExtractor(measurement_interval=10.0)
     extractor.extract(small_batch, update_state=False)
     buffer = io.BytesIO()
-    _BoolMatrixPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(
-        (extractor, small_batch))
+    pickler = _BoolMatrixPickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.pending_batch = small_batch
+    pickler.dump((extractor, small_batch))
+    assert b"_pending_counters" in buffer.getvalue()
     restored, batch = pickle.loads(buffer.getvalue())
-    assert restored._pending_batch() is batch
-    assert isinstance(restored._pending_counters, BitmapBank)
+    assert isinstance(restored._bank, BitmapBank)
+    assert set(vars(restored)) == set(vars(extractor))
     restored.commit(batch)
     extractor.commit(small_batch)
     assert np.array_equal(restored.extract(small_batch).values,
                           extractor.extract(small_batch).values)
+
+
+class _SharingProtocolPickler(pickle.Pickler):
+    """Pickles a session graph in the layout of builds whose extractors
+    shared interval state through ``IntervalState`` groups.
+
+    An extractor had either left its group (it owns ``_interval_counters``),
+    or was attached to it: in step (its state is the group's ``counters``),
+    one merge round behind (its last bin was fully shed while the group
+    merged: its state is the group's ``snapshot``), or not started yet.
+    The extractors of the session are filed as each of these in turn, the
+    groups' other fields filled with what must *not* be read.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.filed = []
+        self.started = itertools.cycle(("detached", "in step", "behind"))
+
+    def reducer_override(self, obj):
+        if isinstance(obj, FeatureSharing):
+            return _earlier, ("FeatureStateRegistry",), {"_groups": {}}
+        if not isinstance(obj, FeatureExtractor):
+            return NotImplemented
+        decoy = obj._bank.union(obj._batch_counters(self.decoy_batch))
+        group = {"counters": decoy, "snapshot": decoy, "write_round": 7,
+                 "heal_round": 2, "interval_start": obj._interval_start,
+                 "round_batch": self.decoy_batch, "cache": None}
+        stale = {"_interval_counters": decoy, "_interval_start": -1.0}
+        if obj._interval_start is None:
+            kind, fields = "not started", dict(stale, _synced=0)
+        else:
+            kind = next(self.started)
+            if kind == "detached":
+                group, fields = None, {}
+            elif kind == "in step":
+                group["counters"] = obj._bank
+                fields = dict(stale, _synced=7, _participated=True)
+            else:
+                group["snapshot"] = obj._bank
+                fields = dict(stale, _synced=6, _participated=True)
+        self.filed.append(kind)
+        if group is not None:
+            fields["_group"] = _Reduced(_earlier, ("IntervalState",), group)
+        return _protocol_state(obj, **fields)
+
+
+class _Reduced:
+    """Pickles as the given reduce value."""
+
+    def __init__(self, *value):
+        self.value = value
+
+    def __reduce__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("feature_method", ("bitmap", "exact"))
+@pytest.mark.parametrize("num_shards", (1, 4))
+def test_restores_checkpoint_of_the_sharing_protocol(
+        small_trace, feature_method, num_shards):
+    """A checkpoint from a build with ``IntervalState`` groups, taken with
+    attached, detached, one-round-behind and not yet started members,
+    restores and continues bit-identically."""
+    config = _config("predictive", num_shards=num_shards,
+                     feature_method=feature_method).replace(
+        queries="counter,flows,application",
+        cycles_per_second=6e5)  # sheds from the second second on
+    bins = small_trace.batch_list(0.1)
+    k = len(bins) // 2 + 3  # mid-interval
+
+    def start(session):
+        late = bins[k + 2].start_ts
+        if num_shards > 1:
+            session.add_query(lambda: make_query("top-k"), start_time=late)
+        else:
+            session.add_query(make_query("top-k"), start_time=late)
+        for batch in bins[:k]:
+            session.ingest(batch)
+        return session
+
+    session = start(_open_session(config))
+    for batch in bins[k:]:
+        session.ingest(batch)
+    expected = session.close()
+    assert expected.mean_sampling_rate() < 0.9  # there were overloaded bins
+
+    session = start(_open_session(config))
+    buffer = io.BytesIO()
+    pickler = _SharingProtocolPickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.decoy_batch = bins[k - 1]
+    pickler.dump(session.state_dict())
+    assert {"detached", "in step", "behind",
+            "not started"} <= set(pickler.filed)
+    checkpoint = load_checkpoint(capture(session))
+    checkpoint.state_blob = buffer.getvalue()
+    for name in (b"IntervalState", b"FeatureStateRegistry", b"_synced"):
+        assert name in checkpoint.state_blob
+
+    restored = checkpoint.restore()
+    assert restored.bins_ingested == k
+    for batch in bins[k:]:
+        restored.ingest(batch)
+    assert_results_identical(expected, restored.close(),
+                             label=f"{feature_method}/shards={num_shards}")
 
 
 class _SetCounterPickler(pickle.Pickler):

@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from repro.experiments import (chapter2, chapter3, chapter5, reporting,
-                               runner, scenarios)
-from repro.queries import make_query
+from repro.experiments import (chapter2, chapter3, chapter5, parallel,
+                               reporting, runner, scenarios)
+from repro.queries import QuerySpec, make_query
 
 SCALE = 0.5
 
@@ -52,6 +52,17 @@ class TestRunner:
                                                  rates=(0.3, 1.0))
         assert curve[1.0] >= curve[0.3] - 0.05
         assert curve[1.0] > 0.98
+
+
+def test_scenario_matrix_scores_a_renamed_query_instance():
+    """Accuracy metrics are registered per query kind; a spec may name its
+    instance anything, and the matrix runner has to say which kind it is."""
+    matrix = parallel.ScenarioMatrix(
+        traces=("cesca",), overloads=(0.5,), modes=("predictive",),
+        queries=(QuerySpec("counter", {"name": "q00"}), "flows"), scale=0.1)
+    cell, = parallel.ParallelRunner(n_workers=1).run(matrix)
+    assert set(cell.accuracy) == {"q00", "flows"}
+    assert 0.0 < cell.accuracy["q00"] <= 1.0
 
 
 class TestChapter2:

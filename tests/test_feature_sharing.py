@@ -1,32 +1,38 @@
-"""Shared feature-state correctness: bit-identity under every disturbance.
+"""Shared feature extraction: bit-identity under every disturbance.
 
-The shared per-interval counter registry (:mod:`repro.core.features`) is an
-*exact* optimisation: a system with ``feature_sharing=True`` must produce
-bit-identical execution results to the classic one-extractor-per-query
-path, whatever the stream throws at it.  The properties below drive both
-configurations over Hypothesis-drawn streams covering the hazards the
-sharing protocol handles explicitly:
+Extractors that hold the same interval bank and are handed the same batch
+share one feature read and one counter merge (:mod:`repro.core.features`).
+That is an *exact* optimisation: a system must produce bit-identical
+execution results to one whose extractors are the in-place,
+one-bank-per-query oracle (``tests/oracles/private_extractor.py``),
+whatever the stream throws at it.  The properties below drive both over
+Hypothesis-drawn streams covering the hazards:
 
-* measurement-interval rollovers (counter wipes heal round divergence);
-* empty batches (no state change on either path; members stay attached);
-* load shedding (sampled extraction forks a member out of its group, a
-  fully shed bin forks from the pre-round snapshot);
-* live ``add_query`` / ``remove_query`` mid-interval (mid-stream joiners
-  must *not* adopt a running group's state);
-* checkpoint/restore (group object identity survives pickling).
+* measurement-interval rollovers (every extractor returns to the one empty
+  bank, so queries that diverged share again);
+* empty batches (no state change on either side);
+* load shedding (an extractor that merges a sampled batch, or skips a fully
+  shed bin, holds a different bank from then on);
+* live ``add_query`` / ``remove_query`` mid-interval (a mid-stream joiner
+  starts from the empty bank, not from the others' interval);
+* checkpoint/restore (bank object identity survives pickling).
 
-Plus a deterministic regression for the ``commit`` id-recycling hazard:
-the extractor must hold the pending batch itself, not its ``id()``.
+Plus a deterministic regression for the ``commit`` id-recycling hazard
+(nothing an extractor keeps may be matched against a later batch's
+``id()``), and the lifetime of what the extractors memoise on a batch.
 """
 
 import gc
 import pickle
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.private_extractor import FeatureExtractor as PrivateExtractor
 
-from repro.core.features import FeatureExtractor
+from repro.core.features import INTERVAL_MEMO, FeatureExtractor
 from repro.monitor.config import SystemConfig
 from repro.queries import make_query
 from repro.testing import assert_results_identical
@@ -38,7 +44,7 @@ TIME_BIN = 0.1
 INTERVAL = 0.4
 
 #: Capacity levels: unconstrained (rate 1 everywhere), tight (sampling →
-#: extractors fork), and starved (fully shed bins → snapshot forks).
+#: extractors diverge), and starved (fully shed bins).
 CAPACITIES = (1e12, 3e7, 8e6)
 
 
@@ -49,9 +55,17 @@ def _queries(n):
     return queries
 
 
-def _config(sharing, cycles):
-    return SystemConfig(cycles_per_second=cycles, seed=5,
-                        feature_sharing=sharing)
+@contextmanager
+def _session(cycles, n_queries, oracle=False):
+    """An open session; with ``oracle``, one whose system gives every query
+    (the live additions too) the private oracle extractor."""
+    with pytest.MonkeyPatch.context() as patch:
+        if oracle:
+            patch.setattr("repro.monitor.system.FeatureExtractor",
+                          PrivateExtractor)
+        system = SystemConfig(cycles_per_second=cycles, seed=5).build(
+            _queries(n_queries))
+        yield system.open_session(time_bin=TIME_BIN)
 
 
 def _batches(sizes):
@@ -74,13 +88,12 @@ bin_sizes = st.lists(
 def test_shared_matches_private_stream(sizes, cycles, n_queries):
     batches = _batches(sizes)
     results = {}
-    for sharing in (True, False):
-        system = _config(sharing, cycles).build(_queries(n_queries))
-        session = system.open_session(time_bin=TIME_BIN)
-        for batch in batches:
-            session.ingest(batch)
-        results[sharing] = session.close()
-    assert_results_identical(results[True], results[False],
+    for oracle in (False, True):
+        with _session(cycles, n_queries, oracle) as session:
+            for batch in batches:
+                session.ingest(batch)
+            results[oracle] = session.close()
+    assert_results_identical(results[False], results[True],
                              f"sizes={sizes} cycles={cycles}")
 
 
@@ -93,20 +106,19 @@ def test_live_reconfiguration_matches_private(sizes, cycles, add_at,
     """A query joining or leaving mid-interval never perturbs the others."""
     batches = _batches(sizes)
     results = {}
-    for sharing in (True, False):
-        system = _config(sharing, cycles).build(_queries(3))
-        session = system.open_session(time_bin=TIME_BIN)
-        for index, batch in enumerate(batches):
-            if index == add_at:
-                late = make_query("counter", name="late")
-                late.measurement_interval = INTERVAL
-                session.add_query(late)
-            if index == remove_at and "q1" in session.query_names:
-                session.remove_query("q1")
-            session.ingest(batch)
-        results[sharing] = session.close()
+    for oracle in (False, True):
+        with _session(cycles, 3, oracle) as session:
+            for index, batch in enumerate(batches):
+                if index == add_at:
+                    late = make_query("counter", name="late")
+                    late.measurement_interval = INTERVAL
+                    session.add_query(late)
+                if index == remove_at and "q1" in session.query_names:
+                    session.remove_query("q1")
+                session.ingest(batch)
+            results[oracle] = session.close()
     assert_results_identical(
-        results[True], results[False],
+        results[False], results[True],
         f"sizes={sizes} cycles={cycles} add={add_at} remove={remove_at}")
 
 
@@ -116,26 +128,31 @@ def test_live_reconfiguration_matches_private(sizes, cycles, add_at,
        cycles=st.sampled_from(CAPACITIES))
 @settings(deadline=None)
 def test_checkpoint_restore_matches_uninterrupted(sizes, cut, cycles):
-    """Shared group state round-trips through a pickled checkpoint."""
+    """Shared banks round-trip through a pickled checkpoint, and the run
+    that was checkpointed and restored equals the oracle's as well."""
     cut = min(cut, len(sizes) - 1)
     batches = _batches(sizes)
 
-    system = _config(True, cycles).build(_queries(3))
-    session = system.open_session(time_bin=TIME_BIN)
-    for batch in batches[:cut]:
-        session.ingest(batch)
-    payload = pickle.dumps(session.state_dict())
-    # The uninterrupted run continues on the live session...
-    for batch in batches[cut:]:
-        session.ingest(batch)
-    straight = session.close()
+    with _session(cycles, 3) as session:
+        for batch in batches[:cut]:
+            session.ingest(batch)
+        payload = pickle.dumps(session.state_dict())
+        # The uninterrupted run continues on the live session...
+        for batch in batches[cut:]:
+            session.ingest(batch)
+        straight = session.close()
     # ...while the restored copy resumes from the checkpoint.
     restored = type(session).from_state(pickle.loads(payload))
     for batch in batches[cut:]:
         restored.ingest(batch)
     resumed = restored.close()
-    assert_results_identical(straight, resumed,
-                             f"sizes={sizes} cut={cut} cycles={cycles}")
+    with _session(cycles, 3, oracle=True) as session:
+        for batch in batches:
+            session.ingest(batch)
+        private = session.close()
+    label = f"sizes={sizes} cut={cut} cycles={cycles}"
+    assert_results_identical(straight, resumed, label)
+    assert_results_identical(private, resumed, label)
 
 
 # ----------------------------------------------------------------------
@@ -145,15 +162,14 @@ def test_commit_ignores_a_freed_pending_batch_despite_id_recycling():
     """``extract(update_state=False)`` used to remember only ``id(batch)``;
     once the batch was garbage-collected a later batch could land on the
     recycled id and ``commit`` would merge the *stale* pending counters.
-    The extractor remembers the batch by weak reference: that neither keeps
-    a finished bin alive nor can match a later batch on a recycled id."""
+    The extractor keeps nothing about the batch now: what it computed is
+    memoised on the batch and goes with it."""
     extractor = FeatureExtractor(measurement_interval=10.0, method="exact")
     first = make_batch(n=50, seed=1, start_ts=0.0)
     extractor.extract(first, update_state=False)
-    assert extractor._pending_batch() is first
+    assert not any(value is first for value in vars(extractor).values())
     del first
     gc.collect()
-    assert extractor._pending_batch() is None
 
     second = make_batch(n=70, seed=2, start_ts=0.05, n_hosts=40)
     extractor.commit(second)
@@ -167,3 +183,27 @@ def test_commit_ignores_a_freed_pending_batch_despite_id_recycling():
     got = extractor.extract(probe, update_state=False)
     want = reference.extract(probe, update_state=False)
     assert np.array_equal(got.values, want.values)
+
+
+# ----------------------------------------------------------------------
+# Lifetime of the per-batch interval memo
+# ----------------------------------------------------------------------
+def test_a_kept_bin_keeps_no_interval_bank(small_trace):
+    """What extractors memoise on a batch is keyed by (and holds) their
+    interval banks; a trace that keeps its bins, run after run, must not
+    accumulate one bank per query and bin.  The pipeline drops the memo
+    when the bin is done."""
+    with _session(1e12, 3) as session:
+        bins = small_trace.batch_list(TIME_BIN)
+        for batch in bins:
+            session.ingest(batch)
+            kept = [batch, *(sub for sub in batch._filter_cache.values()
+                             if sub is not None)]
+            assert all(INTERVAL_MEMO not in sub._agg_cache for sub in kept)
+            assert any(key[0] == "counters"
+                       for sub in kept for key in sub._agg_cache)
+        # Nothing was shed: three same-filter queries, one read and one
+        # merge computed per bin.
+        assert session.metrics["feature_sharing"] == {
+            "computed_reads": len(bins), "shared_reads": 2 * len(bins),
+            "computed_merges": len(bins), "deduped_merges": 2 * len(bins)}

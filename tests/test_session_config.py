@@ -108,6 +108,14 @@ class TestSystemConfig:
         # A key nothing like any field still names itself and the options.
         with pytest.raises(ValueError, match=r"'zzz'.*valid fields"):
             SystemConfig.from_dict({"zzz": 1})
+        # An option that was removed is an unknown field like any other: a
+        # stale topology overlay or hot-reload body is told so by name.
+        for stale in (lambda: SystemConfig.from_dict({"feature_sharing": 0}),
+                      lambda: SystemConfig().replace(feature_sharing=False)):
+            with pytest.raises(
+                    ValueError,
+                    match="unknown SystemConfig field.*'feature_sharing'"):
+                stale()
 
     def test_build_constructs_equivalent_system(self, small_trace, calibrated):
         capacity, _ = calibrated

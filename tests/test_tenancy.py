@@ -28,12 +28,12 @@ from hypothesis import strategies as st
 
 from repro.core import game
 from repro.experiments import runner
-from repro.core.fairness import (ARRAY_STRATEGIES, QueryDemand,
-                                 SCALAR_REFERENCE, _water_fill, mmfs_cpu,
-                                 name_ranks)
+from oracles.allocation import SCALAR_REFERENCE, two_tier_scalar
+
+from repro.core.fairness import (ARRAY_STRATEGIES, QueryDemand, _water_fill,
+                                 mmfs_cpu, name_ranks)
 from repro.core.tenancy import (TenantAssignment, TenantGroup, TenantRegistry,
-                                parse_tenant_groups, two_tier_allocate,
-                                two_tier_scalar)
+                                parse_tenant_groups, two_tier_allocate)
 from repro.fleet import FleetRunner, FleetTopology
 from repro.monitor.config import SystemConfig
 from repro.monitor.metrics import accuracy_from_error, mean_error
