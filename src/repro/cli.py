@@ -74,8 +74,10 @@ def add_system_args(parser: argparse.ArgumentParser,
                              "--n-workers asks for parallelism the host "
                              "can honour")
     parser.add_argument("--n-workers", type=int, default=d(1),
-                        help="process parallelism requested for sharded "
-                             "execution (1 = serial)")
+                        help="worker processes: persistent shard workers "
+                             "(replay, serve) or the resident workers the "
+                             "fleet's node sessions are dealt onto (fleet); "
+                             "1 = serial")
     parser.add_argument("--time-bin", type=float, default=d(0.1),
                         help=h("bin length in seconds"))
     parser.add_argument("--seed", type=int, default=d(0),

@@ -456,26 +456,10 @@ class ParallelRunner:
                  ) -> List[ExecutionResult]:
         # Results do not depend on the pool size (or on whether a pool is
         # used at all) — every path runs the same pure job function, and
-        # the shared fork-pool helper clamps the pool to the host's cores
-        # unless the caller opts out.
-        return self.map(_execute_cell, jobs)
-
-    # ------------------------------------------------------------------
-    def map(self, fn, jobs: Sequence, require_fork: bool = False) -> List:
-        """Run ``fn`` over ``jobs`` on this runner's process pool.
-
-        The generic pool surface behind :meth:`run`, reused by other
-        fan-out layers (the fleet runner executes its per-node jobs
-        through the fleet's ``ParallelRunner``): same worker count, same
-        core clamping, same serial fallback for ``n_workers <= 1`` — and
-        therefore the same bit-reproducibility contract, provided ``fn``
-        is a pure top-level function of its job.  ``require_fork=True``
-        refuses to silently fall back to serial execution on hosts
-        without the fork start method.
-        """
-        return fork_pool_map(fn, list(jobs), self.n_workers,
-                             respect_cores=self.respect_cores,
-                             require_fork=require_fork)
+        # the fork-pool helper clamps the pool to the host's cores unless
+        # the caller opts out.
+        return fork_pool_map(_execute_cell, jobs, self.n_workers,
+                             respect_cores=self.respect_cores)
 
 
 def run_matrix(matrix: ScenarioMatrix,

@@ -9,10 +9,10 @@ fleet of them over partitioned traffic.  This package is that second tier:
   overlays and independent cycle budgets.
 * :mod:`~repro.fleet.partition` — flow-affine per-batch routing of packets
   to nodes, memoised independently of the shard-level splits.
-* :mod:`~repro.fleet.runner` — executes every node's own predict/shed loop
-  (in-process or on a fork pool via
-  :class:`~repro.experiments.parallel.ParallelRunner`) and measures
-  per-bin latency; :func:`~repro.fleet.runner.verify_exactness` gates the
+* :mod:`~repro.fleet.runner` — streams the trace bin by bin through every
+  node's own resident predict/shed loop (in-process, or in the persistent
+  worker processes of :class:`~repro.monitor.workers.ShardWorkerPool`) and
+  measures per-bin latency; :func:`~repro.fleet.runner.verify_exactness` gates the
   federated answer against a single-node run.
 * :mod:`~repro.fleet.aggregate` — the global
   :class:`~repro.fleet.aggregate.FleetAggregator`: folds per-node

@@ -8,17 +8,18 @@
 
     # A declarative topology over a stored trace, checking that the
     # federated answer is bit-identical to a single-node run for every
-    # merge-exact query (exit code 1 on mismatch):
+    # merge-exact query (exit code 1 on mismatch); a v2 store is replayed
+    # out of core, one bin at a time, on two resident worker processes:
     PYTHONPATH=src python -m repro.fleet topology.json \\
-        --trace path/to/store --check
+        --trace path/to/store --n-workers 2 --fleet-backend fork --check
 
 The topology file is YAML (needs PyYAML) or JSON — same schema, see
 :mod:`repro.fleet.topology`.  ``--nodes N`` is the shorthand for a uniform
 ``N``-node fleet and needs no file at all.  System flags (``--queries``,
 ``--mode``, ``--num-shards``, ...) are the same surface as
 ``python -m repro.replay`` / ``python -m repro.serve``
-(:mod:`repro.cli`); ``--n-workers`` controls *node-level* process
-parallelism here.
+(:mod:`repro.cli`); ``--n-workers`` is the number of resident worker
+processes the node sessions are dealt onto here.
 """
 
 from __future__ import annotations
@@ -74,9 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "is (1 - K) x the calibrated no-shedding "
                                "capacity (default: %(default)s)")
     parser.add_argument("--fleet-backend", default="auto", choices=BACKENDS,
-                        help="node-execution backend (default: %(default)s; "
-                             "'auto' forks one job per node when "
-                             "--n-workers > 1)")
+                        help="node-execution backend (default: %(default)s): "
+                             "'fork' keeps the node sessions resident in "
+                             "--n-workers worker processes and feeds them "
+                             "bin by bin, 'inprocess' runs them serially, "
+                             "'auto' picks 'fork' when --n-workers > 1 and "
+                             "the host has the cores")
     parser.add_argument("--check", action="store_true",
                         help="also run the federated-vs-single-node "
                              "exactness check; exit 1 if any merge-exact "
@@ -101,12 +105,8 @@ def _build_topology(args):
 
 def _load_traffic(args):
     if args.trace is not None:
-        from ..monitor.packet import as_trace
         from ..traffic.trace_io import open_trace
-        # The fleet partitions every bin up front, so streaming stores are
-        # materialised (the fleet runner is a simulator, not an ingest
-        # path — use repro.serve per node for live out-of-core operation).
-        return as_trace(open_trace(args.trace))
+        return open_trace(args.trace)
     from ..experiments.scenarios import build_workload
     return build_workload(args.workload, seed=args.workload_seed,
                           duration=args.duration, scale=args.workload_scale)
@@ -174,7 +174,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.check:
         check = verify_exactness(topology, trace, config=config,
                                  time_bin=args.time_bin,
-                                 n_workers=args.n_workers)
+                                 n_workers=args.n_workers,
+                                 backend=args.fleet_backend)
 
     if args.as_json:
         document = dict(report)

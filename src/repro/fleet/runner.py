@@ -1,25 +1,25 @@
 """Execute a fleet topology over a traffic stream and federate the answer.
 
-:class:`FleetRunner` is the scenario runner of the fleet tier: it splits
-every time bin of a trace across the topology's nodes
-(:class:`~repro.fleet.partition.FleetPartitioner`), drives one full
-predict/shed loop per node — a :class:`~repro.monitor.session.MonitoringSession`
+:class:`FleetRunner` is the scenario runner of the fleet tier: it reads a
+trace one time bin at a time, splits the bin across the topology's nodes
+(:class:`~repro.fleet.partition.FleetPartitioner`), hands part ``i`` to
+node ``i``'s resident session and lets the bin go — every node runs one
+full predict/shed loop, a :class:`~repro.monitor.session.MonitoringSession`
 or, for nodes configured with ``num_shards > 1``, a sharded session, so the
 shard tier nests under the fleet tier unchanged — and folds the per-node
 results and metrics through the :class:`~repro.fleet.aggregate.FleetAggregator`.
 
-Node execution reuses :meth:`repro.experiments.parallel.ParallelRunner.map`
-as its process pool: ``n_workers <= 1`` runs the nodes serially in-process,
-larger pools fork one job per node over the pre-partitioned streams
-(inherited copy-on-write through ``_POOL_STATE``, the one pre-fork handoff
-left in the tree).  Both
-paths run the same pure per-node function, so the federated result is
-bit-identical either way.  The pre-partitioned streams *keep* their packets
-until the whole fleet is done, so what a session memoises on a bin (hashes,
-filter results, distinct counters) would stay as long: a node job drops
-each bin's memos once the bin is ingested, and a pool worker's footprint is
-that of one node however many it runs.  (Batches the job makes itself go
-with their bin without help; only the kept ones need this.)
+The node sessions live in one of the two session executors a
+:class:`~repro.monitor.sharding.ShardedSession` also drives:
+:class:`~repro.monitor.sharding.InProcessShards` (backend ``"inprocess"``)
+or a :class:`~repro.monitor.workers.ShardWorkerPool` of resident worker
+processes (backend ``"fork"``), forked before the first bin is read, node
+``i`` on process ``i mod n``, fed through shared memory and running up to
+two bins behind the reader.  What is resident is the N node sessions, two
+buffer slots per node and the one bin being dealt out — nothing that grows
+with the trace, so a store replays out of core.  Every node sees the same
+sub-batches in the same order with the same config and seed on either
+executor, so the federated result is bit-identical.
 
 :func:`verify_exactness` is the fleet's correctness gate: it runs the fleet
 and a single unpartitioned node in reference mode (no shedding, sampling
@@ -32,18 +32,16 @@ order cannot perturb it) and checks the federated query logs are
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.pool import pool_state
-from ..monitor.workers import fork_start_available
-from ..experiments.parallel import ParallelRunner
+from ..core.pool import effective_workers
 from ..monitor.config import SystemConfig
 from ..monitor.packet import Batch, PacketTrace, as_trace
-from ..monitor.sharding import ShardedSystem
+from ..monitor.sharding import InProcessShards, build_system
 from ..monitor.system import ExecutionResult
+from ..monitor.workers import ShardWorkerPool, fork_start_available
 from ..profile import summarize
 from ..queries import MERGE_EXACTNESS, QUERY_CLASSES
 from .aggregate import FleetAggregator
@@ -52,46 +50,6 @@ from .topology import FleetTopology
 
 #: Fleet node execution backends.
 BACKENDS: Tuple[str, ...] = ("auto", "inprocess", "fork")
-
-
-# ----------------------------------------------------------------------
-# Per-node execution (pure function of its inputs; pool-safe)
-# ----------------------------------------------------------------------
-def _run_node(config: SystemConfig, batches: List[Batch], time_bin: float,
-              name: str) -> Tuple[ExecutionResult, Dict, List[float]]:
-    """Run one node's session over its sub-stream, timing every bin.
-
-    The stream outlives the job (the caller, or the pool worker's inherited
-    state, holds it until the whole fleet is done), and a memo lives as long
-    as the batch it is on, so each bin's memos are dropped once it is
-    ingested: what a job leaves behind does not grow with the number of
-    bins or of nodes a worker has run.
-    """
-    if config.num_shards > 1:
-        session = ShardedSystem(config=config).open_session(
-            time_bin=time_bin, name=name)
-    else:
-        session = config.build().open_session(time_bin=time_bin, name=name)
-    bin_seconds: List[float] = []
-    for batch in batches:
-        started = perf_counter()
-        session.ingest(batch)
-        bin_seconds.append(perf_counter() - started)
-        batch.drop_memos()
-    result = session.close()
-    return result, session.metrics, bin_seconds
-
-
-#: Pre-fork state for pooled node execution (see repro.core.pool.pool_state).
-_POOL_STATE: dict = {}
-
-
-def _run_node_job(index: int) -> Tuple[ExecutionResult, Dict, List[float]]:
-    """Run one node from the fork-inherited pre-partitioned streams."""
-    return _run_node(_POOL_STATE["configs"][index],
-                     _POOL_STATE["streams"][index],
-                     _POOL_STATE["time_bin"],
-                     _POOL_STATE["names"][index])
 
 
 # ----------------------------------------------------------------------
@@ -184,15 +142,15 @@ class FleetRunner:
         instances (defaults to the experiment harness's config with the
         standard ``counter,flows,top-k`` mix).
     n_workers:
-        Node-execution parallelism; the runner executes nodes through a
-        :class:`~repro.experiments.parallel.ParallelRunner` pool of this
-        size.  Per-node shard parallelism is separate (each node honours
-        its own config's ``num_shards``/``shard_backend``).
+        Node-execution parallelism: how many resident worker processes the
+        ``"fork"`` backend deals the node sessions onto (clamped to the
+        node count and, unless ``respect_cores=False``, to the host's
+        cores).  A node's own ``num_shards`` run in-process inside it.
     backend:
-        ``"inprocess"`` (serial), ``"fork"`` (one pooled job per node over
-        the pre-partitioned streams), or ``"auto"`` — fork when
-        ``n_workers > 1``, more than one node, and the host supports the
-        fork start method.
+        ``"inprocess"`` (serial), ``"fork"`` (node sessions resident in
+        worker processes, fed bin by bin), or ``"auto"`` — fork when more
+        than one worker process would run and the host supports the fork
+        start method.
     """
 
     def __init__(self, topology: FleetTopology,
@@ -215,8 +173,8 @@ class FleetRunner:
                 "instances); set config = config.replace(queries=...)")
         self.config = config
         self.partitioner = FleetPartitioner(topology)
-        self.pool = ParallelRunner(n_workers=n_workers,
-                                   respect_cores=respect_cores)
+        self.processes = max(1, effective_workers(
+            n_workers, topology.num_nodes, respect_cores))
         self.backend = backend
         self.aggregator = FleetAggregator()
 
@@ -224,14 +182,17 @@ class FleetRunner:
     def resolve_backend(self) -> str:
         if self.backend != "auto":
             return self.backend
-        if (self.pool.n_workers > 1 and self.topology.num_nodes > 1
-                and fork_start_available()):
+        if self.processes > 1 and fork_start_available():
             return "fork"
         return "inprocess"
 
     def node_streams(self, trace, time_bin: float
                      ) -> Tuple[List[List[Batch]], "PacketTrace"]:
-        """Partition every bin of the trace into per-node sub-streams."""
+        """Every bin of the trace, split, as per-node lists of sub-batches.
+
+        Materialises the whole partitioned stream: for oracles and tests
+        that replay one node by hand; :meth:`run` streams instead.
+        """
         trace = as_trace(trace)
         streams: List[List[Batch]] = [[] for _ in
                                       range(self.topology.num_nodes)]
@@ -255,38 +216,46 @@ class FleetRunner:
     # ------------------------------------------------------------------
     def run(self, trace, time_bin: float = 0.1,
             force: Optional[Dict[str, object]] = None) -> FleetResult:
-        """Execute every node over its partition and federate the results.
+        """Stream the trace through every node and federate the results.
 
-        ``force`` overlays config fields onto *every* node after all
-        topology overlays (used by the exactness check to pin the whole
-        fleet to reference mode).
+        Each bin is read, split, dealt to the resident node sessions and
+        dropped; on the ``"fork"`` backend the workers run up to two bins
+        behind.  ``force`` overlays config fields onto *every* node after
+        all topology overlays (used by the exactness check to pin the
+        whole fleet to reference mode).
         """
         configs = self.topology.node_configs(self.config, force=force)
-        streams, trace = self.node_streams(trace, time_bin)
+        trace, time_bin = as_trace(trace), float(time_bin)
         names = [f"{trace.name}[{node.name}]" for node in self.topology.nodes]
         backend = self.resolve_backend()
         if backend == "fork" and self.topology.num_nodes > 1:
-            with pool_state(_POOL_STATE, configs=configs, streams=streams,
-                            time_bin=float(time_bin), names=names):
-                outcomes = self.pool.map(_run_node_job,
-                                         list(range(len(configs))),
-                                         require_fork=True)
+            nodes = ShardWorkerPool(configs, None, time_bin, names,
+                                    processes=self.processes)
         else:
             backend = "inprocess"
-            outcomes = [_run_node(config, stream, float(time_bin), name)
-                        for config, stream, name in zip(configs, streams,
-                                                        names)]
-        results = [result for result, _, _ in outcomes]
-        metrics = [node_metrics for _, node_metrics, _ in outcomes]
-        bin_seconds = np.array([seconds for _, _, seconds in outcomes],
-                               dtype=np.float64)
+            nodes = InProcessShards([build_system(config)
+                                     for config in configs], time_bin, names)
+        try:
+            send = getattr(nodes, "ingest_async", None)
+            for batch in trace.batches(time_bin):
+                parts = self.partitioner.split(batch)
+                if send is None:
+                    nodes.ingest(parts)
+                else:  # nodes never rebalance: no record to wait for
+                    for node, part in enumerate(parts):
+                        send(node, part)
+            metrics = nodes.session_metrics()
+            results = nodes.close()
+        finally:
+            nodes.stop()
+        bin_seconds = np.array(nodes.ingest_seconds, dtype=np.float64)
         federated = self.aggregator.federate(
             results, query_classes=self.query_classes(),
             name=f"{trace.name}[fleet]")
         return FleetResult(
             federated=federated, node_results=results, node_metrics=metrics,
             node_bin_seconds=bin_seconds, topology=self.topology,
-            time_bin=float(time_bin), backend=backend,
+            time_bin=time_bin, backend=backend,
             metrics=self.aggregator.fold_metrics(metrics),
             query_kinds=self.config.query_kinds())
 
@@ -303,7 +272,8 @@ def _query_kind(query_cls: type) -> Optional[str]:
 
 def verify_exactness(topology: FleetTopology, trace,
                      config: Optional[SystemConfig] = None,
-                     time_bin: float = 0.1, n_workers: int = 1) -> Dict:
+                     time_bin: float = 0.1, n_workers: int = 1,
+                     backend: str = "auto") -> Dict:
     """Check the federated answer equals one node over the whole stream.
 
     Runs the fleet *and* a single unpartitioned system in reference mode
@@ -319,7 +289,8 @@ def verify_exactness(topology: FleetTopology, trace,
     report their observed identity for information but cannot fail the
     check.
     """
-    fleet = FleetRunner(topology, config=config, n_workers=n_workers)
+    fleet = FleetRunner(topology, config=config, n_workers=n_workers,
+                        backend=backend)
     fleet_result = fleet.run(trace, time_bin=time_bin,
                              force={"mode": "reference"})
     single_config = fleet.config.replace(mode="reference", num_shards=1)

@@ -348,18 +348,6 @@ class Batch:
         if self._agg_cache is not None:
             self._agg_cache.pop(key, None)
 
-    def drop_memos(self) -> None:
-        """Forget every memoised derived value; each is rebuilt on demand.
-
-        A batch that is let go after its bin needs none of this: the memos
-        go with it.  This is for an owner that *keeps* the packets after
-        the batch went through the pipeline (a fleet node's pre-partitioned
-        stream): hashes, filter results and distinct counters of a finished
-        bin would otherwise live as long as the packets do.
-        """
-        self._agg_cache = None
-        self._filter_cache = None
-
     def _selected_from(self) -> Optional["Batch"]:
         """The batch this one was selected from, while that is still alive."""
         if self._parent is None:

@@ -52,6 +52,7 @@ Shards execute on one of two executors with the same method set
 from __future__ import annotations
 
 import warnings
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cycles import CycleBudget
@@ -237,28 +238,50 @@ class ShardedSystem:
                 f"rebalance={self.rebalance})")
 
 
+def build_system(config: SystemConfig,
+                 query_factory: Optional[Callable[[], List[Query]]] = None):
+    """The system ``config`` describes: sharded when it says so.
+
+    What a session executor opens each of its sessions from — a shard's
+    config builds a :class:`~repro.monitor.system.MonitoringSystem`, a
+    fleet node's may nest a whole :class:`ShardedSystem`.
+    ``query_factory=None`` uses the config's declarative ``queries``.
+    """
+    if config.num_shards > 1:
+        return ShardedSystem(query_factory, config=config)
+    return config.build(None if query_factory is None else query_factory())
+
+
 # ----------------------------------------------------------------------
 # The in-process shard executor
 # ----------------------------------------------------------------------
 class InProcessShards:
     """The :class:`ShardWorkerPool` method set over sessions in this process.
 
-    The serial shard executor: one
-    :class:`~repro.monitor.session.MonitoringSession` per shard, driven in
-    shard order by the caller.  A session queues reconfigurations until its
-    next bin itself, which is the bin-boundary semantics the worker pool
-    gets from FIFO command pipes.  There is no ``ingest_async``: nothing
-    runs concurrently, so there is nothing to run ahead of.
+    The serial session executor: one session per system (a shard's
+    :class:`~repro.monitor.session.MonitoringSession`, or whatever a fleet
+    node's system opens), driven in order by the caller.  A session queues
+    reconfigurations until its next bin itself, which is the bin-boundary
+    semantics the worker pool gets from FIFO command pipes.  There is no
+    ``ingest_async``: nothing runs concurrently, so there is nothing to
+    run ahead of.
     """
 
     def __init__(self, systems: Sequence, time_bin: float,
                  names: Sequence[str]) -> None:
         self.sessions = [system.open_session(time_bin=time_bin, name=name)
                          for system, name in zip(systems, names)]
+        #: Wall seconds of every ``ingest``, per session.
+        self.ingest_seconds: List[List[float]] = [[] for _ in self.sessions]
 
     def ingest(self, parts: Sequence[Batch]) -> List[BinRecord]:
-        return [session.ingest(part)
-                for session, part in zip(self.sessions, parts)]
+        records = []
+        for session, part, seconds in zip(self.sessions, parts,
+                                          self.ingest_seconds):
+            started = perf_counter()
+            records.append(session.ingest(part))
+            seconds.append(perf_counter() - started)
+        return records
 
     def set_capacity(self, shard: int, cycles_per_second: float) -> None:
         self.sessions[shard].set_capacity(cycles_per_second)
@@ -276,6 +299,9 @@ class InProcessShards:
         return [(session.system.profiler,
                  session.system.feature_states.stats())
                 for session in self.sessions]
+
+    def session_metrics(self) -> List[Dict]:
+        return [session.metrics for session in self.sessions]
 
     def session_states(self) -> List:
         """The live sessions themselves: serialise the result immediately."""
@@ -682,5 +708,6 @@ __all__ = [
     "ShardWorkerPool",
     "ShardedSession",
     "ShardedSystem",
+    "build_system",
     "shard_seed",
 ]

@@ -1,44 +1,53 @@
-"""Persistent shard workers with shared-memory batch transport.
+"""Persistent worker processes with shared-memory batch transport.
 
-:class:`ShardWorkerPool` is the process-parallel shard executor: one
-**long-lived worker process per shard**.  (Its serial twin with the same
-method set is :class:`repro.monitor.sharding.InProcessShards`; a
-:class:`~repro.monitor.sharding.ShardedSession` drives either.)  Each
-worker owns its shard's full
-:class:`~repro.monitor.session.MonitoringSession` (the whole predict →
-allocate → shed → execute pipeline, resident across bins) and is fed one
-pre-partitioned sub-batch per time bin:
+:class:`ShardWorkerPool` is the process-parallel session executor: a few
+**long-lived worker processes hosting resident sessions**.  (Its serial
+twin with the same method set is
+:class:`repro.monitor.sharding.InProcessShards`.)  A
+:class:`~repro.monitor.sharding.ShardedSession` runs one shard session per
+process; a :class:`~repro.fleet.runner.FleetRunner` deals its node
+sessions onto fewer processes (session ``i`` lives on process ``i mod n``).
+Each session is opened *inside* its worker from its own config — a
+:class:`~repro.monitor.session.MonitoringSession`, or a nested in-process
+sharded session when the config says ``num_shards > 1`` — runs the whole
+predict → allocate → shed → execute pipeline, stays resident across bins,
+and is fed one pre-partitioned sub-batch per time bin.  What is resident:
+the sessions in the workers, two buffer slots per session, and in the
+parent only the bin being dealt out.
 
 * **Transport** — the parent packs each sub-batch's columns into a
   ``multiprocessing.shared_memory`` segment using the canonical
   :func:`repro.monitor.packet.column_layout` wire format (the same column
-  layout the trace store mmaps), so no column data is ever pickled.  Two
-  segments per worker are used round-robin (double buffering): the parent
-  packs bin ``i + 1`` into one slot while the worker still reads bin ``i``
-  from the other.  The worker copies the columns out of the segment when
-  it builds its :class:`~repro.monitor.packet.Batch` (one contiguous
-  memcpy per column), after which the slot is free for reuse — zero
-  serialisation, one copy.  Payloads, when present, are variable-length
-  Python objects and ride the command pipe instead.
+  layout the trace store keeps on disk), so no column data is ever
+  pickled.  Two segments per session are used round-robin (double
+  buffering): the parent packs bin ``i + 1`` into one slot while the
+  worker still reads bin ``i`` from the other.  The worker copies the
+  columns out of the segment when it builds its
+  :class:`~repro.monitor.packet.Batch` (one contiguous memcpy per column),
+  after which the slot is free for reuse — zero serialisation, one copy.
+  Payloads, when present, are variable-length Python objects and ride the
+  command pipe instead.
 * **Result channel** — every ingested bin answers with its
-  :class:`~repro.monitor.pipeline.BinRecord` on a per-worker result pipe.
-  Control messages (capacity changes — including the per-bin
-  capacity-rebalance updates computed by the parent from the previous
-  bin's records — query arrivals/departures, partial-result snapshots)
-  are piggybacked on the command pipe in FIFO order with the batches, so
-  they apply at exactly the bin boundary they would in-process.
-* **Lifecycle** — :meth:`close` flushes every worker's session and returns
-  the per-shard :class:`~repro.monitor.system.ExecutionResult` list for
-  merging; :meth:`stop` (idempotent, also run by ``close`` and ``__del__``)
-  joins the processes and closes *and unlinks* every shared-memory
-  segment, so no ``/dev/shm`` entries outlive the pool.  A worker dying
-  mid-stream surfaces as a :class:`ShardWorkerError` naming the shard, not
-  a hang.
+  :class:`~repro.monitor.pipeline.BinRecord` and the wall seconds the
+  session's ``ingest`` took, on a per-process result pipe.  Control
+  messages (capacity changes — including the per-bin capacity-rebalance
+  updates computed by the parent from the previous bin's records — query
+  arrivals/departures, partial-result snapshots) are piggybacked on the
+  command pipe in FIFO order with the batches, so they apply at exactly
+  the bin boundary they would in-process.
+* **Lifecycle** — :meth:`close` flushes every session and returns the
+  :class:`~repro.monitor.system.ExecutionResult` list for merging;
+  :meth:`stop` (idempotent, also run by ``close`` and ``__del__``) joins
+  the processes and closes *and unlinks* every shared-memory segment, so
+  no ``/dev/shm`` entries outlive the pool.  A worker dying mid-stream
+  surfaces as a :class:`ShardWorkerError` naming the process and every
+  session it hosted, not a hang.
 
 Workers are started with the ``fork`` start method when the platform has
-it, so the per-shard configs and the query factory are inherited rather
-than pickled (lambda factories keep working).  On spawn-only platforms the
-pool still runs, but configs and factories must then be picklable.
+it — before the caller reads its first bin, so they inherit no traffic —
+and the configs and the query factory are inherited rather than pickled
+(lambda factories keep working).  On spawn-only platforms the pool still
+runs, but configs and factories must then be picklable.
 """
 
 from __future__ import annotations
@@ -64,6 +73,15 @@ __all__ = [
 _MIN_SEGMENT_BYTES = 1 << 16
 _GROWTH_FACTOR = 1.25
 
+#: Buffer slots per session (double buffering).
+_SLOTS_PER_SESSION = 2
+#: Bins a process may have unanswered.  Its result pipe holds that many
+#: records with room to spare, so a worker never blocks writing one and
+#: always comes back to read its commands — and the parent can then never
+#: block writing a command (a bin's payloads ride along) to a worker that
+#: is itself blocked, however many sessions share the process.
+_MAX_UNANSWERED = 8
+
 #: Seconds between liveness checks while waiting on a worker response.
 _POLL_INTERVAL = 0.05
 #: Seconds :meth:`ShardWorkerPool.stop` waits for a worker to exit before
@@ -72,7 +90,7 @@ _JOIN_TIMEOUT = 5.0
 
 
 class ShardWorkerError(RuntimeError):
-    """A shard worker process failed (raised, or died without answering)."""
+    """A worker process failed (raised, or died without answering)."""
 
 
 class ShardExecutionWarning(UserWarning):
@@ -114,26 +132,49 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 # ----------------------------------------------------------------------
 # Worker process main loop
 # ----------------------------------------------------------------------
-def _shard_worker_main(shard_index: int, config, query_factory,
-                       time_bin: float, name: str, commands,
-                       results) -> None:
-    """One shard, resident: build the session once, serve bins forever.
+#: What a resident session answers to each query command; the reply goes
+#: back under the command's own name.
+_QUERIES = {
+    "partial": lambda session: session.partial_result(),
+    # The live profiler and sharing stats of a shard; the parent folds the
+    # per-shard profiles into one summary.
+    "metrics": lambda session: (session.system.profiler,
+                                session.system.feature_states.stats()),
+    # The session's own JSON-able metrics document (any session type).
+    "session_metrics": lambda session: session.metrics,
+    # Checkpoint capture: ship the whole session back.  Pickling it over
+    # the pipe *is* the snapshot — the parent receives a private copy while
+    # the worker's live session streams on.
+    "state": lambda session: session,
+    "close": lambda session: session.close(),
+}
 
-    ``commands`` / ``results`` are the worker ends of the per-shard pipes.
-    Every message is handled in FIFO order, which is what gives control
-    messages (capacity, query arrivals) their bin-boundary semantics: a
-    ``set_capacity`` sent before bin ``i``'s batch is queued by the
-    session and applied when bin ``i`` is ingested, exactly as in-process.
+
+def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
+                 time_bin: float, commands, results) -> None:
+    """Some sessions, resident: open each once, serve their bins forever.
+
+    ``hosted`` lists ``(session index, config, name)`` for every session
+    of this process; ``commands`` / ``results`` are the worker ends of its
+    pipes.  Every message is handled in FIFO order, which is what gives
+    control messages (capacity, query arrivals) their bin-boundary
+    semantics: a ``set_capacity`` sent before bin ``i``'s batch is queued
+    by the session and applied when bin ``i`` is ingested, exactly as
+    in-process.
     """
+    from .sharding import build_system  # which imports this module
     segments = {}
     try:
-        system = config.build(query_factory())
-        session = system.open_session(time_bin=time_bin, name=name)
+        sessions = {
+            index: build_system(config, query_factory).open_session(
+                time_bin=time_bin, name=name)
+            for index, config, name in hosted}
         while True:
             message = commands.recv()
             kind = message[0]
             if kind == "ingest":
-                _, seq, segment_name, n, bin_len, start_ts, payloads = message
+                (_, seq, index, segment_name, n, bin_len, start_ts,
+                 payloads) = message
                 if n:
                     segment = segments.get(segment_name)
                     if segment is None:
@@ -148,35 +189,27 @@ def _shard_worker_main(shard_index: int, config, query_factory,
                 else:
                     batch = Batch.empty(time_bin=bin_len, start_ts=start_ts,
                                         with_payloads=payloads is not None)
-                record = session.ingest(batch)
-                results.send(("record", seq, record))
+                started = time.perf_counter()
+                record = sessions[index].ingest(batch)
+                seconds = time.perf_counter() - started
+                results.send(("record", seq, record, index, seconds))
+            elif kind in _QUERIES:
+                _, seq, index = message
+                results.send((kind, seq, _QUERIES[kind](sessions[index])))
             elif kind == "set_capacity":
-                session.set_capacity(message[1])
+                sessions[message[1]].set_capacity(message[2])
             elif kind == "add_query":
-                session.add_query(message[1], start_time=message[2])
+                sessions[message[1]].add_query(message[2],
+                                               start_time=message[3])
             elif kind == "remove_query":
-                session.remove_query(message[1])
-            elif kind == "partial":
-                results.send(("partial", message[1], session.partial_result()))
-            elif kind == "metrics":
-                # Ship the live profiler and sharing stats; the parent folds
-                # the per-shard profiles into one summary.
-                results.send(("metrics", message[1],
-                              (session.system.profiler,
-                               session.system.feature_states.stats())))
-            elif kind == "state":
-                # Checkpoint capture: ship the whole session back.  Pickling
-                # it over the pipe *is* the snapshot — the parent receives a
-                # private copy while this worker's live session streams on.
-                results.send(("state", message[1], session))
+                sessions[message[1]].remove_query(message[2])
             elif kind == "load_session":
                 # Checkpoint restore: adopt the session shipped by the
                 # parent (unpickling rebuilt it in this process), replacing
-                # the fresh one built at startup.
-                session = message[2]
-                results.send(("loaded", message[1], True))
-            elif kind == "close":
-                results.send(("result", message[1], session.close()))
+                # the fresh one opened at startup.
+                _, seq, index, session = message
+                sessions[index] = session
+                results.send((kind, seq, True))
             elif kind == "detach":
                 segment = segments.pop(message[1], None)
                 if segment is not None:
@@ -189,22 +222,22 @@ def _shard_worker_main(shard_index: int, config, query_factory,
         pass
     except BaseException:
         try:
-            results.send(("error", shard_index, traceback.format_exc()))
-        except Exception:  # pragma: no cover - parent already gone
+            results.send(("error", worker_index, traceback.format_exc()))
+        except OSError:  # pragma: no cover - parent already gone
             pass
     finally:
         for segment in segments.values():
             try:
                 segment.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
+            except (BufferError, OSError):  # pragma: no cover - a failed
+                pass  # bin's frames may still export the buffer
 
 
 # ----------------------------------------------------------------------
 # Parent-side handles
 # ----------------------------------------------------------------------
 class _Slot:
-    """One shared-memory buffer slot of a worker's double buffer."""
+    """One shared-memory buffer slot of a session's double buffer."""
 
     __slots__ = ("shm", "capacity", "busy_seq")
 
@@ -217,18 +250,19 @@ class _Slot:
 
 
 class _Worker:
-    """Parent-side handle of one shard worker."""
+    """Parent-side handle of one worker process."""
 
-    __slots__ = ("index", "process", "commands", "results", "slots", "seq",
+    __slots__ = ("index", "hosted", "process", "commands", "results", "seq",
                  "acked", "pending_unlinks")
 
-    def __init__(self, index: int, process, commands, results,
-                 slots: List[_Slot]) -> None:
+    def __init__(self, index: int, hosted: List[str], process, commands,
+                 results) -> None:
         self.index = index
+        #: Names of the sessions living on this process (failure reports).
+        self.hosted = hosted
         self.process = process
         self.commands = commands
         self.results = results
-        self.slots = slots
         self.seq = 0
         self.acked = 0
         #: Retired (grown-out-of) segments awaiting unlink, as
@@ -237,29 +271,55 @@ class _Worker:
         #: preceding ``detach`` by then).
         self.pending_unlinks: List[tuple] = []
 
+    def __str__(self) -> str:
+        return (f"shard worker {self.index} "
+                f"(hosting {', '.join(self.hosted)})")
+
+
+class _Session:
+    """Parent-side handle of one resident session."""
+
+    __slots__ = ("worker", "slots", "ingests")
+
+    def __init__(self, worker: _Worker, slots: List[_Slot]) -> None:
+        self.worker = worker
+        self.slots = slots
+        #: Bins shipped so far; picks the slot, so a session alternates
+        #: between its two however many sessions share the process.
+        self.ingests = 0
+
 
 class ShardWorkerPool:
-    """One persistent process per shard, fed through shared memory.
+    """Resident sessions on persistent processes, fed through shared memory.
 
     Parameters
     ----------
     configs:
-        Per-shard :class:`~repro.monitor.config.SystemConfig` objects (as
-        built by :class:`~repro.monitor.sharding.ShardedSystem`).
+        One :class:`~repro.monitor.config.SystemConfig` per session (the
+        per-shard configs :class:`~repro.monitor.sharding.ShardedSystem`
+        builds, or a fleet's node configs).
     query_factory:
-        Zero-argument callable returning fresh query instances; called
-        once *inside* each worker, so per-shard query state never crosses
-        a process boundary.
+        Zero-argument callable returning fresh query instances, or ``None``
+        for each config's own declarative ``queries``; called *inside* the
+        worker, so per-session query state never crosses a process
+        boundary.
     time_bin, names:
-        Session parameters forwarded to each worker's
+        Session parameters forwarded to each session's
         ``open_session(time_bin=..., name=names[i])``.
+    processes:
+        Worker processes to start; session ``i`` lives on process
+        ``i mod processes``.  Default: one process per session.
     """
 
-    def __init__(self, configs: Sequence, query_factory: Callable,
+    def __init__(self, configs: Sequence, query_factory: Optional[Callable],
                  time_bin: float, names: Sequence[str],
-                 buffers_per_worker: int = 2) -> None:
+                 processes: Optional[int] = None) -> None:
         if len(names) != len(configs):
-            raise ValueError("need one session name per shard config")
+            raise ValueError("need one session name per session config")
+        count = len(configs) if processes is None else int(processes)
+        if not 1 <= count <= len(configs):
+            raise ValueError(
+                f"cannot run {len(configs)} sessions on {count} processes")
         method = "fork" if fork_start_available() else None
         context = multiprocessing.get_context(method)
         self._closed_results: Optional[List] = None
@@ -267,17 +327,21 @@ class ShardWorkerPool:
         self._failed: Optional[str] = None
         #: Every segment name this pool ever created (leak tests read it).
         self.created_segments: List[str] = []
+        #: Wall seconds of every answered ``ingest``, per session.
+        self.ingest_seconds: List[List[float]] = [[] for _ in configs]
         self._workers: List[_Worker] = []
+        self._sessions: List[_Session] = []
         try:
-            for index, config in enumerate(configs):
+            for index in range(count):
+                hosted = range(index, len(configs), count)
                 command_recv, command_send = multiprocessing.Pipe(duplex=False)
                 result_recv, result_send = multiprocessing.Pipe(duplex=False)
-                slots = [self._new_slot(_MIN_SEGMENT_BYTES)
-                         for _ in range(int(buffers_per_worker))]
                 process = context.Process(
-                    target=_shard_worker_main,
-                    args=(index, config, query_factory, float(time_bin),
-                          names[index], command_recv, result_send),
+                    target=_worker_main,
+                    args=(index,
+                          [(i, configs[i], names[i]) for i in hosted],
+                          query_factory, float(time_bin), command_recv,
+                          result_send),
                     daemon=True,
                     name=f"repro-shard-{index}")
                 process.start()
@@ -285,17 +349,19 @@ class ShardWorkerPool:
                 # copies keeps fd counts flat across many pools.
                 command_recv.close()
                 result_send.close()
-                self._workers.append(_Worker(index, process, command_send,
-                                             result_recv, slots))
+                self._workers.append(_Worker(
+                    index, [names[i] for i in hosted], process, command_send,
+                    result_recv))
+            for index in range(len(configs)):
+                self._sessions.append(_Session(
+                    self._workers[index % count],
+                    [self._new_slot(_MIN_SEGMENT_BYTES)
+                     for _ in range(_SLOTS_PER_SESSION)]))
         except BaseException:
             self.stop()
             raise
 
     # ------------------------------------------------------------------
-    @property
-    def num_shards(self) -> int:
-        return len(self._workers)
-
     @property
     def stopped(self) -> bool:
         return self._stopped
@@ -323,13 +389,13 @@ class ShardWorkerPool:
     def _send(self, worker: _Worker, message: tuple) -> None:
         try:
             worker.commands.send(message)
-        except (BrokenPipeError, OSError):
+        except OSError:  # BrokenPipeError, or the handle is closed
             raise self._fail(
-                f"shard worker {worker.index} died (its command channel is "
-                "closed); the sharded execution cannot continue") from None
+                f"{worker} died (its command channel is closed); the "
+                "execution cannot continue") from None
 
     def _recv(self, worker: _Worker):
-        """Next response from ``worker``; raises if the worker died."""
+        """Next response from ``worker``, acknowledged; raises if it died."""
         while True:
             try:
                 if worker.results.poll(_POLL_INTERVAL):
@@ -337,8 +403,8 @@ class ShardWorkerPool:
                     break
             except (EOFError, OSError):
                 raise self._fail(
-                    f"shard worker {worker.index} died mid-stream without "
-                    "reporting a result") from None
+                    f"{worker} died mid-stream without reporting a "
+                    "result") from None
             if not worker.process.is_alive():
                 # One final drain: the worker may have answered (or sent
                 # its error report) just before exiting.
@@ -349,27 +415,25 @@ class ShardWorkerPool:
                 except (EOFError, OSError):
                     pass
                 raise self._fail(
-                    f"shard worker {worker.index} died mid-stream "
-                    f"(exit code {worker.process.exitcode}) without "
-                    "reporting a result")
+                    f"{worker} died mid-stream (exit code "
+                    f"{worker.process.exitcode}) without reporting a result")
         if response[0] == "error":
-            raise self._fail(
-                f"shard worker {response[1]} raised:\n{response[2]}")
-        return response
-
-    def _note_ack(self, worker: _Worker, seq: int) -> None:
-        worker.acked = max(worker.acked, int(seq))
+            raise self._fail(f"{worker} raised:\n{response[2]}")
+        worker.acked = max(worker.acked, int(response[1]))
         while worker.pending_unlinks and \
                 worker.pending_unlinks[0][1] <= worker.acked:
             shm, _ = worker.pending_unlinks.pop(0)
             self._release_segment(shm)
+        if response[0] == "record":
+            self.ingest_seconds[response[3]].append(response[4])
+        return response
 
     @staticmethod
     def _release_segment(shm: shared_memory.SharedMemory) -> None:
         try:
             shm.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
+        except (BufferError, OSError):  # pragma: no cover - a view of the
+            pass  # buffer is still alive; the unlink below frees the name
         try:
             shm.unlink()
         except FileNotFoundError:  # pragma: no cover - already gone
@@ -379,176 +443,162 @@ class ShardWorkerPool:
     # Ingestion
     # ------------------------------------------------------------------
     def ingest_async(self, shard: int, batch: Batch) -> int:
-        """Ship one bin's sub-batch to ``shard``; returns its sequence id.
+        """Ship one bin's sub-batch to session ``shard``; returns its
+        sequence id.
 
-        Does not wait for the bin's record: with rebalancing off the
-        caller may run up to ``buffers_per_worker`` bins ahead per shard
-        (the slot acquisition below enforces exactly that window).  Pair
-        with :meth:`wait_record` for lockstep semantics.
+        Does not wait for the bin's record: a caller that needs no record
+        before the next bin (no rebalancing) may run up to two bins ahead
+        per session — the slot acquisition below enforces exactly that
+        window — and ``_MAX_UNANSWERED`` bins ahead per process.  Pair with
+        :meth:`wait_record` for lockstep semantics.
         """
         self._check_usable()
-        worker = self._workers[shard]
+        session = self._sessions[shard]
+        worker = session.worker
+        while worker.seq - worker.acked >= _MAX_UNANSWERED:
+            self._recv(worker)
         worker.seq += 1
         seq = worker.seq
         n = len(batch)
         segment_name = None
         if n:
-            slot = worker.slots[seq % len(worker.slots)]
+            position = session.ingests % len(session.slots)
+            slot = session.slots[position]
             # Flow control: the slot is free only once the bin that last
             # used it has been answered.
             while slot.busy_seq is not None and worker.acked < slot.busy_seq:
-                response = self._recv(worker)
-                self._note_ack(worker, response[1])
+                self._recv(worker)
             needed = batch.buffer_nbytes()
             if needed > slot.capacity:
                 # Grow: retire the old segment (unlink deferred until the
                 # worker has provably moved past the detach message).
                 self._send(worker, ("detach", slot.shm.name))
                 worker.pending_unlinks.append((slot.shm, seq))
-                new_slot = self._new_slot(int(needed * _GROWTH_FACTOR))
-                worker.slots[seq % len(worker.slots)] = new_slot
-                slot = new_slot
+                slot = session.slots[position] = self._new_slot(
+                    int(needed * _GROWTH_FACTOR))
             batch.pack_into(slot.shm.buf)
             slot.busy_seq = seq
             segment_name = slot.shm.name
-        self._send(worker, ("ingest", seq, segment_name, n, batch.time_bin,
-                            batch.start_ts, batch.payloads))
+        session.ingests += 1
+        self._send(worker, ("ingest", seq, shard, segment_name, n,
+                            batch.time_bin, batch.start_ts, batch.payloads))
         return seq
 
     def wait_record(self, shard: int, seq: int):
-        """Block until ``shard`` answers sequence ``seq``; return its record.
+        """Block until session ``shard`` answers sequence ``seq``; return
+        its record.
 
         Responses arrive in FIFO order; records overtaken while waiting
         (possible only when the caller ran ahead with :meth:`ingest_async`)
         are acknowledged and dropped — their bins are already folded into
         the worker session's own result.
         """
-        self._check_usable()
-        worker = self._workers[shard]
-        while worker.acked < seq:
-            response = self._recv(worker)
-            self._note_ack(worker, response[1])
-            if response[0] == "record" and response[1] == seq:
-                return response[2]
-        raise ShardWorkerError(  # pragma: no cover - protocol error
-            f"record {seq} of shard {shard} was already consumed")
+        return self._await(self._sessions[shard].worker, seq, "record")
 
     def ingest(self, parts: Sequence[Batch]) -> List:
-        """Lockstep helper: one bin across all shards, records returned.
+        """Lockstep helper: one bin across all sessions, records returned.
 
-        All sub-batches are shipped first so the shards compute the bin
-        concurrently; the parent then gathers one record per shard.
+        Sub-batches are shipped before their records are gathered, so the
+        workers compute the bin concurrently — a stride of sessions at a
+        time, each process's share of which fits its unanswered window (a
+        record that window had to make room for would be dropped).
         """
-        seqs = [self.ingest_async(shard, part)
-                for shard, part in enumerate(parts)]
-        return [self.wait_record(shard, seq)
-                for shard, seq in enumerate(seqs)]
+        records: List = []
+        stride = _MAX_UNANSWERED * len(self._workers)
+        for start in range(0, len(parts), stride):
+            seqs = [(shard, self.ingest_async(shard, parts[shard]))
+                    for shard in range(start, min(start + stride, len(parts)))]
+            records += [self.wait_record(shard, seq) for shard, seq in seqs]
+        return records
 
     # ------------------------------------------------------------------
     # Control messages (FIFO with the batches: bin-boundary semantics)
     # ------------------------------------------------------------------
-    def set_capacity(self, shard: int, cycles_per_second: float) -> None:
+    def _tell(self, shard: int, kind: str, *payload) -> None:
         self._check_usable()
-        self._send(self._workers[shard],
-                   ("set_capacity", float(cycles_per_second)))
+        self._send(self._sessions[shard].worker, (kind, shard, *payload))
+
+    def set_capacity(self, shard: int, cycles_per_second: float) -> None:
+        self._tell(shard, "set_capacity", float(cycles_per_second))
 
     def add_query(self, shard: int, query, start_time=None) -> None:
-        self._check_usable()
-        self._send(self._workers[shard], ("add_query", query, start_time))
+        self._tell(shard, "add_query", query, start_time)
 
     def remove_query(self, shard: int, name: str) -> None:
-        self._check_usable()
-        self._send(self._workers[shard], ("remove_query", name))
+        self._tell(shard, "remove_query", name)
 
     # ------------------------------------------------------------------
     # Results and lifecycle
     # ------------------------------------------------------------------
-    def partial_results(self) -> List:
-        """Accuracy-so-far snapshot of every shard (sessions keep running)."""
+    def _await(self, worker: _Worker, seq: int, kind: str):
+        """The payload ``worker`` answers sequence ``seq`` with."""
+        self._check_usable()
+        while worker.acked < seq:
+            response = self._recv(worker)
+            if response[0] == kind and response[1] == seq:
+                return response[2]
+        raise ShardWorkerError(  # pragma: no cover - protocol error
+            f"response {seq} of {worker} was already consumed")
+
+    def _ask_all(self, kind: str, payloads: Optional[Sequence] = None) -> List:
+        """Every session's answer to ``kind``, in session order.
+
+        FIFO with the batches, so each answer lands at a bin boundary;
+        all commands go out before the first answer is awaited.
+        """
         self._check_usable()
         seqs = []
-        for worker in self._workers:
+        for index, session in enumerate(self._sessions):
+            worker = session.worker
             worker.seq += 1
-            self._send(worker, ("partial", worker.seq))
             seqs.append(worker.seq)
-        return [self._await_payload(worker, seq, "partial")
-                for worker, seq in zip(self._workers, seqs)]
+            extra = () if payloads is None else (payloads[index],)
+            self._send(worker, (kind, worker.seq, index, *extra))
+        return [self._await(session.worker, seq, kind)
+                for session, seq in zip(self._sessions, seqs)]
+
+    def partial_results(self) -> List:
+        """Accuracy-so-far snapshot of every session (they keep running)."""
+        return self._ask_all("partial")
 
     def metrics(self) -> List:
         """Per-shard ``(profiler, sharing_stats)`` pairs (sessions keep
-        running).  FIFO with the batches, so each shard's numbers land at a
-        bin boundary."""
-        self._check_usable()
-        seqs = []
-        for worker in self._workers:
-            worker.seq += 1
-            self._send(worker, ("metrics", worker.seq))
-            seqs.append(worker.seq)
-        return [self._await_payload(worker, seq, "metrics")
-                for worker, seq in zip(self._workers, seqs)]
+        running)."""
+        return self._ask_all("metrics")
+
+    def session_metrics(self) -> List:
+        """Every session's own ``metrics`` document."""
+        return self._ask_all("session_metrics")
 
     def session_states(self) -> List:
-        """Checkpoint capture: every worker's resident session, copied out.
-
-        FIFO with the batches, so the snapshot lands exactly at a bin
-        boundary; the workers keep streaming afterwards.
-        """
-        self._check_usable()
-        seqs = []
-        for worker in self._workers:
-            worker.seq += 1
-            self._send(worker, ("state", worker.seq))
-            seqs.append(worker.seq)
-        return [self._await_payload(worker, seq, "state")
-                for worker, seq in zip(self._workers, seqs)]
+        """Checkpoint capture: every resident session, copied out; the
+        workers keep streaming afterwards."""
+        return self._ask_all("state")
 
     def load_sessions(self, sessions: Sequence) -> None:
-        """Checkpoint restore: replace every worker's resident session.
+        """Checkpoint restore: replace every resident session.
 
-        Each worker adopts the session object shipped to it (state built by
-        a prior execution), discarding the fresh one it constructed at
+        Each worker adopts the session objects shipped to it (state built
+        by a prior execution), discarding the fresh ones it opened at
         startup; the ack keeps the restore synchronous, so the caller may
         ingest immediately after.
         """
-        self._check_usable()
-        if len(sessions) != len(self._workers):
+        if len(sessions) != len(self._sessions):
             raise ValueError(
-                f"need one session per shard worker: got {len(sessions)} "
-                f"for {len(self._workers)} workers")
-        seqs = []
-        for worker, session in zip(self._workers, sessions):
-            worker.seq += 1
-            self._send(worker, ("load_session", worker.seq, session))
-            seqs.append(worker.seq)
-        for worker, seq in zip(self._workers, seqs):
-            self._await_payload(worker, seq, "loaded")
-
-    def _await_payload(self, worker: _Worker, seq: int, kind: str):
-        while True:
-            response = self._recv(worker)
-            self._note_ack(worker, response[1])
-            if response[0] == kind and response[1] == seq:
-                return response[2]
+                f"need one session per resident session: got "
+                f"{len(sessions)} for {len(self._sessions)}")
+        self._ask_all("load_session", sessions)
 
     def close(self) -> List:
-        """Flush every worker's session; returns per-shard execution results.
+        """Flush every session; returns their execution results.
 
         Idempotent: later calls return the same result objects.  The pool
         is stopped (processes joined, segments unlinked) before returning.
         """
-        if self._closed_results is not None:
-            return self._closed_results
-        self._check_usable()
-        seqs = []
-        for worker in self._workers:
-            worker.seq += 1
-            self._send(worker, ("close", worker.seq))
-            seqs.append(worker.seq)
-        results = [self._await_payload(worker, seq, "result")
-                   for worker, seq in zip(self._workers, seqs)]
-        self._closed_results = results
-        self.stop()
-        return results
+        if self._closed_results is None:
+            self._closed_results = self._ask_all("close")
+            self.stop()
+        return self._closed_results
 
     def stop(self) -> None:
         """Terminate the workers and release every shared resource.
@@ -562,7 +612,7 @@ class ShardWorkerPool:
         for worker in self._workers:
             try:
                 worker.commands.send(("stop",))
-            except Exception:
+            except OSError:  # the worker is gone already
                 pass
         deadline = time.monotonic() + _JOIN_TIMEOUT
         for worker in self._workers:
@@ -574,21 +624,23 @@ class ShardWorkerPool:
             for conn in (worker.commands, worker.results):
                 try:
                     conn.close()
-                except Exception:
+                except OSError:  # pragma: no cover - closed under us
                     pass
-            for slot in worker.slots:
-                self._release_segment(slot.shm)
             for shm, _ in worker.pending_unlinks:
                 self._release_segment(shm)
             worker.pending_unlinks = []
+        for session in self._sessions:
+            for slot in session.slots:
+                self._release_segment(slot.shm)
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:
             self.stop()
-        except Exception:
+        except Exception:  # at interpreter exit anything may be half gone
             pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "stopped" if self._stopped else "running"
-        return (f"ShardWorkerPool(shards={self.num_shards}, {state}, "
+        return (f"ShardWorkerPool(sessions={len(self._sessions)}, "
+                f"processes={len(self._workers)}, {state}, "
                 f"pid={os.getpid()})")

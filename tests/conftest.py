@@ -1,6 +1,9 @@
 """Shared fixtures and Hypothesis profiles for the test suite."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.monitor.packet import Batch
 from repro.traffic import TrafficProfile, generate_trace
+from repro.traffic.trace_io import TraceStore, TraceWriter
 
 # Hypothesis profiles: the default keeps the suite fast on every push; the
 # nightly CI schedule runs the same properties much harder
@@ -41,6 +45,45 @@ def make_batch(n=100, seed=0, start_ts=0.0, time_bin=0.1, payloads=False,
         start_ts=start_ts,
     )
     return batch
+
+
+def drop_memos(batch):
+    """Forget what earlier runs memoised on a batch its trace keeps."""
+    batch._agg_cache = None
+    batch._filter_cache = None
+
+
+def write_header_store(path, seconds, packets_per_bin=10_000):
+    """A header store of ``seconds`` of dense traffic, appended a second
+    at a time (25 bytes a packet: 12 s is 30 MB)."""
+    rng = np.random.default_rng(16)
+    per_second = 10 * packets_per_bin
+    with TraceWriter(path, name=path.name) as writer:
+        for second in range(seconds):
+            ts = second + np.sort(rng.random(per_second))
+            writer.append(Batch(
+                ts=ts,
+                src_ip=rng.integers(0, 2 ** 32, per_second, dtype=np.uint32),
+                dst_ip=rng.integers(0, 2 ** 32, per_second, dtype=np.uint32),
+                src_port=rng.integers(0, 2 ** 16, per_second,
+                                      dtype=np.uint16),
+                dst_port=rng.integers(0, 2 ** 16, per_second,
+                                      dtype=np.uint16),
+                proto=np.full(per_second, 6, dtype=np.uint8),
+                size=rng.integers(40, 1500, per_second, dtype=np.uint32)))
+    return TraceStore(path)
+
+
+def probe_rss_mb(script, store):
+    """Run ``script`` on ``store`` in a process of its own, so a peak is
+    that run's own; the first two numbers it prints (``VmHWM`` in kB,
+    before and after) in MB."""
+    import repro
+    src = Path(repro.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", script, str(store.path)],
+                         env={"PYTHONPATH": str(src)}, check=True,
+                         capture_output=True, text=True).stdout.split()
+    return int(out[0]) / 1024.0, int(out[1]) / 1024.0
 
 
 @pytest.fixture

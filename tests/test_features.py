@@ -11,7 +11,7 @@ from repro.core.features import (NUM_FEATURES, FeatureExtractor,
 from repro.experiments import runner
 from repro.monitor.packet import Batch
 from repro.testing import assert_results_identical
-from tests.conftest import make_batch
+from tests.conftest import drop_memos, make_batch
 
 
 class TestFeatureNames:
@@ -152,7 +152,7 @@ class TestPackedBanksAgainstOracle:
         got = [packed.extract(batch).values for batch in batches]
         self._oracle_banks(monkeypatch)
         for batch in batches:
-            batch.drop_memos()  # the packed banks memoised above
+            drop_memos(batch)  # the packed banks memoised above
         oracle = FeatureExtractor(measurement_interval=0.5)
         want = [oracle.extract(batch).values for batch in batches]
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -172,7 +172,7 @@ class TestPackedBanksAgainstOracle:
         packed = config.build().run(small_trace, time_bin=0.1)
         self._oracle_banks(monkeypatch)
         for batch in small_trace.batch_list(0.1):
-            batch.drop_memos()  # the packed banks memoised above
+            drop_memos(batch)  # the packed banks memoised above
         oracle = config.build().run(small_trace, time_bin=0.1)
         assert packed.mean_sampling_rate() < 1.0
         assert_results_identical(packed, oracle, label=mode)

@@ -12,6 +12,7 @@ scraping, the ``Batch.partition`` memo keying, and the
 
 import gc
 import json
+import multiprocessing
 import sys
 import weakref
 
@@ -19,9 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.features import FeatureExtractor
-from repro.core.pool import pool_state
-from repro.experiments.runner import system_config
-from repro.fleet import runner as fleet_runner
+from repro.experiments.runner import calibrate_capacity, system_config
 from repro.fleet import (FleetAggregator, FleetPartitioner, FleetRunner,
                          FleetTopology, NodeSpec, load_topology,
                          verify_exactness)
@@ -30,6 +29,8 @@ from repro.monitor.packet import Batch
 from repro.monitor.sharding import FLOW_FIELDS, shard_seed
 from repro.monitor.workers import fork_start_available
 from repro.queries import MERGE_EXACTNESS, QuerySpec, parse_query_specs
+from repro.testing import assert_results_identical
+from repro.traffic.trace_io import save_trace_store
 from tests.conftest import make_batch
 
 
@@ -332,74 +333,103 @@ class TestFleetRunner:
 
     @pytest.mark.skipif(not fork_start_available(),
                         reason="needs the fork start method")
-    def test_fork_backend_matches_inprocess(self, small_trace):
-        config = _config()
-        topology = FleetTopology.uniform(2)
+    @pytest.mark.parametrize("topology", [
+        pytest.param(FleetTopology.uniform(2), id="2-nodes-2-processes"),
+        pytest.param(FleetTopology.uniform(8), id="8-nodes-2-processes"),
+        pytest.param(FleetTopology(nodes=[
+            NodeSpec("plain"), NodeSpec("sharded", overlay={"num_shards": 2}),
+            NodeSpec("reactive", overlay={"mode": "reactive"})]),
+            id="one-node-with-2-shards"),
+    ])
+    def test_fork_backend_matches_inprocess(self, small_trace, topology):
+        """Resident worker processes change where a node session lives,
+        not what it sees: the federated result and every node's are
+        bit-identical, shedding included."""
+        kinds = "counter,flows,top-k"
+        capacity, _ = calibrate_capacity(kinds.split(","), small_trace)
+        config = _config(queries=parse_query_specs(kinds),
+                         cycles_per_second=0.4 * capacity)
         inproc = FleetRunner(topology, config=config,
                              backend="inprocess").run(small_trace,
-                                                      time_bin=0.5)
+                                                      time_bin=0.1)
         forked = FleetRunner(topology, config=config, n_workers=2,
-                             backend="fork").run(small_trace, time_bin=0.5)
-        assert forked.backend == "fork"
-        assert forked.federated.bins == inproc.federated.bins
-        for name, log in inproc.federated.query_logs.items():
-            assert forked.federated.query_logs[name].results == log.results
-
+                             backend="fork", respect_cores=False
+                             ).run(small_trace, time_bin=0.1)
+        assert (inproc.backend, forked.backend) == ("inprocess", "fork")
+        assert inproc.federated.mean_sampling_rate() < 1.0
+        assert_results_identical(inproc.federated, forked.federated,
+                                 "federated")
+        for node, mine, theirs in zip(topology.nodes, inproc.node_results,
+                                      forked.node_results):
+            assert_results_identical(mine, theirs, node.name)
+        assert forked.node_bin_seconds.shape == inproc.node_bin_seconds.shape
+        assert np.all(forked.node_bin_seconds > 0.0)
+        assert forked.metrics["feature_sharing"] == \
+            inproc.metrics["feature_sharing"]
 
     @pytest.mark.parametrize("backend", ["inprocess", "fork"])
     def test_finished_node_job_leaves_no_memos_behind(self, small_trace,
-                                                      monkeypatch, backend):
-        """A node's stream outlives its job (the in-process runner and a
-        fork worker's inherited pool state both hold every stream until
-        the fleet is done), so the job must not leave the bins' memoised
-        counters on it: a worker's footprint would grow with every node it
-        has run."""
-        built = []
-        build = FeatureExtractor._batch_counters
-
-        def recording(extractor, batch):
-            bank = build(extractor, batch)
-            built.append(weakref.ref(bank))
-            return bank
-
-        monkeypatch.setattr(FeatureExtractor, "_batch_counters", recording)
+                                                      tmp_path, monkeypatch,
+                                                      backend):
+        """A part dies with its bin, and what a node made of it — sampled
+        and filtered sub-batches, the counters memoised on them — dies with
+        the part: wherever the node sessions live, nothing older than the
+        previous bin is alive while a bin is worked on (the loop variables
+        hold the previous one until they are rebound).  The recorders check
+        that as they record, so they also check it inside the worker
+        processes, which inherit them (and the disabled collector) at the
+        fork; a failed check there fails the run."""
+        if backend == "fork" and not fork_start_available():
+            pytest.skip("needs the fork start method")
         # One query behind a filter: its counters hang off the bin's
         # filter result, not off the bin itself.
-        fleet = FleetRunner(FleetTopology.uniform(2), config=_config(
-            feature_method="bitmap",
-            queries=(QuerySpec("counter"), QuerySpec("flows", filter="tcp"))))
-        configs = fleet.topology.node_configs(fleet.config)
-        streams, _ = fleet.node_streams(small_trace, 0.5)
-        # The batches the job itself makes (filter results, sampled
-        # sub-batches) hang off no stream: they go with their bin, by
-        # reference count alone, whether or not memos are dropped.
-        selected = []
+        queries = (QuerySpec("counter"), QuerySpec("flows", filter="tcp"))
+        capacity, _ = calibrate_capacity(queries, small_trace)
+        # Fresh bins: an in-memory trace keeps its own, parts and all.
+        store = save_trace_store(small_trace, tmp_path / "store")
+        made = []
+        checks = multiprocessing.Value("i", 0)
+
+        def record(obj, start_ts):
+            starts = sorted({ts for ts, _ in made} | {start_ts})
+            previous = starts[-2] if len(starts) > 1 else start_ts
+            stale = [ref for ts, ref in made
+                     if ts < previous and ref() is not None]
+            assert not stale, f"{len(stale)} objects outlived their bin"
+            made.append((start_ts, weakref.ref(obj)))
+            with checks.get_lock():
+                checks.value += 1
+            return obj
+
+        build = FeatureExtractor._batch_counters
+        monkeypatch.setattr(
+            FeatureExtractor, "_batch_counters", lambda extractor, batch:
+            record(build(extractor, batch), batch.start_ts))
         select = Batch.select
-
-        def recording_select(batch, mask_or_index):
-            sub = select(batch, mask_or_index)
-            selected.append(weakref.ref(sub))
-            return sub
-
-        monkeypatch.setattr(Batch, "select", recording_select)
+        monkeypatch.setattr(
+            Batch, "select", lambda batch, mask_or_index:
+            record(select(batch, mask_or_index), batch.start_ts))
+        fleet = FleetRunner(
+            FleetTopology.uniform(4), n_workers=2, backend=backend,
+            respect_cores=False, config=_config(
+                feature_method="bitmap", cycles_per_second=0.4 * capacity,
+                queries=queries))
         gc.collect()
         gc.disable()
         try:
-            if backend == "fork":
-                # What a pool worker does: the job function over the state
-                # it inherited at fork.
-                with pool_state(fleet_runner._POOL_STATE, configs=configs,
-                                streams=streams, time_bin=0.5,
-                                names=["node0", "node1"]):
-                    fleet_runner._run_node_job(0)
-            else:
-                fleet_runner._run_node(configs[0], streams[0], 0.5, "node0")
-            assert selected and all(ref() is None for ref in selected)
+            result = fleet.run(store, time_bin=0.1)
+            # In the parent: the parts (``split`` selects them), and in
+            # process everything the nodes made as well.
+            assert made and not any(ref() for _, ref in made)
         finally:
             gc.enable()
-        gc.collect()
-        assert any(len(batch) for batch in streams[0])  # still held
-        assert built and all(ref() is None for ref in built)
+        assert result.backend == backend
+        assert result.federated.mean_sampling_rate() < 1.0
+        # Counters were built where the nodes live, checked one by one.
+        if backend == "fork":
+            assert checks.value > len(made)
+        else:
+            assert checks.value == len(made)
 
 
 # ----------------------------------------------------------------------
@@ -479,6 +509,22 @@ class TestFleetCLI:
         out = capsys.readouterr().out
         assert "exactness check (PASS)" in out
         assert "counter" in out and "flows" in out
+
+    @pytest.mark.skipif(not fork_start_available(),
+                        reason="needs the fork start method")
+    def test_store_replays_out_of_core_on_resident_workers(
+            self, small_trace, tmp_path, capsys, monkeypatch):
+        store = save_trace_store(small_trace, tmp_path / "store")
+        monkeypatch.setattr(
+            FleetRunner, "node_streams",
+            lambda *args: pytest.fail("run() materialised the stream"))
+        assert fleet_main([
+            "--nodes", "3", "--trace", str(store.path), "--queries",
+            "counter,flows", "--n-workers", "2", "--fleet-backend", "fork",
+            "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "backend=fork" in out and f"{len(small_trace)} packets" in out
+        assert "exactness check (PASS)" in out
 
     def test_topology_file(self, tmp_path, capsys):
         path = tmp_path / "fleet.json"

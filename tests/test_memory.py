@@ -7,24 +7,31 @@ its sampled sub-batches and everything memoised on them are freed — no
 reference cycle runs through a :class:`Batch`, and nothing in a session
 holds one past its bin.  The other half is the streaming reader, which
 reads the columns and payloads of the bin being built and of nothing else,
-on descriptors that are not part of a store's pickled state.
+on descriptors that are not part of a store's pickled state.  The fleet is
+the third: it deals a stream out bin by bin, so neither the bins nor the
+parts it splits them into outlive the run, and its resident set does not
+grow with the store.
 """
 
 import gc
 import pickle
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
 from repro.experiments import runner
+from repro.fleet import FleetPartitioner, FleetRunner, FleetTopology
 from repro.monitor.filters import Filter
 from repro.monitor.packet import COLUMN_FIELDS, Batch
 from repro.monitor.sharding import ShardedSystem
+from repro.monitor.workers import fork_start_available
 from repro.queries import QuerySpec
 from repro.testing import assert_results_identical
 from repro.traffic.trace_io import TraceStore, save_trace_store
-from tests.conftest import make_batch
+from tests.conftest import (drop_memos, make_batch, probe_rss_mb,
+                            write_header_store)
 
 TIME_BIN = 0.1
 FLOW_COLUMNS = ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
@@ -144,7 +151,7 @@ def test_trace_held_batches_still_share_filter_results(small_trace,
     queries = (QuerySpec("counter"), QuerySpec("flows", filter="tcp"))
     bins = small_trace.batch_list(TIME_BIN)
     for batch in bins:
-        batch.drop_memos()
+        drop_memos(batch)
     for mode in ("predictive", "reactive"):
         session = runner.system_config(queries=queries, mode=mode,
                                        seed=5).build().open_session(
@@ -302,3 +309,96 @@ def test_pickled_store_carries_no_data(header_store):
         for name in COLUMN_FIELDS:
             assert np.array_equal(getattr(mine, name),
                                   getattr(theirs, name)), name
+
+
+# ----------------------------------------------------------------------
+# The fleet: a stream dealt out bin by bin
+# ----------------------------------------------------------------------
+needs_fork = pytest.mark.skipif(not fork_start_available(),
+                                reason="needs the fork start method")
+
+
+class _WatchedStore:
+    """The trace protocol over a store, with a weak reference to every
+    bin it hands out."""
+
+    def __init__(self, store):
+        self.name = store.name
+        self.store = store
+        self.bins = []
+
+    def batches(self, time_bin):
+        for batch in self.store.streaming().batches(time_bin):
+            self.bins.append(weakref.ref(batch))
+            yield batch
+
+
+@pytest.mark.parametrize("backend", [
+    "inprocess", pytest.param("fork", marks=needs_fork)])
+def test_fleet_run_does_not_hold_the_stream(no_gc, header_store, monkeypatch,
+                                            backend):
+    """Every bin ``run`` read and every part it split is gone when ``run``
+    returns: the result carries records and logs, never packets."""
+    parts = []
+    split = FleetPartitioner.split
+
+    def watched_split(partitioner, batch):
+        made = split(partitioner, batch)
+        parts.extend(weakref.ref(part) for part in made)
+        return made
+
+    monkeypatch.setattr(FleetPartitioner, "split", watched_split)
+    source = _WatchedStore(header_store)
+    fleet = FleetRunner(
+        FleetTopology.uniform(4), n_workers=2, backend=backend,
+        respect_cores=False,
+        config=runner.system_config(queries="counter,flows", seed=5,
+                                    cycles_per_second=1e8))
+    result = fleet.run(source, time_bin=TIME_BIN)
+    assert result.backend == backend
+    assert result.federated.total_packets == len(header_store)
+    assert len(source.bins) == len(result.federated.bins) > 0
+    assert len(parts) == 4 * len(source.bins)
+    assert not any(ref() is not None for ref in source.bins + parts)
+
+
+# One fleet run per process, so the peak is that run's own.  Prints the
+# parent's resident-set high-water mark before and after the run.
+_FLEET_RSS_PROBE = """
+import re, sys
+from repro.experiments import runner
+from repro.fleet import FleetRunner, FleetTopology
+from repro.traffic.trace_io import TraceStore
+
+def hwm_kb():
+    with open("/proc/self/status") as status:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", status.read()).group(1))
+
+store = TraceStore(sys.argv[1])
+fleet = FleetRunner(FleetTopology.uniform(4), n_workers=2, backend="fork",
+                    respect_cores=False,
+                    config=runner.system_config(queries="counter",
+                                                cycles_per_second=1e9))
+before = hwm_kb()
+result = fleet.run(store)
+assert result.backend == "fork"
+assert result.federated.total_packets == len(store)
+print(before, hwm_kb())
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_fleet_parent_resident_set_does_not_grow_with_the_store(tmp_path):
+    """The parent of a fleet on resident workers holds one bin and its
+    parts, whatever the store's length (the whole stream split four ways
+    would be twice the store: 30 MB more for the long one here)."""
+    short = write_header_store(tmp_path / "short", seconds=2)
+    long = write_header_store(tmp_path / "long", seconds=8)
+    assert len(long) == 4 * len(short)
+    assert sum(f.stat().st_size for f in long.path.iterdir()) >= 19 * 2 ** 20
+    before, short_peak = probe_rss_mb(_FLEET_RSS_PROBE, short)
+    assert short_peak - before < 8.0
+    _, long_peak = probe_rss_mb(_FLEET_RSS_PROBE, long)
+    assert abs(long_peak - short_peak) < 3.0

@@ -9,10 +9,8 @@ classic way, while the process's resident set does not grow with the store.
 
 import json
 import shutil
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +26,7 @@ from repro.traffic.trace_io import (MANIFEST_NAME, TraceStore, TraceWriter,
                                     open_trace, save_trace, save_trace_store)
 from repro import replay
 from repro.testing import assert_results_identical as _assert_results_identical
+from tests.conftest import probe_rss_mb, write_header_store
 
 QUERY_SET = ("counter", "flows", "top-k")
 
@@ -322,35 +321,6 @@ print(before, hwm_kb(), checksum)
 """
 
 
-def _write_header_store(path, seconds, packets_per_bin=10_000):
-    """A header store of ``seconds`` of dense traffic, appended a second
-    at a time (25 bytes a packet: 12 s is 30 MB)."""
-    rng = np.random.default_rng(16)
-    per_second = 10 * packets_per_bin
-    with TraceWriter(path, name=path.name) as writer:
-        for second in range(seconds):
-            ts = second + np.sort(rng.random(per_second))
-            writer.append(Batch(
-                ts=ts,
-                src_ip=rng.integers(0, 2 ** 32, per_second, dtype=np.uint32),
-                dst_ip=rng.integers(0, 2 ** 32, per_second, dtype=np.uint32),
-                src_port=rng.integers(0, 2 ** 16, per_second,
-                                      dtype=np.uint16),
-                dst_port=rng.integers(0, 2 ** 16, per_second,
-                                      dtype=np.uint16),
-                proto=np.full(per_second, 6, dtype=np.uint8),
-                size=rng.integers(40, 1500, per_second, dtype=np.uint32)))
-    return TraceStore(path)
-
-
-def _replay_rss_mb(store):
-    src = Path(replay.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", _RSS_PROBE, str(store.path)],
-                         env={"PYTHONPATH": str(src)}, check=True,
-                         capture_output=True, text=True).stdout.split()
-    return int(out[0]) / 1024.0, int(out[1]) / 1024.0
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="reads VmHWM from /proc/self/status")
 def test_replay_resident_set_does_not_grow_with_the_store(tmp_path):
@@ -358,14 +328,14 @@ def test_replay_resident_set_does_not_grow_with_the_store(tmp_path):
     streaming a store leaves the resident set where it was, whatever the
     store's length (mapped columns cost the whole store: tens of MB here).
     """
-    short = _write_header_store(tmp_path / "short", seconds=14)
+    short = write_header_store(tmp_path / "short", seconds=14)
     assert sum(f.stat().st_size for f in short.path.iterdir()) >= 32 * 2 ** 20
-    before, short_peak = _replay_rss_mb(short)
+    before, short_peak = probe_rss_mb(_RSS_PROBE, short)
     assert short_peak - before < 8.0
     shutil.rmtree(short.path)
-    long = _write_header_store(tmp_path / "long", seconds=56)
+    long = write_header_store(tmp_path / "long", seconds=56)
     assert len(long) == 4 * len(short)
-    _, long_peak = _replay_rss_mb(long)
+    _, long_peak = probe_rss_mb(_RSS_PROBE, long)
     assert abs(long_peak - short_peak) < 3.0
 
 

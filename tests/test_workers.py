@@ -9,26 +9,33 @@ The contracts under test:
   modes, including ``shard_rebalance=True`` and including live
   reconfiguration mid-stream.
 * **Lifecycle** — close/stop are idempotent, a worker dying mid-stream
-  surfaces a :class:`ShardWorkerError` naming the shard (not a hang), and
-  every shared-memory segment the pool ever created is unlinked by the
-  time it stops — no ``/dev/shm`` leaks, even after failures.
-* **Driver hygiene** — the fleet's pre-fork ``_POOL_STATE`` handoff never
-  leaks past an exception, sessions that silently lost their requested
-  parallelism warn instead, and a streaming trace replayed twice reads
-  the same bins twice.
+  surfaces a :class:`ShardWorkerError` naming the process and every
+  session it hosted (not a hang), and every shared-memory segment the
+  pool ever created is unlinked by the time it stops — no ``/dev/shm``
+  leaks, even after failures.
+* **More sessions than processes** — what the fleet runs: session ``i``
+  lives on process ``i mod n``, and records, results, checkpointed states
+  and failure reports still come back per session, in session order.
+* **Driver hygiene** — a fleet run that fails mid-stream stops its
+  workers, sessions that silently lost their requested parallelism warn
+  instead, and a streaming trace replayed twice reads the same bins twice.
 """
+
+import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from repro.experiments import runner, scenarios
-from repro.fleet import FleetRunner, FleetTopology
+from repro.fleet import FleetPartitioner, FleetRunner, FleetTopology
 from repro.fleet import runner as fleet_runner
 from repro.monitor.packet import COLUMN_FIELDS, Batch, column_layout
-from repro.monitor.sharding import ShardedSystem
+from repro.monitor.sharding import InProcessShards, ShardedSystem
 from repro.monitor.workers import (ShardExecutionWarning, ShardWorkerError,
-                                   fork_start_available)
+                                   ShardWorkerPool, fork_start_available)
 from repro.queries import make_query
+from repro.testing import assert_results_identical
 from repro.traffic.trace_io import save_trace_store
 from tests.conftest import make_batch
 
@@ -81,6 +88,13 @@ def _attachable(segment_name):
         return False
     handle.close()
     return True
+
+
+def _assert_released(pool):
+    """Stopped, and none of the segments it ever created is left behind."""
+    assert pool.stopped
+    for name in pool.created_segments:
+        assert not _attachable(name), f"segment {name} leaked"
 
 
 # ----------------------------------------------------------------------
@@ -277,9 +291,7 @@ class TestPoolLifecycle:
         assert any(_attachable(name) for name in pool.created_segments)
         first = session.close()
         assert session.close() is first
-        assert pool.stopped
-        for name in pool.created_segments:
-            assert not _attachable(name), f"segment {name} leaked"
+        _assert_released(pool)
 
     def test_stop_is_idempotent_and_safe_after_close(self):
         session = self._open_worker_session()
@@ -300,9 +312,7 @@ class TestPoolLifecycle:
             for s in range(2, 12):
                 session.ingest(make_batch(n=50, seed=s, start_ts=0.1 * s))
         # The failure stops the pool and releases every segment...
-        assert pool.stopped
-        for name in pool.created_segments:
-            assert not _attachable(name), f"segment {name} leaked"
+        _assert_released(pool)
         # ...and later use reports the failure instead of hanging.
         with pytest.raises(ShardWorkerError):
             session.ingest(make_batch(n=50, seed=99))
@@ -329,33 +339,212 @@ class TestPoolLifecycle:
         with pytest.raises(RuntimeError):
             with session:
                 raise RuntimeError("boom")
-        assert session._executor.stopped
-        for name in session._executor.created_segments:
-            assert not _attachable(name), f"segment {name} leaked"
+        _assert_released(session._executor)
+
+
+# ----------------------------------------------------------------------
+# More sessions than processes (what a fleet runs)
+# ----------------------------------------------------------------------
+@needs_fork
+class TestSessionsSharingProcesses:
+    NAMES = [f"stream[s{index}]" for index in range(5)]
+
+    @staticmethod
+    def _configs():
+        """Five sessions that differ, so a mix-up between them shows."""
+        return [runner.system_config(queries="counter,flows", seed=index,
+                                     cycles_per_second=(2 + index) * 1e5)
+                for index in range(5)]
+
+    def _pool(self):
+        return ShardWorkerPool(self._configs(), None, 0.1, self.NAMES,
+                               processes=2)
+
+    def _serial(self):
+        return InProcessShards([config.build() for config in self._configs()],
+                               0.1, self.NAMES)
+
+    @staticmethod
+    def _bins(count, start=0):
+        """Per bin, five parts of different sizes (one of them empty)."""
+        return [[make_batch(n=40 * ((bin_ + session) % 5),
+                            seed=10 * bin_ + session, start_ts=0.1 * bin_)
+                 for session in range(5)]
+                for bin_ in range(start, start + count)]
+
+    def test_records_and_results_come_back_in_session_order(self):
+        pool, serial = self._pool(), self._serial()
+        assert [worker.hosted for worker in pool._workers] == [
+            ["stream[s0]", "stream[s2]", "stream[s4]"],
+            ["stream[s1]", "stream[s3]"]]
+        for parts in self._bins(8):
+            got, want = pool.ingest(parts), serial.ingest(parts)
+            assert [r.incoming_packets for r in got] == \
+                [len(part) for part in parts]
+            assert got == want
+        # Run ahead for a while: records nobody waits for are dropped,
+        # their seconds are not.
+        for parts in self._bins(6, start=8):
+            for session, part in enumerate(parts):
+                pool.ingest_async(session, part)
+            serial.ingest(parts)
+        metrics = pool.session_metrics()
+        assert [m["profile"]["bins"] for m in metrics] == [14] * 5
+        results = pool.close()
+        assert pool.close() is results
+        assert [result.trace_name for result in results] == self.NAMES
+        for mine, theirs in zip(results, serial.close()):
+            assert_results_identical(theirs, mine, mine.trace_name)
+        assert [len(seconds) for seconds in pool.ingest_seconds] == [14] * 5
+        assert all(s > 0.0 for row in pool.ingest_seconds for s in row)
+        _assert_released(pool)
+
+    def test_session_states_round_trip_through_another_pool(self):
+        bins = self._bins(12)
+        first, serial = self._pool(), self._serial()
+        for parts in bins[:6]:
+            first.ingest(parts)
+            serial.ingest(parts)
+        states = pickle.loads(pickle.dumps(first.session_states()))
+        first.stop()
+        assert [state.name for state in states] == self.NAMES
+        second = self._pool()
+        with pytest.raises(ValueError, match="one session per"):
+            second.load_sessions(states[:4])
+        second.load_sessions(states)
+        for parts in bins[6:]:
+            assert second.ingest(parts) == serial.ingest(parts)
+        for mine, theirs in zip(second.close(), serial.close()):
+            assert_results_identical(theirs, mine, mine.trace_name)
+        for pool in (first, second):
+            _assert_released(pool)
+
+    def test_dead_worker_names_every_session_it_hosted(self):
+        pool = self._pool()
+        bins = self._bins(6)
+        pool.ingest(bins[0])
+        pool._workers[0].process.kill()
+        pool._workers[0].process.join(timeout=10.0)
+        assert not pool._workers[0].process.is_alive()
+        with pytest.raises(ShardWorkerError) as failure:
+            for parts in bins[1:]:
+                pool.ingest(parts)
+        message = str(failure.value)
+        assert "shard worker 0" in message
+        for name in ("stream[s0]", "stream[s2]", "stream[s4]"):
+            assert name in message
+        assert "stream[s1]" not in message
+        _assert_released(pool)
+        with pytest.raises(ShardWorkerError, match="stream\\[s4\\]"):
+            pool.close()
+
+    def test_raising_session_names_its_process_mates(self):
+        pool = self._pool()
+        pool.add_query(3, make_query("counter"))  # a duplicate name
+        with pytest.raises(ShardWorkerError) as failure:
+            pool.ingest(self._bins(1)[0])
+        message = str(failure.value)
+        assert "shard worker 1 (hosting stream[s1], stream[s3]) raised" \
+            in message
+        assert "already registered" in message  # the worker's traceback
+        assert pool.stopped
+
+    def test_running_ahead_of_a_crowded_process_cannot_wedge_its_pipes(self):
+        """Empty parts take no buffer slot, so only the per-process window
+        bounds how far a reader runs ahead: without it 4,000 unanswered
+        bins fill the worker's result pipe, then its command pipe, and
+        parent and worker wait on each other for ever."""
+        configs = [runner.system_config(queries="counter", seed=index,
+                                        cycles_per_second=1e9)
+                   for index in range(40)]
+        pool = ShardWorkerPool(configs, None, 0.1,
+                               [f"s{index}" for index in range(40)],
+                               processes=1)
+        results = []
+
+        def run_ahead():
+            for bin_ in range(100):
+                empty = Batch.empty(time_bin=0.1, start_ts=0.1 * bin_)
+                for session in range(40):
+                    pool.ingest_async(session, empty)
+            results.extend(pool.close())
+
+        reader = threading.Thread(target=run_ahead, daemon=True)
+        reader.start()
+        reader.join(timeout=60.0)
+        try:
+            assert not reader.is_alive(), "parent and worker are deadlocked"
+        finally:
+            for worker in pool._workers:  # frees a wedged reader too
+                worker.process.kill()
+        assert [len(result.bins) for result in results] == [100] * 40
+        assert [len(row) for row in pool.ingest_seconds] == [100] * 40
+
+    def test_lockstep_bin_wider_than_the_window_keeps_every_record(self):
+        """Ten sessions a process, eight unanswered bins allowed: the
+        lockstep helper gathers a stride's records before it ships on."""
+        configs = [runner.system_config(queries="counter", seed=index,
+                                        cycles_per_second=1e9)
+                   for index in range(20)]
+        pool = ShardWorkerPool(configs, None, 0.1,
+                               [f"s{index}" for index in range(20)],
+                               processes=2)
+        try:
+            for bin_ in range(3):
+                parts = [make_batch(n=5 * session, seed=session,
+                                    start_ts=0.1 * bin_)
+                         for session in range(20)]
+                records = pool.ingest(parts)
+                assert [record.incoming_packets for record in records] == \
+                    [5 * session for session in range(20)]
+        finally:
+            pool.stop()
+
+    def test_more_processes_than_sessions_is_refused(self):
+        with pytest.raises(ValueError, match="5 sessions on 6 processes"):
+            ShardWorkerPool(self._configs(), None, 0.1, self.NAMES,
+                            processes=6)
 
 
 # ----------------------------------------------------------------------
 # Driver hygiene
 # ----------------------------------------------------------------------
-class TestPoolStateSafety:
-    def test_pool_state_cleared_when_the_pool_map_raises(self, monkeypatch):
-        """A crash inside the fleet's fork pool — the one remaining pre-fork
-        handoff — must not leak the pre-partitioned streams into the parent
-        (and into every later fork)."""
-        def exploding_map(*args, **kwargs):
-            assert fleet_runner._POOL_STATE  # populated for the workers
-            raise RuntimeError("worker crashed")
+@needs_fork
+class TestFleetOnThePool:
+    def test_failed_run_stops_its_workers_and_unlinks_every_segment(
+            self, monkeypatch):
+        """A crash in the middle of a fleet run must leave neither worker
+        processes nor ``/dev/shm`` segments behind."""
+        pools = []
 
+        class RecordedPool(ShardWorkerPool):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_runner, "ShardWorkerPool", RecordedPool)
+        split = FleetPartitioner.split
+        calls = []
+
+        def exploding_split(partitioner, batch):
+            calls.append(batch)
+            if len(calls) == 4:
+                raise RuntimeError("reader crashed")
+            return split(partitioner, batch)
+
+        monkeypatch.setattr(FleetPartitioner, "split", exploding_split)
         fleet = FleetRunner(
-            FleetTopology.uniform(2), n_workers=2, backend="fork",
+            FleetTopology.uniform(4), n_workers=2, backend="fork",
             respect_cores=False,
             config=runner.system_config(queries="counter",
                                         cycles_per_second=1e9))
-        monkeypatch.setattr(fleet.pool, "map", exploding_map)
         trace = scenarios.build_workload("cesca", seed=1, scale=0.05)
-        with pytest.raises(RuntimeError, match="worker crashed"):
+        with pytest.raises(RuntimeError, match="reader crashed"):
             fleet.run(trace)
-        assert fleet_runner._POOL_STATE == {}
+        pool, = pools
+        assert len(pool._workers) == 2 and pool.created_segments
+        assert not any(worker.process.is_alive() for worker in pool._workers)
+        _assert_released(pool)
 
 
 class TestExecutionWarnings:
