@@ -10,7 +10,7 @@ sorted-array tables so that *all* keyed queries share one implementation:
 :class:`KeyedAccumulator`
     A columnar table: one sorted ``uint64`` key array plus any number of
     parallel ``float64`` value columns.  Per-batch updates are pure array
-    operations (``np.unique`` / ``np.searchsorted`` / ``np.insert``), and
+    operations (sort / ``np.searchsorted`` / ``np.insert``), and
     :meth:`KeyedAccumulator.observe` reports how many keys were new so the
     caller can charge the exact hash-insert/update cost model the paper's
     queries use.
@@ -29,8 +29,9 @@ sorted-array tables so that *all* keyed queries share one implementation:
     one C-level ``bytes.find`` sweep replaces the per-packet Python loop of
     the payload-inspection queries.
 
-Both tables find a batch's keys in their sorted key array with
-:func:`repro.core.distinct.locate_sorted`, the one membership primitive the
+Both tables reduce a batch to its sorted distinct keys with
+:func:`repro.core.distinct.sorted_unique` and find them in their sorted key
+array with :func:`repro.core.distinct.locate_sorted`, the two primitives the
 exact distinct counter uses too.
 
 All kernels expose an explicit ``merge`` with union-of-keys semantics, so
@@ -45,7 +46,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distinct import DistinctCounter, locate_sorted
+from .distinct import DistinctCounter, locate_sorted, sorted_unique
 
 
 def aggregate_batch(keys: np.ndarray, weights: Optional[np.ndarray] = None
@@ -57,9 +58,9 @@ def aggregate_batch(keys: np.ndarray, weights: Optional[np.ndarray] = None
     ``weights`` is None) of ``unique_keys[i]``.
     """
     if weights is None:
-        unique, counts = np.unique(keys, return_counts=True)
+        unique, counts = sorted_unique(keys, return_counts=True)
         return unique, counts.astype(np.float64)
-    unique, inverse = np.unique(keys, return_inverse=True)
+    unique, inverse = sorted_unique(keys, return_inverse=True)
     return unique, np.bincount(inverse, weights=weights,
                                minlength=len(unique))
 
@@ -100,7 +101,7 @@ class KeyedAccumulator:
         """Fold one batch's per-key aggregates into the table.
 
         ``unique_keys`` must be sorted and duplicate-free (the shape
-        :func:`aggregate_batch` and ``np.unique`` produce); each keyword is a
+        :func:`aggregate_batch` and ``sorted_unique`` produce); each keyword is a
         value column aligned with it.  Existing keys accumulate in place,
         new keys are inserted in sorted position.  Returns the number of
         *new* keys, which is exactly the hash-insert count of the paper's
@@ -162,11 +163,30 @@ class KeyedAccumulator:
         the one a single instance over the whole stream would hold — the
         property that makes sharded query state foldable by construction.
         """
-        if other.column_names != self.column_names:
-            raise ValueError("cannot merge accumulators with different "
-                             f"columns ({self.column_names} vs "
-                             f"{other.column_names})")
-        self.observe(other._keys, **other._columns)
+        merged = self.union([self, other])
+        self._keys, self._columns = merged._keys, merged._columns
+
+    @classmethod
+    def union(cls, tables: Sequence["KeyedAccumulator"]
+              ) -> "KeyedAccumulator":
+        """A new accumulator holding the :meth:`merge` of ``tables``, which
+        are left untouched: the keys' union, every column summed per key in
+        table order."""
+        merged = cls(tables[0].column_names)
+        for table in tables:
+            if table.column_names != merged.column_names:
+                raise ValueError("cannot merge accumulators with different "
+                                 f"columns ({merged.column_names} vs "
+                                 f"{table.column_names})")
+        merged._keys = sorted_unique(
+            np.concatenate([table._keys for table in tables]))
+        merged._columns = {name: np.zeros(merged._keys.size)
+                           for name in merged.column_names}
+        for table in tables:
+            positions = np.searchsorted(merged._keys, table._keys)
+            for name, column in merged._columns.items():
+                column[positions] += table._columns[name]
+        return merged
 
     def copy(self) -> "KeyedAccumulator":
         clone = KeyedAccumulator(self.column_names)
@@ -218,10 +238,21 @@ class DistinctFanout:
         return ((np.asarray(keys, dtype=np.uint64) << np.uint64(32)) |
                 (np.asarray(items, dtype=np.uint64) & np.uint64(0xFFFFFFFF)))
 
+    @staticmethod
+    def key_u32(pair_keys: np.ndarray) -> np.ndarray:
+        """The key column of :meth:`pair_u32` pair keys."""
+        return pair_keys >> np.uint64(32)
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Number of distinct pairs recorded so far."""
         return int(self._pairs.size)
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The sorted distinct pair keys (replaced, never written, by
+        :meth:`observe` and :meth:`reset`)."""
+        return self._pairs
 
     def observe(self, pair_keys: np.ndarray, owner_keys: np.ndarray) -> int:
         """Record one batch of per-packet pairs; returns the new-pair count."""
@@ -229,7 +260,7 @@ class DistinctFanout:
         owner_keys = np.asarray(owner_keys, dtype=np.uint64)
         if pair_keys.size == 0:
             return 0
-        unique_pairs, first = np.unique(pair_keys, return_index=True)
+        unique_pairs, first = sorted_unique(pair_keys, return_index=True)
         unique_owners = owner_keys[first]
         positions, known = locate_sorted(self._pairs, unique_pairs)
         new = ~known
@@ -248,12 +279,11 @@ class DistinctFanout:
         if self._owners.size == 0:
             return (np.empty(0, dtype=np.uint64),
                     np.empty(0, dtype=np.int64))
-        keys, counts = np.unique(self._owners, return_counts=True)
-        return keys, counts
+        return sorted_unique(self._owners, return_counts=True)
 
     @property
     def num_keys(self) -> int:
-        return int(np.unique(self._owners).size)
+        return int(sorted_unique(self._owners).size)
 
     def total_estimate(self) -> float:
         """Distinct pair count (bitmap estimate when a counter is carried)."""

@@ -176,7 +176,6 @@ class CycleClock:
     def __init__(self, budget: Optional[CycleBudget] = None) -> None:
         self.budget = budget if budget is not None else CycleBudget()
         self.current = BinUsage()
-        self.history: list = []
         self._carry_delay = 0.0
 
     # -- per-bin lifecycle ------------------------------------------------
@@ -191,7 +190,6 @@ class CycleClock:
         # Delay only accumulates; spare cycles in a bin are lost (a capture
         # system cannot bank idle time), but they do pay down existing delay.
         self._carry_delay = max(0.0, self._carry_delay + overrun)
-        self.history.append(usage)
         return usage
 
     # -- charging ----------------------------------------------------------
@@ -228,5 +226,4 @@ class CycleClock:
 
     def reset(self) -> None:
         self.current = BinUsage()
-        self.history = []
         self._carry_delay = 0.0

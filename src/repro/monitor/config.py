@@ -201,6 +201,14 @@ class SystemConfig:
                         "derived)")
 
     # ------------------------------------------------------------------
+    @property
+    def strategy_name(self) -> str:
+        """What an execution result calls the strategy: its registered
+        name, or a callable's ``__name__``."""
+        if isinstance(self.strategy, str):
+            return self.strategy
+        return getattr(self.strategy, "__name__", "custom")
+
     def replace(self, **changes: Any) -> "SystemConfig":
         """A copy with the given fields changed (and re-validated)."""
         valid = {f.name for f in dataclasses.fields(self)}

@@ -28,6 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import aggregate
+from ..core.distinct import sorted_unique
 from ..core.hashing import combine_columns
 
 #: IP protocol numbers used throughout the code base.
@@ -390,19 +391,20 @@ class Batch:
         """
         key = ("unique_hash", tuple(columns))
         pair = self.memo(
-            key, lambda: np.unique(self.aggregate_hashes(columns),
-                                   return_inverse=True))
+            key, lambda: sorted_unique(self.aggregate_hashes(columns),
+                                       return_inverse=True))
         return pair if return_inverse else pair[0]
 
     def unique_values(self, column: str):
-        """Memoised ``np.unique(column, return_inverse=True)`` pair.
+        """Memoised sorted ``(unique values, inverse)`` pair of a column.
 
         The destination-keyed queries (top-k, autofocus) aggregate the
         same batch by the same column; the reduction is shared.
         """
         return self.memo(
             ("unique_column", column),
-            lambda: np.unique(getattr(self, column), return_inverse=True))
+            lambda: sorted_unique(getattr(self, column),
+                                  return_inverse=True))
 
     # ------------------------------------------------------------------
     # Memoised payload derivations (batched signature scanning)

@@ -182,7 +182,9 @@ class BinContext:
 
 
 class IntervalFlushStage:
-    """Open the bin and flush completed measurement intervals."""
+    """Open the bin and flush completed measurement intervals — finished
+    into the query's log, or, when the system runs as a shard of a node,
+    as mergeable partials that leave with this bin's record."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
         ctx.clock.start_bin()

@@ -8,9 +8,15 @@ pythonic form:
 
 ``update(batch, sampling_rate)``
     Process the packets of one batch, maintaining arbitrary internal state.
-``interval_result()``
-    Called at each measurement-interval boundary; returns the query's results
-    for the interval (a dict of named values) and resets interval state.
+``interval_partial()`` / ``finalize(partial)``
+    The flush, in two steps.  At each measurement-interval boundary
+    ``interval_partial()`` hands over the interval's *mergeable* state and
+    resets it; ``finalize(partial)`` turns such a state into the reported
+    result (a dict of named values).  ``interval_result()`` is the two in a
+    row — what a whole monitor runs.  A shard of a node stops after the
+    first step: its partial travels to the parent, which folds the shards'
+    partials with ``merge_partials`` and finalises once
+    (:mod:`repro.monitor.sharding`).
 ``shed_load(batch, target_fraction)``
     Optional custom load shedding hook (Chapter 6): the query itself reduces
     its work to roughly ``target_fraction`` of the full-batch cost and
@@ -102,7 +108,10 @@ class Query(ABC):
     """Base class for plug-in monitoring queries.
 
     Subclasses set the class attributes below and implement
-    :meth:`update` and :meth:`interval_result`.
+    :meth:`update` and :meth:`interval_partial` — plus
+    :meth:`merge_partials` and :meth:`finalize` when the reported result is
+    not itself mergeable (a truncated ranking, a thresholded report, a
+    maximum, a distinct count).
 
     Attributes
     ----------
@@ -126,12 +135,15 @@ class Query(ABC):
     measurement_interval: float = 1.0
     needs_payload: bool = False
 
-    #: Declarative shard-merge spec: result key -> merge rule.  A rule is a
-    #: name from :data:`MERGE_RULES` or a callable ``(values, context) ->
-    #: merged``; keys with no entry fold additively (numbers sum, dicts of
-    #: numbers merge key-wise).  Queries whose merged result has *derived*
-    #: keys (a ranking recomputed from merged volumes, say) override
-    #: :meth:`derive_merged` on top.
+    #: Declarative merge spec for *finished results*: result key -> merge
+    #: rule.  A rule is a name from :data:`MERGE_RULES` or a callable
+    #: ``(values, context) -> merged``; keys with no entry fold additively
+    #: (numbers sum, dicts of numbers merge key-wise).  Queries whose merged
+    #: result has *derived* keys (a ranking recomputed from merged volumes,
+    #: say) override :meth:`derive_merged` on top.  This is the rule the
+    #: fleet federates independent monitors' reports by, and the default
+    #: :meth:`merge_partials` of the kinds whose result is its own mergeable
+    #: state.
     RESULT_MERGE: Dict[str, object] = {}
 
     def __init__(
@@ -162,8 +174,37 @@ class Query(ABC):
         """
 
     @abstractmethod
+    def interval_partial(self):
+        """Hand over the interval's mergeable state and reset it.
+
+        The returned *partial* is whatever :meth:`merge_partials` folds and
+        :meth:`finalize` reports from; the query keeps no reference to it.
+        All flush costs are charged here, by the instance that flushes.
+        The default pair of classmethods below suits a query whose result
+        dict *is* its mergeable state (counters, per-flow tables): the
+        partial is then the result itself.
+        """
+
+    @classmethod
+    def merge_partials(cls, partials: Sequence):
+        """Fold the partials of flow-disjoint sub-streams into one partial.
+
+        Associative and permutation-invariant (floating-point sums to
+        rounding), and it leaves its inputs untouched; for instances that
+        shed nothing, finalising the merged partial gives exactly what one
+        instance over the whole stream reports.  Default: the
+        :attr:`RESULT_MERGE` fold, for partials that are results.
+        """
+        return cls.merge_interval_results(partials)
+
+    @classmethod
+    def finalize(cls, partial) -> Dict[str, float]:
+        """The reported result of one (merged or single) partial."""
+        return partial
+
     def interval_result(self) -> Dict[str, float]:
         """Return results for the current measurement interval and reset it."""
+        return self.finalize(self.interval_partial())
 
     def reset(self) -> None:
         """Reset all query state (start of a fresh execution)."""
@@ -172,17 +213,16 @@ class Query(ABC):
         self.last_sampling_rate = 1.0
 
     # ------------------------------------------------------------------
-    # Sharded execution support
+    # Federation of finished results (the fleet tier)
     # ------------------------------------------------------------------
     @classmethod
     def merge_interval_results(cls, results: Sequence[Dict]) -> Dict:
-        """Fold per-shard :meth:`interval_result` dicts into one global one.
+        """Fold finished :meth:`interval_result` dicts into one global one.
 
-        When a stream is flow-hash partitioned across N shard instances of
-        the same query (:mod:`repro.monitor.sharding`), each shard produces
-        its own per-interval result; this classmethod defines how those fold
-        back into the result a single instance over the whole stream would
-        report.  Each result key folds by the rule declared for it in
+        When independent monitors each report on a partition of a stream
+        (the nodes of :mod:`repro.fleet`), this classmethod defines how
+        their per-interval results federate into one answer.  Each result
+        key folds by the rule declared for it in
         :attr:`RESULT_MERGE` (additive by default — exact for per-flow
         state, since flows never span shards, and for plain counters), and
         :meth:`derive_merged` then recomputes any keys that are functions
@@ -291,6 +331,13 @@ class QueryResultLog:
     def append(self, interval_start: float, result: Dict[str, float]) -> None:
         self.intervals.append(float(interval_start))
         self.results.append(result)
+
+    def copy(self) -> "QueryResultLog":
+        """Shallow copy (for mid-stream snapshots)."""
+        clone = QueryResultLog(self.name)
+        clone.intervals = list(self.intervals)
+        clone.results = list(self.results)
+        return clone
 
     def __len__(self) -> int:
         return len(self.results)

@@ -44,14 +44,6 @@ from .query import Query, QueryResultLog
 from .system import BinRecord, ExecutionResult, MonitoringSystem
 
 
-def _snapshot_log(log: QueryResultLog) -> QueryResultLog:
-    """Shallow copy of a result log (for mid-stream snapshots)."""
-    copy = QueryResultLog(log.name)
-    copy.intervals = list(log.intervals)
-    copy.results = list(log.results)
-    return copy
-
-
 def _concat_logs(first: QueryResultLog, second: QueryResultLog
                  ) -> QueryResultLog:
     """One chronological log out of two lifetimes of a same-named query."""
@@ -115,7 +107,7 @@ class MonitoringSession:
 
     @property
     def bins_ingested(self) -> int:
-        return len(self._bins)
+        return self._next_index
 
     @property
     def query_names(self) -> List[str]:
@@ -170,7 +162,8 @@ class MonitoringSession:
                                           self.buffer)
         self._next_index += 1
         self._last_start_ts = float(batch.start_ts)
-        self._bins.append(record)
+        if not self.system.ships_partials:  # a shard's are the node's
+            self._bins.append(record)
         return record
 
     def ingest_trace(self, source) -> "MonitoringSession":
@@ -214,6 +207,43 @@ class MonitoringSession:
         result.bins = list(self._bins)
         result.query_logs = self._collect_logs(snapshot=True)
         return result
+
+    # ------------------------------------------------------------------
+    # Running as a shard of a node
+    # ------------------------------------------------------------------
+    def ship_partials(self) -> ExecutionResult:
+        """From now on, run as one shard of a node.
+
+        Called by the executor that opens (or adopts) the session for a
+        :class:`~repro.monitor.sharding.ShardedSession`; nothing in the
+        system's config says so.  A shard keeps no answers: every interval
+        it flushes from here on is left as a mergeable partial for
+        :meth:`take_partials`, and its bin records are kept by whoever
+        receives them from :meth:`ingest` — so what the session holds does
+        not grow with the stream, and :meth:`close` returns a result with
+        no bins and empty logs.  (The per-tenant totals of
+        :attr:`metrics` are summed from the kept bins, and are the
+        receiver's to keep as well.)
+
+        Returns what the session had finished and kept until now, which it
+        forgets: nothing for a session just opened, the bins and logs of a
+        checkpoint written before shards shipped partials.  Which queries
+        have run, departed ones included, is then the receiver's to know
+        as well.
+        """
+        kept = self._make_result()
+        kept.bins, self._bins = self._bins, []
+        kept.query_logs = self._collect_logs(snapshot=False)
+        self._departed_logs = {}
+        for runtime in self.system._runtimes.values():
+            runtime.log = QueryResultLog(runtime.query.name)
+        self.system.ship_partials()
+        return kept
+
+    def take_partials(self) -> List[Tuple]:
+        """The ``(query name, interval start, partial)`` of every interval
+        flushed since the last call, in flush order (a shard only)."""
+        return self.system.take_partials()
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -266,9 +296,9 @@ class MonitoringSession:
         """
         logs: Dict[str, QueryResultLog] = {}
         for name, log in self._departed_logs.items():
-            logs[name] = _snapshot_log(log) if snapshot else log
+            logs[name] = log.copy() if snapshot else log
         for name, runtime in self.system._runtimes.items():
-            live = _snapshot_log(runtime.log) if snapshot else runtime.log
+            live = runtime.log.copy() if snapshot else runtime.log
             prior = logs.get(name)
             logs[name] = live if prior is None else _concat_logs(prior, live)
         return logs
@@ -379,7 +409,7 @@ class MonitoringSession:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self.closed else "open"
         return (f"MonitoringSession(mode={self.system.mode!r}, "
-                f"bins={len(self._bins)}, {state})")
+                f"bins={self._next_index}, {state})")
 
 
 __all__ = ["MonitoringSession"]

@@ -20,11 +20,16 @@ identical shard workers and folds their outputs back into one result:
   shards predicted to overload, so a skewed bin sheds less than a static
   ``1/N`` split would (capacity is conserved bin by bin; every shard keeps
   a configurable floor).
-* **Result merging** — per-shard :class:`BinRecord`/``ExecutionResult``
-  objects fold into stream-global ones; per-interval query results merge
-  through :meth:`repro.monitor.query.Query.merge_interval_results`
-  (additive for flow-disjoint state, rank/union/sum merges where queries
-  override it).
+* **Result merging** — a shard keeps no answers.  Its
+  :class:`BinRecord` comes back bin by bin and folds into the node's
+  (:meth:`BinRecord.merge`); every measurement interval it flushes comes
+  back with the bin that flushed it as a mergeable *partial*
+  (:meth:`repro.monitor.query.Query.interval_partial`), and the node folds
+  the shards' partials (``merge_partials``) and finishes the answer once
+  (``finalize``) — so a sharded node that sheds nothing reports exactly
+  what a serial one reports, for every query kind.  Shards whose flushed
+  interval boundaries disagree raise :class:`ShardDivergenceError` at the
+  bin where it shows.
 
 With ``num_shards=1`` the partition returns the original batches, shard 0
 keeps the full budget and the base seed, and every merge reduces to the
@@ -51,9 +56,13 @@ Shards execute on one of two executors with the same method set
 
 from __future__ import annotations
 
+import logging
 import warnings
+from collections import deque
+from functools import cached_property
+from itertools import zip_longest
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cycles import CycleBudget
 from ..core.pool import effective_workers
@@ -61,7 +70,7 @@ from ..profile import merged_summary
 from .config import SystemConfig
 from .packet import HEADER_FIELDS, Batch, PacketTrace, as_trace
 from .pipeline import BinRecord
-from .query import Query
+from .query import Query, QueryResultLog
 from .system import ExecutionResult
 from .workers import (ShardExecutionWarning, ShardWorkerPool,
                       fork_start_available)
@@ -69,6 +78,17 @@ from .workers import (ShardExecutionWarning, ShardWorkerPool,
 #: Header fields whose combined hash decides a packet's shard: the full
 #: 5-tuple, so a flow's packets always land on the same shard.
 FLOW_FIELDS: Tuple[str, ...] = HEADER_FIELDS
+
+logger = logging.getLogger("repro.monitor.sharding")
+
+
+class ShardDivergenceError(RuntimeError):
+    """The shards of a node did not flush the same measurement intervals.
+
+    Every shard sees the same bin timeline — empty sub-batches included —
+    so they flush identical ``(query, interval start)`` sequences; one
+    that does not has diverged, and its partials cannot be merged.
+    """
 
 
 def shard_seed(base_seed: int, shard_index: int) -> int:
@@ -163,20 +183,27 @@ class ShardedSystem:
                 seed=shard_seed(config.seed, index))
             for index in range(self.num_shards)
         ]
-        self.systems = [shard_config.build(query_factory())
-                        for shard_config in self.shard_configs]
-        self.mode = self.systems[0].mode
-        self.strategy_name = self.systems[0].strategy_name
+        self.mode = config.mode
+        #: Query class per name of the configured mix (drives the merge of
+        #: the shards' partials).
+        self.query_classes: Dict[str, type] = {}
+        for query in query_factory():
+            if query.name in self.query_classes:
+                raise ValueError(
+                    f"a query named {query.name!r} is already registered")
+            self.query_classes[query.name] = type(query)
+
+    @cached_property
+    def systems(self) -> List:
+        """One system per shard, built when first asked for: the shards of
+        a worker pool are built inside the workers, and the parent then
+        never pays for a set of its own."""
+        return [shard_config.build(self.query_factory())
+                for shard_config in self.shard_configs]
 
     @property
     def query_names(self) -> List[str]:
-        return self.systems[0].query_names
-
-    @property
-    def query_classes(self) -> Dict[str, type]:
-        """Query class per name (drives per-interval result merging)."""
-        return {name: type(self.systems[0].runtime(name).query)
-                for name in self.systems[0].query_names}
+        return list(self.query_classes)
 
     # ------------------------------------------------------------------
     def resolve_backend(self) -> str:
@@ -252,6 +279,47 @@ def build_system(config: SystemConfig,
     return config.build(None if query_factory is None else query_factory())
 
 
+def verify_shard_exactness(config: SystemConfig, trace,
+                           time_bin: float = 0.1, n_workers: int = 1,
+                           respect_cores: bool = True) -> Dict:
+    """Check that the sharded node reports what a serial node reports.
+
+    Replays ``trace`` through ``config`` twice in reference mode — nothing
+    is shed, so any difference is the shard merge's — once on one system
+    and once on ``config.num_shards`` shards, and compares every query
+    log with ``==``.  The shard-tier twin of
+    :func:`repro.fleet.verify_exactness`, except that nothing is exempt:
+    all query kinds merge exactly.  Returns a JSON-able verdict::
+
+        {"identical": bool, "num_shards": N, "backend": ..., "bins": ...,
+         "first_difference": None | {"query", "interval", "interval_start"},
+         "queries": {name: {"intervals": n, "identical": bool}}}
+    """
+    config = config.replace(mode="reference")
+    serial = config.replace(num_shards=1).build().run(trace,
+                                                      time_bin=time_bin)
+    sharded = ShardedSystem(config=config, n_workers=n_workers,
+                            respect_cores=respect_cores)
+    result = sharded.run(trace, time_bin=time_bin)
+    queries: Dict[str, Dict] = {}
+    first_difference = None
+    for name, log in serial.query_logs.items():
+        merged = result.query_logs.get(name, QueryResultLog(name))
+        index = next((index for index, (mine, theirs)
+                      in enumerate(zip_longest(log, merged))
+                      if mine != theirs), None)
+        queries[name] = {"intervals": len(log), "identical": index is None}
+        if index is not None and first_difference is None:
+            first_difference = {
+                "query": name, "interval": index,
+                "interval_start": (log if index < len(log)
+                                   else merged).intervals[index]}
+    return {"identical": first_difference is None,
+            "num_shards": sharded.num_shards,
+            "backend": sharded.resolve_backend(), "bins": len(result.bins),
+            "first_difference": first_difference, "queries": queries}
+
+
 # ----------------------------------------------------------------------
 # The in-process shard executor
 # ----------------------------------------------------------------------
@@ -264,23 +332,35 @@ class InProcessShards:
     reconfigurations until its next bin itself, which is the bin-boundary
     semantics the worker pool gets from FIFO command pipes.  There is no
     ``ingest_async``: nothing runs concurrently, so there is nothing to
-    run ahead of.
+    run ahead of.  With ``ship_partials`` the sessions are the shards of
+    one node and what they ship is queued in :attr:`arrived`, as in the
+    pool.
     """
 
     def __init__(self, systems: Sequence, time_bin: float,
-                 names: Sequence[str]) -> None:
+                 names: Sequence[str], ship_partials: bool = False) -> None:
         self.sessions = [system.open_session(time_bin=time_bin, name=name)
                          for system, name in zip(systems, names)]
         #: Wall seconds of every ``ingest``, per session.
         self.ingest_seconds: List[List[float]] = [[] for _ in self.sessions]
+        #: See :attr:`ShardWorkerPool.arrived`.
+        self.arrived: Optional[List[Deque[tuple]]] = None
+        #: Nothing travels in-process: partials are handed over.
+        self.partial_bytes = 0
+        if ship_partials:
+            self.arrived = [deque() for _ in self.sessions]
+            for session in self.sessions:
+                session.ship_partials()
 
     def ingest(self, parts: Sequence[Batch]) -> List[BinRecord]:
         records = []
-        for session, part, seconds in zip(self.sessions, parts,
-                                          self.ingest_seconds):
+        for index, (session, part) in enumerate(zip(self.sessions, parts)):
             started = perf_counter()
             records.append(session.ingest(part))
-            seconds.append(perf_counter() - started)
+            self.ingest_seconds[index].append(perf_counter() - started)
+            if self.arrived is not None:
+                self.arrived[index].append((records[-1],
+                                            session.take_partials()))
         return records
 
     def set_capacity(self, shard: int, cycles_per_second: float) -> None:
@@ -291,9 +371,6 @@ class InProcessShards:
 
     def remove_query(self, shard: int, name: str) -> None:
         self.sessions[shard].remove_query(name)
-
-    def partial_results(self) -> List[ExecutionResult]:
-        return [session.partial_result() for session in self.sessions]
 
     def metrics(self) -> List[Tuple]:
         return [(session.system.profiler,
@@ -307,15 +384,21 @@ class InProcessShards:
         """The live sessions themselves: serialise the result immediately."""
         return list(self.sessions)
 
-    def load_sessions(self, sessions: Sequence) -> None:
+    def load_sessions(self, sessions: Sequence) -> List:
         if len(sessions) != len(self.sessions):
             raise ValueError(
                 f"need one session per shard: got {len(sessions)} for "
                 f"{len(self.sessions)} shards")
         self.sessions = list(sessions)
+        return [session.ship_partials() if self.arrived is not None else None
+                for session in self.sessions]
 
     def close(self) -> List[ExecutionResult]:
-        return [session.close() for session in self.sessions]
+        results = [session.close() for session in self.sessions]
+        if self.arrived is not None:
+            for queue, session in zip(self.arrived, self.sessions):
+                queue.append((None, session.take_partials()))
+        return results
 
     def stop(self) -> None:
         """Nothing to release: the sessions die with the executor."""
@@ -340,6 +423,13 @@ class ShardedSession:
     bin boundary, rebalance capacities are computed here from the previous
     bin's records and handed over before the bin's batches, so the merged
     results are bit-identical either way.
+
+    The executor opens the sessions as *shards*: they keep no answers and
+    no records, and deliver both to ``executor.arrived``.  The node's bins
+    and query logs are kept here, folded as the shards' deliveries come in
+    (:meth:`_fold_arrivals`) — a bin's record when every shard has
+    answered it, a measurement interval's result when every shard's
+    partial of it is in.
     """
 
     def __init__(self, sharded: ShardedSystem, time_bin: float = 0.1,
@@ -356,10 +446,10 @@ class ShardedSession:
         if backend == "workers":
             self._executor = ShardWorkerPool(
                 sharded.shard_configs, sharded.query_factory,
-                time_bin=self.time_bin, names=names)
+                time_bin=self.time_bin, names=names, ship_partials=True)
         elif backend == "inprocess":
             self._executor = InProcessShards(sharded.systems, self.time_bin,
-                                             names)
+                                             names, ship_partials=True)
         else:
             raise ValueError(
                 f"unknown session backend {backend!r}; sharded sessions run "
@@ -369,17 +459,24 @@ class ShardedSession:
         self._bins_ingested = 0
         self._query_names: List[str] = list(sharded.query_names)
         #: Query class per name, for every query that ever lived in this
-        #: session — departed queries keep their logs in the final result,
-        #: so their merge implementations must stay resolvable.
+        #: session: whose ``merge_partials`` / ``finalize`` a delivered
+        #: partial goes through (a departed query's last one arrives after
+        #: it left).
         self._query_classes: Dict[str, type] = dict(sharded.query_classes)
+        #: The node's own bins and query logs, folded from the deliveries.
+        #: The logs name every query that has run, flushed yet or not,
+        #: departed or not (:meth:`_begin_logs`).
+        self._bins: List[BinRecord] = []
+        self._logs: Dict[str, QueryResultLog] = {
+            name: QueryResultLog(name) for name in self._query_names}
+        self._merge_stats = {"intervals_merged": 0, "merge_seconds": 0.0,
+                             "divergences": 0}
         #: (packets, total cycles) each shard reported for the previous bin.
         self._prev_load: List[Optional[Tuple[int, float]]] = \
             [None] * self.num_shards
         self._closed_result: Optional[ExecutionResult] = None
         self._closed_metrics: Optional[Dict] = None
-        #: Per-tenant query cycles accumulated from the merged bin records
-        #: (per-bin ``ingest`` path; the pipelined trace path reports the
-        #: complete totals at close time from the merged result).
+        #: Per-tenant query cycles accumulated from the merged bin records.
         self._tenant_cycles: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -412,48 +509,127 @@ class ShardedSession:
 
         Same shape as :attr:`MonitoringSession.metrics` — per-stage
         profile plus feature-sharing counts — with per-shard stage
-        totals summed and per-bin latency series concatenated.  The shard
-        numbers are read at a bin boundary (on the workers backend they
-        travel the command pipes, FIFO with the batches); a closed session
-        returns the snapshot taken at close time.
+        totals summed and per-bin latency series concatenated, plus a
+        ``sharding`` block about the result merge: measurement intervals
+        merged, bytes of the shard replies that carried partials (nothing
+        travels in-process: 0), seconds spent merging and finalising, and
+        shard divergences detected.  The shard numbers are read at a bin
+        boundary (on the workers backend they travel the command pipes,
+        FIFO with the batches); a closed session returns the snapshot
+        taken at close time.
         """
         if self._closed_metrics is not None:
             return self._closed_metrics
-        return self._fold_metrics(self._executor.metrics(),
-                                  self._tenant_cycles)
+        shards = self._executor.metrics()
+        self._fold_arrivals()
+        return self._fold_metrics(shards)
 
-    def _fold_metrics(self, shards: Sequence[Tuple],
-                      tenant_cycles: Dict[str, float]) -> Dict:
+    def _fold_metrics(self, shards: Sequence[Tuple]) -> Dict:
         """Per-shard ``(profiler, sharing stats)`` pairs as one document."""
         sharing: Dict[str, int] = {}
         for _, stats in shards:
             for key, value in stats.items():
                 sharing[key] = sharing.get(key, 0) + value
         merged = {"profile": merged_summary([prof for prof, _ in shards]),
-                  "feature_sharing": sharing}
+                  "feature_sharing": sharing,
+                  "sharding": dict(
+                      self._merge_stats,
+                      partial_bytes=self._executor.partial_bytes)}
         groups = getattr(self.sharded.config, "tenants", None)
         if groups:
             merged["tenants"] = {"count": len(groups),
-                                 "query_cycles": dict(tenant_cycles)}
+                                 "query_cycles": dict(self._tenant_cycles)}
         return merged
+
+    # ------------------------------------------------------------------
+    # Folding what the shards deliver
+    # ------------------------------------------------------------------
+    def _fold_arrivals(self) -> Optional[BinRecord]:
+        """Fold every delivery all the shards have made.
+
+        Each shard's queue holds, in order, one ``(record, shipped)`` per
+        answered bin — ``shipped`` the partials of the intervals that bin
+        flushed — and a last ``(None, shipped)`` for what ``close`` flushed.
+        Returns the merged record of the last bin folded, if any.
+        """
+        queues = self._executor.arrived
+        merged = None
+        while all(queues):
+            records, shipped = zip(*(queue.popleft() for queue in queues))
+            if records[0] is not None:
+                for index, record in enumerate(records):
+                    self._prev_load[index] = (record.incoming_packets,
+                                              record.total_cycles)
+                merged = BinRecord.merge(records)
+                self._bins.append(merged)
+                for tenant, cycles in merged.tenant_cycles.items():
+                    self._tenant_cycles[tenant] = \
+                        self._tenant_cycles.get(tenant, 0.0) + cycles
+            if any(shipped):
+                self._fold_partials(shipped)
+        return merged
+
+    def _fold_partials(self, shipped: Sequence[Sequence[tuple]]) -> None:
+        """Merge and finalise the intervals one bin (or close) flushed.
+
+        ``shipped[i]`` is shard ``i``'s ``(query name, interval start,
+        partial)`` list; all must name the same intervals in the same
+        order.
+        """
+        started = perf_counter()
+        flushed = [[entry[:2] for entry in shard] for shard in shipped]
+        for index, boundaries in enumerate(flushed[1:], start=1):
+            if boundaries != flushed[0]:
+                raise self._diverged(index, flushed[0], boundaries)
+        for position, (name, interval_start) in enumerate(flushed[0]):
+            query_cls = self._query_classes[name]
+            partial = query_cls.merge_partials(
+                [shard[position][2] for shard in shipped])
+            self._logs[name].append(interval_start,
+                                    query_cls.finalize(partial))
+        self._merge_stats["intervals_merged"] += len(flushed[0])
+        self._merge_stats["merge_seconds"] += perf_counter() - started
+
+    def _diverged(self, shard: int, expected: List[tuple],
+                  flushed: List[tuple]) -> ShardDivergenceError:
+        """The error for ``shard`` flushing other intervals than shard 0."""
+        self._merge_stats["divergences"] += 1
+
+        def described(entry: Optional[tuple]) -> str:
+            return "nothing more" if entry is None else \
+                f"query {entry[0]!r} at interval start {entry[1]!r}"
+
+        mine, theirs = next(pair for pair in zip_longest(expected, flushed)
+                            if pair[0] != pair[1])
+        message = (
+            f"shard {shard} of session {self.name!r} flushed "
+            f"{described(theirs)} where shard 0 flushed {described(mine)} "
+            f"(bin {len(self._bins)}): the shards have diverged")
+        logger.error(message)
+        return ShardDivergenceError(message)
+
+    def _begin_logs(self) -> None:
+        """A bin boundary: every registered query runs from here on.
+
+        The shards apply queued arrivals and departures at the boundary; a
+        query whose arrival was withdrawn before one never ran and gets no
+        log, a departed one keeps the log it has.
+        """
+        for name in self._query_names:
+            self._logs.setdefault(name, QueryResultLog(name))
 
     # ------------------------------------------------------------------
     def ingest(self, batch: Batch) -> BinRecord:
         """Partition one bin's batch, drive every shard, merge the records."""
         if self.closed:
             raise RuntimeError("cannot ingest into a closed session")
+        self._begin_logs()
         parts = batch.partition(self.num_shards, FLOW_FIELDS)
         if self.sharded.rebalance and self.num_shards > 1:
             self._apply_capacities(self._rebalance_capacities(parts))
-        records = self._executor.ingest(parts)
+        self._executor.ingest(parts)
         self._bins_ingested += 1
-        for index, (part, record) in enumerate(zip(parts, records)):
-            self._prev_load[index] = (len(part), record.total_cycles)
-        merged = BinRecord.merge(records)
-        for tenant, cycles in merged.tenant_cycles.items():
-            self._tenant_cycles[tenant] = \
-                self._tenant_cycles.get(tenant, 0.0) + cycles
-        return merged
+        return self._fold_arrivals()
 
     def ingest_trace(self, source) -> "ShardedSession":
         """Stream every bin of ``source`` through :meth:`ingest`.
@@ -478,10 +654,12 @@ class ShardedSession:
             if pipelined:
                 if self.closed:
                     raise RuntimeError("cannot ingest into a closed session")
+                self._begin_logs()
                 parts = batch.partition(self.num_shards, FLOW_FIELDS)
                 for index, part in enumerate(parts):
                     self._executor.ingest_async(index, part)
                 self._bins_ingested += 1
+                self._fold_arrivals()  # whatever has come back meanwhile
             else:
                 self.ingest(batch)
         return self
@@ -491,12 +669,23 @@ class ShardedSession:
         if self._closed_result is not None:
             return self._closed_result
         shards = self._executor.metrics()  # workers are gone after close()
-        self._closed_result = ExecutionResult.merge(
-            self._executor.close(), query_classes=self._query_classes,
-            budget=self.budget, name=self.name)
-        self._closed_metrics = self._fold_metrics(
-            shards, self._closed_result.tenant_cycle_totals())
+        self._begin_logs()  # closing is the last bin boundary
+        self._executor.close()
+        self._fold_arrivals()
+        self._closed_result = self._result(snapshot=False)
+        self._closed_metrics = self._fold_metrics(shards)
         return self._closed_result
+
+    def _result(self, snapshot: bool) -> ExecutionResult:
+        """The node's execution so far, from everything folded."""
+        result = ExecutionResult(self.sharded.mode,
+                                 self.sharded.config.strategy_name,
+                                 self.name, self.budget)
+        result.bins = list(self._bins) if snapshot else self._bins
+        result.query_logs = {name: log.copy() for name, log
+                             in self._logs.items()} if snapshot \
+            else self._logs
+        return result
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -505,26 +694,33 @@ class ShardedSession:
         """Complete execution state, as a serialisable checkpoint payload.
 
         The per-shard :class:`~repro.monitor.session.MonitoringSession`
-        objects carry the real state; on the ``workers`` backend they are
-        copied out of the worker processes at the current bin boundary
-        (the workers keep streaming).  Parent-side state — the previous
-        bin's per-shard loads that seed the rebalancer, the query-class
-        registry that drives result merging, the per-tenant cycle totals
-        and the possibly ``set_capacity``-adjusted total budget — rides
-        along so a restored session continues bit-identically.  Serialise
+        objects carry the running state (open intervals included); on the
+        ``workers`` backend they are copied out of the worker processes at
+        the current bin boundary (the workers keep streaming).  What the
+        node keeps — its merged bins and query logs, the previous bin's
+        per-shard loads that seed the rebalancer, the query-class registry
+        that drives result merging, the per-tenant cycle totals and the
+        possibly ``set_capacity``-adjusted total budget — rides along so a
+        restored session continues bit-identically.  Serialise
         the payload immediately (it aliases live objects on the in-process
         backend); :mod:`repro.serve.checkpoint` wraps it in the on-disk
         format.
         """
         if self.closed:
             raise RuntimeError("cannot checkpoint a closed session")
+        # The states are cut at a bin boundary every earlier delivery has
+        # crossed: folded now, the logs cover exactly the states' bins.
+        shard_sessions = self._executor.session_states()
+        self._fold_arrivals()
         return {
             "kind": "sharded",
             "config": self.sharded.config,
             "time_bin": self.time_bin,
             "name": self.name,
             "total_cycles_per_second": self.sharded.total_cycles_per_second,
-            "shard_sessions": self._executor.session_states(),
+            "shard_sessions": shard_sessions,
+            "bins": self._bins,
+            "query_logs": self._logs,
             "query_classes": dict(self._query_classes),
             "prev_load": list(self._prev_load),
             "bins_ingested": self._bins_ingested,
@@ -544,6 +740,11 @@ class ShardedSession:
         ``workers`` pool may resume in-process and vice versa — results
         stay bit-identical either way.  The session is opened like any
         other; its executor then adopts the checkpointed shard sessions.
+
+        In a checkpoint written before shards shipped partials the shard
+        sessions hold finished results and the payload no node logs: those
+        intervals fold once by the rule finished results federate by
+        (:meth:`ExecutionResult.merge`), every later one exactly.
         """
         if state.get("kind") != "sharded":
             raise ValueError(
@@ -564,7 +765,7 @@ class ShardedSession:
         session = sharded.open_session(time_bin=state["time_bin"],
                                        name=state["name"])
         try:
-            session._executor.load_sessions(state["shard_sessions"])
+            kept = session._executor.load_sessions(state["shard_sessions"])
         except BaseException:
             session._executor.stop()
             raise
@@ -572,19 +773,26 @@ class ShardedSession:
         session._query_names = list(state["query_names"])
         session._query_classes = dict(state["query_classes"])
         session._prev_load = list(state["prev_load"])
+        if "query_logs" in state:
+            bins, logs = state["bins"], state["query_logs"]
+        else:
+            merged = ExecutionResult.merge(
+                kept, query_classes=session._query_classes)
+            bins, logs = merged.bins, merged.query_logs
+        session._bins, session._logs = list(bins), dict(logs)
         # Checkpoints written before the totals rode along restart at zero.
         session._tenant_cycles = dict(state.get("tenant_cycles", {}))
         return session
 
     def partial_result(self) -> ExecutionResult:
-        """Merged accuracy-so-far snapshot (shards keep running)."""
+        """The node's accuracy-so-far snapshot: every completed interval,
+        merged as exactly as at :meth:`close` (shards keep running)."""
         if self.closed:
             raise RuntimeError("cannot snapshot a closed session; close() "
                                "already returned the final result")
-        return ExecutionResult.merge(
-            self._executor.partial_results(),
-            query_classes=self._query_classes, budget=self.budget,
-            name=self.name)
+        self._executor.metrics()  # answered once every bin sent is
+        self._fold_arrivals()
+        return self._result(snapshot=True)
 
     # ------------------------------------------------------------------
     # Live reconfiguration (forwarded to every shard, next bin boundary)
@@ -704,10 +912,12 @@ class ShardedSession:
 __all__ = [
     "FLOW_FIELDS",
     "InProcessShards",
+    "ShardDivergenceError",
     "ShardExecutionWarning",
     "ShardWorkerPool",
     "ShardedSession",
     "ShardedSystem",
     "build_system",
     "shard_seed",
+    "verify_shard_exactness",
 ]

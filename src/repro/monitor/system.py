@@ -50,14 +50,17 @@ __all__ = ["BinRecord", "ExecutionResult", "MonitoringSystem",
 
 def merge_query_logs(logs: Iterable[QueryResultLog],
                      query_cls: type) -> QueryResultLog:
-    """Merge per-partition result logs interval by interval.
+    """Merge finished per-partition result logs interval by interval.
 
-    All partitions (shards of one host, nodes of a fleet) observe the same
-    bin timeline — empty sub-batches included — so their logs flush at
-    identical interval boundaries; a mismatch means the partitions diverged
-    and is an error, not something to paper over.  Each interval folds
-    through ``query_cls.merge_interval_results``, so the associativity of
-    the merged log is exactly that of the query's ``RESULT_MERGE`` spec.
+    All partitions observe the same bin timeline — empty sub-batches
+    included — so their logs flush at identical interval boundaries; a
+    mismatch means the partitions diverged and is an error, not something
+    to paper over.  Each interval folds through
+    ``query_cls.merge_interval_results``, so the associativity of the
+    merged log is exactly that of the query's ``RESULT_MERGE`` spec.  This
+    is how the nodes of a fleet federate; the shards of one node never
+    finish a result of their own (:mod:`repro.monitor.sharding` merges
+    their partials).
     """
     logs = list(logs)
     if len(logs) == 1:
@@ -96,11 +99,12 @@ class ExecutionResult:
               name: Optional[str] = None) -> "ExecutionResult":
         """Fold per-partition executions into one global execution.
 
-        The public merge API the sharding and fleet tiers fold through.
-        Bin records of the same index fold via :meth:`BinRecord.merge`
-        (sums / maxima / rate means); query logs fold interval by interval
-        via :func:`merge_query_logs` under each query's ``RESULT_MERGE``
-        spec.
+        The public merge of *finished* executions — what the fleet tier
+        federates its nodes through (and how a sharded checkpoint from
+        before shards shipped partials is taken over).  Bin records of the
+        same index fold via :meth:`BinRecord.merge` (sums / maxima / rate
+        means); query logs fold interval by interval via
+        :func:`merge_query_logs` under each query's ``RESULT_MERGE`` spec.
 
         **Ordering and associativity.**  Every registered query's
         ``RESULT_MERGE`` fold is associative and permutation-invariant:
@@ -262,6 +266,13 @@ class MonitoringSystem:
         Relative standard deviation of the cycle measurement noise.
     """
 
+    #: ``(query name, interval start, partial)`` of every interval flushed
+    #: since :meth:`take_partials`, while the system runs as a shard of a
+    #: node (:meth:`ship_partials`); ``None`` — also what a checkpoint from
+    #: before there were partials restores with — while it finishes its own
+    #: answers.  Nothing outside this class reads or assigns it.
+    _outbox: Optional[List[tuple]] = None
+
     def __init__(
         self,
         queries: Optional[Iterable[Query]] = None,
@@ -317,9 +328,7 @@ class MonitoringSystem:
                 "automatically)")
         self.config = config
         self.mode = config.mode
-        self.strategy_name = config.strategy \
-            if isinstance(config.strategy, str) \
-            else getattr(config.strategy, "__name__", "custom")
+        self.strategy_name = config.strategy_name
         self.predictor_kind = config.predictor
         self.predictor_kwargs = dict(config.predictor_kwargs)
         self.budget = budget if budget is not None else config.make_budget()
@@ -448,6 +457,9 @@ class MonitoringSystem:
         return session.ingest_trace(trace).close()
 
     def _reset(self) -> None:
+        # A new execution is a whole monitor's until its executor says
+        # otherwise (``ship_partials``), like every other per-run state.
+        self._outbox = None
         self.feature_states.reset()
         for runtime in self._runtimes.values():
             runtime.reset()
@@ -470,21 +482,59 @@ class MonitoringSystem:
             runtime.interval_start = batch_start
             return
         while batch_start >= runtime.interval_start + interval - 1e-9:
-            result = runtime.query.interval_result()
-            runtime.query.consume_cycles()  # flush cost is charged to export
-            runtime.log.append(runtime.interval_start, result)
+            self._flush_interval(runtime)
             runtime.interval_start += interval
+
+    # ------------------------------------------------------------------
+    # Running as a shard of a node
+    # ------------------------------------------------------------------
+    @property
+    def ships_partials(self) -> bool:
+        """Whether flushed intervals leave as partials (a shard of a node)
+        instead of being finished and logged here (a whole monitor)."""
+        return self._outbox is not None
+
+    def ship_partials(self) -> None:
+        """Run the current execution as one shard of a node from now on.
+
+        Every interval flushed from here on is kept as a mergeable partial
+        until :meth:`take_partials`; the query logs stay as they are.
+        Idempotent, and it lasts for this execution: the next
+        ``open_session`` starts a whole monitor again.
+        """
+        if self._outbox is None:
+            self._outbox = []
+
+    def take_partials(self) -> List[tuple]:
+        """The ``(query name, interval start, partial)`` of every interval
+        flushed since the last call, in flush order (a shard only)."""
+        shipped, self._outbox = self._outbox, []
+        return shipped
+
+    def _flush_interval(self, runtime: _QueryRuntime) -> None:
+        """Flush the interval ``runtime`` has open.
+
+        A whole monitor finishes the answer and logs it; a shard of a node
+        (:meth:`ship_partials`) keeps the interval's mergeable partial
+        instead, for the node to fold with the other shards' and finish
+        once.
+        """
+        query = runtime.query
+        if self._outbox is None:
+            runtime.log.append(runtime.interval_start,
+                               query.interval_result())
+        else:
+            self._outbox.append((query.name, runtime.interval_start,
+                                 query.interval_partial()))
+        query.consume_cycles()  # flush cost is charged to export
 
     def _flush_runtime_final(self, runtime: _QueryRuntime) -> None:
         """Flush one query's last (possibly partial) measurement interval.
 
         Called when an execution ends and when a query departs mid-session.
         """
-        if runtime.interval_start is None:
-            return
-        final = runtime.query.interval_result()
-        runtime.query.consume_cycles()
-        runtime.log.append(runtime.interval_start, final)
+        if runtime.interval_start is not None:
+            self._flush_interval(runtime)
 
     def _final_flush(self) -> None:
         """Flush the last (possibly partial) measurement intervals."""

@@ -29,10 +29,16 @@ parent only the bin being dealt out.
   command pipe instead.
 * **Result channel** — every ingested bin answers with its
   :class:`~repro.monitor.pipeline.BinRecord` and the wall seconds the
-  session's ``ingest`` took, on a per-process result pipe.  Control
+  session's ``ingest`` took, on a per-process result pipe.  The sessions
+  of a pool opened with ``ship_partials=True`` are the shards of one node
+  (:meth:`~repro.monitor.session.MonitoringSession.ship_partials`): the
+  mergeable partial of every interval a bin flushed rides back with that
+  bin's record, the last intervals' with the ``close`` reply, and the
+  parent queues both per session in :attr:`ShardWorkerPool.arrived` for
+  the node to fold — a worker keeps neither answers nor records.  Control
   messages (capacity changes — including the per-bin capacity-rebalance
   updates computed by the parent from the previous bin's records — query
-  arrivals/departures, partial-result snapshots) are piggybacked on the
+  arrivals/departures, metrics and checkpoint reads) are piggybacked on the
   command pipe in FIFO order with the batches, so they apply at exactly
   the bin boundary they would in-process.
 * **Lifecycle** — :meth:`close` flushes every session and returns the
@@ -54,10 +60,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
 import traceback
+from collections import deque
 from multiprocessing import shared_memory
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Deque, List, Optional, Sequence
 
 from .packet import Batch
 
@@ -135,7 +143,6 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 #: What a resident session answers to each query command; the reply goes
 #: back under the command's own name.
 _QUERIES = {
-    "partial": lambda session: session.partial_result(),
     # The live profiler and sharing stats of a shard; the parent folds the
     # per-shard profiles into one summary.
     "metrics": lambda session: (session.system.profiler,
@@ -151,24 +158,36 @@ _QUERIES = {
 
 
 def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
-                 time_bin: float, commands, results) -> None:
+                 time_bin: float, ship_partials: bool, commands,
+                 results) -> None:
     """Some sessions, resident: open each once, serve their bins forever.
 
     ``hosted`` lists ``(session index, config, name)`` for every session
     of this process; ``commands`` / ``results`` are the worker ends of its
-    pipes.  Every message is handled in FIFO order, which is what gives
-    control messages (capacity, query arrivals) their bin-boundary
-    semantics: a ``set_capacity`` sent before bin ``i``'s batch is queued
-    by the session and applied when bin ``i`` is ingested, exactly as
-    in-process.
+    pipes.  Every reply is ``(kind, seq, answer, session index, shipped)``
+    — ``shipped`` the partials the session flushed while answering, when
+    the pool's sessions ship them — and a record's has the ``ingest``
+    seconds on the end.  Every message is handled in FIFO order, which is
+    what gives control messages (capacity, query arrivals) their
+    bin-boundary semantics: a ``set_capacity`` sent before bin ``i``'s
+    batch is queued by the session and applied when bin ``i`` is ingested,
+    exactly as in-process.
     """
     from .sharding import build_system  # which imports this module
     segments = {}
+
+    def reply(kind, seq, answer, index, *seconds) -> None:
+        shipped = sessions[index].take_partials() if ship_partials else ()
+        results.send((kind, seq, answer, index, shipped, *seconds))
+
     try:
         sessions = {
             index: build_system(config, query_factory).open_session(
                 time_bin=time_bin, name=name)
             for index, config, name in hosted}
+        if ship_partials:
+            for session in sessions.values():
+                session.ship_partials()
         while True:
             message = commands.recv()
             kind = message[0]
@@ -191,11 +210,11 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
                                         with_payloads=payloads is not None)
                 started = time.perf_counter()
                 record = sessions[index].ingest(batch)
-                seconds = time.perf_counter() - started
-                results.send(("record", seq, record, index, seconds))
+                reply("record", seq, record, index,
+                      time.perf_counter() - started)
             elif kind in _QUERIES:
                 _, seq, index = message
-                results.send((kind, seq, _QUERIES[kind](sessions[index])))
+                reply(kind, seq, _QUERIES[kind](sessions[index]), index)
             elif kind == "set_capacity":
                 sessions[message[1]].set_capacity(message[2])
             elif kind == "add_query":
@@ -209,7 +228,9 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
                 # the fresh one opened at startup.
                 _, seq, index, session = message
                 sessions[index] = session
-                results.send((kind, seq, True))
+                reply(kind, seq,
+                      session.ship_partials() if ship_partials else None,
+                      index)
             elif kind == "detach":
                 segment = segments.pop(message[1], None)
                 if segment is not None:
@@ -309,11 +330,17 @@ class ShardWorkerPool:
     processes:
         Worker processes to start; session ``i`` lives on process
         ``i mod processes``.  Default: one process per session.
+    ship_partials:
+        The sessions are the shards of one node: each is told to
+        :meth:`~repro.monitor.session.MonitoringSession.ship_partials`, and
+        what it ships is queued in :attr:`arrived`.  Default: every session
+        is a monitor of its own and finishes its own answers.
     """
 
     def __init__(self, configs: Sequence, query_factory: Optional[Callable],
                  time_bin: float, names: Sequence[str],
-                 processes: Optional[int] = None) -> None:
+                 processes: Optional[int] = None,
+                 ship_partials: bool = False) -> None:
         if len(names) != len(configs):
             raise ValueError("need one session name per session config")
         count = len(configs) if processes is None else int(processes)
@@ -329,6 +356,14 @@ class ShardWorkerPool:
         self.created_segments: List[str] = []
         #: Wall seconds of every answered ``ingest``, per session.
         self.ingest_seconds: List[List[float]] = [[] for _ in configs]
+        #: Per session, in arrival order, ``(record, shipped)`` of every
+        #: answered bin and ``(None, shipped)`` of a closed session's last
+        #: intervals, for the owner to pop (``None``: nothing is shipped,
+        #: and a record nobody waits for is dropped).
+        self.arrived: Optional[List[Deque[tuple]]] = \
+            [deque() for _ in configs] if ship_partials else None
+        #: Bytes of the replies that carried partials.
+        self.partial_bytes = 0
         self._workers: List[_Worker] = []
         self._sessions: List[_Session] = []
         try:
@@ -340,8 +375,8 @@ class ShardWorkerPool:
                     target=_worker_main,
                     args=(index,
                           [(i, configs[i], names[i]) for i in hosted],
-                          query_factory, float(time_bin), command_recv,
-                          result_send),
+                          query_factory, float(time_bin),
+                          bool(ship_partials), command_recv, result_send),
                     daemon=True,
                     name=f"repro-shard-{index}")
                 process.start()
@@ -399,7 +434,7 @@ class ShardWorkerPool:
         while True:
             try:
                 if worker.results.poll(_POLL_INTERVAL):
-                    response = worker.results.recv()
+                    raw = worker.results.recv_bytes()
                     break
             except (EOFError, OSError):
                 raise self._fail(
@@ -410,13 +445,15 @@ class ShardWorkerPool:
                 # its error report) just before exiting.
                 try:
                     if worker.results.poll(0):
-                        response = worker.results.recv()
+                        raw = worker.results.recv_bytes()
                         break
                 except (EOFError, OSError):
                     pass
                 raise self._fail(
                     f"{worker} died mid-stream (exit code "
                     f"{worker.process.exitcode}) without reporting a result")
+        # Only this pool's own worker wrote these bytes.
+        response = pickle.loads(raw)
         if response[0] == "error":
             raise self._fail(f"{worker} raised:\n{response[2]}")
         worker.acked = max(worker.acked, int(response[1]))
@@ -424,8 +461,14 @@ class ShardWorkerPool:
                 worker.pending_unlinks[0][1] <= worker.acked:
             shm, _ = worker.pending_unlinks.pop(0)
             self._release_segment(shm)
-        if response[0] == "record":
-            self.ingest_seconds[response[3]].append(response[4])
+        kind, _, answer, index, shipped = response[:5]
+        if kind == "record":
+            self.ingest_seconds[index].append(response[5])
+        if self.arrived is not None and kind in ("record", "close"):
+            self.arrived[index].append(
+                (answer if kind == "record" else None, shipped))
+            if shipped:
+                self.partial_bytes += len(raw)
         return response
 
     @staticmethod
@@ -491,7 +534,8 @@ class ShardWorkerPool:
         Responses arrive in FIFO order; records overtaken while waiting
         (possible only when the caller ran ahead with :meth:`ingest_async`)
         are acknowledged and dropped — their bins are already folded into
-        the worker session's own result.
+        the worker session's own result (the records of sessions that ship
+        partials are all in :attr:`arrived`, waited for or not).
         """
         return self._await(self._sessions[shard].worker, seq, "record")
 
@@ -557,10 +601,6 @@ class ShardWorkerPool:
         return [self._await(session.worker, seq, kind)
                 for session, seq in zip(self._sessions, seqs)]
 
-    def partial_results(self) -> List:
-        """Accuracy-so-far snapshot of every session (they keep running)."""
-        return self._ask_all("partial")
-
     def metrics(self) -> List:
         """Per-shard ``(profiler, sharing_stats)`` pairs (sessions keep
         running)."""
@@ -575,19 +615,21 @@ class ShardWorkerPool:
         workers keep streaming afterwards."""
         return self._ask_all("state")
 
-    def load_sessions(self, sessions: Sequence) -> None:
+    def load_sessions(self, sessions: Sequence) -> List:
         """Checkpoint restore: replace every resident session.
 
         Each worker adopts the session objects shipped to it (state built
         by a prior execution), discarding the fresh ones it opened at
         startup; the ack keeps the restore synchronous, so the caller may
-        ingest immediately after.
+        ingest immediately after.  Returns, per session, what
+        ``ship_partials()`` took out of it (``None`` when the pool's
+        sessions do not ship).
         """
         if len(sessions) != len(self._sessions):
             raise ValueError(
                 f"need one session per resident session: got "
                 f"{len(sessions)} for {len(self._sessions)}")
-        self._ask_all("load_session", sessions)
+        return self._ask_all("load_session", sessions)
 
     def close(self) -> List:
         """Flush every session; returns their execution results.

@@ -73,10 +73,13 @@ QUERY_CLASSES: Dict[str, type] = {
     "trace": TraceQuery,
 }
 
-#: Merge exactness per query kind: how the ``RESULT_MERGE`` fold of a
-#: flow-affine partition relates to a single instance over the whole
-#: stream.  ``"exact"`` — bit-identical result values (per-flow state never
-#: spans partitions, counters sum).  ``"prefix"`` — the merged ranking is an
+#: Merge exactness per query kind at the *fleet* tier: how the
+#: ``RESULT_MERGE`` fold of the finished results of independent monitors,
+#: each on a flow-affine partition, relates to a single monitor over the
+#: whole stream.  (The shards of one node do not go through it: they hand
+#: over mergeable partials and merge exactly, for every kind.)
+#: ``"exact"`` — bit-identical result values (per-flow state never spans
+#: partitions, counters sum).  ``"prefix"`` — the merged ranking is an
 #: exact prefix of the whole-stream one with exact volumes (top-k, once the
 #: widest member ranking fixes the recovered ``k``).  ``"union"`` — the
 #: merged report is the union of per-partition reports (autofocus clusters;

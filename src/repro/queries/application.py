@@ -79,7 +79,7 @@ class ApplicationQuery(Query):
             packets=scale_estimates(pkt_counts[seen], sampling_rate),
             bytes=scale_estimates(byte_counts[seen], sampling_rate))
 
-    def interval_result(self) -> Dict[str, object]:
+    def interval_partial(self) -> Dict[str, object]:
         self.charge("flush")
         labels = self._labels()
         result = {

@@ -17,11 +17,12 @@ to sampling — its minimum sampling rate in Table 5.2 is 0.69.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core.aggregate import KeyedAccumulator
+from ..core.distinct import sorted_unique
 from ..core.sampling import scale_estimate, scale_estimates
 from ..monitor.packet import Batch
 from ..monitor.query import SAMPLING_PACKET, Query, merge_union
@@ -38,11 +39,12 @@ class AutofocusQuery(Query):
     minimum_sampling_rate = 0.69
     measurement_interval = 1.0
 
-    #: Per-shard delta reports cannot be re-thresholded without the full
-    #: prefix tables, so the merged report is the union of the clusters any
-    #: shard found significant — a superset of the unsharded report (a
-    #: cluster at 1/N of the global threshold on one shard may fall under
-    #: the global one).  Total volume is additive.
+    #: How finished reports of independent monitors federate (the fleet
+    #: tier): a delta report cannot be re-thresholded without the prefix
+    #: tables, so the federated report is the union of the clusters any
+    #: node found significant against *its own* total.  Total volume is
+    #: additive.  Shards of one node hand over the tables themselves
+    #: (:meth:`interval_partial`) and the node thresholds the merged ones.
     RESULT_MERGE = {
         "clusters": merge_union(sort_key=lambda c: (c[1], c[0]),
                                 coerce=tuple),
@@ -83,19 +85,50 @@ class AutofocusQuery(Query):
         for plen in PREFIX_LENGTHS:
             if plen != previous_plen:
                 coarse = keys >> np.uint64(previous_plen - plen)
-                keys, index = np.unique(coarse, return_inverse=True)
+                keys, index = sorted_unique(coarse, return_inverse=True)
                 volumes = np.bincount(index, weights=volumes)
                 previous_plen = plen
             self._volumes[plen].observe(
                 keys, bytes=scale_estimates(volumes, sampling_rate))
 
-    def _delta_report(self) -> List[Tuple[int, int]]:
-        """Clusters above threshold not explained by a more specific cluster."""
-        threshold = self.threshold_fraction * max(self._total_bytes, 1.0)
+    def interval_partial(self) -> Dict[str, object]:
+        """The interval's four prefix tables and the total they sum to."""
+        self.charge("flush")
+        self.charge("tree_op",
+                    sum(len(t) for t in self._volumes.values()))
+        partial = {"threshold_fraction": self.threshold_fraction,
+                   "total_bytes": self._total_bytes,
+                   "volumes": self._volumes}
+        self._volumes = {plen: KeyedAccumulator(columns=("bytes",))
+                         for plen in PREFIX_LENGTHS}
+        self._total_bytes = 0.0
+        return partial
+
+    @classmethod
+    def merge_partials(cls, partials: Sequence[Dict]) -> Dict:
+        """Sum the tables level by level and the totals: a prefix's flows
+        sit on several shards, so only the merged tables can be held
+        against the threshold of the whole stream."""
+        first, *rest = partials
+        if not rest:
+            return first
+        return {"threshold_fraction": first["threshold_fraction"],
+                "total_bytes": sum(partial["total_bytes"]
+                                   for partial in partials),
+                "volumes": {plen: KeyedAccumulator.union(
+                    [partial["volumes"][plen] for partial in partials])
+                    for plen in PREFIX_LENGTHS}}
+
+    @classmethod
+    def finalize(cls, partial: Dict) -> Dict[str, object]:
+        """The delta report: clusters above the threshold that no more
+        specific reported cluster explains."""
+        threshold = partial["threshold_fraction"] * \
+            max(partial["total_bytes"], 1.0)
         reported: List[Tuple[int, int]] = []
         explained: Dict[int, Set[int]] = {plen: set() for plen in PREFIX_LENGTHS}
         for level, plen in enumerate(PREFIX_LENGTHS):
-            table = self._volumes[plen]
+            table = partial["volumes"][plen]
             keys = table.keys
             # Vectorised threshold cut; only the (few) significant
             # clusters go through the per-prefix delta logic.
@@ -107,18 +140,4 @@ class AutofocusQuery(Query):
                 # Mark the ancestors of this prefix as explained.
                 for coarser in PREFIX_LENGTHS[level + 1:]:
                     explained[coarser].add(prefix >> (plen - coarser))
-        return reported
-
-    def interval_result(self) -> Dict[str, object]:
-        self.charge("flush")
-        self.charge("tree_op",
-                    sum(len(t) for t in self._volumes.values()))
-        clusters = self._delta_report()
-        result = {
-            "clusters": clusters,
-            "total_bytes": self._total_bytes,
-        }
-        for table in self._volumes.values():
-            table.reset()
-        self._total_bytes = 0.0
-        return result
+        return {"clusters": reported, "total_bytes": partial["total_bytes"]}

@@ -39,7 +39,7 @@ class CounterQuery(Query):
         self._packets += scale_estimate(n, sampling_rate)
         self._bytes += scale_estimate(batch.byte_count, sampling_rate)
 
-    def interval_result(self) -> Dict[str, float]:
+    def interval_partial(self) -> Dict[str, float]:
         self.charge("flush")
         result = {"packets": self._packets, "bytes": self._bytes}
         self._packets = 0.0

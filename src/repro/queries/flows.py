@@ -63,7 +63,7 @@ class FlowsQuery(Query):
         # unbiased even when the rate changes from bin to bin.
         self._flow_estimate += scale_estimate(n_new, sampling_rate)
 
-    def interval_result(self) -> Dict[str, float]:
+    def interval_partial(self) -> Dict[str, float]:
         self.charge("flush")
         self.charge("hash_update", len(self._flow_table))
         result = {

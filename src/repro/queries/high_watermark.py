@@ -6,7 +6,7 @@ within the measurement interval.  Cost is linear in the number of packets.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence, Tuple
 
 from ..core.sampling import scale_estimate
 from ..monitor.packet import Batch
@@ -21,40 +21,68 @@ class HighWatermarkQuery(Query):
     minimum_sampling_rate = 0.15
     measurement_interval = 1.0
 
-    #: Shard watermarks merge by summation, not maximum, per time bin: each
-    #: shard's watermark is the peak of *its slice* of the stream, and the
-    #: global peak bin is the one where the summed slices peak.  Because all
-    #: shards observe the same bin timeline, summing per-shard maxima
-    #: over-estimates only when shards peak in different bins — taking the
-    #: per-shard maximum would instead systematically under-estimate by
-    #: roughly a factor of N.  The sum is the standard mergeable upper
-    #: bound and is exact whenever the traffic peak is stream-wide.
+    #: How finished reports of independent monitors federate (the fleet
+    #: tier): a node's watermark is the peak of *its slice* of the stream,
+    #: and with only the peaks to go by the federated figure is their sum —
+    #: the whole stream's peak when the slices peak in the same bin, above
+    #: it otherwise, never more than N times it; the per-node maximum would
+    #: instead fall short by roughly a factor of N.  Shards of one node
+    #: hand over the interval's per-bin series (:meth:`interval_partial`),
+    #: which sum bin by bin before the maximum is taken.
     RESULT_MERGE = {"watermark_bytes": "sum", "watermark_packets": "sum"}
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        self._watermark_bytes = 0.0
-        self._watermark_packets = 0.0
+        #: Bin start -> (bytes, packets) seen for that bin this interval.
+        self._bins: Dict[float, Tuple[float, float]] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        if "_bins" not in state:
+            # A checkpoint from before the series was kept carries the
+            # interval's running maxima: a bin of their own, ahead of all.
+            state = dict(state)
+            state["_bins"] = {float("-inf"): (
+                state.pop("_watermark_bytes"),
+                state.pop("_watermark_packets"))}
+        self.__dict__.update(state)
 
     def reset(self) -> None:
         super().reset()
-        self._watermark_bytes = 0.0
-        self._watermark_packets = 0.0
+        self._bins = {}
 
     def update(self, batch: Batch, sampling_rate: float) -> None:
         n = len(batch)
         self.charge("counter_update", 2 * n)
-        bin_bytes = scale_estimate(batch.byte_count, sampling_rate)
-        bin_packets = scale_estimate(n, sampling_rate)
-        self._watermark_bytes = max(self._watermark_bytes, bin_bytes)
-        self._watermark_packets = max(self._watermark_packets, bin_packets)
+        nbytes, packets = self._bins.get(batch.start_ts, (0.0, 0.0))
+        self._bins[batch.start_ts] = (
+            nbytes + scale_estimate(batch.byte_count, sampling_rate),
+            packets + scale_estimate(n, sampling_rate))
 
-    def interval_result(self) -> Dict[str, float]:
+    def interval_partial(self) -> Dict[float, Tuple[float, float]]:
+        """The interval's per-bin ``(bytes, packets)`` series."""
         self.charge("flush")
-        result = {
-            "watermark_bytes": self._watermark_bytes,
-            "watermark_packets": self._watermark_packets,
+        bins, self._bins = self._bins, {}
+        return bins
+
+    @classmethod
+    def merge_partials(cls, partials: Sequence[Dict]) -> Dict:
+        """Sum the series bin by bin: the shards saw slices of the same
+        bins, and a bin's volume is the sum of its slices."""
+        first, *rest = partials
+        if not rest:
+            return first
+        bins = dict(first)
+        for partial in rest:
+            for start, (nbytes, packets) in partial.items():
+                mine = bins.get(start, (0.0, 0.0))
+                bins[start] = (mine[0] + nbytes, mine[1] + packets)
+        return bins
+
+    @classmethod
+    def finalize(cls, partial: Dict) -> Dict[str, float]:
+        return {
+            "watermark_bytes": max((nbytes for nbytes, _ in partial.values()),
+                                   default=0.0),
+            "watermark_packets": max((packets for _, packets
+                                      in partial.values()), default=0.0),
         }
-        self._watermark_bytes = 0.0
-        self._watermark_packets = 0.0
-        return result

@@ -32,6 +32,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..core.aggregate import KeyedAccumulator
+from ..core.distinct import sorted_unique
 from ..core.hashing import H3Hash
 from ..core.sampling import scale_estimate
 from ..monitor.packet import Batch
@@ -120,7 +121,7 @@ class P2PDetectorQuery(Query):
                 np.isin(batch.src_port, P2P_PORTS)
             flagged = keys[active & port_hit]
             if flagged.size:
-                self._p2p_flows.observe(np.unique(flagged))
+                self._p2p_flows.observe(sorted_unique(flagged))
             scanned_bytes = 0
         self.charge("regex_byte", scanned_bytes * len(P2P_SIGNATURES))
 
@@ -214,7 +215,7 @@ class P2PDetectorQuery(Query):
         return kept / len(batch)
 
     # ------------------------------------------------------------------
-    def interval_result(self) -> Dict[str, object]:
+    def interval_partial(self) -> Dict[str, object]:
         self.charge("flush")
         result = {
             "p2p_flows": [int(flow) for flow in self._p2p_flows.keys],

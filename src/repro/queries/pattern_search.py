@@ -86,7 +86,7 @@ class PatternSearchQuery(Query):
         self._bytes_scanned += scanned_bytes
         self._matches += matches
 
-    def interval_result(self) -> Dict[str, float]:
+    def interval_partial(self) -> Dict[str, float]:
         self.charge("flush")
         result = {
             "matches": self._matches,

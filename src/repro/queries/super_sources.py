@@ -19,6 +19,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from ..core.aggregate import DistinctFanout
+from ..core.distinct import locate_sorted, sorted_unique
 from ..core.sampling import scale_estimates
 from ..monitor.packet import Batch
 from ..monitor.query import SAMPLING_FLOW, Query
@@ -32,10 +33,12 @@ class SuperSourcesQuery(Query):
     minimum_sampling_rate = 0.93
     measurement_interval = 1.0
 
-    #: The merged ``fanout`` map is re-topped from the summed per-shard
-    #: estimates by :meth:`derive_merged`; ``sources`` sums (a source active
-    #: on two shards counts twice; scan sources concentrate their pairs, so
-    #: the bias is small).
+    #: How finished reports of independent monitors federate (the fleet
+    #: tier): the ``fanout`` map is re-topped from the summed per-node
+    #: estimates by :meth:`derive_merged`; ``sources`` sums (a source seen
+    #: by two nodes counts twice).  Shards of one node hand over their
+    #: distinct pairs (:meth:`interval_partial`), and a pair two shards
+    #: both saw counts once.
     RESULT_MERGE = {"fanout": "derived", "sources": "sum"}
 
     def __init__(self, top_n: int = 10, **kwargs) -> None:
@@ -61,30 +64,71 @@ class SuperSourcesQuery(Query):
         self.charge("hash_insert", inserts)
         self.charge("hash_update", n - inserts if n > inserts else 0)
 
-    def interval_result(self) -> Dict[str, object]:
+    def interval_partial(self) -> Dict[str, object]:
+        """The interval's distinct ``(src, dst)`` pairs, under the sampling
+        rate that admitted them (the instance's latest)."""
         self.charge("flush")
-        sources, counts = self._pairs.fanout()
-        estimates = scale_estimates(counts.astype(np.float64),
-                                    self._sampling_rate)
+        partial = {"top_n": self.top_n,
+                   "pairs": {self._sampling_rate: self._pairs.pairs}}
+        self._pairs.reset()
+        return partial
+
+    @classmethod
+    def merge_partials(cls, partials: Sequence[Dict]) -> Dict:
+        """Union the pair tables, rate by rate.  A source reaches one
+        destination over several flows, which may sit on different shards:
+        such a pair is kept once, under the highest of its rates."""
+        first, *rest = partials
+        if not rest:
+            return first
+        by_rate: Dict[float, list] = {}
+        for partial in partials:
+            for rate, pairs in partial["pairs"].items():
+                by_rate.setdefault(rate, []).append(pairs)
+        merged: Dict[float, np.ndarray] = {}
+        seen = np.empty(0, dtype=np.uint64)
+        for rate in sorted(by_rate, reverse=True):
+            pairs = sorted_unique(np.concatenate(by_rate[rate]))
+            if seen.size:
+                pairs = pairs[~locate_sorted(seen, pairs)[1]]
+            merged[rate] = pairs
+            if len(merged) < len(by_rate):
+                seen = sorted_unique(np.concatenate([seen, pairs]))
+        return {"top_n": max(partial["top_n"] for partial in partials),
+                "pairs": merged}
+
+    @classmethod
+    def finalize(cls, partial: Dict) -> Dict[str, object]:
+        """Fan-out per source — every distinct pair counting ``1 / rate``
+        — and the ``top_n`` largest."""
+        counted = []
+        for rate, pairs in partial["pairs"].items():
+            # Sorted pair keys lead with the source: so are their sources.
+            keys, counts = sorted_unique(DistinctFanout.key_u32(pairs),
+                                         return_counts=True)
+            counted.append((keys, scale_estimates(counts.astype(np.float64),
+                                                  rate)))
+        sources = sorted_unique(np.concatenate([keys for keys, _ in counted]))
+        estimates = np.zeros(len(sources))
+        for keys, scaled in counted:
+            estimates[np.searchsorted(sources, keys)] += scaled
         # Fan-out descending, ties to the smaller source address — the
         # vectorised equivalent of sorting the full fan-out dict.
-        order = np.lexsort((sources, -estimates))[:self.top_n]
-        result = {
+        order = np.lexsort((sources, -estimates))[:partial["top_n"]]
+        return {
             "fanout": {int(sources[i]): float(estimates[i]) for i in order},
             "sources": float(len(sources)),
         }
-        self._pairs.reset()
-        return result
 
     @classmethod
     def derive_merged(cls, merged: Dict, results: Sequence[Dict]) -> Dict:
-        """Sum per-shard fan-out estimates and re-take the top sources.
+        """Sum per-node fan-out estimates and re-take the top sources.
 
-        A source's (src, dst) pairs spread across shards (the partition key
-        is the full 5-tuple), so its global fan-out is the sum of the
-        per-shard distinct-destination counts — an upper bound when the same
-        destination is reached over several ports on different shards, which
-        is rare for scan-style super-spreaders.
+        A source's (src, dst) pairs spread across nodes, so its federated
+        fan-out is the sum of the per-node distinct-destination counts —
+        above the true one when the same destination is reached through
+        different nodes, never more than N times it
+        (:data:`repro.queries.MERGE_EXACTNESS`: ``"bounded"``).
 
         The merged map keeps every summed source (ordered by fan-out desc,
         address asc) instead of truncating to a member's ``top_n``:

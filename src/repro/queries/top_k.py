@@ -9,7 +9,7 @@ minimum sampling rate in Table 5.2 is 0.57.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -33,8 +33,11 @@ class TopKQuery(Query):
     minimum_sampling_rate = 0.57
     measurement_interval = 1.0
 
-    #: ``ranking`` and the truncated ``bytes`` map are recomputed from the
-    #: merged volumes by :meth:`derive_merged`; ``table_size`` sums.
+    #: How finished reports of independent monitors federate (the fleet
+    #: tier): ``ranking`` and ``bytes`` are recomputed from the summed
+    #: volumes by :meth:`derive_merged`; ``table_size`` sums.  Shards of one
+    #: node do not go through this: they hand over their whole table
+    #: (:meth:`interval_partial`) and the node ranks the merged one.
     RESULT_MERGE = {"ranking": "derived", "bytes": "derived",
                     "table_size": "sum"}
 
@@ -62,43 +65,55 @@ class TopKQuery(Query):
         self.charge("hash_insert", new_entries)
         self.charge("hash_update", len(unique_dst) - new_entries)
 
-    def _ranking(self) -> List[Tuple[int, float]]:
-        # Primary key: volume descending; ties broken by smaller address.
-        return self._table.top(self.k, "bytes")
-
-    def interval_result(self) -> Dict[str, object]:
+    def interval_partial(self) -> Dict[str, object]:
+        """The interval's whole per-destination table, with ``k``."""
         self.charge("flush")
         # Ranking cost: n log n comparisons over the table.
         table_size = len(self._table)
         self.charge("sort_op", table_size * max(1.0, np.log2(max(table_size, 2))))
-        top = self._ranking()
-        result = {
+        table, self._table = self._table, KeyedAccumulator(columns=("bytes",))
+        return {"k": self.k, "table": table}
+
+    @classmethod
+    def merge_partials(cls, partials: Sequence[Dict]) -> Dict:
+        """Sum the tables per destination: a destination's flows may sit on
+        several shards, and the merged table is the one a single instance
+        over the whole stream holds."""
+        first, *rest = partials
+        if not rest:
+            return first
+        return {"k": max(partial["k"] for partial in partials),
+                "table": KeyedAccumulator.union(
+                    [partial["table"] for partial in partials])}
+
+    @classmethod
+    def finalize(cls, partial: Dict) -> Dict[str, object]:
+        table = partial["table"]
+        # Primary key: volume descending; ties broken by smaller address.
+        top = table.top(partial["k"], "bytes")
+        return {
             "ranking": [dst for dst, _ in top],
             "bytes": {dst: volume for dst, volume in top},
-            "table_size": float(table_size),
+            "table_size": float(len(table)),
         }
-        self._table.reset()
-        return result
 
     @classmethod
     def derive_merged(cls, merged: Dict, results: Sequence[Dict]) -> Dict:
-        """Re-rank the summed per-partition volumes; truncate the ranking only.
+        """Re-rank the summed per-node volumes; truncate the ranking only.
 
-        Each partition reports its local top-k; the merged ranking re-sorts
-        the union of those entries by total volume (``k`` recovered from the
+        Each node reports its own top-k; the federated ranking re-sorts the
+        union of those entries by total volume (``k`` recovered from the
         widest member ranking).  The merged ``bytes`` map keeps the *full*
         summed volume table, ordered by (volume desc, address asc), rather
         than truncating it to the ranking: truncating at merge time would
         make nested merges lose volume mass an outer merge still needs, so
         the untruncated table is what makes this fold associative — any
-        grouping of partitions sums the same volumes, and ``k`` recovery by
+        grouping of nodes sums the same volumes, and ``k`` recovery by
         ``max`` is associative because an inner merged ranking is always as
-        long as its widest member.  A destination spread across partitions
-        can in principle be under-counted when it falls outside a member's
-        local top-k — the classical mergeable-summary caveat — but with
-        flow-affine partitioning a destination's traffic concentrates on
-        few partitions, so the merged ranking matches the unsharded one in
-        practice (the sharding tests pin the tolerance).
+        long as its widest member.  A destination outside a node's own
+        top-k is missing from that node's report, so its federated volume
+        is a lower bound (:data:`repro.queries.MERGE_EXACTNESS`:
+        ``"prefix"``).
         """
         volumes: Dict[int, float] = {}
         for result in results:

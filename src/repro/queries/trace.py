@@ -40,7 +40,7 @@ class TraceQuery(Query):
         self._packets_stored += n
         self._bytes_stored += nbytes
 
-    def interval_result(self) -> Dict[str, float]:
+    def interval_partial(self) -> Dict[str, float]:
         self.charge("flush")
         result = {
             "packets_stored": self._packets_stored,

@@ -17,6 +17,12 @@ calibration is a full reference replay of the trace).
 
 Prints a human-readable result summary, or a JSON document with ``--json``
 (machine-readable, stable keys).
+
+``--num-shards N --check`` is the shard tier's correctness gate (the twin
+of ``python -m repro.fleet --check``): it replays the trace on one system
+and on ``N`` shards in reference mode, where nothing is shed, and exits 1
+naming the first query and interval whose sharded result is not ``==`` the
+serial one — for any query kind, on either ``--backend``.
 """
 
 from __future__ import annotations
@@ -51,6 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="overload factor K in [0, 1): capacity is "
                                "(1 - K) x the calibrated no-shedding "
                                "capacity (default: %(default)s)")
+    parser.add_argument("--check", action="store_true",
+                        help="instead of a replay at capacity, replay on "
+                             "one system and on --num-shards shards in "
+                             "reference mode; exit 1 unless every query "
+                             "log is identical")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the summary as JSON")
     return parser
@@ -116,6 +127,29 @@ def _print_human(summary: dict) -> None:
               f"peak_rss_mb {s['peak_rss_mb']:.1f}")
 
 
+def _check(config, trace, args) -> int:
+    """Run the shard exactness gate; print its verdict, return the exit
+    code."""
+    from .monitor.sharding import verify_shard_exactness
+    verdict = verify_shard_exactness(config, trace, time_bin=args.time_bin,
+                                     n_workers=args.n_workers)
+    if args.as_json:
+        print(json.dumps(verdict, indent=1))
+    else:
+        print(f"shard exactness check "
+              f"({'PASS' if verdict['identical'] else 'FAIL'}): "
+              f"{verdict['num_shards']} shards ({verdict['backend']}) vs "
+              f"serial, reference mode, {verdict['bins']} bins")
+        for name, entry in sorted(verdict["queries"].items()):
+            print(f"  {name:<16} {entry['intervals']:>4} intervals  "
+                  f"{'identical' if entry['identical'] else 'DIFFERENT'}")
+        if not verdict["identical"]:
+            first = verdict["first_difference"]
+            print(f"first difference: query {first['query']!r}, interval "
+                  f"{first['interval']} (start {first['interval_start']})")
+    return 0 if verdict["identical"] else 1
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     # Imports deferred so ``--help`` answers without loading the package.
     from .experiments import runner
@@ -138,6 +172,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     # The query mix rides inside the config, so the whole run description
     # round-trips through SystemConfig.to_dict()/from_dict().
     config = apply_system_args(runner.system_config(), args)
+    if args.check:
+        if config.num_shards < 2:
+            print("error: --check compares a sharded run with a serial one; "
+                  "give --num-shards >= 2", file=sys.stderr)
+            return 2
+        return _check(config, trace, args)
 
     if args.cycles_per_second is not None:
         capacity = float(args.cycles_per_second)

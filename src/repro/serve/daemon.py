@@ -607,6 +607,20 @@ class MonitorDaemon:
             "Feature reads and counter merges, computed and shared",
             [({"counter": key}, float(value))
              for key, value in sorted(sharing.items())]))
+        merge = metrics.get("sharding")
+        if merge is not None:
+            for key, help_text in (
+                    ("intervals_merged",
+                     "Measurement intervals merged from the shards' partials"),
+                    ("partial_bytes",
+                     "Bytes of the shard replies that carried partials"),
+                    ("merge_seconds",
+                     "Seconds spent merging and finalising shard partials"),
+                    ("divergences",
+                     "Shard divergences detected (mismatched intervals)")):
+                families.append(_family(
+                    f"repro_shard_{key}_total", "counter", help_text,
+                    [({}, float(merge[key]))]))
         return families
 
 

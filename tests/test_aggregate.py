@@ -14,13 +14,40 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.queries as queries_pkg
 from repro.core.aggregate import (DistinctFanout, KeyedAccumulator,
                                   aggregate_batch, payload_hits)
-from repro.core.distinct import make_counter
+from repro.core.distinct import make_counter, sorted_unique
 from repro.monitor.query import Query, merge_additive
 from repro.queries import QUERY_CLASSES, make_query
+
+
+#: Every flag combination a call site passes, and all three at once.
+UNIQUE_FLAGS = ({}, {"return_index": True}, {"return_inverse": True},
+                {"return_counts": True},
+                {"return_index": True, "return_inverse": True,
+                 "return_counts": True})
+
+
+@pytest.mark.parametrize("flags", UNIQUE_FLAGS, ids=lambda f: "+".join(f) or
+                         "plain")
+@pytest.mark.parametrize("dtype", (np.uint64, np.uint32, np.intp))
+@given(values=st.lists(st.integers(min_value=0, max_value=40), max_size=60),
+       spread=st.sampled_from((1, 2 ** 20, 2 ** 31 - 1)))
+def test_sorted_unique_equals_np_unique(flags, dtype, values, spread):
+    """Value for value and dtype for dtype: the tables and the batch memos
+    must not be able to tell which one reduced their keys."""
+    keys = (np.array(values, dtype=np.int64) * spread).astype(dtype)
+    want, got = np.unique(keys, **flags), sorted_unique(keys, **flags)
+    if not flags:
+        want, got = (want,), (got,)
+    assert len(got) == len(want)
+    for mine, theirs in zip(got, want):
+        assert mine.dtype == theirs.dtype
+        assert np.array_equal(mine, theirs)
 
 
 class TestAggregateBatch:

@@ -10,7 +10,10 @@ reads the columns and payloads of the bin being built and of nothing else,
 on descriptors that are not part of a store's pickled state.  The fleet is
 the third: it deals a stream out bin by bin, so neither the bins nor the
 parts it splits them into outlive the run, and its resident set does not
-grow with the store.
+grow with the store.  The shards of a node are the fourth: they ship every
+flushed interval's partial and every bin's record to the node, so what a
+shard session holds does not grow with the intervals it has seen, and the
+node's own resident set does not grow with the store either.
 """
 
 import gc
@@ -401,4 +404,85 @@ def test_fleet_parent_resident_set_does_not_grow_with_the_store(tmp_path):
     before, short_peak = probe_rss_mb(_FLEET_RSS_PROBE, short)
     assert short_peak - before < 8.0
     _, long_peak = probe_rss_mb(_FLEET_RSS_PROBE, long)
+    assert abs(long_peak - short_peak) < 3.0
+
+
+# ----------------------------------------------------------------------
+# The shards of a node: nothing kept per interval
+# ----------------------------------------------------------------------
+LOSSY_KINDS = "counter,top-k,autofocus,high-watermark,super-sources"
+
+
+@pytest.mark.parametrize("backend", [
+    "inprocess", pytest.param("workers", marks=needs_fork)])
+def test_a_shard_session_does_not_grow_with_the_intervals(tmp_path, backend):
+    """After nine intervals a shard session holds what it held after
+    three: no record, no result, the open interval's tables and nothing
+    else (on the worker pool the sessions are copied out of the forked
+    workers, which is where they would grow)."""
+    store = write_header_store(tmp_path / "store", seconds=10,
+                               packets_per_bin=1500)
+    config = runner.system_config(mode="reference", queries=LOSSY_KINDS,
+                                  seed=5, shard_rebalance=False)
+    session = ShardedSystem(config=config, num_shards=2,
+                            backend=backend).open_session(time_bin=TIME_BIN)
+    sizes = {}
+    with session:
+        for index, batch in enumerate(store.streaming().batches(TIME_BIN)):
+            session.ingest(batch)
+            if index in (30, 90):  # the same phase of an interval
+                shards = session._executor.session_states()
+                sizes[index] = [len(pickle.dumps(shard)) for shard in shards]
+                for shard in shards:
+                    assert shard.bins_ingested == index + 1
+                    assert shard._bins == [] and shard.system._outbox == []
+                    assert not any(len(runtime.log) for runtime
+                                   in shard.system._runtimes.values())
+        result = session.close()
+    for early, late in zip(sizes[30], sizes[90]):
+        assert abs(late - early) < 0.05 * early
+    # The node kept them instead: ten intervals of five queries, 100 bins.
+    assert [len(log) for log in result.query_logs.values()] == [10] * 5
+    assert len(result.bins) == 100
+
+
+# One sharded run per process, as for the fleet above.
+_SHARDED_RSS_PROBE = """
+import re, sys
+from repro.experiments import runner
+from repro.monitor.sharding import ShardedSystem
+from repro.traffic.trace_io import TraceStore
+
+def hwm_kb():
+    with open("/proc/self/status") as status:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", status.read()).group(1))
+
+store = TraceStore(sys.argv[1])
+config = runner.system_config(
+    mode="reference", shard_rebalance=False,
+    queries="counter,top-k,autofocus,high-watermark,super-sources")
+sharded = ShardedSystem(config=config, num_shards=2, backend="workers")
+before = hwm_kb()
+result = sharded.run(store)
+assert result.total_packets == len(store)
+assert len(result.query_logs["top-k"]) == len(result.bins) // 10
+print(before, hwm_kb())
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads VmHWM from /proc/self/status")
+def test_sharded_parent_resident_set_does_not_grow_with_the_store(tmp_path):
+    """The parent of a node on shard workers merges an interval's partials
+    and lets them go: a four times longer store costs it the finished
+    results and bin records of the extra seconds, within the allowance the
+    fleet's parent has."""
+    short = write_header_store(tmp_path / "short", seconds=2,
+                               packets_per_bin=2_000)
+    long = write_header_store(tmp_path / "long", seconds=8,
+                              packets_per_bin=2_000)
+    assert len(long) == 4 * len(short)
+    _, short_peak = probe_rss_mb(_SHARDED_RSS_PROBE, short)
+    _, long_peak = probe_rss_mb(_SHARDED_RSS_PROBE, long)
     assert abs(long_peak - short_peak) < 3.0

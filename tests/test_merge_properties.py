@@ -1,34 +1,43 @@
 """Merge-invariant property tests for every registered query.
 
-For each kind in :data:`repro.queries.QUERY_CLASSES`, Hypothesis draws a
-random multi-batch stream, flow-partitions every batch across N sub-streams
-(the exact split :mod:`repro.monitor.sharding` performs), runs one query
-instance per sub-stream plus one over the whole stream, and checks that
-``merge_interval_results`` over the sub-stream results reproduces the
-whole-stream result — exactly where the merge is exact, within the
+Two tiers merge query state, and both are pinned here for every kind in
+:data:`repro.queries.QUERY_CLASSES`.  Hypothesis draws a random multi-batch
+stream, splits every batch flow-affinely across N sub-streams, and runs one
+query instance per sub-stream plus one over the whole stream.
+
+**Shards of a node** hand over mergeable *partials*
+(``interval_partial`` / ``merge_partials`` / ``finalize``): for any
+flow-affine partition into N in {1, 2, 3, 4, 8}, finalising the merged
+partials is strictly ``==`` the whole-stream result while nothing is shed,
+for all ten kinds, and ``merge_partials`` is associative and
+permutation-invariant whatever rates the parts ran at.
+
+**Nodes of a fleet** are independent monitors and federate *finished
+results* through ``merge_interval_results`` (``RESULT_MERGE`` /
+``derive_merged``) — exactly where that fold is exact, within the
 documented bound where it is a mergeable approximation:
 
 ===============  ====================================================
 counter          exact (additive, flow-disjoint)
-flows            exact (flow tables are disjoint across shards)
+flows            exact (flow tables are disjoint across nodes)
 trace            exact (per-packet additive)
 pattern-search   exact (per-packet additive)
 application      exact (per-class additive)
-high-watermark   bounded: ``true <= merged <= N * true`` (per-shard
-                 peaks sum; exact only when shards peak in one bin)
-top-k            with untruncated shard tables: the merged ranking is
+high-watermark   bounded: ``true <= merged <= N * true`` (per-node
+                 peaks sum; exact only when nodes peak in one bin)
+top-k            with untruncated node tables: the merged ranking is
                  an exact prefix of the whole-stream one (k recovers
-                 as the widest shard ranking), byte volumes exact,
+                 as the widest node ranking), byte volumes exact,
                  ``table_size`` in ``[true, N * true]``; heuristic
                  once local top-k truncation kicks in
 p2p-detector     exact (handshakes are flow-affine)
 super-sources    bounded: ``true <= merged <= N * true`` per source
-                 (a source's pairs spread across shards); requires
+                 (a source's pairs spread across nodes); requires
                  untruncated fan-out reports, since a source falling
-                 out of one shard's local top-N loses that shard's
+                 out of one node's local top-N loses that node's
                  contribution
 autofocus        ``total_bytes`` exact; the cluster report is the
-                 union of per-shard delta reports (per-shard
+                 union of per-node delta reports (per-node
                  thresholds differ from the global one, so no
                  subset/superset relation to the whole-stream report
                  is guaranteed)
@@ -237,6 +246,125 @@ def test_merge_is_associative_and_permutation_invariant(kind, seed,
     _assert_values_close(left, flat, path=f"{kind}:left-grouping")
     _assert_values_close(right, flat, path=f"{kind}:right-grouping")
     _assert_values_close(permuted, flat, path=f"{kind}:permutation")
+
+
+# ----------------------------------------------------------------------
+# The shard tier: partials
+# ----------------------------------------------------------------------
+#: Rates whose reciprocal is a power of two scale integer counts exactly,
+#: so results at mixed rates compare with ``==`` like unshed ones.
+RATES = (1.0, 0.5, 0.25, 0.125)
+
+
+def _random_flow_partition(batch, num_parts, salt):
+    """``batch`` split by dealing every flow to the part a salted mix of
+    its hash picks (the same part in every batch of a stream)."""
+    mixed = (batch.aggregate_hashes(FLOW_FIELDS) ^ salt) * \
+        np.uint64(0x9E3779B97F4A7C15)
+    return batch.partition(
+        num_parts, assignments=(mixed >> np.uint64(40)) % np.uint64(num_parts),
+        partition_key=("salted", int(salt)))
+
+
+def _partial(kind, batches, rate=1.0):
+    query = make_query(kind)
+    for batch in batches:
+        query.update(query.filter.apply(batch), rate)
+        query.consume_cycles()
+    partial = query.interval_partial()
+    query.consume_cycles()
+    return partial
+
+
+def _partials(kind, seed, n_batches, packets, n_hosts, num_parts, rates):
+    salt = np.random.default_rng(seed).integers(0, 2 ** 63, dtype=np.uint64)
+    batches = _stream(seed, n_batches, packets, n_hosts,
+                      kind in NEEDS_PAYLOAD)
+    sub_streams = [[] for _ in range(num_parts)]
+    for batch in batches:
+        for index, part in enumerate(
+                _random_flow_partition(batch, num_parts, salt)):
+            sub_streams[index].append(part)
+    return batches, [_partial(kind, sub, rate)
+                     for sub, rate in zip(sub_streams, rates)]
+
+
+shard_params = dict(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_batches=st.integers(min_value=1, max_value=3),
+    packets=st.integers(min_value=1, max_value=250),
+    n_hosts=st.integers(min_value=2, max_value=25),
+    num_parts=st.sampled_from((1, 2, 3, 4, 8)),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(QUERY_CLASSES))
+@settings(deadline=None)
+@given(**shard_params)
+def test_merged_partials_finalize_to_the_whole_stream_result(
+        kind, seed, n_batches, packets, n_hosts, num_parts):
+    """Exact for all ten kinds, with the default report widths: a shard
+    hands over its whole state, so truncation happens once, after the
+    merge, as in a single instance."""
+    query_cls = QUERY_CLASSES[kind]
+    batches, partials = _partials(kind, seed, n_batches, packets, n_hosts,
+                                  num_parts, [1.0] * num_parts)
+    whole = query_cls.finalize(_partial(kind, batches))
+    assert query_cls.finalize(query_cls.merge_partials(partials)) == whole
+    # ...and interval_result() is that same path, end to end.
+    query = make_query(kind)
+    for batch in batches:
+        query.update(query.filter.apply(batch), 1.0)
+    assert query.interval_result() == whole
+
+
+@pytest.mark.parametrize("kind", sorted(QUERY_CLASSES))
+@settings(deadline=None)
+@given(order_seed=st.integers(min_value=0, max_value=10_000),
+       **shard_params)
+def test_merge_partials_is_associative_and_permutation_invariant(
+        kind, seed, n_batches, packets, n_hosts, num_parts, order_seed):
+    """Any grouping or ordering of the parts merges to the same partial,
+    at any mix of per-part sampling rates, and leaves the parts intact."""
+    query_cls = QUERY_CLASSES[kind]
+    merge, finalize = query_cls.merge_partials, query_cls.finalize
+    rng = np.random.default_rng(order_seed)
+    rates = rng.choice(RATES, size=num_parts).tolist()
+    _, partials = _partials(kind, seed, n_batches, packets, n_hosts,
+                            num_parts, rates)
+    flat = finalize(merge(partials))
+    cut = int(rng.integers(1, num_parts + 1))
+    left = merge([merge(partials[:cut]), *partials[cut:]])
+    right = merge([*partials[:cut - 1], merge(partials[cut - 1:])])
+    permuted = merge([partials[index]
+                      for index in rng.permutation(num_parts)])
+    assert finalize(left) == flat, "left grouping"
+    assert finalize(right) == flat, "right grouping"
+    assert finalize(permuted) == flat, "permutation"
+    assert finalize(merge(partials)) == flat, "the parts were modified"
+
+
+def test_a_pair_two_shards_saw_counts_once_at_its_highest_rate():
+    """super-sources: source 7 reaches destination 1 through both shards
+    (two flows), destination 2 through the second only."""
+    pair = QUERY_CLASSES["super-sources"]
+    first = {"top_n": 10, "pairs": {1.0: np.array([(7 << 32) | 1],
+                                                  dtype=np.uint64)}}
+    second = {"top_n": 10, "pairs": {0.5: np.array(
+        [(7 << 32) | 1, (7 << 32) | 2], dtype=np.uint64)}}
+    for parts in ([first, second], [second, first]):
+        merged = pair.finalize(pair.merge_partials(parts))
+        assert merged == {"fanout": {7: 1.0 + 2.0}, "sources": 1.0}
+
+
+def test_high_watermark_partials_sum_bin_by_bin():
+    """The shards peak in different bins: the node's peak is the bin where
+    their sum peaks, not the sum of their peaks."""
+    query_cls = QUERY_CLASSES["high-watermark"]
+    merged = query_cls.merge_partials([{0.0: (100.0, 10.0), 0.1: (20.0, 2.0)},
+                                       {0.0: (30.0, 3.0), 0.1: (90.0, 9.0)}])
+    assert query_cls.finalize(merged) == {"watermark_bytes": 130.0,
+                                          "watermark_packets": 13.0}
 
 
 def test_exactness_registry_covers_documented_classification():

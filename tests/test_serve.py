@@ -518,6 +518,9 @@ def test_sharded_daemon_serves_and_reports_shards(serve_trace):
         assert status["num_shards"] == 4
         text = harness.get("/metrics")
         assert "repro_shard_cycles" in text
+        for counter in ("intervals_merged", "partial_bytes",
+                        "merge_seconds", "divergences"):
+            assert f"repro_shard_{counter}_total" in text
         harness.request("POST", "/shutdown")
         result = harness.join(timeout=30.0)
     assert result is not None

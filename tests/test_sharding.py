@@ -1,6 +1,6 @@
 """Sharded-pipeline invariants.
 
-Five contracts the sharded execution layer must honour:
+Six contracts the sharded execution layer must honour:
 
 * **Degenerate identity** — ``ShardedSystem(num_shards=1)`` is bit-identical
   to the classic single-system run in *all four* operating modes (the
@@ -10,23 +10,32 @@ Five contracts the sharded execution layer must honour:
 * **Flow affinity** — after :meth:`Batch.partition` no 5-tuple flow spans
   two shards, and the shards are an exact, order-preserving cover of the
   batch.
-* **Merged accuracy** — N-shard merged counter/flows estimates are exact
-  without shedding and within sampling tolerance of the unsharded run under
-  a predictive overload.
+* **Shard-merge exactness** — a sharded node that sheds nothing reports
+  what a serial node reports: every log of all ten query kinds strictly
+  ``==``, on both executors, lockstep and pipelined; shards that flush
+  different intervals are refused at the bin, typed, logged and counted.
+* **Merged accuracy** — N-shard merged counter/flows estimates stay within
+  sampling tolerance of the unsharded run under a predictive overload.
 * **Pool transparency** — running shards on the worker pool is
   bit-identical to running them in-process.
 * **One session contract** — a :class:`ShardedSession` validates, counts
   and refuses the same way whichever shard executor it drives.
 """
 
+import json
+import logging
+
 import numpy as np
 import pytest
 
+from repro import replay
 from repro.experiments import runner, scenarios
 from repro.monitor.pipeline import BinRecord
-from repro.monitor.sharding import ShardedSystem, shard_seed
+from repro.monitor.sharding import (ShardDivergenceError, ShardedSystem,
+                                    shard_seed)
 from repro.monitor.workers import fork_start_available
-from repro.queries import make_query
+from repro.queries import QUERY_CLASSES, make_query
+from repro.traffic.trace_io import save_trace_store
 from tests.conftest import make_batch
 
 QUERY_SET = ("counter", "flows", "top-k", "application")
@@ -116,6 +125,161 @@ class TestFlowAffinity:
         batch = make_batch(n=10, seed=4)
         with pytest.raises(ValueError):
             batch.partition(0)
+
+
+both_executors = pytest.mark.parametrize("backend", [
+    "inprocess",
+    pytest.param("workers", marks=pytest.mark.skipif(
+        not fork_start_available(),
+        reason="persistent shard workers prefer the fork start method"))])
+
+
+class TestShardMergeExactness:
+    """Reference mode sheds nothing, so every difference would be the
+    merge's: there must be none, for any kind, boundary or value."""
+
+    @pytest.fixture(scope="class")
+    def serial_reference(self, payload_trace_small):
+        config = runner.system_config(
+            mode="reference", queries=",".join(sorted(QUERY_CLASSES)), seed=3)
+        return config, config.build().run(payload_trace_small)
+
+    @both_executors
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    @pytest.mark.parametrize("drive", ["ingest", "ingest_trace"])
+    def test_sharded_reference_equals_serial_reference(
+            self, payload_trace_small, serial_reference, backend, num_shards,
+            drive):
+        """``ingest_trace`` on the worker pool is the pipelined path: bins
+        run ahead of their records, partials arrive whenever."""
+        config, serial = serial_reference
+        sharded = ShardedSystem(config=config, num_shards=num_shards,
+                                backend=backend, rebalance=False)
+        with sharded.open_session(name=payload_trace_small.name) as session:
+            if drive == "ingest":
+                for batch in payload_trace_small.batches(0.1):
+                    session.ingest(batch)
+            else:
+                session.ingest_trace(payload_trace_small)
+            snapshot = session.partial_result()
+            result = session.close()
+        assert set(result.query_logs) == set(QUERY_CLASSES)
+        for name, log in serial.query_logs.items():
+            merged_log = result.query_logs[name]
+            assert merged_log.intervals == log.intervals, name
+            assert merged_log.results == log.results, name
+        # partial_result() is exact for free: the same logs, less what
+        # close() flushed.
+        for name, log in snapshot.query_logs.items():
+            closed = result.query_logs[name]
+            assert log.results == closed.results[:len(log)]
+            assert 0 < len(log) == len(closed) - 1
+        merged = session.metrics["sharding"]
+        assert merged["intervals_merged"] == sum(
+            len(log) for log in result.query_logs.values())
+        assert (merged["partial_bytes"] > 0) == (backend == "workers")
+        assert merged["merge_seconds"] > 0.0 and merged["divergences"] == 0
+
+    def test_results_hold_plain_values_only(self, serial_reference,
+                                            payload_trace_small):
+        """No partial (a table, an array) survives into a merged log."""
+        config, _ = serial_reference
+        result = ShardedSystem(config=config, num_shards=2).run(
+            payload_trace_small)
+
+        def plain(value):
+            if isinstance(value, dict):
+                return all(plain(k) and plain(v) for k, v in value.items())
+            if isinstance(value, (list, tuple)):
+                return all(plain(item) for item in value)
+            return type(value) in (int, float, str)
+
+        for log in result.query_logs.values():
+            assert all(plain(entry) for entry in log.results), log.name
+
+    def test_diverged_shards_fail_at_the_bin_typed_logged_and_counted(
+            self, caplog):
+        sharded = ShardedSystem(
+            _factory(("counter", "flows")), num_shards=2,
+            config=runner.system_config(cycles_per_second=5e7, seed=3))
+        session = sharded.open_session(name="diverging")
+        bins = [make_batch(n=60, seed=s, start_ts=0.1 * s) for s in range(30)]
+        for batch in bins[:12]:
+            session.ingest(batch)
+        assert session.metrics["sharding"]["divergences"] == 0
+        # Shard 1 loses track of where its "flows" interval began.
+        session._executor.sessions[1].system.runtime("flows") \
+            .interval_start += 0.3
+        with caplog.at_level(logging.ERROR, logger="repro.monitor.sharding"):
+            with pytest.raises(ShardDivergenceError) as failure:
+                session.ingest(bins[25])  # both flush: [1.0, 2) and [1.3, 2.3)
+        message = str(failure.value)
+        assert "shard 1 of session 'diverging' flushed query 'flows' at " \
+            "interval start 1.3 where shard 0 flushed query 'flows' at " \
+            "interval start 1.0" in message
+        assert [record.getMessage() for record in caplog.records] == [message]
+        assert session.metrics["sharding"]["divergences"] == 1
+
+    def test_a_shard_that_flushes_late_is_refused_at_that_bin(self):
+        """...not at close(): here shard 1 simply has not flushed yet."""
+        sharded = ShardedSystem(
+            _factory(("counter", "flows")), num_shards=2,
+            config=runner.system_config(cycles_per_second=5e7, seed=3))
+        session = sharded.open_session(name="late")
+        bins = [make_batch(n=60, seed=s, start_ts=0.1 * s) for s in range(30)]
+        for batch in bins[:12]:
+            session.ingest(batch)
+        session._executor.sessions[1].system.runtime("flows") \
+            .interval_start += 0.3
+        with pytest.raises(ShardDivergenceError,
+                           match="shard 1 .* flushed nothing more where "
+                                 "shard 0 flushed query 'flows' at interval "
+                                 "start 1.0"):
+            for batch in bins[12:]:
+                session.ingest(batch)
+        assert session.bins_ingested == 21
+
+
+class TestReplayCheck:
+    """``python -m repro.replay STORE --num-shards N --check``."""
+
+    LOSSY = "counter,top-k,autofocus,high-watermark,super-sources"
+
+    @pytest.fixture()
+    def store(self, tmp_path, small_trace):
+        return save_trace_store(small_trace, tmp_path / "checked")
+
+    @both_executors
+    def test_passes_on_every_kind_and_exits_zero(self, store, capsys,
+                                                 backend):
+        code = replay.main([str(store.path), "--queries", self.LOSSY,
+                            "--num-shards", "2", "--backend", backend,
+                            "--check", "--json"])
+        verdict = json.loads(capsys.readouterr().out)
+        assert code == 0 and verdict["identical"] is True
+        assert verdict["num_shards"] == 2 and verdict["backend"] == backend
+        assert verdict["first_difference"] is None
+        assert verdict["queries"].keys() == set(self.LOSSY.split(","))
+        assert all(entry["identical"] and entry["intervals"] == 4
+                   for entry in verdict["queries"].values())
+
+    def test_names_the_first_query_and_interval_that_differ(
+            self, store, capsys, monkeypatch):
+        """A merge that forgets all shards but one: the gate must say
+        where it first shows."""
+        monkeypatch.setattr(QUERY_CLASSES["top-k"], "merge_partials",
+                            classmethod(lambda cls, partials: partials[0]))
+        code = replay.main([str(store.path), "--queries", self.LOSSY,
+                            "--num-shards", "4", "--check"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "shard exactness check (FAIL): 4 shards (inprocess)" in out
+        assert "first difference: query 'top-k', interval 0 (start " in out
+        assert out.count("identical") == 4 and out.count("DIFFERENT") == 1
+
+    def test_needs_something_to_compare(self, store, capsys):
+        assert replay.main([str(store.path), "--check"]) == 2
+        assert "--num-shards >= 2" in capsys.readouterr().err
 
 
 class TestMergedAccuracy:
@@ -209,6 +373,8 @@ def test_session_contract_is_the_same_on_every_executor(backend):
         # Add then remove before the next bin: the query never runs.
         session.add_query(lambda: make_query("top-k"))
         assert state() == (0, ["counter", "flows", "top-k"])
+        assert set(session.partial_result().query_logs) == \
+            {"counter", "flows"}  # as a serial session: not before it runs
         with pytest.raises(ValueError, match="already registered"):
             session.add_query(lambda: make_query("top-k"))
         session.remove_query("top-k")

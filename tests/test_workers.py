@@ -399,6 +399,35 @@ class TestSessionsSharingProcesses:
         assert all(s > 0.0 for row in pool.ingest_seconds for s in row)
         _assert_released(pool)
 
+    def test_shipping_sessions_deliver_records_and_partials_in_order(self):
+        """Shards of a node keep nothing: every record, waited for or not,
+        and the partial of every flushed interval is queued per session,
+        the last intervals' behind a ``None`` record when ``close`` flushed
+        them; the closed results are empty."""
+        pool = ShardWorkerPool(self._configs(), None, 0.1, self.NAMES,
+                               processes=2, ship_partials=True)
+        serial = InProcessShards(
+            [config.build() for config in self._configs()], 0.1, self.NAMES,
+            ship_partials=True)
+        for parts in self._bins(8):
+            assert pool.ingest(parts) == serial.ingest(parts)
+        for parts in self._bins(6, start=8):  # nobody waits for these
+            for session, part in enumerate(parts):
+                pool.ingest_async(session, part)
+            serial.ingest(parts)
+        for result in pool.close() + serial.close():
+            assert result.bins == []
+            assert [len(log) for log in result.query_logs.values()] == [0, 0]
+        assert pool.partial_bytes > 0 == serial.partial_bytes
+        for mine, theirs in zip(pool.arrived, serial.arrived):
+            assert list(mine) == list(theirs)
+            assert [record is None for record, _ in mine] == \
+                [False] * 14 + [True]
+            flushed = [entry[:2] for _, shipped in mine for entry in shipped]
+            assert flushed == [("counter", 0.0), ("flows", 0.0),
+                               ("counter", 1.0), ("flows", 1.0)]
+        _assert_released(pool)
+
     def test_session_states_round_trip_through_another_pool(self):
         bins = self._bins(12)
         first, serial = self._pool(), self._serial()
