@@ -70,7 +70,7 @@ def test_sharded_single_stream_throughput(benchmark):
     trace = _dense_stream()
     capacity, _ = runner.calibrate_capacity(QUERY_SET, trace)
     config = runner.system_config(cycles_per_second=capacity * 0.5,
-                                  shard_rebalance=False, seed=5)
+                                  seed=5)
     # Warm the shared per-batch caches (bin slices, hashes, partitions) so
     # both timed runs see the same cache state and the comparison is fair.
     ShardedSystem(_factory, config=config, num_shards=1).run(trace)
@@ -118,7 +118,7 @@ def test_sharded_serial_equals_pooled(benchmark):
     trace = _dense_stream()
     capacity, _ = runner.calibrate_capacity(QUERY_SET, trace)
     config = runner.system_config(cycles_per_second=capacity * 0.5,
-                                  shard_rebalance=False, seed=9)
+                                  seed=9)
     in_process = ShardedSystem(_factory, config=config,
                                num_shards=NUM_SHARDS).run(trace)
     pooled = benchmark.pedantic(

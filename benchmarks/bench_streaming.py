@@ -160,7 +160,7 @@ def test_persistent_workers_beat_serial_streaming(benchmark, tmp_path):
 
     capacity, _ = runner.calibrate_capacity(DENSE_QUERY_SET, trace)
     config = runner.system_config(cycles_per_second=capacity * 0.5,
-                                  shard_rebalance=False, seed=29)
+                                  seed=29)
 
     def _serial():
         return runner.run_system(DENSE_QUERY_SET, store.streaming(),

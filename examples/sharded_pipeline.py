@@ -3,10 +3,10 @@
 
 A single monitoring system executes every query on every bin on one core.
 This example partitions the same stream across four shard pipelines — each
-a full predict/allocate/shed/execute loop on a quarter of the cycle budget
-— rebalances unused capacity between shards bin by bin, and folds the
-per-shard results back into one stream-global execution whose accuracy is
-compared against both the unsharded system and the ground-truth reference.
+a full predict/allocate/shed/execute loop on a fixed quarter of the cycle
+budget — and folds what the shards return, bin by bin, into one
+stream-global execution whose accuracy is compared against both the
+unsharded system and the ground-truth reference.
 
 The last section re-runs the streamed replay on the **persistent worker
 backend** (`backend="workers"`): one resident process per shard, per-bin
@@ -42,8 +42,7 @@ def main() -> None:
     unsharded = runner.run_system(QUERY_SET, trace, overloaded)
 
     # Sharded: the stream is flow-hash partitioned over NUM_SHARDS shard
-    # sessions, each owning 1/N of the budget; per-bin rebalancing lends
-    # predicted headroom from underloaded shards to overloaded ones.
+    # sessions, each owning a fixed 1/N of the budget.
     config = runner.system_config(cycles_per_second=overloaded,
                                   num_shards=NUM_SHARDS)
     sharded = ShardedSystem(query_factory, config=config).run(
@@ -70,9 +69,8 @@ def main() -> None:
 
     # Persistent shard workers: the same stream, but each shard pipeline
     # lives in its own long-lived process and bins travel through shared
-    # memory.  Rebalancing still works — capacity messages piggyback on the
-    # bin stream — and the merged result is bit-identical to the in-process
-    # session above.
+    # memory.  The merged result is bit-identical to the in-process session
+    # above.
     if not fork_start_available():
         print("\n(fork start method unavailable; skipping worker backend)")
         return

@@ -148,13 +148,8 @@ class ExactDistinctCounter(DistinctCounter):
         self._items = _NO_ITEMS
 
     def __setstate__(self, state: dict) -> None:
-        items = state["_items"]
-        if isinstance(items, set):
-            # Pickled while the state was a set of Python ints (a
-            # checkpoint from an older build).
-            items = np.fromiter(items, dtype=np.uint64, count=len(items))
-            items.sort()
-        self._items = _frozen(items)
+        # (A pickle does not keep an array read-only.)
+        self._items = _frozen(state["_items"])
 
     def _union(self, items: np.ndarray) -> None:
         """Take in ``items``, a sorted array (duplicates allowed)."""
@@ -318,14 +313,6 @@ class BitmapBank(CounterBank):
         #: ``estimates()`` of the current words; dropped by every write.
         self._estimates = None
 
-    @classmethod
-    def from_bits(cls, bits: np.ndarray) -> "BitmapBank":
-        """The bank holding a ``(size, components, bits)`` bool array."""
-        bank = cls(0, *bits.shape[1:])
-        bank._words = _pack(np.pad(
-            bits, [(0, 0), (0, 0), (0, -bits.shape[2] % 64)]))
-        return bank
-
     def freeze(self) -> "BitmapBank":
         self._words.flags.writeable = False  # NumPy raises the ValueError
         return super().freeze()
@@ -436,14 +423,6 @@ class MultiResolutionBitmap(DistinctCounter):
                  ) -> None:
         self._bank = BitmapBank(1, num_components, bits_per_component)
 
-    def __setstate__(self, state: dict) -> None:
-        bits = state.get("_bits")
-        if bits is not None:
-            # Pickled before the rows were bit-packed (a checkpoint from an
-            # older build): one bool byte per bit, shape (components, bits).
-            state = {"_bank": BitmapBank.from_bits(bits[None])}
-        self.__dict__.update(state)
-
     @property
     def num_components(self) -> int:
         return self._bank.num_components
@@ -497,17 +476,3 @@ def make_bank(method: str, size: int, **kwargs) -> CounterBank:
         return BitmapBank(size, **kwargs)
     return CounterBank([make_counter(method, **kwargs) for _ in range(size)])
 
-
-def as_bank(counters: Sequence[DistinctCounter]) -> CounterBank:
-    """The bank made of ``counters``.
-
-    Pickles from before banks existed hold each group of per-aggregate
-    counters as a list; this is how they are read back.
-    """
-    first = counters[0]
-    if not isinstance(first, MultiResolutionBitmap):
-        return CounterBank(counters)
-    bank = BitmapBank(0, first.num_components, first.bits_per_component)
-    bank._words = np.concatenate([counter._bank._words
-                                  for counter in counters])
-    return bank

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distinct import CounterBank, as_bank, make_bank
+from .distinct import CounterBank, make_bank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from ..monitor.packet import Batch
@@ -111,12 +111,6 @@ class FeatureSharing:
         self._empty: Dict[tuple, CounterBank] = {}
         self.reset()
 
-    def __setstate__(self, state: dict) -> None:
-        # In checkpoints of earlier builds this is a ``FeatureStateRegistry``
-        # (its groups are read by ``FeatureExtractor.__setstate__``).
-        self.__dict__.update(
-            FeatureSharing().__dict__ if "_groups" in state else state)
-
     def empty_bank(self, signature: tuple) -> CounterBank:
         """The canonical empty bank (read-only) of the counter backend
         ``signature``: ``(method, sorted counter_kwargs items)``."""
@@ -132,13 +126,6 @@ class FeatureSharing:
 
     def stats(self) -> Dict[str, int]:
         return {name: self.counts[key] for key, name in self.COUNTERS.items()}
-
-
-FeatureStateRegistry = FeatureSharing  # the name in earlier checkpoints
-
-
-class IntervalState:
-    """Unpickling stub; ``FeatureExtractor.__setstate__`` reads its fields."""
 
 
 class FeatureExtractor:
@@ -187,35 +174,6 @@ class FeatureExtractor:
         #: shedding scheme to account for its own overhead (Table 3.4).
         self.cycles_per_packet = 12.0
         self.cycles_fixed = 2000.0
-
-    def __setstate__(self, state: dict) -> None:
-        """Also loads an extractor pickled while sharing was a protocol.
-
-        It either owned ``_interval_counters`` or was attached to an
-        ``IntervalState`` group: in step with it, one merge round behind
-        (its last bin fully shed, it holds what the group kept as
-        ``snapshot``) or not started.  A pending commit only saved work.
-        """
-        if "_bank" not in state:
-            state = dict(state)
-            group, bank = state.pop("_group"), state.pop("_interval_counters")
-            if group is not None:
-                bank = state["_interval_start"] = None
-                if state["_participated"]:
-                    behind = group.write_round - max(state["_synced"],
-                                                     group.heal_round)
-                    bank = group.snapshot if behind else group.counters
-                    state["_interval_start"] = group.interval_start
-            sharing = state.pop("_registry") or FeatureSharing()
-            for name in ("_pending_batch", "_pending_counters", "_share_key",
-                         "_synced", "_participated"):
-                del state[name]
-            if bank is None:
-                bank = sharing.empty_bank(state["_counter_signature"])
-            elif isinstance(bank, list):  # pickled before banks existed
-                bank = as_bank(bank)
-            state.update(_sharing=sharing, _bank=bank.freeze())
-        self.__dict__.update(state)
 
     def _empty_bank(self) -> CounterBank:
         return self._sharing.empty_bank(self._counter_signature)

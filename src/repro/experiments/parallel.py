@@ -69,7 +69,6 @@ class ScenarioCell:
     scale: float = 1.0
     time_bin: float = runner.TIME_BIN
     num_shards: int = 1
-    shard_rebalance: bool = True
     #: Number of tenant groups the cell's queries are split across
     #: (round-robin); ``0`` runs the classic untenanted system.
     tenant_count: int = 0
@@ -81,14 +80,13 @@ class ScenarioCell:
 
         Unsharded, untenanted cells keep the historical coordinate format
         so the frozen golden seed expectations stay valid; sharded cells
-        append their shard count (and a rebalance marker), tenanted cells
-        their tenant count, as extra coordinates.
+        append their shard count, tenanted cells their tenant count, as
+        extra coordinates.
         """
         base = (f"{self.trace}/K={self.overload:g}/{self.mode}/"
                 f"{self.strategy}/{self.predictor}")
         if self.num_shards > 1:
-            suffix = "" if self.shard_rebalance else "-static"
-            base = f"{base}/shards={self.num_shards}{suffix}"
+            base = f"{base}/shards={self.num_shards}"
         if self.tenant_count > 0:
             base = f"{base}/tenants={self.tenant_count}"
         return base
@@ -119,8 +117,7 @@ class ScenarioCell:
         kwargs = dict(
             mode=self.mode, strategy=self.strategy, predictor=self.predictor,
             seed=self.seed, cycles_per_second=cycles_per_second,
-            num_shards=self.num_shards,
-            shard_rebalance=self.shard_rebalance)
+            num_shards=self.num_shards)
         if self.tenant_count > 0:
             kwargs["tenants"] = self.tenant_groups()
         else:
@@ -155,8 +152,6 @@ class ScenarioMatrix:
     num_shards:
         Shard counts — a full matrix axis, so sharded and unsharded
         executions of the same scenario can be compared cell for cell.
-    shard_rebalance:
-        Whether sharded cells rebalance capacity between shards per bin.
     tenant_counts:
         Tenant-group counts — a full matrix axis: each entry ``N > 0``
         splits the query set round-robin across ``N`` declared tenants
@@ -175,7 +170,6 @@ class ScenarioMatrix:
     scale: float = 1.0
     time_bin: float = runner.TIME_BIN
     num_shards: Sequence[int] = (1,)
-    shard_rebalance: bool = True
     tenant_counts: Sequence[int] = (0,)
     base_seed: int = 0
 
@@ -246,7 +240,6 @@ class ScenarioMatrix:
                 scale=float(self.scale),
                 time_bin=float(self.time_bin),
                 num_shards=int(shards),
-                shard_rebalance=bool(self.shard_rebalance),
                 tenant_count=int(tenants),
             )
             expanded.append(replace(

@@ -232,9 +232,8 @@ def run_system(query_names: Optional[Sequence] = None,
 
     With ``num_shards > 1`` (named argument or config field) the execution
     runs on a :class:`~repro.monitor.sharding.ShardedSystem`: the stream is
-    flow-hash partitioned across that many shard pipelines (each owning
-    ``1/num_shards`` of the capacity, rebalanced per bin when
-    ``config.shard_rebalance`` is set) and the returned result is the
+    flow-hash partitioned across that many shard pipelines (each owning a
+    fixed ``1/num_shards`` of the capacity) and the returned result is the
     merged, stream-global one.  ``n_workers > 1`` asks for process-parallel
     shard execution on the backend selected by ``config.shard_backend``
     (``"auto"`` resolves to the persistent shard-worker pool when the host

@@ -236,14 +236,9 @@ class FleetRunner:
             nodes = InProcessShards([build_system(config)
                                      for config in configs], time_bin, names)
         try:
-            send = getattr(nodes, "ingest_async", None)
             for batch in trace.batches(time_bin):
-                parts = self.partitioner.split(batch)
-                if send is None:
-                    nodes.ingest(parts)
-                else:  # nodes never rebalance: no record to wait for
-                    for node, part in enumerate(parts):
-                        send(node, part)
+                for node, part in enumerate(self.partitioner.split(batch)):
+                    nodes.ingest_async(node, part)  # no record to wait for
             metrics = nodes.session_metrics()
             results = nodes.close()
         finally:

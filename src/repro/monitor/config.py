@@ -100,13 +100,6 @@ class SystemConfig:
     #: :class:`~repro.monitor.sharding.ShardedSystem` (and by
     #: ``runner.run_system``, which routes there automatically).
     num_shards: int = 1
-    #: Per-bin capacity rebalancing between shards: unused predicted
-    #: headroom on underloaded shards is lent to overloaded ones before
-    #: they shed.
-    shard_rebalance: bool = True
-    #: Fraction of its base capacity share a shard always retains, so a
-    #: momentarily idle shard is never starved below a working minimum.
-    shard_rebalance_floor: float = 0.1
     #: Shard-execution backend, one of :data:`SHARD_BACKENDS`.
     shard_backend: str = "auto"
     #: Declarative query mix: a tuple of
@@ -169,11 +162,6 @@ class SystemConfig:
         set_(self, "num_shards", int(self.num_shards))
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        set_(self, "shard_rebalance", bool(self.shard_rebalance))
-        set_(self, "shard_rebalance_floor",
-             float(self.shard_rebalance_floor))
-        if not 0.0 < self.shard_rebalance_floor <= 1.0:
-            raise ValueError("shard_rebalance_floor must be in (0, 1]")
         if self.shard_backend not in SHARD_BACKENDS:
             raise ValueError(
                 f"unknown shard_backend {self.shard_backend!r}; "

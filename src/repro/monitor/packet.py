@@ -193,18 +193,6 @@ class Batch:
                 if name not in ("_parent", "_parent_index", "__weakref__")}
 
     def __setstate__(self, state) -> None:
-        if isinstance(state, tuple):
-            # Pickled before the parent link was weak: the default slots
-            # layout, with a strong ``_parent`` and the batch itself as the
-            # filter result of an all-matching filter.
-            state = dict(state[1])
-            state.pop("_parent", None)
-            state.pop("_parent_index", None)
-            filters = state.get("_filter_cache")
-            if filters:
-                state["_filter_cache"] = {
-                    key: None if sub is self else sub
-                    for key, sub in filters.items()}
         self._parent = None
         self._parent_index = None
         for name, value in state.items():

@@ -182,9 +182,8 @@ class BinContext:
 
 
 class IntervalFlushStage:
-    """Open the bin and flush completed measurement intervals — finished
-    into the query's log, or, when the system runs as a shard of a node,
-    as mergeable partials that leave with this bin's record."""
+    """Open the bin and flush completed measurement intervals: their
+    mergeable partials leave the session with this bin's record."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
         ctx.clock.start_bin()
@@ -321,9 +320,8 @@ class AccountingStage:
         system._prev_reactive_rate = (np.mean(list(ctx.rates.values()))
                                       if ctx.rates else 1.0)
         tenant_cycles: Dict[str, float] = {}
-        registry = getattr(system, "tenant_registry", None)
-        if registry is not None and registry.declared:
-            owners = registry.declared_tenant_of
+        if system.tenant_registry.declared:
+            owners = system.tenant_registry.declared_tenant_of
             for name, cycles in ctx.query_cycles_by_query.items():
                 tenant = owners.get(name)
                 if tenant is not None:
@@ -377,31 +375,25 @@ class BinPipeline:
                 clock: "CycleClock", buffer: CaptureBuffer) -> BinRecord:
         """Run ``batch`` through the stages and return the bin's record."""
         ctx = BinContext(index=index, batch=batch, clock=clock, buffer=buffer)
-        profiler = getattr(system, "profiler", None)
-        if profiler is None:
-            for stage in self.stages:
-                stage.run(system, ctx)
-                if ctx.record is not None:
-                    break
-        else:
-            bin_seconds = 0.0
-            for stage in self.stages:
-                cycles_before = clock.current.total
-                started = perf_counter()
-                stage.run(system, ctx)
-                elapsed = perf_counter() - started
-                cycles_after = clock.current.total
-                # ``start_bin``/``end_bin`` inside a stage reset or close the
-                # usage record; a shrinking total means the stage opened a
-                # fresh bin, so its own charges are the post value.
-                delta = cycles_after - cycles_before
-                if delta < 0.0:
-                    delta = cycles_after
-                profiler.record(type(stage).__name__, elapsed, delta)
-                bin_seconds += elapsed
-                if ctx.record is not None:
-                    break
-            profiler.end_bin(bin_seconds)
+        profiler = system.profiler
+        bin_seconds = 0.0
+        for stage in self.stages:
+            cycles_before = clock.current.total
+            started = perf_counter()
+            stage.run(system, ctx)
+            elapsed = perf_counter() - started
+            cycles_after = clock.current.total
+            # ``start_bin``/``end_bin`` inside a stage reset or close the
+            # usage record; a shrinking total means the stage opened a
+            # fresh bin, so its own charges are the post value.
+            delta = cycles_after - cycles_before
+            if delta < 0.0:
+                delta = cycles_after
+            profiler.record(type(stage).__name__, elapsed, delta)
+            bin_seconds += elapsed
+            if ctx.record is not None:
+                break
+        profiler.end_bin(bin_seconds)
         # What the extractors memoised on the bin's batches is keyed by
         # interval banks they have all moved on from; a trace that keeps
         # its bins must not keep one bank per query and bin with them.

@@ -12,11 +12,12 @@ pythonic form:
     The flush, in two steps.  At each measurement-interval boundary
     ``interval_partial()`` hands over the interval's *mergeable* state and
     resets it; ``finalize(partial)`` turns such a state into the reported
-    result (a dict of named values).  ``interval_result()`` is the two in a
-    row — what a whole monitor runs.  A shard of a node stops after the
-    first step: its partial travels to the parent, which folds the shards'
-    partials with ``merge_partials`` and finalises once
-    (:mod:`repro.monitor.sharding`).
+    result (a dict of named values).  A session only takes the first step:
+    the partial leaves with the bin, and whoever accumulates the results
+    (:class:`~repro.monitor.system.ExecutionResult`) finalises it — as it
+    is for a whole monitor, folded with the other shards' by
+    ``merge_partials`` for a node.  ``interval_result()`` is the two in a
+    row, for standalone use.
 ``shed_load(batch, target_fraction)``
     Optional custom load shedding hook (Chapter 6): the query itself reduces
     its work to roughly ``target_fraction`` of the full-batch cost and

@@ -18,8 +18,9 @@ reconfigured live — the Chapter 6 dynamic scenario:
 
 * :meth:`add_query` / :meth:`remove_query` model query arrivals and
   departures (Figure 6.9); a departing query's last partial measurement
-  interval is flushed into its log, and its enforcement/controller state is
-  dropped so a later same-named query starts clean.
+  interval is flushed at the boundary it leaves at, and its
+  enforcement/controller state is dropped so a later same-named query
+  starts clean.
 * :meth:`set_capacity` models the host capacity changing under the system
   (CPU frequency scaling, co-located jobs).
 
@@ -31,6 +32,16 @@ configuration.
 :meth:`MonitoringSystem.run` is a thin wrapper over this class (open, ingest
 every batch, close) and is bit-identical to driving the session by hand; the
 golden regression tests pin that equivalence down.
+
+Everything a bin produces leaves the session through one call:
+:meth:`MonitoringSession.step` returns the bin's record and ``flushed``,
+the ``(query name, interval start, partial)`` of every measurement interval
+the bin closed (:meth:`finish` returns the last ones).  :meth:`ingest` /
+:meth:`close` are ``step`` / ``finish`` plus a fold into the session's own
+:class:`~repro.monitor.system.ExecutionResult` — a whole monitor.  A caller
+of ``step`` / ``finish`` accumulates for itself, as the node of a
+:class:`~repro.monitor.sharding.ShardedSession` does over its N shards;
+the session does not know which it is.
 """
 
 from __future__ import annotations
@@ -40,17 +51,8 @@ from typing import Dict, List, Optional, Tuple
 from ..core.cycles import CycleBudget, CycleClock
 from .capture import CaptureBuffer
 from .packet import Batch, as_trace
-from .query import Query, QueryResultLog
+from .query import Query
 from .system import BinRecord, ExecutionResult, MonitoringSystem
-
-
-def _concat_logs(first: QueryResultLog, second: QueryResultLog
-                 ) -> QueryResultLog:
-    """One chronological log out of two lifetimes of a same-named query."""
-    merged = QueryResultLog(first.name)
-    merged.intervals = list(first.intervals) + list(second.intervals)
-    merged.results = list(first.results) + list(second.results)
-    return merged
 
 
 class MonitoringSession:
@@ -87,23 +89,31 @@ class MonitoringSession:
                                     cycles_per_second=self.budget.cycles_per_second)
         system.controller.configure_budget(self.budget.per_bin,
                                            self.buffer.capacity_cycles)
-        self._bins: List[BinRecord] = []
         #: Queued reconfigurations, applied in call order at the next bin
         #: boundary: ("add", query, start_time) | ("remove", name) |
         #: ("capacity", cycles_per_second).
         self._pending: List[Tuple] = []
-        #: Final logs of queries that departed mid-session.
-        self._departed_logs: Dict[str, QueryResultLog] = {}
+        #: The queries registered, counting queued arrivals and departures.
+        self._query_names: List[str] = list(system.query_names)
+        #: Class of every query that ever ran here (a departed one's last
+        #: partial still goes through its ``finalize``).
+        self._query_classes: Dict[str, type] = {
+            name: type(system.runtime(name).query)
+            for name in self._query_names}
         self._next_index = 0
         self._last_start_ts: Optional[float] = None
-        self._result: Optional[ExecutionResult] = None
+        #: What :meth:`ingest` / :meth:`close` have accumulated.
+        self._result = ExecutionResult(system.mode, system.strategy_name,
+                                       name, self.budget)
+        self._result.open_logs(self._query_names)
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def closed(self) -> bool:
-        return self._result is not None
+        return self._closed
 
     @property
     def bins_ingested(self) -> int:
@@ -111,8 +121,8 @@ class MonitoringSession:
 
     @property
     def query_names(self) -> List[str]:
-        """Queries currently registered (pending changes not yet applied)."""
-        return self.system.query_names
+        """Queries registered, counting changes queued for the next bin."""
+        return list(self._query_names)
 
     @property
     def metrics(self) -> Dict:
@@ -134,26 +144,25 @@ class MonitoringSession:
         }
         registry = self.system.tenant_registry
         if registry.declared:
-            totals: Dict[str, float] = {}
-            for record in self._bins:
-                for tenant, cycles in record.tenant_cycles.items():
-                    totals[tenant] = totals.get(tenant, 0.0) + cycles
             metrics["tenants"] = {
                 "count": len(registry.groups),
-                "query_cycles": totals,
+                "query_cycles": self._result.tenant_cycle_totals(),
             }
         return metrics
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def ingest(self, batch: Batch) -> BinRecord:
-        """Process one time bin's worth of packets and record the outcome.
+    def step(self, batch: Batch) -> Tuple[BinRecord, List[Tuple]]:
+        """Process one time bin's worth of packets; returns what it produced.
 
         Pending reconfigurations are applied first (this call *is* the bin
         boundary they were waiting for), then the batch flows through the
         full pipeline: capture-buffer admission, prediction, allocation,
-        shedding and query execution.
+        shedding and query execution.  Returns the bin's record and
+        ``flushed``: the ``(query name, interval start, partial)`` of every
+        measurement interval this bin (or a departure at its boundary)
+        closed, in flush order.  The session keeps neither.
         """
         if self.closed:
             raise RuntimeError("cannot ingest into a closed session")
@@ -162,9 +171,36 @@ class MonitoringSession:
                                           self.buffer)
         self._next_index += 1
         self._last_start_ts = float(batch.start_ts)
-        if not self.system.ships_partials:  # a shard's are the node's
-            self._bins.append(record)
+        return record, self._take_flushed()
+
+    def finish(self) -> List[Tuple]:
+        """End the execution: apply what is still pending, flush the last
+        (possibly partial) measurement intervals and return them, as
+        :meth:`step` does.  Idempotent (later calls return nothing)."""
+        if self._closed:
+            return []
+        self._apply_pending(None)
+        self.system._final_flush()
+        self._closed = True
+        return self._take_flushed()
+
+    def _take_flushed(self) -> List[Tuple]:
+        flushed, self.system._flushed = self.system._flushed, []
+        return flushed
+
+    def ingest(self, batch: Batch) -> BinRecord:
+        """:meth:`step`, folded into the session's own result."""
+        record, flushed = self.step(batch)
+        self._result.add_bin((record,))
+        self._fold(flushed)
         return record
+
+    def _fold(self, flushed: List[Tuple]) -> None:
+        """What a bin boundary produced, into the session's own result."""
+        self._result.open_logs(self._query_names)
+        for name, interval_start, partial in flushed:
+            self._result.add_interval(self._query_classes[name], name,
+                                      interval_start, (partial,))
 
     def ingest_trace(self, source) -> "MonitoringSession":
         """Stream every bin of ``source`` through :meth:`ingest`.
@@ -182,17 +218,11 @@ class MonitoringSession:
         return self
 
     def close(self) -> ExecutionResult:
-        """Flush the last (possibly partial) measurement intervals and
-        return the final :class:`ExecutionResult`.  Idempotent."""
-        if self._result is not None:
-            return self._result
-        self._apply_pending(None)
-        self.system._final_flush()
-        result = self._make_result()
-        result.bins = self._bins
-        result.query_logs = self._collect_logs(snapshot=False)
-        self._result = result
-        return result
+        """:meth:`finish`, folded into the session's own result, which is
+        returned.  Idempotent."""
+        if not self._closed:
+            self._fold(self.finish())
+        return self._result
 
     def partial_result(self) -> ExecutionResult:
         """Snapshot of the execution so far (accuracy-so-far queries).
@@ -203,47 +233,7 @@ class MonitoringSession:
         intervals only.  Feed it to the usual accuracy helpers, e.g.
         ``runner.accuracy_by_query(session.partial_result(), reference)``.
         """
-        result = self._make_result()
-        result.bins = list(self._bins)
-        result.query_logs = self._collect_logs(snapshot=True)
-        return result
-
-    # ------------------------------------------------------------------
-    # Running as a shard of a node
-    # ------------------------------------------------------------------
-    def ship_partials(self) -> ExecutionResult:
-        """From now on, run as one shard of a node.
-
-        Called by the executor that opens (or adopts) the session for a
-        :class:`~repro.monitor.sharding.ShardedSession`; nothing in the
-        system's config says so.  A shard keeps no answers: every interval
-        it flushes from here on is left as a mergeable partial for
-        :meth:`take_partials`, and its bin records are kept by whoever
-        receives them from :meth:`ingest` — so what the session holds does
-        not grow with the stream, and :meth:`close` returns a result with
-        no bins and empty logs.  (The per-tenant totals of
-        :attr:`metrics` are summed from the kept bins, and are the
-        receiver's to keep as well.)
-
-        Returns what the session had finished and kept until now, which it
-        forgets: nothing for a session just opened, the bins and logs of a
-        checkpoint written before shards shipped partials.  Which queries
-        have run, departed ones included, is then the receiver's to know
-        as well.
-        """
-        kept = self._make_result()
-        kept.bins, self._bins = self._bins, []
-        kept.query_logs = self._collect_logs(snapshot=False)
-        self._departed_logs = {}
-        for runtime in self.system._runtimes.values():
-            runtime.log = QueryResultLog(runtime.query.name)
-        self.system.ship_partials()
-        return kept
-
-    def take_partials(self) -> List[Tuple]:
-        """The ``(query name, interval start, partial)`` of every interval
-        flushed since the last call, in flush order (a shard only)."""
-        return self.system.take_partials()
+        return self._result.snapshot()
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -287,23 +277,6 @@ class MonitoringSession:
         return session
 
     # ------------------------------------------------------------------
-    def _collect_logs(self, snapshot: bool) -> Dict[str, QueryResultLog]:
-        """Departed logs plus live logs; same-named lifetimes concatenated.
-
-        A query that departed and was later replaced by a same-named arrival
-        must not lose its flushed intervals: the result log for that name is
-        the chronological concatenation of every lifetime.
-        """
-        logs: Dict[str, QueryResultLog] = {}
-        for name, log in self._departed_logs.items():
-            logs[name] = log.copy() if snapshot else log
-        for name, runtime in self.system._runtimes.items():
-            live = runtime.log.copy() if snapshot else runtime.log
-            prior = logs.get(name)
-            logs[name] = live if prior is None else _concat_logs(prior, live)
-        return logs
-
-    # ------------------------------------------------------------------
     # Live reconfiguration (applied at the next bin boundary)
     # ------------------------------------------------------------------
     def add_query(self, query: Query, start_time: Optional[float] = None
@@ -317,34 +290,29 @@ class MonitoringSession:
         if self.closed:
             raise RuntimeError("cannot reconfigure a closed session")
         name = query.name
-        pending_add = any(op[0] == "add" and op[1].name == name
-                          for op in self._pending)
-        pending_remove = any(op[0] == "remove" and op[1] == name
-                             for op in self._pending)
-        if pending_add or (name in self.system._runtimes and
-                           not pending_remove):
+        if name in self._query_names:
             raise ValueError(f"a query named {name!r} is already registered")
         self._pending.append(("add", query, start_time))
+        self._query_names.append(name)
 
     def remove_query(self, name: str) -> None:
         """Deregister a query at the next bin boundary (a query departure).
 
-        The query's final partial measurement interval is flushed into its
-        log (kept in the session's result; if a same-named query arrives and
-        departs again later, the logs are concatenated chronologically), and
-        all per-query enforcement and controller state is dropped, so a
-        same-named query added later starts with a clean slate.
+        The query's final partial measurement interval is flushed at that
+        boundary (its log stays in the result; a same-named query arriving
+        later appends to it), and all per-query enforcement and controller
+        state is dropped, so a same-named query added later starts with a
+        clean slate.
         """
         if self.closed:
             raise RuntimeError("cannot reconfigure a closed session")
+        if name not in self._query_names:
+            raise KeyError(f"no query named {name!r} is registered")
+        self._query_names.remove(name)
         for index, op in enumerate(self._pending):
             if op[0] == "add" and op[1].name == name:
-                del self._pending[index]
+                del self._pending[index]  # withdrawn before it ever ran
                 return
-        already_departing = any(op[0] == "remove" and op[1] == name
-                                for op in self._pending)
-        if already_departing or name not in self.system._runtimes:
-            raise KeyError(f"no query named {name!r} is registered")
         self._pending.append(("remove", name))
 
     def set_capacity(self, cycles_per_second: float) -> None:
@@ -374,16 +342,14 @@ class MonitoringSession:
                     start_time = (boundary_ts if boundary_ts is not None
                                   else self._next_boundary_ts())
                 self.system.add_query(query, start_time=start_time)
+                self._query_classes[query.name] = type(query)
             elif kind == "remove":
                 name = op[1]
-                runtime = self.system._runtimes[name]
-                self.system._flush_runtime_final(runtime)
-                prior = self._departed_logs.get(name)
-                self._departed_logs[name] = runtime.log if prior is None \
-                    else _concat_logs(prior, runtime.log)
+                self.system._flush_runtime_final(self.system.runtime(name))
                 self.system.remove_query(name)
             else:  # capacity
-                self.budget = CycleBudget(op[1], self.time_bin)
+                self.budget = self._result.budget = \
+                    CycleBudget(op[1], self.time_bin)
                 self.clock.budget = self.budget
                 self.buffer.cycles_per_second = float(op[1])
                 self.system.controller.configure_budget(
@@ -393,10 +359,6 @@ class MonitoringSession:
         if self._last_start_ts is None:
             return 0.0
         return self._last_start_ts + self.time_bin
-
-    def _make_result(self) -> ExecutionResult:
-        return ExecutionResult(self.system.mode, self.system.strategy_name,
-                               self.name, self.budget)
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "MonitoringSession":

@@ -3,33 +3,34 @@
 The paper's scheme runs one predictor/shedder over one packet stream, so no
 matter how vectorised the batch path is, one core executes every query on
 every bin.  This module partitions a single logical stream across ``N``
-identical shard workers and folds their outputs back into one result:
+identical shards and folds their outputs back into one result:
 
 * **Partitioning** — :meth:`repro.monitor.packet.Batch.partition` splits
   every bin's batch by the 5-tuple flow hash, so all packets of a flow land
-  on the same shard and per-flow query state never spans workers.
-* **Shard workers** — each shard is a full
+  on the same shard and per-flow query state never spans shards.
+* **Shards** — a shard is an ordinary
+  :class:`~repro.monitor.session.MonitoringSession` over a full
   :class:`~repro.monitor.system.MonitoringSystem` (same mode, strategy and
   query set, built from a per-shard :class:`~repro.monitor.config.SystemConfig`
-  with ``1/N`` of the cycle capacity and a shard-derived seed) driven
-  through a streaming :class:`~repro.monitor.session.MonitoringSession`;
-  the whole predict → allocate → shed → execute pipeline of Figure 3.2 runs
-  per shard, unchanged.
-* **Capacity rebalancing** — before each bin, shards whose predicted demand
-  leaves headroom under their base capacity share lend that headroom to
-  shards predicted to overload, so a skewed bin sheds less than a static
-  ``1/N`` split would (capacity is conserved bin by bin; every shard keeps
-  a configurable floor).
-* **Result merging** — a shard keeps no answers.  Its
-  :class:`BinRecord` comes back bin by bin and folds into the node's
-  (:meth:`BinRecord.merge`); every measurement interval it flushes comes
-  back with the bin that flushed it as a mergeable *partial*
-  (:meth:`repro.monitor.query.Query.interval_partial`), and the node folds
-  the shards' partials (``merge_partials``) and finishes the answer once
-  (``finalize``) — so a sharded node that sheds nothing reports exactly
-  what a serial one reports, for every query kind.  Shards whose flushed
-  interval boundaries disagree raise :class:`ShardDivergenceError` at the
-  bin where it shows.
+  with a fixed ``1/N`` slice of the cycle capacity and a shard-derived
+  seed); the whole predict → allocate → shed → execute pipeline of
+  Figure 3.2 runs per shard, unchanged.  What makes it a shard is who
+  drives it: the node *steps* it
+  (:meth:`~repro.monitor.session.MonitoringSession.step` /
+  :meth:`~repro.monitor.session.MonitoringSession.finish`) and accumulates
+  what comes out, where a whole monitor ``ingest``s and accumulates for
+  itself.
+* **Result merging** — every step returns the shard's :class:`BinRecord`
+  and the mergeable *partial*
+  (:meth:`repro.monitor.query.Query.interval_partial`) of every measurement
+  interval the bin closed.  The node folds both into the one accumulator
+  every tier uses (:class:`~repro.monitor.system.ExecutionResult`):
+  ``add_bin`` merges the N records (:meth:`BinRecord.merge`),
+  ``add_interval`` merges the N partials (``merge_partials``) and finishes
+  the answer once (``finalize``) — so a sharded node that sheds nothing
+  reports exactly what a serial one reports, for every query kind.  Shards
+  whose flushed interval boundaries disagree raise
+  :class:`ShardDivergenceError` at the bin where it shows.
 
 With ``num_shards=1`` the partition returns the original batches, shard 0
 keeps the full budget and the base seed, and every merge reduces to the
@@ -44,11 +45,10 @@ Shards execute on one of two executors with the same method set
   serially in the caller.
 * ``"workers"`` — one **persistent worker process per shard**
   (:class:`~repro.monitor.workers.ShardWorkerPool`): each bin's
-  pre-partitioned columnar sub-batch travels through shared memory, per-bin
-  records come back on a result channel, and capacity-rebalance /
-  reconfiguration messages are piggybacked in FIFO order with the batches —
-  so streaming sessions *and* ``shard_rebalance=True`` run on real
-  parallelism, bit-identical to the in-process path.
+  pre-partitioned columnar sub-batch travels through shared memory, what
+  each step returns comes back on a result channel, and reconfiguration
+  messages are piggybacked in FIFO order with the batches — so streaming
+  sessions run on real parallelism, bit-identical to the in-process path.
 
 ``"auto"`` (the default) picks ``"workers"`` when parallelism was requested
 (``n_workers > 1``) and the host can honour it, ``"inprocess"`` otherwise.
@@ -73,7 +73,7 @@ from .pipeline import BinRecord
 from .query import Query, QueryResultLog
 from .system import ExecutionResult
 from .workers import (ShardExecutionWarning, ShardWorkerPool,
-                      fork_start_available)
+                      fork_start_available, session_calls)
 
 #: Header fields whose combined hash decides a packet's shard: the full
 #: 5-tuple, so a flow's packets always land on the same shard.
@@ -117,17 +117,15 @@ class ShardedSystem:
         factory by construction: every shard builds fresh instances).
     config:
         :class:`SystemConfig` of the *whole* system.  ``cycles_per_second``
-        is the total capacity, split evenly across shards;
-        ``num_shards`` / ``shard_rebalance`` / ``shard_rebalance_floor``
-        are read from it unless overridden by the keyword arguments below.
-    num_shards, rebalance, rebalance_floor, backend:
+        is the total capacity, split evenly across shards; ``num_shards``
+        is read from it unless overridden by the keyword argument below.
+    num_shards, backend:
         Optional overrides of the corresponding config fields (``backend``
         overrides ``shard_backend``).
     n_workers:
         ``> 1`` asks for process-parallel shard execution: ``"auto"``
-        then runs the shards (including streaming sessions, and including
-        ``rebalance=True``) on the persistent worker pool when the host
-        can honour the request.
+        then runs the shards (streaming sessions included) on the
+        persistent worker pool when the host can honour the request.
     respect_cores:
         Clamp parallelism to the host's core count (default); pass
         ``False`` to force real workers on small hosts (benchmarks do).
@@ -136,25 +134,16 @@ class ShardedSystem:
     def __init__(self, query_factory: Optional[Callable[[], List[Query]]] = None,
                  config: Optional[SystemConfig] = None,
                  num_shards: Optional[int] = None,
-                 rebalance: Optional[bool] = None,
-                 rebalance_floor: Optional[float] = None,
                  n_workers: int = 1,
                  respect_cores: bool = True,
                  backend: Optional[str] = None) -> None:
         config = config if config is not None else SystemConfig()
         if num_shards is not None:
             config = config.replace(num_shards=int(num_shards))
-        if rebalance is not None:
-            config = config.replace(shard_rebalance=bool(rebalance))
-        if rebalance_floor is not None:
-            config = config.replace(
-                shard_rebalance_floor=float(rebalance_floor))
         if backend is not None:
             config = config.replace(shard_backend=str(backend))
         self.config = config
         self.num_shards = config.num_shards
-        self.rebalance = config.shard_rebalance
-        self.rebalance_floor = config.shard_rebalance_floor
         self.backend = config.shard_backend
         self.n_workers = int(n_workers)
         self.respect_cores = bool(respect_cores)
@@ -261,8 +250,7 @@ class ShardedSystem:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ShardedSystem(mode={self.mode!r}, "
-                f"num_shards={self.num_shards}, "
-                f"rebalance={self.rebalance})")
+                f"num_shards={self.num_shards})")
 
 
 def build_system(config: SystemConfig,
@@ -330,38 +318,39 @@ class InProcessShards:
     :class:`~repro.monitor.session.MonitoringSession`, or whatever a fleet
     node's system opens), driven in order by the caller.  A session queues
     reconfigurations until its next bin itself, which is the bin-boundary
-    semantics the worker pool gets from FIFO command pipes.  There is no
-    ``ingest_async``: nothing runs concurrently, so there is nothing to
-    run ahead of.  With ``ship_partials`` the sessions are the shards of
-    one node and what they ship is queued in :attr:`arrived`, as in the
-    pool.
+    semantics the worker pool gets from FIFO command pipes.  With
+    ``ship_partials`` the sessions are the shards of one node: they are
+    stepped (``step`` / ``finish``) and what each step returns is queued in
+    :attr:`arrived`, as in the pool; without, every session is a monitor of
+    its own (``ingest`` / ``close``).
     """
 
     def __init__(self, systems: Sequence, time_bin: float,
                  names: Sequence[str], ship_partials: bool = False) -> None:
         self.sessions = [system.open_session(time_bin=time_bin, name=name)
                          for system, name in zip(systems, names)]
-        #: Wall seconds of every ``ingest``, per session.
+        #: Wall seconds of every bin, per session.
         self.ingest_seconds: List[List[float]] = [[] for _ in self.sessions]
         #: See :attr:`ShardWorkerPool.arrived`.
-        self.arrived: Optional[List[Deque[tuple]]] = None
+        self.arrived: Optional[List[Deque[tuple]]] = \
+            [deque() for _ in self.sessions] if ship_partials else None
         #: Nothing travels in-process: partials are handed over.
         self.partial_bytes = 0
-        if ship_partials:
-            self.arrived = [deque() for _ in self.sessions]
-            for session in self.sessions:
-                session.ship_partials()
+        self._run_bin, self._end = session_calls(ship_partials)
+
+    def ingest_async(self, shard: int, batch: Batch) -> BinRecord:
+        """Session ``shard``'s bin, run on the spot: nothing runs
+        concurrently here, so there is nothing to run ahead of."""
+        started = perf_counter()
+        record, shipped = self._run_bin(self.sessions[shard], batch)
+        self.ingest_seconds[shard].append(perf_counter() - started)
+        if self.arrived is not None:
+            self.arrived[shard].append((record, shipped))
+        return record
 
     def ingest(self, parts: Sequence[Batch]) -> List[BinRecord]:
-        records = []
-        for index, (session, part) in enumerate(zip(self.sessions, parts)):
-            started = perf_counter()
-            records.append(session.ingest(part))
-            self.ingest_seconds[index].append(perf_counter() - started)
-            if self.arrived is not None:
-                self.arrived[index].append((records[-1],
-                                            session.take_partials()))
-        return records
+        return [self.ingest_async(shard, part)
+                for shard, part in enumerate(parts)]
 
     def set_capacity(self, shard: int, cycles_per_second: float) -> None:
         self.sessions[shard].set_capacity(cycles_per_second)
@@ -384,21 +373,21 @@ class InProcessShards:
         """The live sessions themselves: serialise the result immediately."""
         return list(self.sessions)
 
-    def load_sessions(self, sessions: Sequence) -> List:
+    def load_sessions(self, sessions: Sequence) -> None:
         if len(sessions) != len(self.sessions):
             raise ValueError(
                 f"need one session per shard: got {len(sessions)} for "
                 f"{len(self.sessions)} shards")
         self.sessions = list(sessions)
-        return [session.ship_partials() if self.arrived is not None else None
-                for session in self.sessions]
 
-    def close(self) -> List[ExecutionResult]:
-        results = [session.close() for session in self.sessions]
+    def close(self) -> List[Optional[ExecutionResult]]:
+        """Every monitor's result; ``None`` for a stepped session, whose
+        last intervals go to :attr:`arrived` instead."""
+        ended = [self._end(session) for session in self.sessions]
         if self.arrived is not None:
-            for queue, session in zip(self.arrived, self.sessions):
-                queue.append((None, session.take_partials()))
-        return results
+            for queue, (_, shipped) in zip(self.arrived, ended):
+                queue.append((None, shipped))
+        return [result for result, _ in ended]
 
     def stop(self) -> None:
         """Nothing to release: the sessions die with the executor."""
@@ -420,16 +409,13 @@ class ShardedSession:
     :class:`InProcessShards` or one persistent worker process per shard
     (:class:`ShardWorkerPool`) — and every method below is written once
     against the executor's method set: reconfigurations apply at the next
-    bin boundary, rebalance capacities are computed here from the previous
-    bin's records and handed over before the bin's batches, so the merged
-    results are bit-identical either way.
+    bin boundary on either, so the merged results are bit-identical.
 
-    The executor opens the sessions as *shards*: they keep no answers and
-    no records, and deliver both to ``executor.arrived``.  The node's bins
-    and query logs are kept here, folded as the shards' deliveries come in
-    (:meth:`_fold_arrivals`) — a bin's record when every shard has
-    answered it, a measurement interval's result when every shard's
-    partial of it is in.
+    The executor steps the sessions and queues what each step returns in
+    ``executor.arrived``; the node's result is accumulated here, folded as
+    the deliveries come in (:meth:`_fold_arrivals`) — a bin's record when
+    every shard has answered it, a measurement interval's result when every
+    shard's partial of it is in.
     """
 
     def __init__(self, sharded: ShardedSystem, time_bin: float = 0.1,
@@ -464,25 +450,22 @@ class ShardedSession:
         #: it left).
         self._query_classes: Dict[str, type] = dict(sharded.query_classes)
         #: The node's own bins and query logs, folded from the deliveries.
-        #: The logs name every query that has run, flushed yet or not,
-        #: departed or not (:meth:`_begin_logs`).
-        self._bins: List[BinRecord] = []
-        self._logs: Dict[str, QueryResultLog] = {
-            name: QueryResultLog(name) for name in self._query_names}
+        self._result = ExecutionResult(sharded.mode,
+                                       sharded.config.strategy_name,
+                                       name, self.budget)
+        self._result.open_logs(self._query_names)
         self._merge_stats = {"intervals_merged": 0, "merge_seconds": 0.0,
                              "divergences": 0}
         #: (packets, total cycles) each shard reported for the previous bin.
         self._prev_load: List[Optional[Tuple[int, float]]] = \
             [None] * self.num_shards
-        self._closed_result: Optional[ExecutionResult] = None
+        #: ``metrics`` as :meth:`close` left them (``None``: still open).
         self._closed_metrics: Optional[Dict] = None
-        #: Per-tenant query cycles accumulated from the merged bin records.
-        self._tenant_cycles: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
     @property
     def closed(self) -> bool:
-        return self._closed_result is not None
+        return self._closed_metrics is not None
 
     @property
     def bins_ingested(self) -> int:
@@ -497,9 +480,9 @@ class ShardedSession:
     def shard_loads(self) -> List[Optional[Tuple[int, float]]]:
         """Previous bin's ``(packets, cycles)`` per shard.
 
-        The same observations the rebalancer lends capacity from; exported
-        so operational surfaces (``repro.serve``'s per-shard utilisation
-        metrics) can report shard skew without poking at internals.
+        Exported so operational surfaces (``repro.serve``'s per-shard
+        utilisation metrics) can report shard skew without poking at
+        internals.
         """
         return list(self._prev_load)
 
@@ -535,10 +518,11 @@ class ShardedSession:
                   "sharding": dict(
                       self._merge_stats,
                       partial_bytes=self._executor.partial_bytes)}
-        groups = getattr(self.sharded.config, "tenants", None)
+        groups = self.sharded.config.tenants
         if groups:
-            merged["tenants"] = {"count": len(groups),
-                                 "query_cycles": dict(self._tenant_cycles)}
+            merged["tenants"] = {
+                "count": len(groups),
+                "query_cycles": self._result.tenant_cycle_totals()}
         return merged
 
     # ------------------------------------------------------------------
@@ -560,11 +544,7 @@ class ShardedSession:
                 for index, record in enumerate(records):
                     self._prev_load[index] = (record.incoming_packets,
                                               record.total_cycles)
-                merged = BinRecord.merge(records)
-                self._bins.append(merged)
-                for tenant, cycles in merged.tenant_cycles.items():
-                    self._tenant_cycles[tenant] = \
-                        self._tenant_cycles.get(tenant, 0.0) + cycles
+                merged = self._result.add_bin(records)
             if any(shipped):
                 self._fold_partials(shipped)
         return merged
@@ -582,11 +562,9 @@ class ShardedSession:
             if boundaries != flushed[0]:
                 raise self._diverged(index, flushed[0], boundaries)
         for position, (name, interval_start) in enumerate(flushed[0]):
-            query_cls = self._query_classes[name]
-            partial = query_cls.merge_partials(
+            self._result.add_interval(
+                self._query_classes[name], name, interval_start,
                 [shard[position][2] for shard in shipped])
-            self._logs[name].append(interval_start,
-                                    query_cls.finalize(partial))
         self._merge_stats["intervals_merged"] += len(flushed[0])
         self._merge_stats["merge_seconds"] += perf_counter() - started
 
@@ -604,88 +582,53 @@ class ShardedSession:
         message = (
             f"shard {shard} of session {self.name!r} flushed "
             f"{described(theirs)} where shard 0 flushed {described(mine)} "
-            f"(bin {len(self._bins)}): the shards have diverged")
+            f"(bin {len(self._result.bins)}): the shards have diverged")
         logger.error(message)
         return ShardDivergenceError(message)
 
-    def _begin_logs(self) -> None:
-        """A bin boundary: every registered query runs from here on.
-
-        The shards apply queued arrivals and departures at the boundary; a
-        query whose arrival was withdrawn before one never ran and gets no
-        log, a departed one keeps the log it has.
-        """
-        for name in self._query_names:
-            self._logs.setdefault(name, QueryResultLog(name))
-
     # ------------------------------------------------------------------
-    def ingest(self, batch: Batch) -> BinRecord:
-        """Partition one bin's batch, drive every shard, merge the records."""
+    def _partition(self, batch: Batch) -> List[Batch]:
+        """A bin boundary: the bin's per-shard sub-batches."""
         if self.closed:
             raise RuntimeError("cannot ingest into a closed session")
-        self._begin_logs()
-        parts = batch.partition(self.num_shards, FLOW_FIELDS)
-        if self.sharded.rebalance and self.num_shards > 1:
-            self._apply_capacities(self._rebalance_capacities(parts))
-        self._executor.ingest(parts)
+        self._result.open_logs(self._query_names)
         self._bins_ingested += 1
+        return batch.partition(self.num_shards, FLOW_FIELDS)
+
+    def ingest(self, batch: Batch) -> BinRecord:
+        """Partition one bin's batch, drive every shard, merge the records."""
+        self._executor.ingest(self._partition(batch))
         return self._fold_arrivals()
 
     def ingest_trace(self, source) -> "ShardedSession":
-        """Stream every bin of ``source`` through :meth:`ingest`.
+        """Stream every bin of ``source`` through the shards.
 
         Accepts anything :func:`repro.monitor.packet.as_trace` does; a
         trace store replays out-of-core — each bin is flow-partitioned and
         fanned out to the shards, one bin in memory at a time.  Returns
         ``self`` for chaining.
 
-        On an executor that can run ahead (it has ``ingest_async``: the
-        worker pool) with rebalancing off, ingestion is *pipelined*: each
-        bin's sub-batches are shipped without waiting for the bin's records
-        (the pool's double buffering bounds the run-ahead to two bins per
-        shard), so partitioning and store I/O overlap shard compute.
-        Rebalancing needs the previous bin's records to compute
-        capacities, so it runs in lockstep.
+        Ingestion is *pipelined*: each bin's sub-batches are handed over
+        without waiting for the bin's records.  The worker pool's double
+        buffering bounds the run-ahead to two bins per shard, so
+        partitioning and store I/O overlap shard compute; in-process the
+        bin has run by the time it is handed over.
         """
-        trace = as_trace(source)
-        pipelined = (hasattr(self._executor, "ingest_async")
-                     and not (self.sharded.rebalance and self.num_shards > 1))
-        for batch in trace.batches(self.time_bin):
-            if pipelined:
-                if self.closed:
-                    raise RuntimeError("cannot ingest into a closed session")
-                self._begin_logs()
-                parts = batch.partition(self.num_shards, FLOW_FIELDS)
-                for index, part in enumerate(parts):
-                    self._executor.ingest_async(index, part)
-                self._bins_ingested += 1
-                self._fold_arrivals()  # whatever has come back meanwhile
-            else:
-                self.ingest(batch)
+        for batch in as_trace(source).batches(self.time_bin):
+            for index, part in enumerate(self._partition(batch)):
+                self._executor.ingest_async(index, part)
+            self._fold_arrivals()  # whatever has come back meanwhile
         return self
 
     def close(self) -> ExecutionResult:
-        """Close every shard session and return the merged result."""
-        if self._closed_result is not None:
-            return self._closed_result
-        shards = self._executor.metrics()  # workers are gone after close()
-        self._begin_logs()  # closing is the last bin boundary
-        self._executor.close()
-        self._fold_arrivals()
-        self._closed_result = self._result(snapshot=False)
-        self._closed_metrics = self._fold_metrics(shards)
-        return self._closed_result
-
-    def _result(self, snapshot: bool) -> ExecutionResult:
-        """The node's execution so far, from everything folded."""
-        result = ExecutionResult(self.sharded.mode,
-                                 self.sharded.config.strategy_name,
-                                 self.name, self.budget)
-        result.bins = list(self._bins) if snapshot else self._bins
-        result.query_logs = {name: log.copy() for name, log
-                             in self._logs.items()} if snapshot \
-            else self._logs
-        return result
+        """Finish every shard session and return the merged result."""
+        if not self.closed:
+            shards = self._executor.metrics()  # workers are gone afterwards
+            self._result.open_logs(self._query_names)  # the last boundary
+            self._executor.close()
+            self._fold_arrivals()
+            self._closed_metrics = self._fold_metrics(shards)
+        return self._result
 
     # ------------------------------------------------------------------
     # Checkpoint support
@@ -697,11 +640,11 @@ class ShardedSession:
         objects carry the running state (open intervals included); on the
         ``workers`` backend they are copied out of the worker processes at
         the current bin boundary (the workers keep streaming).  What the
-        node keeps — its merged bins and query logs, the previous bin's
-        per-shard loads that seed the rebalancer, the query-class registry
-        that drives result merging, the per-tenant cycle totals and the
-        possibly ``set_capacity``-adjusted total budget — rides along so a
-        restored session continues bit-identically.  Serialise
+        node keeps — its accumulated result (merged bins and query logs,
+        per-tenant cycle totals and the possibly ``set_capacity``-adjusted
+        total budget) and the query-class registry that drives result
+        merging — rides along so a restored session continues
+        bit-identically.  Serialise
         the payload immediately (it aliases live objects on the in-process
         backend); :mod:`repro.serve.checkpoint` wraps it in the on-disk
         format.
@@ -715,17 +658,11 @@ class ShardedSession:
         return {
             "kind": "sharded",
             "config": self.sharded.config,
-            "time_bin": self.time_bin,
-            "name": self.name,
-            "total_cycles_per_second": self.sharded.total_cycles_per_second,
             "shard_sessions": shard_sessions,
-            "bins": self._bins,
-            "query_logs": self._logs,
+            "result": self._result,
             "query_classes": dict(self._query_classes),
-            "prev_load": list(self._prev_load),
             "bins_ingested": self._bins_ingested,
             "query_names": list(self._query_names),
-            "tenant_cycles": dict(self._tenant_cycles),
         }
 
     @classmethod
@@ -740,11 +677,6 @@ class ShardedSession:
         ``workers`` pool may resume in-process and vice versa — results
         stay bit-identical either way.  The session is opened like any
         other; its executor then adopts the checkpointed shard sessions.
-
-        In a checkpoint written before shards shipped partials the shard
-        sessions hold finished results and the payload no node logs: those
-        intervals fold once by the rule finished results federate by
-        (:meth:`ExecutionResult.merge`), every later one exactly.
         """
         if state.get("kind") != "sharded":
             raise ValueError(
@@ -760,28 +692,19 @@ class ShardedSession:
                                 n_workers=n_workers,
                                 respect_cores=respect_cores,
                                 backend=backend)
-        sharded.total_cycles_per_second = \
-            float(state["total_cycles_per_second"])
-        session = sharded.open_session(time_bin=state["time_bin"],
-                                       name=state["name"])
+        result = state["result"]
+        sharded.total_cycles_per_second = result.budget.cycles_per_second
+        session = sharded.open_session(time_bin=result.budget.time_bin,
+                                       name=result.trace_name)
         try:
-            kept = session._executor.load_sessions(state["shard_sessions"])
+            session._executor.load_sessions(state["shard_sessions"])
         except BaseException:
             session._executor.stop()
             raise
         session._bins_ingested = int(state["bins_ingested"])
         session._query_names = list(state["query_names"])
         session._query_classes = dict(state["query_classes"])
-        session._prev_load = list(state["prev_load"])
-        if "query_logs" in state:
-            bins, logs = state["bins"], state["query_logs"]
-        else:
-            merged = ExecutionResult.merge(
-                kept, query_classes=session._query_classes)
-            bins, logs = merged.bins, merged.query_logs
-        session._bins, session._logs = list(bins), dict(logs)
-        # Checkpoints written before the totals rode along restart at zero.
-        session._tenant_cycles = dict(state.get("tenant_cycles", {}))
+        session._result = result
         return session
 
     def partial_result(self) -> ExecutionResult:
@@ -792,7 +715,7 @@ class ShardedSession:
                                "already returned the final result")
         self._executor.metrics()  # answered once every bin sent is
         self._fold_arrivals()
-        return self._result(snapshot=True)
+        return self._result.snapshot()
 
     # ------------------------------------------------------------------
     # Live reconfiguration (forwarded to every shard, next bin boundary)
@@ -826,70 +749,21 @@ class ShardedSession:
         self._query_names.remove(name)
 
     def set_capacity(self, cycles_per_second: float) -> None:
-        """Change the *total* capacity; shards re-split it evenly.
-
-        The rebalancer keeps lending against the new base share from the
-        next bin on.
-        """
+        """Change the *total* capacity; shards re-split it evenly, from
+        the next bin boundary on."""
         if self.closed:
             raise RuntimeError("cannot reconfigure a closed session")
         cycles_per_second = float(cycles_per_second)
         if cycles_per_second <= 0:
             raise ValueError("cycles_per_second must be positive")
         self.sharded.total_cycles_per_second = cycles_per_second
-        self.budget = CycleBudget(cycles_per_second, self.time_bin)
-        self._apply_capacities([cycles_per_second / self.num_shards] *
-                               self.num_shards)
-
-    # ------------------------------------------------------------------
-    def _apply_capacities(self, capacities: Sequence[float]) -> None:
-        """Queue per-shard capacities (cycles/s), applied next bin boundary.
-
-        Both executors share the queued-at-boundary semantics: in-process
-        sessions queue the change internally; worker commands are FIFO with
-        the batches, so a capacity sent before a bin's batch is applied at
-        exactly that bin's boundary.
-        """
-        for shard, capacity in enumerate(capacities):
-            self._executor.set_capacity(shard, capacity)
-
-    def _rebalance_capacities(self, parts: Sequence[Batch]) -> List[float]:
-        """Lend predicted headroom from underloaded shards to overloaded ones.
-
-        Demand per shard is predicted as the previous bin's cycles-per-packet
-        times the incoming packet count; shards with no history (or no
-        packets last bin) are assumed to need their base share.  Transfers
-        conserve total capacity and never push a shard below
-        ``rebalance_floor`` of its base share.  The returned capacities
-        (cycles per second, one per shard) are queued with
-        :meth:`_apply_capacities` and applied at this bin's boundary,
-        *before* the shard's own predict/shed pipeline runs — so a shard
-        granted extra cycles sheds less in the very bin that needs them.
-        """
-        base = self.budget.per_bin / self.num_shards
-        demands = []
-        for index, part in enumerate(parts):
-            prev = self._prev_load[index]
-            if prev is None or prev[0] <= 0 or prev[1] <= 0.0:
-                demands.append(base)
-            else:
-                demands.append(prev[1] / prev[0] * len(part))
-        floor = self.sharded.rebalance_floor * base
-        headroom = [max(0.0, base - max(demand, floor))
-                    for demand in demands]
-        need = [max(0.0, demand - base) for demand in demands]
-        lendable = float(sum(headroom))
-        needed = float(sum(need))
-        transfer = min(lendable, needed)
-        if transfer > 0.0:
-            capacities = [
-                base - lend * (transfer / lendable) +
-                borrow * (transfer / needed)
-                for lend, borrow in zip(headroom, need)
-            ]
-        else:
-            capacities = [base] * self.num_shards
-        return [capacity / self.time_bin for capacity in capacities]
+        self.budget = self._result.budget = \
+            CycleBudget(cycles_per_second, self.time_bin)
+        # Queued by an in-process session itself, FIFO with the batches on
+        # a worker's command pipe: applied at the next bin's boundary.
+        for shard in range(self.num_shards):
+            self._executor.set_capacity(shard,
+                                        cycles_per_second / self.num_shards)
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "ShardedSession":

@@ -25,7 +25,7 @@ Four operating modes correspond to the systems compared in the evaluation:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -80,7 +80,11 @@ def merge_query_logs(logs: Iterable[QueryResultLog],
 
 
 class ExecutionResult:
-    """Result of running a system over a trace."""
+    """Result of running a system over a trace, and the accumulator every
+    tier builds it in: a bin's records fold in through :meth:`add_bin`, a
+    flushed interval's partials through :meth:`add_interval` — one of each
+    from a whole monitor, N from the shards of a node.
+    """
 
     def __init__(self, mode: str, strategy: str, trace_name: str,
                  budget: CycleBudget) -> None:
@@ -90,6 +94,53 @@ class ExecutionResult:
         self.budget = budget
         self.bins: List[BinRecord] = []
         self.query_logs: Dict[str, QueryResultLog] = {}
+        self._tenant_cycles: Dict[str, float] = {}
+
+    # -- accumulation -------------------------------------------------------
+    def add_bin(self, records: Sequence[BinRecord]) -> BinRecord:
+        """Fold one time bin's per-partition records in; returns the bin's
+        merged record (the record itself when there is one partition)."""
+        record = BinRecord.merge(records)
+        self.bins.append(record)
+        totals = self._tenant_cycles
+        for tenant, cycles in record.tenant_cycles.items():
+            totals[tenant] = totals.get(tenant, 0.0) + cycles
+        return record
+
+    def open_logs(self, names: Iterable[str]) -> None:
+        """A bin boundary: the queries called ``names`` run from here on.
+
+        A log is opened when its query first runs and is never dropped: a
+        departed query keeps it, a same-named later arrival appends to it.
+        """
+        for name in names:
+            if name not in self.query_logs:
+                self.query_logs[name] = QueryResultLog(name)
+
+    def add_interval(self, query_cls: type, name: str, interval_start: float,
+                     partials: Sequence) -> None:
+        """Finish one flushed measurement interval of query ``name`` from
+        the partials of its flow-disjoint sub-streams and log the result.
+
+        One partial is finalised as it is (what ``interval_result()``
+        does); several fold through ``query_cls.merge_partials`` first.
+        """
+        partial = partials[0] if len(partials) == 1 \
+            else query_cls.merge_partials(partials)
+        self.open_logs((name,))
+        self.query_logs[name].append(interval_start,
+                                     query_cls.finalize(partial))
+
+    def snapshot(self) -> "ExecutionResult":
+        """A copy that stays as it is while this result keeps growing
+        (the records and results themselves are shared, not copied)."""
+        clone = ExecutionResult(self.mode, self.strategy, self.trace_name,
+                                self.budget)
+        clone.bins = list(self.bins)
+        clone.query_logs = {name: log.copy()
+                            for name, log in self.query_logs.items()}
+        clone._tenant_cycles = dict(self._tenant_cycles)
+        return clone
 
     # -- second-tier merge --------------------------------------------------
     @classmethod
@@ -100,11 +151,10 @@ class ExecutionResult:
         """Fold per-partition executions into one global execution.
 
         The public merge of *finished* executions — what the fleet tier
-        federates its nodes through (and how a sharded checkpoint from
-        before shards shipped partials is taken over).  Bin records of the
-        same index fold via :meth:`BinRecord.merge` (sums / maxima / rate
-        means); query logs fold interval by interval via
-        :func:`merge_query_logs` under each query's ``RESULT_MERGE`` spec.
+        federates its nodes through.  Bin records of the same index fold
+        via :meth:`add_bin` (sums / maxima / rate means); query logs fold
+        interval by interval via :func:`merge_query_logs` under each
+        query's ``RESULT_MERGE`` spec.
 
         **Ordering and associativity.**  Every registered query's
         ``RESULT_MERGE`` fold is associative and permutation-invariant:
@@ -149,10 +199,8 @@ class ExecutionResult:
             if len(result.bins) != n_bins:
                 raise ValueError(
                     "partition executions cover different bin counts")
-        merged.bins = [
-            BinRecord.merge([result.bins[index] for result in results])
-            for index in range(n_bins)
-        ]
+        for index in range(n_bins):
+            merged.add_bin([result.bins[index] for result in results])
         merged.query_logs = {
             qname: merge_query_logs([result.query_logs[qname]
                                      for result in results],
@@ -198,16 +246,12 @@ class ExecutionResult:
     def tenant_cycle_totals(self) -> Dict[str, float]:
         """Total query cycles accounted per declared tenant.
 
-        Folds the per-bin ``tenant_cycles`` maps across the execution;
-        empty when the system ran without tenant groups.  Survives both
-        merge tiers (shards, fleet) because :meth:`BinRecord.merge` sums
-        tenant cycles additively.
+        The running sum of the per-bin ``tenant_cycles`` maps folded in by
+        :meth:`add_bin`; empty when the system ran without tenant groups.
+        Survives both merge tiers (shards, fleet) because
+        :meth:`BinRecord.merge` sums tenant cycles additively.
         """
-        totals: Dict[str, float] = {}
-        for record in self.bins:
-            for tenant, cycles in record.tenant_cycles.items():
-                totals[tenant] = totals.get(tenant, 0.0) + cycles
-        return totals
+        return dict(self._tenant_cycles)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ExecutionResult(mode={self.mode!r}, bins={len(self.bins)}, "
@@ -224,7 +268,6 @@ class _QueryRuntime:
         self.predictor = predictor
         self.extractor = extractor
         self.sampler = sampler
-        self.log = QueryResultLog(query.name)
         self.interval_start: Optional[float] = None
         self.last_prediction = 0.0
         self.seed = seed
@@ -236,7 +279,6 @@ class _QueryRuntime:
         self.query.reset()
         self.predictor.reset()
         self.extractor.reset()
-        self.log = QueryResultLog(self.query.name)
         self.interval_start = None
         self.last_prediction = 0.0
 
@@ -265,13 +307,6 @@ class MonitoringSystem:
     measurement_noise:
         Relative standard deviation of the cycle measurement noise.
     """
-
-    #: ``(query name, interval start, partial)`` of every interval flushed
-    #: since :meth:`take_partials`, while the system runs as a shard of a
-    #: node (:meth:`ship_partials`); ``None`` — also what a checkpoint from
-    #: before there were partials restores with — while it finishes its own
-    #: answers.  Nothing outside this class reads or assigns it.
-    _outbox: Optional[List[tuple]] = None
 
     def __init__(
         self,
@@ -362,6 +397,10 @@ class MonitoringSystem:
         #: bins; the per-bin allocator gathers rows by slot index.
         self.demand_table = QuerySlotTable()
         self._runtimes: Dict[str, _QueryRuntime] = {}
+        #: ``(query name, interval start, partial)`` of every measurement
+        #: interval flushed since the session driving this system last
+        #: took the list away (it does after every bin).
+        self._flushed: List[tuple] = []
         self._prev_reactive_rate = 1.0
         self._prev_query_cycles = 0.0
         if queries is None:
@@ -457,9 +496,7 @@ class MonitoringSystem:
         return session.ingest_trace(trace).close()
 
     def _reset(self) -> None:
-        # A new execution is a whole monitor's until its executor says
-        # otherwise (``ship_partials``), like every other per-run state.
-        self._outbox = None
+        self._flushed = []
         self.feature_states.reset()
         for runtime in self._runtimes.values():
             runtime.reset()
@@ -485,47 +522,13 @@ class MonitoringSystem:
             self._flush_interval(runtime)
             runtime.interval_start += interval
 
-    # ------------------------------------------------------------------
-    # Running as a shard of a node
-    # ------------------------------------------------------------------
-    @property
-    def ships_partials(self) -> bool:
-        """Whether flushed intervals leave as partials (a shard of a node)
-        instead of being finished and logged here (a whole monitor)."""
-        return self._outbox is not None
-
-    def ship_partials(self) -> None:
-        """Run the current execution as one shard of a node from now on.
-
-        Every interval flushed from here on is kept as a mergeable partial
-        until :meth:`take_partials`; the query logs stay as they are.
-        Idempotent, and it lasts for this execution: the next
-        ``open_session`` starts a whole monitor again.
-        """
-        if self._outbox is None:
-            self._outbox = []
-
-    def take_partials(self) -> List[tuple]:
-        """The ``(query name, interval start, partial)`` of every interval
-        flushed since the last call, in flush order (a shard only)."""
-        shipped, self._outbox = self._outbox, []
-        return shipped
-
     def _flush_interval(self, runtime: _QueryRuntime) -> None:
-        """Flush the interval ``runtime`` has open.
-
-        A whole monitor finishes the answer and logs it; a shard of a node
-        (:meth:`ship_partials`) keeps the interval's mergeable partial
-        instead, for the node to fold with the other shards' and finish
-        once.
-        """
+        """Flush the interval ``runtime`` has open: its mergeable partial
+        leaves with the bin, for whoever accumulates the session's results
+        to finish (alone, or merged with the other shards' of a node)."""
         query = runtime.query
-        if self._outbox is None:
-            runtime.log.append(runtime.interval_start,
-                               query.interval_result())
-        else:
-            self._outbox.append((query.name, runtime.interval_start,
-                                 query.interval_partial()))
+        self._flushed.append((query.name, runtime.interval_start,
+                              query.interval_partial()))
         query.consume_cycles()  # flush cost is charged to export
 
     def _flush_runtime_final(self, runtime: _QueryRuntime) -> None:

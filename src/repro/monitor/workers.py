@@ -28,21 +28,23 @@ parent only the bin being dealt out.
   Payloads, when present, are variable-length Python objects and ride the
   command pipe instead.
 * **Result channel** — every ingested bin answers with its
-  :class:`~repro.monitor.pipeline.BinRecord` and the wall seconds the
-  session's ``ingest`` took, on a per-process result pipe.  The sessions
-  of a pool opened with ``ship_partials=True`` are the shards of one node
-  (:meth:`~repro.monitor.session.MonitoringSession.ship_partials`): the
+  :class:`~repro.monitor.pipeline.BinRecord` and the wall seconds the bin
+  took, on a per-process result pipe.  The sessions of a pool opened with
+  ``ship_partials=True`` are the shards of one node: the worker *steps*
+  them (:meth:`~repro.monitor.session.MonitoringSession.step` /
+  :meth:`~repro.monitor.session.MonitoringSession.finish`), so the
   mergeable partial of every interval a bin flushed rides back with that
   bin's record, the last intervals' with the ``close`` reply, and the
   parent queues both per session in :attr:`ShardWorkerPool.arrived` for
-  the node to fold — a worker keeps neither answers nor records.  Control
-  messages (capacity changes — including the per-bin capacity-rebalance
-  updates computed by the parent from the previous bin's records — query
-  arrivals/departures, metrics and checkpoint reads) are piggybacked on the
-  command pipe in FIFO order with the batches, so they apply at exactly
-  the bin boundary they would in-process.
+  the node to fold — such a session keeps neither answers nor records.
+  Otherwise every session is a monitor of its own (``ingest`` /
+  ``close``) and ``close`` answers with its finished result.  Control
+  messages (capacity changes, query arrivals/departures, metrics and
+  checkpoint reads) are piggybacked on the command pipe in FIFO order with
+  the batches, so they apply at exactly the bin boundary they would
+  in-process.
 * **Lifecycle** — :meth:`close` flushes every session and returns the
-  :class:`~repro.monitor.system.ExecutionResult` list for merging;
+  monitors' :class:`~repro.monitor.system.ExecutionResult` list;
   :meth:`stop` (idempotent, also run by ``close`` and ``__del__``) joins
   the processes and closes *and unlinks* every shared-memory segment, so
   no ``/dev/shm`` entries outlive the pool.  A worker dying mid-stream
@@ -74,6 +76,7 @@ __all__ = [
     "ShardWorkerError",
     "ShardWorkerPool",
     "fork_start_available",
+    "session_calls",
 ]
 
 #: Smallest shared-memory segment the pool allocates; grown segments get a
@@ -137,6 +140,21 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
             resource_tracker.register = original_register
 
 
+def session_calls(ship_partials: bool) -> tuple:
+    """What an executor calls on a session for a bin and at the end.
+
+    Both return ``(answer, shipped)``.  The shards of a node are stepped —
+    the node accumulates the records and the ``shipped`` partials; any
+    other session is a monitor of its own and answers the end with its
+    finished result.
+    """
+    if ship_partials:
+        return (lambda session, batch: session.step(batch),
+                lambda session: (None, session.finish()))
+    return (lambda session, batch: (session.ingest(batch), ()),
+            lambda session: (session.close(), ()))
+
+
 # ----------------------------------------------------------------------
 # Worker process main loop
 # ----------------------------------------------------------------------
@@ -153,7 +171,6 @@ _QUERIES = {
     # the pipe *is* the snapshot — the parent receives a private copy while
     # the worker's live session streams on.
     "state": lambda session: session,
-    "close": lambda session: session.close(),
 }
 
 
@@ -165,9 +182,9 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
     ``hosted`` lists ``(session index, config, name)`` for every session
     of this process; ``commands`` / ``results`` are the worker ends of its
     pipes.  Every reply is ``(kind, seq, answer, session index, shipped)``
-    — ``shipped`` the partials the session flushed while answering, when
-    the pool's sessions ship them — and a record's has the ``ingest``
-    seconds on the end.  Every message is handled in FIFO order, which is
+    — ``shipped`` the partials of the intervals a stepped session flushed
+    while answering — and a record's has the bin's wall seconds on the
+    end.  Every message is handled in FIFO order, which is
     what gives control messages (capacity, query arrivals) their
     bin-boundary semantics: a ``set_capacity`` sent before bin ``i``'s
     batch is queued by the session and applied when bin ``i`` is ingested,
@@ -176,18 +193,12 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
     from .sharding import build_system  # which imports this module
     segments = {}
 
-    def reply(kind, seq, answer, index, *seconds) -> None:
-        shipped = sessions[index].take_partials() if ship_partials else ()
-        results.send((kind, seq, answer, index, shipped, *seconds))
-
+    run_bin, end = session_calls(ship_partials)
     try:
         sessions = {
             index: build_system(config, query_factory).open_session(
                 time_bin=time_bin, name=name)
             for index, config, name in hosted}
-        if ship_partials:
-            for session in sessions.values():
-                session.ship_partials()
         while True:
             message = commands.recv()
             kind = message[0]
@@ -209,12 +220,17 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
                     batch = Batch.empty(time_bin=bin_len, start_ts=start_ts,
                                         with_payloads=payloads is not None)
                 started = time.perf_counter()
-                record = sessions[index].ingest(batch)
-                reply("record", seq, record, index,
-                      time.perf_counter() - started)
+                record, shipped = run_bin(sessions[index], batch)
+                results.send(("record", seq, record, index, shipped,
+                              time.perf_counter() - started))
+            elif kind == "close":
+                _, seq, index = message
+                result, shipped = end(sessions[index])
+                results.send((kind, seq, result, index, shipped))
             elif kind in _QUERIES:
                 _, seq, index = message
-                reply(kind, seq, _QUERIES[kind](sessions[index]), index)
+                results.send((kind, seq, _QUERIES[kind](sessions[index]),
+                              index, ()))
             elif kind == "set_capacity":
                 sessions[message[1]].set_capacity(message[2])
             elif kind == "add_query":
@@ -228,9 +244,7 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
                 # the fresh one opened at startup.
                 _, seq, index, session = message
                 sessions[index] = session
-                reply(kind, seq,
-                      session.ship_partials() if ship_partials else None,
-                      index)
+                results.send((kind, seq, None, index, ()))
             elif kind == "detach":
                 segment = segments.pop(message[1], None)
                 if segment is not None:
@@ -331,10 +345,11 @@ class ShardWorkerPool:
         Worker processes to start; session ``i`` lives on process
         ``i mod processes``.  Default: one process per session.
     ship_partials:
-        The sessions are the shards of one node: each is told to
-        :meth:`~repro.monitor.session.MonitoringSession.ship_partials`, and
-        what it ships is queued in :attr:`arrived`.  Default: every session
-        is a monitor of its own and finishes its own answers.
+        The sessions are the shards of one node: each is stepped
+        (:meth:`~repro.monitor.session.MonitoringSession.step` /
+        ``finish``) and what the steps return is queued in :attr:`arrived`.
+        Default: every session is a monitor of its own (``ingest`` /
+        ``close``) and finishes its own answers.
     """
 
     def __init__(self, configs: Sequence, query_factory: Optional[Callable],
@@ -465,8 +480,7 @@ class ShardWorkerPool:
         if kind == "record":
             self.ingest_seconds[index].append(response[5])
         if self.arrived is not None and kind in ("record", "close"):
-            self.arrived[index].append(
-                (answer if kind == "record" else None, shipped))
+            self.arrived[index].append((answer, shipped))
             if shipped:
                 self.partial_bytes += len(raw)
         return response
@@ -490,7 +504,7 @@ class ShardWorkerPool:
         sequence id.
 
         Does not wait for the bin's record: a caller that needs no record
-        before the next bin (no rebalancing) may run up to two bins ahead
+        before the next bin may run up to two bins ahead
         per session — the slot acquisition below enforces exactly that
         window — and ``_MAX_UNANSWERED`` bins ahead per process.  Pair with
         :meth:`wait_record` for lockstep semantics.
@@ -615,24 +629,23 @@ class ShardWorkerPool:
         workers keep streaming afterwards."""
         return self._ask_all("state")
 
-    def load_sessions(self, sessions: Sequence) -> List:
+    def load_sessions(self, sessions: Sequence) -> None:
         """Checkpoint restore: replace every resident session.
 
         Each worker adopts the session objects shipped to it (state built
         by a prior execution), discarding the fresh ones it opened at
         startup; the ack keeps the restore synchronous, so the caller may
-        ingest immediately after.  Returns, per session, what
-        ``ship_partials()`` took out of it (``None`` when the pool's
-        sessions do not ship).
+        ingest immediately after.
         """
         if len(sessions) != len(self._sessions):
             raise ValueError(
                 f"need one session per resident session: got "
                 f"{len(sessions)} for {len(self._sessions)}")
-        return self._ask_all("load_session", sessions)
+        self._ask_all("load_session", sessions)
 
     def close(self) -> List:
-        """Flush every session; returns their execution results.
+        """Flush every session; returns the monitors' execution results
+        (``None`` for a stepped session: see :attr:`arrived`).
 
         Idempotent: later calls return the same result objects.  The pool
         is stopped (processes joined, segments unlinked) before returning.

@@ -36,16 +36,6 @@ class HighWatermarkQuery(Query):
         #: Bin start -> (bytes, packets) seen for that bin this interval.
         self._bins: Dict[float, Tuple[float, float]] = {}
 
-    def __setstate__(self, state: dict) -> None:
-        if "_bins" not in state:
-            # A checkpoint from before the series was kept carries the
-            # interval's running maxima: a bin of their own, ahead of all.
-            state = dict(state)
-            state["_bins"] = {float("-inf"): (
-                state.pop("_watermark_bytes"),
-                state.pop("_watermark_packets"))}
-        self.__dict__.update(state)
-
     def reset(self) -> None:
         super().reset()
         self._bins = {}

@@ -34,6 +34,7 @@ or in code::
 from .api import OpsError, OpsServer, render_metrics
 from .checkpoint import (
     Checkpoint,
+    CheckpointVersionError,
     capture,
     describe_checkpoint,
     load_checkpoint,
@@ -45,6 +46,7 @@ from .feeds import Feed, GeneratorFeed, ReplayFeed, SocketFeed, TailFeed
 
 __all__ = [
     "Checkpoint",
+    "CheckpointVersionError",
     "Feed",
     "GeneratorFeed",
     "MonitorDaemon",

@@ -20,6 +20,13 @@ the blob, so two restores never alias each other's mutable state.  Files
 are written atomically (tmp sibling + rename), so a crash mid-checkpoint
 never clobbers the previous good checkpoint.
 
+**Version policy.**  A checkpoint is written by a daemon and read back by
+the same build.  ``CHECKPOINT_VERSION`` is bumped whenever a change alters
+what a pickled session holds; a file of any other version is refused with
+a typed :class:`CheckpointVersionError` naming both versions (and logged on
+``repro.serve.checkpoint``) — there are no per-class ``__setstate__``
+migrations of older layouts to keep alive.
+
 .. warning::
    Checkpoints are pickles.  Loading one executes the pickle protocol, so
    restore only checkpoints you (or your own daemon) wrote — the same trust
@@ -28,6 +35,7 @@ never clobbers the previous good checkpoint.
 
 from __future__ import annotations
 
+import logging
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -41,6 +49,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
     "Checkpoint",
+    "CheckpointVersionError",
     "capture",
     "describe_checkpoint",
     "load_checkpoint",
@@ -50,8 +59,17 @@ __all__ = [
 
 #: Format tag every checkpoint file carries.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-#: Bumped when the wrapper layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+#: Bumped when the wrapper layout, or what a pickled session holds,
+#: changes incompatibly (2: a session keeps one result accumulator and no
+#: shard role).
+CHECKPOINT_VERSION = 2
+
+logger = logging.getLogger("repro.serve.checkpoint")
+
+
+class CheckpointVersionError(ValueError):
+    """The checkpoint was written by a build with another state layout."""
+
 
 #: The session types this module can freeze and thaw.
 _SESSION_TYPES = (MonitoringSession, ShardedSession)
@@ -175,9 +193,13 @@ def load_checkpoint(source: Union[str, Path, bytes]) -> Checkpoint:
         raise ValueError(f"{source!r} is not a repro checkpoint "
                          f"(format={meta.get('format')!r})")
     if meta.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint version {meta.get('version')!r} "
-            f"(this build reads version {CHECKPOINT_VERSION})")
+        message = (
+            f"{'checkpoint' if path is None else path} is a version "
+            f"{meta.get('version')!r} checkpoint; this build reads version "
+            f"{CHECKPOINT_VERSION} only (restore it with the build that "
+            "wrote it)")
+        logger.error(message)
+        raise CheckpointVersionError(message)
     return Checkpoint(meta=meta, state_blob=wrapper["state_blob"], path=path)
 
 

@@ -1,0 +1,252 @@
+"""One result accumulator for every tier, whoever drives the session.
+
+The contracts under test:
+
+* **A shard is a session that is stepped** — ``ingest`` / ``close`` are
+  ``step`` / ``finish`` plus a fold into the session's own
+  :class:`ExecutionResult`: a session driven by hand through ``step`` /
+  ``finish`` into a fresh ``ExecutionResult`` reports strictly ``==`` what
+  one driven by ``ingest`` / ``close`` reports, in every mode and on both
+  feature backends, and so does a node of one shard.  Nothing in a session
+  says which way it is driven: the pickles of the two differ only in the
+  accumulated result.
+* **One code path for logs and totals** — under any sequence of query
+  arrivals, departures, same-name re-arrivals, arrivals withdrawn before
+  their bin boundary, capacity changes and checkpoint/restore onto the other
+  executor, a serial session, a 1-shard node and a 2-shard node agree on
+  ``query_names``, the result logs, the per-tenant totals and
+  ``partial_result()`` after every operation.
+"""
+
+import pickle
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core.tenancy import TenantGroup
+from repro.experiments import runner
+from repro.monitor.sharding import ShardedSystem
+from repro.monitor.system import ExecutionResult
+from repro.monitor.workers import fork_start_available
+from repro.queries import make_query
+from repro.serve.checkpoint import capture, restore_session
+from tests.conftest import make_batch
+
+MODES = ("predictive", "reactive", "original", "reference")
+TENANTS = (TenantGroup(name="ops", queries=("counter", "top-k")),
+           TenantGroup(name="research", queries=("flows", "high-watermark")))
+
+
+def _logs(result):
+    return {name: (log.intervals, log.results)
+            for name, log in result.query_logs.items()}
+
+
+def _assert_equal(first, second, bins=True, budget=True):
+    """Strict equality of two results: every record, log and total."""
+    assert _logs(first) == _logs(second)
+    assert (first.mode, first.strategy) == (second.mode, second.strategy)
+    if budget:
+        assert first.budget == second.budget
+    if bins:
+        assert first.bins == second.bins
+        assert first.tenant_cycle_totals() == second.tenant_cycle_totals()
+    else:
+        assert len(first.bins) == len(second.bins)
+        assert set(first.tenant_cycle_totals()) == \
+            set(second.tenant_cycle_totals())
+
+
+def _by_hand(session, bins, classes):
+    """Drive ``session`` through ``step`` / ``finish``, accumulating into a
+    fresh result the way a node does for its shards."""
+    result = ExecutionResult(session.system.mode,
+                             session.system.strategy_name, session.name,
+                             session.budget)
+
+    def fold(flushed):
+        result.open_logs(session.query_names)
+        for name, interval_start, partial in flushed:
+            result.add_interval(classes[name], name, interval_start,
+                                [partial])
+
+    for batch in bins:
+        record, flushed = session.step(batch)
+        assert result.add_bin([record]) is record
+        fold(flushed)
+    fold(session.finish())
+    return result
+
+
+@pytest.mark.parametrize("feature_method", ("bitmap", "exact"))
+@pytest.mark.parametrize("mode", MODES)
+def test_ingest_is_step_plus_a_fold(small_trace, mode, feature_method):
+    config = runner.system_config(
+        mode=mode, seed=5, tenants=TENANTS, feature_method=feature_method,
+        cycles_per_second=8e5)  # sheds from the second second on
+    bins = small_trace.batch_list(0.1)
+    classes = {query.name: type(query) for query in config.build_queries()}
+
+    ingested = config.build().open_session(time_bin=0.1, name="t")
+    for batch in bins:
+        ingested.ingest(batch)
+    expected = ingested.close()
+    if mode == "predictive":
+        assert expected.mean_sampling_rate() < 0.9
+    assert set(expected.tenant_cycle_totals()) == {"ops", "research"}
+
+    stepped = config.build().open_session(time_bin=0.1, name="t")
+    _assert_equal(expected, _by_hand(stepped, bins, classes))
+    # The stepped session accumulated nothing of its own.
+    assert stepped.close().bins == []
+    assert not any(len(log) for log in stepped.close().query_logs.values())
+
+    one_shard = ShardedSystem(config=config, num_shards=1) \
+        .open_session(time_bin=0.1, name="t")
+    for batch in bins:
+        one_shard.ingest(batch)
+    _assert_equal(expected, one_shard.close())
+
+
+def test_no_role_is_pickled_with_a_session(small_trace):
+    """After the same bins, a stepped and an ingested session of the same
+    config pickle to the same bytes once the accumulated result (and the
+    profiler's wall-clock readings) are set aside."""
+    config = runner.system_config(seed=5, queries="counter,flows,top-k",
+                                  cycles_per_second=8e5)
+    bins = small_trace.batch_list(0.1)[:25]
+    stepped = config.build().open_session(time_bin=0.1, name="t")
+    ingested = config.build().open_session(time_bin=0.1, name="t")
+    for batch in bins:
+        stepped.step(batch)
+        ingested.ingest(batch)
+    assert len(pickle.dumps(stepped)) < len(pickle.dumps(ingested))
+
+    def without_results(session):
+        clone = pickle.loads(pickle.dumps(session))
+        assert set(vars(clone)) == set(vars(ingested))
+        clone._result = None
+        clone.system.profiler.reset()
+        return pickle.dumps(clone)
+
+    assert without_results(stepped) == without_results(ingested)
+
+
+# ----------------------------------------------------------------------
+# Any operation sequence: serial == 1 shard == 2 shards
+# ----------------------------------------------------------------------
+KINDS = ("counter", "flows", "top-k", "high-watermark", "application")
+OPS = st.one_of(
+    st.tuples(st.just("ingest"), st.integers(1, 7)),
+    st.tuples(st.just("add"), st.sampled_from(KINDS)),
+    st.tuples(st.just("remove"), st.integers(0, 9)),
+    st.tuples(st.just("readd"), st.integers(0, 9)),
+    st.tuples(st.just("withdraw"), st.sampled_from(KINDS)),
+    st.tuples(st.just("capacity"), st.sampled_from((3e7, 5e7, 8e7))),
+    st.tuples(st.just("checkpoint"), st.none()),
+)
+SEQUENCE_TENANTS = (TenantGroup(name="ops", queries=("counter",)),
+                    TenantGroup(name="research", queries=("flows",)))
+
+
+class _Tiers:
+    """The same operations on a serial session, a 1-shard node and a
+    2-shard node (reference mode: nothing is shed, so all three must agree
+    on every answer)."""
+
+    def __init__(self):
+        config = runner.system_config(mode="reference", seed=5,
+                                      tenants=SEQUENCE_TENANTS,
+                                      cycles_per_second=5e7)
+        self.serial = config.build().open_session(time_bin=0.1, name="t")
+        self.nodes = [
+            ShardedSystem(config=config, num_shards=shards,
+                          backend="inprocess")
+            .open_session(time_bin=0.1, name="t") for shards in (1, 2)]
+        self.bins = 0
+
+    def each(self, serial_call, node_call=None):
+        """Apply the operation to all three; they refuse it alike."""
+        outcomes = []
+        for session, call in [(self.serial, serial_call)] + [
+                (node, node_call or serial_call) for node in self.nodes]:
+            try:
+                call(session)
+                outcomes.append(None)
+            except (KeyError, ValueError) as refused:
+                outcomes.append(type(refused))
+        assert len(set(outcomes)) == 1, outcomes
+
+    def add(self, kind):
+        self.each(lambda s: s.add_query(make_query(kind)),
+                  lambda s: s.add_query(lambda: make_query(kind)))
+
+    def remove(self, name):
+        self.each(lambda s: s.remove_query(name))
+
+    def apply(self, op, argument):
+        names = self.serial.query_names
+        if op == "ingest":
+            for _ in range(argument):
+                batch = make_batch(n=60, seed=self.bins,
+                                   start_ts=0.1 * self.bins)
+                self.each(lambda s: s.ingest(batch))
+                self.bins += 1
+        elif op == "add":
+            self.add(argument)
+        elif op == "withdraw":  # leaves before it ever ran
+            self.add(argument)
+            self.remove(argument)
+        elif op in ("remove", "readd") and names:
+            name = names[argument % len(names)]
+            self.remove(name)
+            if op == "readd":
+                self.add(name)
+        elif op == "capacity":
+            self.each(lambda s: s.set_capacity(argument))
+        elif op == "checkpoint":
+            self.serial = restore_session(capture(self.serial))
+            for index, node in enumerate(self.nodes):
+                other = "workers" if (node.backend == "inprocess"
+                                      and node.num_shards > 1
+                                      and fork_start_available()) \
+                    else "inprocess"
+                blob = capture(node)
+                node.close()
+                self.nodes[index] = restore_session(blob, backend=other)
+
+    def check(self):
+        one, two = self.nodes
+        expected = self.serial.partial_result()
+        assert len(expected.bins) == self.bins
+        assert self.serial.query_names == one.query_names == two.query_names
+        # (A node's budget follows ``set_capacity`` at once, a serial
+        # session's at the bin boundary: compared when closed.)
+        _assert_equal(expected, one.partial_result(), budget=False)
+        _assert_equal(expected, two.partial_result(), bins=False,
+                      budget=False)
+        tenants = self.serial.metrics["tenants"]
+        assert tenants == one.metrics["tenants"]
+        assert tenants["query_cycles"] == expected.tenant_cycle_totals()
+        assert two.metrics["tenants"]["query_cycles"] == \
+            two.partial_result().tenant_cycle_totals()
+
+    def close(self):
+        one, two = self.nodes
+        expected = self.serial.close()
+        _assert_equal(expected, one.close())
+        _assert_equal(expected, two.close(), bins=False)
+
+
+@given(st.lists(OPS, min_size=4, max_size=14))
+def test_any_operation_sequence_agrees_across_tiers(operations):
+    tiers = _Tiers()
+    try:
+        for op, argument in operations:
+            tiers.apply(op, argument)
+            tiers.check()
+        tiers.close()
+    finally:
+        for node in tiers.nodes:  # no worker outlives a failing example
+            node._executor.stop()

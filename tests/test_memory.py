@@ -423,7 +423,7 @@ def test_a_shard_session_does_not_grow_with_the_intervals(tmp_path, backend):
     store = write_header_store(tmp_path / "store", seconds=10,
                                packets_per_bin=1500)
     config = runner.system_config(mode="reference", queries=LOSSY_KINDS,
-                                  seed=5, shard_rebalance=False)
+                                  seed=5)
     session = ShardedSystem(config=config, num_shards=2,
                             backend=backend).open_session(time_bin=TIME_BIN)
     sizes = {}
@@ -435,9 +435,10 @@ def test_a_shard_session_does_not_grow_with_the_intervals(tmp_path, backend):
                 sizes[index] = [len(pickle.dumps(shard)) for shard in shards]
                 for shard in shards:
                     assert shard.bins_ingested == index + 1
-                    assert shard._bins == [] and shard.system._outbox == []
-                    assert not any(len(runtime.log) for runtime
-                                   in shard.system._runtimes.values())
+                    kept = shard.partial_result()
+                    assert kept.bins == [] and shard.system._flushed == []
+                    assert not any(len(log)
+                                   for log in kept.query_logs.values())
         result = session.close()
     for early, late in zip(sizes[30], sizes[90]):
         assert abs(late - early) < 0.05 * early
@@ -459,7 +460,7 @@ def hwm_kb():
 
 store = TraceStore(sys.argv[1])
 config = runner.system_config(
-    mode="reference", shard_rebalance=False,
+    mode="reference",
     queries="counter,top-k,autofocus,high-watermark,super-sources")
 sharded = ShardedSystem(config=config, num_shards=2, backend="workers")
 before = hwm_kb()

@@ -32,7 +32,8 @@ import pytest
 
 from repro.experiments import runner
 from repro.serve import (GeneratorFeed, MonitorDaemon, ReplayFeed,
-                         SocketFeed, TailFeed, restore_session)
+                         SocketFeed, TailFeed, describe_checkpoint,
+                         restore_session)
 from repro.serve.api import render_metrics
 from repro.testing import assert_results_identical
 from repro.traffic.generator import TrafficProfile, generate_trace_store
@@ -298,8 +299,13 @@ def test_daemon_end_to_end_checkpoint_restore(tmp_path, serve_trace):
         # lands deterministically at the bin-k1 boundary.
         added = harness.request("POST", "/queries", {"spec": spec})
         assert added["added"] == "live-topk"
+        # Registered from now on, though it first runs at the next bin.
+        registered = ["counter", "flows", "live-topk"]
+        assert harness.get("/queries")["queries"] == registered
         ckpt = harness.request("POST", "/checkpoint")
         assert ckpt["bins_ingested"] == k1
+        assert describe_checkpoint(ckpt["checkpoint"])["query_names"] == \
+            registered
         frozen = tmp_path / "frozen.pkl"  # shutdown overwrites the live one
         shutil.copy(ckpt["checkpoint"], frozen)
 
@@ -424,6 +430,8 @@ def test_daemon_status_metrics_and_ops(tmp_path, serve_trace):
         assert "cannot change while" in json.loads(body)["error"]
         body = refused(400, "POST", "/config", {"cycles_per_secnod": 1.0})
         assert "did you mean" in json.loads(body)["error"]
+        body = refused(400, "POST", "/config", {"shard_rebalance": False})
+        assert "'shard_rebalance'" in json.loads(body)["error"]
         refused(404, "DELETE", "/queries/nope")
         refused(404, "GET", "/bogus")
 
@@ -447,7 +455,6 @@ def test_daemon_status_metrics_and_ops(tmp_path, serve_trace):
     rotated = TraceStore(segments[0])
     assert rotated.complete and len(rotated) > 0
     # The shutdown checkpoint is loadable and self-describing.
-    from repro.serve import describe_checkpoint
     meta = describe_checkpoint(tmp_path / "ck" / "checkpoint.pkl")
     assert meta["kind"] == "monitoring"
 

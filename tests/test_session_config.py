@@ -11,9 +11,11 @@ Three families:
   departures must flush logs and leave no stale enforcer/controller state;
   ``set_capacity`` must take effect at the next bin boundary.
 * **Removed surfaces** — loose system keyword arguments to the experiment
-  helpers and the ``"fork"`` shard backend are refused, loudly and typed.
+  helpers, the ``"fork"`` shard backend and the shard rebalancer's fields
+  are refused, loudly and typed.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -21,6 +23,7 @@ import pytest
 
 from repro import MonitoringSystem, SystemConfig
 from repro.experiments import runner
+from repro.monitor.sharding import ShardedSystem
 from repro.queries import make_query
 from repro.testing import assert_results_identical as _assert_results_identical
 
@@ -364,3 +367,19 @@ class TestRemovedSurfaces:
                 build()
             for backend in ("auto", "inprocess", "workers"):
                 assert repr(backend) in str(refused.value)
+
+    def test_the_rebalancer_fields_are_refused_by_name(self):
+        """A shard owns a fixed 1/N slice: the two rebalancer fields are
+        unknown fields like any typo, wherever a config comes from."""
+        with pytest.raises(TypeError, match="shard_rebalance"):
+            SystemConfig(shard_rebalance=True)
+        with pytest.raises(TypeError, match="rebalance"):
+            ShardedSystem(config=SystemConfig(queries="counter"),
+                          rebalance=False)
+        for build in (
+                lambda: SystemConfig().replace(shard_rebalance_floor=0.5),
+                lambda: SystemConfig.from_dict({"shard_rebalance": True})):
+            with pytest.raises(ValueError, match="unknown SystemConfig "
+                                                 r"field\(s\) 'shard_rebal"):
+                build()
+        assert len(dataclasses.fields(SystemConfig)) == 18

@@ -154,7 +154,7 @@ class TestShardMergeExactness:
         run ahead of their records, partials arrive whenever."""
         config, serial = serial_reference
         sharded = ShardedSystem(config=config, num_shards=num_shards,
-                                backend=backend, rebalance=False)
+                                backend=backend)
         with sharded.open_session(name=payload_trace_small.name) as session:
             if drive == "ingest":
                 for batch in payload_trace_small.batches(0.1):
@@ -318,8 +318,9 @@ class TestMergedAccuracy:
         assert accuracy["flows"] >= 0.78
         assert sharded.drop_fraction == 0.0
 
-    def test_rebalancing_never_loses_capacity(self, golden_scenario):
-        """Per-bin lending conserves the total cycle budget exactly."""
+    def test_shard_slices_add_up_to_the_budget(self, golden_scenario):
+        """The shards' fixed 1/N slices are the node's whole cycle budget,
+        bin by bin."""
         trace, capacity, _ = golden_scenario
         result = runner.run_system(QUERY_SET, trace, capacity * 0.5,
                                    num_shards=4)
@@ -332,7 +333,7 @@ class TestPoolTransparency:
                                                         golden_scenario):
         trace, capacity, _ = golden_scenario
         config = runner.system_config(cycles_per_second=capacity * 0.5,
-                                      shard_rebalance=False, seed=7)
+                                      seed=7)
         in_process = ShardedSystem(_factory(), config=config,
                                    num_shards=4).run(trace)
         pooled = ShardedSystem(_factory(), config=config, num_shards=4,

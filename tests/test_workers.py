@@ -6,8 +6,7 @@ The contracts under test:
   layout and rebuilt from the buffer is bit-identical to the original.
 * **Backend transparency** — a sharded execution on the persistent worker
   pool is bit-identical to the in-process one in *all four* operating
-  modes, including ``shard_rebalance=True`` and including live
-  reconfiguration mid-stream.
+  modes, including live reconfiguration mid-stream.
 * **Lifecycle** — close/stop are idempotent, a worker dying mid-stream
   surfaces a :class:`ShardWorkerError` naming the process and every
   session it hosted (not a hang), and every shared-memory segment the
@@ -148,24 +147,21 @@ class TestBatchBufferTransport:
 class TestWorkerBitIdentity:
     @pytest.mark.parametrize("mode", ["predictive", "reactive", "original",
                                       "reference"])
-    def test_workers_match_in_process_with_rebalancing(self, golden_scenario,
-                                                       mode):
-        """All four modes, rebalancing ON — the configuration the legacy
-        fork pool refuses outright runs bit-identically on workers."""
-        self._check_rebalancing(golden_scenario, mode)
+    def test_workers_match_in_process(self, golden_scenario, mode):
+        """All four modes run bit-identically on workers."""
+        self._check(golden_scenario, mode)
 
     def test_workers_match_in_process_on_bitmaps(self, golden_scenario):
         """The same with the product-default feature counters (the harness
         default is exact counting); only the predictive mode reads them."""
-        self._check_rebalancing(golden_scenario, "predictive",
-                                feature_method="bitmap")
+        self._check(golden_scenario, "predictive", feature_method="bitmap")
 
     @staticmethod
-    def _check_rebalancing(golden_scenario, mode, **overrides):
+    def _check(golden_scenario, mode, **overrides):
         trace, capacity, _ = golden_scenario
         config = runner.system_config(
             mode=mode, cycles_per_second=capacity * 0.5, seed=99,
-            shard_rebalance=True, **overrides)
+            **overrides)
         in_process = ShardedSystem(_factory(), config=config,
                                    num_shards=2).run(trace)
         workers = ShardedSystem(_factory(), config=config, num_shards=2,
@@ -173,11 +169,11 @@ class TestWorkerBitIdentity:
         _assert_identical(in_process, workers)
 
     def test_pipelined_streaming_matches_lockstep(self, golden_scenario):
-        """Rebalancing off takes the pipelined (run-ahead) ingest path;
-        results must still match the strictly serial in-process replay."""
+        """``run`` takes the pipelined (run-ahead) ingest path; results
+        must still match the strictly serial in-process replay."""
         trace, capacity, _ = golden_scenario
         config = runner.system_config(cycles_per_second=capacity * 0.5,
-                                      shard_rebalance=False, seed=7)
+                                      seed=7)
         in_process = ShardedSystem(_factory(), config=config,
                                    num_shards=4).run(trace)
         workers = ShardedSystem(_factory(), config=config, num_shards=4,
@@ -403,7 +399,7 @@ class TestSessionsSharingProcesses:
         """Shards of a node keep nothing: every record, waited for or not,
         and the partial of every flushed interval is queued per session,
         the last intervals' behind a ``None`` record when ``close`` flushed
-        them; the closed results are empty."""
+        them; there are no results of their own to close with."""
         pool = ShardWorkerPool(self._configs(), None, 0.1, self.NAMES,
                                processes=2, ship_partials=True)
         serial = InProcessShards(
@@ -415,9 +411,7 @@ class TestSessionsSharingProcesses:
             for session, part in enumerate(parts):
                 pool.ingest_async(session, part)
             serial.ingest(parts)
-        for result in pool.close() + serial.close():
-            assert result.bins == []
-            assert [len(log) for log in result.query_logs.values()] == [0, 0]
+        assert pool.close() + serial.close() == [None] * 10
         assert pool.partial_bytes > 0 == serial.partial_bytes
         for mine, theirs in zip(pool.arrived, serial.arrived):
             assert list(mine) == list(theirs)
