@@ -1,11 +1,11 @@
 """Multi-tenant allocation engine: per-bin cost of the columnar kernels.
 
-The vectorised allocation engine (``repro.core.fairness`` array kernels plus
+The vectorised allocation engine (``repro.core.fairness`` kernels plus
 the two-tier tenant allocator in ``repro.core.tenancy``) allocates a bin
 from preallocated demand columns.  This benchmark sweeps query count x
 tenant count and times the allocation stage alone, exactly as it runs
 inside ``LoadSheddingController.plan_arrays``: refresh the prediction
-column, then call the flat array kernel / ``two_tier_allocate`` with
+column, then call the flat kernel / ``two_tier_allocate`` with
 precomputed tie-break ranks.
 
 The rows are absolute: seconds for ``BINS`` bins and the per-bin latency
@@ -22,7 +22,7 @@ import pytest
 
 from conftest import BENCH_SCALE, record_result
 
-from repro.core.fairness import ARRAY_STRATEGIES, name_ranks
+from repro.core.fairness import STRATEGIES, name_ranks
 from repro.core.tenancy import TenantAssignment, TenantGroup, TenantRegistry
 
 #: (query count, tenant count) sweep of the allocation stage.  Tenant count 0
@@ -82,8 +82,7 @@ def _columnar_bin(key, names, pred_col, predicted, mins, capacity,
     """One bin of the engine path, as driven by ``plan_arrays``."""
     pred_col[:] = predicted  # the predictor refresh of the demand column
     if assignment is None:
-        return ARRAY_STRATEGIES[key](names, pred_col, mins, capacity,
-                                     rank=rank)
+        return STRATEGIES[key](names, pred_col, mins, capacity, rank=rank)
     return assignment.allocate(key, names, pred_col, mins, capacity,
                                rank=rank)
 

@@ -20,7 +20,7 @@ disabled — the Section 5.2.1 anti-cheating rule applied per tenant.
 import numpy as np
 
 from repro import SystemConfig, TenantGroup
-from repro.core.fairness import name_ranks
+from repro.core.fairness import STRATEGIES, name_ranks
 from repro.core.tenancy import TenantAssignment, TenantRegistry
 from repro.traffic import TrafficProfile, generate_trace
 
@@ -78,9 +78,8 @@ def show_floor_guarantee() -> None:
     allocation = TenantAssignment(registry, ids).allocate(
         "mmfs_cpu", names, predicted, min_rates, capacity,
         rank=name_ranks(names))
-    rates = np.array([allocation.rate(name) for name in names])
     print(f"  disabled queries: {len(allocation.disabled)}")
-    print(f"  minimum sampling rate: {rates.min():.4f} "
+    print(f"  minimum sampling rate: {allocation.rate_array.min():.4f} "
           f"(declared floor 0.0200)")
     print(f"  cycles used: {allocation.total_cycles / capacity:.6f} "
           "of capacity")
@@ -93,10 +92,8 @@ def show_anti_cheating() -> None:
     predicted[-1] = 50_000.0
     min_rates = np.full(11, 0.5)
     min_rates[-1] = 1.0  # demands its full (inflated) load as a floor
-    registry = TenantRegistry(())
-    ids = np.array([registry.assign(name) for name in names], dtype=np.intp)
-    allocation = TenantAssignment(registry, ids).allocate(
-        "mmfs_cpu", names, predicted, min_rates, 6000.0)
+    # No tenants declared: the flat strategy, straight from the registry.
+    allocation = STRATEGIES["mmfs_cpu"](names, predicted, min_rates, 6000.0)
     print(f"  disabled: {allocation.disabled}")
     print(f"  honest queries still active: "
           f"{sum(1 for n in names[:-1] if n not in allocation.disabled)}"

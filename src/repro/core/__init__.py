@@ -16,8 +16,7 @@ Sub-modules:
 
 from .cycles import CycleBudget, CycleClock, CycleMeter, OperationCosts
 from .custom import CustomShedEnforcer
-from .fairness import (Allocation, QueryDemand, eq_srates, get_strategy,
-                       mmfs_cpu, mmfs_pkt)
+from .fairness import STRATEGIES, Allocation, eq_srates, mmfs_cpu, mmfs_pkt
 from .features import FEATURE_NAMES, FeatureExtractor, FeatureVector
 from .fcbf import fcbf_select, linear_correlation
 from .game import (best_response, best_response_dynamics, equilibrium_profile,
@@ -47,8 +46,8 @@ __all__ = [
     "OperationCosts",
     "PacketSampler",
     "PredictionErrorTracker",
-    "QueryDemand",
     "SLRPredictor",
+    "STRATEGIES",
     "ShedPlan",
     "SlidingHistory",
     "best_response",
@@ -56,7 +55,6 @@ __all__ = [
     "eq_srates",
     "equilibrium_profile",
     "fcbf_select",
-    "get_strategy",
     "is_nash_equilibrium",
     "linear_correlation",
     "make_predictor",

@@ -18,160 +18,79 @@ When even the minimum demands do not fit, all strategies disable the queries
 with the largest minimum demand first (Section 5.2.1), which is the rule that
 gives the game its Nash equilibrium at ``C / |Q|``.
 
-**Columnar hot path.**  Each strategy exists in two layers: an array kernel
-(:data:`ARRAY_STRATEGIES`) operating on aligned ``names`` / ``predicted`` /
-``min_rate`` float64 arrays, and the classic :class:`QueryDemand`-sequence
-wrapper (:data:`STRATEGIES`) that converts once and calls the kernel.  Both
-produce bit-identical results by construction — the wrapper *is* the kernel
-— and the kernels themselves are bit-identical to the pre-vectorisation
-implementations, which the tests keep verbatim as their oracle
-(``tests/oracles/allocation.py``).  The per-system
-:class:`QuerySlotTable` holds the per-query columns between bins so the
-per-bin work is array gathers, not object construction.
+**One shape.**  A strategy is a kernel registered under a name in
+:data:`STRATEGIES`, with the signature ``kernel(names, predicted, min_rates,
+capacity, rank=None) -> Allocation``: aligned per-query columns in (float64
+``predicted`` / ``min_rates``, plus the optional precomputed
+:func:`name_ranks` tie-break column), an :class:`Allocation` of aligned
+columns out.  A config names its strategy; registering a kernel under a new
+name is how a custom one is added.  The kernels are bit-identical to the
+object-per-query implementations the tests keep verbatim as their oracle
+(``tests/oracles/allocation.py``).  The per-system :class:`QuerySlotTable`
+holds the per-query columns between bins, so the per-bin work is array
+gathers, not object construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 
-@dataclass
-class QueryDemand:
-    """Per-query inputs to the allocation strategies."""
-
-    name: str
-    predicted_cycles: float
-    min_sampling_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.predicted_cycles < 0:
-            raise ValueError("predicted_cycles must be non-negative")
-        if not 0.0 <= self.min_sampling_rate <= 1.0:
-            raise ValueError("min_sampling_rate must be in [0, 1]")
-
-    @property
-    def min_cycles(self) -> float:
-        """Minimum cycle demand ``m_q * d_q``."""
-        return self.min_sampling_rate * self.predicted_cycles
-
-
 class Allocation:
-    """Result of an allocation strategy for one time bin.
+    """What a strategy decided for one time bin: aligned per-query columns.
 
-    Array-backed with lazy dict views: the kernels hand over the per-query
-    ``names`` (input order) plus aligned rate/cycle arrays and a disabled
-    mask; the classic ``rates`` / ``cycles`` dicts and ``disabled`` list are
-    materialised on first access, in input order — so code that reads the
-    dict surface sees exactly what the historical dict-building loops
-    produced, while the hot path can keep everything columnar.
-
-    The historical constructor (``Allocation(rates={...}, cycles={...},
-    disabled=[...])``) still works for custom strategies.
+    ``names`` is the input order; ``rate_array`` / ``cycle_array`` hold each
+    query's sampling rate and the cycles it was granted, ``disabled_mask``
+    marks the queries switched off for the bin, ``tenant_shares`` the cycle
+    share of each tenant when a two-tier allocation ran (``None`` for flat
+    ones; see :mod:`repro.core.tenancy`).  The value is immutable — the
+    arrays it is built from become read-only — and :attr:`rates`,
+    :attr:`cycles` and :attr:`disabled` are per-name views of the columns.
     """
 
-    __slots__ = ("_names", "_rates_arr", "_cycles_arr", "_disabled_mask",
-                 "_rates", "_cycles", "_disabled", "tenant_shares")
+    __slots__ = ("names", "rate_array", "cycle_array", "disabled_mask",
+                 "tenant_shares")
 
-    def __init__(self, rates: Optional[Dict[str, float]] = None,
-                 cycles: Optional[Dict[str, float]] = None,
-                 disabled: Optional[List[str]] = None) -> None:
-        self._names: Optional[Sequence[str]] = None
-        self._rates_arr: Optional[np.ndarray] = None
-        self._cycles_arr: Optional[np.ndarray] = None
-        self._disabled_mask: Optional[np.ndarray] = None
-        self._rates: Optional[Dict[str, float]] = \
-            dict(rates) if rates is not None else {}
-        self._cycles: Optional[Dict[str, float]] = \
-            dict(cycles) if cycles is not None else {}
-        self._disabled: Optional[List[str]] = \
-            list(disabled) if disabled is not None else []
-        #: Per-tenant cycle shares granted by a two-tier allocation
-        #: (``None`` for flat allocations); see :mod:`repro.core.tenancy`.
-        self.tenant_shares: Optional[Dict[str, float]] = None
+    def __init__(self, names: Sequence[str], rates: np.ndarray,
+                 cycles: np.ndarray, disabled: np.ndarray,
+                 tenant_shares: Optional[Dict[str, float]] = None) -> None:
+        for column in (rates, cycles, disabled):
+            column.flags.writeable = False
+        set_ = object.__setattr__  # the value is immutable from here on
+        set_(self, "names", tuple(names))
+        set_(self, "rate_array", rates)
+        set_(self, "cycle_array", cycles)
+        set_(self, "disabled_mask", disabled)
+        set_(self, "tenant_shares", tenant_shares)
 
-    @classmethod
-    def from_arrays(cls, names: Sequence[str], rates: np.ndarray,
-                    cycles: np.ndarray, disabled_mask: np.ndarray
-                    ) -> "Allocation":
-        """Array-backed construction used by the columnar kernels."""
-        allocation = cls.__new__(cls)
-        allocation._names = names
-        allocation._rates_arr = rates
-        allocation._cycles_arr = cycles
-        allocation._disabled_mask = disabled_mask
-        allocation._rates = None
-        allocation._cycles = None
-        allocation._disabled = None
-        allocation.tenant_shares = None
-        return allocation
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise AttributeError(f"an Allocation is immutable: cannot set {attr!r}")
 
-    # -- lazy dict views ----------------------------------------------------
     @property
     def rates(self) -> Dict[str, float]:
-        if self._rates is None:
-            self._rates = {name: float(rate) for name, rate
-                           in zip(self._names, self._rates_arr)}
-        return self._rates
-
-    @rates.setter
-    def rates(self, value: Dict[str, float]) -> None:
-        self._rates = dict(value)
+        return dict(zip(self.names, self.rate_array.tolist()))
 
     @property
     def cycles(self) -> Dict[str, float]:
-        if self._cycles is None:
-            self._cycles = {name: float(cycles) for name, cycles
-                            in zip(self._names, self._cycles_arr)}
-        return self._cycles
-
-    @cycles.setter
-    def cycles(self, value: Dict[str, float]) -> None:
-        self._cycles = dict(value)
+        return dict(zip(self.names, self.cycle_array.tolist()))
 
     @property
     def disabled(self) -> List[str]:
-        if self._disabled is None:
-            self._disabled = [name for name, off
-                              in zip(self._names, self._disabled_mask) if off]
-        return self._disabled
+        return [name for name, off in zip(self.names, self.disabled_mask)
+                if off]
 
-    @disabled.setter
-    def disabled(self, value: List[str]) -> None:
-        self._disabled = list(value)
-
-    # -- array views (hot path; None when dict-constructed) -----------------
-    @property
-    def rate_array(self) -> Optional[np.ndarray]:
-        return self._rates_arr
-
-    @property
-    def cycle_array(self) -> Optional[np.ndarray]:
-        return self._cycles_arr
-
-    # -- classic surface ----------------------------------------------------
     @property
     def total_cycles(self) -> float:
-        return float(sum(self.cycles.values()))
+        return sequential_sum(self.cycle_array)
 
     def rate(self, name: str) -> float:
-        return self.rates.get(name, 0.0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Allocation):
-            return NotImplemented
-        return (self.rates == other.rates and self.cycles == other.cycles
-                and self.disabled == other.disabled)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Allocation(rates={self.rates!r}, cycles={self.cycles!r}, "
-                f"disabled={self.disabled!r})")
-
-
-#: Signature of an allocation strategy.
-Strategy = Callable[[Sequence[QueryDemand], float], Allocation]
+        """The sampling rate of ``name`` (0.0 for a query not allocated)."""
+        try:
+            return float(self.rate_array[self.names.index(name)])
+        except ValueError:
+            return 0.0
 
 
 # ----------------------------------------------------------------------
@@ -180,11 +99,10 @@ Strategy = Callable[[Sequence[QueryDemand], float], Allocation]
 def sequential_sum(values: np.ndarray) -> float:
     """Left-to-right sum, bit-identical to python ``sum`` over the values.
 
-    ``np.sum`` uses pairwise accumulation for eight elements and more, which
-    rounds differently from the sequential python sums of the historical
-    scalar code.  ``np.cumsum`` accumulates strictly left to right, so its
-    last element reproduces ``sum()`` exactly — which is what keeps the
-    columnar kernels bit-identical to the scalar reference at any size.
+    ``np.sum`` accumulates pairwise from eight elements on and rounds
+    differently; ``np.cumsum`` accumulates strictly left to right, so its
+    last element is ``sum()`` exactly — which keeps the kernels bit-identical
+    to the scalar reference at any size.
     """
     if len(values) == 0:
         return 0.0
@@ -226,25 +144,20 @@ def disable_priority_order(values: Sequence[float],
 
 
 def _validate_columns(predicted: np.ndarray, min_rates: np.ndarray) -> None:
-    """The eager validation :class:`QueryDemand` used to perform."""
+    """Demands are non-negative, minimum sampling rates lie in [0, 1]."""
     if np.any(predicted < 0):
         raise ValueError("predicted_cycles must be non-negative")
     if np.any((min_rates < 0.0) | (min_rates > 1.0)):
         raise ValueError("min_sampling_rate must be in [0, 1]")
 
 
-def _demand_columns(demands: Sequence[QueryDemand]):
-    names = [demand.name for demand in demands]
-    predicted = np.array([demand.predicted_cycles for demand in demands],
-                         dtype=np.float64)
-    min_rates = np.array([demand.min_sampling_rate for demand in demands],
-                         dtype=np.float64)
-    return names, predicted, min_rates
-
-
-def _all_disabled(names: Sequence[str], count: int) -> Allocation:
-    return Allocation.from_arrays(
-        names, np.zeros(count), np.zeros(count), np.ones(count, dtype=bool))
+def all_disabled(names: Sequence[str],
+                 tenant_shares: Optional[Dict[str, float]] = None
+                 ) -> Allocation:
+    """Every query switched off: what any strategy answers to no capacity."""
+    count = len(names)
+    return Allocation(names, np.zeros(count), np.zeros(count),
+                      np.ones(count, dtype=bool), tenant_shares)
 
 
 def _water_fill(floors: np.ndarray, ceilings: np.ndarray, weights: np.ndarray,
@@ -282,20 +195,24 @@ def _water_fill(floors: np.ndarray, ceilings: np.ndarray, weights: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# Columnar kernels — the actual strategy implementations
+# The strategies
 # ----------------------------------------------------------------------
-def eq_srates_arrays(names: Sequence[str], predicted: np.ndarray,
-                     min_rates: np.ndarray, capacity: float,
-                     rank: Optional[np.ndarray] = None) -> Allocation:
-    """Columnar ``eq_srates``: one common rate over aligned demand columns.
+def eq_srates(names: Sequence[str], predicted: np.ndarray,
+              min_rates: np.ndarray, capacity: float,
+              rank: Optional[np.ndarray] = None) -> Allocation:
+    """Single common sampling rate for every query (Chapter 4 strategy).
 
-    ``rank`` is the precomputed :func:`name_ranks` tie-break column; omit it
-    to have the kernel derive it from ``names``.
+    The rate is ``capacity / total_demand`` clamped to ``[0, 1]``.  Queries
+    whose minimum sampling rate exceeds the common rate are disabled for the
+    bin and the rate is recomputed for the remaining ones, as in the
+    ``eq_srates`` system of Section 5.5.3.  ``rank`` is the precomputed
+    :func:`name_ranks` tie-break column; omit it to have the kernel derive
+    it from ``names``.
     """
     count = len(predicted)
     _validate_columns(predicted, min_rates)
     if capacity <= 0.0:
-        return _all_disabled(names, count)
+        return all_disabled(names)
     if rank is None:
         rank = name_ranks(names)
     min_cycles = min_rates * predicted
@@ -316,16 +233,16 @@ def eq_srates_arrays(names: Sequence[str], predicted: np.ndarray,
             rate = 0.0
             break
     rates = np.where(mask, rate, 0.0)
-    return Allocation.from_arrays(names, rates, rates * predicted, ~mask)
+    return Allocation(names, rates, rates * predicted, ~mask)
 
 
-def _mmfs_arrays(names: Sequence[str], predicted: np.ndarray,
-                 min_rates: np.ndarray, capacity: float, packet_fair: bool,
-                 rank: Optional[np.ndarray] = None) -> Allocation:
+def _mmfs(names: Sequence[str], predicted: np.ndarray,
+          min_rates: np.ndarray, capacity: float, packet_fair: bool,
+          rank: Optional[np.ndarray] = None) -> Allocation:
     count = len(predicted)
     _validate_columns(predicted, min_rates)
     if capacity <= 0.0:
-        return _all_disabled(names, count)
+        return all_disabled(names)
     if rank is None:
         rank = name_ranks(names)
     min_cycles = min_rates * predicted
@@ -362,48 +279,23 @@ def _mmfs_arrays(names: Sequence[str], predicted: np.ndarray,
                     np.minimum(1.0, levels / pred_active), 1.0)
     disabled_mask = np.ones(count, dtype=bool)
     disabled_mask[active_sorted] = False
-    return Allocation.from_arrays(names, rates, rates * predicted,
-                                  disabled_mask)
+    return Allocation(names, rates, rates * predicted, disabled_mask)
 
 
-def mmfs_cpu_arrays(names: Sequence[str], predicted: np.ndarray,
-                    min_rates: np.ndarray, capacity: float,
-                    rank: Optional[np.ndarray] = None) -> Allocation:
-    """Columnar max-min fair share of CPU cycles (Section 5.2.1)."""
-    return _mmfs_arrays(names, predicted, min_rates, capacity,
-                        packet_fair=False, rank=rank)
-
-
-def mmfs_pkt_arrays(names: Sequence[str], predicted: np.ndarray,
-                    min_rates: np.ndarray, capacity: float,
-                    rank: Optional[np.ndarray] = None) -> Allocation:
-    """Columnar max-min fair share of packet access (Section 5.2.2)."""
-    return _mmfs_arrays(names, predicted, min_rates, capacity,
-                        packet_fair=True, rank=rank)
-
-
-# ----------------------------------------------------------------------
-# Classic QueryDemand-sequence surface (thin wrappers over the kernels)
-# ----------------------------------------------------------------------
-def eq_srates(demands: Sequence[QueryDemand], capacity: float) -> Allocation:
-    """Single common sampling rate for every query (Chapter 4 strategy).
-
-    The rate is ``capacity / total_demand`` clamped to ``[0, 1]``.  Queries
-    whose minimum sampling rate exceeds the common rate are disabled for the
-    bin and the rate is recomputed for the remaining ones, as in the
-    ``eq_srates`` system of Section 5.5.3.
-    """
-    return eq_srates_arrays(*_demand_columns(demands), capacity)
-
-
-def mmfs_cpu(demands: Sequence[QueryDemand], capacity: float) -> Allocation:
+def mmfs_cpu(names: Sequence[str], predicted: np.ndarray,
+             min_rates: np.ndarray, capacity: float,
+             rank: Optional[np.ndarray] = None) -> Allocation:
     """Max-min fair share in terms of CPU cycles (Section 5.2.1)."""
-    return mmfs_cpu_arrays(*_demand_columns(demands), capacity)
+    return _mmfs(names, predicted, min_rates, capacity, packet_fair=False,
+                 rank=rank)
 
 
-def mmfs_pkt(demands: Sequence[QueryDemand], capacity: float) -> Allocation:
+def mmfs_pkt(names: Sequence[str], predicted: np.ndarray,
+             min_rates: np.ndarray, capacity: float,
+             rank: Optional[np.ndarray] = None) -> Allocation:
     """Max-min fair share in terms of packet access (Section 5.2.2)."""
-    return mmfs_pkt_arrays(*_demand_columns(demands), capacity)
+    return _mmfs(names, predicted, min_rates, capacity, packet_fair=True,
+                 rank=rank)
 
 
 # ----------------------------------------------------------------------
@@ -429,15 +321,6 @@ class QuerySlotTable:
         self.tenant_slot = np.zeros(capacity, dtype=np.intp)
         self._slot_of: Dict[str, int] = {}
         self._free: List[int] = list(range(capacity - 1, -1, -1))
-
-    def __len__(self) -> int:
-        return len(self._slot_of)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._slot_of
-
-    def slot(self, name: str) -> int:
-        return self._slot_of[name]
 
     def add(self, name: str, min_rate: float = 0.0,
             tenant_slot: int = 0) -> int:
@@ -483,37 +366,10 @@ class QuerySlotTable:
             self.name_rank[slot] = position
 
 
-#: Registry of the named strategies used throughout experiments.
-STRATEGIES: Dict[str, Strategy] = {
+#: The strategies a config can name: ``kernel(names, predicted, min_rates,
+#: capacity, rank=None) -> Allocation``.  Register a kernel here to add one.
+STRATEGIES: Dict[str, Callable[..., Allocation]] = {
     "eq_srates": eq_srates,
     "mmfs_cpu": mmfs_cpu,
     "mmfs_pkt": mmfs_pkt,
 }
-
-#: Columnar kernels behind the named strategies: same names, signature
-#: ``kernel(names, predicted, min_rates, capacity, rank=None)``.
-ARRAY_STRATEGIES: Dict[str, Callable] = {
-    "eq_srates": eq_srates_arrays,
-    "mmfs_cpu": mmfs_cpu_arrays,
-    "mmfs_pkt": mmfs_pkt_arrays,
-}
-
-def get_strategy(name_or_fn) -> Strategy:
-    """Resolve a strategy by name or pass a callable through unchanged."""
-    if callable(name_or_fn):
-        return name_or_fn
-    try:
-        return STRATEGIES[name_or_fn]
-    except KeyError:
-        raise KeyError(f"unknown strategy {name_or_fn!r}; "
-                       f"available: {sorted(STRATEGIES)}") from None
-
-
-def strategy_key(name_or_fn) -> Optional[str]:
-    """The registry name of a strategy, or ``None`` for custom callables."""
-    if isinstance(name_or_fn, str):
-        return name_or_fn if name_or_fn in STRATEGIES else None
-    for key, fn in STRATEGIES.items():
-        if fn is name_or_fn:
-            return key
-    return None

@@ -21,13 +21,11 @@ inputs are feature vectors, predicted cycles and measured cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .fairness import (Allocation, ARRAY_STRATEGIES, QueryDemand, Strategy,
-                       get_strategy, sequential_sum, strategy_key,
-                       _validate_columns)
+from .fairness import STRATEGIES, Allocation, sequential_sum
 
 #: Weight of the EWMAs tracking prediction error and shedding overhead
 #: (Section 4.3 sets alpha = 0.9 to react quickly).
@@ -76,7 +74,7 @@ class BufferDiscovery:
 
     def allowance(self) -> float:
         """Extra cycles the system may currently spend beyond the bin budget."""
-        if getattr(self, "max_rtthresh", None) is not None:
+        if self.max_rtthresh is not None:
             return min(self.rtthresh, self.max_rtthresh)
         return self.rtthresh
 
@@ -112,50 +110,22 @@ class ShedPlan:
     rates: Dict[str, float] = field(default_factory=dict)
     allocation: Optional[Allocation] = None
 
-    def rate(self, name: str) -> float:
-        return self.rates.get(name, 1.0)
-
-    @property
-    def tenant_shares(self) -> Optional[Dict[str, float]]:
-        """Per-tenant cycle shares when a two-tier allocation ran."""
-        if self.allocation is None:
-            return None
-        return self.allocation.tenant_shares
-
-    @property
-    def global_rate(self) -> float:
-        """Smallest applied rate (1.0 when no shedding happened)."""
-        return min(self.rates.values()) if self.rates else 1.0
-
 
 class LoadSheddingController:
     """Implements the per-bin decisions of Algorithm 1.
 
-    Parameters
-    ----------
-    strategy:
-        Allocation strategy name or callable (see :mod:`repro.core.fairness`).
-    safety_margin:
-        Extra multiplicative head-room applied on top of the EWMA error
-        correction (0 reproduces the paper exactly).
+    ``strategy`` names the allocation strategy, a key of
+    :data:`repro.core.fairness.STRATEGIES`.
     """
 
-    def __init__(self, strategy: Strategy = "eq_srates",
-                 safety_margin: float = 0.0) -> None:
-        self.strategy = get_strategy(strategy)
-        #: Registry name of the strategy (None for custom callables); the
-        #: columnar plan path dispatches named strategies straight to their
-        #: array kernels and only rebuilds QueryDemand objects for customs.
-        self.strategy_key = strategy_key(strategy)
-        self.safety_margin = float(safety_margin)
+    def __init__(self, strategy: str = "eq_srates") -> None:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; valid "
+                             f"strategies: {sorted(STRATEGIES)}")
+        self.strategy = strategy
         self.error_ewma = 0.0
         self.shedding_overhead_ewma = 0.0
         self.buffer_discovery = BufferDiscovery()
-        #: Most recent sampling rate granted to each query — an introspection
-        #: surface for operators/tests and the controller's only per-query
-        #: state; it must be dropped (``forget_query``) when a query is
-        #: removed so a later same-named query starts clean.
-        self.last_rates: Dict[str, float] = {}
 
     def configure_budget(self, per_bin_budget: float,
                          buffer_cycles: Optional[float] = None) -> None:
@@ -171,39 +141,25 @@ class LoadSheddingController:
         return (bin_budget - overhead_cycles +
                 (self.buffer_discovery.allowance() - delay))
 
-    def plan(self, demands: List[QueryDemand], bin_budget: float,
-             overhead_cycles: float, delay: float) -> ShedPlan:
-        """Decide the sampling rate of every query for the current bin."""
-        names = [d.name for d in demands]
-        predicted = np.array([d.predicted_cycles for d in demands],
-                             dtype=np.float64)
-        min_rates = np.array([d.min_sampling_rate for d in demands],
-                             dtype=np.float64)
-        return self.plan_arrays(names, predicted, min_rates, bin_budget,
-                                overhead_cycles, delay)
-
     def plan_arrays(self, names: Sequence[str], predicted: np.ndarray,
                     min_rates: np.ndarray, bin_budget: float,
                     overhead_cycles: float, delay: float,
                     tenants=None, rank: Optional[np.ndarray] = None
                     ) -> ShedPlan:
-        """Columnar :meth:`plan`: demand columns in, no per-bin objects.
+        """Decide the sampling rate of every query for the current bin.
 
         ``names`` / ``predicted`` / ``min_rates`` are aligned per-query
         columns (typically gathered from the system's
         :class:`~repro.core.fairness.QuerySlotTable`).  ``tenants`` is an
-        optional :class:`~repro.core.tenancy.TenantAssignment` routing named
-        strategies through the two-tier tenant allocator; ``rank`` is the
-        precomputed name-rank tie-break column.  Named strategies dispatch
-        straight to their array kernels; custom callables still receive the
-        classic corrected :class:`QueryDemand` list.
+        optional :class:`~repro.core.tenancy.TenantAssignment` routing the
+        strategy through the two-tier tenant allocator; ``rank`` is the
+        precomputed name-rank tie-break column.
         """
         predicted = np.asarray(predicted, dtype=np.float64)
         min_rates = np.asarray(min_rates, dtype=np.float64)
-        _validate_columns(predicted, min_rates)
         avail = self.available_cycles(bin_budget, overhead_cycles, delay)
         predicted_total = sequential_sum(predicted)
-        correction = (1.0 + self.error_ewma) * (1.0 + self.safety_margin)
+        correction = 1.0 + self.error_ewma
         corrected = predicted_total * correction
         overload = avail < corrected
         plan = ShedPlan(available_cycles=avail,
@@ -211,32 +167,22 @@ class LoadSheddingController:
                         corrected_prediction=corrected, overload=overload)
         if not overload or not len(names):
             plan.rates = {name: 1.0 for name in names}
-            self.last_rates.update(plan.rates)
             return plan
         # Cycles truly usable by queries once the shedding machinery has
         # taken its own share (Algorithm 1, line 9).
         usable = max(0.0, avail - self.shedding_overhead_ewma)
-        # Scale each query's corrected demand and let the strategy split it.
+        # Scale each query's demand by the error correction and let the
+        # strategy split the usable cycles.
         corrected_pred = predicted * correction
-        if tenants is not None and self.strategy_key is not None:
-            allocation = tenants.allocate(self.strategy_key, names,
+        if tenants is not None:
+            allocation = tenants.allocate(self.strategy, names,
                                           corrected_pred, min_rates, usable,
                                           rank=rank)
-        elif self.strategy_key is not None:
-            allocation = ARRAY_STRATEGIES[self.strategy_key](
-                names, corrected_pred, min_rates, usable, rank=rank)
         else:
-            corrected_demands = [
-                QueryDemand(name=name,
-                            predicted_cycles=float(cycles),
-                            min_sampling_rate=float(floor))
-                for name, cycles, floor
-                in zip(names, corrected_pred, min_rates)
-            ]
-            allocation = self.strategy(corrected_demands, usable)
+            allocation = STRATEGIES[self.strategy](
+                names, corrected_pred, min_rates, usable, rank=rank)
         plan.allocation = allocation
-        plan.rates = {name: allocation.rate(name) for name in names}
-        self.last_rates.update(plan.rates)
+        plan.rates = allocation.rates
         return plan
 
     # ------------------------------------------------------------------
@@ -268,17 +214,12 @@ class LoadSheddingController:
         self.buffer_discovery.update(used_cycles, available_cycles,
                                      buffer_occupation)
 
-    def forget_query(self, name: str) -> None:
-        """Drop all per-query state held for ``name`` (query removal)."""
-        self.last_rates.pop(name, None)
-
     def reset(self) -> None:
         initial_increment = self.buffer_discovery.initial_increment
         self.error_ewma = 0.0
         self.shedding_overhead_ewma = 0.0
         self.buffer_discovery = BufferDiscovery(
             initial_increment=initial_increment)
-        self.last_rates = {}
 
 
 def reactive_rate(previous_rate: float, consumed_cycles: float,

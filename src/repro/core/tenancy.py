@@ -33,8 +33,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .fairness import (Allocation, ARRAY_STRATEGIES, _validate_columns,
-                       _water_fill, name_ranks)
+from .fairness import (STRATEGIES, Allocation, _validate_columns,
+                       _water_fill, all_disabled, name_ranks)
 
 __all__ = [
     "TenantGroup", "parse_tenant_groups", "TenantRegistry",
@@ -263,17 +263,17 @@ class TenantAssignment:
     def allocate(self, key: str, names: Sequence[str], predicted: np.ndarray,
                  min_rates: np.ndarray, capacity: float,
                  rank: Optional[np.ndarray] = None) -> Allocation:
-        """Dispatch a named strategy over the tenanted columns.
+        """Dispatch the strategy named ``key`` over the tenanted columns.
 
-        ``eq_srates`` is tenant-agnostic by definition (one common rate for
-        everyone) — tenant floors still bind because they are folded into
+        The max-min strategies run the two-tier kernel.  Any other is
+        tenant-agnostic — ``eq_srates`` by definition (one common rate for
+        everyone): tenant floors still bind because they are folded into
         the effective per-query minimum rates, but budget ceilings and
-        weights do not apply.  The max-min strategies run the two-tier
-        kernel.
+        weights do not apply.
         """
-        if key == "eq_srates":
-            return ARRAY_STRATEGIES["eq_srates"](
-                names, predicted, min_rates, capacity, rank=rank)
+        if key not in ("mmfs_cpu", "mmfs_pkt"):
+            return STRATEGIES[key](names, predicted, min_rates, capacity,
+                                   rank=rank)
         return two_tier_allocate(
             names, predicted, min_rates, self.ids, self.registry, capacity,
             packet_fair=(key == "mmfs_pkt"), rank=rank)
@@ -310,9 +310,7 @@ def two_tier_allocate(names: Sequence[str], predicted: np.ndarray,
     count = len(predicted)
     _validate_columns(predicted, min_rates)
     if capacity <= 0.0:
-        return Allocation.from_arrays(
-            names, np.zeros(count), np.zeros(count),
-            np.ones(count, dtype=bool))
+        return all_disabled(names)
     if rank is None:
         rank = name_ranks(names)
     tenant_ids = np.asarray(tenant_ids, dtype=np.intp)
@@ -351,11 +349,7 @@ def two_tier_allocate(names: Sequence[str], predicted: np.ndarray,
         active[flat_order[keep:]] = False
     alive = np.flatnonzero(active)
     if alive.size == 0:
-        allocation = Allocation.from_arrays(
-            names, np.zeros(count), np.zeros(count),
-            np.ones(count, dtype=bool))
-        allocation.tenant_shares = {}
-        return allocation
+        return all_disabled(names, tenant_shares={})
 
     at = tenant_ids[alive]
     floors_a = floors[alive]
@@ -415,9 +409,6 @@ def two_tier_allocate(names: Sequence[str], predicted: np.ndarray,
         with np.errstate(divide="ignore", invalid="ignore"):
             rates[alive] = np.where(pred_a > 0.0,
                                     np.minimum(1.0, filled / pred_a), 1.0)
-    allocation = Allocation.from_arrays(names, rates, rates * predicted,
-                                        ~active)
-    allocation.tenant_shares = {
-        registry.names[slot]: float(shares[slot])
-        for slot in np.flatnonzero(present)}
-    return allocation
+    return Allocation(names, rates, rates * predicted, ~active,
+                      tenant_shares={registry.names[slot]: float(shares[slot])
+                                     for slot in np.flatnonzero(present)})

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core import game
-from ..core.fairness import QueryDemand, mmfs_cpu, mmfs_pkt
+from ..core.fairness import mmfs_cpu, mmfs_pkt
 from ..monitor.packet import PacketTrace
 from ..queries import EVALUATION_NINE
 from . import runner, scenarios
@@ -53,23 +53,23 @@ def figure_5_1_simulation_surface(
     light_cost = 1.0
     heavy_cost = heavy_cost_factor * light_cost
     total_demand = heavy_cost + n_light * light_cost
+    names = ["heavy"] + [f"light-{idx}" for idx in range(n_light)]
+    predicted = np.array([heavy_cost] + [light_cost] * n_light)
     avg_diff = np.zeros((len(min_rates), len(overloads)))
     min_diff = np.zeros_like(avg_diff)
     for i, m in enumerate(min_rates):
         for j, k in enumerate(overloads):
             capacity = total_demand * (1.0 - k)
-            demands = [QueryDemand("heavy", heavy_cost, m)]
-            demands += [QueryDemand(f"light-{idx}", light_cost, m)
-                        for idx in range(n_light)]
+            min_rate_column = np.full(len(names), float(m))
             per_strategy = {}
             for label, strategy in (("pkt", mmfs_pkt), ("cpu", mmfs_cpu)):
-                allocation = strategy(demands, capacity)
-                accs = [_heavy_accuracy(allocation.rate("heavy"))]
-                accs += [_light_accuracy(allocation.rate(f"light-{idx}"))
-                         for idx in range(n_light)]
+                allocation = strategy(names, predicted, min_rate_column,
+                                      capacity)
+                rates = allocation.rate_array
+                accs = [_heavy_accuracy(rates[0])]
+                accs += [_light_accuracy(rate) for rate in rates[1:]]
                 # Disabled queries contribute zero accuracy.
-                accs = [a if name not in allocation.disabled else 0.0
-                        for a, name in zip(accs, [d.name for d in demands])]
+                accs = np.where(allocation.disabled_mask, 0.0, accs)
                 per_strategy[label] = (float(np.mean(accs)), float(np.min(accs)))
             avg_diff[i, j] = per_strategy["pkt"][0] - per_strategy["cpu"][0]
             min_diff[i, j] = per_strategy["pkt"][1] - per_strategy["cpu"][1]

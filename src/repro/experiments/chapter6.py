@@ -98,7 +98,7 @@ def figure_6_3_enforcement_correction(scale: float = 1.0, overload: float = 0.5,
         queries = [make_query(name) for name in CHAPTER6_QUERIES
                    if name != "p2p-detector"]
         queries.append(p2p_query)
-        system = MonitoringSystem.from_config(
+        system = MonitoringSystem(
             runner.system_config(strategy="mmfs_pkt",
                                  cycles_per_second=capacity), queries)
         system.run(trace, time_bin=runner.TIME_BIN)
@@ -266,7 +266,7 @@ def figure_6_9_query_arrivals(scale: float = 1.0, overload: float = 0.4,
         base_specs + [spec for spec, _ in arriving], trace)
     capacity = base_capacity * (1.0 - overload)
 
-    system = MonitoringSystem.from_config(
+    system = MonitoringSystem(
         runner.system_config(strategy="mmfs_pkt",
                              cycles_per_second=capacity),
         runner.build_queries(base_specs))
@@ -306,7 +306,7 @@ def _misbehaving_run(query_cls, scale: float, overload: float,
     queries = runner.build_queries(well_behaved)
     offender = query_cls()
     queries.append(offender)
-    system = MonitoringSystem.from_config(
+    system = MonitoringSystem(
         runner.system_config(strategy="mmfs_pkt",
                              cycles_per_second=capacity), queries)
     result = system.run(trace, time_bin=runner.TIME_BIN)

@@ -176,7 +176,6 @@ class ScenarioMatrix:
     def __post_init__(self) -> None:
         # Every axis is validated up front: a typo must fail at construction
         # with a helpful message, not minutes later inside a pool worker.
-        from ..core.fairness import get_strategy
         from ..core.prediction import make_predictor
         from ..queries import parse_query_specs
         from ..queries import QuerySpec
@@ -208,7 +207,7 @@ class ScenarioMatrix:
                 raise ValueError(f"unknown mode {mode!r}; valid modes: "
                                  f"{MODES} (aliases: {sorted(MODE_ALIASES)})")
         for strategy in self.strategies:
-            get_strategy(strategy)
+            runner.system_config(strategy=strategy)  # raises, listing them
         for predictor in self.predictors:
             make_predictor(predictor)
         for shards in self.num_shards:

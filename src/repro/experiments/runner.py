@@ -29,7 +29,7 @@ from ..monitor import metrics
 from ..monitor.config import SystemConfig
 from ..monitor.packet import PacketTrace, as_trace
 from ..monitor.query import SAMPLING_FLOW, Query
-from ..monitor.sharding import ShardedSystem
+from ..monitor.sharding import build_system
 from ..monitor.system import ExecutionResult, MonitoringSystem
 from ..queries import QuerySpec, make_query
 
@@ -52,7 +52,7 @@ def system_config(**overrides) -> SystemConfig:
     library defaults for everything else; any field of ``SystemConfig`` can
     be overridden — overrides always win over the harness defaults.  This is
     the canonical way for experiments to build the config they hand to
-    :func:`run_system` / :meth:`MonitoringSystem.from_config`.
+    :func:`run_system` / :meth:`SystemConfig.build`.
     """
     return SystemConfig(**{**FEATURE_CONFIG, **overrides})
 
@@ -156,7 +156,7 @@ def reference_system(queries: Iterable[Query], budget: Optional[CycleBudget] = N
     config = _resolve_config(config, mode="reference")
     if budget is not None:
         config = config.replace(cycles_per_second=budget.cycles_per_second)
-    return MonitoringSystem.from_config(config, queries)
+    return config.build(queries)
 
 
 def calibrate_capacity(query_names: Sequence[str], trace: PacketTrace,
@@ -255,15 +255,10 @@ def run_system(query_names: Optional[Sequence] = None,
             raise ValueError("run_system needs query_names or a config with "
                              "a declarative 'queries' field")
         query_names = config.queries
-    trace = as_trace(trace)
-    if config.num_shards > 1:
-        sharded = ShardedSystem(
-            lambda: build_queries(query_names, query_kwargs), config=config,
-            n_workers=int(n_workers), respect_cores=bool(respect_cores))
-        return sharded.run(trace, time_bin=time_bin)
-    queries = build_queries(query_names, query_kwargs)
-    system = MonitoringSystem.from_config(config, queries)
-    return system.run(trace, time_bin=time_bin)
+    system = build_system(
+        config, lambda: build_queries(query_names, query_kwargs),
+        n_workers=int(n_workers), respect_cores=bool(respect_cores))
+    return system.run(as_trace(trace), time_bin=time_bin)
 
 
 def ingest_trace(session, trace_or_store, close: bool = True):

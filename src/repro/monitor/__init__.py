@@ -7,7 +7,6 @@ from .packet import (PROTO_ICMP, PROTO_TCP, PROTO_UDP, Batch, Packet,
                      PacketTrace, StreamingTrace, as_trace, format_ip, ip)
 from .query import (SAMPLING_CUSTOM, SAMPLING_FLOW, SAMPLING_PACKET, Query,
                     QueryResultLog)
-from .pipeline import BinPipeline
 from .session import MonitoringSession
 from .sharding import ShardedSession, ShardedSystem
 from .system import (BinRecord, ExecutionResult, MonitoringSystem)
@@ -15,7 +14,6 @@ from .workers import ShardExecutionWarning, ShardWorkerError, ShardWorkerPool
 
 __all__ = [
     "Batch",
-    "BinPipeline",
     "BinRecord",
     "BufferStatus",
     "CaptureBuffer",

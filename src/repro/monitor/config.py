@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..core.cycles import CycleBudget
 from ..core.fairness import STRATEGIES
@@ -65,9 +65,10 @@ def _unknown_fields_error(unknown: Iterable[str],
 class SystemConfig:
     """Frozen, validated value object holding every system knob.
 
-    Parameters mirror :class:`~repro.monitor.system.MonitoringSystem`; the
-    one representational difference is the cycle budget: a config stores the
-    scalar ``cycles_per_second`` (``None`` = the default host capacity)
+    A :class:`~repro.monitor.system.MonitoringSystem` is built from one and
+    reads its knobs from it.  ``strategy`` is a name registered in
+    :data:`repro.core.fairness.STRATEGIES`.  The cycle budget is stored as
+    the scalar ``cycles_per_second`` (``None`` = the default host capacity)
     rather than a :class:`~repro.core.cycles.CycleBudget` object, because the
     per-bin budget is always rebuilt from the execution's ``time_bin`` anyway
     and a scalar keeps the config JSON-serialisable.
@@ -82,7 +83,7 @@ class SystemConfig:
     """
 
     mode: str = "predictive"
-    strategy: Union[str, Callable] = "eq_srates"
+    strategy: str = "eq_srates"
     predictor: str = "mlr"
     predictor_kwargs: Dict[str, Any] = field(default_factory=dict)
     cycles_per_second: Optional[float] = None
@@ -126,10 +127,12 @@ class SystemConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; valid modes: "
                              f"{MODES} (aliases: {sorted(MODE_ALIASES)})")
-        if not callable(self.strategy) and self.strategy not in STRATEGIES:
+        if not isinstance(self.strategy, str) \
+                or self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; valid strategies: "
-                f"{tuple(sorted(STRATEGIES))} (or any callable)")
+                f"{sorted(STRATEGIES)} (a strategy is a name: register a "
+                "kernel in repro.core.fairness.STRATEGIES to add one)")
         if self.predictor not in PREDICTOR_KINDS:
             raise ValueError(f"unknown predictor {self.predictor!r}; "
                              f"valid predictors: {PREDICTOR_KINDS}")
@@ -189,14 +192,6 @@ class SystemConfig:
                         "derived)")
 
     # ------------------------------------------------------------------
-    @property
-    def strategy_name(self) -> str:
-        """What an execution result calls the strategy: its registered
-        name, or a callable's ``__name__``."""
-        if isinstance(self.strategy, str):
-            return self.strategy
-        return getattr(self.strategy, "__name__", "custom")
-
     def replace(self, **changes: Any) -> "SystemConfig":
         """A copy with the given fields changed (and re-validated)."""
         valid = {f.name for f in dataclasses.fields(self)}
@@ -206,17 +201,7 @@ class SystemConfig:
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain, JSON-serialisable dict representation.
-
-        Raises ``TypeError`` when the strategy is a callable — function
-        objects cannot round-trip through serialisation; register the
-        strategy under a name instead.
-        """
-        if callable(self.strategy):
-            raise TypeError(
-                "a SystemConfig with a callable strategy is not serialisable;"
-                " register it in repro.core.fairness.STRATEGIES and refer to"
-                " it by name")
+        """Plain, JSON-serialisable dict representation."""
         data = {f.name: getattr(self, f.name)
                 for f in dataclasses.fields(self)}
         data["predictor_kwargs"] = dict(self.predictor_kwargs)
@@ -274,9 +259,7 @@ class SystemConfig:
         automatically).
         """
         from .system import MonitoringSystem
-        if queries is None:
-            queries = self.build_queries()
-        return MonitoringSystem.from_config(self, queries)
+        return MonitoringSystem(self, queries)
 
 
 __all__ = [

@@ -1,11 +1,10 @@
-"""The per-bin data path as composable pipeline stages.
+"""The per-bin data path: Figure 3.2 as a fixed sequence of stages.
 
-Historically :meth:`MonitoringSystem._process_bin` was one ~110-line method
-that executed the whole of Figure 3.2 for a time bin.  This module breaks
-that data path into explicit, reusable stage objects so a bin can be driven
-identically by a single :class:`~repro.monitor.system.MonitoringSystem`, by
-a streaming :class:`~repro.monitor.session.MonitoringSession`, or by one
-shard worker of a :class:`~repro.monitor.sharding.ShardedSystem`:
+:func:`process_bin` drives one time bin of a
+:class:`~repro.monitor.system.MonitoringSystem` through
+:data:`DEFAULT_STAGES`; every execution shape — ``system.run(trace)``, a
+streaming :class:`~repro.monitor.session.MonitoringSession`, a shard of a
+:class:`~repro.monitor.sharding.ShardedSystem` — is a session calling it:
 
 ``IntervalFlushStage``
     Open the bin on the cycle clock, determine the active queries and flush
@@ -33,8 +32,8 @@ shard worker of a :class:`~repro.monitor.sharding.ShardedSystem`:
 
 Stages share a mutable :class:`BinContext` and are stateless themselves;
 all cross-bin state lives on the system (controller, enforcer, runtimes), so
-one stage tuple instance can drive any number of systems concurrently.  A
-stage that finishes the bin early sets ``ctx.record`` and the pipeline stops.
+the one stage tuple drives every system in the process.  A stage that
+finishes the bin early sets ``ctx.record`` and the bin stops there.
 """
 
 from __future__ import annotations
@@ -225,8 +224,8 @@ class SystemOverheadStage:
     """Charge the CoMo base cost of touching the batch."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        ctx.como = (system.system_overhead_fixed +
-                    system.system_overhead_per_packet * len(ctx.batch))
+        ctx.como = (system.config.system_overhead_fixed +
+                    system.config.system_overhead_per_packet * len(ctx.batch))
         ctx.clock.charge_system(ctx.como)
 
 
@@ -359,56 +358,42 @@ DEFAULT_STAGES = (
 )
 
 
-class BinPipeline:
-    """Drives one time bin through an ordered tuple of stages.
-
-    The default stage tuple reproduces the historical monolithic
-    ``_process_bin`` bit for bit; custom pipelines can insert, replace or
-    drop stages (e.g. a tap stage for telemetry) as long as the stages they
-    keep see the context fields they expect.
-    """
-
-    def __init__(self, stages: Optional[Sequence] = None) -> None:
-        self.stages = tuple(stages) if stages is not None else DEFAULT_STAGES
-
-    def process(self, system: "MonitoringSystem", index: int, batch: Batch,
+def process_bin(system: "MonitoringSystem", index: int, batch: Batch,
                 clock: "CycleClock", buffer: CaptureBuffer) -> BinRecord:
-        """Run ``batch`` through the stages and return the bin's record."""
-        ctx = BinContext(index=index, batch=batch, clock=clock, buffer=buffer)
-        profiler = system.profiler
-        bin_seconds = 0.0
-        for stage in self.stages:
-            cycles_before = clock.current.total
-            started = perf_counter()
-            stage.run(system, ctx)
-            elapsed = perf_counter() - started
-            cycles_after = clock.current.total
-            # ``start_bin``/``end_bin`` inside a stage reset or close the
-            # usage record; a shrinking total means the stage opened a
-            # fresh bin, so its own charges are the post value.
-            delta = cycles_after - cycles_before
-            if delta < 0.0:
-                delta = cycles_after
-            profiler.record(type(stage).__name__, elapsed, delta)
-            bin_seconds += elapsed
-            if ctx.record is not None:
-                break
-        profiler.end_bin(bin_seconds)
-        # What the extractors memoised on the bin's batches is keyed by
-        # interval banks they have all moved on from; a trace that keeps
-        # its bins must not keep one bank per query and bin with them.
-        for sub_batch in ctx.filtered.values():
-            sub_batch.forget(INTERVAL_MEMO)
-        if ctx.record is None:  # pragma: no cover - defensive
-            raise RuntimeError("pipeline finished without producing a record")
-        return ctx.record
+    """Run ``batch`` through :data:`DEFAULT_STAGES`; returns the bin's
+    record."""
+    ctx = BinContext(index=index, batch=batch, clock=clock, buffer=buffer)
+    profiler = system.profiler
+    bin_seconds = 0.0
+    for stage in DEFAULT_STAGES:
+        cycles_before = clock.current.total
+        started = perf_counter()
+        stage.run(system, ctx)
+        elapsed = perf_counter() - started
+        cycles_after = clock.current.total
+        # ``start_bin``/``end_bin`` inside a stage reset or close the
+        # usage record; a shrinking total means the stage opened a
+        # fresh bin, so its own charges are the post value.
+        delta = cycles_after - cycles_before
+        if delta < 0.0:
+            delta = cycles_after
+        profiler.record(type(stage).__name__, elapsed, delta)
+        bin_seconds += elapsed
+        if ctx.record is not None:
+            break
+    profiler.end_bin(bin_seconds)
+    # What the extractors memoised on the bin's batches is keyed by
+    # interval banks they have all moved on from; a trace that keeps
+    # its bins must not keep one bank per query and bin with them.
+    for sub_batch in ctx.filtered.values():
+        sub_batch.forget(INTERVAL_MEMO)
+    return ctx.record
 
 
 __all__ = [
     "AccountingStage",
     "AdmissionStage",
     "BinContext",
-    "BinPipeline",
     "BinRecord",
     "DEFAULT_STAGES",
     "ExecutionStage",
@@ -417,4 +402,5 @@ __all__ = [
     "PredictionStage",
     "RateDecisionStage",
     "SystemOverheadStage",
+    "process_bin",
 ]

@@ -18,9 +18,9 @@ reconfigured live — the Chapter 6 dynamic scenario:
 
 * :meth:`add_query` / :meth:`remove_query` model query arrivals and
   departures (Figure 6.9); a departing query's last partial measurement
-  interval is flushed at the boundary it leaves at, and its
-  enforcement/controller state is dropped so a later same-named query
-  starts clean.
+  interval is flushed at the boundary it leaves at (and finished by its own
+  class, whoever takes the name next), and its enforcement state is dropped
+  so a later same-named query starts clean.
 * :meth:`set_capacity` models the host capacity changing under the system
   (CPU frequency scaling, co-located jobs).
 
@@ -51,6 +51,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.cycles import CycleBudget, CycleClock
 from .capture import CaptureBuffer
 from .packet import Batch, as_trace
+from .pipeline import process_bin
 from .query import Query
 from .system import BinRecord, ExecutionResult, MonitoringSystem
 
@@ -95,17 +96,15 @@ class MonitoringSession:
         self._pending: List[Tuple] = []
         #: The queries registered, counting queued arrivals and departures.
         self._query_names: List[str] = list(system.query_names)
-        #: Class of every query that ever ran here (a departed one's last
-        #: partial still goes through its ``finalize``).
-        self._query_classes: Dict[str, type] = {
-            name: type(system.runtime(name).query)
-            for name in self._query_names}
         self._next_index = 0
         self._last_start_ts: Optional[float] = None
         #: What :meth:`ingest` / :meth:`close` have accumulated.
-        self._result = ExecutionResult(system.mode, system.strategy_name,
+        self._result = ExecutionResult(system.mode, system.config.strategy,
                                        name, self.budget)
         self._result.open_logs(self._query_names)
+        for query_name in self._query_names:
+            self._result.query_arrives(
+                query_name, type(system.runtime(query_name).query))
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -167,8 +166,8 @@ class MonitoringSession:
         if self.closed:
             raise RuntimeError("cannot ingest into a closed session")
         self._apply_pending(batch.start_ts)
-        record = self.system._process_bin(self._next_index, batch, self.clock,
-                                          self.buffer)
+        record = process_bin(self.system, self._next_index, batch, self.clock,
+                             self.buffer)
         self._next_index += 1
         self._last_start_ts = float(batch.start_ts)
         return record, self._take_flushed()
@@ -198,9 +197,7 @@ class MonitoringSession:
     def _fold(self, flushed: List[Tuple]) -> None:
         """What a bin boundary produced, into the session's own result."""
         self._result.open_logs(self._query_names)
-        for name, interval_start, partial in flushed:
-            self._result.add_interval(self._query_classes[name], name,
-                                      interval_start, (partial,))
+        self._result.add_intervals((flushed,))
 
     def ingest_trace(self, source) -> "MonitoringSession":
         """Stream every bin of ``source`` through :meth:`ingest`.
@@ -299,10 +296,10 @@ class MonitoringSession:
         """Deregister a query at the next bin boundary (a query departure).
 
         The query's final partial measurement interval is flushed at that
-        boundary (its log stays in the result; a same-named query arriving
-        later appends to it), and all per-query enforcement and controller
-        state is dropped, so a same-named query added later starts with a
-        clean slate.
+        boundary and finished by the departing query's own class (its log
+        stays in the result; a same-named query arriving later, even at that
+        very boundary, appends to it), and all per-query enforcement state is
+        dropped, so a same-named query added later starts with a clean slate.
         """
         if self.closed:
             raise RuntimeError("cannot reconfigure a closed session")
@@ -342,7 +339,8 @@ class MonitoringSession:
                     start_time = (boundary_ts if boundary_ts is not None
                                   else self._next_boundary_ts())
                 self.system.add_query(query, start_time=start_time)
-                self._query_classes[query.name] = type(query)
+                self._result.query_arrives(query.name, type(query),
+                                           boundary=self._next_index)
             elif kind == "remove":
                 name = op[1]
                 self.system._flush_runtime_final(self.system.runtime(name))

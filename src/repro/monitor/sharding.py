@@ -254,16 +254,22 @@ class ShardedSystem:
 
 
 def build_system(config: SystemConfig,
-                 query_factory: Optional[Callable[[], List[Query]]] = None):
+                 query_factory: Optional[Callable[[], List[Query]]] = None,
+                 n_workers: int = 1, respect_cores: bool = True):
     """The system ``config`` describes: sharded when it says so.
 
-    What a session executor opens each of its sessions from — a shard's
-    config builds a :class:`~repro.monitor.system.MonitoringSystem`, a
-    fleet node's may nest a whole :class:`ShardedSystem`.
-    ``query_factory=None`` uses the config's declarative ``queries``.
+    The one place that decides serial versus sharded.  Whoever opens the
+    session a config describes goes through it — ``runner.run_system``, the
+    serve daemon, and a session executor for each of its sessions (a
+    shard's config builds a :class:`~repro.monitor.system.MonitoringSystem`,
+    a fleet node's may nest a whole :class:`ShardedSystem`) — and gets back
+    something with ``open_session(time_bin=, name=)`` and ``run(trace)``.
+    ``query_factory=None`` uses the config's declarative ``queries``;
+    ``n_workers`` / ``respect_cores`` are a sharded system's parallelism.
     """
     if config.num_shards > 1:
-        return ShardedSystem(query_factory, config=config)
+        return ShardedSystem(query_factory, config=config,
+                             n_workers=n_workers, respect_cores=respect_cores)
     return config.build(None if query_factory is None else query_factory())
 
 
@@ -444,16 +450,14 @@ class ShardedSession:
         # question about it needs a round trip to a worker.
         self._bins_ingested = 0
         self._query_names: List[str] = list(sharded.query_names)
-        #: Query class per name, for every query that ever lived in this
-        #: session: whose ``merge_partials`` / ``finalize`` a delivered
-        #: partial goes through (a departed query's last one arrives after
-        #: it left).
-        self._query_classes: Dict[str, type] = dict(sharded.query_classes)
-        #: The node's own bins and query logs, folded from the deliveries.
-        self._result = ExecutionResult(sharded.mode,
-                                       sharded.config.strategy_name,
+        #: The node's own bins and query logs, folded from the deliveries
+        #: (each interval finished by the class its query had when it was
+        #: flushed, which the result keeps track of).
+        self._result = ExecutionResult(sharded.mode, sharded.config.strategy,
                                        name, self.budget)
         self._result.open_logs(self._query_names)
+        for query_name, query_cls in sharded.query_classes.items():
+            self._result.query_arrives(query_name, query_cls)
         self._merge_stats = {"intervals_merged": 0, "merge_seconds": 0.0,
                              "divergences": 0}
         #: (packets, total cycles) each shard reported for the previous bin.
@@ -545,8 +549,7 @@ class ShardedSession:
                     self._prev_load[index] = (record.incoming_packets,
                                               record.total_cycles)
                 merged = self._result.add_bin(records)
-            if any(shipped):
-                self._fold_partials(shipped)
+            self._fold_partials(shipped)
         return merged
 
     def _fold_partials(self, shipped: Sequence[Sequence[tuple]]) -> None:
@@ -561,10 +564,7 @@ class ShardedSession:
         for index, boundaries in enumerate(flushed[1:], start=1):
             if boundaries != flushed[0]:
                 raise self._diverged(index, flushed[0], boundaries)
-        for position, (name, interval_start) in enumerate(flushed[0]):
-            self._result.add_interval(
-                self._query_classes[name], name, interval_start,
-                [shard[position][2] for shard in shipped])
+        self._result.add_intervals(shipped)
         self._merge_stats["intervals_merged"] += len(flushed[0])
         self._merge_stats["merge_seconds"] += perf_counter() - started
 
@@ -641,10 +641,10 @@ class ShardedSession:
         ``workers`` backend they are copied out of the worker processes at
         the current bin boundary (the workers keep streaming).  What the
         node keeps — its accumulated result (merged bins and query logs,
-        per-tenant cycle totals and the possibly ``set_capacity``-adjusted
-        total budget) and the query-class registry that drives result
-        merging — rides along so a restored session continues
-        bit-identically.  Serialise
+        per-tenant cycle totals, the possibly ``set_capacity``-adjusted
+        total budget and the query classes that finish the intervals) —
+        rides along so a restored session continues bit-identically.
+        Serialise
         the payload immediately (it aliases live objects on the in-process
         backend); :mod:`repro.serve.checkpoint` wraps it in the on-disk
         format.
@@ -660,7 +660,6 @@ class ShardedSession:
             "config": self.sharded.config,
             "shard_sessions": shard_sessions,
             "result": self._result,
-            "query_classes": dict(self._query_classes),
             "bins_ingested": self._bins_ingested,
             "query_names": list(self._query_names),
         }
@@ -703,7 +702,6 @@ class ShardedSession:
             raise
         session._bins_ingested = int(state["bins_ingested"])
         session._query_names = list(state["query_names"])
-        session._query_classes = dict(state["query_classes"])
         session._result = result
         return session
 
@@ -732,13 +730,14 @@ class ShardedSession:
         for shard, query in enumerate(instances):
             self._executor.add_query(shard, query, start_time=start_time)
         self._query_names.append(name)
-        self._query_classes[name] = type(instances[0])
+        self._result.query_arrives(name, type(instances[0]),
+                                   boundary=self._bins_ingested)
 
     def remove_query(self, name: str) -> None:
         """Deregister a query from every shard.
 
-        The query's class stays registered for result merging: its flushed
-        intervals remain part of the session's merged result.
+        Its flushed intervals, the last one included, remain part of the
+        session's merged result, merged and finished by its own class.
         """
         if self.closed:
             raise RuntimeError("cannot reconfigure a closed session")

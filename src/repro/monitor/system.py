@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from ..core.custom import CustomShedEnforcer
-from ..core.cycles import CycleBudget, CycleClock
+from ..core.cycles import CycleBudget
 from ..core.fairness import QuerySlotTable
 from ..core.features import (FeatureExtractor, FeatureSharing,
                              FeatureVector)
@@ -38,10 +38,10 @@ from ..core.prediction import CyclePredictor, make_predictor
 from ..core.sampling import FlowSampler, PacketSampler
 from ..core.shedding import LoadSheddingController, reactive_rate
 from ..core.tenancy import TenantAssignment, TenantRegistry
-from .capture import CaptureBuffer
+from ..profile import StageProfiler
 from .config import MODES, MODE_ALIASES, SystemConfig
 from .packet import Batch, PacketTrace, as_trace
-from .pipeline import BinPipeline, BinRecord
+from .pipeline import BinRecord
 from .query import (SAMPLING_CUSTOM, SAMPLING_FLOW, Query, QueryResultLog)
 
 __all__ = ["BinRecord", "ExecutionResult", "MonitoringSystem",
@@ -81,8 +81,8 @@ def merge_query_logs(logs: Iterable[QueryResultLog],
 
 class ExecutionResult:
     """Result of running a system over a trace, and the accumulator every
-    tier builds it in: a bin's records fold in through :meth:`add_bin`, a
-    flushed interval's partials through :meth:`add_interval` — one of each
+    tier builds it in: a bin's records fold in through :meth:`add_bin`,
+    what a bin boundary flushed through :meth:`add_intervals` — one of each
     from a whole monitor, N from the shards of a node.
     """
 
@@ -95,6 +95,11 @@ class ExecutionResult:
         self.bins: List[BinRecord] = []
         self.query_logs: Dict[str, QueryResultLog] = {}
         self._tenant_cycles: Dict[str, float] = {}
+        #: The class that finishes what is flushed under each query name,
+        #: and the ``(bin boundary, name, class)`` arrivals not yet in
+        #: effect.
+        self._query_classes: Dict[str, type] = {}
+        self._arriving: List[tuple] = []
 
     # -- accumulation -------------------------------------------------------
     def add_bin(self, records: Sequence[BinRecord]) -> BinRecord:
@@ -117,19 +122,52 @@ class ExecutionResult:
             if name not in self.query_logs:
                 self.query_logs[name] = QueryResultLog(name)
 
-    def add_interval(self, query_cls: type, name: str, interval_start: float,
-                     partials: Sequence) -> None:
-        """Finish one flushed measurement interval of query ``name`` from
-        the partials of its flow-disjoint sub-streams and log the result.
+    def query_arrives(self, name: str, query_cls: type,
+                      boundary: int = -1) -> None:
+        """A query of class ``query_cls`` takes the name ``name`` at bin
+        boundary ``boundary`` (the index of the first bin it sees; default:
+        it was there from the start).
 
-        One partial is finalised as it is (what ``interval_result()``
-        does); several fold through ``query_cls.merge_partials`` first.
+        What that boundary itself flushes under the name still belongs to
+        whoever held it before — a departed query's last interval is
+        finished by its own class; the arrival finishes what later
+        boundaries flush.
         """
-        partial = partials[0] if len(partials) == 1 \
-            else query_cls.merge_partials(partials)
-        self.open_logs((name,))
-        self.query_logs[name].append(interval_start,
-                                     query_cls.finalize(partial))
+        self._arriving.append((boundary, name, query_cls))
+        self._admit_arrivals()
+
+    def _admit_arrivals(self) -> None:
+        """Arrivals at a boundary already folded come into effect."""
+        waiting = []
+        for arrival in self._arriving:
+            boundary, name, query_cls = arrival
+            if boundary < len(self.bins):
+                self._query_classes[name] = query_cls
+            else:
+                waiting.append(arrival)
+        self._arriving = waiting
+
+    def add_intervals(self, flushed: Sequence[Sequence[tuple]]) -> None:
+        """Fold what one bin boundary (its bin already added) or the end
+        of the execution flushed: ``flushed[i]`` is the ``(query name,
+        interval start, partial)`` list of sub-stream ``i``, all naming the
+        same intervals in the same order.
+
+        An interval is finished by the class registered for its name
+        (:meth:`query_arrives`): one partial is finalised as it is (what
+        ``interval_result()`` does), several flow-disjoint ones fold
+        through ``merge_partials`` first.
+        """
+        for entries in zip(*flushed):
+            name, interval_start, partial = entries[0]
+            query_cls = self._query_classes[name]
+            if len(entries) > 1:
+                partial = query_cls.merge_partials(
+                    [entry[2] for entry in entries])
+            self.open_logs((name,))
+            self.query_logs[name].append(interval_start,
+                                         query_cls.finalize(partial))
+        self._admit_arrivals()
 
     def snapshot(self) -> "ExecutionResult":
         """A copy that stays as it is while this result keeps growing
@@ -286,97 +324,36 @@ class _QueryRuntime:
 class MonitoringSystem:
     """A CoMo-like monitoring system with pluggable load shedding.
 
-    Parameters
-    ----------
-    queries:
-        Initial query set (more can be added with :meth:`add_query`).
-    mode:
-        One of ``predictive``, ``reactive``, ``original``, ``reference``.
-    strategy:
-        Allocation strategy for the predictive mode (``eq_srates``,
-        ``mmfs_cpu``, ``mmfs_pkt`` or a callable).
-    predictor:
-        Predictor kind for the predictive mode (``mlr``, ``slr``, ``ewma``).
-    budget:
-        Cycle capacity of the host; defaults to 3e8 cycles per 100 ms bin.
-    buffer_seconds:
-        Capture buffer size expressed in seconds of backlog (None = infinite).
-    support_custom_shedding:
-        Whether custom load shedding is honoured (Chapter 6); when False,
-        custom queries fall back to packet sampling (the system of Fig. 6.6).
-    measurement_noise:
-        Relative standard deviation of the cycle measurement noise.
+    Built from its :class:`SystemConfig` (``config.build(queries)`` is the
+    documented route) and reading every knob from ``self.config``:
+    operating mode, allocation strategy, predictor kind, host capacity,
+    capture buffer, whether custom load shedding is honoured (Chapter 6;
+    when not, custom queries fall back to packet sampling, the system of
+    Fig. 6.6), measurement noise, CoMo overheads.  ``queries`` is the
+    initial query set (default: the config's own declarative mix); more
+    can be added with :meth:`add_query`.
     """
 
-    def __init__(
-        self,
-        queries: Optional[Iterable[Query]] = None,
-        mode: str = "predictive",
-        strategy: str = "eq_srates",
-        predictor: str = "mlr",
-        predictor_kwargs: Optional[dict] = None,
-        budget: Optional[CycleBudget] = None,
-        buffer_seconds: Optional[float] = 0.2,
-        support_custom_shedding: bool = True,
-        feature_method: str = "bitmap",
-        feature_kwargs: Optional[dict] = None,
-        measurement_noise: float = 0.0,
-        system_overhead_fixed: float = 2e4,
-        system_overhead_per_packet: float = 20.0,
-        reactive_min_rate: float = 0.0,
-        seed: int = 0,
-    ) -> None:
-        # All validation lives in SystemConfig: typo'd modes, strategies and
-        # predictors fail here, eagerly, with the valid options listed.
-        config = SystemConfig(
-            mode=mode, strategy=strategy, predictor=predictor,
-            predictor_kwargs=predictor_kwargs or {},
-            cycles_per_second=(None if budget is None
-                               else budget.cycles_per_second),
-            buffer_seconds=buffer_seconds,
-            support_custom_shedding=support_custom_shedding,
-            feature_method=feature_method,
-            feature_kwargs=feature_kwargs or {},
-            measurement_noise=measurement_noise,
-            system_overhead_fixed=system_overhead_fixed,
-            system_overhead_per_packet=system_overhead_per_packet,
-            reactive_min_rate=reactive_min_rate, seed=seed)
-        self._init_from_config(config, budget=budget, queries=queries)
-
-    @classmethod
-    def from_config(cls, config: SystemConfig,
-                    queries: Optional[Iterable[Query]] = None
-                    ) -> "MonitoringSystem":
-        """Construct a system from a :class:`SystemConfig` value object."""
-        system = cls.__new__(cls)
-        system._init_from_config(config, queries=queries)
-        return system
-
-    def _init_from_config(self, config: SystemConfig,
-                          budget: Optional[CycleBudget] = None,
-                          queries: Optional[Iterable[Query]] = None) -> None:
+    def __init__(self, config: Optional[SystemConfig] = None,
+                 queries: Optional[Iterable[Query]] = None) -> None:
+        if config is None:
+            config = SystemConfig()
+        elif not isinstance(config, SystemConfig):
+            raise TypeError(
+                f"a MonitoringSystem is built from a SystemConfig, got "
+                f"{type(config).__name__}: MonitoringSystem(config, queries)"
+                " or config.build(queries)")
         if config.num_shards != 1:
             raise ValueError(
                 f"a MonitoringSystem is a single shard; num_shards="
                 f"{config.num_shards} requires repro.monitor.sharding."
-                "ShardedSystem (runner.run_system routes there "
+                "build_system (runner.run_system routes there "
                 "automatically)")
         self.config = config
         self.mode = config.mode
-        self.strategy_name = config.strategy_name
-        self.predictor_kind = config.predictor
-        self.predictor_kwargs = dict(config.predictor_kwargs)
-        self.budget = budget if budget is not None else config.make_budget()
+        self.budget = config.make_budget()
         self.buffer_seconds = None if config.mode == "reference" \
             else config.buffer_seconds
-        self.support_custom_shedding = config.support_custom_shedding
-        self.feature_method = config.feature_method
-        self.feature_kwargs = dict(config.feature_kwargs)
-        self.measurement_noise = config.measurement_noise
-        self.system_overhead_fixed = config.system_overhead_fixed
-        self.system_overhead_per_packet = config.system_overhead_per_packet
-        self.reactive_min_rate = config.reactive_min_rate
-        self.seed = config.seed
         self._rng = np.random.default_rng(config.seed)
 
         self.controller = LoadSheddingController(strategy=config.strategy)
@@ -385,10 +362,7 @@ class MonitoringSystem:
         #: bank and the sharing counters.
         self.feature_states = FeatureSharing()
         #: Per-stage wall-time/cycle telemetry (see :mod:`repro.profile`).
-        from ..profile import StageProfiler
         self.profiler = StageProfiler()
-        #: Per-bin data path; replaceable with a custom stage tuple.
-        self.pipeline = BinPipeline()
         #: Columnar per-tenant state + query→tenant membership (queries
         #: outside declared groups become implicit singleton tenants).
         self.tenant_registry = TenantRegistry(config.tenants or ())
@@ -417,11 +391,13 @@ class MonitoringSystem:
         if query.name in self._runtimes:
             raise ValueError(f"a query named {query.name!r} is already registered")
         seed = int(self._rng.integers(0, 2 ** 31))
-        predictor = make_predictor(self.predictor_kind, **self.predictor_kwargs)
+        config = self.config
+        predictor = make_predictor(config.predictor,
+                                   **config.predictor_kwargs)
         extractor = FeatureExtractor(
             measurement_interval=query.measurement_interval,
-            method=self.feature_method,
-            counter_kwargs=self.feature_kwargs,
+            method=config.feature_method,
+            counter_kwargs=config.feature_kwargs,
             sharing=self.feature_states,
         )
         if query.sampling_method == SAMPLING_FLOW:
@@ -429,7 +405,7 @@ class MonitoringSystem:
                                   measurement_interval=query.measurement_interval)
         else:
             sampler = PacketSampler(rng=np.random.default_rng(seed))
-        query.meter.noise_std = self.measurement_noise
+        query.meter.noise_std = config.measurement_noise
         query.meter.reseed(seed + 1)
         runtime = _QueryRuntime(
             query, start_time, predictor, extractor, sampler, seed)
@@ -446,15 +422,14 @@ class MonitoringSystem:
     def remove_query(self, name: str) -> None:
         """Deregister a query and forget all per-query shedding state.
 
-        Dropping the enforcement and controller records matters when a
-        same-named query is later re-added mid-experiment: a fresh query must
-        not inherit the violation history (or correction factor) of the old
-        one, which would get it disabled for sins it never committed.
+        Dropping the enforcement record matters when a same-named query is
+        later re-added mid-experiment: a fresh query must not inherit the
+        violation history of the old one, which would get it disabled for
+        sins it never committed.
         """
         self._runtimes.pop(name, None)
         self.demand_table.remove(name)
         self.enforcer.reset(name)
-        self.controller.forget_query(name)
 
     @property
     def query_names(self) -> List[str]:
@@ -464,8 +439,9 @@ class MonitoringSystem:
         return self._runtimes[name]
 
     def _uses_custom(self, runtime: _QueryRuntime) -> bool:
-        return (self.mode == "predictive" and self.support_custom_shedding and
-                runtime.query.sampling_method == SAMPLING_CUSTOM)
+        return (self.mode == "predictive"
+                and self.config.support_custom_shedding
+                and runtime.query.sampling_method == SAMPLING_CUSTOM)
 
     # ------------------------------------------------------------------
     # Execution
@@ -545,17 +521,6 @@ class MonitoringSystem:
             self._flush_runtime_final(runtime)
 
     # ------------------------------------------------------------------
-    def _process_bin(self, index: int, batch: Batch, clock: CycleClock,
-                     buffer: CaptureBuffer) -> BinRecord:
-        """Drive one time bin through the stage pipeline (Figure 3.2).
-
-        The stages live in :mod:`repro.monitor.pipeline`; this method is the
-        single entry point every execution shape (``run()``, streaming
-        sessions, shard workers) funnels through.
-        """
-        return self.pipeline.process(self, index, batch, clock, buffer)
-
-    # ------------------------------------------------------------------
     @staticmethod
     def _filtered_batch(packet_filter, batch: Batch) -> Batch:
         """Apply a stateless filter with per-batch result sharing.
@@ -597,7 +562,7 @@ class MonitoringSystem:
                                  self._prev_query_cycles,
                                  clock.per_bin_budget - ctx.como,
                                  clock.delay,
-                                 min_rate=self.reactive_min_rate)
+                                 min_rate=self.config.reactive_min_rate)
             return {name: rate for name in names}
         slots = ctx.demand_slots
         table = self.demand_table
@@ -609,7 +574,7 @@ class MonitoringSystem:
             names, table.predicted[slots], table.min_rate[slots],
             clock.per_bin_budget, clock.overhead_so_far(), clock.delay,
             tenants=tenants, rank=table.name_rank[slots])
-        return dict(plan.rates)
+        return plan.rates
 
     def _run_sampled(self, runtime: _QueryRuntime, sub_batch: Batch,
                      rate: float, features_pre: Optional[FeatureVector]

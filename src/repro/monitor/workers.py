@@ -60,6 +60,7 @@ runs, but configs and factories must then be picklable.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import pickle
@@ -78,6 +79,8 @@ __all__ = [
     "fork_start_available",
     "session_calls",
 ]
+
+logger = logging.getLogger("repro.monitor.workers")
 
 #: Smallest shared-memory segment the pool allocates; grown segments get a
 #: 25% headroom so a slowly growing stream does not reallocate every bin.
@@ -426,6 +429,9 @@ class ShardWorkerPool:
     # Failure plumbing
     # ------------------------------------------------------------------
     def _fail(self, message: str) -> "ShardWorkerError":
+        """Stop the pool and build the error to raise, logged here: this is
+        where the failure is known."""
+        logger.error(message)
         self._failed = message
         self.stop()
         return ShardWorkerError(message)
@@ -439,10 +445,15 @@ class ShardWorkerPool:
     def _send(self, worker: _Worker, message: tuple) -> None:
         try:
             worker.commands.send(message)
+            return
         except OSError:  # BrokenPipeError, or the handle is closed
-            raise self._fail(
-                f"{worker} died (its command channel is closed); the "
-                "execution cannot continue") from None
+            # Raised below, unchained: the half-sent pickle buffer in the
+            # OSError's traceback is then freed here, by reference count,
+            # not whenever the collector gets to the error's cycle.
+            pass
+        raise self._fail(
+            f"{worker} died (its command channel is closed); the "
+            "execution cannot continue")
 
     def _recv(self, worker: _Worker):
         """Next response from ``worker``, acknowledged; raises if it died."""

@@ -32,9 +32,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+logger = logging.getLogger("repro.serve.api")
 
 __all__ = ["OpsError", "OpsServer", "render_metrics"]
 
@@ -130,6 +133,7 @@ class OpsServer:
         try:
             status, content_type, body = await self._respond(reader)
         except Exception:  # never let a broken request kill the server
+            logger.exception("ops request failed")
             status, content_type, body = 500, "application/json", \
                 json.dumps({"error": "internal error"}).encode()
         head = (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"

@@ -60,9 +60,9 @@ __all__ = [
 #: Format tag every checkpoint file carries.
 CHECKPOINT_FORMAT = "repro-checkpoint"
 #: Bumped when the wrapper layout, or what a pickled session holds,
-#: changes incompatibly (2: a session keeps one result accumulator and no
-#: shard role).
-CHECKPOINT_VERSION = 2
+#: changes incompatibly (3: a system holds its config instead of copies of
+#: the fields, a result the classes that finish its intervals).
+CHECKPOINT_VERSION = 3
 
 logger = logging.getLogger("repro.serve.checkpoint")
 

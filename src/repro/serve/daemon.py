@@ -19,16 +19,22 @@ ops always observe the session *between* bins, which is exactly the
 bin-boundary semantics the sessions define anyway.
 
 Shutdown is graceful by design: SIGTERM (or :meth:`stop`, or ``POST
-/shutdown``) stops the feed, the in-flight bin completes, a final
-checkpoint is written, trace rotation flushes, the session closes (worker
-pools and all), and :meth:`run` returns the final
+/shutdown``) stops the feed, the in-flight bin completes, trace rotation
+flushes, a final checkpoint is written, the session closes (worker pools
+and all), and :meth:`run` returns the final
 :class:`~repro.monitor.system.ExecutionResult` — the same object an
-offline run would have produced.
+offline run would have produced.  When the session itself fails (a shard
+worker died, a query raised) the daemon still releases what it owns — the
+rotated segment is closed and readable, no worker process or shared-memory
+segment is left behind — skips the checkpoint of the broken session, and
+:meth:`run` raises the session's own error.  Why it is shutting down is
+logged on ``repro.serve.daemon``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import signal
 import threading
 import time
@@ -39,7 +45,7 @@ import numpy as np
 
 from ..monitor.config import SystemConfig
 from ..monitor.session import MonitoringSession
-from ..monitor.sharding import ShardedSession, ShardedSystem
+from ..monitor.sharding import ShardedSession, build_system
 from ..monitor.system import ExecutionResult
 from ..queries import parse_query_specs
 from ..traffic.trace_io import TraceWriter
@@ -48,6 +54,8 @@ from .checkpoint import save_checkpoint
 from .feeds import Feed
 
 __all__ = ["MonitorDaemon"]
+
+logger = logging.getLogger("repro.serve.daemon")
 
 #: Config fields that can change while the session is running.  Everything
 #: else (mode, strategy, predictor, sharding layout, ...) is baked into
@@ -71,7 +79,7 @@ class MonitorDaemon:
     config:
         Full :class:`SystemConfig` including a declarative ``queries``
         mix.  When ``session`` is given (a checkpoint restore), may be
-        ``None`` — it is recovered from the session where possible.
+        ``None`` — the session's own config is used.
     feed:
         The :class:`~repro.serve.feeds.Feed` to ingest.
     host, port:
@@ -131,15 +139,22 @@ class MonitorDaemon:
                     "a daemon's config must carry a declarative 'queries' "
                     "mix (e.g. SystemConfig(queries='counter,flows')) — "
                     "query instances cannot be reconstructed at restore")
-            session = self._build_session(config)
+            session = build_system(
+                config, n_workers=self.n_workers,
+                respect_cores=self.respect_cores).open_session(
+                    time_bin=self.feed.time_bin, name=self.name)
         elif config is None:
-            config = self._recover_config(session)
+            config = session.sharded.config \
+                if isinstance(session, ShardedSession) \
+                else session.system.config
         self.config = config
         self.session = session
 
         self._api = OpsServer(self, host=host, port=port)
         self._lock = threading.Lock()
         self._stopping = False
+        #: What ``session.ingest`` raised, if it did: the session is broken.
+        self._session_error: Optional[BaseException] = None
         self._started_monotonic: Optional[float] = None
         self._started_unix: Optional[float] = None
         self.result: Optional[ExecutionResult] = None
@@ -165,26 +180,6 @@ class MonitorDaemon:
         self._writer: Optional[TraceWriter] = None
         self._writer_bins = 0
         self._rotated_segments = 0
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    def _build_session(self, config: SystemConfig
-                       ) -> Union[MonitoringSession, ShardedSession]:
-        if config.num_shards > 1:
-            sharded = ShardedSystem(config=config, n_workers=self.n_workers,
-                                    respect_cores=self.respect_cores)
-            return sharded.open_session(time_bin=self.feed.time_bin,
-                                        name=self.name)
-        system = config.build()
-        return system.open_session(time_bin=self.feed.time_bin,
-                                   name=self.name)
-
-    @staticmethod
-    def _recover_config(session) -> Optional[SystemConfig]:
-        if isinstance(session, ShardedSession):
-            return session.sharded.config
-        return getattr(session.system, "config", None)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -235,6 +230,7 @@ class MonitorDaemon:
             await queue.put(sentinel)
 
         pump_task = asyncio.ensure_future(pump())
+        reason = "feed ended"
         try:
             done = False
             while not done and not self._stopping:
@@ -256,7 +252,16 @@ class MonitorDaemon:
                 await loop.run_in_executor(None, self._ingest_chunk, chunk)
                 if (self.max_bins is not None
                         and self.bins_ingested >= self.max_bins):
+                    reason = "max_bins reached"
                     break
+        except Exception as error:
+            logger.error("daemon %r is shutting down: %s: %s: %s", self.name,
+                         "session failed" if self._session_error is not None
+                         else "ingest failed", type(error).__name__, error)
+            raise
+        else:
+            logger.info("daemon %r is shutting down: %s", self.name,
+                        "stop requested" if self._stopping else reason)
         finally:
             pump_task.cancel()
             try:
@@ -289,7 +294,11 @@ class MonitorDaemon:
         with self._lock:
             if self.session.closed:
                 return
-            record = self.session.ingest(batch)
+            try:
+                record = self.session.ingest(batch)
+            except BaseException as error:
+                self._session_error = error
+                raise
             self._packets += record.incoming_packets
             self._bytes += record.incoming_bytes
             self._dropped += record.dropped_packets
@@ -312,13 +321,25 @@ class MonitorDaemon:
                 self._checkpoint_locked()
 
     def _shutdown(self) -> None:
+        """Release what the daemon owns, whatever state the session is in."""
         with self._lock:
-            if not self.session.closed and self.checkpoint_dir is not None:
-                self._checkpoint_locked()
-            if self._writer is not None:
-                self._writer.close()
-                self._writer = None
-            self.result = self.session.close()
+            try:
+                if self._writer is not None:
+                    self._writer.close()
+                    self._writer = None
+            finally:
+                error = self._session_error
+                if error is not None:
+                    # A broken session has nothing to checkpoint or close;
+                    # it is left the way a failed ``with`` block leaves it,
+                    # which stops the workers it may still have.
+                    self.session.__exit__(type(error), error,
+                                          error.__traceback__)
+                else:
+                    if not self.session.closed \
+                            and self.checkpoint_dir is not None:
+                        self._checkpoint_locked()
+                    self.result = self.session.close()
 
     # ------------------------------------------------------------------
     # Trace rotation
@@ -363,9 +384,7 @@ class MonitorDaemon:
         cycles_per_second = float(cycles_per_second)
         with self._lock:
             self.session.set_capacity(cycles_per_second)
-        if self.config is not None:
-            self.config = self.config.replace(
-                cycles_per_second=cycles_per_second)
+        self.config = self.config.replace(cycles_per_second=cycles_per_second)
         return {"cycles_per_second": cycles_per_second}
 
     def apply_config(self, changes: Dict) -> Dict:
@@ -380,9 +399,6 @@ class MonitorDaemon:
         """
         if not isinstance(changes, dict):
             raise OpsError(400, "config payload must be a JSON object")
-        if self.config is None:
-            raise OpsError(409, "this daemon has no config to reload "
-                                "(restored session without one)")
         merged = dict(self.config.to_dict())
         merged.update(changes)
         candidate = SystemConfig.from_dict(merged)  # strict keys + validation
@@ -452,9 +468,8 @@ class MonitorDaemon:
         accuracies = {}
         if self.reference is not None:
             from ..experiments.runner import accuracy_by_query
-            accuracies = accuracy_by_query(
-                snapshot, self.reference,
-                None if self.config is None else self.config.query_kinds())
+            accuracies = accuracy_by_query(snapshot, self.reference,
+                                           self.config.query_kinds())
         for qname, log in snapshot.query_logs.items():
             rates = snapshot.rate_series(qname)
             queries[qname] = {
@@ -465,13 +480,10 @@ class MonitorDaemon:
             if qname in accuracies:
                 queries[qname]["accuracy_so_far"] = float(accuracies[qname])
         total = self._packets
-        mode = self.config.mode if self.config is not None \
-            else snapshot.mode
         return {
             "name": self.name,
-            "mode": mode,
-            "num_shards": (self.config.num_shards
-                           if self.config is not None else 1),
+            "mode": self.config.mode,
+            "num_shards": self.config.num_shards,
             "uptime_seconds": self.uptime_seconds,
             "started_unix": self._started_unix,
             "bins_ingested": self.bins_ingested,

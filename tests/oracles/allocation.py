@@ -6,21 +6,51 @@ in :data:`SCALAR_REFERENCE`) and the straightforward python form of the
 two-tier tenant allocator (:func:`two_tier_scalar`: explicit per-tenant
 loops, one water fill per tenant), as they stood in
 ``repro.core.fairness`` and ``repro.core.tenancy``.  The function bodies are
-verbatim.  The columnar kernels must reproduce the flat strategies exactly —
-same floats, same disable decisions — and the two-tier reference to
-bisection tolerance (``tests/test_tenancy.py``).  Test code only — nothing
-under ``src/`` imports it.
+verbatim; they work on the oracle's own per-query :class:`QueryDemand`
+tuples and fill in a plain :func:`_allocation` record of dicts.  The
+kernels must reproduce the flat strategies exactly — same floats, same
+disable decisions — and the two-tier reference to bisection tolerance
+(``tests/test_tenancy.py``).  Test code only — nothing under ``src/``
+imports it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from types import SimpleNamespace
+from typing import Callable, Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.fairness import (Allocation, QueryDemand, Strategy,
-                                 _validate_columns, _water_fill)
+from repro.core.fairness import _validate_columns, _water_fill
 from repro.core.tenancy import TenantRegistry, _tenant_boxes
+
+
+class QueryDemand(NamedTuple):
+    """Per-query inputs of the scalar strategies."""
+
+    name: str
+    predicted_cycles: float
+    min_sampling_rate: float = 0.0
+
+    @property
+    def min_cycles(self) -> float:
+        """Minimum cycle demand ``m_q * d_q``."""
+        return self.min_sampling_rate * self.predicted_cycles
+
+
+def columns(demands: Sequence[QueryDemand]):
+    """The ``(names, predicted, min_rates)`` columns a kernel takes."""
+    return ([demand.name for demand in demands],
+            np.array([demand.predicted_cycles for demand in demands],
+                     dtype=np.float64),
+            np.array([demand.min_sampling_rate for demand in demands],
+                     dtype=np.float64))
+
+
+def _allocation(rates=None, cycles=None, disabled=None) -> SimpleNamespace:
+    """What a scalar strategy fills in: per-name dicts, a disabled list."""
+    return SimpleNamespace(rates=dict(rates or {}), cycles=dict(cycles or {}),
+                           disabled=list(disabled or []), tenant_shares=None)
 
 
 # ----------------------------------------------------------------------
@@ -50,10 +80,10 @@ def _disable_largest_min_demands(demands: Sequence[QueryDemand],
 # Scalar reference implementations (pre-vectorisation, kept verbatim)
 # ----------------------------------------------------------------------
 def eq_srates_scalar(demands: Sequence[QueryDemand],
-                     capacity: float) -> Allocation:
+                     capacity: float) -> SimpleNamespace:
     """The historical object-per-query ``eq_srates`` — executable
     specification and benchmark baseline for the columnar kernel."""
-    allocation = Allocation()
+    allocation = _allocation()
     active = list(demands)
     if capacity <= 0.0:
         allocation.disabled = [d.name for d in demands]
@@ -84,8 +114,8 @@ def eq_srates_scalar(demands: Sequence[QueryDemand],
 
 
 def _mmfs_scalar(demands: Sequence[QueryDemand], capacity: float,
-                 packet_fair: bool) -> Allocation:
-    allocation = Allocation()
+                 packet_fair: bool) -> SimpleNamespace:
+    allocation = _allocation()
     if capacity <= 0.0:
         allocation.disabled = [d.name for d in demands]
         allocation.rates = {d.name: 0.0 for d in demands}
@@ -124,13 +154,13 @@ def _mmfs_scalar(demands: Sequence[QueryDemand], capacity: float,
 
 
 def mmfs_cpu_scalar(demands: Sequence[QueryDemand],
-                    capacity: float) -> Allocation:
+                    capacity: float) -> SimpleNamespace:
     """The historical object-per-query ``mmfs_cpu`` (reference/baseline)."""
     return _mmfs_scalar(demands, capacity, packet_fair=False)
 
 
 def mmfs_pkt_scalar(demands: Sequence[QueryDemand],
-                    capacity: float) -> Allocation:
+                    capacity: float) -> SimpleNamespace:
     """The historical object-per-query ``mmfs_pkt`` (reference/baseline)."""
     return _mmfs_scalar(demands, capacity, packet_fair=True)
 
@@ -138,7 +168,7 @@ def mmfs_pkt_scalar(demands: Sequence[QueryDemand],
 #: Pre-vectorisation implementations: executable specification of the
 #: kernels (bit-identical outputs) and the benchmark's object-per-bin
 #: baseline.
-SCALAR_REFERENCE: Dict[str, Strategy] = {
+SCALAR_REFERENCE: Dict[str, Callable] = {
     "eq_srates": eq_srates_scalar,
     "mmfs_cpu": mmfs_cpu_scalar,
     "mmfs_pkt": mmfs_pkt_scalar,
@@ -149,7 +179,7 @@ SCALAR_REFERENCE: Dict[str, Strategy] = {
 def two_tier_scalar(names: Sequence[str], predicted: np.ndarray,
                     min_rates: np.ndarray, tenant_ids: np.ndarray,
                     registry: TenantRegistry, capacity: float,
-                    packet_fair: bool) -> Allocation:
+                    packet_fair: bool) -> SimpleNamespace:
     """Python reference for :func:`two_tier_allocate`: explicit per-tenant
     loops and one :func:`~repro.core.fairness._water_fill` per tenant.
     Property tests assert the columnar kernel matches this to bisection
@@ -158,9 +188,9 @@ def two_tier_scalar(names: Sequence[str], predicted: np.ndarray,
     count = len(predicted)
     _validate_columns(predicted, min_rates)
     if capacity <= 0.0:
-        return Allocation(rates={name: 0.0 for name in names},
-                          cycles={name: 0.0 for name in names},
-                          disabled=list(names))
+        return _allocation(rates={name: 0.0 for name in names},
+                           cycles={name: 0.0 for name in names},
+                           disabled=list(names))
     tenant_ids = np.asarray(tenant_ids, dtype=np.intp)
     caps_t = registry.capacity_caps(capacity)
     floors, ceilings, costs = _tenant_boxes(predicted, min_rates, packet_fair)
@@ -222,7 +252,7 @@ def two_tier_scalar(names: Sequence[str], predicted: np.ndarray,
                         min(1.0, filled[position] / predicted[index]))
                 else:
                     rates[names[index]] = 1.0
-    allocation = Allocation(
+    allocation = _allocation(
         rates=rates,
         cycles={name: rates[name] * float(predicted[i])
                 for i, name in enumerate(names)},

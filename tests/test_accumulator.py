@@ -62,14 +62,15 @@ def _by_hand(session, bins, classes):
     """Drive ``session`` through ``step`` / ``finish``, accumulating into a
     fresh result the way a node does for its shards."""
     result = ExecutionResult(session.system.mode,
-                             session.system.strategy_name, session.name,
+                             session.system.config.strategy, session.name,
                              session.budget)
+
+    for name, query_cls in classes.items():
+        result.query_arrives(name, query_cls)
 
     def fold(flushed):
         result.open_logs(session.query_names)
-        for name, interval_start, partial in flushed:
-            result.add_interval(classes[name], name, interval_start,
-                                [partial])
+        result.add_intervals([flushed])
 
     for batch in bins:
         record, flushed = session.step(batch)
@@ -250,3 +251,66 @@ def test_any_operation_sequence_agrees_across_tiers(operations):
     finally:
         for node in tiers.nodes:  # no worker outlives a failing example
             node._executor.stop()
+
+
+# ----------------------------------------------------------------------
+# A departed query's last interval is finished by its own class
+# ----------------------------------------------------------------------
+def _open(tier, config):
+    if tier == "serial":
+        return config.build().open_session(time_bin=0.1, name="t")
+    return ShardedSystem(config=config, num_shards=2, backend=tier) \
+        .open_session(time_bin=0.1, name="t")
+
+
+@pytest.mark.parametrize("tier", ("serial", "inprocess", "workers"))
+def test_a_departed_querys_last_interval_is_finished_by_its_own_class(tier):
+    """``remove_query("top-k")`` then ``add_query(<a counter named
+    "top-k">)`` before the next bin: the top-k's last interval, flushed at
+    the very boundary the counter arrives at, is a top-k result — not its
+    raw partial finalised (serial) or merged (shards) as a counter's."""
+    if tier == "workers" and not fork_start_available():
+        pytest.skip("needs the fork start method")
+    from repro.queries import CounterQuery, TopKQuery
+    config = runner.system_config(mode="reference", seed=5,
+                                  queries="counter,top-k")
+    bins = [make_batch(n=80, seed=index, start_ts=0.1 * index)
+            for index in range(25)]
+    cut = 14  # mid-interval: the departure flushes a partial second
+
+    uninterrupted = _open("serial", config)
+    for batch in bins[:cut]:
+        uninterrupted.ingest(batch)
+    whole = uninterrupted.close().query_logs["top-k"]
+
+    def namesake():
+        return CounterQuery(name="top-k")
+
+    session = _open(tier, config)
+    try:
+        for batch in bins[:cut]:
+            session.ingest(batch)
+        session.remove_query("top-k")
+        session.add_query(namesake() if tier == "serial" else namesake)
+        for batch in bins[cut:]:
+            session.ingest(batch)
+        log = session.close().query_logs["top-k"]
+    finally:
+        if tier != "serial":
+            session._executor.stop()
+
+    departed = len(whole)
+    assert departed == 2 and len(log) > departed
+    # The departed intervals, the one cut short included, are exactly what
+    # the uninterrupted top-k reported ...
+    assert log.intervals[:departed] == whole.intervals
+    assert log.results[:departed] == whole.results
+    assert all(set(result) == set(TopKQuery.finalize(
+        TopKQuery().interval_partial())) for result in log.results[:departed])
+    # ... and what follows under the name are counter results.
+    counter_keys = set(CounterQuery().interval_result())
+    assert counter_keys != set(whole.results[0])
+    assert all(set(result) == counter_keys
+               for result in log.results[departed:])
+    assert sum(result["packets"] for result in log.results[departed:]) == \
+        sum(len(batch) for batch in bins[cut:])

@@ -370,27 +370,29 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
     """Checkpoints of builds whose sessions held other state are refused,
     typed, logged and naming both versions, by every way in — the state
     blob is never unpickled."""
-    assert CHECKPOINT_VERSION == 2
+    assert CHECKPOINT_VERSION == 3
     session = _open_session(_config("original"))
-    wrapper = pickle.loads(capture(session))
-    wrapper["meta"]["version"] = 1
-    wrapper["state_blob"] = b"not even a pickle"
-    old = tmp_path / "old.pkl"
-    old.write_bytes(pickle.dumps(wrapper))
-
-    for load in (load_checkpoint, restore_session, describe_checkpoint):
-        for source in (old, old.read_bytes()):
-            caplog.clear()
-            with caplog.at_level("ERROR", logger="repro.serve.checkpoint"):
-                with pytest.raises(CheckpointVersionError) as refused:
-                    load(source)
-            assert "version 1 " in str(refused.value)
-            assert "reads version 2 " in str(refused.value)
-            assert [record.getMessage() for record in caplog.records] == \
-                [str(refused.value)]
-
     from repro.serve.__main__ import main
-    assert main(["--restore", str(old), "--feed", "generate"]) == 2
-    error = capsys.readouterr().err
-    assert error.startswith("error: ") and error.count("\n") == 1
-    assert str(old) in error and "version 1 " in error
+    for version in (1, 2):
+        wrapper = pickle.loads(capture(session))
+        wrapper["meta"]["version"] = version
+        wrapper["state_blob"] = b"not even a pickle"
+        old = tmp_path / f"old-{version}.pkl"
+        old.write_bytes(pickle.dumps(wrapper))
+
+        for load in (load_checkpoint, restore_session, describe_checkpoint):
+            for source in (old, old.read_bytes()):
+                caplog.clear()
+                with caplog.at_level("ERROR",
+                                     logger="repro.serve.checkpoint"):
+                    with pytest.raises(CheckpointVersionError) as refused:
+                        load(source)
+                assert f"version {version} " in str(refused.value)
+                assert "reads version 3 " in str(refused.value)
+                assert [record.getMessage() for record in caplog.records] \
+                    == [str(refused.value)]
+
+        assert main(["--restore", str(old), "--feed", "generate"]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and error.count("\n") == 1
+        assert str(old) in error and f"version {version} " in error

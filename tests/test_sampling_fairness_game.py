@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.allocation import SCALAR_REFERENCE, QueryDemand, columns
 from repro.core import game
-from repro.core.fairness import (QueryDemand, eq_srates, get_strategy,
-                                 mmfs_cpu, mmfs_pkt)
+from repro.core.fairness import (STRATEGIES, Allocation, eq_srates, mmfs_cpu,
+                                 mmfs_pkt)
 from repro.core.sampling import FlowSampler, PacketSampler, scale_estimate
 from repro.core.hashing import combine_columns
 from tests.conftest import make_batch
@@ -91,13 +92,18 @@ def _demands():
     ]
 
 
+def _allocate(strategy, demands, capacity):
+    """``strategy`` over the columns of per-query ``demands``."""
+    return strategy(*columns(demands), capacity)
+
+
 class TestEqSrates:
     def test_no_overload_full_rates(self):
-        allocation = eq_srates(_demands(), capacity=10000.0)
+        allocation = _allocate(eq_srates, _demands(), capacity=10000.0)
         assert all(rate == 1.0 for rate in allocation.rates.values())
 
     def test_common_rate_under_overload(self):
-        allocation = eq_srates(_demands(), capacity=800.0)
+        allocation = _allocate(eq_srates, _demands(), capacity=800.0)
         active_rates = {r for n, r in allocation.rates.items()
                         if n not in allocation.disabled}
         assert len(active_rates) == 1
@@ -106,19 +112,19 @@ class TestEqSrates:
     def test_disables_constrained_queries(self):
         demands = [QueryDemand("strict", 1000.0, 0.9),
                    QueryDemand("lenient", 1000.0, 0.0)]
-        allocation = eq_srates(demands, capacity=500.0)
+        allocation = _allocate(eq_srates, demands, capacity=500.0)
         assert "strict" in allocation.disabled
         assert allocation.rates["lenient"] > 0
 
     def test_zero_capacity(self):
-        allocation = eq_srates(_demands(), capacity=0.0)
+        allocation = _allocate(eq_srates, _demands(), capacity=0.0)
         assert set(allocation.disabled) == {"cheap", "medium", "heavy"}
 
 
 @pytest.mark.parametrize("strategy", [mmfs_cpu, mmfs_pkt])
 class TestMaxMinStrategies:
     def test_feasible_allocation(self, strategy):
-        allocation = strategy(_demands(), capacity=900.0)
+        allocation = _allocate(strategy, _demands(), capacity=900.0)
         assert allocation.total_cycles <= 900.0 * (1 + 1e-6)
         for demand in _demands():
             rate = allocation.rates[demand.name]
@@ -127,19 +133,19 @@ class TestMaxMinStrategies:
                 assert rate >= demand.min_sampling_rate - 1e-9
 
     def test_abundant_capacity_full_rates(self, strategy):
-        allocation = strategy(_demands(), capacity=1e9)
+        allocation = _allocate(strategy, _demands(), capacity=1e9)
         assert all(rate == pytest.approx(1.0)
                    for rate in allocation.rates.values())
 
     def test_largest_min_demand_disabled_first(self, strategy):
         demands = [QueryDemand("big", 1000.0, 0.9),
                    QueryDemand("small", 100.0, 0.5)]
-        allocation = strategy(demands, capacity=200.0)
+        allocation = _allocate(strategy, demands, capacity=200.0)
         assert "big" in allocation.disabled
         assert "small" not in allocation.disabled
 
     def test_zero_capacity_disables_all(self, strategy):
-        allocation = strategy(_demands(), capacity=0.0)
+        allocation = _allocate(strategy, _demands(), capacity=0.0)
         assert len(allocation.disabled) == 3
 
 
@@ -147,28 +153,35 @@ class TestStrategySemantics:
     def test_mmfs_pkt_equalises_rates(self):
         demands = [QueryDemand("heavy", 1000.0, 0.0),
                    QueryDemand("light", 10.0, 0.0)]
-        allocation = mmfs_pkt(demands, capacity=505.0)
+        allocation = _allocate(mmfs_pkt, demands, capacity=505.0)
         assert allocation.rates["heavy"] == pytest.approx(
             allocation.rates["light"], rel=1e-3)
 
     def test_mmfs_cpu_equalises_cycles(self):
         demands = [QueryDemand("heavy", 1000.0, 0.0),
                    QueryDemand("light", 400.0, 0.0)]
-        allocation = mmfs_cpu(demands, capacity=600.0)
+        allocation = _allocate(mmfs_cpu, demands, capacity=600.0)
         assert allocation.cycles["heavy"] == pytest.approx(
             allocation.cycles["light"], rel=1e-3)
 
     def test_mmfs_pkt_min_rate_floor_respected(self):
         demands = [QueryDemand("constrained", 1000.0, 0.8),
                    QueryDemand("free", 1000.0, 0.0)]
-        allocation = mmfs_pkt(demands, capacity=1000.0)
+        allocation = _allocate(mmfs_pkt, demands, capacity=1000.0)
         assert allocation.rates["constrained"] >= 0.8 - 1e-9
 
-    def test_get_strategy(self):
-        assert get_strategy("mmfs_pkt") is mmfs_pkt
-        assert get_strategy(mmfs_cpu) is mmfs_cpu
-        with pytest.raises(KeyError):
-            get_strategy("nope")
+    def test_a_strategy_is_a_registered_name(self):
+        assert STRATEGIES == {"eq_srates": eq_srates, "mmfs_cpu": mmfs_cpu,
+                              "mmfs_pkt": mmfs_pkt}
+        # Registering a kernel under a name is how a custom one is added.
+        from repro.monitor.config import SystemConfig
+        STRATEGIES["mine"] = eq_srates
+        try:
+            assert SystemConfig(strategy="mine").strategy == "mine"
+        finally:
+            del STRATEGIES["mine"]
+        with pytest.raises(ValueError, match="valid strategies"):
+            SystemConfig(strategy="mine")
 
     @given(st.lists(st.tuples(st.floats(min_value=1.0, max_value=1e4),
                               st.floats(min_value=0.0, max_value=1.0)),
@@ -179,13 +192,107 @@ class TestStrategySemantics:
         demands = [QueryDemand(f"q{i}", cycles, min_rate)
                    for i, (cycles, min_rate) in enumerate(specs)]
         for strategy in (eq_srates, mmfs_cpu, mmfs_pkt):
-            allocation = strategy(demands, capacity)
+            allocation = _allocate(strategy, demands, capacity)
             assert allocation.total_cycles <= capacity * (1 + 1e-6) + 1e-6
             for demand in demands:
                 rate = allocation.rates[demand.name]
                 assert -1e-9 <= rate <= 1.0 + 1e-9
                 if demand.name not in allocation.disabled:
                     assert rate >= demand.min_sampling_rate - 1e-6
+
+
+@st.composite
+def demand_columns(draw):
+    """Columns built to hit the disable rule: few distinct values (ties the
+    ``(min_cycles, name)`` order must break by name), floors that cannot
+    all fit, shuffled names, and capacities at, below and beyond zero."""
+    size = draw(st.integers(1, 12))
+    cycles = st.sampled_from([0.0, 1.0, 250.0, 1000.0]) | \
+        st.floats(0.0, 1e4, allow_nan=False)
+    floors = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    predicted = np.array(draw(st.lists(cycles, min_size=size, max_size=size)))
+    min_rates = np.array(draw(st.lists(floors, min_size=size, max_size=size)))
+    names = [f"q{i}" for i in draw(st.permutations(range(size)))]
+    capacity = draw(st.sampled_from([-1.0, 0.0]) |
+                    st.floats(0.0, 1.5).map(
+                        lambda share: share * float(predicted.sum())))
+    return names, predicted, min_rates, capacity
+
+
+class TestKernelsEqualTheOracle:
+    """The three kernels against ``tests/oracles/allocation.py``: same
+    floats, same disable decisions, strict ``==``."""
+
+    @given(demand_columns(), st.sampled_from(sorted(STRATEGIES)))
+    @settings(deadline=None, max_examples=150)
+    def test_kernel_equals_scalar_reference(self, case, key):
+        names, predicted, min_rates, capacity = case
+        demands = [QueryDemand(name, float(cycles), float(floor))
+                   for name, cycles, floor
+                   in zip(names, predicted, min_rates)]
+        reference = SCALAR_REFERENCE[key](demands, capacity)
+        kernel = STRATEGIES[key](names, predicted, min_rates, capacity)
+        assert kernel.rates == reference.rates
+        assert kernel.cycles == reference.cycles
+        assert kernel.disabled == reference.disabled
+        assert kernel.total_cycles == sum(reference.cycles.values())
+        assert list(kernel.names) == names
+
+    @pytest.mark.parametrize("key", sorted(STRATEGIES))
+    def test_no_capacity_disables_everyone(self, key):
+        names, predicted, min_rates = columns(_demands())
+        for capacity in (0.0, -5.0):
+            allocation = STRATEGIES[key](names, predicted, min_rates,
+                                         capacity)
+            assert allocation.disabled == names
+            assert allocation.rates == dict.fromkeys(names, 0.0)
+            assert allocation.total_cycles == 0.0
+
+    @pytest.mark.parametrize("key", sorted(STRATEGIES))
+    def test_columns_are_validated_by_the_kernel(self, key):
+        names, predicted, min_rates = columns(_demands())
+        with pytest.raises(ValueError, match="non-negative"):
+            STRATEGIES[key](names, -predicted, min_rates, 100.0)
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            STRATEGIES[key](names, predicted, min_rates + 1.0, 100.0)
+
+
+class TestAllocationIsAnImmutableValue:
+    def _allocation(self, n=3):
+        cycles = np.random.default_rng(n).uniform(0.0, 1e6, n)
+        return Allocation([f"q{i}" for i in range(n)], np.full(n, 0.5),
+                          cycles, np.zeros(n, dtype=bool))
+
+    def test_nothing_can_be_assigned(self):
+        allocation = self._allocation()
+        for attr in ("rates", "cycles", "disabled", "names", "rate_array",
+                     "tenant_shares", "anything_else"):
+            with pytest.raises(AttributeError):
+                setattr(allocation, attr, {})
+        for column in (allocation.rate_array, allocation.cycle_array,
+                       allocation.disabled_mask):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        assert isinstance(allocation.names, tuple)
+        assert len(Allocation.__slots__) <= 5
+
+    def test_views_read_the_columns(self):
+        allocation = self._allocation()
+        assert allocation.rates == {"q0": 0.5, "q1": 0.5, "q2": 0.5}
+        assert allocation.rate("q1") == 0.5
+        assert allocation.rate("unknown") == 0.0
+        assert allocation.disabled == []
+        assert allocation.tenant_shares is None
+        # A view is a fresh dict: writing to it changes nothing.
+        allocation.rates["q0"] = 0.0
+        assert allocation.rate("q0") == 0.5
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_total_cycles_is_the_left_to_right_sum(self, n):
+        allocation = self._allocation(n)
+        assert allocation.total_cycles == \
+            float(sum(allocation.cycles.values()))
 
 
 class TestGame:

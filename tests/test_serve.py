@@ -19,6 +19,7 @@ The contracts under test:
 
 import asyncio
 import json
+import pickle
 import re
 import shutil
 import socket
@@ -539,6 +540,155 @@ def test_sharded_daemon_serves_and_reports_shards(serve_trace):
     assert np.array_equal(
         result.series("query_cycles"),
         expected.series("query_cycles")[:prefix])
+
+
+def test_every_way_in_builds_through_build_system(serve_trace):
+    """A daemon, ``run_system`` and a checkpoint restore of the same
+    sharded config open the same execution: ``build_system`` decides
+    serial versus sharded for all of them."""
+    from repro.monitor.sharding import (ShardedSession, ShardedSystem,
+                                        build_system)
+    from repro.monitor.system import MonitoringSystem
+    from repro.serve.checkpoint import capture, load_checkpoint
+    config = _daemon_config(num_shards=2, shard_backend="inprocess")
+    assert isinstance(build_system(config), ShardedSystem)
+    assert isinstance(build_system(config.replace(num_shards=1)),
+                      MonitoringSystem)
+    expected = build_system(config).run(serve_trace, time_bin=TIME_BIN)
+
+    ran = runner.run_system(None, serve_trace, CAPACITY, time_bin=TIME_BIN,
+                            config=config)
+    assert_results_identical(expected, ran, "run_system")
+
+    daemon = MonitorDaemon(config, ReplayFeed(serve_trace, time_bin=TIME_BIN))
+    assert isinstance(daemon.session, ShardedSession)
+    assert_results_identical(expected, asyncio.run(daemon.run()), "daemon")
+
+    bins = serve_trace.batch_list(TIME_BIN)
+    session = build_system(config).open_session(time_bin=TIME_BIN)
+    for batch in bins[:17]:
+        session.ingest(batch)
+    restored = ShardedSession.from_state(
+        pickle.loads(load_checkpoint(capture(session)).state_blob))
+    for batch in bins[17:]:
+        restored.ingest(batch)
+    assert_results_identical(expected, restored.close(), "from_state")
+
+
+def test_daemon_survives_its_sessions_failure_cleanly(tmp_path, serve_trace,
+                                                      caplog):
+    """SIGKILL one shard worker under a rotating, checkpointing daemon: the
+    daemon still releases what it owns — the rotated segment is closed and
+    readable, no worker or shared-memory segment is left — does not try to
+    checkpoint the broken session, and ``run()`` raises the worker pool's
+    own error, logged where it was raised."""
+    import logging
+    import os
+    import signal
+    from repro.monitor.workers import ShardWorkerError, fork_start_available
+    if not fork_start_available():
+        pytest.skip("needs the fork start method")
+    config = _daemon_config(num_shards=2, shard_backend="workers")
+    daemon = MonitorDaemon(
+        config, ReplayFeed(serve_trace, time_bin=TIME_BIN, pace=1.0),
+        name="doomed", checkpoint_dir=tmp_path / "ckpt",
+        rotate_dir=tmp_path / "rotated", rotate_every_bins=10_000)
+    pool = daemon.session._executor
+    processes = [worker.process for worker in pool._workers]
+    caplog.set_level(logging.INFO)
+    harness = DaemonHarness(daemon)
+    with harness:
+        seen = harness.wait_status(
+            lambda s: s["bins_ingested"] >= 3)["bins_ingested"]
+        os.kill(processes[1].pid, signal.SIGKILL)
+        with pytest.raises(ShardWorkerError) as failure:
+            harness.join(timeout=30.0)
+        harness.error = None  # surfaced: nothing more for __exit__ to raise
+
+    # The original error, naming the process and the session it hosted.
+    message = str(failure.value)
+    assert "shard worker 1 (hosting doomed[shard1])" in message
+    assert "died" in message
+    workers_log = [record for record in caplog.records
+                   if record.name == "repro.monitor.workers"]
+    assert [(record.levelname, record.getMessage())
+            for record in workers_log] == [("ERROR", message)]
+    daemon_log = [record.getMessage() for record in caplog.records
+                  if record.name == "repro.serve.daemon"]
+    assert daemon_log == [f"daemon 'doomed' is shutting down: session "
+                          f"failed: ShardWorkerError: {message}"]
+
+    # Everything the daemon owns is released; the broken session was not
+    # checkpointed.
+    assert daemon._writer is None and daemon.result is None
+    assert not (tmp_path / "ckpt").exists()
+    assert pool.stopped
+    assert not any(process.is_alive() for process in processes)
+    assert not any(os.path.exists(f"/dev/shm/{name.lstrip('/')}")
+                   for name in pool.created_segments)
+
+    # The segment holds every packet of the bins ingested before the kill.
+    kept = daemon._writer_bins
+    assert kept >= seen - 1 and kept == len(daemon.session._result.bins)
+    expected = serve_trace.batch_list(TIME_BIN)[:kept]
+    segment = TraceStore(tmp_path / "rotated" / "segment-000000")
+    try:
+        assert len(segment) == sum(len(batch) for batch in expected) > 0
+        for column in ("ts", "src_ip", "size"):
+            assert np.array_equal(
+                segment.column(column),
+                np.concatenate([getattr(batch, column)
+                                for batch in expected]))
+    finally:
+        segment.close()
+
+
+def test_why_the_daemon_shuts_down_is_logged(serve_trace, caplog):
+    import logging
+    caplog.set_level(logging.INFO, logger="repro.serve.daemon")
+
+    def reasons():
+        found = [record.getMessage().split(": ", 1)[1]
+                 for record in caplog.records
+                 if record.name == "repro.serve.daemon"]
+        caplog.clear()
+        return found
+
+    feed = ReplayFeed(serve_trace, time_bin=TIME_BIN)
+    asyncio.run(MonitorDaemon(_daemon_config(), feed).run())
+    assert reasons() == ["feed ended"]
+    feed = ReplayFeed(serve_trace, time_bin=TIME_BIN)
+    asyncio.run(MonitorDaemon(_daemon_config(), feed, max_bins=3).run())
+    assert reasons() == ["max_bins reached"]
+    daemon = MonitorDaemon(_daemon_config(),
+                           ReplayFeed(serve_trace, time_bin=TIME_BIN,
+                                      pace=1.0))
+    with DaemonHarness(daemon) as harness:
+        harness.wait_status(lambda s: s["bins_ingested"] >= 2)
+    assert reasons() == ["stop requested"]
+
+
+def test_a_failing_ops_request_is_logged_with_its_traceback(serve_trace,
+                                                            caplog):
+    daemon = MonitorDaemon(_daemon_config(),
+                           ReplayFeed(serve_trace, time_bin=TIME_BIN,
+                                      pace=1.0))
+
+    def broken():
+        raise TypeError("status is broken")
+
+    daemon.status = broken
+    with DaemonHarness(daemon) as harness:
+        with pytest.raises(urllib.error.HTTPError) as refused:
+            harness.get("/status")
+        assert refused.value.code == 500
+        refused.value.close()
+        assert harness.get("/result")["mode"] == "predictive"  # still up
+    (record,) = [record for record in caplog.records
+                 if record.name == "repro.serve.api"]
+    assert record.levelname == "ERROR"
+    assert record.exc_info[0] is TypeError
+    assert "status is broken" in caplog.text
 
 
 # ----------------------------------------------------------------------

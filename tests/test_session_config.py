@@ -81,19 +81,33 @@ class TestSystemConfig:
             SystemConfig(**kwargs)
 
     def test_monitoring_system_validates_eagerly(self):
-        # The constructor path goes through SystemConfig, so a typo fails at
-        # construction, not deep inside the controller on first use.
-        with pytest.raises(ValueError, match="valid strategies"):
-            MonitoringSystem([make_query("counter")], strategy="fair-ish")
-        with pytest.raises(ValueError, match="valid predictors"):
-            MonitoringSystem([make_query("counter")], predictor="oracle")
+        # A system is built from its SystemConfig and nothing else, so a
+        # typo fails where the config is made, not deep inside the
+        # controller on first use — and loose keyword arguments, or a query
+        # list where the config goes, are plain TypeErrors.
+        import inspect
+        parameters = inspect.signature(MonitoringSystem.__init__).parameters
+        assert [(name, parameter.default) for name, parameter
+                in list(parameters.items())[1:]] == \
+            [("config", None), ("queries", None)]
+        with pytest.raises(TypeError):
+            MonitoringSystem(mode="predictive")
+        with pytest.raises(TypeError, match="built from a SystemConfig"):
+            MonitoringSystem([make_query("counter")])
+        assert not hasattr(MonitoringSystem, "from_config")
+        assert MonitoringSystem().config == SystemConfig()
 
-    def test_callable_strategy_allowed_but_not_serialisable(self):
-        from repro.core.fairness import eq_srates
-        config = SystemConfig(strategy=eq_srates)
-        assert callable(config.strategy)
-        with pytest.raises(TypeError, match="not serialisable"):
-            config.to_dict()
+    def test_a_strategy_is_a_name(self):
+        import typing
+        from repro.core.fairness import STRATEGIES, eq_srates
+        assert typing.get_type_hints(SystemConfig)["strategy"] is str
+        listed = str(sorted(STRATEGIES)).replace("[", r"\[")
+        with pytest.raises(ValueError, match=listed):
+            SystemConfig(strategy=eq_srates)
+        with pytest.raises(ValueError, match=listed):
+            SystemConfig.from_dict({"strategy": "nope"})
+        assert not hasattr(SystemConfig, "strategy_name")
+        assert len(dataclasses.fields(SystemConfig)) == 18
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown SystemConfig field"):
@@ -126,10 +140,9 @@ class TestSystemConfig:
                                       cycles_per_second=capacity * 0.5)
         built = config.build([make_query(n) for n in QUERY_SET])
         assert built.config == config
-        kwargs_system = MonitoringSystem.from_config(
-            config, [make_query(n) for n in QUERY_SET])
+        direct = MonitoringSystem(config, [make_query(n) for n in QUERY_SET])
         _assert_results_identical(built.run(small_trace),
-                                  kwargs_system.run(small_trace))
+                                  direct.run(small_trace))
 
 
 # ----------------------------------------------------------------------
@@ -225,9 +238,8 @@ class TestSessionLiveReconfiguration:
         assert all("flows" not in record.rates
                    for record in result.bins[half:])
         assert "flows" not in system.query_names
-        # No stale enforcer/controller state survives the departure.
+        # No stale enforcer state survives the departure.
         assert system.enforcer.state("flows").total_violations == 0
-        assert "flows" not in system.controller.last_rates
 
     def test_remove_then_readd_same_name_starts_clean(self, small_trace,
                                                       calibrated):

@@ -6,7 +6,6 @@ import pytest
 from repro.core.custom import CustomShedEnforcer
 from repro.core.cycles import (CycleBudget, CycleClock, CycleMeter,
                                OperationCosts)
-from repro.core.fairness import QueryDemand
 from repro.core.shedding import (BufferDiscovery, LoadSheddingController,
                                  reactive_rate)
 
@@ -95,20 +94,28 @@ class TestBufferDiscovery:
         assert discovery.allowance() <= 1000.0 + 1e-9
 
 
+def _plan(controller, demands, bin_budget, overhead_cycles, delay):
+    """``plan_arrays`` over ``(name, predicted cycles, min rate)`` rows."""
+    names, predicted, min_rates = zip(*demands)
+    return controller.plan_arrays(list(names), np.array(predicted),
+                                  np.array(min_rates), bin_budget,
+                                  overhead_cycles, delay)
+
+
 class TestLoadSheddingController:
     def test_no_overload_no_shedding(self):
         controller = LoadSheddingController()
-        demands = [QueryDemand("q", 100.0, 0.0)]
-        plan = controller.plan(demands, bin_budget=1000.0, overhead_cycles=0.0,
-                               delay=0.0)
+        demands = [("q", 100.0, 0.0)]
+        plan = _plan(controller, demands, bin_budget=1000.0,
+                     overhead_cycles=0.0, delay=0.0)
         assert not plan.overload
         assert plan.rates["q"] == 1.0
 
     def test_overload_reduces_rates(self):
         controller = LoadSheddingController()
-        demands = [QueryDemand("a", 600.0, 0.0), QueryDemand("b", 600.0, 0.0)]
-        plan = controller.plan(demands, bin_budget=700.0, overhead_cycles=100.0,
-                               delay=0.0)
+        demands = [("a", 600.0, 0.0), ("b", 600.0, 0.0)]
+        plan = _plan(controller, demands, bin_budget=700.0,
+                     overhead_cycles=100.0, delay=0.0)
         assert plan.overload
         assert all(rate < 1.0 for rate in plan.rates.values())
 
@@ -117,9 +124,9 @@ class TestLoadSheddingController:
         strict = LoadSheddingController()
         strict.record_prediction_error(predicted_after_shedding=100.0,
                                        actual_cycles=200.0)
-        demands = [QueryDemand("q", 900.0, 0.0)]
-        plan_lenient = lenient.plan(demands, 1000.0, 200.0, 0.0)
-        plan_strict = strict.plan(demands, 1000.0, 200.0, 0.0)
+        demands = [("q", 900.0, 0.0)]
+        plan_lenient = _plan(lenient, demands, 1000.0, 200.0, 0.0)
+        plan_strict = _plan(strict, demands, 1000.0, 200.0, 0.0)
         assert plan_strict.rates["q"] <= plan_lenient.rates["q"]
 
     def test_delay_reduces_available_cycles(self):
@@ -134,10 +141,21 @@ class TestLoadSheddingController:
 
     def test_strategy_plumbing(self):
         controller = LoadSheddingController(strategy="mmfs_pkt")
-        demands = [QueryDemand("a", 800.0, 0.1), QueryDemand("b", 200.0, 0.1)]
-        plan = controller.plan(demands, 500.0, 0.0, 0.0)
+        demands = [("a", 800.0, 0.1), ("b", 200.0, 0.1)]
+        plan = _plan(controller, demands, 500.0, 0.0, 0.0)
         assert plan.allocation is not None
         assert plan.rates["a"] == pytest.approx(plan.rates["b"], rel=1e-3)
+        assert plan.rates == plan.allocation.rates
+
+    def test_removed_knobs_are_plain_type_errors(self):
+        with pytest.raises(TypeError):
+            LoadSheddingController(safety_margin=0.1)
+        with pytest.raises(ValueError, match="valid strategies"):
+            LoadSheddingController(strategy=lambda demands, capacity: None)
+        controller = LoadSheddingController()
+        for gone in ("plan", "last_rates", "forget_query", "safety_margin",
+                     "strategy_key"):
+            assert not hasattr(controller, gone)
 
 
 class TestReactiveRate:

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core.cycles import CycleBudget
 from repro.monitor.capture import CaptureBuffer
-from repro.monitor.system import MonitoringSystem
+from repro.monitor.config import SystemConfig
 from repro.queries import P2PDetectorQuery, SelfishP2PDetectorQuery, make_query
 from repro.experiments import runner
 
 
 QUERY_SET = ("counter", "flows", "top-k", "application")
+
+
+def _system(queries=None, **knobs):
+    """A system built the one way there is: from its config."""
+    return SystemConfig(**knobs).build(queries)
 
 
 @pytest.fixture(scope="module")
@@ -50,28 +54,28 @@ class TestCaptureBuffer:
 class TestModes:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            MonitoringSystem(mode="warp-speed")
+            _system(mode="warp-speed")
 
     def test_mode_alias(self):
-        assert MonitoringSystem(mode="no_lshed").mode == "original"
+        assert _system(mode="no_lshed").mode == "original"
 
     def test_duplicate_query_rejected(self):
-        system = MonitoringSystem([make_query("counter")])
+        system = _system([make_query("counter")])
         with pytest.raises(ValueError):
             system.add_query(make_query("counter"))
 
 
 class TestReferenceExecution:
     def test_reference_never_drops(self, small_trace_module):
-        system = MonitoringSystem([make_query(n) for n in QUERY_SET],
-                                  mode="reference",
-                                  budget=CycleBudget(1e6))  # tiny capacity
+        system = _system([make_query(n) for n in QUERY_SET],
+                         mode="reference",
+                         cycles_per_second=1e6)  # tiny capacity
         result = system.run(small_trace_module)
         assert result.dropped_packets == 0
         assert result.mean_sampling_rate() == 1.0
 
     def test_interval_alignment_across_runs(self, small_trace_module):
-        system = MonitoringSystem([make_query("counter")], mode="reference")
+        system = _system([make_query("counter")], mode="reference")
         first = system.run(small_trace_module)
         second = system.run(small_trace_module)
         assert len(first.query_logs["counter"]) == \
@@ -80,7 +84,7 @@ class TestReferenceExecution:
             second.query_logs["counter"].results
 
     def test_counter_totals_match_trace(self, small_trace_module):
-        system = MonitoringSystem([make_query("counter")], mode="reference")
+        system = _system([make_query("counter")], mode="reference")
         result = system.run(small_trace_module)
         total = sum(r["packets"] for r in result.query_logs["counter"].results)
         assert total == pytest.approx(len(small_trace_module))
@@ -140,9 +144,9 @@ class TestPredictiveExecution:
 
     def test_query_arrival(self, small_trace_module, calibrated):
         capacity, _ = calibrated
-        system = MonitoringSystem([make_query("counter")], mode="predictive",
-                                  budget=CycleBudget(capacity),
-                                  **runner.FEATURE_CONFIG)
+        system = _system([make_query("counter")], mode="predictive",
+                         cycles_per_second=capacity,
+                         **runner.FEATURE_CONFIG)
         system.add_query(make_query("flows"), start_time=2.0)
         result = system.run(small_trace_module)
         flow_rates = result.rate_series("flows")
@@ -153,7 +157,7 @@ class TestPredictiveExecution:
 
 class TestQueryLifecycle:
     def test_remove_query_clears_enforcement_state(self):
-        system = MonitoringSystem([make_query("counter")], mode="predictive")
+        system = _system([make_query("counter")], mode="predictive")
         name = "p2p-detector"
         system.add_query(make_query(name))
         # Simulate a history of violations for the custom query.
@@ -168,14 +172,6 @@ class TestQueryLifecycle:
         assert state.total_violations == 0
         assert state.correction == 1.0
         assert state.disabled_until_bin == -1
-
-    def test_remove_query_clears_controller_state(self):
-        system = MonitoringSystem([make_query("counter"),
-                                   make_query("flows")], mode="predictive")
-        system.controller.last_rates.update({"counter": 0.4, "flows": 0.6})
-        system.remove_query("flows")
-        assert "flows" not in system.controller.last_rates
-        assert "counter" in system.controller.last_rates
 
     def test_meter_reseed_is_deterministic(self):
         from repro.core.cycles import CycleMeter
@@ -192,9 +188,9 @@ class TestQueryLifecycle:
         # which only holds if every per-query RNG is seeded deterministically.
         results = []
         for _ in range(2):
-            system = MonitoringSystem([make_query("counter")],
-                                      mode="reference",
-                                      measurement_noise=0.1, seed=3)
+            system = _system([make_query("counter")],
+                             mode="reference",
+                             measurement_noise=0.1, seed=3)
             result = system.run(small_trace_module)
             results.append(result.series("query_cycles"))
         assert np.array_equal(results[0], results[1])
@@ -208,10 +204,10 @@ class TestCustomSheddingIntegration:
         # the offender real cycles; the enforcer (not starvation) must act.
         capacity, reference = runner.calibrate_capacity(
             ["counter", "flows", "p2p-detector"], payload_trace_small)
-        system = MonitoringSystem(queries, mode="predictive",
-                                  strategy="mmfs_pkt",
-                                  budget=CycleBudget(capacity * 0.7),
-                                  **runner.FEATURE_CONFIG)
+        system = _system(queries, mode="predictive",
+                         strategy="mmfs_pkt",
+                         cycles_per_second=capacity * 0.7,
+                         **runner.FEATURE_CONFIG)
         result = system.run(payload_trace_small)
         state = system.enforcer.state("p2p-detector-selfish")
         assert state.total_violations > 0
@@ -225,10 +221,10 @@ class TestCustomSheddingIntegration:
         capacity, _ = runner.calibrate_capacity(
             [("p2p-detector", {"custom_shedding": True}), "counter"],
             payload_trace_small)
-        system = MonitoringSystem(queries, mode="predictive",
-                                  strategy="mmfs_pkt",
-                                  budget=CycleBudget(capacity * 0.6),
-                                  **runner.FEATURE_CONFIG)
+        system = _system(queries, mode="predictive",
+                         strategy="mmfs_pkt",
+                         cycles_per_second=capacity * 0.6,
+                         **runner.FEATURE_CONFIG)
         system.run(payload_trace_small)
         assert system.enforcer.state("p2p-detector").total_disables == 0
 

@@ -28,10 +28,11 @@ from hypothesis import strategies as st
 
 from repro.core import game
 from repro.experiments import runner
-from oracles.allocation import SCALAR_REFERENCE, two_tier_scalar
+from oracles.allocation import (SCALAR_REFERENCE, QueryDemand,
+                                two_tier_scalar)
 
-from repro.core.fairness import (ARRAY_STRATEGIES, QueryDemand, _water_fill,
-                                 mmfs_cpu, name_ranks)
+from repro.core.fairness import (STRATEGIES, _water_fill, mmfs_cpu,
+                                 name_ranks)
 from repro.core.tenancy import (TenantAssignment, TenantGroup, TenantRegistry,
                                 parse_tenant_groups, two_tier_allocate)
 from repro.fleet import FleetRunner, FleetTopology
@@ -147,7 +148,7 @@ class TestKernelBitIdentity:
     pins the sort+cumsum+searchsorted ``_disable_largest_min_demands`` to
     the old quadratic loop."""
 
-    @pytest.mark.parametrize("key", sorted(ARRAY_STRATEGIES))
+    @pytest.mark.parametrize("key", sorted(STRATEGIES))
     @pytest.mark.parametrize("n", [1, 7, 137, 500])
     def test_kernel_matches_scalar_reference(self, key, n):
         names, predicted, min_rates = _columns(n, seed=n)
@@ -156,13 +157,13 @@ class TestKernelBitIdentity:
         total = float(predicted.sum())
         for capacity in (0.0, 0.05 * total, 0.4 * total, 2.0 * total):
             reference = SCALAR_REFERENCE[key](demands, capacity)
-            kernel = ARRAY_STRATEGIES[key](names, predicted, min_rates,
+            kernel = STRATEGIES[key](names, predicted, min_rates,
                                            capacity,
                                            rank=name_ranks(names))
             assert kernel.rates == reference.rates
             assert kernel.cycles == reference.cycles
             assert kernel.disabled == reference.disabled
-            assert kernel.total_cycles == reference.total_cycles
+            assert kernel.total_cycles == sum(reference.cycles.values())
 
     def test_disable_rule_under_extreme_floors(self):
         # Floors alone exceed capacity: the disable loop does all the work.
@@ -172,9 +173,9 @@ class TestKernelBitIdentity:
         min_rates = np.ones(n)
         demands = [QueryDemand(names[i], 1000.0, 1.0) for i in range(n)]
         for capacity in (500.0, 1000.0, 17_500.0, 63_999.0):
-            for key in ARRAY_STRATEGIES:
+            for key in STRATEGIES:
                 reference = SCALAR_REFERENCE[key](demands, capacity)
-                kernel = ARRAY_STRATEGIES[key](names, predicted, min_rates,
+                kernel = STRATEGIES[key](names, predicted, min_rates,
                                                capacity)
                 assert kernel.rates == reference.rates
                 assert kernel.disabled == reference.disabled
@@ -194,8 +195,8 @@ class TestTieBreakConsistency:
         capacity = 4 * demand + 1.0
         mask = game.active_players([demand] * 9, capacity, names=names)
         from_game = {names[i] for i in np.flatnonzero(mask)}
-        allocation = mmfs_cpu(
-            [QueryDemand(name, demand, 1.0) for name in names], capacity)
+        allocation = mmfs_cpu(names, np.full(9, demand), np.ones(9),
+                              capacity)
         from_allocator = set(names) - set(allocation.disabled)
         assert from_game == from_allocator == set(sorted(names)[:4])
 
@@ -206,9 +207,8 @@ class TestTieBreakConsistency:
             mask = game.active_players([demand] * 3, capacity,
                                        names=ordering)
             assert {ordering[i] for i in np.flatnonzero(mask)} == {"a", "b"}
-            allocation = mmfs_cpu(
-                [QueryDemand(name, demand, 1.0) for name in ordering],
-                capacity)
+            allocation = mmfs_cpu(ordering, np.full(3, demand), np.ones(3),
+                                  capacity)
             assert allocation.disabled == ["c"]
 
 
@@ -317,8 +317,33 @@ class TestTwoTierProperties:
                                  capacity, packet_fair=packet_fair)
         assert set(kernel.disabled) == set(scalar.disabled)
         for name in names:
-            assert kernel.rate(name) == pytest.approx(scalar.rate(name),
+            assert kernel.rate(name) == pytest.approx(scalar.rates[name],
                                                       abs=1e-4)
+
+    @given(tenanted_cases())
+    @settings(deadline=None, max_examples=60)
+    def test_disable_decisions_equal_the_reference_exactly(self, case):
+        names, predicted, min_rates, ids, groups, capacity, packet_fair = \
+            case
+        registry = TenantRegistry(groups)
+        # As drawn, with no capacity at all, and with floors that cannot
+        # fit (everybody insists on a full rate of a tenth of the demand).
+        for floors, budget in ((min_rates, capacity), (min_rates, 0.0),
+                               (min_rates, -1.0),
+                               (np.ones(len(names)),
+                                0.1 * float(predicted.min()))):
+            kernel = two_tier_allocate(names, predicted, floors, ids,
+                                       registry, budget,
+                                       packet_fair=packet_fair)
+            scalar = two_tier_scalar(names, predicted, floors, ids, registry,
+                                     budget, packet_fair=packet_fair)
+            assert kernel.disabled == scalar.disabled
+            if len(scalar.disabled) == len(names):
+                assert kernel.rates == scalar.rates
+                assert kernel.cycles == scalar.cycles
+                assert kernel.total_cycles == 0.0
+                assert (kernel.tenant_shares or {}) == \
+                    (scalar.tenant_shares or {})
 
     @given(tenanted_cases())
     @settings(deadline=None, max_examples=60)
@@ -405,7 +430,7 @@ class TestFairnessAtScale:
         min_rates = np.full(21, 0.5)
         min_rates[-1] = 1.0
         capacity = 12_000.0  # honest floors: 21 * 500; cheater floor: 50k
-        allocation = ARRAY_STRATEGIES["mmfs_cpu"](list(names), predicted,
+        allocation = STRATEGIES["mmfs_cpu"](list(names), predicted,
                                                   min_rates, capacity)
         assert "cheater" in allocation.disabled
         assert set(allocation.disabled) == {"cheater"}

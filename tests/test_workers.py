@@ -442,7 +442,7 @@ class TestSessionsSharingProcesses:
         for pool in (first, second):
             _assert_released(pool)
 
-    def test_dead_worker_names_every_session_it_hosted(self):
+    def test_dead_worker_names_every_session_it_hosted(self, caplog):
         pool = self._pool()
         bins = self._bins(6)
         pool.ingest(bins[0])
@@ -460,8 +460,12 @@ class TestSessionsSharingProcesses:
         _assert_released(pool)
         with pytest.raises(ShardWorkerError, match="stream\\[s4\\]"):
             pool.close()
+        # Logged once, where it was raised; a later refusal is not news.
+        assert [(record.name, record.levelname, record.getMessage())
+                for record in caplog.records] == \
+            [("repro.monitor.workers", "ERROR", message)]
 
-    def test_raising_session_names_its_process_mates(self):
+    def test_raising_session_names_its_process_mates(self, caplog):
         pool = self._pool()
         pool.add_query(3, make_query("counter"))  # a duplicate name
         with pytest.raises(ShardWorkerError) as failure:
@@ -471,6 +475,8 @@ class TestSessionsSharingProcesses:
             in message
         assert "already registered" in message  # the worker's traceback
         assert pool.stopped
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "repro.monitor.workers"] == [message]
 
     def test_running_ahead_of_a_crowded_process_cannot_wedge_its_pipes(self):
         """Empty parts take no buffer slot, so only the per-process window
