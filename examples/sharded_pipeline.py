@@ -48,14 +48,20 @@ def main() -> None:
     sharded = ShardedSystem(query_factory, config=config).run(
         trace, time_bin=TIME_BIN)
 
-    # The same topology driven as a push-based streaming session.
+    # The same topology driven as a push-based streaming session, with a
+    # query arriving mid-stream: the node takes an instance, as a serial
+    # session does, and every shard runs its own copy of it.
     session = ShardedSystem(query_factory, config=config).open_session(
         time_bin=TIME_BIN, name=trace.name)
-    for batch in trace.batches(TIME_BIN):
+    for index, batch in enumerate(trace.batches(TIME_BIN)):
+        if index == 20:
+            session.add_query(make_query("high-watermark"))
         record = session.ingest(batch)  # merged stream-global BinRecord
     streamed = session.close()
     print(f"Streaming ingest: {len(streamed.bins)} bins, last bin saw "
-          f"{record.incoming_packets} packets on {NUM_SHARDS} shards")
+          f"{record.incoming_packets} packets on {NUM_SHARDS} shards; "
+          f"high-watermark arrived at bin 20 and logged "
+          f"{len(streamed.query_logs['high-watermark'])} intervals")
 
     print(f"\n{'query':<14} {'unsharded':>10} {'sharded':>10}")
     plain = runner.accuracy_by_query(unsharded, reference)
@@ -69,7 +75,7 @@ def main() -> None:
 
     # Persistent shard workers: the same stream, but each shard pipeline
     # lives in its own long-lived process and bins travel through shared
-    # memory.  The merged result is bit-identical to the in-process session
+    # memory.  The merged result is bit-identical to the in-process run
     # above.
     if not fork_start_available():
         print("\n(fork start method unavailable; skipping worker backend)")
@@ -82,10 +88,10 @@ def main() -> None:
         parallel = workers.close()
         elapsed = time.perf_counter() - start
     identical = all(
-        parallel.query_logs[name].results == streamed.query_logs[name].results
+        parallel.query_logs[name].results == sharded.query_logs[name].results
         for name in parallel.query_logs)
     print(f"\npersistent workers x{NUM_SHARDS}: {len(parallel.bins)} bins in "
-          f"{elapsed:.2f}s; bit-identical to in-process session: {identical}")
+          f"{elapsed:.2f}s; bit-identical to the in-process run: {identical}")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ trace one time bin at a time, splits the bin across the topology's nodes
 node ``i``'s resident session and lets the bin go — every node runs one
 full predict/shed loop, a :class:`~repro.monitor.session.MonitoringSession`
 or, for nodes configured with ``num_shards > 1``, a sharded session, so the
-shard tier nests under the fleet tier unchanged — and folds the per-node
-results and metrics through the :class:`~repro.fleet.aggregate.FleetAggregator`.
+shard tier nests under the fleet tier unchanged — and federates the
+per-node results and metrics through the
+:class:`~repro.fleet.aggregate.FleetAggregator`.
 
 The node sessions live in one of the two session executors a
 :class:`~repro.monitor.sharding.ShardedSession` also drives:
@@ -15,10 +16,12 @@ The node sessions live in one of the two session executors a
 or a :class:`~repro.monitor.workers.ShardWorkerPool` of resident worker
 processes (backend ``"fork"``), forked before the first bin is read, node
 ``i`` on process ``i mod n``, fed through shared memory and running up to
-two bins behind the reader.  What is resident is the N node sessions, two
-buffer slots per node and the one bin being dealt out — nothing that grows
-with the trace, so a store replays out of core.  Every node sees the same
-sub-batches in the same order with the same config and seed on either
+two bins behind the reader.  Either steps the node sessions; the runner
+folds what they deliver into the node results it owns, as a node does for
+its shards.  What is resident is the N node sessions, two buffer slots per
+node, the one bin being dealt out and the node results — nothing else that
+grows with the trace, so a store replays out of core.  Every node sees the
+same sub-batches in the same order with the same config and seed on either
 executor, so the federated result is bit-identical.
 
 :func:`verify_exactness` is the fleet's correctness gate: it runs the fleet
@@ -227,6 +230,9 @@ class FleetRunner:
         configs = self.topology.node_configs(self.config, force=force)
         trace, time_bin = as_trace(trace), float(time_bin)
         names = [f"{trace.name}[{node.name}]" for node in self.topology.nodes]
+        results = [ExecutionResult(config.mode, config.strategy, name,
+                                   config.make_budget(time_bin))
+                   for config, name in zip(configs, names)]
         backend = self.resolve_backend()
         if backend == "fork" and self.topology.num_nodes > 1:
             nodes = ShardWorkerPool(configs, None, time_bin, names,
@@ -235,14 +241,24 @@ class FleetRunner:
             backend = "inprocess"
             nodes = InProcessShards([build_system(config)
                                      for config in configs], time_bin, names)
+
+        def fold_delivered() -> None:
+            """What the nodes delivered, into their results."""
+            for queue, result, config in zip(nodes.arrived, results,
+                                             configs):
+                while queue:
+                    result.fold(*queue.popleft(), config.query_kinds())
+
         try:
             for batch in trace.batches(time_bin):
                 for node, part in enumerate(self.partitioner.split(batch)):
-                    nodes.ingest_async(node, part)  # no record to wait for
+                    nodes.ingest_async(node, part)
+                fold_delivered()
             metrics = nodes.session_metrics()
-            results = nodes.close()
+            nodes.close()
         finally:
             nodes.stop()
+        fold_delivered()
         bin_seconds = np.array(nodes.ingest_seconds, dtype=np.float64)
         federated = self.aggregator.federate(
             results, query_classes=self.query_classes(),

@@ -33,15 +33,12 @@ configuration.
 every batch, close) and is bit-identical to driving the session by hand; the
 golden regression tests pin that equivalence down.
 
-Everything a bin produces leaves the session through one call:
-:meth:`MonitoringSession.step` returns the bin's record and ``flushed``,
-the ``(query name, interval start, partial)`` of every measurement interval
-the bin closed (:meth:`finish` returns the last ones).  :meth:`ingest` /
-:meth:`close` are ``step`` / ``finish`` plus a fold into the session's own
-:class:`~repro.monitor.system.ExecutionResult` — a whole monitor.  A caller
-of ``step`` / ``finish`` accumulates for itself, as the node of a
-:class:`~repro.monitor.sharding.ShardedSession` does over its N shards;
-the session does not know which it is.
+Everything a bin produces leaves the session through
+:meth:`MonitoringSession.step`: the bin's record and the ``(query name,
+interval start, query class, partial)`` of every measurement interval it
+closed (:meth:`finish` returns the last ones).  :meth:`ingest` /
+:meth:`close` fold that into the session's own result; any other caller
+of ``step`` / ``finish`` — a sharded node, a fleet — folds for itself.
 """
 
 from __future__ import annotations
@@ -102,9 +99,6 @@ class MonitoringSession:
         self._result = ExecutionResult(system.mode, system.config.strategy,
                                        name, self.budget)
         self._result.open_logs(self._query_names)
-        for query_name in self._query_names:
-            self._result.query_arrives(
-                query_name, type(system.runtime(query_name).query))
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -135,7 +129,8 @@ class MonitoringSession:
         ``deduped_merges`` found done already for a query holding the same
         interval bank on the same batch.  When the system declares
         tenant groups, ``tenants`` adds the per-tenant accounting: tenant
-        count and query cycles consumed per tenant so far.
+        count and query cycles consumed per tenant so far, as folded into
+        the session's own result (a stepped session's owner holds them).
         """
         metrics = {
             "profile": self.system.profiler.summary(),
@@ -159,9 +154,9 @@ class MonitoringSession:
         boundary they were waiting for), then the batch flows through the
         full pipeline: capture-buffer admission, prediction, allocation,
         shedding and query execution.  Returns the bin's record and
-        ``flushed``: the ``(query name, interval start, partial)`` of every
-        measurement interval this bin (or a departure at its boundary)
-        closed, in flush order.  The session keeps neither.
+        ``flushed``: the ``(query name, interval start, query class,
+        partial)`` of every measurement interval this bin (or a departure
+        at its boundary) closed, in flush order.  It keeps neither.
         """
         if self.closed:
             raise RuntimeError("cannot ingest into a closed session")
@@ -190,14 +185,8 @@ class MonitoringSession:
     def ingest(self, batch: Batch) -> BinRecord:
         """:meth:`step`, folded into the session's own result."""
         record, flushed = self.step(batch)
-        self._result.add_bin((record,))
-        self._fold(flushed)
+        self._result.fold(record, flushed, self._query_names)
         return record
-
-    def _fold(self, flushed: List[Tuple]) -> None:
-        """What a bin boundary produced, into the session's own result."""
-        self._result.open_logs(self._query_names)
-        self._result.add_intervals((flushed,))
 
     def ingest_trace(self, source) -> "MonitoringSession":
         """Stream every bin of ``source`` through :meth:`ingest`.
@@ -218,7 +207,7 @@ class MonitoringSession:
         """:meth:`finish`, folded into the session's own result, which is
         returned.  Idempotent."""
         if not self._closed:
-            self._fold(self.finish())
+            self._result.fold(None, self.finish(), self._query_names)
         return self._result
 
     def partial_result(self) -> ExecutionResult:
@@ -339,8 +328,6 @@ class MonitoringSession:
                     start_time = (boundary_ts if boundary_ts is not None
                                   else self._next_boundary_ts())
                 self.system.add_query(query, start_time=start_time)
-                self._result.query_arrives(query.name, type(query),
-                                           boundary=self._next_index)
             elif kind == "remove":
                 name = op[1]
                 self.system._flush_runtime_final(self.system.runtime(name))

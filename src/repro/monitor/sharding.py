@@ -17,17 +17,18 @@ identical shards and folds their outputs back into one result:
   Figure 3.2 runs per shard, unchanged.  What makes it a shard is who
   drives it: the node *steps* it
   (:meth:`~repro.monitor.session.MonitoringSession.step` /
-  :meth:`~repro.monitor.session.MonitoringSession.finish`) and accumulates
-  what comes out, where a whole monitor ``ingest``s and accumulates for
-  itself.
-* **Result merging** — every step returns the shard's :class:`BinRecord`
+  :meth:`~repro.monitor.session.MonitoringSession.finish`) and merges
+  what comes out, where a whole monitor ``ingest``s and folds for itself.
+* **Result merging** — every step delivers the shard's :class:`BinRecord`
   and the mergeable *partial*
   (:meth:`repro.monitor.query.Query.interval_partial`) of every measurement
-  interval the bin closed.  The node folds both into the one accumulator
-  every tier uses (:class:`~repro.monitor.system.ExecutionResult`):
-  ``add_bin`` merges the N records (:meth:`BinRecord.merge`),
-  ``add_interval`` merges the N partials (``merge_partials``) and finishes
-  the answer once (``finalize``) — so a sharded node that sheds nothing
+  interval the bin closed, named by its query class.  A node is stepped
+  like a monitor: :meth:`ShardedSession.step` merges the N records
+  (:meth:`BinRecord.merge`) and each interval's N partials (the class's
+  ``merge_partials``) and delivers them as one session would; whoever owns
+  the node folds that into an
+  :class:`~repro.monitor.system.ExecutionResult`, which finishes each
+  answer once (``finalize``) — so a sharded node that sheds nothing
   reports exactly what a serial one reports, for every query kind.  Shards
   whose flushed interval boundaries disagree raise
   :class:`ShardDivergenceError` at the bin where it shows.
@@ -46,7 +47,7 @@ Shards execute on one of two executors with the same method set
 * ``"workers"`` — one **persistent worker process per shard**
   (:class:`~repro.monitor.workers.ShardWorkerPool`): each bin's
   pre-partitioned columnar sub-batch travels through shared memory, what
-  each step returns comes back on a result channel, and reconfiguration
+  each step delivers comes back on a result channel, and reconfiguration
   messages are piggybacked in FIFO order with the batches — so streaming
   sessions run on real parallelism, bit-identical to the in-process path.
 
@@ -56,13 +57,15 @@ Shards execute on one of two executors with the same method set
 
 from __future__ import annotations
 
+import copy
 import logging
 import warnings
 from collections import deque
 from functools import cached_property
 from itertools import zip_longest
 from time import perf_counter
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..core.cycles import CycleBudget
 from ..core.pool import effective_workers
@@ -73,7 +76,7 @@ from .pipeline import BinRecord
 from .query import Query, QueryResultLog
 from .system import ExecutionResult
 from .workers import (ShardExecutionWarning, ShardWorkerPool,
-                      fork_start_available, session_calls)
+                      fork_start_available)
 
 #: Header fields whose combined hash decides a packet's shard: the full
 #: 5-tuple, so a flow's packets always land on the same shard.
@@ -173,14 +176,13 @@ class ShardedSystem:
             for index in range(self.num_shards)
         ]
         self.mode = config.mode
-        #: Query class per name of the configured mix (drives the merge of
-        #: the shards' partials).
-        self.query_classes: Dict[str, type] = {}
+        #: The names of the configured mix, validated unique.
+        self.query_names: List[str] = []
         for query in query_factory():
-            if query.name in self.query_classes:
+            if query.name in self.query_names:
                 raise ValueError(
                     f"a query named {query.name!r} is already registered")
-            self.query_classes[query.name] = type(query)
+            self.query_names.append(query.name)
 
     @cached_property
     def systems(self) -> List:
@@ -189,10 +191,6 @@ class ShardedSystem:
         never pays for a set of its own."""
         return [shard_config.build(self.query_factory())
                 for shard_config in self.shard_configs]
-
-    @property
-    def query_names(self) -> List[str]:
-        return list(self.query_classes)
 
     # ------------------------------------------------------------------
     def resolve_backend(self) -> str:
@@ -322,37 +320,31 @@ class InProcessShards:
 
     The serial session executor: one session per system (a shard's
     :class:`~repro.monitor.session.MonitoringSession`, or whatever a fleet
-    node's system opens), driven in order by the caller.  A session queues
+    node's system opens), stepped in order by the caller, what each step
+    delivers queued in :attr:`arrived` as in the pool.  A session queues
     reconfigurations until its next bin itself, which is the bin-boundary
-    semantics the worker pool gets from FIFO command pipes.  With
-    ``ship_partials`` the sessions are the shards of one node: they are
-    stepped (``step`` / ``finish``) and what each step returns is queued in
-    :attr:`arrived`, as in the pool; without, every session is a monitor of
-    its own (``ingest`` / ``close``).
+    semantics the worker pool gets from FIFO command pipes.
     """
 
     def __init__(self, systems: Sequence, time_bin: float,
-                 names: Sequence[str], ship_partials: bool = False) -> None:
+                 names: Sequence[str]) -> None:
         self.sessions = [system.open_session(time_bin=time_bin, name=name)
                          for system, name in zip(systems, names)]
         #: Wall seconds of every bin, per session.
         self.ingest_seconds: List[List[float]] = [[] for _ in self.sessions]
         #: See :attr:`ShardWorkerPool.arrived`.
-        self.arrived: Optional[List[Deque[tuple]]] = \
-            [deque() for _ in self.sessions] if ship_partials else None
+        self.arrived: List[Deque[tuple]] = [deque() for _ in self.sessions]
         #: Nothing travels in-process: partials are handed over.
         self.partial_bytes = 0
-        self._run_bin, self._end = session_calls(ship_partials)
 
     def ingest_async(self, shard: int, batch: Batch) -> BinRecord:
         """Session ``shard``'s bin, run on the spot: nothing runs
         concurrently here, so there is nothing to run ahead of."""
         started = perf_counter()
-        record, shipped = self._run_bin(self.sessions[shard], batch)
+        delivered = self.sessions[shard].step(batch)
         self.ingest_seconds[shard].append(perf_counter() - started)
-        if self.arrived is not None:
-            self.arrived[shard].append((record, shipped))
-        return record
+        self.arrived[shard].append(delivered)
+        return delivered[0]
 
     def ingest(self, parts: Sequence[Batch]) -> List[BinRecord]:
         return [self.ingest_async(shard, part)
@@ -386,14 +378,12 @@ class InProcessShards:
                 f"{len(self.sessions)} shards")
         self.sessions = list(sessions)
 
-    def close(self) -> List[Optional[ExecutionResult]]:
-        """Every monitor's result; ``None`` for a stepped session, whose
-        last intervals go to :attr:`arrived` instead."""
-        ended = [self._end(session) for session in self.sessions]
-        if self.arrived is not None:
-            for queue, (_, shipped) in zip(self.arrived, ended):
-                queue.append((None, shipped))
-        return [result for result, _ in ended]
+    def close(self) -> None:
+        """Finish every session: its last intervals go to :attr:`arrived`.
+        Idempotent."""
+        for queue, session in zip(self.arrived, self.sessions):
+            if not session.closed:
+                queue.append((None, session.finish()))
 
     def stop(self) -> None:
         """Nothing to release: the sessions die with the executor."""
@@ -405,23 +395,18 @@ class InProcessShards:
 class ShardedSession:
     """Push-based execution handle over a :class:`ShardedSystem`.
 
-    Mirrors :class:`~repro.monitor.session.MonitoringSession`: feed it one
-    batch per time bin with :meth:`ingest` (the batch is flow-partitioned
-    and fanned out to the per-shard sessions), reconfigure between bins,
-    and :meth:`close` to obtain the merged
-    :class:`~repro.monitor.system.ExecutionResult`.
+    Follows :class:`~repro.monitor.session.MonitoringSession`'s contract:
+    :meth:`step` (the batch is flow-partitioned and fanned out to the
+    per-shard sessions) and :meth:`finish` deliver what a session delivers,
+    the N shards' merged into one; :meth:`ingest` / :meth:`close` fold it
+    into the node's own :class:`~repro.monitor.system.ExecutionResult`.
 
     The per-shard sessions belong to a shard executor — ``backend`` picks
     :class:`InProcessShards` or one persistent worker process per shard
-    (:class:`ShardWorkerPool`) — and every method below is written once
+    (:class:`ShardWorkerPool`) — which steps them and queues what they
+    deliver in ``executor.arrived``.  Every method below is written once
     against the executor's method set: reconfigurations apply at the next
     bin boundary on either, so the merged results are bit-identical.
-
-    The executor steps the sessions and queues what each step returns in
-    ``executor.arrived``; the node's result is accumulated here, folded as
-    the deliveries come in (:meth:`_fold_arrivals`) — a bin's record when
-    every shard has answered it, a measurement interval's result when every
-    shard's partial of it is in.
     """
 
     def __init__(self, sharded: ShardedSystem, time_bin: float = 0.1,
@@ -438,10 +423,10 @@ class ShardedSession:
         if backend == "workers":
             self._executor = ShardWorkerPool(
                 sharded.shard_configs, sharded.query_factory,
-                time_bin=self.time_bin, names=names, ship_partials=True)
+                time_bin=self.time_bin, names=names)
         elif backend == "inprocess":
             self._executor = InProcessShards(sharded.systems, self.time_bin,
-                                             names, ship_partials=True)
+                                             names)
         else:
             raise ValueError(
                 f"unknown session backend {backend!r}; sharded sessions run "
@@ -450,14 +435,12 @@ class ShardedSession:
         # question about it needs a round trip to a worker.
         self._bins_ingested = 0
         self._query_names: List[str] = list(sharded.query_names)
-        #: The node's own bins and query logs, folded from the deliveries
-        #: (each interval finished by the class its query had when it was
-        #: flushed, which the result keeps track of).
+        #: Total capacity ``set_capacity`` queued for the next bin boundary.
+        self._pending_capacity: Optional[float] = None
+        #: What :meth:`ingest` / :meth:`close` have accumulated.
         self._result = ExecutionResult(sharded.mode, sharded.config.strategy,
                                        name, self.budget)
         self._result.open_logs(self._query_names)
-        for query_name, query_cls in sharded.query_classes.items():
-            self._result.query_arrives(query_name, query_cls)
         self._merge_stats = {"intervals_merged": 0, "merge_seconds": 0.0,
                              "divergences": 0}
         #: (packets, total cycles) each shard reported for the previous bin.
@@ -499,8 +482,8 @@ class ShardedSession:
         totals summed and per-bin latency series concatenated, plus a
         ``sharding`` block about the result merge: measurement intervals
         merged, bytes of the shard replies that carried partials (nothing
-        travels in-process: 0), seconds spent merging and finalising, and
-        shard divergences detected.  The shard numbers are read at a bin
+        travels in-process: 0), seconds spent merging partials, and shard
+        divergences detected.  The shard numbers are read at a bin
         boundary (on the workers backend they travel the command pipes,
         FIFO with the batches); a closed session returns the snapshot
         taken at close time.
@@ -508,7 +491,7 @@ class ShardedSession:
         if self._closed_metrics is not None:
             return self._closed_metrics
         shards = self._executor.metrics()
-        self._fold_arrivals()
+        self._fold(self._delivered())
         return self._fold_metrics(shards)
 
     def _fold_metrics(self, shards: Sequence[Tuple]) -> Dict:
@@ -530,43 +513,50 @@ class ShardedSession:
         return merged
 
     # ------------------------------------------------------------------
-    # Folding what the shards deliver
+    # Merging what the shards deliver
     # ------------------------------------------------------------------
-    def _fold_arrivals(self) -> Optional[BinRecord]:
-        """Fold every delivery all the shards have made.
+    def _delivered(self) -> Iterator[Tuple[Optional[BinRecord], List[tuple]]]:
+        """Every delivery all the shards have made, merged, in order.
 
-        Each shard's queue holds, in order, one ``(record, shipped)`` per
-        answered bin — ``shipped`` the partials of the intervals that bin
-        flushed — and a last ``(None, shipped)`` for what ``close`` flushed.
-        Returns the merged record of the last bin folded, if any.
+        Each shard's queue holds one ``(record, flushed)`` per answered bin
+        and a last ``(None, flushed)`` for what ``finish`` flushed; the N
+        deliveries of a bin merge into the one a serial session makes.
         """
         queues = self._executor.arrived
-        merged = None
         while all(queues):
-            records, shipped = zip(*(queue.popleft() for queue in queues))
-            if records[0] is not None:
-                for index, record in enumerate(records):
-                    self._prev_load[index] = (record.incoming_packets,
-                                              record.total_cycles)
-                merged = self._result.add_bin(records)
-            self._fold_partials(shipped)
-        return merged
+            records, flushed = zip(*(queue.popleft() for queue in queues))
+            record = records[0]
+            if record is not None:
+                self._prev_load = [(shard.incoming_packets, shard.total_cycles)
+                                   for shard in records]
+                record = BinRecord.merge(records)
+            yield record, self._merged_intervals(flushed)
 
-    def _fold_partials(self, shipped: Sequence[Sequence[tuple]]) -> None:
-        """Merge and finalise the intervals one bin (or close) flushed.
+    def _merged_intervals(self, flushed: Sequence[List[tuple]]
+                          ) -> List[tuple]:
+        """One list of what a bin (or the end) flushed, from the shards'.
 
-        ``shipped[i]`` is shard ``i``'s ``(query name, interval start,
-        partial)`` list; all must name the same intervals in the same
-        order.
+        ``flushed[i]`` is shard ``i``'s ``(query name, interval start,
+        query class, partial)`` list; all must name the same intervals in
+        the same order.  Flow-disjoint partials fold through their class's
+        ``merge_partials``; one shard's stay as they are.
         """
         started = perf_counter()
-        flushed = [[entry[:2] for entry in shard] for shard in shipped]
-        for index, boundaries in enumerate(flushed[1:], start=1):
-            if boundaries != flushed[0]:
-                raise self._diverged(index, flushed[0], boundaries)
-        self._result.add_intervals(shipped)
-        self._merge_stats["intervals_merged"] += len(flushed[0])
+        boundaries = [[entry[:2] for entry in shard] for shard in flushed]
+        for index, theirs in enumerate(boundaries[1:], start=1):
+            if theirs != boundaries[0]:
+                raise self._diverged(index, boundaries[0], theirs)
+        merged = flushed[0]
+        if len(flushed) > 1:
+            merged = []
+            for entries in zip(*flushed):
+                name, start, query_cls, _ = entries[0]
+                merged.append((name, start, query_cls,
+                               query_cls.merge_partials(
+                                   [entry[3] for entry in entries])))
+        self._merge_stats["intervals_merged"] += len(merged)
         self._merge_stats["merge_seconds"] += perf_counter() - started
+        return merged
 
     def _diverged(self, shard: int, expected: List[tuple],
                   flushed: List[tuple]) -> ShardDivergenceError:
@@ -581,24 +571,63 @@ class ShardedSession:
                             if pair[0] != pair[1])
         message = (
             f"shard {shard} of session {self.name!r} flushed "
-            f"{described(theirs)} where shard 0 flushed {described(mine)} "
-            f"(bin {len(self._result.bins)}): the shards have diverged")
+            f"{described(theirs)} where shard 0 flushed {described(mine)}: "
+            "the shards have diverged")
         logger.error(message)
         return ShardDivergenceError(message)
+
+    def _fold(self, delivered) -> None:
+        """Deliveries into the node's own result (:meth:`ingest`'s fold)."""
+        for record, flushed in delivered:
+            self._result.fold(record, flushed, self._query_names)
 
     # ------------------------------------------------------------------
     def _partition(self, batch: Batch) -> List[Batch]:
         """A bin boundary: the bin's per-shard sub-batches."""
         if self.closed:
             raise RuntimeError("cannot ingest into a closed session")
-        self._result.open_logs(self._query_names)
+        self._apply_capacity()
         self._bins_ingested += 1
         return batch.partition(self.num_shards, FLOW_FIELDS)
 
-    def ingest(self, batch: Batch) -> BinRecord:
-        """Partition one bin's batch, drive every shard, merge the records."""
+    def _apply_capacity(self) -> None:
+        """A bin boundary: a queued ``set_capacity`` takes effect."""
+        if self._pending_capacity is not None:
+            self.budget = self._result.budget = \
+                CycleBudget(self._pending_capacity, self.time_bin)
+            self._pending_capacity = None
+
+    def step(self, batch: Batch) -> Tuple[BinRecord, List[tuple]]:
+        """Process one time bin on every shard; returns what it produced,
+        as :meth:`MonitoringSession.step
+        <repro.monitor.session.MonitoringSession.step>` does: the bin's
+        merged record and the merged partials of the intervals it closed
+        (unfinished).  The node keeps neither."""
         self._executor.ingest(self._partition(batch))
-        return self._fold_arrivals()
+        # Anything ``ingest_trace`` left in flight arrived first.
+        *earlier, delivered = self._delivered()
+        self._fold(earlier)
+        return delivered
+
+    def finish(self) -> List[tuple]:
+        """End the execution: finish every shard and return the merged
+        last intervals, as :meth:`step` does.  Idempotent (later calls
+        return nothing)."""
+        if self.closed:
+            return []
+        shards = self._executor.metrics()  # workers are gone afterwards
+        self._apply_capacity()
+        self._executor.close()
+        *earlier, (_, flushed) = self._delivered()
+        self._fold(earlier)
+        self._closed_metrics = self._fold_metrics(shards)
+        return flushed
+
+    def ingest(self, batch: Batch) -> BinRecord:
+        """:meth:`step`, folded into the node's own result."""
+        record, flushed = self.step(batch)
+        self._result.fold(record, flushed, self._query_names)
+        return record
 
     def ingest_trace(self, source) -> "ShardedSession":
         """Stream every bin of ``source`` through the shards.
@@ -617,17 +646,14 @@ class ShardedSession:
         for batch in as_trace(source).batches(self.time_bin):
             for index, part in enumerate(self._partition(batch)):
                 self._executor.ingest_async(index, part)
-            self._fold_arrivals()  # whatever has come back meanwhile
+            self._fold(self._delivered())  # whatever has come back meanwhile
         return self
 
     def close(self) -> ExecutionResult:
-        """Finish every shard session and return the merged result."""
+        """:meth:`finish`, folded into the node's own result, which is
+        returned.  Idempotent."""
         if not self.closed:
-            shards = self._executor.metrics()  # workers are gone afterwards
-            self._result.open_logs(self._query_names)  # the last boundary
-            self._executor.close()
-            self._fold_arrivals()
-            self._closed_metrics = self._fold_metrics(shards)
+            self._result.fold(None, self.finish(), self._query_names)
         return self._result
 
     # ------------------------------------------------------------------
@@ -642,10 +668,9 @@ class ShardedSession:
         the current bin boundary (the workers keep streaming).  What the
         node keeps — its accumulated result (merged bins and query logs,
         per-tenant cycle totals, the possibly ``set_capacity``-adjusted
-        total budget and the query classes that finish the intervals) —
-        rides along so a restored session continues bit-identically.
-        Serialise
-        the payload immediately (it aliases live objects on the in-process
+        total budget) and a capacity change still queued — rides along so
+        a restored session continues bit-identically.  Serialise the
+        payload immediately (it aliases live objects on the in-process
         backend); :mod:`repro.serve.checkpoint` wraps it in the on-disk
         format.
         """
@@ -654,7 +679,7 @@ class ShardedSession:
         # The states are cut at a bin boundary every earlier delivery has
         # crossed: folded now, the logs cover exactly the states' bins.
         shard_sessions = self._executor.session_states()
-        self._fold_arrivals()
+        self._fold(self._delivered())
         return {
             "kind": "sharded",
             "config": self.sharded.config,
@@ -662,6 +687,7 @@ class ShardedSession:
             "result": self._result,
             "bins_ingested": self._bins_ingested,
             "query_names": list(self._query_names),
+            "pending_capacity": self._pending_capacity,
         }
 
     @classmethod
@@ -702,6 +728,7 @@ class ShardedSession:
             raise
         session._bins_ingested = int(state["bins_ingested"])
         session._query_names = list(state["query_names"])
+        session._pending_capacity = state["pending_capacity"]
         session._result = result
         return session
 
@@ -712,26 +739,25 @@ class ShardedSession:
             raise RuntimeError("cannot snapshot a closed session; close() "
                                "already returned the final result")
         self._executor.metrics()  # answered once every bin sent is
-        self._fold_arrivals()
+        self._fold(self._delivered())
         return self._result.snapshot()
 
     # ------------------------------------------------------------------
     # Live reconfiguration (forwarded to every shard, next bin boundary)
     # ------------------------------------------------------------------
-    def add_query(self, query_factory: Callable[[], Query],
+    def add_query(self, query: Query,
                   start_time: Optional[float] = None) -> None:
-        """Register a query on every shard (one fresh instance each)."""
+        """Register ``query`` on every shard at the next bin boundary (each
+        shard runs its own copy)."""
         if self.closed:
             raise RuntimeError("cannot reconfigure a closed session")
-        instances = [query_factory() for _ in range(self.num_shards)]
-        name = instances[0].name
-        if name in self._query_names:
-            raise ValueError(f"a query named {name!r} is already registered")
-        for shard, query in enumerate(instances):
-            self._executor.add_query(shard, query, start_time=start_time)
-        self._query_names.append(name)
-        self._result.query_arrives(name, type(instances[0]),
-                                   boundary=self._bins_ingested)
+        if query.name in self._query_names:
+            raise ValueError(
+                f"a query named {query.name!r} is already registered")
+        for shard in range(self.num_shards):
+            self._executor.add_query(shard, copy.deepcopy(query),
+                                     start_time=start_time)
+        self._query_names.append(query.name)
 
     def remove_query(self, name: str) -> None:
         """Deregister a query from every shard.
@@ -748,16 +774,14 @@ class ShardedSession:
         self._query_names.remove(name)
 
     def set_capacity(self, cycles_per_second: float) -> None:
-        """Change the *total* capacity; shards re-split it evenly, from
-        the next bin boundary on."""
+        """Change the *total* capacity at the next bin boundary; shards
+        re-split it evenly."""
         if self.closed:
             raise RuntimeError("cannot reconfigure a closed session")
         cycles_per_second = float(cycles_per_second)
         if cycles_per_second <= 0:
             raise ValueError("cycles_per_second must be positive")
-        self.sharded.total_cycles_per_second = cycles_per_second
-        self.budget = self._result.budget = \
-            CycleBudget(cycles_per_second, self.time_bin)
+        self._pending_capacity = cycles_per_second
         # Queued by an in-process session itself, FIFO with the batches on
         # a worker's command pipe: applied at the next bin's boundary.
         for shard in range(self.num_shards):

@@ -21,11 +21,15 @@ Four operating modes correspond to the systems compared in the evaluation:
 ``reference``
     ``original`` with an infinite buffer; used to compute the ground-truth
     query results against which accuracy is measured.
+
+Every bin a session runs delivers one :class:`BinRecord` and the intervals
+the bin closed, each ``(query name, interval start, query class, partial)``;
+whoever owns the session folds them into an :class:`ExecutionResult`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -81,9 +85,9 @@ def merge_query_logs(logs: Iterable[QueryResultLog],
 
 class ExecutionResult:
     """Result of running a system over a trace, and the accumulator every
-    tier builds it in: a bin's records fold in through :meth:`add_bin`,
-    what a bin boundary flushed through :meth:`add_intervals` — one of each
-    from a whole monitor, N from the shards of a node.
+    tier builds it in: whoever owns a session folds what each of its steps
+    delivers — the bin's record and the intervals the bin flushed — in
+    through :meth:`fold`, the same way for a monitor, a node and a fleet.
     """
 
     def __init__(self, mode: str, strategy: str, trace_name: str,
@@ -95,22 +99,25 @@ class ExecutionResult:
         self.bins: List[BinRecord] = []
         self.query_logs: Dict[str, QueryResultLog] = {}
         self._tenant_cycles: Dict[str, float] = {}
-        #: The class that finishes what is flushed under each query name,
-        #: and the ``(bin boundary, name, class)`` arrivals not yet in
-        #: effect.
-        self._query_classes: Dict[str, type] = {}
-        self._arriving: List[tuple] = []
 
     # -- accumulation -------------------------------------------------------
-    def add_bin(self, records: Sequence[BinRecord]) -> BinRecord:
-        """Fold one time bin's per-partition records in; returns the bin's
-        merged record (the record itself when there is one partition)."""
-        record = BinRecord.merge(records)
+    def fold(self, record: Optional[BinRecord], flushed: Iterable[tuple],
+             names: Iterable[str]) -> None:
+        """Fold one delivery of a session: the bin's ``record`` (``None``
+        for what the end of the execution flushed), the ``flushed``
+        intervals, and ``names``, the queries that run from this bin
+        boundary on."""
+        if record is not None:
+            self.add_bin(record)
+        self.open_logs(names)
+        self.add_intervals(flushed)
+
+    def add_bin(self, record: BinRecord) -> None:
+        """Fold one time bin's record in."""
         self.bins.append(record)
         totals = self._tenant_cycles
         for tenant, cycles in record.tenant_cycles.items():
             totals[tenant] = totals.get(tenant, 0.0) + cycles
-        return record
 
     def open_logs(self, names: Iterable[str]) -> None:
         """A bin boundary: the queries called ``names`` run from here on.
@@ -122,52 +129,16 @@ class ExecutionResult:
             if name not in self.query_logs:
                 self.query_logs[name] = QueryResultLog(name)
 
-    def query_arrives(self, name: str, query_cls: type,
-                      boundary: int = -1) -> None:
-        """A query of class ``query_cls`` takes the name ``name`` at bin
-        boundary ``boundary`` (the index of the first bin it sees; default:
-        it was there from the start).
-
-        What that boundary itself flushes under the name still belongs to
-        whoever held it before — a departed query's last interval is
-        finished by its own class; the arrival finishes what later
-        boundaries flush.
-        """
-        self._arriving.append((boundary, name, query_cls))
-        self._admit_arrivals()
-
-    def _admit_arrivals(self) -> None:
-        """Arrivals at a boundary already folded come into effect."""
-        waiting = []
-        for arrival in self._arriving:
-            boundary, name, query_cls = arrival
-            if boundary < len(self.bins):
-                self._query_classes[name] = query_cls
-            else:
-                waiting.append(arrival)
-        self._arriving = waiting
-
-    def add_intervals(self, flushed: Sequence[Sequence[tuple]]) -> None:
-        """Fold what one bin boundary (its bin already added) or the end
-        of the execution flushed: ``flushed[i]`` is the ``(query name,
-        interval start, partial)`` list of sub-stream ``i``, all naming the
-        same intervals in the same order.
-
-        An interval is finished by the class registered for its name
-        (:meth:`query_arrives`): one partial is finalised as it is (what
-        ``interval_result()`` does), several flow-disjoint ones fold
-        through ``merge_partials`` first.
-        """
-        for entries in zip(*flushed):
-            name, interval_start, partial = entries[0]
-            query_cls = self._query_classes[name]
-            if len(entries) > 1:
-                partial = query_cls.merge_partials(
-                    [entry[2] for entry in entries])
+    def add_intervals(self, flushed: Iterable[tuple]) -> None:
+        """Finish and log what a bin boundary (or the end) flushed: each
+        ``(query name, interval start, query class, partial)`` is finalised
+        by the class of the query that flushed it — what
+        ``interval_result()`` does — so a departed query's last interval
+        is its own, whoever takes the name at that boundary."""
+        for name, interval_start, query_cls, partial in flushed:
             self.open_logs((name,))
             self.query_logs[name].append(interval_start,
                                          query_cls.finalize(partial))
-        self._admit_arrivals()
 
     def snapshot(self) -> "ExecutionResult":
         """A copy that stays as it is while this result keeps growing
@@ -190,9 +161,9 @@ class ExecutionResult:
 
         The public merge of *finished* executions — what the fleet tier
         federates its nodes through.  Bin records of the same index fold
-        via :meth:`add_bin` (sums / maxima / rate means); query logs fold
-        interval by interval via :func:`merge_query_logs` under each
-        query's ``RESULT_MERGE`` spec.
+        via :meth:`BinRecord.merge` (sums / maxima / rate means); query
+        logs fold interval by interval via :func:`merge_query_logs` under
+        each query's ``RESULT_MERGE`` spec.
 
         **Ordering and associativity.**  Every registered query's
         ``RESULT_MERGE`` fold is associative and permutation-invariant:
@@ -238,7 +209,8 @@ class ExecutionResult:
                 raise ValueError(
                     "partition executions cover different bin counts")
         for index in range(n_bins):
-            merged.add_bin([result.bins[index] for result in results])
+            merged.add_bin(BinRecord.merge([result.bins[index]
+                                            for result in results]))
         merged.query_logs = {
             qname: merge_query_logs([result.query_logs[qname]
                                      for result in results],
@@ -371,9 +343,9 @@ class MonitoringSystem:
         #: bins; the per-bin allocator gathers rows by slot index.
         self.demand_table = QuerySlotTable()
         self._runtimes: Dict[str, _QueryRuntime] = {}
-        #: ``(query name, interval start, partial)`` of every measurement
-        #: interval flushed since the session driving this system last
-        #: took the list away (it does after every bin).
+        #: ``(query name, interval start, query class, partial)`` of every
+        #: measurement interval flushed since the session driving this
+        #: system last took the list away (it does after every bin).
         self._flushed: List[tuple] = []
         self._prev_reactive_rate = 1.0
         self._prev_query_cycles = 0.0
@@ -500,11 +472,12 @@ class MonitoringSystem:
 
     def _flush_interval(self, runtime: _QueryRuntime) -> None:
         """Flush the interval ``runtime`` has open: its mergeable partial
-        leaves with the bin, for whoever accumulates the session's results
-        to finish (alone, or merged with the other shards' of a node)."""
+        leaves with the bin, named by the query's class, for whoever
+        accumulates the session's results to finish (alone, or merged with
+        the other shards' of a node)."""
         query = runtime.query
         self._flushed.append((query.name, runtime.interval_start,
-                              query.interval_partial()))
+                              type(query), query.interval_partial()))
         query.consume_cycles()  # flush cost is charged to export
 
     def _flush_runtime_final(self, runtime: _QueryRuntime) -> None:

@@ -27,24 +27,18 @@ parent only the bin being dealt out.
   after which the slot is free for reuse — zero serialisation, one copy.
   Payloads, when present, are variable-length Python objects and ride the
   command pipe instead.
-* **Result channel** — every ingested bin answers with its
-  :class:`~repro.monitor.pipeline.BinRecord` and the wall seconds the bin
-  took, on a per-process result pipe.  The sessions of a pool opened with
-  ``ship_partials=True`` are the shards of one node: the worker *steps*
-  them (:meth:`~repro.monitor.session.MonitoringSession.step` /
-  :meth:`~repro.monitor.session.MonitoringSession.finish`), so the
-  mergeable partial of every interval a bin flushed rides back with that
-  bin's record, the last intervals' with the ``close`` reply, and the
-  parent queues both per session in :attr:`ShardWorkerPool.arrived` for
-  the node to fold — such a session keeps neither answers nor records.
-  Otherwise every session is a monitor of its own (``ingest`` /
-  ``close``) and ``close`` answers with its finished result.  Control
-  messages (capacity changes, query arrivals/departures, metrics and
-  checkpoint reads) are piggybacked on the command pipe in FIFO order with
-  the batches, so they apply at exactly the bin boundary they would
-  in-process.
-* **Lifecycle** — :meth:`close` flushes every session and returns the
-  monitors' :class:`~repro.monitor.system.ExecutionResult` list;
+* **Result channel** — the worker *steps* every session it hosts
+  (:meth:`~repro.monitor.session.MonitoringSession.step`; a sharded node
+  steps the same way), and each bin answers on a per-process result pipe
+  with what the step delivered — the bin's record and the mergeable
+  partial of every interval it flushed — plus the wall seconds it took;
+  ``close`` answers with the last intervals.  The parent queues every
+  delivery per session in :attr:`ShardWorkerPool.arrived`, waited for or
+  not, for the session's owner to fold.  Control messages (capacity
+  changes, query arrivals/departures, metrics and checkpoint reads) are
+  piggybacked on the command pipe in FIFO order with the batches, so they
+  apply at exactly the bin boundary they would in-process.
+* **Lifecycle** — :meth:`close` flushes every session and stops the pool;
   :meth:`stop` (idempotent, also run by ``close`` and ``__del__``) joins
   the processes and closes *and unlinks* every shared-memory segment, so
   no ``/dev/shm`` entries outlive the pool.  A worker dying mid-stream
@@ -55,7 +49,9 @@ Workers are started with the ``fork`` start method when the platform has
 it — before the caller reads its first bin, so they inherit no traffic —
 and the configs and the query factory are inherited rather than pickled
 (lambda factories keep working).  On spawn-only platforms the pool still
-runs, but configs and factories must then be picklable.
+runs, but configs and factories must then be picklable.  Every flushed
+partial names its query class, which is pickled by reference: a query
+class must be importable at module level.
 """
 
 from __future__ import annotations
@@ -77,7 +73,6 @@ __all__ = [
     "ShardWorkerError",
     "ShardWorkerPool",
     "fork_start_available",
-    "session_calls",
 ]
 
 logger = logging.getLogger("repro.monitor.workers")
@@ -143,21 +138,6 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
             resource_tracker.register = original_register
 
 
-def session_calls(ship_partials: bool) -> tuple:
-    """What an executor calls on a session for a bin and at the end.
-
-    Both return ``(answer, shipped)``.  The shards of a node are stepped —
-    the node accumulates the records and the ``shipped`` partials; any
-    other session is a monitor of its own and answers the end with its
-    finished result.
-    """
-    if ship_partials:
-        return (lambda session, batch: session.step(batch),
-                lambda session: (None, session.finish()))
-    return (lambda session, batch: (session.ingest(batch), ()),
-            lambda session: (session.close(), ()))
-
-
 # ----------------------------------------------------------------------
 # Worker process main loop
 # ----------------------------------------------------------------------
@@ -174,29 +154,28 @@ _QUERIES = {
     # the pipe *is* the snapshot — the parent receives a private copy while
     # the worker's live session streams on.
     "state": lambda session: session,
+    # The end of the execution: what the session delivers for it.
+    "close": lambda session: (None, session.finish()),
 }
 
 
 def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
-                 time_bin: float, ship_partials: bool, commands,
-                 results) -> None:
-    """Some sessions, resident: open each once, serve their bins forever.
+                 time_bin: float, commands, results) -> None:
+    """Some sessions, resident: open each once, step them forever.
 
     ``hosted`` lists ``(session index, config, name)`` for every session
     of this process; ``commands`` / ``results`` are the worker ends of its
-    pipes.  Every reply is ``(kind, seq, answer, session index, shipped)``
-    — ``shipped`` the partials of the intervals a stepped session flushed
-    while answering — and a record's has the bin's wall seconds on the
-    end.  Every message is handled in FIFO order, which is
-    what gives control messages (capacity, query arrivals) their
-    bin-boundary semantics: a ``set_capacity`` sent before bin ``i``'s
-    batch is queued by the session and applied when bin ``i`` is ingested,
-    exactly as in-process.
+    pipes.  Every reply is ``(kind, seq, answer, session index)``; a bin's
+    answer is what its step delivered, ``(record, flushed)``, with the
+    bin's wall seconds on the end of the reply.  Every message is handled
+    in FIFO order, which is what gives control messages (capacity, query
+    arrivals) their bin-boundary semantics: a ``set_capacity`` sent before
+    bin ``i``'s batch is queued by the session and applied when bin ``i``
+    is stepped, exactly as in-process.
     """
     from .sharding import build_system  # which imports this module
     segments = {}
 
-    run_bin, end = session_calls(ship_partials)
     try:
         sessions = {
             index: build_system(config, query_factory).open_session(
@@ -223,17 +202,13 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
                     batch = Batch.empty(time_bin=bin_len, start_ts=start_ts,
                                         with_payloads=payloads is not None)
                 started = time.perf_counter()
-                record, shipped = run_bin(sessions[index], batch)
-                results.send(("record", seq, record, index, shipped,
+                delivered = sessions[index].step(batch)
+                results.send(("record", seq, delivered, index,
                               time.perf_counter() - started))
-            elif kind == "close":
-                _, seq, index = message
-                result, shipped = end(sessions[index])
-                results.send((kind, seq, result, index, shipped))
             elif kind in _QUERIES:
                 _, seq, index = message
                 results.send((kind, seq, _QUERIES[kind](sessions[index]),
-                              index, ()))
+                              index))
             elif kind == "set_capacity":
                 sessions[message[1]].set_capacity(message[2])
             elif kind == "add_query":
@@ -247,7 +222,7 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
                 # the fresh one opened at startup.
                 _, seq, index, session = message
                 sessions[index] = session
-                results.send((kind, seq, None, index, ()))
+                results.send((kind, seq, None, index))
             elif kind == "detach":
                 segment = segments.pop(message[1], None)
                 if segment is not None:
@@ -347,18 +322,11 @@ class ShardWorkerPool:
     processes:
         Worker processes to start; session ``i`` lives on process
         ``i mod processes``.  Default: one process per session.
-    ship_partials:
-        The sessions are the shards of one node: each is stepped
-        (:meth:`~repro.monitor.session.MonitoringSession.step` /
-        ``finish``) and what the steps return is queued in :attr:`arrived`.
-        Default: every session is a monitor of its own (``ingest`` /
-        ``close``) and finishes its own answers.
     """
 
     def __init__(self, configs: Sequence, query_factory: Optional[Callable],
                  time_bin: float, names: Sequence[str],
-                 processes: Optional[int] = None,
-                 ship_partials: bool = False) -> None:
+                 processes: Optional[int] = None) -> None:
         if len(names) != len(configs):
             raise ValueError("need one session name per session config")
         count = len(configs) if processes is None else int(processes)
@@ -367,19 +335,17 @@ class ShardWorkerPool:
                 f"cannot run {len(configs)} sessions on {count} processes")
         method = "fork" if fork_start_available() else None
         context = multiprocessing.get_context(method)
-        self._closed_results: Optional[List] = None
+        self._closed = False
         self._stopped = False
         self._failed: Optional[str] = None
         #: Every segment name this pool ever created (leak tests read it).
         self.created_segments: List[str] = []
         #: Wall seconds of every answered ``ingest``, per session.
         self.ingest_seconds: List[List[float]] = [[] for _ in configs]
-        #: Per session, in arrival order, ``(record, shipped)`` of every
-        #: answered bin and ``(None, shipped)`` of a closed session's last
-        #: intervals, for the owner to pop (``None``: nothing is shipped,
-        #: and a record nobody waits for is dropped).
-        self.arrived: Optional[List[Deque[tuple]]] = \
-            [deque() for _ in configs] if ship_partials else None
+        #: Per session, in arrival order, what it delivered: ``(record,
+        #: flushed)`` of every answered bin, waited for or not, and
+        #: ``(None, flushed)`` of its last intervals, for the owner to pop.
+        self.arrived: List[Deque[tuple]] = [deque() for _ in configs]
         #: Bytes of the replies that carried partials.
         self.partial_bytes = 0
         self._workers: List[_Worker] = []
@@ -393,8 +359,8 @@ class ShardWorkerPool:
                     target=_worker_main,
                     args=(index,
                           [(i, configs[i], names[i]) for i in hosted],
-                          query_factory, float(time_bin),
-                          bool(ship_partials), command_recv, result_send),
+                          query_factory, float(time_bin), command_recv,
+                          result_send),
                     daemon=True,
                     name=f"repro-shard-{index}")
                 process.start()
@@ -487,12 +453,12 @@ class ShardWorkerPool:
                 worker.pending_unlinks[0][1] <= worker.acked:
             shm, _ = worker.pending_unlinks.pop(0)
             self._release_segment(shm)
-        kind, _, answer, index, shipped = response[:5]
+        kind, _, answer, index = response[:4]
         if kind == "record":
-            self.ingest_seconds[index].append(response[5])
-        if self.arrived is not None and kind in ("record", "close"):
-            self.arrived[index].append((answer, shipped))
-            if shipped:
+            self.ingest_seconds[index].append(response[4])
+        if kind in ("record", "close"):
+            self.arrived[index].append(answer)
+            if answer[1]:
                 self.partial_bytes += len(raw)
         return response
 
@@ -558,11 +524,10 @@ class ShardWorkerPool:
 
         Responses arrive in FIFO order; records overtaken while waiting
         (possible only when the caller ran ahead with :meth:`ingest_async`)
-        are acknowledged and dropped — their bins are already folded into
-        the worker session's own result (the records of sessions that ship
-        partials are all in :attr:`arrived`, waited for or not).
+        are acknowledged and left in :attr:`arrived`, where every record
+        goes, waited for or not.
         """
-        return self._await(self._sessions[shard].worker, seq, "record")
+        return self._await(self._sessions[shard].worker, seq, "record")[0]
 
     def ingest(self, parts: Sequence[Batch]) -> List:
         """Lockstep helper: one bin across all sessions, records returned.
@@ -570,7 +535,7 @@ class ShardWorkerPool:
         Sub-batches are shipped before their records are gathered, so the
         workers compute the bin concurrently — a stride of sessions at a
         time, each process's share of which fits its unanswered window (a
-        record that window had to make room for would be dropped).
+        record received to make room could no longer be waited for).
         """
         records: List = []
         stride = _MAX_UNANSWERED * len(self._workers)
@@ -654,17 +619,14 @@ class ShardWorkerPool:
                 f"{len(sessions)} for {len(self._sessions)}")
         self._ask_all("load_session", sessions)
 
-    def close(self) -> List:
-        """Flush every session; returns the monitors' execution results
-        (``None`` for a stepped session: see :attr:`arrived`).
-
-        Idempotent: later calls return the same result objects.  The pool
-        is stopped (processes joined, segments unlinked) before returning.
-        """
-        if self._closed_results is None:
-            self._closed_results = self._ask_all("close")
+    def close(self) -> None:
+        """Finish every session — its last intervals go to :attr:`arrived`
+        — and stop the pool (processes joined, segments unlinked).
+        Idempotent."""
+        if not self._closed:
+            self._ask_all("close")
+            self._closed = True
             self.stop()
-        return self._closed_results
 
     def stop(self) -> None:
         """Terminate the workers and release every shared resource.

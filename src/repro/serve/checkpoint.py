@@ -60,9 +60,9 @@ __all__ = [
 #: Format tag every checkpoint file carries.
 CHECKPOINT_FORMAT = "repro-checkpoint"
 #: Bumped when the wrapper layout, or what a pickled session holds,
-#: changes incompatibly (3: a system holds its config instead of copies of
-#: the fields, a result the classes that finish its intervals).
-CHECKPOINT_VERSION = 3
+#: changes incompatibly (4: a result holds no query classes, a flushed
+#: interval names its own, and a sharded node carries its queued capacity).
+CHECKPOINT_VERSION = 4
 
 logger = logging.getLogger("repro.serve.checkpoint")
 

@@ -369,10 +369,7 @@ class MonitorDaemon:
         """Register a query (spec dict / name) at the next bin boundary."""
         parsed = parse_query_specs([spec])[0]
         with self._lock:
-            if isinstance(self.session, ShardedSession):
-                self.session.add_query(parsed.build)
-            else:
-                self.session.add_query(parsed.build())
+            self.session.add_query(parsed.build())
         return {"added": parsed.instance_name, "spec": parsed.to_dict()}
 
     def remove_query(self, name: str) -> Dict:

@@ -95,10 +95,7 @@ def test_pending_ops_survive_checkpoint(small_trace, num_shards):
     k = len(bins) // 2
 
     def reconfigure(session):
-        if config.num_shards > 1:
-            session.add_query(lambda: make_query("top-k"))
-        else:
-            session.add_query(make_query("top-k"))
+        session.add_query(make_query("top-k"))
         session.set_capacity(CAPACITY * 0.7)
 
     expected_session = _open_session(config)
@@ -370,10 +367,10 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
     """Checkpoints of builds whose sessions held other state are refused,
     typed, logged and naming both versions, by every way in — the state
     blob is never unpickled."""
-    assert CHECKPOINT_VERSION == 3
+    assert CHECKPOINT_VERSION == 4
     session = _open_session(_config("original"))
     from repro.serve.__main__ import main
-    for version in (1, 2):
+    for version in (1, 2, 3):
         wrapper = pickle.loads(capture(session))
         wrapper["meta"]["version"] = version
         wrapper["state_blob"] = b"not even a pickle"
@@ -388,7 +385,7 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
                     with pytest.raises(CheckpointVersionError) as refused:
                         load(source)
                 assert f"version {version} " in str(refused.value)
-                assert "reads version 3 " in str(refused.value)
+                assert "reads version 4 " in str(refused.value)
                 assert [record.getMessage() for record in caplog.records] \
                     == [str(refused.value)]
 

@@ -26,7 +26,7 @@ from repro.fleet import (FleetAggregator, FleetPartitioner, FleetRunner,
                          verify_exactness)
 from repro.fleet.__main__ import main as fleet_main
 from repro.monitor.packet import Batch
-from repro.monitor.sharding import FLOW_FIELDS, shard_seed
+from repro.monitor.sharding import FLOW_FIELDS, build_system, shard_seed
 from repro.monitor.workers import fork_start_available
 from repro.queries import MERGE_EXACTNESS, QuerySpec, parse_query_specs
 from repro.testing import assert_results_identical
@@ -344,7 +344,9 @@ class TestFleetRunner:
     def test_fork_backend_matches_inprocess(self, small_trace, topology):
         """Resident worker processes change where a node session lives,
         not what it sees: the federated result and every node's are
-        bit-identical, shedding included."""
+        bit-identical, shedding included — and a node's result, folded in
+        the parent from what it delivered, is what a session of the node's
+        own config reports over the node's stream."""
         kinds = "counter,flows,top-k"
         capacity, _ = calibrate_capacity(kinds.split(","), small_trace)
         config = _config(queries=parse_query_specs(kinds),
@@ -359,9 +361,16 @@ class TestFleetRunner:
         assert inproc.federated.mean_sampling_rate() < 1.0
         assert_results_identical(inproc.federated, forked.federated,
                                  "federated")
-        for node, mine, theirs in zip(topology.nodes, inproc.node_results,
-                                      forked.node_results):
+        streams, _ = FleetRunner(topology, config=config).node_streams(
+            small_trace, 0.1)
+        for node, node_config, stream, mine, theirs in zip(
+                topology.nodes, topology.node_configs(config), streams,
+                inproc.node_results, forked.node_results):
             assert_results_identical(mine, theirs, node.name)
+            alone = build_system(node_config).open_session(time_bin=0.1)
+            for batch in stream:
+                alone.ingest(batch)
+            assert_results_identical(alone.close(), theirs, node.name)
         assert forked.node_bin_seconds.shape == inproc.node_bin_seconds.shape
         assert np.all(forked.node_bin_seconds > 0.0)
         assert forked.metrics["feature_sharing"] == \

@@ -366,18 +366,18 @@ def test_session_contract_is_the_same_on_every_executor(backend):
         assert session.backend == backend
         assert state() == (0, ["counter", "flows"])
         with pytest.raises(ValueError, match="already registered"):
-            session.add_query(lambda: make_query("counter"))
+            session.add_query(make_query("counter"))
         with pytest.raises(KeyError, match="no-such-query"):
             session.remove_query("no-such-query")
         assert state() == (0, ["counter", "flows"])
 
         # Add then remove before the next bin: the query never runs.
-        session.add_query(lambda: make_query("top-k"))
+        session.add_query(make_query("top-k"))
         assert state() == (0, ["counter", "flows", "top-k"])
         assert set(session.partial_result().query_logs) == \
             {"counter", "flows"}  # as a serial session: not before it runs
         with pytest.raises(ValueError, match="already registered"):
-            session.add_query(lambda: make_query("top-k"))
+            session.add_query(make_query("top-k"))
         session.remove_query("top-k")
         with pytest.raises(KeyError):
             session.remove_query("top-k")
@@ -388,7 +388,7 @@ def test_session_contract_is_the_same_on_every_executor(backend):
         # Remove then add before the next bin: a second lifetime, one name.
         session.remove_query("flows")
         assert state() == (12, ["counter"])
-        session.add_query(lambda: make_query("flows"))
+        session.add_query(make_query("flows"))
         assert state() == (12, ["counter", "flows"])
         for _ in range(12):
             session.ingest(next(bins))
@@ -400,7 +400,7 @@ def test_session_contract_is_the_same_on_every_executor(backend):
     assert len(result.bins) == 24 and session.close() is result
     assert set(session.metrics) >= {"profile", "feature_sharing"}
     for call in (lambda: session.ingest(next(bins)),
-                 lambda: session.add_query(lambda: make_query("top-k")),
+                 lambda: session.add_query(make_query("top-k")),
                  lambda: session.remove_query("counter"),
                  lambda: session.set_capacity(1e6),
                  session.partial_result, session.state_dict):
@@ -429,7 +429,7 @@ class TestResultMerging:
                       for s in range(12)):
             session.ingest(batch)
         session.remove_query("flows")
-        session.add_query(lambda: make_query("top-k"))
+        session.add_query(make_query("top-k"))
         for batch in (make_batch(n=80, seed=s, start_ts=0.1 * s)
                       for s in range(12, 24)):
             session.ingest(batch)
@@ -452,7 +452,7 @@ class TestResultMerging:
         with pytest.raises(RuntimeError):
             session.remove_query("counter")
         with pytest.raises(RuntimeError):
-            session.add_query(lambda: make_query("flows"))
+            session.add_query(make_query("flows"))
 
     def test_bin_record_merge_sums_and_worst_cases(self):
         def record(packets, cycles, delay, occupation, rate):

@@ -13,8 +13,9 @@ The contracts under test:
   pool ever created is unlinked by the time it stops — no ``/dev/shm``
   leaks, even after failures.
 * **More sessions than processes** — what the fleet runs: session ``i``
-  lives on process ``i mod n``, and records, results, checkpointed states
-  and failure reports still come back per session, in session order.
+  lives on process ``i mod n``, and deliveries (records and flushed
+  partials, in bin order, waited for or not), checkpointed states and
+  failure reports still come back per session, in session order.
 * **Driver hygiene** — a fleet run that fails mid-stream stops its
   workers, sessions that silently lost their requested parallelism warn
   instead, and a streaming trace replayed twice reads the same bins twice.
@@ -31,9 +32,10 @@ from repro.fleet import FleetPartitioner, FleetRunner, FleetTopology
 from repro.fleet import runner as fleet_runner
 from repro.monitor.packet import COLUMN_FIELDS, Batch, column_layout
 from repro.monitor.sharding import InProcessShards, ShardedSystem
+from repro.monitor.system import ExecutionResult
 from repro.monitor.workers import (ShardExecutionWarning, ShardWorkerError,
                                    ShardWorkerPool, fork_start_available)
-from repro.queries import make_query
+from repro.queries import CounterQuery, FlowsQuery, make_query
 from repro.testing import assert_results_identical
 from repro.traffic.trace_io import save_trace_store
 from tests.conftest import make_batch
@@ -213,7 +215,7 @@ class TestWorkerBitIdentity:
             for batch in batches[:12]:
                 session.ingest(batch)
             session.remove_query("flows")
-            session.add_query(lambda: make_query("top-k"))
+            session.add_query(make_query("top-k"))
             session.set_capacity(4e7)
             for batch in batches[12:]:
                 session.ingest(batch)
@@ -325,7 +327,7 @@ class TestPoolLifecycle:
     def test_worker_session_validates_queries_in_the_parent(self):
         session = self._open_worker_session()
         with pytest.raises(ValueError):
-            session.add_query(lambda: make_query("counter"))  # duplicate
+            session.add_query(make_query("counter"))  # duplicate
         with pytest.raises(KeyError):
             session.remove_query("no-such-query")
         session.close()
@@ -368,6 +370,18 @@ class TestSessionsSharingProcesses:
                  for session in range(5)]
                 for bin_ in range(start, start + count)]
 
+    def _results(self, executor):
+        """Every session's deliveries folded, as their owner would."""
+        results = []
+        for queue, config, name in zip(executor.arrived, self._configs(),
+                                       self.NAMES):
+            result = ExecutionResult(config.mode, config.strategy, name,
+                                     config.make_budget(0.1))
+            while queue:
+                result.fold(*queue.popleft(), ["counter", "flows"])
+            results.append(result)
+        return results
+
     def test_records_and_results_come_back_in_session_order(self):
         pool, serial = self._pool(), self._serial()
         assert [worker.hosted for worker in pool._workers] == [
@@ -378,48 +392,46 @@ class TestSessionsSharingProcesses:
             assert [r.incoming_packets for r in got] == \
                 [len(part) for part in parts]
             assert got == want
-        # Run ahead for a while: records nobody waits for are dropped,
-        # their seconds are not.
+        # Run ahead for a while: records nobody waits for are delivered
+        # all the same, and their seconds counted.
         for parts in self._bins(6, start=8):
             for session, part in enumerate(parts):
                 pool.ingest_async(session, part)
             serial.ingest(parts)
         metrics = pool.session_metrics()
         assert [m["profile"]["bins"] for m in metrics] == [14] * 5
-        results = pool.close()
-        assert pool.close() is results
-        assert [result.trace_name for result in results] == self.NAMES
-        for mine, theirs in zip(results, serial.close()):
+        assert pool.close() is None and pool.close() is None
+        serial.close()
+        for mine, theirs in zip(self._results(pool), self._results(serial)):
             assert_results_identical(theirs, mine, mine.trace_name)
+            assert len(mine.bins) == 14
         assert [len(seconds) for seconds in pool.ingest_seconds] == [14] * 5
         assert all(s > 0.0 for row in pool.ingest_seconds for s in row)
         _assert_released(pool)
 
-    def test_shipping_sessions_deliver_records_and_partials_in_order(self):
-        """Shards of a node keep nothing: every record, waited for or not,
-        and the partial of every flushed interval is queued per session,
-        the last intervals' behind a ``None`` record when ``close`` flushed
-        them; there are no results of their own to close with."""
-        pool = ShardWorkerPool(self._configs(), None, 0.1, self.NAMES,
-                               processes=2, ship_partials=True)
-        serial = InProcessShards(
-            [config.build() for config in self._configs()], 0.1, self.NAMES,
-            ship_partials=True)
+    def test_sessions_deliver_records_and_partials_in_order(self):
+        """A resident session keeps nothing: every record, waited for or
+        not, and the partial of every flushed interval is queued per
+        session in bin order, the last intervals' behind a ``None`` record
+        when ``close`` flushed them."""
+        pool, serial = self._pool(), self._serial()
         for parts in self._bins(8):
             assert pool.ingest(parts) == serial.ingest(parts)
         for parts in self._bins(6, start=8):  # nobody waits for these
             for session, part in enumerate(parts):
                 pool.ingest_async(session, part)
             serial.ingest(parts)
-        assert pool.close() + serial.close() == [None] * 10
+        assert pool.close() is None and serial.close() is None
         assert pool.partial_bytes > 0 == serial.partial_bytes
         for mine, theirs in zip(pool.arrived, serial.arrived):
             assert list(mine) == list(theirs)
-            assert [record is None for record, _ in mine] == \
-                [False] * 14 + [True]
-            flushed = [entry[:2] for _, shipped in mine for entry in shipped]
-            assert flushed == [("counter", 0.0), ("flows", 0.0),
-                               ("counter", 1.0), ("flows", 1.0)]
+            assert [None if record is None else record.index
+                    for record, _ in mine] == list(range(14)) + [None]
+            flushed = [entry[:3] for _, shipped in mine for entry in shipped]
+            assert flushed == [("counter", 0.0, CounterQuery),
+                               ("flows", 0.0, FlowsQuery),
+                               ("counter", 1.0, CounterQuery),
+                               ("flows", 1.0, FlowsQuery)]
         _assert_released(pool)
 
     def test_session_states_round_trip_through_another_pool(self):
@@ -435,10 +447,14 @@ class TestSessionsSharingProcesses:
         with pytest.raises(ValueError, match="one session per"):
             second.load_sessions(states[:4])
         second.load_sessions(states)
+        for queue in serial.arrived:  # what the first pool delivered
+            queue.clear()
         for parts in bins[6:]:
             assert second.ingest(parts) == serial.ingest(parts)
-        for mine, theirs in zip(second.close(), serial.close()):
-            assert_results_identical(theirs, mine, mine.trace_name)
+        second.close()
+        serial.close()
+        assert [list(queue) for queue in second.arrived] == \
+            [list(queue) for queue in serial.arrived]
         for pool in (first, second):
             _assert_released(pool)
 
@@ -489,14 +505,23 @@ class TestSessionsSharingProcesses:
         pool = ShardWorkerPool(configs, None, 0.1,
                                [f"s{index}" for index in range(40)],
                                processes=1)
-        results = []
+        #: Per session, the bin index of every record popped, in order.
+        delivered = [[] for _ in range(40)]
+
+        def drain():
+            for queue, indices in zip(pool.arrived, delivered):
+                while queue:
+                    record, _ = queue.popleft()
+                    indices.append(None if record is None else record.index)
 
         def run_ahead():
             for bin_ in range(100):
                 empty = Batch.empty(time_bin=0.1, start_ts=0.1 * bin_)
                 for session in range(40):
                     pool.ingest_async(session, empty)
-            results.extend(pool.close())
+                drain()
+            pool.close()
+            drain()
 
         reader = threading.Thread(target=run_ahead, daemon=True)
         reader.start()
@@ -506,7 +531,7 @@ class TestSessionsSharingProcesses:
         finally:
             for worker in pool._workers:  # frees a wedged reader too
                 worker.process.kill()
-        assert [len(result.bins) for result in results] == [100] * 40
+        assert delivered == [list(range(100)) + [None]] * 40
         assert [len(row) for row in pool.ingest_seconds] == [100] * 40
 
     def test_lockstep_bin_wider_than_the_window_keeps_every_record(self):
