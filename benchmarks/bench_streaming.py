@@ -169,8 +169,7 @@ def test_persistent_workers_beat_serial_streaming(benchmark, tmp_path):
     def _workers():
         return runner.run_system(
             DENSE_QUERY_SET, store.streaming(), capacity * 0.5,
-            config=config.replace(shard_backend="workers"),
-            num_shards=NUM_SHARDS)
+            config=config, num_shards=NUM_SHARDS, backend="workers")
 
     # Warm the pipeline (JIT-free, but page cache + allocator pools) before
     # timing, mirroring bench_sharded.

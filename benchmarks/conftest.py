@@ -2,7 +2,8 @@
 
 Each benchmark regenerates one table or figure of the paper at a reduced
 scale (shorter synthetic traces, coarser sweeps) and prints the reproduced
-rows/series so they can be compared with the paper; see EXPERIMENTS.md.
+rows/series so they can be compared with the paper (each experiment
+function is named after the table or figure it regenerates).
 
 Benchmarks additionally record their headline numbers (wall time, speedup
 factors) with :func:`record_result`; at session end the accumulated results

@@ -25,8 +25,9 @@ Streaming ingestion (live traffic, no materialised trace)::
     session.add_query(make_query("top-k"))   # arrives at the next bin
     result = session.close()
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-paper-versus-measured comparison of every reproduced experiment.
+``README.md`` describes the system (its Architecture and Layout sections);
+``benchmarks/bench_chapter2.py`` .. ``bench_chapter6.py`` regenerate the
+paper's tables and figures and assert the shapes the paper reports.
 """
 
 from .core import (EWMAPredictor, FeatureExtractor, LoadSheddingController,

@@ -12,7 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 
-__all__ = ["add_system_args", "apply_system_args", "resolve_query_specs"]
+__all__ = ["add_backend_arg", "add_system_args", "apply_system_args",
+           "resolve_query_specs"]
 
 
 def resolve_query_specs(value: str):
@@ -66,13 +67,6 @@ def add_system_args(parser: argparse.ArgumentParser,
                         help="cycle predictor kind (mlr, slr, ewma)")
     parser.add_argument("--num-shards", type=int, default=d(1),
                         help="flow-hash shards to partition the stream over")
-    parser.add_argument("--backend", default=d("auto"),
-                        choices=("auto", "inprocess", "workers"),
-                        help="shard-execution backend: 'workers' keeps one "
-                             "persistent process per shard fed through "
-                             "shared memory; 'auto' picks workers when "
-                             "--n-workers asks for parallelism the host "
-                             "can honour")
     parser.add_argument("--n-workers", type=int, default=d(1),
                         help="worker processes: persistent shard workers "
                              "(replay, serve) or the resident workers the "
@@ -82,6 +76,21 @@ def add_system_args(parser: argparse.ArgumentParser,
                         help=h("bin length in seconds"))
     parser.add_argument("--seed", type=int, default=d(0),
                         help=h("system seed"))
+
+
+def add_backend_arg(parser: argparse.ArgumentParser) -> None:
+    """Install ``--backend``, how a sharded session's shards execute.
+
+    Like ``--n-workers`` it describes the execution, not the system, so it
+    is passed beside the config and never overlaid onto it.
+    """
+    parser.add_argument("--backend", default="auto",
+                        choices=("auto", "inprocess", "workers"),
+                        help="shard-execution backend (default: "
+                             "%(default)s): 'workers' keeps one persistent "
+                             "process per shard fed through shared memory; "
+                             "'auto' picks workers when --n-workers asks "
+                             "for parallelism the host can honour")
 
 
 def apply_system_args(config, args):
@@ -97,8 +106,7 @@ def apply_system_args(config, args):
         overrides["queries"] = resolve_query_specs(args.queries)
     for flag, config_field in (("mode", "mode"), ("strategy", "strategy"),
                                ("predictor", "predictor"), ("seed", "seed"),
-                               ("num_shards", "num_shards"),
-                               ("backend", "shard_backend")):
+                               ("num_shards", "num_shards")):
         value = getattr(args, flag)
         if value is not None:
             overrides[config_field] = value

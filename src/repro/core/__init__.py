@@ -18,7 +18,7 @@ from .cycles import CycleBudget, CycleClock, CycleMeter, OperationCosts
 from .custom import CustomShedEnforcer
 from .fairness import STRATEGIES, Allocation, eq_srates, mmfs_cpu, mmfs_pkt
 from .features import FEATURE_NAMES, FeatureExtractor, FeatureVector
-from .fcbf import fcbf_select, linear_correlation
+from .fcbf import fcbf_select
 from .game import (best_response, best_response_dynamics, equilibrium_profile,
                    is_nash_equilibrium, payoffs)
 from .prediction import (EWMAPredictor, MLRPredictor, PredictionErrorTracker,
@@ -56,7 +56,6 @@ __all__ = [
     "equilibrium_profile",
     "fcbf_select",
     "is_nash_equilibrium",
-    "linear_correlation",
     "make_predictor",
     "mmfs_cpu",
     "mmfs_pkt",

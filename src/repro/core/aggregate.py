@@ -15,14 +15,10 @@ sorted-array tables so that *all* keyed queries share one implementation:
     caller can charge the exact hash-insert/update cost model the paper's
     queries use.
 :class:`DistinctFanout`
-    A mergeable distinct-(key, item) table reporting the number of distinct
-    items per key (the super-spreader fan-out).  Pairs are deduplicated in
-    a sorted ``uint64`` pair-key array, the state layout of
-    :class:`repro.core.distinct.ExactDistinctCounter` with the owning key
-    alongside, and it can optionally carry a bounded-memory
-    :class:`~repro.core.distinct.DistinctCounter` (via
-    :func:`repro.core.distinct.make_counter`) tracking the global distinct
-    pair cardinality.
+    A distinct-(key, item) table, the super-spreader fan-out state.  Pairs
+    are deduplicated in a sorted ``uint64`` pair-key array, the state
+    layout of :class:`repro.core.distinct.ExactDistinctCounter` with the
+    owning key alongside.
 :func:`payload_hits`
     Batched signature search over packet payloads: the payload list is
     joined with a separator byte that cannot occur inside any pattern, so
@@ -34,10 +30,12 @@ Both tables reduce a batch to its sorted distinct keys with
 array with :func:`repro.core.distinct.locate_sorted`, the two primitives the
 exact distinct counter uses too.
 
-All kernels expose an explicit ``merge`` with union-of-keys semantics, so
-shard folding falls out of the state type: two accumulators built from
-flow-disjoint sub-streams merge into exactly the accumulator a single
-instance over the whole stream would hold.
+Shards merge a query's state through its class's ``merge_partials``
+(:class:`repro.monitor.query.Query`), which unions what these tables hold
+(:meth:`KeyedAccumulator.union`, the pair arrays of a
+:class:`DistinctFanout`): state built from flow-disjoint sub-streams
+unions into exactly the state a single instance over the whole stream
+would hold.
 """
 
 from __future__ import annotations
@@ -46,23 +44,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distinct import DistinctCounter, locate_sorted, sorted_unique
-
-
-def aggregate_batch(keys: np.ndarray, weights: Optional[np.ndarray] = None
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Aggregate per-packet values by key within one batch.
-
-    Returns ``(unique_keys, sums)`` where ``unique_keys`` is sorted and
-    ``sums[i]`` is the total weight (or the occurrence count when
-    ``weights`` is None) of ``unique_keys[i]``.
-    """
-    if weights is None:
-        unique, counts = sorted_unique(keys, return_counts=True)
-        return unique, counts.astype(np.float64)
-    unique, inverse = sorted_unique(keys, return_inverse=True)
-    return unique, np.bincount(inverse, weights=weights,
-                               minlength=len(unique))
+from .distinct import locate_sorted, sorted_unique
 
 
 class KeyedAccumulator:
@@ -101,11 +83,11 @@ class KeyedAccumulator:
         """Fold one batch's per-key aggregates into the table.
 
         ``unique_keys`` must be sorted and duplicate-free (the shape
-        :func:`aggregate_batch` and ``sorted_unique`` produce); each keyword is a
-        value column aligned with it.  Existing keys accumulate in place,
-        new keys are inserted in sorted position.  Returns the number of
-        *new* keys, which is exactly the hash-insert count of the paper's
-        cost model (the rest being in-place updates).
+        ``sorted_unique`` produces); each keyword is a value column aligned
+        with it.  Existing keys accumulate in place, new keys are inserted
+        in sorted position.  Returns the number of *new* keys, which is
+        exactly the hash-insert count of the paper's cost model (the rest
+        being in-place updates).
         """
         unique_keys = np.asarray(unique_keys, dtype=np.uint64)
         if unique_keys.size == 0:
@@ -145,10 +127,6 @@ class KeyedAccumulator:
         for index in range(self._keys.size):
             yield int(self._keys[index]), float(values[index])
 
-    def as_dict(self, column: str) -> Dict[int, float]:
-        """``{key: value}`` of one column, keys in sorted order."""
-        return dict(self.items(column))
-
     def top(self, n: int, column: str) -> List[Tuple[int, float]]:
         """Top ``n`` entries by ``column`` descending, ties to smaller key."""
         values = self._columns[column]
@@ -156,22 +134,14 @@ class KeyedAccumulator:
         return [(int(self._keys[i]), float(values[i])) for i in order]
 
     # ------------------------------------------------------------------
-    def merge(self, other: "KeyedAccumulator") -> None:
-        """In-place union: keys union, value columns sum per key.
-
-        Built from flow-disjoint sub-streams, the merged accumulator equals
-        the one a single instance over the whole stream would hold — the
-        property that makes sharded query state foldable by construction.
-        """
-        merged = self.union([self, other])
-        self._keys, self._columns = merged._keys, merged._columns
-
     @classmethod
     def union(cls, tables: Sequence["KeyedAccumulator"]
               ) -> "KeyedAccumulator":
-        """A new accumulator holding the :meth:`merge` of ``tables``, which
-        are left untouched: the keys' union, every column summed per key in
-        table order."""
+        """A new accumulator holding the union of ``tables``, which are
+        left untouched: the keys' union, every column summed per key in
+        table order.  Built from flow-disjoint sub-streams, the union equals
+        the accumulator a single instance over the whole stream would hold
+        — what the keyed queries' ``merge_partials`` rely on."""
         merged = cls(tables[0].column_names)
         for table in tables:
             if table.column_names != merged.column_names:
@@ -188,13 +158,6 @@ class KeyedAccumulator:
                 column[positions] += table._columns[name]
         return merged
 
-    def copy(self) -> "KeyedAccumulator":
-        clone = KeyedAccumulator(self.column_names)
-        clone._keys = self._keys.copy()
-        clone._columns = {name: values.copy()
-                          for name, values in self._columns.items()}
-        return clone
-
     def reset(self) -> None:
         self._keys = np.empty(0, dtype=np.uint64)
         for name in self.column_names:
@@ -209,28 +172,21 @@ class DistinctFanout:
     """Distinct ``(key, item)`` pairs with per-key fan-out counts.
 
     The super-spreader state shape: for every key (e.g. a source address)
-    count the number of *distinct* items (e.g. destination addresses) seen
-    with it.  Pairs are stored once in a sorted ``uint64`` pair-key array
-    with the owning key alongside, so per-batch deduplication and the
-    per-key counts are pure array operations, and :meth:`merge` unions the
-    pair tables — the merged fan-out of flow-disjoint sub-streams is exact,
-    unlike folding pre-aggregated counts.
+    the *distinct* items (e.g. destination addresses) seen with it.  Pairs
+    are stored once in a sorted ``uint64`` pair-key array with the owning
+    key alongside, so per-batch deduplication is a pure array operation.
+    Shards hand over their :attr:`pairs`, whose union is exact, unlike
+    folding pre-aggregated counts.
 
     The caller provides an injective pair key (:meth:`pair_u32` covers the
-    common 32-bit address pair).  Optionally a bounded-memory
-    :class:`~repro.core.distinct.DistinctCounter` (``total_counter``, built
-    with :func:`repro.core.distinct.make_counter`) tracks the global
-    distinct-pair cardinality alongside the exact table, for callers that
-    report it at bitmap precision.
+    common 32-bit address pair).
     """
 
-    __slots__ = ("_pairs", "_owners", "total_counter")
+    __slots__ = ("_pairs", "_owners")
 
-    def __init__(self, total_counter: Optional[DistinctCounter] = None
-                 ) -> None:
+    def __init__(self) -> None:
         self._pairs = np.empty(0, dtype=np.uint64)
         self._owners = np.empty(0, dtype=np.uint64)
-        self.total_counter = total_counter
 
     @staticmethod
     def pair_u32(keys: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -270,53 +226,14 @@ class DistinctFanout:
                                     unique_pairs[new])
             self._owners = np.insert(self._owners, positions[new],
                                      unique_owners[new])
-        if self.total_counter is not None:
-            self.total_counter.add_hashes(unique_pairs)
         return n_new
-
-    def fanout(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(keys, counts)``: distinct-item count per key, keys sorted."""
-        if self._owners.size == 0:
-            return (np.empty(0, dtype=np.uint64),
-                    np.empty(0, dtype=np.int64))
-        return sorted_unique(self._owners, return_counts=True)
-
-    @property
-    def num_keys(self) -> int:
-        return int(sorted_unique(self._owners).size)
-
-    def total_estimate(self) -> float:
-        """Distinct pair count (bitmap estimate when a counter is carried)."""
-        if self.total_counter is not None:
-            return float(self.total_counter.estimate())
-        return float(len(self))
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "DistinctFanout") -> None:
-        """In-place union of the pair tables (exact mergeable state)."""
-        self.observe(other._pairs, other._owners)
-        if self.total_counter is not None and other.total_counter is not None:
-            # observe() above re-added other's pairs to our counter already;
-            # merging the counters too would be redundant, but a bitmap
-            # union is idempotent, so fold it for the collision pattern.
-            self.total_counter.merge(other.total_counter)
-
-    def copy(self) -> "DistinctFanout":
-        clone = DistinctFanout(
-            self.total_counter.copy() if self.total_counter is not None
-            else None)
-        clone._pairs = self._pairs.copy()
-        clone._owners = self._owners.copy()
-        return clone
 
     def reset(self) -> None:
         self._pairs = np.empty(0, dtype=np.uint64)
         self._owners = np.empty(0, dtype=np.uint64)
-        if self.total_counter is not None:
-            self.total_counter.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DistinctFanout(pairs={len(self)}, keys={self.num_keys})"
+        return f"DistinctFanout(pairs={len(self)})"
 
 
 # ----------------------------------------------------------------------
@@ -413,7 +330,6 @@ def payload_hits(payloads: Sequence[bytes], patterns: Sequence[bytes],
 __all__ = [
     "DistinctFanout",
     "KeyedAccumulator",
-    "aggregate_batch",
     "join_payloads",
     "payload_hits",
     "payload_lengths",

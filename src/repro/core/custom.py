@@ -132,14 +132,3 @@ class CustomShedEnforcer:
             self._states.clear()
         else:
             self._states.pop(name, None)
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-query enforcement statistics for reporting."""
-        return {
-            name: {
-                "correction": state.correction,
-                "total_violations": float(state.total_violations),
-                "total_disables": float(state.total_disables),
-            }
-            for name, state in self._states.items()
-        }

@@ -68,9 +68,6 @@ class OperationCosts:
     def __getitem__(self, operation: str) -> float:
         return self._weights[operation]
 
-    def as_dict(self) -> Dict[str, float]:
-        return dict(self._weights)
-
 
 class CycleMeter:
     """Accumulates cycle charges for the batch currently being processed.
@@ -107,10 +104,6 @@ class CycleMeter:
         self._accumulated += cycles
         return cycles
 
-    def charge_cycles(self, cycles: float) -> None:
-        """Charge an explicit number of cycles (used by selfish/buggy queries)."""
-        self._accumulated += float(cycles)
-
     @property
     def pending(self) -> float:
         """Cycles accumulated since the last :meth:`consume`."""
@@ -142,10 +135,6 @@ class CycleBudget:
     @property
     def per_bin(self) -> float:
         return self.cycles_per_second * self.time_bin
-
-    def scaled(self, factor: float) -> "CycleBudget":
-        """Return a budget scaled by ``factor`` (used for overload sweeps)."""
-        return CycleBudget(self.cycles_per_second * factor, self.time_bin)
 
 
 @dataclass
@@ -223,7 +212,3 @@ class CycleClock:
         return (self.current.system_overhead +
                 self.current.prediction_overhead +
                 self.current.shedding_overhead)
-
-    def reset(self) -> None:
-        self.current = BinUsage()
-        self._carry_delay = 0.0

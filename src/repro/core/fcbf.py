@@ -23,26 +23,6 @@ from typing import List, Sequence
 import numpy as np
 
 
-def linear_correlation(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson linear correlation coefficient, with degenerate-input care.
-
-    Constant series have zero variance; their correlation with anything is
-    defined here as 0 so that constant features are never selected.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) != len(y):
-        raise ValueError("series must have the same length")
-    if len(x) < 2:
-        return 0.0
-    xd = x - x.mean()
-    yd = y - y.mean()
-    denom = np.sqrt((xd * xd).sum() * (yd * yd).sum())
-    if denom <= 0.0:
-        return 0.0
-    return float(np.clip((xd * yd).sum() / denom, -1.0, 1.0))
-
-
 def fcbf_select(
     features: np.ndarray,
     response: np.ndarray,
@@ -86,13 +66,14 @@ def fcbf_select(
     # FCBF runs on every prediction of every query (Section 3.2.3), so the
     # per-pair work must be minimal.  The centered columns and their sums of
     # squares are hoisted out of the correlation loops; each individual
-    # operation keeps the exact order of :func:`linear_correlation`, so the
-    # selection is bit-identical to computing every correlation from scratch.
+    # operation keeps the exact order of the scalar Pearson correlation, so
+    # the selection is bit-identical to computing every correlation from
+    # scratch (``tests/oracles/scalar.py``, held to it by the tests).
     if n < 2:
         return [0]
     # One centered, contiguous row per feature; the axis-1 reductions below
     # visit elements in the same order as the per-column scalar ops, so
-    # every correlation is bit-identical to linear_correlation's result.
+    # every correlation is bit-identical to the scalar one.
     columns = np.ascontiguousarray(features.T)
     centered = columns - columns.mean(axis=1)[:, None]
     ssq = (centered * centered).sum(axis=1)

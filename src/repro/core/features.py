@@ -21,8 +21,7 @@ default (the paper's choice) or exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -108,17 +107,16 @@ class FeatureSharing:
                 ("merged", False): "computed_merges"}
 
     def __init__(self) -> None:
-        self._empty: Dict[tuple, CounterBank] = {}
+        self._empty: Dict[str, CounterBank] = {}
         self.reset()
 
-    def empty_bank(self, signature: tuple) -> CounterBank:
+    def empty_bank(self, method: str) -> CounterBank:
         """The canonical empty bank (read-only) of the counter backend
-        ``signature``: ``(method, sorted counter_kwargs items)``."""
-        if signature not in self._empty:
-            method, kwargs = signature
-            self._empty[signature] = make_bank(
-                method, len(TRAFFIC_AGGREGATES), **dict(kwargs)).freeze()
-        return self._empty[signature]
+        ``method``."""
+        if method not in self._empty:
+            self._empty[method] = make_bank(
+                method, len(TRAFFIC_AGGREGATES)).freeze()
+        return self._empty[method]
 
     def reset(self) -> None:
         """Zero the counts (start of a fresh execution)."""
@@ -150,24 +148,18 @@ class FeatureExtractor:
         The query's measurement interval in seconds.
     method:
         ``"bitmap"`` (multi-resolution bitmaps, default) or ``"exact"``.
-    counter_kwargs:
-        Extra arguments for the bitmap constructor (e.g. smaller bitmaps).
     sharing:
         The owning system's :class:`FeatureSharing` (default: its own).
     """
 
     def __init__(self, measurement_interval: float = 1.0,
                  method: str = "bitmap",
-                 counter_kwargs: Optional[dict] = None,
                  sharing: Optional[FeatureSharing] = None) -> None:
         if measurement_interval <= 0:
             raise ValueError("measurement_interval must be positive")
         self.measurement_interval = float(measurement_interval)
-        self.method = method
-        self._counter_kwargs = dict(counter_kwargs or {})
         #: Counter backend: key of the batch counters' memo and the empty bank.
-        self._counter_signature = (method,
-                                   tuple(sorted(self._counter_kwargs.items())))
+        self.method = method
         self._sharing = sharing if sharing is not None else FeatureSharing()
         self.reset()
         #: Number of cycles charged per extracted feature value; used by the
@@ -176,7 +168,7 @@ class FeatureExtractor:
         self.cycles_fixed = 2000.0
 
     def _empty_bank(self) -> CounterBank:
-        return self._sharing.empty_bank(self._counter_signature)
+        return self._sharing.empty_bank(self.method)
 
     def _batch_counters(self, batch: "Batch") -> CounterBank:
         """Distinct counters over the ten aggregates of ``batch``.
@@ -191,7 +183,7 @@ class FeatureExtractor:
                 bank.add_hashes(index, batch.aggregate_hashes(columns))
             return bank
 
-        return batch.memo(("counters", self._counter_signature), build)
+        return batch.memo(("counters", self.method), build)
 
     def _shared(self, batch: "Batch", kind: str, build):
         """``build(batch)``, once per batch and interval bank.
@@ -280,19 +272,3 @@ class FeatureExtractor:
         here reproduces that property under the default cost weights.
         """
         return self.cycles_fixed + self.cycles_per_packet * len(batch)
-
-
-@lru_cache(maxsize=None)
-def _name_indices(names: Tuple[str, ...]) -> np.ndarray:
-    """Precomputed fancy-index array for a tuple of canonical feature names."""
-    return np.array([_FEATURE_INDEX[name] for name in names], dtype=np.intp)
-
-
-def select_values(vector: FeatureVector, names: Sequence[str]) -> np.ndarray:
-    """Return the values of the named features as an array.
-
-    Resolves the names once into a cached fancy-index array (the name
-    universe is the fixed canonical feature set), so repeated selection is
-    a single vectorised gather instead of a per-name Python loop.
-    """
-    return vector.values[_name_indices(tuple(names))]

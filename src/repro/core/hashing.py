@@ -69,11 +69,6 @@ def combine_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def hash_to_unit_interval(hashes: np.ndarray) -> np.ndarray:
-    """Map 64-bit hashes to floats uniformly distributed in ``[0, 1)``."""
-    return hashes.astype(np.float64) / float(2 ** 64)
-
-
 class H3Hash:
     """An H3 universal hash function over fixed-width integer keys.
 

@@ -48,14 +48,6 @@ class CyclePredictor(ABC):
     def reset(self) -> None:
         """Forget all history."""
 
-    def replace_last_observation(self, cycles: float) -> None:
-        """Overwrite the response of the most recent observation.
-
-        Used when a measurement is known to be corrupted (e.g. a context
-        switch happened while the query was running, Section 4.4); the
-        default is a no-op for predictors without an explicit history.
-        """
-
     @property
     def overhead_cycles(self) -> float:
         """Simulated cycles consumed by the last ``predict`` call."""
@@ -123,10 +115,6 @@ class SLRPredictor(CyclePredictor):
 
     def observe(self, features: FeatureVector, cycles: float) -> None:
         self.history.append(_feature_values(features), cycles)
-
-    def replace_last_observation(self, cycles: float) -> None:
-        if len(self.history):
-            self.history.replace_last(cycles)
 
     def reset(self) -> None:
         self.history.clear()
@@ -197,10 +185,6 @@ class MLRPredictor(CyclePredictor):
 
     def observe(self, features: FeatureVector, cycles: float) -> None:
         self.history.append(_feature_values(features), cycles)
-
-    def replace_last_observation(self, cycles: float) -> None:
-        if len(self.history):
-            self.history.replace_last(cycles)
 
     def reset(self) -> None:
         self.history.clear()

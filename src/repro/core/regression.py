@@ -81,19 +81,12 @@ class MultipleLinearRegression:
         result = self.intercept_ + matrix @ self.coefficients_
         return float(result[0]) if single else result
 
-    def residuals(self, predictors: np.ndarray,
-                  response: np.ndarray) -> np.ndarray:
-        """Fitted-minus-actual residuals over a set of observations."""
-        return np.atleast_1d(self.predict(predictors)) - np.asarray(response)
-
 
 class SlidingHistory:
     """Fixed-length history of (features, cycles) observations.
 
     The history length ``n`` is the "amount of history" parameter studied in
-    Section 3.3.1 (60 batches, i.e. 6 s, by default).  Observations corrupted
-    by context switches are replaced by their predicted value through
-    :meth:`replace_last`, as described in Section 4.4.
+    Section 3.3.1 (60 batches, i.e. 6 s, by default).
 
     Storage is a preallocated ``2 * length`` slide buffer: appends write at a
     moving cursor, and only when the cursor runs off the end are the last
@@ -104,7 +97,7 @@ class SlidingHistory:
     and must not be mutated (every consumer feeds them straight into a
     fit/selection pass, which copies).
 
-    :attr:`version` counts every mutation (append / replace / clear), so
+    :attr:`version` counts every mutation (append / clear), so
     predictors can skip refitting when the window genuinely did not change.
     """
 
@@ -122,10 +115,6 @@ class SlidingHistory:
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def is_full(self) -> bool:
-        return self._count == self.length
 
     @property
     def version(self) -> int:
@@ -158,13 +147,6 @@ class SlidingHistory:
         self._cycles[self._pos] = float(cycles)
         self._pos += 1
         self._count = min(self._count + 1, self.length)
-        self._version += 1
-
-    def replace_last(self, cycles: float) -> None:
-        """Replace the response of the most recent observation."""
-        if not self._count:
-            raise IndexError("history is empty")
-        self._cycles[self._pos - 1] = float(cycles)
         self._version += 1
 
     def feature_matrix(self, indices: Optional[Sequence[int]] = None

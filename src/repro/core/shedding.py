@@ -223,14 +223,14 @@ class LoadSheddingController:
 
 
 def reactive_rate(previous_rate: float, consumed_cycles: float,
-                  available_cycles: float, delay: float,
-                  min_rate: float = 0.0) -> float:
+                  available_cycles: float, delay: float) -> float:
     """Sampling rate of the *reactive* baseline (Equation 4.1).
 
     The reactive system has no prediction: it scales the previous rate by the
-    ratio of available to consumed cycles of the previous bin.
+    ratio of available to consumed cycles of the previous bin, clamped to
+    ``[0, 1]``.
     """
     if consumed_cycles <= 0.0:
         return 1.0
     rate = previous_rate * (available_cycles - delay) / consumed_cycles
-    return float(min(1.0, max(min_rate, rate)))
+    return float(min(1.0, max(0.0, rate)))

@@ -1,17 +1,19 @@
 """Experiment harness: one function per table and figure of the evaluation.
 
-The mapping between the paper's tables/figures, the functions here and the
-benchmark targets lives in ``DESIGN.md`` (Section 4); measured-versus-paper
-results are recorded in ``EXPERIMENTS.md``.
+Each function is named after the table or figure it regenerates
+(``chapter4.figure_4_2_drops``, ``chapter5.table_5_2_min_srates``, ...);
+``benchmarks/bench_chapterN.py`` runs chapter N's and asserts the shapes the
+paper reports.
 """
 
 from importlib import import_module
 
 from . import parallel, runner, scenarios
 
-#: Imported on first attribute access: the fleet tier reaches this package
-#: for its process pool (``parallel``), and every forked job, CLI call and
-#: benchmark child would otherwise pay for the five chapter harnesses too.
+#: Imported on first attribute access: the CLIs (``repro.replay``,
+#: ``repro.serve``, ``repro.fleet``) and the fleet runner reach this
+#: package for ``runner``, and every CLI call and benchmark child would
+#: otherwise pay for the five chapter harnesses too.
 _ON_DEMAND = ("chapter2", "chapter3", "chapter4", "chapter5", "chapter6",
               "reporting")
 

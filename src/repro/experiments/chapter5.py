@@ -212,25 +212,6 @@ def figure_5_4_strategy_comparison(
     }
 
 
-def table_5_2_accuracy_at_k05(scale: float = 1.0,
-                              query_names: Sequence[str] = EVALUATION_NINE,
-                              trace: Optional[PacketTrace] = None,
-                              ) -> Dict[str, object]:
-    """Per-query accuracy of every system at K = 0.5 (Table 5.2)."""
-    comparison = figure_5_4_strategy_comparison(scale=scale, overloads=(0.5,),
-                                                query_names=query_names,
-                                                trace=trace)
-    at_k = comparison["per_query_accuracy"][0.5]
-    rows = []
-    for name in query_names:
-        row = {"query": name,
-               "min_sampling_rate": TABLE_5_2_MIN_RATES.get(name, 0.0)}
-        for system, accs in at_k.items():
-            row[system] = accs.get(name, 0.0)
-        rows.append(row)
-    return {"rows": rows, "comparison": comparison}
-
-
 # ----------------------------------------------------------------------
 # Figure 5.5 — accuracy over time for the autofocus query
 # ----------------------------------------------------------------------

@@ -454,12 +454,6 @@ class ParallelRunner:
                              respect_cores=self.respect_cores)
 
 
-def run_matrix(matrix: ScenarioMatrix,
-               n_workers: Optional[int] = None) -> MatrixResult:
-    """Convenience wrapper: ``ParallelRunner(n_workers).run(matrix)``."""
-    return ParallelRunner(n_workers=n_workers).run(matrix)
-
-
 __all__ = [
     "DEFAULT_QUERY_SET",
     "CellResult",
@@ -469,5 +463,4 @@ __all__ = [
     "ScenarioMatrix",
     "clear_caches",
     "derive_seed",
-    "run_matrix",
 ]

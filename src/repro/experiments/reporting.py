@@ -7,9 +7,7 @@ examples, so the reproduced numbers can be eyeballed next to the paper's.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
-
-import numpy as np
+from typing import List, Mapping, Sequence
 
 
 def format_table(rows: Sequence[Mapping[str, object]],
@@ -33,33 +31,3 @@ def format_table(rows: Sequence[Mapping[str, object]],
     for row in body:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_series(series: Mapping[str, Iterable[float]], title: str = "",
-                  max_points: int = 20) -> str:
-    """Render named numeric series, downsampled to ``max_points`` values."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for name, values in series.items():
-        arr = np.asarray(list(values), dtype=np.float64)
-        if len(arr) > max_points:
-            idx = np.linspace(0, len(arr) - 1, max_points).astype(int)
-            arr = arr[idx]
-        rendered = " ".join(f"{v:.3g}" for v in arr)
-        lines.append(f"{name:>24}: {rendered}")
-    return "\n".join(lines)
-
-
-def summarize_distribution(values: Iterable[float]) -> Dict[str, float]:
-    """Mean / std / percentiles summary used in several tables."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return {"mean": 0.0, "std": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-    return {
-        "mean": float(arr.mean()),
-        "std": float(arr.std()),
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-        "max": float(arr.max()),
-    }

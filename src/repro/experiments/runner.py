@@ -42,7 +42,7 @@ TIME_BIN = 0.1
 #: traces are small enough that exact counting is both faster and noise-free,
 #: so the harness uses it by default.  The bitmap backend remains the library
 #: default and is exercised by the unit and property tests.
-FEATURE_CONFIG = {"feature_method": "exact", "feature_kwargs": {}}
+FEATURE_CONFIG = {"feature_method": "exact"}
 
 
 def system_config(**overrides) -> SystemConfig:
@@ -92,7 +92,6 @@ class QueryObservations:
 def collect_observations(query: Query, trace: PacketTrace,
                          time_bin: float = TIME_BIN,
                          feature_method: str = None,
-                         feature_kwargs: Optional[dict] = None,
                          ) -> QueryObservations:
     """Run ``query`` over ``trace`` and record (features, cycles) per batch.
 
@@ -105,8 +104,6 @@ def collect_observations(query: Query, trace: PacketTrace,
         measurement_interval=query.measurement_interval,
         method=feature_method if feature_method is not None
         else FEATURE_CONFIG["feature_method"],
-        counter_kwargs=feature_kwargs if feature_kwargs is not None
-        else dict(FEATURE_CONFIG["feature_kwargs"]),
     )
     observations = QueryObservations(query.name)
     interval_start = None
@@ -210,8 +207,8 @@ def run_system(query_names: Optional[Sequence] = None,
                query_kwargs: Optional[Dict[str, dict]] = None,
                config: Optional[SystemConfig] = None,
                num_shards: Optional[int] = None,
-               n_workers: int = 1, respect_cores: bool = True
-               ) -> ExecutionResult:
+               n_workers: int = 1, respect_cores: bool = True,
+               backend: str = "auto") -> ExecutionResult:
     """Run a freshly-built system over a trace with an explicit capacity.
 
     ``query_names`` is any query-mix description ``repro.queries`` can
@@ -235,10 +232,10 @@ def run_system(query_names: Optional[Sequence] = None,
     flow-hash partitioned across that many shard pipelines (each owning a
     fixed ``1/num_shards`` of the capacity) and the returned result is the
     merged, stream-global one.  ``n_workers > 1`` asks for process-parallel
-    shard execution on the backend selected by ``config.shard_backend``
-    (``"auto"`` resolves to the persistent shard-worker pool when the host
-    can honour the request); the default ``n_workers=1`` keeps the shards
-    serial in-process.  Results are bit-identical either way.
+    shard execution on ``backend`` (``"auto"`` resolves to the persistent
+    shard-worker pool when the host can honour the request); the default
+    ``n_workers=1`` keeps the shards serial in-process.  Results are
+    bit-identical either way.
     """
     if trace is None or cycles_per_second is None:
         # Only query_names is genuinely optional (it may come from the
@@ -257,7 +254,8 @@ def run_system(query_names: Optional[Sequence] = None,
         query_names = config.queries
     system = build_system(
         config, lambda: build_queries(query_names, query_kwargs),
-        n_workers=int(n_workers), respect_cores=bool(respect_cores))
+        n_workers=int(n_workers), respect_cores=bool(respect_cores),
+        backend=backend)
     return system.run(as_trace(trace), time_bin=time_bin)
 
 

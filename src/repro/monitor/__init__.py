@@ -2,13 +2,13 @@
 
 from . import filters, metrics
 from .capture import BufferStatus, CaptureBuffer
-from .config import MODES, MODE_ALIASES, SHARD_BACKENDS, SystemConfig
+from .config import MODES, MODE_ALIASES, SystemConfig
 from .packet import (PROTO_ICMP, PROTO_TCP, PROTO_UDP, Batch, Packet,
                      PacketTrace, StreamingTrace, as_trace, format_ip, ip)
 from .query import (SAMPLING_CUSTOM, SAMPLING_FLOW, SAMPLING_PACKET, Query,
                     QueryResultLog)
 from .session import MonitoringSession
-from .sharding import ShardedSession, ShardedSystem
+from .sharding import SHARD_BACKENDS, ShardedSession, ShardedSystem
 from .system import (BinRecord, ExecutionResult, MonitoringSystem)
 from .workers import ShardExecutionWarning, ShardWorkerError, ShardWorkerPool
 

@@ -16,6 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Backlog the capture buffer absorbs, in seconds of processing: the
+#: paper's experiments emulate a buffer of 200 ms of traffic (Section
+#: 5.5.3).
+BUFFER_SECONDS = 0.2
+
 
 @dataclass
 class BufferStatus:
@@ -31,15 +36,15 @@ class CaptureBuffer:
     Parameters
     ----------
     capacity_seconds:
-        How many seconds of processing backlog the buffer can absorb; the
-        paper's experiments emulate a buffer of 200 ms of traffic
-        (Section 5.5.3).  ``None`` means an infinite buffer (used for
-        reference executions, which must never drop packets).
+        How many seconds of processing backlog the buffer can absorb
+        (default :data:`BUFFER_SECONDS`).  ``None`` means an infinite
+        buffer (used for reference executions, which must never drop
+        packets).
     cycles_per_second:
         Conversion factor between backlog seconds and cycles.
     """
 
-    def __init__(self, capacity_seconds: float = 0.2,
+    def __init__(self, capacity_seconds: float = BUFFER_SECONDS,
                  cycles_per_second: float = 3e8) -> None:
         if capacity_seconds is not None and capacity_seconds < 0:
             raise ValueError("capacity_seconds must be non-negative or None")
@@ -71,7 +76,3 @@ class CaptureBuffer:
         """Account for an arriving batch lost to a full buffer."""
         self.dropped_packets += int(packets)
         self.dropped_batches += 1
-
-    def reset(self) -> None:
-        self.dropped_packets = 0
-        self.dropped_batches = 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..core.cycles import CycleBudget
@@ -33,14 +33,6 @@ MODE_ALIASES = {"no_lshed": "original"}
 
 #: Valid distinct-counting backends for feature extraction.
 FEATURE_METHODS = ("bitmap", "exact")
-
-#: Valid shard-execution backends (how ``num_shards > 1`` actually runs):
-#: ``"inprocess"`` drives every shard serially in the calling process,
-#: ``"workers"`` keeps one persistent worker process per shard fed through
-#: shared memory (:class:`~repro.monitor.workers.ShardWorkerPool`), and
-#: ``"auto"`` picks ``"workers"`` when parallelism was requested and the
-#: host can deliver it, ``"inprocess"`` otherwise.
-SHARD_BACKENDS = ("auto", "inprocess", "workers")
 
 
 def _unknown_fields_error(unknown: Iterable[str],
@@ -85,24 +77,18 @@ class SystemConfig:
     mode: str = "predictive"
     strategy: str = "eq_srates"
     predictor: str = "mlr"
-    predictor_kwargs: Dict[str, Any] = field(default_factory=dict)
     cycles_per_second: Optional[float] = None
-    buffer_seconds: Optional[float] = 0.2
     support_custom_shedding: bool = True
     feature_method: str = "bitmap"
-    feature_kwargs: Dict[str, Any] = field(default_factory=dict)
     measurement_noise: float = 0.0
     system_overhead_fixed: float = 2e4
     system_overhead_per_packet: float = 20.0
-    reactive_min_rate: float = 0.0
     seed: int = 0
     #: Number of flow-hash shards the stream is partitioned over.  ``1``
     #: runs the classic single-system data path; ``> 1`` is honoured by
     #: :class:`~repro.monitor.sharding.ShardedSystem` (and by
     #: ``runner.run_system``, which routes there automatically).
     num_shards: int = 1
-    #: Shard-execution backend, one of :data:`SHARD_BACKENDS`.
-    shard_backend: str = "auto"
     #: Declarative query mix: a tuple of
     #: :class:`repro.queries.QuerySpec` (anything
     #: :func:`repro.queries.parse_query_specs` accepts — a comma-separated
@@ -140,17 +126,10 @@ class SystemConfig:
             raise ValueError(
                 f"unknown feature_method {self.feature_method!r}; "
                 f"valid methods: {FEATURE_METHODS}")
-        # Defensive copies: a config must never alias caller-owned dicts.
-        set_(self, "predictor_kwargs", dict(self.predictor_kwargs or {}))
-        set_(self, "feature_kwargs", dict(self.feature_kwargs or {}))
         if self.cycles_per_second is not None:
             set_(self, "cycles_per_second", float(self.cycles_per_second))
             if self.cycles_per_second <= 0:
                 raise ValueError("cycles_per_second must be positive or None")
-        if self.buffer_seconds is not None:
-            set_(self, "buffer_seconds", float(self.buffer_seconds))
-            if self.buffer_seconds < 0:
-                raise ValueError("buffer_seconds must be >= 0 or None")
         set_(self, "support_custom_shedding", bool(self.support_custom_shedding))
         set_(self, "measurement_noise", float(self.measurement_noise))
         if self.measurement_noise < 0:
@@ -158,17 +137,10 @@ class SystemConfig:
         set_(self, "system_overhead_fixed", float(self.system_overhead_fixed))
         set_(self, "system_overhead_per_packet",
              float(self.system_overhead_per_packet))
-        set_(self, "reactive_min_rate", float(self.reactive_min_rate))
-        if not 0.0 <= self.reactive_min_rate <= 1.0:
-            raise ValueError("reactive_min_rate must be in [0, 1]")
         set_(self, "seed", int(self.seed))
         set_(self, "num_shards", int(self.num_shards))
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.shard_backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"unknown shard_backend {self.shard_backend!r}; "
-                f"valid backends: {SHARD_BACKENDS}")
         if self.queries is not None:
             # Deferred import: repro.queries imports the monitor package.
             from ..queries import parse_query_specs
@@ -204,8 +176,6 @@ class SystemConfig:
         """Plain, JSON-serialisable dict representation."""
         data = {f.name: getattr(self, f.name)
                 for f in dataclasses.fields(self)}
-        data["predictor_kwargs"] = dict(self.predictor_kwargs)
-        data["feature_kwargs"] = dict(self.feature_kwargs)
         if self.queries is not None:
             data["queries"] = [spec.to_dict() for spec in self.queries]
         if self.tenants is not None:
@@ -266,6 +236,5 @@ __all__ = [
     "FEATURE_METHODS",
     "MODES",
     "MODE_ALIASES",
-    "SHARD_BACKENDS",
     "SystemConfig",
 ]

@@ -95,11 +95,6 @@ class Packet:
     size: int
     payload: Optional[bytes] = None
 
-    @property
-    def flow_key(self) -> tuple:
-        """The classical 5-tuple identifying the packet's flow."""
-        return (self.src_ip, self.dst_ip, self.src_port, self.dst_port, self.proto)
-
 
 class Batch:
     """A set of packets collected during one time bin.
@@ -225,11 +220,6 @@ class Batch:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
-    def packet_count(self) -> int:
-        """Number of packets in the batch."""
-        return len(self)
-
     @property
     def byte_count(self) -> int:
         """Total bytes (wire sizes) in the batch."""
@@ -617,10 +607,6 @@ class PacketTrace:
         if len(self.packets) == 0:
             return 0.0
         return float(self.packets.ts[-1] - self.packets.ts[0])
-
-    @property
-    def byte_count(self) -> int:
-        return self.packets.byte_count
 
     def batches(self, time_bin: float = 0.1) -> Iterator[Batch]:
         """Yield consecutive batches of ``time_bin`` seconds.

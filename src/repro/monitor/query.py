@@ -67,11 +67,6 @@ def merge_additive(values: Sequence, context: str = "result") -> object:
         "declare a RESULT_MERGE rule for this key")
 
 
-def merge_max(values: Sequence, context: str = "result") -> float:
-    """Fold per-shard values by taking the maximum."""
-    return max(values)
-
-
 def merge_union(sort_key: Optional[Callable] = None,
                 coerce: Optional[Callable] = None) -> Callable:
     """Rule factory: sorted union of per-shard item collections.
@@ -95,7 +90,6 @@ def merge_union(sort_key: Optional[Callable] = None,
 #: :meth:`Query.derive_merged` hook recomputes them from the merged values.
 MERGE_RULES: Dict[str, Callable] = {
     "sum": merge_additive,
-    "max": merge_max,
     "union": merge_union(),
 }
 
@@ -269,11 +263,6 @@ class Query(ABC):
     # ------------------------------------------------------------------
     # Custom load shedding hook (Chapter 6)
     # ------------------------------------------------------------------
-    @property
-    def supports_custom_shedding(self) -> bool:
-        """True when the query implements its own load shedding method."""
-        return self.sampling_method == SAMPLING_CUSTOM
-
     def shed_load(self, batch: Batch, target_fraction: float) -> float:
         """Custom shedding: reduce the work on ``batch`` to ``target_fraction``.
 

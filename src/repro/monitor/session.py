@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core.cycles import CycleBudget, CycleClock
-from .capture import CaptureBuffer
+from .capture import BUFFER_SECONDS, CaptureBuffer
 from .packet import Batch, as_trace
 from .pipeline import process_bin
 from .query import Query
@@ -83,8 +83,10 @@ class MonitoringSession:
         self.budget = CycleBudget(system.budget.cycles_per_second,
                                   self.time_bin)
         self.clock = CycleClock(self.budget)
-        self.buffer = CaptureBuffer(system.buffer_seconds,
-                                    cycles_per_second=self.budget.cycles_per_second)
+        # A reference execution must never drop a packet.
+        self.buffer = CaptureBuffer(
+            None if system.mode == "reference" else BUFFER_SECONDS,
+            cycles_per_second=self.budget.cycles_per_second)
         system.controller.configure_budget(self.budget.per_bin,
                                            self.buffer.capacity_cycles)
         #: Queued reconfigurations, applied in call order at the next bin

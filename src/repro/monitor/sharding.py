@@ -38,9 +38,10 @@ keeps the full budget and the base seed, and every merge reduces to the
 identity — the sharded run is bit-identical to the classic single-system
 run (pinned by ``tests/test_sharding.py``).
 
-Shards execute on one of two executors with the same method set
-(``SystemConfig.shard_backend`` or the ``backend`` argument), and a
-:class:`ShardedSession` drives either without knowing which:
+Shards execute on one of two executors with the same method set (the
+``backend`` argument, one of :data:`SHARD_BACKENDS`; it travels with
+``n_workers``, never inside the config), and a :class:`ShardedSession`
+drives either without knowing which:
 
 * ``"inprocess"`` — :class:`InProcessShards`: every shard session runs
   serially in the caller.
@@ -84,6 +85,14 @@ FLOW_FIELDS: Tuple[str, ...] = HEADER_FIELDS
 
 logger = logging.getLogger("repro.monitor.sharding")
 
+#: Valid shard-execution backends (how ``num_shards > 1`` actually runs):
+#: ``"inprocess"`` drives every shard serially in the calling process,
+#: ``"workers"`` keeps one persistent worker process per shard fed through
+#: shared memory (:class:`~repro.monitor.workers.ShardWorkerPool`), and
+#: ``"auto"`` picks ``"workers"`` when parallelism was requested and the
+#: host can deliver it, ``"inprocess"`` otherwise.
+SHARD_BACKENDS = ("auto", "inprocess", "workers")
+
 
 class ShardDivergenceError(RuntimeError):
     """The shards of a node did not flush the same measurement intervals.
@@ -122,9 +131,10 @@ class ShardedSystem:
         :class:`SystemConfig` of the *whole* system.  ``cycles_per_second``
         is the total capacity, split evenly across shards; ``num_shards``
         is read from it unless overridden by the keyword argument below.
-    num_shards, backend:
-        Optional overrides of the corresponding config fields (``backend``
-        overrides ``shard_backend``).
+    num_shards:
+        Optional override of the config's ``num_shards``.
+    backend:
+        Shard-execution backend, one of :data:`SHARD_BACKENDS`.
     n_workers:
         ``> 1`` asks for process-parallel shard execution: ``"auto"``
         then runs the shards (streaming sessions included) on the
@@ -139,15 +149,16 @@ class ShardedSystem:
                  num_shards: Optional[int] = None,
                  n_workers: int = 1,
                  respect_cores: bool = True,
-                 backend: Optional[str] = None) -> None:
+                 backend: str = "auto") -> None:
         config = config if config is not None else SystemConfig()
         if num_shards is not None:
             config = config.replace(num_shards=int(num_shards))
-        if backend is not None:
-            config = config.replace(shard_backend=str(backend))
+        if backend not in SHARD_BACKENDS:
+            raise ValueError(f"unknown shard backend {backend!r}; "
+                             f"valid backends: {SHARD_BACKENDS}")
         self.config = config
         self.num_shards = config.num_shards
-        self.backend = config.shard_backend
+        self.backend = backend
         self.n_workers = int(n_workers)
         self.respect_cores = bool(respect_cores)
         if query_factory is None:
@@ -253,7 +264,8 @@ class ShardedSystem:
 
 def build_system(config: SystemConfig,
                  query_factory: Optional[Callable[[], List[Query]]] = None,
-                 n_workers: int = 1, respect_cores: bool = True):
+                 n_workers: int = 1, respect_cores: bool = True,
+                 backend: str = "auto"):
     """The system ``config`` describes: sharded when it says so.
 
     The one place that decides serial versus sharded.  Whoever opens the
@@ -263,17 +275,20 @@ def build_system(config: SystemConfig,
     a fleet node's may nest a whole :class:`ShardedSystem`) — and gets back
     something with ``open_session(time_bin=, name=)`` and ``run(trace)``.
     ``query_factory=None`` uses the config's declarative ``queries``;
-    ``n_workers`` / ``respect_cores`` are a sharded system's parallelism.
+    ``n_workers`` / ``respect_cores`` / ``backend`` are a sharded system's
+    execution.
     """
     if config.num_shards > 1:
         return ShardedSystem(query_factory, config=config,
-                             n_workers=n_workers, respect_cores=respect_cores)
+                             n_workers=n_workers, respect_cores=respect_cores,
+                             backend=backend)
     return config.build(None if query_factory is None else query_factory())
 
 
 def verify_shard_exactness(config: SystemConfig, trace,
                            time_bin: float = 0.1, n_workers: int = 1,
-                           respect_cores: bool = True) -> Dict:
+                           respect_cores: bool = True,
+                           backend: str = "auto") -> Dict:
     """Check that the sharded node reports what a serial node reports.
 
     Replays ``trace`` through ``config`` twice in reference mode — nothing
@@ -291,7 +306,7 @@ def verify_shard_exactness(config: SystemConfig, trace,
     serial = config.replace(num_shards=1).build().run(trace,
                                                       time_bin=time_bin)
     sharded = ShardedSystem(config=config, n_workers=n_workers,
-                            respect_cores=respect_cores)
+                            respect_cores=respect_cores, backend=backend)
     result = sharded.run(trace, time_bin=time_bin)
     queries: Dict[str, Dict] = {}
     first_difference = None
@@ -692,7 +707,7 @@ class ShardedSession:
 
     @classmethod
     def from_state(cls, state: Dict, n_workers: int = 1,
-                   backend: Optional[str] = None,
+                   backend: str = "auto",
                    respect_cores: bool = True) -> "ShardedSession":
         """Rebuild a session from a deserialised :meth:`state_dict` payload.
 
@@ -809,6 +824,7 @@ class ShardedSession:
 __all__ = [
     "FLOW_FIELDS",
     "InProcessShards",
+    "SHARD_BACKENDS",
     "ShardDivergenceError",
     "ShardExecutionWarning",
     "ShardWorkerPool",

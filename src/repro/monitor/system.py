@@ -299,7 +299,7 @@ class MonitoringSystem:
     Built from its :class:`SystemConfig` (``config.build(queries)`` is the
     documented route) and reading every knob from ``self.config``:
     operating mode, allocation strategy, predictor kind, host capacity,
-    capture buffer, whether custom load shedding is honoured (Chapter 6;
+    whether custom load shedding is honoured (Chapter 6;
     when not, custom queries fall back to packet sampling, the system of
     Fig. 6.6), measurement noise, CoMo overheads.  ``queries`` is the
     initial query set (default: the config's own declarative mix); more
@@ -324,8 +324,6 @@ class MonitoringSystem:
         self.config = config
         self.mode = config.mode
         self.budget = config.make_budget()
-        self.buffer_seconds = None if config.mode == "reference" \
-            else config.buffer_seconds
         self._rng = np.random.default_rng(config.seed)
 
         self.controller = LoadSheddingController(strategy=config.strategy)
@@ -364,12 +362,10 @@ class MonitoringSystem:
             raise ValueError(f"a query named {query.name!r} is already registered")
         seed = int(self._rng.integers(0, 2 ** 31))
         config = self.config
-        predictor = make_predictor(config.predictor,
-                                   **config.predictor_kwargs)
+        predictor = make_predictor(config.predictor)
         extractor = FeatureExtractor(
             measurement_interval=query.measurement_interval,
             method=config.feature_method,
-            counter_kwargs=config.feature_kwargs,
             sharing=self.feature_states,
         )
         if query.sampling_method == SAMPLING_FLOW:
@@ -534,8 +530,7 @@ class MonitoringSystem:
             rate = reactive_rate(self._prev_reactive_rate,
                                  self._prev_query_cycles,
                                  clock.per_bin_budget - ctx.como,
-                                 clock.delay,
-                                 min_rate=self.config.reactive_min_rate)
+                                 clock.delay)
             return {name: rate for name in names}
         slots = ctx.demand_slots
         table = self.demand_table

@@ -133,9 +133,6 @@ class StageProfiler:
         self._bin_seconds.extend(other._bin_seconds)
 
     # ------------------------------------------------------------------
-    def stage_names(self) -> Sequence[str]:
-        return list(self._stages)
-
     @property
     def bin_seconds(self) -> Sequence[float]:
         """The retained per-bin total-seconds series (most recent bins)."""

@@ -7,9 +7,9 @@ is defined as the fraction of packets processed.
 
 The production path scans the whole batch in one
 :func:`~repro.core.aggregate.payload_hits` sweep (a single C-level search
-over the joined payloads) instead of a per-packet Python loop;
-:func:`boyer_moore_horspool` documents the algorithm whose cost structure
-the cycle meter charges, and the tests hold it to ``bytes.find``.
+over the joined payloads) instead of a per-packet Python loop; the cycle
+meter charges the cost structure of Boyer-Moore-Horspool, whose scalar
+form the tests keep as an oracle (``tests/oracles/scalar.py``).
 """
 
 from __future__ import annotations
@@ -19,30 +19,6 @@ from typing import Dict
 from ..monitor.packet import Batch
 from ..monitor.query import SAMPLING_PACKET, Query
 from ..traffic.generator import ATTACK_SIGNATURE
-
-
-def boyer_moore_horspool(haystack: bytes, needle: bytes) -> int:
-    """Return the index of ``needle`` in ``haystack`` or -1 if absent.
-
-    Reference implementation of the search algorithm used by the query; the
-    query itself delegates to the C-implemented ``bytes.find`` for speed, but
-    this function documents (and is tested to match) the exact semantics and
-    cost structure charged to the cycle meter.
-    """
-    n, m = len(haystack), len(needle)
-    if m == 0:
-        return 0
-    if m > n:
-        return -1
-    shift = {byte: m - index - 1 for index, byte in enumerate(needle[:-1])}
-    default_shift = m
-    position = 0
-    while position <= n - m:
-        if haystack[position:position + m] == needle:
-            return position
-        next_char = haystack[position + m - 1]
-        position += shift.get(next_char, default_shift)
-    return -1
 
 
 class PatternSearchQuery(Query):

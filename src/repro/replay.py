@@ -37,8 +37,8 @@ import numpy as np
 # The shared system/sharding flag surface moved to :mod:`repro.cli` (it is
 # consumed by repro.replay, repro.serve and repro.fleet alike); the names
 # are re-exported here for callers that imported them from this module.
-from .cli import (add_system_args, apply_system_args,  # noqa: F401
-                  resolve_query_specs)
+from .cli import (add_backend_arg, add_system_args,  # noqa: F401
+                  apply_system_args, resolve_query_specs)
 from .profile import peak_rss_mb
 
 
@@ -50,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("trace", help="path to a .npz trace or a trace-store "
                                       "directory")
     add_system_args(parser)
+    add_backend_arg(parser)
     capacity = parser.add_mutually_exclusive_group()
     capacity.add_argument("--cycles-per-second", type=float, default=None,
                           help="explicit cycle capacity of the host")
@@ -132,7 +133,8 @@ def _check(config, trace, args) -> int:
     code."""
     from .monitor.sharding import verify_shard_exactness
     verdict = verify_shard_exactness(config, trace, time_bin=args.time_bin,
-                                     n_workers=args.n_workers)
+                                     n_workers=args.n_workers,
+                                     backend=args.backend)
     if args.as_json:
         print(json.dumps(verdict, indent=1))
     else:
@@ -192,7 +194,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     result = runner.run_system(None, trace, capacity,
                                time_bin=args.time_bin, config=config,
                                num_shards=args.num_shards,
-                               n_workers=args.n_workers)
+                               n_workers=args.n_workers,
+                               backend=args.backend)
     summary = _summary(result, trace, args, capacity, store)
     if args.as_json:
         print(json.dumps(summary, indent=1))

@@ -34,7 +34,7 @@ from typing import List, Optional
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from ..cli import add_system_args
+    from ..cli import add_backend_arg, add_system_args
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
@@ -50,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON file with a full SystemConfig document; "
                              "explicit flags below override its fields")
     add_system_args(parser, with_defaults=False)
+    add_backend_arg(parser)
     parser.add_argument("--cycles-per-second", type=float, default=None,
                         help="cycle capacity of the host (no calibration "
                              "pass in serve mode; measure offline or set "
@@ -170,7 +171,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     daemon = MonitorDaemon(
         None if session is not None else config, feed,
         host=args.host, port=args.port,
-        n_workers=args.n_workers or 1,
+        n_workers=args.n_workers or 1, backend=args.backend,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every_bins=args.checkpoint_every,
         rotate_dir=args.rotate_dir, rotate_every_bins=args.rotate_every,

@@ -60,9 +60,10 @@ __all__ = [
 #: Format tag every checkpoint file carries.
 CHECKPOINT_FORMAT = "repro-checkpoint"
 #: Bumped when the wrapper layout, or what a pickled session holds,
-#: changes incompatibly (4: a result holds no query classes, a flushed
-#: interval names its own, and a sharded node carries its queued capacity).
-CHECKPOINT_VERSION = 4
+#: changes incompatibly (5: a pickled SystemConfig no longer has
+#: ``predictor_kwargs``, ``feature_kwargs``, ``buffer_seconds``,
+#: ``reactive_min_rate`` or ``shard_backend``).
+CHECKPOINT_VERSION = 5
 
 logger = logging.getLogger("repro.serve.checkpoint")
 
@@ -115,11 +116,7 @@ class Checkpoint:
     def kind(self) -> str:
         return self.meta["kind"]
 
-    @property
-    def bins_ingested(self) -> int:
-        return int(self.meta["bins_ingested"])
-
-    def restore(self, n_workers: int = 1, backend: Optional[str] = None,
+    def restore(self, n_workers: int = 1, backend: str = "auto",
                 respect_cores: bool = True
                 ) -> Union[MonitoringSession, ShardedSession]:
         """Thaw the checkpoint into a live, resumable session.
@@ -209,7 +206,7 @@ def describe_checkpoint(path: Union[str, Path]) -> Dict:
 
 
 def restore_session(source: Union[str, Path, bytes, Checkpoint],
-                    n_workers: int = 1, backend: Optional[str] = None,
+                    n_workers: int = 1, backend: str = "auto",
                     respect_cores: bool = True
                     ) -> Union[MonitoringSession, ShardedSession]:
     """One-call restore: load ``source`` and thaw it into a live session."""

@@ -85,8 +85,8 @@ class MonitorDaemon:
     host, port:
         Ops API bind address (port 0 picks a free port; see
         :attr:`bound_port`).
-    n_workers, respect_cores:
-        Shard-execution parallelism, as in
+    n_workers, respect_cores, backend:
+        Shard execution, as in
         :class:`~repro.monitor.sharding.ShardedSystem`.
     checkpoint_dir, checkpoint_every_bins:
         Write ``checkpoint.pkl`` into ``checkpoint_dir`` every N bins
@@ -107,6 +107,7 @@ class MonitorDaemon:
     def __init__(self, config: Optional[SystemConfig], feed: Feed, *,
                  host: str = "127.0.0.1", port: int = 0,
                  n_workers: int = 1, respect_cores: bool = True,
+                 backend: str = "auto",
                  checkpoint_dir: Optional[Union[str, Path]] = None,
                  checkpoint_every_bins: int = 0,
                  rotate_dir: Optional[Union[str, Path]] = None,
@@ -141,7 +142,8 @@ class MonitorDaemon:
                     "query instances cannot be reconstructed at restore")
             session = build_system(
                 config, n_workers=self.n_workers,
-                respect_cores=self.respect_cores).open_session(
+                respect_cores=self.respect_cores,
+                backend=backend).open_session(
                     time_bin=self.feed.time_bin, name=self.name)
         elif config is None:
             config = session.sharded.config \

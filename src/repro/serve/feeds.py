@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import replace
 from pathlib import Path
 from typing import AsyncIterator, List, Optional, Union
 
@@ -52,7 +51,7 @@ from ..monitor.packet import (
     as_trace,
     ip,
 )
-from ..traffic.generator import TrafficProfile, generate_trace
+from ..traffic.generator import TrafficProfile, trace_segments
 from ..traffic.trace_io import TraceStore, open_trace
 
 __all__ = [
@@ -262,13 +261,11 @@ def _concat_batches(parts: List[Batch], time_bin: float) -> Batch:
 class GeneratorFeed(Feed):
     """Synthesise live traffic, segment by segment, forever if asked.
 
-    Generation follows the ``generate_trace_store`` recipe exactly: the
-    stream is a sequence of ``segment_duration``-second segments, segment
-    ``i`` drawn from the deterministic seed
-    ``SeedSequence([seed, i])`` and time-shifted to its position.  The
-    same ``(profile, seed)`` therefore always produces the same packet
-    stream, which is what makes a soak-tested daemon's results
-    reproducible after the fact.
+    The stream is the one ``generate_trace_store`` writes:
+    :func:`~repro.traffic.generator.trace_segments`, ``segment_duration``
+    seconds at a time.  The same ``(profile, seed)`` therefore always
+    produces the same packet stream, which is what makes a soak-tested
+    daemon's results reproducible after the fact.
 
     ``max_bins`` bounds the stream (handy for tests and demos); with
     ``profile.duration`` as the horizon the feed ends when the profile
@@ -287,22 +284,6 @@ class GeneratorFeed(Feed):
             raise ValueError("segment_duration must be positive")
         self.pace = float(pace)
         self.max_bins = max_bins if max_bins is None else int(max_bins)
-
-    def _segment(self, index: int) -> Batch:
-        """Segment ``index``'s packets, time-shifted into stream position."""
-        offset = index * self.segment_duration
-        seg_len = min(self.segment_duration, self.profile.duration - offset)
-        seg_profile = replace(self.profile, duration=seg_len)
-        seg_seed = int(np.random.SeedSequence([self.seed, index])
-                       .generate_state(1)[0])
-        segment = generate_trace(seg_profile, seed=seg_seed)
-        pkts = segment.packets
-        if len(pkts) == 0:
-            return pkts
-        return Batch(ts=pkts.ts + offset, src_ip=pkts.src_ip,
-                     dst_ip=pkts.dst_ip, src_port=pkts.src_port,
-                     dst_port=pkts.dst_port, proto=pkts.proto,
-                     size=pkts.size, payloads=pkts.payloads)
 
     def _slice_bins(self, carry: Batch, first_ts: float, start_bin: int,
                     stop_bin: int) -> List[Batch]:
@@ -328,23 +309,23 @@ class GeneratorFeed(Feed):
         carry = Batch.empty(time_bin=self.time_bin)
         first_ts: Optional[float] = None
         bins_out = 0
-        index = 0
+        segments = trace_segments(self.profile, self.seed,
+                                  self.segment_duration)
+        boundary = 0.0
         try:
             while not self._stopping:
-                offset = index * self.segment_duration
-                if offset >= self.profile.duration:
+                segment = await loop.run_in_executor(None, next, segments,
+                                                     None)
+                if segment is None:
                     break
-                segment = await loop.run_in_executor(None, self._segment,
-                                                     index)
-                index += 1
+                # Later segments only add packets at ts >= their offset, so
+                # every bin ending at or before it is final and safe to emit.
+                boundary += self.segment_duration
                 carry = _concat_batches([carry, segment], self.time_bin)
                 if len(carry) == 0:
                     continue
                 if first_ts is None:
                     first_ts = float(carry.ts[0])
-                # Later segments only add packets at ts >= next offset, so
-                # every bin ending at or before it is final and safe to emit.
-                boundary = index * self.segment_duration
                 n_complete = int(np.floor((boundary - first_ts)
                                           / self.time_bin))
                 if self.max_bins is not None:

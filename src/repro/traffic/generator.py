@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -286,6 +286,35 @@ def generate_trace(profile: Optional[TrafficProfile] = None,
     return PacketTrace(packets, name=profile.name)
 
 
+def trace_segments(profile: TrafficProfile, seed: int = 0,
+                   segment_duration: float = 10.0) -> Iterator[Batch]:
+    """The ``profile``'s packets, one ``segment_duration``-second segment
+    at a time, each time-shifted to its position in the stream.
+
+    Segment ``i`` is drawn from its own deterministic seed
+    ``SeedSequence([seed, i])``, so only one segment is ever in memory and
+    the same ``(profile, seed)`` always yields the same stream, however far
+    it is read (``profile.duration`` may be infinite).  A segment without
+    packets is yielded as it was drawn, empty.
+    """
+    offset = 0.0
+    index = 0
+    while offset < profile.duration:
+        seg_len = min(segment_duration, profile.duration - offset)
+        seg_seed = int(np.random.SeedSequence([int(seed), index])
+                       .generate_state(1)[0])
+        pkts = generate_trace(replace(profile, duration=seg_len),
+                              seed=seg_seed).packets
+        if len(pkts) > 0:
+            pkts = Batch(ts=pkts.ts + offset, src_ip=pkts.src_ip,
+                         dst_ip=pkts.dst_ip, src_port=pkts.src_port,
+                         dst_port=pkts.dst_port, proto=pkts.proto,
+                         size=pkts.size, payloads=pkts.payloads)
+        yield pkts
+        offset += segment_duration
+        index += 1
+
+
 def generate_trace_store(path: Union[str, Path],
                          profile: Optional[TrafficProfile] = None,
                          seed: int = 0,
@@ -294,11 +323,9 @@ def generate_trace_store(path: Union[str, Path],
     """Synthesise a v2 trace store segment by segment, bounded in memory.
 
     :func:`generate_trace` materialises the whole trace, which caps the
-    workloads it can produce at the host's RAM.  This driver generates the
-    ``profile``'s duration in independent ``segment_duration``-second
-    segments — each drawn from its own deterministic per-segment RNG
-    stream, time-shifted to its position and appended to a
-    :class:`~repro.traffic.trace_io.TraceWriter` — so only one segment is
+    workloads it can produce at the host's RAM.  This driver appends the
+    :func:`trace_segments` of the ``profile`` to a
+    :class:`~repro.traffic.trace_io.TraceWriter`, so only one segment is
     ever in memory and a store of any size can be written.
 
     The packet stream is *not* sample-identical to
@@ -318,28 +345,9 @@ def generate_trace_store(path: Union[str, Path],
     writer = TraceWriter(path, name=profile.name,
                          with_payloads=profile.with_payloads,
                          time_bin=time_bin)
-    offset = 0.0
-    index = 0
-    while offset < profile.duration:
-        seg_len = min(segment_duration, profile.duration - offset)
-        seg_profile = replace(profile, duration=seg_len)
-        seg_seed = int(np.random.SeedSequence([int(seed), index])
-                       .generate_state(1)[0])
-        segment = generate_trace(seg_profile, seed=seg_seed)
+    for segment in trace_segments(profile, seed, segment_duration):
         if len(segment) > 0:
-            pkts = segment.packets
-            writer.append(Batch(
-                ts=pkts.ts + offset,
-                src_ip=pkts.src_ip,
-                dst_ip=pkts.dst_ip,
-                src_port=pkts.src_port,
-                dst_port=pkts.dst_port,
-                proto=pkts.proto,
-                size=pkts.size,
-                payloads=pkts.payloads,
-            ))
-        offset += segment_duration
-        index += 1
+            writer.append(segment)
     return writer.close()
 
 

@@ -31,15 +31,11 @@ class FeatureExtractor:
 
     def __init__(self, measurement_interval: float = 1.0,
                  method: str = "bitmap",
-                 counter_kwargs: Optional[dict] = None,
                  sharing=None) -> None:
         if measurement_interval <= 0:
             raise ValueError("measurement_interval must be positive")
         self.measurement_interval = float(measurement_interval)
         self.method = method
-        self._counter_kwargs = dict(counter_kwargs or {})
-        self._counter_signature = (method,
-                                   tuple(sorted(self._counter_kwargs.items())))
         self._interval_counters: CounterBank = self._new_bank()
         self._interval_start: Optional[float] = None
         # The batch bank used by the most recent
@@ -51,8 +47,7 @@ class FeatureExtractor:
         self.cycles_fixed = 2000.0
 
     def _new_bank(self) -> CounterBank:
-        return make_bank(self.method, len(TRAFFIC_AGGREGATES),
-                         **self._counter_kwargs)
+        return make_bank(self.method, len(TRAFFIC_AGGREGATES))
 
     def _batch_counters(self, batch) -> CounterBank:
         def build() -> CounterBank:
@@ -61,7 +56,7 @@ class FeatureExtractor:
                 bank.add_hashes(index, batch.aggregate_hashes(columns))
             return bank
 
-        return batch.memo(("counters", self._counter_signature), build)
+        return batch.memo(("counters", self.method), build)
 
     def reset(self) -> None:
         self._interval_counters = self._new_bank()

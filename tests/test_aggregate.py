@@ -18,9 +18,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro.queries as queries_pkg
+from oracles.scalar import aggregate_batch
 from repro.core.aggregate import (DistinctFanout, KeyedAccumulator,
-                                  aggregate_batch, payload_hits)
-from repro.core.distinct import make_counter, sorted_unique
+                                  payload_hits)
+from repro.core.distinct import sorted_unique
 from repro.monitor.query import Query, merge_additive
 from repro.queries import QUERY_CLASSES, make_query
 
@@ -50,7 +51,7 @@ def test_sorted_unique_equals_np_unique(flags, dtype, values, spread):
         assert np.array_equal(mine, theirs)
 
 
-class TestAggregateBatch:
+class TestAggregateBatchOracle:
     def test_counts_without_weights(self):
         keys = np.array([5, 3, 5, 5, 3, 9], dtype=np.uint64)
         unique, sums = aggregate_batch(keys)
@@ -71,7 +72,7 @@ class TestKeyedAccumulator:
                              v=np.array([1.0, 2.0])) == 2
         assert table.observe(np.array([2, 3], dtype=np.uint64),
                              v=np.array([5.0, 7.0])) == 1
-        assert table.as_dict("v") == {2: 6.0, 3: 7.0, 4: 2.0}
+        assert dict(table.items("v")) == {2: 6.0, 3: 7.0, 4: 2.0}
         assert len(table) == 3
 
     def test_keys_stay_sorted(self):
@@ -96,7 +97,7 @@ class TestKeyedAccumulator:
                       v=np.array([5.0, 9.0, 5.0]))
         assert table.top(2, "v") == [(2, 9.0), (1, 5.0)]
 
-    def test_merge_equals_whole_stream(self):
+    def test_union_equals_whole_stream(self):
         rng = np.random.default_rng(1)
         whole = KeyedAccumulator(columns=("v",))
         parts = [KeyedAccumulator(columns=("v",)) for _ in range(3)]
@@ -110,63 +111,40 @@ class TestKeyedAccumulator:
                 mask = shard == index
                 unique, sums = aggregate_batch(keys[mask], weights[mask])
                 part.observe(unique, v=sums)
-        merged = parts[0].copy()
-        merged.merge(parts[1])
-        merged.merge(parts[2])
+        before = [part.keys.copy() for part in parts]
+        merged = KeyedAccumulator.union(parts)
         assert merged.keys.tolist() == whole.keys.tolist()
         np.testing.assert_allclose(merged.column("v"), whole.column("v"),
                                    rtol=1e-12)
+        assert all(np.array_equal(part.keys, keys)
+                   for part, keys in zip(parts, before))
 
-    def test_merge_rejects_mismatched_columns(self):
+    def test_union_rejects_mismatched_columns(self):
         with pytest.raises(ValueError):
-            KeyedAccumulator(columns=("a",)).merge(
-                KeyedAccumulator(columns=("b",)))
+            KeyedAccumulator.union([KeyedAccumulator(columns=("a",)),
+                                    KeyedAccumulator(columns=("b",))])
 
-    def test_reset_and_copy_are_independent(self):
+    def test_reset_empties_the_table(self):
         table = KeyedAccumulator(columns=("v",))
         table.observe(np.array([1], dtype=np.uint64), v=np.array([2.0]))
-        clone = table.copy()
         table.reset()
-        assert len(table) == 0 and clone.as_dict("v") == {1: 2.0}
+        assert len(table) == 0 and dict(table.items("v")) == {}
 
 
 class TestDistinctFanout:
-    def test_counts_distinct_items_per_key(self):
+    def test_keeps_each_distinct_pair_once(self):
         fanout = DistinctFanout()
         src = np.array([1, 1, 1, 2, 2], dtype=np.uint64)
         dst = np.array([7, 7, 8, 7, 9], dtype=np.uint64)
-        new = fanout.observe(DistinctFanout.pair_u32(src, dst), src)
+        pairs = DistinctFanout.pair_u32(src, dst)
+        new = fanout.observe(pairs, src)
         assert new == 4  # (1,7) duplicated
-        keys, counts = fanout.fanout()
-        assert keys.tolist() == [1, 2]
-        assert counts.tolist() == [2, 2]
-        assert len(fanout) == 4 and fanout.num_keys == 2
-
-    def test_merge_is_exact_union(self):
-        rng = np.random.default_rng(2)
-        whole, parts = DistinctFanout(), [DistinctFanout(), DistinctFanout()]
-        for _ in range(3):
-            src = rng.integers(0, 10, 80).astype(np.uint64)
-            dst = rng.integers(0, 30, 80).astype(np.uint64)
-            pair = DistinctFanout.pair_u32(src, dst)
-            whole.observe(pair, src)
-            half = pair % 2
-            for index, part in enumerate(parts):
-                mask = half == index
-                part.observe(pair[mask], src[mask])
-        merged = parts[0].copy()
-        merged.merge(parts[1])
-        keys, counts = merged.fanout()
-        whole_keys, whole_counts = whole.fanout()
-        assert keys.tolist() == whole_keys.tolist()
-        assert counts.tolist() == whole_counts.tolist()
-
-    def test_optional_total_counter_tracks_pairs(self):
-        fanout = DistinctFanout(total_counter=make_counter("exact"))
-        src = np.array([1, 2, 1], dtype=np.uint64)
-        dst = np.array([5, 5, 5], dtype=np.uint64)
-        fanout.observe(DistinctFanout.pair_u32(src, dst), src)
-        assert fanout.total_estimate() == 2.0
+        assert fanout.pairs.tolist() == sorted_unique(pairs).tolist()
+        assert DistinctFanout.key_u32(fanout.pairs).tolist() == [1, 1, 2, 2]
+        assert fanout.observe(pairs[:2], src[:2]) == 0
+        assert len(fanout) == 4
+        fanout.reset()
+        assert len(fanout) == 0
 
 
 class TestPayloadHits:

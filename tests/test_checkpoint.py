@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.tenancy import TenantGroup
 from repro.experiments import runner
+from repro.monitor.config import SystemConfig
 from repro.monitor.sharding import ShardedSystem
 from repro.monitor.workers import fork_start_available
 from repro.queries import make_query
@@ -39,7 +40,7 @@ def _config(mode, num_shards=1, **overrides):
                                 num_shards=num_shards, **overrides)
 
 
-def _open_session(config, n_workers=1, backend=None, name="ckpt"):
+def _open_session(config, n_workers=1, backend="auto", name="ckpt"):
     if config.num_shards > 1:
         sharded = ShardedSystem(config=config, n_workers=n_workers,
                                 respect_cores=False, backend=backend)
@@ -140,8 +141,7 @@ def test_workers_checkpoint_restores_inprocess(small_trace):
     finally:
         session.close()
 
-    # The default restore resumes the checkpointed backend; ask for
-    # in-process explicitly to cross backends.
+    # The backend is the restore's choice, not the checkpoint's.
     restored = restore_session(blob, backend="inprocess")
     assert restored.backend == "inprocess"
     for batch in bins[k:]:
@@ -367,10 +367,10 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
     """Checkpoints of builds whose sessions held other state are refused,
     typed, logged and naming both versions, by every way in — the state
     blob is never unpickled."""
-    assert CHECKPOINT_VERSION == 4
+    assert CHECKPOINT_VERSION == 5
     session = _open_session(_config("original"))
     from repro.serve.__main__ import main
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         wrapper = pickle.loads(capture(session))
         wrapper["meta"]["version"] = version
         wrapper["state_blob"] = b"not even a pickle"
@@ -385,7 +385,7 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
                     with pytest.raises(CheckpointVersionError) as refused:
                         load(source)
                 assert f"version {version} " in str(refused.value)
-                assert "reads version 4 " in str(refused.value)
+                assert "reads version 5 " in str(refused.value)
                 assert [record.getMessage() for record in caplog.records] \
                     == [str(refused.value)]
 
@@ -393,3 +393,28 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
         error = capsys.readouterr().err
         assert error.startswith("error: ") and error.count("\n") == 1
         assert str(old) in error and f"version {version} " in error
+
+
+def test_a_version_4_checkpoint_is_refused_by_its_version(tmp_path):
+    """A version 4 config carried five fields this build does not know.
+    Its file is refused as a version 4 checkpoint, typed, before any state
+    is read — not with the unknown-field ``ValueError`` its config would
+    get from ``SystemConfig.from_dict``."""
+    session = _open_session(_config("original"))
+    stale = dict(session.system.config.to_dict(), predictor_kwargs={},
+                 feature_kwargs={}, buffer_seconds=0.2,
+                 reactive_min_rate=0.0, shard_backend="auto")
+    with pytest.raises(ValueError, match="unknown SystemConfig field"):
+        SystemConfig.from_dict(stale)
+    wrapper = pickle.loads(capture(session))
+    wrapper["meta"]["version"] = 4
+    wrapper["state_blob"] = pickle.dumps({"kind": "monitoring",
+                                          "config": stale})
+    old = tmp_path / "v4.pkl"
+    old.write_bytes(pickle.dumps(wrapper))
+    for load in (load_checkpoint, restore_session):
+        with pytest.raises(CheckpointVersionError) as refused:
+            load(old)
+        assert type(refused.value) is CheckpointVersionError
+        assert "version 4 " in str(refused.value)
+        assert "reads version 5 " in str(refused.value)

@@ -60,9 +60,31 @@ def test_scenario_matrix_scores_a_renamed_query_instance():
     matrix = parallel.ScenarioMatrix(
         traces=("cesca",), overloads=(0.5,), modes=("predictive",),
         queries=(QuerySpec("counter", {"name": "q00"}), "flows"), scale=0.1)
-    cell, = parallel.ParallelRunner(n_workers=1).run(matrix)
+    result = parallel.ParallelRunner(n_workers=1).run(matrix)
+    cell, = result
     assert set(cell.accuracy) == {"q00", "flows"}
+    assert "cesca" in result.summary().splitlines()[-1]
     assert 0.0 < cell.accuracy["q00"] <= 1.0
+
+
+@pytest.mark.parametrize("name, signature", [
+    # One server, one port: a finite client pool requests over port 80.
+    ("flash-crowd", lambda batch: int(np.bincount(batch.dst_port).argmax())
+     == 80),
+    # Destination ports explode while the sources stay a handful.
+    ("port-scan", lambda batch: len(np.unique(batch.dst_port)) > 1000),
+    # BitTorrent-port churn rides on top of the flood.
+    ("mixed-ddos-p2p", lambda batch: int((batch.dst_port == 6881).sum())
+     > 1000),
+])
+def test_anomaly_workloads_carry_their_signature(name, signature):
+    """The matrix workloads no chapter harness builds: each adds its
+    anomaly on top of the base header trace, mid-trace."""
+    trace = scenarios.build_workload(name, seed=3, duration=2.0)
+    base = scenarios.header_trace(seed=3, duration=2.0)
+    assert len(trace) > len(base)
+    packets = trace.packets
+    assert signature(packets.select((packets.ts >= 0.9) & (packets.ts < 1.1)))
 
 
 class TestChapter2:
@@ -143,15 +165,6 @@ class TestReporting:
                 {"query": "flows", "error": 0.02}]
         text = reporting.format_table(rows, ["query", "error"], title="T")
         assert "counter" in text and "0.0200" in text
-
-    def test_format_series_downsamples(self):
-        text = reporting.format_series({"x": np.arange(1000)}, max_points=10)
-        assert len(text.splitlines()) == 1
-
-    def test_summarize_distribution(self):
-        summary = reporting.summarize_distribution([1.0, 2.0, 3.0])
-        assert summary["mean"] == pytest.approx(2.0)
-        assert reporting.summarize_distribution([])["max"] == 0.0
 
 
 def test_import_repro_defers_the_harnesses_and_the_http_client():

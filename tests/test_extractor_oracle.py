@@ -117,7 +117,7 @@ def test_same_bank_and_same_batch_is_computed_once(method):
     brings a diverged one back, a second system shares nothing with the
     first, and all of it survives a pickle."""
     sharing = FeatureSharing()
-    empty = sharing.empty_bank((method, ()))
+    empty = sharing.empty_bank(method)
     _assert_read_only(empty)
     group = [FeatureExtractor(0.3, method, sharing=sharing) for _ in range(4)]
     other = FeatureExtractor(0.3, method, sharing=FeatureSharing())
@@ -150,4 +150,4 @@ def test_same_bank_and_same_batch_is_computed_once(method):
     thawed = pickle.loads(pickle.dumps(group))
     assert len({id(extractor._bank) for extractor in thawed}) == 1
     _assert_read_only(thawed[0]._bank)
-    _assert_read_only(thawed[0]._sharing.empty_bank((method, ())))
+    _assert_read_only(thawed[0]._sharing.empty_bank(method))

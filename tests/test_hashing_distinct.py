@@ -13,8 +13,7 @@ from oracles.exact_counter import ExactDistinctCounter as OracleExact
 from repro.core.distinct import (BitmapBank, CounterBank,
                                  ExactDistinctCounter, MultiResolutionBitmap,
                                  make_bank, make_counter)
-from repro.core.hashing import (H3Hash, combine_columns,
-                                hash_to_unit_interval, mix64)
+from repro.core.hashing import H3Hash, combine_columns, mix64
 
 
 def _reference_mix64(keys):
@@ -52,7 +51,7 @@ class TestMix64:
 
     def test_unit_interval_uniformity(self):
         keys = np.arange(50000, dtype=np.uint64)
-        unit = hash_to_unit_interval(mix64(keys))
+        unit = mix64(keys).astype(np.float64) / float(2 ** 64)
         assert 0.0 <= unit.min() and unit.max() < 1.0
         assert abs(unit.mean() - 0.5) < 0.02
 

@@ -24,7 +24,6 @@ class TestBatch:
     def test_length_and_counts(self):
         batch = make_batch(n=50)
         assert len(batch) == 50
-        assert batch.packet_count == 50
         assert batch.byte_count == int(batch.size.sum())
 
     def test_empty_batch(self):
@@ -67,7 +66,7 @@ class TestBatch:
         packets = list(batch)
         assert len(packets) == 5
         assert packets[0].size == int(batch.size[0])
-        assert packets[0].flow_key[0] == int(batch.src_ip[0])
+        assert packets[0].src_ip == int(batch.src_ip[0])
 
     def test_flow_keys_structured(self):
         batch = make_batch(n=20)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fcbf import fcbf_select, linear_correlation
+from oracles.scalar import fcbf_select_scalar, linear_correlation
+from repro.core.fcbf import fcbf_select
 from repro.core.features import FEATURE_NAMES, NUM_FEATURES, FeatureVector
 from repro.core.prediction import (EWMAPredictor, MLRPredictor,
                                    PredictionErrorTracker, SLRPredictor,
@@ -55,7 +56,7 @@ class TestMultipleLinearRegression:
         y = 10.0 + 3.0 * x[:, 0] + 0.5 * x[:, 1]
         model = MultipleLinearRegression().fit(x, y)
         assert model.predict(np.array([10.0, 20.0])) == pytest.approx(50.0)
-        assert np.allclose(model.residuals(x, y), 0.0, atol=1e-6)
+        assert np.allclose(model.predict(x), y, atol=1e-6)
 
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
@@ -69,16 +70,6 @@ class TestSlidingHistory:
             history.append(np.array([float(i)]), float(i))
         assert len(history) == 5
         assert history.responses()[0] == 5.0
-
-    def test_replace_last(self):
-        history = SlidingHistory(length=3)
-        history.append(np.array([1.0]), 10.0)
-        history.replace_last(99.0)
-        assert history.responses()[-1] == 99.0
-
-    def test_replace_last_empty(self):
-        with pytest.raises(IndexError):
-            SlidingHistory(length=3).replace_last(1.0)
 
     def test_feature_matrix_column_selection(self):
         history = SlidingHistory(length=4)
@@ -141,6 +132,22 @@ class TestFCBF:
         with pytest.raises(ValueError):
             fcbf_select(np.zeros((10, 2)), np.zeros(10), threshold=1.5)
 
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60),
+           st.integers(1, 8), st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    @settings(deadline=None)
+    def test_equals_the_scalar_selection(self, seed, n, p, threshold):
+        """The hoisted, vectorised correlations select exactly what one
+        scalar correlation per pair selects — duplicated, scaled and
+        constant columns included."""
+        rng = np.random.default_rng(seed)
+        features = rng.integers(0, 4, size=(n, p)).astype(np.float64)
+        features[:, -1] = features[:, 0] * 3.0  # redundant with column 0
+        if p > 2:
+            features[:, 1] = 1.0  # constant: never correlated
+        response = features[:, 0] * 2.0 + rng.normal(0, 1, n)
+        assert fcbf_select(features, response, threshold) == \
+            fcbf_select_scalar(features, response, threshold)
+
 
 class TestEWMAPredictor:
     def test_tracks_constant_series(self):
@@ -202,12 +209,6 @@ class TestMLRPredictor:
         predictor.predict(_vector(300))
         assert "packets" in predictor.selected_features
         assert predictor.overhead_cycles > 0
-
-    def test_replace_last_observation(self):
-        predictor = MLRPredictor(history=10)
-        predictor.observe(_vector(100), 1e9)   # corrupted measurement
-        predictor.replace_last_observation(1000.0)
-        assert predictor.history.responses()[-1] == 1000.0
 
     def test_negative_predictions_clamped(self):
         predictor = MLRPredictor(history=10, fcbf_threshold=0.0)

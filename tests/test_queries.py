@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from oracles.scalar import boyer_moore_horspool
+from repro.core.aggregate import payload_hits
 from repro.monitor import metrics
 from repro.monitor.packet import Batch
 from repro.monitor.query import SAMPLING_CUSTOM, SAMPLING_FLOW
 from repro.queries import (QUERY_CLASSES, BuggyP2PDetectorQuery,
                            P2PDetectorQuery, SelfishP2PDetectorQuery,
                            make_query, standard_queries)
-from repro.queries.pattern_search import boyer_moore_horspool
 from tests.conftest import make_batch
 
 
@@ -146,6 +147,19 @@ class TestPatternSearch:
             haystack = bytes(rng.integers(97, 105, size=200, dtype=np.uint8))
             needle = bytes(rng.integers(97, 105, size=3, dtype=np.uint8))
             assert boyer_moore_horspool(haystack, needle) == haystack.find(needle)
+
+    def test_batched_scan_matches_boyer_moore(self):
+        """The query's one-sweep scan over joined payloads finds exactly
+        the payloads the scalar algorithm finds."""
+        rng = np.random.default_rng(1)
+        payloads = [bytes(rng.integers(97, 101, size=int(size),
+                                       dtype=np.uint8))
+                    for size in rng.integers(0, 40, size=300)]
+        needle = b"abca"
+        hit, _ = payload_hits(payloads, (needle,))
+        assert hit.tolist() == [boyer_moore_horspool(payload, needle) >= 0
+                                for payload in payloads]
+        assert 0 < hit.sum() < len(payloads)
 
     def test_bmh_edge_cases(self):
         assert boyer_moore_horspool(b"abc", b"") == 0

@@ -257,6 +257,74 @@ class TestKernelsEqualTheOracle:
             STRATEGIES[key](names, predicted, min_rates + 1.0, 100.0)
 
 
+class TestGrownSlotTableAllocatesLikeTheOracle:
+    """A system's demand table starts at 16 slots.  Eighteen queries grow
+    it, a departure frees a slot and the next arrival recycles it; the
+    columns the kernel is handed, gathered by slot, must still allocate
+    exactly what the oracle allocates from the same demands — and those
+    columns must still be each query's own."""
+
+    KINDS = ("counter", "flows", "top-k", "application", "high-watermark",
+             "autofocus")
+
+    @pytest.fixture(scope="class")
+    def eighteen(self, small_trace):
+        """Eighteen query specs and the capacity they need unshed."""
+        from repro.experiments import runner
+        from repro.queries import QuerySpec
+        specs = [QuerySpec(self.KINDS[i % len(self.KINDS)],
+                           {"name": f"q{i:02d}"}) for i in range(18)]
+        return specs, runner.calibrate_capacity(specs, small_trace)[0]
+
+    @pytest.mark.parametrize("key", sorted(STRATEGIES))
+    def test_every_bins_allocation_equals_the_oracle(self, key, small_trace,
+                                                     eighteen, monkeypatch):
+        from repro.experiments import runner
+        from repro.queries import make_query
+        specs, capacity = eighteen
+        kernel, calls = STRATEGIES[key], []
+
+        def recording(names, predicted, min_rates, capacity, rank=None):
+            allocation = kernel(names, predicted, min_rates, capacity,
+                                rank=rank)
+            calls.append((list(names), predicted.copy(), min_rates.copy(),
+                          capacity, rank.copy(), allocation))
+            return allocation
+
+        monkeypatch.setitem(STRATEGIES, key, recording)
+        system = runner.system_config(
+            strategy=key, queries=specs, seed=3,
+            cycles_per_second=0.3 * capacity).build()
+        table = system.demand_table
+        assert len(table.names) == 32  # grown from 16
+        freed = table._slot_of["q03"]
+        session = system.open_session(time_bin=0.1)
+        for index, batch in enumerate(small_trace.batch_list(0.1)[:28]):
+            if index == 10:
+                session.remove_query("q03")
+            elif index == 20:
+                session.add_query(make_query("flows", name="q18"))
+            session.ingest(batch)
+        session.close()
+        assert table._slot_of["q18"] == freed  # recycled
+        assert "q03" not in table._slot_of
+
+        assert {len(names) for names, *_ in calls} == {17, 18}
+        floors = {spec.instance_name: spec.build().minimum_sampling_rate
+                  for spec in specs}
+        floors["q18"] = make_query("flows").minimum_sampling_rate
+        for names, predicted, min_rates, capacity, rank, allocation in calls:
+            assert min_rates.tolist() == [floors[name] for name in names]
+            assert [names[i] for i in np.argsort(rank)] == sorted(names)
+            demands = [QueryDemand(name, float(cycles), float(floor))
+                       for name, cycles, floor
+                       in zip(names, predicted, min_rates)]
+            reference = SCALAR_REFERENCE[key](demands, capacity)
+            assert allocation.rates == reference.rates
+            assert allocation.cycles == reference.cycles
+            assert allocation.disabled == reference.disabled
+
+
 class TestAllocationIsAnImmutableValue:
     def _allocation(self, n=3):
         cycles = np.random.default_rng(n).uniform(0.0, 1e6, n)

@@ -433,6 +433,8 @@ def test_daemon_status_metrics_and_ops(tmp_path, serve_trace):
         assert "did you mean" in json.loads(body)["error"]
         body = refused(400, "POST", "/config", {"shard_rebalance": False})
         assert "'shard_rebalance'" in json.loads(body)["error"]
+        body = refused(400, "POST", "/config", {"buffer_seconds": 0.2})
+        assert "'buffer_seconds'" in json.loads(body)["error"]
         refused(404, "DELETE", "/queries/nope")
         refused(404, "GET", "/bogus")
 
@@ -550,7 +552,7 @@ def test_every_way_in_builds_through_build_system(serve_trace):
                                         build_system)
     from repro.monitor.system import MonitoringSystem
     from repro.serve.checkpoint import capture, load_checkpoint
-    config = _daemon_config(num_shards=2, shard_backend="inprocess")
+    config = _daemon_config(num_shards=2)
     assert isinstance(build_system(config), ShardedSystem)
     assert isinstance(build_system(config.replace(num_shards=1)),
                       MonitoringSystem)
@@ -588,10 +590,10 @@ def test_daemon_survives_its_sessions_failure_cleanly(tmp_path, serve_trace,
     from repro.monitor.workers import ShardWorkerError, fork_start_available
     if not fork_start_available():
         pytest.skip("needs the fork start method")
-    config = _daemon_config(num_shards=2, shard_backend="workers")
+    config = _daemon_config(num_shards=2)
     daemon = MonitorDaemon(
         config, ReplayFeed(serve_trace, time_bin=TIME_BIN, pace=1.0),
-        name="doomed", checkpoint_dir=tmp_path / "ckpt",
+        backend="workers", name="doomed", checkpoint_dir=tmp_path / "ckpt",
         rotate_dir=tmp_path / "rotated", rotate_every_bins=10_000)
     pool = daemon.session._executor
     processes = [worker.process for worker in pool._workers]

@@ -11,8 +11,9 @@ Three families:
   departures must flush logs and leave no stale enforcer/controller state;
   ``set_capacity`` must take effect at the next bin boundary.
 * **Removed surfaces** — loose system keyword arguments to the experiment
-  helpers, the ``"fork"`` shard backend and the shard rebalancer's fields
-  are refused, loudly and typed.
+  helpers, the ``"fork"`` shard backend, the shard rebalancer's fields and
+  the five fields that held one value (or duplicated ``backend=``) are
+  refused, loudly and typed.
 """
 
 import dataclasses
@@ -43,11 +44,9 @@ def calibrated(small_trace):
 class TestSystemConfig:
     def test_roundtrip_to_dict_from_dict(self):
         config = SystemConfig(mode="reactive", strategy="mmfs_cpu",
-                              predictor="ewma",
-                              predictor_kwargs={"alpha": 0.5},
-                              cycles_per_second=2.5e8, buffer_seconds=0.4,
+                              predictor="ewma", cycles_per_second=2.5e8,
                               feature_method="exact", measurement_noise=0.05,
-                              reactive_min_rate=0.1, seed=11)
+                              seed=11)
         data = config.to_dict()
         # The dict must be plain JSON (what a checkpoint or a grid spec is).
         rebuilt = SystemConfig.from_dict(json.loads(json.dumps(data)))
@@ -74,7 +73,6 @@ class TestSystemConfig:
         ({"mode": "turbo"}, "valid modes"),
         ({"feature_method": "sketchy"}, "valid methods"),
         ({"cycles_per_second": -1.0}, "cycles_per_second"),
-        ({"reactive_min_rate": 1.5}, "reactive_min_rate"),
     ])
     def test_eager_validation_lists_options(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -107,7 +105,7 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=listed):
             SystemConfig.from_dict({"strategy": "nope"})
         assert not hasattr(SystemConfig, "strategy_name")
-        assert len(dataclasses.fields(SystemConfig)) == 18
+        assert len(dataclasses.fields(SystemConfig)) == 13
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown SystemConfig field"):
@@ -356,7 +354,7 @@ class TestRemovedSurfaces:
     def test_loose_kwargs_and_the_fork_backend_are_refused(self, small_trace,
                                                            calibrated):
         """System knobs travel in a ``SystemConfig`` and nowhere else, and
-        a config that still says ``"fork"`` learns the three valid backends.
+        a caller that still says ``"fork"`` learns the three valid backends.
         """
         capacity, reference = calibrated
         with pytest.raises(TypeError, match="seed"):
@@ -372,13 +370,11 @@ class TestRemovedSurfaces:
                                    config=runner.system_config(seed=3))
         assert result.total_packets == len(small_trace)
 
-        for build in (lambda: SystemConfig(shard_backend="fork"),
-                      lambda: SystemConfig.from_dict(
-                          {"shard_backend": "fork"})):
-            with pytest.raises(ValueError) as refused:
-                build()
-            for backend in ("auto", "inprocess", "workers"):
-                assert repr(backend) in str(refused.value)
+        with pytest.raises(ValueError) as refused:
+            ShardedSystem(config=SystemConfig(queries="counter"),
+                          num_shards=2, backend="fork")
+        for backend in ("auto", "inprocess", "workers"):
+            assert repr(backend) in str(refused.value)
 
     def test_the_rebalancer_fields_are_refused_by_name(self):
         """A shard owns a fixed 1/N slice: the two rebalancer fields are
@@ -394,4 +390,34 @@ class TestRemovedSurfaces:
             with pytest.raises(ValueError, match="unknown SystemConfig "
                                                  r"field\(s\) 'shard_rebal"):
                 build()
-        assert len(dataclasses.fields(SystemConfig)) == 18
+        assert len(dataclasses.fields(SystemConfig)) == 13
+
+    #: The fields that held one value (or duplicated ``backend=``), with
+    #: a value a stale config file would carry.
+    GONE = {"predictor_kwargs": {}, "feature_kwargs": {},
+            "buffer_seconds": 0.2, "reactive_min_rate": 0.0,
+            "shard_backend": "workers"}
+
+    @pytest.mark.parametrize("field", sorted(GONE))
+    def test_the_constant_fields_are_refused_by_name(self, field, tmp_path,
+                                                     capsys):
+        """Wherever a config comes from — the constructor, ``replace``,
+        ``from_dict``, ``python -m repro.serve --config`` or a fleet
+        topology overlay — a removed key is an unknown field, named."""
+        from repro.fleet import FleetTopology, NodeSpec
+        from repro.serve.__main__ import main
+        value = self.GONE[field]
+        with pytest.raises(TypeError, match=field):
+            SystemConfig(**{field: value})
+        named = f"unknown SystemConfig field\\(s\\) '{field}'"
+        for build in (lambda: SystemConfig().replace(**{field: value}),
+                      lambda: SystemConfig.from_dict({field: value})):
+            with pytest.raises(ValueError, match=named):
+                build()
+        with pytest.raises(ValueError, match=named):
+            FleetTopology(nodes=[NodeSpec("a", overlay={field: value})])
+        stale = tmp_path / "stale.json"
+        stale.write_text(json.dumps({"queries": "counter", field: value}))
+        assert main(["--config", str(stale), "--feed", "generate"]) == 2
+        assert f"unknown SystemConfig field(s) '{field}'" in \
+            capsys.readouterr().err

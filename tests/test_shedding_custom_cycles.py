@@ -30,24 +30,24 @@ class TestCycleMeter:
     def test_accumulate_and_consume(self):
         meter = CycleMeter()
         meter.charge("packet", 10)
-        meter.charge_cycles(100.0)
+        meter.charge("byte", 100)
         total = meter.consume()
-        assert total == pytest.approx(10 * meter.costs["packet"] + 100.0)
+        assert total == pytest.approx(10 * meter.costs["packet"]
+                                      + 100 * meter.costs["byte"])
         assert meter.consume() == 0.0
 
     def test_noise_is_multiplicative(self):
         meter = CycleMeter(noise_std=0.1, rng=np.random.default_rng(0))
-        meter.charge_cycles(1000.0)
+        exact = meter.charge("packet", 1000)
         noisy = meter.consume()
-        assert noisy != 1000.0
-        assert abs(noisy - 1000.0) < 600.0
+        assert noisy != exact
+        assert abs(noisy - exact) < 0.6 * exact
 
 
 class TestCycleClock:
     def test_budget_per_bin(self):
         budget = CycleBudget(cycles_per_second=1e6, time_bin=0.1)
         assert budget.per_bin == pytest.approx(1e5)
-        assert budget.scaled(0.5).per_bin == pytest.approx(5e4)
 
     def test_delay_accumulates_on_overrun(self):
         clock = CycleClock(CycleBudget(1e6, 0.1))
@@ -167,7 +167,7 @@ class TestReactiveRate:
     def test_bounded(self):
         assert reactive_rate(0.5, 100.0, 1000.0, 0.0) == 1.0
         assert reactive_rate(0.5, 0.0, 1000.0, 0.0) == 1.0
-        assert reactive_rate(0.1, 1e6, 10.0, 0.0, min_rate=0.05) == 0.05
+        assert reactive_rate(0.1, 1e6, 10.0, 20.0) == 0.0
 
 
 class TestCustomShedEnforcer:
@@ -208,10 +208,10 @@ class TestCustomShedEnforcer:
         assert enforcer.state("good").total_disables == 0
         assert not enforcer.is_disabled("good", 51)
 
-    def test_reset_and_summary(self):
+    def test_reset(self):
         enforcer = CustomShedEnforcer()
         enforcer.record("q", 100.0, 300.0, 0)
-        assert "q" in enforcer.summary()
+        assert enforcer.state("q").total_violations == 1
         enforcer.reset("q")
         assert enforcer.state("q").total_violations == 0
 
