@@ -1,24 +1,24 @@
-"""Second merge tier: fold per-node results and metrics into one answer.
+"""Second merge tier: fold per-node results into one answer.
 
 The :class:`FleetAggregator` is the global half of the fleet split: nodes
 run their own predict/shed loops and produce ordinary
-:class:`~repro.monitor.system.ExecutionResult` objects plus operational
-metrics (:attr:`MonitoringSession.metrics`, or the Prometheus text a
-``repro.serve`` daemon exposes on ``/metrics``); the aggregator folds the
-results through the declarative ``RESULT_MERGE`` rules — the same
-associative fold the shard tier uses, one level up — and the metrics into
-one fleet report.
+:class:`~repro.monitor.system.ExecutionResult` objects; the aggregator
+folds the results through the declarative ``RESULT_MERGE`` rules — the
+same associative fold the shard tier uses, one level up — and scrapes the
+Prometheus text a live ``repro.serve`` node exposes on ``/metrics``.  The
+nodes' metrics documents fold where a node's shards' do, in
+:func:`repro.profile.fold_metrics`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..monitor.system import ExecutionResult
 
 
 class FleetAggregator:
-    """Folds per-node executions and metrics into fleet-global views."""
+    """Folds per-node executions into the fleet-global one; scrapes nodes."""
 
     # ------------------------------------------------------------------
     # Result federation
@@ -40,53 +40,6 @@ class FleetAggregator:
         """
         return ExecutionResult.merge(results, query_classes=query_classes,
                                      name=name)
-
-    # ------------------------------------------------------------------
-    # Metrics folding
-    # ------------------------------------------------------------------
-    @staticmethod
-    def fold_metrics(node_metrics: Iterable[Dict]) -> Dict:
-        """Fold per-node ``session.metrics`` dicts into fleet totals.
-
-        Stage profiles sum their call counts and wall/cycle totals (the
-        mean recomputes from the folded totals); feature-sharing counters
-        sum.  Per-bin latency *percentiles* cannot be folded from per-node
-        summaries — that is why :class:`~repro.fleet.runner.FleetRunner`
-        measures its own per-bin ingest latencies — so the per-node
-        ``bin_seconds`` summaries are kept as a list under
-        ``profile.bin_seconds_per_node``.
-        """
-        metrics = [m for m in node_metrics if m]
-        stages: Dict[str, Dict[str, float]] = {}
-        bins = 0
-        bin_summaries: List[Dict] = []
-        sharing: Dict[str, float] = {}
-        for node in metrics:
-            profile = node.get("profile", {})
-            bins = max(bins, int(profile.get("bins", 0)))
-            if "bin_seconds" in profile:
-                bin_summaries.append(profile["bin_seconds"])
-            for stage, values in profile.get("stages", {}).items():
-                folded = stages.setdefault(
-                    stage, {"calls": 0, "seconds_total": 0.0,
-                            "cycles_total": 0.0})
-                folded["calls"] += values.get("calls", 0)
-                folded["seconds_total"] += values.get("seconds_total", 0.0)
-                folded["cycles_total"] += values.get("cycles_total", 0.0)
-            for key, value in node.get("feature_sharing", {}).items():
-                sharing[key] = sharing.get(key, 0) + value
-        for folded in stages.values():
-            folded["mean_seconds"] = (folded["seconds_total"] /
-                                      folded["calls"]
-                                      if folded["calls"] else 0.0)
-        return {
-            "profile": {
-                "bins": bins,
-                "stages": stages,
-                "bin_seconds_per_node": bin_summaries,
-            },
-            "feature_sharing": sharing,
-        }
 
     # ------------------------------------------------------------------
     # Scraping live nodes

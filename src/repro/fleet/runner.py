@@ -7,8 +7,7 @@ node ``i``'s resident session and lets the bin go — every node runs one
 full predict/shed loop, a :class:`~repro.monitor.session.MonitoringSession`
 or, for nodes configured with ``num_shards > 1``, a sharded session, so the
 shard tier nests under the fleet tier unchanged — and federates the
-per-node results and metrics through the
-:class:`~repro.fleet.aggregate.FleetAggregator`.
+per-node results through the :class:`~repro.fleet.aggregate.FleetAggregator`.
 
 The node sessions live in one of the two session executors a
 :class:`~repro.monitor.sharding.ShardedSession` also drives:
@@ -17,8 +16,9 @@ or a :class:`~repro.monitor.workers.ShardWorkerPool` of resident worker
 processes (backend ``"fork"``), forked before the first bin is read, node
 ``i`` on process ``i mod n``, fed through shared memory and running up to
 two bins behind the reader.  Either steps the node sessions; the runner
-folds what they deliver into the node results it owns, as a node does for
-its shards.  What is resident is the N node sessions, two buffer slots per
+folds what they deliver into the node results it owns, and their metrics
+documents with :func:`repro.profile.fold_metrics`, as a node does for its
+shards.  What is resident is the N node sessions, two buffer slots per
 node, the one bin being dealt out and the node results — nothing else that
 grows with the trace, so a store replays out of core.  Every node sees the
 same sub-batches in the same order with the same config and seed on either
@@ -45,7 +45,7 @@ from ..monitor.packet import Batch, PacketTrace, as_trace
 from ..monitor.sharding import InProcessShards, build_system
 from ..monitor.system import ExecutionResult
 from ..monitor.workers import ShardWorkerPool, fork_start_available
-from ..profile import summarize
+from ..profile import fold_metrics, summarize
 from ..queries import MERGE_EXACTNESS, QUERY_CLASSES
 from .aggregate import FleetAggregator
 from .partition import FleetPartitioner
@@ -254,21 +254,22 @@ class FleetRunner:
                 for node, part in enumerate(self.partitioner.split(batch)):
                     nodes.ingest_async(node, part)
                 fold_delivered()
-            metrics = nodes.session_metrics()
+            documents = nodes.session_metrics()
             nodes.close()
         finally:
             nodes.stop()
         fold_delivered()
-        bin_seconds = np.array(nodes.ingest_seconds, dtype=np.float64)
         federated = self.aggregator.federate(
             results, query_classes=self.query_classes(),
             name=f"{trace.name}[fleet]")
-        return FleetResult(
-            federated=federated, node_results=results, node_metrics=metrics,
-            node_bin_seconds=bin_seconds, topology=self.topology,
-            time_bin=time_bin, backend=backend,
-            metrics=self.aggregator.fold_metrics(metrics),
+        fleet = FleetResult(
+            federated=federated, node_results=results,
+            node_metrics=documents,
+            node_bin_seconds=np.array(nodes.ingest_seconds, dtype=np.float64),
+            topology=self.topology, time_bin=time_bin, backend=backend,
             query_kinds=self.config.query_kinds())
+        fleet.metrics = fold_metrics(documents, fleet.bin_latency, federated)
+        return fleet
 
 
 # ----------------------------------------------------------------------

@@ -165,12 +165,14 @@ class FleetTopology:
         the node's ``overlay`` → ``force`` (caller-level overrides, e.g.
         the exactness check pinning every node to reference mode).  A node
         without an explicit ``cycles_per_second`` overlay receives its
-        weight-share of the base capacity; node seeds derive per index
+        weight-share of the base capacity (the default host capacity when
+        the base leaves it ``None``); node seeds derive per index
         with :func:`~repro.monitor.sharding.shard_seed` (node 0 keeps the
         base seed, so a one-node fleet is bit-identical to the single
         host it wraps) unless the overlay pins ``seed`` itself.
         """
         base = base if base is not None else SystemConfig()
+        capacity = base.make_budget().cycles_per_second
         total_weight = sum(self.weights)
         configs: List[SystemConfig] = []
         for index, node in enumerate(self.nodes):
@@ -178,7 +180,7 @@ class FleetTopology:
                        **self._parsed_overlay(node.overlay)}
             if "cycles_per_second" not in overlay:
                 overlay["cycles_per_second"] = (
-                    base.cycles_per_second * node.weight / total_weight)
+                    capacity * node.weight / total_weight)
             if "seed" not in overlay:
                 overlay["seed"] = shard_seed(base.seed, index)
             if force:

@@ -70,7 +70,7 @@ from typing import (Callable, Deque, Dict, Iterator, List, Optional,
 
 from ..core.cycles import CycleBudget
 from ..core.pool import effective_workers
-from ..profile import merged_summary
+from ..profile import RECENT_BINS, fold_metrics
 from .config import SystemConfig
 from .packet import HEADER_FIELDS, Batch, PacketTrace, as_trace
 from .pipeline import BinRecord
@@ -168,9 +168,7 @@ class ShardedSystem:
                     "with a declarative 'queries' field")
             query_factory = config.build_queries
         self.query_factory = query_factory
-        self.total_cycles_per_second = (
-            config.cycles_per_second if config.cycles_per_second is not None
-            else CycleBudget().cycles_per_second)
+        self.total_cycles_per_second = config.make_budget().cycles_per_second
         share = self.total_cycles_per_second / self.num_shards
         # The fixed CoMo overhead models per-host bookkeeping: shards share
         # one host, so each pays its 1/N slice (the per-packet overhead
@@ -374,11 +372,6 @@ class InProcessShards:
     def remove_query(self, shard: int, name: str) -> None:
         self.sessions[shard].remove_query(name)
 
-    def metrics(self) -> List[Tuple]:
-        return [(session.system.profiler,
-                 session.system.feature_states.stats())
-                for session in self.sessions]
-
     def session_metrics(self) -> List[Dict]:
         return [session.metrics for session in self.sessions]
 
@@ -490,42 +483,36 @@ class ShardedSession:
 
     @property
     def metrics(self) -> Dict:
-        """Operational metrics folded across the shards (JSON-able).
+        """Operational metrics of the node (JSON-able).
 
-        Same shape as :attr:`MonitoringSession.metrics` — per-stage
-        profile plus feature-sharing counts — with per-shard stage
-        totals summed and per-bin latency series concatenated, plus a
-        ``sharding`` block about the result merge: measurement intervals
-        merged, bytes of the shard replies that carried partials (nothing
-        travels in-process: 0), seconds spent merging partials, and shard
-        divergences detected.  The shard numbers are read at a bin
-        boundary (on the workers backend they travel the command pipes,
-        FIFO with the batches); a closed session returns the snapshot
-        taken at close time.
+        Same shape as :attr:`MonitoringSession.metrics`: the shards' own
+        documents folded by :func:`repro.profile.fold_metrics` — stage
+        totals and feature-sharing counters summed, each bin counted once,
+        ``bin_seconds`` over the slowest shard's wall time per bin, tenant
+        totals from the node's result — plus a ``sharding`` block about the
+        result merge: measurement intervals merged, bytes of the shard
+        replies that carried partials (nothing travels in-process: 0),
+        seconds spent merging partials, and shard divergences detected.
+        The shards' documents are read at a bin boundary (on the workers
+        backend they travel the command pipes, FIFO with the batches); a
+        closed session returns the snapshot taken at close time.
         """
         if self._closed_metrics is not None:
             return self._closed_metrics
-        shards = self._executor.metrics()
+        documents = self._executor.session_metrics()
         self._fold(self._delivered())
-        return self._fold_metrics(shards)
+        return self._metrics(documents)
 
-    def _fold_metrics(self, shards: Sequence[Tuple]) -> Dict:
-        """Per-shard ``(profiler, sharing stats)`` pairs as one document."""
-        sharing: Dict[str, int] = {}
-        for _, stats in shards:
-            for key, value in stats.items():
-                sharing[key] = sharing.get(key, 0) + value
-        merged = {"profile": merged_summary([prof for prof, _ in shards]),
-                  "feature_sharing": sharing,
-                  "sharding": dict(
-                      self._merge_stats,
-                      partial_bytes=self._executor.partial_bytes)}
-        groups = self.sharded.config.tenants
-        if groups:
-            merged["tenants"] = {
-                "count": len(groups),
-                "query_cycles": self._result.tenant_cycle_totals()}
-        return merged
+    def _metrics(self, documents: Sequence[Dict]) -> Dict:
+        """The shards' metrics documents as the node's."""
+        answered = min(map(len, self._executor.ingest_seconds))
+        recent = [seconds[max(0, answered - RECENT_BINS):answered]
+                  for seconds in self._executor.ingest_seconds]
+        metrics = fold_metrics(documents, [max(shards) for shards
+                                           in zip(*recent)], self._result)
+        metrics["sharding"] = dict(self._merge_stats,
+                                   partial_bytes=self._executor.partial_bytes)
+        return metrics
 
     # ------------------------------------------------------------------
     # Merging what the shards deliver
@@ -630,12 +617,12 @@ class ShardedSession:
         return nothing)."""
         if self.closed:
             return []
-        shards = self._executor.metrics()  # workers are gone afterwards
+        documents = self._executor.session_metrics()  # gone afterwards
         self._apply_capacity()
         self._executor.close()
         *earlier, (_, flushed) = self._delivered()
         self._fold(earlier)
-        self._closed_metrics = self._fold_metrics(shards)
+        self._closed_metrics = self._metrics(documents)
         return flushed
 
     def ingest(self, batch: Batch) -> BinRecord:
@@ -753,7 +740,7 @@ class ShardedSession:
         if self.closed:
             raise RuntimeError("cannot snapshot a closed session; close() "
                                "already returned the final result")
-        self._executor.metrics()  # answered once every bin sent is
+        self._executor.session_metrics()  # answered once every bin sent is
         self._fold(self._delivered())
         return self._result.snapshot()
 

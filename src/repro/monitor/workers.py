@@ -144,11 +144,8 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 #: What a resident session answers to each query command; the reply goes
 #: back under the command's own name.
 _QUERIES = {
-    # The live profiler and sharing stats of a shard; the parent folds the
-    # per-shard profiles into one summary.
-    "metrics": lambda session: (session.system.profiler,
-                                session.system.feature_states.stats()),
-    # The session's own JSON-able metrics document (any session type).
+    # The session's own JSON-able metrics document (any session type); the
+    # owner folds its sessions' documents with ``repro.profile.fold_metrics``.
     "session_metrics": lambda session: session.metrics,
     # Checkpoint capture: ship the whole session back.  Pickling it over
     # the pipe *is* the snapshot — the parent receives a private copy while
@@ -590,11 +587,6 @@ class ShardWorkerPool:
             self._send(worker, (kind, worker.seq, index, *extra))
         return [self._await(session.worker, seq, kind)
                 for session, seq in zip(self._sessions, seqs)]
-
-    def metrics(self) -> List:
-        """Per-shard ``(profiler, sharing_stats)`` pairs (sessions keep
-        running)."""
-        return self._ask_all("metrics")
 
     def session_metrics(self) -> List:
         """Every session's own ``metrics`` document."""

@@ -6,7 +6,9 @@ themselves.  This module gives the reproduction the same lens at runtime:
 :class:`StageProfiler` records wall-clock seconds and simulated cycles per
 pipeline stage per bin, and :func:`summarize` turns any latency series
 into the ``n/mean/p50/p95/p99/max`` statistics the benchmark reports and
-the serve ``/metrics`` endpoint expose.
+the serve ``/metrics`` endpoint expose.  :func:`fold_metrics` is the one
+fold of several sessions' metrics documents into their owner's — a
+sharded node's over its shards, a fleet's over its nodes.
 
 The profiler is deliberately cheap — two ``perf_counter`` reads and one
 dict update per stage per bin — so it stays on permanently; it never
@@ -16,9 +18,14 @@ influences results (simulated cycles are read, not charged).
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, Optional, Sequence
+from typing import Deque, Dict, Sequence
 
-__all__ = ["StageProfiler", "peak_rss_mb", "summarize"]
+__all__ = ["StageProfiler", "fold_metrics", "peak_rss_mb", "summarize"]
+
+#: How many of the most recent bins a per-bin latency series keeps.
+RECENT_BINS = 2048
+#: The per-stage totals a metrics document carries, which add up over parts.
+_TOTALS = ("calls", "seconds_total", "cycles_total")
 
 
 def peak_rss_mb() -> float:
@@ -88,7 +95,7 @@ class StageProfiler:
     never grows without bound.
     """
 
-    def __init__(self, max_recent: int = 2048) -> None:
+    def __init__(self, max_recent: int = RECENT_BINS) -> None:
         self.max_recent = int(max_recent)
         self._stages: "OrderedDict[str, _StageStats]" = OrderedDict()
         self.bins = 0
@@ -114,23 +121,6 @@ class StageProfiler:
         self._stages.clear()
         self.bins = 0
         self._bin_seconds.clear()
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "StageProfiler") -> None:
-        """Fold another profiler's totals in (sharded-session reporting).
-
-        Per-bin latency series concatenate up to the ring bound; stage
-        totals and bin counts add.
-        """
-        for name, stats in other._stages.items():
-            mine = self._stages.get(name)
-            if mine is None:
-                mine = self._stages[name] = _StageStats()
-            mine.calls += stats.calls
-            mine.seconds_total += stats.seconds_total
-            mine.cycles_total += stats.cycles_total
-        self.bins += other.bins
-        self._bin_seconds.extend(other._bin_seconds)
 
     # ------------------------------------------------------------------
     @property
@@ -161,10 +151,43 @@ class StageProfiler:
                 f"stages={list(self._stages)})")
 
 
-def merged_summary(profilers: Sequence[Optional[StageProfiler]]) -> Dict:
-    """Summary of several profilers folded together (``None`` entries skipped)."""
-    merged = StageProfiler()
-    for profiler in profilers:
-        if profiler is not None:
-            merged.merge(profiler)
-    return merged.summary()
+def fold_metrics(documents: Sequence[Dict], bin_seconds: Sequence[float],
+                 result) -> Dict:
+    """One owner's metrics document, folded from its parts' documents.
+
+    The parts are a node's shards or a fleet's nodes: each sees every bin,
+    so the owner's bin count is one part's, and each stage's ``calls`` /
+    ``seconds_total`` / ``cycles_total`` and every ``feature_sharing``
+    counter add up over the parts (each stage's mean recomputes from the
+    sums).  What only the owner knows it hands in: ``bin_seconds``, its
+    own per-bin wall series — the slowest part's time per bin, since a bin
+    is done when its last part is — and ``result``, the
+    :class:`~repro.monitor.system.ExecutionResult` it folds the parts'
+    deliveries into, which holds the tenant totals (a stepped part folds
+    nothing, so its own are empty).
+    """
+    first = documents[0]
+    stages: Dict[str, Dict[str, float]] = {}
+    sharing: Dict[str, int] = {}
+    for document in documents:
+        for stage, totals in document["profile"]["stages"].items():
+            folded = stages.setdefault(stage, dict.fromkeys(_TOTALS, 0))
+            for key in _TOTALS:
+                folded[key] += totals[key]
+        for key, value in document["feature_sharing"].items():
+            sharing[key] = sharing.get(key, 0) + value
+    for folded in stages.values():
+        folded["mean_seconds"] = (folded["seconds_total"] / folded["calls"]
+                                  if folded["calls"] else 0.0)
+    metrics = {
+        "profile": {
+            "bins": first["profile"]["bins"],
+            "stages": stages,
+            "bin_seconds": summarize(bin_seconds),
+        },
+        "feature_sharing": sharing,
+    }
+    if "tenants" in first:
+        metrics["tenants"] = {"count": first["tenants"]["count"],
+                              "query_cycles": result.tenant_cycle_totals()}
+    return metrics

@@ -32,8 +32,6 @@ import json
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 # The shared system/sharding flag surface moved to :mod:`repro.cli` (it is
 # consumed by repro.replay, repro.serve and repro.fleet alike); the names
 # are re-exported here for callers that imported them from this module.
@@ -69,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _summary(result, trace, args, capacity: float, store) -> dict:
-    rates = [record.mean_rate for record in result.bins if record.rates]
     summary = {
         "trace": {
             "name": trace.name,
@@ -91,7 +88,7 @@ def _summary(result, trace, args, capacity: float, store) -> dict:
             "total_packets": result.total_packets,
             "dropped_packets": result.dropped_packets,
             "drop_fraction": float(result.drop_fraction),
-            "mean_sampling_rate": float(np.mean(rates)) if rates else 1.0,
+            "mean_sampling_rate": result.mean_sampling_rate(),
             "intervals_by_query": {name: len(log.results)
                                    for name, log in
                                    sorted(result.query_logs.items())},

@@ -96,7 +96,10 @@ class MonitorDaemon:
         ``rotate_dir``, starting a new ``segment-NNNNNN`` store every N
         bins.
     session:
-        A restored session to resume instead of building a fresh one.
+        A restored session to resume instead of building a fresh one.  Feed
+        bins that start before its next bin boundary are already in its
+        result, so the daemon skips them (and logs that once): resuming a
+        replay from the start of its store ingests each bin once.
     reference:
         Optional reference :class:`ExecutionResult` for the same traffic;
         when given, ``/status`` reports accuracy-so-far per query.
@@ -145,12 +148,25 @@ class MonitorDaemon:
                 respect_cores=self.respect_cores,
                 backend=backend).open_session(
                     time_bin=self.feed.time_bin, name=self.name)
-        elif config is None:
-            config = session.sharded.config \
-                if isinstance(session, ShardedSession) \
-                else session.system.config
+            held = []
+        else:
+            if config is None:
+                config = session.sharded.config \
+                    if isinstance(session, ShardedSession) \
+                    else session.system.config
+            held = session.partial_result().bins
         self.config = config
         self.session = session
+        #: Feed bins starting before this are in the session already (half
+        #: a bin short of its next boundary, so rounding of bin starts
+        #: cannot decide); ``None`` once the feed has caught up.
+        self._resume_before: Optional[float] = None
+        if held:
+            self._resume_before = held[-1].start_ts + session.time_bin / 2
+            logger.info("daemon %r resumes a session that ends at bin %d: "
+                        "skipping the feed's bins before t=%.6g s", name,
+                        session.bins_ingested,
+                        held[-1].start_ts + session.time_bin)
 
         self._api = OpsServer(self, host=host, port=port)
         self._lock = threading.Lock()
@@ -161,15 +177,6 @@ class MonitorDaemon:
         self._started_unix: Optional[float] = None
         self.result: Optional[ExecutionResult] = None
 
-        # Running counters, updated under the lock after every bin.
-        self._packets = 0
-        self._bytes = 0
-        self._dropped = 0
-        self._unsampled = 0.0
-        self._shed_bins = 0
-        self._prediction_error_sum = 0.0
-        self._predicted_bins = 0
-        self._last_record = None
         self._checkpoints_written = 0
         self.checkpoint_path: Optional[Path] = None
         #: ``(bins_ingested, snapshot)`` cache for the read-side ops: the
@@ -294,33 +301,27 @@ class MonitorDaemon:
 
     def _ingest_one(self, batch) -> None:
         with self._lock:
-            if self.session.closed:
+            if self.session.closed or self._skips(batch):
                 return
             try:
-                record = self.session.ingest(batch)
+                self.session.ingest(batch)
             except BaseException as error:
                 self._session_error = error
                 raise
-            self._packets += record.incoming_packets
-            self._bytes += record.incoming_bytes
-            self._dropped += record.dropped_packets
-            self._unsampled += record.unsampled_packets
-            if record.dropped_packets > 0 or (record.rates and
-                                              record.mean_rate < 1.0):
-                self._shed_bins += 1
-            if record.predicted_cycles > 0:
-                actual = record.query_cycles
-                self._prediction_error_sum += (
-                    abs(record.predicted_cycles - actual)
-                    / max(actual, 1.0))
-                self._predicted_bins += 1
-            self._last_record = record
             if self.rotate_dir is not None:
                 self._rotate_append(batch)
             if (self.checkpoint_dir is not None
                     and self.checkpoint_every_bins > 0
                     and self.bins_ingested % self.checkpoint_every_bins == 0):
                 self._checkpoint_locked()
+
+    def _skips(self, batch) -> bool:
+        """Whether ``batch`` is a bin the restored session already holds."""
+        if self._resume_before is not None \
+                and batch.start_ts < self._resume_before:
+            return True
+        self._resume_before = None
+        return False
 
     def _shutdown(self) -> None:
         """Release what the daemon owns, whatever state the session is in."""
@@ -478,7 +479,7 @@ class MonitorDaemon:
             }
             if qname in accuracies:
                 queries[qname]["accuracy_so_far"] = float(accuracies[qname])
-        total = self._packets
+        totals = _totals(snapshot)
         return {
             "name": self.name,
             "mode": self.config.mode,
@@ -487,14 +488,12 @@ class MonitorDaemon:
             "started_unix": self._started_unix,
             "bins_ingested": self.bins_ingested,
             "time_bin": self.feed.time_bin,
-            "packets": total,
-            "bytes": self._bytes,
-            "dropped_packets": self._dropped,
-            "shed_fraction": (self._dropped / total) if total else 0.0,
-            "shed_bins": self._shed_bins,
-            "mean_prediction_error": (
-                self._prediction_error_sum / self._predicted_bins
-                if self._predicted_bins else 0.0),
+            "packets": totals["packets"],
+            "bytes": totals["bytes"],
+            "dropped_packets": totals["dropped"],
+            "shed_fraction": snapshot.drop_fraction,
+            "shed_bins": totals["shed_bins"],
+            "mean_prediction_error": totals["prediction_error"],
             "checkpoints_written": self._checkpoints_written,
             "checkpoint_path": (str(self.checkpoint_path)
                                 if self.checkpoint_path else None),
@@ -536,7 +535,9 @@ class MonitorDaemon:
 
     def metric_families(self) -> List[Dict]:
         """The ``/metrics`` content, as renderer-ready metric families."""
-        record = self._last_record
+        snapshot = self.partial_result()
+        totals = _totals(snapshot)
+        record = snapshot.bins[-1] if snapshot.bins else None
         families = [
             _family("repro_uptime_seconds", "gauge",
                     "Seconds since the daemon started",
@@ -544,18 +545,19 @@ class MonitorDaemon:
             _family("repro_bins_ingested_total", "counter",
                     "Time bins ingested", [({}, self.bins_ingested)]),
             _family("repro_packets_total", "counter",
-                    "Packets offered to the monitor", [({}, self._packets)]),
+                    "Packets offered to the monitor",
+                    [({}, totals["packets"])]),
             _family("repro_bytes_total", "counter",
-                    "Bytes offered to the monitor", [({}, self._bytes)]),
+                    "Bytes offered to the monitor", [({}, totals["bytes"])]),
             _family("repro_dropped_packets_total", "counter",
                     "Packets dropped by load shedding",
-                    [({}, self._dropped)]),
+                    [({}, totals["dropped"])]),
             _family("repro_unsampled_packets_total", "counter",
                     "Effective packets lost to sampling",
-                    [({}, self._unsampled)]),
+                    [({}, snapshot.unsampled_packets)]),
             _family("repro_shed_bins_total", "counter",
                     "Bins in which load shedding was active",
-                    [({}, self._shed_bins)]),
+                    [({}, totals["shed_bins"])]),
             _family("repro_checkpoints_total", "counter",
                     "Checkpoints written",
                     [({}, self._checkpoints_written)]),
@@ -570,8 +572,7 @@ class MonitorDaemon:
                     [({}, self.feed.malformed_lines)]),
             _family("repro_mean_prediction_error", "gauge",
                     "Mean relative cycle-prediction error",
-                    [({}, self._prediction_error_sum / self._predicted_bins
-                      if self._predicted_bins else 0.0)]),
+                    [({}, totals["prediction_error"])]),
         ]
         if record is not None:
             families.append(_family(
@@ -633,6 +634,23 @@ class MonitorDaemon:
                     f"repro_shard_{key}_total", "counter", help_text,
                     [({}, float(merge[key]))]))
         return families
+
+
+def _totals(result: ExecutionResult) -> Dict:
+    """The daemon's running totals, read from the result so far."""
+    bins = result.bins
+    errors = [abs(record.predicted_cycles - record.query_cycles)
+              / max(record.query_cycles, 1.0)
+              for record in bins if record.predicted_cycles > 0]
+    return {
+        "packets": result.total_packets,
+        "bytes": int(sum(record.incoming_bytes for record in bins)),
+        "dropped": result.dropped_packets,
+        "shed_bins": sum(1 for record in bins
+                         if record.dropped_packets > 0
+                         or (record.rates and record.mean_rate < 1.0)),
+        "prediction_error": sum(errors) / len(errors) if errors else 0.0,
+    }
 
 
 def _family(name: str, kind: str, help_text: str, samples) -> Dict:

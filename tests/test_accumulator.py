@@ -17,6 +17,10 @@ The contracts under test:
   executor, a serial session, a 1-shard node and a 2-shard node agree on
   ``query_names``, the result logs, the budget, the per-tenant totals and
   ``partial_result()`` after every operation.
+* **One metrics fold** — a sharded node's and a fleet's ``metrics`` are
+  their parts' documents folded by :func:`repro.profile.fold_metrics`:
+  every bin counted once, stage totals and feature-sharing counters the
+  sums over the parts.
 """
 
 import pickle
@@ -27,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core.tenancy import TenantGroup
 from repro.experiments import runner
+from repro.fleet import FleetRunner, FleetTopology
 from repro.monitor.sharding import ShardedSystem
 from repro.monitor.system import ExecutionResult
 from repro.monitor.workers import fork_start_available
@@ -319,3 +324,49 @@ def test_a_departed_querys_last_interval_is_finished_by_its_own_class(tier):
                for result in log.results[departed:])
     assert sum(result["packets"] for result in log.results[departed:]) == \
         sum(len(batch) for batch in bins[cut:])
+
+
+# ----------------------------------------------------------------------
+# One metrics fold: serial, 2 shards on either executor, a 2-node fleet
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("setup", ("serial", "inprocess", "workers",
+                                   "fleet"))
+def test_one_metrics_fold_on_every_tier(small_trace, setup):
+    """``profile.bins`` is the bins ingested, whatever the parts, and each
+    stage's ``calls`` / ``seconds_total`` and every ``feature_sharing``
+    counter is the sum over the parts' own documents."""
+    if setup == "workers" and not fork_start_available():
+        pytest.skip("needs the fork start method")
+    config = runner.system_config(seed=5, queries="counter,flows,top-k",
+                                  cycles_per_second=8e5)
+    bins = small_trace.batch_list(0.1)
+    if setup == "fleet":
+        fleet = FleetRunner(FleetTopology.uniform(2), config=config,
+                            backend="inprocess").run(small_trace,
+                                                     time_bin=0.1)
+        metrics, parts = fleet.metrics, fleet.node_metrics
+    else:
+        session = _open(setup, config)
+        try:
+            for batch in bins:
+                session.ingest(batch)
+            metrics = session.metrics
+            parts = [metrics] if setup == "serial" else \
+                session._executor.session_metrics()
+            session.close()
+        finally:
+            if setup != "serial":
+                session._executor.stop()
+    assert len(parts) == (1 if setup == "serial" else 2)
+    profile = metrics["profile"]
+    assert profile["bins"] == len(bins)
+    assert profile["bin_seconds"]["n"] == len(bins)
+    assert profile["stages"]
+    for stage, totals in profile["stages"].items():
+        for key in ("calls", "seconds_total", "cycles_total"):
+            assert totals[key] == sum(part["profile"]["stages"][stage][key]
+                                      for part in parts), (stage, key)
+        assert totals["calls"] == len(parts) * len(bins)
+    assert metrics["feature_sharing"] == {
+        key: sum(part["feature_sharing"][key] for part in parts)
+        for key in parts[0]["feature_sharing"]}

@@ -15,19 +15,23 @@ import json
 import multiprocessing
 import sys
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.core.cycles import CycleBudget
 from repro.core.features import FeatureExtractor
 from repro.experiments.runner import calibrate_capacity, system_config
 from repro.fleet import (FleetAggregator, FleetPartitioner, FleetRunner,
                          FleetTopology, NodeSpec, load_topology,
                          verify_exactness)
 from repro.fleet.__main__ import main as fleet_main
+from repro.monitor.config import SystemConfig
 from repro.monitor.packet import Batch
 from repro.monitor.sharding import FLOW_FIELDS, build_system, shard_seed
 from repro.monitor.workers import fork_start_available
+from repro.profile import fold_metrics, summarize
 from repro.queries import MERGE_EXACTNESS, QuerySpec, parse_query_specs
 from repro.testing import assert_results_identical
 from repro.traffic.trace_io import save_trace_store
@@ -320,7 +324,9 @@ class TestFleetRunner:
         assert report["bin_latency_seconds"]["n"] == bins
         folded = result.metrics["profile"]
         assert folded["stages"]  # per-node stage profiles summed
-        assert len(folded["bin_seconds_per_node"]) == 3
+        # The fleet's own per-bin series, not one summary per node.
+        assert folded["bins"] == bins
+        assert folded["bin_seconds"] == summarize(result.bin_latency)
 
     def test_fleet_budget_sums_node_budgets(self, small_trace):
         config = _config(cycles_per_second=8e7)
@@ -330,6 +336,19 @@ class TestFleetRunner:
         assert budgets == [2e7] * 4
         assert result.federated.budget.cycles_per_second == \
             pytest.approx(8e7)
+
+    def test_a_base_without_a_capacity_splits_the_default_host(self,
+                                                              small_trace):
+        """``cycles_per_second=None`` is the default host capacity, on the
+        fleet as on one system: the nodes' weight-shares of it add up."""
+        result = FleetRunner(
+            FleetTopology.uniform(2),
+            config=SystemConfig(queries="counter,flows")).run(small_trace)
+        budgets = [r.budget.cycles_per_second for r in result.node_results]
+        default = CycleBudget().cycles_per_second
+        assert budgets == [default / 2] * 2
+        assert sum(budgets) == pytest.approx(default)
+        assert len(result.federated.bins) == len(small_trace.batch_list(0.1))
 
     @pytest.mark.skipif(not fork_start_available(),
                         reason="needs the fork start method")
@@ -446,27 +465,40 @@ class TestFleetRunner:
 # ----------------------------------------------------------------------
 class TestFleetAggregator:
     def test_fold_metrics_sums_and_recomputes_means(self):
+        """The one fold a node and a fleet share: stage totals and sharing
+        counters add up, a bin counts once, the per-bin series is the
+        owner's own and the tenant totals are its result's."""
         node_a = {"profile": {"bins": 10,
                               "bin_seconds": {"p50": 0.1},
                               "stages": {"predict": {
                                   "calls": 10, "seconds_total": 1.0,
-                                  "cycles_total": 100.0}}},
-                  "feature_sharing": {"hits": 5}}
+                                  "cycles_total": 100.0,
+                                  "mean_seconds": 0.1}}},
+                  "feature_sharing": {"hits": 5},
+                  "tenants": {"count": 2, "query_cycles": {}}}
         node_b = {"profile": {"bins": 10,
                               "bin_seconds": {"p50": 0.3},
                               "stages": {"predict": {
                                   "calls": 30, "seconds_total": 2.0,
-                                  "cycles_total": 300.0}}},
-                  "feature_sharing": {"hits": 2, "misses": 1}}
-        folded = FleetAggregator.fold_metrics([node_a, node_b, {}])
+                                  "cycles_total": 300.0,
+                                  "mean_seconds": 2.0 / 30}}},
+                  "feature_sharing": {"hits": 2, "misses": 1},
+                  "tenants": {"count": 2, "query_cycles": {}}}
+        owner = SimpleNamespace(  # the owner's ExecutionResult
+            tenant_cycle_totals=lambda: {"a": 5.0, "b": 7.0})
+        folded = fold_metrics([node_a, node_b], [0.2, 0.4, 0.3], owner)
         stage = folded["profile"]["stages"]["predict"]
         assert stage["calls"] == 40
         assert stage["seconds_total"] == 3.0
         assert stage["cycles_total"] == 400.0
         assert stage["mean_seconds"] == pytest.approx(3.0 / 40)
         assert folded["feature_sharing"] == {"hits": 7, "misses": 1}
-        assert folded["profile"]["bin_seconds_per_node"] == [
-            {"p50": 0.1}, {"p50": 0.3}]
+        assert folded["profile"]["bins"] == 10
+        assert folded["profile"]["bin_seconds"] == summarize([0.2, 0.4, 0.3])
+        assert folded["tenants"] == {"count": 2,
+                                     "query_cycles": {"a": 5.0, "b": 7.0}}
+        del node_a["tenants"], node_b["tenants"]
+        assert "tenants" not in fold_metrics([node_a, node_b], [], owner)
 
     def test_parse_prometheus_text(self):
         text = "\n".join([

@@ -577,6 +577,90 @@ def test_every_way_in_builds_through_build_system(serve_trace):
     assert_results_identical(expected, restored.close(), "from_state")
 
 
+# ----------------------------------------------------------------------
+# A restored daemon: its totals are read from the result it resumes
+# ----------------------------------------------------------------------
+_STATUS_TOTALS = ("packets", "bytes", "dropped_packets", "shed_fraction",
+                  "shed_bins", "mean_prediction_error")
+
+
+def _served(daemon):
+    """The traffic totals ``/status`` reports and the ``repro_*_total``
+    samples of ``/metrics`` (less the stage wall seconds: timings)."""
+    status = daemon.status()
+    samples = {(family["name"], tuple(sorted(labels.items()))): value
+               for family in daemon.metric_families()
+               if family["name"].endswith("_total")
+               and family["name"] != "repro_stage_seconds_total"
+               for labels, value in family["samples"]}
+    return {key: status[key] for key in _STATUS_TOTALS}, samples
+
+
+def test_a_restored_daemon_serves_what_an_uninterrupted_one_does(
+        tmp_path, serve_trace):
+    """Checkpoint at bin k: a daemon on the restored session serves the
+    same totals as the daemon that never stopped, at bin k and at the end
+    — they are read from the result, which the checkpoint carries."""
+    from repro.serve.checkpoint import save_checkpoint
+    config = _daemon_config().replace(cycles_per_second=CAPACITY / 20)
+    bins = serve_trace.batch_list(TIME_BIN)
+    k = 25  # it sheds from bin 21 on
+    uninterrupted = MonitorDaemon(config, ReplayFeed(serve_trace,
+                                                     time_bin=TIME_BIN))
+    for batch in bins[:k]:
+        uninterrupted._ingest_one(batch)
+    save_checkpoint(uninterrupted.session, tmp_path / "k.pkl")
+    restored = MonitorDaemon(None, ReplayFeed(serve_trace, time_bin=TIME_BIN),
+                             session=restore_session(tmp_path / "k.pkl"))
+    assert restored.bins_ingested == k
+
+    at_k = _served(uninterrupted)
+    status, samples = at_k
+    assert status["packets"] == sum(len(batch) for batch in bins[:k])
+    assert samples[("repro_packets_total", ())] == status["packets"]
+    assert status["shed_bins"] > 0 and status["mean_prediction_error"] > 0
+    assert _served(restored) == at_k
+    for batch in bins[k:]:
+        uninterrupted._ingest_one(batch)
+        restored._ingest_one(batch)
+    assert _served(restored) == _served(uninterrupted)
+    assert restored.status()["packets"] == len(serve_trace)
+
+
+@pytest.mark.parametrize("shards", (1, 2))
+def test_a_resumed_replay_ingests_every_bin_once(tmp_path, serve_trace,
+                                                 caplog, shards):
+    """``python -m repro.serve STORE --restore CKPT`` replays STORE from
+    its first bin into a session that holds bins 0..k-1: the daemon skips
+    those (logged once) and finishes to the uninterrupted run's result —
+    a sharded node restored onto the worker pool included."""
+    import logging
+    from repro.monitor.sharding import build_system
+    from repro.monitor.workers import fork_start_available
+    from repro.traffic.trace_io import save_trace_store
+    store = tmp_path / "store"
+    save_trace_store(serve_trace, store)
+    config = _daemon_config(num_shards=shards)
+    expected = build_system(config).run(serve_trace, time_bin=TIME_BIN)
+    k = 15
+    asyncio.run(MonitorDaemon(config, ReplayFeed(store, time_bin=TIME_BIN),
+                              checkpoint_dir=tmp_path / "ckpt",
+                              max_bins=k).run())
+    backend = "workers" if shards > 1 and fork_start_available() \
+        else "inprocess"
+    session = restore_session(tmp_path / "ckpt" / "checkpoint.pkl",
+                              backend=backend)
+    assert session.bins_ingested == k
+    caplog.set_level(logging.INFO, logger="repro.serve.daemon")
+    resumed = asyncio.run(MonitorDaemon(
+        None, ReplayFeed(store, time_bin=TIME_BIN), session=session).run())
+    assert_results_identical(expected, resumed, "resumed")
+    skips = [record.getMessage() for record in caplog.records
+             if record.name == "repro.serve.daemon"
+             and "skipping" in record.getMessage()]
+    assert len(skips) == 1 and f"ends at bin {k}" in skips[0]
+
+
 def test_daemon_survives_its_sessions_failure_cleanly(tmp_path, serve_trace,
                                                       caplog):
     """SIGKILL one shard worker under a rotating, checkpointing daemon: the
