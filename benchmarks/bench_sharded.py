@@ -1,11 +1,10 @@
 """Benchmark: single-stream throughput, 1 shard versus 4 process-backed shards.
 
-The parallel scenario engine (bench_parallel.py) only parallelises *across*
-independent experiment cells; one stream was still bound to one core.  The
-sharded pipeline removes that bound: the stream is flow-hash partitioned
-over 4 shard workers on a fork pool, each running the full predict/shed
-pipeline on its slice, and the per-shard results merge into one
-stream-global execution.
+Without sharding one stream is bound to one core, however many cores the
+host has.  The sharded pipeline removes that bound: the stream is flow-hash
+partitioned over 4 persistent shard workers, each running the full
+predict/shed pipeline on its slice, and the per-shard results merge into
+one stream-global execution.
 
 The workload is a dense header-only stream (~35k packets/s) so per-packet
 work dominates the per-bin fixed costs every shard must pay (feature

@@ -3,12 +3,15 @@
 Each function is named after the table or figure it regenerates
 (``chapter4.figure_4_2_drops``, ``chapter5.table_5_2_min_srates``, ...);
 ``benchmarks/bench_chapterN.py`` runs chapter N's and asserts the shapes the
-paper reports.
+paper reports.  A comparison of systems has the paper's shape (Section
+5.5.3): one :func:`runner.calibrate_capacity` per trace and query set,
+then one :func:`runner.run_system` per system compared, at ``(1 - K)``
+times that capacity.
 """
 
 from importlib import import_module
 
-from . import parallel, runner, scenarios
+from . import runner, scenarios
 
 #: Imported on first attribute access: the CLIs (``repro.replay``,
 #: ``repro.serve``, ``repro.fleet``) and the fleet runner reach this
@@ -30,7 +33,6 @@ __all__ = [
     "chapter4",
     "chapter5",
     "chapter6",
-    "parallel",
     "reporting",
     "runner",
     "scenarios",

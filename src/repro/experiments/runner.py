@@ -17,7 +17,8 @@ Most evaluation figures need one of three building blocks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from ..core.prediction import CyclePredictor, PredictionErrorTracker
 from ..core.sampling import FlowSampler, PacketSampler
 from ..monitor import metrics
 from ..monitor.config import SystemConfig
-from ..monitor.packet import PacketTrace, as_trace
-from ..monitor.query import SAMPLING_FLOW, Query
+from ..monitor.packet import Batch, PacketTrace, as_trace
+from ..monitor.query import SAMPLING_FLOW, Query, QueryResultLog
 from ..monitor.sharding import build_system
 from ..monitor.system import ExecutionResult, MonitoringSystem
 from ..queries import QuerySpec, make_query
@@ -99,22 +100,13 @@ def collect_observations(query: Query, trace: PacketTrace,
     them, so queries whose cost depends on per-interval state (e.g. the flow
     table of the flows query) exhibit the same cost structure here as online.
     """
-    query.reset()
     extractor = FeatureExtractor(
         measurement_interval=query.measurement_interval,
         method=feature_method if feature_method is not None
         else FEATURE_CONFIG["feature_method"],
     )
     observations = QueryObservations(query.name)
-    interval_start = None
-    for batch in trace.batches(time_bin):
-        if interval_start is None:
-            interval_start = batch.start_ts
-        while batch.start_ts >= interval_start + query.measurement_interval - 1e-9:
-            query.interval_result()
-            query.consume_cycles()
-            interval_start += query.measurement_interval
-        filtered = query.filter.apply(batch)
+    for filtered in _query_bins(query, trace, time_bin):
         features = extractor.extract(filtered, update_state=True)
         query.update(filtered, 1.0)
         cycles = query.consume_cycles()
@@ -377,28 +369,41 @@ def accuracy_vs_sampling_rate(query_name: str, trace: PacketTrace,
 
 
 def _standalone_log(query: Query, trace: PacketTrace, rate: float, sampler,
-                    time_bin: float):
+                    time_bin: float) -> QueryResultLog:
     """Run one query standalone at a fixed sampling rate and log its results."""
-    from ..monitor.query import QueryResultLog
-
-    query.reset()
     log = QueryResultLog(query.name)
+    for filtered in _query_bins(query, trace, time_bin, log):
+        processed = filtered if (sampler is None or rate >= 1.0) else \
+            sampler.sample(filtered, rate)
+        query.update(processed, max(rate, 1e-12))
+        query.consume_cycles()
+    return log
+
+
+def _query_bins(query: Query, trace: PacketTrace, time_bin: float,
+                log: Optional[QueryResultLog] = None) -> Iterator[Batch]:
+    """``query``'s filtered batches of ``trace``, with no system around it.
+
+    ``query`` is reset first, and its measurement intervals are flushed
+    between the batches as a system flushes them: an interval closes
+    before the first batch that starts at or after its end.  A flush's
+    cycles are discarded and its result goes to ``log``, when one is given;
+    the last interval is then flushed into ``log`` after the last batch.
+    """
+    query.reset()
     interval_start = None
     for batch in trace.batches(time_bin):
         if interval_start is None:
             interval_start = batch.start_ts
         while batch.start_ts >= interval_start + query.measurement_interval - 1e-9:
-            log.append(interval_start, query.interval_result())
+            result = query.interval_result()
+            if log is not None:
+                log.append(interval_start, result)
             query.consume_cycles()
             interval_start += query.measurement_interval
-        filtered = query.filter.apply(batch)
-        processed = filtered if (sampler is None or rate >= 1.0) else \
-            sampler.sample(filtered, rate)
-        query.update(processed, max(rate, 1e-12))
-        query.consume_cycles()
-    if interval_start is not None:
+        yield query.filter.apply(batch)
+    if log is not None and interval_start is not None:
         log.append(interval_start, query.interval_result())
-    return log
 
 
 def summarize_costs(reference: ExecutionResult, duration: float

@@ -228,7 +228,7 @@ WORKLOADS: Dict[str, "object"] = {
 def build_workload(name: str, seed: Optional[int] = None,
                    duration: Optional[float] = None,
                    scale: float = 1.0) -> PacketTrace:
-    """Build a named workload trace (used by the parallel scenario engine)."""
+    """Build the workload trace :data:`WORKLOADS` names ``name``."""
     if name not in WORKLOADS:
         raise KeyError(f"unknown workload {name!r}; "
                        f"available: {sorted(WORKLOADS)}")

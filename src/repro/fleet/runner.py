@@ -39,12 +39,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.pool import effective_workers
 from ..monitor.config import SystemConfig
 from ..monitor.packet import Batch, PacketTrace, as_trace
 from ..monitor.sharding import InProcessShards, build_system
 from ..monitor.system import ExecutionResult
-from ..monitor.workers import ShardWorkerPool, fork_start_available
+from ..monitor.workers import (ShardWorkerPool, effective_workers,
+                               fork_start_available)
 from ..profile import fold_metrics, summarize
 from ..queries import MERGE_EXACTNESS, QUERY_CLASSES
 from .aggregate import FleetAggregator

@@ -6,9 +6,9 @@ a typo'd strategy or predictor name fails at construction with a message
 listing the valid options, not minutes later inside the controller.  Because
 the config is a plain value object it can be copied (:meth:`replace`),
 serialised (:meth:`to_dict` / :meth:`from_dict`) and shipped across process
-boundaries, which is what lets experiment grids, :class:`ParallelRunner`
-cells and checkpoints all speak one type instead of threading ``**kwargs``
-through four layers.
+boundaries, which is what lets the experiment harness, shard and fleet
+workers and checkpoints all speak one type instead of threading
+``**kwargs`` through four layers.
 
 The canonical operating-mode registry also lives here (the system module
 re-exports it), so that config validation does not need to import the system

@@ -620,8 +620,8 @@ class PacketTrace:
         """The trace sliced into ``time_bin`` batches, computed once.
 
         Slicing a multi-second trace copies every column array; executions in
-        different modes (and repeated runs over the same trace, as the
-        scenario engine performs) consume identical batches, so the slices
+        different modes (a calibration and then one run per mode, as every
+        experiment performs) consume identical batches, so the slices
         are memoised per ``time_bin``.  Traces are treated as immutable once
         built; mutate ``self.packets`` and the cache goes stale.
         """

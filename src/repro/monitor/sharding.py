@@ -69,7 +69,6 @@ from typing import (Callable, Deque, Dict, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from ..core.cycles import CycleBudget
-from ..core.pool import effective_workers
 from ..profile import RECENT_BINS, fold_metrics
 from .config import SystemConfig
 from .packet import HEADER_FIELDS, Batch, PacketTrace, as_trace
@@ -77,7 +76,7 @@ from .pipeline import BinRecord
 from .query import Query, QueryResultLog
 from .system import ExecutionResult
 from .workers import (ShardExecutionWarning, ShardWorkerPool,
-                      fork_start_available)
+                      effective_workers, fork_start_available)
 
 #: Header fields whose combined hash decides a packet's shard: the full
 #: 5-tuple, so a flow's packets always land on the same shard.
@@ -449,12 +448,13 @@ class ShardedSession:
         self._result = ExecutionResult(sharded.mode, sharded.config.strategy,
                                        name, self.budget)
         self._result.open_logs(self._query_names)
-        self._merge_stats = {"intervals_merged": 0, "merge_seconds": 0.0,
-                             "divergences": 0}
+        #: This process's merge work (a restored node starts it at zero).
+        self._merge_stats = {"merge_seconds": 0.0, "divergences": 0}
         #: (packets, total cycles) each shard reported for the previous bin.
         self._prev_load: List[Optional[Tuple[int, float]]] = \
             [None] * self.num_shards
-        #: ``metrics`` as :meth:`close` left them (``None``: still open).
+        #: The shards' documents, folded at :meth:`finish` (``None``: still
+        #: open).
         self._closed_metrics: Optional[Dict] = None
 
     # ------------------------------------------------------------------
@@ -490,29 +490,34 @@ class ShardedSession:
         totals and feature-sharing counters summed, each bin counted once,
         ``bin_seconds`` over the slowest shard's wall time per bin, tenant
         totals from the node's result — plus a ``sharding`` block about the
-        result merge: measurement intervals merged, bytes of the shard
-        replies that carried partials (nothing travels in-process: 0),
-        seconds spent merging partials, and shard divergences detected.
-        The shards' documents are read at a bin boundary (on the workers
-        backend they travel the command pipes, FIFO with the batches); a
-        closed session returns the snapshot taken at close time.
+        result merge: the measurement intervals in the node's result
+        (``intervals_merged``: it rides in a checkpoint, so a restored
+        node counts on from there; a node that is only stepped folds
+        nothing, and its owner holds the intervals), and, for this process
+        only, bytes of the shard replies that carried partials (nothing
+        travels in-process: 0), seconds spent merging partials, and shard
+        divergences detected.  The shards' documents are read at a bin
+        boundary (on the workers backend they travel the command pipes,
+        FIFO with the batches); a closed session reports the ones read at
+        close time.
         """
-        if self._closed_metrics is not None:
-            return self._closed_metrics
-        documents = self._executor.session_metrics()
-        self._fold(self._delivered())
-        return self._metrics(documents)
+        metrics = self._closed_metrics
+        if metrics is None:
+            documents = self._executor.session_metrics()
+            self._fold(self._delivered())
+            metrics = self._metrics(documents)
+        intervals = sum(map(len, self._result.query_logs.values()))
+        return dict(metrics, sharding=dict(
+            intervals_merged=intervals, **self._merge_stats,
+            partial_bytes=self._executor.partial_bytes))
 
     def _metrics(self, documents: Sequence[Dict]) -> Dict:
         """The shards' metrics documents as the node's."""
         answered = min(map(len, self._executor.ingest_seconds))
         recent = [seconds[max(0, answered - RECENT_BINS):answered]
                   for seconds in self._executor.ingest_seconds]
-        metrics = fold_metrics(documents, [max(shards) for shards
-                                           in zip(*recent)], self._result)
-        metrics["sharding"] = dict(self._merge_stats,
-                                   partial_bytes=self._executor.partial_bytes)
-        return metrics
+        return fold_metrics(documents, [max(shards) for shards
+                                        in zip(*recent)], self._result)
 
     # ------------------------------------------------------------------
     # Merging what the shards deliver
@@ -556,7 +561,6 @@ class ShardedSession:
                 merged.append((name, start, query_cls,
                                query_cls.merge_partials(
                                    [entry[3] for entry in entries])))
-        self._merge_stats["intervals_merged"] += len(merged)
         self._merge_stats["merge_seconds"] += perf_counter() - started
         return merged
 

@@ -72,6 +72,7 @@ __all__ = [
     "ShardExecutionWarning",
     "ShardWorkerError",
     "ShardWorkerPool",
+    "effective_workers",
     "fork_start_available",
 ]
 
@@ -114,6 +115,23 @@ class ShardExecutionWarning(UserWarning):
 def fork_start_available() -> bool:
     """Whether the host supports the ``fork`` start method."""
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def effective_workers(n_workers: int, n_jobs: int,
+                      respect_cores: bool = True) -> int:
+    """Worker processes actually worth starting for ``n_jobs`` sessions.
+
+    The one place a requested parallelism is clamped, for the shard and
+    the fleet tiers alike: a pool wider than its sessions idles, and one
+    wider than the core count only adds fork and IPC overhead, so the
+    request is clamped to the host unless the caller opts out
+    (``respect_cores=False``, e.g. to exercise the pool on a single-core
+    machine).
+    """
+    workers = min(int(n_workers), int(n_jobs))
+    if respect_cores:
+        workers = min(workers, os.cpu_count() or 1)
+    return workers
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:

@@ -7,7 +7,7 @@ On top of the name registry sits the declarative :class:`QuerySpec` layer: a
 frozen, hashable, JSON-serialisable value object naming a query *kind*, its
 constructor keyword arguments and an optional packet-filter expression.
 Specs are what :class:`repro.SystemConfig` carries in its ``queries`` field,
-what the scenario engine threads through process pools, and what the
+what shard and fleet workers build their queries from, and what the
 ``python -m repro.replay --queries`` flag parses — one type from the shell
 to the shard workers.
 """

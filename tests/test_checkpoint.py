@@ -296,6 +296,41 @@ def test_restored_sharded_session_is_a_whole_session(small_trace, backend):
     assert tenant_cycles(restored) == uninterrupted
 
 
+@pytest.mark.parametrize("backend", [
+    "inprocess", pytest.param("workers", marks=needs_fork)])
+def test_restored_node_counts_the_intervals_it_merged(small_trace, backend):
+    """Regression: ``metrics["sharding"]["intervals_merged"]`` was counted
+    beside the node's result and restarted at zero on a restore.  It is
+    read from the result, which rides in the checkpoint: a restored node
+    reports what one that never stopped reports, at the checkpoint and
+    after ``close()``."""
+    config = _config("predictive", num_shards=2)
+    bins = small_trace.batch_list(0.1)
+    k = len(bins) // 2
+
+    def merged(session):
+        return session.metrics["sharding"]["intervals_merged"]
+
+    with _open_session(config, backend=backend) as session:
+        for batch in bins[:k]:
+            session.ingest(batch)
+        at_checkpoint = merged(session)
+        blob = capture(session)
+        for batch in bins[k:]:
+            session.ingest(batch)
+        result = session.close()
+        uninterrupted = merged(session)
+    assert 0 < at_checkpoint < uninterrupted == sum(
+        len(log) for log in result.query_logs.values())
+
+    with restore_session(blob, backend=backend) as restored:
+        assert merged(restored) == at_checkpoint
+        for batch in bins[k:]:
+            restored.ingest(batch)
+        restored.close()
+        assert merged(restored) == uninterrupted
+
+
 def test_restore_twice_is_independent(small_trace):
     """One loaded checkpoint thaws two fully independent sessions."""
     config = _config("predictive")

@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.experiments import (chapter2, chapter3, chapter5, parallel,
-                               reporting, runner, scenarios)
+from repro.experiments import (chapter2, chapter3, chapter5, reporting,
+                               runner, scenarios)
 from repro.queries import QuerySpec, make_query
 
 SCALE = 0.5
@@ -53,18 +53,34 @@ class TestRunner:
         assert curve[1.0] >= curve[0.3] - 0.05
         assert curve[1.0] > 0.98
 
+    @pytest.mark.parametrize("query_name", ["counter", "flows"])
+    def test_standalone_walk_flushes_where_the_system_does(
+            self, header_trace, query_name):
+        """A query run with no system around it closes its measurement
+        intervals at the bins the full system closes them, and logs the
+        same results at full rate as the reference execution."""
+        capacity, reference = runner.calibrate_capacity((query_name,),
+                                                        header_trace)
+        log = runner._standalone_log(make_query(query_name), header_trace,
+                                     1.0, None, runner.TIME_BIN)
+        online = reference.query_logs[query_name]
+        assert len(log) > 1
+        assert log.intervals == online.intervals
+        assert log.results == online.results
 
-def test_scenario_matrix_scores_a_renamed_query_instance():
+
+def test_accuracy_scores_a_renamed_query_instance_by_kind():
     """Accuracy metrics are registered per query kind; a spec may name its
-    instance anything, and the matrix runner has to say which kind it is."""
-    matrix = parallel.ScenarioMatrix(
-        traces=("cesca",), overloads=(0.5,), modes=("predictive",),
-        queries=(QuerySpec("counter", {"name": "q00"}), "flows"), scale=0.1)
-    result = parallel.ParallelRunner(n_workers=1).run(matrix)
-    cell, = result
-    assert set(cell.accuracy) == {"q00", "flows"}
-    assert "cesca" in result.summary().splitlines()[-1]
-    assert 0.0 < cell.accuracy["q00"] <= 1.0
+    instance anything, and the config says which kind it is."""
+    config = runner.system_config(
+        queries=(QuerySpec("counter", {"name": "q00"}), "flows"))
+    trace = scenarios.build_workload("cesca", seed=3, scale=0.1)
+    capacity, reference = runner.calibrate_capacity(config.queries, trace)
+    result = runner.run_system(None, trace, capacity * 0.5, config=config)
+    accuracy = runner.accuracy_by_query(result, reference,
+                                        config.query_kinds())
+    assert set(accuracy) == {"q00", "flows"}
+    assert 0.0 < accuracy["q00"] <= 1.0
 
 
 @pytest.mark.parametrize("name, signature", [
@@ -78,7 +94,7 @@ def test_scenario_matrix_scores_a_renamed_query_instance():
      > 1000),
 ])
 def test_anomaly_workloads_carry_their_signature(name, signature):
-    """The matrix workloads no chapter harness builds: each adds its
+    """The workloads no chapter harness builds: each adds its
     anomaly on top of the base header trace, mid-trace."""
     trace = scenarios.build_workload(name, seed=3, duration=2.0)
     base = scenarios.header_trace(seed=3, duration=2.0)

@@ -1,30 +1,32 @@
 """Golden end-to-end regression tests.
 
-A fixed-seed scenario matrix is executed in all four operating modes and the
-headline outcomes — drop fraction, mean sampling rate, per-query accuracy —
-are pinned against stored tolerance bands.  A second family of tests pins the
-determinism contract of the scenario engine: the same matrix must produce
-bit-identical :class:`ExecutionResult` series on repeated serial runs and
-across the serial and process-pool execution paths.
+One fixed-seed trace is calibrated once and run in all four operating
+modes at half its calibrated capacity, as the chapter harnesses run their
+comparisons, and the headline outcomes — drop fraction, mean sampling
+rate, per-query accuracy — are pinned against stored tolerance bands.  A
+second family of tests pins determinism: the same cells must produce
+bit-identical :class:`ExecutionResult` series on a rerun.
 
 The bands are deliberately wider than run-to-run variation (which is zero,
 everything is seeded) to absorb numerical drift across NumPy versions; a
 band violation means the physics of an operating mode changed, not noise.
 """
 
+from typing import Dict, NamedTuple
+
 import numpy as np
 import pytest
 
-from repro.experiments import parallel, runner
+from repro.experiments import runner, scenarios
+from repro.monitor.system import ExecutionResult
 
-#: The golden matrix: one trace, one overload, all four modes.
-GOLDEN_MATRIX = parallel.ScenarioMatrix(
-    traces=("cesca",),
-    overloads=(0.5,),
-    modes=("predictive", "reactive", "original", "reference"),
-    scale=0.25,
-    base_seed=2024,
-)
+#: The golden cells: one workload trace, one overload factor K, the query
+#: set below, and the four modes of ``GOLDEN``.
+GOLDEN_WORKLOAD = "cesca"
+GOLDEN_TRACE_SEED = 686889577
+GOLDEN_SCALE = 0.25
+GOLDEN_OVERLOAD = 0.5
+GOLDEN_QUERIES = ("counter", "flows", "top-k", "application")
 
 #: Stored tolerance bands per mode (measured: predictive drop=0.000
 #: rate=0.667 acc=0.959 | reactive drop=0.000 rate=0.718 acc=0.971 |
@@ -97,8 +99,9 @@ GOLDEN_SERIES_TOTALS = {
     },
 }
 
-#: Frozen cell seeds: the deterministic seed derivation is part of the
-#: golden contract (changing it silently re-seeds every stored expectation).
+#: Frozen system seed of each cell, keyed by the cell's coordinates
+#: (workload / overload / mode / strategy / predictor).  Every stored
+#: expectation above was measured at these seeds.
 GOLDEN_CELL_SEEDS = {
     "cesca/K=0.5/predictive/eq_srates/mlr": 539108683,
     "cesca/K=0.5/reactive/eq_srates/mlr": 949882144,
@@ -107,36 +110,72 @@ GOLDEN_CELL_SEEDS = {
 }
 
 
-@pytest.fixture(scope="module")
-def golden_run():
-    return parallel.ParallelRunner(n_workers=1).run(GOLDEN_MATRIX)
+class Cell(NamedTuple):
+    """One mode's execution, joined against the calibration's reference."""
+
+    result: ExecutionResult
+    accuracy: Dict[str, float]
+
+    @property
+    def drop_fraction(self) -> float:
+        return self.result.drop_fraction
+
+    @property
+    def mean_sampling_rate(self) -> float:
+        return self.result.mean_sampling_rate()
+
+    @property
+    def mean_accuracy(self) -> float:
+        return float(np.mean(list(self.accuracy.values())))
 
 
-@pytest.fixture(scope="module")
-def bitmap_run(golden_run):
-    """The golden cells again, by mode, with the product-default feature
-    back end.
+def _cell_seed(mode: str) -> int:
+    return GOLDEN_CELL_SEEDS[f"{GOLDEN_WORKLOAD}/K={GOLDEN_OVERLOAD:g}/"
+                             f"{mode}/eq_srates/mlr"]
 
-    The matrix runs the harness default, exact counting; this is the same
-    trace, capacity, seed and reference under ``feature_method="bitmap"``,
-    so the goldens cover the kernel a deployed system runs as well.
-    """
+
+def _calibrate():
+    """The golden trace, its calibrated capacity and reference execution."""
+    trace = scenarios.build_workload(GOLDEN_WORKLOAD, seed=GOLDEN_TRACE_SEED,
+                                     scale=GOLDEN_SCALE)
+    return (trace, *runner.calibrate_capacity(GOLDEN_QUERIES, trace))
+
+
+def _run_cells(calibrated, feature_method: str = "exact") -> Dict[str, Cell]:
+    """Every mode at ``(1 - K)`` times the calibrated capacity."""
+    trace, capacity, reference = calibrated
     cells = {}
-    for exact in golden_run:
-        cell = exact.cell
-        result = runner.run_system(
-            cell.queries,
-            parallel._memoised_trace(
-                cell.trace, GOLDEN_MATRIX.trace_seed(cell.trace), cell.scale),
-            exact.capacity * (1.0 - cell.overload), time_bin=cell.time_bin,
-            config=cell.to_config().replace(feature_method="bitmap"))
-        cells[cell.mode] = parallel.CellResult(
-            cell=cell, capacity=exact.capacity, result=result,
-            drop_fraction=result.drop_fraction,
-            mean_sampling_rate=result.mean_sampling_rate(),
-            accuracy=runner.accuracy_by_query(
-                result, golden_run.reference_for(cell)))
+    for mode in GOLDEN:
+        config = runner.system_config(mode=mode, seed=_cell_seed(mode),
+                                      feature_method=feature_method)
+        result = runner.run_system(GOLDEN_QUERIES, trace,
+                                   capacity * (1.0 - GOLDEN_OVERLOAD),
+                                   config=config)
+        cells[mode] = Cell(result, runner.accuracy_by_query(result, reference))
     return cells
+
+
+@pytest.fixture(scope="module")
+def calibrated():
+    return _calibrate()
+
+
+@pytest.fixture(scope="module")
+def golden_run(calibrated):
+    return _run_cells(calibrated)
+
+
+@pytest.fixture(scope="module")
+def bitmap_run(calibrated):
+    """The golden cells again with the product-default feature back end, so
+    the goldens cover the kernel a deployed system runs as well."""
+    return _run_cells(calibrated, feature_method="bitmap")
+
+
+@pytest.fixture(scope="module")
+def rerun():
+    """The golden cells from scratch: a new trace and a new calibration."""
+    return _run_cells(_calibrate())
 
 
 def _series_fingerprint(result):
@@ -151,44 +190,40 @@ def _series_fingerprint(result):
 
 class TestGoldenOutcomes:
     def test_matrix_shape(self, golden_run):
-        assert len(golden_run) == 4
-        assert [c.cell.mode for c in golden_run] == [
+        """One trace x one overload x the four modes, one cell each."""
+        assert list(golden_run) == [
             "predictive", "reactive", "original", "reference"]
-
-    def test_cell_seed_derivation_frozen(self):
-        seeds = {cell.cell_id: cell.seed for cell in GOLDEN_MATRIX.cells()}
-        assert seeds == GOLDEN_CELL_SEEDS
+        assert [cell.result.mode for cell in golden_run.values()] == \
+            list(golden_run)
 
     @pytest.mark.parametrize("mode", list(GOLDEN))
     def test_mode_within_stored_tolerances(self, golden_run, mode):
-        cell_result = golden_run.select(mode=mode)[0]
+        cell = golden_run[mode]
         bands = GOLDEN[mode]
         lo, hi = bands["drop_fraction"]
-        assert lo <= cell_result.drop_fraction <= hi
+        assert lo <= cell.drop_fraction <= hi
         lo, hi = bands["mean_sampling_rate"]
-        assert lo <= cell_result.mean_sampling_rate <= hi
+        assert lo <= cell.mean_sampling_rate <= hi
         lo, hi = bands["mean_accuracy"]
-        assert lo <= cell_result.mean_accuracy <= hi
-        assert cell_result.accuracy, "accuracy join must not be empty"
-        assert min(cell_result.accuracy.values()) >= \
-            bands["min_query_accuracy"]
+        assert lo <= cell.mean_accuracy <= hi
+        assert cell.accuracy, "accuracy join must not be empty"
+        assert min(cell.accuracy.values()) >= bands["min_query_accuracy"]
 
     @pytest.mark.parametrize("mode", list(GOLDEN))
     @pytest.mark.parametrize("feature_method", list(GOLDEN_HEADLINES))
     def test_headline_outcomes_pinned(self, golden_run, bitmap_run,
                                       feature_method, mode):
-        cell_result = golden_run.select(mode=mode)[0] \
-            if feature_method == "exact" else bitmap_run[mode]
-        assert (cell_result.drop_fraction, cell_result.mean_sampling_rate,
-                cell_result.mean_accuracy) == pytest.approx(
+        cell = (golden_run if feature_method == "exact" else bitmap_run)[mode]
+        assert (cell.drop_fraction, cell.mean_sampling_rate,
+                cell.mean_accuracy) == pytest.approx(
             GOLDEN_HEADLINES[feature_method][mode], rel=1e-6)
 
     @pytest.mark.parametrize("mode", list(GOLDEN))
     @pytest.mark.parametrize("feature_method", list(GOLDEN_SERIES_TOTALS))
     def test_series_totals_pinned(self, golden_run, bitmap_run,
                                   feature_method, mode):
-        result = (golden_run.select(mode=mode)[0] if feature_method == "exact"
-                  else bitmap_run[mode]).result
+        result = (golden_run if feature_method == "exact"
+                  else bitmap_run)[mode].result
         assert tuple(
             float(result.series(name).sum())
             for name in ("query_cycles", "predicted_cycles", "mean_rate",
@@ -196,18 +231,16 @@ class TestGoldenOutcomes:
             GOLDEN_SERIES_TOTALS[feature_method][mode], rel=1e-9)
 
     def test_shedding_modes_beat_uncontrolled_drops(self, golden_run):
-        by_mode = {c.cell.mode: c for c in golden_run}
-        assert by_mode["predictive"].mean_accuracy > \
-            by_mode["original"].mean_accuracy
-        assert by_mode["predictive"].drop_fraction < \
-            by_mode["original"].drop_fraction
+        assert golden_run["predictive"].mean_accuracy > \
+            golden_run["original"].mean_accuracy
+        assert golden_run["predictive"].drop_fraction < \
+            golden_run["original"].drop_fraction
 
 
 class TestDeterminism:
-    def test_serial_rerun_is_bit_identical(self, golden_run):
-        rerun = parallel.ParallelRunner(n_workers=1).run(GOLDEN_MATRIX)
-        for first, second in zip(golden_run, rerun):
-            assert first.cell == second.cell
+    def test_serial_rerun_is_bit_identical(self, golden_run, rerun):
+        for mode, first in golden_run.items():
+            second = rerun[mode]
             first_series = _series_fingerprint(first.result)
             second_series = _series_fingerprint(second.result)
             for name in first_series:
@@ -215,26 +248,8 @@ class TestDeterminism:
                                       second_series[name]), name
             assert first.accuracy == second.accuracy
 
-    def test_parallel_matches_serial_bit_for_bit(self, golden_run):
-        # respect_cores=False forces a real process pool even on single-core
-        # hosts, so the fork path is always exercised.
-        pooled = parallel.ParallelRunner(
-            n_workers=2, respect_cores=False).run(GOLDEN_MATRIX)
-        for serial_cell, pooled_cell in zip(golden_run, pooled):
-            assert serial_cell.cell == pooled_cell.cell
-            assert serial_cell.capacity == pooled_cell.capacity
-            serial_series = _series_fingerprint(serial_cell.result)
-            pooled_series = _series_fingerprint(pooled_cell.result)
-            for name in serial_series:
-                assert np.array_equal(serial_series[name],
-                                      pooled_series[name]), name
-            for name, log in serial_cell.result.query_logs.items():
-                assert log.results == \
-                    pooled_cell.result.query_logs[name].results
-            assert serial_cell.accuracy == pooled_cell.accuracy
-
-    def test_query_logs_identical_across_reruns(self, golden_run):
-        rerun = parallel.ParallelRunner(n_workers=1).run(GOLDEN_MATRIX)
-        for first, second in zip(golden_run, rerun):
+    def test_query_logs_identical_across_reruns(self, golden_run, rerun):
+        for mode, first in golden_run.items():
             for name, log in first.result.query_logs.items():
-                assert log.results == second.result.query_logs[name].results
+                assert log.results == \
+                    rerun[mode].result.query_logs[name].results

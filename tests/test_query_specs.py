@@ -4,8 +4,8 @@ Covers :class:`repro.queries.QuerySpec` (parsing, hashing, round-trips,
 filter expressions), the ``queries`` field of :class:`repro.SystemConfig`
 (validation + ``to_dict``/``from_dict`` round-trip), the spec-driven build
 paths (``config.build``, ``ShardedSystem``, ``runner.run_system``), the
-scenario-matrix integration and the ``python -m repro.replay --queries``
-resolution including JSON spec files.
+named query mixes and the ``python -m repro.replay --queries`` resolution
+including JSON spec files.
 """
 
 import json
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import replay
-from repro.experiments import parallel, runner, scenarios
+from repro.experiments import runner, scenarios
 from repro.monitor.config import SystemConfig
 from repro.monitor.packet import PROTO_TCP
 from repro.queries import (QuerySpec, build_queries, load_query_specs,
@@ -210,28 +210,7 @@ class TestSpecDrivenExecution:
             ShardedSystem(config=runner.system_config(num_shards=2))
 
 
-class TestScenarioMatrixQueries:
-    def test_matrix_accepts_named_mix(self):
-        matrix = parallel.ScenarioMatrix(queries="rankings")
-        kinds = [QuerySpec.parse(spec).kind for spec in matrix.queries]
-        assert kinds == ["top-k", "top-k", "super-sources", "autofocus"]
-
-    def test_matrix_accepts_comma_names(self):
-        matrix = parallel.ScenarioMatrix(queries="counter,flows")
-        assert matrix.queries == ("counter", "flows")
-
-    def test_matrix_rejects_bad_query_spec(self):
-        with pytest.raises(KeyError, match="unknown query"):
-            parallel.ScenarioMatrix(queries=("counter", "bogus"))
-
-    def test_cells_carry_spec_query_sets_hashably(self):
-        matrix = parallel.ScenarioMatrix(
-            queries=("counter", QuerySpec("top-k", {"k": 3, "name": "t3"})))
-        cell = matrix.cells()[0]
-        assert hash(cell.group_key())  # grids group by query set
-        config = cell.to_config()
-        assert [spec.kind for spec in config.queries] == ["counter", "top-k"]
-
+class TestQueryMixes:
     def test_query_mix_lookup(self):
         assert scenarios.query_mix("validation-seven") == \
             scenarios.VALIDATION_SEVEN
@@ -243,11 +222,24 @@ class TestScenarioMatrixQueries:
             specs = parse_query_specs(mix)
             assert specs, name
 
+    def test_config_from_a_named_mix_is_hashable(self):
+        """A mix of names and specs declares a config that can key a dict;
+        an equal config built again finds the same entry."""
+        config = runner.system_config(queries=scenarios.query_mix("rankings"))
+        assert [spec.instance_name for spec in config.queries] == \
+            ["top-5", "top-20", "super-sources", "autofocus"]
+        assert {config: 1}[runner.system_config(
+            queries=scenarios.query_mix("rankings"))] == 1
+
 
 class TestReplayQueriesFlag:
     def test_resolves_comma_names(self):
         specs = replay.resolve_query_specs("counter,flows")
         assert [spec.kind for spec in specs] == ["counter", "flows"]
+
+    def test_rejects_an_unknown_name_in_a_comma_list(self):
+        with pytest.raises(KeyError, match="unknown query kind 'bogus'"):
+            replay.resolve_query_specs("counter,bogus")
 
     def test_resolves_named_mix(self):
         specs = replay.resolve_query_specs("protocol-split")

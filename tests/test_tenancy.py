@@ -23,7 +23,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import game
@@ -303,6 +303,27 @@ def tenanted_cases(draw):
     return names, predicted, min_rates, ids, groups, capacity, packet_fair
 
 
+def _ceiling_case(packet_fair):
+    """A case where more capacity swaps the disabled set.
+
+    t0's ``budget_share=0.375`` ceiling (3453 cycles at this capacity)
+    blocks q005's floor demand of 4302; 1.25x the capacity lifts the
+    ceiling over it, and q005 then displaces the larger floor of q001
+    (7601): {q005, q012} -> {q001, q012}.
+    """
+    predicted = np.array([0.0, 7601.0, 0.0, 0.0, 0.0, 8604.0, 0.0, 0.0, 0.0,
+                          0.0, 0.0, 0.001, 8351.0])
+    min_rates = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.0, 0.0, 1.0, 0.25,
+                          1.0, 1.0, 1.0])
+    ids = np.array([3, 3, 4, 3, 4, 0, 4, 4, 4, 4, 4, 4, 4], dtype=np.intp)
+    groups = tuple(
+        TenantGroup(name=f"t{slot}", weight=weight,
+                    budget_share=0.375 if slot == 0 else None)
+        for slot, weight in enumerate((5.0, 5.0, 1.0, 1.0, 1.0)))
+    names = [f"q{i:03d}" for i in range(len(predicted))]
+    return names, predicted, min_rates, ids, groups, 9208.875375, packet_fair
+
+
 class TestTwoTierProperties:
     @given(tenanted_cases())
     @settings(deadline=None, max_examples=60)
@@ -370,6 +391,8 @@ class TestTwoTierProperties:
         assert np.all(used_per_tenant <= caps + tol)
 
     @given(tenanted_cases(), st.floats(1.05, 3.0))
+    @example(_ceiling_case(packet_fair=False), 1.25)
+    @example(_ceiling_case(packet_fair=True), 1.25)
     @settings(deadline=None, max_examples=40)
     def test_capacity_monotonicity(self, case, growth):
         names, predicted, min_rates, ids, groups, capacity, packet_fair = \
@@ -381,8 +404,27 @@ class TestTwoTierProperties:
         large = two_tier_allocate(names, predicted, min_rates, ids,
                                   registry, capacity * growth,
                                   packet_fair=packet_fair)
-        # More capacity never disables more queries.
-        assert set(large.disabled) <= set(small.disabled)
+        # More capacity never disables more queries: the kept prefix of the
+        # smallest floor demands only grows, even when a ceiling lets a new
+        # query in.
+        assert len(large.disabled) <= len(small.disabled)
+        if all(group.budget_share is None for group in groups):
+            # Without a ceiling no query gets in, so the set only shrinks.
+            # A budget_share ceiling grows with the capacity and can admit a
+            # query it blocked, which then displaces a larger floor demand.
+            assert set(large.disabled) <= set(small.disabled)
+
+    @pytest.mark.parametrize("packet_fair", [False, True])
+    def test_a_ceiling_lifted_by_capacity_swaps_the_disabled_set(
+            self, packet_fair):
+        names, predicted, min_rates, ids, groups, capacity, _ = \
+            _ceiling_case(packet_fair)
+        registry = TenantRegistry(groups)
+        disabled = [set(two_tier_allocate(names, predicted, min_rates, ids,
+                                          registry, budget,
+                                          packet_fair=packet_fair).disabled)
+                    for budget in (capacity, capacity * 1.25)]
+        assert disabled == [{"q005", "q012"}, {"q001", "q012"}]
 
 
 # ----------------------------------------------------------------------
@@ -514,28 +556,6 @@ class TestTenantsThroughTheSystem:
                 by_query[name] = by_query.get(name, 0.0) + cycles
         assert totals.get("research", 0.0) == pytest.approx(
             by_query.get("t0", 0.0) + by_query.get("a0", 0.0))
-
-    def test_scenario_matrix_tenant_axis(self):
-        from repro.experiments.parallel import ScenarioMatrix
-        matrix = ScenarioMatrix(traces=("cesca",), overloads=(0.3,),
-                                modes=("predictive",),
-                                strategies=("mmfs_cpu",),
-                                queries=("counter", "flows", "top-k"),
-                                tenant_counts=(0, 2))
-        cells = list(matrix.cells())
-        assert len(cells) == len(matrix) == 2
-        plain, tenanted = cells
-        assert plain.tenant_count == 0 and "/tenants=" not in plain.cell_id
-        assert tenanted.cell_id.endswith("/tenants=2")
-        config = tenanted.to_config(cycles_per_second=1e7)
-        assert len(config.tenants) == 2
-        assert sorted(spec.instance_name for group in config.tenants
-                      for spec in group.queries) == \
-            sorted(spec.instance_name for spec in plain.to_config(
-                cycles_per_second=1e7).queries)
-        with pytest.raises(ValueError, match="exceeds the"):
-            ScenarioMatrix(traces=("cesca",), queries=("counter",),
-                           tenant_counts=(3,))
 
     def test_tenants_survive_fleet_federation(self, small_trace):
         config = _tenant_config()

@@ -34,7 +34,8 @@ from repro.monitor.packet import COLUMN_FIELDS, Batch, column_layout
 from repro.monitor.sharding import InProcessShards, ShardedSystem
 from repro.monitor.system import ExecutionResult
 from repro.monitor.workers import (ShardExecutionWarning, ShardWorkerError,
-                                   ShardWorkerPool, fork_start_available)
+                                   ShardWorkerPool, effective_workers,
+                                   fork_start_available)
 from repro.queries import CounterQuery, FlowsQuery, make_query
 from repro.testing import assert_results_identical
 from repro.traffic.trace_io import save_trace_store
@@ -266,6 +267,19 @@ class TestWorkerBitIdentity:
         serial = ShardedSystem(_factory(("counter",)), num_shards=2,
                                config=runner.system_config())
         assert serial.resolve_backend() == "inprocess"
+
+
+class TestEffectiveWorkers:
+    def test_clamps_to_the_sessions_it_would_host(self):
+        assert effective_workers(8, 3, respect_cores=False) == 3
+        assert effective_workers(2, 5, respect_cores=False) == 2
+
+    def test_clamps_to_the_host_unless_told_not_to(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert effective_workers(8, 8) == 2
+        assert effective_workers(8, 8, respect_cores=False) == 8
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert effective_workers(4, 4) == 1
 
 
 # ----------------------------------------------------------------------
