@@ -242,12 +242,19 @@ class FleetRunner:
             nodes = InProcessShards([build_system(config)
                                      for config in configs], time_bin, names)
 
+        # Per node, the wall seconds of every bin.
+        bin_seconds: List[List[float]] = [[] for _ in configs]
+
         def fold_delivered() -> None:
-            """What the nodes delivered, into their results."""
-            for queue, result, config in zip(nodes.arrived, results,
-                                             configs):
+            """What the nodes delivered, into their results, and each bin's
+            wall seconds, into the node's series."""
+            for queue, seconds, result, config, kept in zip(
+                    nodes.arrived, nodes.ingest_seconds, results, configs,
+                    bin_seconds):
                 while queue:
                     result.fold(*queue.popleft(), config.query_kinds())
+                kept.extend(seconds)
+                seconds.clear()
 
         try:
             for batch in trace.batches(time_bin):
@@ -265,7 +272,7 @@ class FleetRunner:
         fleet = FleetResult(
             federated=federated, node_results=results,
             node_metrics=documents,
-            node_bin_seconds=np.array(nodes.ingest_seconds, dtype=np.float64),
+            node_bin_seconds=np.array(bin_seconds, dtype=np.float64),
             topology=self.topology, time_bin=time_bin, backend=backend,
             query_kinds=self.config.query_kinds())
         fleet.metrics = fold_metrics(documents, fleet.bin_latency, federated)

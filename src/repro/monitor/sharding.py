@@ -342,8 +342,9 @@ class InProcessShards:
                  names: Sequence[str]) -> None:
         self.sessions = [system.open_session(time_bin=time_bin, name=name)
                          for system, name in zip(systems, names)]
-        #: Wall seconds of every bin, per session.
-        self.ingest_seconds: List[List[float]] = [[] for _ in self.sessions]
+        #: See :attr:`ShardWorkerPool.ingest_seconds`.
+        self.ingest_seconds: List[Deque[float]] = [deque()
+                                                   for _ in self.sessions]
         #: See :attr:`ShardWorkerPool.arrived`.
         self.arrived: List[Deque[tuple]] = [deque() for _ in self.sessions]
         #: Nothing travels in-process: partials are handed over.
@@ -453,6 +454,9 @@ class ShardedSession:
         #: (packets, total cycles) each shard reported for the previous bin.
         self._prev_load: List[Optional[Tuple[int, float]]] = \
             [None] * self.num_shards
+        #: The slowest shard's wall seconds in each recent bin: the node's
+        #: own per-bin series, which :attr:`metrics` summarises.
+        self._bin_seconds: Deque[float] = deque(maxlen=RECENT_BINS)
         #: The shards' documents, folded at :meth:`finish` (``None``: still
         #: open).
         self._closed_metrics: Optional[Dict] = None
@@ -488,7 +492,8 @@ class ShardedSession:
         Same shape as :attr:`MonitoringSession.metrics`: the shards' own
         documents folded by :func:`repro.profile.fold_metrics` — stage
         totals and feature-sharing counters summed, each bin counted once,
-        ``bin_seconds`` over the slowest shard's wall time per bin, tenant
+        ``bin_seconds`` over the slowest shard's wall time in each of the
+        last ``RECENT_BINS`` bins, tenant
         totals from the node's result — plus a ``sharding`` block about the
         result merge: the measurement intervals in the node's result
         (``intervals_merged``: it rides in a checkpoint, so a restored
@@ -513,11 +518,7 @@ class ShardedSession:
 
     def _metrics(self, documents: Sequence[Dict]) -> Dict:
         """The shards' metrics documents as the node's."""
-        answered = min(map(len, self._executor.ingest_seconds))
-        recent = [seconds[max(0, answered - RECENT_BINS):answered]
-                  for seconds in self._executor.ingest_seconds]
-        return fold_metrics(documents, [max(shards) for shards
-                                        in zip(*recent)], self._result)
+        return fold_metrics(documents, self._bin_seconds, self._result)
 
     # ------------------------------------------------------------------
     # Merging what the shards deliver
@@ -536,6 +537,9 @@ class ShardedSession:
             if record is not None:
                 self._prev_load = [(shard.incoming_packets, shard.total_cycles)
                                    for shard in records]
+                self._bin_seconds.append(max(
+                    seconds.popleft()
+                    for seconds in self._executor.ingest_seconds))
                 record = BinRecord.merge(records)
             yield record, self._merged_intervals(flushed)
 

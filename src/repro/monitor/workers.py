@@ -355,8 +355,9 @@ class ShardWorkerPool:
         self._failed: Optional[str] = None
         #: Every segment name this pool ever created (leak tests read it).
         self.created_segments: List[str] = []
-        #: Wall seconds of every answered ``ingest``, per session.
-        self.ingest_seconds: List[List[float]] = [[] for _ in configs]
+        #: Per session, the wall seconds of every answered bin, one per
+        #: record in :attr:`arrived`, for the owner to pop with it.
+        self.ingest_seconds: List[Deque[float]] = [deque() for _ in configs]
         #: Per session, in arrival order, what it delivered: ``(record,
         #: flushed)`` of every answered bin, waited for or not, and
         #: ``(None, flushed)`` of its last intervals, for the owner to pop.

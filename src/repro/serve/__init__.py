@@ -34,6 +34,7 @@ or in code::
 from .api import OpsError, OpsServer, render_metrics
 from .checkpoint import (
     Checkpoint,
+    CheckpointCorruptError,
     CheckpointVersionError,
     capture,
     describe_checkpoint,
@@ -46,6 +47,7 @@ from .feeds import Feed, GeneratorFeed, ReplayFeed, SocketFeed, TailFeed
 
 __all__ = [
     "Checkpoint",
+    "CheckpointCorruptError",
     "CheckpointVersionError",
     "Feed",
     "GeneratorFeed",

@@ -132,7 +132,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     from ..experiments import runner
     from ..monitor.config import SystemConfig
     from ..cli import apply_system_args
-    from .checkpoint import CheckpointVersionError, restore_session
+    from .checkpoint import (CheckpointCorruptError, CheckpointVersionError,
+                             restore_session)
     from .daemon import MonitorDaemon
 
     args = build_parser().parse_args(argv)
@@ -156,7 +157,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             session = restore_session(args.restore,
                                       n_workers=args.n_workers or 1,
                                       backend=args.backend)
-        except CheckpointVersionError as error:
+        except (CheckpointCorruptError, CheckpointVersionError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
         print(f"restored {type(session).__name__} at bin "

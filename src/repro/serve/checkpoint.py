@@ -12,20 +12,24 @@ this across every operating mode, shard count and backend).
 The state payloads come from the session classes themselves
 (:meth:`~repro.monitor.session.MonitoringSession.state_dict` /
 :meth:`~repro.monitor.sharding.ShardedSession.state_dict`); this module owns
-the on-disk format: one pickle file wrapping a JSON-able ``meta`` summary
-and the session state as a *nested* pickle blob.  The nesting is
-deliberate: ``meta`` is readable without deserialising any session state,
-and every :meth:`Checkpoint.restore` call thaws a fresh object graph from
-the blob, so two restores never alias each other's mutable state.  Files
-are written atomically (tmp sibling + rename), so a crash mid-checkpoint
-never clobbers the previous good checkpoint.
+the on-disk format: two pickles in a row, a JSON-able ``meta`` summary and
+then the session state.  Both are pickled straight into the file, so a
+checkpoint never holds the state in memory as bytes.  ``meta`` is readable
+without deserialising any session state: loading a checkpoint keeps the
+bytes after it as they are, and every :meth:`Checkpoint.restore` call thaws
+a fresh object graph from them, so two restores never alias each other's
+mutable state.  Files are written atomically (tmp sibling + rename), so a
+crash mid-checkpoint never clobbers the previous good checkpoint; a file
+cut short anyway, in either pickle, is refused with a typed
+:class:`CheckpointCorruptError` naming it.
 
 **Version policy.**  A checkpoint is written by a daemon and read back by
 the same build.  ``CHECKPOINT_VERSION`` is bumped whenever a change alters
-what a pickled session holds; a file of any other version is refused with
-a typed :class:`CheckpointVersionError` naming both versions (and logged on
-``repro.serve.checkpoint``) — there are no per-class ``__setstate__``
-migrations of older layouts to keep alive.
+the file layout or what a pickled session holds; a file of any other
+version is refused with a typed :class:`CheckpointVersionError` naming both
+versions — the one-pickle wrapper of versions 1-5 is read only that far —
+and there are no per-class ``__setstate__`` migrations of older layouts to
+keep alive.  Both refusals are logged on ``repro.serve.checkpoint``.
 
 .. warning::
    Checkpoints are pickles.  Loading one executes the pickle protocol, so
@@ -35,12 +39,13 @@ migrations of older layouts to keep alive.
 
 from __future__ import annotations
 
+import io
 import logging
 import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import BinaryIO, Dict, Optional, Union
 
 from ..monitor.session import MonitoringSession
 from ..monitor.sharding import ShardedSession
@@ -49,6 +54,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
     "Checkpoint",
+    "CheckpointCorruptError",
     "CheckpointVersionError",
     "capture",
     "describe_checkpoint",
@@ -59,17 +65,35 @@ __all__ = [
 
 #: Format tag every checkpoint file carries.
 CHECKPOINT_FORMAT = "repro-checkpoint"
-#: Bumped when the wrapper layout, or what a pickled session holds,
-#: changes incompatibly (5: a pickled SystemConfig no longer has
-#: ``predictor_kwargs``, ``feature_kwargs``, ``buffer_seconds``,
-#: ``reactive_min_rate`` or ``shard_backend``).
-CHECKPOINT_VERSION = 5
+#: Bumped when the file layout, or what a pickled session holds, changes
+#: incompatibly (6: ``meta`` and the state are two pickles in a row, where
+#: versions 1-5 wrapped ``meta`` and the state, as a nested pickle, in one
+#: dict).
+CHECKPOINT_VERSION = 6
 
 logger = logging.getLogger("repro.serve.checkpoint")
+# A refusal is raised as well as logged: without handlers of the
+# application's own, whoever catches it reports it, not logging's last
+# resort a second time.
+logger.addHandler(logging.NullHandler())
 
 
 class CheckpointVersionError(ValueError):
     """The checkpoint was written by a build with another state layout."""
+
+
+class CheckpointCorruptError(ValueError):
+    """The checkpoint file is damaged: one of its pickles does not load."""
+
+
+def _refused(error_type: type, message: str) -> ValueError:
+    """The error refusing a checkpoint, logged here, where it is known."""
+    logger.error(message)
+    return error_type(message)
+
+
+def _described(path: Optional[Path]) -> str:
+    return "checkpoint" if path is None else str(path)
 
 
 #: The session types this module can freeze and thaw.
@@ -109,6 +133,7 @@ class Checkpoint:
     """
 
     meta: Dict
+    #: The state pickle: the bytes of the file after ``meta``.
     state_blob: bytes = field(repr=False)
     path: Optional[Path] = None
 
@@ -125,7 +150,13 @@ class Checkpoint:
         at capture time: a run checkpointed on the persistent worker pool
         may resume in-process and vice versa, bit-identically.
         """
-        state = pickle.loads(self.state_blob)
+        try:
+            state = pickle.loads(self.state_blob)
+        except (pickle.UnpicklingError, EOFError) as error:
+            raise _refused(
+                CheckpointCorruptError,
+                f"{_described(self.path)} is damaged: its session state does "
+                f"not load ({type(error).__name__}: {error})") from error
         if self.kind == "monitoring":
             return MonitoringSession.from_state(state)
         if self.kind == "sharded":
@@ -135,37 +166,50 @@ class Checkpoint:
         raise ValueError(f"unknown checkpoint kind {self.kind!r}")
 
 
-def capture(session) -> bytes:
-    """Serialise ``session``'s complete execution state to a byte blob.
-
-    The snapshot is taken at the moment of pickling, at the session's
-    current bin boundary; the live session is untouched and keeps
-    streaming.  Pending (not yet applied) reconfigurations are part of the
-    state and will fire at the restored session's next bin, exactly as
-    they would have.
-    """
+def _write(session, stream: BinaryIO) -> None:
+    """Pickle ``session``'s checkpoint into ``stream``: ``meta``, then the
+    state."""
     if not isinstance(session, _SESSION_TYPES):
         raise TypeError(
             f"cannot checkpoint a {type(session).__name__}; expected a "
             "MonitoringSession or ShardedSession")
-    state_blob = pickle.dumps(session.state_dict(),
-                              protocol=pickle.HIGHEST_PROTOCOL)
-    wrapper = {"meta": _session_meta(session), "state_blob": state_blob}
-    return pickle.dumps(wrapper, protocol=pickle.HIGHEST_PROTOCOL)
+    state = session.state_dict()
+    pickle.dump(_session_meta(session), stream,
+                protocol=pickle.HIGHEST_PROTOCOL)
+    pickle.dump(state, stream, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def capture(session) -> bytes:
+    """Serialise ``session``'s complete execution state to a byte blob.
+
+    The blob is what :func:`save_checkpoint` writes to its file.  The
+    snapshot is taken at the moment of pickling, at the session's current
+    bin boundary; the live session is untouched and keeps streaming.
+    Pending (not yet applied) reconfigurations are part of the state and
+    will fire at the restored session's next bin, exactly as they would
+    have.
+    """
+    stream = io.BytesIO()
+    _write(session, stream)
+    return stream.getvalue()
 
 
 def save_checkpoint(session, path: Union[str, Path]) -> Path:
     """Write ``session``'s state to ``path`` atomically; returns the path.
 
-    The blob lands in a temporary sibling first and is renamed into place,
-    so an interrupted write leaves any previous checkpoint at ``path``
-    intact.
+    The pickles land in a temporary sibling first, which is renamed into
+    place, so an interrupted write leaves any previous checkpoint at
+    ``path`` intact.
     """
     path = Path(path)
-    blob = capture(session)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp_path = path.with_name(path.name + ".tmp")
-    tmp_path.write_bytes(blob)
+    try:
+        with tmp_path.open("wb") as stream:
+            _write(session, stream)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
     tmp_path.replace(path)
     return path
 
@@ -173,31 +217,30 @@ def save_checkpoint(session, path: Union[str, Path]) -> Path:
 def load_checkpoint(source: Union[str, Path, bytes]) -> Checkpoint:
     """Load a checkpoint file (or a :func:`capture` blob) without restoring.
 
-    Only the wrapper is deserialised here — inspect ``meta`` cheaply, then
-    call :meth:`Checkpoint.restore` to thaw the session state itself.
+    Only ``meta`` is deserialised here — inspect it cheaply, then call
+    :meth:`Checkpoint.restore` to thaw the session state itself.
     """
-    if isinstance(source, bytes):
-        wrapper = pickle.loads(source)
-        path = None
-    else:
-        path = Path(source)
-        wrapper = pickle.loads(path.read_bytes())
-    if not isinstance(wrapper, dict) or "meta" not in wrapper \
-            or "state_blob" not in wrapper:
-        raise ValueError(f"{source!r} is not a repro checkpoint")
-    meta = wrapper["meta"]
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{source!r} is not a repro checkpoint "
-                         f"(format={meta.get('format')!r})")
+    path = None if isinstance(source, bytes) else Path(source)
+    with (io.BytesIO(source) if path is None else path.open("rb")) as stream:
+        try:
+            meta = pickle.load(stream)
+        except (pickle.UnpicklingError, EOFError) as error:
+            raise _refused(
+                CheckpointCorruptError,
+                f"{_described(path)} is damaged: its meta summary does not "
+                f"load ({type(error).__name__}: {error})") from error
+        state_blob = stream.read()
+    if isinstance(meta, dict) and isinstance(meta.get("meta"), dict):
+        meta = meta["meta"]  # the one-pickle wrapper of versions 1-5
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"{_described(path)} is not a repro checkpoint")
     if meta.get("version") != CHECKPOINT_VERSION:
-        message = (
-            f"{'checkpoint' if path is None else path} is a version "
-            f"{meta.get('version')!r} checkpoint; this build reads version "
-            f"{CHECKPOINT_VERSION} only (restore it with the build that "
-            "wrote it)")
-        logger.error(message)
-        raise CheckpointVersionError(message)
-    return Checkpoint(meta=meta, state_blob=wrapper["state_blob"], path=path)
+        raise _refused(
+            CheckpointVersionError,
+            f"{_described(path)} is a version {meta.get('version')!r} "
+            f"checkpoint; this build reads version {CHECKPOINT_VERSION} "
+            "only (restore it with the build that wrote it)")
+    return Checkpoint(meta=meta, state_blob=state_blob, path=path)
 
 
 def describe_checkpoint(path: Union[str, Path]) -> Dict:

@@ -11,9 +11,15 @@ plus the two things only a daemon needs: periodic checkpoints
 (:mod:`repro.serve.checkpoint`) and optional rotation of the ingested
 traffic into v2 trace stores for post-hoc analysis.
 
-Concurrency model: one writer, many readers, one lock.  Ingest runs on
-the default executor (NumPy releases the GIL for the heavy parts, so ops
-requests stay responsive), and every session-touching operation —
+Concurrency model: one session thread, and one lock for the ops.  Each
+:meth:`run` starts a single-worker executor of its own and joins it on
+the way out.  Every chunk of queued bins and the final shutdown run on
+it, and so do the checkpoints written inside them, so all of the
+session's work happens on one thread: NumPy releases the GIL for the
+heavy parts, so the event loop and the ops API stay responsive, and one
+thread allocates the session's memory (every thread that allocates may
+keep freed memory in an allocator arena of its own).  Ops requests run on
+the loop's default executor, and every session-touching step — a bin's
 ingest, reconfiguration, snapshot, checkpoint — holds ``self._lock``, so
 ops always observe the session *between* bins, which is exactly the
 bin-boundary semantics the sessions define anyway.
@@ -38,6 +44,7 @@ import logging
 import signal
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -215,8 +222,9 @@ class MonitorDaemon:
         """Serve until the feed ends or the daemon is stopped.
 
         Starts the ops API, installs signal handlers, streams the feed
-        through the session one bin at a time, and on the way out writes a
-        final checkpoint, flushes trace rotation and closes the session.
+        through the session one bin at a time on the daemon's session
+        thread, and on the way out writes a final checkpoint, flushes trace
+        rotation and closes the session there, then joins the thread.
         Returns the final merged :class:`ExecutionResult`.
         """
         loop = asyncio.get_running_loop()
@@ -239,6 +247,8 @@ class MonitorDaemon:
             await queue.put(sentinel)
 
         pump_task = asyncio.ensure_future(pump())
+        session_thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"{self.name}-session")
         reason = "feed ended"
         try:
             done = False
@@ -258,7 +268,8 @@ class MonitorDaemon:
                         done = True
                         break
                     chunk.append(extra)
-                await loop.run_in_executor(None, self._ingest_chunk, chunk)
+                await loop.run_in_executor(session_thread,
+                                           self._ingest_chunk, chunk)
                 if (self.max_bins is not None
                         and self.bins_ingested >= self.max_bins):
                     reason = "max_bins reached"
@@ -280,8 +291,11 @@ class MonitorDaemon:
             for signum in installed:
                 loop.remove_signal_handler(signum)
             self.feed.stop()
-            await self._api.stop()
-            await loop.run_in_executor(None, self._shutdown)
+            try:
+                await self._api.stop()
+                await loop.run_in_executor(session_thread, self._shutdown)
+            finally:
+                session_thread.shutdown()
         return self.result
 
     def stop(self) -> None:
@@ -290,7 +304,7 @@ class MonitorDaemon:
         self.feed.stop()
 
     def _ingest_chunk(self, batches) -> None:
-        """Ingest several queued bins in one executor offload."""
+        """Ingest several queued bins in one hop to the session thread."""
         for batch in batches:
             if self._stopping:
                 break

@@ -9,6 +9,7 @@ reconfigurations are part of the state and fire at the restored
 session's next bin, exactly as they would have.
 """
 
+import io
 import pickle
 
 import pytest
@@ -20,6 +21,7 @@ from repro.monitor.sharding import ShardedSystem
 from repro.monitor.workers import fork_start_available
 from repro.queries import make_query
 from repro.serve.checkpoint import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                                    CheckpointCorruptError,
                                     CheckpointVersionError, capture,
                                     describe_checkpoint, load_checkpoint,
                                     restore_session, save_checkpoint)
@@ -384,16 +386,31 @@ def test_checkpoint_rejects_closed_and_foreign():
         capture(object())
 
 
+def _old_wrapper(session, version, state_blob):
+    """A checkpoint file in the layout of versions 1-5: one pickle of a
+    dict wrapping ``meta`` and the state, itself a nested pickle."""
+    meta = dict(load_checkpoint(capture(session)).meta, version=version)
+    return pickle.dumps({"meta": meta, "state_blob": state_blob})
+
+
+def _meta_end(path):
+    """The file's bytes and the offset where its state pickle starts."""
+    data = path.read_bytes()
+    stream = io.BytesIO(data)
+    pickle.load(stream)
+    return data, stream.tell()
+
+
 def test_load_rejects_non_checkpoints(tmp_path):
     bogus = tmp_path / "bogus.pkl"
     bogus.write_bytes(pickle.dumps({"not": "a checkpoint"}))
     with pytest.raises(ValueError, match="not a repro checkpoint"):
         load_checkpoint(bogus)
     versioned = tmp_path / "future.pkl"
-    versioned.write_bytes(pickle.dumps(
-        {"meta": {"format": CHECKPOINT_FORMAT, "version": 999},
-         "state_blob": b""}))
-    with pytest.raises(ValueError, match="version"):
+    versioned.write_bytes(
+        pickle.dumps({"format": CHECKPOINT_FORMAT, "version": 999})
+        + pickle.dumps({"kind": "monitoring"}))
+    with pytest.raises(CheckpointVersionError, match="version 999 "):
         load_checkpoint(versioned)
 
 
@@ -402,15 +419,12 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
     """Checkpoints of builds whose sessions held other state are refused,
     typed, logged and naming both versions, by every way in — the state
     blob is never unpickled."""
-    assert CHECKPOINT_VERSION == 5
+    assert CHECKPOINT_VERSION == 6
     session = _open_session(_config("original"))
     from repro.serve.__main__ import main
     for version in (1, 2, 3, 4):
-        wrapper = pickle.loads(capture(session))
-        wrapper["meta"]["version"] = version
-        wrapper["state_blob"] = b"not even a pickle"
         old = tmp_path / f"old-{version}.pkl"
-        old.write_bytes(pickle.dumps(wrapper))
+        old.write_bytes(_old_wrapper(session, version, b"not even a pickle"))
 
         for load in (load_checkpoint, restore_session, describe_checkpoint):
             for source in (old, old.read_bytes()):
@@ -420,7 +434,7 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
                     with pytest.raises(CheckpointVersionError) as refused:
                         load(source)
                 assert f"version {version} " in str(refused.value)
-                assert "reads version 5 " in str(refused.value)
+                assert "reads version 6 " in str(refused.value)
                 assert [record.getMessage() for record in caplog.records] \
                     == [str(refused.value)]
 
@@ -441,15 +455,65 @@ def test_a_version_4_checkpoint_is_refused_by_its_version(tmp_path):
                  reactive_min_rate=0.0, shard_backend="auto")
     with pytest.raises(ValueError, match="unknown SystemConfig field"):
         SystemConfig.from_dict(stale)
-    wrapper = pickle.loads(capture(session))
-    wrapper["meta"]["version"] = 4
-    wrapper["state_blob"] = pickle.dumps({"kind": "monitoring",
-                                          "config": stale})
     old = tmp_path / "v4.pkl"
-    old.write_bytes(pickle.dumps(wrapper))
+    old.write_bytes(_old_wrapper(session, 4, pickle.dumps(
+        {"kind": "monitoring", "config": stale})))
     for load in (load_checkpoint, restore_session):
         with pytest.raises(CheckpointVersionError) as refused:
             load(old)
         assert type(refused.value) is CheckpointVersionError
         assert "version 4 " in str(refused.value)
-        assert "reads version 5 " in str(refused.value)
+        assert "reads version 6 " in str(refused.value)
+
+
+def test_a_version_5_checkpoint_is_refused_by_its_version(tmp_path):
+    """Version 5 held the session state this build holds, as a pickle
+    nested in the one-pickle wrapper: its file is refused by its version,
+    not read as a damaged or a foreign one."""
+    session = _open_session(_config("original"))
+    old = tmp_path / "v5.pkl"
+    old.write_bytes(_old_wrapper(session, 5, pickle.dumps(
+        session.state_dict(), protocol=pickle.HIGHEST_PROTOCOL)))
+    for load in (load_checkpoint, restore_session, describe_checkpoint):
+        with pytest.raises(CheckpointVersionError) as refused:
+            load(old)
+        assert "version 5 " in str(refused.value)
+        assert "reads version 6 " in str(refused.value)
+
+
+@pytest.mark.parametrize("part", ("meta", "state"))
+def test_a_checkpoint_cut_short_is_refused_as_damaged(tmp_path, caplog,
+                                                      capsys, part):
+    """A file truncated in its ``meta`` pickle, or in its state pickle, is
+    refused with a typed ``ValueError`` that names the file and is logged,
+    and ``python -m repro.serve --restore`` says so on one line and exits
+    2 — not a raw ``pickle.UnpicklingError``."""
+    from repro.serve.__main__ import main
+    path = save_checkpoint(_open_session(_config("original")),
+                           tmp_path / "whole.pkl")
+    data, state_start = _meta_end(path)
+    cut = tmp_path / f"cut-in-{part}.pkl"
+    cut.write_bytes(data[:state_start // 2] if part == "meta"
+                    else data[:(state_start + len(data)) // 2])
+    with caplog.at_level("ERROR", logger="repro.serve.checkpoint"):
+        with pytest.raises(CheckpointCorruptError) as refused:
+            restore_session(cut)
+    message = str(refused.value)
+    assert isinstance(refused.value, ValueError)
+    assert str(cut) in message
+    assert ("meta summary" if part == "meta" else "session state") in message
+    assert [record.getMessage() for record in caplog.records] == [message]
+    assert main(["--restore", str(cut), "--feed", "generate"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_describe_reads_the_meta_of_a_file_whose_state_is_corrupt(tmp_path):
+    path = save_checkpoint(_open_session(_config("reactive")),
+                           tmp_path / "whole.pkl")
+    data, state_start = _meta_end(path)
+    corrupt = tmp_path / "corrupt.pkl"
+    corrupt.write_bytes(data[:state_start] + b"not even a pickle")
+    assert describe_checkpoint(corrupt) == describe_checkpoint(path)
+    assert describe_checkpoint(corrupt)["mode"] == "reactive"
+    with pytest.raises(CheckpointCorruptError, match="session state"):
+        restore_session(corrupt)

@@ -26,6 +26,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.fleet import FleetPartitioner, FleetRunner, FleetTopology
+from repro.monitor import sharding
 from repro.monitor.filters import Filter
 from repro.monitor.packet import COLUMN_FIELDS, Batch
 from repro.monitor.sharding import ShardedSystem
@@ -445,6 +446,27 @@ def test_a_shard_session_does_not_grow_with_the_intervals(tmp_path, backend):
     # The node kept them instead: ten intervals of five queries, 100 bins.
     assert [len(log) for log in result.query_logs.values()] == [10] * 5
     assert len(result.bins) == 100
+
+
+@pytest.mark.parametrize("backend", [
+    "inprocess", pytest.param("workers", marks=needs_fork)])
+def test_a_node_keeps_only_its_recent_bin_seconds(monkeypatch, small_trace,
+                                                  backend):
+    """A node's slowest-shard series is bounded as a session's is, to
+    ``RECENT_BINS``, and its shard executor keeps no bin's wall seconds
+    once the node has folded the bin."""
+    monkeypatch.setattr(sharding, "RECENT_BINS", 4)
+    config = runner.system_config(queries="counter,flows", seed=5)
+    bins = small_trace.batch_list(TIME_BIN)
+    assert len(bins) > 4
+    session = ShardedSystem(config=config, num_shards=2,
+                            backend=backend).open_session(time_bin=TIME_BIN)
+    with session:
+        for batch in bins:
+            session.ingest(batch)
+            assert not any(session._executor.ingest_seconds)
+        assert session.metrics["profile"]["bin_seconds"]["n"] == 4
+    assert session.metrics["profile"]["bin_seconds"]["n"] == 4
 
 
 # One sharded run per process, as for the fleet above.

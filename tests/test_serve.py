@@ -777,6 +777,45 @@ def test_a_failing_ops_request_is_logged_with_its_traceback(serve_trace,
     assert "status is broken" in caplog.text
 
 
+def test_the_session_lives_on_one_thread_the_daemon_owns(tmp_path,
+                                                          serve_trace):
+    """Every bin, and every checkpoint the daemon writes itself — the final
+    one included — runs on one thread of the daemon's own, named after it,
+    while ops requests come and go on the loop's executor; the thread is
+    gone once ``run()`` returns."""
+    daemon = MonitorDaemon(_daemon_config(),
+                           ReplayFeed(serve_trace, time_bin=TIME_BIN,
+                                      pace=2.0),
+                           checkpoint_dir=tmp_path / "ckpt",
+                           checkpoint_every_bins=10, name="confined")
+    threads = {"_ingest_one": [], "_checkpoint_locked": []}
+
+    def recorded(method):
+        def call(*args):
+            threads[method.__name__].append(threading.current_thread())
+            return method(*args)
+        return call
+
+    for name in threads:
+        setattr(daemon, name, recorded(getattr(daemon, name)))
+    with DaemonHarness(daemon) as harness:
+        harness.wait_status(lambda s: s["bins_ingested"] >= 3)
+        assert "repro_bins_ingested_total" in harness.get("/metrics")
+        harness.request("POST", "/capacity",
+                        {"cycles_per_second": CAPACITY / 2})
+        result = harness.join(timeout=60.0)
+
+    bins = len(serve_trace.batch_list(TIME_BIN))
+    assert len(result.bins) == len(threads["_ingest_one"]) == bins
+    (session_thread,) = set(threads["_ingest_one"])
+    assert session_thread.name.startswith("confined-session")
+    assert threads["_checkpoint_locked"] == \
+        [session_thread] * (bins // 10 + 1)
+    assert not session_thread.is_alive()
+    assert not [thread for thread in threading.enumerate()
+                if thread.name.startswith("confined-session")]
+
+
 # ----------------------------------------------------------------------
 # TraceWriter.flush / incremental manifests (the TailFeed substrate)
 # ----------------------------------------------------------------------

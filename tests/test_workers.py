@@ -385,14 +385,20 @@ class TestSessionsSharingProcesses:
                 for bin_ in range(start, start + count)]
 
     def _results(self, executor):
-        """Every session's deliveries folded, as their owner would."""
+        """Every session's deliveries folded, and each bin's wall seconds
+        popped with its record, as their owner would."""
         results = []
-        for queue, config, name in zip(executor.arrived, self._configs(),
-                                       self.NAMES):
+        for queue, seconds, config, name in zip(
+                executor.arrived, executor.ingest_seconds, self._configs(),
+                self.NAMES):
             result = ExecutionResult(config.mode, config.strategy, name,
                                      config.make_budget(0.1))
             while queue:
-                result.fold(*queue.popleft(), ["counter", "flows"])
+                record, flushed = queue.popleft()
+                if record is not None:
+                    assert seconds.popleft() > 0.0
+                result.fold(record, flushed, ["counter", "flows"])
+            assert not seconds
             results.append(result)
         return results
 
@@ -419,8 +425,6 @@ class TestSessionsSharingProcesses:
         for mine, theirs in zip(self._results(pool), self._results(serial)):
             assert_results_identical(theirs, mine, mine.trace_name)
             assert len(mine.bins) == 14
-        assert [len(seconds) for seconds in pool.ingest_seconds] == [14] * 5
-        assert all(s > 0.0 for row in pool.ingest_seconds for s in row)
         _assert_released(pool)
 
     def test_sessions_deliver_records_and_partials_in_order(self):
@@ -523,9 +527,12 @@ class TestSessionsSharingProcesses:
         delivered = [[] for _ in range(40)]
 
         def drain():
-            for queue, indices in zip(pool.arrived, delivered):
+            for queue, seconds, indices in zip(pool.arrived,
+                                               pool.ingest_seconds, delivered):
                 while queue:
                     record, _ = queue.popleft()
+                    if record is not None:
+                        seconds.popleft()
                     indices.append(None if record is None else record.index)
 
         def run_ahead():
@@ -546,7 +553,7 @@ class TestSessionsSharingProcesses:
             for worker in pool._workers:  # frees a wedged reader too
                 worker.process.kill()
         assert delivered == [list(range(100)) + [None]] * 40
-        assert [len(row) for row in pool.ingest_seconds] == [100] * 40
+        assert not any(pool.ingest_seconds)
 
     def test_lockstep_bin_wider_than_the_window_keeps_every_record(self):
         """Ten sessions a process, eight unanswered bins allowed: the
