@@ -3,7 +3,7 @@
 The serve subsystem adds machinery around every bin — an asyncio hop, an
 executor dispatch, a lock, per-bin counters, the live ops surface.  This
 benchmark measures what that costs: the same generated trace store is
-replayed once through the offline ``ingest_trace`` driver and once
+replayed once offline (``config.build().run(store)``) and once
 through a full ``MonitorDaemon`` (unpaced ``ReplayFeed``, ops API bound
 and answering), with both runs required to be bit-identical.
 
@@ -68,9 +68,7 @@ def test_daemon_ingest_keeps_offline_throughput(benchmark, tmp_path):
                                   cycles_per_second=capacity * 0.5)
 
     def _offline():
-        session = config.build().open_session(time_bin=TIME_BIN,
-                                              name="offline")
-        return runner.ingest_trace(session, store)
+        return config.build().run(store, time_bin=TIME_BIN)
 
     def _daemon():
         daemon = MonitorDaemon(

@@ -2,8 +2,8 @@
 
 A v2 trace store is synthesised chunk-at-a-time (``generate_trace_store``),
 then replayed through the full predict/shed pipeline twice: once fully
-materialised in memory (the pre-store idiom) and once streamed through
-``ingest_trace``, every bin read from the store's files — the out-of-core
+materialised in memory (the pre-store idiom) and once streamed from
+``store.streaming()``, every bin read from the store's files — the out-of-core
 path the store exists for.  A third replay drives the ``num_shards=4``
 in-process sharded pipeline from the same stream.
 
@@ -37,6 +37,7 @@ from conftest import BENCH_SCALE, record_result
 
 
 from repro.experiments import runner
+from repro.monitor.sharding import build_system
 from repro.profile import peak_rss_mb
 from repro.testing import assert_results_identical
 from repro.traffic.generator import TrafficProfile, generate_trace_store
@@ -96,20 +97,18 @@ def test_streaming_replay_bit_identical_and_bounded(benchmark, tmp_path):
     trace = TraceStore(store.path).to_trace()
 
     capacity, _ = runner.calibrate_capacity(QUERY_SET, trace)
-    config = runner.system_config(cycles_per_second=capacity * 0.5, seed=13)
+    config = runner.system_config(queries=QUERY_SET,
+                                  cycles_per_second=capacity * 0.5, seed=13)
 
     def _in_memory():
-        return runner.run_system(QUERY_SET, trace, capacity * 0.5,
-                                 config=config)
+        return config.build().run(trace)
 
     def _streamed(num_shards=1):
-        return runner.run_system(QUERY_SET, store.streaming(),
-                                 capacity * 0.5, config=config,
-                                 num_shards=num_shards)
+        return build_system(config.replace(num_shards=num_shards)).run(
+            store.streaming())
 
     memory_result, memory_seconds = _timed(_in_memory)
-    sharded_memory = runner.run_system(QUERY_SET, trace, capacity * 0.5,
-                                       config=config, num_shards=4)
+    sharded_memory = build_system(config.replace(num_shards=4)).run(trace)
 
     rss_before = peak_rss_mb()
     (streamed_result, streamed_seconds), _ = benchmark.pedantic(
@@ -159,21 +158,20 @@ def test_persistent_workers_beat_serial_streaming(benchmark, tmp_path):
     trace = store.to_trace()
 
     capacity, _ = runner.calibrate_capacity(DENSE_QUERY_SET, trace)
-    config = runner.system_config(cycles_per_second=capacity * 0.5,
-                                  seed=29)
+    config = runner.system_config(queries=DENSE_QUERY_SET,
+                                  cycles_per_second=capacity * 0.5, seed=29)
+    sharded = config.replace(num_shards=NUM_SHARDS)
 
     def _serial():
-        return runner.run_system(DENSE_QUERY_SET, store.streaming(),
-                                 capacity * 0.5, config=config)
+        return config.build().run(store.streaming())
 
     def _workers():
-        return runner.run_system(
-            DENSE_QUERY_SET, store.streaming(), capacity * 0.5,
-            config=config, num_shards=NUM_SHARDS, backend="workers")
+        return build_system(sharded, backend="workers").run(
+            store.streaming())
 
     # Warm the pipeline (JIT-free, but page cache + allocator pools) before
     # timing, mirroring bench_sharded.
-    runner.run_system(DENSE_QUERY_SET, trace, capacity * 0.5, config=config)
+    config.build().run(trace)
 
     serial_result, serial_seconds = _timed(_serial)
     (worker_result, worker_seconds), _ = benchmark.pedantic(
@@ -182,9 +180,7 @@ def test_persistent_workers_beat_serial_streaming(benchmark, tmp_path):
 
     # Correctness first: bit-identical to the in-process sharded execution
     # of the identical configuration.
-    in_process = runner.run_system(
-        DENSE_QUERY_SET, store.streaming(), capacity * 0.5, config=config,
-        num_shards=NUM_SHARDS)
+    in_process = build_system(sharded).run(store.streaming())
     assert_results_identical(in_process, worker_result, "workers")
     assert worker_result.total_packets == serial_result.total_packets
 

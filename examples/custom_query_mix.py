@@ -44,8 +44,8 @@ def main() -> None:
     rebuilt = SystemConfig.from_dict(json.loads(document))
     assert rebuilt == config
 
-    result = runner.run_system(None, trace, 5e7, config=config)
-    rebuilt_result = runner.run_system(None, trace, 5e7, config=rebuilt)
+    result = config.build().run(trace)
+    rebuilt_result = rebuilt.build().run(trace)
 
     print("\nPer-query interval counts (declarative mix):")
     for name, log in sorted(result.query_logs.items()):

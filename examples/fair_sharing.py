@@ -26,9 +26,10 @@ def main() -> None:
         for label, mode, strategy in (("no_lshed", "original", "eq_srates"),
                                       ("eq_srates", "predictive", "eq_srates"),
                                       ("mmfs_pkt", "predictive", "mmfs_pkt")):
-            result = runner.run_system(queries, trace,
-                                       capacity * (1.0 - overload),
-                                       mode=mode, strategy=strategy)
+            result = runner.system_config(
+                queries=queries, mode=mode, strategy=strategy,
+                cycles_per_second=capacity * (1.0 - overload),
+            ).build().run(trace)
             accuracy = runner.accuracy_by_query(result, reference)
             rows.append({
                 "overload K": overload,

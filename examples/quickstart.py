@@ -19,11 +19,13 @@ def main() -> None:
     # Calibrate the capacity so that K = 0.5 means "demand is twice capacity".
     capacity, reference = runner.calibrate_capacity(queries, trace)
     overload = 0.5
-    # Every system knob lives in one serialisable SystemConfig;
+    # A run is a config, built and run: every system knob, the query mix
+    # and the capacity live in one serialisable SystemConfig, and
     # runner.system_config() is the harness default with overrides applied.
-    config = runner.system_config(mode="predictive", strategy="mmfs_pkt")
-    result = runner.run_system(queries, trace, capacity * (1.0 - overload),
-                               config=config)
+    config = runner.system_config(queries=queries, mode="predictive",
+                                  strategy="mmfs_pkt",
+                                  cycles_per_second=capacity * (1.0 - overload))
+    result = config.build().run(trace)
 
     print(f"\nOverload factor K = {overload}")
     print(f"Uncontrolled packet drops : {result.dropped_packets}")

@@ -5,9 +5,9 @@
 an experiment at the host's RAM.  This example never holds the trace: it
 writes a v2 trace store segment by segment (``generate_trace_store`` keeps
 only the current segment alive), then replays it through the full
-predict/shed pipeline with ``ingest_trace`` — each bin is read from its
-row range of the column files and freed when the pipeline is done with it,
-so peak memory stays flat no matter how long the trace is.  Scale
+predict/shed pipeline with ``config.build().run(streaming)`` — each bin is
+read from its row range of the column files and freed when the pipeline is
+done with it, so peak memory stays flat no matter how long the trace is.  Scale
 ``DURATION`` up to multi-hour, multi-GB workloads; the mechanics are
 identical.
 """
@@ -15,10 +15,9 @@ identical.
 import tempfile
 from pathlib import Path
 
-from repro import ShardedSystem
 from repro.experiments import runner
+from repro.monitor.sharding import build_system
 from repro.profile import peak_rss_mb
-from repro.queries import make_query
 from repro.traffic import generate_trace_store, open_trace
 from repro.traffic.generator import TrafficProfile
 
@@ -47,11 +46,9 @@ def main() -> None:
 
     # 3. Calibrate and replay out-of-core through the full pipeline.
     capacity, _ = runner.calibrate_capacity(QUERY_SET, streaming)
-    config = runner.system_config(cycles_per_second=capacity * 0.5, seed=1)
-    session = config.build(
-        [make_query(name) for name in QUERY_SET]).open_session(
-        name=streaming.name)
-    result = runner.ingest_trace(session, streaming)
+    config = runner.system_config(queries=QUERY_SET,
+                                  cycles_per_second=capacity * 0.5, seed=1)
+    result = config.build().run(streaming)
     print(f"\nSerial replay: {len(result.bins)} bins, dropped "
           f"{result.dropped_packets:,}/{result.total_packets:,} packets, "
           f"mean sampling rate {result.mean_sampling_rate():.2f}")
@@ -59,12 +56,7 @@ def main() -> None:
           f"{peak_rss_mb():.1f} MB")
 
     # 4. The same store through four flow-affine shards, still out-of-core.
-    sharded_config = config.replace(num_shards=4)
-    sharded = ShardedSystem(
-        lambda: [make_query(name) for name in QUERY_SET],
-        config=sharded_config)
-    merged = sharded.open_session(name=streaming.name).ingest_trace(
-        streaming).close()
+    merged = build_system(config.replace(num_shards=4)).run(streaming)
     print(f"\nSharded x4 replay: {len(merged.bins)} bins, dropped "
           f"{merged.dropped_packets:,} packets, peak resident set "
           f"{peak_rss_mb():.1f} MB")

@@ -39,7 +39,8 @@ def main() -> None:
           f"capacity {overloaded:.3g} cycles/s (overload K=0.5)")
 
     # The classic single-system run: the whole budget, one pipeline.
-    unsharded = runner.run_system(QUERY_SET, trace, overloaded)
+    unsharded = runner.system_config(
+        queries=QUERY_SET, cycles_per_second=overloaded).build().run(trace)
 
     # Sharded: the stream is flow-hash partitioned over NUM_SHARDS shard
     # sessions, each owning a fixed 1/N of the budget.

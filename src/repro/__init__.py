@@ -6,20 +6,24 @@ exercise it: a CoMo-like monitoring system, the standard query set, a
 synthetic traffic generator with anomaly injection, and an experiment harness
 that regenerates each table and figure of the paper's evaluation.
 
-Quick start::
+Quick start: a run is a config, built and run.  Three queries on a short
+synthetic trace, with a capacity below their demand, so the predictive
+system samples their traffic:
 
-    from repro import SystemConfig, standard_queries
-    from repro.traffic import load_preset
-
-    trace = load_preset("CESCA-I", seed=1, duration=10.0)
-    config = SystemConfig(mode="predictive", strategy="mmfs_pkt")
-    system = config.build(standard_queries(["counter", "flows", "top-k"]))
-    result = system.run(trace)
-    print(result.drop_fraction, result.mean_sampling_rate())
+>>> from repro import SystemConfig
+>>> from repro.traffic import load_preset
+>>> trace = load_preset("CESCA-I", seed=1, duration=2.0)
+>>> config = SystemConfig(queries="counter,flows,top-k", mode="predictive",
+...                       strategy="mmfs_pkt", cycles_per_second=1.2e6)
+>>> result = config.build().run(trace)
+>>> len(result.bins), sorted(result.query_logs)
+(20, ['counter', 'flows', 'top-k'])
+>>> result.mean_sampling_rate() < 1.0
+True
 
 Streaming ingestion (live traffic, no materialised trace)::
 
-    session = system.open_session(time_bin=0.1)
+    session = config.build().open_session(time_bin=0.1)
     for batch in batch_source:          # any generator of Batch objects
         session.ingest(batch)           # full per-bin pipeline
     session.add_query(make_query("top-k"))   # arrives at the next bin
@@ -39,7 +43,7 @@ from .fleet import (FleetAggregator, FleetRunner, FleetTopology, NodeSpec,
 from .monitor import (Batch, ExecutionResult, MonitoringSession,
                       MonitoringSystem, PacketTrace, Query, ShardedSession,
                       ShardedSystem, StreamingTrace, SystemConfig)
-from .queries import make_query, standard_queries
+from .queries import make_query
 from .traffic import (TraceStore, TraceWriter, generate_trace,
                       generate_trace_store, load_preset, open_trace)
 
@@ -77,5 +81,4 @@ __all__ = [
     "load_topology",
     "make_query",
     "open_trace",
-    "standard_queries",
 ]

@@ -4,7 +4,9 @@
 ``python -m repro.fleet`` all describe the same monitoring system — query
 mix, operating mode, sharding layout, bin length — so the flag definitions
 and the config-overlay logic live here once and the three CLIs stay in
-lockstep by construction.
+lockstep by construction.  The replay and fleet CLIs also share how the
+capacity is given: explicitly, or as ``(1 - K)`` times a calibrated
+no-shedding capacity (:func:`add_capacity_args`, :func:`resolve_capacity`).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import argparse
 import os
 
-__all__ = ["add_backend_arg", "add_system_args", "apply_system_args",
-           "resolve_query_specs"]
+__all__ = ["add_backend_arg", "add_capacity_args", "add_system_args",
+           "apply_system_args", "resolve_capacity", "resolve_query_specs"]
 
 
 def resolve_query_specs(value: str):
@@ -91,6 +93,42 @@ def add_backend_arg(parser: argparse.ArgumentParser) -> None:
                              "process per shard fed through shared memory; "
                              "'auto' picks workers when --n-workers asks "
                              "for parallelism the host can honour")
+
+
+def add_capacity_args(parser: argparse.ArgumentParser,
+                      overload: float) -> None:
+    """Install ``--cycles-per-second`` / ``--overload``, two exclusive ways
+    to give the capacity; ``overload`` is the default factor K."""
+    capacity = parser.add_mutually_exclusive_group()
+    capacity.add_argument("--cycles-per-second", type=float, default=None,
+                          help="explicit cycle capacity (a fleet splits it "
+                               "across its nodes by weight)")
+    capacity.add_argument("--overload", type=float, default=overload,
+                          help="overload factor K in [0, 1): capacity is "
+                               "(1 - K) x the calibrated no-shedding "
+                               "capacity (default: %(default)s)")
+
+
+def resolve_capacity(config, trace, args) -> float:
+    """The cycles per second the :func:`add_capacity_args` flags ask for.
+
+    Either ``--cycles-per-second`` as given, or ``(1 - K)`` times the
+    capacity a reference replay of ``trace`` calibrates for
+    ``config.queries`` (the paper's overload factor, Section 5.4).
+    Raises ``ValueError`` with a one-line message on a capacity that is
+    not positive or a K outside ``[0, 1)``.
+    """
+    if args.cycles_per_second is not None:
+        if not args.cycles_per_second > 0:
+            raise ValueError(f"--cycles-per-second must be positive, got "
+                             f"{args.cycles_per_second:g}")
+        return float(args.cycles_per_second)
+    if not 0.0 <= args.overload < 1.0:
+        raise ValueError("--overload must be in [0, 1)")
+    from .experiments.runner import calibrate_capacity
+    base, _ = calibrate_capacity(config.queries, trace,
+                                 time_bin=args.time_bin)
+    return base * (1.0 - args.overload)
 
 
 def apply_system_args(config, args):

@@ -5,8 +5,9 @@ Each function is named after the table or figure it regenerates
 ``benchmarks/bench_chapterN.py`` runs chapter N's and asserts the shapes the
 paper reports.  A comparison of systems has the paper's shape (Section
 5.5.3): one :func:`runner.calibrate_capacity` per trace and query set,
-then one :func:`runner.run_system` per system compared, at ``(1 - K)``
-times that capacity.
+then one run per system compared, at ``(1 - K)`` times that capacity:
+``runner.system_config(queries=..., mode=..., cycles_per_second=...)
+.build().run(trace)``.
 """
 
 from importlib import import_module

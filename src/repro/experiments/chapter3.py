@@ -316,7 +316,9 @@ def table_3_4_prediction_overhead(scale: float = 1.0,
     if trace is None:
         trace = scenarios.payload_trace(scale=scale)
     capacity, reference = runner.calibrate_capacity(query_names, trace)
-    result = runner.run_system(query_names, trace, capacity, mode="predictive")
+    result = runner.system_config(
+        queries=query_names, mode="predictive",
+        cycles_per_second=capacity).build().run(trace)
     query_cycles = result.series("query_cycles").sum()
     prediction_cycles = result.series("prediction_overhead").sum()
     system_cycles = result.series("system_overhead").sum()

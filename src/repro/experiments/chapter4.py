@@ -23,10 +23,10 @@ def _three_mode_runs(trace: PacketTrace, overload: float,
     """Run predictive / original / reactive at the same overload level."""
     base_capacity, reference = runner.calibrate_capacity(query_names, trace)
     capacity = base_capacity * (1.0 - overload)
-    runs = {}
-    for mode in ("predictive", "original", "reactive"):
-        runs[mode] = runner.run_system(query_names, trace, capacity, mode=mode,
-                                       strategy="eq_srates")
+    config = runner.system_config(queries=query_names, strategy="eq_srates",
+                                  cycles_per_second=capacity)
+    runs = {mode: config.replace(mode=mode).build().run(trace)
+            for mode in ("predictive", "original", "reactive")}
     return {"reference": reference, "runs": runs,
             "capacity_per_second": capacity,
             "base_capacity_per_second": base_capacity}
@@ -124,9 +124,10 @@ def figure_4_4_cpu_usage(scale: float = 1.0, overload: float = 0.5,
     """CPU usage after load shedding versus predicted demand (predictive run)."""
     if trace is None:
         trace = scenarios.payload_trace(scale=scale)
-    result, reference = runner.run_with_overload(query_names, trace, overload,
-                                                 mode="predictive",
-                                                 strategy="eq_srates")
+    base_capacity, reference = runner.calibrate_capacity(query_names, trace)
+    result = runner.system_config(
+        queries=query_names, mode="predictive", strategy="eq_srates",
+        cycles_per_second=base_capacity * (1.0 - overload)).build().run(trace)
     return {
         "series": {
             "system_overhead": result.series("system_overhead"),
@@ -162,10 +163,10 @@ def figure_4_5_syn_flood(scale: float = 1.0,
     normal_demand = float(np.median(per_bin))
     capacity = normal_demand * capacity_margin / runner.TIME_BIN
 
-    shedding = runner.run_system(query_names, trace, capacity,
-                                 mode="predictive", strategy="eq_srates")
-    no_shedding = runner.run_system(query_names, trace, capacity,
-                                    mode="original")
+    config = runner.system_config(queries=query_names, strategy="eq_srates",
+                                  cycles_per_second=capacity)
+    shedding = config.build().run(trace)
+    no_shedding = config.replace(mode="original").build().run(trace)
     flow_error_shed = runner.error_by_query(shedding, reference)["flows"]
     flow_error_none = runner.error_by_query(no_shedding, reference)["flows"]
     return {

@@ -110,10 +110,10 @@ def figure_5_2_real_surface(
         for j, k in enumerate(overloads):
             per_strategy = {}
             for label, strategy in (("pkt", "mmfs_pkt"), ("cpu", "mmfs_cpu")):
-                result = runner.run_system(
-                    query_specs, trace,
-                    base_capacity * (1.0 - k), mode="predictive",
-                    strategy=strategy)
+                result = runner.system_config(
+                    queries=query_specs, mode="predictive", strategy=strategy,
+                    cycles_per_second=base_capacity * (1.0 - k),
+                ).build().run(trace)
                 accs = runner.accuracy_by_query(result, reference)
                 # Enforce the swept minimum sampling rate semantics: a query
                 # whose average applied rate fell below m counts as zero.
@@ -197,8 +197,10 @@ def figure_5_4_strategy_comparison(
         capacity = base_capacity * (1.0 - k)
         per_query_at_k[float(k)] = {}
         for label, mode, strategy in systems:
-            result = runner.run_system(query_names, trace, capacity, mode=mode,
-                                       strategy=strategy or "eq_srates")
+            result = runner.system_config(
+                queries=query_names, mode=mode,
+                strategy=strategy or "eq_srates",
+                cycles_per_second=capacity).build().run(trace)
             accs = runner.accuracy_by_query(result, reference)
             per_query_at_k[float(k)][label] = accs
             values = list(accs.values())
@@ -233,8 +235,9 @@ def figure_5_5_autofocus_over_time(scale: float = 1.0, overload: float = 0.2,
     series = {}
     means = {}
     for label, mode, strategy in systems:
-        result = runner.run_system(query_names, trace, capacity, mode=mode,
-                                   strategy=strategy)
+        result = runner.system_config(
+            queries=query_names, mode=mode, strategy=strategy,
+            cycles_per_second=capacity).build().run(trace)
         acc = runner.accuracy_series(result, reference, "autofocus")
         series[label] = acc
         means[label] = float(np.mean(acc)) if len(acc) else 0.0

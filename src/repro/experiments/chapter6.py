@@ -12,8 +12,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..monitor.packet import PacketTrace
-from ..monitor.system import MonitoringSystem
-from ..queries import (BuggyP2PDetectorQuery, P2PDetectorQuery,
+from ..queries import (BuggyP2PDetectorQuery, P2PDetectorQuery, QuerySpec,
                        SelfishP2PDetectorQuery, make_query)
 from . import runner, scenarios
 
@@ -52,10 +51,10 @@ def figure_6_1_custom_vs_sampling(scale: float = 1.0, overload: float = 0.5,
     capacity = base_capacity * (1.0 - overload)
     results = {}
     for label, custom in (("packet_sampling", False), ("custom_shedding", True)):
-        results[label] = runner.run_system(
-            _chapter6_specs(custom), trace, capacity,
-            config=runner.system_config(strategy="mmfs_pkt",
-                                        support_custom_shedding=custom))
+        results[label] = runner.system_config(
+            queries=_chapter6_specs(custom), strategy="mmfs_pkt",
+            support_custom_shedding=custom,
+            cycles_per_second=capacity).build().run(trace)
     errors = {
         label: runner.error_by_query(result, reference).get("p2p-detector", 1.0)
         for label, result in results.items()
@@ -94,13 +93,14 @@ def figure_6_3_enforcement_correction(scale: float = 1.0, overload: float = 0.5,
     base_capacity, _ = runner.calibrate_capacity(specs_good, trace)
     capacity = base_capacity * (1.0 - overload)
 
-    def run_with(p2p_query) -> MonitoringSystem:
+    config = runner.system_config(strategy="mmfs_pkt",
+                                  cycles_per_second=capacity)
+
+    def run_with(p2p_query):
         queries = [make_query(name) for name in CHAPTER6_QUERIES
                    if name != "p2p-detector"]
         queries.append(p2p_query)
-        system = MonitoringSystem(
-            runner.system_config(strategy="mmfs_pkt",
-                                 cycles_per_second=capacity), queries)
+        system = config.build(queries)
         system.run(trace, time_bin=runner.TIME_BIN)
         return system
 
@@ -154,8 +154,9 @@ def figure_6_5_overload_sweep(scale: float = 1.0,
     base_capacity, reference = runner.calibrate_capacity(specs, trace)
     average, minimum, per_query = [], [], {}
     for k in overloads:
-        result = runner.run_system(specs, trace, base_capacity * (1.0 - k),
-                                   mode="predictive", strategy="mmfs_pkt")
+        result = runner.system_config(
+            queries=specs, mode="predictive", strategy="mmfs_pkt",
+            cycles_per_second=base_capacity * (1.0 - k)).build().run(trace)
         accs = runner.accuracy_by_query(result, reference)
         per_query[float(k)] = accs
         average.append(float(np.mean(list(accs.values()))))
@@ -192,14 +193,14 @@ def figure_6_6_vs_6_7(scale: float = 1.0, overload: float = 0.5,
     base_capacity, reference = runner.calibrate_capacity(
         _chapter6_specs(custom=False), trace)
     capacity = base_capacity * (1.0 - overload)
-    legacy = runner.run_system(
-        _chapter6_specs(custom=False), trace, capacity,
-        config=runner.system_config(strategy="eq_srates",
-                                    support_custom_shedding=False))
-    full = runner.run_system(
-        _chapter6_specs(custom=True), trace, capacity,
-        config=runner.system_config(strategy="mmfs_pkt",
-                                    support_custom_shedding=True))
+    legacy = runner.system_config(
+        queries=_chapter6_specs(custom=False), strategy="eq_srates",
+        support_custom_shedding=False,
+        cycles_per_second=capacity).build().run(trace)
+    full = runner.system_config(
+        queries=_chapter6_specs(custom=True), strategy="mmfs_pkt",
+        support_custom_shedding=True,
+        cycles_per_second=capacity).build().run(trace)
     legacy_accs = runner.accuracy_by_query(legacy, reference)
     full_accs = runner.accuracy_by_query(full, reference)
     return {
@@ -230,8 +231,9 @@ def figure_6_8_ddos(scale: float = 1.0, overload: float = 0.3,
     base_capacity, reference = runner.calibrate_capacity(specs, trace,
                                                          quantile=0.5)
     capacity = base_capacity * (1.0 - overload)
-    result = runner.run_system(specs, trace, capacity, mode="predictive",
-                               strategy="mmfs_pkt")
+    result = runner.system_config(
+        queries=specs, mode="predictive", strategy="mmfs_pkt",
+        cycles_per_second=capacity).build().run(trace)
     accs = runner.accuracy_by_query(result, reference)
     return {
         "dropped_packets": result.dropped_packets,
@@ -266,17 +268,14 @@ def figure_6_9_query_arrivals(scale: float = 1.0, overload: float = 0.4,
         base_specs + [spec for spec, _ in arriving], trace)
     capacity = base_capacity * (1.0 - overload)
 
-    system = MonitoringSystem(
-        runner.system_config(strategy="mmfs_pkt",
-                             cycles_per_second=capacity),
-        runner.build_queries(base_specs))
+    system = runner.system_config(queries=base_specs, strategy="mmfs_pkt",
+                                  cycles_per_second=capacity).build()
     pending = list(arriving)
     session = system.open_session(time_bin=runner.TIME_BIN, name=trace.name)
     for batch in trace.batches(runner.TIME_BIN):
         while pending and batch.start_ts + 1e-9 >= pending[0][1]:
             spec, start = pending.pop(0)
-            session.add_query(runner.build_queries([spec])[0],
-                              start_time=start)
+            session.add_query(QuerySpec.parse(spec).build(), start_time=start)
         session.ingest(batch)
     result = session.close()
     return {
@@ -303,12 +302,12 @@ def _misbehaving_run(query_cls, scale: float, overload: float,
         well_behaved + ["p2p-detector"], trace)
     _, reference = runner.calibrate_capacity(well_behaved, trace)
     capacity = base_capacity * (1.0 - overload)
-    queries = runner.build_queries(well_behaved)
+    config = runner.system_config(queries=well_behaved, strategy="mmfs_pkt",
+                                  cycles_per_second=capacity)
+    queries = config.build_queries()
     offender = query_cls()
     queries.append(offender)
-    system = MonitoringSystem(
-        runner.system_config(strategy="mmfs_pkt",
-                             cycles_per_second=capacity), queries)
+    system = config.build(queries)
     result = system.run(trace, time_bin=runner.TIME_BIN)
     state = system.enforcer.state(offender.name)
     accs = runner.accuracy_by_query(result, reference)
@@ -348,9 +347,10 @@ def figure_6_12_online_execution(scale: float = 1.0, overload: float = 0.5,
         trace = scenarios.payload_trace(
             scale=scale, duration=scenarios.scaled_duration("long", scale))
     specs = _chapter6_specs(custom=True)
-    result, reference = runner.run_with_overload(specs, trace, overload,
-                                                 mode="predictive",
-                                                 strategy="mmfs_pkt")
+    base_capacity, reference = runner.calibrate_capacity(specs, trace)
+    result = runner.system_config(
+        queries=specs, mode="predictive", strategy="mmfs_pkt",
+        cycles_per_second=base_capacity * (1.0 - overload)).build().run(trace)
     accs = runner.accuracy_by_query(result, reference)
     return {
         "series": {

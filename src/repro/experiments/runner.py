@@ -10,29 +10,35 @@ Most evaluation figures need one of three building blocks:
   query set run without shedding, so experiments can dial in an exact
   overload factor ``K`` (the paper sets the capacity experimentally the same
   way, Section 5.5.3).
-* :func:`run_system` / :func:`accuracy_by_query` — full system executions and
-  the per-query accuracy of an execution against a reference execution.
+* :func:`accuracy_by_query` — the per-query accuracy of an execution
+  against a reference execution.
+
+A full system execution is a config and one call: ::
+
+    config = runner.system_config(queries=specs, mode="predictive",
+                                  cycles_per_second=capacity * (1 - K))
+    result = config.build().run(trace)
+
+or ``build_system(config, n_workers=...).run(trace)`` when the config may
+be sharded (``num_shards > 1``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.cycles import CycleBudget
 from ..core.features import FeatureExtractor, FeatureVector
 from ..core.prediction import CyclePredictor, PredictionErrorTracker
 from ..core.sampling import FlowSampler, PacketSampler
 from ..monitor import metrics
 from ..monitor.config import SystemConfig
-from ..monitor.packet import Batch, PacketTrace, as_trace
+from ..monitor.packet import Batch, PacketTrace
 from ..monitor.query import SAMPLING_FLOW, Query, QueryResultLog
-from ..monitor.sharding import build_system
-from ..monitor.system import ExecutionResult, MonitoringSystem
-from ..queries import QuerySpec, make_query
+from ..monitor.system import ExecutionResult
+from ..queries import make_query
 
 #: Default time bin (100 ms, as in the paper).
 TIME_BIN = 0.1
@@ -52,24 +58,10 @@ def system_config(**overrides) -> SystemConfig:
     Starts from :data:`FEATURE_CONFIG` (exact feature counting) and the
     library defaults for everything else; any field of ``SystemConfig`` can
     be overridden — overrides always win over the harness defaults.  This is
-    the canonical way for experiments to build the config they hand to
-    :func:`run_system` / :meth:`SystemConfig.build`.
+    the canonical way for experiments to describe a run:
+    ``system_config(...).build().run(trace)``.
     """
     return SystemConfig(**{**FEATURE_CONFIG, **overrides})
-
-
-def _resolve_config(config: Optional[SystemConfig],
-                    mode: Optional[str] = None,
-                    strategy=None,
-                    predictor: Optional[str] = None) -> SystemConfig:
-    """``config`` (default: :func:`system_config`) with the explicitly
-    named ``mode``/``strategy``/``predictor`` arguments applied on top."""
-    if config is None:
-        config = system_config()
-    overrides = {key: value for key, value in
-                 (("mode", mode), ("strategy", strategy),
-                  ("predictor", predictor)) if value is not None}
-    return config.replace(**overrides) if overrides else config
 
 
 # ----------------------------------------------------------------------
@@ -138,161 +130,27 @@ def evaluate_predictor(predictor: CyclePredictor,
 # ----------------------------------------------------------------------
 # Capacity calibration and full-system runs
 # ----------------------------------------------------------------------
-def reference_system(queries: Iterable[Query], budget: Optional[CycleBudget] = None,
-                     config: Optional[SystemConfig] = None
-                     ) -> MonitoringSystem:
-    """A system configured for a reference (ground truth) execution."""
-    config = _resolve_config(config, mode="reference")
-    if budget is not None:
-        config = config.replace(cycles_per_second=budget.cycles_per_second)
-    return config.build(queries)
-
-
-def calibrate_capacity(query_names: Sequence[str], trace: PacketTrace,
+def calibrate_capacity(query_names: Sequence, trace: PacketTrace,
                        time_bin: float = TIME_BIN,
                        quantile: float = 0.95,
-                       query_kwargs: Optional[Dict[str, dict]] = None,
                        ) -> Tuple[float, ExecutionResult]:
     """Return ``(cycles_per_second, reference_result)`` for a query set.
 
-    The capacity is the per-bin cycle usage of an unshedded execution at the
+    ``query_names`` is any query mix the ``queries`` field of a
+    :class:`SystemConfig` accepts (registry names, ``(kind, kwargs)``
+    pairs, spec dicts or :class:`~repro.queries.QuerySpec` objects).  The
+    capacity is the per-bin cycle usage of an unshedded execution at the
     given quantile, converted to cycles per second.  Running an evaluated
     system at ``capacity * (1 - K)`` then produces an overload factor of
     roughly ``K`` (Section 5.4: ``K = 0`` no overload, ``K = 1`` no capacity).
     """
-    queries = build_queries(query_names, query_kwargs)
-    system = reference_system(queries)
-    reference = system.run(as_trace(trace), time_bin=time_bin)
+    reference = system_config(queries=query_names, mode="reference").build(
+    ).run(trace, time_bin=time_bin)
     per_bin = reference.cycles_per_bin()
     if len(per_bin) == 0:
         raise ValueError("trace produced no batches")
     capacity_per_bin = float(np.quantile(per_bin, quantile))
     return capacity_per_bin / time_bin, reference
-
-
-def build_queries(query_names: Sequence,
-                  query_kwargs: Optional[Dict[str, dict]] = None) -> List[Query]:
-    """Build query instances from specs.
-
-    Each spec is anything :meth:`repro.queries.QuerySpec.parse` accepts — a
-    registry name (``"counter"``), a ``(registry_name, kwargs)`` pair, a
-    spec dict or a :class:`~repro.queries.QuerySpec` — so several instances
-    of one query class can run under distinct names and carry declarative
-    filters.  The legacy ``query_kwargs`` mapping merges extra constructor
-    arguments into name-only specs.
-    """
-    query_kwargs = query_kwargs or {}
-    queries: List[Query] = []
-    for spec in query_names:
-        if isinstance(spec, str) and spec in query_kwargs:
-            queries.append(make_query(spec, **query_kwargs.get(spec, {})))
-        else:
-            queries.append(QuerySpec.parse(spec).build())
-    return queries
-
-
-def run_system(query_names: Optional[Sequence] = None,
-               trace: PacketTrace = None,
-               cycles_per_second: float = None,
-               mode: Optional[str] = None, strategy=None,
-               predictor: Optional[str] = None, time_bin: float = TIME_BIN,
-               query_kwargs: Optional[Dict[str, dict]] = None,
-               config: Optional[SystemConfig] = None,
-               num_shards: Optional[int] = None,
-               n_workers: int = 1, respect_cores: bool = True,
-               backend: str = "auto") -> ExecutionResult:
-    """Run a freshly-built system over a trace with an explicit capacity.
-
-    ``query_names`` is any query-mix description ``repro.queries`` can
-    parse — registry names, ``(name, kwargs)`` pairs, spec dicts or
-    :class:`~repro.queries.QuerySpec` objects; pass ``None`` to run the
-    declarative ``queries`` field of the config instead.
-
-    ``trace`` may be an in-memory :class:`PacketTrace`, a
-    :class:`~repro.monitor.packet.StreamingTrace`, or a trace store
-    (:class:`repro.traffic.trace_io.TraceStore`); stores replay
-    out-of-core, so traces far larger than RAM run with bounded memory.
-
-    The system is described by ``config`` (a :class:`repro.SystemConfig`;
-    defaults to :func:`system_config`, i.e. a predictive system with the
-    harness's exact feature counting).  ``mode``/``strategy``/``predictor``
-    remain as named conveniences and override the config; every other
-    system knob goes in the config.
-
-    With ``num_shards > 1`` (named argument or config field) the execution
-    runs on a :class:`~repro.monitor.sharding.ShardedSystem`: the stream is
-    flow-hash partitioned across that many shard pipelines (each owning a
-    fixed ``1/num_shards`` of the capacity) and the returned result is the
-    merged, stream-global one.  ``n_workers > 1`` asks for process-parallel
-    shard execution on ``backend`` (``"auto"`` resolves to the persistent
-    shard-worker pool when the host can honour the request); the default
-    ``n_workers=1`` keeps the shards serial in-process.  Results are
-    bit-identical either way.
-    """
-    if trace is None or cycles_per_second is None:
-        # Only query_names is genuinely optional (it may come from the
-        # config); these two merely default to None so query_names could.
-        raise ValueError("run_system requires a trace and an explicit "
-                         "cycles_per_second capacity")
-    config = _resolve_config(config, mode=mode, strategy=strategy,
-                             predictor=predictor)
-    if num_shards is not None:
-        config = config.replace(num_shards=int(num_shards))
-    config = config.replace(cycles_per_second=float(cycles_per_second))
-    if query_names is None:
-        if config.queries is None:
-            raise ValueError("run_system needs query_names or a config with "
-                             "a declarative 'queries' field")
-        query_names = config.queries
-    system = build_system(
-        config, lambda: build_queries(query_names, query_kwargs),
-        n_workers=int(n_workers), respect_cores=bool(respect_cores),
-        backend=backend)
-    return system.run(as_trace(trace), time_bin=time_bin)
-
-
-def ingest_trace(session, trace_or_store, close: bool = True):
-    """Drive an open session with every bin of a trace or trace store.
-
-    The out-of-core execution driver: ``session`` is any open streaming
-    session (:class:`~repro.monitor.session.MonitoringSession` or
-    :class:`~repro.monitor.sharding.ShardedSession`) and
-    ``trace_or_store`` anything :func:`repro.monitor.packet.as_trace`
-    accepts.  A v2 trace store streams through the full predict/shed
-    pipeline bin by bin, so peak memory does not grow with the trace.
-    Returns the final :class:`~repro.monitor.system.ExecutionResult`; pass
-    ``close=False`` to keep the session open (live reconfiguration, more
-    traffic) and get the session back instead.
-    """
-    session.ingest_trace(trace_or_store)
-    return session.close() if close else session
-
-
-def run_with_overload(query_names: Sequence[str], trace: PacketTrace,
-                      overload: float, mode: Optional[str] = None,
-                      strategy=None, predictor: Optional[str] = None,
-                      reference: Optional[ExecutionResult] = None,
-                      base_capacity: Optional[float] = None,
-                      time_bin: float = TIME_BIN,
-                      config: Optional[SystemConfig] = None
-                      ) -> Tuple[ExecutionResult, ExecutionResult]:
-    """Run a system at overload factor ``K`` and return (result, reference).
-
-    ``overload`` follows the paper's convention: the capacity handed to the
-    evaluated system is ``(1 - K)`` times the capacity needed to run the
-    query set without shedding.
-    """
-    if not 0.0 <= overload < 1.0:
-        raise ValueError("overload K must be in [0, 1)")
-    config = _resolve_config(config, mode=mode, strategy=strategy,
-                             predictor=predictor)
-    if reference is None or base_capacity is None:
-        base_capacity, reference = calibrate_capacity(query_names, trace,
-                                                      time_bin=time_bin)
-    capacity = base_capacity * (1.0 - overload)
-    result = run_system(query_names, trace, capacity, time_bin=time_bin,
-                        config=config)
-    return result, reference
 
 
 # ----------------------------------------------------------------------

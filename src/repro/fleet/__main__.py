@@ -29,7 +29,8 @@ import json
 import sys
 from typing import List, Optional
 
-from ..cli import add_system_args, apply_system_args
+from ..cli import (add_capacity_args, add_system_args, apply_system_args,
+                   resolve_capacity)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,14 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workload-seed", type=int, default=0,
                         help="synthetic workload seed (default: %(default)s)")
     add_system_args(parser)
-    capacity = parser.add_mutually_exclusive_group()
-    capacity.add_argument("--cycles-per-second", type=float, default=None,
-                          help="total fleet cycle capacity (split across "
-                               "nodes by weight)")
-    capacity.add_argument("--overload", type=float, default=0.3,
-                          help="overload factor K in [0, 1): fleet capacity "
-                               "is (1 - K) x the calibrated no-shedding "
-                               "capacity (default: %(default)s)")
+    add_capacity_args(parser, overload=0.3)
     parser.add_argument("--fleet-backend", default="auto", choices=BACKENDS,
                         help="node-execution backend (default: %(default)s): "
                              "'fork' keeps the node sessions resident in "
@@ -153,16 +147,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     config = apply_system_args(experiments_runner.system_config(), args)
-
-    if args.cycles_per_second is not None:
-        capacity = float(args.cycles_per_second)
-    else:
-        if not 0.0 <= args.overload < 1.0:
-            print("error: --overload must be in [0, 1)", file=sys.stderr)
-            return 2
-        base, _ = experiments_runner.calibrate_capacity(
-            config.queries, trace, time_bin=args.time_bin)
-        capacity = base * (1.0 - args.overload)
+    try:
+        capacity = resolve_capacity(config, trace, args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     config = config.replace(cycles_per_second=capacity)
 
     fleet = FleetRunner(topology, config=config, n_workers=args.n_workers,

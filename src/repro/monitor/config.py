@@ -86,16 +86,16 @@ class SystemConfig:
     seed: int = 0
     #: Number of flow-hash shards the stream is partitioned over.  ``1``
     #: runs the classic single-system data path; ``> 1`` is honoured by
-    #: :class:`~repro.monitor.sharding.ShardedSystem` (and by
-    #: ``runner.run_system``, which routes there automatically).
+    #: :class:`~repro.monitor.sharding.ShardedSystem`, which
+    #: :func:`~repro.monitor.sharding.build_system` routes to.
     num_shards: int = 1
     #: Declarative query mix: a tuple of
     #: :class:`repro.queries.QuerySpec` (anything
     #: :func:`repro.queries.parse_query_specs` accepts — a comma-separated
     #: name string, names, spec dicts — is canonicalised at construction).
     #: ``None`` means the query set is supplied as instances at build time;
-    #: when set, :meth:`build` (and ``runner.run_system`` /
-    #: ``ShardedSystem`` with no explicit queries) instantiates it.
+    #: when set, :meth:`build` (and ``build_system`` / ``ShardedSystem``
+    #: with no explicit queries) instantiates it.
     queries: Optional[Tuple[Any, ...]] = None
     #: Declarative tenant groups: a tuple of
     #: :class:`repro.core.tenancy.TenantGroup` (or dicts), each owning a set
@@ -224,9 +224,8 @@ class SystemConfig:
         declarative ``queries`` field (when set).  A sharded config
         (``num_shards > 1``) cannot be built from query *instances* —
         every shard needs its own copies — so building one here raises;
-        construct a :class:`~repro.monitor.sharding.ShardedSystem` with a
-        query factory instead (``runner.run_system`` does this
-        automatically).
+        build it with :func:`~repro.monitor.sharding.build_system`
+        instead, which gives every shard its own instances.
         """
         from .system import MonitoringSystem
         return MonitoringSystem(self, queries)

@@ -266,8 +266,8 @@ def build_system(config: SystemConfig,
     """The system ``config`` describes: sharded when it says so.
 
     The one place that decides serial versus sharded.  Whoever opens the
-    session a config describes goes through it — ``runner.run_system``, the
-    serve daemon, and a session executor for each of its sessions (a
+    session a config describes goes through it — the replay CLI, the serve
+    daemon, and a session executor for each of its sessions (a
     shard's config builds a :class:`~repro.monitor.system.MonitoringSystem`,
     a fleet node's may nest a whole :class:`ShardedSystem`) — and gets back
     something with ``open_session(time_bin=, name=)`` and ``run(trace)``.

@@ -319,8 +319,7 @@ class MonitoringSystem:
             raise ValueError(
                 f"a MonitoringSystem is a single shard; num_shards="
                 f"{config.num_shards} requires repro.monitor.sharding."
-                "build_system (runner.run_system routes there "
-                "automatically)")
+                "build_system")
         self.config = config
         self.mode = config.mode
         self.budget = config.make_budget()

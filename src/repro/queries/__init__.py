@@ -1,7 +1,7 @@
 """Standard CoMo query set (Table 2.2) plus the Chapter 6 misbehaving variants.
 
-The :func:`standard_queries` factory returns fresh instances of the query set
-used throughout the evaluation; experiments select subsets by name.
+:func:`make_query` returns a fresh instance of one query of the set used
+throughout the evaluation, by its registry name.
 
 On top of the name registry sits the declarative :class:`QuerySpec` layer: a
 frozen, hashable, JSON-serialisable value object naming a query *kind*, its
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from ..monitor import filters as filter_lib
 from ..monitor.filters import Filter
@@ -51,9 +51,7 @@ __all__ = [
     "MERGE_EXACTNESS",
     "MERGE_EXACT_KINDS",
     "QuerySpec",
-    "standard_queries",
     "make_query",
-    "build_queries",
     "load_query_specs",
     "parse_filter",
     "parse_query_specs",
@@ -132,12 +130,6 @@ def make_query(kind: str, **kwargs) -> Query:
         raise KeyError(f"unknown query {kind!r}; "
                        f"available: {sorted(QUERY_CLASSES)}") from None
     return cls(**kwargs)
-
-
-def standard_queries(names: Optional[Iterable[str]] = None) -> List[Query]:
-    """Fresh instances of the named queries (default: all ten)."""
-    selected = list(names) if names is not None else sorted(QUERY_CLASSES)
-    return [make_query(name) for name in selected]
 
 
 # ----------------------------------------------------------------------
@@ -298,7 +290,7 @@ class QuerySpec:
         """Coerce any accepted spec shape into a :class:`QuerySpec`.
 
         Accepts an existing spec, a registry name (``"flows"``), a
-        ``(name, kwargs)`` pair (the historical ``build_queries`` shape) or
+        ``(name, kwargs)`` pair or
         a dict (``{"kind": ..., "kwargs": ..., "filter": ...}``).
         """
         if isinstance(spec, QuerySpec):
@@ -353,7 +345,3 @@ def load_query_specs(path) -> Tuple[QuerySpec, ...]:
         raise ValueError(f"{path}: expected a JSON list of query specs")
     return parse_query_specs(data)
 
-
-def build_queries(specs: Union[str, Iterable]) -> List[Query]:
-    """Fresh query instances for a query-mix description."""
-    return [spec.build() for spec in parse_query_specs(specs)]

@@ -35,8 +35,9 @@ from typing import List, Optional
 # The shared system/sharding flag surface moved to :mod:`repro.cli` (it is
 # consumed by repro.replay, repro.serve and repro.fleet alike); the names
 # are re-exported here for callers that imported them from this module.
-from .cli import (add_backend_arg, add_system_args,  # noqa: F401
-                  apply_system_args, resolve_query_specs)
+from .cli import (add_backend_arg, add_capacity_args,  # noqa: F401
+                  add_system_args, apply_system_args, resolve_capacity,
+                  resolve_query_specs)
 from .profile import peak_rss_mb
 
 
@@ -49,13 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                                       "directory")
     add_system_args(parser)
     add_backend_arg(parser)
-    capacity = parser.add_mutually_exclusive_group()
-    capacity.add_argument("--cycles-per-second", type=float, default=None,
-                          help="explicit cycle capacity of the host")
-    capacity.add_argument("--overload", type=float, default=0.5,
-                          help="overload factor K in [0, 1): capacity is "
-                               "(1 - K) x the calibrated no-shedding "
-                               "capacity (default: %(default)s)")
+    add_capacity_args(parser, overload=0.5)
     parser.add_argument("--check", action="store_true",
                         help="instead of a replay at capacity, replay on "
                              "one system and on --num-shards shards in "
@@ -152,6 +147,7 @@ def _check(config, trace, args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     # Imports deferred so ``--help`` answers without loading the package.
     from .experiments import runner
+    from .monitor.sharding import build_system
     from .traffic.trace_io import TraceStore, open_trace
 
     args = build_parser().parse_args(argv)
@@ -178,21 +174,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
         return _check(config, trace, args)
 
-    if args.cycles_per_second is not None:
-        capacity = float(args.cycles_per_second)
-    else:
-        if not 0.0 <= args.overload < 1.0:
-            print("error: --overload must be in [0, 1)", file=sys.stderr)
-            return 2
-        base, _ = runner.calibrate_capacity(query_specs, trace,
-                                            time_bin=args.time_bin)
-        capacity = base * (1.0 - args.overload)
+    try:
+        capacity = resolve_capacity(config, trace, args)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
-    result = runner.run_system(None, trace, capacity,
-                               time_bin=args.time_bin, config=config,
-                               num_shards=args.num_shards,
-                               n_workers=args.n_workers,
-                               backend=args.backend)
+    result = build_system(
+        config.replace(cycles_per_second=capacity), n_workers=args.n_workers,
+        backend=args.backend).run(trace, time_bin=args.time_bin)
     summary = _summary(result, trace, args, capacity, store)
     if args.as_json:
         print(json.dumps(summary, indent=1))

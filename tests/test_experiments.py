@@ -43,10 +43,6 @@ class TestRunner:
         assert capacity > 0
         assert reference.dropped_packets == 0
 
-    def test_run_with_overload_validation(self, header_trace):
-        with pytest.raises(ValueError):
-            runner.run_with_overload(("counter",), header_trace, overload=1.5)
-
     def test_accuracy_vs_sampling_rate_monotone_ends(self, header_trace):
         curve = runner.accuracy_vs_sampling_rate("counter", header_trace,
                                                  rates=(0.3, 1.0))
@@ -76,7 +72,8 @@ def test_accuracy_scores_a_renamed_query_instance_by_kind():
         queries=(QuerySpec("counter", {"name": "q00"}), "flows"))
     trace = scenarios.build_workload("cesca", seed=3, scale=0.1)
     capacity, reference = runner.calibrate_capacity(config.queries, trace)
-    result = runner.run_system(None, trace, capacity * 0.5, config=config)
+    result = config.replace(cycles_per_second=capacity * 0.5).build().run(
+        trace)
     accuracy = runner.accuracy_by_query(result, reference,
                                         config.query_kinds())
     assert set(accuracy) == {"q00", "flows"}

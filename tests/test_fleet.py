@@ -582,3 +582,13 @@ class TestFleetCLI:
                            "--duration", "1.0", "--queries", "counter",
                            "--overload", "1.5"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("capacity", ["-5", "0"])
+    def test_a_capacity_that_is_not_positive_exits_2_in_one_line(
+            self, capsys, capacity):
+        assert fleet_main(["--nodes", "2", "--workload", "flow-spike",
+                           "--duration", "1.0", "--workload-scale", "0.25",
+                           "--cycles-per-second", capacity]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --cycles-per-second must be positive")
+        assert err.count("\n") == 1 and "Traceback" not in err

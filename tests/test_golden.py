@@ -146,11 +146,11 @@ def _run_cells(calibrated, feature_method: str = "exact") -> Dict[str, Cell]:
     trace, capacity, reference = calibrated
     cells = {}
     for mode in GOLDEN:
-        config = runner.system_config(mode=mode, seed=_cell_seed(mode),
-                                      feature_method=feature_method)
-        result = runner.run_system(GOLDEN_QUERIES, trace,
-                                   capacity * (1.0 - GOLDEN_OVERLOAD),
-                                   config=config)
+        config = runner.system_config(
+            queries=GOLDEN_QUERIES, mode=mode, seed=_cell_seed(mode),
+            feature_method=feature_method,
+            cycles_per_second=capacity * (1.0 - GOLDEN_OVERLOAD))
+        result = config.build().run(trace)
         cells[mode] = Cell(result, runner.accuracy_by_query(result, reference))
     return cells
 

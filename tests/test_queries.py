@@ -10,13 +10,13 @@ from repro.monitor.packet import Batch
 from repro.monitor.query import SAMPLING_CUSTOM, SAMPLING_FLOW
 from repro.queries import (QUERY_CLASSES, BuggyP2PDetectorQuery,
                            P2PDetectorQuery, SelfishP2PDetectorQuery,
-                           make_query, standard_queries)
+                           make_query)
 from tests.conftest import make_batch
 
 
 class TestQueryFactory:
     def test_all_standard_queries_instantiate(self):
-        queries = standard_queries()
+        queries = [make_query(kind) for kind in QUERY_CLASSES]
         assert len(queries) == len(QUERY_CLASSES)
         assert len({q.name for q in queries}) == len(queries)
 
@@ -25,7 +25,8 @@ class TestQueryFactory:
             make_query("nope")
 
     def test_minimum_sampling_rates_in_range(self):
-        for query in standard_queries():
+        for kind in QUERY_CLASSES:
+            query = make_query(kind)
             assert 0.0 <= query.minimum_sampling_rate <= 1.0
 
     def test_every_query_has_a_metric(self):

@@ -3,7 +3,7 @@
 Covers :class:`repro.queries.QuerySpec` (parsing, hashing, round-trips,
 filter expressions), the ``queries`` field of :class:`repro.SystemConfig`
 (validation + ``to_dict``/``from_dict`` round-trip), the spec-driven build
-paths (``config.build``, ``ShardedSystem``, ``runner.run_system``), the
+paths (``config.build``, ``ShardedSystem``), the
 named query mixes and the ``python -m repro.replay --queries`` resolution
 including JSON spec files.
 """
@@ -17,7 +17,7 @@ from repro import replay
 from repro.experiments import runner, scenarios
 from repro.monitor.config import SystemConfig
 from repro.monitor.packet import PROTO_TCP
-from repro.queries import (QuerySpec, build_queries, load_query_specs,
+from repro.queries import (QuerySpec, load_query_specs, make_query,
                            parse_filter, parse_query_specs)
 from tests.conftest import make_batch
 
@@ -89,8 +89,9 @@ class TestQuerySpec:
         assert [spec.kind for spec in specs] == ["counter", "flows", "top-k"]
 
     def test_build_queries_returns_fresh_instances(self):
-        first = build_queries("counter,flows")
-        second = build_queries("counter,flows")
+        config = SystemConfig(queries="counter,flows")
+        first = config.build_queries()
+        second = config.build_queries()
         assert [q.name for q in first] == ["counter", "flows"]
         assert first[0] is not second[0]
 
@@ -153,7 +154,6 @@ class TestSystemConfigQueries:
         assert sorted(system.query_names) == ["counter", "flows"]
 
     def test_explicit_instances_override_declarative_queries(self):
-        from repro.queries import make_query
         config = runner.system_config(queries=("counter", "flows"))
         system = config.build([make_query("trace")])
         assert system.query_names == ["trace"]
@@ -167,31 +167,28 @@ class TestSpecDrivenExecution:
     def trace(self):
         return scenarios.build_workload("cesca", seed=7, scale=0.2)
 
-    def test_run_system_from_config_queries(self, trace):
+    def test_run_from_config_queries(self, trace):
         config = runner.system_config(
             queries=("counter",
-                     {"kind": "top-k", "kwargs": {"k": 5, "name": "top-5"}}))
-        result = runner.run_system(None, trace, 5e7, config=config)
+                     {"kind": "top-k", "kwargs": {"k": 5, "name": "top-5"}}),
+            cycles_per_second=5e7)
+        result = config.build().run(trace)
         assert sorted(result.query_logs) == ["counter", "top-5"]
 
-    def test_run_system_requires_some_query_source(self, trace):
-        with pytest.raises(ValueError, match="query_names or a config"):
-            runner.run_system(None, trace, 5e7)
-
-    def test_run_system_accepts_spec_sequences(self, trace):
-        result = runner.run_system(
-            ({"kind": "counter", "kwargs": {"name": "c-tcp"},
-              "filter": "tcp"}, "flows"), trace, 5e7)
+    def test_run_accepts_spec_sequences(self, trace):
+        result = runner.system_config(
+            queries=({"kind": "counter", "kwargs": {"name": "c-tcp"},
+                      "filter": "tcp"}, "flows"),
+            cycles_per_second=5e7).build().run(trace)
         assert sorted(result.query_logs) == ["c-tcp", "flows"]
 
     def test_spec_path_matches_name_path_bit_for_bit(self, trace):
         """Building from specs must not perturb execution results."""
-        by_name = runner.run_system(("counter", "flows"), trace, 4e7,
-                                    config=runner.system_config(seed=3))
-        by_spec = runner.run_system(
-            None, trace, 4e7,
-            config=runner.system_config(seed=3,
-                                        queries=("counter", "flows")))
+        config = runner.system_config(seed=3, cycles_per_second=4e7)
+        by_name = config.build(
+            [make_query("counter"), make_query("flows")]).run(trace)
+        by_spec = config.replace(queries=("counter", "flows")).build().run(
+            trace)
         assert np.array_equal(by_name.series("query_cycles"),
                               by_spec.series("query_cycles"))
         for name, log in by_name.query_logs.items():
@@ -253,10 +250,6 @@ class TestReplayQueriesFlag:
         specs = replay.resolve_query_specs("rankings")
         assert [spec.kind for spec in specs] == \
             ["top-k", "top-k", "super-sources", "autofocus"]
-
-    def test_run_system_rejects_missing_trace_or_capacity(self):
-        with pytest.raises(ValueError, match="requires a trace"):
-            runner.run_system(("counter",))
 
     def test_resolves_json_file(self, tmp_path):
         path = tmp_path / "mix.json"

@@ -536,8 +536,8 @@ def test_sharded_daemon_serves_and_reports_shards(serve_trace):
     assert result is not None
 
     # And the daemon's execution matches the plain offline sharded run.
-    expected = runner.run_system(None, serve_trace, CAPACITY,
-                                 time_bin=TIME_BIN, config=config)
+    from repro.monitor.sharding import build_system
+    expected = build_system(config).run(serve_trace, time_bin=TIME_BIN)
     prefix = len(result.bins)
     assert np.array_equal(
         result.series("query_cycles"),
@@ -545,9 +545,9 @@ def test_sharded_daemon_serves_and_reports_shards(serve_trace):
 
 
 def test_every_way_in_builds_through_build_system(serve_trace):
-    """A daemon, ``run_system`` and a checkpoint restore of the same
-    sharded config open the same execution: ``build_system`` decides
-    serial versus sharded for all of them."""
+    """A daemon and a checkpoint restore of the same sharded config open
+    the execution ``build_system`` builds: it decides serial versus
+    sharded for all of them."""
     from repro.monitor.sharding import (ShardedSession, ShardedSystem,
                                         build_system)
     from repro.monitor.system import MonitoringSystem
@@ -557,10 +557,6 @@ def test_every_way_in_builds_through_build_system(serve_trace):
     assert isinstance(build_system(config.replace(num_shards=1)),
                       MonitoringSystem)
     expected = build_system(config).run(serve_trace, time_bin=TIME_BIN)
-
-    ran = runner.run_system(None, serve_trace, CAPACITY, time_bin=TIME_BIN,
-                            config=config)
-    assert_results_identical(expected, ran, "run_system")
 
     daemon = MonitorDaemon(config, ReplayFeed(serve_trace, time_bin=TIME_BIN))
     assert isinstance(daemon.session, ShardedSession)

@@ -351,24 +351,20 @@ class TestSessionLiveReconfiguration:
 # Removed surfaces
 # ----------------------------------------------------------------------
 class TestRemovedSurfaces:
-    def test_loose_kwargs_and_the_fork_backend_are_refused(self, small_trace,
-                                                           calibrated):
-        """System knobs travel in a ``SystemConfig`` and nowhere else, and
-        a caller that still says ``"fork"`` learns the three valid backends.
+    def test_loose_kwargs_and_the_fork_backend_are_refused(self):
+        """A run is a ``SystemConfig``, built and run: the runner's wrappers
+        that took system knobs beside the config are gone, as are the two
+        other ways to build a query list, and a caller that still says
+        ``"fork"`` learns the three valid backends.
         """
-        capacity, reference = calibrated
-        with pytest.raises(TypeError, match="seed"):
-            runner.run_system(QUERY_SET, small_trace, capacity, seed=3)
-        with pytest.raises(TypeError, match="feature_method"):
-            runner.run_with_overload(QUERY_SET, small_trace, 0.3,
-                                     base_capacity=capacity,
-                                     reference=reference,
-                                     feature_method="exact")
-        with pytest.raises(TypeError, match="seed"):
-            runner.reference_system([make_query("counter")], seed=3)
-        result = runner.run_system(QUERY_SET, small_trace, capacity,
-                                   config=runner.system_config(seed=3))
-        assert result.total_packets == len(small_trace)
+        for name in ("run_system", "run_with_overload", "reference_system",
+                     "_resolve_config", "build_queries", "ingest_trace"):
+            with pytest.raises(AttributeError):
+                getattr(runner, name)
+        with pytest.raises(ImportError):
+            from repro import standard_queries  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.queries import build_queries  # noqa: F401
 
         with pytest.raises(ValueError) as refused:
             ShardedSystem(config=SystemConfig(queries="counter"),

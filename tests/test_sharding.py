@@ -32,7 +32,7 @@ from repro import replay
 from repro.experiments import runner, scenarios
 from repro.monitor.pipeline import BinRecord
 from repro.monitor.sharding import (ShardDivergenceError, ShardedSystem,
-                                    shard_seed)
+                                    build_system, shard_seed)
 from repro.monitor.workers import fork_start_available
 from repro.queries import QUERY_CLASSES, make_query
 from repro.traffic.trace_io import save_trace_store
@@ -291,10 +291,11 @@ class TestMergedAccuracy:
         up to floating-point associativity.
         """
         trace, capacity, _ = golden_scenario
-        unsharded = runner.run_system(("counter", "flows"), trace, capacity,
-                                      mode="reference")
-        sharded = runner.run_system(("counter", "flows"), trace, capacity,
-                                    mode="reference", num_shards=4)
+        config = runner.system_config(queries=("counter", "flows"),
+                                      mode="reference",
+                                      cycles_per_second=capacity)
+        unsharded = config.build().run(trace)
+        sharded = build_system(config.replace(num_shards=4)).run(trace)
         for qname in ("counter", "flows"):
             plain, merged = (unsharded.query_logs[qname],
                              sharded.query_logs[qname])
@@ -311,8 +312,9 @@ class TestMergedAccuracy:
         reference within a loose sampling tolerance (the per-shard pipelines
         shed independently, so shard noise adds on top of sampling noise)."""
         trace, capacity, reference = golden_scenario
-        sharded = runner.run_system(QUERY_SET, trace, capacity * 0.5,
-                                    num_shards=num_shards)
+        sharded = build_system(runner.system_config(
+            queries=QUERY_SET, num_shards=num_shards,
+            cycles_per_second=capacity * 0.5)).run(trace)
         accuracy = runner.accuracy_by_query(sharded, reference)
         assert accuracy["counter"] >= 0.85
         assert accuracy["flows"] >= 0.78
@@ -322,8 +324,9 @@ class TestMergedAccuracy:
         """The shards' fixed 1/N slices are the node's whole cycle budget,
         bin by bin."""
         trace, capacity, _ = golden_scenario
-        result = runner.run_system(QUERY_SET, trace, capacity * 0.5,
-                                   num_shards=4)
+        result = build_system(runner.system_config(
+            queries=QUERY_SET, num_shards=4,
+            cycles_per_second=capacity * 0.5)).run(trace)
         available = result.series("available_cycles")
         assert np.allclose(available, capacity * 0.5 * runner.TIME_BIN)
 

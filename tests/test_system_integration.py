@@ -93,16 +93,18 @@ class TestReferenceExecution:
 class TestPredictiveExecution:
     def test_no_overload_no_shedding(self, small_trace_module, calibrated):
         capacity, _ = calibrated
-        result = runner.run_system(QUERY_SET, small_trace_module,
-                                   capacity * 2.0, mode="predictive")
+        result = runner.system_config(
+            queries=QUERY_SET, mode="predictive",
+            cycles_per_second=capacity * 2.0).build().run(small_trace_module)
         assert result.dropped_packets == 0
         assert result.mean_sampling_rate() > 0.98
 
     def test_overload_triggers_shedding_not_drops(self, small_trace_module,
                                                   calibrated):
         capacity, reference = calibrated
-        result = runner.run_system(QUERY_SET, small_trace_module,
-                                   capacity * 0.5, mode="predictive")
+        result = runner.system_config(
+            queries=QUERY_SET, mode="predictive",
+            cycles_per_second=capacity * 0.5).build().run(small_trace_module)
         assert result.mean_sampling_rate() < 0.9
         assert result.drop_fraction < 0.02
         # CPU usage stays close to the reduced budget.
@@ -113,10 +115,12 @@ class TestPredictiveExecution:
     def test_predictive_beats_original_accuracy(self, small_trace_module,
                                                 calibrated):
         capacity, reference = calibrated
-        predictive = runner.run_system(QUERY_SET, small_trace_module,
-                                       capacity * 0.5, mode="predictive")
-        original = runner.run_system(QUERY_SET, small_trace_module,
-                                     capacity * 0.5, mode="original")
+        predictive = runner.system_config(
+            queries=QUERY_SET, mode="predictive",
+            cycles_per_second=capacity * 0.5).build().run(small_trace_module)
+        original = runner.system_config(
+            queries=QUERY_SET, mode="original",
+            cycles_per_second=capacity * 0.5).build().run(small_trace_module)
         pred_err = runner.error_by_query(predictive, reference)
         orig_err = runner.error_by_query(original, reference)
         assert original.dropped_packets > 0
@@ -126,9 +130,10 @@ class TestPredictiveExecution:
     def test_strategies_respect_min_rates(self, small_trace_module, calibrated):
         capacity, _ = calibrated
         for strategy in ("eq_srates", "mmfs_cpu", "mmfs_pkt"):
-            result = runner.run_system(QUERY_SET, small_trace_module,
-                                       capacity * 0.4, mode="predictive",
-                                       strategy=strategy)
+            result = runner.system_config(
+                queries=QUERY_SET, mode="predictive", strategy=strategy,
+                cycles_per_second=capacity * 0.4,
+            ).build().run(small_trace_module)
             for name in QUERY_SET:
                 rates = result.rate_series(name)
                 min_rate = make_query(name).minimum_sampling_rate
@@ -138,8 +143,9 @@ class TestPredictiveExecution:
 
     def test_reactive_mode_sheds(self, small_trace_module, calibrated):
         capacity, _ = calibrated
-        result = runner.run_system(QUERY_SET, small_trace_module,
-                                   capacity * 0.5, mode="reactive")
+        result = runner.system_config(
+            queries=QUERY_SET, mode="reactive",
+            cycles_per_second=capacity * 0.5).build().run(small_trace_module)
         assert result.mean_sampling_rate() < 1.0
 
     def test_query_arrival(self, small_trace_module, calibrated):
@@ -232,8 +238,9 @@ class TestCustomSheddingIntegration:
 class TestExecutionResult:
     def test_series_and_rates(self, small_trace_module, calibrated):
         capacity, _ = calibrated
-        result = runner.run_system(QUERY_SET, small_trace_module,
-                                   capacity * 0.6, mode="predictive")
+        result = runner.system_config(
+            queries=QUERY_SET, mode="predictive",
+            cycles_per_second=capacity * 0.6).build().run(small_trace_module)
         assert len(result.series("query_cycles")) == len(result.bins)
         assert len(result.rate_series("counter")) == len(result.bins)
         assert result.total_packets == len(small_trace_module)

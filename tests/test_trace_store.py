@@ -364,10 +364,10 @@ def shed_setup(store_and_trace):
 def test_streaming_replay_bit_identical_all_modes(shed_setup, mode):
     """The golden pin: v1 in-memory vs v2 streamed replay, all four modes."""
     store, trace, capacity = shed_setup
-    config = runner.system_config(mode=mode, seed=7)
-    in_memory = runner.run_system(QUERY_SET, trace, capacity, config=config)
-    streamed = runner.run_system(QUERY_SET, store.streaming(), capacity,
-                                 config=config)
+    config = runner.system_config(queries=QUERY_SET, mode=mode, seed=7,
+                                  cycles_per_second=capacity)
+    in_memory = config.build().run(trace)
+    streamed = config.build().run(store.streaming())
     _assert_results_identical(in_memory, streamed, mode)
 
 
@@ -390,11 +390,10 @@ def test_streaming_payload_replay_bit_identical_all_modes(
     """The same pin on a payload store: header columns, payload offsets
     and payload bytes all come from per-bin reads of their files."""
     store, trace, capacity = payload_shed_setup
-    config = runner.system_config(mode=mode, seed=7)
-    in_memory = runner.run_system(PAYLOAD_QUERY_SET, trace, capacity,
-                                  config=config)
-    streamed = runner.run_system(PAYLOAD_QUERY_SET, store.streaming(),
-                                 capacity, config=config)
+    config = runner.system_config(queries=PAYLOAD_QUERY_SET, mode=mode,
+                                  seed=7, cycles_per_second=capacity)
+    in_memory = config.build().run(trace)
+    streamed = config.build().run(store.streaming())
     _assert_results_identical(in_memory, streamed, f"payload/{mode}")
 
 
@@ -408,9 +407,7 @@ def test_sharded_streaming_replay_bit_identical(shed_setup):
         return [make_query(name) for name in QUERY_SET]
 
     in_memory = ShardedSystem(factory, config=config).run(trace)
-    session = ShardedSystem(factory, config=config).open_session(
-        name=store.name)
-    streamed = runner.ingest_trace(session, store.streaming())
+    streamed = ShardedSystem(factory, config=config).run(store.streaming())
     _assert_results_identical(in_memory, streamed, "sharded")
 
 
@@ -458,6 +455,17 @@ def test_replay_cli_reports_memory_and_has_no_residency_flags(
     usage = replay.build_parser().format_help()
     for flag in ("--chunk-packets", "--max-chunks", "--prefetch"):
         assert flag not in usage
+
+
+@pytest.mark.parametrize("capacity", ["-5", "0"])
+def test_replay_cli_refuses_a_capacity_that_is_not_positive_in_one_line(
+        tmp_path, capsys, small_trace, capacity):
+    store = save_trace_store(small_trace, tmp_path / "cli")
+    assert replay.main([str(store.path), "--queries", "counter",
+                        "--cycles-per-second", capacity]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --cycles-per-second must be positive")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_replay_cli_on_a_v1_archive(tmp_path, capsys, small_trace):
