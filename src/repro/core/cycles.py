@@ -86,7 +86,9 @@ class CycleMeter:
     ) -> None:
         self.costs = costs if costs is not None else OperationCosts()
         self.noise_std = float(noise_std)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        #: The noise generator; ``None`` until the first noisy draw makes
+        #: the default one (every system reseeds its queries' meters).
+        self._rng = rng
         self._accumulated = 0.0
 
     def reseed(self, seed: int) -> None:
@@ -114,6 +116,8 @@ class CycleMeter:
         cycles = self._accumulated
         self._accumulated = 0.0
         if self.noise_std > 0.0 and cycles > 0.0:
+            if self._rng is None:
+                self._rng = np.random.default_rng(0)
             cycles *= max(0.0, 1.0 + self._rng.normal(0.0, self.noise_std))
         return cycles
 

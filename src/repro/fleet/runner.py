@@ -209,12 +209,13 @@ class FleetRunner:
 
         Federation folds per-name logs through the owning class's
         ``RESULT_MERGE`` spec; the classes come from the first node's
-        config (every node must run the same query names for the merge to
-        be defined — per-node overlays may change budgets and modes, not
-        the query set's names).
+        query specs, read without building a query — only the node
+        sessions build them (every node must run the same query names for
+        the merge to be defined — per-node overlays may change budgets and
+        modes, not the query set's names).
         """
-        queries = self.topology.node_configs(self.config)[0].build_queries()
-        return {query.name: type(query) for query in queries}
+        kinds = self.topology.node_configs(self.config)[0].query_kinds()
+        return {name: QUERY_CLASSES[kind] for name, kind in kinds.items()}
 
     # ------------------------------------------------------------------
     def run(self, trace, time_bin: float = 0.1,

@@ -123,9 +123,11 @@ class ShardedSystem:
     query_factory:
         Zero-argument callable returning a fresh list of
         :class:`~repro.monitor.query.Query` instances; called once per
-        shard so every shard owns independent query state.  ``None`` uses
-        the config's declarative ``queries`` field (a spec mix is a
-        factory by construction: every shard builds fresh instances).
+        shard so every shard owns independent query state, and once here
+        for the mix's names.  ``None`` uses the config's declarative
+        ``queries`` field (a spec mix is a factory by construction: every
+        shard builds fresh instances); the names are then read from the
+        specs, so the coordinating parent builds no query at all.
     config:
         :class:`SystemConfig` of the *whole* system.  ``cycles_per_second``
         is the total capacity, split evenly across shards; ``num_shards``
@@ -160,12 +162,22 @@ class ShardedSystem:
         self.backend = backend
         self.n_workers = int(n_workers)
         self.respect_cores = bool(respect_cores)
+        #: The names of the configured mix, validated unique.
+        self.query_names: List[str] = []
         if query_factory is None:
             if config.queries is None:
                 raise ValueError(
                     "ShardedSystem needs either a query_factory or a config "
                     "with a declarative 'queries' field")
+            # The specs name their instances, and refuse duplicates.
+            self.query_names = list(config.query_kinds())
             query_factory = config.build_queries
+        else:
+            for query in query_factory():
+                if query.name in self.query_names:
+                    raise ValueError(
+                        f"a query named {query.name!r} is already registered")
+                self.query_names.append(query.name)
         self.query_factory = query_factory
         self.total_cycles_per_second = config.make_budget().cycles_per_second
         share = self.total_cycles_per_second / self.num_shards
@@ -184,13 +196,6 @@ class ShardedSystem:
             for index in range(self.num_shards)
         ]
         self.mode = config.mode
-        #: The names of the configured mix, validated unique.
-        self.query_names: List[str] = []
-        for query in query_factory():
-            if query.name in self.query_names:
-                raise ValueError(
-                    f"a query named {query.name!r} is already registered")
-            self.query_names.append(query.name)
 
     @cached_property
     def systems(self) -> List:
@@ -720,9 +725,9 @@ class ShardedSession:
         config = state["config"]
         # The checkpointed sessions replace whatever the factory builds, so
         # without a declarative mix any picklable factory of no queries
-        # will do (spawn-start worker pools pickle it).
-        factory = (config.build_queries if config.queries is not None
-                   else list)
+        # will do (spawn-start worker pools pickle it); with one, the
+        # parent reads the names from the specs and builds nothing.
+        factory = None if config.queries is not None else list
         sharded = ShardedSystem(query_factory=factory, config=config,
                                 n_workers=n_workers,
                                 respect_cores=respect_cores,

@@ -74,15 +74,21 @@ def write_header_store(path, seconds, packets_per_bin=10_000):
     return TraceStore(path)
 
 
+def probe(script, store):
+    """Run ``script`` on ``store`` in a fresh process of its own; what it
+    prints, split into words."""
+    import repro
+    src = Path(repro.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-c", script, str(store.path)],
+                          env={"PYTHONPATH": str(src)}, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
 def probe_rss_mb(script, store):
     """Run ``script`` on ``store`` in a process of its own, so a peak is
     that run's own; the first two numbers it prints (``VmHWM`` in kB,
     before and after) in MB."""
-    import repro
-    src = Path(repro.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", script, str(store.path)],
-                         env={"PYTHONPATH": str(src)}, check=True,
-                         capture_output=True, text=True).stdout.split()
+    out = probe(script, store)
     return int(out[0]) / 1024.0, int(out[1]) / 1024.0
 
 

@@ -13,7 +13,8 @@ parts it splits them into outlive the run, and its resident set does not
 grow with the store.  The shards of a node are the fourth: they ship every
 flushed interval's partial and every bin's record to the node, so what a
 shard session holds does not grow with the intervals it has seen, and the
-node's own resident set does not grow with the store either.
+node's own resident set does not grow with the store either.  Last, what a
+coordinating parent never holds at all: a query of its own.
 """
 
 import gc
@@ -34,7 +35,7 @@ from repro.monitor.workers import fork_start_available
 from repro.queries import QuerySpec
 from repro.testing import assert_results_identical
 from repro.traffic.trace_io import TraceStore, save_trace_store
-from tests.conftest import (drop_memos, make_batch, probe_rss_mb,
+from tests.conftest import (drop_memos, make_batch, probe, probe_rss_mb,
                             write_header_store)
 
 TIME_BIN = 0.1
@@ -509,3 +510,57 @@ def test_sharded_parent_resident_set_does_not_grow_with_the_store(tmp_path):
     _, short_peak = probe_rss_mb(_SHARDED_RSS_PROBE, short)
     _, long_peak = probe_rss_mb(_SHARDED_RSS_PROBE, long)
     assert abs(long_peak - short_peak) < 3.0
+
+
+# ----------------------------------------------------------------------
+# A coordinating parent builds no query
+# ----------------------------------------------------------------------
+# A node on shard workers, then a fleet on forked workers, in one process
+# whose Query.__init__ counts; prints how many queries the parent built and
+# whether it imported numpy.random (the meters' generators would).  The one
+# query it does build is the caller's, added live to the node.
+_PARENT_QUERIES_PROBE = """
+import sys
+from repro.experiments import runner
+from repro.fleet import FleetRunner, FleetTopology
+from repro.monitor.query import Query
+from repro.monitor.sharding import ShardedSystem
+from repro.queries import QuerySpec
+from repro.traffic.trace_io import TraceStore
+
+built = []
+init = Query.__init__
+
+def counted(self, *args, **kwargs):
+    built.append(type(self).__name__)
+    init(self, *args, **kwargs)
+
+Query.__init__ = counted
+store = TraceStore(sys.argv[1])
+config = runner.system_config(queries="counter,flows,top-k", seed=5)
+session = ShardedSystem(config=config, num_shards=2, backend="workers"
+                        ).open_session(time_bin=0.1, name=store.name)
+assert session.backend == "workers"
+session.add_query(QuerySpec("top-k", {"name": "late"}).build())
+node = session.ingest_trace(store).close()
+assert node.total_packets == len(store)
+assert sorted(node.query_logs) == ["counter", "flows", "late", "top-k"]
+fleet = FleetRunner(FleetTopology.uniform(4), n_workers=2, backend="fork",
+                    respect_cores=False, config=config)
+result = fleet.run(store)
+assert result.backend == "fork"
+assert result.federated.total_packets == len(store)
+assert sorted(result.federated.query_logs) == ["counter", "flows", "top-k"]
+print(len(built), "numpy.random" in sys.modules)
+"""
+
+
+@needs_fork
+def test_a_coordinating_parent_builds_no_query(tmp_path):
+    """Only sessions build queries: the parent of a node on shard workers
+    and of a fleet on forked workers reads its mix's names and classes from
+    the specs, so it constructs none of its own, and a query a caller
+    builds there draws no generator, so numpy.random is never imported."""
+    store = write_header_store(tmp_path / "store", seconds=1,
+                               packets_per_bin=500)
+    assert probe(_PARENT_QUERIES_PROBE, store) == ["1", "False"]

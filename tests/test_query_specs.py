@@ -3,7 +3,8 @@
 Covers :class:`repro.queries.QuerySpec` (parsing, hashing, round-trips,
 filter expressions), the ``queries`` field of :class:`repro.SystemConfig`
 (validation + ``to_dict``/``from_dict`` round-trip), the spec-driven build
-paths (``config.build``, ``ShardedSystem``), the
+paths (``config.build``, ``ShardedSystem``), what a coordinating parent
+reads from the specs instead of building the queries, the
 named query mixes and the ``python -m repro.replay --queries`` resolution
 including JSON spec files.
 """
@@ -15,10 +16,11 @@ import pytest
 
 from repro import replay
 from repro.experiments import runner, scenarios
+from repro.fleet import FleetRunner, FleetTopology
 from repro.monitor.config import SystemConfig
 from repro.monitor.packet import PROTO_TCP
-from repro.queries import (QuerySpec, load_query_specs, make_query,
-                           parse_filter, parse_query_specs)
+from repro.queries import (QUERY_CLASSES, QuerySpec, load_query_specs,
+                           make_query, parse_filter, parse_query_specs)
 from tests.conftest import make_batch
 
 
@@ -94,6 +96,43 @@ class TestQuerySpec:
         second = config.build_queries()
         assert [q.name for q in first] == ["counter", "flows"]
         assert first[0] is not second[0]
+
+
+class TestWhatTheSpecsTellAParent:
+    """A node on shard workers and a fleet never build a query in their
+    own process: they read the mix's names and classes from the specs.
+    These pin what that relies on."""
+
+    @pytest.mark.parametrize("kind", sorted(QUERY_CLASSES))
+    def test_a_built_query_carries_its_instance_name(self, kind):
+        for spec in (QuerySpec(kind), QuerySpec(kind, {"name": "q00"})):
+            query = spec.build()
+            assert query.name == spec.instance_name
+            assert type(query) is QUERY_CLASSES[spec.kind]
+
+    def test_fleet_query_classes_are_the_built_queries_classes(self):
+        config = runner.system_config(queries=(
+            "counter", {"kind": "top-k", "kwargs": {"k": 5, "name": "q00"}},
+            "flows"))
+        fleet = FleetRunner(FleetTopology.uniform(2), config=config)
+        classes = fleet.query_classes()
+        assert classes == {query.name: type(query)
+                           for query in config.build_queries()}
+        assert list(classes) == ["counter", "q00", "flows"]
+
+    def test_a_duplicate_name_is_refused_with_the_config(self, monkeypatch):
+        from repro.monitor import sharding, workers
+
+        def exists(*args, **kwargs):
+            raise AssertionError("built before the config was refused")
+
+        monkeypatch.setattr(sharding.ShardedSystem, "__init__", exists)
+        monkeypatch.setattr(workers.ShardWorkerPool, "__init__", exists)
+        twins = ("counter", {"kind": "flows", "kwargs": {"name": "counter"}})
+        with pytest.raises(ValueError, match="duplicate query instance"):
+            SystemConfig(queries=twins, num_shards=2)
+        with pytest.raises(ValueError, match="duplicate query instance"):
+            SystemConfig(num_shards=2).replace(queries=twins)
 
 
 class TestFilterExpressions:
