@@ -64,6 +64,9 @@ class BinRecord:
     dropped_packets: int
     unsampled_packets: float
     predicted_cycles: float
+    #: What the prediction said the queries would cost at the rates applied
+    #: (``sum(prediction * rate)``): the number ``query_cycles`` measures.
+    expected_cycles: float
     query_cycles: float
     prediction_overhead: float
     shedding_overhead: float
@@ -130,6 +133,7 @@ class BinRecord:
             unsampled_packets=float(sum(r.unsampled_packets
                                         for r in records)),
             predicted_cycles=float(sum(r.predicted_cycles for r in records)),
+            expected_cycles=float(sum(r.expected_cycles for r in records)),
             query_cycles=float(sum(r.query_cycles for r in records)),
             prediction_overhead=float(sum(r.prediction_overhead
                                           for r in records)),
@@ -210,7 +214,7 @@ class AdmissionStage:
             incoming_packets=len(ctx.batch),
             incoming_bytes=ctx.batch.byte_count,
             dropped_packets=len(ctx.batch), unsampled_packets=0.0,
-            predicted_cycles=0.0, query_cycles=0.0,
+            predicted_cycles=0.0, expected_cycles=0.0, query_cycles=0.0,
             prediction_overhead=0.0, shedding_overhead=0.0,
             system_overhead=0.0,
             available_cycles=ctx.clock.per_bin_budget,
@@ -332,6 +336,7 @@ class AccountingStage:
             incoming_bytes=ctx.batch.byte_count,
             dropped_packets=0, unsampled_packets=ctx.unsampled,
             predicted_cycles=usage.predicted,
+            expected_cycles=ctx.expected_after_shedding,
             query_cycles=usage.queries,
             prediction_overhead=usage.prediction_overhead,
             shedding_overhead=usage.shedding_overhead,

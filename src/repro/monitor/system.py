@@ -24,12 +24,17 @@ Four operating modes correspond to the systems compared in the evaluation:
 
 Every bin a session runs delivers one :class:`BinRecord` and the intervals
 the bin closed, each ``(query name, interval start, query class, partial)``;
-whoever owns the session folds them into an :class:`ExecutionResult`.
+whoever owns the session folds them into an :class:`ExecutionResult`, which
+keeps the bins as the columns of a :class:`BinTable`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+import dataclasses
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +53,7 @@ from .packet import Batch, PacketTrace, as_trace
 from .pipeline import BinRecord
 from .query import (SAMPLING_CUSTOM, SAMPLING_FLOW, Query, QueryResultLog)
 
-__all__ = ["BinRecord", "ExecutionResult", "MonitoringSystem",
+__all__ = ["BinRecord", "BinTable", "ExecutionResult", "MonitoringSystem",
            "merge_query_logs", "MODES", "MODE_ALIASES"]
 
 
@@ -83,11 +88,178 @@ def merge_query_logs(logs: Iterable[QueryResultLog],
     return merged
 
 
+#: :class:`BinRecord` fields kept as int64 columns and read back as ``int``.
+_INT_FIELDS = ("index", "incoming_packets", "incoming_bytes",
+               "dropped_packets")
+#: The ``{name: float}`` fields of a :class:`BinRecord`.
+_MAP_FIELDS = ("rates", "query_cycles_by_query", "tenant_cycles")
+_FIELDS = tuple(field.name for field in dataclasses.fields(BinRecord))
+_SCALAR_FIELDS = tuple(name for name in _FIELDS if name not in _MAP_FIELDS)
+
+
+class _MapColumn:
+    """One ``{name: float}`` field of every bin of a :class:`BinTable`.
+
+    A run of bins whose maps have the same names in the same order stores
+    the names once, as a tuple; every bin's values go, in that order, into
+    one flat float64 column.
+    """
+
+    def __init__(self) -> None:
+        #: Per run: its first bin, where that bin's values start, its names.
+        self.starts = array("q")
+        self.offsets = array("q")
+        self.names: List[tuple] = []
+        self.values = array("d")
+
+    def append(self, position: int, mapping: Dict[str, float]) -> None:
+        names = tuple(mapping)
+        if not self.names or names != self.names[-1]:
+            self.starts.append(position)
+            self.offsets.append(len(self.values))
+            self.names.append(names)
+        self.values.extend(mapping.values())
+
+    def row(self, position: int) -> Dict[str, float]:
+        """Bin ``position``'s map, as a fresh dict in stored key order."""
+        run = bisect_right(self.starts, position) - 1
+        names = self.names[run]
+        first = self.offsets[run] + (position - self.starts[run]) * len(names)
+        return dict(zip(names, self.values[first:first + len(names)]))
+
+    def runs(self, length: int) -> Iterator[Tuple[tuple, np.ndarray]]:
+        """``(names, values)`` of every run of the ``length`` bins appended,
+        ``values`` a ``(bins of the run, len(names))`` array."""
+        values = np.array(self.values, dtype=np.float64)
+        ends = self.starts[1:].tolist() + [length]
+        for start, end, first, names in zip(self.starts, ends, self.offsets,
+                                            self.names):
+            yield names, values[first:first + (end - start) * len(names)
+                                ].reshape(end - start, len(names))
+
+    def copy(self) -> "_MapColumn":
+        clone = _MapColumn()
+        clone.starts, clone.offsets = self.starts[:], self.offsets[:]
+        clone.names, clone.values = list(self.names), self.values[:]
+        return clone
+
+
+class _BinRow(BinRecord):
+    """Bin ``position`` of a :class:`BinTable`, as a :class:`BinRecord`.
+
+    A scalar field reads and writes its column in place; a map field
+    returns a fresh dict.  Pickled or copied, a row is a plain record.
+    """
+
+    def __init__(self, table: "BinTable", position: int) -> None:
+        self._table = table
+        self._position = position
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinRecord):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in _FIELDS)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return BinRecord, tuple(getattr(self, name) for name in _FIELDS)
+
+
+def _scalar_field(name: str) -> property:
+    def read(row: _BinRow):
+        return row._table._columns[name][row._position]
+
+    def write(row: _BinRow, value) -> None:
+        row._table._columns[name][row._position] = value
+
+    return property(read, write)
+
+
+def _map_field(name: str) -> property:
+    return property(lambda row: row._table._maps[name].row(row._position))
+
+
+for _name in _SCALAR_FIELDS:
+    setattr(_BinRow, _name, _scalar_field(_name))
+for _name in _MAP_FIELDS:
+    setattr(_BinRow, _name, _map_field(_name))
+
+
+class BinTable(Sequence):
+    """The bins of an :class:`ExecutionResult`: a table whose rows are
+    :class:`BinRecord` views.
+
+    :meth:`append` copies a record's values into append-only columns — one
+    array per scalar field, and per map field a :class:`_MapColumn` — and
+    keeps no record object.  Indexing and iteration give row views, and a
+    table compares equal to a list (or table) of equal records.
+    """
+
+    def __init__(self) -> None:
+        self._columns = {name: array("q" if name in _INT_FIELDS else "d")
+                         for name in _SCALAR_FIELDS}
+        self._maps = {name: _MapColumn() for name in _MAP_FIELDS}
+        self._length = 0
+
+    def append(self, record: BinRecord) -> None:
+        for name, column in self._columns.items():
+            column.append(getattr(record, name))
+        for name, column in self._maps.items():
+            column.append(self._length, getattr(record, name))
+        self._length += 1
+
+    def copy(self) -> "BinTable":
+        """These bins as they are now, in columns of their own."""
+        clone = BinTable()
+        clone._columns = {name: column[:]
+                          for name, column in self._columns.items()}
+        clone._maps = {name: column.copy()
+                       for name, column in self._maps.items()}
+        clone._length = self._length
+        return clone
+
+    def column(self, name: str) -> np.ndarray:
+        """A copy of scalar field ``name``'s column (int64 or float64)."""
+        return np.array(self._columns[name])
+
+    def map_runs(self, name: str) -> Iterator[Tuple[tuple, np.ndarray]]:
+        """Map field ``name`` as runs of ``(names, values)``; see
+        :meth:`_MapColumn.runs`."""
+        return self._maps[name].runs(self._length)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return [self[i] for i in range(*position.indices(self._length))]
+        if position < 0:
+            position += self._length
+        if not 0 <= position < self._length:
+            raise IndexError("bin index out of range")
+        return _BinRow(self, position)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, BinTable)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class ExecutionResult:
     """Result of running a system over a trace, and the accumulator every
     tier builds it in: whoever owns a session folds what each of its steps
     delivers — the bin's record and the intervals the bin flushed — in
     through :meth:`fold`, the same way for a monitor, a node and a fleet.
+    The bins are a :class:`BinTable`: ``bins[i]`` is a row view whose
+    scalar writes go to the column the aggregate views read.
     """
 
     def __init__(self, mode: str, strategy: str, trace_name: str,
@@ -96,7 +268,7 @@ class ExecutionResult:
         self.strategy = strategy
         self.trace_name = trace_name
         self.budget = budget
-        self.bins: List[BinRecord] = []
+        self.bins = BinTable()
         self.query_logs: Dict[str, QueryResultLog] = {}
         self._tenant_cycles: Dict[str, float] = {}
 
@@ -142,10 +314,10 @@ class ExecutionResult:
 
     def snapshot(self) -> "ExecutionResult":
         """A copy that stays as it is while this result keeps growing
-        (the records and results themselves are shared, not copied)."""
+        (the bins are copied, the results themselves are shared)."""
         clone = ExecutionResult(self.mode, self.strategy, self.trace_name,
                                 self.budget)
-        clone.bins = list(self.bins)
+        clone.bins = self.bins.copy()
         clone.query_logs = {name: log.copy()
                             for name, log in self.query_logs.items()}
         clone._tenant_cycles = dict(self._tenant_cycles)
@@ -222,20 +394,45 @@ class ExecutionResult:
     # -- aggregate views ----------------------------------------------------
     def series(self, attribute: str) -> np.ndarray:
         """Per-bin series of any :class:`BinRecord` attribute/property."""
-        return np.array([getattr(record, attribute) for record in self.bins],
-                        dtype=np.float64)
+        if attribute == "total_cycles":
+            bins = self.bins
+            return (bins.column("query_cycles") +
+                    bins.column("prediction_overhead") +
+                    bins.column("shedding_overhead") +
+                    bins.column("system_overhead"))
+        if attribute == "mean_rate":
+            return self._mean_rates()[0]
+        return self.bins.column(attribute).astype(np.float64, copy=False)
+
+    def _mean_rates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per bin, :attr:`BinRecord.mean_rate` and whether it had rates."""
+        means, rated = [np.empty(0)], [np.empty(0, dtype=bool)]
+        for names, values in self.bins.map_runs("rates"):
+            means.append(values.mean(axis=1) if names
+                         else np.ones(len(values)))
+            rated.append(np.full(len(values), bool(names)))
+        return np.concatenate(means), np.concatenate(rated)
+
+    def _total(self, name: str):
+        """Column ``name`` summed in bin order, in Python arithmetic (as a
+        loop over the records would: ints do not wrap)."""
+        return sum(self.bins.column(name).tolist())
 
     @property
     def total_packets(self) -> int:
-        return int(sum(record.incoming_packets for record in self.bins))
+        return self._total("incoming_packets")
+
+    @property
+    def total_bytes(self) -> int:
+        return self._total("incoming_bytes")
 
     @property
     def dropped_packets(self) -> int:
-        return int(sum(record.dropped_packets for record in self.bins))
+        return self._total("dropped_packets")
 
     @property
     def unsampled_packets(self) -> float:
-        return float(sum(record.unsampled_packets for record in self.bins))
+        return float(self._total("unsampled_packets"))
 
     @property
     def drop_fraction(self) -> float:
@@ -246,12 +443,15 @@ class ExecutionResult:
         return self.series("total_cycles")
 
     def mean_sampling_rate(self) -> float:
-        rates = [record.mean_rate for record in self.bins if record.rates]
-        return float(np.mean(rates)) if rates else 1.0
+        means, rated = self._mean_rates()
+        return float(np.mean(means[rated])) if rated.any() else 1.0
 
     def rate_series(self, query_name: str) -> np.ndarray:
-        return np.array([record.rates.get(query_name, 1.0)
-                         for record in self.bins], dtype=np.float64)
+        parts = [np.empty(0)]
+        for names, values in self.bins.map_runs("rates"):
+            parts.append(values[:, names.index(query_name)]
+                         if query_name in names else np.ones(len(values)))
+        return np.concatenate(parts)
 
     def tenant_cycle_totals(self) -> Dict[str, float]:
         """Total query cycles accounted per declared tenant.

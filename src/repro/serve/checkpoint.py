@@ -68,8 +68,10 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: Bumped when the file layout, or what a pickled session holds, changes
 #: incompatibly (6: ``meta`` and the state are two pickles in a row, where
 #: versions 1-5 wrapped ``meta`` and the state, as a nested pickle, in one
-#: dict).
-CHECKPOINT_VERSION = 6
+#: dict; 7: a session's result holds its bins as the columns of a
+#: ``BinTable``, not as a list of ``BinRecord`` objects, and a bin records
+#: its ``expected_cycles``).
+CHECKPOINT_VERSION = 7
 
 logger = logging.getLogger("repro.serve.checkpoint")
 # A refusal is raised as well as logged: without handlers of the

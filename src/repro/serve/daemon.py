@@ -651,19 +651,24 @@ class MonitorDaemon:
 
 
 def _totals(result: ExecutionResult) -> Dict:
-    """The daemon's running totals, read from the result so far."""
-    bins = result.bins
-    errors = [abs(record.predicted_cycles - record.query_cycles)
-              / max(record.query_cycles, 1.0)
-              for record in bins if record.predicted_cycles > 0]
+    """The daemon's running totals, read from the result's columns so far.
+
+    The prediction error of a bin compares what it measured with what the
+    prediction said the queries would cost at the rates applied — not with
+    the full-rate demand, which under shedding measures what was shed.
+    """
+    predicted = result.series("predicted_cycles") > 0
+    measured = result.series("query_cycles")[predicted]
+    errors = (np.abs(result.series("expected_cycles")[predicted] - measured)
+              / np.maximum(measured, 1.0))
+    shed = ((result.series("dropped_packets") > 0)
+            | (result.series("mean_rate") < 1.0))
     return {
         "packets": result.total_packets,
-        "bytes": int(sum(record.incoming_bytes for record in bins)),
+        "bytes": result.total_bytes,
         "dropped": result.dropped_packets,
-        "shed_bins": sum(1 for record in bins
-                         if record.dropped_packets > 0
-                         or (record.rates and record.mean_rate < 1.0)),
-        "prediction_error": sum(errors) / len(errors) if errors else 0.0,
+        "shed_bins": int(np.count_nonzero(shed)),
+        "prediction_error": float(errors.mean()) if len(errors) else 0.0,
     }
 
 

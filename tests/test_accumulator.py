@@ -21,19 +21,31 @@ The contracts under test:
   their parts' documents folded by :func:`repro.profile.fold_metrics`:
   every bin counted once, stage totals and feature-sharing counters the
   sums over the parts.
+* **A result is a table of bins** — whatever records are folded (query
+  sets that change, tenants on and off, shard-merged records, counts near
+  the int64 range), every row, series and total of the result is what a
+  loop over the records gives; a scalar write through a row is seen by the
+  series; a snapshot stays as it was and shares no column with the result;
+  pickle and deepcopy round-trip; and
+  the result merge is :meth:`BinRecord.merge` row by row.
 """
 
+import copy
+import dataclasses
 import pickle
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.core.cycles import CycleBudget
 from repro.core.tenancy import TenantGroup
 from repro.experiments import runner
 from repro.fleet import FleetRunner, FleetTopology
 from repro.monitor.sharding import ShardedSystem
-from repro.monitor.system import ExecutionResult
+from repro.monitor.system import BinRecord, ExecutionResult
 from repro.monitor.workers import fork_start_available
 from repro.queries import make_query
 from repro.serve.checkpoint import capture, restore_session
@@ -370,3 +382,176 @@ def test_one_metrics_fold_on_every_tier(small_trace, setup):
     assert metrics["feature_sharing"] == {
         key: sum(part["feature_sharing"][key] for part in parts)
         for key in parts[0]["feature_sharing"]}
+
+
+# ----------------------------------------------------------------------
+# A result is a table of bins
+# ----------------------------------------------------------------------
+TABLE_QUERIES = tuple(f"q{index}" for index in range(10))
+TABLE_TENANTS = ("ops", "research")
+#: Small enough that merging four records stays within int64.
+_COUNTS = st.integers(0, 2 ** 60)
+_CYCLES = st.floats(0.0, 1e9)
+MAP_FIELDS = ("rates", "query_cycles_by_query", "tenant_cycles")
+SCALAR_FIELDS = tuple(field.name for field in dataclasses.fields(BinRecord)
+                      if field.name not in MAP_FIELDS)
+INT_FIELDS = ("index", "incoming_packets", "incoming_bytes",
+              "dropped_packets")
+
+
+def _record(draw, index, queries, costed, tenants):
+    return BinRecord(
+        index=index, start_ts=0.1 * index, incoming_packets=draw(_COUNTS),
+        incoming_bytes=draw(_COUNTS), dropped_packets=draw(_COUNTS),
+        unsampled_packets=draw(_CYCLES), predicted_cycles=draw(_CYCLES),
+        expected_cycles=draw(_CYCLES), query_cycles=draw(_CYCLES),
+        prediction_overhead=draw(_CYCLES), shedding_overhead=draw(_CYCLES),
+        system_overhead=draw(_CYCLES), available_cycles=draw(_CYCLES),
+        delay=draw(_CYCLES), buffer_occupation=draw(st.floats(0.0, 1.0)),
+        rates={name: draw(st.floats(0.0, 1.0)) for name in queries},
+        query_cycles_by_query={name: draw(_CYCLES)
+                               for name in queries if costed},
+        tenant_cycles={name: draw(_CYCLES) for name in tenants})
+
+
+@st.composite
+def _record_sequences(draw):
+    """Bins in runs with one query set each (queries arrive and depart,
+    a dropped bin costs no query, tenants come and go); some bins are the
+    merge of two shards' records."""
+    records = []
+    for _ in range(draw(st.integers(1, 6))):
+        queries = draw(st.lists(st.sampled_from(TABLE_QUERIES), unique=True))
+        costed = draw(st.booleans())
+        tenants = draw(st.lists(st.sampled_from(TABLE_TENANTS), unique=True))
+        for _ in range(draw(st.integers(1, 4))):
+            index = len(records)
+            shards = [_record(draw, index, queries, costed, tenants)
+                      for _ in range(draw(st.integers(1, 2)))]
+            records.append(BinRecord.merge(shards))
+    return records
+
+
+def _table_of(records):
+    result = ExecutionResult("predictive", "eq_srates", "t",
+                             CycleBudget(1e6, 0.1))
+    for record in records:
+        result.add_bin(record)
+    return result
+
+
+def _assert_table(result, records):
+    """Every row, series and total of ``result`` is what the loop over
+    ``records`` says."""
+    assert len(result.bins) == len(records)
+    assert result.bins == records and records == result.bins
+    for row, record in zip(result.bins, records):
+        assert all(type(getattr(row, name)) is int for name in INT_FIELDS)
+        for name in MAP_FIELDS:
+            assert list(getattr(row, name).items()) == \
+                list(getattr(record, name).items())
+    for name in SCALAR_FIELDS + ("total_cycles", "mean_rate"):
+        assert np.array_equal(
+            result.series(name),
+            np.array([getattr(record, name) for record in records],
+                     dtype=np.float64)), name
+    for name in TABLE_QUERIES:
+        assert np.array_equal(result.rate_series(name), np.array(
+            [record.rates.get(name, 1.0) for record in records]))
+    rated = [record.mean_rate for record in records if record.rates]
+    assert result.mean_sampling_rate() == \
+        (float(np.mean(rated)) if rated else 1.0)
+    assert result.total_packets == sum(r.incoming_packets for r in records)
+    assert result.total_bytes == sum(r.incoming_bytes for r in records)
+    assert result.dropped_packets == sum(r.dropped_packets for r in records)
+    assert result.unsampled_packets == \
+        float(sum(r.unsampled_packets for r in records))
+    tenants = {}
+    for record in records:
+        for name, cycles in record.tenant_cycles.items():
+            tenants[name] = tenants.get(name, 0.0) + cycles
+    assert list(result.tenant_cycle_totals().items()) == list(tenants.items())
+
+
+@given(_record_sequences())
+def test_a_result_is_a_table_of_the_records_it_folded(records):
+    result = _table_of(records[:len(records) // 2])
+    snapshot = result.snapshot()
+    for record in records[len(records) // 2:]:
+        result.add_bin(record)
+    _assert_table(result, records)
+    _assert_table(snapshot, records[:len(records) // 2])
+    # A snapshot keeps columns of its own: neither a write through the
+    # result's rows nor a bin folded into the snapshot reaches the other.
+    if len(snapshot.bins):
+        before = snapshot.series("query_cycles")
+        result.bins[0].query_cycles += 1.0
+        assert np.array_equal(snapshot.series("query_cycles"), before)
+        result.bins[0].query_cycles = records[0].query_cycles
+    snapshot.add_bin(records[0])
+    _assert_table(snapshot, records[:len(records) // 2] + records[:1])
+    _assert_table(result, records)
+
+    for copied in (pickle.loads(pickle.dumps(result)),
+                   copy.deepcopy(result)):
+        _assert_table(copied, records)
+        # A write through a row is a write to the column the series read.
+        copied.bins[-1].query_cycles += 1.0
+        assert copied.series("query_cycles")[-1] == \
+            records[-1].query_cycles + 1.0
+        assert copied.series("total_cycles")[-1] == \
+            copied.bins[-1].total_cycles
+    _assert_table(result, records)
+
+    # A row pickles as the plain record it shows.
+    assert type(pickle.loads(pickle.dumps(result.bins[0]))) is BinRecord
+
+    # The result merge is the record merge, row by row.
+    reverse = list(reversed(records))
+    merged = ExecutionResult.merge([result, _table_of(reverse)],
+                                   query_classes={})
+    _assert_table(merged, [BinRecord.merge(pair)
+                           for pair in zip(records, reverse)])
+
+
+def test_a_snapshot_is_read_while_its_result_keeps_growing():
+    """The daemon's pattern: bins fold in under a lock on one thread; ops
+    take a snapshot under the lock and read it outside, on another.  The
+    snapshot's columns are its own, so the reads never hold a buffer of an
+    array the fold is appending to (a growing ``array`` refuses to resize
+    while it exports one)."""
+    record = BinRecord(
+        index=0, start_ts=0.0, incoming_packets=5, incoming_bytes=500,
+        dropped_packets=0, unsampled_packets=0.0, predicted_cycles=1.0,
+        expected_cycles=1.0, query_cycles=1.0, prediction_overhead=0.0,
+        shedding_overhead=0.0, system_overhead=0.0, available_cycles=2.0,
+        delay=0.0, buffer_occupation=0.0, rates={"a": 0.5, "b": 1.0},
+        query_cycles_by_query={"a": 0.5, "b": 0.5}, tenant_cycles={})
+    result = _table_of([])
+    lock, done, errors, polls = threading.Lock(), threading.Event(), [], []
+
+    def poll():
+        while not done.is_set():
+            with lock:
+                snapshot = result.snapshot()
+            try:
+                total = snapshot.series("query_cycles").sum()
+                snapshot.rate_series("a")
+                snapshot.mean_sampling_rate()
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+                return
+            polls.append(total == len(snapshot.bins))
+
+    poller = threading.Thread(target=poll)
+    poller.start()
+    try:
+        for _ in range(20000):
+            with lock:
+                result.add_bin(record)
+    finally:
+        done.set()
+        poller.join(timeout=30.0)
+    assert not errors, errors
+    assert polls and all(polls)
+    assert len(result.bins) == 20000

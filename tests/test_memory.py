@@ -13,13 +13,15 @@ parts it splits them into outlive the run, and its resident set does not
 grow with the store.  The shards of a node are the fourth: they ship every
 flushed interval's partial and every bin's record to the node, so what a
 shard session holds does not grow with the intervals it has seen, and the
-node's own resident set does not grow with the store either.  Last, what a
-coordinating parent never holds at all: a query of its own.
+node's own resident set does not grow with the store either.  A result
+keeps a bin's values in its columns, not the record that delivered them.
+Last, what a coordinating parent never holds at all: a query of its own.
 """
 
 import gc
 import pickle
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -30,6 +32,7 @@ from repro.fleet import FleetPartitioner, FleetRunner, FleetTopology
 from repro.monitor import sharding
 from repro.monitor.filters import Filter
 from repro.monitor.packet import COLUMN_FIELDS, Batch
+from repro.monitor.system import ExecutionResult
 from repro.monitor.sharding import ShardedSystem
 from repro.monitor.workers import fork_start_available
 from repro.queries import QuerySpec
@@ -468,6 +471,44 @@ def test_a_node_keeps_only_its_recent_bin_seconds(monkeypatch, small_trace,
             assert not any(session._executor.ingest_seconds)
         assert session.metrics["profile"]["bin_seconds"]["n"] == 4
     assert session.metrics["profile"]["bin_seconds"]["n"] == 4
+
+
+# ----------------------------------------------------------------------
+# What a result keeps of a bin: its values, not its record
+# ----------------------------------------------------------------------
+def test_a_result_keeps_a_bin_in_a_few_hundred_bytes():
+    """A result folds each bin's record into its columns and lets the
+    record go: a bin of a three-query mix costs it its values (about 180
+    bytes), not the 1.3 KB a kept record with its three dicts did.  The
+    records are unpickled, as a worker delivers them, so each brings name
+    strings of its own."""
+    config = runner.system_config(mode="predictive", seed=5,
+                                  queries="counter,flows,top-k",
+                                  cycles_per_second=5e6)
+    session = config.build().open_session(time_bin=TIME_BIN)
+    for index in range(3):
+        record, _ = session.step(make_batch(n=300, seed=index,
+                                            start_ts=TIME_BIN * index))
+    assert len(record.rates) == len(record.query_cycles_by_query) == 3
+    delivered = pickle.dumps(record)
+    result = ExecutionResult(config.mode, config.strategy, "t",
+                             session.budget)
+    bins = 1000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(bins):
+            record = pickle.loads(delivered)
+            record.index = index
+            result.fold(record, [], session.query_names)
+        del record
+        gc.collect()
+        per_bin = (tracemalloc.get_traced_memory()[0] - before) / bins
+    finally:
+        tracemalloc.stop()
+    assert len(result.bins) == bins
+    assert per_bin < 400, f"{per_bin:.0f} bytes retained per bin"
 
 
 # One sharded run per process, as for the fleet above.

@@ -623,6 +623,66 @@ def test_a_restored_daemon_serves_what_an_uninterrupted_one_does(
     assert restored.status()["packets"] == len(serve_trace)
 
 
+def test_the_prediction_error_compares_the_cost_after_shedding(serve_trace):
+    """At half the capacity the queries need, most bins shed.  A bin's
+    prediction error compares the cycles it measured with what the
+    prediction said the rates applied would cost — not with the full-rate
+    demand, which would mostly measure how much was shed."""
+    capacity, _ = runner.calibrate_capacity(("counter", "flows"),
+                                            serve_trace)
+    config = _daemon_config().replace(cycles_per_second=capacity * 0.5)
+    daemon = MonitorDaemon(config, ReplayFeed(serve_trace, time_bin=TIME_BIN))
+    for batch in serve_trace.batch_list(TIME_BIN):
+        daemon._ingest_one(batch)
+    status = daemon.status()
+    bins = [record for record in daemon.partial_result().bins
+            if record.predicted_cycles > 0]
+    assert status["shed_bins"] > len(bins) / 2
+    assert status["mean_prediction_error"] < 0.3
+    errors = [abs(record.expected_cycles - record.query_cycles)
+              / max(record.query_cycles, 1.0) for record in bins]
+    assert status["mean_prediction_error"] == pytest.approx(np.mean(errors))
+
+
+def test_status_polled_from_another_thread_while_bins_are_ingested():
+    """The ops API reads ``/status``, ``/metrics`` and ``/result`` on the
+    loop's executor, outside the daemon's lock, while the session thread
+    keeps folding bins.  The snapshot they read holds columns of its own:
+    polling never disturbs ingestion, and every document is whole."""
+    from repro.traffic import generate_trace
+    trace = generate_trace(TrafficProfile(duration=150.0,
+                                          flow_arrival_rate=4.0,
+                                          name="polled"), seed=11)
+    daemon = MonitorDaemon(_daemon_config(),
+                           ReplayFeed(trace, time_bin=TIME_BIN))
+    done, errors, polls = threading.Event(), [], []
+
+    def poll():
+        while not done.is_set():
+            try:
+                status = daemon.status()
+                daemon.metric_families()
+                daemon.result_document()
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+                return
+            polls.append(status["packets"])
+
+    poller = threading.Thread(target=poll)
+    poller.start()
+    try:
+        for batch in trace.batch_list(TIME_BIN):
+            daemon._ingest_one(batch)
+    finally:
+        done.set()
+        poller.join(timeout=30.0)
+    assert not errors, errors
+    assert polls and polls == sorted(polls)
+    result = daemon.partial_result()
+    assert daemon.status()["packets"] == len(trace) == result.total_packets
+    assert len(result.series("query_cycles")) == len(result.bins)
+
+
 @pytest.mark.parametrize("shards", (1, 2))
 def test_a_resumed_replay_ingests_every_bin_once(tmp_path, serve_trace,
                                                  caplog, shards):

@@ -463,7 +463,7 @@ class TestResultMerging:
                 index=3, start_ts=1.5, incoming_packets=packets,
                 incoming_bytes=packets * 100, dropped_packets=0,
                 unsampled_packets=0.0, predicted_cycles=cycles,
-                query_cycles=cycles, prediction_overhead=1.0,
+                expected_cycles=cycles, query_cycles=cycles, prediction_overhead=1.0,
                 shedding_overhead=2.0, system_overhead=3.0,
                 available_cycles=100.0, delay=delay,
                 buffer_occupation=occupation, rates={"q": rate},
