@@ -11,8 +11,8 @@ batch.  This module provides the equivalent substrate for the reproduction:
   state-maintenance operations driven by traffic features.
 * :class:`CycleMeter` — accumulates charges for one batch and adds optional
   measurement noise (the paper's context switches / cache effects).
-* :class:`CycleClock` — the per-bin budget and overhead bookkeeping used by
-  the load shedding scheme (``avail_cycles`` in Algorithm 1).
+* :class:`CycleClock` — the per-bin budget and the delay carried across
+  bins, the two quantities of Algorithm 1 that outlive a bin.
 
 The prediction and shedding code never looks inside a query's cost model; it
 only observes the total cycles a query reports for a batch, which preserves
@@ -141,78 +141,30 @@ class CycleBudget:
         return self.cycles_per_second * self.time_bin
 
 
-@dataclass
-class BinUsage:
-    """Cycle usage recorded for a single time bin."""
-
-    predicted: float = 0.0
-    queries: float = 0.0
-    prediction_overhead: float = 0.0
-    shedding_overhead: float = 0.0
-    system_overhead: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return (self.queries + self.prediction_overhead +
-                self.shedding_overhead + self.system_overhead)
-
-
 class CycleClock:
-    """Tracks cycle consumption against the per-bin budget.
+    """The per-bin budget and the delay carried across bins.
 
-    The clock exposes the quantities Algorithm 1 needs: the bin budget, the
-    overhead already consumed in the current bin (``como_cycles`` +
-    ``ps_cycles``), and the *delay* accumulated when previous bins overran
-    their budget (used by the buffer-discovery mechanism).
+    A bin's cycles are accounted in its
+    :class:`~repro.monitor.pipeline.BinContext`; the clock only learns each
+    bin's total when the bin closes, and keeps the *delay*: the cycles by
+    which previous bins overran their budget (``delay`` in Algorithm 1,
+    also what the capture buffer holds).
     """
 
     def __init__(self, budget: Optional[CycleBudget] = None) -> None:
         self.budget = budget if budget is not None else CycleBudget()
-        self.current = BinUsage()
-        self._carry_delay = 0.0
+        #: Cycles by which the system is currently behind real time.
+        self.delay = 0.0
 
-    # -- per-bin lifecycle ------------------------------------------------
-    def start_bin(self) -> None:
-        """Begin accounting for a new time bin."""
-        self.current = BinUsage()
+    def close_bin(self, total_cycles: float) -> float:
+        """Close a bin that spent ``total_cycles``; returns the new delay.
 
-    def end_bin(self) -> BinUsage:
-        """Close the current bin, updating the running delay."""
-        usage = self.current
-        overrun = usage.total - self.budget.per_bin
-        # Delay only accumulates; spare cycles in a bin are lost (a capture
-        # system cannot bank idle time), but they do pay down existing delay.
-        self._carry_delay = max(0.0, self._carry_delay + overrun)
-        return usage
+        Delay only accumulates; spare cycles in a bin are lost (a capture
+        system cannot bank idle time), but they do pay down existing delay.
+        """
+        self.delay = max(0.0, self.delay + (total_cycles - self.budget.per_bin))
+        return self.delay
 
-    # -- charging ----------------------------------------------------------
-    def charge_query(self, cycles: float) -> None:
-        self.current.queries += float(cycles)
-
-    def charge_prediction(self, cycles: float) -> None:
-        self.current.prediction_overhead += float(cycles)
-
-    def charge_shedding(self, cycles: float) -> None:
-        self.current.shedding_overhead += float(cycles)
-
-    def charge_system(self, cycles: float) -> None:
-        self.current.system_overhead += float(cycles)
-
-    def record_prediction(self, cycles: float) -> None:
-        self.current.predicted = float(cycles)
-
-    # -- quantities used by Algorithm 1 -------------------------------------
     @property
     def per_bin_budget(self) -> float:
         return self.budget.per_bin
-
-    @property
-    def delay(self) -> float:
-        """Cycles by which the system is currently behind real time."""
-        return self._carry_delay
-
-    def overhead_so_far(self) -> float:
-        """Overhead cycles already consumed in the current bin."""
-        return (self.current.system_overhead +
-                self.current.prediction_overhead +
-                self.current.shedding_overhead)

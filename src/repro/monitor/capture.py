@@ -50,8 +50,6 @@ class CaptureBuffer:
             raise ValueError("capacity_seconds must be non-negative or None")
         self.capacity_seconds = capacity_seconds
         self.cycles_per_second = float(cycles_per_second)
-        self.dropped_packets = 0
-        self.dropped_batches = 0
 
     @property
     def infinite(self) -> bool:
@@ -71,8 +69,3 @@ class CaptureBuffer:
         occupation = 0.0 if capacity <= 0 else min(1.0, delay_cycles / capacity)
         return BufferStatus(occupation=occupation,
                             dropping=delay_cycles >= capacity)
-
-    def record_drop(self, packets: int) -> None:
-        """Account for an arriving batch lost to a full buffer."""
-        self.dropped_packets += int(packets)
-        self.dropped_batches += 1

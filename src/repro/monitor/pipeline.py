@@ -7,12 +7,12 @@ streaming :class:`~repro.monitor.session.MonitoringSession`, a shard of a
 :class:`~repro.monitor.sharding.ShardedSystem` — is a session calling it:
 
 ``IntervalFlushStage``
-    Open the bin on the cycle clock, determine the active queries and flush
-    any completed measurement intervals.
+    Determine the active queries and flush any completed measurement
+    intervals.
 ``AdmissionStage``
     Capture-buffer admission: when the backlog exceeds the buffer the batch
     is lost *uncontrollably* before any query sees it (the "DAG drops" of
-    Figure 4.2) and the bin ends early.
+    Figure 4.2) and the bin ends early, closed by :func:`close_bin`.
 ``SystemOverheadStage``
     Charge the CoMo base cost (fixed + per packet).
 ``FilterStage``
@@ -27,13 +27,22 @@ streaming :class:`~repro.monitor.session.MonitoringSession`, a shard of a
     Apply the rates — system packet/flow sampling or the query's custom
     shedding method — and run the queries.
 ``AccountingStage``
-    Close the bin: charge shedding overhead, feed the controller EWMAs and
-    buffer discovery, and assemble the :class:`BinRecord`.
+    Feed the controller's EWMAs and close the bin with :func:`close_bin`.
 
 Stages share a mutable :class:`BinContext` and are stateless themselves;
-all cross-bin state lives on the system (controller, enforcer, runtimes), so
-the one stage tuple drives every system in the process.  A stage that
-finishes the bin early sets ``ctx.record`` and the bin stops there.
+all cross-bin state lives on the system (controller, enforcer, runtimes)
+and on the session's clock (the carried delay), so the one stage tuple
+drives every system in the process.
+
+Where a bin's numbers come from: each stage adds what it spends to the
+context's fields, which carry the record's own names (``system_overhead``,
+``prediction_overhead``, ``query_cycles``, ``shedding_overhead``,
+``predicted_cycles``, ``expected_cycles``, ``unsampled_packets``,
+``dropped_packets``).  Nothing else counts them.  :func:`close_bin`, the
+one builder of a :class:`BinRecord`, closes the bin on the clock with their
+total, reads the buffer occupation at the delay that leaves, feeds buffer
+discovery, and sets ``ctx.record``; the bin stops there, admitted or
+dropped.
 """
 
 from __future__ import annotations
@@ -161,8 +170,6 @@ class BinContext:
     buffer: CaptureBuffer
     #: Query runtimes active for this bin (arrival times already honoured).
     active: List = field(default_factory=list)
-    #: CoMo base overhead charged for this bin.
-    como: float = 0.0
     #: Per-query filtered sub-batches, keyed by query name.
     filtered: Dict[str, Batch] = field(default_factory=dict)
     #: Pre-shedding feature vectors (predictive mode only).
@@ -177,19 +184,70 @@ class BinContext:
     #: Sampling rates decided (and possibly adjusted by custom shedding).
     rates: Dict[str, float] = field(default_factory=dict)
     query_cycles_by_query: Dict[str, float] = field(default_factory=dict)
-    shedding_cycles: float = 0.0
-    expected_after_shedding: float = 0.0
-    unsampled: float = 0.0
-    #: Set by the stage that finishes the bin; stops the pipeline.
+    #: The bin's own :class:`BinRecord` fields, added up by the stages.
+    system_overhead: float = 0.0
+    prediction_overhead: float = 0.0
+    query_cycles: float = 0.0
+    shedding_overhead: float = 0.0
+    predicted_cycles: float = 0.0
+    expected_cycles: float = 0.0
+    unsampled_packets: float = 0.0
+    dropped_packets: int = 0
+    #: Set by :func:`close_bin`; stops the pipeline.
     record: Optional[BinRecord] = None
+
+    @property
+    def overhead(self) -> float:
+        """Cycles the bin spent outside the queries so far (``como_cycles``
+        + ``ps_cycles`` of Algorithm 1)."""
+        return (self.system_overhead + self.prediction_overhead +
+                self.shedding_overhead)
+
+
+def close_bin(system: "MonitoringSystem", ctx: BinContext) -> BinRecord:
+    """End the bin ``ctx`` describes and build its record.
+
+    The clock carries the bin's total into the delay, the buffer
+    occupation is read at that delay, buffer discovery learns the outcome,
+    and the record copies the context's fields.  Both ways a bin ends —
+    admitted (:class:`AccountingStage`) and dropped
+    (:class:`AdmissionStage`) — come through here.
+    """
+    total = (ctx.query_cycles + ctx.prediction_overhead +
+             ctx.shedding_overhead + ctx.system_overhead)
+    delay = ctx.clock.close_bin(total)
+    occupation = ctx.buffer.status(delay).occupation
+    available = ctx.clock.per_bin_budget
+    system.controller.end_bin(total, available, occupation)
+    tenant_cycles: Dict[str, float] = {}
+    if system.tenant_registry.declared:
+        owners = system.tenant_registry.declared_tenant_of
+        for name, cycles in ctx.query_cycles_by_query.items():
+            tenant = owners.get(name)
+            if tenant is not None:
+                tenant_cycles[tenant] = tenant_cycles.get(tenant, 0.0) + cycles
+    ctx.record = BinRecord(
+        index=ctx.index, start_ts=ctx.batch.start_ts,
+        incoming_packets=len(ctx.batch), incoming_bytes=ctx.batch.byte_count,
+        dropped_packets=ctx.dropped_packets,
+        unsampled_packets=ctx.unsampled_packets,
+        predicted_cycles=ctx.predicted_cycles,
+        expected_cycles=ctx.expected_cycles, query_cycles=ctx.query_cycles,
+        prediction_overhead=ctx.prediction_overhead,
+        shedding_overhead=ctx.shedding_overhead,
+        system_overhead=ctx.system_overhead, available_cycles=available,
+        delay=delay, buffer_occupation=occupation, rates=dict(ctx.rates),
+        query_cycles_by_query=ctx.query_cycles_by_query,
+        tenant_cycles=tenant_cycles,
+    )
+    return ctx.record
 
 
 class IntervalFlushStage:
-    """Open the bin and flush completed measurement intervals: their
-    mergeable partials leave the session with this bin's record."""
+    """Flush completed measurement intervals: their mergeable partials
+    leave the session with this bin's record."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        ctx.clock.start_bin()
         ctx.active = system._active_runtimes(ctx.batch.start_ts)
         for runtime in ctx.active:
             system._flush_intervals(runtime, ctx.batch.start_ts)
@@ -199,38 +257,23 @@ class AdmissionStage:
     """Capture-buffer admission: a full buffer drops the batch uncontrolled."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        status = ctx.buffer.status(ctx.clock.delay)
-        if not (status.dropping and len(ctx.batch) > 0):
+        if not (ctx.buffer.status(ctx.clock.delay).dropping
+                and len(ctx.batch) > 0):
             return
         # Uncontrolled loss: the batch never reaches the queries and the
         # bin's cycles go into draining the backlog.
-        ctx.buffer.record_drop(len(ctx.batch))
-        usage = ctx.clock.end_bin()
-        system.controller.end_bin(
-            usage.total, ctx.clock.per_bin_budget,
-            ctx.buffer.status(ctx.clock.delay).occupation)
-        ctx.record = BinRecord(
-            index=ctx.index, start_ts=ctx.batch.start_ts,
-            incoming_packets=len(ctx.batch),
-            incoming_bytes=ctx.batch.byte_count,
-            dropped_packets=len(ctx.batch), unsampled_packets=0.0,
-            predicted_cycles=0.0, expected_cycles=0.0, query_cycles=0.0,
-            prediction_overhead=0.0, shedding_overhead=0.0,
-            system_overhead=0.0,
-            available_cycles=ctx.clock.per_bin_budget,
-            delay=ctx.clock.delay, buffer_occupation=status.occupation,
-            rates={runtime.query.name: 0.0 for runtime in ctx.active},
-            query_cycles_by_query={},
-        )
+        ctx.dropped_packets = len(ctx.batch)
+        ctx.rates = {runtime.query.name: 0.0 for runtime in ctx.active}
+        close_bin(system, ctx)
 
 
 class SystemOverheadStage:
     """Charge the CoMo base cost of touching the batch."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        ctx.como = (system.config.system_overhead_fixed +
-                    system.config.system_overhead_per_packet * len(ctx.batch))
-        ctx.clock.charge_system(ctx.como)
+        ctx.system_overhead += float(
+            system.config.system_overhead_fixed +
+            system.config.system_overhead_per_packet * len(ctx.batch))
 
 
 class FilterStage:
@@ -258,7 +301,8 @@ class PredictionStage:
             prediction = runtime.predictor.predict(feats)
             runtime.last_prediction = prediction
             ctx.predictions[name] = prediction
-            ctx.clock.charge_prediction(
+            ctx.predicted_cycles += prediction
+            ctx.prediction_overhead += float(
                 runtime.extractor.extraction_cost(sub_batch) +
                 runtime.predictor.overhead_cycles)
             # The prediction lands in the slot table, which maintains the
@@ -288,65 +332,31 @@ class ExecutionStage:
                     runtime, sub_batch, rate, ctx.predictions.get(name, 0.0),
                     ctx.index, ctx.features_pre.get(name))
                 ctx.rates[name] = applied
-                ctx.unsampled += (1.0 - applied) * len(sub_batch)
+                ctx.unsampled_packets += (1.0 - applied) * len(sub_batch)
             else:
                 cycles, ls_cycles = system._run_sampled(
                     runtime, sub_batch, rate, ctx.features_pre.get(name))
-                ctx.shedding_cycles += ls_cycles
-                ctx.unsampled += (1.0 - rate) * len(sub_batch)
+                ctx.shedding_overhead += ls_cycles
+                ctx.unsampled_packets += (1.0 - rate) * len(sub_batch)
             ctx.query_cycles_by_query[name] = cycles
-            ctx.clock.charge_query(cycles)
-            ctx.expected_after_shedding += ctx.predictions.get(name, 0.0) * rate
+            ctx.query_cycles += float(cycles)
+            ctx.expected_cycles += ctx.predictions.get(name, 0.0) * rate
 
 
 class AccountingStage:
-    """Close the bin: controller feedback and the final :class:`BinRecord`."""
+    """Feed the controller's EWMAs and close the bin with
+    :func:`close_bin`."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        # ``unsampled`` is reported per packet of the input stream (averaged
-        # over the queries), not summed across queries.
+        # ``unsampled_packets`` is reported per packet of the input stream
+        # (averaged over the queries), not summed across queries.
         if ctx.active:
-            ctx.unsampled /= len(ctx.active)
-        ctx.clock.charge_shedding(ctx.shedding_cycles)
-        total_query_cycles = float(sum(ctx.query_cycles_by_query.values()))
+            ctx.unsampled_packets /= len(ctx.active)
         if system.mode == "predictive":
-            system.controller.record_shedding_overhead(ctx.shedding_cycles)
-            system.controller.record_prediction_error(
-                ctx.expected_after_shedding, total_query_cycles)
-        ctx.clock.record_prediction(float(sum(ctx.predictions.values())))
-
-        usage = ctx.clock.end_bin()
-        occupation = ctx.buffer.status(ctx.clock.delay).occupation
-        system.controller.end_bin(usage.total, ctx.clock.per_bin_budget,
-                                  occupation)
-        system._prev_query_cycles = total_query_cycles
-        system._prev_reactive_rate = (np.mean(list(ctx.rates.values()))
-                                      if ctx.rates else 1.0)
-        tenant_cycles: Dict[str, float] = {}
-        if system.tenant_registry.declared:
-            owners = system.tenant_registry.declared_tenant_of
-            for name, cycles in ctx.query_cycles_by_query.items():
-                tenant = owners.get(name)
-                if tenant is not None:
-                    tenant_cycles[tenant] = \
-                        tenant_cycles.get(tenant, 0.0) + cycles
-        ctx.record = BinRecord(
-            index=ctx.index, start_ts=ctx.batch.start_ts,
-            incoming_packets=len(ctx.batch),
-            incoming_bytes=ctx.batch.byte_count,
-            dropped_packets=0, unsampled_packets=ctx.unsampled,
-            predicted_cycles=usage.predicted,
-            expected_cycles=ctx.expected_after_shedding,
-            query_cycles=usage.queries,
-            prediction_overhead=usage.prediction_overhead,
-            shedding_overhead=usage.shedding_overhead,
-            system_overhead=usage.system_overhead,
-            available_cycles=ctx.clock.per_bin_budget,
-            delay=ctx.clock.delay, buffer_occupation=occupation,
-            rates=dict(ctx.rates),
-            query_cycles_by_query=ctx.query_cycles_by_query,
-            tenant_cycles=tenant_cycles,
-        )
+            system.controller.record_shedding_overhead(ctx.shedding_overhead)
+            system.controller.record_prediction_error(ctx.expected_cycles,
+                                                      ctx.query_cycles)
+        system.last_accounted = close_bin(system, ctx)
 
 
 #: The canonical stage order of Figure 3.2.  Stages are stateless, so the
@@ -371,18 +381,10 @@ def process_bin(system: "MonitoringSystem", index: int, batch: Batch,
     profiler = system.profiler
     bin_seconds = 0.0
     for stage in DEFAULT_STAGES:
-        cycles_before = clock.current.total
         started = perf_counter()
         stage.run(system, ctx)
         elapsed = perf_counter() - started
-        cycles_after = clock.current.total
-        # ``start_bin``/``end_bin`` inside a stage reset or close the
-        # usage record; a shrinking total means the stage opened a
-        # fresh bin, so its own charges are the post value.
-        delta = cycles_after - cycles_before
-        if delta < 0.0:
-            delta = cycles_after
-        profiler.record(type(stage).__name__, elapsed, delta)
+        profiler.record(type(stage).__name__, elapsed)
         bin_seconds += elapsed
         if ctx.record is not None:
             break
@@ -407,5 +409,6 @@ __all__ = [
     "PredictionStage",
     "RateDecisionStage",
     "SystemOverheadStage",
+    "close_bin",
     "process_bin",
 ]

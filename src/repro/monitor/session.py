@@ -123,9 +123,9 @@ class MonitoringSession:
     def metrics(self) -> Dict:
         """Operational metrics of the execution so far (JSON-able).
 
-        ``profile`` is the per-stage wall-time/cycle breakdown recorded by
+        ``profile`` is the per-stage wall-time breakdown recorded by
         :class:`repro.profile.StageProfiler` (with p50/p95/p99 per-bin
-        latency percentiles); ``feature_sharing`` counts every feature read
+        latency percentiles; the cycles are the result's columns); ``feature_sharing`` counts every feature read
         and counter merge of the extractors: ``computed_reads`` /
         ``computed_merges`` were worked out, ``shared_reads`` /
         ``deduped_merges`` found done already for a query holding the same

@@ -530,7 +530,7 @@ class MonitoringSystem:
         #: What the feature extractors share: the canonical empty interval
         #: bank and the sharing counters.
         self.feature_states = FeatureSharing()
-        #: Per-stage wall-time/cycle telemetry (see :mod:`repro.profile`).
+        #: Per-stage wall-time telemetry (see :mod:`repro.profile`).
         self.profiler = StageProfiler()
         #: Columnar per-tenant state + query→tenant membership (queries
         #: outside declared groups become implicit singleton tenants).
@@ -544,8 +544,9 @@ class MonitoringSystem:
         #: measurement interval flushed since the session driving this
         #: system last took the list away (it does after every bin).
         self._flushed: List[tuple] = []
-        self._prev_reactive_rate = 1.0
-        self._prev_query_cycles = 0.0
+        #: The record of the last bin the queries ran in (a dropped bin
+        #: does not count): what reactive mode scales its rate from.
+        self.last_accounted: Optional[BinRecord] = None
         if queries is None:
             # A config may carry a declarative query mix of its own.
             queries = config.build_queries() or ()
@@ -646,8 +647,7 @@ class MonitoringSystem:
         self.controller.reset()
         self.enforcer.reset()
         self.profiler.reset()
-        self._prev_reactive_rate = 1.0
-        self._prev_query_cycles = 0.0
+        self.last_accounted = None
 
     def _active_runtimes(self, batch_start: float) -> List[_QueryRuntime]:
         return [runtime for runtime in self._runtimes.values()
@@ -726,10 +726,10 @@ class MonitoringSystem:
         if self.mode in ("original", "reference"):
             return {name: 1.0 for name in names}
         if self.mode == "reactive":
-            rate = reactive_rate(self._prev_reactive_rate,
-                                 self._prev_query_cycles,
-                                 clock.per_bin_budget - ctx.como,
-                                 clock.delay)
+            last = self.last_accounted
+            rate = 1.0 if last is None else reactive_rate(
+                last.mean_rate, last.query_cycles,
+                clock.per_bin_budget - ctx.system_overhead, clock.delay)
             return {name: rate for name in names}
         slots = ctx.demand_slots
         table = self.demand_table
@@ -739,7 +739,7 @@ class MonitoringSystem:
                                        table.tenant_slot[slots])
         plan = self.controller.plan_arrays(
             names, table.predicted[slots], table.min_rate[slots],
-            clock.per_bin_budget, clock.overhead_so_far(), clock.delay,
+            clock.per_bin_budget, ctx.overhead, clock.delay,
             tenants=tenants, rank=table.name_rank[slots])
         return plan.rates
 

@@ -2,17 +2,18 @@
 
 The paper's overhead story (Table 3.4) is a *breakdown*: how many cycles
 go to feature extraction, selection+regression, shedding and the queries
-themselves.  This module gives the reproduction the same lens at runtime:
-:class:`StageProfiler` records wall-clock seconds and simulated cycles per
-pipeline stage per bin, and :func:`summarize` turns any latency series
-into the ``n/mean/p50/p95/p99/max`` statistics the benchmark reports and
-the serve ``/metrics`` endpoint expose.  :func:`fold_metrics` is the one
+themselves.  In the reproduction those cycles are the columns of a run's
+bin records; this module adds the wall-clock side: :class:`StageProfiler`
+records the seconds each pipeline stage takes per bin, and
+:func:`summarize` turns any latency series into the
+``n/mean/p50/p95/p99/max`` statistics the benchmark reports and the serve
+``/metrics`` endpoint expose.  :func:`fold_metrics` is the one
 fold of several sessions' metrics documents into their owner's — a
 sharded node's over its shards, a fleet's over its nodes.
 
 The profiler is deliberately cheap — two ``perf_counter`` reads and one
 dict update per stage per bin — so it stays on permanently; it never
-influences results (simulated cycles are read, not charged).
+influences results.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = ["StageProfiler", "fold_metrics", "peak_rss_mb", "summarize"]
 #: How many of the most recent bins a per-bin latency series keeps.
 RECENT_BINS = 2048
 #: The per-stage totals a metrics document carries, which add up over parts.
-_TOTALS = ("calls", "seconds_total", "cycles_total")
+_TOTALS = ("calls", "seconds_total")
 
 
 def peak_rss_mb() -> float:
@@ -77,16 +78,15 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
 class _StageStats:
     """Running totals for one pipeline stage."""
 
-    __slots__ = ("calls", "seconds_total", "cycles_total")
+    __slots__ = ("calls", "seconds_total")
 
     def __init__(self) -> None:
         self.calls = 0
         self.seconds_total = 0.0
-        self.cycles_total = 0.0
 
 
 class StageProfiler:
-    """Per-stage wall-time and simulated-cycle accounting, bin by bin.
+    """Per-stage wall-time accounting, bin by bin.
 
     The pipeline calls :meth:`record` once per stage per bin and
     :meth:`end_bin` once per bin.  Totals are unbounded (running sums);
@@ -103,14 +103,13 @@ class StageProfiler:
         self._bin_seconds: Deque[float] = deque(maxlen=self.max_recent)
 
     # ------------------------------------------------------------------
-    def record(self, stage: str, seconds: float, cycles: float) -> None:
+    def record(self, stage: str, seconds: float) -> None:
         """Accumulate one stage execution."""
         stats = self._stages.get(stage)
         if stats is None:
             stats = self._stages[stage] = _StageStats()
         stats.calls += 1
         stats.seconds_total += float(seconds)
-        stats.cycles_total += float(cycles)
 
     def end_bin(self, total_seconds: float) -> None:
         """Close one bin (``total_seconds`` = summed stage wall time)."""
@@ -134,7 +133,6 @@ class StageProfiler:
             name: {
                 "calls": stats.calls,
                 "seconds_total": stats.seconds_total,
-                "cycles_total": stats.cycles_total,
                 "mean_seconds": (stats.seconds_total / stats.calls
                                  if stats.calls else 0.0),
             }
@@ -157,9 +155,8 @@ def fold_metrics(documents: Sequence[Dict], bin_seconds: Sequence[float],
 
     The parts are a node's shards or a fleet's nodes: each sees every bin,
     so the owner's bin count is one part's, and each stage's ``calls`` /
-    ``seconds_total`` / ``cycles_total`` and every ``feature_sharing``
-    counter add up over the parts (each stage's mean recomputes from the
-    sums).  What only the owner knows it hands in: ``bin_seconds``, its
+    ``seconds_total`` and every ``feature_sharing`` counter add up over
+    the parts (each stage's mean recomputes from the sums).  What only the owner knows it hands in: ``bin_seconds``, its
     own per-bin wall series — the slowest part's time per bin, since a bin
     is done when its last part is — and ``result``, the
     :class:`~repro.monitor.system.ExecutionResult` it folds the parts'

@@ -70,8 +70,11 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: versions 1-5 wrapped ``meta`` and the state, as a nested pickle, in one
 #: dict; 7: a session's result holds its bins as the columns of a
 #: ``BinTable``, not as a list of ``BinRecord`` objects, and a bin records
-#: its ``expected_cycles``).
-CHECKPOINT_VERSION = 7
+#: its ``expected_cycles``; 8: the cycle clock keeps only the delay, the
+#: capture buffer no drop counters, and the system its last accounted
+#: ``BinRecord`` in place of the reactive rate and cycles, while the
+#: profiler's stages carry no cycles).
+CHECKPOINT_VERSION = 8
 
 logger = logging.getLogger("repro.serve.checkpoint")
 # A refusal is raised as well as logged: without handlers of the

@@ -62,6 +62,13 @@ from .feeds import Feed
 
 __all__ = ["MonitorDaemon"]
 
+#: The components of a bin's cycles (``repro_cycles_total``), and the
+#: result columns they are read from.
+_CYCLE_COMPONENTS = (("queries", "query_cycles"),
+                     ("prediction", "prediction_overhead"),
+                     ("shedding", "shedding_overhead"),
+                     ("system", "system_overhead"))
+
 logger = logging.getLogger("repro.serve.daemon")
 
 #: Config fields that can change while the session is running.  Everything
@@ -587,6 +594,11 @@ class MonitorDaemon:
             _family("repro_mean_prediction_error", "gauge",
                     "Mean relative cycle-prediction error",
                     [({}, totals["prediction_error"])]),
+            _family("repro_cycles_total", "counter",
+                    "Simulated cycles spent, by component",
+                    [({"component": component},
+                      float(snapshot.series(column).sum()))
+                     for component, column in _CYCLE_COMPONENTS]),
         ]
         if record is not None:
             families.append(_family(
@@ -614,11 +626,6 @@ class MonitorDaemon:
                 "repro_stage_seconds_total", "counter",
                 "Wall seconds spent per pipeline stage",
                 [({"stage": stage}, stats["seconds_total"])
-                 for stage, stats in sorted(profile["stages"].items())]))
-            families.append(_family(
-                "repro_stage_cycles_total", "counter",
-                "Simulated cycles charged per pipeline stage",
-                [({"stage": stage}, stats["cycles_total"])
                  for stage, stats in sorted(profile["stages"].items())]))
         latency = profile["bin_seconds"]
         if latency["n"]:

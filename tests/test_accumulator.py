@@ -19,8 +19,11 @@ The contracts under test:
   ``partial_result()`` after every operation.
 * **One metrics fold** — a sharded node's and a fleet's ``metrics`` are
   their parts' documents folded by :func:`repro.profile.fold_metrics`:
-  every bin counted once, stage totals and feature-sharing counters the
-  sums over the parts.
+  every bin counted once, stage wall-time totals and feature-sharing
+  counters the sums over the parts.
+* **A bin is accounted once** — in every mode, each record's ``delay`` is
+  the previous bin's carried by this one's total over its budget, and its
+  ``buffer_occupation`` is read at that delay, from the records alone.
 * **A result is a table of bins** — whatever records are folded (query
   sets that change, tenants on and off, shard-merged records, counts near
   the int64 range), every row, series and total of the result is what a
@@ -89,6 +92,16 @@ def _by_hand(session, bins, config):
     return result, delivered
 
 
+def _assert_accounted_once(result, capacity_cycles):
+    """The clock's delay and the buffer, recomputed from the records."""
+    delay = 0.0
+    for record in result.bins:
+        delay = max(0.0, delay + (record.total_cycles -
+                                  record.available_cycles))
+        assert record.delay == delay
+        assert record.buffer_occupation == min(1.0, delay / capacity_cycles)
+
+
 def _ingested(session, bins):
     for batch in bins:
         session.ingest(batch)
@@ -104,8 +117,9 @@ def test_ingest_is_step_plus_a_fold(small_trace, mode, feature_method):
     bins = small_trace.batch_list(0.1)
     classes = {query.name: type(query) for query in config.build_queries()}
 
-    expected = _ingested(config.build().open_session(time_bin=0.1,
-                                                     name="t"), bins)
+    serial = config.build().open_session(time_bin=0.1, name="t")
+    expected = _ingested(serial, bins)
+    _assert_accounted_once(expected, serial.buffer.capacity_cycles)
     if mode == "predictive":
         assert expected.mean_sampling_rate() < 0.9
     assert set(expected.tenant_cycle_totals()) == {"ops", "research"}
@@ -346,7 +360,8 @@ def test_a_departed_querys_last_interval_is_finished_by_its_own_class(tier):
 def test_one_metrics_fold_on_every_tier(small_trace, setup):
     """``profile.bins`` is the bins ingested, whatever the parts, and each
     stage's ``calls`` / ``seconds_total`` and every ``feature_sharing``
-    counter is the sum over the parts' own documents."""
+    counter is the sum over the parts' own documents.  A stage entry is
+    wall time only: the cycles are the result's columns."""
     if setup == "workers" and not fork_start_available():
         pytest.skip("needs the fork start method")
     config = runner.system_config(seed=5, queries="counter,flows,top-k",
@@ -375,7 +390,8 @@ def test_one_metrics_fold_on_every_tier(small_trace, setup):
     assert profile["bin_seconds"]["n"] == len(bins)
     assert profile["stages"]
     for stage, totals in profile["stages"].items():
-        for key in ("calls", "seconds_total", "cycles_total"):
+        assert set(totals) == {"calls", "seconds_total", "mean_seconds"}
+        for key in ("calls", "seconds_total"):
             assert totals[key] == sum(part["profile"]["stages"][stage][key]
                                       for part in parts), (stage, key)
         assert totals["calls"] == len(parts) * len(bins)

@@ -472,7 +472,6 @@ class TestFleetAggregator:
                               "bin_seconds": {"p50": 0.1},
                               "stages": {"predict": {
                                   "calls": 10, "seconds_total": 1.0,
-                                  "cycles_total": 100.0,
                                   "mean_seconds": 0.1}}},
                   "feature_sharing": {"hits": 5},
                   "tenants": {"count": 2, "query_cycles": {}}}
@@ -480,7 +479,6 @@ class TestFleetAggregator:
                               "bin_seconds": {"p50": 0.3},
                               "stages": {"predict": {
                                   "calls": 30, "seconds_total": 2.0,
-                                  "cycles_total": 300.0,
                                   "mean_seconds": 2.0 / 30}}},
                   "feature_sharing": {"hits": 2, "misses": 1},
                   "tenants": {"count": 2, "query_cycles": {}}}
@@ -490,7 +488,6 @@ class TestFleetAggregator:
         stage = folded["profile"]["stages"]["predict"]
         assert stage["calls"] == 40
         assert stage["seconds_total"] == 3.0
-        assert stage["cycles_total"] == 400.0
         assert stage["mean_seconds"] == pytest.approx(3.0 / 40)
         assert folded["feature_sharing"] == {"hits": 7, "misses": 1}
         assert folded["profile"]["bins"] == 10

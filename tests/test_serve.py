@@ -446,6 +446,7 @@ def test_daemon_status_metrics_and_ops(tmp_path, serve_trace):
                          "repro_feed_late_packets_total",
                          "repro_feed_malformed_lines_total",
                          "repro_mean_prediction_error",
+                         "repro_cycles_total",
                          "repro_checkpoints_total"):
             assert expected in names, f"missing metric {expected}"
         doc = harness.request("POST", "/shutdown")
@@ -596,7 +597,8 @@ def test_a_restored_daemon_serves_what_an_uninterrupted_one_does(
         tmp_path, serve_trace):
     """Checkpoint at bin k: a daemon on the restored session serves the
     same totals as the daemon that never stopped, at bin k and at the end
-    — they are read from the result, which the checkpoint carries."""
+    — they are read from the result, which the checkpoint carries.  The
+    cycles by component are the sums of the result's columns."""
     from repro.serve.checkpoint import save_checkpoint
     config = _daemon_config().replace(cycles_per_second=CAPACITY / 20)
     bins = serve_trace.batch_list(TIME_BIN)
@@ -614,6 +616,16 @@ def test_a_restored_daemon_serves_what_an_uninterrupted_one_does(
     status, samples = at_k
     assert status["packets"] == sum(len(batch) for batch in bins[:k])
     assert samples[("repro_packets_total", ())] == status["packets"]
+    result = uninterrupted.partial_result()
+    for component, column in (("queries", "query_cycles"),
+                              ("prediction", "prediction_overhead"),
+                              ("shedding", "shedding_overhead"),
+                              ("system", "system_overhead")):
+        served = samples[("repro_cycles_total",
+                          (("component", component),))]
+        assert served == result.series(column).sum()
+    assert not any(name == "repro_stage_cycles_total"
+                   for name, _ in samples)
     assert status["shed_bins"] > 0 and status["mean_prediction_error"] > 0
     assert _served(restored) == at_k
     for batch in bins[k:]:

@@ -51,24 +51,17 @@ class TestCycleClock:
 
     def test_delay_accumulates_on_overrun(self):
         clock = CycleClock(CycleBudget(1e6, 0.1))
-        clock.start_bin()
-        clock.charge_query(2e5)   # budget is 1e5
-        clock.end_bin()
+        assert clock.close_bin(2e5) == pytest.approx(1e5)  # budget is 1e5
         assert clock.delay == pytest.approx(1e5)
-        clock.start_bin()
-        clock.charge_query(0.0)
-        clock.end_bin()
+        clock.close_bin(0.0)
         assert clock.delay == pytest.approx(0.0)
 
-    def test_overhead_accounting(self):
+    def test_spare_cycles_pay_down_the_delay_but_are_not_banked(self):
         clock = CycleClock(CycleBudget(1e6, 0.1))
-        clock.start_bin()
-        clock.charge_system(10.0)
-        clock.charge_prediction(20.0)
-        clock.charge_shedding(30.0)
-        assert clock.overhead_so_far() == pytest.approx(60.0)
-        usage = clock.end_bin()
-        assert usage.total == pytest.approx(60.0)
+        clock.close_bin(1.5e5)
+        assert clock.close_bin(8e4) == pytest.approx(3e4)
+        assert clock.close_bin(0.0) == 0.0
+        assert clock.close_bin(1.2e5) == pytest.approx(2e4)
 
 
 class TestBufferDiscovery:

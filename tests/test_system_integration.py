@@ -44,11 +44,21 @@ class TestCaptureBuffer:
         assert buffer.status(5e4).occupation == pytest.approx(0.5)
         assert buffer.status(2e5).dropping
 
-    def test_drop_accounting(self):
-        buffer = CaptureBuffer(0.1)
-        buffer.record_drop(500)
-        assert buffer.dropped_packets == 500
-        assert buffer.dropped_batches == 1
+    def test_a_dropped_bin_reads_the_buffer_after_it_closes(
+            self, small_trace_module, calibrated):
+        """Every bin, admitted or dropped, records the occupation of the
+        buffer at the delay it leaves behind — the delay it records too,
+        and what buffer discovery is fed."""
+        capacity, _ = calibrated
+        session = runner.system_config(
+            queries=QUERY_SET, mode="original",
+            cycles_per_second=capacity * 0.5).build().open_session()
+        result = session.ingest_trace(small_trace_module).close()
+        records = list(result.bins)
+        assert any(record.dropped_packets > 0 for record in records)
+        for record in records:
+            assert record.buffer_occupation == min(
+                1.0, record.delay / session.buffer.capacity_cycles)
 
 
 class TestModes:
