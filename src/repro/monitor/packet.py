@@ -585,6 +585,91 @@ class Batch:
                 f"start_ts={self.start_ts:.3f}, time_bin={self.time_bin})")
 
 
+class BinGrid:
+    """The time bins a packet stream is cut into.
+
+    The one home of that arithmetic: in-memory traces, stores, their
+    writer and every feed cut their bins here, so their bins agree by
+    construction.  Edge ``i`` is ``first_ts + time_bin * i`` in float64,
+    and bin ``i`` holds the packets with ``edge(i) <= ts < edge(i + 1)``.
+    A stream's bins run through the bin that holds its last timestamp
+    (:meth:`count`), and a live source's bin is complete once its upper
+    edge is at or below the newest timestamp seen (:meth:`complete`).
+    """
+
+    __slots__ = ("first_ts", "time_bin")
+
+    def __init__(self, first_ts: float, time_bin: float) -> None:
+        self.first_ts = float(first_ts)
+        self.time_bin = float(time_bin)
+
+    def edge(self, index: int) -> float:
+        """Where bin ``index`` starts."""
+        return self.first_ts + self.time_bin * index
+
+    def count(self, last_ts: float) -> int:
+        """Bins of a stream whose last timestamp is ``last_ts``: the number
+        of edges at or below it."""
+        # The quotient is off by one where an edge rounds across last_ts;
+        # the edges themselves decide.
+        n = int(np.floor((last_ts - self.first_ts) / self.time_bin)) + 1
+        while self.edge(n) <= last_ts:
+            n += 1
+        while n > 0 and self.edge(n - 1) > last_ts:
+            n -= 1
+        return max(n, 0)
+
+    def complete(self, newest_ts: float) -> int:
+        """Bins no packet at or after ``newest_ts`` can enter: those whose
+        upper edge is at or below it."""
+        return max(self.count(newest_ts) - 1, 0)
+
+    def bounds(self, ts: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Row offsets of edges ``start`` to ``stop - 1`` in sorted ``ts``
+        (the same floats :meth:`edge` gives one by one)."""
+        return np.searchsorted(
+            ts, self.first_ts + self.time_bin * np.arange(start, stop))
+
+    def bin(self, index: int, lo: int, hi: int, rows,
+            with_payloads: bool) -> Batch:
+        """Bin ``index`` made of rows ``[lo, hi)``.
+
+        ``rows(lo, hi)`` builds the batch of a non-empty range; an empty
+        range is an empty batch.  Either way the bin starts at its edge
+        and spans the grid's ``time_bin``.
+        """
+        start_ts = self.edge(index)
+        if hi <= lo:
+            return Batch.empty(time_bin=self.time_bin, start_ts=start_ts,
+                               with_payloads=with_payloads)
+        batch = rows(lo, hi)
+        batch.time_bin = self.time_bin
+        batch.start_ts = start_ts
+        return batch
+
+    def cut(self, packets: Batch, start: int, stop: int) -> List[Batch]:
+        """Bins ``start`` to ``stop - 1`` of a sorted batch, each the
+        :meth:`Batch.select` of its rows (so it slices the batch's memoised
+        hashes)."""
+        bounds = self.bounds(packets.ts, start, stop + 1)
+
+        def rows(lo: int, hi: int) -> Batch:
+            return packets.select(np.arange(lo, hi))
+
+        return [self.bin(index, int(bounds[i]), int(bounds[i + 1]), rows,
+                         packets.has_payloads)
+                for i, index in enumerate(range(start, stop))]
+
+    @classmethod
+    def spanning(cls, ts, time_bin: float) -> Tuple["BinGrid", int]:
+        """The grid anchored at sorted ``ts``'s first timestamp, and its
+        number of bins through the last (none for no ``ts``)."""
+        if len(ts) == 0:
+            return cls(0.0, time_bin), 0
+        grid = cls(ts[0], time_bin)
+        return grid, grid.count(float(ts[-1]))
+
+
 class PacketTrace:
     """A full packet trace: one large :class:`Batch` plus batching helpers.
 
@@ -617,7 +702,7 @@ class PacketTrace:
         return iter(self.batch_list(time_bin))
 
     def batch_list(self, time_bin: float = 0.1) -> List[Batch]:
-        """The trace sliced into ``time_bin`` batches, computed once.
+        """The trace cut on its :class:`BinGrid`, computed once.
 
         Slicing a multi-second trace copies every column array; executions in
         different modes (a calibration and then one run per mode, as every
@@ -629,36 +714,14 @@ class PacketTrace:
         cached = self._batch_cache.get(time_bin)
         if cached is not None:
             return cached
-        batches: List[Batch] = []
-        pkts = self.packets
-        if len(pkts) > 0:
-            ts = pkts.ts
-            start = float(ts[0])
-            end = float(ts[-1])
-            n_bins = int(np.floor((end - start) / time_bin)) + 1
-            # Bin index of every packet; searchsorted on the (sorted)
-            # timestamps gives us contiguous index ranges per bin.
-            edges = start + time_bin * np.arange(n_bins + 1)
-            bounds = np.searchsorted(ts, edges)
-            for i in range(n_bins):
-                lo, hi = int(bounds[i]), int(bounds[i + 1])
-                if hi > lo:
-                    batch = pkts.select(np.arange(lo, hi))
-                else:
-                    batch = Batch.empty(time_bin=time_bin,
-                                        start_ts=float(edges[i]),
-                                        with_payloads=pkts.payloads is not None)
-                batch.time_bin = time_bin
-                batch.start_ts = float(edges[i])
-                batches.append(batch)
+        grid, n_bins = BinGrid.spanning(self.packets.ts, time_bin)
+        batches = grid.cut(self.packets, 0, n_bins)
         self._batch_cache[time_bin] = batches
         return batches
 
     def num_batches(self, time_bin: float = 0.1) -> int:
         """Number of batches :meth:`batches` will yield."""
-        if len(self.packets) == 0:
-            return 0
-        return int(np.floor(self.duration / time_bin)) + 1
+        return BinGrid.spanning(self.packets.ts, time_bin)[1]
 
 
 class StreamingTrace:
@@ -685,8 +748,8 @@ class StreamingTrace:
     returning pre-indexed bin-edge offsets or ``None``, and ``close()``.
 
     Replaying a store through this class is bit-identical to loading the
-    same packets in memory and running ``PacketTrace`` — the bin edges, the
-    column dtypes and the slicing arithmetic are the same
+    same packets in memory and running ``PacketTrace``: both cut their bins
+    on the same :class:`BinGrid`, and the column dtypes are the same
     (``tests/test_trace_store.py`` pins it across all four operating
     modes).
     """
@@ -727,40 +790,29 @@ class StreamingTrace:
     # Bin layout
     # ------------------------------------------------------------------
     def _bin_layout(self, time_bin: float) -> tuple:
-        """``(edges, bounds)`` for the store's bins at ``time_bin``.
+        """``(grid, bounds)`` for the store's bins at ``time_bin``.
 
-        The arithmetic replicates :meth:`PacketTrace.batch_list` exactly
-        (``start + time_bin * arange`` in float64, ``searchsorted`` on the
-        timestamps) so the streaming bins are bit-identical to in-memory
-        slicing.  The store's persisted bin index is used when it matches
-        ``time_bin``; otherwise the edges are searched on the memory-mapped
-        column, which touches O(n_bins · log n) pages, not the whole trace.
+        The store's persisted bin index is used when it matches
+        ``time_bin`` and the grid's bin count; otherwise (another
+        ``time_bin``, or an index written by an older count) the edges are
+        searched on the memory-mapped column, which touches
+        O(n_bins · log n) pages, not the whole trace.
         """
         time_bin = float(time_bin)
         layout = self._layouts.get(time_bin)
         if layout is not None:
             return layout
         ts = self.store.column("ts")
-        start = float(ts[0])
-        end = float(ts[-1])
-        n_bins = int(np.floor((end - start) / time_bin)) + 1
-        edges = start + time_bin * np.arange(n_bins + 1)
+        grid, n_bins = BinGrid.spanning(ts, time_bin)
         bounds = self.store.bin_bounds(time_bin)
         if bounds is None or len(bounds) != n_bins + 1:
-            bounds = np.searchsorted(ts, edges)
-        layout = (edges, np.asarray(bounds, dtype=np.int64))
+            bounds = grid.bounds(ts, 0, n_bins + 1)
+        layout = (grid, np.asarray(bounds, dtype=np.int64))
         self._layouts[time_bin] = layout
         return layout
 
-    def _batch_at(self, edges: np.ndarray, bounds: np.ndarray,
-                  index: int, time_bin: float) -> Batch:
-        lo, hi = int(bounds[index]), int(bounds[index + 1])
-        start_ts = float(edges[index])
-        if hi <= lo:
-            return Batch.empty(time_bin=time_bin, start_ts=start_ts,
-                               with_payloads=self.store.has_payloads)
+    def _rows(self, lo: int, hi: int) -> Batch:
         return Batch(payloads=self.store.payloads_slice(lo, hi),
-                     time_bin=time_bin, start_ts=start_ts,
                      **self.store.read_rows(lo, hi))
 
     # ------------------------------------------------------------------
@@ -768,9 +820,7 @@ class StreamingTrace:
     # ------------------------------------------------------------------
     def num_batches(self, time_bin: float = 0.1) -> int:
         """Number of batches :meth:`batches` will yield."""
-        if len(self) == 0:
-            return 0
-        return int(np.floor(self.duration / time_bin)) + 1
+        return len(self.batch_list(time_bin))
 
     def batch_list(self, time_bin: float = 0.1) -> "Sequence[Batch]":
         """The trace's bins as a lazy sequence.
@@ -796,14 +846,10 @@ class _StreamingBatchList(Sequence):
 
     def __init__(self, trace: StreamingTrace, time_bin: float) -> None:
         self.trace = trace
-        self.time_bin = time_bin
-        if len(trace) == 0:
-            self._edges = None
-            self._bounds = None
-            self._n_bins = 0
-        else:
-            self._edges, self._bounds = trace._bin_layout(time_bin)
-            self._n_bins = len(self._edges) - 1
+        self._grid, self._bounds = None, np.zeros(1, dtype=np.int64)
+        if len(trace) > 0:
+            self._grid, self._bounds = trace._bin_layout(time_bin)
+        self._n_bins = len(self._bounds) - 1
 
     def __len__(self) -> int:
         return self._n_bins
@@ -816,8 +862,9 @@ class _StreamingBatchList(Sequence):
             index += self._n_bins
         if not 0 <= index < self._n_bins:
             raise IndexError("bin index out of range")
-        return self.trace._batch_at(self._edges, self._bounds, index,
-                                    self.time_bin)
+        return self._grid.bin(index, int(self._bounds[index]),
+                              int(self._bounds[index + 1]), self.trace._rows,
+                              self.trace.store.has_payloads)
 
 
 def as_trace(source):

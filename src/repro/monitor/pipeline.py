@@ -299,7 +299,6 @@ class PredictionStage:
             feats = runtime.extractor.extract(sub_batch, update_state=False)
             ctx.features_pre[name] = feats
             prediction = runtime.predictor.predict(feats)
-            runtime.last_prediction = prediction
             ctx.predictions[name] = prediction
             ctx.predicted_cycles += prediction
             ctx.prediction_overhead += float(

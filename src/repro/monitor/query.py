@@ -151,9 +151,6 @@ class Query(ABC):
         self.meter = CycleMeter(costs=costs)
         if name is not None:
             self.name = name
-        self.enabled = True
-        #: Sampling rate applied to the most recent batch (1.0 = no shedding).
-        self.last_sampling_rate = 1.0
 
     # ------------------------------------------------------------------
     # Callbacks implemented by concrete queries
@@ -204,8 +201,6 @@ class Query(ABC):
     def reset(self) -> None:
         """Reset all query state (start of a fresh execution)."""
         self.meter.reset()
-        self.enabled = True
-        self.last_sampling_rate = 1.0
 
     # ------------------------------------------------------------------
     # Federation of finished results (the fleet tier)
@@ -297,7 +292,6 @@ class Query(ABC):
         the load shedders between the filter and the query.
         """
         filtered = self.filter.apply(batch)
-        self.last_sampling_rate = sampling_rate
         self.update(filtered, sampling_rate)
         return self.consume_cycles()
 

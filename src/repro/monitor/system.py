@@ -479,7 +479,6 @@ class _QueryRuntime:
         self.extractor = extractor
         self.sampler = sampler
         self.interval_start: Optional[float] = None
-        self.last_prediction = 0.0
         self.seed = seed
         #: Row of the system's :class:`~repro.core.fairness.QuerySlotTable`
         #: holding this query's demand columns (set by ``add_query``).
@@ -490,7 +489,6 @@ class _QueryRuntime:
         self.predictor.reset()
         self.extractor.reset()
         self.interval_start = None
-        self.last_prediction = 0.0
 
 
 class MonitoringSystem:
@@ -768,7 +766,6 @@ class MonitoringSystem:
                 shedding_cycles += runtime.extractor.extraction_cost(processed)
             else:
                 features_post = None
-        query.last_sampling_rate = rate if rate > 0 else 0.0
         if rate > 0.0:
             query.update(processed, max(rate, 1e-12))
         cycles = query.consume_cycles()

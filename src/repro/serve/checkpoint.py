@@ -73,7 +73,10 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: its ``expected_cycles``; 8: the cycle clock keeps only the delay, the
 #: capture buffer no drop counters, and the system its last accounted
 #: ``BinRecord`` in place of the reactive rate and cycles, while the
-#: profiler's stages carry no cycles).
+#: profiler's stages carry no cycles).  Dropping an attribute nothing reads
+#: is compatible and bumps nothing: a version-8 file written while a query
+#: still kept an enabled flag and its last sampling rate, and its runtime
+#: its last prediction, restores with those riding along unread.
 CHECKPOINT_VERSION = 8
 
 logger = logging.getLogger("repro.serve.checkpoint")

@@ -45,6 +45,7 @@ import numpy as np
 
 from ..monitor.packet import (
     Batch,
+    BinGrid,
     COLUMN_DTYPES,
     COLUMN_FIELDS,
     StreamingTrace,
@@ -180,10 +181,10 @@ class TailFeed(Feed):
     (possibly partial) bin is withheld until the writer closes the store,
     at which point every remaining bin is delivered and the feed ends.
 
-    Bin edges are anchored at the store's first timestamp, which is fixed
-    from the writer's first flush onward — so the bins this feed emits are
-    identical to what a post-hoc replay of the finished store emits, no
-    matter how the flushes and polls interleaved.
+    Bins lie on the :class:`BinGrid` anchored at the store's first
+    timestamp, which is fixed from the writer's first flush onward — so the
+    bins this feed emits are identical to what a post-hoc replay of the
+    finished store emits, no matter how the flushes and polls interleaved.
     """
 
     def __init__(self, path: Union[str, Path], time_bin: float = 0.1,
@@ -210,13 +211,9 @@ class TailFeed(Feed):
                 await asyncio.sleep(self.poll_interval)
                 continue
             ts = store.column("ts")
-            start_ts, end_ts = float(ts[0]), float(ts[-1])
-            n_bins = int(np.floor((end_ts - start_ts) / self.time_bin)) + 1
-            if store.complete:
-                available = n_bins
-            else:
-                # Only bins whose upper edge <= end_ts are immutable.
-                available = max(0, n_bins - 1)
+            _, n_bins = BinGrid.spanning(ts, self.time_bin)
+            # A store still being written may add packets to its last bin.
+            available = n_bins if store.complete else max(n_bins - 1, 0)
             if available > yielded:
                 self.idle = False
                 trace = store.streaming()
@@ -239,23 +236,6 @@ class TailFeed(Feed):
                 0.0, (n_bins - yielded) * self.time_bin)
             await asyncio.sleep(self.poll_interval)
         self.done = True
-
-
-def _concat_batches(parts: List[Batch], time_bin: float) -> Batch:
-    """Concatenate batches into one (columns stacked, payloads chained)."""
-    parts = [p for p in parts if len(p) > 0]
-    if not parts:
-        return Batch.empty(time_bin=time_bin)
-    if len(parts) == 1:
-        return parts[0]
-    columns = {
-        name: np.concatenate([getattr(p, name) for p in parts])
-        for name in COLUMN_FIELDS
-    }
-    payloads = None
-    if all(p.payloads is not None for p in parts):
-        payloads = [pl for p in parts for pl in p.payloads]
-    return Batch(payloads=payloads, time_bin=time_bin, **columns)
 
 
 class GeneratorFeed(Feed):
@@ -285,29 +265,14 @@ class GeneratorFeed(Feed):
         self.pace = float(pace)
         self.max_bins = max_bins if max_bins is None else int(max_bins)
 
-    def _slice_bins(self, carry: Batch, first_ts: float, start_bin: int,
-                    stop_bin: int) -> List[Batch]:
-        """Bins ``[start_bin, stop_bin)`` of ``carry`` on the global grid."""
-        edges = first_ts + self.time_bin * np.arange(start_bin, stop_bin + 1)
-        bounds = np.searchsorted(carry.ts, edges)
-        out: List[Batch] = []
-        for i in range(stop_bin - start_bin):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            if hi > lo:
-                batch = carry.select(np.arange(lo, hi))
-            else:
-                batch = Batch.empty(time_bin=self.time_bin,
-                                    with_payloads=carry.payloads is not None)
-            batch.time_bin = self.time_bin
-            batch.start_ts = float(edges[i])
-            out.append(batch)
-        return out
+    def _capped(self, n_bins: int) -> int:
+        return n_bins if self.max_bins is None else min(n_bins, self.max_bins)
 
     async def batches(self) -> AsyncIterator[Batch]:
         loop = asyncio.get_running_loop()
         wall_start = loop.time()
         carry = Batch.empty(time_bin=self.time_bin)
-        first_ts: Optional[float] = None
+        grid: Optional[BinGrid] = None
         bins_out = 0
         segments = trace_segments(self.profile, self.seed,
                                   self.segment_duration)
@@ -319,40 +284,36 @@ class GeneratorFeed(Feed):
                 if segment is None:
                     break
                 # Later segments only add packets at ts >= their offset, so
-                # every bin ending at or before it is final and safe to emit.
+                # every bin complete at it is final and safe to emit.
                 boundary += self.segment_duration
-                carry = _concat_batches([carry, segment], self.time_bin)
+                # An empty part carries no payload list; concatenating it
+                # would drop the payloads of the others.
+                carry = Batch.concatenate(
+                    [part for part in (carry, segment) if len(part) > 0])
                 if len(carry) == 0:
                     continue
-                if first_ts is None:
-                    first_ts = float(carry.ts[0])
-                n_complete = int(np.floor((boundary - first_ts)
-                                          / self.time_bin))
-                if self.max_bins is not None:
-                    n_complete = min(n_complete, self.max_bins)
+                if grid is None:
+                    grid = BinGrid(carry.ts[0], self.time_bin)
+                n_complete = self._capped(grid.complete(boundary))
                 if n_complete > bins_out:
-                    for batch in self._slice_bins(carry, first_ts, bins_out,
-                                                  n_complete):
+                    # The carry starts at bin bins_out's edge, so the cut
+                    # bins hold its first rows.
+                    bins = grid.cut(carry, bins_out, n_complete)
+                    for batch in bins:
                         if self._stopping:
                             return
                         yield batch
                         bins_out += 1
                         await self._pace_gate(self.pace, wall_start,
                                               bins_out - 1)
-                    keep_from = int(np.searchsorted(
-                        carry.ts, first_ts + n_complete * self.time_bin))
-                    carry = carry.select(np.arange(keep_from, len(carry)))
+                    used = sum(len(batch) for batch in bins)
+                    carry = carry.select(np.arange(used, len(carry)))
                 if self.max_bins is not None and bins_out >= self.max_bins:
                     return
             # Horizon reached: drain whatever the carry still holds.
-            if not self._stopping and len(carry) > 0 and first_ts is not None:
-                last_ts = float(carry.ts[-1])
-                n_total = int(np.floor((last_ts - first_ts)
-                                       / self.time_bin)) + 1
-                if self.max_bins is not None:
-                    n_total = min(n_total, self.max_bins)
-                for batch in self._slice_bins(carry, first_ts, bins_out,
-                                              n_total):
+            if not self._stopping and len(carry) > 0 and grid is not None:
+                n_total = self._capped(grid.count(float(carry.ts[-1])))
+                for batch in grid.cut(carry, bins_out, n_total):
                     if self._stopping:
                         return
                     yield batch
@@ -378,14 +339,15 @@ class SocketFeed(Feed):
     Producers connect to ``(host, port)`` and write one JSON object per
     line; recognised fields are ``ts`` (required, seconds), ``src_ip`` /
     ``dst_ip`` (int or dotted quad), ``src_port`` / ``dst_port``,
-    ``proto`` and ``size``.  Bins are anchored at the first packet's
-    timestamp; a bin is emitted as soon as a packet beyond its upper edge
+    ``proto`` and ``size``.  Bins lie on the :class:`BinGrid` anchored at
+    the first packet's timestamp, the one a replay of the same packets
+    cuts; a bin is emitted as soon as a packet at or past its upper edge
     arrives (records are expected in roughly timestamp order — stragglers
     landing in an already-emitted bin are counted in ``late_packets`` and
     dropped, exactly what a live capture would do).  A line that is not a
-    JSON object with a numeric ``ts`` is counted in ``malformed_lines`` and
-    skipped; the connection stays open.  :meth:`stop` flushes the partial
-    last bin and ends the feed.
+    JSON object with a finite ``ts`` and fields that fit their columns is
+    counted in ``malformed_lines`` and skipped; the connection stays open.
+    :meth:`stop` flushes the partial last bin and ends the feed.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -400,8 +362,8 @@ class SocketFeed(Feed):
         #: The loop :meth:`start` ran on: the only thread that may touch
         #: the queue.
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._pending: List[dict] = []
-        self._first_ts: Optional[float] = None
+        self._pending: List[tuple] = []
+        self._grid: Optional[BinGrid] = None
         self._bins_emitted = 0
 
     @property
@@ -411,56 +373,51 @@ class SocketFeed(Feed):
             return self.port
         return self._server.sockets[0].getsockname()[1]
 
-    def _records_to_batch(self, records: List[dict], start_ts: float) -> Batch:
-        if not records:
-            return Batch.empty(time_bin=self.time_bin, start_ts=start_ts)
-        records = sorted(records, key=lambda r: float(r["ts"]))
-        columns = {
-            name: np.empty(len(records), dtype=COLUMN_DTYPES[name])
-            for name in COLUMN_FIELDS
-        }
-        for row, rec in enumerate(records):
-            columns["ts"][row] = float(rec["ts"])
-            columns["src_ip"][row] = _parse_addr(rec.get("src_ip", 0))
-            columns["dst_ip"][row] = _parse_addr(rec.get("dst_ip", 0))
-            columns["src_port"][row] = int(rec.get("src_port", 0))
-            columns["dst_port"][row] = int(rec.get("dst_port", 0))
-            columns["proto"][row] = int(rec.get("proto", 6))
-            columns["size"][row] = int(rec.get("size", 64))
-        return Batch(time_bin=self.time_bin, start_ts=start_ts, **columns)
-
-    def _flush_through(self, upto_ts: Optional[float]) -> None:
-        """Emit every bin whose upper edge is <= ``upto_ts`` (all if None)."""
-        if self._first_ts is None:
-            return
-        if upto_ts is None:
-            if not self._pending:
-                return
-            last = max(float(r["ts"]) for r in self._pending)
-            n_bins = int(np.floor((last - self._first_ts)
-                                  / self.time_bin)) + 1
-        else:
-            n_bins = int(np.floor((upto_ts - self._first_ts)
-                                  / self.time_bin))
-        while self._bins_emitted < n_bins:
-            edge = self._first_ts + self._bins_emitted * self.time_bin
-            upper = edge + self.time_bin
-            in_bin = [r for r in self._pending if float(r["ts"]) < upper]
-            self._pending = [r for r in self._pending
-                             if float(r["ts"]) >= upper]
-            self._queue.put_nowait(self._records_to_batch(in_bin, edge))
-            self._bins_emitted += 1
-
-    def _add_record(self, record: dict) -> None:
+    @staticmethod
+    def _parse_record(record: dict) -> tuple:
+        """A record's column values in ``COLUMN_FIELDS`` order; raises on
+        a missing or non-finite ``ts`` or a value its column cannot hold."""
         ts = float(record["ts"])
-        if self._first_ts is None:
-            self._first_ts = ts
-        emitted_edge = self._first_ts + self._bins_emitted * self.time_bin
-        if ts < emitted_edge:
+        if not np.isfinite(ts):
+            raise ValueError(f"non-finite ts {ts!r}")
+        values = {
+            "ts": ts,
+            "src_ip": _parse_addr(record.get("src_ip", 0)),
+            "dst_ip": _parse_addr(record.get("dst_ip", 0)),
+            "src_port": int(record.get("src_port", 0)),
+            "dst_port": int(record.get("dst_port", 0)),
+            "proto": int(record.get("proto", 6)),
+            "size": int(record.get("size", 64)),
+        }
+        return tuple(COLUMN_DTYPES[name].type(values[name])
+                     for name in COLUMN_FIELDS)
+
+    @staticmethod
+    def _rows_to_batch(rows: List[tuple]) -> Batch:
+        return Batch(**{name: np.array(column, dtype=COLUMN_DTYPES[name])
+                        for name, column in zip(COLUMN_FIELDS, zip(*rows))})
+
+    def _emit_through(self, n_bins: int) -> None:
+        """Emit the bins before bin ``n_bins`` from the pending rows."""
+        if n_bins <= self._bins_emitted:
+            return
+        pending = sorted(self._pending, key=lambda row: row[0])
+        bins = self._grid.cut(self._rows_to_batch(pending),
+                              self._bins_emitted, n_bins)
+        for batch in bins:
+            self._queue.put_nowait(batch)
+        self._pending = pending[sum(len(batch) for batch in bins):]
+        self._bins_emitted = n_bins
+
+    def _add_row(self, row: tuple) -> None:
+        ts = float(row[0])
+        if self._grid is None:
+            self._grid = BinGrid(ts, self.time_bin)
+        if ts < self._grid.edge(self._bins_emitted):
             self.late_packets += 1
             return
-        self._pending.append(record)
-        self._flush_through(ts)
+        self._pending.append(row)
+        self._emit_through(self._grid.complete(ts))
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
@@ -470,12 +427,11 @@ class SocketFeed(Feed):
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                    float(record["ts"])
-                except (ValueError, KeyError, TypeError):
+                    row = self._parse_record(json.loads(line))
+                except (ValueError, KeyError, TypeError, OverflowError):
                     self.malformed_lines += 1  # skip, keep the stream alive
                     continue
-                self._add_record(record)
+                self._add_row(row)
         finally:
             writer.close()
 
@@ -507,7 +463,9 @@ class SocketFeed(Feed):
                 self.idle = False
                 yield batch
             # Drain: emit everything still buffered, partial last bin too.
-            self._flush_through(None)
+            if self._pending:
+                self._emit_through(self._grid.count(
+                    max(float(row[0]) for row in self._pending)))
             while not self._queue.empty():
                 batch = self._queue.get_nowait()
                 if batch is not None:

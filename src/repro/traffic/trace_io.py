@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from ..monitor.packet import Batch, PacketTrace, StreamingTrace
+from ..monitor.packet import Batch, BinGrid, PacketTrace, StreamingTrace
 
 _FORMAT_VERSION = 1
 
@@ -233,10 +233,11 @@ class TraceWriter:
             }
             self._payload_writers["payload_offsets"].append([0])
         self._payload_bytes = 0
-        self._first_ts: Optional[float] = None
+        #: The bins of the store, anchored at its first packet.
+        self._grid: Optional[BinGrid] = None
         self._last_ts: Optional[float] = None
-        #: Packet offset of every finalised bin edge (edge ``i`` sits at
-        #: ``first_ts + i * time_bin``); extended as chunks arrive.
+        #: Packet offset of every finalised bin edge; extended as chunks
+        #: arrive.
         self._bounds: List[int] = []
         self._store: Optional["TraceStore"] = None
 
@@ -279,46 +280,24 @@ class TraceWriter:
                 np.frombuffer(b"".join(packets.payloads), dtype=np.uint8))
             self._payload_bytes = int(offsets[-1]) if len(offsets) else \
                 self._payload_bytes
-        if self._first_ts is None:
-            self._first_ts = float(ts[0])
-            self._bounds = [0]
+        if self._grid is None:
+            self._grid = BinGrid(ts[0], self.time_bin)
         self._last_ts = float(ts[-1])
-        self._extend_bin_index(ts, base)
-
-    def _extend_bin_index(self, ts: np.ndarray, base: int) -> None:
-        """Finalise the offsets of every bin edge the data now covers.
-
-        An edge is final once a packet at or past its timestamp has been
-        seen; because chunks arrive chronologically, that first packet is
-        always inside the current chunk, so one ``searchsorted`` over the
-        chunk pins the edge exactly where a whole-column ``searchsorted``
-        would.  The edge timestamps replicate the arithmetic of
-        ``PacketTrace.batch_list`` (``start + time_bin * i`` in float64) so
-        stored bounds are bit-compatible with the in-memory slicing.
-        """
-        first_edge = len(self._bounds)
-        last_edge = int(np.floor((self._last_ts - self._first_ts) /
-                                 self.time_bin)) + 1
-        if last_edge < first_edge:
-            return
-        edges = self._first_ts + self.time_bin * np.arange(first_edge,
-                                                           last_edge + 1)
-        edges = edges[edges <= self._last_ts]
-        if len(edges) == 0:
-            return
-        bounds = base + np.searchsorted(ts, edges)
+        # An edge is final once a packet at or past it has been seen, and
+        # chunks arrive chronologically, so the first such packet of every
+        # edge the data now covers is in this chunk: one search of the chunk
+        # pins it where a search of the whole column would.
+        bounds = base + self._grid.bounds(ts, len(self._bounds),
+                                          self._grid.count(self._last_ts))
         self._bounds.extend(int(bound) for bound in bounds)
 
     def _manifest(self, complete: bool) -> dict:
         count = self.num_packets
         bin_index = None
         if count > 0:
-            n_bins = int(np.floor((self._last_ts - self._first_ts) /
-                                  self.time_bin)) + 1
-            bounds = self._bounds[:n_bins + 1]
-            while len(bounds) < n_bins + 1:
-                bounds.append(count)
-            bin_index = {"time_bin": self.time_bin, "bounds": bounds}
+            # Every edge at or below the last packet, then the closing one.
+            bin_index = {"time_bin": self.time_bin,
+                         "bounds": self._bounds + [count]}
         return {
             "format": "repro-trace-store",
             "version": STORE_VERSION,
@@ -328,7 +307,7 @@ class TraceWriter:
                         for column, dtype in STORE_COLUMNS},
             "has_payloads": self.with_payloads,
             "payload_bytes": self._payload_bytes,
-            "start_ts": self._first_ts,
+            "start_ts": self._grid.first_ts if self._grid else None,
             "end_ts": self._last_ts,
             "bin_index": bin_index,
             "complete": bool(complete),

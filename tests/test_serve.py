@@ -36,7 +36,8 @@ from repro.serve import (GeneratorFeed, MonitorDaemon, ReplayFeed,
                          SocketFeed, TailFeed, describe_checkpoint,
                          restore_session)
 from repro.serve.api import render_metrics
-from repro.testing import assert_results_identical
+from repro.monitor.packet import Batch, PacketTrace
+from repro.testing import assert_bins_identical, assert_results_identical
 from repro.traffic.generator import TrafficProfile, generate_trace_store
 from repro.traffic.trace_io import TraceStore, TraceWriter
 
@@ -51,23 +52,13 @@ def _collect(feed):
     return asyncio.run(gather())
 
 
-def _assert_batches_equal(actual, expected, label=""):
-    assert len(actual) == len(expected), label
-    for index, (a, b) in enumerate(zip(actual, expected)):
-        assert len(a) == len(b), (label, index)
-        assert np.array_equal(a.ts, b.ts), (label, index)
-        assert np.array_equal(a.src_ip, b.src_ip), (label, index)
-        assert np.array_equal(a.size, b.size), (label, index)
-        assert a.start_ts == pytest.approx(b.start_ts), (label, index)
-
-
 # ----------------------------------------------------------------------
 # Feeds
 # ----------------------------------------------------------------------
 def test_replay_feed_matches_batch_list(small_trace):
     feed = ReplayFeed(small_trace, time_bin=TIME_BIN)
     batches = _collect(feed)
-    _assert_batches_equal(batches, small_trace.batch_list(TIME_BIN),
+    assert_bins_identical(batches, small_trace.batch_list(TIME_BIN),
                           "replay")
     assert feed.done
 
@@ -77,7 +68,7 @@ def test_replay_feed_from_store_path(tmp_path, small_trace):
     store = save_trace_store(small_trace, tmp_path / "store")
     feed = ReplayFeed(str(tmp_path / "store"), time_bin=TIME_BIN)
     batches = _collect(feed)
-    _assert_batches_equal(batches,
+    assert_bins_identical(batches,
                           store.streaming().batch_list(TIME_BIN),
                           "replay-store")
 
@@ -107,7 +98,7 @@ def test_generator_feed_matches_trace_store(tmp_path):
     expected = store.streaming().batch_list(TIME_BIN)
     feed = GeneratorFeed(profile, seed=11, time_bin=TIME_BIN,
                          segment_duration=1.0)
-    _assert_batches_equal(_collect(feed), list(expected), "generator")
+    assert_bins_identical(_collect(feed), list(expected), "generator")
 
 
 def test_generator_feed_max_bins():
@@ -149,19 +140,16 @@ def test_tail_feed_follows_growing_store(tmp_path, small_trace):
     finisher.join()
     store = TraceStore(path)
     assert store.complete is True
-    _assert_batches_equal(batches, store.streaming().batch_list(TIME_BIN),
+    assert_bins_identical(batches, store.streaming().batch_list(TIME_BIN),
                           "tail")
 
 
-def test_socket_feed_bins_jsonl_records():
-    # Timestamps i/16 and a bin width of 1/4 are exact binary fractions,
-    # so the expected binning has no edge-rounding ambiguity.
-    records = [{"ts": i / 16, "src_ip": "10.0.0.%d" % (i % 4),
-                "dst_ip": 167772161, "src_port": 1024 + i, "dst_port": 80,
-                "proto": 6, "size": 100 + i} for i in range(25)]
-
+def _socket_bins(records, time_bin):
+    """Send ``records`` (a ``bytes`` entry goes out verbatim) to a fresh
+    SocketFeed over TCP; return the bins it emits once stopped, and the
+    feed."""
     async def scenario():
-        feed = SocketFeed(time_bin=0.25)
+        feed = SocketFeed(time_bin=time_bin)
         await feed.start()
         got = []
 
@@ -173,22 +161,90 @@ def test_socket_feed_bins_jsonl_records():
         reader, writer = await asyncio.open_connection("127.0.0.1",
                                                        feed.bound_port)
         for record in records:
-            writer.write((json.dumps(record) + "\n").encode())
-        writer.write(b"this is not json\n")  # ignored, stream stays alive
+            writer.write(record if isinstance(record, bytes)
+                         else (json.dumps(record) + "\n").encode())
         await writer.drain()
         writer.close()
         await asyncio.sleep(0.2)
         feed.stop()
         await asyncio.wait_for(consumer, timeout=5.0)
-        return got
+        return got, feed
 
-    batches = asyncio.run(scenario())
+    return asyncio.run(scenario())
+
+
+def _record(i, ts):
+    return {"ts": ts, "src_ip": "10.0.0.%d" % (i % 4), "dst_ip": 167772161,
+            "src_port": 1024 + i, "dst_port": 80, "proto": 6,
+            "size": 100 + i}
+
+
+def _replayed(records, time_bin):
+    """The bins a replay of ``records``, in timestamp order, cuts."""
+    records = sorted(records, key=lambda rec: rec["ts"])
+    columns = {name: [rec[name] for rec in records]
+               for name in ("ts", "dst_ip", "src_port", "dst_port", "proto",
+                            "size")}
+    columns["src_ip"] = [0x0A000000 + int(rec["src_ip"].split(".")[-1])
+                         for rec in records]
+    return PacketTrace(Batch(**columns)).batch_list(time_bin)
+
+
+def test_socket_feed_bins_jsonl_records():
+    # Records span [0, 1.5] s; 1.5 s is the edge of the seventh bin of
+    # 250 ms, so the last bin holds only the final record.
+    records = [_record(i, i / 16) for i in range(25)]
+    batches, _ = _socket_bins(
+        records + [b"this is not json\n"], 0.25)  # ignored, stream lives
     total = sum(len(batch) for batch in batches)
     assert total == len(records)
-    # Records span [0, 1.5]s -> 7 bins of 250 ms anchored at ts=0; the
-    # last bin holds only the final record.
     assert [len(batch) for batch in batches] == [4, 4, 4, 4, 4, 4, 1]
     assert batches[0].src_port[0] == 1024
+    assert_bins_identical(batches, _replayed(records, 0.25), "socket")
+
+
+def test_socket_feed_bins_the_way_a_replay_does():
+    """0.6 s lies below edge 6 (``0.1 * 6``) but on ``edge 5 + 0.1``, and
+    1.3 s on edge 13 but below ``edge 12 + 0.1``: a feed that closed bin k
+    at ``edge + time_bin`` put the first a bin late, the second one early."""
+    records = [_record(i, ts) for i, ts in enumerate(
+        (0.0, 0.55, 0.6, 0.65, 1.25, 1.3, 1.35, 2.0))]
+    batches, feed = _socket_bins(records, 0.1)
+    assert_bins_identical(batches, _replayed(records, 0.1), "socket")
+    assert feed.late_packets == 0
+    for batch in batches:
+        assert np.all(batch.ts >= batch.start_ts)
+
+    # 0.35 closes bins 0-2; a record on the edge of bin 3 is not late, one
+    # below it is.
+    edge = 0.1 * 3
+    sent = [_record(0, 0.0), _record(1, 0.35), _record(2, edge),
+            _record(3, edge - 1e-9)]
+    batches, feed = _socket_bins(sent, 0.1)
+    assert feed.late_packets == 1
+    assert batches[3].ts[0] == edge == batches[3].start_ts
+    assert_bins_identical(batches, _replayed(sent[:3], 0.1), "on the edge")
+
+
+def test_a_malformed_record_costs_only_its_own_line():
+    """A record whose ``ts`` parses but whose other fields do not fit
+    their columns is counted and skipped where it arrives; the bins around
+    it still come out, the same as a replay of the good records."""
+    good = [_record(i, ts) for i, ts in enumerate((0.0, 0.04, 0.12, 0.25,
+                                                   0.31, 0.47))]
+    bad = [b'{"ts": 0.05, "src_ip": "1.2.3"}\n',
+           b'{"ts": 0.13, "size": "big"}\n',
+           b'{"ts": 0.26, "src_port": 70000}\n',
+           b'{"ts": 0.3, "proto": -1}\n',
+           b'{"ts": NaN}\n',
+           b'{"ts": Infinity}\n']
+    sent = good[:2] + bad[:1] + good[2:3] + bad[1:2] + good[3:4] + bad[2:] \
+        + good[4:]
+    batches, feed = _socket_bins(sent, 0.1)
+    assert feed.malformed_lines == len(bad)
+    assert feed.late_packets == 0
+    assert sum(len(batch) for batch in batches) == len(good)
+    assert_bins_identical(batches, _replayed(good, 0.1), "malformed")
 
 
 # ----------------------------------------------------------------------

@@ -10,14 +10,17 @@ classic way, while the process's resident set does not grow with the store.
 import json
 import shutil
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.experiments import runner
-from repro.monitor.packet import (COLUMN_FIELDS, Batch, PacketTrace,
-                                  StreamingTrace, as_trace)
+from repro.monitor.packet import (COLUMN_FIELDS, Batch, BinGrid,
+                                  PacketTrace, StreamingTrace, as_trace)
 from repro.monitor.sharding import ShardedSystem
 from repro.queries import make_query
 from repro.traffic import generate_trace, generate_trace_store
@@ -25,26 +28,11 @@ from repro.traffic.generator import TrafficProfile
 from repro.traffic.trace_io import (MANIFEST_NAME, TraceStore, TraceWriter,
                                     open_trace, save_trace, save_trace_store)
 from repro import replay
+from repro.testing import assert_bins_identical
 from repro.testing import assert_results_identical as _assert_results_identical
 from tests.conftest import probe_rss_mb, write_header_store
 
 QUERY_SET = ("counter", "flows", "top-k")
-
-
-def _assert_batches_identical(mem_batches, streamed_batches):
-    mem_batches = list(mem_batches)
-    streamed_batches = list(streamed_batches)
-    assert len(mem_batches) == len(streamed_batches)
-    for index, (mem, streamed) in enumerate(zip(mem_batches,
-                                                streamed_batches)):
-        assert mem.start_ts == streamed.start_ts, index
-        assert mem.time_bin == streamed.time_bin, index
-        for column in COLUMN_FIELDS:
-            original = getattr(mem, column)
-            restored = getattr(streamed, column)
-            assert restored.dtype == original.dtype, (index, column)
-            assert np.array_equal(restored, original), (index, column)
-        assert mem.payloads == streamed.payloads, index
 
 
 @pytest.fixture(scope="module")
@@ -100,16 +88,18 @@ def test_stored_bin_index_matches_column_scan(store_and_trace):
     stored = store.bin_bounds(0.1)
     assert stored is not None
     ts = np.asarray(store.column("ts"))
-    n_bins = int(np.floor((ts[-1] - ts[0]) / 0.1)) + 1
-    edges = float(ts[0]) + 0.1 * np.arange(n_bins + 1)
-    assert np.array_equal(stored, np.searchsorted(ts, edges))
+    # Built by hand, not by the grid: every edge at or below the last
+    # packet, then the one above it.
+    edges = float(ts[0]) + 0.1 * np.arange(int((ts[-1] - ts[0]) / 0.1) + 3)
+    n_bins = int(np.count_nonzero(edges <= ts[-1]))
+    assert np.array_equal(stored, np.searchsorted(ts, edges[:n_bins + 1]))
     # An unindexed time_bin sends the caller to the column scan...
     assert store.bin_bounds(0.25) is None
     # ...and the streaming layout agrees with in-memory slicing anyway.
     streaming = store.streaming()
     mem = store.to_trace()
-    _assert_batches_identical(mem.batch_list(0.25),
-                              streaming.batch_list(0.25))
+    assert_bins_identical(mem.batch_list(0.25),
+                          streaming.batch_list(0.25))
 
 
 def test_open_trace_dispatches_on_format(tmp_path, small_trace):
@@ -198,16 +188,16 @@ def test_generate_trace_store_is_deterministic_and_bounded(tmp_path):
 def test_streaming_batches_equal_in_memory_batches(store_and_trace):
     store, trace = store_and_trace
     streaming = store.streaming()
-    _assert_batches_identical(trace.batch_list(0.1),
-                              streaming.batch_list(0.1))
+    assert_bins_identical(trace.batch_list(0.1),
+                          streaming.batch_list(0.1))
     assert streaming.num_batches(0.1) == trace.num_batches(0.1)
     assert streaming.duration == trace.duration
 
 
 def test_streaming_payload_batches(tmp_path, payload_trace_small):
     store = save_trace_store(payload_trace_small, tmp_path / "p")
-    _assert_batches_identical(payload_trace_small.batch_list(0.1),
-                              store.streaming().batch_list(0.1))
+    assert_bins_identical(payload_trace_small.batch_list(0.1),
+                          store.streaming().batch_list(0.1))
 
 
 def test_streamed_bins_own_read_only_arrays(store_and_trace):
@@ -239,10 +229,74 @@ def test_empty_bins_and_the_last_row(tmp_path):
     sizes = [len(batch) for batch in bins]
     assert sizes[3:6] == [0, 0, 0] and sizes[6] == 3 and len(sizes) == 7
     assert sum(sizes) == len(store) == len(pkts)
-    assert bins[4].start_ts == pytest.approx(float(pkts.ts[0]) + 0.4)
+    assert bins[4].start_ts == BinGrid(pkts.ts[0], 0.1).edge(4)
     assert bins[-1].ts[-1] == pkts.ts[-1]  # the store's last row
     assert bins[-1].size[-1] == pkts.size[-1]
-    _assert_batches_identical(PacketTrace(pkts).batch_list(0.1), bins)
+    assert_bins_identical(PacketTrace(pkts).batch_list(0.1), bins)
+
+
+def _header_batch(ts):
+    n = len(ts)
+    return Batch(ts=np.asarray(ts, dtype=np.float64),
+                 src_ip=np.arange(n), dst_ip=np.zeros(n),
+                 src_port=np.zeros(n), dst_port=np.zeros(n),
+                 proto=np.full(n, 6), size=np.arange(n) + 40)
+
+
+@st.composite
+def _timestamps_on_and_off_edges(draw):
+    """Sorted timestamps mixing random values with exact bin edges, the
+    bin width, and the sorted positions the store's chunks split at."""
+    time_bin = draw(st.sampled_from([0.05, 0.1, 0.25, 0.3]))
+    first = draw(st.floats(0.0, 1000.0))
+    n_edges = draw(st.integers(0, 400))
+    on_edges = [first + time_bin * k
+                for k in draw(st.lists(st.integers(0, n_edges), max_size=12))]
+    off_edges = draw(st.lists(
+        st.floats(first, first + time_bin * n_edges), max_size=12))
+    ts = sorted([first] + on_edges + off_edges)
+    splits = sorted(draw(st.lists(st.integers(0, len(ts)), max_size=4)))
+    return ts, time_bin, splits
+
+
+@given(_timestamps_on_and_off_edges())
+@example(([93.2, 100.0, 129.2], 0.3, []))
+@example(([26.206, 57.906], 0.1, [1]))
+def test_every_packet_lands_in_the_bin_the_grid_gives_it(case):
+    ts, time_bin, splits = case
+    packets = _header_batch(ts)
+    trace = PacketTrace(packets)
+    bins = trace.batch_list(time_bin)
+    assert trace.num_batches(time_bin) == len(bins)
+    assert sum(len(b) for b in bins) == len(ts)
+    assert np.array_equal(np.concatenate([b.ts for b in bins]), ts)
+    edges = [ts[0] + time_bin * i for i in range(len(bins) + 1)]
+    for i, batch in enumerate(bins):
+        assert batch.start_ts == edges[i], i
+        assert batch.time_bin == time_bin
+        assert np.all(edges[i] <= batch.ts) and np.all(batch.ts < edges[i + 1])
+    assert len(bins[-1]) > 0 and bins[-1].ts[-1] == ts[-1]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        writer = TraceWriter(Path(tmp) / "store", time_bin=time_bin)
+        for lo, hi in zip([0] + splits, splits + [len(ts)]):
+            writer.append(packets.select(np.arange(lo, hi)))
+        store = writer.close()
+        assert np.array_equal(store.bin_bounds(time_bin),
+                              np.searchsorted(ts, edges))
+        streaming = store.streaming()
+        assert streaming.num_batches(time_bin) == len(bins)
+        assert_bins_identical(bins, streaming.batch_list(time_bin))
+        streaming.close()
+
+
+def test_a_last_packet_on_an_edge_is_counted_by_a_reference_run(tmp_path):
+    trace = PacketTrace(_header_batch([93.2, 100.0, 129.2]), name="edge")
+    store = save_trace_store(trace, tmp_path / "edge", time_bin=0.3)
+    for source in (trace, store):
+        _, reference = runner.calibrate_capacity(("counter",), source,
+                                                 time_bin=0.3)
+        assert reference.total_packets == 3
 
 
 def test_flushed_store_streams_the_rows_its_manifest_lists(
@@ -265,8 +319,8 @@ def test_flushed_store_streams_the_rows_its_manifest_lists(
     assert streamed.payloads == pkts.payloads[:split]
     final = writer.close()
     assert final.complete and len(final) == len(pkts)
-    _assert_batches_identical(payload_trace_small.batch_list(0.1),
-                              final.streaming().batches(0.1))
+    assert_bins_identical(payload_trace_small.batch_list(0.1),
+                          final.streaming().batches(0.1))
 
 
 @pytest.mark.parametrize("column", ["size", "payload_blob"])
