@@ -16,6 +16,9 @@ deterministic worst-case cost:
 That yields ``2 + 4 x 10 = 42`` features per batch, the numbers quoted in
 Section 3.2.3.  Distinct items are counted with multi-resolution bitmaps by
 default (the paper's choice) or exactly.
+
+An extractor keeps no clock: the system starts its next interval
+(:meth:`FeatureExtractor.reset`) in the bin that flushes the query's last.
 """
 
 from __future__ import annotations
@@ -129,10 +132,10 @@ class FeatureSharing:
 class FeatureExtractor:
     """Extracts the 42 traffic features from batches for one query.
 
-    The state is ``(interval start, bank)``: the bank holds the distinct
-    items of the current measurement interval (one row per aggregate), the
-    source of the ``new`` and ``interval_repeated`` counters; a batch of a
-    new interval starts from the empty bank, so feed batches in time order.
+    The state is the bank: the distinct items of the current measurement
+    interval (one row per aggregate), the source of the ``new`` and
+    ``interval_repeated`` counters.  Whoever owns the query's intervals
+    calls :meth:`reset` when one ends, which puts back the empty bank.
 
     A bank is an immutable value — merging a batch *replaces* it with the
     union — and both per-bin operations are memoised on the batch, keyed by
@@ -144,20 +147,14 @@ class FeatureExtractor:
 
     Parameters
     ----------
-    measurement_interval:
-        The query's measurement interval in seconds.
     method:
         ``"bitmap"`` (multi-resolution bitmaps, default) or ``"exact"``.
     sharing:
         The owning system's :class:`FeatureSharing` (default: its own).
     """
 
-    def __init__(self, measurement_interval: float = 1.0,
-                 method: str = "bitmap",
+    def __init__(self, method: str = "bitmap",
                  sharing: Optional[FeatureSharing] = None) -> None:
-        if measurement_interval <= 0:
-            raise ValueError("measurement_interval must be positive")
-        self.measurement_interval = float(measurement_interval)
         #: Counter backend: key of the batch counters' memo and the empty bank.
         self.method = method
         self._sharing = sharing if sharing is not None else FeatureSharing()
@@ -220,21 +217,8 @@ class FeatureExtractor:
         return self._bank.union(self._batch_counters(batch))
 
     def reset(self) -> None:
-        """Drop all interval state (start of a fresh execution)."""
+        """Start a new measurement interval (or execution): the empty bank."""
         self._bank: CounterBank = self._empty_bank()
-        self._interval_start: Optional[float] = None
-
-    def _roll(self, batch_start: float) -> None:
-        """Enter the measurement interval ``batch_start`` belongs to."""
-        if self._interval_start is None:
-            self._interval_start = batch_start
-        elif batch_start - self._interval_start >= self.measurement_interval:
-            self._bank = self._empty_bank()
-            # Align the new interval start on a multiple of the interval so
-            # long gaps roll forward correctly.
-            elapsed = batch_start - self._interval_start
-            steps = int(elapsed // self.measurement_interval)
-            self._interval_start += steps * self.measurement_interval
 
     def extract(self, batch: "Batch", update_state: bool = True) -> FeatureVector:
         """Extract the feature vector of ``batch``.
@@ -243,7 +227,6 @@ class FeatureExtractor:
         Algorithm 1 extracts so before sampling and again, updating, on the
         sampled batch, so that the regression history is what the query saw.
         """
-        self._roll(batch.start_ts)
         if len(batch) == 0:  # nothing to count, and nothing to merge
             return FeatureVector(np.zeros(NUM_FEATURES))
         values = self._shared(batch, "features", self._features)
@@ -260,7 +243,6 @@ class FeatureExtractor:
         Extractors that held the same bank hold the same union afterwards —
         this is where N-queries-one-merge comes from.
         """
-        self._roll(batch.start_ts)
         if len(batch):
             self._bank = self._shared(batch, "merged", self._merged)
 

@@ -8,7 +8,8 @@ configuration time:
 * *Flowwise flow sampling* — entire 5-tuple flows are kept with probability
   ``p`` using a hash-based selection (no per-flow state): a packet is kept
   when ``h(5-tuple) <= p`` for an H3 hash ``h`` drawn afresh every
-  measurement interval, so selection cannot be predicted or evaded.
+  measurement interval — by the system, in the bin that flushes the
+  query's last — so selection cannot be predicted or evaded.
 
 Both mechanisms are unbiased: scaling additive per-packet (respectively
 per-flow) statistics by ``1 / p`` recovers the unsampled value in
@@ -58,35 +59,21 @@ class FlowSampler:
 
     A packet is kept when the H3 hash of its 5-tuple, mapped to ``[0, 1)``,
     is below the sampling rate; all packets of a flow therefore share the
-    same fate.  The hash function is re-drawn at every measurement-interval
-    boundary (:meth:`renew_hash`).
+    same fate.  The hash function is re-drawn by whoever owns the query's
+    measurement intervals, at every boundary (:meth:`renew_hash`).
     """
 
-    def __init__(self, rng: Optional[np.random.Generator] = None,
-                 measurement_interval: float = 1.0) -> None:
+    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self.measurement_interval = float(measurement_interval)
         self._hash = H3Hash(rng=self._rng)
-        self._interval_start: Optional[float] = None
 
     def renew_hash(self) -> None:
         """Draw a fresh H3 hash function (called every measurement interval)."""
         self._hash = H3Hash(rng=self._rng)
 
-    def _maybe_renew(self, batch_start: float) -> None:
-        if self._interval_start is None:
-            self._interval_start = batch_start
-            return
-        if batch_start - self._interval_start >= self.measurement_interval:
-            elapsed = batch_start - self._interval_start
-            steps = int(elapsed // self.measurement_interval)
-            self._interval_start += steps * self.measurement_interval
-            self.renew_hash()
-
     def sample(self, batch: "Batch", rate: float) -> "Batch":
         """Return the sub-batch whose flows hash below ``rate``."""
         rate = _validate_rate(rate)
-        self._maybe_renew(batch.start_ts)
         if rate >= 1.0 or len(batch) == 0:
             return batch
         if rate <= 0.0:

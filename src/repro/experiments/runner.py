@@ -26,7 +26,8 @@ be sharded (``num_shards > 1``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -36,7 +37,8 @@ from ..core.sampling import FlowSampler, PacketSampler
 from ..monitor import metrics
 from ..monitor.config import SystemConfig
 from ..monitor.packet import Batch, PacketTrace
-from ..monitor.query import SAMPLING_FLOW, Query, QueryResultLog
+from ..monitor.query import (SAMPLING_FLOW, Query, QueryResultLog,
+                             closed_intervals)
 from ..monitor.system import ExecutionResult
 from ..queries import make_query
 
@@ -93,12 +95,10 @@ def collect_observations(query: Query, trace: PacketTrace,
     table of the flows query) exhibit the same cost structure here as online.
     """
     extractor = FeatureExtractor(
-        measurement_interval=query.measurement_interval,
-        method=feature_method if feature_method is not None
-        else FEATURE_CONFIG["feature_method"],
-    )
+        feature_method or FEATURE_CONFIG["feature_method"])
     observations = QueryObservations(query.name)
-    for filtered in _query_bins(query, trace, time_bin):
+    for filtered in _query_bins(query, trace, time_bin,
+                                on_interval=extractor.reset):
         features = extractor.extract(filtered, update_state=True)
         query.update(filtered, 1.0)
         cycles = query.consume_cycles()
@@ -216,8 +216,7 @@ def accuracy_vs_sampling_rate(query_name: str, trace: PacketTrace,
         query = make_query(query_name)
         method = query.sampling_method if sampling == "auto" else sampling
         if method == SAMPLING_FLOW:
-            sampler = FlowSampler(rng=np.random.default_rng(seed),
-                                  measurement_interval=query.measurement_interval)
+            sampler = FlowSampler(rng=np.random.default_rng(seed))
         else:
             sampler = PacketSampler(rng=np.random.default_rng(seed))
         log = _standalone_log(query, trace, rate, sampler, time_bin)
@@ -230,7 +229,8 @@ def _standalone_log(query: Query, trace: PacketTrace, rate: float, sampler,
                     time_bin: float) -> QueryResultLog:
     """Run one query standalone at a fixed sampling rate and log its results."""
     log = QueryResultLog(query.name)
-    for filtered in _query_bins(query, trace, time_bin, log):
+    renew = sampler.renew_hash if isinstance(sampler, FlowSampler) else None
+    for filtered in _query_bins(query, trace, time_bin, log, renew):
         processed = filtered if (sampler is None or rate >= 1.0) else \
             sampler.sample(filtered, rate)
         query.update(processed, max(rate, 1e-12))
@@ -239,26 +239,30 @@ def _standalone_log(query: Query, trace: PacketTrace, rate: float, sampler,
 
 
 def _query_bins(query: Query, trace: PacketTrace, time_bin: float,
-                log: Optional[QueryResultLog] = None) -> Iterator[Batch]:
+                log: Optional[QueryResultLog] = None,
+                on_interval: Optional[Callable[[], None]] = None
+                ) -> Iterator[Batch]:
     """``query``'s filtered batches of ``trace``, with no system around it.
 
     ``query`` is reset first, and its measurement intervals are flushed
-    between the batches as a system flushes them: an interval closes
-    before the first batch that starts at or after its end.  A flush's
-    cycles are discarded and its result goes to ``log``, when one is given;
-    the last interval is then flushed into ``log`` after the last batch.
+    between the batches as a system flushes them (``closed_intervals``),
+    calling ``on_interval`` once where one or more close.  A flush's
+    cycles are discarded and its result goes to ``log``, when one is
+    given; the last interval is then flushed into ``log`` after the last
+    batch.
     """
     query.reset()
     interval_start = None
     for batch in trace.batches(time_bin):
-        if interval_start is None:
-            interval_start = batch.start_ts
-        while batch.start_ts >= interval_start + query.measurement_interval - 1e-9:
+        closed, interval_start = closed_intervals(
+            interval_start, query.measurement_interval, batch.start_ts)
+        for start in closed:
             result = query.interval_result()
             if log is not None:
-                log.append(interval_start, result)
+                log.append(start, result)
             query.consume_cycles()
-            interval_start += query.measurement_interval
+        if closed and on_interval is not None:
+            on_interval()
         yield query.filter.apply(batch)
     if log is not None and interval_start is not None:
         log.append(interval_start, query.interval_result())

@@ -7,8 +7,8 @@ streaming :class:`~repro.monitor.session.MonitoringSession`, a shard of a
 :class:`~repro.monitor.sharding.ShardedSystem` — is a session calling it:
 
 ``IntervalFlushStage``
-    Determine the active queries and flush any completed measurement
-    intervals.
+    Determine the active queries, flush completed measurement intervals
+    and start the next ones (the only interval clock).
 ``AdmissionStage``
     Capture-buffer admission: when the backlog exceeds the buffer the batch
     is lost *uncontrollably* before any query sees it (the "DAG drops" of
@@ -245,7 +245,8 @@ def close_bin(system: "MonitoringSystem", ctx: BinContext) -> BinRecord:
 
 class IntervalFlushStage:
     """Flush completed measurement intervals: their mergeable partials
-    leave the session with this bin's record."""
+    leave the session with this bin's record, and the query's extractor and
+    flow sampler start the next interval."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
         ctx.active = system._active_runtimes(ctx.batch.start_ts)

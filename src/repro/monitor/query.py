@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numbers
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cycles import CycleMeter, OperationCosts
 from .filters import Filter, all_packets
@@ -99,6 +99,27 @@ SAMPLING_FLOW = "flow"
 SAMPLING_CUSTOM = "custom"
 
 
+def closed_intervals(interval_start: Optional[float], interval: float,
+                     bin_start: float) -> Tuple[List[float], float]:
+    """The one interval clock: the starts of the intervals a bin starting
+    at ``bin_start`` closes, oldest first, and the start of the one it is in.
+
+    ``[s, s + interval)`` closes before the first bin that starts at or
+    after its end (to within 1e-9 s) and the next starts at ``s +
+    interval``; with none open (``None``) the bin opens the first.
+    """
+    if not interval > 0:  # it would never end
+        raise ValueError(
+            f"measurement_interval must be positive, got {interval!r}")
+    if interval_start is None:
+        return [], bin_start
+    closed = []
+    while bin_start >= interval_start + interval - 1e-9:
+        closed.append(interval_start)
+        interval_start += interval
+    return closed, interval_start
+
+
 class Query(ABC):
     """Base class for plug-in monitoring queries.
 
@@ -119,7 +140,7 @@ class Query(ABC):
         The ``m_q`` constraint of Chapter 5: the lowest sampling rate under
         which the user still considers the results useful.
     measurement_interval:
-        Seconds between result flushes.
+        Seconds between result flushes (:func:`closed_intervals`).
     needs_payload:
         Whether the query requires packet payloads to operate.
     """

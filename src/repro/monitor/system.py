@@ -51,7 +51,8 @@ from ..profile import StageProfiler
 from .config import MODES, MODE_ALIASES, SystemConfig
 from .packet import Batch, PacketTrace, as_trace
 from .pipeline import BinRecord
-from .query import (SAMPLING_CUSTOM, SAMPLING_FLOW, Query, QueryResultLog)
+from .query import (SAMPLING_CUSTOM, SAMPLING_FLOW, Query, QueryResultLog,
+                    closed_intervals)
 
 __all__ = ["BinRecord", "BinTable", "ExecutionResult", "MonitoringSystem",
            "merge_query_logs", "MODES", "MODE_ALIASES"]
@@ -472,14 +473,13 @@ class _QueryRuntime:
     """Per-query state owned by the monitoring system."""
 
     def __init__(self, query: Query, start_time: float, predictor: CyclePredictor,
-                 extractor: FeatureExtractor, sampler, seed: int) -> None:
+                 extractor: FeatureExtractor, sampler) -> None:
         self.query = query
         self.start_time = float(start_time)
         self.predictor = predictor
         self.extractor = extractor
         self.sampler = sampler
         self.interval_start: Optional[float] = None
-        self.seed = seed
         #: Row of the system's :class:`~repro.core.fairness.QuerySlotTable`
         #: holding this query's demand columns (set by ``add_query``).
         self.slot = -1
@@ -561,20 +561,16 @@ class MonitoringSystem:
         seed = int(self._rng.integers(0, 2 ** 31))
         config = self.config
         predictor = make_predictor(config.predictor)
-        extractor = FeatureExtractor(
-            measurement_interval=query.measurement_interval,
-            method=config.feature_method,
-            sharing=self.feature_states,
-        )
+        extractor = FeatureExtractor(method=config.feature_method,
+                                     sharing=self.feature_states)
         if query.sampling_method == SAMPLING_FLOW:
-            sampler = FlowSampler(rng=np.random.default_rng(seed),
-                                  measurement_interval=query.measurement_interval)
+            sampler = FlowSampler(rng=np.random.default_rng(seed))
         else:
             sampler = PacketSampler(rng=np.random.default_rng(seed))
         query.meter.noise_std = config.measurement_noise
         query.meter.reseed(seed + 1)
-        runtime = _QueryRuntime(
-            query, start_time, predictor, extractor, sampler, seed)
+        runtime = _QueryRuntime(query, start_time, predictor, extractor,
+                                sampler)
         # Columnar demand state: the query's effective minimum sampling
         # rate (its own constraint lifted to any declared tenant floor) and
         # tenant slot live in the slot table from now on.
@@ -654,23 +650,27 @@ class MonitoringSystem:
     # ------------------------------------------------------------------
     def _flush_intervals(self, runtime: _QueryRuntime, batch_start: float
                          ) -> None:
-        """Emit measurement-interval results up to ``batch_start``."""
-        interval = runtime.query.measurement_interval
-        if runtime.interval_start is None:
-            runtime.interval_start = batch_start
-            return
-        while batch_start >= runtime.interval_start + interval - 1e-9:
-            self._flush_interval(runtime)
-            runtime.interval_start += interval
+        """Flush the intervals the bin starting at ``batch_start`` closes;
+        the query's extractor and flow sampler start the next one here."""
+        closed, runtime.interval_start = closed_intervals(
+            runtime.interval_start, runtime.query.measurement_interval,
+            batch_start)
+        for interval_start in closed:
+            self._flush_interval(runtime, interval_start)
+        if closed:
+            runtime.extractor.reset()
+            if isinstance(runtime.sampler, FlowSampler):
+                runtime.sampler.renew_hash()
 
-    def _flush_interval(self, runtime: _QueryRuntime) -> None:
-        """Flush the interval ``runtime`` has open: its mergeable partial
-        leaves with the bin, named by the query's class, for whoever
-        accumulates the session's results to finish (alone, or merged with
-        the other shards' of a node)."""
+    def _flush_interval(self, runtime: _QueryRuntime,
+                        interval_start: float) -> None:
+        """Flush the interval that started at ``interval_start``: its
+        mergeable partial leaves with the bin, named by the query's class,
+        for whoever accumulates the session's results to finish (alone, or
+        merged with the other shards' of a node)."""
         query = runtime.query
-        self._flushed.append((query.name, runtime.interval_start,
-                              type(query), query.interval_partial()))
+        self._flushed.append((query.name, interval_start, type(query),
+                              query.interval_partial()))
         query.consume_cycles()  # flush cost is charged to export
 
     def _flush_runtime_final(self, runtime: _QueryRuntime) -> None:
@@ -679,7 +679,7 @@ class MonitoringSystem:
         Called when an execution ends and when a query departs mid-session.
         """
         if runtime.interval_start is not None:
-            self._flush_interval(runtime)
+            self._flush_interval(runtime, runtime.interval_start)
 
     def _final_flush(self) -> None:
         """Flush the last (possibly partial) measurement intervals."""

@@ -147,6 +147,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.cycles_per_second is not None:
             config = config.replace(
                 cycles_per_second=args.cycles_per_second)
+        if config.queries is None and args.restore is None:
+            raise ValueError("no query mix: pass --queries, or a --config "
+                             "whose document carries 'queries'")
     except (KeyError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

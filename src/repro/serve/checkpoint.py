@@ -75,8 +75,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: ``BinRecord`` in place of the reactive rate and cycles, while the
 #: profiler's stages carry no cycles).  Dropping an attribute nothing reads
 #: is compatible and bumps nothing: a version-8 file written while a query
-#: still kept an enabled flag and its last sampling rate, and its runtime
-#: its last prediction, restores with those riding along unread.
+#: still kept an enabled flag and its last sampling rate, its runtime its
+#: last prediction and seed, and its extractor and flow sampler clocks of
+#: their own, restores with those riding along unread.
 CHECKPOINT_VERSION = 8
 
 logger = logging.getLogger("repro.serve.checkpoint")

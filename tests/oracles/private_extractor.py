@@ -3,13 +3,15 @@
 This is the private path :class:`repro.core.features.FeatureExtractor` had
 while sharing was a protocol beside it: every extractor owns a bank of
 interval counters, merges each batch into it in place and wipes it in place
-at an interval boundary; nothing is shared but the per-batch counters
-memoised on the batch.  The method bodies are verbatim, but for the
-shared-group branches, which this path never entered, and the weak
-reference to the pending batch (an oracle may keep a bin alive).  The
-extractor that shares by value must return the same vectors exactly
-(``tests/test_extractor_oracle.py``, ``tests/test_feature_sharing.py``).
-Test code only — nothing under ``src/`` imports it.
+when its owner starts a new measurement interval (``reset()``); nothing is
+shared but the per-batch counters memoised on the batch.  The method bodies
+are verbatim, but for the shared-group branches, which this path never
+entered, the weak reference to the pending batch (an oracle may keep a bin
+alive), and the interval clock: like the production extractor, it keeps
+none.  The extractor that shares by value must return the same vectors
+exactly (``tests/test_extractor_oracle.py``,
+``tests/test_feature_sharing.py``).  Test code only — nothing under
+``src/`` imports it.
 
 The constructor takes and ignores ``sharing`` so that the class can stand in
 for the production one inside a ``MonitoringSystem``.
@@ -29,15 +31,9 @@ from repro.core.features import (NUM_FEATURES, TRAFFIC_AGGREGATES,
 class FeatureExtractor:
     """Extracts the 42 traffic features from batches for one query."""
 
-    def __init__(self, measurement_interval: float = 1.0,
-                 method: str = "bitmap",
-                 sharing=None) -> None:
-        if measurement_interval <= 0:
-            raise ValueError("measurement_interval must be positive")
-        self.measurement_interval = float(measurement_interval)
+    def __init__(self, method: str = "bitmap", sharing=None) -> None:
         self.method = method
         self._interval_counters: CounterBank = self._new_bank()
-        self._interval_start: Optional[float] = None
         # The batch bank used by the most recent
         # ``extract(..., update_state=False)`` call, so that ``commit`` can
         # merge it without recomputing hashes, and its batch.
@@ -59,8 +55,7 @@ class FeatureExtractor:
         return batch.memo(("counters", self.method), build)
 
     def reset(self) -> None:
-        self._interval_counters = self._new_bank()
-        self._interval_start = None
+        self._interval_counters.reset()
         self._pending_batch = None
         self._pending_counters = None
 
@@ -83,20 +78,7 @@ class FeatureExtractor:
         values[5::4] = np.maximum(n_packets - new, 0.0)
         return values
 
-    def _maybe_roll_interval(self, batch_start: float) -> None:
-        if self._interval_start is None:
-            self._interval_start = batch_start
-            return
-        if batch_start - self._interval_start >= self.measurement_interval:
-            self._interval_counters.reset()
-            # Align the new interval start on a multiple of the interval so
-            # long gaps roll forward correctly.
-            elapsed = batch_start - self._interval_start
-            steps = int(elapsed // self.measurement_interval)
-            self._interval_start += steps * self.measurement_interval
-
     def extract(self, batch, update_state: bool = True) -> FeatureVector:
-        self._maybe_roll_interval(batch.start_ts)
         self._pending_batch = None if update_state else batch
         self._pending_counters = None
         if len(batch) == 0:
@@ -112,7 +94,6 @@ class FeatureExtractor:
             self._vector_values(batch, incoming.estimates(), new))
 
     def commit(self, batch) -> None:
-        self._maybe_roll_interval(batch.start_ts)
         if len(batch) == 0:
             return
         if (self._pending_batch is batch

@@ -7,7 +7,9 @@ that merges and wipes in place and shares nothing.  Up to four extractors
 with one :class:`FeatureSharing` — as the queries of one system have — and
 their oracle twins are driven through random per-bin operations; every
 vector must be equal, number for number, and no bank an extractor can reach
-may be writable.
+may be writable.  Neither extractor keeps a clock: the harness starts each
+member's next interval with ``reset()`` where the system's rule
+(:func:`repro.monitor.query.closed_intervals`) ends one.
 """
 
 import pickle
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from oracles.private_extractor import FeatureExtractor as PrivateExtractor
 
 from repro.core.features import FeatureExtractor, FeatureSharing
+from repro.monitor.query import closed_intervals
 from tests.conftest import make_batch
 
 TIME_BIN = 0.1
@@ -26,7 +29,8 @@ TIME_BIN = 0.1
 #: then merge it unsampled.  ``sample``: read it, then extract a sampled
 #: sub-batch of its own with ``update_state=True``.  ``shed``: read it and
 #: merge nothing (rate 0).  ``skip``: no call at all (the bin never reached
-#: the query).  ``reset``: ``reset()``, then as ``commit``.
+#: the query).  ``reset``: ``reset()``, then as ``commit`` (a fresh
+#: execution, off the interval grid).
 ACTIONS = ("commit", "commit", "sample", "shed", "skip", "reset")
 METHODS = pytest.mark.parametrize("method", ("bitmap", "exact"))
 
@@ -46,11 +50,22 @@ def _assert_read_only(bank):
 
 
 class _Twins:
-    """One extractor and its oracle, fed the same calls."""
+    """One extractor and its oracle, fed the same calls, and the interval
+    clock of the query they serve."""
 
     def __init__(self, interval, method, sharing):
-        self.real = FeatureExtractor(interval, method, sharing=sharing)
-        self.oracle = PrivateExtractor(interval, method)
+        self.real = FeatureExtractor(method, sharing=sharing)
+        self.oracle = PrivateExtractor(method)
+        self.interval = interval
+        self.interval_start = None
+
+    def enter_bin(self, bin_start):
+        """Start the next interval if the bin closes one, as the system
+        does before anything reads the bin."""
+        closed, self.interval_start = closed_intervals(
+            self.interval_start, self.interval, bin_start)
+        if closed:
+            self.reset()
 
     def extract(self, batch, update_state):
         got = self.real.extract(batch, update_state=update_state)
@@ -89,6 +104,7 @@ def test_every_vector_equals_the_oracle(method, sizes, members):
             if member not in twins:  # created mid-stream, like a live add
                 twins[member] = _Twins(interval, method, sharing)
             pair = twins[member]
+            pair.enter_bin(batch.start_ts)
             rng = np.random.default_rng(seed + index)
             action = ACTIONS[rng.integers(len(ACTIONS))]
             if action == "skip":
@@ -119,13 +135,22 @@ def test_same_bank_and_same_batch_is_computed_once(method):
     sharing = FeatureSharing()
     empty = sharing.empty_bank(method)
     _assert_read_only(empty)
-    group = [FeatureExtractor(0.3, method, sharing=sharing) for _ in range(4)]
-    other = FeatureExtractor(0.3, method, sharing=FeatureSharing())
+    group = [FeatureExtractor(method, sharing=sharing) for _ in range(4)]
+    other = FeatureExtractor(method, sharing=FeatureSharing())
     assert all(extractor._bank is empty for extractor in group)
     assert other._bank is not empty
 
+    interval_start = None
+
     def one_bin(index, sampled=()):
+        nonlocal interval_start
         batch = make_batch(n=40, seed=index, start_ts=index * TIME_BIN)
+        # 0.3 s intervals: the fourth bin starts the second one.
+        closed, interval_start = closed_intervals(interval_start, 0.3,
+                                                  batch.start_ts)
+        if closed:
+            for extractor in group:
+                extractor.reset()
         for extractor in group:
             extractor.extract(batch, update_state=False)
         for extractor in group:

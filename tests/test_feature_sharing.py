@@ -164,7 +164,7 @@ def test_commit_ignores_a_freed_pending_batch_despite_id_recycling():
     recycled id and ``commit`` would merge the *stale* pending counters.
     The extractor keeps nothing about the batch now: what it computed is
     memoised on the batch and goes with it."""
-    extractor = FeatureExtractor(measurement_interval=10.0, method="exact")
+    extractor = FeatureExtractor(method="exact")
     first = make_batch(n=50, seed=1, start_ts=0.0)
     extractor.extract(first, update_state=False)
     assert not any(value is first for value in vars(extractor).values())
@@ -176,7 +176,7 @@ def test_commit_ignores_a_freed_pending_batch_despite_id_recycling():
 
     # The committed state must be exactly what a fresh extractor gets from
     # committing ``second`` alone — no trace of the stale pending batch.
-    reference = FeatureExtractor(measurement_interval=10.0, method="exact")
+    reference = FeatureExtractor(method="exact")
     reference.extract(second, update_state=False)
     reference.commit(second)
     probe = make_batch(n=30, seed=3, start_ts=0.1, n_hosts=40)

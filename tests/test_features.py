@@ -10,6 +10,7 @@ from repro.core.features import (NUM_FEATURES, FeatureExtractor,
                                  FeatureVector, feature_names)
 from repro.experiments import runner
 from repro.monitor.packet import Batch
+from repro.monitor.query import closed_intervals
 from repro.testing import assert_results_identical
 from tests.conftest import drop_memos, make_batch
 
@@ -63,16 +64,23 @@ class TestFeatureExtractor:
             max(3, 0.15 * true_unique)
 
     def test_new_resets_each_interval(self, method):
-        extractor = FeatureExtractor(measurement_interval=1.0, method=method)
+        """``new`` counts against the interval the owner started last: the
+        extractor keeps no clock, so a later batch of the same content is
+        new again only after ``reset()``."""
+        extractor = FeatureExtractor(method=method)
         batch1 = make_batch(n=200, seed=7, start_ts=0.0)
         batch2 = make_batch(n=200, seed=7, start_ts=0.5)   # same content
-        batch3 = make_batch(n=200, seed=7, start_ts=1.0)   # new interval
+        batch3 = make_batch(n=200, seed=7, start_ts=1.0)   # next interval
         f1 = extractor.extract(batch1)
         f2 = extractor.extract(batch2)
-        f3 = extractor.extract(batch3)
         # Second batch repeats the first: very few new items.
         assert f2["five_tuple_new"] <= 0.2 * f1["five_tuple_new"] + 5
-        # After the interval rolls over, items count as new again.
+        # A later start time alone does not roll the interval...
+        unrolled = extractor.extract(batch3, update_state=False)
+        assert unrolled["five_tuple_new"] <= 0.2 * f1["five_tuple_new"] + 5
+        # ...the owner's reset does: items count as new again.
+        extractor.reset()
+        f3 = extractor.extract(batch3)
         assert f3["five_tuple_new"] >= 0.5 * f1["five_tuple_new"]
 
     def test_repeated_definition(self, method):
@@ -119,10 +127,6 @@ class TestFeatureExtractor:
 
 
 class TestExtractorValidation:
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            FeatureExtractor(measurement_interval=0.0)
-
     def test_reset_clears_interval_state(self):
         extractor = FeatureExtractor(method="exact")
         batch = make_batch(n=100, seed=15, start_ts=0.0)
@@ -146,13 +150,23 @@ class TestPackedBanksAgainstOracle:
     def test_batched_read_equals_per_counter_reads(self, monkeypatch):
         batches = [make_batch(n=400, seed=seed, start_ts=0.1 * seed,
                               n_hosts=60) for seed in range(12)]
-        packed = FeatureExtractor(measurement_interval=0.5)
-        got = [packed.extract(batch).values for batch in batches]
+
+        def vectors(extractor):
+            """Every batch's vector, in 0.5 s intervals."""
+            values, interval_start = [], None
+            for batch in batches:
+                closed, interval_start = closed_intervals(
+                    interval_start, 0.5, batch.start_ts)
+                if closed:
+                    extractor.reset()
+                values.append(extractor.extract(batch).values)
+            return values
+
+        got = vectors(FeatureExtractor())
         self._oracle_banks(monkeypatch)
         for batch in batches:
             drop_memos(batch)  # the packed banks memoised above
-        oracle = FeatureExtractor(measurement_interval=0.5)
-        want = [oracle.extract(batch).values for batch in batches]
+        want = vectors(FeatureExtractor())
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("mode", ["predictive", "reactive"])

@@ -565,6 +565,25 @@ def test_daemon_requires_declarative_queries(serve_trace):
         MonitorDaemon(config, ReplayFeed(serve_trace, time_bin=TIME_BIN))
 
 
+def test_the_cli_refuses_a_config_without_a_query_mix_in_one_line(
+        tmp_path, small_trace, capsys):
+    """``--queries`` has no default in serve: with neither it nor a
+    ``--config`` that names a mix, the CLI refuses in one line and exits 2
+    before it builds a daemon."""
+    from repro.serve.__main__ import main
+    from repro.traffic.trace_io import save_trace_store
+    store = save_trace_store(small_trace, tmp_path / "store")
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"mode": "predictive"}))
+    for flags in ([], ["--config", str(bare)]):
+        assert main([str(store.path), "--port", "0", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no query mix: pass --queries")
+        assert captured.err.count("\n") == 1
+        assert "--config" in captured.err and "Traceback" not in captured.err
+
+
 def test_daemon_max_bins_stops_ingest(serve_trace):
     config = _daemon_config()
     daemon = MonitorDaemon(config,

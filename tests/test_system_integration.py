@@ -1,12 +1,17 @@
 """Integration tests: the monitoring system end to end."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
+from repro.core.features import TRAFFIC_AGGREGATES, FeatureExtractor
 from repro.monitor.capture import CaptureBuffer
 from repro.monitor.config import SystemConfig
+from repro.monitor.query import closed_intervals
 from repro.queries import P2PDetectorQuery, SelfishP2PDetectorQuery, make_query
-from repro.experiments import runner
+from repro.queries.flows import FlowsQuery
+from repro.experiments import runner, scenarios
 
 
 QUERY_SET = ("counter", "flows", "top-k", "application")
@@ -254,3 +259,132 @@ class TestExecutionResult:
         assert len(result.series("query_cycles")) == len(result.bins)
         assert len(result.rate_series("counter")) == len(result.bins)
         assert result.total_packets == len(small_trace_module)
+
+
+# ----------------------------------------------------------------------
+# One interval clock: the flush starts the extractor's and the sampler's
+# next interval
+# ----------------------------------------------------------------------
+CLOCK_QUERIES = ("counter", "flows", "top-k", "super-sources")
+FIVE_TUPLE = ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
+
+
+class _FateProbe(FlowsQuery):
+    """A flow-sampled query that keeps the 5-tuple hashes it receives,
+    by bin start."""
+
+    name = "probe"
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.received = {}
+
+    def update(self, batch, sampling_rate):
+        self.received[batch.start_ts] = set(
+            batch.aggregate_hashes(FIVE_TUPLE).tolist())
+        super().update(batch, sampling_rate)
+
+
+class _PreSheddingFeatures(FeatureExtractor):
+    """An extractor that keeps the pre-shedding vector of every bin."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.pre = {}
+
+    def extract(self, batch, update_state=True):
+        vector = super().extract(batch, update_state)
+        if not update_state:
+            self.pre[batch.start_ts] = vector
+        return vector
+
+
+@pytest.fixture(scope="module")
+def clocked_run():
+    """A predictive run of ``header_trace(scale=0.3)`` at half the
+    calibrated capacity of ``CLOCK_QUERIES``, plus the probe, stepped bin
+    by bin: ``(system, bins, records, flushed)`` with ``flushed[i]`` the
+    names of the queries whose interval bin ``i`` closed.  The trace's
+    first packet is at 0.00106 s, so its bin edges are not the interval
+    edges of a clock that starts anywhere else."""
+    trace = scenarios.header_trace(scale=0.3)
+    capacity, _ = runner.calibrate_capacity(CLOCK_QUERIES, trace)
+    system = runner.system_config(
+        queries=CLOCK_QUERIES, mode="predictive",
+        cycles_per_second=capacity * 0.5).build(
+            [make_query(kind) for kind in CLOCK_QUERIES] + [_FateProbe()])
+    for name in system.query_names:
+        system.runtime(name).extractor = _PreSheddingFeatures(
+            method=system.config.feature_method,
+            sharing=system.feature_states)
+    session = system.open_session(time_bin=runner.TIME_BIN)
+    bins = list(trace.batches(runner.TIME_BIN))
+    records, flushed = [], []
+    for batch in bins:
+        record, closed = session.step(batch)
+        records.append(record)
+        flushed.append({name for name, *_ in closed})
+    session.finish()
+    return system, bins, records, flushed
+
+
+class TestIntervalClock:
+    def test_rule_closes_one_interval_per_period(self):
+        assert closed_intervals(None, 1.0, 0.25) == ([], 0.25)
+        assert closed_intervals(0.25, 1.0, 1.2) == ([], 0.25)
+        # An edge a float ulp short of the interval end still closes it.
+        assert closed_intervals(0.25, 1.0, 1.25 - 1e-12) == ([0.25], 1.25)
+        assert closed_intervals(0.25, 1.0, 3.5) == ([0.25, 1.25, 2.25], 3.25)
+
+    @pytest.mark.parametrize("interval", [0.0, -1.0, float("nan")])
+    def test_a_nonpositive_interval_is_refused(self, interval,
+                                               small_trace_module):
+        """An interval that never ends is refused on the first bin, not
+        looped on forever."""
+        with pytest.raises(ValueError, match="measurement_interval"):
+            closed_intervals(None, interval, 0.0)
+        query = make_query("counter")
+        query.measurement_interval = interval
+        with pytest.raises(ValueError, match="measurement_interval"):
+            _system([query], mode="predictive").run(small_trace_module)
+
+    def test_a_flows_fate_holds_for_its_interval(self, clocked_run):
+        """Within one interval of the probe, no flow is kept at a rate
+        ``r`` and dropped at a rate ``r`` or more: the flush renews the
+        flow sampler's hash, and nothing else does."""
+        system, bins, records, flushed = clocked_run
+        probe = system.runtime("probe").query
+        # interval -> flow -> ([rates it was kept at], [rates dropped at])
+        fates = defaultdict(lambda: defaultdict(lambda: ([], [])))
+        interval = 0
+        for batch, record, closed in zip(bins, records, flushed):
+            interval += "probe" in closed
+            rate = record.rates["probe"]
+            kept = probe.received.get(batch.start_ts, set())
+            for flow in set(batch.aggregate_hashes(FIVE_TUPLE).tolist()):
+                kept_at, dropped_at = fates[interval][flow]
+                (kept_at if flow in kept else dropped_at).append(rate)
+        assert interval >= 3
+        assert any(0.0 < record.rates["probe"] < 1.0 for record in records)
+        repeated = broken = 0
+        for flows in fates.values():
+            for kept_at, dropped_at in flows.values():
+                repeated += len(kept_at) + len(dropped_at) >= 2
+                broken += bool(kept_at and dropped_at
+                               and max(dropped_at) >= min(kept_at))
+        assert repeated > 1000
+        assert broken == 0, f"{broken} of {repeated} flows changed fate"
+
+    def test_a_flush_bin_reads_a_fresh_interval(self, clocked_run):
+        """In every bin where a query flushes, its pre-shedding features
+        are computed against an empty interval: every item is new."""
+        system, bins, _, flushed = clocked_run
+        checked = 0
+        for batch, closed in zip(bins[1:], flushed[1:]):
+            for name in closed:
+                vector = system.runtime(name).extractor.pre[batch.start_ts]
+                for aggregate, _ in TRAFFIC_AGGREGATES:
+                    assert vector[f"{aggregate}_new"] == \
+                        vector[f"{aggregate}_unique"], (name, batch.start_ts)
+                checked += vector["packets"] > 0
+        assert checked >= 3 * len(system.query_names)
