@@ -101,14 +101,25 @@ class BufferDiscovery:
 
 @dataclass
 class ShedPlan:
-    """Decision taken for one time bin."""
+    """Decision taken for one time bin, with the controller state it read:
+    the buffer ``allowance`` and the two EWMAs, as they stood before the
+    bin updated them."""
 
     available_cycles: float
     predicted_cycles: float
     corrected_prediction: float
     overload: bool
+    allowance: float
+    error_ewma: float
+    shedding_overhead_ewma: float
     rates: Dict[str, float] = field(default_factory=dict)
     allocation: Optional[Allocation] = None
+
+    @property
+    def usable_cycles(self) -> float:
+        """Cycles the strategy splits once the shedding machinery has
+        taken its own share (Algorithm 1, line 9)."""
+        return max(0.0, self.available_cycles - self.shedding_overhead_ewma)
 
 
 class LoadSheddingController:
@@ -164,13 +175,14 @@ class LoadSheddingController:
         overload = avail < corrected
         plan = ShedPlan(available_cycles=avail,
                         predicted_cycles=predicted_total,
-                        corrected_prediction=corrected, overload=overload)
+                        corrected_prediction=corrected, overload=overload,
+                        allowance=self.buffer_discovery.allowance(),
+                        error_ewma=self.error_ewma,
+                        shedding_overhead_ewma=self.shedding_overhead_ewma)
         if not overload or not len(names):
             plan.rates = {name: 1.0 for name in names}
             return plan
-        # Cycles truly usable by queries once the shedding machinery has
-        # taken its own share (Algorithm 1, line 9).
-        usable = max(0.0, avail - self.shedding_overhead_ewma)
+        usable = plan.usable_cycles
         # Scale each query's demand by the error correction and let the
         # strategy split the usable cycles.
         corrected_pred = predicted * correction

@@ -326,17 +326,19 @@ def two_tier_allocate(names: Sequence[str], predicted: np.ndarray,
     # largest minimum demands first until the tenant's floor cost fits its
     # budget ceiling.  Segmented cumsum over a (tenant, min_cost, name)
     # sort; the kept elements form a per-tenant prefix because min_cost is
-    # non-negative.
+    # non-negative.  Each segment is summed from zero: differencing one
+    # global cumsum cancels a small tenant's floors against the tenants
+    # sorted before it.  Singleton segments are their own sum, so only
+    # tenants with several queries cost a python step.
     order = np.lexsort((rank, min_cost, tenant_ids))
     tenant_sorted = tenant_ids[order]
-    running = np.cumsum(min_cost[order])
-    segment_start = np.empty(count, dtype=bool)
-    segment_start[0] = True
-    segment_start[1:] = tenant_sorted[1:] != tenant_sorted[:-1]
-    base = np.where(segment_start,
-                    np.concatenate(([0.0], running[:-1])), 0.0)
-    base = np.maximum.accumulate(base)  # running is non-decreasing
-    within = running - base
+    within = min_cost[order]
+    bounds = np.flatnonzero(np.diff(tenant_sorted)) + 1
+    starts = np.concatenate(([0], bounds))
+    ends = np.concatenate((bounds, [count]))
+    for start, end in zip(starts[ends - starts > 1],
+                          ends[ends - starts > 1]):
+        within[start:end] = np.cumsum(within[start:end])
     active[order[within > caps_t[tenant_sorted]]] = False
 
     # Pass 2 — global feasibility: the flat Section 5.2.1 rule over the

@@ -45,12 +45,12 @@ from ..core.features import (FeatureExtractor, FeatureSharing,
                              FeatureVector)
 from ..core.prediction import CyclePredictor, make_predictor
 from ..core.sampling import FlowSampler, PacketSampler
-from ..core.shedding import LoadSheddingController, reactive_rate
-from ..core.tenancy import TenantAssignment, TenantRegistry
+from ..core.shedding import LoadSheddingController
+from ..core.tenancy import TenantRegistry
 from ..profile import StageProfiler
 from .config import MODES, MODE_ALIASES, SystemConfig
 from .packet import Batch, PacketTrace, as_trace
-from .pipeline import BinRecord
+from .pipeline import INT_FIELDS, MAP_FIELDS, BinRecord
 from .query import (SAMPLING_CUSTOM, SAMPLING_FLOW, Query, QueryResultLog,
                     closed_intervals)
 
@@ -89,29 +89,24 @@ def merge_query_logs(logs: Iterable[QueryResultLog],
     return merged
 
 
-#: :class:`BinRecord` fields kept as int64 columns and read back as ``int``.
-_INT_FIELDS = ("index", "incoming_packets", "incoming_bytes",
-               "dropped_packets")
-#: The ``{name: float}`` fields of a :class:`BinRecord`.
-_MAP_FIELDS = ("rates", "query_cycles_by_query", "tenant_cycles")
 _FIELDS = tuple(field.name for field in dataclasses.fields(BinRecord))
-_SCALAR_FIELDS = tuple(name for name in _FIELDS if name not in _MAP_FIELDS)
+_SCALAR_FIELDS = tuple(name for name in _FIELDS if name not in MAP_FIELDS)
 
 
 class _MapColumn:
-    """One ``{name: float}`` field of every bin of a :class:`BinTable`.
+    """One ``{name: value}`` field of every bin of a :class:`BinTable`.
 
     A run of bins whose maps have the same names in the same order stores
     the names once, as a tuple; every bin's values go, in that order, into
-    one flat float64 column.
+    one flat column (float64, or int64 for typecode ``"q"``).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, typecode: str) -> None:
         #: Per run: its first bin, where that bin's values start, its names.
         self.starts = array("q")
         self.offsets = array("q")
         self.names: List[tuple] = []
-        self.values = array("d")
+        self.values = array(typecode)
 
     def append(self, position: int, mapping: Dict[str, float]) -> None:
         names = tuple(mapping)
@@ -131,7 +126,7 @@ class _MapColumn:
     def runs(self, length: int) -> Iterator[Tuple[tuple, np.ndarray]]:
         """``(names, values)`` of every run of the ``length`` bins appended,
         ``values`` a ``(bins of the run, len(names))`` array."""
-        values = np.array(self.values, dtype=np.float64)
+        values = np.array(self.values)
         ends = self.starts[1:].tolist() + [length]
         for start, end, first, names in zip(self.starts, ends, self.offsets,
                                             self.names):
@@ -139,7 +134,7 @@ class _MapColumn:
                                 ].reshape(end - start, len(names))
 
     def copy(self) -> "_MapColumn":
-        clone = _MapColumn()
+        clone = _MapColumn(self.values.typecode)
         clone.starts, clone.offsets = self.starts[:], self.offsets[:]
         clone.names, clone.values = list(self.names), self.values[:]
         return clone
@@ -184,7 +179,7 @@ def _map_field(name: str) -> property:
 
 for _name in _SCALAR_FIELDS:
     setattr(_BinRow, _name, _scalar_field(_name))
-for _name in _MAP_FIELDS:
+for _name in MAP_FIELDS:
     setattr(_BinRow, _name, _map_field(_name))
 
 
@@ -199,9 +194,10 @@ class BinTable(Sequence):
     """
 
     def __init__(self) -> None:
-        self._columns = {name: array("q" if name in _INT_FIELDS else "d")
+        self._columns = {name: array("q" if name in INT_FIELDS else "d")
                          for name in _SCALAR_FIELDS}
-        self._maps = {name: _MapColumn() for name in _MAP_FIELDS}
+        self._maps = {name: _MapColumn("q" if name in INT_FIELDS else "d")
+                      for name in MAP_FIELDS}
         self._length = 0
 
     def append(self, record: BinRecord) -> None:
@@ -712,35 +708,6 @@ class MonitoringSystem:
         return cached
 
     # ------------------------------------------------------------------
-    def _decide_rates(self, ctx) -> Dict[str, float]:
-        """Per-query sampling rates for the bin described by ``ctx``.
-
-        Predictive mode gathers the demand columns straight from the slot
-        table by the rows the prediction stage refreshed (``demand_slots``)
-        — no per-bin objects.
-        """
-        names = [runtime.query.name for runtime in ctx.active]
-        clock = ctx.clock
-        if self.mode in ("original", "reference"):
-            return {name: 1.0 for name in names}
-        if self.mode == "reactive":
-            last = self.last_accounted
-            rate = 1.0 if last is None else reactive_rate(
-                last.mean_rate, last.query_cycles,
-                clock.per_bin_budget - ctx.system_overhead, clock.delay)
-            return {name: rate for name in names}
-        slots = ctx.demand_slots
-        table = self.demand_table
-        tenants = None
-        if self.tenant_registry.declared:
-            tenants = TenantAssignment(self.tenant_registry,
-                                       table.tenant_slot[slots])
-        plan = self.controller.plan_arrays(
-            names, table.predicted[slots], table.min_rate[slots],
-            clock.per_bin_budget, ctx.overhead, clock.delay,
-            tenants=tenants, rank=table.name_rank[slots])
-        return plan.rates
-
     def _run_sampled(self, runtime: _QueryRuntime, sub_batch: Batch,
                      rate: float, features_pre: Optional[FeatureVector]
                      ) -> tuple:
@@ -776,20 +743,19 @@ class MonitoringSystem:
         return cycles, shedding_cycles
 
     def _run_custom(self, runtime: _QueryRuntime, sub_batch: Batch,
-                    rate: float, prediction: float, bin_index: int,
+                    grant: float, prediction: float, bin_index: int,
                     features_pre: Optional[FeatureVector]) -> tuple:
-        """Run a query that sheds its own load.  Returns
+        """Run a query that sheds its own load at the fraction ``grant`` the
+        rate decision allowed it (0.0: it does not run).  Returns
         ``(query_cycles, applied_fraction)``."""
         query = runtime.query
-        name = query.name
-        if self.enforcer.is_disabled(name, bin_index) or rate <= 0.0:
+        if grant <= 0.0:
             return 0.0, 0.0
-        allowed = self.enforcer.allowed_fraction(name, rate)
-        applied = query.shed_load(sub_batch, allowed)
+        applied = query.shed_load(sub_batch, grant)
         cycles = query.consume_cycles()
-        # The query was granted ``prediction * allowed`` cycles; consuming
+        # The query was granted ``prediction * grant`` cycles; consuming
         # noticeably more than that is a violation the enforcer acts upon.
-        self.enforcer.record(name, expected_cycles=prediction * allowed,
+        self.enforcer.record(query.name, expected_cycles=prediction * grant,
                              actual_cycles=cycles, bin_index=bin_index)
         if features_pre is not None:
             # Keep the regression history in full-batch terms: scale the

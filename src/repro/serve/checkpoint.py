@@ -73,12 +73,15 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: its ``expected_cycles``; 8: the cycle clock keeps only the delay, the
 #: capture buffer no drop counters, and the system its last accounted
 #: ``BinRecord`` in place of the reactive rate and cycles, while the
-#: profiler's stages carry no cycles).  Dropping an attribute nothing reads
+#: profiler's stages carry no cycles; 9: a ``BinRecord``, and the columns
+#: of a ``BinTable``, carry the bin's rate decision beside its outcome —
+#: the plan's cycles, allowance and EWMAs, and each query's prediction,
+#: decided rate and bound).  Dropping an attribute nothing reads
 #: is compatible and bumps nothing: a version-8 file written while a query
 #: still kept an enabled flag and its last sampling rate, its runtime its
 #: last prediction and seed, and its extractor and flow sampler clocks of
 #: their own, restores with those riding along unread.
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 logger = logging.getLogger("repro.serve.checkpoint")
 # A refusal is raised as well as logged: without handlers of the

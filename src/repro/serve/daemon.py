@@ -661,7 +661,7 @@ def _totals(result: ExecutionResult) -> Dict:
     """The daemon's running totals, read from the result's columns so far.
 
     The prediction error of a bin compares what it measured with what the
-    prediction said the queries would cost at the rates applied — not with
+    prediction said the queries would cost at the rates decided — not with
     the full-rate demand, which under shedding measures what was shed.
     """
     predicted = result.series("predicted_cycles") > 0

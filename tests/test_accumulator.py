@@ -47,6 +47,7 @@ from repro.core.cycles import CycleBudget
 from repro.core.tenancy import TenantGroup
 from repro.experiments import runner
 from repro.fleet import FleetRunner, FleetTopology
+from repro.monitor.pipeline import Bound
 from repro.monitor.sharding import ShardedSystem
 from repro.monitor.system import BinRecord, ExecutionResult
 from repro.monitor.workers import fork_start_available
@@ -408,7 +409,8 @@ TABLE_TENANTS = ("ops", "research")
 #: Small enough that merging four records stays within int64.
 _COUNTS = st.integers(0, 2 ** 60)
 _CYCLES = st.floats(0.0, 1e9)
-MAP_FIELDS = ("rates", "query_cycles_by_query", "tenant_cycles")
+MAP_FIELDS = ("rates", "query_cycles_by_query", "tenant_cycles",
+              "predicted_by_query", "decided_rates", "bounds")
 SCALAR_FIELDS = tuple(field.name for field in dataclasses.fields(BinRecord)
                       if field.name not in MAP_FIELDS)
 INT_FIELDS = ("index", "incoming_packets", "incoming_bytes",
@@ -424,10 +426,16 @@ def _record(draw, index, queries, costed, tenants):
         prediction_overhead=draw(_CYCLES), shedding_overhead=draw(_CYCLES),
         system_overhead=draw(_CYCLES), available_cycles=draw(_CYCLES),
         delay=draw(_CYCLES), buffer_occupation=draw(st.floats(0.0, 1.0)),
+        plan_cycles=draw(_CYCLES), allowance=draw(_CYCLES),
+        error_ewma=draw(st.floats(0.0, 1.0)),
+        shedding_overhead_ewma=draw(_CYCLES),
         rates={name: draw(st.floats(0.0, 1.0)) for name in queries},
         query_cycles_by_query={name: draw(_CYCLES)
                                for name in queries if costed},
-        tenant_cycles={name: draw(_CYCLES) for name in tenants})
+        tenant_cycles={name: draw(_CYCLES) for name in tenants},
+        predicted_by_query={name: draw(_CYCLES) for name in queries},
+        decided_rates={name: draw(st.floats(0.0, 1.0)) for name in queries},
+        bounds={name: draw(st.sampled_from(Bound)) for name in queries})
 
 
 @st.composite
@@ -446,6 +454,64 @@ def _record_sequences(draw):
                       for _ in range(draw(st.integers(1, 2)))]
             records.append(BinRecord.merge(shards))
     return records
+
+
+@st.composite
+def _shard_records(draw):
+    """Two to four partitions' records of one bin, with one query set."""
+    queries = draw(st.lists(st.sampled_from(TABLE_QUERIES), unique=True))
+    costed = draw(st.booleans())
+    tenants = draw(st.lists(st.sampled_from(TABLE_TENANTS), unique=True))
+    return [_record(draw, 0, queries, costed, tenants)
+            for _ in range(draw(st.integers(2, 4)))]
+
+
+#: How ``BinRecord.merge`` folds each field that does not add up.
+WORST = ("delay", "buffer_occupation", "error_ewma", "bounds")
+AVERAGED = ("rates", "decided_rates")
+
+
+def _assert_same_fold(merged, other):
+    """Counts, maxima and codes equal; sums and means to rounding."""
+    for name in SCALAR_FIELDS + MAP_FIELDS:
+        mine, theirs = getattr(merged, name), getattr(other, name)
+        if name in INT_FIELDS + WORST:
+            assert mine == theirs, name
+        elif name in MAP_FIELDS:
+            assert set(mine) == set(theirs), name
+            assert all(mine[key] == pytest.approx(theirs[key], rel=1e-12,
+                                                  abs=1e-12)
+                       for key in mine), name
+        else:
+            assert mine == pytest.approx(theirs, rel=1e-12), name
+
+
+@given(_shard_records())
+def test_bin_record_merge_folds_every_field_by_its_rule(records):
+    """Each field folds by its rule, the decision columns included, and
+    the fold neither depends on the order of the partitions nor on how
+    they are grouped (the rate means up to the grouping's weights)."""
+    merged = BinRecord.merge(records)
+    for name in SCALAR_FIELDS[2:]:
+        column = [getattr(record, name) for record in records]
+        assert getattr(merged, name) == (max(column) if name in WORST
+                                         else sum(column)), name
+    for name in MAP_FIELDS:
+        for key, value in getattr(merged, name).items():
+            column = [getattr(record, name)[key] for record in records]
+            if name in WORST:
+                assert value == max(column) and type(value) is int
+            elif name in AVERAGED:
+                assert value == float(np.mean(column))
+            else:
+                assert value == sum(column)
+    _assert_same_fold(merged, BinRecord.merge(list(reversed(records))))
+    if len(records) == 2:
+        return
+    nested = BinRecord.merge([BinRecord.merge(records[:2])] + records[2:])
+    for name in AVERAGED:  # a grouped mean weights its groups
+        setattr(nested, name, getattr(merged, name))
+    _assert_same_fold(merged, nested)
 
 
 def _table_of(records):

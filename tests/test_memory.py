@@ -478,8 +478,9 @@ def test_a_node_keeps_only_its_recent_bin_seconds(monkeypatch, small_trace,
 # ----------------------------------------------------------------------
 def test_a_result_keeps_a_bin_in_a_few_hundred_bytes():
     """A result folds each bin's record into its columns and lets the
-    record go: a bin of a three-query mix costs it its values (about 180
-    bytes), not the 1.3 KB a kept record with its three dicts did.  The
+    record go: a bin of a three-query mix costs it its values (about 290
+    bytes, the rate decision's columns included), not the 1.3 KB a kept
+    record with its three dicts did.  The
     records are unpickled, as a worker delivers them, so each brings name
     strings of its own."""
     config = runner.system_config(mode="predictive", seed=5,

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from repro.core.features import TRAFFIC_AGGREGATES, FeatureExtractor
+from repro.core.tenancy import TenantGroup
 from repro.monitor.capture import CaptureBuffer
 from repro.monitor.config import SystemConfig
+from repro.monitor.pipeline import Bound
 from repro.monitor.query import closed_intervals
-from repro.queries import P2PDetectorQuery, SelfishP2PDetectorQuery, make_query
+from repro.queries import (P2PDetectorQuery, QuerySpec,
+                           SelfishP2PDetectorQuery, make_query)
 from repro.queries.flows import FlowsQuery
 from repro.experiments import runner, scenarios
+from repro.traffic import TrafficProfile, generate_trace
 
 
 QUERY_SET = ("counter", "flows", "top-k", "application")
@@ -235,6 +239,18 @@ class TestCustomSheddingIntegration:
         assert state.total_disables >= 1
         # The rest of the system keeps running without uncontrolled losses.
         assert result.drop_fraction < 0.1
+        _assert_decision_recorded(result, "predictive")
+        # The record tells the penalty from an allocator decision: in the
+        # penalised bins the query was allocated a rate and ran at none.
+        name = "p2p-detector-selfish"
+        penalised = [record.index for record in result.bins
+                     if record.bounds[name] == Bound.PENALISED]
+        for index in penalised:
+            assert result.bins[index].decided_rates[name] > 0.0
+            assert result.bins[index].rates[name] == 0.0
+        first = penalised[0]
+        assert penalised == list(range(
+            first, first + system.enforcer.base_penalty_bins))
 
     def test_cooperative_custom_query_not_disabled(self, payload_trace_small):
         queries = [make_query("counter"),
@@ -246,8 +262,105 @@ class TestCustomSheddingIntegration:
                          strategy="mmfs_pkt",
                          cycles_per_second=capacity * 0.6,
                          **runner.FEATURE_CONFIG)
-        system.run(payload_trace_small)
+        result = system.run(payload_trace_small)
         assert system.enforcer.state("p2p-detector").total_disables == 0
+        # It runs at the enforcer's grant and reports the fraction it
+        # applied; what it was expected to cost is still its prediction at
+        # the rate decided.
+        _assert_decision_recorded(result, "predictive")
+        assert any(record.rates["p2p-detector"] !=
+                   record.decided_rates["p2p-detector"]
+                   for record in result.bins)
+
+
+def _assert_decision_recorded(result, mode):
+    """Every bin records its rate decision beside its outcome, and the
+    decision is what ``expected_cycles`` was summed from."""
+    for record in result.bins:
+        assert list(record.predicted_by_query) == list(record.rates) == \
+            list(record.decided_rates) == list(record.bounds)
+        # Left to right over the queries, at the rates *decided*.
+        expected = 0.0
+        for name, prediction in record.predicted_by_query.items():
+            expected += prediction * record.decided_rates[name]
+        assert record.expected_cycles == expected, record.index
+        if record.dropped_packets:
+            assert set(record.bounds.values()) == {Bound.DROPPED}
+            assert set(record.decided_rates.values()) == {0.0}
+            assert set(record.predicted_by_query.values()) == {0.0}
+        if mode != "predictive" or record.dropped_packets:
+            assert (record.plan_cycles, record.allowance, record.error_ewma,
+                    record.shedding_overhead_ewma) == (0.0, 0.0, 0.0, 0.0)
+
+
+class TestRateDecisionRecord:
+    @pytest.mark.parametrize("mode", ("predictive", "reactive", "original",
+                                      "reference"))
+    def test_expected_cycles_is_the_prediction_at_the_rates_decided(
+            self, mode, small_trace_module, calibrated):
+        capacity, _ = calibrated
+        result = runner.system_config(
+            queries=QUERY_SET, mode=mode,
+            cycles_per_second=capacity * 0.5).build().run(small_trace_module)
+        _assert_decision_recorded(result, mode)
+        bounds = {code for record in result.bins
+                  for code in record.bounds.values()}
+        if mode == "original":
+            assert Bound.DROPPED in bounds
+        elif mode == "reference":
+            assert bounds == {Bound.UNBOUND}
+        else:
+            assert Bound.CAPACITY in bounds
+
+    def test_each_bound_code_holds_where_it_is_recorded(self):
+        """16 queries in four tenant groups, one capped at a 0.3 share and
+        one with a 0.01 floor, run at 0.2x the capacity they need and then
+        at 0.02x: every code but ``PENALISED`` shows up, each where its
+        rule says."""
+        specs = [QuerySpec(kind, {"name": f"q{index:02d}"}, filter=expression)
+                 for index, (expression, kind) in enumerate(
+                     (expression, kind)
+                     for expression in (None, "tcp", "port:80", "port:53")
+                     for kind in ("counter", "flows", "top-k", "application"))]
+        groups = (TenantGroup("t0", specs[0::4]),
+                  TenantGroup("t1", specs[1::4], weight=2, budget_share=0.3),
+                  TenantGroup("t2", specs[2::4], weight=3, min_rate=0.01),
+                  TenantGroup("t3", specs[3::4]))
+        trace = generate_trace(TrafficProfile(duration=3.0,
+                                              flow_arrival_rate=800.0),
+                               seed=3)
+        config = SystemConfig(strategy="mmfs_cpu", tenants=groups, seed=4)
+        reference = config.replace(mode="reference").build().run(trace)
+        capacity = np.quantile(reference.cycles_per_bin(), 0.95) / 0.1
+        system = config.replace(cycles_per_second=0.2 * capacity).build()
+        session = system.open_session()
+        batches = trace.batch_list(0.1)
+        for index, batch in enumerate(batches):
+            if index == len(batches) // 2:
+                session.set_capacity(0.02 * capacity)
+            session.ingest(batch)
+        result = session.close()
+        _assert_decision_recorded(result, "predictive")
+        floors = {name: system.demand_table.min_rate[
+            system.runtime(name).slot] for name in system.query_names}
+        seen = set()
+        for record in result.bins:
+            for name, bound in record.bounds.items():
+                rate = record.decided_rates[name]
+                seen.add(bound)
+                assert (bound == Bound.DROPPED) == (record.dropped_packets > 0)
+                if bound == Bound.DISABLED:
+                    assert rate == 0.0
+                elif bound != Bound.DROPPED:
+                    assert (bound == Bound.UNBOUND) == (rate == 1.0)
+                if bound == Bound.MIN_RATE:
+                    assert abs(rate - floors[name]) <= 1e-12
+                if bound == Bound.TENANT:
+                    assert name in {spec.instance_name for spec in specs[1::4]}
+                if bound == Bound.CAPACITY:
+                    assert 0.0 <= rate < 1.0
+                    assert abs(rate - floors[name]) > 1e-12
+        assert seen == set(Bound) - {Bound.PENALISED}
 
 
 class TestExecutionResult:
