@@ -34,20 +34,69 @@ Streaming ingestion (live traffic, no materialised trace)::
 paper's tables and figures and assert the shapes the paper reports.
 """
 
-from .core import (EWMAPredictor, FeatureExtractor, LoadSheddingController,
-                   MLRPredictor, SLRPredictor)
-from .core.cycles import CycleBudget
-from .core.tenancy import TenantGroup, TenantRegistry
-from .fleet import (FleetAggregator, FleetRunner, FleetTopology, NodeSpec,
-                    load_topology)
-from .monitor import (Batch, ExecutionResult, MonitoringSession,
-                      MonitoringSystem, PacketTrace, Query, ShardedSession,
-                      ShardedSystem, StreamingTrace, SystemConfig)
-from .queries import make_query
-from .traffic import (TraceStore, TraceWriter, generate_trace,
-                      generate_trace_store, load_preset, open_trace)
+from __future__ import annotations
+
+import sys
+from importlib import import_module
 
 __version__ = "1.3.0"
+
+
+def _lazy_facade(package: str, exports: dict[str, tuple[str, ...]],
+                 submodules: tuple[str, ...] = ()) -> tuple:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a lazy package.
+
+    ``exports`` maps a submodule, relative to ``package``, to the public
+    names it defines; ``submodules`` are public names that are submodules
+    themselves.  Nothing is imported until a name is first looked up: the
+    submodule that defines it is imported then, and the name is bound in
+    the package's namespace, so later lookups never come back here.  Every
+    package of repro is such a facade, so a process imports the modules it
+    uses and no others (Scientific Python SPEC 1's lazy loading).  This
+    lives in the root package because ``import repro`` loads nothing else.
+    """
+    origins = {name: module for module, names in exports.items()
+               for name in names}
+    origins.update((name, name) for name in submodules)
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        try:
+            origin = origins[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}") from None
+        module = import_module(f"{package}.{origin}")
+        value = module if origin == name else getattr(module, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(origins))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "core.cycles": ("CycleBudget",),
+    "core.features": ("FeatureExtractor",),
+    "core.prediction": ("EWMAPredictor", "MLRPredictor", "SLRPredictor"),
+    "core.shedding": ("LoadSheddingController",),
+    "core.tenancy": ("TenantGroup", "TenantRegistry"),
+    "fleet.aggregate": ("FleetAggregator",),
+    "fleet.runner": ("FleetRunner",),
+    "fleet.topology": ("FleetTopology", "NodeSpec", "load_topology"),
+    "monitor.config": ("SystemConfig",),
+    "monitor.packet": ("Batch", "PacketTrace", "StreamingTrace"),
+    "monitor.query": ("Query",),
+    "monitor.session": ("MonitoringSession",),
+    "monitor.sharding": ("ShardedSession", "ShardedSystem"),
+    "monitor.system": ("ExecutionResult", "MonitoringSystem"),
+    "queries": ("make_query",),
+    "traffic.generator": ("generate_trace", "generate_trace_store"),
+    "traffic.models": ("load_preset",),
+    "traffic.trace_io": ("TraceStore", "TraceWriter", "open_trace"),
+})
 
 __all__ = [
     "Batch",

@@ -15,7 +15,8 @@ import argparse
 import os
 
 __all__ = ["add_backend_arg", "add_capacity_args", "add_system_args",
-           "apply_system_args", "resolve_capacity", "resolve_query_specs"]
+           "apply_system_args", "open_trace_arg", "resolve_capacity",
+           "resolve_query_specs"]
 
 
 def resolve_query_specs(value: str):
@@ -38,6 +39,19 @@ def resolve_query_specs(value: str):
     if os.path.exists(value):
         return load_query_specs(value)
     return parse_query_specs(value)
+
+
+def open_trace_arg(path: str):
+    """Open the trace a command line names (v1 ``.npz`` or v2 store).
+
+    Raises ``ValueError`` with a one-line message when there is nothing at
+    ``path``, so every CLI refuses a missing trace as it refuses its other
+    arguments: one ``error:`` line and exit 2.
+    """
+    if not os.path.exists(path):
+        raise ValueError(f"no trace at {path}: no such file or directory")
+    from .traffic.trace_io import open_trace
+    return open_trace(path)
 
 
 def add_system_args(parser: argparse.ArgumentParser,
@@ -138,7 +152,12 @@ def apply_system_args(config, args):
     every flag the user set (non-``None``) replaces the corresponding
     config field, with ``--queries`` resolved through
     :func:`resolve_query_specs`.  Returns the (re-validated) config.
+    ``--n-workers`` is not a config field, but a count below 1 is refused
+    here too, with a one-line ``ValueError``.
     """
+    if args.n_workers is not None and args.n_workers < 1:
+        raise ValueError(f"--n-workers must be at least 1, got "
+                         f"{args.n_workers}")
     overrides = {}
     if args.queries is not None:
         overrides["queries"] = resolve_query_specs(args.queries)

@@ -14,19 +14,24 @@ Sub-modules:
 * :mod:`repro.core.cycles`     — simulated cycle accounting substrate
 """
 
-from .cycles import CycleBudget, CycleClock, CycleMeter, OperationCosts
-from .custom import CustomShedEnforcer
-from .fairness import STRATEGIES, Allocation, eq_srates, mmfs_cpu, mmfs_pkt
-from .features import FEATURE_NAMES, FeatureExtractor, FeatureVector
-from .fcbf import fcbf_select
-from .game import (best_response, best_response_dynamics, equilibrium_profile,
-                   is_nash_equilibrium, payoffs)
-from .prediction import (EWMAPredictor, MLRPredictor, PredictionErrorTracker,
-                         SLRPredictor, make_predictor)
-from .regression import MultipleLinearRegression, SlidingHistory, ols_svd
-from .sampling import FlowSampler, PacketSampler, scale_estimate
-from .shedding import (BufferDiscovery, LoadSheddingController, ShedPlan,
-                       reactive_rate)
+from .. import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "custom": ("CustomShedEnforcer",),
+    "cycles": ("CycleBudget", "CycleClock", "CycleMeter", "OperationCosts"),
+    "fairness": ("STRATEGIES", "Allocation", "eq_srates", "mmfs_cpu",
+                 "mmfs_pkt"),
+    "fcbf": ("fcbf_select",),
+    "features": ("FEATURE_NAMES", "FeatureExtractor", "FeatureVector"),
+    "game": ("best_response", "best_response_dynamics",
+             "equilibrium_profile", "is_nash_equilibrium", "payoffs"),
+    "prediction": ("EWMAPredictor", "MLRPredictor", "PredictionErrorTracker",
+                   "SLRPredictor", "make_predictor"),
+    "regression": ("MultipleLinearRegression", "SlidingHistory", "ols_svd"),
+    "sampling": ("FlowSampler", "PacketSampler", "scale_estimate"),
+    "shedding": ("BufferDiscovery", "LoadSheddingController", "ShedPlan",
+                 "reactive_rate"),
+})
 
 __all__ = [
     "Allocation",

@@ -10,23 +10,15 @@ then one run per system compared, at ``(1 - K)`` times that capacity:
 .build().run(trace)``.
 """
 
-from importlib import import_module
+from .. import _lazy_facade
 
-from . import runner, scenarios
-
-#: Imported on first attribute access: the CLIs (``repro.replay``,
-#: ``repro.serve``, ``repro.fleet``) and the fleet runner reach this
-#: package for ``runner``, and every CLI call and benchmark child would
-#: otherwise pay for the five chapter harnesses too.
-_ON_DEMAND = ("chapter2", "chapter3", "chapter4", "chapter5", "chapter6",
-              "reporting")
-
-
-def __getattr__(name: str):
-    if name in _ON_DEMAND:
-        return import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+#: Each module is imported on first attribute access: the CLIs
+#: (``repro.replay``, ``repro.serve``, ``repro.fleet``) and the fleet runner
+#: reach this package for ``runner`` alone, and every CLI call and
+#: benchmark child would otherwise pay for the five chapter harnesses too.
+__getattr__, __dir__ = _lazy_facade(__name__, {}, submodules=(
+    "chapter2", "chapter3", "chapter4", "chapter5", "chapter6", "reporting",
+    "runner", "scenarios"))
 
 __all__ = [
     "chapter2",

@@ -24,11 +24,15 @@ fleet of them over partitioned traffic.  This package is that second tier:
 ``python -m repro.fleet`` runs a topology from the shell.
 """
 
-from .aggregate import FleetAggregator
-from .partition import FleetPartitioner
-from .runner import BACKENDS, FleetResult, FleetRunner, verify_exactness
-from .topology import (FleetTopology, NodeSpec, PARTITION_MODES,
-                       load_topology)
+from .. import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "aggregate": ("FleetAggregator",),
+    "partition": ("FleetPartitioner",),
+    "runner": ("BACKENDS", "FleetResult", "FleetRunner", "verify_exactness"),
+    "topology": ("FleetTopology", "NodeSpec", "PARTITION_MODES",
+                 "load_topology"),
+})
 
 __all__ = [
     "BACKENDS",

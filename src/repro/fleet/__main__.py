@@ -30,13 +30,17 @@ import sys
 from typing import List, Optional
 
 from ..cli import (add_capacity_args, add_system_args, apply_system_args,
-                   resolve_capacity)
+                   open_trace_arg, resolve_capacity)
+
+
+#: :data:`repro.fleet.runner.BACKENDS` and
+#: :data:`repro.fleet.topology.PARTITION_MODES`, spelled out so that
+#: ``--help`` loads neither module (``tests/test_cli.py`` pins them equal).
+_BACKENDS = ("auto", "inprocess", "fork")
+_PARTITION_MODES = ("flow-hash", "src-prefix", "ingress")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .runner import BACKENDS
-    from .topology import PARTITION_MODES
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.fleet",
         description="Run a fleet of monitor nodes over partitioned traffic "
@@ -48,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shorthand: a uniform fleet of N equal-weight "
                              "nodes (instead of a topology file)")
     parser.add_argument("--partition-by", default="flow-hash",
-                        choices=PARTITION_MODES,
+                        choices=_PARTITION_MODES,
                         help="traffic partition rule for --nodes fleets "
                              "(default: %(default)s)")
     source = parser.add_mutually_exclusive_group()
@@ -68,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthetic workload seed (default: %(default)s)")
     add_system_args(parser)
     add_capacity_args(parser, overload=0.3)
-    parser.add_argument("--fleet-backend", default="auto", choices=BACKENDS,
+    parser.add_argument("--fleet-backend", default="auto", choices=_BACKENDS,
                         help="node-execution backend (default: %(default)s): "
                              "'fork' keeps the node sessions resident in "
                              "--n-workers worker processes and feeds them "
@@ -99,8 +103,7 @@ def _build_topology(args):
 
 def _load_traffic(args):
     if args.trace is not None:
-        from ..traffic.trace_io import open_trace
-        return open_trace(args.trace)
+        return open_trace_arg(args.trace)
     from ..experiments.scenarios import build_workload
     return build_workload(args.workload, seed=args.workload_seed,
                           duration=args.duration, scale=args.workload_scale)
@@ -142,14 +145,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .runner import FleetRunner, verify_exactness
 
     try:
+        config = apply_system_args(experiments_runner.system_config(), args)
         trace = _load_traffic(args)
-    except (KeyError, ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    config = apply_system_args(experiments_runner.system_config(), args)
-    try:
         capacity = resolve_capacity(config, trace, args)
-    except ValueError as error:
+    except (KeyError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     config = config.replace(cycles_per_second=capacity)

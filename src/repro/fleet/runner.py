@@ -41,10 +41,9 @@ import numpy as np
 
 from ..monitor.config import SystemConfig
 from ..monitor.packet import Batch, PacketTrace, as_trace
-from ..monitor.sharding import InProcessShards, build_system
+from ..monitor.sharding import (InProcessShards, build_system,
+                                effective_workers)
 from ..monitor.system import ExecutionResult
-from ..monitor.workers import (ShardWorkerPool, effective_workers,
-                               fork_start_available)
 from ..profile import fold_metrics, summarize
 from ..queries import MERGE_EXACTNESS, QUERY_CLASSES
 from .aggregate import FleetAggregator
@@ -176,8 +175,8 @@ class FleetRunner:
                 "instances); set config = config.replace(queries=...)")
         self.config = config
         self.partitioner = FleetPartitioner(topology)
-        self.processes = max(1, effective_workers(
-            n_workers, topology.num_nodes, respect_cores))
+        self.processes = effective_workers(n_workers, topology.num_nodes,
+                                           respect_cores)
         self.backend = backend
         self.aggregator = FleetAggregator()
 
@@ -185,8 +184,11 @@ class FleetRunner:
     def resolve_backend(self) -> str:
         if self.backend != "auto":
             return self.backend
-        if self.processes > 1 and fork_start_available():
-            return "fork"
+        if self.processes > 1:
+            # The pool's module is loaded only where a pool may start.
+            from ..monitor.workers import fork_start_available
+            if fork_start_available():
+                return "fork"
         return "inprocess"
 
     def node_streams(self, trace, time_bin: float
@@ -236,6 +238,7 @@ class FleetRunner:
                    for config, name in zip(configs, names)]
         backend = self.resolve_backend()
         if backend == "fork" and self.topology.num_nodes > 1:
+            from ..monitor.workers import ShardWorkerPool
             nodes = ShardWorkerPool(configs, None, time_bin, names,
                                     processes=self.processes)
         else:

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import os
 import warnings
 from collections import deque
 from functools import cached_property
@@ -75,8 +76,6 @@ from .packet import HEADER_FIELDS, Batch, PacketTrace, as_trace
 from .pipeline import BinRecord
 from .query import Query, QueryResultLog
 from .system import ExecutionResult
-from .workers import (ShardExecutionWarning, ShardWorkerPool,
-                      effective_workers, fork_start_available)
 
 #: Header fields whose combined hash decides a packet's shard: the full
 #: 5-tuple, so a flow's packets always land on the same shard.
@@ -91,6 +90,34 @@ logger = logging.getLogger("repro.monitor.sharding")
 #: ``"auto"`` picks ``"workers"`` when parallelism was requested and the
 #: host can deliver it, ``"inprocess"`` otherwise.
 SHARD_BACKENDS = ("auto", "inprocess", "workers")
+
+
+class ShardExecutionWarning(UserWarning):
+    """A sharded execution that requested process workers runs in-process.
+
+    Emitted instead of silently degrading, so callers asking for
+    ``n_workers > 1`` learn that their session executes serially (the
+    backend is, or ``auto`` resolved to, ``"inprocess"``).
+    """
+
+
+def effective_workers(n_workers: int, n_jobs: int,
+                      respect_cores: bool = True) -> int:
+    """Worker processes actually worth starting for ``n_jobs`` sessions.
+
+    The one place a requested parallelism is clamped, for the shard and
+    the fleet tiers alike: a pool wider than its sessions idles, and one
+    wider than the core count only adds fork and IPC overhead, so the
+    request is clamped to the host unless the caller opts out
+    (``respect_cores=False``, e.g. to exercise the pool on a single-core
+    machine).  A request below one worker is refused with ``ValueError``.
+    """
+    if int(n_workers) < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+    workers = min(int(n_workers), int(n_jobs))
+    if respect_cores:
+        workers = min(workers, os.cpu_count() or 1)
+    return workers
 
 
 class ShardDivergenceError(RuntimeError):
@@ -162,6 +189,9 @@ class ShardedSystem:
         self.backend = backend
         self.n_workers = int(n_workers)
         self.respect_cores = bool(respect_cores)
+        # What the request is worth on this host; a count below 1 raises.
+        self._workers = effective_workers(self.n_workers, self.num_shards,
+                                          self.respect_cores)
         #: The names of the configured mix, validated unique.
         self.query_names: List[str] = []
         if query_factory is None:
@@ -218,11 +248,11 @@ class ShardedSystem:
         """
         if self.backend != "auto":
             return self.backend
-        if (self.num_shards > 1
-                and effective_workers(self.n_workers, self.num_shards,
-                                      self.respect_cores) > 1
-                and fork_start_available()):
-            return "workers"
+        if self.num_shards > 1 and self._workers > 1:
+            # The pool's module is loaded only where a pool may start.
+            from .workers import fork_start_available
+            if fork_start_available():
+                return "workers"
         return "inprocess"
 
     def open_session(self, time_bin: float = 0.1,
@@ -278,12 +308,14 @@ def build_system(config: SystemConfig,
     something with ``open_session(time_bin=, name=)`` and ``run(trace)``.
     ``query_factory=None`` uses the config's declarative ``queries``;
     ``n_workers`` / ``respect_cores`` / ``backend`` are a sharded system's
-    execution.
+    execution; a serial system refuses a count below 1 as a sharded one
+    does.
     """
     if config.num_shards > 1:
         return ShardedSystem(query_factory, config=config,
                              n_workers=n_workers, respect_cores=respect_cores,
                              backend=backend)
+    effective_workers(n_workers, 1, respect_cores)
     return config.build(None if query_factory is None else query_factory())
 
 
@@ -434,6 +466,7 @@ class ShardedSession:
         names = [name if self.num_shards == 1 else f"{name}[shard{index}]"
                  for index in range(self.num_shards)]
         if backend == "workers":
+            from .workers import ShardWorkerPool
             self._executor = ShardWorkerPool(
                 sharded.shard_configs, sharded.query_factory,
                 time_bin=self.time_bin, names=names)
@@ -827,10 +860,10 @@ __all__ = [
     "SHARD_BACKENDS",
     "ShardDivergenceError",
     "ShardExecutionWarning",
-    "ShardWorkerPool",
     "ShardedSession",
     "ShardedSystem",
     "build_system",
+    "effective_workers",
     "shard_seed",
     "verify_shard_exactness",
 ]

@@ -15,24 +15,32 @@ to the shard workers.
 from __future__ import annotations
 
 import json
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
+from .. import _lazy_facade
 from ..monitor import filters as filter_lib
 from ..monitor.filters import Filter
 from ..monitor.query import Query
-from .application import ApplicationQuery
-from .autofocus import AutofocusQuery
-from .counter import CounterQuery
-from .flows import FlowsQuery
-from .high_watermark import HighWatermarkQuery
-from .p2p_detector import (BuggyP2PDetectorQuery, P2PDetectorQuery,
-                           SelfishP2PDetectorQuery)
-from .pattern_search import PatternSearchQuery
-from .super_sources import SuperSourcesQuery
-from .top_k import TopKQuery
-from .trace import TraceQuery
+
+#: Each query class is imported when it is first looked up, here or through
+#: :data:`QUERY_CLASSES`: a process loads the modules of the kinds it runs.
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "application": ("ApplicationQuery",),
+    "autofocus": ("AutofocusQuery",),
+    "counter": ("CounterQuery",),
+    "flows": ("FlowsQuery",),
+    "high_watermark": ("HighWatermarkQuery",),
+    "p2p_detector": ("BuggyP2PDetectorQuery", "P2PDetectorQuery",
+                     "SelfishP2PDetectorQuery"),
+    "pattern_search": ("PatternSearchQuery",),
+    "super_sources": ("SuperSourcesQuery",),
+    "top_k": ("TopKQuery",),
+    "trace": ("TraceQuery",),
+})
 
 __all__ = [
     "ApplicationQuery",
@@ -57,19 +65,43 @@ __all__ = [
     "parse_query_specs",
 ]
 
+
+class _QueryClasses(Mapping):
+    """Read-only kind -> class table; a class is imported on first lookup.
+
+    Membership, iteration and ``len`` read the kinds alone, so checking or
+    listing a kind imports nothing.
+    """
+
+    def __init__(self, class_names: Dict[str, str]) -> None:
+        self._class_names = class_names
+
+    def __getitem__(self, kind: str) -> type:
+        return getattr(sys.modules[__name__], self._class_names[kind])
+
+    def __contains__(self, kind: object) -> bool:
+        return kind in self._class_names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._class_names)
+
+    def __len__(self) -> int:
+        return len(self._class_names)
+
+
 #: Name -> class for the standard query set.
-QUERY_CLASSES: Dict[str, type] = {
-    "application": ApplicationQuery,
-    "autofocus": AutofocusQuery,
-    "counter": CounterQuery,
-    "flows": FlowsQuery,
-    "high-watermark": HighWatermarkQuery,
-    "p2p-detector": P2PDetectorQuery,
-    "pattern-search": PatternSearchQuery,
-    "super-sources": SuperSourcesQuery,
-    "top-k": TopKQuery,
-    "trace": TraceQuery,
-}
+QUERY_CLASSES: Mapping[str, type] = _QueryClasses({
+    "application": "ApplicationQuery",
+    "autofocus": "AutofocusQuery",
+    "counter": "CounterQuery",
+    "flows": "FlowsQuery",
+    "high-watermark": "HighWatermarkQuery",
+    "p2p-detector": "P2PDetectorQuery",
+    "pattern-search": "PatternSearchQuery",
+    "super-sources": "SuperSourcesQuery",
+    "top-k": "TopKQuery",
+    "trace": "TraceQuery",
+})
 
 #: Merge exactness per query kind at the *fleet* tier: how the
 #: ``RESULT_MERGE`` fold of the finished results of independent monitors,

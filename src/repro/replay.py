@@ -36,8 +36,8 @@ from typing import List, Optional
 # consumed by repro.replay, repro.serve and repro.fleet alike); the names
 # are re-exported here for callers that imported them from this module.
 from .cli import (add_backend_arg, add_capacity_args,  # noqa: F401
-                  add_system_args, apply_system_args, resolve_capacity,
-                  resolve_query_specs)
+                  add_system_args, apply_system_args, open_trace_arg,
+                  resolve_capacity, resolve_query_specs)
 from .profile import peak_rss_mb
 
 
@@ -145,28 +145,25 @@ def _check(config, trace, args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # Imports deferred so ``--help`` answers without loading the package.
+    args = build_parser().parse_args(argv)
+    # Imported after parsing, so ``--help`` answers without loading numpy.
     from .experiments import runner
     from .monitor.sharding import build_system
-    from .traffic.trace_io import TraceStore, open_trace
+    from .traffic.trace_io import TraceStore
 
-    args = build_parser().parse_args(argv)
     try:
-        query_specs = resolve_query_specs(args.queries)
+        if not resolve_query_specs(args.queries):
+            raise ValueError("no queries given")
+        source = open_trace_arg(args.trace)
+        # The query mix rides inside the config, so the whole run
+        # description round-trips through SystemConfig.to_dict()/from_dict().
+        config = apply_system_args(runner.system_config(), args)
     except (KeyError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if not query_specs:
-        print("error: no queries given", file=sys.stderr)
-        return 2
-
-    source = open_trace(args.trace)
     store = source if isinstance(source, TraceStore) else None
     trace = source.streaming() if store is not None else source
 
-    # The query mix rides inside the config, so the whole run description
-    # round-trips through SystemConfig.to_dict()/from_dict().
-    config = apply_system_args(runner.system_config(), args)
     if args.check:
         if config.num_shards < 2:
             print("error: --check compares a sharded run with a serial one; "

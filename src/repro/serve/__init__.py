@@ -31,19 +31,18 @@ or in code::
     result = asyncio.run(daemon.run())
 """
 
-from .api import OpsError, OpsServer, render_metrics
-from .checkpoint import (
-    Checkpoint,
-    CheckpointCorruptError,
-    CheckpointVersionError,
-    capture,
-    describe_checkpoint,
-    load_checkpoint,
-    restore_session,
-    save_checkpoint,
-)
-from .daemon import MonitorDaemon
-from .feeds import Feed, GeneratorFeed, ReplayFeed, SocketFeed, TailFeed
+from .. import _lazy_facade
+
+__getattr__, __dir__ = _lazy_facade(__name__, {
+    "api": ("OpsError", "OpsServer", "render_metrics"),
+    "checkpoint": ("Checkpoint", "CheckpointCorruptError",
+                   "CheckpointVersionError", "capture",
+                   "describe_checkpoint", "load_checkpoint",
+                   "restore_session", "save_checkpoint"),
+    "daemon": ("MonitorDaemon",),
+    "feeds": ("Feed", "GeneratorFeed", "ReplayFeed", "SocketFeed",
+              "TailFeed"),
+})
 
 __all__ = [
     "Checkpoint",

@@ -96,13 +96,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_feed(args, time_bin: float):
+def _build_feed(args, time_bin: float, replayed=None):
+    """The feed the flags describe; ``replayed`` is the opened trace of a
+    replay feed."""
     from .feeds import GeneratorFeed, ReplayFeed, SocketFeed, TailFeed
 
     if args.feed in ("replay", "tail") and args.source is None:
         raise SystemExit(f"error: --feed {args.feed} needs a source path")
     if args.feed == "replay":
-        return ReplayFeed(args.source, time_bin=time_bin, pace=args.pace)
+        return ReplayFeed(replayed, time_bin=time_bin, pace=args.pace)
     if args.feed == "tail":
         return TailFeed(args.source, time_bin=time_bin,
                         poll_interval=args.poll_interval)
@@ -129,14 +131,16 @@ def _build_feed(args, time_bin: float):
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    # Imported after parsing, so ``--help`` answers without loading numpy.
+    from ..cli import apply_system_args, open_trace_arg
     from ..experiments import runner
     from ..monitor.config import SystemConfig
-    from ..cli import apply_system_args
     from .checkpoint import (CheckpointCorruptError, CheckpointVersionError,
                              restore_session)
     from .daemon import MonitorDaemon
 
-    args = build_parser().parse_args(argv)
+    replayed = None
     try:
         if args.config is not None:
             config = SystemConfig.from_dict(
@@ -150,6 +154,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if config.queries is None and args.restore is None:
             raise ValueError("no query mix: pass --queries, or a --config "
                              "whose document carries 'queries'")
+        if args.feed == "replay" and args.source is not None:
+            replayed = open_trace_arg(args.source)
     except (KeyError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -168,7 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     time_bin = args.time_bin if args.time_bin is not None else \
         (session.time_bin if session is not None else 0.1)
-    feed = _build_feed(args, time_bin)
+    feed = _build_feed(args, time_bin, replayed)
 
     # A restored session already carries its execution's config; the
     # flag-built one only applies to fresh sessions.

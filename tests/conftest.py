@@ -74,12 +74,13 @@ def write_header_store(path, seconds, packets_per_bin=10_000):
     return TraceStore(path)
 
 
-def probe(script, store):
-    """Run ``script`` on ``store`` in a fresh process of its own; what it
-    prints, split into words."""
+def probe(script, store, *args):
+    """Run ``script`` on ``store`` (and ``args``) in a fresh process of its
+    own; what it prints, split into words."""
     import repro
     src = Path(repro.__file__).resolve().parents[1]
-    return subprocess.run([sys.executable, "-c", script, str(store.path)],
+    return subprocess.run([sys.executable, "-c", script, str(store.path),
+                           *args],
                           env={"PYTHONPATH": str(src)}, check=True,
                           capture_output=True, text=True).stdout.split()
 

@@ -606,3 +606,62 @@ def test_a_coordinating_parent_builds_no_query(tmp_path):
     store = write_header_store(tmp_path / "store", seconds=1,
                                packets_per_bin=500)
     assert probe(_PARENT_QUERIES_PROBE, store) == ["1", "False"]
+
+
+# ----------------------------------------------------------------------
+# What a process imports: `import repro`, then an in-process session over
+# a store (the modules it loaded, after a "|"), then, when asked to, a
+# sharded node on the worker pool (the modules that added, after a "|").
+_IMPORT_FOOTPRINT_PROBE = """
+import sys
+
+def loaded():
+    return {name for name in sys.modules
+            if name.partition(".")[0] in ("repro", "multiprocessing")}
+
+import repro
+print(*sorted(loaded()), "|")
+from repro import SystemConfig
+from repro.traffic.trace_io import TraceStore
+store = TraceStore(sys.argv[1])
+config = SystemConfig(queries="counter,flows,top-k", cycles_per_second=2e8)
+assert config.build().run(store).total_packets == len(store)
+session = loaded()
+print(*sorted(session), "|")
+if sys.argv[2:] == ["pool"]:
+    from repro.monitor.sharding import ShardedSystem
+    node = ShardedSystem(config=config, num_shards=2, backend="workers")
+    assert node.run(store).total_packets == len(store)
+    print(*sorted(loaded() - session))
+"""
+
+
+def _footprint(store, *args):
+    words = " ".join(probe(_IMPORT_FOOTPRINT_PROBE, store, *args))
+    return [set(part.split()) for part in words.split("|")]
+
+
+def test_a_session_imports_what_it_runs(tmp_path):
+    """The package facades import nothing, the worker pool is not loaded
+    without a pool, and a session loads its own query kinds' modules."""
+    store = write_header_store(tmp_path / "store", seconds=1,
+                               packets_per_bin=500)
+    package, session, _ = _footprint(store)
+    assert package == {"repro"}
+    not_run = ("multiprocessing", "repro.monitor.workers", "repro.fleet",
+               "repro.serve", "repro.core.game", "repro.traffic.anomalies",
+               "repro.experiments")
+    assert not [name for name in session
+                if name.startswith(not_run)], sorted(session)
+    assert {name for name in session if name.startswith("repro.queries.")
+            } == {"repro.queries.counter", "repro.queries.flows",
+                  "repro.queries.top_k"}
+
+
+@needs_fork
+def test_a_pool_loads_the_worker_module_when_it_starts(tmp_path):
+    store = write_header_store(tmp_path / "store", seconds=1,
+                               packets_per_bin=500)
+    *_, pool = _footprint(store, "pool")
+    assert {"repro.monitor.workers", "multiprocessing",
+            "multiprocessing.shared_memory"} <= pool

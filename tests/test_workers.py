@@ -29,9 +29,10 @@ import pytest
 
 from repro.experiments import runner, scenarios
 from repro.fleet import FleetPartitioner, FleetRunner, FleetTopology
-from repro.fleet import runner as fleet_runner
+from repro.monitor import workers as workers_module
 from repro.monitor.packet import COLUMN_FIELDS, Batch, column_layout
-from repro.monitor.sharding import InProcessShards, ShardedSystem
+from repro.monitor.sharding import (InProcessShards, ShardedSystem,
+                                   build_system)
 from repro.monitor.system import ExecutionResult
 from repro.monitor.workers import (ShardExecutionWarning, ShardWorkerError,
                                    ShardWorkerPool, effective_workers,
@@ -280,6 +281,20 @@ class TestEffectiveWorkers:
         assert effective_workers(8, 8, respect_cores=False) == 8
         monkeypatch.setattr("os.cpu_count", lambda: None)
         assert effective_workers(4, 4) == 1
+
+    @pytest.mark.parametrize("n_workers", [0, -2, -3])
+    def test_a_count_below_one_is_refused_on_every_tier(self, n_workers):
+        config = runner.system_config(queries="counter")
+        for refuse in (
+                lambda: effective_workers(n_workers, 3, respect_cores=False),
+                lambda: ShardedSystem(config=config, num_shards=2,
+                                      n_workers=n_workers),
+                lambda: build_system(config, n_workers=n_workers),
+                lambda: FleetRunner(FleetTopology.uniform(2), config=config,
+                                    n_workers=n_workers)):
+            with pytest.raises(ValueError,
+                               match="n_workers must be at least 1"):
+                refuse()
 
 
 # ----------------------------------------------------------------------
@@ -597,7 +612,9 @@ class TestFleetOnThePool:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(fleet_runner, "ShardWorkerPool", RecordedPool)
+        # The runner imports the pool when it starts one.
+        monkeypatch.setattr(workers_module, "ShardWorkerPool",
+                            RecordedPool)
         split = FleetPartitioner.split
         calls = []
 
