@@ -22,9 +22,12 @@ the black-box property of the original system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - loaded at a meter's first noisy draw
+    from numpy.random import Generator
 
 #: Default cycle cost of each basic operation.  The absolute values are
 #: arbitrary (the algorithms only care about relative magnitudes); they are
@@ -82,23 +85,27 @@ class CycleMeter:
         self,
         costs: Optional[OperationCosts] = None,
         noise_std: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[Generator] = None,
     ) -> None:
         self.costs = costs if costs is not None else OperationCosts()
         self.noise_std = float(noise_std)
         #: The noise generator; ``None`` until the first noisy draw makes
-        #: the default one (every system reseeds its queries' meters).
+        #: it from ``_seed``, so a noise-free meter never imports
+        #: ``numpy.random``.
         self._rng = rng
+        self._seed = 0
         self._accumulated = 0.0
 
     def reseed(self, seed: int) -> None:
         """Re-seed the measurement-noise generator deterministically.
 
-        The monitoring system derives one seed per query so that executions
-        are reproducible regardless of registration order; this is the public
-        API for doing so.
+        The generator is made from ``seed`` at the next noisy draw.  The
+        monitoring system seeds each query's meter from the system seed and
+        the query's name, so its noise does not depend on which queries
+        were registered before it.
         """
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rng = None
 
     def charge(self, operation: str, count: float = 1.0) -> float:
         """Charge ``count`` repetitions of ``operation``; returns the cycles."""
@@ -117,7 +124,7 @@ class CycleMeter:
         self._accumulated = 0.0
         if self.noise_std > 0.0 and cycles > 0.0:
             if self._rng is None:
-                self._rng = np.random.default_rng(0)
+                self._rng = np.random.default_rng(self._seed)
             cycles *= max(0.0, 1.0 + self._rng.normal(0.0, self.noise_std))
         return cycles
 

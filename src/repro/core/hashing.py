@@ -1,6 +1,6 @@
 """Hash functions used by the load shedding scheme.
 
-Two families are provided:
+Three families are provided:
 
 * :class:`H3Hash` — the classical H3 universal hash family used by the
   flowwise flow-sampling load shedder (Section 4.2).  A fresh H3 function is
@@ -9,13 +9,18 @@ Two families are provided:
 * :func:`mix64` / :func:`combine_columns` — a fast 64-bit mixing hash used to
   map traffic-aggregate keys (combinations of header fields, Table 3.1) to
   uniformly distributed values for the distinct counters.
+* :func:`splitmix_stream` / :func:`stream_key` — the counter-based SplitMix64
+  generator (Steele, Lea & Flood, OOPSLA 2014) the load shedders draw from:
+  a query's packet-sampling coins and its H3 matrices are outputs of one
+  stream keyed by the system seed and the query's name, so they do not
+  depend on which other queries run.
 
 All functions are vectorised over NumPy arrays.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +30,8 @@ _MUL_1 = _U64(0xBF58476D1CE4E5B9)
 _MUL_2 = _U64(0x94D049BB133111EB)
 _SHIFT_30, _SHIFT_27, _SHIFT_31 = _U64(30), _U64(27), _U64(31)
 _COLUMN_SALT = _U64(0x9E3779B9)
+_MASK_64 = (1 << 64) - 1
+_FNV_OFFSET, _FNV_PRIME = 0xCBF29CE484222325, 0x100000001B3
 
 
 def _mix64_in_place(z: np.ndarray) -> np.ndarray:
@@ -48,6 +55,34 @@ def mix64(keys: np.ndarray) -> np.ndarray:
     """SplitMix64-style finalizer: map 64-bit keys to well-mixed 64-bit hashes."""
     with np.errstate(over="ignore"):  # a NumPy scalar key does warn
         return _mix64_in_place(keys.astype(np.uint64, copy=True))
+
+
+def splitmix_stream(key: int, start: int, count: int) -> np.ndarray:
+    """Outputs ``start .. start + count - 1`` of SplitMix64 seeded by ``key``.
+
+    Output ``i`` is the finalizer of ``key + (i + 1) * golden``, so any
+    stretch of the stream is computed directly from its position: a
+    consumer keeps a counter, not a generator.
+    """
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z *= _GOLDEN
+    z += _U64(key & _MASK_64)
+    return _mix64_in_place(z)
+
+
+def stream_key(seed: int, name: str) -> int:
+    """The 64-bit key of the stream named ``name`` under ``seed``.
+
+    The name's 64-bit FNV-1a digest is mixed with the seed by
+    :func:`combine_columns`.  Both are full 64-bit values, so two names'
+    streams start ~2**63 outputs apart on average and never meet in a run.
+    """
+    digest = _FNV_OFFSET
+    for byte in name.encode("utf-8"):
+        digest = ((digest ^ byte) * _FNV_PRIME) & _MASK_64
+    key = combine_columns((np.array([seed & _MASK_64], dtype=np.uint64),
+                           np.array([digest], dtype=np.uint64)))
+    return int(key[0])
 
 
 def combine_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
@@ -83,23 +118,22 @@ class H3Hash:
         paper; here keys are pre-mixed to 64 bits).
     out_bits:
         Width of the produced hash values.
-    rng:
-        Generator used to draw the random matrix; pass a seeded generator for
-        reproducibility.
+    key, draw:
+        The matrix is draw ``draw`` of the stream keyed by ``key``
+        (:func:`splitmix_stream`): its rows are the top ``out_bits`` bits of
+        outputs ``draw * key_bits .. draw * key_bits + key_bits - 1``.
     """
 
     def __init__(self, key_bits: int = 64, out_bits: int = 32,
-                 rng: Optional[np.random.Generator] = None) -> None:
+                 key: int = 0, draw: int = 0) -> None:
         if not 1 <= out_bits <= 64:
             raise ValueError("out_bits must be in [1, 64]")
         if not 1 <= key_bits <= 64:
             raise ValueError("key_bits must be in [1, 64]")
-        rng = rng if rng is not None else np.random.default_rng()
         self.key_bits = key_bits
         self.out_bits = out_bits
-        max_val = (1 << out_bits) - 1
-        self._matrix = rng.integers(0, max_val + 1, size=key_bits,
-                                    dtype=np.uint64)
+        self._matrix = splitmix_stream(key, draw * key_bits, key_bits) \
+            >> _U64(64 - out_bits)
 
     def __call__(self, keys: np.ndarray) -> np.ndarray:
         """Hash an array of integer keys to ``out_bits``-bit values."""

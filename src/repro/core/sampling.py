@@ -11,6 +11,11 @@ configuration time:
   measurement interval — by the system, in the bin that flushes the
   query's last — so selection cannot be predicted or evaded.
 
+Both draw their bits from one counter-based stream per query
+(:func:`~repro.core.hashing.splitmix_stream`, keyed by
+:func:`~repro.core.hashing.stream_key` of the system seed and the query's
+name), so a query's draws do not depend on the other queries of the mix.
+
 Both mechanisms are unbiased: scaling additive per-packet (respectively
 per-flow) statistics by ``1 / p`` recovers the unsampled value in
 expectation.
@@ -18,11 +23,13 @@ expectation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import math
+import operator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .hashing import H3Hash
+from .hashing import H3Hash, splitmix_stream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from ..monitor.packet import Batch
@@ -32,12 +39,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
 SAMPLING_CYCLES_PER_PACKET = 8.0
 SAMPLING_CYCLES_FIXED = 500.0
 
+_TWO_53 = 2.0 ** 53
+
 
 class PacketSampler:
-    """Uniform random packet sampling."""
+    """Uniform random packet sampling.
 
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+    The coins are the stream keyed by ``key`` (:func:`splitmix_stream`):
+    the i-th packet this sampler draws for is kept when the top 53 bits of
+    output i, as a fraction of 2**53, are below the rate.  Its state is the
+    key and the count of coins drawn.
+    """
+
+    def __init__(self, key: int = 0) -> None:
+        self.key = operator.index(key)
+        self.draws = 0
 
     def sample(self, batch: "Batch", rate: float) -> "Batch":
         """Return a new batch with each packet kept with probability ``rate``."""
@@ -46,7 +62,11 @@ class PacketSampler:
             return batch
         if rate <= 0.0:
             return batch.select(np.zeros(len(batch), dtype=bool))
-        keep = self._rng.random(len(batch)) < rate
+        coins = splitmix_stream(self.key, self.draws, len(batch))
+        self.draws += len(batch)
+        # top53(z) * 2**-53 < rate  <=>  z < ceil(rate * 2**53) * 2**11:
+        # the same test on the integers (rate * 2**53 is exact, below 2**53).
+        keep = coins < np.uint64(math.ceil(rate * _TWO_53) << 11)
         return batch.select(keep)
 
     def cost(self, batch: "Batch") -> float:
@@ -60,16 +80,20 @@ class FlowSampler:
     A packet is kept when the H3 hash of its 5-tuple, mapped to ``[0, 1)``,
     is below the sampling rate; all packets of a flow therefore share the
     same fate.  The hash function is re-drawn by whoever owns the query's
-    measurement intervals, at every boundary (:meth:`renew_hash`).
+    measurement intervals, at every boundary (:meth:`renew_hash`).  The
+    k-th function is draw k of the stream keyed by ``key``; the state is the
+    key and the count of functions drawn before the current one.
     """
 
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
-        self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._hash = H3Hash(rng=self._rng)
+    def __init__(self, key: int = 0) -> None:
+        self.key = operator.index(key)
+        self.renewals = 0
+        self._hash = H3Hash(key=self.key, draw=0)
 
     def renew_hash(self) -> None:
         """Draw a fresh H3 hash function (called every measurement interval)."""
-        self._hash = H3Hash(rng=self._rng)
+        self.renewals += 1
+        self._hash = H3Hash(key=self.key, draw=self.renewals)
 
     def sample(self, batch: "Batch", rate: float) -> "Batch":
         """Return the sub-batch whose flows hash below ``rate``."""

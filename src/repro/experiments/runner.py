@@ -32,6 +32,7 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 import numpy as np
 
 from ..core.features import FeatureExtractor, FeatureVector
+from ..core.hashing import stream_key
 from ..core.prediction import CyclePredictor, PredictionErrorTracker
 from ..core.sampling import FlowSampler, PacketSampler
 from ..monitor import metrics
@@ -215,10 +216,9 @@ def accuracy_vs_sampling_rate(query_name: str, trace: PacketTrace,
     for rate in rates:
         query = make_query(query_name)
         method = query.sampling_method if sampling == "auto" else sampling
-        if method == SAMPLING_FLOW:
-            sampler = FlowSampler(rng=np.random.default_rng(seed))
-        else:
-            sampler = PacketSampler(rng=np.random.default_rng(seed))
+        key = stream_key(seed, query.name)
+        sampler = FlowSampler(key) if method == SAMPLING_FLOW \
+            else PacketSampler(key)
         log = _standalone_log(query, trace, rate, sampler, time_bin)
         error = metrics.mean_error(query_name, log, reference_log)
         accuracies[float(rate)] = metrics.accuracy_from_error(error)

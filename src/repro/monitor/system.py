@@ -43,6 +43,7 @@ from ..core.cycles import CycleBudget
 from ..core.fairness import QuerySlotTable
 from ..core.features import (FeatureExtractor, FeatureSharing,
                              FeatureVector)
+from ..core.hashing import stream_key
 from ..core.prediction import CyclePredictor, make_predictor
 from ..core.sampling import FlowSampler, PacketSampler
 from ..core.shedding import LoadSheddingController
@@ -517,7 +518,6 @@ class MonitoringSystem:
         self.config = config
         self.mode = config.mode
         self.budget = config.make_budget()
-        self._rng = np.random.default_rng(config.seed)
 
         self.controller = LoadSheddingController(strategy=config.strategy)
         self.enforcer = CustomShedEnforcer()
@@ -554,17 +554,19 @@ class MonitoringSystem:
         """Register a query; ``start_time`` models query arrivals (Ch. 6)."""
         if query.name in self._runtimes:
             raise ValueError(f"a query named {query.name!r} is already registered")
-        seed = int(self._rng.integers(0, 2 ** 31))
         config = self.config
         predictor = make_predictor(config.predictor)
         extractor = FeatureExtractor(method=config.feature_method,
                                      sharing=self.feature_states)
+        # The query's draws are keyed by its name, so they do not depend on
+        # which queries were registered before it.
+        key = stream_key(config.seed, query.name)
         if query.sampling_method == SAMPLING_FLOW:
-            sampler = FlowSampler(rng=np.random.default_rng(seed))
+            sampler = FlowSampler(key)
         else:
-            sampler = PacketSampler(rng=np.random.default_rng(seed))
+            sampler = PacketSampler(key)
         query.meter.noise_std = config.measurement_noise
-        query.meter.reseed(seed + 1)
+        query.meter.reseed(stream_key(key, "meter"))
         runtime = _QueryRuntime(query, start_time, predictor, extractor,
                                 sampler)
         # Columnar demand state: the query's effective minimum sampling
@@ -755,8 +757,12 @@ class MonitoringSystem:
         cycles = query.consume_cycles()
         # The query was granted ``prediction * grant`` cycles; consuming
         # noticeably more than that is a violation the enforcer acts upon.
-        self.enforcer.record(query.name, expected_cycles=prediction * grant,
-                             actual_cycles=cycles, bin_index=bin_index)
+        # Before the predictor has a prediction there is no grant in cycles
+        # to hold the query to, and its first bin is not a violation.
+        if prediction > 0.0:
+            self.enforcer.record(query.name,
+                                 expected_cycles=prediction * grant,
+                                 actual_cycles=cycles, bin_index=bin_index)
         if features_pre is not None:
             # Keep the regression history in full-batch terms: scale the
             # measured cycles back up by the fraction the query reports.

@@ -82,7 +82,7 @@ class P2PDetectorQuery(Query):
         self._signature_hits = KeyedAccumulator(columns=("hits",))
         self._p2p_flows = KeyedAccumulator()
         self._sampling_rate = 1.0
-        self._flow_hash = H3Hash(rng=np.random.default_rng(7))
+        self._flow_hash = H3Hash(key=7)
 
     def reset(self) -> None:
         super().reset()

@@ -76,12 +76,14 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: profiler's stages carry no cycles; 9: a ``BinRecord``, and the columns
 #: of a ``BinTable``, carry the bin's rate decision beside its outcome —
 #: the plan's cycles, allowance and EWMAs, and each query's prediction,
-#: decided rate and bound).  Dropping an attribute nothing reads
+#: decided rate and bound; 10: a sampler's state is a stream key and a
+#: counter of its draws, not a ``numpy`` generator, and the system keeps
+#: no generator of its own).  Dropping an attribute nothing reads
 #: is compatible and bumps nothing: a version-8 file written while a query
 #: still kept an enabled flag and its last sampling rate, its runtime its
 #: last prediction and seed, and its extractor and flow sampler clocks of
 #: their own, restores with those riding along unread.
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
 
 logger = logging.getLogger("repro.serve.checkpoint")
 # A refusal is raised as well as logged: without handlers of the

@@ -31,9 +31,9 @@ SEEDS = (1, 5, 13)
 #: p90 of use over all bins, the count of such bins, then the median and
 #: p90 of the loan, the post-shed error and the plan slack.
 DECOMPOSITION = {
-    1: (1.252, 38, (0.206, 0.290), (0.001, 0.033), (0.048, 0.087)),
-    5: (1.206, 35, (0.206, 0.481), (0.003, 0.014), (0.057, 0.096)),
-    13: (1.210, 41, (0.193, 0.286), (0.002, 0.028), (0.007, 0.102)),
+    1: (1.239, 41, (0.208, 0.296), (-0.003, 0.032), (0.038, 0.082)),
+    5: (1.229, 36, (0.219, 0.477), (-0.002, 0.016), (0.064, 0.107)),
+    13: (1.222, 42, (0.163, 0.286), (-0.001, 0.019), (0.065, 0.099)),
 }
 
 

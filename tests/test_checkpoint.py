@@ -419,7 +419,7 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
     """Checkpoints of builds whose sessions held other state are refused,
     typed, logged and naming both versions, by every way in — the state
     blob is never unpickled."""
-    assert CHECKPOINT_VERSION == 9
+    assert CHECKPOINT_VERSION == 10
     session = _open_session(_config("original"))
     from repro.serve.__main__ import main
     for version in (1, 2, 3, 4):
@@ -434,7 +434,7 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
                     with pytest.raises(CheckpointVersionError) as refused:
                         load(source)
                 assert f"version {version} " in str(refused.value)
-                assert "reads version 9 " in str(refused.value)
+                assert "reads version 10 " in str(refused.value)
                 assert [record.getMessage() for record in caplog.records] \
                     == [str(refused.value)]
 
@@ -463,7 +463,7 @@ def test_a_version_4_checkpoint_is_refused_by_its_version(tmp_path):
             load(old)
         assert type(refused.value) is CheckpointVersionError
         assert "version 4 " in str(refused.value)
-        assert "reads version 9 " in str(refused.value)
+        assert "reads version 10 " in str(refused.value)
 
 
 def test_a_version_5_checkpoint_is_refused_by_its_version(tmp_path):
@@ -478,7 +478,7 @@ def test_a_version_5_checkpoint_is_refused_by_its_version(tmp_path):
         with pytest.raises(CheckpointVersionError) as refused:
             load(old)
         assert "version 5 " in str(refused.value)
-        assert "reads version 9 " in str(refused.value)
+        assert "reads version 10 " in str(refused.value)
 
 
 def test_a_version_6_checkpoint_is_refused_by_its_version(tmp_path):
@@ -486,7 +486,7 @@ def test_a_version_6_checkpoint_is_refused_by_its_version(tmp_path):
     list of bin records where this build holds a table of bins: its file
     is refused by its version, before the state is read."""
     path = save_checkpoint(_open_session(_config("original")),
-                           tmp_path / "v9.pkl")
+                           tmp_path / "v10.pkl")
     data, state_start = _meta_end(path)
     old = tmp_path / "v6.pkl"
     old.write_bytes(pickle.dumps(dict(load_checkpoint(path).meta, version=6))
@@ -495,7 +495,7 @@ def test_a_version_6_checkpoint_is_refused_by_its_version(tmp_path):
         with pytest.raises(CheckpointVersionError) as refused:
             load(old)
         assert "version 6 " in str(refused.value)
-        assert "reads version 9 " in str(refused.value)
+        assert "reads version 10 " in str(refused.value)
 
 
 def test_a_version_7_checkpoint_is_refused_by_its_version(tmp_path):
@@ -504,7 +504,7 @@ def test_a_version_7_checkpoint_is_refused_by_its_version(tmp_path):
     the reactive baseline's last rate and cycles: its file is refused by
     its version, before the state is read."""
     path = save_checkpoint(_open_session(_config("reactive")),
-                           tmp_path / "v9.pkl")
+                           tmp_path / "v10.pkl")
     data, state_start = _meta_end(path)
     old = tmp_path / "v7.pkl"
     old.write_bytes(pickle.dumps(dict(load_checkpoint(path).meta, version=7))
@@ -513,7 +513,7 @@ def test_a_version_7_checkpoint_is_refused_by_its_version(tmp_path):
         with pytest.raises(CheckpointVersionError) as refused:
             load(old)
         assert "version 7 " in str(refused.value)
-        assert "reads version 9 " in str(refused.value)
+        assert "reads version 10 " in str(refused.value)
 
 
 def test_a_version_8_checkpoint_is_refused_by_its_version(tmp_path):
@@ -522,7 +522,7 @@ def test_a_version_8_checkpoint_is_refused_by_its_version(tmp_path):
     bound columns): its file is refused by its version, before the state
     is read."""
     path = save_checkpoint(_open_session(_config("predictive")),
-                           tmp_path / "v9.pkl")
+                           tmp_path / "v10.pkl")
     data, state_start = _meta_end(path)
     old = tmp_path / "v8.pkl"
     old.write_bytes(pickle.dumps(dict(load_checkpoint(path).meta, version=8))
@@ -531,7 +531,25 @@ def test_a_version_8_checkpoint_is_refused_by_its_version(tmp_path):
         with pytest.raises(CheckpointVersionError) as refused:
             load(old)
         assert "version 8 " in str(refused.value)
-        assert "reads version 9 " in str(refused.value)
+        assert "reads version 10 " in str(refused.value)
+
+
+def test_a_version_9_checkpoint_is_refused_by_its_version(tmp_path):
+    """Version 9 had this file layout, but its session's samplers each held
+    a ``numpy`` generator, seeded from one system generator in registration
+    order, where this build holds a stream key and a counter: its file is
+    refused by its version, before the state is read."""
+    path = save_checkpoint(_open_session(_config("predictive")),
+                           tmp_path / "v10.pkl")
+    data, state_start = _meta_end(path)
+    old = tmp_path / "v9.pkl"
+    old.write_bytes(pickle.dumps(dict(load_checkpoint(path).meta, version=9))
+                    + data[state_start:])
+    for load in (load_checkpoint, restore_session, describe_checkpoint):
+        with pytest.raises(CheckpointVersionError) as refused:
+            load(old)
+        assert "version 9 " in str(refused.value)
+        assert "reads version 10 " in str(refused.value)
 
 
 @pytest.mark.parametrize("part", ("meta", "state"))

@@ -13,7 +13,8 @@ from oracles.exact_counter import ExactDistinctCounter as OracleExact
 from repro.core.distinct import (BitmapBank, CounterBank,
                                  ExactDistinctCounter, MultiResolutionBitmap,
                                  make_bank, make_counter)
-from repro.core.hashing import H3Hash, combine_columns, mix64
+from repro.core.hashing import (H3Hash, combine_columns, mix64,
+                                splitmix_stream, stream_key)
 
 
 def _reference_mix64(keys):
@@ -91,24 +92,81 @@ class TestCombineColumns:
                    for column, original in zip(columns, originals))
 
 
+def _reference_splitmix(key, count):
+    """SplitMix64 as published: a 64-bit state advanced by the golden
+    gamma, each output the finalizer of the new state."""
+    mask, state, out = (1 << 64) - 1, key, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class TestSplitMixStream:
+    def test_published_outputs(self):
+        """The first outputs of SplitMix64 seeded with 1234567."""
+        assert splitmix_stream(1234567, 0, 5).tolist() == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
+
+    @given(key=st.integers(0, 2 ** 64 - 1), start=st.integers(0, 200),
+           count=st.integers(0, 40))
+    def test_any_stretch_is_the_generator_stepped_there(self, key, start,
+                                                         count):
+        stream = splitmix_stream(key, start, count)
+        assert stream.dtype == np.uint64
+        assert stream.tolist() == _reference_splitmix(key, start + count)[
+            start:]
+
+    def test_stream_keys_are_full_width_and_distinct(self):
+        """Keyed by seed and name: every kind under ten seeds gets a key
+        of its own, and the keys use all 64 bits."""
+        kinds = ("counter", "flows", "top-k", "application", "autofocus",
+                 "high-watermark", "p2p-detector", "pattern-search",
+                 "super-sources", "trace")
+        keys = [stream_key(seed, name) for seed in range(10)
+                for name in kinds]
+        assert len(set(keys)) == len(keys)
+        assert all(0 <= key < 2 ** 64 for key in keys)
+        assert max(keys) >= 2 ** 63
+        assert stream_key(3, "flows") == stream_key(3, "flows")
+        assert stream_key(-1, "flows") == stream_key(2 ** 64 - 1, "flows")
+
+
 class TestH3Hash:
     def test_deterministic_per_instance(self):
-        h = H3Hash(rng=np.random.default_rng(1))
+        h = H3Hash(key=1)
         keys = np.arange(1000, dtype=np.uint64)
         assert np.array_equal(h(keys), h(keys))
 
     def test_different_instances_differ(self):
         keys = np.arange(1000, dtype=np.uint64)
-        h1 = H3Hash(rng=np.random.default_rng(1))
-        h2 = H3Hash(rng=np.random.default_rng(2))
+        h1 = H3Hash(key=1)
+        h2 = H3Hash(key=2)
         assert not np.array_equal(h1(keys), h2(keys))
 
     def test_unit_interval_uniform(self):
-        h = H3Hash(rng=np.random.default_rng(3))
+        h = H3Hash(key=3)
         keys = mix64(np.arange(20000, dtype=np.uint64))
         unit = h.unit_interval(keys)
         assert 0.0 <= unit.min() and unit.max() < 1.0
         assert abs(unit.mean() - 0.5) < 0.03
+
+    def test_a_draw_is_its_stretch_of_the_stream(self):
+        """Draw k's matrix rows are the top ``out_bits`` bits of outputs
+        ``k * key_bits ..`` of the stream."""
+        keys = np.arange(1000, dtype=np.uint64)
+        h = H3Hash(key_bits=16, out_bits=8, key=11, draw=3)
+        rows = splitmix_stream(11, 48, 16) >> np.uint64(56)
+        expected = np.zeros(len(keys), dtype=np.uint64)
+        for bit, row in enumerate(rows):
+            expected ^= ((keys >> np.uint64(bit)) & np.uint64(1)) * row
+        assert np.array_equal(h(keys), expected)
+        assert not np.array_equal(h(keys), H3Hash(key_bits=16, out_bits=8,
+                                                   key=11, draw=2)(keys))
 
     def test_out_bits_validation(self):
         with pytest.raises(ValueError):

@@ -665,3 +665,83 @@ def test_a_pool_loads_the_worker_module_when_it_starts(tmp_path):
     *_, pool = _footprint(store, "pool")
     assert {"repro.monitor.workers", "multiprocessing",
             "multiprocessing.shared_memory"} <= pool
+
+
+# ----------------------------------------------------------------------
+# What a session draws its random bits from
+# ----------------------------------------------------------------------
+# A predictive counter,flows session over a store at half the reference
+# run's 95th percentile of cycles per bin, with the measurement noise in
+# argv[2].  Prints whether each query ran below rate 1 in some bin, then,
+# "|" apart, which of numpy.random, secrets and hashlib were loaded after
+# build(), just before and just after the first noisy draw, and after the
+# run.
+_SAMPLING_FOOTPRINT_PROBE = """
+import sys
+import numpy as np
+from repro import SystemConfig
+from repro.core.cycles import CycleMeter
+from repro.traffic.trace_io import TraceStore
+
+def loaded():
+    return [name for name in ("numpy.random", "secrets", "hashlib")
+            if name in sys.modules]
+
+store = TraceStore(sys.argv[1])
+config = SystemConfig(queries="counter,flows", seed=3)
+reference = config.replace(mode="reference").build().run(store)
+per_second = np.quantile(reference.cycles_per_bin(), 0.95) / 0.1
+system = config.replace(cycles_per_second=0.5 * per_second,
+                        measurement_noise=float(sys.argv[2])).build()
+built = loaded()
+first_draw = []
+consume = CycleMeter.consume
+
+def watched(meter):
+    noisy = meter.noise_std > 0.0 and meter.pending > 0.0
+    before = loaded()
+    cycles = consume(meter)
+    if noisy and not first_draw:
+        first_draw.extend((before, loaded()))
+    return cycles
+
+CycleMeter.consume = watched
+result = system.run(store)
+print(*(bool(result.rate_series(name).min() < 1.0)
+        for name in ("counter", "flows")))
+first_draw = first_draw or ([], [])
+print(*built, "|", *first_draw[0], "|", *first_draw[1], "|", *loaded())
+"""
+
+
+def _sampling_footprint(store, noise):
+    """Whether each query ran below rate 1, and the random modules loaded
+    after ``build()``, before and after the first noisy draw, and after the
+    run."""
+    words = probe(_SAMPLING_FOOTPRINT_PROBE, store, str(noise))
+    return words[:2], [part.split() for part in " ".join(words[2:]).split("|")]
+
+
+def test_a_shedding_session_imports_no_random_module(tmp_path):
+    """Packet and flow sampling draw their bits from SplitMix64 streams
+    keyed by the system seed and the query's name: a session in which a
+    packet-sampled and a flow-sampled query both shed loads none of
+    ``numpy.random``, ``secrets`` or ``hashlib``."""
+    store = write_header_store(tmp_path / "store", seconds=2,
+                               packets_per_bin=500)
+    below_one, loaded = _sampling_footprint(store, 0.0)
+    assert below_one == ["True", "True"]
+    assert loaded == [[], [], [], []]
+
+
+def test_measurement_noise_imports_numpy_random_at_its_first_draw(tmp_path):
+    """A meter makes its noise generator on its first noisy draw, from the
+    seed the system gave it: ``numpy.random`` is not loaded by ``build()``
+    nor before that draw, and is loaded by it."""
+    store = write_header_store(tmp_path / "store", seconds=2,
+                               packets_per_bin=500)
+    below_one, (built, before, drawn, after) = _sampling_footprint(store,
+                                                                   0.05)
+    assert below_one == ["True", "True"]
+    assert built == before == []
+    assert "numpy.random" in drawn and "numpy.random" in after

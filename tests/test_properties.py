@@ -33,7 +33,7 @@ class TestPacketSamplerUnbiasedness:
     @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.8])
     def test_kept_fraction_matches_rate(self, rate):
         n, trials = 400, 60
-        sampler = PacketSampler(rng=np.random.default_rng(1234))
+        sampler = PacketSampler(1234)
         batch = make_batch(n=n, seed=7)
         kept = sum(len(sampler.sample(batch, rate)) for _ in range(trials))
         total = n * trials
@@ -44,7 +44,7 @@ class TestPacketSamplerUnbiasedness:
     @pytest.mark.parametrize("rate", [0.2, 0.6])
     def test_scaled_count_estimate_unbiased(self, rate):
         n, trials = 300, 80
-        sampler = PacketSampler(rng=np.random.default_rng(99))
+        sampler = PacketSampler(99)
         batch = make_batch(n=n, seed=8)
         estimates = [scale_estimate(len(sampler.sample(batch, rate)), rate)
                      for _ in range(trials)]
@@ -52,7 +52,7 @@ class TestPacketSamplerUnbiasedness:
         assert abs(float(np.mean(estimates)) - n) < 5.0 * sigma
 
     def test_degenerate_rates(self):
-        sampler = PacketSampler(rng=np.random.default_rng(0))
+        sampler = PacketSampler(0)
         batch = make_batch(n=100, seed=9)
         assert len(sampler.sample(batch, 1.0)) == 100
         assert len(sampler.sample(batch, 0.0)) == 0
@@ -65,7 +65,7 @@ class TestFlowSamplerIntegrity:
     def test_flows_kept_whole_or_not_at_all(self, rate):
         # Few hosts => many multi-packet flows, the interesting case.
         batch = make_batch(n=600, seed=10, n_hosts=12)
-        sampler = FlowSampler(rng=np.random.default_rng(55))
+        sampler = FlowSampler(55)
         sampled = sampler.sample(batch, rate)
         original = _flow_counts(batch)
         kept = _flow_counts(sampled)
@@ -77,12 +77,12 @@ class TestFlowSamplerIntegrity:
         rate, trials = 0.5, 120
         batch = make_batch(n=500, seed=11, n_hosts=15)
         n_flows = len(_flow_counts(batch))
-        rng = np.random.default_rng(77)
+        sampler = FlowSampler(77)
         kept_flows = 0
         for _ in range(trials):
-            # A fresh sampler each trial redraws the H3 hash function, so
+            # Each trial draws the next H3 hash function of the stream, so
             # the per-flow keep event is resampled (2-universality).
-            sampler = FlowSampler(rng=rng)
+            sampler.renew_hash()
             kept_flows += len(_flow_counts(sampler.sample(batch, rate)))
         total = n_flows * trials
         sigma = np.sqrt(rate * (1.0 - rate) / total)
@@ -90,8 +90,8 @@ class TestFlowSamplerIntegrity:
 
     def test_same_seed_same_selection(self):
         batch = make_batch(n=300, seed=12, n_hosts=10)
-        first = FlowSampler(rng=np.random.default_rng(5)).sample(batch, 0.4)
-        second = FlowSampler(rng=np.random.default_rng(5)).sample(batch, 0.4)
+        first = FlowSampler(5).sample(batch, 0.4)
+        second = FlowSampler(5).sample(batch, 0.4)
         assert np.array_equal(first.ts, second.ts)
         assert np.array_equal(first.src_ip, second.src_ip)
 
@@ -100,7 +100,7 @@ class TestFlowSamplerIntegrity:
         renews the hash: the sampler keeps no clock of its own."""
         batch1 = make_batch(n=400, seed=13, n_hosts=10, start_ts=0.0)
         batch2 = make_batch(n=400, seed=13, n_hosts=10, start_ts=1.5)
-        sampler = FlowSampler(rng=np.random.default_rng(21))
+        sampler = FlowSampler(21)
         kept1 = set(_flow_counts(sampler.sample(batch1, 0.5)))
         # Same packet content, later start, same interval: same flows.
         assert set(_flow_counts(sampler.sample(batch2, 0.5))) == kept1

@@ -10,24 +10,48 @@ from repro.core import game
 from repro.core.fairness import (STRATEGIES, Allocation, eq_srates, mmfs_cpu,
                                  mmfs_pkt)
 from repro.core.sampling import FlowSampler, PacketSampler, scale_estimate
-from repro.core.hashing import combine_columns
+from repro.core.hashing import H3Hash, combine_columns, splitmix_stream
 from tests.conftest import make_batch
 
 
 class TestPacketSampler:
     def test_rate_one_keeps_everything(self, small_batch):
-        sampler = PacketSampler(np.random.default_rng(0))
+        sampler = PacketSampler(0)
         assert len(sampler.sample(small_batch, 1.0)) == len(small_batch)
 
     def test_rate_zero_keeps_nothing(self, small_batch):
-        sampler = PacketSampler(np.random.default_rng(0))
+        sampler = PacketSampler(0)
         assert len(sampler.sample(small_batch, 0.0)) == 0
 
     def test_expected_fraction(self):
         batch = make_batch(n=5000, seed=3)
-        sampler = PacketSampler(np.random.default_rng(1))
+        sampler = PacketSampler(1)
         kept = len(sampler.sample(batch, 0.3))
         assert abs(kept / 5000 - 0.3) < 0.05
+
+    @given(key=st.integers(0, 2 ** 64 - 1),
+           rate=st.floats(1e-9, 1.0, exclude_max=True),
+           sizes=st.lists(st.integers(1, 300), min_size=1, max_size=4))
+    def test_keeps_the_packets_whose_coin_is_below_the_rate(self, key, rate,
+                                                            sizes):
+        """Packet i of the packets a sampler draws for, counted across
+        batches, is kept when the top 53 bits of stream output i, times
+        2**-53, are below the rate."""
+        sampler, drawn = PacketSampler(key), 0
+        for size in sizes:
+            batch = make_batch(n=size, seed=size)
+            coins = splitmix_stream(key, drawn, size) >> np.uint64(11)
+            keep = coins.astype(np.float64) * 2.0 ** -53 < rate
+            kept = sampler.sample(batch, rate)
+            assert np.array_equal(kept.ts, batch.ts[keep])
+            drawn += size
+        assert sampler.draws == drawn
+
+    def test_a_generator_is_not_a_key(self):
+        with pytest.raises(TypeError):
+            PacketSampler(np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            FlowSampler(np.random.default_rng(0))
 
     def test_invalid_rate(self, small_batch):
         sampler = PacketSampler()
@@ -41,7 +65,7 @@ class TestPacketSampler:
 class TestFlowSampler:
     def test_flow_atomicity(self):
         batch = make_batch(n=2000, seed=5, n_hosts=30)
-        sampler = FlowSampler(np.random.default_rng(2))
+        sampler = FlowSampler(2)
         sampled = sampler.sample(batch, 0.5)
         kept_keys = set(combine_columns(sampled.columns(
             ("src_ip", "dst_ip", "src_port", "dst_port", "proto"))).tolist())
@@ -53,7 +77,7 @@ class TestFlowSampler:
 
     def test_expected_flow_fraction(self):
         batch = make_batch(n=4000, seed=6, n_hosts=60)
-        sampler = FlowSampler(np.random.default_rng(3))
+        sampler = FlowSampler(3)
         sampled = sampler.sample(batch, 0.4)
         def flows(b):
             return len(np.unique(combine_columns(b.columns(
@@ -61,9 +85,21 @@ class TestFlowSampler:
         fraction = flows(sampled) / flows(batch)
         assert abs(fraction - 0.4) < 0.12
 
+    def test_the_kth_hash_is_draw_k_of_the_stream(self):
+        batch = make_batch(n=500, seed=8, n_hosts=40)
+        sampler = FlowSampler(9)
+        for draw in range(3):
+            keys = batch.aggregate_hashes(
+                ("src_ip", "dst_ip", "src_port", "dst_port", "proto"))
+            keep = H3Hash(key=9, draw=draw).unit_interval(keys) < 0.5
+            assert np.array_equal(sampler.sample(batch, 0.5).ts,
+                                  batch.ts[keep])
+            sampler.renew_hash()
+        assert sampler.renewals == 3
+
     def test_hash_renewal_changes_selection(self):
         batch = make_batch(n=1000, seed=7, n_hosts=40)
-        sampler = FlowSampler(np.random.default_rng(4))
+        sampler = FlowSampler(4)
         first = sampler.sample(batch, 0.5)
         sampler.renew_hash()
         second = sampler.sample(batch, 0.5)

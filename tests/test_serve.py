@@ -714,21 +714,29 @@ def test_the_prediction_error_compares_the_cost_after_shedding(serve_trace):
     """At half the capacity the queries need, most bins shed.  A bin's
     prediction error compares the cycles it measured with what the
     prediction said the rates applied would cost — not with the full-rate
-    demand, which would mostly measure how much was shed."""
+    demand, which would mostly measure how much was shed.  One seed's mean
+    error is one draw of a statistic with a standard deviation of about
+    0.05, so the bound holds the median over ten system seeds."""
     capacity, _ = runner.calibrate_capacity(("counter", "flows"),
                                             serve_trace)
-    config = _daemon_config().replace(cycles_per_second=capacity * 0.5)
-    daemon = MonitorDaemon(config, ReplayFeed(serve_trace, time_bin=TIME_BIN))
-    for batch in serve_trace.batch_list(TIME_BIN):
-        daemon._ingest_one(batch)
-    status = daemon.status()
-    bins = [record for record in daemon.partial_result().bins
-            if record.predicted_cycles > 0]
-    assert status["shed_bins"] > len(bins) / 2
-    assert status["mean_prediction_error"] < 0.3
-    errors = [abs(record.expected_cycles - record.query_cycles)
-              / max(record.query_cycles, 1.0) for record in bins]
-    assert status["mean_prediction_error"] == pytest.approx(np.mean(errors))
+    means = []
+    for seed in range(1, 11):
+        config = _daemon_config().replace(seed=seed,
+                                          cycles_per_second=capacity * 0.5)
+        daemon = MonitorDaemon(config,
+                               ReplayFeed(serve_trace, time_bin=TIME_BIN))
+        for batch in serve_trace.batch_list(TIME_BIN):
+            daemon._ingest_one(batch)
+        status = daemon.status()
+        bins = [record for record in daemon.partial_result().bins
+                if record.predicted_cycles > 0]
+        assert status["shed_bins"] > len(bins) / 2
+        errors = [abs(record.expected_cycles - record.query_cycles)
+                  / max(record.query_cycles, 1.0) for record in bins]
+        assert status["mean_prediction_error"] == \
+            pytest.approx(np.mean(errors))
+        means.append(status["mean_prediction_error"])
+    assert np.median(means) < 0.3
 
 
 def test_status_polled_from_another_thread_while_bins_are_ingested():

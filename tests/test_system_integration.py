@@ -4,6 +4,8 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.features import TRAFFIC_AGGREGATES, FeatureExtractor
 from repro.core.tenancy import TenantGroup
@@ -413,15 +415,22 @@ class _PreSheddingFeatures(FeatureExtractor):
 
 
 @pytest.fixture(scope="module")
-def clocked_run():
+def clock_calibrated():
+    """``header_trace(scale=0.3)`` and the calibrated capacity of
+    ``CLOCK_QUERIES`` on it."""
+    trace = scenarios.header_trace(scale=0.3)
+    return trace, runner.calibrate_capacity(CLOCK_QUERIES, trace)[0]
+
+
+@pytest.fixture(scope="module")
+def clocked_run(clock_calibrated):
     """A predictive run of ``header_trace(scale=0.3)`` at half the
     calibrated capacity of ``CLOCK_QUERIES``, plus the probe, stepped bin
     by bin: ``(system, bins, records, flushed)`` with ``flushed[i]`` the
     names of the queries whose interval bin ``i`` closed.  The trace's
     first packet is at 0.00106 s, so its bin edges are not the interval
     edges of a clock that starts anywhere else."""
-    trace = scenarios.header_trace(scale=0.3)
-    capacity, _ = runner.calibrate_capacity(CLOCK_QUERIES, trace)
+    trace, capacity = clock_calibrated
     system = runner.system_config(
         queries=CLOCK_QUERIES, mode="predictive",
         cycles_per_second=capacity * 0.5).build(
@@ -501,3 +510,64 @@ class TestIntervalClock:
                         vector[f"{aggregate}_unique"], (name, batch.start_ts)
                 checked += vector["packets"] > 0
         assert checked >= 3 * len(system.query_names)
+
+
+# ----------------------------------------------------------------------
+# A query's randomness is its own
+# ----------------------------------------------------------------------
+def _kept_and_rates(clock_calibrated, mode, order, live):
+    """Run ``CLOCK_QUERIES`` (two packet-sampled, two flow-sampled) listed
+    in ``order`` at half the calibrated capacity, with ``live`` added to
+    the open session before bin 0 instead of declared: per bin, each
+    query's count of packets it was given to process, and its applied
+    rate."""
+    trace, capacity = clock_calibrated
+    queries = {kind: make_query(kind) for kind in order}
+    kept = defaultdict(dict)
+    for name, query in queries.items():
+        def counted(batch, rate, name=name, update=query.update):
+            kept[batch.start_ts][name] = len(batch)
+            update(batch, rate)
+        query.update = counted
+    system = runner.system_config(
+        mode=mode, cycles_per_second=capacity * 0.5).build(
+            [queries[kind] for kind in order if kind != live])
+    session = system.open_session(time_bin=runner.TIME_BIN)
+    if live is not None:
+        session.add_query(queries[live])
+    rates = [session.step(batch)[0].rates
+             for batch in trace.batches(runner.TIME_BIN)]
+    session.finish()
+    return [kept[start] for start in sorted(kept)], rates
+
+
+@pytest.fixture(scope="module")
+def declared_runs(clock_calibrated):
+    """Mode -> the mix as listed in ``CLOCK_QUERIES``, all declared."""
+    return {mode: _kept_and_rates(clock_calibrated, mode, CLOCK_QUERIES,
+                                  None)
+            for mode in ("predictive", "reactive")}
+
+
+class TestQueryOrder:
+    @pytest.mark.parametrize("mode", ["predictive", "reactive"])
+    @given(order=st.permutations(CLOCK_QUERIES),
+           live=st.sampled_from((None,) + CLOCK_QUERIES))
+    def test_a_mix_answers_the_same_in_any_order(
+            self, clock_calibrated, declared_runs, mode, order, live):
+        """Each query's sampling draws are keyed by the system seed and its
+        name: listing the mix in another order, or adding one of its
+        queries live at bin 0, keeps the same packets of every query in
+        every bin, at the same rates.  (The rates agree to 1e-12, not
+        bit for bit: the per-bin sums over the queries still run in
+        registration order.)"""
+        kept, rates = _kept_and_rates(clock_calibrated, mode, order, live)
+        declared_kept, declared_rates = declared_runs[mode]
+        assert any(0.0 < rate < 1.0 for bin_rates in declared_rates
+                   for rate in bin_rates.values())
+        assert kept == declared_kept
+        assert len(rates) == len(declared_rates)
+        for bin_rates, declared in zip(rates, declared_rates):
+            assert bin_rates.keys() == declared.keys()
+            for name, rate in bin_rates.items():
+                assert abs(rate - declared[name]) <= 1e-12, name
