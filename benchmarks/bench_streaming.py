@@ -21,7 +21,7 @@ per commit; a loose sanity ceiling guards against pathological slowdowns.
 
 The second benchmark is the throughput claim: the same out-of-core stream
 replayed over the **persistent shard-worker pool** (one resident process
-per shard, shared-memory batch transport) must beat the serial streamed
+per shard, memory-file batch transport) must beat the serial streamed
 replay by >= ~2x on a >= 4-core host.  Sharding
 needs hardware to shard onto, so — exactly like ``bench_sharded.py`` — the
 bar scales with the host: a weaker parallelism floor on 2-3 cores, and on
@@ -142,7 +142,7 @@ def test_persistent_workers_beat_serial_streaming(benchmark, tmp_path):
 
     This is the bug the worker pool fixes: ``num_shards=4`` used to run the
     shards serially in-process and *lose* to the unsharded replay.  With one
-    resident process per shard and shared-memory batch transport the sharded
+    resident process per shard and memory-file batch transport the sharded
     streamed replay must now beat the serial streamed replay wherever the
     host has cores to shard onto — and stay bit-identical to the in-process
     sharded execution everywhere.

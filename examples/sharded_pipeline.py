@@ -10,7 +10,7 @@ unsharded system and the ground-truth reference.
 
 The last section re-runs the streamed replay on the **persistent worker
 backend** (`backend="workers"`): one resident process per shard, per-bin
-batches shipped through shared memory — same results, bit for bit, with
+batches shipped through memory files — same results, bit for bit, with
 the shard pipelines actually running in parallel.
 """
 
@@ -75,11 +75,12 @@ def main() -> None:
           f"sharded={sharded.mean_sampling_rate():.2f}")
 
     # Persistent shard workers: the same stream, but each shard pipeline
-    # lives in its own long-lived process and bins travel through shared
-    # memory.  The merged result is bit-identical to the in-process run
+    # lives in its own long-lived process and bins travel through memory
+    # files it inherited.  The merged result is bit-identical to the in-process run
     # above.
     if not fork_start_available():
-        print("\n(fork start method unavailable; skipping worker backend)")
+        print("\n(fork or os.memfd_create unavailable; skipping worker "
+              "backend)")
         return
     with ShardedSystem(query_factory, config=config,
                        backend="workers").open_session(

@@ -104,7 +104,7 @@ def add_backend_arg(parser: argparse.ArgumentParser) -> None:
                         choices=("auto", "inprocess", "workers"),
                         help="shard-execution backend (default: "
                              "%(default)s): 'workers' keeps one persistent "
-                             "process per shard fed through shared memory; "
+                             "process per shard fed through memory files; "
                              "'auto' picks workers when --n-workers asks "
                              "for parallelism the host can honour")
 
@@ -152,12 +152,18 @@ def apply_system_args(config, args):
     every flag the user set (non-``None``) replaces the corresponding
     config field, with ``--queries`` resolved through
     :func:`resolve_query_specs`.  Returns the (re-validated) config.
-    ``--n-workers`` is not a config field, but a count below 1 is refused
-    here too, with a one-line ``ValueError``.
+    ``--n-workers`` and the backend are not config fields, but a count
+    below 1, and a worker pool the host cannot run, are refused here too,
+    with a one-line ``ValueError``.
     """
     if args.n_workers is not None and args.n_workers < 1:
         raise ValueError(f"--n-workers must be at least 1, got "
                          f"{args.n_workers}")
+    # ``--backend`` (replay, serve) or ``--fleet-backend`` (fleet).
+    if getattr(args, "backend", None) == "workers" or \
+            getattr(args, "fleet_backend", None) == "fork":
+        from .monitor.workers import require_pool_host
+        require_pool_host()
     overrides = {}
     if args.queries is not None:
         overrides["queries"] = resolve_query_specs(args.queries)

@@ -14,7 +14,7 @@ The node sessions live in one of the two session executors a
 :class:`~repro.monitor.sharding.InProcessShards` (backend ``"inprocess"``)
 or a :class:`~repro.monitor.workers.ShardWorkerPool` of resident worker
 processes (backend ``"fork"``), forked before the first bin is read, node
-``i`` on process ``i mod n``, fed through shared memory and running up to
+``i`` on process ``i mod n``, fed through memory files and running up to
 two bins behind the reader.  Either steps the node sessions; the runner
 folds what they deliver into the node results it owns, and their metrics
 documents with :func:`repro.profile.fold_metrics`, as a node does for its
@@ -150,9 +150,10 @@ class FleetRunner:
         cores).  A node's own ``num_shards`` run in-process inside it.
     backend:
         ``"inprocess"`` (serial), ``"fork"`` (node sessions resident in
-        worker processes, fed bin by bin), or ``"auto"`` — fork when more
-        than one worker process would run and the host supports the fork
-        start method.
+        worker processes, fed bin by bin; refused with a ``ValueError`` on
+        a host that cannot run a pool), or ``"auto"`` — fork when more
+        than one worker process would run and the host can run a pool
+        (:func:`~repro.monitor.workers.fork_start_available`).
     """
 
     def __init__(self, topology: FleetTopology,

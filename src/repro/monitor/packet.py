@@ -44,7 +44,7 @@ HEADER_FIELDS = ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
 COLUMN_FIELDS = ("ts",) + HEADER_FIELDS + ("size",)
 
 #: Dtype of every persisted column — the one layout shared by the batch
-#: constructor, the trace store and the shared-memory batch transport.
+#: constructor, the trace store and the shard workers' batch transport.
 COLUMN_DTYPES: Dict[str, np.dtype] = {
     "ts": np.dtype(np.float64),
     "src_ip": np.dtype(np.uint32),
@@ -62,9 +62,9 @@ def column_layout(n: int) -> Tuple[List[Tuple[str, np.dtype, int]], int]:
     Returns ``(columns, total_nbytes)`` where ``columns`` lists
     ``(name, dtype, byte_offset)`` in canonical :data:`COLUMN_FIELDS` order.
     Each column is stored contiguously and starts at an 8-byte-aligned
-    offset, so any buffer-protocol object of ``total_nbytes`` bytes (a
-    ``multiprocessing.shared_memory`` view, an mmap, a plain bytearray) can
-    hold one batch's columns with aligned zero-copy NumPy views over them.
+    offset, so any buffer-protocol object of ``total_nbytes`` bytes (an
+    mmap, a plain bytearray) can hold one batch's columns with aligned
+    zero-copy NumPy views over them.
     This is the wire format of the shard-worker batch transport
     (:mod:`repro.monitor.workers`).
     """
@@ -253,7 +253,7 @@ class Batch:
         return [getattr(self, name) for name in names]
 
     # ------------------------------------------------------------------
-    # Buffer-protocol column export (shared-memory batch transport)
+    # Buffer-protocol column export (the shard workers' batch transport)
     # ------------------------------------------------------------------
     def buffer_nbytes(self) -> int:
         """Bytes a buffer must hold to :meth:`pack_into` this batch."""
@@ -266,8 +266,8 @@ class Batch:
         Payloads are *not* packed — they are variable-length Python objects
         and travel out of band.  Returns the number of bytes used, so a
         caller can reuse one oversized buffer across batches of different
-        sizes.  The written block round-trips bit-identically through
-        :meth:`from_buffer`.
+        sizes, as the shard worker pool does with its slots.  The written
+        block round-trips bit-identically through :meth:`from_buffer`.
         """
         n = len(self)
         layout, total = column_layout(n)
@@ -291,8 +291,9 @@ class Batch:
         ``buffer`` — the caller must keep the buffer alive and unmodified
         for the batch's lifetime.  ``copy=True`` materialises the columns
         (one contiguous memcpy per column), which is what a shard worker
-        does before handing the batch to query code: the sender is then
-        free to overwrite its shared-memory slot for the next bin.
+        does with its read-only mapping of a slot before handing the batch
+        to query code: the sender is then free to overwrite, or grow, the
+        slot for the next bin.
         """
         n = int(n)
         layout, _ = column_layout(n)

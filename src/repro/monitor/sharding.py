@@ -47,10 +47,11 @@ drives either without knowing which:
   serially in the caller.
 * ``"workers"`` — one **persistent worker process per shard**
   (:class:`~repro.monitor.workers.ShardWorkerPool`): each bin's
-  pre-partitioned columnar sub-batch travels through shared memory, what
-  each step delivers comes back on a result channel, and reconfiguration
-  messages are piggybacked in FIFO order with the batches — so streaming
-  sessions run on real parallelism, bit-identical to the in-process path.
+  pre-partitioned columnar sub-batch travels through a memory file the
+  worker inherited at fork (``os.memfd_create``), what each step delivers
+  comes back on a result channel, and reconfiguration messages are
+  piggybacked in FIFO order with the batches — so streaming sessions run
+  on real parallelism, bit-identical to the in-process path.
 
 ``"auto"`` (the default) picks ``"workers"`` when parallelism was requested
 (``n_workers > 1``) and the host can honour it, ``"inprocess"`` otherwise.
@@ -86,7 +87,7 @@ logger = logging.getLogger("repro.monitor.sharding")
 #: Valid shard-execution backends (how ``num_shards > 1`` actually runs):
 #: ``"inprocess"`` drives every shard serially in the calling process,
 #: ``"workers"`` keeps one persistent worker process per shard fed through
-#: shared memory (:class:`~repro.monitor.workers.ShardWorkerPool`), and
+#: memory files (:class:`~repro.monitor.workers.ShardWorkerPool`), and
 #: ``"auto"`` picks ``"workers"`` when parallelism was requested and the
 #: host can deliver it, ``"inprocess"`` otherwise.
 SHARD_BACKENDS = ("auto", "inprocess", "workers")
@@ -242,9 +243,9 @@ class ShardedSystem:
         ``"auto"`` resolves to the persistent worker pool exactly when the
         caller asked for parallelism (``n_workers > 1``), there is more
         than one shard, the host's core count can honour the request
-        (unless ``respect_cores=False``), and the ``fork`` start method
-        exists (so lambda query factories are inherited, not pickled).
-        Everything else resolves to in-process execution.
+        (unless ``respect_cores=False``), and the host can run a pool
+        (:func:`~repro.monitor.workers.fork_start_available`).  Everything
+        else resolves to in-process execution.
         """
         if self.backend != "auto":
             return self.backend
@@ -757,9 +758,9 @@ class ShardedSession:
                 f"kind={state.get('kind')!r}")
         config = state["config"]
         # The checkpointed sessions replace whatever the factory builds, so
-        # without a declarative mix any picklable factory of no queries
-        # will do (spawn-start worker pools pickle it); with one, the
-        # parent reads the names from the specs and builds nothing.
+        # without a declarative mix a factory of no queries will do (the
+        # workers inherit it at fork); with one, the parent reads the
+        # names from the specs and builds nothing.
         factory = None if config.queries is not None else list
         sharded = ShardedSystem(query_factory=factory, config=config,
                                 n_workers=n_workers,
@@ -844,7 +845,7 @@ class ShardedSession:
         if exc_type is None:
             self.close()
         else:
-            # Never leak worker processes / shared memory past an error.
+            # Never leak worker processes or slots past an error.
             self._executor.stop()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,4 +1,4 @@
-"""Persistent worker processes with shared-memory batch transport.
+"""Persistent worker processes fed through inherited memory descriptors.
 
 :class:`ShardWorkerPool` is the process-parallel session executor: a few
 **long-lived worker processes hosting resident sessions**.  (Its serial
@@ -15,18 +15,21 @@ and is fed one pre-partitioned sub-batch per time bin.  What is resident:
 the sessions in the workers, two buffer slots per session, and in the
 parent only the bin being dealt out.
 
-* **Transport** — the parent packs each sub-batch's columns into a
-  ``multiprocessing.shared_memory`` segment using the canonical
-  :func:`repro.monitor.packet.column_layout` wire format (the same column
+* **Transport** — each session has two buffer slots, anonymous memory
+  files (``os.memfd_create``) made before the first worker is forked, so
+  every worker inherits their descriptors.  The parent packs a
+  sub-batch's columns into its mapping of a slot in the canonical
+  :func:`repro.monitor.packet.column_layout` wire format (the column
   layout the trace store keeps on disk), so no column data is ever
-  pickled.  Two segments per session are used round-robin (double
-  buffering): the parent packs bin ``i + 1`` into one slot while the
-  worker still reads bin ``i`` from the other.  The worker copies the
-  columns out of the segment when it builds its
-  :class:`~repro.monitor.packet.Batch` (one contiguous memcpy per column),
-  after which the slot is free for reuse — zero serialisation, one copy.
-  Payloads, when present, are variable-length Python objects and ride the
-  command pipe instead.
+  pickled; the ingest message names the slot's descriptor and size.  The
+  slots are used round-robin (double buffering): the parent packs bin
+  ``i + 1`` into one while the worker still reads bin ``i`` from the
+  other.  The worker copies the columns out of its own mapping into its
+  :class:`~repro.monitor.packet.Batch` (one memcpy per column), after
+  which the slot is free — zero serialisation, one copy.  A bin larger
+  than its slot grows the slot in place, with 25% headroom, once the
+  slot's last bin was answered; the worker remaps it when the size it is
+  told has changed.  Payloads, when present, ride the command pipe.
 * **Result channel** — the worker *steps* every session it hosts
   (:meth:`~repro.monitor.session.MonitoringSession.step`; a sharded node
   steps the same way), and each bin answers on a per-process result pipe
@@ -40,30 +43,33 @@ parent only the bin being dealt out.
   apply at exactly the bin boundary they would in-process.
 * **Lifecycle** — :meth:`close` flushes every session and stops the pool;
   :meth:`stop` (idempotent, also run by ``close`` and ``__del__``) joins
-  the processes and closes *and unlinks* every shared-memory segment, so
-  no ``/dev/shm`` entries outlive the pool.  A worker dying mid-stream
-  surfaces as a :class:`ShardWorkerError` naming the process and every
-  session it hosted, not a hang.
+  the processes and closes the parent's descriptors and mappings.  A slot
+  has no name: its memory goes when the last descriptor of it closes, so
+  nothing outlives the pool, even when the parent is killed.  A worker
+  dying mid-stream surfaces as a :class:`ShardWorkerError` naming the
+  process and every session it hosted, not a hang.
 
-Workers are started with the ``fork`` start method when the platform has
-it — before the caller reads its first bin, so they inherit no traffic —
-and the configs and the query factory are inherited rather than pickled
-(lambda factories keep working).  On spawn-only platforms the pool still
-runs, but configs and factories must then be picklable.  Every flushed
-partial names its query class, which is pickled by reference: a query
-class must be importable at module level.
+The pool always forks its workers — before the caller reads its first
+bin, so they inherit no traffic — and the configs and the query factory
+are inherited rather than pickled (lambda factories keep working).  A
+host without the ``fork`` start method or ``os.memfd_create``
+(:func:`fork_start_available`) runs no pool: ``"auto"`` backends resolve
+to in-process execution there, and an explicit pool is refused with one
+``ValueError`` (:func:`require_pool_host`).  Every flushed partial names
+its query class, which is pickled by reference: a query class must be
+importable at module level.
 """
 
 from __future__ import annotations
 
 import logging
+import mmap
 import multiprocessing
 import os
 import pickle
 import time
 import traceback
 from collections import deque
-from multiprocessing import shared_memory
 from typing import Callable, Deque, List, Optional, Sequence
 
 from .packet import Batch
@@ -76,13 +82,14 @@ __all__ = [
     "ShardWorkerPool",
     "effective_workers",
     "fork_start_available",
+    "require_pool_host",
 ]
 
 logger = logging.getLogger("repro.monitor.workers")
 
-#: Smallest shared-memory segment the pool allocates; grown segments get a
-#: 25% headroom so a slowly growing stream does not reallocate every bin.
-_MIN_SEGMENT_BYTES = 1 << 16
+#: Size a buffer slot starts at; a grown slot gets 25% headroom so a
+#: slowly growing stream does not grow it every bin.
+_MIN_SLOT_BYTES = 1 << 16
 _GROWTH_FACTOR = 1.25
 
 #: Buffer slots per session (double buffering).
@@ -106,30 +113,19 @@ class ShardWorkerError(RuntimeError):
 
 
 def fork_start_available() -> bool:
-    """Whether the host supports the ``fork`` start method."""
-    return "fork" in multiprocessing.get_all_start_methods()
+    """Whether the host can run a pool: the ``fork`` start method, and
+    ``os.memfd_create`` for the slots the workers inherit."""
+    return hasattr(os, "memfd_create") and \
+        "fork" in multiprocessing.get_all_start_methods()
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to a parent-owned segment without tracker interference.
-
-    The attaching process must not register the segment with the
-    ``resource_tracker`` — the parent owns it and unlinks it on pool
-    shutdown; a duplicate registration confuses the (fork-shared) tracker
-    into dropping the parent's registration or double-unlinking at worker
-    exit.  Python 3.13 exposes ``track=False`` for exactly this; older
-    versions get the registration suppressed during the attach.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13
-        from multiprocessing import resource_tracker
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
+def require_pool_host() -> None:
+    """Refuse, in one line, a pool this host cannot run."""
+    if not fork_start_available():
+        raise ValueError(
+            "a shard worker pool needs the fork start method and "
+            "os.memfd_create, which this host lacks; run the 'inprocess' "
+            "backend instead")
 
 
 # ----------------------------------------------------------------------
@@ -151,21 +147,26 @@ _QUERIES = {
 
 
 def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
-                 time_bin: float, commands, results) -> None:
+                 time_bin: float, commands, results, parent_ends) -> None:
     """Some sessions, resident: open each once, step them forever.
 
     ``hosted`` lists ``(session index, config, name)`` for every session
     of this process; ``commands`` / ``results`` are the worker ends of its
-    pipes.  Every reply is ``(kind, seq, answer, session index)``; a bin's
-    answer is what its step delivered, ``(record, flushed)``, with the
-    bin's wall seconds on the end of the reply.  Every message is handled
-    in FIFO order, which is what gives control messages (capacity, query
-    arrivals) their bin-boundary semantics: a ``set_capacity`` sent before
-    bin ``i``'s batch is queued by the session and applied when bin ``i``
-    is stepped, exactly as in-process.
+    pipes, and ``parent_ends`` the parent's, which the fork copied: closed
+    here, so the worker reads end-of-file, and exits, once the parent is
+    gone, however it died.  Every reply is ``(kind, seq, answer, session
+    index)``; a bin's answer is what its step delivered, ``(record,
+    flushed)``, with the bin's wall seconds on the end of the reply.  Every
+    message is handled in FIFO order, which is what gives control messages
+    (capacity, query arrivals) their bin-boundary semantics: a
+    ``set_capacity`` sent before bin ``i``'s batch is queued by the session
+    and applied when bin ``i`` is stepped, exactly as in-process.
     """
     from .sharding import build_system  # which imports this module
-    segments = {}
+    for end in parent_ends:
+        end.close()
+    #: This process's read-only mapping of each slot, by descriptor.
+    views = {}
 
     try:
         sessions = {
@@ -176,18 +177,21 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
             message = commands.recv()
             kind = message[0]
             if kind == "ingest":
-                (_, seq, index, segment_name, n, bin_len, start_ts,
+                (_, seq, index, fd, size, n, bin_len, start_ts,
                  payloads) = message
                 if n:
-                    segment = segments.get(segment_name)
-                    if segment is None:
-                        segment = _attach_segment(segment_name)
-                        segments[segment_name] = segment
+                    view = views.get(fd)
+                    if view is None or len(view) != size:
+                        # The slot's first bin here, or the parent grew it.
+                        if view is not None:
+                            view.close()
+                        view = views[fd] = mmap.mmap(
+                            fd, size, access=mmap.ACCESS_READ)
                     # Copy the columns out of the slot: the batch then owns
                     # its arrays and the parent may repack the slot as soon
                     # as it sees this bin's record.
                     batch = Batch.from_buffer(
-                        segment.buf, n, time_bin=bin_len, start_ts=start_ts,
+                        view, n, time_bin=bin_len, start_ts=start_ts,
                         payloads=payloads, copy=True)
                 else:
                     batch = Batch.empty(time_bin=bin_len, start_ts=start_ts,
@@ -214,10 +218,6 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
                 _, seq, index, session = message
                 sessions[index] = session
                 results.send((kind, seq, None, index))
-            elif kind == "detach":
-                segment = segments.pop(message[1], None)
-                if segment is not None:
-                    segment.close()
             elif kind == "stop":
                 break
             else:  # pragma: no cover - protocol error
@@ -230,34 +230,47 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
         except OSError:  # pragma: no cover - parent already gone
             pass
     finally:
-        for segment in segments.values():
+        for view in views.values():
             try:
-                segment.close()
-            except (BufferError, OSError):  # pragma: no cover - a failed
-                pass  # bin's frames may still export the buffer
+                view.close()
+            except BufferError:  # pragma: no cover - a failed bin's
+                pass  # frames may still export the mapping
 
 
 # ----------------------------------------------------------------------
 # Parent-side handles
 # ----------------------------------------------------------------------
 class _Slot:
-    """One shared-memory buffer slot of a session's double buffer."""
+    """One buffer slot of a session's double buffer: a memory file and the
+    parent's mapping of it."""
 
-    __slots__ = ("shm", "capacity", "busy_seq")
+    __slots__ = ("fd", "view", "busy_seq")
 
-    def __init__(self, shm: shared_memory.SharedMemory) -> None:
-        self.shm = shm
-        self.capacity = shm.size
+    def __init__(self, name: str) -> None:
+        self.fd = os.memfd_create(name, os.MFD_CLOEXEC)
+        try:
+            os.ftruncate(self.fd, _MIN_SLOT_BYTES)
+            self.view = mmap.mmap(self.fd, _MIN_SLOT_BYTES)
+        except BaseException:
+            os.close(self.fd)
+            raise
         #: Sequence number of the ingest currently reading from this slot;
         #: the slot may be repacked once that sequence has been acked.
         self.busy_seq: Optional[int] = None
+
+    def release(self) -> None:
+        try:
+            self.view.close()
+        except BufferError:  # pragma: no cover - a failed pack's frames
+            pass  # may still export the mapping
+        os.close(self.fd)
 
 
 class _Worker:
     """Parent-side handle of one worker process."""
 
     __slots__ = ("index", "hosted", "process", "commands", "results", "seq",
-                 "acked", "pending_unlinks")
+                 "acked")
 
     def __init__(self, index: int, hosted: List[str], process, commands,
                  results) -> None:
@@ -269,11 +282,6 @@ class _Worker:
         self.results = results
         self.seq = 0
         self.acked = 0
-        #: Retired (grown-out-of) segments awaiting unlink, as
-        #: ``(shm, fence_seq)``: safe to unlink once ``acked >= fence_seq``
-        #: (FIFO command handling guarantees the worker processed the
-        #: preceding ``detach`` by then).
-        self.pending_unlinks: List[tuple] = []
 
     def __str__(self) -> str:
         return (f"shard worker {self.index} "
@@ -285,16 +293,17 @@ class _Session:
 
     __slots__ = ("worker", "slots", "ingests")
 
-    def __init__(self, worker: _Worker, slots: List[_Slot]) -> None:
-        self.worker = worker
-        self.slots = slots
+    def __init__(self) -> None:
+        #: The process hosting the session, once it is started.
+        self.worker: Optional[_Worker] = None
+        self.slots: List[_Slot] = []
         #: Bins shipped so far; picks the slot, so a session alternates
         #: between its two however many sessions share the process.
         self.ingests = 0
 
 
 class ShardWorkerPool:
-    """Resident sessions on persistent processes, fed through shared memory.
+    """Resident sessions on persistent processes, fed through memory files.
 
     Parameters
     ----------
@@ -324,13 +333,11 @@ class ShardWorkerPool:
         if not 1 <= count <= len(configs):
             raise ValueError(
                 f"cannot run {len(configs)} sessions on {count} processes")
-        method = "fork" if fork_start_available() else None
-        context = multiprocessing.get_context(method)
+        require_pool_host()
+        context = multiprocessing.get_context("fork")
         self._closed = False
         self._stopped = False
         self._failed: Optional[str] = None
-        #: Every segment name this pool ever created (leak tests read it).
-        self.created_segments: List[str] = []
         #: Per session, the wall seconds of every answered bin, one per
         #: record in :attr:`arrived`, for the owner to pop with it.
         self.ingest_seconds: List[Deque[float]] = [deque() for _ in configs]
@@ -343,6 +350,13 @@ class ShardWorkerPool:
         self._workers: List[_Worker] = []
         self._sessions: List[_Session] = []
         try:
+            # Every slot exists before the first fork, so each worker
+            # inherits the descriptors its sessions' bins arrive through.
+            for index in range(len(configs)):
+                session = _Session()
+                self._sessions.append(session)
+                for _ in range(_SLOTS_PER_SESSION):
+                    session.slots.append(_Slot(f"repro-slot-{index}"))
             for index in range(count):
                 hosted = range(index, len(configs), count)
                 command_recv, command_send = multiprocessing.Pipe(duplex=False)
@@ -352,7 +366,7 @@ class ShardWorkerPool:
                     args=(index,
                           [(i, configs[i], names[i]) for i in hosted],
                           query_factory, float(time_bin), command_recv,
-                          result_send),
+                          result_send, (command_send, result_recv)),
                     daemon=True,
                     name=f"repro-shard-{index}")
                 process.start()
@@ -360,14 +374,11 @@ class ShardWorkerPool:
                 # copies keeps fd counts flat across many pools.
                 command_recv.close()
                 result_send.close()
-                self._workers.append(_Worker(
-                    index, [names[i] for i in hosted], process, command_send,
-                    result_recv))
-            for index in range(len(configs)):
-                self._sessions.append(_Session(
-                    self._workers[index % count],
-                    [self._new_slot(_MIN_SEGMENT_BYTES)
-                     for _ in range(_SLOTS_PER_SESSION)]))
+                worker = _Worker(index, [names[i] for i in hosted], process,
+                                 command_send, result_recv)
+                self._workers.append(worker)
+                for i in hosted:
+                    self._sessions[i].worker = worker
         except BaseException:
             self.stop()
             raise
@@ -376,12 +387,6 @@ class ShardWorkerPool:
     @property
     def stopped(self) -> bool:
         return self._stopped
-
-    def _new_slot(self, nbytes: int) -> _Slot:
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(int(nbytes), _MIN_SEGMENT_BYTES))
-        self.created_segments.append(shm.name)
-        return _Slot(shm)
 
     # ------------------------------------------------------------------
     # Failure plumbing
@@ -441,10 +446,6 @@ class ShardWorkerPool:
         if response[0] == "error":
             raise self._fail(f"{worker} raised:\n{response[2]}")
         worker.acked = max(worker.acked, int(response[1]))
-        while worker.pending_unlinks and \
-                worker.pending_unlinks[0][1] <= worker.acked:
-            shm, _ = worker.pending_unlinks.pop(0)
-            self._release_segment(shm)
         kind, _, answer, index = response[:4]
         if kind == "record":
             self.ingest_seconds[index].append(response[4])
@@ -453,17 +454,6 @@ class ShardWorkerPool:
             if answer[1]:
                 self.partial_bytes += len(raw)
         return response
-
-    @staticmethod
-    def _release_segment(shm: shared_memory.SharedMemory) -> None:
-        try:
-            shm.close()
-        except (BufferError, OSError):  # pragma: no cover - a view of the
-            pass  # buffer is still alive; the unlink below frees the name
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -486,7 +476,7 @@ class ShardWorkerPool:
         worker.seq += 1
         seq = worker.seq
         n = len(batch)
-        segment_name = None
+        fd = size = None
         if n:
             position = session.ingests % len(session.slots)
             slot = session.slots[position]
@@ -495,18 +485,15 @@ class ShardWorkerPool:
             while slot.busy_seq is not None and worker.acked < slot.busy_seq:
                 self._recv(worker)
             needed = batch.buffer_nbytes()
-            if needed > slot.capacity:
-                # Grow: retire the old segment (unlink deferred until the
-                # worker has provably moved past the detach message).
-                self._send(worker, ("detach", slot.shm.name))
-                worker.pending_unlinks.append((slot.shm, seq))
-                slot = session.slots[position] = self._new_slot(
-                    int(needed * _GROWTH_FACTOR))
-            batch.pack_into(slot.shm.buf)
+            if needed > len(slot.view):
+                # Grow in place: the worker is done with the slot, and
+                # remaps it when it sees the new size.
+                slot.view.resize(int(needed * _GROWTH_FACTOR))
+            batch.pack_into(slot.view)
             slot.busy_seq = seq
-            segment_name = slot.shm.name
+            fd, size = slot.fd, len(slot.view)
         session.ingests += 1
-        self._send(worker, ("ingest", seq, shard, segment_name, n,
+        self._send(worker, ("ingest", seq, shard, fd, size, n,
                             batch.time_bin, batch.start_ts, batch.payloads))
         return seq
 
@@ -608,7 +595,7 @@ class ShardWorkerPool:
 
     def close(self) -> None:
         """Finish every session — its last intervals go to :attr:`arrived`
-        — and stop the pool (processes joined, segments unlinked).
+        — and stop the pool (processes joined, slots closed).
         Idempotent."""
         if not self._closed:
             self._ask_all("close")
@@ -616,7 +603,7 @@ class ShardWorkerPool:
             self.stop()
 
     def stop(self) -> None:
-        """Terminate the workers and release every shared resource.
+        """Terminate the workers and close every descriptor and mapping.
 
         Idempotent and unconditional: safe to call on a half-constructed,
         failed or already-closed pool (``__del__`` does).
@@ -641,12 +628,9 @@ class ShardWorkerPool:
                     conn.close()
                 except OSError:  # pragma: no cover - closed under us
                     pass
-            for shm, _ in worker.pending_unlinks:
-                self._release_segment(shm)
-            worker.pending_unlinks = []
         for session in self._sessions:
             for slot in session.slots:
-                self._release_segment(slot.shm)
+                slot.release()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

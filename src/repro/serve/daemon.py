@@ -31,8 +31,8 @@ and all), and :meth:`run` returns the final
 :class:`~repro.monitor.system.ExecutionResult` — the same object an
 offline run would have produced.  When the session itself fails (a shard
 worker died, a query raised) the daemon still releases what it owns — the
-rotated segment is closed and readable, no worker process or shared-memory
-segment is left behind — skips the checkpoint of the broken session, and
+rotated segment is closed and readable, no worker process or descriptor
+of a worker slot is left behind — skips the checkpoint of the broken session, and
 :meth:`run` raises the session's own error.  Why it is shutting down is
 logged on ``repro.serve.daemon``.
 """

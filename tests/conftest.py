@@ -47,6 +47,40 @@ def make_batch(n=100, seed=0, start_ts=0.0, time_bin=0.1, payloads=False,
     return batch
 
 
+def dev_shm():
+    """The names in ``/dev/shm``: a shard worker pool must add none."""
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") \
+        else set()
+
+
+def slot_files():
+    """What of this process still reaches a shard worker slot: its open
+    descriptors and its mappings of ``memfd:repro-slot...`` files."""
+    found = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own descriptor, closed by now
+            continue
+        if target.startswith("/memfd:repro-slot"):
+            found.append(f"fd {fd}: {target}")
+    with open("/proc/self/maps") as maps:
+        found += [line.strip() for line in maps
+                  if "/memfd:repro-slot" in line]
+    return found
+
+
+def assert_pool_released(pool, shm_before):
+    """Nothing of ``pool`` outlives it: its workers are joined, this
+    process holds no descriptor or mapping of a slot, and ``/dev/shm`` has
+    no entry that was not there before (``shm_before``)."""
+    assert pool.stopped
+    assert all(worker.process.exitcode is not None
+               for worker in pool._workers)
+    assert not slot_files()
+    assert dev_shm() <= shm_before
+
+
 def drop_memos(batch):
     """Forget what earlier runs memoised on a batch its trace keeps."""
     batch._agg_cache = None

@@ -46,7 +46,7 @@ PACKAGE = SRC / "repro"
 #: Functions that run only inside processes forked by a worker pool and
 #: left through ``os._exit`` before any hook could write what they saw.
 FORK_ONLY = {
-    "repro/monitor/workers.py": ("_worker_main", "_attach_segment"),
+    "repro/monitor/workers.py": ("_worker_main",),
 }
 
 #: The ``sitecustomize`` every measured process imports.  It writes the

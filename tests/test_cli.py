@@ -2,9 +2,10 @@
 that they parse before they import.
 
 ``python -m repro.replay``, ``python -m repro.serve`` and ``python -m
-repro.fleet`` refuse a trace path with nothing behind it and a worker count
-below 1 in one ``error:`` line with exit 2, and answer ``--help`` without
-loading numpy: the system is imported after the flags are parsed.
+repro.fleet`` refuse a trace path with nothing behind it, a worker count
+below 1, and a worker pool the host cannot run in one ``error:`` line with
+exit 2, and answer ``--help`` without loading numpy: the system is
+imported after the flags are parsed.
 """
 
 import argparse
@@ -18,6 +19,7 @@ from repro import cli
 from repro.fleet import __main__ as fleet_cli
 from repro.fleet.runner import BACKENDS
 from repro.fleet.topology import PARTITION_MODES
+from repro.monitor import workers as workers_module
 from repro.monitor.sharding import SHARD_BACKENDS
 from repro.replay import main as replay_main
 from repro.serve.__main__ import main as serve_main
@@ -63,6 +65,24 @@ def test_a_worker_count_below_one_is_refused_in_one_line(store, capsys,
                        "0", "--n-workers", n_workers]) == 2
     _one_error_line(capsys, expected)
     assert fleet_cli.main([*FLEET_WORKLOAD, "--n-workers", n_workers]) == 2
+    _one_error_line(capsys, expected)
+
+
+def test_a_pool_the_host_cannot_run_is_refused_in_one_line(store, capsys,
+                                                          monkeypatch):
+    """No fork or no os.memfd_create: an explicit pool is refused before
+    anything runs."""
+    monkeypatch.setattr(workers_module, "fork_start_available",
+                        lambda: False)
+    expected = ("a shard worker pool needs the fork start method and "
+                "os.memfd_create")
+    assert replay_main([str(store.path), "--queries", "counter",
+                        "--num-shards", "2", "--backend", "workers"]) == 2
+    _one_error_line(capsys, expected)
+    assert serve_main([str(store.path), "--queries", "counter", "--port",
+                       "0", "--num-shards", "2", "--backend", "workers"]) == 2
+    _one_error_line(capsys, expected)
+    assert fleet_cli.main([*FLEET_WORKLOAD, "--fleet-backend", "fork"]) == 2
     _one_error_line(capsys, expected)
 
 

@@ -609,7 +609,8 @@ def test_a_coordinating_parent_builds_no_query(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# What a process imports: `import repro`, then an in-process session over
+# What a process imports of repro, multiprocessing and the OpenSSL-backed
+# `secrets` / `hashlib`: `import repro`, then an in-process session over
 # a store (the modules it loaded, after a "|"), then, when asked to, a
 # sharded node on the worker pool (the modules that added, after a "|").
 _IMPORT_FOOTPRINT_PROBE = """
@@ -617,7 +618,8 @@ import sys
 
 def loaded():
     return {name for name in sys.modules
-            if name.partition(".")[0] in ("repro", "multiprocessing")}
+            if name.partition(".")[0] in ("repro", "multiprocessing",
+                                          "secrets", "hashlib")}
 
 import repro
 print(*sorted(loaded()), "|")
@@ -660,11 +662,16 @@ def test_a_session_imports_what_it_runs(tmp_path):
 
 @needs_fork
 def test_a_pool_loads_the_worker_module_when_it_starts(tmp_path):
+    """A pool loads its module and ``multiprocessing``, and no more: its
+    slots are memory files, so neither ``shared_memory`` with its
+    ``secrets`` / ``hashlib`` (OpenSSL) nor a resource tracker."""
     store = write_header_store(tmp_path / "store", seconds=1,
                                packets_per_bin=500)
-    *_, pool = _footprint(store, "pool")
-    assert {"repro.monitor.workers", "multiprocessing",
-            "multiprocessing.shared_memory"} <= pool
+    _, session, pool = _footprint(store, "pool")
+    assert {"repro.monitor.workers", "multiprocessing"} <= pool
+    assert not (session | pool) & {"multiprocessing.shared_memory",
+                                   "multiprocessing.resource_tracker",
+                                   "secrets", "hashlib"}, sorted(pool)
 
 
 # ----------------------------------------------------------------------

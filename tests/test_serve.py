@@ -816,15 +816,17 @@ def test_daemon_survives_its_sessions_failure_cleanly(tmp_path, serve_trace,
                                                       caplog):
     """SIGKILL one shard worker under a rotating, checkpointing daemon: the
     daemon still releases what it owns — the rotated segment is closed and
-    readable, no worker or shared-memory segment is left — does not try to
+    readable, no worker or slot descriptor is left — does not try to
     checkpoint the broken session, and ``run()`` raises the worker pool's
     own error, logged where it was raised."""
     import logging
     import os
     import signal
     from repro.monitor.workers import ShardWorkerError, fork_start_available
+    from tests.conftest import assert_pool_released, dev_shm
     if not fork_start_available():
-        pytest.skip("needs the fork start method")
+        pytest.skip("needs fork and os.memfd_create")
+    shm = dev_shm()
     config = _daemon_config(num_shards=2)
     daemon = MonitorDaemon(
         config, ReplayFeed(serve_trace, time_bin=TIME_BIN, pace=1.0),
@@ -859,10 +861,7 @@ def test_daemon_survives_its_sessions_failure_cleanly(tmp_path, serve_trace,
     # checkpointed.
     assert daemon._writer is None and daemon.result is None
     assert not (tmp_path / "ckpt").exists()
-    assert pool.stopped
-    assert not any(process.is_alive() for process in processes)
-    assert not any(os.path.exists(f"/dev/shm/{name.lstrip('/')}")
-                   for name in pool.created_segments)
+    assert_pool_released(pool, shm)
 
     # The segment holds every packet of the bins ingested before the kill.
     kept = daemon._writer_bins

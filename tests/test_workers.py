@@ -9,9 +9,12 @@ The contracts under test:
   modes, including live reconfiguration mid-stream.
 * **Lifecycle** — close/stop are idempotent, a worker dying mid-stream
   surfaces a :class:`ShardWorkerError` naming the process and every
-  session it hosted (not a hang), and every shared-memory segment the
-  pool ever created is unlinked by the time it stops — no ``/dev/shm``
-  leaks, even after failures.
+  session it hosted (not a hang), and nothing outlives a pool however it
+  stops — its workers are joined, the parent keeps no descriptor or
+  mapping of a slot, and ``/dev/shm`` gains no entry.
+* **Slot growth** — a bin larger than its slot grows the slot in place,
+  also while the session's other slot is still being read, and the worker
+  remaps it; results and checkpoints are unaffected.
 * **More sessions than processes** — what the fleet runs: session ``i``
   lives on process ``i mod n``, and deliveries (records and flushed
   partials, in bin order, waited for or not), checkpointed states and
@@ -21,8 +24,15 @@ The contracts under test:
   instead, and a streaming trace replayed twice reads the same bins twice.
 """
 
+import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,15 +48,17 @@ from repro.monitor.workers import (ShardExecutionWarning, ShardWorkerError,
                                    ShardWorkerPool, effective_workers,
                                    fork_start_available)
 from repro.queries import CounterQuery, FlowsQuery, make_query
+from repro.serve.checkpoint import capture, restore_session
 from repro.testing import assert_results_identical
 from repro.traffic.trace_io import save_trace_store
-from tests.conftest import make_batch
+from tests.conftest import (assert_pool_released, dev_shm, make_batch,
+                            slot_files)
 
 QUERY_SET = ("counter", "flows", "top-k", "application")
 
 needs_fork = pytest.mark.skipif(
     not fork_start_available(),
-    reason="persistent shard workers prefer the fork start method")
+    reason="the shard worker pool needs fork and os.memfd_create")
 
 
 def _factory(names=QUERY_SET):
@@ -81,23 +93,6 @@ def _assert_identical(in_process, workers):
     for qname, log in in_process.query_logs.items():
         assert workers.query_logs[qname].intervals == log.intervals, qname
         assert workers.query_logs[qname].results == log.results, qname
-
-
-def _attachable(segment_name):
-    from multiprocessing import shared_memory
-    try:
-        handle = shared_memory.SharedMemory(name=segment_name)
-    except FileNotFoundError:
-        return False
-    handle.close()
-    return True
-
-
-def _assert_released(pool):
-    """Stopped, and none of the segments it ever created is left behind."""
-    assert pool.stopped
-    for name in pool.created_segments:
-        assert not _attachable(name), f"segment {name} leaked"
 
 
 # ----------------------------------------------------------------------
@@ -309,16 +304,61 @@ class TestPoolLifecycle:
                                     cycles_per_second=1e9))
         return sharded.open_session(name="lifecycle")
 
-    def test_close_is_idempotent_and_unlinks_every_segment(self):
+    def test_close_is_idempotent_and_closes_every_slot(self):
+        shm = dev_shm()
         session = self._open_worker_session()
         for s in range(6):
             session.ingest(make_batch(n=120, seed=s, start_ts=0.1 * s))
         pool = session._executor
-        assert pool.created_segments
-        assert any(_attachable(name) for name in pool.created_segments)
+        # Two slots a session, each a descriptor and a mapping of it.
+        assert len([entry for entry in slot_files()
+                    if entry.startswith("fd ")]) >= 4
         first = session.close()
         assert session.close() is first
-        _assert_released(pool)
+        assert_pool_released(pool, shm)
+
+    def test_workers_exit_when_their_parent_is_killed(self):
+        """SIGKILL the process that owns a pool: nothing stops the pool,
+        but every worker reads end-of-file on its command pipe and exits,
+        closing the last descriptors of the slots."""
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import time\n"
+            "from repro.experiments import runner\n"
+            "from repro.monitor.workers import ShardWorkerPool\n"
+            "from tests.conftest import make_batch\n"
+            "pool = ShardWorkerPool([runner.system_config(queries='counter')]"
+            " * 3, None, 0.1, ['a', 'b', 'c'], processes=2)\n"
+            "pool.ingest([make_batch(n=500, seed=s) for s in range(3)])\n"
+            "print(*[w.process.pid for w in pool._workers], flush=True)\n"
+            "time.sleep(60)\n")
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                str(root)])})
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        assert len(pids) == 2
+
+        def exited(pid):  # gone, or a zombie nobody has reaped yet
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rpartition(")")[2].split()[0] == "Z"
+            except FileNotFoundError:
+                return True
+
+        deadline = time.monotonic() + 10.0
+        while not all(map(exited, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if not exited(pid)]
+        for pid in survivors:  # leave no process behind, whatever happens
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
 
     def test_stop_is_idempotent_and_safe_after_close(self):
         session = self._open_worker_session()
@@ -330,6 +370,7 @@ class TestPoolLifecycle:
         assert pool.stopped
 
     def test_worker_death_mid_stream_surfaces_clear_error(self):
+        shm = dev_shm()
         session = self._open_worker_session()
         session.ingest(make_batch(n=50, seed=1))
         pool = session._executor
@@ -338,8 +379,8 @@ class TestPoolLifecycle:
         with pytest.raises(ShardWorkerError, match="shard worker 1"):
             for s in range(2, 12):
                 session.ingest(make_batch(n=50, seed=s, start_ts=0.1 * s))
-        # The failure stops the pool and releases every segment...
-        _assert_released(pool)
+        # The failure stops the pool and releases every slot...
+        assert_pool_released(pool, shm)
         # ...and later use reports the failure instead of hanging.
         with pytest.raises(ShardWorkerError):
             session.ingest(make_batch(n=50, seed=99))
@@ -362,11 +403,165 @@ class TestPoolLifecycle:
         session.close()
 
     def test_context_manager_stops_pool_on_error(self):
+        shm = dev_shm()
         session = self._open_worker_session()
         with pytest.raises(RuntimeError):
             with session:
                 raise RuntimeError("boom")
-        _assert_released(session._executor)
+        assert_pool_released(session._executor, shm)
+
+    def test_a_failed_start_stops_what_it_started(self, monkeypatch):
+        """The second worker fails to start: the first is joined and every
+        slot, all made before the first fork, is closed."""
+        shm = dev_shm()
+        pools = []
+
+        class RecordedPool(ShardWorkerPool):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        start = multiprocessing.context.ForkProcess.start
+        started = []
+
+        def failing_start(process):
+            started.append(process)
+            if len(started) == 2:
+                raise OSError("no more processes")
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                            failing_start)
+        with pytest.raises(OSError, match="no more processes"):
+            RecordedPool([runner.system_config(queries="counter")] * 3,
+                         None, 0.1, ["a", "b", "c"])
+        pool, = pools
+        assert len(pool._workers) == 1
+        assert [len(session.slots) for session in pool._sessions] == [2] * 3
+        assert_pool_released(pool, shm)
+
+
+# ----------------------------------------------------------------------
+# Slot growth
+# ----------------------------------------------------------------------
+class _Bins:
+    """A trace of the given bins, for ``ingest_trace`` to pipeline."""
+
+    def __init__(self, bins):
+        self.bins = bins
+
+    def batches(self, time_bin):
+        return iter(self.bins)
+
+
+@needs_fork
+class TestSlotGrowth:
+    #: Packets in a bin: a shard's part holds about half, so both slots of
+    #: a session go 64 KiB -> ~150 KiB -> ~1.2 MiB over the first six bins.
+    SIZES = (100, 100, 10_000, 10_000, 80_000, 80_000,
+             100, 80_000, 10_000, 100, 80_000, 100)
+    #: Bins before the checkpoint.
+    CUT = 6
+
+    def test_growing_slots_twice_mid_stream_changes_no_result(
+            self, monkeypatch):
+        """Both slots of each shard grow twice in the first six bins,
+        pipelined, so a slot grows while the other one still holds the
+        previous bin; the worker remaps it.  The run equals the in-process
+        one, and a checkpoint taken after the growth continues on a fresh
+        pool bit-identically."""
+        config = runner.system_config(queries="counter,flows", seed=4,
+                                      cycles_per_second=2e8)
+        bins = [make_batch(n=n, seed=index, start_ts=0.1 * index,
+                           n_hosts=500)
+                for index, n in enumerate(self.SIZES)]
+        growths = []  # (shard, needed / capacity, other slot still busy)
+        ingest_async = ShardWorkerPool.ingest_async
+
+        def watched(pool, shard, batch):
+            session = pool._sessions[shard]
+            slot, other = (session.slots[(session.ingests + k) % 2]
+                           for k in (0, 1))
+            capacity = len(slot.view)
+            seq = ingest_async(pool, shard, batch)
+            if len(slot.view) != capacity:
+                # Acks only move forward: busy now, busy at the growth.
+                growths.append((shard,
+                                batch.buffer_nbytes() / capacity,
+                                session.worker.acked < other.busy_seq))
+            return seq
+
+        monkeypatch.setattr(ShardWorkerPool, "ingest_async", watched)
+
+        def node(backend):
+            return ShardedSystem(config=config, num_shards=2,
+                                 backend=backend).open_session(name="grow")
+
+        expected = node("inprocess").ingest_trace(_Bins(bins)).close()
+        session = node("workers").ingest_trace(_Bins(bins[:self.CUT]))
+        blob = capture(session)
+        assert sorted(shard for shard, _, _ in growths) == [0] * 4 + [1] * 4
+        assert all(ratio > 1.25 for _, ratio, _ in growths)
+        assert any(busy for _, _, busy in growths)
+        session.close()
+        assert_results_identical(
+            expected, node("workers").ingest_trace(_Bins(bins)).close(),
+            "grown")
+
+        restored = restore_session(blob, n_workers=2, backend="workers",
+                                   respect_cores=False)
+        assert restored.backend == "workers"
+        del growths[:]
+        restored.ingest_trace(_Bins(bins[self.CUT:]))
+        assert_results_identical(expected, restored.close(), "restored")
+        assert growths  # the fresh pool grew its slots too
+
+
+# ----------------------------------------------------------------------
+# A host that cannot run a pool
+# ----------------------------------------------------------------------
+class TestHostWithoutPool:
+    """No ``fork`` start method or no ``os.memfd_create``: ``auto`` runs
+    in-process, and an explicit pool is refused in one error."""
+
+    REFUSAL = "needs the fork start method and os.memfd_create"
+
+    @pytest.fixture(autouse=True)
+    def host_without_pool(self, monkeypatch):
+        monkeypatch.setattr(workers_module, "fork_start_available",
+                            lambda: False)
+
+    @staticmethod
+    def _config():
+        return runner.system_config(queries="counter",
+                                    cycles_per_second=1e9)
+
+    def test_auto_runs_in_process_and_warns(self):
+        system = ShardedSystem(config=self._config(), num_shards=2,
+                               n_workers=2, respect_cores=False)
+        assert system.resolve_backend() == "inprocess"
+        with pytest.warns(ShardExecutionWarning, match="in-process"):
+            session = system.open_session(name="no-pool")
+        session.ingest(make_batch(n=30, seed=1))
+        assert session.close().total_packets == 30
+        assert FleetRunner(FleetTopology.uniform(2), config=self._config(),
+                           n_workers=2, respect_cores=False
+                           ).resolve_backend() == "inprocess"
+
+    def test_an_explicit_pool_is_refused_in_one_error(self):
+        shm = dev_shm()
+        system = ShardedSystem(config=self._config(), num_shards=2,
+                               n_workers=2, respect_cores=False,
+                               backend="workers")
+        with pytest.raises(ValueError, match=self.REFUSAL):
+            system.open_session(name="refused")
+        fleet = FleetRunner(FleetTopology.uniform(2), config=self._config(),
+                            n_workers=2, respect_cores=False, backend="fork")
+        with pytest.raises(ValueError, match=self.REFUSAL):
+            fleet.run(scenarios.build_workload("cesca", seed=1, scale=0.05))
+        # Refused before anything was started.
+        assert not multiprocessing.active_children()
+        assert dev_shm() <= shm
 
 
 # ----------------------------------------------------------------------
@@ -418,6 +613,7 @@ class TestSessionsSharingProcesses:
         return results
 
     def test_records_and_results_come_back_in_session_order(self):
+        shm = dev_shm()
         pool, serial = self._pool(), self._serial()
         assert [worker.hosted for worker in pool._workers] == [
             ["stream[s0]", "stream[s2]", "stream[s4]"],
@@ -440,13 +636,14 @@ class TestSessionsSharingProcesses:
         for mine, theirs in zip(self._results(pool), self._results(serial)):
             assert_results_identical(theirs, mine, mine.trace_name)
             assert len(mine.bins) == 14
-        _assert_released(pool)
+        assert_pool_released(pool, shm)
 
     def test_sessions_deliver_records_and_partials_in_order(self):
         """A resident session keeps nothing: every record, waited for or
         not, and the partial of every flushed interval is queued per
         session in bin order, the last intervals' behind a ``None`` record
         when ``close`` flushed them."""
+        shm = dev_shm()
         pool, serial = self._pool(), self._serial()
         for parts in self._bins(8):
             assert pool.ingest(parts) == serial.ingest(parts)
@@ -465,9 +662,10 @@ class TestSessionsSharingProcesses:
                                ("flows", 0.0, FlowsQuery),
                                ("counter", 1.0, CounterQuery),
                                ("flows", 1.0, FlowsQuery)]
-        _assert_released(pool)
+        assert_pool_released(pool, shm)
 
     def test_session_states_round_trip_through_another_pool(self):
+        shm = dev_shm()
         bins = self._bins(12)
         first, serial = self._pool(), self._serial()
         for parts in bins[:6]:
@@ -489,9 +687,10 @@ class TestSessionsSharingProcesses:
         assert [list(queue) for queue in second.arrived] == \
             [list(queue) for queue in serial.arrived]
         for pool in (first, second):
-            _assert_released(pool)
+            assert_pool_released(pool, shm)
 
     def test_dead_worker_names_every_session_it_hosted(self, caplog):
+        shm = dev_shm()
         pool = self._pool()
         bins = self._bins(6)
         pool.ingest(bins[0])
@@ -506,7 +705,7 @@ class TestSessionsSharingProcesses:
         for name in ("stream[s0]", "stream[s2]", "stream[s4]"):
             assert name in message
         assert "stream[s1]" not in message
-        _assert_released(pool)
+        assert_pool_released(pool, shm)
         with pytest.raises(ShardWorkerError, match="stream\\[s4\\]"):
             pool.close()
         # Logged once, where it was raised; a later refusal is not news.
@@ -601,10 +800,11 @@ class TestSessionsSharingProcesses:
 # ----------------------------------------------------------------------
 @needs_fork
 class TestFleetOnThePool:
-    def test_failed_run_stops_its_workers_and_unlinks_every_segment(
+    def test_failed_run_stops_its_workers_and_closes_every_slot(
             self, monkeypatch):
         """A crash in the middle of a fleet run must leave neither worker
-        processes nor ``/dev/shm`` segments behind."""
+        processes nor slot descriptors and mappings behind."""
+        shm = dev_shm()
         pools = []
 
         class RecordedPool(ShardWorkerPool):
@@ -634,9 +834,9 @@ class TestFleetOnThePool:
         with pytest.raises(RuntimeError, match="reader crashed"):
             fleet.run(trace)
         pool, = pools
-        assert len(pool._workers) == 2 and pool.created_segments
-        assert not any(worker.process.is_alive() for worker in pool._workers)
-        _assert_released(pool)
+        assert len(pool._workers) == 2
+        assert [len(session.slots) for session in pool._sessions] == [2] * 4
+        assert_pool_released(pool, shm)
 
 
 class TestExecutionWarnings:
