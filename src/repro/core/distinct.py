@@ -24,7 +24,11 @@ Both counters share a small interface:
 Feature extraction always handles the ten aggregates' counters together, so
 it holds them as one :class:`CounterBank` (the same interface, one row per
 counter).  For bitmaps that is a :class:`BitmapBank`: all rows bit-packed in
-one ``uint64`` array, every read one popcount over the whole bank.
+one ``uint64`` array, every read one popcount over the whole bank.  A
+bitmap bank splits ``add_hashes`` in two: :meth:`BitmapBank.addresses`
+maps hashes to the bits they set (the one float path) and
+:meth:`BitmapBank.add_addresses` sets them, so addresses computed once can
+fill any number of banks of the geometry.
 """
 
 from __future__ import annotations
@@ -292,8 +296,11 @@ class BitmapBank(CounterBank):
     words (``bits_per_component`` rounded up to whole words; the pad bits
     stay zero), so a default-geometry row is 4 KiB.  A component's set-bit
     count is a popcount, a union is a word-wise OR, and both run over every
-    row of the bank in one call.  See :class:`MultiResolutionBitmap` for the
-    estimator itself.
+    row of the bank in one call.  A row is written through bit addresses:
+    a hash's address is its component times the padded width plus its
+    position, at most 32,767 (``uint16``) at the default 8 x 4096, and
+    ``add_addresses`` sets a row's bits in one bool-and-pack.  See
+    :class:`MultiResolutionBitmap` for the estimator itself.
     """
 
     #: A component is considered saturated once this fraction of bits is set.
@@ -328,10 +335,19 @@ class BitmapBank(CounterBank):
             raise ValueError("cannot merge bitmaps with different geometry")
 
     # ------------------------------------------------------------------
-    def add_hashes(self, index: int, hashes: np.ndarray) -> None:
-        if len(hashes) == 0:
-            return
+    def addresses(self, hashes: np.ndarray) -> np.ndarray:
+        """The bit each hash sets in a row: its component times the padded
+        component width plus its position there.
+
+        Returned in the smallest unsigned dtype that holds every address
+        of the geometry (``uint16`` for the default 8 x 4096).  What
+        :meth:`add_addresses` takes; a row's bits depend on nothing else,
+        so a batch's addresses can be computed once and gathered for every
+        selection of it.
+        """
         hashes = np.asarray(hashes, dtype=np.uint64)
+        width = self._words.shape[2] * 64
+        dtype = np.min_scalar_type(self.num_components * width - 1)
         # Component i covers [1 - 2^-i, 1 - 2^-(i+1)) of the hash space
         # mapped to [0, 1); the last component absorbs the tail.
         # -log2(1 - v) gives the index directly (the float path decides
@@ -339,15 +355,25 @@ class BitmapBank(CounterBank):
         # keeps a hash that rounds to v = 1 finite).
         unit = hashes.astype(np.float64) / float(2 ** 64)
         index_f = np.floor(-np.log2(np.maximum(1.0 - unit, 1e-300)))
-        component = np.minimum(index_f.astype(np.int64),
-                               self.num_components - 1)
-        position = (hashes & _POSITION_MASK).astype(np.int64) \
-            % self.bits_per_component
+        position = (hashes & _POSITION_MASK) % \
+            np.uint64(self.bits_per_component)
+        position += np.minimum(index_f, self.num_components - 1
+                               ).astype(np.uint64) * np.uint64(width)
+        return position.astype(dtype)
+
+    def add_addresses(self, index: int, addresses: np.ndarray) -> None:
+        """Set the bits at ``addresses`` (from :meth:`addresses`) in row
+        ``index``."""
+        if len(addresses) == 0:
+            return
         words = self._words[index]
-        bits = np.zeros((words.shape[0], words.shape[1] * 64), dtype=bool)
-        bits[component, position] = True
-        words |= _pack(bits)
+        bits = np.zeros(words.size * 64, dtype=bool)
+        bits[addresses] = True
+        words |= _pack(bits).reshape(words.shape)
         self._estimates = None
+
+    def add_hashes(self, index: int, hashes: np.ndarray) -> None:
+        self.add_addresses(index, self.addresses(hashes))
 
     def _estimate(self, words: np.ndarray) -> np.ndarray:
         """Estimate per row of a ``(rows, components, words)`` array."""
@@ -432,7 +458,7 @@ class MultiResolutionBitmap(DistinctCounter):
         return self._bank.bits_per_component
 
     def add_hashes(self, hashes: np.ndarray) -> None:
-        self._bank.add_hashes(0, hashes)
+        self._bank.add_addresses(0, self._bank.addresses(hashes))
 
     def estimate(self) -> float:
         return float(self._bank.estimates()[0])

@@ -17,6 +17,17 @@ That yields ``2 + 4 x 10 = 42`` features per batch, the numbers quoted in
 Section 3.2.3.  Distinct items are counted with multi-resolution bitmaps by
 default (the paper's choice) or exactly.
 
+A batch's counters are built once for every extractor that reads it, and
+Algorithm 1 reads each bin twice: the full batch before shedding, then
+each query's sampled batch.  A bitmap bank is filled from *bit addresses*
+(:meth:`~repro.core.distinct.BitmapBank.addresses`), computed once per
+batch: one ``(10, n)`` matrix, ``uint16`` at the default geometry (2 bytes
+a packet and aggregate), memoised on the batch.  A selection of it (a
+filter result, a sampled batch) gathers its rows of that matrix and
+memoises no copy, and the 64-bit aggregate hashes are not kept, except the
+5-tuple's, which the samplers and the flow queries read too.  The exact
+backend counts the memoised hashes themselves.
+
 An extractor keeps no clock: the system starts its next interval
 (:meth:`FeatureExtractor.reset`) in the bin that flushes the query's last.
 """
@@ -28,7 +39,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .distinct import CounterBank, make_bank
+from .distinct import BitmapBank, CounterBank, make_bank
+from .hashing import combine_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from ..monitor.packet import Batch
@@ -46,6 +58,12 @@ TRAFFIC_AGGREGATES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("src_dst_port_proto", ("src_port", "dst_port", "proto")),
     ("five_tuple", ("src_ip", "dst_ip", "src_port", "dst_port", "proto")),
 )
+
+#: The aggregate whose hashes others read from the batch memo too (the
+#: flowwise samplers, the flow-keyed queries): a bank build memoises it
+#: like they do.  Every other aggregate's hashes are turned into bit
+#: addresses and dropped.
+_SHARED_AGGREGATE = "five_tuple"
 
 #: Per-aggregate counter kinds, in the order they appear in the feature vector.
 AGGREGATE_COUNTERS = ("unique", "new", "repeated", "interval_repeated")
@@ -99,15 +117,21 @@ class FeatureSharing:
 
     The empty bank every measurement interval starts from — one read-only
     object per counter backend, so extractors that wipe their state hold
-    *the same* bank again — and the counts of feature reads and counter
-    merges computed or found memoised on the batch (``stats()``, reported
-    as ``session.metrics["feature_sharing"]``).
+    *the same* bank again — and the counts (``stats()``, reported as
+    ``session.metrics["feature_sharing"]``) of feature reads and counter
+    merges computed or found memoised on the batch, of the bit-address
+    matrices computed, and of the batch banks built, by cause in Algorithm
+    1: for a batch a query is handed (read before shedding) or for its
+    sampled batch (read, updating, after).
     """
 
     COUNTERS = {("features", True): "shared_reads",
                 ("features", False): "computed_reads",
                 ("merged", True): "deduped_merges",
-                ("merged", False): "computed_merges"}
+                ("merged", False): "computed_merges",
+                ("addresses", False): "address_matrices",
+                ("bank", False): "full_bank_builds",
+                ("bank", True): "sampled_bank_builds"}
 
     def __init__(self) -> None:
         self._empty: Dict[str, CounterBank] = {}
@@ -167,20 +191,45 @@ class FeatureExtractor:
     def _empty_bank(self) -> CounterBank:
         return self._sharing.empty_bank(self.method)
 
-    def _batch_counters(self, batch: "Batch") -> CounterBank:
+    def _batch_counters(self, batch: "Batch",
+                        sampled: bool = False) -> CounterBank:
         """Distinct counters over the ten aggregates of ``batch``.
 
         Built once for every extractor of the backend, memoised on the
         batch and only ever merged *from*, never mutated (so its
         ``estimates()``, the ``unique`` features, are computed once too).
+        A bitmap bank sets the bits of :meth:`_bit_addresses`; the exact
+        backend's counters take the hashes.  A build is counted as a
+        sampled batch's when ``sampled``, else as a full batch's.
         """
         def build() -> CounterBank:
+            self._sharing.counts["bank", sampled] += 1
             bank = self._empty_bank().copy()
-            for index, (_, columns) in enumerate(TRAFFIC_AGGREGATES):
-                bank.add_hashes(index, batch.aggregate_hashes(columns))
+            if isinstance(bank, BitmapBank):
+                for index, addresses in enumerate(
+                        self._bit_addresses(batch, bank)):
+                    bank.add_addresses(index, addresses)
+            else:
+                for index, (_, columns) in enumerate(TRAFFIC_AGGREGATES):
+                    bank.add_hashes(index, batch.aggregate_hashes(columns))
             return bank
 
         return batch.memo(("counters", self.method), build)
+
+    def _bit_addresses(self, batch: "Batch", bank: BitmapBank) -> np.ndarray:
+        """The ``(10, len(batch))`` bit addresses of ``batch`` in ``bank``'s
+        geometry: computed once per batch, gathered for its selections."""
+        def build(source: "Batch") -> np.ndarray:
+            self._sharing.counts["addresses", False] += 1
+            return np.stack([
+                bank.addresses(
+                    source.aggregate_hashes(columns)
+                    if name == _SHARED_AGGREGATE
+                    else combine_columns(source.columns(columns)))
+                for name, columns in TRAFFIC_AGGREGATES])
+
+        return batch.rowwise(("addresses", bank.num_components,
+                              bank.bits_per_component), build)
 
     def _shared(self, batch: "Batch", kind: str, build):
         """``build(batch)``, once per batch and interval bank.
@@ -229,6 +278,10 @@ class FeatureExtractor:
         """
         if len(batch) == 0:  # nothing to count, and nothing to merge
             return FeatureVector(np.zeros(NUM_FEATURES))
+        if update_state:
+            # Algorithm 1's updating read is of a sampled batch: its bank
+            # is built, and counted, as one (the read below finds it).
+            self._batch_counters(batch, sampled=True)
         values = self._shared(batch, "features", self._features)
         if update_state:
             self._bank = self._shared(batch, "merged", self._merged)

@@ -309,11 +309,14 @@ class Batch:
         """Per-batch memo for immutable derived values.
 
         Batches are treated as immutable once constructed, so any value
-        derived purely from the packet columns (aggregate hashes, distinct
+        derived purely from the packet columns (the aggregate hashes that
+        samplers and queries read, a bank's bit addresses, distinct
         counters, filter results) can be computed once and shared by every
         consumer.  ``key`` must identify the derivation unambiguously; a
         value that depends on more than the packets carries the rest in
-        its key and is dropped (:meth:`forget`) once that is stale.
+        its key and is dropped (:meth:`forget`) once that is stale.  A
+        per-packet value a selection can take from its parent is better
+        asked of :meth:`rowwise`, which memoises it on the parent only.
         """
         if self._agg_cache is None:
             self._agg_cache = {}
@@ -340,12 +343,14 @@ class Batch:
     def aggregate_hashes(self, columns: Sequence[str]) -> np.ndarray:
         """Memoised :func:`~repro.core.hashing.combine_columns` over columns.
 
-        Every feature extractor (one per query) and the flowwise samplers
-        hash the same header aggregates of the same batch; the combined
-        64-bit keys are computed once and shared by all consumers.  For a
-        batch produced by :meth:`select`, the hashes are row-wise, so they
-        are sliced from the parent batch instead of recomputed (recomputed
-        after all, to the same values, once the parent is gone).
+        For the hashes several consumers read: the flowwise samplers and
+        the flow-keyed queries all hash the 5-tuple of the same batch, and
+        the combined 64-bit keys (8 bytes a packet) are computed once and
+        shared.  The bitmap feature extractor memoises only the bits the
+        hashes address (:meth:`rowwise`), not these.  For a batch produced
+        by :meth:`select`, the hashes are row-wise, so they are sliced from
+        the parent batch instead of recomputed (recomputed after all, to
+        the same values, once the parent is gone), and memoised here too.
         """
         key = ("hash", tuple(columns))
 
@@ -356,6 +361,20 @@ class Batch:
             return combine_columns(self.columns(tuple(columns)))
 
         return self.memo(key, build)
+
+    def rowwise(self, key: tuple, build):
+        """A derived array whose last axis runs over the packets.
+
+        ``build(batch)`` computes it from a batch's columns.  A selection
+        whose parent is alive gathers the parent's at its rows (the parent
+        memoises it under ``key``) and memoises nothing itself: the
+        caller keeps what it derives from the gathered copy.  Any other
+        batch memoises ``build(self)``.
+        """
+        parent = self._selected_from()
+        if parent is not None:
+            return parent.rowwise(key, build)[..., self._parent_index]
+        return self.memo(key, lambda: build(self))
 
     def unique_aggregate_hashes(self, columns: Sequence[str],
                                 return_inverse: bool = False):

@@ -129,7 +129,11 @@ class MonitoringSession:
         and counter merge of the extractors: ``computed_reads`` /
         ``computed_merges`` were worked out, ``shared_reads`` /
         ``deduped_merges`` found done already for a query holding the same
-        interval bank on the same batch.  When the system declares
+        interval bank on the same batch; ``full_bank_builds`` /
+        ``sampled_bank_builds`` count the batch banks built for the
+        batches the queries are handed and for their sampled batches, and
+        ``address_matrices`` the bitmap bit-address matrices computed (a
+        selection of a batch gathers the batch's).  When the system declares
         tenant groups, ``tenants`` adds the per-tenant accounting: tenant
         count and query cycles consumed per tenant so far, as folded into
         the session's own result (a stepped session's owner holds them).

@@ -17,7 +17,8 @@ parent only the bin being dealt out.
 
 * **Transport** — each session has two buffer slots, anonymous memory
   files (``os.memfd_create``) made before the first worker is forked, so
-  every worker inherits their descriptors.  The parent packs a
+  every worker inherits their descriptors; it keeps those of the sessions
+  it hosts, two a session, and closes the rest.  The parent packs a
   sub-batch's columns into its mapping of a slot in the canonical
   :func:`repro.monitor.packet.column_layout` wire format (the column
   layout the trace store keeps on disk), so no column data is ever
@@ -69,6 +70,7 @@ import os
 import pickle
 import time
 import traceback
+import weakref
 from collections import deque
 from typing import Callable, Deque, List, Optional, Sequence
 
@@ -147,24 +149,31 @@ _QUERIES = {
 
 
 def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
-                 time_bin: float, commands, results, parent_ends) -> None:
+                 time_bin: float, commands, results, parent_ends,
+                 slot_fds: frozenset) -> None:
     """Some sessions, resident: open each once, step them forever.
 
     ``hosted`` lists ``(session index, config, name)`` for every session
-    of this process; ``commands`` / ``results`` are the worker ends of its
-    pipes, and ``parent_ends`` the parent's, which the fork copied: closed
-    here, so the worker reads end-of-file, and exits, once the parent is
-    gone, however it died.  Every reply is ``(kind, seq, answer, session
-    index)``; a bin's answer is what its step delivered, ``(record,
-    flushed)``, with the bin's wall seconds on the end of the reply.  Every
-    message is handled in FIFO order, which is what gives control messages
-    (capacity, query arrivals) their bin-boundary semantics: a
+    of this process and ``slot_fds`` the descriptors of their slots;
+    ``commands`` / ``results`` are the worker ends of its pipes, and
+    ``parent_ends`` the parent's, which the fork copied: closed here, so
+    the worker reads end-of-file, and exits, once the parent is gone,
+    however it died.  The fork copied every live slot too, of every pool,
+    each with the parent's mapping of it: the worker keeps the descriptors
+    in ``slot_fds`` and closes the rest.  Every reply is ``(kind, seq,
+    answer, session index)``; a bin's answer is what its step delivered,
+    ``(record, flushed)``, with the bin's wall seconds on the end of the
+    reply.  Every message is handled in FIFO order, which is what gives
+    control messages (capacity, query arrivals) their bin-boundary
+    semantics: a
     ``set_capacity`` sent before bin ``i``'s batch is queued by the session
     and applied when bin ``i`` is stepped, exactly as in-process.
     """
     from .sharding import build_system  # which imports this module
     for end in parent_ends:
         end.close()
+    for slot in list(_LIVE_SLOTS):
+        slot.release(keep_fd=slot.fd in slot_fds)
     #: This process's read-only mapping of each slot, by descriptor.
     views = {}
 
@@ -244,7 +253,7 @@ class _Slot:
     """One buffer slot of a session's double buffer: a memory file and the
     parent's mapping of it."""
 
-    __slots__ = ("fd", "view", "busy_seq")
+    __slots__ = ("fd", "view", "busy_seq", "__weakref__")
 
     def __init__(self, name: str) -> None:
         self.fd = os.memfd_create(name, os.MFD_CLOEXEC)
@@ -257,13 +266,22 @@ class _Slot:
         #: Sequence number of the ingest currently reading from this slot;
         #: the slot may be repacked once that sequence has been acked.
         self.busy_seq: Optional[int] = None
+        _LIVE_SLOTS.add(self)
 
-    def release(self) -> None:
+    def release(self, keep_fd: bool = False) -> None:
+        """Close the mapping and, unless ``keep_fd`` (a worker keeping the
+        slot of a session it hosts), the descriptor."""
         try:
             self.view.close()
         except BufferError:  # pragma: no cover - a failed pack's frames
             pass  # may still export the mapping
-        os.close(self.fd)
+        if not keep_fd:
+            _LIVE_SLOTS.discard(self)
+            os.close(self.fd)
+
+
+#: Every slot whose descriptor is open, of every pool: what a fork copies.
+_LIVE_SLOTS: "weakref.WeakSet[_Slot]" = weakref.WeakSet()
 
 
 class _Worker:
@@ -351,7 +369,8 @@ class ShardWorkerPool:
         self._sessions: List[_Session] = []
         try:
             # Every slot exists before the first fork, so each worker
-            # inherits the descriptors its sessions' bins arrive through.
+            # inherits the descriptors its sessions' bins arrive through
+            # (and closes the others').
             for index in range(len(configs)):
                 session = _Session()
                 self._sessions.append(session)
@@ -359,6 +378,8 @@ class ShardWorkerPool:
                     session.slots.append(_Slot(f"repro-slot-{index}"))
             for index in range(count):
                 hosted = range(index, len(configs), count)
+                slot_fds = frozenset(slot.fd for i in hosted
+                                     for slot in self._sessions[i].slots)
                 command_recv, command_send = multiprocessing.Pipe(duplex=False)
                 result_recv, result_send = multiprocessing.Pipe(duplex=False)
                 process = context.Process(
@@ -366,7 +387,8 @@ class ShardWorkerPool:
                     args=(index,
                           [(i, configs[i], names[i]) for i in hosted],
                           query_factory, float(time_bin), command_recv,
-                          result_send, (command_send, result_recv)),
+                          result_send, (command_send, result_recv),
+                          slot_fds),
                     daemon=True,
                     name=f"repro-shard-{index}")
                 process.start()

@@ -637,7 +637,8 @@ class MonitorDaemon:
         sharing = metrics["feature_sharing"]
         families.append(_family(
             "repro_feature_sharing", "gauge",
-            "Feature reads and counter merges, computed and shared",
+            "Feature reads and counter merges, computed and shared; "
+            "address matrices and bank builds",
             [({"counter": key}, float(value))
              for key, value in sorted(sharing.items())]))
         merge = metrics.get("sharding")

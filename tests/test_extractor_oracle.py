@@ -92,7 +92,8 @@ class _Twins:
 def test_every_vector_equals_the_oracle(method, sizes, members):
     sharing = FeatureSharing()
     twins = {}
-    reads = merges = 0
+    reads = merges = samples = 0
+    banked = set()  # the bins whose (non-empty) batch someone read
     for index, size in enumerate(sizes):
         # One batch object per bin, as the filter cache hands same-filter
         # queries.
@@ -113,11 +114,14 @@ def test_every_vector_equals_the_oracle(method, sizes, members):
                 pair.reset()
             pair.extract(batch, update_state=False)
             reads += size > 0
+            if size:
+                banked.add(index)
             if action == "sample":
                 sampled = batch.select(rng.random(size) < 0.5)
                 pair.extract(sampled, update_state=True)
                 reads += len(sampled) > 0
                 merges += len(sampled) > 0
+                samples += len(sampled) > 0
             elif action != "shed":
                 pair.commit(batch)
                 merges += size > 0
@@ -125,6 +129,12 @@ def test_every_vector_equals_the_oracle(method, sizes, members):
     stats = sharing.stats()
     assert stats["computed_reads"] + stats["shared_reads"] == reads
     assert stats["computed_merges"] + stats["deduped_merges"] == merges
+    # One bank per batch read, and one address matrix per bin: a sampled
+    # batch gathers its rows of the bin's.
+    assert stats["full_bank_builds"] == len(banked)
+    assert stats["sampled_bank_builds"] == samples
+    assert stats["address_matrices"] == \
+        (len(banked) if method == "bitmap" else 0)
 
 
 @METHODS
@@ -161,7 +171,10 @@ def test_same_bank_and_same_batch_is_computed_once(method):
 
     one_bin(0)
     assert sharing.stats() == {"computed_reads": 1, "shared_reads": 3,
-                               "computed_merges": 1, "deduped_merges": 3}
+                               "computed_merges": 1, "deduped_merges": 3,
+                               "address_matrices": int(method == "bitmap"),
+                               "full_bank_builds": 1,
+                               "sampled_bank_builds": 0}
     assert len({id(extractor._bank) for extractor in group}) == 1
     one_bin(1, sampled=group[:1])     # group[0] diverges...
     assert group[0]._bank is not group[1]._bank

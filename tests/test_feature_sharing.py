@@ -203,7 +203,34 @@ def test_a_kept_bin_keeps_no_interval_bank(small_trace):
             assert any(key[0] == "counters"
                        for sub in kept for key in sub._agg_cache)
         # Nothing was shed: three same-filter queries, one read and one
-        # merge computed per bin.
-        assert session.metrics["feature_sharing"] == {
+        # merge computed per bin.  (The bins' banks outlive the bin with
+        # the trace, so how many this run built depends on earlier runs.)
+        stats = session.metrics["feature_sharing"]
+        assert {key: stats[key] for key in (
+            "computed_reads", "shared_reads", "computed_merges",
+            "deduped_merges")} == {
             "computed_reads": len(bins), "shared_reads": 2 * len(bins),
             "computed_merges": len(bins), "deduped_merges": 2 * len(bins)}
+
+
+# ----------------------------------------------------------------------
+# Exact counts of the bank builds, by cause
+# ----------------------------------------------------------------------
+def test_bank_builds_are_counted_by_cause():
+    """Every non-empty bin is read before shedding (one bank, one address
+    matrix) and every non-empty sampled batch after it (one bank each,
+    gathered from the bin's matrix): the counts are those, exactly."""
+    sizes = [300, 0, 400, 350, 0, 380, 320, 400] * 2
+    config = SystemConfig(queries="counter,flows,top-k", seed=5,
+                          cycles_per_second=1.8e6)
+    with config.build().open_session(time_bin=TIME_BIN) as session:
+        records = [session.ingest(make_batch(n=size, seed=40 + i, n_hosts=30,
+                                             start_ts=i * TIME_BIN))
+                   for i, size in enumerate(sizes)]
+        stats = session.metrics["feature_sharing"]
+    sampled = sum(0.0 < rate < 1.0 for record in records
+                  if record.incoming_packets
+                  for rate in record.rates.values())
+    assert stats["address_matrices"] == stats["full_bank_builds"] == \
+        sum(size > 0 for size in sizes) == 12
+    assert stats["sampled_bank_builds"] == sampled == 23

@@ -13,8 +13,11 @@ from oracles.exact_counter import ExactDistinctCounter as OracleExact
 from repro.core.distinct import (BitmapBank, CounterBank,
                                  ExactDistinctCounter, MultiResolutionBitmap,
                                  make_bank, make_counter)
+from repro.core.features import (TRAFFIC_AGGREGATES, FeatureExtractor,
+                                 FeatureSharing)
 from repro.core.hashing import (H3Hash, combine_columns, mix64,
                                 splitmix_stream, stream_key)
+from tests.conftest import make_batch
 
 
 def _reference_mix64(keys):
@@ -467,6 +470,84 @@ class TestPackedBitmapEqualsOracle:
             BitmapBank(2, 4, 100).merge(BitmapBank(2, 4, 120))
         with pytest.raises(ValueError, match="geometry"):
             BitmapBank(2, 4, 256).new_estimates(BitmapBank(3, 4, 256))
+
+
+# ----------------------------------------------------------------------
+# Banks filled from bit addresses against the oracle (strict equality)
+# ----------------------------------------------------------------------
+#: The ends of the hash space, and hashes within 2^10 of 2^64, whose float
+#: unit rounds to 1.0 (the log's floor of 1e-300 keeps them finite).
+_edge_hashes = st.lists(
+    st.one_of(st.sampled_from([0, 2 ** 64 - 1]),
+              st.integers(min_value=2 ** 64 - 2 ** 10,
+                          max_value=2 ** 64 - 1)),
+    min_size=1, max_size=12)
+
+
+def _oracle_row(geometry, hashes):
+    oracle = OracleBitmap(*geometry)
+    oracle.add_hashes(hashes)
+    return oracle
+
+
+class TestAddressedBankAgainstOracle:
+    """A bank row filled by ``add_addresses(addresses(h))`` is the oracle's
+    ``add_hashes(h)``, bit for bit and estimate for estimate, and so is
+    one filled from any gather of the addresses (what a selection of a
+    batch does with its parent's)."""
+
+    @given(st.sampled_from(GEOMETRIES), hash_arrays(), _edge_hashes,
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_addresses_and_their_gathers(self, geometry, bulk, edges, seed):
+        hashes = np.concatenate([np.array(edges, dtype=np.uint64), bulk])
+        bank = BitmapBank(2, *geometry)
+        addresses = bank.addresses(hashes)
+        assert addresses.shape == hashes.shape
+        assert addresses.dtype.kind == "u"
+        assert np.iinfo(addresses.dtype).max >= bank._words[0].size * 64 - 1
+        rows = np.random.default_rng(seed).random(len(hashes)) < 0.5
+        bank.add_addresses(0, addresses)
+        bank.add_addresses(1, addresses[rows])
+        for row, oracle in ((0, _oracle_row(geometry, hashes)),
+                            (1, _oracle_row(geometry, hashes[rows]))):
+            assert np.array_equal(
+                unpack_words(bank._words[row], geometry[1]), oracle._bits)
+            assert bank.estimates()[row] == oracle.estimate()
+
+    @settings(deadline=None)
+    @given(st.sampled_from(GEOMETRIES),
+           st.integers(min_value=1, max_value=400),
+           st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.sampled_from(["live", "dead", "none"]))
+    def test_a_batch_and_its_selections(self, geometry, size, seed, parent):
+        """The extractor's bank of a selection — gathered from a live
+        parent's matrix, or computed from its own columns when the parent
+        is dead or there never was one — equals the oracle's."""
+        full = make_batch(n=size, seed=seed % 1000, n_hosts=1 + seed % 50)
+        mask = np.random.default_rng(seed).random(size) < 0.4
+        mask[seed % size] = True
+        batch = full.select(mask)
+        if parent == "dead":
+            del full
+        elif parent == "none":
+            batch = pickle.loads(pickle.dumps(batch))
+        assert (batch._selected_from() is not None) == (parent == "live")
+        sharing = FeatureSharing()
+        sharing._empty["bitmap"] = BitmapBank(10, *geometry).freeze()
+        bank = FeatureExtractor("bitmap", sharing=sharing)._batch_counters(
+            batch)
+        for row, (_, columns) in enumerate(TRAFFIC_AGGREGATES):
+            oracle = _oracle_row(
+                geometry, combine_columns(batch.columns(columns)))
+            assert np.array_equal(
+                unpack_words(bank._words[row], geometry[1]), oracle._bits)
+            assert bank.estimates()[row] == oracle.estimate()
+        key = ("addresses",) + geometry
+        if parent == "live":  # gathered: the parent holds the one matrix
+            assert key in full._agg_cache and key not in batch._agg_cache
+        else:
+            assert key in batch._agg_cache
+        assert sharing.stats()["address_matrices"] == 1
 
 
 # ----------------------------------------------------------------------

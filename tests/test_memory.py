@@ -27,6 +27,8 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core.features import TRAFFIC_AGGREGATES
+from repro.core.sampling import PacketSampler
 from repro.experiments import runner
 from repro.fleet import FleetPartitioner, FleetRunner, FleetTopology
 from repro.monitor import sharding
@@ -173,6 +175,45 @@ def test_trace_held_batches_still_share_filter_results(small_trace,
     assert everything is bins[0]  # stored as a marker, handed back as itself
     assert bins[0].cached_filter("proto:6") is bins[0].cached_filter(
         "proto:6")
+
+
+def test_a_bin_memoises_bit_addresses_not_bank_only_hashes(header_store,
+                                                          small_trace,
+                                                          monkeypatch):
+    """A bitmap bank is filled from one ``uint16`` address matrix per bin:
+    the bin keeps no 64-bit hash of an aggregate only the bank reads, and
+    a sampled batch gathers its rows of the bin's matrix, keeping none."""
+    sampled = []
+    sample = PacketSampler.sample
+    monkeypatch.setattr(PacketSampler, "sample",
+                        lambda self, batch, rate: sampled.append(
+                            sample(self, batch, rate)) or sampled[-1])
+    names = ("counter", "flows", "top-k")
+    capacity, _ = runner.calibrate_capacity(names, small_trace)
+    config = runner.system_config(queries=",".join(names), seed=5,
+                                  feature_method="bitmap",
+                                  cycles_per_second=0.3 * capacity)
+    session = config.build().open_session(time_bin=TIME_BIN)
+    bins = header_store.streaming().batch_list(TIME_BIN)
+    bank_only = {("hash", columns) for _, columns in TRAFFIC_AGGREGATES
+                 if columns != FLOW_COLUMNS}
+    read = 0
+    for index in range(len(bins)):
+        batch = bins[index]
+        session.ingest(batch)
+        if not len(batch):
+            continue
+        assert not bank_only & set(batch._agg_cache), index
+        addresses = batch._agg_cache[("addresses", 8, 4096)]
+        assert addresses.dtype == np.uint16
+        assert addresses.shape == (len(TRAFFIC_AGGREGATES), len(batch))
+        for sub in sampled:
+            assert not any(key[0] == "addresses" or key in bank_only
+                           for key in sub._agg_cache or ()), index
+            read += ("counters", "bitmap") in (sub._agg_cache or ())
+        sampled.clear()
+    session.close()
+    assert read, "no sampled batch was read"
 
 
 # ----------------------------------------------------------------------

@@ -638,6 +638,37 @@ class TestSessionsSharingProcesses:
             assert len(mine.bins) == 14
         assert_pool_released(pool, shm)
 
+    def test_a_worker_keeps_only_its_own_sessions_slots(self):
+        """The fork copies every live slot, of this pool and of any other,
+        each with the parent's mapping of it; a worker keeps the two
+        descriptors of each session it hosts, and maps them itself."""
+        def slots_of(worker):
+            pid = worker.process.pid
+            return sorted(
+                target for target in (os.readlink(f"/proc/{pid}/fd/{fd}")
+                                      for fd in os.listdir(f"/proc/{pid}/fd"))
+                if target.startswith("/memfd:repro-slot"))
+
+        shm = dev_shm()
+        other = self._pool()  # alive when the second pool forks
+        pool = ShardWorkerPool(self._configs()[:4], None, 0.1,
+                               self.NAMES[:4], processes=2)
+        pool.session_metrics()  # both workers are past their start-up
+        for index, worker in enumerate(pool._workers):
+            assert slots_of(worker) == sorted(
+                f"/memfd:repro-slot-{session} (deleted)"
+                for session in (index, index + 2) for _ in range(2))
+        # Two bins with no empty part: each session's bins went through
+        # both its slots.
+        for parts in self._bins(1, start=1) + self._bins(1, start=6):
+            pool.ingest(parts[:4])
+        for worker in pool._workers:  # a descriptor and a mapping a slot
+            assert len(slots_of(worker)) == 2 * 2 * 2
+        pool.close()
+        other.close()
+        for stopped in (pool, other):
+            assert_pool_released(stopped, shm)
+
     def test_sessions_deliver_records_and_partials_in_order(self):
         """A resident session keeps nothing: every record, waited for or
         not, and the partial of every flushed interval is queued per
