@@ -70,6 +70,16 @@ def test_fig_3_10_ewma_alpha_sweep(benchmark):
                                  title="Figure 3.10 — EWMA error vs alpha"))
 
 
+def test_fig_3_11_baseline_error_series(benchmark):
+    result = run_once(benchmark, chapter3.figure_3_11_baseline_comparison,
+                      scale=BENCH_SCALE)
+    means = result["mean_error"]
+    print()
+    print("Figure 3.11 — mean error over the query set:",
+          {method: round(error, 4) for method, error in means.items()})
+    assert means["mlr"] < means["ewma"]
+
+
 def test_table_3_3_baseline_comparison(benchmark):
     result = run_once(benchmark, chapter3.table_3_3_error_stats,
                       scale=BENCH_SCALE)

@@ -13,9 +13,13 @@ reference mode the federated answer is **bit-identical** to a single node
 monitoring the entire stream, for every merge-exact query.
 """
 
+import json
+import tempfile
+from pathlib import Path
+
 from repro import FleetRunner, FleetTopology, NodeSpec
 from repro.experiments import runner, scenarios
-from repro.fleet import verify_exactness
+from repro.fleet import load_topology, verify_exactness
 from repro.queries import parse_query_specs
 
 TIME_BIN = 0.1
@@ -27,16 +31,21 @@ def main() -> None:
 
     # A weighted topology: two big PoPs own three quarters of the flow-hash
     # space (and of the fleet's cycle capacity); the small tap runs the
-    # cheaper reactive shedder.  The same structure round-trips through
-    # FleetTopology.to_dict() / from_dict() — that dict *is* the JSON file
-    # format of `python -m repro.fleet topology.json`.
-    topology = FleetTopology(
+    # cheaper reactive shedder.  FleetTopology.to_dict() *is* the JSON
+    # file format of `python -m repro.fleet topology.json`: write the file
+    # and run the fleet it describes.
+    declared = FleetTopology(
         nodes=[NodeSpec("pop-a", weight=3.0),
                NodeSpec("pop-b", weight=3.0),
                NodeSpec("tap-edge", weight=2.0,
                         overlay={"mode": "reactive"})],
         partition_by="flow-hash",
         defaults={"predictor": "mlr"})
+    with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmp:
+        path = Path(tmp) / "topology.json"
+        path.write_text(json.dumps(declared.to_dict(), indent=1))
+        topology = load_topology(str(path))
+    assert topology.to_dict() == declared.to_dict()
 
     query_names = [spec.instance_name
                    for spec in parse_query_specs(QUERY_SPECS)]

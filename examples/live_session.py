@@ -5,8 +5,8 @@ The load shedding scheme is an online system — it sheds load on live traffic
 with no a-priori knowledge of the workload.  This example drives it the way a
 live deployment would: batches are *pushed* into a :class:`MonitoringSession`
 from a generator (here: a synthetic capture feed), and the running session is
-reconfigured on the fly — a new query arrives mid-run and the host's capacity
-is cut, both taking effect at the next bin boundary.
+reconfigured on the fly — a new query arrives mid-run, the host's capacity
+is cut and a query departs, each taking effect at the next bin boundary.
 """
 
 from repro import SystemConfig
@@ -25,7 +25,8 @@ def main() -> None:
     base_queries = ("counter", "flows", "high-watermark")
     trace = scenarios.header_trace(seed=21, duration=8.0)
     print(f"Streaming {len(trace)} packets over {trace.duration:.1f} s "
-          f"in {TIME_BIN * 1000:.0f} ms bins")
+          f"in {trace.num_batches(TIME_BIN)} bins of "
+          f"{TIME_BIN * 1000:.0f} ms")
 
     # Calibrate against the full query set (including the one that will
     # arrive later) so the capacity is meaningful throughout.
@@ -42,7 +43,8 @@ def main() -> None:
 
     arrival_ts = trace.duration * 0.4
     capacity_cut_ts = trace.duration * 0.7
-    added = cut = False
+    departure_ts = trace.duration * 0.85
+    added = cut = departed = False
     for batch in capture_feed(trace):
         if not added and batch.start_ts >= arrival_ts:
             session.add_query(make_query("top-k"))  # arrives at the next bin
@@ -53,6 +55,11 @@ def main() -> None:
             session.set_capacity(capacity * 0.35)   # host slows down
             cut = True
             print(f"[t={batch.start_ts:5.1f}s] capacity cut to 35%")
+        if not departed and batch.start_ts >= departure_ts:
+            # Its last interval is flushed at the boundary; its log stays.
+            session.remove_query("high-watermark")
+            departed = True
+            print(f"[t={batch.start_ts:5.1f}s] high-watermark removed")
         session.ingest(batch)
         if session.bins_ingested == int(arrival_ts / TIME_BIN):
             sofar = session.partial_result()

@@ -15,6 +15,7 @@ identical.
 import tempfile
 from pathlib import Path
 
+from repro import replay
 from repro.experiments import runner
 from repro.monitor.sharding import build_system
 from repro.profile import peak_rss_mb
@@ -39,27 +40,47 @@ def main() -> None:
           f"({size_mb:.1f} MB on disk, {int(DURATION / SEGMENT)} segments)")
 
     # 2. Reopen it (open_trace dispatches on the format) and build the
-    #    streaming view; only the manifest has been read so far.
-    streaming = open_trace(store.path).streaming()
-    print(f"Streaming view: {streaming.num_batches(0.1)} bins, "
-          f"peak resident set before replay {peak_rss_mb():.1f} MB")
+    #    streaming view; only the manifest has been read so far.  Leaving
+    #    the block closes the store's files.
+    with open_trace(store.path).streaming() as streaming:
+        print(f"Streaming view: {streaming.num_batches(0.1)} bins over "
+              f"{streaming.duration:.1f} s, peak resident set before "
+              f"replay {peak_rss_mb():.1f} MB")
 
-    # 3. Calibrate and replay out-of-core through the full pipeline.
-    capacity, _ = runner.calibrate_capacity(QUERY_SET, streaming)
-    config = runner.system_config(queries=QUERY_SET,
-                                  cycles_per_second=capacity * 0.5, seed=1)
-    result = config.build().run(streaming)
-    print(f"\nSerial replay: {len(result.bins)} bins, dropped "
-          f"{result.dropped_packets:,}/{result.total_packets:,} packets, "
-          f"mean sampling rate {result.mean_sampling_rate():.2f}")
-    print(f"Peak resident set after two passes over the store: "
-          f"{peak_rss_mb():.1f} MB")
+        # 3. Calibrate and replay out-of-core through the full pipeline.
+        capacity, _ = runner.calibrate_capacity(QUERY_SET, streaming)
+        config = runner.system_config(queries=QUERY_SET,
+                                      cycles_per_second=capacity * 0.5,
+                                      seed=1)
+        result = config.build().run(streaming)
+        print(f"\nSerial replay: {len(result.bins)} bins, dropped "
+              f"{result.dropped_packets:,}/{result.total_packets:,} "
+              f"packets, mean sampling rate "
+              f"{result.mean_sampling_rate():.2f}")
+        print(f"Peak resident set after two passes over the store: "
+              f"{peak_rss_mb():.1f} MB")
 
-    # 4. The same store through four flow-affine shards, still out-of-core.
-    merged = build_system(config.replace(num_shards=4)).run(streaming)
-    print(f"\nSharded x4 replay: {len(merged.bins)} bins, dropped "
-          f"{merged.dropped_packets:,} packets, peak resident set "
-          f"{peak_rss_mb():.1f} MB")
+        # 4. The same store through four flow-affine shards, still
+        #    out-of-core.
+        merged = build_system(config.replace(num_shards=4)).run(streaming)
+        print(f"\nSharded x4 replay: {len(merged.bins)} bins, dropped "
+              f"{merged.dropped_packets:,} packets, peak resident set "
+              f"{peak_rss_mb():.1f} MB")
+
+    # 5. What streaming costs in results: nothing.  The whole store loaded
+    #    into memory replays bit for bit the same (and holds every packet).
+    in_memory = config.build().run(store.to_trace())
+    identical = all(in_memory.query_logs[name].results == log.results
+                    for name, log in result.query_logs.items())
+    print(f"\nIn-memory replay of the same store: identical results: "
+          f"{identical}; peak resident set now {peak_rss_mb():.1f} MB")
+
+    # 6. The serial replay from the shell, with its summary.
+    argv = [str(store.path), "--queries", ",".join(QUERY_SET),
+            "--cycles-per-second", repr(config.cycles_per_second),
+            "--seed", "1"]
+    print(f"\n$ python -m repro.replay {' '.join(argv)}")
+    replay.main(argv)
 
 
 if __name__ == "__main__":

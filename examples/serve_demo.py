@@ -12,8 +12,12 @@ This demo drives the daemon exactly like an operator would — over HTTP:
 2. poll ``GET /status``, scrape ``GET /metrics`` (Prometheus text);
 3. hot-add a top-k query with ``POST /queries`` mid-stream;
 4. snapshot the session with ``POST /checkpoint``;
-5. shut down gracefully and restore the checkpoint into a fresh
-   in-process session, proving the resumed state is usable.
+5. cut the capacity (``POST /capacity``), hot-reload it through
+   ``POST /config``, remove a query (``DELETE /queries/flows``) and read
+   the partial result (``GET /result``);
+6. shut down gracefully, read the checkpoint's summary without thawing it
+   (``describe_checkpoint``), and restore it into a fresh in-process
+   session, proving the resumed state is usable.
 
 The same flow works from a shell against ``python -m repro.serve``::
 
@@ -34,7 +38,8 @@ import urllib.request
 from pathlib import Path
 
 from repro.experiments import runner
-from repro.serve import GeneratorFeed, MonitorDaemon, restore_session
+from repro.serve import (GeneratorFeed, MonitorDaemon, describe_checkpoint,
+                         restore_session)
 from repro.traffic.generator import TrafficProfile
 
 CAPACITY = 2.0e7
@@ -89,6 +94,15 @@ def main() -> None:
     snapshot = checkpoint_dir / "mid-stream.pkl"
     snapshot.write_bytes(Path(ckpt["checkpoint"]).read_bytes())
 
+    http("POST", port, "/capacity", {"cycles_per_second": CAPACITY * 0.5})
+    http("POST", port, "/config", {"cycles_per_second": CAPACITY * 0.8})
+    removed = http("DELETE", port, "/queries/flows")
+    partial = http("GET", port, "/result")
+    print(f"capacity cut to 50%, reloaded at 80%; removed "
+          f"{removed['removed']!r}; partial result: {partial['bins']} bins, "
+          f"{len(partial['query_logs']['counter']['results'])} counter "
+          f"intervals")
+
     metrics = http("GET", port, "/metrics")
     shown = [line for line in metrics.splitlines()
              if line.startswith(("repro_bins", "repro_packets",
@@ -107,6 +121,9 @@ def main() -> None:
 
     # Restore the mid-stream checkpoint into a fresh session and keep
     # going by hand — the resumed session carries the pending top-k add.
+    meta = describe_checkpoint(snapshot)
+    print(f"checkpoint summary: {meta['kind']} session, "
+          f"{meta['bins_ingested']} bins, queries {meta['query_names']}")
     restored = restore_session(snapshot)
     print(f"restored session at bin {restored.bins_ingested}; "
           f"resuming in-process...")

@@ -8,10 +8,13 @@ budget — and folds what the shards return, bin by bin, into one
 stream-global execution whose accuracy is compared against both the
 unsharded system and the ground-truth reference.
 
-The last section re-runs the streamed replay on the **persistent worker
-backend** (`backend="workers"`): one resident process per shard, per-bin
-batches shipped through memory files — same results, bit for bit, with
-the shard pipelines actually running in parallel.
+The streamed run is reconfigured live — a query arrives, the capacity is
+cut, a query departs — and checkpointed mid-stream.  The last section
+re-runs the replay on the **persistent worker backend**
+(`backend="workers"`): one resident process per shard, per-bin batches
+shipped through memory files — same results, bit for bit, with the shard
+pipelines actually running in parallel — and resumes the checkpoint there,
+then back in-process, bit for bit again.
 """
 
 import time
@@ -20,6 +23,7 @@ from repro import ShardedSystem
 from repro.experiments import runner, scenarios
 from repro.monitor.workers import fork_start_available
 from repro.queries import make_query
+from repro.serve import capture, restore_session
 
 TIME_BIN = 0.1
 QUERY_SET = ("counter", "flows", "top-k", "application")
@@ -49,20 +53,28 @@ def main() -> None:
     sharded = ShardedSystem(query_factory, config=config).run(
         trace, time_bin=TIME_BIN)
 
-    # The same topology driven as a push-based streaming session, with a
-    # query arriving mid-stream: the node takes an instance, as a serial
-    # session does, and every shard runs its own copy of it.
+    # The same topology driven as a push-based streaming session,
+    # reconfigured live (each change applies at the next bin boundary): a
+    # query arrives — the node takes an instance, as a serial session
+    # does, and every shard runs its own copy of it — the host slows down,
+    # and a query departs.  A checkpoint is taken mid-stream; the session
+    # streams on.
+    bins = trace.batch_list(TIME_BIN)
     session = ShardedSystem(query_factory, config=config).open_session(
         time_bin=TIME_BIN, name=trace.name)
-    for index, batch in enumerate(trace.batches(TIME_BIN)):
-        if index == 20:
-            session.add_query(make_query("high-watermark"))
+    for index, batch in enumerate(bins):
+        reconfigure(session, index, overloaded)
         record = session.ingest(batch)  # merged stream-global BinRecord
+        if index == 15:
+            checkpoint = capture(session)
+            so_far = session.partial_result()
     streamed = session.close()
     print(f"Streaming ingest: {len(streamed.bins)} bins, last bin saw "
           f"{record.incoming_packets} packets on {NUM_SHARDS} shards; "
           f"high-watermark arrived at bin 20 and logged "
-          f"{len(streamed.query_logs['high-watermark'])} intervals")
+          f"{len(streamed.query_logs['high-watermark'])} intervals; "
+          f"checkpoint at bin 16 ({len(checkpoint) / 1e6:.1f} MB, "
+          f"{len(so_far.query_logs['counter'])} counter intervals done)")
 
     print(f"\n{'query':<14} {'unsharded':>10} {'sharded':>10}")
     plain = runner.accuracy_by_query(unsharded, reference)
@@ -94,6 +106,38 @@ def main() -> None:
         for name in parallel.query_logs)
     print(f"\npersistent workers x{NUM_SHARDS}: {len(parallel.bins)} bins in "
           f"{elapsed:.2f}s; bit-identical to the in-process run: {identical}")
+
+    # The checkpoint was taken in-process; resume it on the workers, make
+    # the same live changes there, take another checkpoint, and finish
+    # that one in-process again.
+    resumed = restore_session(checkpoint, n_workers=NUM_SHARDS,
+                              backend="workers")
+    print(f"resumed on workers at bin {resumed.bins_ingested} with "
+          f"{', '.join(resumed.query_names)}")
+    for index in range(resumed.bins_ingested, 45):
+        reconfigure(resumed, index, overloaded)
+        resumed.ingest(bins[index])
+    handed_back = restore_session(capture(resumed))
+    resumed.close()
+    for index in range(handed_back.bins_ingested, len(bins)):
+        reconfigure(handed_back, index, overloaded)
+        handed_back.ingest(bins[index])
+    finished = handed_back.close()
+    identical = all(finished.query_logs[name].results == log.results
+                    for name, log in streamed.query_logs.items())
+    print(f"checkpointed in-process, resumed on workers, checkpointed "
+          f"again and finished in-process: bit-identical to the "
+          f"uninterrupted stream: {identical}")
+
+
+def reconfigure(session, index: int, capacity: float) -> None:
+    """The live changes of the streamed run, at the bins they happen."""
+    if index == 20:
+        session.add_query(make_query("high-watermark"))
+    elif index == 30:
+        session.set_capacity(capacity * 0.8)  # the host slows down
+    elif index == 40:
+        session.remove_query("application")
 
 
 if __name__ == "__main__":

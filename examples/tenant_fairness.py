@@ -10,12 +10,16 @@ Three tenants share one monitor under heavy overload:
 * ``greedy`` — a tenant whose queries inflate their minimum sampling
   rates far beyond what the box can honour.
 
-The example runs a predictive ``mmfs_cpu`` system over a synthetic trace,
+The tenant declaration is part of the config, and round-trips through the
+same JSON document as the rest of it.  The example runs a predictive
+``mmfs_cpu`` system over a synthetic trace,
 prints the per-tenant cycle accounting, and then drops to the allocator to
 show the two guarantees directly: nobody is starved below a declared
 floor, and when floors cannot fit, the inflated demands are the ones
 disabled — the Section 5.2.1 anti-cheating rule applied per tenant.
 """
+
+import json
 
 import numpy as np
 
@@ -102,6 +106,10 @@ def show_anti_cheating() -> None:
 
 def main() -> None:
     config = build_config()
+    document = json.dumps(config.to_dict())
+    assert SystemConfig.from_dict(json.loads(document)) == config
+    print(f"Config with {len(config.tenants)} tenant groups: "
+          f"{len(document)} bytes of JSON, round trip equal\n")
     run_monitor(config)
     show_floor_guarantee()
     show_anti_cheating()

@@ -200,10 +200,6 @@ class DistinctFanout:
         return pair_keys >> np.uint64(32)
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        """Number of distinct pairs recorded so far."""
-        return int(self._pairs.size)
-
     @property
     def pairs(self) -> np.ndarray:
         """The sorted distinct pair keys (replaced, never written, by

@@ -10,6 +10,9 @@ could ignore the request and a buggy one could shed the wrong amount.  The
 enforcement policy implemented here mirrors Section 6.1.1:
 
 * for every batch the expected consumption is ``predicted_cycles * fraction``;
+  a batch is judged once the query's predictor has a fitted model, and only
+  when the query was asked to shed: granted its whole batch, a query cannot
+  exceed its grant, and a miss is the prediction's;
 * a per-query *correction factor* (EWMA of actual / expected) compensates
   queries whose custom method consistently sheds too little or too much, so a
   well-meaning but imprecise method converges to the right usage
@@ -95,11 +98,14 @@ class CustomShedEnforcer:
 
     # ------------------------------------------------------------------
     def record(self, name: str, expected_cycles: float, actual_cycles: float,
-               bin_index: int) -> EnforcementState:
+               bin_index: int, judged: bool = True) -> EnforcementState:
         """Record the outcome of one batch and update the policy state.
 
         ``expected_cycles`` is what the system granted (prediction times the
-        *requested* fraction); ``actual_cycles`` is what the query consumed.
+        granted fraction); ``actual_cycles`` is what the query consumed.  The
+        correction factor follows actual over expected in every batch;
+        consumption beyond the tolerance is a violation only in a
+        ``judged`` one.
         """
         state = self.state(name)
         if expected_cycles > 0.0:
@@ -111,6 +117,8 @@ class CustomShedEnforcer:
             exceeded = actual_cycles > expected_cycles * (1.0 + self.tolerance)
         else:
             exceeded = actual_cycles > 0.0
+        if not judged:
+            return state
         if exceeded:
             state.violations += 1
             state.total_violations += 1

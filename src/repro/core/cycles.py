@@ -65,12 +65,6 @@ class OperationCosts:
         """Cycles for ``count`` repetitions of ``operation``."""
         return self._weights[operation] * count
 
-    def __contains__(self, operation: str) -> bool:
-        return operation in self._weights
-
-    def __getitem__(self, operation: str) -> float:
-        return self._weights[operation]
-
 
 class CycleMeter:
     """Accumulates cycle charges for the batch currently being processed.
@@ -112,11 +106,6 @@ class CycleMeter:
         cycles = self.costs.cost(operation, count)
         self._accumulated += cycles
         return cycles
-
-    @property
-    def pending(self) -> float:
-        """Cycles accumulated since the last :meth:`consume`."""
-        return self._accumulated
 
     def consume(self) -> float:
         """Return the accumulated cycles (with noise) and reset the meter."""

@@ -65,9 +65,6 @@ class DistinctCounter:
     def copy(self) -> "DistinctCounter":
         raise NotImplementedError
 
-    def reset(self) -> None:
-        raise NotImplementedError
-
 
 def locate_sorted(table: np.ndarray, keys: np.ndarray
                   ) -> Tuple[np.ndarray, np.ndarray]:
@@ -185,9 +182,6 @@ class ExactDistinctCounter(DistinctCounter):
         clone._items = self._items
         return clone
 
-    def reset(self) -> None:
-        self._items = _NO_ITEMS
-
 
 class CounterBank:
     """A fixed group of distinct counters that are updated and read together.
@@ -208,8 +202,8 @@ class CounterBank:
     def freeze(self) -> "CounterBank":
         """Make this bank a read-only value and return it.
 
-        ``add_hashes``, ``merge`` and ``reset`` raise ``ValueError`` from
-        now on; ``copy()`` and ``union()`` still give new banks.
+        ``add_hashes`` and ``merge`` raise ``ValueError`` from now on;
+        ``copy()`` and ``union()`` still give new banks.
         """
         self._read_only = True
         return self
@@ -251,11 +245,6 @@ class CounterBank:
 
     def copy(self) -> "CounterBank":
         return CounterBank([counter.copy() for counter in self.counters])
-
-    def reset(self) -> None:
-        self._check_writable()
-        for counter in self.counters:
-            counter.reset()
 
 
 #: The hash bits that pick the position inside a component: independent of
@@ -372,9 +361,6 @@ class BitmapBank(CounterBank):
         words |= _pack(bits).reshape(words.shape)
         self._estimates = None
 
-    def add_hashes(self, index: int, hashes: np.ndarray) -> None:
-        self.add_addresses(index, self.addresses(hashes))
-
     def _estimate(self, words: np.ndarray) -> np.ndarray:
         """Estimate per row of a ``(rows, components, words)`` array."""
         b = float(self.bits_per_component)
@@ -418,10 +404,6 @@ class BitmapBank(CounterBank):
         clone.__dict__.update(self.__dict__)
         clone._words = self._words.copy()
         return clone
-
-    def reset(self) -> None:
-        self._words[:] = 0
-        self._estimates = None
 
 
 class MultiResolutionBitmap(DistinctCounter):
@@ -475,7 +457,8 @@ class MultiResolutionBitmap(DistinctCounter):
         return clone
 
     def reset(self) -> None:
-        self._bank.reset()
+        self._bank = BitmapBank(1, self.num_components,
+                                self.bits_per_component)
 
     @property
     def memory_bits(self) -> int:

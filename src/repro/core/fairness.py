@@ -73,10 +73,6 @@ class Allocation:
         return dict(zip(self.names, self.rate_array.tolist()))
 
     @property
-    def cycles(self) -> Dict[str, float]:
-        return dict(zip(self.names, self.cycle_array.tolist()))
-
-    @property
     def disabled(self) -> List[str]:
         return [name for name, off in zip(self.names, self.disabled_mask)
                 if off]
@@ -84,13 +80,6 @@ class Allocation:
     @property
     def total_cycles(self) -> float:
         return sequential_sum(self.cycle_array)
-
-    def rate(self, name: str) -> float:
-        """The sampling rate of ``name`` (0.0 for a query not allocated)."""
-        try:
-            return float(self.rate_array[self.names.index(name)])
-        except ValueError:
-            return 0.0
 
 
 # ----------------------------------------------------------------------

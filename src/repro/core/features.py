@@ -100,12 +100,6 @@ class FeatureVector:
     def __getitem__(self, name: str) -> float:
         return float(self.values[_FEATURE_INDEX[name]])
 
-    def as_dict(self) -> Dict[str, float]:
-        return {name: float(v) for name, v in zip(self.names, self.values)}
-
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 #: Per-batch memo key of everything that depends on an extractor's interval
 #: bank as well as on the packets (see :meth:`FeatureExtractor._shared`).

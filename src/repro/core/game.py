@@ -245,16 +245,3 @@ def equilibrium_profile(n_players: int, capacity: float) -> np.ndarray:
         raise ValueError("n_players must be positive")
     return np.full(n_players, capacity / n_players, dtype=np.float64)
 
-
-def aggregate_utility_equilibrium(n_players: int, capacity: float
-                                  ) -> np.ndarray:
-    """Equilibrium of an Aurora-style utility-maximising allocator.
-
-    For contrast with our strategy (Section 5.3, last paragraph): when the
-    system maximises the sum of utilities, every player's dominant strategy
-    is to claim the full capacity ("my utility drops to zero below sampling
-    rate 1"), i.e. to lie about its requirements.
-    """
-    if n_players <= 0:
-        raise ValueError("n_players must be positive")
-    return np.full(n_players, float(capacity), dtype=np.float64)

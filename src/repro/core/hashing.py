@@ -6,9 +6,10 @@ Three families are provided:
   flowwise flow-sampling load shedder (Section 4.2).  A fresh H3 function is
   drawn every measurement interval so that flow selection cannot be predicted
   or evaded by an adversary.
-* :func:`mix64` / :func:`combine_columns` — a fast 64-bit mixing hash used to
-  map traffic-aggregate keys (combinations of header fields, Table 3.1) to
-  uniformly distributed values for the distinct counters.
+* :func:`combine_columns` — a fast 64-bit mixing hash (the SplitMix64
+  finalizer) used to map traffic-aggregate keys (combinations of header
+  fields, Table 3.1) to uniformly distributed values for the distinct
+  counters.
 * :func:`splitmix_stream` / :func:`stream_key` — the counter-based SplitMix64
   generator (Steele, Lea & Flood, OOPSLA 2014) the load shedders draw from:
   a query's packet-sampling coins and its H3 matrices are outputs of one
@@ -49,12 +50,6 @@ def _mix64_in_place(z: np.ndarray) -> np.ndarray:
     z *= _MUL_2
     z ^= z >> _SHIFT_31
     return z
-
-
-def mix64(keys: np.ndarray) -> np.ndarray:
-    """SplitMix64-style finalizer: map 64-bit keys to well-mixed 64-bit hashes."""
-    with np.errstate(over="ignore"):  # a NumPy scalar key does warn
-        return _mix64_in_place(keys.astype(np.uint64, copy=True))
 
 
 def splitmix_stream(key: int, start: int, count: int) -> np.ndarray:

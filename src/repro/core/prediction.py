@@ -53,6 +53,12 @@ class CyclePredictor(ABC):
         """Simulated cycles consumed by the last ``predict`` call."""
         return 0.0
 
+    @property
+    def fitted(self) -> bool:
+        """Whether :meth:`predict` answers from a model of the history, not
+        from a warm-up fallback (a non-zero EWMA prediction always does)."""
+        return True
+
 
 class EWMAPredictor(CyclePredictor):
     """Exponentially weighted moving average of past CPU usage.
@@ -115,6 +121,10 @@ class SLRPredictor(CyclePredictor):
 
     def observe(self, features: FeatureVector, cycles: float) -> None:
         self.history.append(_feature_values(features), cycles)
+
+    @property
+    def fitted(self) -> bool:
+        return len(self.history) >= 2
 
     def reset(self) -> None:
         self.history.clear()
@@ -185,6 +195,10 @@ class MLRPredictor(CyclePredictor):
 
     def observe(self, features: FeatureVector, cycles: float) -> None:
         self.history.append(_feature_values(features), cycles)
+
+    @property
+    def fitted(self) -> bool:
+        return len(self.history) >= 2
 
     def reset(self) -> None:
         self.history.clear()

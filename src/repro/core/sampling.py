@@ -102,10 +102,14 @@ class FlowSampler:
             return batch
         if rate <= 0.0:
             return batch.select(np.zeros(len(batch), dtype=bool))
+        return batch.select(self.units(batch) < rate)
+
+    def units(self, batch: "Batch") -> np.ndarray:
+        """Each packet's flow hash mapped to ``[0, 1)``: a flow is kept at
+        any rate above it."""
         keys = batch.aggregate_hashes(
             ("src_ip", "dst_ip", "src_port", "dst_port", "proto"))
-        keep = self._hash.unit_interval(keys) < rate
-        return batch.select(keep)
+        return self._hash.unit_interval(keys)
 
     def cost(self, batch: "Batch") -> float:
         """Simulated cycle cost of sampling ``batch``."""

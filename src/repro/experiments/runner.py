@@ -78,9 +78,6 @@ class QueryObservations:
     features: List[FeatureVector] = field(default_factory=list)
     cycles: List[float] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.cycles)
-
     def cycles_array(self) -> np.ndarray:
         return np.array(self.cycles, dtype=np.float64)
 

@@ -13,8 +13,8 @@ from typing import Dict, Optional, Tuple
 
 from ..monitor.packet import PacketTrace
 from ..queries import EVALUATION_NINE, VALIDATION_SEVEN
-from ..traffic import (AnomalyWindow, ddos_attack, flash_crowd, flow_spike,
-                       inject, port_scan, syn_flood)
+from ..traffic import (AnomalyWindow, ddos_attack, flow_spike, inject,
+                       syn_flood)
 from ..traffic.models import load_preset
 
 #: Queries robust to sampling used in the Table 4.1 accuracy comparison.
@@ -57,14 +57,6 @@ QUERY_MIXES: Dict[str, Tuple] = {
         "autofocus",
     ),
 }
-
-
-def query_mix(name: str) -> Tuple:
-    """The spec tuple of a named query mix."""
-    if name not in QUERY_MIXES:
-        raise KeyError(f"unknown query mix {name!r}; "
-                       f"available: {sorted(QUERY_MIXES)}")
-    return QUERY_MIXES[name]
 
 
 #: Default durations (seconds of generated traffic) at scale 1.0.
@@ -148,80 +140,15 @@ def flow_anomaly_trace(seed: int = 6, duration: Optional[float] = None,
     return inject(base, anomaly, name="cesca-flowspike")
 
 
-def flash_crowd_trace(seed: int = 7, duration: Optional[float] = None,
-                      scale: float = 1.0,
-                      packets_per_second: float = 9000.0) -> PacketTrace:
-    """Header trace with a legitimate flash crowd towards one server.
-
-    Packet and byte rates surge while the flow count grows modestly, the
-    mirror workload of a SYN flood: load shedding must engage without the
-    flow-explosion signature the flood-style anomalies provide.
-    """
-    if duration is None:
-        duration = scaled_duration("medium", scale)
-    base = header_trace(seed=seed, duration=duration)
-    window = AnomalyWindow(start=duration * 0.3, duration=duration * 0.45)
-    crowd = flash_crowd(window, packets_per_second=packets_per_second,
-                        seed=seed + 1)
-    return inject(base, crowd, name="cesca-flashcrowd")
-
-
-def port_scan_trace(seed: int = 8, duration: Optional[float] = None,
-                    scale: float = 1.0,
-                    probes_per_second: float = 7000.0) -> PacketTrace:
-    """Header trace with a port-scan storm sweeping the local subnet.
-
-    Destination-side aggregates (ports x protocol, addresses x ports) explode
-    while source-side aggregates stay flat, exercising feature selection on
-    the half of Table 3.1 the flood anomalies leave quiet.
-    """
-    if duration is None:
-        duration = scaled_duration("medium", scale)
-    base = header_trace(seed=seed, duration=duration)
-    window = AnomalyWindow(start=duration * 0.25, duration=duration * 0.5)
-    storm = port_scan(window, probes_per_second=probes_per_second,
-                      seed=seed + 1)
-    return inject(base, storm, name="cesca-portscan")
-
-
-def mixed_ddos_p2p_trace(seed: int = 9, duration: Optional[float] = None,
-                         scale: float = 1.0,
-                         ddos_packets_per_second: float = 8000.0,
-                         churn_flows_per_second: float = 2500.0) -> PacketTrace:
-    """Header trace with an on/off DDoS plus concurrent P2P flow churn.
-
-    Two overlapping anomalies with different signatures — a spoofed on/off
-    flood and a storm of short-lived BitTorrent-port flows — produce the
-    hardest-to-predict load of the preset workloads and give allocation
-    strategies genuinely competing demands to arbitrate.
-    """
-    if duration is None:
-        duration = scaled_duration("medium", scale)
-    base = header_trace(seed=seed, duration=duration)
-    ddos_window = AnomalyWindow(start=duration * 0.25, duration=duration * 0.4)
-    churn_window = AnomalyWindow(start=duration * 0.45,
-                                 duration=duration * 0.45)
-    attack = ddos_attack(ddos_window,
-                         packets_per_second=ddos_packets_per_second,
-                         on_off_period=2.0, seed=seed + 1)
-    churn = flow_spike(churn_window, flows_per_second=churn_flows_per_second,
-                       packets_per_flow=3, dst_port=6881, seed=seed + 2,
-                       name="p2p-churn")
-    return inject(base, attack, churn, name="cesca-ddos-p2p")
-
-
-#: Workloads addressable by name from the scenario matrix.  Every builder
-#: accepts ``(seed, duration, scale)`` and returns a :class:`PacketTrace`;
-#: new workloads only need an entry here to become matrix axes.
+#: Workloads addressable by name (:func:`build_workload`, the CLIs'
+#: ``--workload``).  Every builder accepts ``(seed, duration, scale)`` and
+#: returns a :class:`PacketTrace`.
 WORKLOADS: Dict[str, "object"] = {
     "cesca": header_trace,
     "cesca-payload": payload_trace,
     "ddos": ddos_trace,
     "syn-flood": syn_flood_trace,
     "flow-spike": flow_anomaly_trace,
-    "flash-crowd": flash_crowd_trace,
-    "port-scan": port_scan_trace,
-    "mixed-ddos-p2p": mixed_ddos_p2p_trace,
 }
 
 
@@ -246,16 +173,12 @@ __all__ = [
     "SAMPLING_ROBUST_FIVE",
     "VALIDATION_SEVEN",
     "WORKLOADS",
-    "query_mix",
     "backbone_traces",
     "build_workload",
     "ddos_trace",
-    "flash_crowd_trace",
     "flow_anomaly_trace",
     "header_trace",
-    "mixed_ddos_p2p_trace",
     "payload_trace",
-    "port_scan_trace",
     "scaled_duration",
     "syn_flood_trace",
 ]

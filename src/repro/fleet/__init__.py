@@ -18,8 +18,7 @@ fleet of them over partitioned traffic.  This package is that second tier:
   :class:`~repro.fleet.aggregate.FleetAggregator`: folds per-node
   :class:`~repro.monitor.system.ExecutionResult` objects through the
   ``RESULT_MERGE`` rules (via the public :meth:`ExecutionResult.merge` /
-  :meth:`BinRecord.merge` API) and scrapes/folds per-node metrics into one
-  fleet report.
+  :meth:`BinRecord.merge` API).
 
 ``python -m repro.fleet`` runs a topology from the shell.
 """

@@ -116,11 +116,6 @@ class _MatchAll:
         return np.ones(len(batch), dtype=bool)
 
 
-class _MatchNone:
-    def __call__(self, batch: Batch) -> np.ndarray:
-        return np.zeros(len(batch), dtype=bool)
-
-
 class _ProtoEquals:
     def __init__(self, number: int) -> None:
         self.number = number
@@ -168,11 +163,6 @@ class _SizeAtLeast:
 def all_packets() -> Filter:
     """Filter that matches every packet (the common default)."""
     return Filter(_MatchAll(), "all", cache_key="all")
-
-
-def no_packets() -> Filter:
-    """Filter that matches nothing (useful in tests)."""
-    return Filter(_MatchNone(), "none", cache_key="none")
 
 
 def proto(number: int) -> Filter:
@@ -232,10 +222,10 @@ def size_at_least(n_bytes: int) -> Filter:
 
 
 def any_of(filters: Iterable[Filter], name: Optional[str] = None) -> Filter:
-    """Disjunction of a collection of filters."""
+    """Disjunction of a non-empty collection of filters."""
     filters = list(filters)
     if not filters:
-        return no_packets()
+        raise ValueError("any_of needs at least one filter")
     combined = filters[0]
     for f in filters[1:]:
         combined = combined | f

@@ -3,9 +3,7 @@
 The monitoring system processes the input packet stream in *batches*: groups
 of packets that arrived during a fixed ``time_bin`` (100 ms in the paper).
 A :class:`Batch` is a column store backed by NumPy arrays so that feature
-extraction, sampling and most query computations can be vectorised, while a
-per-packet view (:class:`Packet`) is still available for queries written in a
-packet-at-a-time style (e.g. pattern search over payloads).
+extraction, sampling and query computations are vectorised.
 
 Column layout
 -------------
@@ -22,7 +20,6 @@ Column layout
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,24 +73,6 @@ def column_layout(n: int) -> Tuple[List[Tuple[str, np.dtype, int]], int]:
         columns.append((name, dtype, offset))
         offset += (n * dtype.itemsize + 7) & ~7
     return columns, offset
-
-
-@dataclass(frozen=True)
-class Packet:
-    """A single packet, materialised from a :class:`Batch` row.
-
-    This is a convenience view for per-packet query code; the authoritative
-    storage is the column arrays of the owning batch.
-    """
-
-    ts: float
-    src_ip: int
-    dst_ip: int
-    src_port: int
-    dst_port: int
-    proto: int
-    size: int
-    payload: Optional[bytes] = None
 
 
 class Batch:
@@ -199,24 +178,6 @@ class Batch:
     def __len__(self) -> int:
         return int(len(self.ts))
 
-    def __iter__(self) -> Iterator[Packet]:
-        return self.packets()
-
-    def packets(self) -> Iterator[Packet]:
-        """Iterate over the batch as :class:`Packet` objects."""
-        payloads = self.payloads
-        for i in range(len(self)):
-            yield Packet(
-                ts=float(self.ts[i]),
-                src_ip=int(self.src_ip[i]),
-                dst_ip=int(self.dst_ip[i]),
-                src_port=int(self.src_port[i]),
-                dst_port=int(self.dst_port[i]),
-                proto=int(self.proto[i]),
-                size=int(self.size[i]),
-                payload=payloads[i] if payloads is not None else None,
-            )
-
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
@@ -228,25 +189,6 @@ class Batch:
     @property
     def has_payloads(self) -> bool:
         return self.payloads is not None
-
-    def flow_keys(self) -> np.ndarray:
-        """Return a structured array of the per-packet 5-tuples."""
-        keys = np.empty(
-            len(self),
-            dtype=[
-                ("src_ip", np.uint32),
-                ("dst_ip", np.uint32),
-                ("src_port", np.uint16),
-                ("dst_port", np.uint16),
-                ("proto", np.uint8),
-            ],
-        )
-        keys["src_ip"] = self.src_ip
-        keys["dst_ip"] = self.dst_ip
-        keys["src_port"] = self.src_port
-        keys["dst_port"] = self.dst_port
-        keys["proto"] = self.proto
-        return keys
 
     def columns(self, names: Sequence[str]) -> List[np.ndarray]:
         """Return the header columns named in ``names``."""

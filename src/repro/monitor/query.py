@@ -35,6 +35,7 @@ from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cycles import CycleMeter, OperationCosts
+from ..core.hashing import stream_key
 from .filters import Filter, all_packets
 from .packet import Batch
 
@@ -223,6 +224,11 @@ class Query(ABC):
         """Reset all query state (start of a fresh execution)."""
         self.meter.reset()
 
+    def reseed(self, key: int) -> None:
+        """Key every draw the query makes by ``key``: the system that runs
+        it passes ``stream_key(config.seed, name)``."""
+        self.meter.reseed(stream_key(key, "meter"))
+
     # ------------------------------------------------------------------
     # Federation of finished results (the fleet tier)
     # ------------------------------------------------------------------
@@ -301,20 +307,6 @@ class Query(ABC):
     def consume_cycles(self) -> float:
         """Read and reset the cycles accumulated for the last batch."""
         return self.meter.consume()
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def process(self, batch: Batch, sampling_rate: float = 1.0) -> float:
-        """Filter, update and return the cycles consumed for one batch.
-
-        This is the path used by standalone examples and tests; the full
-        monitoring system drives the same callbacks itself so it can place
-        the load shedders between the filter and the query.
-        """
-        filtered = self.filter.apply(batch)
-        self.update(filtered, sampling_rate)
-        return self.consume_cycles()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -566,7 +566,7 @@ class MonitoringSystem:
         else:
             sampler = PacketSampler(key)
         query.meter.noise_std = config.measurement_noise
-        query.meter.reseed(stream_key(key, "meter"))
+        query.reseed(key)
         runtime = _QueryRuntime(query, start_time, predictor, extractor,
                                 sampler)
         # Columnar demand state: the query's effective minimum sampling
@@ -757,16 +757,24 @@ class MonitoringSystem:
         cycles = query.consume_cycles()
         # The query was granted ``prediction * grant`` cycles; consuming
         # noticeably more than that is a violation the enforcer acts upon.
-        # Before the predictor has a prediction there is no grant in cycles
-        # to hold the query to, and its first bin is not a violation.
+        # Before the predictor has a fitted model there is no grant in
+        # cycles to hold the query to, and granted its whole batch a query
+        # cannot exceed it: those bins only move the correction factor.
         if prediction > 0.0:
-            self.enforcer.record(query.name,
-                                 expected_cycles=prediction * grant,
-                                 actual_cycles=cycles, bin_index=bin_index)
+            self.enforcer.record(
+                query.name, expected_cycles=prediction * grant,
+                actual_cycles=cycles, bin_index=bin_index,
+                judged=runtime.predictor.fitted and grant < 1.0)
+        # Disabled by this bin: its history holds what it reported, which
+        # its cycles broke, and it starts its penalty with an empty one.
+        disabled = self.enforcer.is_disabled(query.name, bin_index + 1)
+        if disabled:
+            runtime.predictor.reset()
         if features_pre is not None:
             # Keep the regression history in full-batch terms: scale the
             # measured cycles back up by the fraction the query reports.
-            scale = max(float(applied), 0.05)
-            runtime.predictor.observe(features_pre.values, cycles / scale)
+            if not disabled:
+                scale = max(float(applied), 0.05)
+                runtime.predictor.observe(features_pre.values, cycles / scale)
             runtime.extractor.commit(sub_batch)
         return cycles, float(applied)

@@ -156,22 +156,26 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
     ``hosted`` lists ``(session index, config, name)`` for every session
     of this process and ``slot_fds`` the descriptors of their slots;
     ``commands`` / ``results`` are the worker ends of its pipes, and
-    ``parent_ends`` the parent's, which the fork copied: closed here, so
-    the worker reads end-of-file, and exits, once the parent is gone,
-    however it died.  The fork copied every live slot too, of every pool,
-    each with the parent's mapping of it: the worker keeps the descriptors
-    in ``slot_fds`` and closes the rest.  Every reply is ``(kind, seq,
-    answer, session index)``; a bin's answer is what its step delivered,
-    ``(record, flushed)``, with the bin's wall seconds on the end of the
-    reply.  Every message is handled in FIFO order, which is what gives
-    control messages (capacity, query arrivals) their bin-boundary
-    semantics: a
-    ``set_capacity`` sent before bin ``i``'s batch is queued by the session
-    and applied when bin ``i`` is stepped, exactly as in-process.
+    ``parent_ends`` the parent's, which the fork copied, with the parent's
+    pipes to every live worker of every pool: all closed here, so the
+    worker reads end-of-file, and exits, once the parent is gone, however
+    it died, and every worker holds the same pipes whatever its index.
+    The fork copied every live slot too, of every pool, each with the
+    parent's mapping of it: the worker keeps the descriptors in
+    ``slot_fds`` and closes the rest.  Every reply is
+    ``(kind, seq, answer, session index)``; a bin's answer is what its
+    step delivered, ``(record, flushed)``, with the bin's wall seconds on
+    the end of the reply.  Every message is handled in FIFO order, which
+    is what gives control messages (capacity, query arrivals) their
+    bin-boundary semantics: a ``set_capacity`` sent before bin ``i``'s
+    batch is queued by the session and applied when bin ``i`` is stepped,
+    exactly as in-process.
     """
     from .sharding import build_system  # which imports this module
     for end in parent_ends:
         end.close()
+    for worker in list(_LIVE_WORKERS):
+        worker.close_copies()
     for slot in list(_LIVE_SLOTS):
         slot.release(keep_fd=slot.fd in slot_fds)
     #: This process's read-only mapping of each slot, by descriptor.
@@ -282,13 +286,15 @@ class _Slot:
 
 #: Every slot whose descriptor is open, of every pool: what a fork copies.
 _LIVE_SLOTS: "weakref.WeakSet[_Slot]" = weakref.WeakSet()
+#: Every worker handle, of every pool: its pipes are what a fork copies.
+_LIVE_WORKERS: "weakref.WeakSet[_Worker]" = weakref.WeakSet()
 
 
 class _Worker:
     """Parent-side handle of one worker process."""
 
     __slots__ = ("index", "hosted", "process", "commands", "results", "seq",
-                 "acked")
+                 "acked", "__weakref__")
 
     def __init__(self, index: int, hosted: List[str], process, commands,
                  results) -> None:
@@ -300,6 +306,18 @@ class _Worker:
         self.results = results
         self.seq = 0
         self.acked = 0
+        _LIVE_WORKERS.add(self)
+
+    def close_copies(self) -> None:
+        """In a later fork, close its copies of the parent's pipes to this
+        worker: the two ends of the command and result pipes, and the two
+        ``multiprocessing`` holds for a fork-started process (the read end
+        behind its ``sentinel`` and the write end the child watches for
+        the parent's death), which its ``Popen`` closes when collected."""
+        self.commands.close()
+        self.results.close()
+        for fd in self.process._popen.finalizer._args:
+            os.close(fd)
 
     def __str__(self) -> str:
         return (f"shard worker {self.index} "
@@ -404,11 +422,6 @@ class ShardWorkerPool:
         except BaseException:
             self.stop()
             raise
-
-    # ------------------------------------------------------------------
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
 
     # ------------------------------------------------------------------
     # Failure plumbing

@@ -122,11 +122,6 @@ class StageProfiler:
         self._bin_seconds.clear()
 
     # ------------------------------------------------------------------
-    @property
-    def bin_seconds(self) -> Sequence[float]:
-        """The retained per-bin total-seconds series (most recent bins)."""
-        return list(self._bin_seconds)
-
     def summary(self) -> Dict:
         """JSON-able snapshot: per-stage totals + per-bin percentiles."""
         stages = {

@@ -174,7 +174,6 @@ def parse_filter(spec: Optional[str]) -> Optional[Filter]:
 
     ========================  ===========================================
     ``"all"``                 every packet
-    ``"none"``                no packet (useful in tests)
     ``"tcp"`` / ``"udp"``     by transport protocol
     ``"proto:<n>"``           by IP protocol number
     ``"port:<n>[:dir]"``      by port; ``dir`` is ``src``/``dst``/``either``
@@ -187,8 +186,6 @@ def parse_filter(spec: Optional[str]) -> Optional[Filter]:
     expression = str(spec).strip()
     if not expression or expression == "all":
         return None
-    if expression == "none":
-        return filter_lib.no_packets()
     if expression == "tcp":
         return filter_lib.tcp()
     if expression == "udp":

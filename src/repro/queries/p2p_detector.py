@@ -27,14 +27,14 @@ the enforcement policy.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.aggregate import KeyedAccumulator
 from ..core.distinct import sorted_unique
-from ..core.hashing import H3Hash
-from ..core.sampling import scale_estimate
+from ..core.hashing import stream_key
+from ..core.sampling import FlowSampler, scale_estimate
 from ..monitor.packet import Batch
 from ..monitor.query import SAMPLING_CUSTOM, SAMPLING_PACKET, Query
 from ..traffic.generator import P2P_SIGNATURES
@@ -51,7 +51,10 @@ class P2PDetectorQuery(Query):
     custom_shedding:
         When True the query registers a custom load shedding method that
         samples whole flows internally instead of relying on system packet
-        sampling.
+        sampling.  Its flow hash is drawn from the query's stream key
+        (:meth:`reseed`; the system that runs it passes
+        ``stream_key(config.seed, name)``) and renewed at every interval
+        flush, as a system flow sampler's is.
     """
 
     name = "p2p-detector"
@@ -82,7 +85,17 @@ class P2PDetectorQuery(Query):
         self._signature_hits = KeyedAccumulator(columns=("hits",))
         self._p2p_flows = KeyedAccumulator()
         self._sampling_rate = 1.0
-        self._flow_hash = H3Hash(key=7)
+        #: This interval's flows seen and flagged under custom shedding,
+        #: each weighted by the inverse of the flow hash threshold it was
+        #: kept at (None before its first custom-shed batch).
+        self._weighted: Optional[List[float]] = None
+        self._flow_sampler = (FlowSampler(stream_key(0, self.name))
+                              if custom_shedding else None)
+
+    def reseed(self, key: int) -> None:
+        super().reseed(key)
+        if self._flow_sampler is not None:
+            self._flow_sampler = FlowSampler(key)
 
     def reset(self) -> None:
         super().reset()
@@ -90,6 +103,7 @@ class P2PDetectorQuery(Query):
         self._signature_hits.reset()
         self._p2p_flows.reset()
         self._sampling_rate = 1.0
+        self._weighted = None
 
     # ------------------------------------------------------------------
     # Detection logic
@@ -193,30 +207,46 @@ class P2PDetectorQuery(Query):
         """Flow-sample the batch internally down to ``target_fraction``.
 
         Whole flows survive together, so the handshake packet of a surviving
-        flow is never lost; the per-interval flow counts are scaled by the
-        applied fraction when results are reported.
+        flow is never lost, and the packets kept never exceed the fraction
+        granted.
         """
         if not self.custom_shedding:
             raise NotImplementedError(
                 "custom shedding is disabled for this instance")
         fraction = float(min(1.0, max(0.0, target_fraction)))
-        self._sampling_rate = fraction
         if fraction >= 1.0 or len(batch) == 0:
-            self._scan_batch(batch)
+            self._scan_kept(batch, 1.0)
             return 1.0
         if fraction <= 0.0:
             return 0.0
-        keys = batch.aggregate_hashes(
-            ("src_ip", "dst_ip", "src_port", "dst_port", "proto"))
-        keep = self._flow_hash.unit_interval(keys) < fraction
+        units = self._flow_sampler.units(batch)
         self.charge("packet", len(batch))  # hashing every packet has a cost
-        self._scan_batch(batch.select(keep))
-        kept = int(keep.sum())
-        return kept / len(batch)
+        # The flows hashing below the fraction carry more packets than it
+        # grants when heavy ones are among them: the threshold is lowered
+        # until the flows under it fit in the grant.
+        budget = int(fraction * len(batch))
+        threshold = min(fraction, float(np.partition(units, budget)[budget]))
+        keep = units < threshold
+        self._scan_kept(batch.select(keep), threshold)
+        return int(keep.sum()) / len(batch)
+
+    def _scan_kept(self, batch: Batch, threshold: float) -> None:
+        """Scan the flows kept at flow hash ``threshold``, and weigh each
+        one new to the interval by its inverse: a flow is kept with that
+        probability (a Horvitz-Thompson estimate, since the threshold
+        varies from batch to batch)."""
+        seen, flagged = len(self._flows_seen), len(self._p2p_flows)
+        self._scan_batch(batch)
+        if self._weighted is None:
+            self._weighted = [0.0, 0.0]
+        self._weighted[0] += (len(self._flows_seen) - seen) / threshold
+        self._weighted[1] += (len(self._p2p_flows) - flagged) / threshold
 
     # ------------------------------------------------------------------
     def interval_partial(self) -> Dict[str, object]:
         self.charge("flush")
+        if self._flow_sampler is not None:
+            self._flow_sampler.renew_hash()
         result = {
             "p2p_flows": [int(flow) for flow in self._p2p_flows.keys],
             "flows_seen": scale_estimate(len(self._flows_seen),
@@ -224,6 +254,9 @@ class P2PDetectorQuery(Query):
             "p2p_flow_count": scale_estimate(len(self._p2p_flows),
                                              self._sampling_rate),
         }
+        if self._weighted is not None:
+            result["flows_seen"], result["p2p_flow_count"] = self._weighted
+            self._weighted = None
         self._flows_seen.reset()
         self._signature_hits.reset()
         self._p2p_flows.reset()

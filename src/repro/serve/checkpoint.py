@@ -78,12 +78,14 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: the plan's cycles, allowance and EWMAs, and each query's prediction,
 #: decided rate and bound; 10: a sampler's state is a stream key and a
 #: counter of its draws, not a ``numpy`` generator, and the system keeps
-#: no generator of its own).  Dropping an attribute nothing reads
-#: is compatible and bumps nothing: a version-8 file written while a query
-#: still kept an enabled flag and its last sampling rate, its runtime its
-#: last prediction and seed, and its extractor and flow sampler clocks of
-#: their own, restores with those riding along unread.
-CHECKPOINT_VERSION = 10
+#: no generator of its own; 11: a custom-shedding P2P detector's flow hash
+#: is a flow sampler keyed by its stream key, and a plain one has none).
+#: Dropping an attribute nothing reads is compatible and bumps nothing: a
+#: version-8 file written while a query still kept an enabled flag and its
+#: last sampling rate, its runtime its last prediction and seed, and its
+#: extractor and flow sampler clocks of their own, restores with those
+#: riding along unread.
+CHECKPOINT_VERSION = 11
 
 logger = logging.getLogger("repro.serve.checkpoint")
 # A refusal is raised as well as logged: without handlers of the

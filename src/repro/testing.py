@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .monitor.packet import COLUMN_FIELDS
-
 #: Per-bin series that must match bit for bit for two executions to count
 #: as identical.
 IDENTITY_SERIES = ("query_cycles", "mean_rate", "dropped_packets",
@@ -34,21 +32,3 @@ def assert_results_identical(first, second, label: str = "") -> None:
         assert log.intervals == other.intervals, (label, name)
         assert log.results == other.results, (label, name)
 
-
-def assert_bins_identical(first, second, label: str = "") -> None:
-    """Assert two bin sequences are bit-identical.
-
-    Every bin must match in ``start_ts`` and ``time_bin`` (strict ``==``),
-    in all seven packet columns with their dtypes, and in its payloads.
-    ``label`` tags the failing assertion (which path, which feed, ...).
-    """
-    first, second = list(first), list(second)
-    assert len(first) == len(second), label
-    for index, (one, other) in enumerate(zip(first, second)):
-        assert one.start_ts == other.start_ts, (label, index)
-        assert one.time_bin == other.time_bin, (label, index)
-        for column in COLUMN_FIELDS:
-            mine, theirs = getattr(one, column), getattr(other, column)
-            assert mine.dtype == theirs.dtype, (label, index, column)
-            assert np.array_equal(mine, theirs), (label, index, column)
-        assert one.payloads == other.payloads, (label, index)

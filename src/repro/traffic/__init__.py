@@ -3,9 +3,8 @@
 from .. import _lazy_facade
 
 __getattr__, __dir__ = _lazy_facade(__name__, {
-    "anomalies": ("AnomalyWindow", "byte_burst", "ddos_attack", "flash_crowd",
-                  "flow_spike", "inject", "port_scan", "syn_flood",
-                  "worm_outbreak"),
+    "anomalies": ("AnomalyWindow", "ddos_attack", "flow_spike", "inject",
+                  "syn_flood"),
     "generator": ("ATTACK_SIGNATURE", "P2P_SIGNATURES", "ApplicationProfile",
                   "TrafficProfile", "generate_trace", "generate_trace_store",
                   "merge_traces"),
@@ -23,9 +22,7 @@ __all__ = [
     "TraceStore",
     "TraceWriter",
     "TrafficProfile",
-    "byte_burst",
     "ddos_attack",
-    "flash_crowd",
     "flow_spike",
     "generate_trace",
     "generate_trace_store",
@@ -34,10 +31,8 @@ __all__ = [
     "load_trace",
     "merge_traces",
     "open_trace",
-    "port_scan",
     "save_trace",
     "save_trace_store",
     "syn_flood",
     "trace_profile",
-    "worm_outbreak",
 ]

@@ -7,9 +7,6 @@ anomalies injected into real traces (Sections 3.4.3, 4.5.5, 6.3.2):
   single target;
 * SYN-flood attacks with spoofed sources — a sudden explosion in the number
   of distinct 5-tuple flows while the packet count grows much less;
-* worm outbreaks — many sources scanning many destinations on a fixed port;
-* byte bursts — trains of maximum-size packets that stress byte-driven
-  queries (trace, pattern-search);
 * on/off attacks that go idle every other second to create a workload that
   is deliberately hard to predict (Figure 3.13-3.15).
 
@@ -25,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..monitor.packet import PROTO_TCP, PROTO_UDP, Batch, PacketTrace, ip
+from ..monitor.packet import PROTO_TCP, Batch, PacketTrace, ip
 from .generator import merge_traces
 
 
@@ -120,144 +117,6 @@ def syn_flood(
         seed=seed,
         name=name,
     )
-
-
-def worm_outbreak(
-    window: AnomalyWindow,
-    packets_per_second: float = 8000.0,
-    target_port: int = 445,
-    n_infected: int = 300,
-    seed: int = 3,
-    name: str = "worm",
-) -> PacketTrace:
-    """Worm scanning: many sources probing many destinations on one port."""
-    rng = np.random.default_rng(seed)
-    count = int(packets_per_second * window.duration)
-    ts = _uniform_times(window, count, rng)
-    infected = rng.integers(ip(10, 0, 0, 1), ip(200, 0, 0, 1), size=n_infected,
-                            dtype=np.int64).astype(np.uint32)
-    src_ip = rng.choice(infected, size=count)
-    dst_ip = rng.integers(ip(1, 0, 0, 1), ip(223, 255, 255, 254), size=count,
-                          dtype=np.int64).astype(np.uint32)
-    packets = Batch(
-        ts=ts,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=rng.integers(1024, 65535, size=count).astype(np.uint16),
-        dst_port=np.full(count, target_port, dtype=np.uint16),
-        proto=np.full(count, PROTO_TCP, dtype=np.uint8),
-        size=np.full(count, 92, dtype=np.uint32),
-    )
-    return PacketTrace(packets, name=name)
-
-
-def byte_burst(
-    window: AnomalyWindow,
-    packets_per_second: float = 5000.0,
-    packet_size: int = 1500,
-    seed: int = 4,
-    name: str = "byte-burst",
-) -> PacketTrace:
-    """Burst of maximum-size packets from a handful of hosts.
-
-    Stresses queries whose cost is driven by the byte count (trace,
-    pattern-search), as in the attack described at the end of Section 3.4.3.
-    """
-    rng = np.random.default_rng(seed)
-    count = int(packets_per_second * window.duration)
-    ts = _uniform_times(window, count, rng)
-    sources = rng.integers(ip(30, 0, 0, 1), ip(40, 0, 0, 1), size=10,
-                           dtype=np.int64).astype(np.uint32)
-    dests = rng.integers(ip(147, 83, 0, 1), ip(147, 83, 255, 254), size=10,
-                         dtype=np.int64).astype(np.uint32)
-    payloads = None
-    packets = Batch(
-        ts=ts,
-        src_ip=rng.choice(sources, size=count),
-        dst_ip=rng.choice(dests, size=count),
-        src_port=rng.integers(1024, 65535, size=count).astype(np.uint16),
-        dst_port=np.full(count, 80, dtype=np.uint16),
-        proto=np.full(count, PROTO_UDP, dtype=np.uint8),
-        size=np.full(count, packet_size, dtype=np.uint32),
-        payloads=payloads,
-    )
-    return PacketTrace(packets, name=name)
-
-
-def flash_crowd(
-    window: AnomalyWindow,
-    packets_per_second: float = 9000.0,
-    target: Optional[int] = None,
-    target_port: int = 80,
-    n_clients: int = 1500,
-    seed: int = 6,
-    name: str = "flash-crowd",
-) -> PacketTrace:
-    """Legitimate flash crowd: many real clients hammering one server.
-
-    Unlike a spoofed DDoS, the source pool is finite (every client sends many
-    packets over a few ports) and the packets carry realistic request/response
-    sizes, so packet- and byte-driven features surge while the number of
-    distinct flows grows far less than in a SYN flood.
-    """
-    rng = np.random.default_rng(seed)
-    count = int(packets_per_second * window.duration)
-    ts = _uniform_times(window, count, rng)
-    if target is None:
-        target = ip(147, 83, 20, 20)
-    clients = rng.integers(ip(1, 0, 0, 1), ip(223, 255, 255, 254),
-                           size=n_clients, dtype=np.int64).astype(np.uint32)
-    client_ports = rng.integers(1024, 65535, size=n_clients).astype(np.uint16)
-    idx = rng.integers(0, n_clients, size=count)
-    sizes = rng.choice([60, 120, 576, 1200, 1500], size=count,
-                       p=[0.3, 0.2, 0.2, 0.15, 0.15]).astype(np.uint32)
-    packets = Batch(
-        ts=ts,
-        src_ip=clients[idx],
-        dst_ip=np.full(count, target, dtype=np.uint32),
-        src_port=client_ports[idx],
-        dst_port=np.full(count, target_port, dtype=np.uint16),
-        proto=np.full(count, PROTO_TCP, dtype=np.uint8),
-        size=sizes,
-    )
-    return PacketTrace(packets, name=name)
-
-
-def port_scan(
-    window: AnomalyWindow,
-    probes_per_second: float = 7000.0,
-    n_scanners: int = 4,
-    target_network: Optional[int] = None,
-    n_targets: int = 4096,
-    seed: int = 7,
-    name: str = "port-scan",
-) -> PacketTrace:
-    """Port-scan storm: a handful of scanners sweeping ports across a subnet.
-
-    The storm explodes destination-side aggregates (``dst_port_proto``,
-    ``dst_ip_port_proto``) while source-side aggregates stay almost flat —
-    the mirror image of a spoofed flood, which stresses the feature-selection
-    stage differently.
-    """
-    rng = np.random.default_rng(seed)
-    count = int(probes_per_second * window.duration)
-    ts = _uniform_times(window, count, rng)
-    if target_network is None:
-        target_network = ip(147, 83, 0, 0)
-    scanners = rng.integers(ip(20, 0, 0, 1), ip(220, 0, 0, 1), size=n_scanners,
-                            dtype=np.int64).astype(np.uint32)
-    targets = (np.uint32(target_network) +
-               rng.integers(0, n_targets, size=count).astype(np.uint32))
-    packets = Batch(
-        ts=ts,
-        src_ip=rng.choice(scanners, size=count),
-        dst_ip=targets,
-        src_port=rng.integers(40000, 65535, size=count).astype(np.uint16),
-        dst_port=rng.integers(1, 10000, size=count).astype(np.uint16),
-        proto=np.full(count, PROTO_TCP, dtype=np.uint8),
-        size=np.full(count, 40, dtype=np.uint32),
-    )
-    return PacketTrace(packets, name=name)
 
 
 def flow_spike(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro.monitor.packet import Batch
+from repro.monitor.packet import COLUMN_FIELDS, Batch
 from repro.traffic import TrafficProfile, generate_trace
 from repro.traffic.trace_io import TraceStore, TraceWriter
 
@@ -74,7 +74,7 @@ def assert_pool_released(pool, shm_before):
     """Nothing of ``pool`` outlives it: its workers are joined, this
     process holds no descriptor or mapping of a slot, and ``/dev/shm`` has
     no entry that was not there before (``shm_before``)."""
-    assert pool.stopped
+    assert pool._stopped
     assert all(worker.process.exitcode is not None
                for worker in pool._workers)
     assert not slot_files()
@@ -146,3 +146,35 @@ def payload_trace_small():
     profile = TrafficProfile(duration=4.0, flow_arrival_rate=120.0,
                              with_payloads=True, name="test-payload")
     return generate_trace(profile, seed=4)
+
+
+def assert_bins_identical(first, second, label: str = "") -> None:
+    """Assert two bin sequences are bit-identical.
+
+    Every bin must match in ``start_ts`` and ``time_bin`` (strict ``==``),
+    in all seven packet columns with their dtypes, and in its payloads.
+    ``label`` tags the failing assertion (which path, which feed, ...).
+    """
+    first, second = list(first), list(second)
+    assert len(first) == len(second), label
+    for index, (one, other) in enumerate(zip(first, second)):
+        assert one.start_ts == other.start_ts, (label, index)
+        assert one.time_bin == other.time_bin, (label, index)
+        for column in COLUMN_FIELDS:
+            mine, theirs = getattr(one, column), getattr(other, column)
+            assert mine.dtype == theirs.dtype, (label, index, column)
+            assert np.array_equal(mine, theirs), (label, index, column)
+        assert one.payloads == other.payloads, (label, index)
+
+
+def cycles_of(allocation) -> dict:
+    """An :class:`~repro.core.fairness.Allocation`'s cycles by query."""
+    return dict(zip(allocation.names, allocation.cycle_array.tolist()))
+
+
+def process(query, batch, sampling_rate: float = 1.0) -> float:
+    """Filter ``batch``, update ``query`` with it and return the cycles
+    the batch cost: one bin of a query outside any system."""
+    query.update(query.filter.apply(batch), sampling_rate)
+    return query.consume_cycles()
+

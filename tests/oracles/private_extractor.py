@@ -3,13 +3,16 @@
 This is the private path :class:`repro.core.features.FeatureExtractor` had
 while sharing was a protocol beside it: every extractor owns a bank of
 interval counters, merges each batch into it in place and wipes it in place
-when its owner starts a new measurement interval (``reset()``); nothing is
-shared but the per-batch counters memoised on the batch.  The method bodies
-are verbatim, but for the shared-group branches, which this path never
-entered, the weak reference to the pending batch (an oracle may keep a bin
-alive), and the interval clock: like the production extractor, it keeps
-none.  The extractor that shares by value must return the same vectors
-exactly (``tests/test_extractor_oracle.py``,
+when its owner starts a new measurement interval (``reset()``).  The method
+bodies are verbatim, but for the shared-group branches, which this path
+never entered, the weak reference to the pending batch (an oracle may keep
+a bin alive), the interval clock (like the production extractor, it keeps
+none) and the batch bank.  The oracle builds its own batch bank, from the
+batch's raw columns, with the reference hash (``oracles.scalar``) and the
+reference counters (``oracles.bitmap``, ``oracles.exact_counter``), and
+memoises it nowhere: it shares nothing with the bank the production
+extractor memoises on the batch.  The extractor that shares by value must
+return the same vectors exactly (``tests/test_extractor_oracle.py``,
 ``tests/test_feature_sharing.py``).  Test code only — nothing under
 ``src/`` imports it.
 
@@ -23,9 +26,16 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.distinct import CounterBank, make_bank
+from oracles.bitmap import MultiResolutionBitmap
+from oracles.exact_counter import ExactDistinctCounter
+from oracles.scalar import combine_columns
+
+from repro.core.distinct import CounterBank
 from repro.core.features import (NUM_FEATURES, TRAFFIC_AGGREGATES,
                                  FeatureVector)
+
+#: The reference counter of each counting method.
+COUNTERS = {"bitmap": MultiResolutionBitmap, "exact": ExactDistinctCounter}
 
 
 class FeatureExtractor:
@@ -43,19 +53,18 @@ class FeatureExtractor:
         self.cycles_fixed = 2000.0
 
     def _new_bank(self) -> CounterBank:
-        return make_bank(self.method, len(TRAFFIC_AGGREGATES))
+        return CounterBank([COUNTERS[self.method]()
+                            for _ in TRAFFIC_AGGREGATES])
 
     def _batch_counters(self, batch) -> CounterBank:
-        def build() -> CounterBank:
-            bank = self._new_bank()
-            for index, (_, columns) in enumerate(TRAFFIC_AGGREGATES):
-                bank.add_hashes(index, batch.aggregate_hashes(columns))
-            return bank
-
-        return batch.memo(("counters", self.method), build)
+        bank = self._new_bank()
+        for index, (_, columns) in enumerate(TRAFFIC_AGGREGATES):
+            bank.add_hashes(index, combine_columns(
+                [getattr(batch, column) for column in columns]))
+        return bank
 
     def reset(self) -> None:
-        self._interval_counters.reset()
+        self._interval_counters = self._new_bank()
         self._pending_batch = None
         self._pending_counters = None
 

@@ -9,6 +9,10 @@
   hoisted, vectorised correlations.
 * :func:`aggregate_batch` — per-batch ``(sorted keys, sums)``, the input
   shape :meth:`repro.core.aggregate.KeyedAccumulator.observe` takes.
+* :func:`mix64` / :func:`combine_columns` — the SplitMix64 finalizer as
+  first written, masked and out of place, and the column combination over
+  it: the reference of :func:`repro.core.hashing.combine_columns` and its
+  in-place kernel, and the tests' source of well-mixed 64-bit keys.
 """
 
 from __future__ import annotations
@@ -97,3 +101,27 @@ def aggregate_batch(keys: np.ndarray, weights: Optional[np.ndarray] = None
     unique, inverse = sorted_unique(keys, return_inverse=True)
     return unique, np.bincount(inverse, weights=weights,
                                minlength=len(unique))
+
+
+def mix64(keys: np.ndarray) -> np.ndarray:
+    """The finalizer as first written: masked, out of place."""
+    u64, mask = np.uint64, np.uint64(0xFFFFFFFFFFFFFFFF)
+    with np.errstate(over="ignore"):
+        z = keys.astype(np.uint64, copy=True)
+        z = (z + u64(0x9E3779B97F4A7C15)) & mask
+        z ^= z >> u64(30)
+        z = (z * u64(0xBF58476D1CE4E5B9)) & mask
+        z ^= z >> u64(27)
+        z = (z * u64(0x94D049BB133111EB)) & mask
+        z ^= z >> u64(31)
+    return z
+
+
+def combine_columns(columns) -> np.ndarray:
+    """Each column's values salted and mixed into one 64-bit key a row."""
+    acc = np.zeros(len(columns[0]), dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for column in columns:
+            acc = mix64(acc ^ (column.astype(np.uint64)
+                               + np.uint64(0x9E3779B9)))
+    return acc

@@ -142,9 +142,9 @@ class TestDistinctFanout:
         assert fanout.pairs.tolist() == sorted_unique(pairs).tolist()
         assert DistinctFanout.key_u32(fanout.pairs).tolist() == [1, 1, 2, 2]
         assert fanout.observe(pairs[:2], src[:2]) == 0
-        assert len(fanout) == 4
+        assert fanout.pairs.size == 4
         fanout.reset()
-        assert len(fanout) == 0
+        assert fanout.pairs.size == 0
 
 
 class TestPayloadHits:

@@ -419,7 +419,7 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
     """Checkpoints of builds whose sessions held other state are refused,
     typed, logged and naming both versions, by every way in — the state
     blob is never unpickled."""
-    assert CHECKPOINT_VERSION == 10
+    assert CHECKPOINT_VERSION == 11
     session = _open_session(_config("original"))
     from repro.serve.__main__ import main
     for version in (1, 2, 3, 4):
@@ -434,7 +434,7 @@ def test_a_version_1_checkpoint_is_refused_not_migrated(tmp_path, caplog,
                     with pytest.raises(CheckpointVersionError) as refused:
                         load(source)
                 assert f"version {version} " in str(refused.value)
-                assert "reads version 10 " in str(refused.value)
+                assert "reads version 11 " in str(refused.value)
                 assert [record.getMessage() for record in caplog.records] \
                     == [str(refused.value)]
 
@@ -463,7 +463,7 @@ def test_a_version_4_checkpoint_is_refused_by_its_version(tmp_path):
             load(old)
         assert type(refused.value) is CheckpointVersionError
         assert "version 4 " in str(refused.value)
-        assert "reads version 10 " in str(refused.value)
+        assert "reads version 11 " in str(refused.value)
 
 
 def test_a_version_5_checkpoint_is_refused_by_its_version(tmp_path):
@@ -478,7 +478,7 @@ def test_a_version_5_checkpoint_is_refused_by_its_version(tmp_path):
         with pytest.raises(CheckpointVersionError) as refused:
             load(old)
         assert "version 5 " in str(refused.value)
-        assert "reads version 10 " in str(refused.value)
+        assert "reads version 11 " in str(refused.value)
 
 
 def test_a_version_6_checkpoint_is_refused_by_its_version(tmp_path):
@@ -495,7 +495,7 @@ def test_a_version_6_checkpoint_is_refused_by_its_version(tmp_path):
         with pytest.raises(CheckpointVersionError) as refused:
             load(old)
         assert "version 6 " in str(refused.value)
-        assert "reads version 10 " in str(refused.value)
+        assert "reads version 11 " in str(refused.value)
 
 
 def test_a_version_7_checkpoint_is_refused_by_its_version(tmp_path):
@@ -513,7 +513,7 @@ def test_a_version_7_checkpoint_is_refused_by_its_version(tmp_path):
         with pytest.raises(CheckpointVersionError) as refused:
             load(old)
         assert "version 7 " in str(refused.value)
-        assert "reads version 10 " in str(refused.value)
+        assert "reads version 11 " in str(refused.value)
 
 
 def test_a_version_8_checkpoint_is_refused_by_its_version(tmp_path):
@@ -531,7 +531,7 @@ def test_a_version_8_checkpoint_is_refused_by_its_version(tmp_path):
         with pytest.raises(CheckpointVersionError) as refused:
             load(old)
         assert "version 8 " in str(refused.value)
-        assert "reads version 10 " in str(refused.value)
+        assert "reads version 11 " in str(refused.value)
 
 
 def test_a_version_9_checkpoint_is_refused_by_its_version(tmp_path):
@@ -549,7 +549,7 @@ def test_a_version_9_checkpoint_is_refused_by_its_version(tmp_path):
         with pytest.raises(CheckpointVersionError) as refused:
             load(old)
         assert "version 9 " in str(refused.value)
-        assert "reads version 10 " in str(refused.value)
+        assert "reads version 11 " in str(refused.value)
 
 
 @pytest.mark.parametrize("part", ("meta", "state"))

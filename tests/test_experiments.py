@@ -28,13 +28,13 @@ class TestRunner:
     def test_collect_observations_lengths(self, flows_observations,
                                           header_trace):
         expected = header_trace.num_batches(runner.TIME_BIN)
-        assert len(flows_observations) == expected
+        assert len(flows_observations.cycles) == expected
         assert len(flows_observations.features) == expected
 
     def test_evaluate_predictor_tracks_errors(self, flows_observations):
         from repro.core.prediction import MLRPredictor
         tracker = runner.evaluate_predictor(MLRPredictor(), flows_observations)
-        assert len(tracker.errors) == len(flows_observations) - 2
+        assert len(tracker.errors) == len(flows_observations.cycles) - 2
         assert tracker.mean < 0.5
 
     def test_calibrate_capacity_positive(self, header_trace):
@@ -78,26 +78,6 @@ def test_accuracy_scores_a_renamed_query_instance_by_kind():
                                         config.query_kinds())
     assert set(accuracy) == {"q00", "flows"}
     assert 0.0 < accuracy["q00"] <= 1.0
-
-
-@pytest.mark.parametrize("name, signature", [
-    # One server, one port: a finite client pool requests over port 80.
-    ("flash-crowd", lambda batch: int(np.bincount(batch.dst_port).argmax())
-     == 80),
-    # Destination ports explode while the sources stay a handful.
-    ("port-scan", lambda batch: len(np.unique(batch.dst_port)) > 1000),
-    # BitTorrent-port churn rides on top of the flood.
-    ("mixed-ddos-p2p", lambda batch: int((batch.dst_port == 6881).sum())
-     > 1000),
-])
-def test_anomaly_workloads_carry_their_signature(name, signature):
-    """The workloads no chapter harness builds: each adds its
-    anomaly on top of the base header trace, mid-trace."""
-    trace = scenarios.build_workload(name, seed=3, duration=2.0)
-    base = scenarios.header_trace(seed=3, duration=2.0)
-    assert len(trace) > len(base)
-    packets = trace.packets
-    assert signature(packets.select((packets.ts >= 0.9) & (packets.ts < 1.1)))
 
 
 class TestChapter2:

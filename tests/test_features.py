@@ -34,16 +34,11 @@ class TestFeatureVector:
         vector = FeatureVector(values)
         assert vector["packets"] == 0.0
         assert vector["bytes"] == 1.0
-        assert len(vector) == NUM_FEATURES
+        assert len(vector.values) == NUM_FEATURES
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             FeatureVector(np.zeros(5))
-
-    def test_as_dict(self):
-        vector = FeatureVector(np.arange(NUM_FEATURES, dtype=float))
-        d = vector.as_dict()
-        assert d["packets"] == 0.0 and d["bytes"] == 1.0
 
 
 @pytest.mark.parametrize("method", ["exact", "bitmap"])

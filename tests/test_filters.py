@@ -1,6 +1,7 @@
 """Tests for stateless packet filters."""
 
 import numpy as np
+import pytest
 
 from repro.monitor import filters
 from repro.monitor.packet import PROTO_TCP, PROTO_UDP, ip
@@ -9,9 +10,6 @@ from repro.monitor.packet import PROTO_TCP, PROTO_UDP, ip
 class TestBasicFilters:
     def test_all_packets(self, small_batch):
         assert filters.all_packets()(small_batch).all()
-
-    def test_no_packets(self, small_batch):
-        assert not filters.no_packets()(small_batch).any()
 
     def test_proto_filter(self, small_batch):
         mask = filters.proto(PROTO_TCP)(small_batch)
@@ -60,8 +58,9 @@ class TestComposition:
         expected = filters.port(80)(small_batch) | filters.port(53)(small_batch)
         assert np.array_equal(combined(small_batch), expected)
 
-    def test_any_of_empty(self, small_batch):
-        assert not filters.any_of([])(small_batch).any()
+    def test_any_of_refuses_an_empty_collection(self):
+        with pytest.raises(ValueError, match="at least one filter"):
+            filters.any_of([])
 
     def test_apply_returns_subset(self, small_batch):
         sub = filters.port(80).apply(small_batch)

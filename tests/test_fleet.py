@@ -23,9 +23,8 @@ import pytest
 from repro.core.cycles import CycleBudget
 from repro.core.features import FeatureExtractor
 from repro.experiments.runner import calibrate_capacity, system_config
-from repro.fleet import (FleetAggregator, FleetPartitioner, FleetRunner,
-                         FleetTopology, NodeSpec, load_topology,
-                         verify_exactness)
+from repro.fleet import (FleetPartitioner, FleetRunner, FleetTopology,
+                         NodeSpec, load_topology, verify_exactness)
 from repro.fleet.__main__ import main as fleet_main
 from repro.monitor.config import SystemConfig
 from repro.monitor.packet import Batch
@@ -496,35 +495,6 @@ class TestFleetAggregator:
                                      "query_cycles": {"a": 5.0, "b": 7.0}}
         del node_a["tenants"], node_b["tenants"]
         assert "tenants" not in fold_metrics([node_a, node_b], [], owner)
-
-    def test_parse_prometheus_text(self):
-        text = "\n".join([
-            "# HELP repro_drop_fraction Fraction of packets dropped.",
-            "# TYPE repro_drop_fraction gauge",
-            "repro_drop_fraction 0.25",
-            'repro_query_accuracy{query="counter"} 0.99',
-            'repro_query_accuracy{query="flows"} 0.97',
-            "not-a-sample",
-            "",
-        ])
-        samples = FleetAggregator.parse_prometheus_text(text)
-        assert samples == {
-            "repro_drop_fraction": 0.25,
-            'repro_query_accuracy{query="counter"}': 0.99,
-            'repro_query_accuracy{query="flows"}': 0.97,
-        }
-
-    def test_scrape_fleet_survives_dead_nodes(self, monkeypatch):
-        def fake_scrape(url, timeout=5.0):
-            if "dead" in url:
-                raise OSError("connection refused")
-            return {"repro_bins_total": 4.0}
-        monkeypatch.setattr(FleetAggregator, "scrape",
-                            staticmethod(fake_scrape))
-        scraped = FleetAggregator.scrape_fleet(
-            ["http://a/metrics", "http://dead/metrics"])
-        assert scraped == {"http://a/metrics": {"repro_bins_total": 4.0},
-                           "http://dead/metrics": {}}
 
 
 # ----------------------------------------------------------------------

@@ -746,7 +746,7 @@ first_draw = []
 consume = CycleMeter.consume
 
 def watched(meter):
-    noisy = meter.noise_std > 0.0 and meter.pending > 0.0
+    noisy = meter.noise_std > 0.0 and meter._accumulated > 0.0
     before = loaded()
     cycles = consume(meter)
     if noisy and not first_draw:

@@ -61,19 +61,6 @@ class TestBatch:
         sub = batch.select(np.array([2, 3]))
         assert sub.payloads == [batch.payloads[2], batch.payloads[3]]
 
-    def test_iteration_yields_packets(self):
-        batch = make_batch(n=5)
-        packets = list(batch)
-        assert len(packets) == 5
-        assert packets[0].size == int(batch.size[0])
-        assert packets[0].src_ip == int(batch.src_ip[0])
-
-    def test_flow_keys_structured(self):
-        batch = make_batch(n=20)
-        keys = batch.flow_keys()
-        assert keys.shape == (20,)
-        assert np.all(keys["src_ip"] == batch.src_ip)
-
     def test_concatenate(self):
         a = make_batch(n=10, seed=1)
         b = make_batch(n=15, seed=2, start_ts=0.1)

@@ -15,18 +15,21 @@ Everything is driven by seeded generators, so the "random" trials are
 reproducible and the tolerances can be tight without flakiness.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.core.distinct import ExactDistinctCounter, MultiResolutionBitmap
 from repro.core.sampling import FlowSampler, PacketSampler, scale_estimate
+from repro.monitor.packet import HEADER_FIELDS
 from tests.conftest import make_batch
 
 
 def _flow_counts(batch):
     """Packet count per 5-tuple flow of a batch."""
-    keys, counts = np.unique(batch.flow_keys(), return_counts=True)
-    return dict(zip(keys.tolist(), counts.tolist()))
+    return Counter(zip(*(getattr(batch, field).tolist()
+                         for field in HEADER_FIELDS)))
 
 
 class TestPacketSamplerUnbiasedness:

@@ -6,12 +6,12 @@ import pytest
 from oracles.scalar import boyer_moore_horspool
 from repro.core.aggregate import payload_hits
 from repro.monitor import metrics
-from repro.monitor.packet import Batch
+from repro.monitor.packet import HEADER_FIELDS, Batch
 from repro.monitor.query import SAMPLING_CUSTOM, SAMPLING_FLOW
 from repro.queries import (QUERY_CLASSES, BuggyP2PDetectorQuery,
                            P2PDetectorQuery, SelfishP2PDetectorQuery,
                            make_query)
-from tests.conftest import make_batch
+from tests.conftest import make_batch, process
 
 
 class TestQueryFactory:
@@ -39,7 +39,7 @@ class TestQueryProcessing:
     def test_process_charges_cycles(self, name, payload_trace_small):
         query = make_query(name)
         batch = next(payload_trace_small.batches(0.1))
-        cycles = query.process(batch, sampling_rate=1.0)
+        cycles = process(query, batch, sampling_rate=1.0)
         assert cycles > 0
         result = query.interval_result()
         assert isinstance(result, dict) and result
@@ -47,7 +47,7 @@ class TestQueryProcessing:
     @pytest.mark.parametrize("name", sorted(QUERY_CLASSES))
     def test_empty_batch_handled(self, name):
         query = make_query(name)
-        cycles = query.process(Batch.empty(with_payloads=True), 1.0)
+        cycles = process(query, Batch.empty(with_payloads=True), 1.0)
         assert cycles >= 0
         query.interval_result()
 
@@ -55,16 +55,16 @@ class TestQueryProcessing:
     def test_reset_clears_state(self, name, payload_trace_small):
         query = make_query(name)
         batch = next(payload_trace_small.batches(0.1))
-        query.process(batch, 1.0)
+        process(query, batch, 1.0)
         query.reset()
-        assert query.meter.pending == 0.0
+        assert query.meter._accumulated == 0.0
 
 
 class TestCounterQuery:
     def test_exact_counts(self):
         query = make_query("counter")
         batch = make_batch(n=120)
-        query.process(batch, 1.0)
+        process(query, batch, 1.0)
         result = query.interval_result()
         assert result["packets"] == 120
         assert result["bytes"] == batch.byte_count
@@ -72,13 +72,13 @@ class TestCounterQuery:
     def test_sampling_scaling(self):
         query = make_query("counter")
         batch = make_batch(n=100)
-        query.process(batch, sampling_rate=0.5)
+        process(query, batch, sampling_rate=0.5)
         result = query.interval_result()
         assert result["packets"] == pytest.approx(200)
 
     def test_interval_reset(self):
         query = make_query("counter")
-        query.process(make_batch(n=50), 1.0)
+        process(query, make_batch(n=50), 1.0)
         query.interval_result()
         assert query.interval_result()["packets"] == 0
 
@@ -87,18 +87,19 @@ class TestFlowsQuery:
     def test_counts_distinct_flows(self):
         query = make_query("flows")
         batch = make_batch(n=400, seed=3, n_hosts=15)
-        query.process(batch, 1.0)
+        process(query, batch, 1.0)
         result = query.interval_result()
-        true_flows = len(np.unique(batch.flow_keys()))
+        true_flows = len(set(zip(*(getattr(batch, field).tolist() for field in HEADER_FIELDS))))
         assert result["flows"] == pytest.approx(true_flows, rel=0.01)
 
     def test_duplicate_packets_not_double_counted(self):
         query = make_query("flows")
         batch = make_batch(n=100, seed=4)
-        query.process(batch, 1.0)
-        query.process(batch, 1.0)
+        process(query, batch, 1.0)
+        process(query, batch, 1.0)
         result = query.interval_result()
-        assert result["flows"] == len(np.unique(batch.flow_keys()))
+        assert result["flows"] == len(
+            set(zip(*(getattr(batch, field).tolist() for field in HEADER_FIELDS))))
 
     def test_uses_flow_sampling(self):
         assert make_query("flows").sampling_method == SAMPLING_FLOW
@@ -108,7 +109,7 @@ class TestTopKQuery:
     def test_ranking_matches_truth(self):
         query = make_query("top-k")
         batch = make_batch(n=800, seed=6, n_hosts=12)
-        query.process(batch, 1.0)
+        process(query, batch, 1.0)
         result = query.interval_result()
         volumes = {}
         for dst, size in zip(batch.dst_ip, batch.size):
@@ -119,7 +120,7 @@ class TestTopKQuery:
     def test_misranked_pairs_zero_for_identical(self):
         query = make_query("top-k")
         batch = make_batch(n=500, seed=7)
-        query.process(batch, 1.0)
+        process(query, batch, 1.0)
         result = query.interval_result()
         assert metrics.top_k_misranked_pairs(result, result) == 0
 
@@ -127,8 +128,8 @@ class TestTopKQuery:
 class TestHighWatermarkAndApplication:
     def test_watermark_is_max(self):
         query = make_query("high-watermark")
-        query.process(make_batch(n=50, seed=1), 1.0)
-        query.process(make_batch(n=200, seed=2), 1.0)
+        process(query, make_batch(n=50, seed=1), 1.0)
+        process(query, make_batch(n=200, seed=2), 1.0)
         big = make_batch(n=200, seed=2)
         result = query.interval_result()
         assert result["watermark_bytes"] >= big.byte_count * 0.99
@@ -136,7 +137,7 @@ class TestHighWatermarkAndApplication:
     def test_application_classification_total(self):
         query = make_query("application")
         batch = make_batch(n=300, seed=8)
-        query.process(batch, 1.0)
+        process(query, batch, 1.0)
         result = query.interval_result()
         assert sum(result["packets_by_app"].values()) == pytest.approx(300)
 
@@ -172,7 +173,7 @@ class TestPatternSearch:
         payloads = [b"nothing here", b"xx" + query.pattern + b"yy", b"zzz"]
         batch = make_batch(n=3, payloads=False)
         batch.payloads = payloads
-        query.process(batch, 1.0)
+        process(query, batch, 1.0)
         result = query.interval_result()
         assert result["matches"] == 1
         assert result["packets_scanned"] == 3
@@ -194,13 +195,13 @@ class TestP2PDetector:
 
     def test_detects_flow_with_full_handshake(self):
         query = P2PDetectorQuery()
-        query.process(self._p2p_batch(n_handshake=2), 1.0)
+        process(query, self._p2p_batch(n_handshake=2), 1.0)
         result = query.interval_result()
         assert result["p2p_flow_count"] == 1
 
     def test_misses_flow_with_partial_handshake(self):
         query = P2PDetectorQuery()
-        query.process(self._p2p_batch(n_handshake=1), 1.0)
+        process(query, self._p2p_batch(n_handshake=1), 1.0)
         result = query.interval_result()
         assert result["p2p_flow_count"] == 0
 
@@ -211,12 +212,37 @@ class TestP2PDetector:
         applied = query.shed_load(batch, target_fraction=0.5)
         assert 0.2 <= applied <= 0.8
 
+    def test_custom_shedding_weighs_each_flow_by_its_threshold(self):
+        """Heavy flows under the hash threshold lower it below the grant;
+        weighing each kept flow by the inverse of its batch's threshold
+        keeps the flow estimate on the true count over hash draws (scaled
+        by the grant, it reads 67 of these 80 flows)."""
+        rng = np.random.default_rng(5)
+        flow = np.repeat(np.arange(80), rng.zipf(1.6, size=80).clip(max=200))
+        n = len(flow)
+        batch = Batch(
+            ts=np.linspace(0.0, 0.1, n, endpoint=False),
+            src_ip=(flow + 1).astype(np.uint32),
+            dst_ip=np.full(n, 9, dtype=np.uint32),
+            src_port=np.full(n, 1234, dtype=np.uint16),
+            dst_port=np.full(n, 80, dtype=np.uint16),
+            proto=np.full(n, 6, dtype=np.uint8),
+            size=np.full(n, 100, dtype=np.uint32),
+            payloads=[b"x" * 50] * n, time_bin=0.1, start_ts=0.0)
+        estimates = []
+        for key in range(100):
+            query = P2PDetectorQuery(custom_shedding=True)
+            query.reseed(key)
+            assert query.shed_load(batch, 0.5) <= 0.5
+            estimates.append(query.interval_partial()["flows_seen"])
+        assert np.mean(estimates) == pytest.approx(80, rel=0.05)
+
     def test_selfish_variant_ignores_request(self):
         query = SelfishP2PDetectorQuery()
         batch = make_batch(n=300, seed=22, payloads=True)
         claimed = query.shed_load(batch, target_fraction=0.1)
         full_cost_query = SelfishP2PDetectorQuery()
-        full_cost = full_cost_query.process(batch, 1.0)
+        full_cost = process(full_cost_query, batch, 1.0)
         assert claimed == pytest.approx(0.1)
         assert query.consume_cycles() == pytest.approx(full_cost, rel=0.2)
 

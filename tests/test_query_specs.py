@@ -138,7 +138,7 @@ class TestWhatTheSpecsTellAParent:
 class TestFilterExpressions:
     @pytest.mark.parametrize("expression", [
         "tcp", "udp", "proto:17", "port:80", "port:80:dst", "port:80:src",
-        "subnet:0/0", "size>=100", "none",
+        "subnet:0/0", "size>=100",
     ])
     def test_expressions_build_filters(self, expression):
         packet_filter = parse_filter(expression)
@@ -247,12 +247,6 @@ class TestSpecDrivenExecution:
 
 
 class TestQueryMixes:
-    def test_query_mix_lookup(self):
-        assert scenarios.query_mix("validation-seven") == \
-            scenarios.VALIDATION_SEVEN
-        with pytest.raises(KeyError, match="unknown query mix"):
-            scenarios.query_mix("bogus")
-
     def test_all_mixes_parse(self):
         for name, mix in scenarios.QUERY_MIXES.items():
             specs = parse_query_specs(mix)
@@ -261,11 +255,11 @@ class TestQueryMixes:
     def test_config_from_a_named_mix_is_hashable(self):
         """A mix of names and specs declares a config that can key a dict;
         an equal config built again finds the same entry."""
-        config = runner.system_config(queries=scenarios.query_mix("rankings"))
+        config = runner.system_config(queries=scenarios.QUERY_MIXES["rankings"])
         assert [spec.instance_name for spec in config.queries] == \
             ["top-5", "top-20", "super-sources", "autofocus"]
         assert {config: 1}[runner.system_config(
-            queries=scenarios.query_mix("rankings"))] == 1
+            queries=scenarios.QUERY_MIXES["rankings"])] == 1
 
 
 class TestReplayQueriesFlag:

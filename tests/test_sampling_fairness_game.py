@@ -11,7 +11,7 @@ from repro.core.fairness import (STRATEGIES, Allocation, eq_srates, mmfs_cpu,
                                  mmfs_pkt)
 from repro.core.sampling import FlowSampler, PacketSampler, scale_estimate
 from repro.core.hashing import H3Hash, combine_columns, splitmix_stream
-from tests.conftest import make_batch
+from tests.conftest import cycles_of, make_batch
 
 
 class TestPacketSampler:
@@ -197,8 +197,8 @@ class TestStrategySemantics:
         demands = [QueryDemand("heavy", 1000.0, 0.0),
                    QueryDemand("light", 400.0, 0.0)]
         allocation = _allocate(mmfs_cpu, demands, capacity=600.0)
-        assert allocation.cycles["heavy"] == pytest.approx(
-            allocation.cycles["light"], rel=1e-3)
+        assert cycles_of(allocation)["heavy"] == pytest.approx(
+            cycles_of(allocation)["light"], rel=1e-3)
 
     def test_mmfs_pkt_min_rate_floor_respected(self):
         demands = [QueryDemand("constrained", 1000.0, 0.8),
@@ -269,7 +269,7 @@ class TestKernelsEqualTheOracle:
         reference = SCALAR_REFERENCE[key](demands, capacity)
         kernel = STRATEGIES[key](names, predicted, min_rates, capacity)
         assert kernel.rates == reference.rates
-        assert kernel.cycles == reference.cycles
+        assert cycles_of(kernel) == reference.cycles
         assert kernel.disabled == reference.disabled
         assert kernel.total_cycles == sum(reference.cycles.values())
         assert list(kernel.names) == names
@@ -357,7 +357,7 @@ class TestGrownSlotTableAllocatesLikeTheOracle:
                        in zip(names, predicted, min_rates)]
             reference = SCALAR_REFERENCE[key](demands, capacity)
             assert allocation.rates == reference.rates
-            assert allocation.cycles == reference.cycles
+            assert cycles_of(allocation) == reference.cycles
             assert allocation.disabled == reference.disabled
 
 
@@ -384,19 +384,17 @@ class TestAllocationIsAnImmutableValue:
     def test_views_read_the_columns(self):
         allocation = self._allocation()
         assert allocation.rates == {"q0": 0.5, "q1": 0.5, "q2": 0.5}
-        assert allocation.rate("q1") == 0.5
-        assert allocation.rate("unknown") == 0.0
         assert allocation.disabled == []
         assert allocation.tenant_shares is None
         # A view is a fresh dict: writing to it changes nothing.
         allocation.rates["q0"] = 0.0
-        assert allocation.rate("q0") == 0.5
+        assert allocation.rates["q0"] == 0.5
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_total_cycles_is_the_left_to_right_sum(self, n):
         allocation = self._allocation(n)
         assert allocation.total_cycles == \
-            float(sum(allocation.cycles.values()))
+            float(sum(cycles_of(allocation).values()))
 
 
 class TestGame:
@@ -422,7 +420,3 @@ class TestGame:
             [0.2, 0.35], capacity=1.0, grid=100, max_rounds=200)
         assert converged
         assert np.allclose(final, [0.5, 0.5], atol=0.02)
-
-    def test_aggregate_utility_equilibrium_is_greedy(self):
-        profile = game.aggregate_utility_equilibrium(4, 8.0)
-        assert np.allclose(profile, 8.0)

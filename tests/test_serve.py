@@ -37,9 +37,10 @@ from repro.serve import (GeneratorFeed, MonitorDaemon, ReplayFeed,
                          restore_session)
 from repro.serve.api import render_metrics
 from repro.monitor.packet import Batch, PacketTrace
-from repro.testing import assert_bins_identical, assert_results_identical
+from repro.testing import assert_results_identical
 from repro.traffic.generator import TrafficProfile, generate_trace_store
 from repro.traffic.trace_io import TraceStore, TraceWriter
+from tests.conftest import assert_bins_identical
 
 CAPACITY = 2.0e7
 TIME_BIN = 0.1

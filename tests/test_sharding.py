@@ -30,6 +30,7 @@ import pytest
 
 from repro import replay
 from repro.experiments import runner, scenarios
+from repro.monitor.packet import HEADER_FIELDS
 from repro.monitor.pipeline import BinRecord
 from repro.monitor.sharding import (ShardDivergenceError, ShardedSystem,
                                     build_system, shard_seed)
@@ -95,7 +96,7 @@ class TestFlowAffinity:
         parts = batch.partition(num_shards)
         owner = {}
         for index, part in enumerate(parts):
-            for key in np.unique(part.flow_keys()).tolist():
+            for key in set(zip(*(getattr(part, field).tolist() for field in HEADER_FIELDS))):
                 assert owner.setdefault(key, index) == index, \
                     f"flow {key} appears on shards {owner[key]} and {index}"
 

@@ -13,8 +13,8 @@ from repro.core.shedding import (BufferDiscovery, LoadSheddingController,
 class TestOperationCosts:
     def test_default_costs_positive(self):
         costs = OperationCosts()
-        assert costs["packet"] > 0
-        assert costs.cost("hash_insert", 3) == 3 * costs["hash_insert"]
+        assert costs.cost("packet") > 0
+        assert costs.cost("hash_insert", 3) == 3 * costs.cost("hash_insert")
 
     def test_unknown_operation(self):
         with pytest.raises(KeyError):
@@ -22,8 +22,8 @@ class TestOperationCosts:
 
     def test_overrides(self):
         costs = OperationCosts({"packet": 1.0})
-        assert costs["packet"] == 1.0
-        assert "byte" in costs
+        assert costs.cost("packet") == 1.0
+        assert costs.cost("byte") == OperationCosts().cost("byte")
 
 
 class TestCycleMeter:
@@ -32,8 +32,8 @@ class TestCycleMeter:
         meter.charge("packet", 10)
         meter.charge("byte", 100)
         total = meter.consume()
-        assert total == pytest.approx(10 * meter.costs["packet"]
-                                      + 100 * meter.costs["byte"])
+        assert total == pytest.approx(10 * meter.costs.cost("packet")
+                                      + 100 * meter.costs.cost("byte"))
         assert meter.consume() == 0.0
 
     def test_noise_is_multiplicative(self):
@@ -200,6 +200,18 @@ class TestCustomShedEnforcer:
             enforcer.record("good", 100.0, 95.0, bin_index)
         assert enforcer.state("good").total_disables == 0
         assert not enforcer.is_disabled("good", 51)
+
+    def test_an_unjudged_batch_corrects_but_counts_no_violation(self):
+        """A warm-up bin or a full grant moves the correction factor and is
+        never a violation; the same consumption judged is one."""
+        unjudged, judged = CustomShedEnforcer(), CustomShedEnforcer()
+        for bin_index in range(50):
+            unjudged.record("q", 100.0, 180.0, bin_index, judged=False)
+            judged.record("q", 100.0, 180.0, bin_index)
+        assert unjudged.state("q").total_violations == 0
+        assert not unjudged.is_disabled("q", 50)
+        assert unjudged.state("q").correction == pytest.approx(1.8)
+        assert judged.state("q").total_disables >= 1
 
     def test_reset(self):
         enforcer = CustomShedEnforcer()

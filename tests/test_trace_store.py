@@ -28,9 +28,9 @@ from repro.traffic.generator import TrafficProfile
 from repro.traffic.trace_io import (MANIFEST_NAME, TraceStore, TraceWriter,
                                     open_trace, save_trace, save_trace_store)
 from repro import replay
-from repro.testing import assert_bins_identical
 from repro.testing import assert_results_identical as _assert_results_identical
-from tests.conftest import probe_rss_mb, write_header_store
+from tests.conftest import (assert_bins_identical, probe_rss_mb,
+                            write_header_store)
 
 QUERY_SET = ("counter", "flows", "top-k")
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.monitor.packet import PROTO_TCP
-from repro.traffic import (AnomalyWindow, TrafficProfile, byte_burst,
-                           ddos_attack, flow_spike, generate_trace, inject,
-                           load_preset, load_trace, merge_traces, save_trace,
-                           syn_flood, trace_profile, worm_outbreak)
+from repro.traffic import (AnomalyWindow, TrafficProfile, ddos_attack,
+                           flow_spike, generate_trace, inject, load_preset,
+                           load_trace, merge_traces, save_trace, syn_flood,
+                           trace_profile)
 from repro.traffic.generator import P2P_SIGNATURES
 
 
@@ -89,17 +89,6 @@ class TestAnomalies:
         attack = syn_flood(AnomalyWindow(0.0, 1.0), packets_per_second=1000.0)
         assert attack.packets.size.max() <= 64
         assert np.all(attack.packets.proto == PROTO_TCP)
-
-    def test_worm_fixed_port(self):
-        attack = worm_outbreak(AnomalyWindow(0.0, 1.0),
-                               packets_per_second=500.0, target_port=445)
-        assert np.all(attack.packets.dst_port == 445)
-        assert len(np.unique(attack.packets.dst_ip)) > 100
-
-    def test_byte_burst_large_packets(self):
-        attack = byte_burst(AnomalyWindow(0.0, 1.0), packets_per_second=200.0,
-                            packet_size=1500)
-        assert np.all(attack.packets.size == 1500)
 
     def test_flow_spike_many_flows(self):
         attack = flow_spike(AnomalyWindow(0.0, 1.0), flows_per_second=1000.0)

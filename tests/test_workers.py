@@ -295,6 +295,15 @@ class TestEffectiveWorkers:
 # ----------------------------------------------------------------------
 # Pool lifecycle
 # ----------------------------------------------------------------------
+def _exited(pid):
+    """Whether ``pid`` is gone, or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
 @needs_fork
 class TestPoolLifecycle:
     def _open_worker_session(self, num_shards=2):
@@ -345,20 +354,101 @@ class TestPoolLifecycle:
             parent.stdout.close()
         assert len(pids) == 2
 
-        def exited(pid):  # gone, or a zombie nobody has reaped yet
-            try:
-                with open(f"/proc/{pid}/stat") as stat:
-                    return stat.read().rpartition(")")[2].split()[0] == "Z"
-            except FileNotFoundError:
-                return True
-
         deadline = time.monotonic() + 10.0
-        while not all(map(exited, pids)) and time.monotonic() < deadline:
+        while not all(map(_exited, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)
-        survivors = [pid for pid in pids if not exited(pid)]
+        survivors = [pid for pid in pids if not _exited(pid)]
         for pid in survivors:  # leave no process behind, whatever happens
             os.kill(pid, signal.SIGKILL)
         assert not survivors
+
+    @pytest.mark.parametrize("processes", (4, 8))
+    def test_every_worker_holds_the_same_pipes(self, processes):
+        """The fork copies the parent's ends of every earlier worker's pipes
+        and ``multiprocessing``'s per-process pipes; a worker closes them,
+        so its pipe count does not grow with its index."""
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc/<pid>/fd")
+
+        def pipes_of(worker):
+            pid = worker.process.pid
+            return sum(os.readlink(f"/proc/{pid}/fd/{fd}").startswith("pipe:")
+                       for fd in os.listdir(f"/proc/{pid}/fd"))
+
+        shm = dev_shm()
+        pool = ShardWorkerPool(
+            [runner.system_config(queries="counter")] * processes, None, 0.1,
+            [f"p{index}" for index in range(processes)])
+        try:
+            pool.session_metrics()  # every worker is past its start-up
+            counts = [pipes_of(worker) for worker in pool._workers]
+        finally:
+            pool.close()
+        assert len(set(counts)) == 1, counts
+        assert_pool_released(pool, shm)
+
+    def test_the_last_worker_exits_within_a_second_of_its_parent(self):
+        """SIGKILL the owner of a 4-process pool: every worker, the last
+        forked included, exits within a second, because no other worker
+        holds a copy of its command pipe."""
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import time\n"
+            "from repro.experiments import runner\n"
+            "from repro.monitor.workers import ShardWorkerPool\n"
+            "pool = ShardWorkerPool([runner.system_config(queries='counter')]"
+            " * 4, None, 0.1, ['a', 'b', 'c', 'd'])\n"
+            "pool.session_metrics()\n"
+            "print(*[w.process.pid for w in pool._workers], flush=True)\n"
+            "time.sleep(60)\n")
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                str(root)])})
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait()
+            parent.stdout.close()
+        killed = time.monotonic()
+        assert len(pids) == 4
+        deadline = killed + 1.0
+        while not all(map(_exited, pids)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        survivors = [pid for pid in pids if not _exited(pid)]
+        for pid in survivors:  # leave no process behind, whatever happens
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
+
+    def test_stop_terminates_a_worker_that_does_not_answer(self,
+                                                           monkeypatch):
+        """A worker that never reads its ``stop`` (here: SIGSTOPped) is
+        sent SIGTERM after the join timeout, and :meth:`stop` returns
+        within twice that timeout: the worker's liveness pipe, which the
+        parent waits on, stays open while the worker lives."""
+        timeout = 0.5
+        monkeypatch.setattr(workers_module, "_JOIN_TIMEOUT", timeout)
+        shm = dev_shm()
+        pool = ShardWorkerPool([runner.system_config(queries="counter")] * 2,
+                               None, 0.1, ["a", "b"])
+        pool.session_metrics()
+        stuck = pool._workers[1].process
+        os.kill(stuck.pid, signal.SIGSTOP)
+        stopper = threading.Thread(target=pool.stop, daemon=True)
+        began = time.monotonic()
+        stopper.start()
+        stopper.join(timeout=10.0)
+        took = time.monotonic() - began
+        hung = stopper.is_alive()
+        # A stopped process holds SIGTERM pending: end it whatever happened.
+        os.kill(stuck.pid, signal.SIGKILL)
+        stopper.join()
+        stuck.join()
+        assert not hung
+        assert took < 2 * timeout + 1.0
+        assert_pool_released(pool, shm)
 
     def test_stop_is_idempotent_and_safe_after_close(self):
         session = self._open_worker_session()
@@ -367,7 +457,7 @@ class TestPoolLifecycle:
         pool = session._executor
         pool.stop()
         pool.stop()
-        assert pool.stopped
+        assert pool._stopped
 
     def test_worker_death_mid_stream_surfaces_clear_error(self):
         shm = dev_shm()
@@ -753,7 +843,7 @@ class TestSessionsSharingProcesses:
         assert "shard worker 1 (hosting stream[s1], stream[s3]) raised" \
             in message
         assert "already registered" in message  # the worker's traceback
-        assert pool.stopped
+        assert pool._stopped
         assert [record.getMessage() for record in caplog.records
                 if record.name == "repro.monitor.workers"] == [message]
 
