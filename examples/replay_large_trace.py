@@ -28,7 +28,12 @@ QUERY_SET = ("counter", "flows", "top-k")
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-store-"))
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as tmp:
+        replay_store(Path(tmp))
+
+
+def replay_store(workdir: Path) -> None:
+    """Write a store under ``workdir`` and replay it."""
     profile = TrafficProfile(duration=DURATION, flow_arrival_rate=400.0,
                              name="large-synthetic")
 

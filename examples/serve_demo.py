@@ -56,14 +56,22 @@ def http(method, port, path, document=None):
 
 
 def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
+        serve(Path(tmp))
+
+
+def serve(checkpoint_dir: Path) -> None:
+    """Run the demo, checkpointing under ``checkpoint_dir``."""
     profile = TrafficProfile(duration=6.0, flow_arrival_rate=200.0,
                              name="serve-demo")
     config = runner.system_config(mode="predictive",
                                   queries="counter,flows",
                                   cycles_per_second=CAPACITY, seed=7)
-    checkpoint_dir = Path(tempfile.mkdtemp(prefix="repro-serve-"))
+    # Live traffic arrives in real time (pace=1): unpaced, the feed could
+    # run dry, and the daemon and its API go with it, before the operator
+    # below is done.
     daemon = MonitorDaemon(
-        config, GeneratorFeed(profile, seed=7, time_bin=TIME_BIN),
+        config, GeneratorFeed(profile, seed=7, time_bin=TIME_BIN, pace=1.0),
         checkpoint_dir=checkpoint_dir, name="demo")
 
     # The daemon owns an asyncio loop; run it on a thread so this script

@@ -373,7 +373,7 @@ class InProcessShards:
     node's system opens), stepped in order by the caller, what each step
     delivers queued in :attr:`arrived` as in the pool.  A session queues
     reconfigurations until its next bin itself, which is the bin-boundary
-    semantics the worker pool gets from FIFO command pipes.
+    semantics the worker pool gets from its FIFO worker sockets.
     """
 
     def __init__(self, systems: Sequence, time_bin: float,
@@ -541,7 +541,7 @@ class ShardedSession:
         only, bytes of the shard replies that carried partials (nothing
         travels in-process: 0), seconds spent merging partials, and shard
         divergences detected.  The shards' documents are read at a bin
-        boundary (on the workers backend they travel the command pipes,
+        boundary (on the workers backend they travel the worker sockets,
         FIFO with the batches); a closed session reports the ones read at
         close time.
         """
@@ -832,7 +832,7 @@ class ShardedSession:
             raise ValueError("cycles_per_second must be positive")
         self._pending_capacity = cycles_per_second
         # Queued by an in-process session itself, FIFO with the batches on
-        # a worker's command pipe: applied at the next bin's boundary.
+        # a worker's socket: applied at the next bin's boundary.
         for shard in range(self.num_shards):
             self._executor.set_capacity(shard,
                                         cycles_per_second / self.num_shards)

@@ -11,49 +11,49 @@ Each session is opened *inside* its worker from its own config — a
 :class:`~repro.monitor.session.MonitoringSession`, or a nested in-process
 sharded session when the config says ``num_shards > 1`` — runs the whole
 predict → allocate → shed → execute pipeline, stays resident across bins,
-and is fed one pre-partitioned sub-batch per time bin.  What is resident:
-the sessions in the workers, two buffer slots per session, and in the
-parent only the bin being dealt out.
+and is fed one pre-partitioned sub-batch per time bin.
 
-* **Transport** — each session has two buffer slots, anonymous memory
-  files (``os.memfd_create``) made before the first worker is forked, so
-  every worker inherits their descriptors; it keeps those of the sessions
-  it hosts, two a session, and closes the rest.  The parent packs a
+* **Slots** — each session has two buffer slots, anonymous memory files
+  (``os.memfd_create``) made before the first fork, so every worker
+  inherits them (and keeps its own sessions').  The parent packs a
   sub-batch's columns into its mapping of a slot in the canonical
-  :func:`repro.monitor.packet.column_layout` wire format (the column
-  layout the trace store keeps on disk), so no column data is ever
-  pickled; the ingest message names the slot's descriptor and size.  The
-  slots are used round-robin (double buffering): the parent packs bin
-  ``i + 1`` into one while the worker still reads bin ``i`` from the
-  other.  The worker copies the columns out of its own mapping into its
-  :class:`~repro.monitor.packet.Batch` (one memcpy per column), after
-  which the slot is free — zero serialisation, one copy.  A bin larger
-  than its slot grows the slot in place, with 25% headroom, once the
-  slot's last bin was answered; the worker remaps it when the size it is
-  told has changed.  Payloads, when present, ride the command pipe.
-* **Result channel** — the worker *steps* every session it hosts
-  (:meth:`~repro.monitor.session.MonitoringSession.step`; a sharded node
-  steps the same way), and each bin answers on a per-process result pipe
-  with what the step delivered — the bin's record and the mergeable
-  partial of every interval it flushed — plus the wall seconds it took;
-  ``close`` answers with the last intervals.  The parent queues every
-  delivery per session in :attr:`ShardWorkerPool.arrived`, waited for or
-  not, for the session's owner to fold.  Control messages (capacity
-  changes, query arrivals/departures, metrics and checkpoint reads) are
-  piggybacked on the command pipe in FIFO order with the batches, so they
-  apply at exactly the bin boundary they would in-process.
-* **Lifecycle** — :meth:`close` flushes every session and stops the pool;
-  :meth:`stop` (idempotent, also run by ``close`` and ``__del__``) joins
-  the processes and closes the parent's descriptors and mappings.  A slot
-  has no name: its memory goes when the last descriptor of it closes, so
-  nothing outlives the pool, even when the parent is killed.  A worker
-  dying mid-stream surfaces as a :class:`ShardWorkerError` naming the
-  process and every session it hosted, not a hang.
+  :func:`repro.monitor.packet.column_layout` wire format, so no column
+  data is pickled; the ingest message names the slot's descriptor and
+  size.  The slots alternate (double buffering): the parent packs bin
+  ``i + 1`` into one while the worker reads bin ``i`` from the other,
+  copying the columns out of its own mapping into its
+  :class:`~repro.monitor.packet.Batch`.  A bin larger than its slot grows
+  the slot in place, with 25% headroom, once the slot's last bin was
+  answered; the worker remaps it when told a new size.
+* **Messages** — one duplex socket per worker (``socket.socketpair``); a
+  message is its pickle's length in 8 bytes, then the pickle (a bin's
+  payloads, when present, ride in its ingest message).  The worker
+  *steps* every session it hosts and answers each bin with what the step
+  delivered — the bin's record and the mergeable partial of every
+  interval it flushed — and its wall seconds; ``close`` answers with the
+  last intervals.  The parent queues every delivery per session in
+  :attr:`ShardWorkerPool.arrived`, waited for or not, for the owner to
+  fold.  Control messages (capacity, query arrivals/departures, metrics,
+  checkpoints) travel in FIFO order with the batches, so they apply at
+  exactly the bin boundary they would in-process.
+* **Lifecycle** — the pool forks each worker itself (``os.fork``), before
+  the caller reads its first bin, so the configs and the query factory
+  are inherited, not pickled (lambda factories work).  A worker closes
+  what the fork copied of every live pool (the registry ``_FORKED``, each
+  slot and socket end through the object that owns it) but its own
+  socket and slots, and leaves through ``os._exit``, never back into its
+  parent's stack.  Only the worker holds its end of its socket, so each
+  side reads end-of-file once the other is gone: a worker exits when its
+  parent dies, even by SIGKILL, and one that dies mid-stream surfaces as
+  a :class:`ShardWorkerError` naming it, its exit code and every session
+  it hosted.  :meth:`ShardWorkerPool.stop` reaps the workers
+  (``os.waitpid``), killing one not gone within ``_JOIN_TIMEOUT``; a slot
+  has no name, so nothing outlives the pool.
 
-The pool always forks its workers — before the caller reads its first
-bin, so they inherit no traffic — and the configs and the query factory
-are inherited rather than pickled (lambda factories keep working).  A
-host without the ``fork`` start method or ``os.memfd_create``
+Forking from a threaded process (the serve daemon starts its pool on its
+session thread) is no worse than any ``fork`` start: only the forking
+thread runs on in the worker, and the interpreter and ``logging`` reset
+their own locks there.  A host without ``os.fork`` or ``os.memfd_create``
 (:func:`fork_start_available`) runs no pool: ``"auto"`` backends resolve
 to in-process execution there, and an explicit pool is refused with one
 ``ValueError`` (:func:`require_pool_host`).  Every flushed partial names
@@ -65,9 +65,11 @@ from __future__ import annotations
 
 import logging
 import mmap
-import multiprocessing
 import os
 import pickle
+import signal
+import socket
+import struct
 import time
 import traceback
 import weakref
@@ -96,18 +98,18 @@ _GROWTH_FACTOR = 1.25
 
 #: Buffer slots per session (double buffering).
 _SLOTS_PER_SESSION = 2
-#: Bins a process may have unanswered.  Its result pipe holds that many
+#: Bins a process may have unanswered.  Its socket holds that many
 #: records with room to spare, so a worker never blocks writing one and
 #: always comes back to read its commands — and the parent can then never
 #: block writing a command (a bin's payloads ride along) to a worker that
 #: is itself blocked, however many sessions share the process.
 _MAX_UNANSWERED = 8
 
-#: Seconds between liveness checks while waiting on a worker response.
-_POLL_INTERVAL = 0.05
-#: Seconds :meth:`ShardWorkerPool.stop` waits for a worker to exit before
-#: terminating it.
+#: Seconds :meth:`ShardWorkerPool.stop` waits for a worker to exit.
 _JOIN_TIMEOUT = 5.0
+#: A message's length, ahead of its pickle: 8 bytes, so that a
+#: checkpoint's pickled session fits whatever its size.
+_LENGTH = struct.Struct("<Q")
 
 
 class ShardWorkerError(RuntimeError):
@@ -115,10 +117,9 @@ class ShardWorkerError(RuntimeError):
 
 
 def fork_start_available() -> bool:
-    """Whether the host can run a pool: the ``fork`` start method, and
-    ``os.memfd_create`` for the slots the workers inherit."""
-    return hasattr(os, "memfd_create") and \
-        "fork" in multiprocessing.get_all_start_methods()
+    """Whether the host can run a pool: ``os.fork`` for the workers, and
+    ``os.memfd_create`` for the slots they inherit."""
+    return hasattr(os, "fork") and hasattr(os, "memfd_create")
 
 
 def require_pool_host() -> None:
@@ -131,6 +132,32 @@ def require_pool_host() -> None:
 
 
 # ----------------------------------------------------------------------
+# Messages: an 8-byte length, then a pickle
+# ----------------------------------------------------------------------
+def _send_message(sock: socket.socket, message) -> None:
+    data = pickle.dumps(message)
+    sock.sendall(_LENGTH.pack(len(data)) + data)
+
+
+def _read(sock: socket.socket, size: int) -> bytearray:
+    """Exactly ``size`` bytes; ``EOFError`` if the other end closes first."""
+    data = bytearray(size)
+    view, got = memoryview(data), 0
+    while got < size:
+        read = sock.recv_into(view[got:])
+        if not read:
+            raise EOFError
+        got += read
+    return data
+
+
+def _recv_message(sock: socket.socket) -> bytearray:
+    """The pickle of the next message on ``sock``."""
+    (size,) = _LENGTH.unpack(_read(sock, _LENGTH.size))
+    return _read(sock, size)
+
+
+# ----------------------------------------------------------------------
 # Worker process main loop
 # ----------------------------------------------------------------------
 #: What a resident session answers to each query command; the reply goes
@@ -139,45 +166,33 @@ _QUERIES = {
     # The session's own JSON-able metrics document (any session type); the
     # owner folds its sessions' documents with ``repro.profile.fold_metrics``.
     "session_metrics": lambda session: session.metrics,
-    # Checkpoint capture: ship the whole session back.  Pickling it over
-    # the pipe *is* the snapshot — the parent receives a private copy while
-    # the worker's live session streams on.
+    # Checkpoint capture: pickling the session over the socket *is* the
+    # snapshot; the worker's live session streams on.
     "state": lambda session: session,
     # The end of the execution: what the session delivers for it.
     "close": lambda session: (None, session.finish()),
 }
 
 
-def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
-                 time_bin: float, commands, results, parent_ends,
-                 slot_fds: frozenset) -> None:
-    """Some sessions, resident: open each once, step them forever.
+def _worker_main(hosted: Sequence[tuple], query_factory, time_bin: float,
+                 sock: socket.socket, slots: Sequence["_Slot"]) -> None:
+    """In the forked worker: open each hosted ``(session index, config,
+    name)`` once, and step them until the parent shuts its end of ``sock``.
 
-    ``hosted`` lists ``(session index, config, name)`` for every session
-    of this process and ``slot_fds`` the descriptors of their slots;
-    ``commands`` / ``results`` are the worker ends of its pipes, and
-    ``parent_ends`` the parent's, which the fork copied, with the parent's
-    pipes to every live worker of every pool: all closed here, so the
-    worker reads end-of-file, and exits, once the parent is gone, however
-    it died, and every worker holds the same pipes whatever its index.
-    The fork copied every live slot too, of every pool, each with the
-    parent's mapping of it: the worker keeps the descriptors in
-    ``slot_fds`` and closes the rest.  Every reply is
-    ``(kind, seq, answer, session index)``; a bin's answer is what its
-    step delivered, ``(record, flushed)``, with the bin's wall seconds on
-    the end of the reply.  Every message is handled in FIFO order, which
-    is what gives control messages (capacity, query arrivals) their
-    bin-boundary semantics: a ``set_capacity`` sent before bin ``i``'s
-    batch is queued by the session and applied when bin ``i`` is stepped,
-    exactly as in-process.
+    Of what the fork copied of every live pool (``_FORKED``), only
+    ``sock`` and the descriptors of the sessions' ``slots`` stay open, so
+    every worker holds the same descriptors whatever its index.  A reply
+    is ``(kind, seq, answer, session index)``; a bin's answer is what its
+    step delivered, ``(record, flushed)``, followed by its wall seconds.
+    Messages are handled in FIFO order: a ``set_capacity`` sent before
+    bin ``i``'s batch applies when bin ``i`` is stepped, as in-process.
     """
     from .sharding import build_system  # which imports this module
-    for end in parent_ends:
-        end.close()
-    for worker in list(_LIVE_WORKERS):
-        worker.close_copies()
-    for slot in list(_LIVE_SLOTS):
-        slot.release(keep_fd=slot.fd in slot_fds)
+    for held in list(_FORKED):
+        if held in slots:  # its descriptor stays; the worker maps it itself
+            held.view.close()
+        elif held is not sock:
+            held.close()
     #: This process's read-only mapping of each slot, by descriptor.
     views = {}
 
@@ -187,7 +202,7 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
                 time_bin=time_bin, name=name)
             for index, config, name in hosted}
         while True:
-            message = commands.recv()
+            message = pickle.loads(_recv_message(sock))
             kind = message[0]
             if kind == "ingest":
                 (_, seq, index, fd, size, n, bin_len, start_ts,
@@ -211,12 +226,12 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
                                         with_payloads=payloads is not None)
                 started = time.perf_counter()
                 delivered = sessions[index].step(batch)
-                results.send(("record", seq, delivered, index,
-                              time.perf_counter() - started))
+                _send_message(sock, ("record", seq, delivered, index,
+                                     time.perf_counter() - started))
             elif kind in _QUERIES:
                 _, seq, index = message
-                results.send((kind, seq, _QUERIES[kind](sessions[index]),
-                              index))
+                _send_message(sock, (kind, seq,
+                                     _QUERIES[kind](sessions[index]), index))
             elif kind == "set_capacity":
                 sessions[message[1]].set_capacity(message[2])
             elif kind == "add_query":
@@ -230,16 +245,14 @@ def _worker_main(worker_index: int, hosted: Sequence[tuple], query_factory,
                 # the fresh one opened at startup.
                 _, seq, index, session = message
                 sessions[index] = session
-                results.send((kind, seq, None, index))
-            elif kind == "stop":
-                break
+                _send_message(sock, (kind, seq, None, index))
             else:  # pragma: no cover - protocol error
                 raise ValueError(f"unknown worker command {kind!r}")
-    except (EOFError, KeyboardInterrupt):  # parent went away; just exit
-        pass
+    except (EOFError, ConnectionError, KeyboardInterrupt):
+        pass  # stopped, or the parent went away: just exit
     except BaseException:
         try:
-            results.send(("error", worker_index, traceback.format_exc()))
+            _send_message(sock, ("error", traceback.format_exc()))
         except OSError:  # pragma: no cover - parent already gone
             pass
     finally:
@@ -270,54 +283,70 @@ class _Slot:
         #: Sequence number of the ingest currently reading from this slot;
         #: the slot may be repacked once that sequence has been acked.
         self.busy_seq: Optional[int] = None
-        _LIVE_SLOTS.add(self)
+        _FORKED.add(self)
 
-    def release(self, keep_fd: bool = False) -> None:
-        """Close the mapping and, unless ``keep_fd`` (a worker keeping the
-        slot of a session it hosts), the descriptor."""
+    def close(self) -> None:
+        """Close the mapping and the descriptor."""
         try:
             self.view.close()
         except BufferError:  # pragma: no cover - a failed pack's frames
             pass  # may still export the mapping
-        if not keep_fd:
-            _LIVE_SLOTS.discard(self)
-            os.close(self.fd)
+        _FORKED.discard(self)
+        os.close(self.fd)
 
 
-#: Every slot whose descriptor is open, of every pool: what a fork copies.
-_LIVE_SLOTS: "weakref.WeakSet[_Slot]" = weakref.WeakSet()
-#: Every worker handle, of every pool: its pipes are what a fork copies.
-_LIVE_WORKERS: "weakref.WeakSet[_Worker]" = weakref.WeakSet()
+#: Every open slot and socket end, of every pool: what a fork copies, and
+#: what a worker closes but its own.
+_FORKED: "weakref.WeakSet" = weakref.WeakSet()
 
 
 class _Worker:
-    """Parent-side handle of one worker process."""
+    """Parent-side handle of one worker process, which it forks."""
 
-    __slots__ = ("index", "hosted", "process", "commands", "results", "seq",
-                 "acked", "__weakref__")
+    __slots__ = ("index", "hosted", "pid", "sock", "seq", "acked",
+                 "exitcode")
 
-    def __init__(self, index: int, hosted: List[str], process, commands,
-                 results) -> None:
+    def __init__(self, index: int, hosted: Sequence[tuple], query_factory,
+                 time_bin: float, slots: Sequence[_Slot]) -> None:
         self.index = index
         #: Names of the sessions living on this process (failure reports).
-        self.hosted = hosted
-        self.process = process
-        self.commands = commands
-        self.results = results
-        self.seq = 0
-        self.acked = 0
-        _LIVE_WORKERS.add(self)
+        self.hosted = [name for _, _, name in hosted]
+        self.seq = self.acked = 0
+        #: Once reaped: the exit status, or minus the signal that ended it.
+        self.exitcode: Optional[int] = None
+        self.sock, theirs = socket.socketpair()  # the parent's end first
+        _FORKED.update((self.sock, theirs))
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            self.sock.close()
+            theirs.close()
+            raise
+        if self.pid == 0:  # the worker: never back into the caller's stack
+            status = 1
+            try:
+                _worker_main(hosted, query_factory, time_bin, theirs, slots)
+                status = 0
+            finally:
+                os._exit(status)
+        theirs.close()  # the worker's alone
 
-    def close_copies(self) -> None:
-        """In a later fork, close its copies of the parent's pipes to this
-        worker: the two ends of the command and result pipes, and the two
-        ``multiprocessing`` holds for a fork-started process (the read end
-        behind its ``sentinel`` and the write end the child watches for
-        the parent's death), which its ``Popen`` closes when collected."""
-        self.commands.close()
-        self.results.close()
-        for fd in self.process._popen.finalizer._args:
-            os.close(fd)
+    def reap(self, deadline: float) -> int:
+        """Reap the process, killed if it is not gone by ``deadline``
+        (``time.monotonic()``), and return its exit code.  Only the worker
+        holds its end of the socket: the socket reads end-of-file (after
+        any unread replies, dropped) once the process has exited."""
+        if self.exitcode is None:
+            try:
+                while True:
+                    self.sock.settimeout(max(0.0, deadline - time.monotonic()))
+                    if not self.sock.recv(1 << 16):
+                        break
+            except OSError:  # not gone by the deadline (or reset: gone)
+                os.kill(self.pid, signal.SIGKILL)  # still ours to signal
+            self.exitcode = os.waitstatus_to_exitcode(
+                os.waitpid(self.pid, 0)[1])
+        return self.exitcode
 
     def __str__(self) -> str:
         return (f"shard worker {self.index} "
@@ -370,7 +399,8 @@ class ShardWorkerPool:
             raise ValueError(
                 f"cannot run {len(configs)} sessions on {count} processes")
         require_pool_host()
-        context = multiprocessing.get_context("fork")
+        #: The process that forked the workers, the only one to stop them.
+        self._pid = os.getpid()
         self._closed = False
         self._stopped = False
         self._failed: Optional[str] = None
@@ -396,26 +426,10 @@ class ShardWorkerPool:
                     session.slots.append(_Slot(f"repro-slot-{index}"))
             for index in range(count):
                 hosted = range(index, len(configs), count)
-                slot_fds = frozenset(slot.fd for i in hosted
-                                     for slot in self._sessions[i].slots)
-                command_recv, command_send = multiprocessing.Pipe(duplex=False)
-                result_recv, result_send = multiprocessing.Pipe(duplex=False)
-                process = context.Process(
-                    target=_worker_main,
-                    args=(index,
-                          [(i, configs[i], names[i]) for i in hosted],
-                          query_factory, float(time_bin), command_recv,
-                          result_send, (command_send, result_recv),
-                          slot_fds),
-                    daemon=True,
-                    name=f"repro-shard-{index}")
-                process.start()
-                # The worker owns these ends now; closing the parent's
-                # copies keeps fd counts flat across many pools.
-                command_recv.close()
-                result_send.close()
-                worker = _Worker(index, [names[i] for i in hosted], process,
-                                 command_send, result_recv)
+                worker = _Worker(
+                    index, [(i, configs[i], names[i]) for i in hosted],
+                    query_factory, float(time_bin),
+                    [slot for i in hosted for slot in self._sessions[i].slots])
                 self._workers.append(worker)
                 for i in hosted:
                     self._sessions[i].worker = worker
@@ -426,9 +440,16 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # Failure plumbing
     # ------------------------------------------------------------------
-    def _fail(self, message: str) -> "ShardWorkerError":
-        """Stop the pool and build the error to raise, logged here: this is
-        where the failure is known."""
+    def _fail(self, worker: _Worker,
+              what: Optional[str] = None) -> "ShardWorkerError":
+        """Stop the pool and build the error to raise — ``worker`` raised
+        ``what`` or, without it, died — logged here: this is where the
+        failure is known."""
+        if what is None:
+            what = (f"died mid-stream (exit code "
+                    f"{worker.reap(time.monotonic() + _JOIN_TIMEOUT)}); "
+                    "the execution cannot continue")
+        message = f"{worker} {what}"
         logger.error(message)
         self._failed = message
         self.stop()
@@ -442,44 +463,25 @@ class ShardWorkerPool:
 
     def _send(self, worker: _Worker, message: tuple) -> None:
         try:
-            worker.commands.send(message)
+            _send_message(worker.sock, message)
             return
-        except OSError:  # BrokenPipeError, or the handle is closed
-            # Raised below, unchained: the half-sent pickle buffer in the
-            # OSError's traceback is then freed here, by reference count,
-            # not whenever the collector gets to the error's cycle.
+        except OSError:  # BrokenPipeError: the worker closed its end
+            # Raised below, unchained: the pickle in the OSError's
+            # traceback is then freed here, by reference count, not
+            # whenever the collector gets to the error's cycle.
             pass
-        raise self._fail(
-            f"{worker} died (its command channel is closed); the "
-            "execution cannot continue")
+        raise self._fail(worker)
 
     def _recv(self, worker: _Worker):
         """Next response from ``worker``, acknowledged; raises if it died."""
-        while True:
-            try:
-                if worker.results.poll(_POLL_INTERVAL):
-                    raw = worker.results.recv_bytes()
-                    break
-            except (EOFError, OSError):
-                raise self._fail(
-                    f"{worker} died mid-stream without reporting a "
-                    "result") from None
-            if not worker.process.is_alive():
-                # One final drain: the worker may have answered (or sent
-                # its error report) just before exiting.
-                try:
-                    if worker.results.poll(0):
-                        raw = worker.results.recv_bytes()
-                        break
-                except (EOFError, OSError):
-                    pass
-                raise self._fail(
-                    f"{worker} died mid-stream (exit code "
-                    f"{worker.process.exitcode}) without reporting a result")
+        try:
+            raw = _recv_message(worker.sock)
+        except (EOFError, OSError):  # the worker closed its end
+            raise self._fail(worker) from None
         # Only this pool's own worker wrote these bytes.
         response = pickle.loads(raw)
         if response[0] == "error":
-            raise self._fail(f"{worker} raised:\n{response[2]}")
+            raise self._fail(worker, f"raised:\n{response[1]}")
         worker.acked = max(worker.acked, int(response[1]))
         kind, _, answer, index = response[:4]
         if kind == "record":
@@ -630,7 +632,7 @@ class ShardWorkerPool:
 
     def close(self) -> None:
         """Finish every session — its last intervals go to :attr:`arrived`
-        — and stop the pool (processes joined, slots closed).
+        — and stop the pool (processes reaped, slots closed).
         Idempotent."""
         if not self._closed:
             self._ask_all("close")
@@ -638,34 +640,25 @@ class ShardWorkerPool:
             self.stop()
 
     def stop(self) -> None:
-        """Terminate the workers and close every descriptor and mapping.
+        """Stop and reap the workers (killing any not gone within
+        ``_JOIN_TIMEOUT``) and close every descriptor and mapping.
 
-        Idempotent and unconditional: safe to call on a half-constructed,
-        failed or already-closed pool (``__del__`` does).
+        Idempotent and unconditional: safe on a half-constructed, failed or
+        closed pool (``__del__`` calls it), and a no-op in a worker's copy.
         """
-        if self._stopped:
+        if self._stopped or os.getpid() != self._pid:
             return
         self._stopped = True
         for worker in self._workers:
-            try:
-                worker.commands.send(("stop",))
-            except OSError:  # the worker is gone already
-                pass
+            # The worker reads end-of-file after its last command, and exits.
+            worker.sock.shutdown(socket.SHUT_WR)
         deadline = time.monotonic() + _JOIN_TIMEOUT
         for worker in self._workers:
-            worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=_JOIN_TIMEOUT)
-        for worker in self._workers:
-            for conn in (worker.commands, worker.results):
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - closed under us
-                    pass
+            worker.reap(deadline)
+            worker.sock.close()
         for session in self._sessions:
             for slot in session.slots:
-                slot.release()
+                slot.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

@@ -196,7 +196,7 @@ class MonitorDaemon:
         #: ``(bins_ingested, snapshot)`` cache for the read-side ops: the
         #: session only changes when a bin lands, so polls between bins can
         #: reuse the same snapshot instead of re-copying the logs (and, on
-        #: the workers backend, re-crossing the worker pipes) per request.
+        #: the workers backend, re-crossing the worker sockets) per request.
         self._partial_cache: Optional[tuple] = None
 
         # Trace rotation state.

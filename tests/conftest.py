@@ -71,12 +71,15 @@ def slot_files():
 
 
 def assert_pool_released(pool, shm_before):
-    """Nothing of ``pool`` outlives it: its workers are joined, this
-    process holds no descriptor or mapping of a slot, and ``/dev/shm`` has
-    no entry that was not there before (``shm_before``)."""
+    """Nothing of ``pool`` outlives it: its workers are reaped (none is
+    left for ``os.waitpid`` to find), this process holds no descriptor or
+    mapping of a slot, and ``/dev/shm`` has no entry that was not there
+    before (``shm_before``)."""
     assert pool._stopped
-    assert all(worker.process.exitcode is not None
-               for worker in pool._workers)
+    for worker in pool._workers:
+        assert worker.exitcode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(worker.pid, os.WNOHANG)
     assert not slot_files()
     assert dev_shm() <= shm_before
 

@@ -8,9 +8,9 @@ A stdlib-only reach measurement (no ``coverage`` needed).  Every process it
 starts imports a ``sitecustomize`` module from a temporary directory put
 first on ``PYTHONPATH``; that module installs a ``sys.setprofile`` hook
 recording each ``src/repro`` function entered, in the process, in its
-threads, and in ``multiprocessing`` children (dumped through the
-after-fork finaliser, since those children leave through ``os._exit``).
-CLI subprocesses are counted the same way.
+threads, and in its forked children (the worker pool's), which leave
+through ``os._exit``: an after-fork hook wraps ``os._exit`` in the child
+so that it dumps first.  CLI subprocesses are counted the same way.
 
 Two groups of runs are measured:
 
@@ -73,21 +73,17 @@ def _dump():
         out.writelines("%s\\t%d\\n" % entry for entry in _seen)
 
 
-class _Forked:
-    """Registers the dump as an exit finaliser in multiprocessing children
-    (their finaliser registry is cleared right after the fork)."""
-
-    def __call__(self, _):
-        import multiprocessing.util as util
-        util.Finalize(None, _dump, exitpriority=0)
+_os_exit = os._exit
 
 
-_forked = _Forked()
-try:
-    import multiprocessing.util
-    multiprocessing.util.register_after_fork(_forked, _forked)
-except ImportError:  # pragma: no cover - every CPython has it
-    pass
+def _dump_and_exit(status):
+    """``os._exit`` in a forked child, which runs no ``atexit`` hook."""
+    _dump()
+    _os_exit(status)
+
+
+os.register_at_fork(after_in_child=lambda: setattr(os, "_exit",
+                                                   _dump_and_exit))
 atexit.register(_dump)
 threading.setprofile(_hook)
 sys.setprofile(_hook)

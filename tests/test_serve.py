@@ -834,13 +834,13 @@ def test_daemon_survives_its_sessions_failure_cleanly(tmp_path, serve_trace,
         backend="workers", name="doomed", checkpoint_dir=tmp_path / "ckpt",
         rotate_dir=tmp_path / "rotated", rotate_every_bins=10_000)
     pool = daemon.session._executor
-    processes = [worker.process for worker in pool._workers]
+    pids = [worker.pid for worker in pool._workers]
     caplog.set_level(logging.INFO)
     harness = DaemonHarness(daemon)
     with harness:
         seen = harness.wait_status(
             lambda s: s["bins_ingested"] >= 3)["bins_ingested"]
-        os.kill(processes[1].pid, signal.SIGKILL)
+        os.kill(pids[1], signal.SIGKILL)
         with pytest.raises(ShardWorkerError) as failure:
             harness.join(timeout=30.0)
         harness.error = None  # surfaced: nothing more for __exit__ to raise

@@ -24,7 +24,6 @@ The contracts under test:
   instead, and a streaming trace replayed twice reads the same bins twice.
 """
 
-import multiprocessing
 import os
 import pickle
 import signal
@@ -304,6 +303,15 @@ def _exited(pid):
         return True
 
 
+def _kill(pid):
+    """SIGKILL a pool's worker and wait until it is dead, leaving it for
+    the pool to reap."""
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 10.0
+    while not _exited(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 @needs_fork
 class TestPoolLifecycle:
     def _open_worker_session(self, num_shards=2):
@@ -339,7 +347,7 @@ class TestPoolLifecycle:
             "pool = ShardWorkerPool([runner.system_config(queries='counter')]"
             " * 3, None, 0.1, ['a', 'b', 'c'], processes=2)\n"
             "pool.ingest([make_batch(n=500, seed=s) for s in range(3)])\n"
-            "print(*[w.process.pid for w in pool._workers], flush=True)\n"
+            "print(*[w.pid for w in pool._workers], flush=True)\n"
             "time.sleep(60)\n")
         parent = subprocess.Popen(
             [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
@@ -364,27 +372,42 @@ class TestPoolLifecycle:
 
     @pytest.mark.parametrize("processes", (4, 8))
     def test_every_worker_holds_the_same_pipes(self, processes):
-        """The fork copies the parent's ends of every earlier worker's pipes
-        and ``multiprocessing``'s per-process pipes; a worker closes them,
-        so its pipe count does not grow with its index."""
+        """The fork copies the parent's end of every earlier worker's socket
+        and every slot; a worker closes them, so whatever its index it holds
+        of the pool exactly its own socket, no pipe, and the two slots of
+        the session it hosts.  (Descriptors this process held before the
+        pool started, the test runner's, are not the pool's.)"""
         if not os.path.isdir("/proc/self/fd"):
             pytest.skip("needs /proc/<pid>/fd")
 
-        def pipes_of(worker):
-            pid = worker.process.pid
-            return sum(os.readlink(f"/proc/{pid}/fd/{fd}").startswith("pipe:")
-                       for fd in os.listdir(f"/proc/{pid}/fd"))
+        def files_of(pid):
+            files = {}
+            for fd in os.listdir(f"/proc/{pid}/fd"):
+                try:
+                    path = f"/proc/{pid}/fd/{fd}"
+                    stat = os.stat(path)
+                    files[stat.st_dev, stat.st_ino] = os.readlink(path)
+                except OSError:  # the listing's own descriptor, closed
+                    continue
+            return files
 
+        before = files_of("self")
         shm = dev_shm()
         pool = ShardWorkerPool(
             [runner.system_config(queries="counter")] * processes, None, 0.1,
             [f"p{index}" for index in range(processes)])
         try:
             pool.session_metrics()  # every worker is past its start-up
-            counts = [pipes_of(worker) for worker in pool._workers]
+            held = [sorted(target for key, target in
+                           files_of(worker.pid).items() if key not in before)
+                    for worker in pool._workers]
         finally:
             pool.close()
-        assert len(set(counts)) == 1, counts
+        for index, targets in enumerate(held):
+            assert [target.partition("[")[0] for target in targets
+                    if not target.startswith("/")] == ["socket:"], targets
+            assert [target for target in targets if target.startswith("/")] \
+                == [f"/memfd:repro-slot-{index} (deleted)"] * 2, targets
         assert_pool_released(pool, shm)
 
     def test_the_last_worker_exits_within_a_second_of_its_parent(self):
@@ -399,7 +422,7 @@ class TestPoolLifecycle:
             "pool = ShardWorkerPool([runner.system_config(queries='counter')]"
             " * 4, None, 0.1, ['a', 'b', 'c', 'd'])\n"
             "pool.session_metrics()\n"
-            "print(*[w.process.pid for w in pool._workers], flush=True)\n"
+            "print(*[w.pid for w in pool._workers], flush=True)\n"
             "time.sleep(60)\n")
         parent = subprocess.Popen(
             [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
@@ -425,27 +448,26 @@ class TestPoolLifecycle:
     def test_stop_terminates_a_worker_that_does_not_answer(self,
                                                            monkeypatch):
         """A worker that never reads its ``stop`` (here: SIGSTOPped) is
-        sent SIGTERM after the join timeout, and :meth:`stop` returns
-        within twice that timeout: the worker's liveness pipe, which the
-        parent waits on, stays open while the worker lives."""
+        killed after the join timeout and reaped, and :meth:`stop` returns
+        within twice that timeout: the worker's socket, which the parent
+        waits on, stays open while the worker lives."""
         timeout = 0.5
         monkeypatch.setattr(workers_module, "_JOIN_TIMEOUT", timeout)
         shm = dev_shm()
         pool = ShardWorkerPool([runner.system_config(queries="counter")] * 2,
                                None, 0.1, ["a", "b"])
         pool.session_metrics()
-        stuck = pool._workers[1].process
-        os.kill(stuck.pid, signal.SIGSTOP)
+        stuck = pool._workers[1].pid
+        os.kill(stuck, signal.SIGSTOP)
         stopper = threading.Thread(target=pool.stop, daemon=True)
         began = time.monotonic()
         stopper.start()
         stopper.join(timeout=10.0)
         took = time.monotonic() - began
         hung = stopper.is_alive()
-        # A stopped process holds SIGTERM pending: end it whatever happened.
-        os.kill(stuck.pid, signal.SIGKILL)
-        stopper.join()
-        stuck.join()
+        if hung:  # end it, so that the stopper can reap it
+            os.kill(stuck, signal.SIGKILL)
+            stopper.join()
         assert not hung
         assert took < 2 * timeout + 1.0
         assert_pool_released(pool, shm)
@@ -464,9 +486,9 @@ class TestPoolLifecycle:
         session = self._open_worker_session()
         session.ingest(make_batch(n=50, seed=1))
         pool = session._executor
-        pool._workers[1].process.kill()
-        pool._workers[1].process.join(timeout=10.0)
-        with pytest.raises(ShardWorkerError, match="shard worker 1"):
+        _kill(pool._workers[1].pid)
+        with pytest.raises(ShardWorkerError, match="shard worker 1 .*"
+                           "exit code -9"):
             for s in range(2, 12):
                 session.ingest(make_batch(n=50, seed=s, start_ts=0.1 * s))
         # The failure stops the pool and releases every slot...
@@ -511,17 +533,16 @@ class TestPoolLifecycle:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        start = multiprocessing.context.ForkProcess.start
-        started = []
+        fork = os.fork
+        forks = []
 
-        def failing_start(process):
-            started.append(process)
-            if len(started) == 2:
+        def failing_fork():
+            forks.append(None)
+            if len(forks) == 2:
                 raise OSError("no more processes")
-            start(process)
+            return fork()
 
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
-                            failing_start)
+        monkeypatch.setattr(workers_module.os, "fork", failing_fork)
         with pytest.raises(OSError, match="no more processes"):
             RecordedPool([runner.system_config(queries="counter")] * 3,
                          None, 0.1, ["a", "b", "c"])
@@ -638,7 +659,14 @@ class TestHostWithoutPool:
                            n_workers=2, respect_cores=False
                            ).resolve_backend() == "inprocess"
 
-    def test_an_explicit_pool_is_refused_in_one_error(self):
+    def test_an_explicit_pool_is_refused_in_one_error(self, monkeypatch):
+        forks = []
+
+        def no_fork():
+            forks.append(None)
+            raise OSError("forked")
+
+        monkeypatch.setattr(workers_module.os, "fork", no_fork)
         shm = dev_shm()
         system = ShardedSystem(config=self._config(), num_shards=2,
                                n_workers=2, respect_cores=False,
@@ -650,7 +678,7 @@ class TestHostWithoutPool:
         with pytest.raises(ValueError, match=self.REFUSAL):
             fleet.run(scenarios.build_workload("cesca", seed=1, scale=0.05))
         # Refused before anything was started.
-        assert not multiprocessing.active_children()
+        assert not forks
         assert dev_shm() <= shm
 
 
@@ -733,7 +761,7 @@ class TestSessionsSharingProcesses:
         each with the parent's mapping of it; a worker keeps the two
         descriptors of each session it hosts, and maps them itself."""
         def slots_of(worker):
-            pid = worker.process.pid
+            pid = worker.pid
             return sorted(
                 target for target in (os.readlink(f"/proc/{pid}/fd/{fd}")
                                       for fd in os.listdir(f"/proc/{pid}/fd"))
@@ -815,9 +843,7 @@ class TestSessionsSharingProcesses:
         pool = self._pool()
         bins = self._bins(6)
         pool.ingest(bins[0])
-        pool._workers[0].process.kill()
-        pool._workers[0].process.join(timeout=10.0)
-        assert not pool._workers[0].process.is_alive()
+        _kill(pool._workers[0].pid)
         with pytest.raises(ShardWorkerError) as failure:
             for parts in bins[1:]:
                 pool.ingest(parts)
@@ -885,8 +911,9 @@ class TestSessionsSharingProcesses:
         try:
             assert not reader.is_alive(), "parent and worker are deadlocked"
         finally:
-            for worker in pool._workers:  # frees a wedged reader too
-                worker.process.kill()
+            if reader.is_alive():  # frees a wedged reader too
+                for worker in pool._workers:
+                    os.kill(worker.pid, signal.SIGKILL)
         assert delivered == [list(range(100)) + [None]] * 40
         assert not any(pool.ingest_seconds)
 
