@@ -6,7 +6,8 @@ with no a-priori knowledge of the workload.  This example drives it the way a
 live deployment would: batches are *pushed* into a :class:`MonitoringSession`
 from a generator (here: a synthetic capture feed), and the running session is
 reconfigured on the fly — a new query arrives mid-run, the host's capacity
-is cut and a query departs, each taking effect at the next bin boundary.
+is cut and a query departs, each taking effect at the next bin boundary;
+one more arrives after the last bin, and the close applies it there.
 """
 
 from repro import SystemConfig
@@ -68,12 +69,18 @@ def main() -> None:
             print(f"[t={batch.start_ts:5.1f}s] accuracy so far: {mean:.3f} "
                   f"(rate {sofar.mean_sampling_rate():.2f})")
 
+    # A query submitted after the last bin is registered for the boundary
+    # the next bin would have started on; close() applies it there and
+    # flushes nothing for it, as it never ran.
+    session.add_query(make_query("counter", name="late-counter"))
     result = session.close()
     accuracy = runner.accuracy_by_query(result, reference)
     print("\nFinal execution:")
     print(f"  bins processed      : {len(result.bins)}")
     print(f"  uncontrolled drops  : {result.dropped_packets}")
     print(f"  mean sampling rate  : {result.mean_sampling_rate():.2f}")
+    print(f"  late-counter        : "
+          f"{len(result.query_logs['late-counter'])} intervals (never ran)")
     for name in sorted(accuracy):
         print(f"  accuracy[{name:<14}]: {accuracy[name]:.3f}")
 

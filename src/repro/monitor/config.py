@@ -82,7 +82,6 @@ class SystemConfig:
     feature_method: str = "bitmap"
     measurement_noise: float = 0.0
     system_overhead_fixed: float = 2e4
-    system_overhead_per_packet: float = 20.0
     seed: int = 0
     #: Number of flow-hash shards the stream is partitioned over.  ``1``
     #: runs the classic single-system data path; ``> 1`` is honoured by
@@ -135,8 +134,6 @@ class SystemConfig:
         if self.measurement_noise < 0:
             raise ValueError("measurement_noise must be >= 0")
         set_(self, "system_overhead_fixed", float(self.system_overhead_fixed))
-        set_(self, "system_overhead_per_packet",
-             float(self.system_overhead_per_packet))
         set_(self, "seed", int(self.seed))
         set_(self, "num_shards", int(self.num_shards))
         if self.num_shards < 1:

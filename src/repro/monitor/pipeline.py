@@ -68,6 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.cycles import CycleClock
     from .system import MonitoringSystem
 
+#: The CoMo base cost of touching one packet of a batch, in cycles (the
+#: batch's fixed cost is ``SystemConfig.system_overhead_fixed``).
+SYSTEM_OVERHEAD_PER_PACKET = 20.0
+
 
 class Bound(IntEnum):
     """What bound a query's decided rate in a bin (``BinRecord.bounds``).
@@ -370,7 +374,7 @@ class SystemOverheadStage:
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
         ctx.system_overhead += float(
             system.config.system_overhead_fixed +
-            system.config.system_overhead_per_packet * len(ctx.batch))
+            SYSTEM_OVERHEAD_PER_PACKET * len(ctx.batch))
 
 
 class FilterStage:
@@ -572,6 +576,7 @@ __all__ = [
     "IntervalFlushStage",
     "PredictionStage",
     "RateDecisionStage",
+    "SYSTEM_OVERHEAD_PER_PACKET",
     "SystemOverheadStage",
     "close_bin",
     "process_bin",

@@ -642,8 +642,11 @@ class MonitoringSystem:
         self.last_accounted = None
 
     def _active_runtimes(self, batch_start: float) -> List[_QueryRuntime]:
-        return [runtime for runtime in self._runtimes.values()
-                if runtime.start_time <= batch_start + 1e-9]
+        """The queries running in the bin that starts at ``batch_start``,
+        in name order: every per-bin sum over them then runs in one order
+        however the mix was listed or added (a mix is a set)."""
+        return [self._runtimes[name] for name in sorted(self._runtimes)
+                if self._runtimes[name].start_time <= batch_start + 1e-9]
 
     # ------------------------------------------------------------------
     def _flush_intervals(self, runtime: _QueryRuntime, batch_start: float

@@ -458,7 +458,7 @@ class SocketFeed(Feed):
             while True:
                 self.idle = self._queue.empty()
                 batch = await self._queue.get()
-                if batch is None or self._stopping:
+                if batch is None:  # stop() queues it after every cut bin
                     break
                 self.idle = False
                 yield batch

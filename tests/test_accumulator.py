@@ -4,13 +4,10 @@ The contracts under test:
 
 * **Every session is stepped, and its owner folds** — ``ingest`` /
   ``close`` are ``step`` / ``finish`` plus :meth:`ExecutionResult.fold`
-  into the session's own result: a session driven by hand through
-  ``step`` / ``finish`` into a fresh ``ExecutionResult`` reports strictly
-  ``==`` what one driven by ``ingest`` / ``close`` reports, in every mode
-  and on both feature backends — a serial session and a 2-shard node
-  alike, whose step delivers one merged entry per interval, named by the
-  flushing query's class.  Nothing in a session says which way it is
-  driven: the pickles of the two differ only in the accumulated result.
+  (that a session folded by hand reports what ``run`` does, in every mode
+  and on both feature backends, is the ``step`` and ``shards`` rows of
+  ``tests/test_conformance.py``).  Nothing in a session says which way it
+  is driven: the pickles of the two differ only in the accumulated result.
 * **One code path for logs and totals** — under any sequence of query
   arrivals, departures, same-name re-arrivals, arrivals withdrawn before
   their bin boundary, capacity changes and checkpoint/restore onto the other
@@ -21,9 +18,6 @@ The contracts under test:
   their parts' documents folded by :func:`repro.profile.fold_metrics`:
   every bin counted once, stage wall-time totals and feature-sharing
   counters the sums over the parts.
-* **A bin is accounted once** — in every mode, each record's ``delay`` is
-  the previous bin's carried by this one's total over its budget, and its
-  ``buffer_occupation`` is read at that delay, from the records alone.
 * **A result is a table of bins** — whatever records are folded (query
   sets that change, tenants on and off, shard-merged records, counts near
   the int64 range), every row, series and total of the result is what a
@@ -53,12 +47,7 @@ from repro.monitor.system import BinRecord, ExecutionResult
 from repro.monitor.workers import fork_start_available
 from repro.queries import make_query
 from repro.serve.checkpoint import capture, restore_session
-from tests.conftest import make_batch
-
-MODES = ("predictive", "reactive", "original", "reference")
-TENANTS = (TenantGroup(name="ops", queries=("counter", "top-k")),
-           TenantGroup(name="research", queries=("flows", "high-watermark")))
-
+from tests.conftest import drop_memos, make_batch
 
 def _logs(result):
     return {name: (log.intervals, log.results)
@@ -79,79 +68,6 @@ def _assert_equal(first, second, bins=True):
             set(second.tenant_cycle_totals())
 
 
-def _by_hand(session, bins, config):
-    """Drive ``session`` through ``step`` / ``finish``, folding into a
-    fresh result the way an owner does; returns it and every delivered
-    interval."""
-    result = ExecutionResult(config.mode, config.strategy, session.name,
-                             session.budget)
-    delivered = []
-    for record, flushed in [session.step(batch) for batch in bins] + \
-            [(None, session.finish())]:
-        result.fold(record, flushed, session.query_names)
-        delivered += flushed
-    return result, delivered
-
-
-def _assert_accounted_once(result, capacity_cycles):
-    """The clock's delay and the buffer, recomputed from the records."""
-    delay = 0.0
-    for record in result.bins:
-        delay = max(0.0, delay + (record.total_cycles -
-                                  record.available_cycles))
-        assert record.delay == delay
-        assert record.buffer_occupation == min(1.0, delay / capacity_cycles)
-
-
-def _ingested(session, bins):
-    for batch in bins:
-        session.ingest(batch)
-    return session.close()
-
-
-@pytest.mark.parametrize("feature_method", ("bitmap", "exact"))
-@pytest.mark.parametrize("mode", MODES)
-def test_ingest_is_step_plus_a_fold(small_trace, mode, feature_method):
-    config = runner.system_config(
-        mode=mode, seed=5, tenants=TENANTS, feature_method=feature_method,
-        cycles_per_second=8e5)  # sheds from the second second on
-    bins = small_trace.batch_list(0.1)
-    classes = {query.name: type(query) for query in config.build_queries()}
-
-    serial = config.build().open_session(time_bin=0.1, name="t")
-    expected = _ingested(serial, bins)
-    _assert_accounted_once(expected, serial.buffer.capacity_cycles)
-    if mode == "predictive":
-        assert expected.mean_sampling_rate() < 0.9
-    assert set(expected.tenant_cycle_totals()) == {"ops", "research"}
-
-    one_shard = ShardedSystem(config=config, num_shards=1) \
-        .open_session(time_bin=0.1, name="t")
-    _assert_equal(expected, _ingested(one_shard, bins))
-
-    def two_shards():
-        return ShardedSystem(config=config, num_shards=2,
-                             backend="inprocess").open_session(time_bin=0.1,
-                                                               name="t")
-
-    node = _ingested(two_shards(), bins)
-    if mode == "reference":  # nothing shed: the merge is the whole story
-        _assert_equal(expected, node, bins=False)
-
-    for stepped, ingested in (
-            (config.build().open_session(time_bin=0.1, name="t"), expected),
-            (two_shards(), node)):
-        folded, delivered = _by_hand(stepped, bins, config)
-        _assert_equal(ingested, folded)
-        # One entry per interval, finished by the class that flushed it.
-        assert len(delivered) == sum(map(len, folded.query_logs.values()))
-        assert all(query_cls is classes[name]
-                   for name, _, query_cls, _ in delivered)
-        # The stepped session accumulated nothing of its own.
-        assert stepped.close().bins == []
-        assert not any(len(log) for log in stepped.close().query_logs.values())
-
-
 def test_no_role_is_pickled_with_a_session(small_trace):
     """After the same bins, a stepped and an ingested session of the same
     config pickle to the same bytes once the accumulated result (and the
@@ -161,8 +77,10 @@ def test_no_role_is_pickled_with_a_session(small_trace):
     bins = small_trace.batch_list(0.1)[:25]
     stepped = config.build().open_session(time_bin=0.1, name="t")
     ingested = config.build().open_session(time_bin=0.1, name="t")
-    for batch in bins:
+    for batch in bins:  # each reads the batch with nothing memoised on it
+        drop_memos(batch)
         stepped.step(batch)
+        drop_memos(batch)
         ingested.ingest(batch)
     assert len(pickle.dumps(stepped)) < len(pickle.dumps(ingested))
 

@@ -296,18 +296,6 @@ class TestFleetRunner:
             config=_config(), time_bin=0.5)
         assert verdict["exact_queries_identical"] is True
 
-    def test_one_node_fleet_is_bit_identical_to_single_host(self,
-                                                            small_trace):
-        config = _config(mode="predictive", cycles_per_second=2e7)
-        fleet = FleetRunner(FleetTopology.uniform(1), config=config)
-        result = fleet.run(small_trace, time_bin=0.2)
-        single = config.build().run(small_trace, time_bin=0.2)
-        assert result.federated.bins == single.bins
-        for name, log in single.query_logs.items():
-            federated_log = result.federated.query_logs[name]
-            assert federated_log.intervals == log.intervals
-            assert federated_log.results == log.results
-
     def test_run_produces_latency_evidence_and_metrics(self, small_trace):
         fleet = FleetRunner(FleetTopology.uniform(3), config=_config())
         result = fleet.run(small_trace, time_bin=0.5)
@@ -352,7 +340,6 @@ class TestFleetRunner:
     @pytest.mark.skipif(not fork_start_available(),
                         reason="needs the fork start method")
     @pytest.mark.parametrize("topology", [
-        pytest.param(FleetTopology.uniform(2), id="2-nodes-2-processes"),
         pytest.param(FleetTopology.uniform(8), id="8-nodes-2-processes"),
         pytest.param(FleetTopology(nodes=[
             NodeSpec("plain"), NodeSpec("sharded", overlay={"num_shards": 2}),
@@ -364,7 +351,9 @@ class TestFleetRunner:
         not what it sees: the federated result and every node's are
         bit-identical, shedding included — and a node's result, folded in
         the parent from what it delivered, is what a session of the node's
-        own config reports over the node's stream."""
+        own config reports over the node's stream.  (Two uniform nodes on
+        two processes, in every mode, are the ``fleet-fork`` row of
+        ``tests/test_conformance.py``.)"""
         kinds = "counter,flows,top-k"
         capacity, _ = calibrate_capacity(kinds.split(","), small_trace)
         config = _config(queries=parse_query_specs(kinds),

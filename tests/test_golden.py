@@ -19,6 +19,7 @@ import pytest
 
 from repro.experiments import runner, scenarios
 from repro.monitor.system import ExecutionResult
+from repro.testing import assert_results_identical
 
 #: The golden cells: one workload trace, one overload factor K, the query
 #: set below, and the four modes of ``GOLDEN``.
@@ -178,16 +179,6 @@ def rerun():
     return _run_cells(_calibrate())
 
 
-def _series_fingerprint(result):
-    """The per-bin series that must be reproduced bit for bit."""
-    return {
-        "query_cycles": result.series("query_cycles"),
-        "mean_rate": result.series("mean_rate"),
-        "dropped_packets": result.series("dropped_packets"),
-        "predicted_cycles": result.series("predicted_cycles"),
-    }
-
-
 class TestGoldenOutcomes:
     def test_matrix_shape(self, golden_run):
         """One trace x one overload x the four modes, one cell each."""
@@ -240,16 +231,5 @@ class TestGoldenOutcomes:
 class TestDeterminism:
     def test_serial_rerun_is_bit_identical(self, golden_run, rerun):
         for mode, first in golden_run.items():
-            second = rerun[mode]
-            first_series = _series_fingerprint(first.result)
-            second_series = _series_fingerprint(second.result)
-            for name in first_series:
-                assert np.array_equal(first_series[name],
-                                      second_series[name]), name
-            assert first.accuracy == second.accuracy
-
-    def test_query_logs_identical_across_reruns(self, golden_run, rerun):
-        for mode, first in golden_run.items():
-            for name, log in first.result.query_logs.items():
-                assert log.results == \
-                    rerun[mode].result.query_logs[name].results
+            assert_results_identical(first.result, rerun[mode].result, mode)
+            assert first.accuracy == rerun[mode].accuracy

@@ -19,7 +19,6 @@ The contracts under test:
 
 import asyncio
 import json
-import pickle
 import re
 import shutil
 import socket
@@ -56,24 +55,6 @@ def _collect(feed):
 # ----------------------------------------------------------------------
 # Feeds
 # ----------------------------------------------------------------------
-def test_replay_feed_matches_batch_list(small_trace):
-    feed = ReplayFeed(small_trace, time_bin=TIME_BIN)
-    batches = _collect(feed)
-    assert_bins_identical(batches, small_trace.batch_list(TIME_BIN),
-                          "replay")
-    assert feed.done
-
-
-def test_replay_feed_from_store_path(tmp_path, small_trace):
-    from repro.traffic.trace_io import save_trace_store
-    store = save_trace_store(small_trace, tmp_path / "store")
-    feed = ReplayFeed(str(tmp_path / "store"), time_bin=TIME_BIN)
-    batches = _collect(feed)
-    assert_bins_identical(batches,
-                          store.streaming().batch_list(TIME_BIN),
-                          "replay-store")
-
-
 def test_replay_feed_stop_ends_early(small_trace):
     feed = ReplayFeed(small_trace, time_bin=TIME_BIN)
 
@@ -622,13 +603,13 @@ def test_sharded_daemon_serves_and_reports_shards(serve_trace):
 
 
 def test_every_way_in_builds_through_build_system(serve_trace):
-    """A daemon and a checkpoint restore of the same sharded config open
-    the execution ``build_system`` builds: it decides serial versus
-    sharded for all of them."""
+    """A daemon of a sharded config opens the execution ``build_system``
+    builds: it decides serial versus sharded for every way in (a sharded
+    checkpoint's restore is the ``restore-x`` row of
+    ``tests/test_conformance.py``)."""
     from repro.monitor.sharding import (ShardedSession, ShardedSystem,
                                         build_system)
     from repro.monitor.system import MonitoringSystem
-    from repro.serve.checkpoint import capture, load_checkpoint
     config = _daemon_config(num_shards=2)
     assert isinstance(build_system(config), ShardedSystem)
     assert isinstance(build_system(config.replace(num_shards=1)),
@@ -638,16 +619,6 @@ def test_every_way_in_builds_through_build_system(serve_trace):
     daemon = MonitorDaemon(config, ReplayFeed(serve_trace, time_bin=TIME_BIN))
     assert isinstance(daemon.session, ShardedSession)
     assert_results_identical(expected, asyncio.run(daemon.run()), "daemon")
-
-    bins = serve_trace.batch_list(TIME_BIN)
-    session = build_system(config).open_session(time_bin=TIME_BIN)
-    for batch in bins[:17]:
-        session.ingest(batch)
-    restored = ShardedSession.from_state(
-        pickle.loads(load_checkpoint(capture(session)).state_blob))
-    for batch in bins[17:]:
-        restored.ingest(batch)
-    assert_results_identical(expected, restored.close(), "from_state")
 
 
 # ----------------------------------------------------------------------

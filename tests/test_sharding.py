@@ -3,10 +3,10 @@
 Six contracts the sharded execution layer must honour:
 
 * **Degenerate identity** — ``ShardedSystem(num_shards=1)`` is bit-identical
-  to the classic single-system run in *all four* operating modes (the
-  golden four-mode scenario), because partitioning returns the original
-  batches, shard 0 keeps the full budget and seed, and every merge of one
-  shard is the identity.
+  to the classic single-system run in every mode (the ``shard-1`` row of
+  ``tests/test_conformance.py``), because partitioning returns the
+  original batches, shard 0 keeps the full budget and seed, and every
+  merge of one shard is the identity.
 * **Flow affinity** — after :meth:`Batch.partition` no 5-tuple flow spans
   two shards, and the shards are an exact, order-preserving cover of the
   batch.
@@ -17,7 +17,8 @@ Six contracts the sharded execution layer must honour:
 * **Merged accuracy** — N-shard merged counter/flows estimates stay within
   sampling tolerance of the unsharded run under a predictive overload.
 * **Pool transparency** — running shards on the worker pool is
-  bit-identical to running them in-process.
+  bit-identical to running them in-process: the ``workers`` row of
+  ``tests/test_conformance.py``.
 * **One session contract** — a :class:`ShardedSession` validates, counts
   and refuses the same way whichever shard executor it drives.
 """
@@ -54,36 +55,7 @@ def golden_scenario():
     return trace, capacity, reference
 
 
-def _series_fingerprint(result):
-    return {
-        "query_cycles": result.series("query_cycles"),
-        "mean_rate": result.series("mean_rate"),
-        "dropped_packets": result.series("dropped_packets"),
-        "predicted_cycles": result.series("predicted_cycles"),
-    }
-
-
 class TestSingleShardIdentity:
-    @pytest.mark.parametrize("mode", ["predictive", "reactive", "original",
-                                      "reference"])
-    def test_one_shard_matches_unsharded_bit_for_bit(self, golden_scenario,
-                                                     mode):
-        trace, capacity, _ = golden_scenario
-        config = runner.system_config(
-            mode=mode, cycles_per_second=capacity * 0.5, seed=99)
-        unsharded = config.build(_factory()()).run(trace)
-        sharded = ShardedSystem(_factory(), config=config,
-                                num_shards=1).run(trace)
-        plain = _series_fingerprint(unsharded)
-        merged = _series_fingerprint(sharded)
-        for name in plain:
-            assert np.array_equal(plain[name], merged[name]), name
-        assert unsharded.total_packets == sharded.total_packets
-        assert unsharded.dropped_packets == sharded.dropped_packets
-        for qname, log in unsharded.query_logs.items():
-            assert sharded.query_logs[qname].intervals == log.intervals
-            assert sharded.query_logs[qname].results == log.results
-
     def test_shard_zero_keeps_base_seed(self):
         assert shard_seed(1234, 0) == 1234
         assert len({shard_seed(1234, i) for i in range(16)}) == 16
@@ -330,24 +302,6 @@ class TestMergedAccuracy:
             cycles_per_second=capacity * 0.5)).run(trace)
         available = result.series("available_cycles")
         assert np.allclose(available, capacity * 0.5 * runner.TIME_BIN)
-
-
-class TestPoolTransparency:
-    def test_pooled_shards_match_in_process_bit_for_bit(self,
-                                                        golden_scenario):
-        trace, capacity, _ = golden_scenario
-        config = runner.system_config(cycles_per_second=capacity * 0.5,
-                                      seed=7)
-        in_process = ShardedSystem(_factory(), config=config,
-                                   num_shards=4).run(trace)
-        pooled = ShardedSystem(_factory(), config=config, num_shards=4,
-                               n_workers=4, respect_cores=False).run(trace)
-        serial = _series_fingerprint(in_process)
-        forked = _series_fingerprint(pooled)
-        for name in serial:
-            assert np.array_equal(serial[name], forked[name]), name
-        for qname, log in in_process.query_logs.items():
-            assert pooled.query_logs[qname].results == log.results
 
 
 @pytest.mark.parametrize("backend", [

@@ -612,14 +612,13 @@ class TestIntervalClock:
 
 
 # ----------------------------------------------------------------------
-# A query's randomness is its own
+# A mix is a set
 # ----------------------------------------------------------------------
-def _kept_and_rates(clock_calibrated, mode, order, live):
+def _kept_and_result(clock_calibrated, mode, order, live):
     """Run ``CLOCK_QUERIES`` (two packet-sampled, two flow-sampled) listed
     in ``order`` at half the calibrated capacity, with ``live`` added to
     the open session before bin 0 instead of declared: per bin, each
-    query's count of packets it was given to process, and its applied
-    rate."""
+    query's count of packets it was given to process, and the result."""
     trace, capacity = clock_calibrated
     queries = {kind: make_query(kind) for kind in order}
     kept = defaultdict(dict)
@@ -634,17 +633,15 @@ def _kept_and_rates(clock_calibrated, mode, order, live):
     session = system.open_session(time_bin=runner.TIME_BIN)
     if live is not None:
         session.add_query(queries[live])
-    rates = [session.step(batch)[0].rates
-             for batch in trace.batches(runner.TIME_BIN)]
-    session.finish()
-    return [kept[start] for start in sorted(kept)], rates
+    result = session.ingest_trace(trace).close()
+    return [kept[start] for start in sorted(kept)], result
 
 
 @pytest.fixture(scope="module")
 def declared_runs(clock_calibrated):
     """Mode -> the mix as listed in ``CLOCK_QUERIES``, all declared."""
-    return {mode: _kept_and_rates(clock_calibrated, mode, CLOCK_QUERIES,
-                                  None)
+    return {mode: _kept_and_result(clock_calibrated, mode, CLOCK_QUERIES,
+                                   None)
             for mode in ("predictive", "reactive")}
 
 
@@ -655,18 +652,17 @@ class TestQueryOrder:
     def test_a_mix_answers_the_same_in_any_order(
             self, clock_calibrated, declared_runs, mode, order, live):
         """Each query's sampling draws are keyed by the system seed and its
-        name: listing the mix in another order, or adding one of its
-        queries live at bin 0, keeps the same packets of every query in
-        every bin, at the same rates.  (The rates agree to 1e-12, not
-        bit for bit: the per-bin sums over the queries still run in
-        registration order.)"""
-        kept, rates = _kept_and_rates(clock_calibrated, mode, order, live)
-        declared_kept, declared_rates = declared_runs[mode]
-        assert any(0.0 < rate < 1.0 for bin_rates in declared_rates
-                   for rate in bin_rates.values())
+        name, and every per-bin sum over the queries runs in name order:
+        listing the mix in another order, or adding one of its queries live
+        at bin 0, keeps the same packets of every query in every bin, and
+        every record column and query log the same, bit for bit."""
+        kept, result = _kept_and_result(clock_calibrated, mode, order, live)
+        declared_kept, declared = declared_runs[mode]
+        assert any(0.0 < rate < 1.0 for record in declared.bins
+                   for rate in record.rates.values())
         assert kept == declared_kept
-        assert len(rates) == len(declared_rates)
-        for bin_rates, declared in zip(rates, declared_rates):
-            assert bin_rates.keys() == declared.keys()
-            for name, rate in bin_rates.items():
-                assert abs(rate - declared[name]) <= 1e-12, name
+        assert result.bins == declared.bins
+        assert {name: (log.intervals, log.results)
+                for name, log in result.query_logs.items()} == \
+            {name: (log.intervals, log.results)
+             for name, log in declared.query_logs.items()}

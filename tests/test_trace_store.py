@@ -2,9 +2,12 @@
 
 The contract under test: a trace persisted as a columnar store and replayed
 bin by bin through :class:`StreamingTrace` / ``ingest_trace`` must be
-indistinguishable — bit for bit, across all four operating modes, serial
-and sharded — from loading the same packets in memory and running them the
-classic way, while the process's resident set does not grow with the store.
+indistinguishable — bit for bit — from loading the same packets in memory
+and running them the classic way, while the process's resident set does
+not grow with the store.  The header store's runs in every mode, serial
+and sharded, are the ``store`` and ``workers`` rows of
+``tests/test_conformance.py``; the bins themselves and the payload runs
+are pinned here.
 """
 
 import json
@@ -21,8 +24,6 @@ from hypothesis import example, given, strategies as st
 from repro.experiments import runner
 from repro.monitor.packet import (COLUMN_FIELDS, Batch, BinGrid,
                                   PacketTrace, StreamingTrace, as_trace)
-from repro.monitor.sharding import ShardedSystem
-from repro.queries import make_query
 from repro.traffic import generate_trace, generate_trace_store
 from repro.traffic.generator import TrafficProfile
 from repro.traffic.trace_io import (MANIFEST_NAME, TraceStore, TraceWriter,
@@ -32,7 +33,6 @@ from repro.testing import assert_results_identical as _assert_results_identical
 from tests.conftest import (assert_bins_identical, probe_rss_mb,
                             write_header_store)
 
-QUERY_SET = ("counter", "flows", "top-k")
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +48,7 @@ def store_and_trace(tmp_path_factory, request):
 def test_store_roundtrip_is_bit_identical(store_and_trace):
     store, trace = store_and_trace
     assert store.num_packets == len(trace)
+    assert store.streaming().duration == trace.duration
     assert store.name == trace.name
     restored = store.to_trace()
     for column in COLUMN_FIELDS:
@@ -185,21 +186,6 @@ def test_generate_trace_store_is_deterministic_and_bounded(tmp_path):
 # ----------------------------------------------------------------------
 # Streaming: batch equality, ownership, edges of the store, residency
 # ----------------------------------------------------------------------
-def test_streaming_batches_equal_in_memory_batches(store_and_trace):
-    store, trace = store_and_trace
-    streaming = store.streaming()
-    assert_bins_identical(trace.batch_list(0.1),
-                          streaming.batch_list(0.1))
-    assert streaming.num_batches(0.1) == trace.num_batches(0.1)
-    assert streaming.duration == trace.duration
-
-
-def test_streaming_payload_batches(tmp_path, payload_trace_small):
-    store = save_trace_store(payload_trace_small, tmp_path / "p")
-    assert_bins_identical(payload_trace_small.batch_list(0.1),
-                          store.streaming().batch_list(0.1))
-
-
 def test_streamed_bins_own_read_only_arrays(store_and_trace):
     store, _ = store_and_trace
     batch = next(b for b in store.streaming().batches(0.1) if len(b) > 0)
@@ -404,27 +390,8 @@ def test_as_trace_coercion(store_and_trace):
 
 
 # ----------------------------------------------------------------------
-# Out-of-core replay: the golden pin
+# Out-of-core replay of payloads
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def shed_setup(store_and_trace):
-    store, trace = store_and_trace
-    capacity, _ = runner.calibrate_capacity(QUERY_SET, trace)
-    return store, trace, capacity * 0.5
-
-
-@pytest.mark.parametrize("mode", ["predictive", "reactive", "original",
-                                  "reference"])
-def test_streaming_replay_bit_identical_all_modes(shed_setup, mode):
-    """The golden pin: v1 in-memory vs v2 streamed replay, all four modes."""
-    store, trace, capacity = shed_setup
-    config = runner.system_config(queries=QUERY_SET, mode=mode, seed=7,
-                                  cycles_per_second=capacity)
-    in_memory = config.build().run(trace)
-    streamed = config.build().run(store.streaming())
-    _assert_results_identical(in_memory, streamed, mode)
-
-
 PAYLOAD_QUERY_SET = ("counter", "pattern-search", "p2p-detector", "trace")
 
 
@@ -441,40 +408,14 @@ def payload_shed_setup(tmp_path_factory, payload_trace_small):
                                   "reference"])
 def test_streaming_payload_replay_bit_identical_all_modes(
         payload_shed_setup, mode):
-    """The same pin on a payload store: header columns, payload offsets
-    and payload bytes all come from per-bin reads of their files."""
+    """Header columns, payload offsets and payload bytes all come from
+    per-bin reads of their files."""
     store, trace, capacity = payload_shed_setup
     config = runner.system_config(queries=PAYLOAD_QUERY_SET, mode=mode,
                                   seed=7, cycles_per_second=capacity)
     in_memory = config.build().run(trace)
     streamed = config.build().run(store.streaming())
     _assert_results_identical(in_memory, streamed, f"payload/{mode}")
-
-
-def test_sharded_streaming_replay_bit_identical(shed_setup):
-    """num_shards=4 over a streamed store == in-memory."""
-    store, trace, capacity = shed_setup
-    config = runner.system_config(cycles_per_second=capacity, num_shards=4,
-                                  seed=3)
-
-    def factory():
-        return [make_query(name) for name in QUERY_SET]
-
-    in_memory = ShardedSystem(factory, config=config).run(trace)
-    streamed = ShardedSystem(factory, config=config).run(store.streaming())
-    _assert_results_identical(in_memory, streamed, "sharded")
-
-
-def test_session_ingest_trace_accepts_store_directly(shed_setup):
-    store, trace, capacity = shed_setup
-    config = runner.system_config(cycles_per_second=capacity, seed=7)
-    in_memory = config.build(
-        [make_query(name) for name in QUERY_SET]).run(trace)
-    session = config.build(
-        [make_query(name) for name in QUERY_SET]).open_session(
-        name=store.name)
-    streamed = session.ingest_trace(store).close()
-    _assert_results_identical(in_memory, streamed, "store-direct")
 
 
 # ----------------------------------------------------------------------

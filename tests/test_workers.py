@@ -4,9 +4,10 @@ The contracts under test:
 
 * **Buffer transport** — a :class:`Batch` packed into the canonical column
   layout and rebuilt from the buffer is bit-identical to the original.
-* **Backend transparency** — a sharded execution on the persistent worker
-  pool is bit-identical to the in-process one in *all four* operating
-  modes, including live reconfiguration mid-stream.
+* **Backend transparency** — live reconfiguration and mid-stream
+  snapshots on the persistent worker pool are bit-identical to the
+  in-process ones (whole runs in every mode are the ``workers`` row of
+  ``tests/test_conformance.py``).
 * **Lifecycle** — close/stop are idempotent, a worker dying mid-stream
   surfaces a :class:`ShardWorkerError` naming the process and every
   session it hosted (not a hang), and nothing outlives a pool however it
@@ -53,45 +54,13 @@ from repro.traffic.trace_io import save_trace_store
 from tests.conftest import (assert_pool_released, dev_shm, make_batch,
                             slot_files)
 
-QUERY_SET = ("counter", "flows", "top-k", "application")
-
 needs_fork = pytest.mark.skipif(
     not fork_start_available(),
     reason="the shard worker pool needs fork and os.memfd_create")
 
 
-def _factory(names=QUERY_SET):
+def _factory(names):
     return lambda: [make_query(name) for name in names]
-
-
-@pytest.fixture(scope="module")
-def golden_scenario():
-    """Shared trace plus calibrated capacity for the golden query set."""
-    trace = scenarios.build_workload("cesca", seed=2024, scale=0.15)
-    capacity, reference = runner.calibrate_capacity(QUERY_SET, trace)
-    return trace, capacity, reference
-
-
-def _series_fingerprint(result):
-    return {
-        "query_cycles": result.series("query_cycles"),
-        "mean_rate": result.series("mean_rate"),
-        "dropped_packets": result.series("dropped_packets"),
-        "predicted_cycles": result.series("predicted_cycles"),
-        "delay": result.series("delay"),
-    }
-
-
-def _assert_identical(in_process, workers):
-    serial = _series_fingerprint(in_process)
-    pooled = _series_fingerprint(workers)
-    for name in serial:
-        assert np.array_equal(serial[name], pooled[name]), name
-    assert in_process.total_packets == workers.total_packets
-    assert in_process.dropped_packets == workers.dropped_packets
-    for qname, log in in_process.query_logs.items():
-        assert workers.query_logs[qname].intervals == log.intervals, qname
-        assert workers.query_logs[qname].results == log.results, qname
 
 
 # ----------------------------------------------------------------------
@@ -143,59 +112,6 @@ class TestBatchBufferTransport:
 # ----------------------------------------------------------------------
 @needs_fork
 class TestWorkerBitIdentity:
-    @pytest.mark.parametrize("mode", ["predictive", "reactive", "original",
-                                      "reference"])
-    def test_workers_match_in_process(self, golden_scenario, mode):
-        """All four modes run bit-identically on workers."""
-        self._check(golden_scenario, mode)
-
-    def test_workers_match_in_process_on_bitmaps(self, golden_scenario):
-        """The same with the product-default feature counters (the harness
-        default is exact counting); only the predictive mode reads them."""
-        self._check(golden_scenario, "predictive", feature_method="bitmap")
-
-    @staticmethod
-    def _check(golden_scenario, mode, **overrides):
-        trace, capacity, _ = golden_scenario
-        config = runner.system_config(
-            mode=mode, cycles_per_second=capacity * 0.5, seed=99,
-            **overrides)
-        in_process = ShardedSystem(_factory(), config=config,
-                                   num_shards=2).run(trace)
-        workers = ShardedSystem(_factory(), config=config, num_shards=2,
-                                backend="workers").run(trace)
-        _assert_identical(in_process, workers)
-
-    def test_pipelined_streaming_matches_lockstep(self, golden_scenario):
-        """``run`` takes the pipelined (run-ahead) ingest path; results
-        must still match the strictly serial in-process replay."""
-        trace, capacity, _ = golden_scenario
-        config = runner.system_config(cycles_per_second=capacity * 0.5,
-                                      seed=7)
-        in_process = ShardedSystem(_factory(), config=config,
-                                   num_shards=4).run(trace)
-        workers = ShardedSystem(_factory(), config=config, num_shards=4,
-                                backend="workers").run(trace)
-        _assert_identical(in_process, workers)
-
-    def test_streamed_store_matches_in_memory(self, golden_scenario,
-                                              tmp_path):
-        """Out-of-core replay (store -> streaming trace -> worker shards)
-        equals the fully in-memory in-process run."""
-        trace, capacity, _ = golden_scenario
-        store = save_trace_store(trace, tmp_path / "golden")
-        streaming = store.streaming()
-        config = runner.system_config(cycles_per_second=capacity * 0.5,
-                                      seed=13)
-        in_memory = ShardedSystem(_factory(), config=config,
-                                  num_shards=2).run(trace)
-        streamed = ShardedSystem(_factory(), config=config, num_shards=2,
-                                 backend="workers").run(streaming)
-        serial = _series_fingerprint(in_memory)
-        pooled = _series_fingerprint(streamed)
-        for name in serial:
-            assert np.array_equal(serial[name], pooled[name]), name
-
     def test_live_reconfiguration_matches_in_process(self):
         """Query departures/arrivals, capacity changes and partial
         snapshots mid-stream behave identically across backends."""
@@ -220,7 +136,7 @@ class TestWorkerBitIdentity:
 
         partial_in, final_in = drive("inprocess")
         partial_w, final_w = drive("workers")
-        _assert_identical(final_in, final_w)
+        assert_results_identical(final_in, final_w)
         assert set(partial_w.query_logs) == set(partial_in.query_logs)
         for qname, log in partial_in.query_logs.items():
             assert partial_w.query_logs[qname].results == log.results
@@ -248,8 +164,8 @@ class TestWorkerBitIdentity:
         partials_in, final_in = drive("inprocess")
         partials_w, final_w = drive("workers")
         for snap_in, snap_w in zip(partials_in, partials_w):
-            _assert_identical(snap_in, snap_w)
-        _assert_identical(final_in, final_w)
+            assert_results_identical(snap_in, snap_w)
+        assert_results_identical(final_in, final_w)
         # The snapshots are frozen: the stream moved on, they did not.
         assert len(partials_w[0].bins) == 7
         assert len(partials_w[1].bins) == 14
@@ -1025,8 +941,8 @@ class TestStreamingReplay:
             store.to_trace())
         first = config.build([make_query("counter")]).run(streaming)
         second = config.build([make_query("counter")]).run(streaming)
-        _assert_identical(in_memory, first)
-        _assert_identical(first, second)
+        assert_results_identical(in_memory, first)
+        assert_results_identical(first, second)
 
     def test_every_view_and_every_pass_reads_equal_bins(self, store):
         one, other = store.streaming(), store.streaming()
