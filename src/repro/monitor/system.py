@@ -577,7 +577,11 @@ class MonitoringSystem:
         runtime.slot = self.demand_table.add(
             query.name, min_rate=effective_min,
             tenant_slot=self.tenant_registry.assign(query.name))
+        # A mix is a set: the runtimes stay in name order, so every pass
+        # over them (each per-bin sum included) runs in one order however
+        # the mix was listed or added.
         self._runtimes[query.name] = runtime
+        self._runtimes = dict(sorted(self._runtimes.items()))
 
     def remove_query(self, name: str) -> None:
         """Deregister a query and forget all per-query shedding state.
@@ -642,11 +646,8 @@ class MonitoringSystem:
         self.last_accounted = None
 
     def _active_runtimes(self, batch_start: float) -> List[_QueryRuntime]:
-        """The queries running in the bin that starts at ``batch_start``,
-        in name order: every per-bin sum over them then runs in one order
-        however the mix was listed or added (a mix is a set)."""
-        return [self._runtimes[name] for name in sorted(self._runtimes)
-                if self._runtimes[name].start_time <= batch_start + 1e-9]
+        return [runtime for runtime in self._runtimes.values()
+                if runtime.start_time <= batch_start + 1e-9]
 
     # ------------------------------------------------------------------
     def _flush_intervals(self, runtime: _QueryRuntime, batch_start: float

@@ -10,8 +10,14 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.monitor.packet import COLUMN_FIELDS, Batch
+from repro.monitor.workers import fork_start_available
 from repro.traffic import TrafficProfile, generate_trace
 from repro.traffic.trace_io import TraceStore, TraceWriter
+
+#: Marks a test that starts a worker pool, which needs fork and
+#: os.memfd_create.
+needs_fork = pytest.mark.skipif(not fork_start_available(),
+                                reason="needs fork and os.memfd_create")
 
 # Hypothesis profiles: the default keeps the suite fast on every push; the
 # nightly CI schedule runs the same properties much harder

@@ -62,7 +62,7 @@ MUTANTS = (
             "test_every_public_name_is_its_defining_modules_object[repro]",)),
     Mutant("per-bin sums in registration order",
            "src/repro/monitor/system.py",
-           "for name in sorted(self._runtimes)", "for name in self._runtimes",
+           "self._runtimes = dict(sorted(self._runtimes.items()))", "pass",
            ("tests/test_system_integration.py::TestQueryOrder::"
             "test_a_mix_answers_the_same_in_any_order[predictive]",)
            + _cells("step-predictive-bitmap", "daemon-predictive-exact")),
@@ -86,7 +86,7 @@ MUTANTS = (
            "self.result = self.session.close()",
            "self.result = self.session.partial_result()",
            _cells("daemon-predictive-bitmap", "daemon-reference",
-                  "socket-reactive")),
+                  "socket-reactive", "daemon-shards-original")),
     Mutant("a SocketFeed that drops the bin in hand when stopped",
            "src/repro/serve/feeds.py",
            "if batch is None:  # stop() queues it after every cut bin",
@@ -103,7 +103,8 @@ MUTANTS = (
            _cells("shard-1-predictive-exact", "shard-1-original")),
     Mutant("a node that keeps shard 0's partials",
            "src/repro/monitor/sharding.py",
-           "if len(flushed) > 1:", "if len(flushed) > 2:",
+           "[entry[3] for entry in entries]",
+           "[entry[3] for entry in entries[:1]]",
            _cells("shards-reference", "workers-reference",
                   "restore-x-reference")),
     Mutant("a worker that stamps its bin one bin late",
@@ -112,6 +113,12 @@ MUTANTS = (
            "view, n, time_bin=bin_len, start_ts=start_ts + bin_len,",
            _cells("workers-predictive-bitmap", "workers-original",
                   "fleet-fork-reactive")),
+    Mutant("a pool that hands each shard's reply to another shard",
+           "src/repro/monitor/workers.py",
+           "self.arrived[index].append(answer)",
+           "self.arrived[len(self.arrived) - 1 - index].append(answer)",
+           _cells("workers-predictive-bitmap", "workers-reactive",
+                  "restore-x-predictive-exact")),
     Mutant("a restore that deals the shard sessions to the wrong shards",
            "src/repro/monitor/sharding.py",
            'load_sessions(state["shard_sessions"])',

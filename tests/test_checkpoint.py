@@ -18,7 +18,6 @@ from repro.core.tenancy import TenantGroup
 from repro.experiments import runner
 from repro.monitor.config import SystemConfig
 from repro.monitor.sharding import ShardedSystem, build_system
-from repro.monitor.workers import fork_start_available
 from repro.queries import make_query
 from repro.serve.checkpoint import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                                     CheckpointCorruptError,
@@ -26,13 +25,10 @@ from repro.serve.checkpoint import (CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
                                     describe_checkpoint, load_checkpoint,
                                     restore_session, save_checkpoint)
 from repro.testing import assert_results_identical
+from tests.conftest import needs_fork
 
 QUERIES = "counter,flows"
 CAPACITY = 2.0e7
-
-needs_fork = pytest.mark.skipif(
-    not fork_start_available(),
-    reason="persistent shard workers prefer the fork start method")
 
 
 def _config(mode, num_shards=1, **overrides):

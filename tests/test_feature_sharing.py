@@ -14,11 +14,8 @@ Hypothesis-drawn streams covering the hazards:
 * load shedding (an extractor that merges a sampled batch, or skips a fully
   shed bin, holds a different bank from then on);
 * live ``add_query`` / ``remove_query`` mid-interval (a mid-stream joiner
-  starts from the empty bank, not from the others' interval).
-
-(A checkpoint restored mid-interval finishes as the uninterrupted run
-does, shared banks and all: the ``restore`` row of
-``tests/test_conformance.py``.)
+  starts from the empty bank, not from the others' interval);
+* checkpoint/restore (bank object identity survives pickling).
 
 Plus a deterministic regression for the ``commit`` id-recycling hazard
 (nothing an extractor keeps may be matched against a later batch's
@@ -26,6 +23,7 @@ Plus a deterministic regression for the ``commit`` id-recycling hazard
 """
 
 import gc
+import pickle
 from contextlib import contextmanager
 
 import numpy as np
@@ -122,6 +120,39 @@ def test_live_reconfiguration_matches_private(sizes, cycles, add_at,
     assert_results_identical(
         results[False], results[True],
         f"sizes={sizes} cycles={cycles} add={add_at} remove={remove_at}")
+
+
+@given(sizes=st.lists(st.integers(min_value=0, max_value=80),
+                      min_size=4, max_size=10),
+       cut=st.integers(min_value=1, max_value=9),
+       cycles=st.sampled_from(CAPACITIES))
+@settings(deadline=None)
+def test_checkpoint_restore_matches_uninterrupted(sizes, cut, cycles):
+    """Shared banks round-trip through a pickled checkpoint, and the run
+    that was checkpointed and restored equals the oracle's as well."""
+    cut = min(cut, len(sizes) - 1)
+    batches = _batches(sizes)
+
+    with _session(cycles, 3) as session:
+        for batch in batches[:cut]:
+            session.ingest(batch)
+        payload = pickle.dumps(session.state_dict())
+        # The uninterrupted run continues on the live session...
+        for batch in batches[cut:]:
+            session.ingest(batch)
+        straight = session.close()
+    # ...while the restored copy resumes from the checkpoint.
+    restored = type(session).from_state(pickle.loads(payload))
+    for batch in batches[cut:]:
+        restored.ingest(batch)
+    resumed = restored.close()
+    with _session(cycles, 3, oracle=True) as session:
+        for batch in batches:
+            session.ingest(batch)
+        private = session.close()
+    label = f"sizes={sizes} cut={cut} cycles={cycles}"
+    assert_results_identical(straight, resumed, label)
+    assert_results_identical(private, resumed, label)
 
 
 # ----------------------------------------------------------------------

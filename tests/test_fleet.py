@@ -34,7 +34,7 @@ from repro.profile import fold_metrics, summarize
 from repro.queries import MERGE_EXACTNESS, QuerySpec, parse_query_specs
 from repro.testing import assert_results_identical
 from repro.traffic.trace_io import save_trace_store
-from tests.conftest import make_batch
+from tests.conftest import make_batch, needs_fork
 
 
 def _config(**overrides):
@@ -337,8 +337,7 @@ class TestFleetRunner:
         assert sum(budgets) == pytest.approx(default)
         assert len(result.federated.bins) == len(small_trace.batch_list(0.1))
 
-    @pytest.mark.skipif(not fork_start_available(),
-                        reason="needs the fork start method")
+    @needs_fork
     @pytest.mark.parametrize("topology", [
         pytest.param(FleetTopology.uniform(8), id="8-nodes-2-processes"),
         pytest.param(FleetTopology(nodes=[
@@ -351,7 +350,7 @@ class TestFleetRunner:
         not what it sees: the federated result and every node's are
         bit-identical, shedding included — and a node's result, folded in
         the parent from what it delivered, is what a session of the node's
-        own config reports over the node's stream.  (Two uniform nodes on
+        own config reports over the node's stream.  (Four uniform nodes on
         two processes, in every mode, are the ``fleet-fork`` row of
         ``tests/test_conformance.py``.)"""
         kinds = "counter,flows,top-k"
@@ -507,8 +506,7 @@ class TestFleetCLI:
         assert "exactness check (PASS)" in out
         assert "counter" in out and "flows" in out
 
-    @pytest.mark.skipif(not fork_start_available(),
-                        reason="needs the fork start method")
+    @needs_fork
     def test_store_replays_out_of_core_on_resident_workers(
             self, small_trace, tmp_path, capsys, monkeypatch):
         store = save_trace_store(small_trace, tmp_path / "store")

@@ -36,12 +36,11 @@ from repro.monitor.filters import Filter
 from repro.monitor.packet import COLUMN_FIELDS, Batch
 from repro.monitor.system import ExecutionResult
 from repro.monitor.sharding import ShardedSystem
-from repro.monitor.workers import fork_start_available
 from repro.queries import QuerySpec
 from repro.testing import assert_results_identical
 from repro.traffic.trace_io import TraceStore, save_trace_store
-from tests.conftest import (drop_memos, make_batch, probe, probe_rss_mb,
-                            write_header_store)
+from tests.conftest import (drop_memos, make_batch, needs_fork, probe,
+                            probe_rss_mb, write_header_store)
 
 TIME_BIN = 0.1
 FLOW_COLUMNS = ("src_ip", "dst_ip", "src_port", "dst_port", "proto")
@@ -363,8 +362,6 @@ def test_pickled_store_carries_no_data(header_store):
 # ----------------------------------------------------------------------
 # The fleet: a stream dealt out bin by bin
 # ----------------------------------------------------------------------
-needs_fork = pytest.mark.skipif(not fork_start_available(),
-                                reason="needs the fork start method")
 
 
 class _WatchedStore:

@@ -35,10 +35,9 @@ from repro.monitor.packet import HEADER_FIELDS
 from repro.monitor.pipeline import BinRecord
 from repro.monitor.sharding import (ShardDivergenceError, ShardedSystem,
                                     build_system, shard_seed)
-from repro.monitor.workers import fork_start_available
 from repro.queries import QUERY_CLASSES, make_query
 from repro.traffic.trace_io import save_trace_store
-from tests.conftest import make_batch
+from tests.conftest import make_batch, needs_fork
 
 QUERY_SET = ("counter", "flows", "top-k", "application")
 
@@ -102,9 +101,7 @@ class TestFlowAffinity:
 
 both_executors = pytest.mark.parametrize("backend", [
     "inprocess",
-    pytest.param("workers", marks=pytest.mark.skipif(
-        not fork_start_available(),
-        reason="persistent shard workers prefer the fork start method"))])
+    pytest.param("workers", marks=needs_fork)])
 
 
 class TestShardMergeExactness:
@@ -306,9 +303,7 @@ class TestMergedAccuracy:
 
 @pytest.mark.parametrize("backend", [
     "inprocess",
-    pytest.param("workers", marks=pytest.mark.skipif(
-        not fork_start_available(),
-        reason="persistent shard workers prefer the fork start method"))])
+    pytest.param("workers", marks=needs_fork)])
 def test_session_contract_is_the_same_on_every_executor(backend):
     """What the in-process and worker branches used to answer separately:
     the same literal expectations hold on both executors, step by step."""

@@ -516,11 +516,7 @@ class TestTenantsThroughTheSystem:
         config = _tenant_config()
         bins = small_trace.batch_list(0.2)
         half = len(bins) // 2
-
-        session = config.build().open_session(time_bin=0.2)
-        for batch in bins:
-            session.ingest(batch)
-        uninterrupted = session.close()
+        uninterrupted = config.build().run(small_trace, time_bin=0.2)
 
         session = config.build().open_session(time_bin=0.2)
         for batch in bins[:half]:

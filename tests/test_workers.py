@@ -45,18 +45,13 @@ from repro.monitor.sharding import (InProcessShards, ShardedSystem,
                                    build_system)
 from repro.monitor.system import ExecutionResult
 from repro.monitor.workers import (ShardExecutionWarning, ShardWorkerError,
-                                   ShardWorkerPool, effective_workers,
-                                   fork_start_available)
+                                   ShardWorkerPool, effective_workers)
 from repro.queries import CounterQuery, FlowsQuery, make_query
 from repro.serve.checkpoint import capture, restore_session
 from repro.testing import assert_results_identical
 from repro.traffic.trace_io import save_trace_store
 from tests.conftest import (assert_pool_released, dev_shm, make_batch,
-                            slot_files)
-
-needs_fork = pytest.mark.skipif(
-    not fork_start_available(),
-    reason="the shard worker pool needs fork and os.memfd_create")
+                            needs_fork, slot_files)
 
 
 def _factory(names):
@@ -228,6 +223,37 @@ def _kill(pid):
         time.sleep(0.01)
 
 
+def _orphans_left(pool_lines, count, within):
+    """Build a pool of ``count`` workers with ``pool_lines`` in a child
+    process, SIGKILL the child once its workers are up, and return those
+    still running ``within`` seconds later (killed: none is left behind)."""
+    root = Path(__file__).resolve().parents[1]
+    script = ("import time\n"
+              "from repro.experiments import runner\n"
+              "from repro.monitor.workers import ShardWorkerPool\n"
+              "from tests.conftest import make_batch\n" + pool_lines +
+              "print(*[w.pid for w in pool._workers], flush=True)\n"
+              "time.sleep(60)\n")
+    parent = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])})
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+    deadline = time.monotonic() + within
+    while not all(map(_exited, pids)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    survivors = [pid for pid in pids if not _exited(pid)]
+    for pid in survivors:  # leave no process behind, whatever happens
+        os.kill(pid, signal.SIGKILL)
+    assert len(pids) == count
+    return survivors
+
+
 @needs_fork
 class TestPoolLifecycle:
     def _open_worker_session(self, num_shards=2):
@@ -254,37 +280,11 @@ class TestPoolLifecycle:
         """SIGKILL the process that owns a pool: nothing stops the pool,
         but every worker reads end-of-file on its command pipe and exits,
         closing the last descriptors of the slots."""
-        root = Path(__file__).resolve().parents[1]
-        script = (
-            "import time\n"
-            "from repro.experiments import runner\n"
-            "from repro.monitor.workers import ShardWorkerPool\n"
-            "from tests.conftest import make_batch\n"
+        assert not _orphans_left(
             "pool = ShardWorkerPool([runner.system_config(queries='counter')]"
             " * 3, None, 0.1, ['a', 'b', 'c'], processes=2)\n"
-            "pool.ingest([make_batch(n=500, seed=s) for s in range(3)])\n"
-            "print(*[w.pid for w in pool._workers], flush=True)\n"
-            "time.sleep(60)\n")
-        parent = subprocess.Popen(
-            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
-            env={**os.environ,
-                 "PYTHONPATH": os.pathsep.join([str(root / "src"),
-                                                str(root)])})
-        try:
-            pids = [int(pid) for pid in parent.stdout.readline().split()]
-        finally:
-            parent.kill()
-            parent.wait()
-            parent.stdout.close()
-        assert len(pids) == 2
-
-        deadline = time.monotonic() + 10.0
-        while not all(map(_exited, pids)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        survivors = [pid for pid in pids if not _exited(pid)]
-        for pid in survivors:  # leave no process behind, whatever happens
-            os.kill(pid, signal.SIGKILL)
-        assert not survivors
+            "pool.ingest([make_batch(n=500, seed=s) for s in range(3)])\n",
+            count=2, within=10.0)
 
     @pytest.mark.parametrize("processes", (4, 8))
     def test_every_worker_holds_the_same_pipes(self, processes):
@@ -330,36 +330,10 @@ class TestPoolLifecycle:
         """SIGKILL the owner of a 4-process pool: every worker, the last
         forked included, exits within a second, because no other worker
         holds a copy of its command pipe."""
-        root = Path(__file__).resolve().parents[1]
-        script = (
-            "import time\n"
-            "from repro.experiments import runner\n"
-            "from repro.monitor.workers import ShardWorkerPool\n"
+        assert not _orphans_left(
             "pool = ShardWorkerPool([runner.system_config(queries='counter')]"
             " * 4, None, 0.1, ['a', 'b', 'c', 'd'])\n"
-            "pool.session_metrics()\n"
-            "print(*[w.pid for w in pool._workers], flush=True)\n"
-            "time.sleep(60)\n")
-        parent = subprocess.Popen(
-            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
-            env={**os.environ,
-                 "PYTHONPATH": os.pathsep.join([str(root / "src"),
-                                                str(root)])})
-        try:
-            pids = [int(pid) for pid in parent.stdout.readline().split()]
-        finally:
-            parent.kill()
-            parent.wait()
-            parent.stdout.close()
-        killed = time.monotonic()
-        assert len(pids) == 4
-        deadline = killed + 1.0
-        while not all(map(_exited, pids)) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        survivors = [pid for pid in pids if not _exited(pid)]
-        for pid in survivors:  # leave no process behind, whatever happens
-            os.kill(pid, signal.SIGKILL)
-        assert not survivors
+            "pool.session_metrics()\n", count=4, within=1.0)
 
     def test_stop_terminates_a_worker_that_does_not_answer(self,
                                                            monkeypatch):
