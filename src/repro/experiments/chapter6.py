@@ -131,8 +131,7 @@ def figure_6_4_accuracy_vs_srate(scale: float = 1.0,
         trace = scenarios.payload_trace(scale=scale)
     curves = {}
     for name in ("high-watermark", "top-k", "p2p-detector"):
-        curves[name] = runner.accuracy_vs_sampling_rate(
-            name, trace, rates, sampling="packet")
+        curves[name] = runner.accuracy_vs_sampling_rate(name, trace, rates)
     return {"curves": curves, "rates": list(rates)}
 
 

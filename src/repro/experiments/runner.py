@@ -32,16 +32,12 @@ from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
 import numpy as np
 
 from ..core.features import FeatureExtractor, FeatureVector
-from ..core.hashing import stream_key
 from ..core.prediction import CyclePredictor, PredictionErrorTracker
-from ..core.sampling import FlowSampler, PacketSampler
 from ..monitor import metrics
 from ..monitor.config import SystemConfig
 from ..monitor.packet import Batch, PacketTrace
-from ..monitor.query import (SAMPLING_FLOW, Query, QueryResultLog,
-                             closed_intervals)
+from ..monitor.query import Query, QueryResultLog, closed_intervals
 from ..monitor.system import ExecutionResult
-from ..queries import make_query
 
 #: Default time bin (100 ms, as in the paper).
 TIME_BIN = 0.1
@@ -197,72 +193,57 @@ def accuracy_series(result: ExecutionResult, reference: ExecutionResult,
 
 def accuracy_vs_sampling_rate(query_name: str, trace: PacketTrace,
                               rates: Sequence[float],
-                              sampling: str = "auto",
                               time_bin: float = TIME_BIN,
                               seed: int = 0) -> Dict[float, float]:
     """Mean accuracy of a query when a fixed sampling rate is applied.
 
     This reproduces the per-query sweeps used to pick the minimum sampling
     rates of Table 5.2 and the accuracy-versus-rate curves of Figure 6.4.
-    ``sampling`` is ``"packet"``, ``"flow"`` or ``"auto"`` (the query's own
-    preference).
+    Each rate is a reference-mode session handed that rate as every bin's
+    grant, so the query is sampled by its own sampling method exactly as a
+    shedding system samples it; the reference is the rate 1.0.
     """
-    reference_query = make_query(query_name)
-    reference_log = _standalone_log(reference_query, trace, 1.0, None, time_bin)
+    config = system_config(queries=(query_name,), mode="reference",
+                           seed=seed)
+    reference_log = _log_at_rate(config, trace, 1.0, time_bin)
     accuracies: Dict[float, float] = {}
     for rate in rates:
-        query = make_query(query_name)
-        method = query.sampling_method if sampling == "auto" else sampling
-        key = stream_key(seed, query.name)
-        sampler = FlowSampler(key) if method == SAMPLING_FLOW \
-            else PacketSampler(key)
-        log = _standalone_log(query, trace, rate, sampler, time_bin)
+        log = _log_at_rate(config, trace, rate, time_bin)
         error = metrics.mean_error(query_name, log, reference_log)
         accuracies[float(rate)] = metrics.accuracy_from_error(error)
     return accuracies
 
 
-def _standalone_log(query: Query, trace: PacketTrace, rate: float, sampler,
-                    time_bin: float) -> QueryResultLog:
-    """Run one query standalone at a fixed sampling rate and log its results."""
-    log = QueryResultLog(query.name)
-    renew = sampler.renew_hash if isinstance(sampler, FlowSampler) else None
-    for filtered in _query_bins(query, trace, time_bin, log, renew):
-        processed = filtered if (sampler is None or rate >= 1.0) else \
-            sampler.sample(filtered, rate)
-        query.update(processed, max(rate, 1e-12))
-        query.consume_cycles()
-    return log
+def _log_at_rate(config: SystemConfig, trace: PacketTrace, rate: float,
+                 time_bin: float) -> QueryResultLog:
+    """The result log of ``config``'s one query run at ``rate``."""
+    session = config.build().open_session(time_bin, trace.name)
+    (name,) = session.query_names
+    for batch in trace.batches(time_bin):
+        session.ingest(batch, {name: rate})
+    return session.close().query_logs[name]
 
 
 def _query_bins(query: Query, trace: PacketTrace, time_bin: float,
-                log: Optional[QueryResultLog] = None,
-                on_interval: Optional[Callable[[], None]] = None
-                ) -> Iterator[Batch]:
+                on_interval: Callable[[], None]) -> Iterator[Batch]:
     """``query``'s filtered batches of ``trace``, with no system around it.
 
     ``query`` is reset first, and its measurement intervals are flushed
     between the batches as a system flushes them (``closed_intervals``),
-    calling ``on_interval`` once where one or more close.  A flush's
-    cycles are discarded and its result goes to ``log``, when one is
-    given; the last interval is then flushed into ``log`` after the last
-    batch.
+    calling ``on_interval`` once where one or more close; a flush's
+    cycles are discarded.
     """
     query.reset()
     interval_start = None
     for batch in trace.batches(time_bin):
         closed, interval_start = closed_intervals(
             interval_start, query.measurement_interval, batch.start_ts)
-        for start in closed:
-            result = query.interval_result()
-            if log is not None:
-                log.append(start, result)
+        for _ in closed:
+            query.interval_result()
             query.consume_cycles()
-        if closed and on_interval is not None:
+        if closed:
             on_interval()
         yield query.filter.apply(batch)
-    if log is not None and interval_start is not None:
-        log.append(interval_start, query.interval_result())
 
 
 def summarize_costs(reference: ExecutionResult, duration: float

@@ -32,6 +32,12 @@ streaming :class:`~repro.monitor.session.MonitoringSession`, a shard of a
 ``AccountingStage``
     Feed the controller's EWMAs and close the bin with :func:`close_bin`.
 
+A caller that has decided the bin already hands :func:`process_bin` the
+``grants`` (``{query name: rate}``, or :data:`LOST` for a bin the capture
+buffer lost): :data:`GIVEN_STAGES` then runs, in which
+:class:`GivenGrantsStage` takes the place of admission, prediction and the
+rate decision, and the other stages are the ones above.
+
 Stages share a mutable :class:`BinContext` and are stateless themselves;
 all cross-bin state lives on the system (controller, enforcer, runtimes)
 and on the session's clock (the carried delay), so the one stage tuple
@@ -54,7 +60,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from enum import IntEnum
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Union)
 
 import numpy as np
 
@@ -71,6 +78,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: The CoMo base cost of touching one packet of a batch, in cycles (the
 #: batch's fixed cost is ``SystemConfig.system_overhead_fixed``).
 SYSTEM_OVERHEAD_PER_PACKET = 20.0
+
+#: The ``grants`` of a bin the capture buffer lost: no query sees its
+#: batch, as when :class:`AdmissionStage` drops it.
+LOST = "lost"
+#: What a caller that has decided a bin hands in: ``{query name: rate}``
+#: for every active query, or :data:`LOST`.
+Grants = Union[Mapping[str, float], str]
 
 
 class Bound(IntEnum):
@@ -244,6 +258,9 @@ class BinContext:
     batch: Batch
     clock: "CycleClock"
     buffer: CaptureBuffer
+    #: The grants the caller decided the bin with (``process_bin(...,
+    #: grants)``); ``None`` when the stages decide it.
+    given: Optional[Grants] = None
     #: Query runtimes active for this bin (arrival times already honoured).
     active: List = field(default_factory=list)
     #: Per-query filtered sub-batches, keyed by query name.
@@ -355,17 +372,20 @@ class AdmissionStage:
     """Capture-buffer admission: a full buffer drops the batch uncontrolled."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        if not (ctx.buffer.status(ctx.clock.delay).dropping
+        if (ctx.buffer.status(ctx.clock.delay).dropping
                 and len(ctx.batch) > 0):
-            return
-        # Uncontrolled loss: the batch never reaches the queries and the
-        # bin's cycles go into draining the backlog.
-        ctx.dropped_packets = len(ctx.batch)
-        count = len(ctx.active)
-        ctx.predicted = ctx.decided_rates = np.zeros(count)
-        ctx.bounds = np.full(count, Bound.DROPPED, dtype=np.int64)
-        ctx.rates = {runtime.query.name: 0.0 for runtime in ctx.active}
-        close_bin(system, ctx)
+            _lose(system, ctx)
+
+
+def _lose(system: "MonitoringSystem", ctx: BinContext) -> None:
+    """Uncontrolled loss: the batch never reaches the queries and the
+    bin's cycles go into draining the backlog."""
+    ctx.dropped_packets = len(ctx.batch)
+    count = len(ctx.active)
+    ctx.predicted = ctx.decided_rates = np.zeros(count)
+    ctx.bounds = np.full(count, Bound.DROPPED, dtype=np.int64)
+    ctx.rates = {runtime.query.name: 0.0 for runtime in ctx.active}
+    close_bin(system, ctx)
 
 
 class SystemOverheadStage:
@@ -484,6 +504,23 @@ def _bounds(system: "MonitoringSystem", ctx: BinContext,
     return bounds
 
 
+class GivenGrantsStage:
+    """Take the grants the caller decided the bin with in place of
+    admission, prediction and the rate decision: each query runs at its
+    grant, which is also its decided rate; :data:`LOST` loses the bin."""
+
+    def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
+        if ctx.given == LOST:
+            _lose(system, ctx)
+            return
+        count = len(ctx.active)
+        ctx.predicted = np.zeros(count)
+        ctx.grants = ctx.decided_rates = np.array(
+            [ctx.given[runtime.query.name] for runtime in ctx.active],
+            dtype=np.float64)
+        ctx.bounds = _bounds(system, ctx, np.zeros(count, dtype=bool))
+
+
 class ExecutionStage:
     """Run each query at the grant it was handed (sampled or custom
     shedding) and note the rate it applied."""
@@ -519,7 +556,7 @@ class AccountingStage:
         # (averaged over the queries), not summed across queries.
         if ctx.active:
             ctx.unsampled_packets /= len(ctx.active)
-        if system.mode == "predictive":
+        if ctx.plan is not None:
             system.controller.record_shedding_overhead(ctx.shedding_overhead)
             system.controller.record_prediction_error(ctx.expected_cycles,
                                                       ctx.query_cycles)
@@ -538,16 +575,29 @@ DEFAULT_STAGES = (
     ExecutionStage(),
     AccountingStage(),
 )
+#: The stages of a bin the caller decided: :class:`GivenGrantsStage` in
+#: place of admission, prediction and the rate decision.
+GIVEN_STAGES = (
+    IntervalFlushStage(),
+    GivenGrantsStage(),
+    SystemOverheadStage(),
+    FilterStage(),
+    ExecutionStage(),
+    AccountingStage(),
+)
 
 
 def process_bin(system: "MonitoringSystem", index: int, batch: Batch,
-                clock: "CycleClock", buffer: CaptureBuffer) -> BinRecord:
-    """Run ``batch`` through :data:`DEFAULT_STAGES`; returns the bin's
-    record."""
-    ctx = BinContext(index=index, batch=batch, clock=clock, buffer=buffer)
+                clock: "CycleClock", buffer: CaptureBuffer,
+                grants: Optional[Grants] = None) -> BinRecord:
+    """Run ``batch`` through :data:`DEFAULT_STAGES`, or through
+    :data:`GIVEN_STAGES` when the caller hands in its ``grants``; returns
+    the bin's record."""
+    ctx = BinContext(index=index, batch=batch, clock=clock, buffer=buffer,
+                     given=grants)
     profiler = system.profiler
     bin_seconds = 0.0
-    for stage in DEFAULT_STAGES:
+    for stage in DEFAULT_STAGES if grants is None else GIVEN_STAGES:
         started = perf_counter()
         stage.run(system, ctx)
         elapsed = perf_counter() - started
@@ -573,7 +623,11 @@ __all__ = [
     "DEFAULT_STAGES",
     "ExecutionStage",
     "FilterStage",
+    "GIVEN_STAGES",
+    "GivenGrantsStage",
+    "Grants",
     "IntervalFlushStage",
+    "LOST",
     "PredictionStage",
     "RateDecisionStage",
     "SYSTEM_OVERHEAD_PER_PACKET",

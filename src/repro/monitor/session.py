@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.cycles import CycleBudget, CycleClock
 from .capture import BUFFER_SECONDS, CaptureBuffer
 from .packet import Batch, as_trace
-from .pipeline import process_bin
+from .pipeline import Grants, process_bin
 from .query import Query
 from .system import BinRecord, ExecutionResult, MonitoringSystem
 
@@ -153,22 +153,27 @@ class MonitoringSession:
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
-    def step(self, batch: Batch) -> Tuple[BinRecord, List[Tuple]]:
+    def step(self, batch: Batch, grants: Optional[Grants] = None
+             ) -> Tuple[BinRecord, List[Tuple]]:
         """Process one time bin's worth of packets; returns what it produced.
 
         Pending reconfigurations are applied first (this call *is* the bin
         boundary they were waiting for), then the batch flows through the
         full pipeline: capture-buffer admission, prediction, allocation,
-        shedding and query execution.  Returns the bin's record and
-        ``flushed``: the ``(query name, interval start, query class,
-        partial)`` of every measurement interval this bin (or a departure
-        at its boundary) closed, in flush order.  It keeps neither.
+        shedding and query execution.  A caller that has decided the bin
+        hands in its ``grants``: ``{query name: rate}`` for every active
+        query runs each at its rate, with no admission, prediction or rate
+        decision, and :data:`~repro.monitor.pipeline.LOST` loses the bin.
+        Returns the bin's record and ``flushed``: the ``(query name,
+        interval start, query class, partial)`` of every measurement
+        interval this bin (or a departure at its boundary) closed, in flush
+        order.  It keeps neither.
         """
         if self.closed:
             raise RuntimeError("cannot ingest into a closed session")
         self._apply_pending(batch.start_ts)
         record = process_bin(self.system, self._next_index, batch, self.clock,
-                             self.buffer)
+                             self.buffer, grants)
         self._next_index += 1
         self._last_start_ts = float(batch.start_ts)
         return record, self._take_flushed()
@@ -188,9 +193,10 @@ class MonitoringSession:
         flushed, self.system._flushed = self.system._flushed, []
         return flushed
 
-    def ingest(self, batch: Batch) -> BinRecord:
+    def ingest(self, batch: Batch, grants: Optional[Grants] = None
+               ) -> BinRecord:
         """:meth:`step`, folded into the session's own result."""
-        record, flushed = self.step(batch)
+        record, flushed = self.step(batch, grants)
         self._result.fold(record, flushed, self._query_names)
         return record
 

@@ -129,6 +129,25 @@ MUTANTS = (
            "ShardWorkerPool(configs, None,",
            "ShardWorkerPool(configs[::-1], None,",
            _cells("fleet-fork-predictive-exact", "fleet-fork-reactive")),
+    Mutant("a bin handed its grants runs every query at full rate",
+           "src/repro/monitor/pipeline.py",
+           "[ctx.given[runtime.query.name] for runtime in ctx.active]",
+           "[1.0 for runtime in ctx.active]",
+           _cells("rates-predictive-bitmap", "rates-predictive-exact",
+                  "rates-reactive")),
+    Mutant("a water fill that ignores the weights",
+           "src/repro/core/fairness.py",
+           "used = float((weights * np.clip(mid, floors, ceilings)).sum())",
+           "used = float(np.clip(mid, floors, ceilings).sum())",
+           ("tests/test_tenancy.py::TestKernelBitIdentity::"
+            "test_kernel_matches_scalar_reference[1-mmfs_pkt]",
+            "tests/test_tenancy.py::TestTwoTierProperties::"
+            "test_vectorised_matches_scalar_reference",
+            "tests/test_sampling_fairness_game.py::TestKernelsEqualTheOracle::"
+            "test_kernel_equals_scalar_reference",
+            "tests/test_sampling_fairness_game.py::"
+            "TestGrownSlotTableAllocatesLikeTheOracle::"
+            "test_every_bins_allocation_equals_the_oracle[mmfs_pkt]")),
 )
 
 

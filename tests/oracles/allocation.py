@@ -10,8 +10,10 @@ verbatim; they work on the oracle's own per-query :class:`QueryDemand`
 tuples and fill in a plain :func:`_allocation` record of dicts.  The
 kernels must reproduce the flat strategies exactly — same floats, same
 disable decisions — and the two-tier reference to bisection tolerance
-(``tests/test_tenancy.py``).  Test code only — nothing under ``src/``
-imports it.
+(``tests/test_tenancy.py``).  The kernels' helpers they call — the
+water fill, the column checks, the tenant boxes and caps — are copied
+verbatim too, so a fault in the product's cannot move the oracle with
+it.  Test code only — nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,71 @@ from typing import Callable, Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.fairness import _validate_columns, _water_fill
-from repro.core.tenancy import TenantRegistry, _tenant_boxes
+from repro.core.tenancy import TenantRegistry
+
+
+# ----------------------------------------------------------------------
+# The kernels' helpers (verbatim from repro.core.fairness / .tenancy)
+# ----------------------------------------------------------------------
+def _validate_columns(predicted: np.ndarray, min_rates: np.ndarray) -> None:
+    """Demands are non-negative, minimum sampling rates lie in [0, 1]."""
+    if np.any(predicted < 0):
+        raise ValueError("predicted_cycles must be non-negative")
+    if np.any((min_rates < 0.0) | (min_rates > 1.0)):
+        raise ValueError("min_sampling_rate must be in [0, 1]")
+
+
+def _water_fill(floors: np.ndarray, ceilings: np.ndarray, weights: np.ndarray,
+                capacity: float, tolerance: float = 1e-9) -> np.ndarray:
+    """Max-min fair allocation with floors and ceilings.
+
+    Finds the water level ``L`` such that ``x_i = clip(L, floor_i, ceil_i)``
+    and ``sum(weights_i * x_i) == capacity`` (or every ``x_i`` is at its
+    ceiling when capacity is abundant).  This is the unique max-min fair
+    vector subject to the box constraints, the same solution produced by the
+    progressive-filling algorithm of Section 5.2.3.
+    """
+    floors = np.asarray(floors, dtype=np.float64)
+    ceilings = np.asarray(ceilings, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if np.any(ceilings < floors - tolerance):
+        raise ValueError("every ceiling must be at least its floor")
+    min_total = float((weights * floors).sum())
+    max_total = float((weights * ceilings).sum())
+    if capacity >= max_total:
+        return ceilings.copy()
+    if capacity <= min_total:
+        return floors.copy()
+    lo, hi = float(floors.min()), float(ceilings.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        used = float((weights * np.clip(mid, floors, ceilings)).sum())
+        if used > capacity:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < tolerance * max(1.0, hi):
+            break
+    return np.clip(lo, floors, ceilings)
+
+
+def _tenant_boxes(predicted: np.ndarray, min_rates: np.ndarray,
+                  packet_fair: bool):
+    """Per-query (floor, ceiling, weight) boxes for the requested fairness
+    metric: rates for ``mmfs_pkt`` (cycle cost ``d_q`` per unit of rate),
+    cycles for ``mmfs_cpu`` (unit cost)."""
+    if packet_fair:
+        return (min_rates.astype(np.float64, copy=True),
+                np.ones(len(predicted)), predicted)
+    return (min_rates * predicted, predicted.astype(np.float64, copy=True),
+            np.ones(len(predicted)))
+
+
+def _capacity_caps(registry: TenantRegistry, capacity: float) -> np.ndarray:
+    """Per-tenant cycle ceilings at the given bin capacity
+    (``inf`` for uncapped tenants)."""
+    shares = registry.budget_share[:registry.size]
+    return np.where(np.isnan(shares), np.inf, shares * capacity)
 
 
 class QueryDemand(NamedTuple):
@@ -192,7 +257,7 @@ def two_tier_scalar(names: Sequence[str], predicted: np.ndarray,
                            cycles={name: 0.0 for name in names},
                            disabled=list(names))
     tenant_ids = np.asarray(tenant_ids, dtype=np.intp)
-    caps_t = registry.capacity_caps(capacity)
+    caps_t = _capacity_caps(registry, capacity)
     floors, ceilings, costs = _tenant_boxes(predicted, min_rates, packet_fair)
     min_cost = costs * floors
 

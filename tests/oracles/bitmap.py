@@ -3,17 +3,17 @@
 This is the implementation :class:`repro.core.distinct.MultiResolutionBitmap`
 had before its rows were bit-packed: one NumPy ``bool`` byte per bit, every
 read a full reduction, ``new_estimate`` through the base-class
-copy/merge/estimate default.  The class body is verbatim; the packed kernel
-must reproduce its floats exactly (``tests/test_hashing_distinct.py``), and
-``tests/test_checkpoint.py`` uses it to build checkpoints in the old pickle
-layout.  Test code only — nothing under ``src/`` imports it.
+copy/merge/estimate default (the oracles' own copy of the base class,
+``oracles.counters``).  The class body is verbatim; the packed kernel must
+reproduce its floats exactly (``tests/test_hashing_distinct.py``).  Test
+code only — nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.distinct import DistinctCounter
+from oracles.counters import DistinctCounter
 
 
 def unpack_words(words: np.ndarray, bits_per_component: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.distinct import DistinctCounter
+from oracles.counters import DistinctCounter
 
 
 class ExactDistinctCounter(DistinctCounter):

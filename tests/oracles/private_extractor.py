@@ -27,10 +27,10 @@ from typing import Optional
 import numpy as np
 
 from oracles.bitmap import MultiResolutionBitmap
+from oracles.counters import CounterBank
 from oracles.exact_counter import ExactDistinctCounter
 from oracles.scalar import combine_columns
 
-from repro.core.distinct import CounterBank
 from repro.core.features import (NUM_FEATURES, TRAFFIC_AGGREGATES,
                                  FeatureVector)
 

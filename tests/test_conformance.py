@@ -7,12 +7,15 @@ and query log: ``serial`` (``config.build().run(trace)``), ``sharded``
 (4 in-process shards) or ``fleet`` (a 4-node in-process fleet); four
 parts, as two would fold each sum in either order alike.  Shards shed on
 slices of the budget, so in ``reference`` mode a sharded row's logs must
-also equal serial's (what ``verify_shard_exactness`` checks).  A row's
-five cells are the rows of :data:`MODES`: ``predictive`` with ``bitmap``
-and ``exact`` counting, ``reactive``, ``original``, ``reference``.  A mix
-is a set: each mode lists the mix in its own order, the oracles as
-:data:`QUERIES`.  A row that checkpoints names its bins in the table.  A
-new tier is a new row.  One cell or row::
+also equal serial's (what ``verify_shard_exactness`` checks).  A replay
+row (:data:`REPLAYS`) runs the bins at the rates its oracle recorded, so
+it must equal the oracle on what those rates decide: every query log, and
+each bin's ``rates``, ``query_cycles_by_query`` and ``dropped_packets``.
+A row's five cells are the rows of :data:`MODES`: ``predictive`` with
+``bitmap`` and ``exact`` counting, ``reactive``, ``original``,
+``reference``.  A mix is a set: each mode lists the mix in its own order,
+the oracles as :data:`QUERIES`.  A row that checkpoints names its bins in
+the table.  A new tier is a new row.  One cell or row::
 
     pytest tests/test_conformance.py -k "workers and predictive"
 """
@@ -27,6 +30,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.fleet import FleetRunner, FleetTopology
+from repro.monitor.pipeline import LOST
 from repro.monitor.sharding import ShardedSystem, build_system
 from repro.monitor.system import ExecutionResult
 from repro.monitor.workers import fork_start_available
@@ -215,6 +219,15 @@ def _restore_across(world, cell, config, cuts):
         node.close()
 
 
+def _rates(world, cell, config):
+    """A fresh session handed each bin's recorded rates as its grants, a
+    recorded drop as a drop."""
+    session = _opened(config)
+    for batch, record in zip(world.bins, world.oracle("serial", cell).bins):
+        session.ingest(batch, LOST if record.dropped_packets else record.rates)
+    return session.close()
+
+
 def _fleet_forked(world, cell, config):
     fleet = _fleet(world, config, n_workers=2, respect_cores=False,
                    backend="fork")
@@ -240,9 +253,12 @@ TIERS = {
     "workers": (_workers, "sharded"),
     "restore-x": (partial(_restore_across, cuts=(4, 10, 15)), "sharded"),
     "fleet-fork": (_fleet_forked, "fleet"),
+    "rates": (_rates, "serial"),
 }
 #: The rows that start worker processes.
 POOLED = ("workers", "restore-x", "fleet-fork")
+#: The rows that replay their oracle's rate decisions.
+REPLAYS = ("rates",)
 
 CELLS = [Cell(tier, *mode) for tier, mode in itertools.product(TIERS, MODES)]
 
@@ -271,6 +287,12 @@ def test_cell(world, cell):
     result, expected = run(world, cell, config), world.oracle(oracle, cell)
     if oracle == "fleet":
         result, expected = result.federated, expected.federated
+    if cell.tier in REPLAYS:
+        assert _logs(result) == _logs(expected)
+        for name in ("rates", "query_cycles_by_query", "dropped_packets"):
+            assert [getattr(record, name) for record in result.bins] == \
+                [getattr(record, name) for record in expected.bins], name
+        return
     assert_results_identical(expected, result, cell.id)
     assert result.bins == expected.bins
     if cell.mode == "reference" and oracle == "sharded":

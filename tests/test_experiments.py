@@ -52,17 +52,23 @@ class TestRunner:
     @pytest.mark.parametrize("query_name", ["counter", "flows"])
     def test_standalone_walk_flushes_where_the_system_does(
             self, header_trace, query_name):
-        """A query run with no system around it closes its measurement
-        intervals at the bins the full system closes them, and logs the
-        same results at full rate as the reference execution."""
-        capacity, reference = runner.calibrate_capacity((query_name,),
-                                                        header_trace)
-        log = runner._standalone_log(make_query(query_name), header_trace,
-                                     1.0, None, runner.TIME_BIN)
-        online = reference.query_logs[query_name]
-        assert len(log) > 1
-        assert log.intervals == online.intervals
-        assert log.results == online.results
+        """A query walked with no system around it (as
+        ``collect_observations`` walks it) closes its measurement intervals
+        at the bins a system's session closes them."""
+        walked = []
+        closes = []
+        for filtered in runner._query_bins(
+                make_query(query_name), header_trace, runner.TIME_BIN,
+                on_interval=lambda: closes.append(len(walked))):
+            walked.append(filtered)
+        session = runner.system_config(
+            queries=(query_name,), mode="reference").build().open_session(
+                runner.TIME_BIN)
+        flushes = [index for index, batch in
+                   enumerate(header_trace.batches(runner.TIME_BIN))
+                   if session.step(batch)[1]]
+        assert len(closes) > 1
+        assert closes == flushes
 
 
 def test_accuracy_scores_a_renamed_query_instance_by_kind():

@@ -12,7 +12,9 @@ member's next interval with ``reset()`` where the system's rule
 (:func:`repro.monitor.query.closed_intervals`) ends one.
 """
 
+import ast
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,3 +214,31 @@ def test_a_bank_the_product_memoised_is_not_the_oracles(method):
     assert not np.array_equal(misled, truth)
     assert np.array_equal(
         PrivateExtractor(method).extract(planted).values, truth)
+
+
+#: What an oracle may take from ``repro``: values and the types they come
+#: in, never a function or method that computes what the oracle checks.
+ORACLE_IMPORTS = {
+    "repro.core.features": {"FeatureVector", "NUM_FEATURES",
+                            "TRAFFIC_AGGREGATES"},
+    "repro.core.tenancy": {"TenantRegistry"},
+}
+
+
+def test_the_oracles_import_only_data_from_repro():
+    """Each module of ``tests/oracles/`` imports from ``repro`` only the
+    names :data:`ORACLE_IMPORTS` lists, so no fault in a product kernel
+    can move its oracle with it."""
+    taken = {}
+    for path in sorted((Path(__file__).parent / "oracles").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+                assert not any(name.split(".")[0] == "repro"
+                               for name in names), (path.name, names)
+            elif (isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "repro"):
+                taken.setdefault(node.module, set()).update(
+                    alias.name for alias in node.names)
+    assert taken and all(names <= ORACLE_IMPORTS.get(module, set())
+                         for module, names in taken.items()), taken

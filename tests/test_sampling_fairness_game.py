@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles.allocation import SCALAR_REFERENCE, QueryDemand, columns
@@ -260,6 +260,10 @@ class TestKernelsEqualTheOracle:
     floats, same disable decisions, strict ``==``."""
 
     @given(demand_columns(), st.sampled_from(sorted(STRATEGIES)))
+    # A packet-fair water level weighs each rate by its query's cycles:
+    # 0.5 here, 1.0 unweighted.
+    @example((["q0", "q1"], np.array([100.0, 300.0]), np.zeros(2), 200.0),
+             "mmfs_pkt")
     @settings(deadline=None, max_examples=150)
     def test_kernel_equals_scalar_reference(self, case, key):
         names, predicted, min_rates, capacity = case

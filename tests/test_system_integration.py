@@ -614,12 +614,23 @@ class TestIntervalClock:
 # ----------------------------------------------------------------------
 # A mix is a set
 # ----------------------------------------------------------------------
-def _kept_and_result(clock_calibrated, mode, order, live):
+@pytest.fixture(scope="module")
+def order_calibrated():
+    """``header_trace(scale=0.03)`` (four bins, a tenth of
+    ``clock_calibrated``'s) and 0.7 of the calibrated capacity of
+    ``CLOCK_QUERIES`` on it: at half of it, reactive mode runs each of the
+    four bins at rate 0 or 1."""
+    trace = scenarios.header_trace(scale=0.03)
+    return trace, 0.7 * runner.calibrate_capacity(CLOCK_QUERIES, trace)[0]
+
+
+def _kept_and_result(order_calibrated, mode, order, live):
     """Run ``CLOCK_QUERIES`` (two packet-sampled, two flow-sampled) listed
-    in ``order`` at half the calibrated capacity, with ``live`` added to
-    the open session before bin 0 instead of declared: per bin, each
-    query's count of packets it was given to process, and the result."""
-    trace, capacity = clock_calibrated
+    in ``order`` at the capacity of ``order_calibrated``, with ``live``
+    added to the open session before bin 0 instead of declared: per bin,
+    each query's count of packets it was given to process, and the
+    result."""
+    trace, capacity = order_calibrated
     queries = {kind: make_query(kind) for kind in order}
     kept = defaultdict(dict)
     for name, query in queries.items():
@@ -628,7 +639,7 @@ def _kept_and_result(clock_calibrated, mode, order, live):
             update(batch, rate)
         query.update = counted
     system = runner.system_config(
-        mode=mode, cycles_per_second=capacity * 0.5).build(
+        mode=mode, cycles_per_second=capacity).build(
             [queries[kind] for kind in order if kind != live])
     session = system.open_session(time_bin=runner.TIME_BIN)
     if live is not None:
@@ -638,9 +649,9 @@ def _kept_and_result(clock_calibrated, mode, order, live):
 
 
 @pytest.fixture(scope="module")
-def declared_runs(clock_calibrated):
+def declared_runs(order_calibrated):
     """Mode -> the mix as listed in ``CLOCK_QUERIES``, all declared."""
-    return {mode: _kept_and_result(clock_calibrated, mode, CLOCK_QUERIES,
+    return {mode: _kept_and_result(order_calibrated, mode, CLOCK_QUERIES,
                                    None)
             for mode in ("predictive", "reactive")}
 
@@ -650,13 +661,13 @@ class TestQueryOrder:
     @given(order=st.permutations(CLOCK_QUERIES),
            live=st.sampled_from((None,) + CLOCK_QUERIES))
     def test_a_mix_answers_the_same_in_any_order(
-            self, clock_calibrated, declared_runs, mode, order, live):
+            self, order_calibrated, declared_runs, mode, order, live):
         """Each query's sampling draws are keyed by the system seed and its
         name, and every per-bin sum over the queries runs in name order:
         listing the mix in another order, or adding one of its queries live
         at bin 0, keeps the same packets of every query in every bin, and
         every record column and query log the same, bit for bit."""
-        kept, result = _kept_and_result(clock_calibrated, mode, order, live)
+        kept, result = _kept_and_result(order_calibrated, mode, order, live)
         declared_kept, declared = declared_runs[mode]
         assert any(0.0 < rate < 1.0 for record in declared.bins
                    for rate in record.rates.values())
