@@ -47,8 +47,11 @@ print(len(dataclasses.fields(repro.SystemConfig)),
 # per-query state, 0 once every producer of bins cuts them on BinGrid; and
 # the private interval clocks of the feature extractor and the flow
 # sampler, 0 once the flush is the only one; and the system's own rate
-# decision, 0 once RateDecisionStage makes every one; and the sweeps'
-# executor, 0 once a sweep steps a session at given rates.
+# decision (``_decide_rates``), 0 once RateDecisionStage makes every one;
+# and the sweeps' executor, 0 once a sweep steps a session at given rates;
+# and the stages and tuple of a bin split apart from Algorithm 1's three
+# halves, and the system's executors that learned while they ran, 0 once
+# every bin runs one tuple of four (decide, execute, account).
 PROTOCOL = (
     r"_decide_rates|ship_partials|session_calls|query_arrives|_admit_arrivals"
     r"|_arriving|_query_classes|merged_summary|_fold_metrics"
@@ -61,7 +64,9 @@ PROTOCOL = (
     r"|_prev_reactive_rate|repro_stage_cycles_total|_concat_batches"
     r"|_slice_bins|_flush_through|_extend_bin_index|_batch_at"
     r"|last_prediction|last_sampling_rate|_maybe_renew|_roll\("
-    r"|\._interval_start|_standalone_log")
+    r"|\._interval_start|_standalone_log|AdmissionStage|SystemOverheadStage"
+    r"|FilterStage|PredictionStage|GivenGrantsStage|GIVEN_STAGES|_run_sampled"
+    r"|_run_custom")
 
 
 def _lines(paths, pattern: str) -> int:

@@ -1,42 +1,40 @@
-"""The per-bin data path: Figure 3.2 as a fixed sequence of stages.
+"""The per-bin data path: Algorithm 1 as one fixed tuple of four stages.
 
 :func:`process_bin` drives one time bin of a
 :class:`~repro.monitor.system.MonitoringSystem` through
 :data:`DEFAULT_STAGES`; every execution shape — ``system.run(trace)``, a
 streaming :class:`~repro.monitor.session.MonitoringSession`, a shard of a
-:class:`~repro.monitor.sharding.ShardedSystem` — is a session calling it:
+:class:`~repro.monitor.sharding.ShardedSystem`, a bin handed its grants —
+is a session calling it:
 
 ``IntervalFlushStage``
     Determine the active queries, flush completed measurement intervals
     and start the next ones (the only interval clock).
-``AdmissionStage``
-    Capture-buffer admission: when the backlog exceeds the buffer the batch
-    is lost *uncontrollably* before any query sees it (the "DAG drops" of
-    Figure 4.2) and the bin ends early, closed by :func:`close_bin`.
-``SystemOverheadStage``
-    Charge the CoMo base cost (fixed + per packet).
-``FilterStage``
-    Evaluate every active query's stateless packet filter (with per-batch
-    result sharing).
-``PredictionStage``
-    Feature extraction and per-query cycle prediction (predictive mode).
 ``RateDecisionStage``
-    Make every per-query rate decision: the sampling rates (Algorithm 1 /
-    Eq. 4.1 / no-op, depending on the operating mode), the grant of a query
-    that sheds its own load (the Chapter 6 enforcer's correction or
-    penalty), and what bound each rate (:class:`Bound`).
+    Decide the bin.  Capture-buffer admission: when the backlog exceeds
+    the buffer the batch is lost *uncontrollably* before any query sees it
+    (the "DAG drops" of Figure 4.2) and the bin ends early, closed by
+    :func:`close_bin`.  Then the CoMo base cost, every query's packet
+    filter (with per-batch result sharing), the pre-shedding features and
+    the cycle prediction (predictive mode), and every per-query rate
+    decision: the sampling rates (Algorithm 1 up to line 9 / Eq. 4.1 /
+    no-op, depending on the operating mode), the grant of a query that
+    sheds its own load (the Chapter 6 enforcer's correction or penalty),
+    and what bound each rate (:class:`Bound`).  A caller that has decided
+    the bin already hands :func:`process_bin` its ``grants`` (``{query
+    name: rate}``): the stage takes them as decided rates and grants in
+    place of the prediction and the decision; :data:`LOST` loses the bin.
 ``ExecutionStage``
-    Only execute: run each query at the grant it was handed — behind
-    system packet/flow sampling or through its custom shedding method —
-    and note the rate it applied.
+    Only execute: run each query at its grant — behind system packet/flow
+    sampling or through its custom shedding method — and measure it: the
+    rate it applied, its cycles, the sampler's cost and the rows a sampled
+    query kept.
 ``AccountingStage``
-    Feed the controller's EWMAs and close the bin with :func:`close_bin`.
-
-A caller that has decided the bin already hands :func:`process_bin` the
-``grants`` (``{query name: rate}``, or :data:`LOST` for a bin the capture
-buffer lost): :data:`GIVEN_STAGES` then runs, in which
-:class:`GivenGrantsStage` takes the place of admission, prediction and the
-rate decision, and the other stages are the ones above.
+    The one place the system learns: the post-shedding features and each
+    predictor's history, the enforcer's verdict on a query that sheds its
+    own load, the EWMAs of line 13 (shedding cycles) and line 17
+    (prediction error); then :func:`close_bin`.  A bin handed its grants
+    learns nothing.
 
 Stages share a mutable :class:`BinContext` and are stateless themselves;
 all cross-bin state lives on the system (controller, enforcer, runtimes)
@@ -80,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 SYSTEM_OVERHEAD_PER_PACKET = 20.0
 
 #: The ``grants`` of a bin the capture buffer lost: no query sees its
-#: batch, as when :class:`AdmissionStage` drops it.
+#: batch, as when a full buffer drops it.
 LOST = "lost"
 #: What a caller that has decided a bin hands in: ``{query name: rate}``
 #: for every active query, or :data:`LOST`.
@@ -267,26 +265,23 @@ class BinContext:
     filtered: Dict[str, Batch] = field(default_factory=dict)
     #: Pre-shedding feature vectors (predictive mode only).
     features_pre: Dict[str, FeatureVector] = field(default_factory=dict)
-    #: Rows of the system's :class:`~repro.core.fairness.QuerySlotTable`
-    #: (one per active query, in ``active`` order) whose ``predicted``
-    #: column was refreshed this bin; ``None`` until the prediction stage
-    #: ran.
-    demand_slots: Optional[np.ndarray] = None
     #: Algorithm 1's plan for the bin (predictive mode only).
     plan: Optional[ShedPlan] = None
     #: The rate decision, one entry per query in ``active`` order: the
     #: full-rate predictions (zeros outside predictive mode), the decided
     #: rates, the grants execution runs the queries at (a custom query's
     #: enforcer-corrected fraction, 0.0 under a penalty) and the
-    #: :class:`Bound` codes.  Set by :class:`RateDecisionStage`, or by
-    #: :class:`AdmissionStage` for a lost bin.
+    #: :class:`Bound` codes.  Set by :class:`RateDecisionStage`.
     predicted: Optional[np.ndarray] = None
     decided_rates: Optional[np.ndarray] = None
     grants: Optional[np.ndarray] = None
     bounds: Optional[np.ndarray] = None
-    #: The rates the queries ran at, written by execution.
+    #: What execution measured: the rate each query ran at, its cycles,
+    #: and the rows of its filtered batch a sampled query kept (held as an
+    #: index, not as the batch, until accounting reads the sample).
     rates: Dict[str, float] = field(default_factory=dict)
     query_cycles_by_query: Dict[str, float] = field(default_factory=dict)
+    kept: Dict[str, np.ndarray] = field(default_factory=dict)
     #: The bin's own :class:`BinRecord` fields, added up by the stages.
     system_overhead: float = 0.0
     prediction_overhead: float = 0.0
@@ -315,7 +310,7 @@ def close_bin(system: "MonitoringSystem", ctx: BinContext) -> BinRecord:
     and the record copies the context's fields, the rate decision beside
     the outcome.  Both ways a bin ends —
     admitted (:class:`AccountingStage`) and dropped
-    (:class:`AdmissionStage`) — come through here.
+    (:class:`RateDecisionStage`) — come through here.
     """
     total = (ctx.query_cycles + ctx.prediction_overhead +
              ctx.shedding_overhead + ctx.system_overhead)
@@ -368,13 +363,72 @@ class IntervalFlushStage:
             system._flush_intervals(runtime, ctx.batch.start_ts)
 
 
-class AdmissionStage:
-    """Capture-buffer admission: a full buffer drops the batch uncontrolled."""
+class RateDecisionStage:
+    """Decide the bin: admission, the CoMo base cost, the filters, then
+    every per-query rate decision — Algorithm 1's rate from the
+    pre-shedding features and the prediction (Equation 4.1's in reactive
+    mode, 1.0 without shedding), the grant of a query that sheds its own
+    load (what the Chapter 6 enforcer allows it after the earlier bins,
+    nothing under a penalty), and what bound each rate (:class:`Bound`).
+    Grants the caller handed in are taken instead of a decision."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        if (ctx.buffer.status(ctx.clock.delay).dropping
+        if ctx.given == LOST or (
+                ctx.given is None
+                and ctx.buffer.status(ctx.clock.delay).dropping
                 and len(ctx.batch) > 0):
             _lose(system, ctx)
+            return
+        ctx.system_overhead += float(
+            system.config.system_overhead_fixed +
+            SYSTEM_OVERHEAD_PER_PACKET * len(ctx.batch))
+        for runtime in ctx.active:
+            ctx.filtered[runtime.query.name] = system._filtered_batch(
+                runtime.query.filter, ctx.batch)
+        count = len(ctx.active)
+        penalised = np.zeros(count, dtype=bool)
+        ctx.predicted = np.zeros(count)
+        slots = None
+        if ctx.given is not None:
+            ctx.grants = ctx.decided_rates = np.array(
+                [ctx.given[runtime.query.name] for runtime in ctx.active],
+                dtype=np.float64)
+            ctx.bounds = _bounds(system, ctx, slots, penalised)
+            return
+        clock = ctx.clock
+        decided = np.ones(count)
+        if system.mode == "predictive":
+            slots = _predict(system, ctx)
+            table = system.demand_table
+            tenants = None
+            if system.tenant_registry.declared:
+                tenants = TenantAssignment(system.tenant_registry,
+                                           table.tenant_slot[slots])
+            ctx.predicted = table.predicted[slots]
+            ctx.plan = system.controller.plan_arrays(
+                [runtime.query.name for runtime in ctx.active],
+                ctx.predicted, table.min_rate[slots], clock.per_bin_budget,
+                ctx.overhead, clock.delay, tenants=tenants,
+                rank=table.name_rank[slots])
+            if ctx.plan.allocation is not None:
+                decided = ctx.plan.allocation.rate_array
+        elif system.mode == "reactive" and system.last_accounted is not None:
+            last = system.last_accounted
+            decided[:] = reactive_rate(
+                last.mean_rate, last.query_cycles,
+                clock.per_bin_budget - ctx.system_overhead, clock.delay)
+        ctx.decided_rates, ctx.grants = decided, decided.copy()
+        for position, (runtime, prediction, rate) in enumerate(zip(
+                ctx.active, ctx.predicted.tolist(), decided.tolist())):
+            ctx.expected_cycles += prediction * rate
+            if system._uses_custom(runtime):
+                name = runtime.query.name
+                penalised[position] = system.enforcer.is_disabled(name,
+                                                                  ctx.index)
+                ctx.grants[position] = (
+                    0.0 if penalised[position]
+                    else system.enforcer.allowed_fraction(name, rate))
+        ctx.bounds = _bounds(system, ctx, slots, penalised)
 
 
 def _lose(system: "MonitoringSystem", ctx: BinContext) -> None:
@@ -388,96 +442,30 @@ def _lose(system: "MonitoringSystem", ctx: BinContext) -> None:
     close_bin(system, ctx)
 
 
-class SystemOverheadStage:
-    """Charge the CoMo base cost of touching the batch."""
-
-    def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        ctx.system_overhead += float(
-            system.config.system_overhead_fixed +
-            SYSTEM_OVERHEAD_PER_PACKET * len(ctx.batch))
-
-
-class FilterStage:
-    """Evaluate every active query's packet filter (shared per batch)."""
-
-    def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        for runtime in ctx.active:
-            ctx.filtered[runtime.query.name] = system._filtered_batch(
-                runtime.query.filter, ctx.batch)
-
-
-class PredictionStage:
-    """Extract features and predict per-query cycles (predictive mode)."""
-
-    def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        if system.mode != "predictive":
-            return
-        table = system.demand_table
-        slots = np.empty(len(ctx.active), dtype=np.intp)
-        for position, runtime in enumerate(ctx.active):
-            name = runtime.query.name
-            sub_batch = ctx.filtered[name]
-            feats = runtime.extractor.extract(sub_batch, update_state=False)
-            ctx.features_pre[name] = feats
-            prediction = runtime.predictor.predict(feats)
-            ctx.predicted_cycles += prediction
-            ctx.prediction_overhead += float(
-                runtime.extractor.extraction_cost(sub_batch) +
-                runtime.predictor.overhead_cycles)
-            # The prediction lands in the slot table, which maintains the
-            # effective minimum rate across bins.
-            table.predicted[runtime.slot] = prediction
-            slots[position] = runtime.slot
-        ctx.demand_slots = slots
-
-
-class RateDecisionStage:
-    """Make every per-query rate decision of the bin: Algorithm 1's rate
-    (Equation 4.1's in reactive mode, 1.0 without shedding), the grant of a
-    query that sheds its own load — what the Chapter 6 enforcer allows it
-    after the earlier bins, nothing under a penalty — and what bound each
-    rate (:class:`Bound`)."""
-
-    def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        names = [runtime.query.name for runtime in ctx.active]
-        clock = ctx.clock
-        decided = np.ones(len(names))
-        ctx.predicted = np.zeros(len(names))
-        if system.mode == "predictive":
-            slots = ctx.demand_slots
-            table = system.demand_table
-            tenants = None
-            if system.tenant_registry.declared:
-                tenants = TenantAssignment(system.tenant_registry,
-                                           table.tenant_slot[slots])
-            ctx.predicted = table.predicted[slots]
-            ctx.plan = system.controller.plan_arrays(
-                names, ctx.predicted, table.min_rate[slots],
-                clock.per_bin_budget, ctx.overhead, clock.delay,
-                tenants=tenants, rank=table.name_rank[slots])
-            if ctx.plan.allocation is not None:
-                decided = ctx.plan.allocation.rate_array
-        elif system.mode == "reactive" and system.last_accounted is not None:
-            last = system.last_accounted
-            decided[:] = reactive_rate(
-                last.mean_rate, last.query_cycles,
-                clock.per_bin_budget - ctx.system_overhead, clock.delay)
-        ctx.decided_rates, ctx.grants = decided, decided.copy()
-        penalised = np.zeros(len(names), dtype=bool)
-        for position, (runtime, rate) in enumerate(zip(ctx.active,
-                                                       decided.tolist())):
-            if system._uses_custom(runtime):
-                name = runtime.query.name
-                penalised[position] = system.enforcer.is_disabled(name,
-                                                                  ctx.index)
-                ctx.grants[position] = (
-                    0.0 if penalised[position]
-                    else system.enforcer.allowed_fraction(name, rate))
-        ctx.bounds = _bounds(system, ctx, penalised)
+def _predict(system: "MonitoringSystem", ctx: BinContext) -> np.ndarray:
+    """Extract every query's pre-shedding features and predict its cycles
+    into the system's :class:`~repro.core.fairness.QuerySlotTable`, which
+    maintains the effective minimum rate across bins; returns the active
+    queries' rows of it."""
+    table = system.demand_table
+    slots = np.empty(len(ctx.active), dtype=np.intp)
+    for position, runtime in enumerate(ctx.active):
+        name = runtime.query.name
+        sub_batch = ctx.filtered[name]
+        feats = runtime.extractor.extract(sub_batch, update_state=False)
+        ctx.features_pre[name] = feats
+        prediction = runtime.predictor.predict(feats)
+        ctx.predicted_cycles += prediction
+        ctx.prediction_overhead += float(
+            runtime.extractor.extraction_cost(sub_batch) +
+            runtime.predictor.overhead_cycles)
+        table.predicted[runtime.slot] = prediction
+        slots[position] = runtime.slot
+    return slots
 
 
 def _bounds(system: "MonitoringSystem", ctx: BinContext,
-            penalised: np.ndarray) -> np.ndarray:
+            slots: Optional[np.ndarray], penalised: np.ndarray) -> np.ndarray:
     """Each active query's :class:`Bound`; the rules are applied from the
     last to the first, so the first that matches is the one left."""
     decided = ctx.decided_rates
@@ -485,7 +473,6 @@ def _bounds(system: "MonitoringSystem", ctx: BinContext,
     allocation = None if ctx.plan is None else ctx.plan.allocation
     if allocation is not None:
         table = system.demand_table
-        slots = ctx.demand_slots
         if allocation.tenant_shares:
             registry = system.tenant_registry
             caps = registry.capacity_caps(ctx.plan.usable_cycles)
@@ -504,58 +491,56 @@ def _bounds(system: "MonitoringSystem", ctx: BinContext,
     return bounds
 
 
-class GivenGrantsStage:
-    """Take the grants the caller decided the bin with in place of
-    admission, prediction and the rate decision: each query runs at its
-    grant, which is also its decided rate; :data:`LOST` loses the bin."""
-
-    def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        if ctx.given == LOST:
-            _lose(system, ctx)
-            return
-        count = len(ctx.active)
-        ctx.predicted = np.zeros(count)
-        ctx.grants = ctx.decided_rates = np.array(
-            [ctx.given[runtime.query.name] for runtime in ctx.active],
-            dtype=np.float64)
-        ctx.bounds = _bounds(system, ctx, np.zeros(count, dtype=bool))
-
-
 class ExecutionStage:
-    """Run each query at the grant it was handed (sampled or custom
-    shedding) and note the rate it applied."""
+    """Run each query at the grant it was handed — behind packet/flow
+    sampling, or through its custom shedding method — and measure it."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
-        for runtime, prediction, decided, grant in zip(
-                ctx.active, ctx.predicted.tolist(),
-                ctx.decided_rates.tolist(), ctx.grants.tolist()):
-            name = runtime.query.name
+        for runtime, grant in zip(ctx.active, ctx.grants.tolist()):
+            query = runtime.query
+            name = query.name
             sub_batch = ctx.filtered[name]
+            applied = grant
             if system._uses_custom(runtime):
-                cycles, applied = system._run_custom(
-                    runtime, sub_batch, grant, prediction, ctx.index,
-                    ctx.features_pre.get(name))
-            else:
-                cycles, ls_cycles = system._run_sampled(
-                    runtime, sub_batch, grant, ctx.features_pre.get(name))
-                ctx.shedding_overhead += ls_cycles
-                applied = grant
+                if grant > 0.0:
+                    applied = float(query.shed_load(sub_batch, grant))
+            elif grant > 0.0:
+                processed = sub_batch
+                if grant < 1.0:
+                    processed = runtime.sampler.sample(sub_batch, grant)
+                    ctx.shedding_overhead += runtime.sampler.cost(sub_batch)
+                    # A sampler hands an empty batch back as it is.  The
+                    # rows are held in the narrowest type that counts them.
+                    if processed is not sub_batch:
+                        ctx.kept[name] = processed._parent_index.astype(
+                            np.min_scalar_type(len(sub_batch)))
+                query.update(processed, max(grant, 1e-12))
+            cycles = query.consume_cycles()
             ctx.rates[name] = applied
             ctx.unsampled_packets += (1.0 - applied) * len(sub_batch)
             ctx.query_cycles_by_query[name] = cycles
             ctx.query_cycles += float(cycles)
-            ctx.expected_cycles += prediction * decided
 
 
 class AccountingStage:
-    """Feed the controller's EWMAs and close the bin with
-    :func:`close_bin`."""
+    """Learn from the bin — each predictor's history, the enforcer's
+    verdicts, the controller's EWMAs — and close it with
+    :func:`close_bin`.  A bin handed its grants learns nothing."""
 
     def run(self, system: "MonitoringSystem", ctx: BinContext) -> None:
         # ``unsampled_packets`` is reported per packet of the input stream
         # (averaged over the queries), not summed across queries.
         if ctx.active:
             ctx.unsampled_packets /= len(ctx.active)
+        if ctx.given is None and system.mode == "predictive":
+            for runtime, prediction, grant in zip(
+                    ctx.active, ctx.predicted.tolist(), ctx.grants.tolist()):
+                if grant <= 0.0:  # the query saw no packets
+                    continue
+                if system._uses_custom(runtime):
+                    _learn_custom(system, ctx, runtime, prediction, grant)
+                else:
+                    _learn_sampled(ctx, runtime, grant)
         if ctx.plan is not None:
             system.controller.record_shedding_overhead(ctx.shedding_overhead)
             system.controller.record_prediction_error(ctx.expected_cycles,
@@ -563,25 +548,58 @@ class AccountingStage:
         system.last_accounted = close_bin(system, ctx)
 
 
-#: The canonical stage order of Figure 3.2.  Stages are stateless, so the
-#: singletons can be shared by every system in the process.
+def _learn_sampled(ctx: BinContext, runtime, grant: float) -> None:
+    """Train a sampled query's predictor on what it saw: the pre-shedding
+    features of a whole batch, or those of its sample, whose extraction is
+    a shedding cost."""
+    name = runtime.query.name
+    sub_batch = ctx.filtered[name]
+    if grant >= 1.0:
+        features = ctx.features_pre[name]
+        runtime.extractor.commit(sub_batch)
+    else:
+        kept = ctx.kept.get(name)
+        processed = sub_batch if kept is None else sub_batch.select(kept)
+        features = runtime.extractor.extract(processed, update_state=True)
+        ctx.shedding_overhead += runtime.extractor.extraction_cost(processed)
+    runtime.predictor.observe(features.values,
+                              ctx.query_cycles_by_query[name])
+
+
+def _learn_custom(system: "MonitoringSystem", ctx: BinContext, runtime,
+                  prediction: float, grant: float) -> None:
+    """Judge a query that shed its own load against its grant, then train
+    its predictor in full-batch terms."""
+    name = runtime.query.name
+    cycles = ctx.query_cycles_by_query[name]
+    # The query was granted ``prediction * grant`` cycles; consuming
+    # noticeably more than that is a violation the enforcer acts upon.
+    # Before the predictor has a fitted model there is no grant in cycles
+    # to hold the query to, and granted its whole batch a query cannot
+    # exceed it: those bins only move the correction factor.
+    if prediction > 0.0:
+        system.enforcer.record(
+            name, expected_cycles=prediction * grant, actual_cycles=cycles,
+            bin_index=ctx.index,
+            judged=runtime.predictor.fitted and grant < 1.0)
+    # Disabled by this bin: its history holds what it reported, which its
+    # cycles broke, and it starts its penalty with an empty one.
+    if system.enforcer.is_disabled(name, ctx.index + 1):
+        runtime.predictor.reset()
+    else:
+        # Scale the measured cycles back up by the fraction the query
+        # reports.
+        runtime.predictor.observe(ctx.features_pre[name].values,
+                                  cycles / max(ctx.rates[name], 0.05))
+    runtime.extractor.commit(ctx.filtered[name])
+
+
+#: The one stage order of every bin, decided or handed its grants.  Stages
+#: are stateless, so the singletons can be shared by every system in the
+#: process.
 DEFAULT_STAGES = (
     IntervalFlushStage(),
-    AdmissionStage(),
-    SystemOverheadStage(),
-    FilterStage(),
-    PredictionStage(),
     RateDecisionStage(),
-    ExecutionStage(),
-    AccountingStage(),
-)
-#: The stages of a bin the caller decided: :class:`GivenGrantsStage` in
-#: place of admission, prediction and the rate decision.
-GIVEN_STAGES = (
-    IntervalFlushStage(),
-    GivenGrantsStage(),
-    SystemOverheadStage(),
-    FilterStage(),
     ExecutionStage(),
     AccountingStage(),
 )
@@ -590,14 +608,14 @@ GIVEN_STAGES = (
 def process_bin(system: "MonitoringSystem", index: int, batch: Batch,
                 clock: "CycleClock", buffer: CaptureBuffer,
                 grants: Optional[Grants] = None) -> BinRecord:
-    """Run ``batch`` through :data:`DEFAULT_STAGES`, or through
-    :data:`GIVEN_STAGES` when the caller hands in its ``grants``; returns
-    the bin's record."""
+    """Run ``batch`` through :data:`DEFAULT_STAGES`, deciding it or, when
+    the caller hands in its ``grants``, running it at them; returns the
+    bin's record."""
     ctx = BinContext(index=index, batch=batch, clock=clock, buffer=buffer,
                      given=grants)
     profiler = system.profiler
     bin_seconds = 0.0
-    for stage in DEFAULT_STAGES if grants is None else GIVEN_STAGES:
+    for stage in DEFAULT_STAGES:
         started = perf_counter()
         stage.run(system, ctx)
         elapsed = perf_counter() - started
@@ -616,22 +634,16 @@ def process_bin(system: "MonitoringSystem", index: int, batch: Batch,
 
 __all__ = [
     "AccountingStage",
-    "AdmissionStage",
     "BinContext",
     "BinRecord",
     "Bound",
     "DEFAULT_STAGES",
     "ExecutionStage",
-    "FilterStage",
-    "GIVEN_STAGES",
-    "GivenGrantsStage",
     "Grants",
     "IntervalFlushStage",
     "LOST",
-    "PredictionStage",
     "RateDecisionStage",
     "SYSTEM_OVERHEAD_PER_PACKET",
-    "SystemOverheadStage",
     "close_bin",
     "process_bin",
 ]

@@ -41,8 +41,7 @@ import numpy as np
 from ..core.custom import CustomShedEnforcer
 from ..core.cycles import CycleBudget
 from ..core.fairness import QuerySlotTable
-from ..core.features import (FeatureExtractor, FeatureSharing,
-                             FeatureVector)
+from ..core.features import FeatureExtractor, FeatureSharing
 from ..core.hashing import stream_key
 from ..core.prediction import CyclePredictor, make_predictor
 from ..core.sampling import FlowSampler, PacketSampler
@@ -712,73 +711,3 @@ class MonitoringSystem:
             cached = packet_filter.apply(batch)
             batch.store_filter(key, cached)
         return cached
-
-    # ------------------------------------------------------------------
-    def _run_sampled(self, runtime: _QueryRuntime, sub_batch: Batch,
-                     rate: float, features_pre: Optional[FeatureVector]
-                     ) -> tuple:
-        """Run a query behind system packet/flow sampling.  Returns
-        ``(query_cycles, shedding_cycles)``."""
-        query = runtime.query
-        shedding_cycles = 0.0
-        if rate >= 1.0:
-            processed = sub_batch
-            features_post = features_pre
-            if self.mode == "predictive":
-                runtime.extractor.commit(sub_batch)
-        elif rate <= 0.0:
-            # The query is disabled for this bin: it sees no packets.
-            processed = sub_batch.select(np.zeros(len(sub_batch), dtype=bool))
-            features_post = None
-        else:
-            processed = runtime.sampler.sample(sub_batch, rate)
-            shedding_cycles += runtime.sampler.cost(sub_batch)
-            if self.mode == "predictive":
-                features_post = runtime.extractor.extract(processed,
-                                                          update_state=True)
-                shedding_cycles += runtime.extractor.extraction_cost(processed)
-            else:
-                features_post = None
-        if rate > 0.0:
-            query.update(processed, max(rate, 1e-12))
-        cycles = query.consume_cycles()
-        if self.mode == "predictive" and features_post is not None:
-            runtime.predictor.observe(features_post.values
-                                      if isinstance(features_post, FeatureVector)
-                                      else features_post, cycles)
-        return cycles, shedding_cycles
-
-    def _run_custom(self, runtime: _QueryRuntime, sub_batch: Batch,
-                    grant: float, prediction: float, bin_index: int,
-                    features_pre: Optional[FeatureVector]) -> tuple:
-        """Run a query that sheds its own load at the fraction ``grant`` the
-        rate decision allowed it (0.0: it does not run).  Returns
-        ``(query_cycles, applied_fraction)``."""
-        query = runtime.query
-        if grant <= 0.0:
-            return 0.0, 0.0
-        applied = query.shed_load(sub_batch, grant)
-        cycles = query.consume_cycles()
-        # The query was granted ``prediction * grant`` cycles; consuming
-        # noticeably more than that is a violation the enforcer acts upon.
-        # Before the predictor has a fitted model there is no grant in
-        # cycles to hold the query to, and granted its whole batch a query
-        # cannot exceed it: those bins only move the correction factor.
-        if prediction > 0.0:
-            self.enforcer.record(
-                query.name, expected_cycles=prediction * grant,
-                actual_cycles=cycles, bin_index=bin_index,
-                judged=runtime.predictor.fitted and grant < 1.0)
-        # Disabled by this bin: its history holds what it reported, which
-        # its cycles broke, and it starts its penalty with an empty one.
-        disabled = self.enforcer.is_disabled(query.name, bin_index + 1)
-        if disabled:
-            runtime.predictor.reset()
-        if features_pre is not None:
-            # Keep the regression history in full-batch terms: scale the
-            # measured cycles back up by the fraction the query reports.
-            if not disabled:
-                scale = max(float(applied), 0.05)
-                runtime.predictor.observe(features_pre.values, cycles / scale)
-            runtime.extractor.commit(sub_batch)
-        return cycles, float(applied)

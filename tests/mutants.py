@@ -135,6 +135,23 @@ MUTANTS = (
            "[1.0 for runtime in ctx.active]",
            _cells("rates-predictive-bitmap", "rates-predictive-exact",
                   "rates-reactive")),
+    Mutant("a sampled query learns from its pre-shed features",
+           "src/repro/monitor/pipeline.py",
+           "features = runtime.extractor.extract(processed, update_state=True)",
+           "features = ctx.features_pre[name]",
+           ("tests/test_golden.py::TestGoldenOutcomes::"
+            "test_series_totals_pinned[exact-predictive]",
+            "tests/test_golden.py::TestGoldenOutcomes::"
+            "test_series_totals_pinned[bitmap-predictive]",
+            "tests/test_budget_decomposition.py::"
+            "test_the_overspend_is_the_loan_the_error_and_the_slack[1]")),
+    Mutant("a given bin trains its predictors",
+           "src/repro/monitor/pipeline.py",
+           'if ctx.given is None and system.mode == "predictive":',
+           'if system.mode == "predictive":',
+           ("tests/test_system_integration.py::TestGivenBins::"
+            "test_a_given_bin_learns_nothing",)
+           + _cells("rates-predictive-bitmap", "rates-predictive-exact")),
     Mutant("a water fill that ignores the weights",
            "src/repro/core/fairness.py",
            "used = float((weights * np.clip(mid, floors, ceilings)).sum())",

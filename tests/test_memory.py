@@ -27,7 +27,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core.features import TRAFFIC_AGGREGATES
+from repro.core.features import TRAFFIC_AGGREGATES, FeatureExtractor
 from repro.core.sampling import PacketSampler
 from repro.experiments import runner
 from repro.fleet import FleetPartitioner, FleetRunner, FleetTopology
@@ -181,12 +181,22 @@ def test_a_bin_memoises_bit_addresses_not_bank_only_hashes(header_store,
                                                           monkeypatch):
     """A bitmap bank is filled from one ``uint16`` address matrix per bin:
     the bin keeps no 64-bit hash of an aggregate only the bank reads, and
-    a sampled batch gathers its rows of the bin's matrix, keeping none."""
+    a sampled batch gathers its rows of the bin's matrix, keeping none —
+    the one a query runs on and the one accounting reads its features
+    from, rebuilt from the rows the query kept."""
     sampled = []
     sample = PacketSampler.sample
+    extract = FeatureExtractor.extract
+
+    def read_sample(self, batch, update_state=True):
+        if update_state:
+            sampled.append(batch)
+        return extract(self, batch, update_state)
+
     monkeypatch.setattr(PacketSampler, "sample",
                         lambda self, batch, rate: sampled.append(
                             sample(self, batch, rate)) or sampled[-1])
+    monkeypatch.setattr(FeatureExtractor, "extract", read_sample)
     names = ("counter", "flows", "top-k")
     capacity, _ = runner.calibrate_capacity(names, small_trace)
     config = runner.system_config(queries=",".join(names), seed=5,

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from repro.core.features import TRAFFIC_AGGREGATES, FeatureExtractor
 from repro.core.hashing import stream_key
+from repro.core.sampling import (SAMPLING_CYCLES_FIXED,
+                                 SAMPLING_CYCLES_PER_PACKET)
 from repro.core.tenancy import TenantGroup
 from repro.monitor.capture import CaptureBuffer
 from repro.monitor.config import SystemConfig
-from repro.monitor.pipeline import Bound
+from repro.monitor.pipeline import DEFAULT_STAGES, LOST, Bound
 from repro.monitor.query import closed_intervals
 from repro.queries import (BuggyP2PDetectorQuery, P2PDetectorQuery,
                            QuerySpec, SelfishP2PDetectorQuery, make_query)
@@ -462,6 +464,63 @@ class TestRateDecisionRecord:
                     assert 0.0 <= rate < 1.0
                     assert abs(rate - floors[name]) > 1e-12
         assert seen == set(Bound) - {Bound.PENALISED}
+
+
+GIVEN_QUERIES = ("counter", "flows", "top-k")
+
+
+@pytest.fixture(scope="module")
+def replayed():
+    """``header_trace(scale=0.3)`` at half the calibrated capacity of
+    ``GIVEN_QUERIES``: a predictive session that decides every bin, then a
+    fresh one handed each decided bin's rates (a drop as a drop).  Returns
+    ``(bins, decided session, decided result, given system, given session,
+    given result)``."""
+    trace = scenarios.header_trace(scale=0.3)
+    capacity = runner.calibrate_capacity(GIVEN_QUERIES, trace)[0]
+    config = runner.system_config(queries=GIVEN_QUERIES, mode="predictive",
+                                  cycles_per_second=capacity * 0.5)
+    bins = trace.batch_list(runner.TIME_BIN)
+    decided_session = config.build().open_session(time_bin=runner.TIME_BIN)
+    for batch in bins:
+        decided_session.ingest(batch)
+    decided = decided_session.close()
+    system = config.build()
+    given_session = system.open_session(time_bin=runner.TIME_BIN)
+    for batch, record in zip(bins, decided.bins):
+        given_session.ingest(batch, LOST if record.dropped_packets
+                             else record.rates)
+    return (bins, decided_session, decided, system, given_session,
+            given_session.close())
+
+
+class TestGivenBins:
+    def test_a_given_bin_learns_nothing(self, replayed):
+        """Handed its grants, a bin runs its queries at them and trains no
+        predictor; its shedding cost is the samplers' alone."""
+        bins, _, decided, system, _, given = replayed
+        assert [record.rates for record in given.bins] == \
+            [record.rates for record in decided.bins]
+        sampled = 0
+        for batch, record in zip(bins, given.bins):
+            cost = 0.0
+            for name, rate in record.rates.items():
+                if 0.0 < rate < 1.0:
+                    sampled += 1
+                    packets = len(system.runtime(name).query.filter.apply(
+                        batch))
+                    cost += SAMPLING_CYCLES_FIXED + \
+                        SAMPLING_CYCLES_PER_PACKET * packets
+            assert record.shedding_overhead == cost
+        assert sampled > 0
+        for name in GIVEN_QUERIES:
+            assert len(system.runtime(name).predictor.history) == 0
+
+    def test_every_bin_runs_the_one_stage_tuple(self, replayed):
+        _, decided_session, _, _, given_session, _ = replayed
+        stages = {type(stage).__name__ for stage in DEFAULT_STAGES}
+        assert set(decided_session.metrics["profile"]["stages"]) == stages
+        assert set(given_session.metrics["profile"]["stages"]) == stages
 
 
 class TestExecutionResult:
